@@ -1,16 +1,20 @@
-(* Experiment LP1: the dense reference tableau vs the sparse revised
-   simplex, point by point over the scalability sweeps plus a
-   paper-scale axis the dense engine cannot reach.  Every point is a
-   differential check (both engines must agree on the verdict and, when
-   both prove optimality, on the objective); wall-clock and LP-time
-   ratios feed two geometric means; everything is also dumped as
-   BENCH_solver.json for machine consumption.  Timings are the best of
-   [reps] runs per engine, and the LP-seconds attribution (telemetry
-   histogram delta) separates solver time from the shared pipeline
-   overhead that end-to-end walls include.  In smoke mode the experiment
-   is the CI perf canary: it fails the run when the sparse engine's LP
-   time is slower than the dense one's on the smoke set or when any
-   differential check trips. *)
+(* Experiment LP1: the production ILP pipeline point by point over the
+   scalability sweeps plus a paper-scale axis.  Each sweep point's root
+   LP relaxation ([Ilp.Model.lp_relaxation] of the pipeline's own
+   layout) is also solved by both the dense reference tableau
+   ([Simplex.solve_dense]) and the production sparse revised simplex
+   ([Simplex.solve]) as a differential check: the two engines must
+   agree on the root LP's verdict and, when both prove optimality, on
+   its objective.
+   The dense/sparse root-LP time ratios feed a geometric mean, and
+   everything is also dumped as BENCH_solver.json for machine
+   consumption.  Timings are the best of several runs; the ILP's
+   LP-seconds attribution (telemetry histogram delta) separates solver
+   time from the shared pipeline overhead that end-to-end walls
+   include.  In smoke mode the experiment is the CI perf canary: it
+   fails the run when the sparse engine's root-LP time is slower than
+   the dense one's on the smoke set or when any differential check
+   trips. *)
 
 type run = {
   r_status : Placement.Encode.status;
@@ -20,6 +24,7 @@ type run = {
   r_lp_iters : int;
   r_warm_hits : int;
   r_warm_misses : int;
+  r_layout : Placement.Layout.t;
 }
 
 (* Handles onto series registered by the engines; registration is
@@ -32,7 +37,7 @@ let c_misses = Telemetry.Metrics.counter "sdnplace_ilp_warm_start_misses_total"
 
 let h_lp = Telemetry.Metrics.histogram "sdnplace_ilp_lp_seconds"
 
-let run_engine_once ~lp_engine ~time_limit inst =
+let run_ilp_once ~time_limit inst =
   let i0 = Telemetry.Metrics.counter_value c_iters in
   let h0 = Telemetry.Metrics.counter_value c_hits in
   let m0 = Telemetry.Metrics.counter_value c_misses in
@@ -40,7 +45,7 @@ let run_engine_once ~lp_engine ~time_limit inst =
   let report, wall =
     Harness.wall (fun () ->
         Placement.Solve.run
-          ~options:(Harness.solve_options ~time_limit ~lp_engine ())
+          ~options:(Harness.solve_options ~time_limit ())
           inst)
   in
   {
@@ -54,40 +59,65 @@ let run_engine_once ~lp_engine ~time_limit inst =
     r_lp_iters = Telemetry.Metrics.counter_value c_iters - i0;
     r_warm_hits = Telemetry.Metrics.counter_value c_hits - h0;
     r_warm_misses = Telemetry.Metrics.counter_value c_misses - m0;
+    r_layout = report.Placement.Solve.layout;
   }
 
 (* Best-of-[reps]: system noise easily swamps sub-second solves, so the
    minimum wall (with its matching attribution) is the honest estimate
-   of each engine's cost. *)
-let run_engine ?(reps = 1) ~lp_engine ~time_limit inst =
-  let best = ref (run_engine_once ~lp_engine ~time_limit inst) in
+   of the cost. *)
+let best_of reps ~wall f =
+  let best = ref (f ()) in
   for _ = 2 to reps do
-    let r = run_engine_once ~lp_engine ~time_limit inst in
-    if r.r_wall < !best.r_wall then best := r
+    let r = f () in
+    if wall r < wall !best then best := r
   done;
   !best
 
-(* Agreement is only checkable when both engines reach a proof: a
-   limit-hit incumbent says nothing about the optimum. *)
-let definitive (r : run) =
-  match r.r_status with `Optimal | `Infeasible -> true | _ -> false
+let run_ilp ~reps ~time_limit inst =
+  best_of reps ~wall:(fun r -> r.r_wall) (fun () ->
+      run_ilp_once ~time_limit inst)
 
-let agree d s =
-  if not (definitive d && definitive s) then None
-  else if d.r_status <> s.r_status then Some false
-  else
-    match (d.r_objective, s.r_objective) with
-    | Some a, Some b -> Some (Float.abs (a -. b) < 1e-6)
-    | None, None -> Some true
-    | _ -> Some false
+(* One engine on the root LP: verdict plus its best wall over at least
+   [reps] runs and 50 ms, so that sub-millisecond LPs get enough samples
+   for the minimum to settle. *)
+let time_root_lp ~reps solve lp =
+  let rec go n spent best =
+    if n >= reps && spent >= 0.05 then best
+    else
+      let ((_, w) as r) = Harness.wall (fun () -> solve lp) in
+      go (n + 1) (spent +. w) (if w < snd best then r else best)
+  in
+  let ((_, w) as first) = Harness.wall (fun () -> solve lp) in
+  go 1 w first
+
+let agree (d : Simplex.status) (s : Simplex.status) =
+  match (d, s) with
+  | Simplex.Optimal { objective = a; _ }, Simplex.Optimal { objective = b; _ }
+    ->
+    Float.abs (a -. b) <= 1e-6 *. Float.max 1.0 (Float.abs a)
+  | Simplex.Infeasible, Simplex.Infeasible
+  | Simplex.Unbounded, Simplex.Unbounded ->
+    true
+  | _ -> false
+
+let lp_status_short = function
+  | Simplex.Optimal _ -> "opt"
+  | Simplex.Infeasible -> "INF"
+  | Simplex.Unbounded -> "unbounded"
+  | Simplex.Iteration_limit -> "iter-limit"
+
+let lp_objective = function
+  | Simplex.Optimal { objective; _ } -> Some objective
+  | _ -> None
 
 type point = {
   p_name : string;
   p_family : Workload.family;
-  p_dense : bool;  (* large points skip the dense engine entirely *)
+  p_root_lp : bool;  (* paper-scale points skip the root-LP comparison *)
 }
 
-let point ?(dense = true) ~name f = { p_name = name; p_family = f; p_dense = dense }
+let point ?(root_lp = true) ~name f =
+  { p_name = name; p_family = f; p_root_lp = root_lp }
 
 let sweep_points ~smoke ~quick =
   let fam ?(k = 4) ?(rules = 20) ?(paths = 64) ?(capacity = 100) ?(seed = 1) ()
@@ -118,14 +148,13 @@ let sweep_points ~smoke ~quick =
            point ~name:"fig10 k4 r26 p64 C60"
              (fam ~rules:26 ~paths:64 ~capacity:60 ());
          ])
-    (* The new axis: paper-scale instances under a 10 s cap.  The dense
-       tableau cannot touch these (its per-node rebuild alone blows the
-       budget), so they run sparse-only and the JSON records whether the
-       revised simplex closes them. *)
+    (* Paper-scale instances under a 10 s cap: the JSON records whether
+       the pipeline closes them.  They skip the root-LP comparison, since
+       the dense tableau passes 1 GB and minutes here. *)
     @ [
-        point ~dense:false ~name:"big k8 r20 p256 C140"
+        point ~root_lp:false ~name:"big k8 r20 p256 C140"
           (fam ~k:8 ~paths:256 ~capacity:140 ());
-        point ~dense:false ~name:"big k4 r80 p64 C200"
+        point ~root_lp:false ~name:"big k4 r80 p64 C200"
           (fam ~rules:80 ~capacity:200 ());
       ]
 
@@ -144,6 +173,15 @@ let json_of_run (r : run) =
           let total = r.r_warm_hits + r.r_warm_misses in
           if total = 0 then Null
           else Float (float_of_int r.r_warm_hits /. float_of_int total) );
+      ])
+
+let json_of_root_lp (status, seconds) =
+  Harness.(
+    Obj
+      [
+        ("status", Str (lp_status_short status));
+        ("objective", opt (fun o -> Float o) (lp_objective status));
+        ("wall_s", Float seconds);
       ])
 
 let geomean = function
@@ -197,7 +235,7 @@ let run_scoreboard_once ~time_limit inst =
   let report, wall =
     Harness.wall (fun () ->
         Placement.Solve.run
-          ~options:(Harness.solve_options ~time_limit ~lp_engine:Simplex.Sparse ())
+          ~options:(Harness.solve_options ~time_limit ())
           inst)
   in
   {
@@ -214,13 +252,9 @@ let run_scoreboard_once ~time_limit inst =
         report.Placement.Solve.ilp_stats;
   }
 
-let run_scoreboard ?(reps = 2) ~time_limit inst =
-  let best = ref (run_scoreboard_once ~time_limit inst) in
-  for _ = 2 to reps do
-    let r = run_scoreboard_once ~time_limit inst in
-    if r.b_wall < !best.b_wall then best := r
-  done;
-  !best
+let run_scoreboard ~reps ~time_limit inst =
+  best_of reps ~wall:(fun r -> r.b_wall) (fun () ->
+      run_scoreboard_once ~time_limit inst)
 
 (* Relative optimality gap of the returned incumbent; 0 on a proof,
    null when either side is missing. *)
@@ -263,101 +297,71 @@ let sb_json ~time_limit ~reps entries =
 
 let run ~title ~smoke ~quick ~time_limit ~json_path () =
   let points = sweep_points ~smoke ~quick in
-  let reps = 3 in
+  let reps = 3 and lp_reps = 5 in
   let results =
     List.map
       (fun p ->
-        let inst = Workload.build p.p_family in
-        let sparse =
-          run_engine ~reps ~lp_engine:Simplex.Sparse ~time_limit inst
-        in
-        let dense =
-          if p.p_dense then
-            Some (run_engine ~reps ~lp_engine:Simplex.Dense ~time_limit inst)
+        let ilp = run_ilp ~reps ~time_limit (Workload.build p.p_family) in
+        let root =
+          if p.p_root_lp then begin
+            let model, _ = Placement.Encode.to_model ilp.r_layout in
+            let lp = Ilp.Model.lp_relaxation model in
+            Some
+              ( time_root_lp ~reps:lp_reps Simplex.solve_dense lp,
+                time_root_lp ~reps:lp_reps Simplex.solve lp )
+          end
           else None
         in
-        (p, dense, sparse))
+        (p, ilp, root))
       points
   in
+  let lp_ratio ((_, d), (_, s)) = d /. Float.max s 1e-9 in
+  let agreement ((d, _), (s, _)) = agree d s in
   (* Table. *)
-  let fmt_run = function
-    | None -> "-"
-    | Some r ->
-      Printf.sprintf "%s (%s)" (Harness.sec r.r_wall)
-        (Harness.status_short r.r_status)
+  let fmt_lp (status, wall) =
+    Printf.sprintf "%.2fms (%s)" (wall *. 1000.0) (lp_status_short status)
   in
-  let lp_ratio d s = d.r_lp_s /. Float.max s.r_lp_s 1e-6 in
+  let on_root f root = Option.fold ~none:"-" ~some:f root in
   let rows =
     List.map
-      (fun (p, dense, sparse) ->
-        let speedup =
-          match dense with
-          | Some d -> Printf.sprintf "%.1fx" (d.r_wall /. Float.max sparse.r_wall 1e-6)
-          | None -> "-"
-        in
-        let lp_speedup =
-          match dense with
-          | Some d -> Printf.sprintf "%.1fx" (lp_ratio d sparse)
-          | None -> "-"
-        in
-        let agreement =
-          match Option.bind dense (fun d -> agree d sparse) with
-          | Some true -> "ok"
-          | Some false -> "MISMATCH"
-          | None -> "-"
-        in
+      (fun (p, ilp, root) ->
         let hit_rate =
-          let total = sparse.r_warm_hits + sparse.r_warm_misses in
+          let total = ilp.r_warm_hits + ilp.r_warm_misses in
           if total = 0 then "-"
           else
             Printf.sprintf "%d%%"
               (int_of_float
-                 (100.0 *. float_of_int sparse.r_warm_hits /. float_of_int total))
+                 (100.0 *. float_of_int ilp.r_warm_hits /. float_of_int total))
         in
         [
           p.p_name;
-          fmt_run dense;
-          fmt_run (Some sparse);
-          speedup;
-          lp_speedup;
-          string_of_int sparse.r_lp_iters;
+          Printf.sprintf "%s (%s)" (Harness.sec ilp.r_wall)
+            (Harness.status_short ilp.r_status);
+          string_of_int ilp.r_lp_iters;
           hit_rate;
-          agreement;
+          on_root (fun (d, _) -> fmt_lp d) root;
+          on_root (fun (_, s) -> fmt_lp s) root;
+          on_root (fun r -> Printf.sprintf "%.1fx" (lp_ratio r)) root;
+          on_root (fun r -> if agreement r then "ok" else "MISMATCH") root;
         ])
       results
   in
   Harness.print_table ~title
     ~headers:
       [
-        "point"; "dense"; "sparse"; "speedup"; "lp speedup"; "sparse iters";
-        "warm"; "diff";
+        "point"; "ilp"; "ilp iters"; "warm"; "root lp dense"; "root lp sparse";
+        "speedup"; "diff";
       ]
     rows;
   (* Aggregates. *)
-  let wall_ratios =
-    List.filter_map
-      (fun (_, dense, sparse) ->
-        Option.map (fun d -> d.r_wall /. Float.max sparse.r_wall 1e-6) dense)
-      results
-  in
-  let lp_ratios =
-    List.filter_map
-      (fun (_, dense, sparse) ->
-        Option.map (fun d -> lp_ratio d sparse) dense)
-      results
-  in
-  let wall_geo = geomean wall_ratios and lp_geo = geomean lp_ratios in
+  let roots = List.filter_map (fun (_, _, root) -> root) results in
+  let lp_geo = geomean (List.map lp_ratio roots) in
   let mismatches =
-    List.length
-      (List.filter
-         (fun (_, dense, sparse) ->
-           Option.bind dense (fun d -> agree d sparse) = Some false)
-         results)
+    List.length (List.filter (fun r -> not (agreement r)) roots)
   in
   Printf.printf
-    "geometric-mean speedup (dense/sparse) over %d points: %.2fx end-to-end, \
-     %.2fx LP time\n"
-    (List.length wall_ratios) wall_geo lp_geo;
+    "geometric-mean root-LP speedup (dense/sparse) over %d points: %.2fx\n"
+    (List.length roots) lp_geo;
   if mismatches > 0 then
     Printf.printf "DIFFERENTIAL FAILURES: %d point(s) disagree\n" mismatches;
   (* Paper-scale scoreboard: best-of-reps, per-point cap = [time_limit]. *)
@@ -386,7 +390,7 @@ let run ~title ~smoke ~quick ~time_limit ~json_path () =
          ])
        scoreboard);
   (* Machine-readable dump. *)
-  let point_json (p, dense, sparse) =
+  let point_json (p, ilp, root) =
     let f = p.p_family in
     Harness.(
       Obj
@@ -397,40 +401,40 @@ let run ~title ~smoke ~quick ~time_limit ~json_path () =
           ("paths", Int f.Workload.paths);
           ("capacity", Int f.Workload.capacity);
           ("seed", Int f.Workload.seed);
-          ("dense", opt json_of_run dense);
-          ("sparse", json_of_run sparse);
-          ( "speedup",
+          ("ilp", json_of_run ilp);
+          ( "root_lp",
             opt
-              (fun d -> Float (d.r_wall /. Float.max sparse.r_wall 1e-6))
-              dense );
-          ("lp_speedup", opt (fun d -> Float (lp_ratio d sparse)) dense);
-          ( "agree",
-            opt (fun a -> Bool a) (Option.bind dense (fun d -> agree d sparse))
-          );
+              (fun (d, s) ->
+                Obj
+                  [
+                    ("dense", json_of_root_lp d);
+                    ("sparse", json_of_root_lp s);
+                    ("speedup", Float (lp_ratio (d, s)));
+                    ("agree", Bool (agreement (d, s)));
+                  ])
+              root );
         ])
   in
   Harness.(
     write_json ~path:json_path
       (Obj
          [
-           ("experiment", Str "lp_engine_comparison");
+           ("experiment", Str "root_lp_comparison");
            ( "mode",
              Str (if smoke then "smoke" else if quick then "quick" else "full")
            );
            ("time_limit_s", Float time_limit);
            ("reps", Int reps);
+           ("root_lp_reps", Int lp_reps);
            ("points", List (List.map point_json results));
            ("scoreboard", sb_json ~time_limit ~reps:sb_reps scoreboard);
-           ("geomean_speedup", Float wall_geo);
-           ("geomean_lp_speedup", Float lp_geo);
+           ("geomean_root_lp_speedup", Float lp_geo);
            ("differential_failures", Int mismatches);
          ]));
-  (* Verdict for the CI canary: LP-time ratio, because on smoke-sized
-     instances the shared pipeline overhead dominates wall clock and the
-     wall ratio is mostly noise. *)
+  (* Verdict for the CI canary. *)
   let ok = mismatches = 0 && (not smoke || lp_geo >= 1.0) in
   if not ok then
     Printf.printf "exp_solver: FAILED (%s)\n"
       (if mismatches > 0 then "differential mismatch"
-       else "sparse LP slower than dense on the smoke set");
+       else "sparse root LP slower than dense on the smoke set");
   ok

@@ -113,15 +113,7 @@ let write_json ~path j =
   close_out oc;
   Printf.printf "wrote %s\n" path
 
-(* The run-wide LP engine (bench/main.exe --lp-engine); experiments that
-   compare engines pass [?lp_engine] explicitly and bypass it. *)
-let default_lp_engine = ref Simplex.Sparse
-
-let solve_options ?(merge = false) ?(slice = false) ?(time_limit = 10.0)
-    ?lp_engine () =
-  let lp_engine =
-    match lp_engine with Some e -> e | None -> !default_lp_engine
-  in
-  Placement.Solve.options ~merge ~slice ~lp_engine
+let solve_options ?(merge = false) ?(slice = false) ?(time_limit = 10.0) () =
+  Placement.Solve.options ~merge ~slice
     ~ilp_config:{ Ilp.Solver.default_config with time_limit }
     ()

@@ -5,83 +5,73 @@
 
    Usage: dune exec bench/main.exe -- [--quick] [--smoke] [--no-micro]
                                       [--jobs N] [--seed N]
-                                      [--lp-engine sparse|dense]
                                       [--metrics FILE] [--trace FILE]
                                       [--only fig7|fig8|fig9|fig10|fig11|
                                               table2|exp5|s1|b1|ablations|
                                               portfolio|chaos|update|crash|
-                                              serve|lp|caching] *)
+                                              serve|lp|caching]
 
-let smoke = Array.exists (( = ) "--smoke") Sys.argv
+   --only is repeatable.  An unknown flag or --only name, a missing
+   value, or a non-integer --jobs/--seed exits with status 2. *)
 
-let quick = smoke || Array.exists (( = ) "--quick") Sys.argv
+let experiments =
+  [
+    "fig7"; "fig8"; "fig9"; "fig10"; "fig11"; "table2"; "exp5"; "s1"; "b1";
+    "ablations"; "portfolio"; "chaos"; "update"; "crash"; "serve"; "lp";
+    "caching";
+  ]
 
-let no_micro = smoke || Array.exists (( = ) "--no-micro") Sys.argv
+let smoke = ref false
+let quick = ref false
+let no_micro = ref false
+let only = ref []
+let jobs = ref 4
 
-(* --only NAME runs a single experiment (fig7 fig8 fig9 fig10 fig11
-   table2 exp5 s1 b1 ablations portfolio chaos update crash serve
-   caching); repeatable. *)
-let only =
-  let rec collect i acc =
-    if i >= Array.length Sys.argv then acc
-    else if Sys.argv.(i) = "--only" && i + 1 < Array.length Sys.argv then
-      collect (i + 2) (Sys.argv.(i + 1) :: acc)
-    else collect (i + 1) acc
-  in
-  collect 1 []
+(* --seed N varies the chaos-soak churn/fault stream (CI runs a small
+   seed matrix through it). *)
+let seed = ref 1
+
+(* --metrics FILE / --trace FILE: enable telemetry for the whole run and
+   write the Prometheus exposition / JSONL spans on exit ("-" = stdout). *)
+let metrics_out = ref None
+let trace_out = ref None
+
+let () =
+  Arg.parse
+    (Arg.align
+       [
+         ("--smoke", Arg.Set smoke, " one tiny point per experiment family");
+         ("--quick", Arg.Set quick, " reduced sweeps");
+         ("--no-micro", Arg.Set no_micro, " skip the micro-benchmarks");
+         ("--jobs", Arg.Set_int jobs, "N domains for the parallel experiments");
+         ("--seed", Arg.Set_int seed, "N chaos/serve/caching seed");
+         ( "--metrics",
+           Arg.String (fun f -> metrics_out := Some f),
+           "FILE write the Prometheus exposition" );
+         ( "--trace",
+           Arg.String (fun f -> trace_out := Some f),
+           "FILE write the JSONL spans" );
+         ( "--only",
+           Arg.Symbol (experiments, fun name -> only := name :: !only),
+           " run one experiment (repeatable)" );
+       ])
+    (fun arg -> raise (Arg.Bad ("unexpected argument " ^ arg)))
+    "usage: bench/main.exe [options]"
+
+let smoke = !smoke
+let quick = smoke || !quick
+let no_micro = smoke || !no_micro
+let jobs = !jobs
+let seed = !seed
+let metrics_out = !metrics_out
+let trace_out = !trace_out
 
 (* --smoke: the CI perf canary — one tiny point per experiment family so
    a regression fails loudly without burning minutes. *)
 let only =
-  if smoke && only = [] then [ "fig7"; "s1"; "portfolio"; "lp" ] else only
+  if smoke && !only = [] then [ "fig7"; "s1"; "portfolio"; "lp" ] else !only
 
 let wants name = only = [] || List.mem name only
-
-let jobs =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then 4
-    else if Sys.argv.(i) = "--jobs" then
-      Option.value (int_of_string_opt Sys.argv.(i + 1)) ~default:4
-    else find (i + 1)
-  in
-  find 1
-
-(* --seed N varies the chaos-soak churn/fault stream (CI runs a small
-   seed matrix through it). *)
-let seed =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then 1
-    else if Sys.argv.(i) = "--seed" then
-      Option.value (int_of_string_opt Sys.argv.(i + 1)) ~default:1
-    else find (i + 1)
-  in
-  find 1
-
-(* --metrics FILE / --trace FILE: enable telemetry for the whole run and
-   write the Prometheus exposition / JSONL spans on exit ("-" = stdout). *)
-let string_flag name =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = name then Some Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
-
-let metrics_out = string_flag "--metrics"
-
-let trace_out = string_flag "--trace"
-
-(* --lp-engine sparse|dense: the LP relaxation engine every experiment's
-   ILP uses (exp_solver compares both regardless). *)
-let lp_engine =
-  match string_flag "--lp-engine" with
-  | Some s -> (
-    match Simplex.engine_of_string s with
-    | Some e -> e
-    | None ->
-      Printf.eprintf "unknown --lp-engine %S (sparse|dense)\n" s;
-      exit 2)
-  | None -> Simplex.Sparse
 
 (* Set to false by an experiment that detected a regression; turns into
    a non-zero exit so CI lanes fail loudly. *)
@@ -236,8 +226,8 @@ let run_experiments () =
     let ok =
       Exp_solver.run
         ~title:
-          "Experiment LP1: dense tableau vs sparse revised simplex \
-           (differential + speedup)"
+          "Experiment LP1: root LP relaxation, dense tableau vs sparse \
+           revised simplex (differential + speedup)"
         ~smoke ~quick ~time_limit ~json_path:"BENCH_solver.json" ()
     in
     if not was_enabled then Telemetry.Metrics.disable ();
@@ -340,7 +330,6 @@ let run_micro () =
     (List.sort Stdlib.compare !rows)
 
 let () =
-  Harness.default_lp_engine := lp_engine;
   if metrics_out <> None then Telemetry.Metrics.enable ();
   if trace_out <> None then Telemetry.Trace.enable ();
   run_experiments ();

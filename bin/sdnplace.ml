@@ -126,19 +126,6 @@ let engine_arg =
            (feasibility only), or $(b,sat-opt) (optimizing cardinality \
            descent on the SAT solver).")
 
-let lp_engine_arg =
-  Arg.(
-    value
-    & opt
-        (enum [ ("sparse", Simplex.Sparse); ("dense", Simplex.Dense) ])
-        Simplex.Sparse
-    & info [ "lp-engine" ] ~docv:"LP"
-        ~doc:
-          "LP relaxation engine for the ILP branch & bound: $(b,sparse) \
-           (default; revised simplex with LU-factorized basis and \
-           dual-simplex warm starts between nodes) or $(b,dense) (the \
-           reference two-phase dense tableau, rebuilt per node).")
-
 let objective_arg =
   Arg.(
     value
@@ -203,7 +190,7 @@ let features_arg =
     const (fun p c f -> (not p, not c, not f))
     $ no_presolve $ no_cuts $ no_fpump)
 
-let options_of merge slice engine lp_engine (presolve, cuts, fpump) objective
+let options_of merge slice engine (presolve, cuts, fpump) objective
     time_limit jobs strategy =
   let engine =
     match strategy with
@@ -214,8 +201,7 @@ let options_of merge slice engine lp_engine (presolve, cuts, fpump) objective
     | None -> engine
   in
   let jobs = if jobs <= 0 then Portfolio.default_jobs () else jobs in
-  Placement.Solve.options ~merge ~slice ~engine ~jobs ~lp_engine ~presolve
-    ~cuts ~fpump
+  Placement.Solve.options ~merge ~slice ~engine ~jobs ~presolve ~cuts ~fpump
     ~objective:
       (match objective with
       | `Total -> Placement.Encode.Total_rules
@@ -341,14 +327,13 @@ let print_solution (sol : Placement.Solution.t) =
       end)
     sol.Placement.Solution.per_switch
 
-let solve_run metrics trace file merge slice engine lp_engine features objective
+let solve_run metrics trace file merge slice engine features objective
     time_limit jobs strategy show_tables =
   with_telemetry metrics trace @@ fun () ->
   protect @@ fun () ->
   let inst = Placement.Spec.load file in
   let options =
-    options_of merge slice engine lp_engine features objective time_limit jobs
-      strategy
+    options_of merge slice engine features objective time_limit jobs strategy
   in
   let report = Placement.Solve.run ~options inst in
   Format.printf "%a@." Placement.Solve.pp_report report;
@@ -375,7 +360,7 @@ let solve_cmd =
     (Cmd.info "solve" ~exits ~doc:"Place the rules and print the result.")
     Term.(
       const solve_run $ metrics_arg $ trace_arg $ instance_arg $ merge_flag
-      $ slice_flag $ engine_arg $ lp_engine_arg $ features_arg $ objective_arg
+      $ slice_flag $ engine_arg $ features_arg $ objective_arg
       $ time_limit_arg $ jobs_arg $ strategy_arg $ tables_flag)
 
 (* ---------------- balance ---------------- *)
@@ -417,14 +402,13 @@ let balance_cmd =
 
 (* ---------------- verify ---------------- *)
 
-let verify_run metrics trace file merge slice engine lp_engine features objective
+let verify_run metrics trace file merge slice engine features objective
     time_limit jobs strategy samples =
   with_telemetry metrics trace @@ fun () ->
   protect @@ fun () ->
   let inst = Placement.Spec.load file in
   let options =
-    options_of merge slice engine lp_engine features objective time_limit jobs
-      strategy
+    options_of merge slice engine features objective time_limit jobs strategy
   in
   let report = Placement.Solve.run ~options inst in
   Format.printf "%a@." Placement.Solve.pp_report report;
@@ -467,7 +451,7 @@ let verify_cmd =
     (Cmd.info "verify" ~exits ~doc:"Solve and verify the placement end to end.")
     Term.(
       const verify_run $ metrics_arg $ trace_arg $ instance_arg $ merge_flag
-      $ slice_flag $ engine_arg $ lp_engine_arg $ features_arg $ objective_arg
+      $ slice_flag $ engine_arg $ features_arg $ objective_arg
       $ time_limit_arg $ jobs_arg $ strategy_arg $ samples)
 
 (* ---------------- events ---------------- *)
@@ -526,21 +510,19 @@ let summarize_events ?(pre_failed = false) reports eng =
     exit_violations
   end
 
-let events_run metrics trace file merge slice engine lp_engine features objective
+let events_run metrics trace file merge slice engine features objective
     time_limit jobs strategy num_events seed fail_rate timeout_rate deadline
-    rules update_mode journal resume =
+    rules journal resume =
   with_telemetry metrics trace @@ fun () ->
   protect @@ fun () ->
   let options =
-    options_of merge slice engine lp_engine features objective time_limit jobs
-      strategy
+    options_of merge slice engine features objective time_limit jobs strategy
   in
   let config =
     {
       Runtime.Engine.default_config with
       Runtime.Engine.deadline_s = deadline;
       solve_options = options;
-      update_mode;
     }
   in
   let churn_seed = (seed * 31) + 7 in
@@ -653,36 +635,6 @@ let events_cmd =
       value & opt int 6
       & info [ "rules" ] ~docv:"N" ~doc:"Rules per generated tenant policy.")
   in
-  let update_mode =
-    let consistent =
-      Arg.(
-        value & flag
-        & info [ "consistent-updates" ]
-            ~doc:
-              "Apply table deltas as per-packet-consistent wave updates \
-               (two-phase version tagging with per-wave barriers and \
-               journaled, crash-resumable wave frontiers).  This is the \
-               default; the flag exists to state it explicitly.")
-    in
-    let legacy =
-      Arg.(
-        value & flag
-        & info [ "legacy-updates" ]
-            ~doc:
-              "Apply table deltas as a single two-phase add-before-delete \
-               transaction without per-packet consistency (the pre-wave \
-               behaviour).  Mutually exclusive with \
-               $(b,--consistent-updates).")
-    in
-    Term.(
-      const (fun c l ->
-          if c && l then
-            Error "--consistent-updates and --legacy-updates are mutually exclusive"
-          else if l then Ok Runtime.Engine.Legacy
-          else Ok Runtime.Engine.Consistent)
-      $ consistent $ legacy)
-    |> Term.term_result'
-  in
   let instance =
     Arg.(
       value
@@ -729,9 +681,9 @@ let events_cmd =
           interrupted run.")
     Term.(
       const events_run $ metrics_arg $ trace_arg $ instance $ merge_flag
-      $ slice_flag $ engine_arg $ lp_engine_arg $ features_arg $ objective_arg
+      $ slice_flag $ engine_arg $ features_arg $ objective_arg
       $ time_limit_arg $ jobs_arg $ strategy_arg $ num_events $ seed
-      $ fail_rate $ timeout_rate $ deadline $ rules $ update_mode $ journal
+      $ fail_rate $ timeout_rate $ deadline $ rules $ journal
       $ resume)
 
 (* ---------------- caching ---------------- *)

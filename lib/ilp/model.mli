@@ -69,6 +69,10 @@ val var_of_int : t -> int -> var
 
 val pp_stats : Format.formatter -> t -> unit
 
+val lp_relaxation : t -> Simplex.problem
+(** The continuous relaxation (each variable relaxed to 0 <= x <= 1,
+    rows and objective unchanged): the root LP of a branch and bound. *)
+
 val to_lp_string : t -> string
 (** The model in CPLEX LP file format (Minimize / Subject To / Binary /
     End sections) so instances can be exported to external solvers for

@@ -11,11 +11,8 @@ type config = {
   node_limit : int;
   lp_root : bool;
   lp_depth : int;
-  lp_size_limit : int;
-  lp_engine : Simplex.engine;
   presolve : bool;
   cuts : bool;
-  cut_rounds : int;
   fpump : bool;
 }
 
@@ -25,17 +22,17 @@ let default_config =
     node_limit = 2_000_000;
     lp_root = true;
     lp_depth = 2;
-    lp_size_limit = 12_000_000;
-    lp_engine = Simplex.Sparse;
     presolve = true;
     cuts = true;
-    cut_rounds = 4;
     fpump = true;
   }
 
 type stats = { nodes : int; lp_calls : int; elapsed : float; root_bound : float }
 
 let eps = 1e-6
+
+(* Maximum root cut-separation rounds. *)
+let cut_rounds = 4
 
 (* Telemetry.  Node/LP tallies accumulate in the per-domain [state] and
    are flushed to the registry once per solve; only the incumbent
@@ -176,7 +173,7 @@ type state = {
   mutable lp_calls : int;
   mutable stopped : bool;
   mutable root_bound : float;
-  (* Sparse LP engine: one persistent revised-simplex instance per search
+  (* LP relaxation: one persistent revised-simplex instance per search
      state.  Each node narrows variable bounds in place and re-solves
      with the dual simplex from the parent's optimal basis instead of
      rebuilding a reduced LP from scratch.  [splx_seed] optionally ships
@@ -440,7 +437,7 @@ let build_splx st =
     ~upper:(Array.make st.n 1.0)
     ~rows
 
-let lp_bound_sparse ?(max_iters = 20_000) ?point st =
+let lp_bound ?(max_iters = 20_000) ?point st =
   let lp =
     match st.splx with
     | Some lp -> lp
@@ -468,78 +465,9 @@ let lp_bound_sparse ?(max_iters = 20_000) ?point st =
   | Simplex.Revised.Optimal { objective; solution } ->
     (* The bounds pin fixed variables, so [objective] already includes
        their contribution — no [obj_fixed] correction. *)
-    Some (objective, Some (None, solution))
+    Some (objective, solution)
   | Simplex.Revised.Infeasible -> raise Conflict
   | Simplex.Revised.Unbounded | Simplex.Revised.Iteration_limit -> None
-
-(* LP relaxation over the free variables.  Returns [None] when skipped,
-   [Some (bound, hint)] where the hint pairs an optional free-variable
-   index map (dense engine) with the LP solution; raises [Conflict] when
-   LP-infeasible. *)
-let lp_bound_dense st cfg =
-  let free = ref 0 in
-  let map = Array.make st.n (-1) in
-  for v = 0 to st.n - 1 do
-    if st.value.(v) = -1 then begin
-      map.(v) <- !free;
-      incr free
-    end
-  done;
-  let nfree = !free in
-  if nfree = 0 then None
-  else begin
-    let rows = ref [] and nrows = ref 0 in
-    Array.iter
-      (fun (r : lrow) ->
-        let coeffs = ref [] and fixed = ref 0.0 and has_free = ref false in
-        Array.iteri
-          (fun k v ->
-            match st.value.(v) with
-            | -1 ->
-              has_free := true;
-              coeffs := (map.(v), r.vcoef.(k)) :: !coeffs
-            | 1 -> fixed := !fixed +. r.vcoef.(k)
-            | _ -> ())
-          r.vidx;
-        if !has_free then begin
-          incr nrows;
-          rows :=
-            { Simplex.coeffs = !coeffs; sense = Simplex.Le; rhs = r.rhs -. !fixed }
-            :: !rows
-        end)
-      st.lrows;
-    if !nrows * nfree > cfg.lp_size_limit then None
-    else begin
-      let minimize = ref [] in
-      for v = 0 to st.n - 1 do
-        if st.value.(v) = -1 && st.c.(v) <> 0.0 then
-          minimize := (map.(v), st.c.(v)) :: !minimize
-      done;
-      let problem =
-        {
-          Simplex.num_vars = nfree;
-          minimize = !minimize;
-          rows = !rows;
-          upper = Array.make nfree 1.0;
-        }
-      in
-      st.lp_calls <- st.lp_calls + 1;
-      Telemetry.Metrics.incr m_warm_misses;
-      match
-        Telemetry.Metrics.time m_lp_s (fun () ->
-            Simplex.solve ~engine:Simplex.Dense ~max_iters:20_000 problem)
-      with
-      | Simplex.Optimal { objective; solution } ->
-        Some (st.obj_fixed +. objective, Some (Some map, solution))
-      | Simplex.Infeasible -> raise Conflict
-      | Simplex.Unbounded | Simplex.Iteration_limit -> None
-    end
-  end
-
-let lp_bound st cfg =
-  match cfg.lp_engine with
-  | Simplex.Sparse -> lp_bound_sparse st
-  | Simplex.Dense -> lp_bound_dense st cfg
 
 (* Branch on the tightest unsatisfied cover (fewest spare variables),
    inside it on the variable covering the most unsatisfied covers.  With
@@ -656,13 +584,13 @@ let rec dfs st cfg ~start ~depth =
   let lb = bound st in
   if lb >= cutoff st then ()
   else begin
-    let lb_and_hint =
-      if depth <= cfg.lp_depth && depth > 0 then
-        try lp_bound st cfg with Conflict -> Some (infinity, None)
-      else None
-    in
     let lb =
-      match lb_and_hint with Some (b, _) -> Float.max lb b | None -> lb
+      if depth <= cfg.lp_depth && depth > 0 then
+        match lp_bound st with
+        | Some (b, _) -> Float.max lb b
+        | None -> lb
+        | exception Conflict -> infinity
+      else lb
     in
     let lb = if st.all_int then Float.round (Float.ceil (lb -. eps)) else lb in
     if lb >= cutoff st then ()
@@ -681,22 +609,15 @@ let rec dfs st cfg ~start ~depth =
   end
 
 (* If the LP point is integral, promote it to an incumbent. *)
-let try_integral_incumbent st model map lp_sol =
+let try_integral_incumbent st model lp_sol =
   let integral =
     Array.for_all (fun x -> Float.abs (x -. Float.round x) < 1e-7) lp_sol
   in
   if integral then begin
     let values = Array.map (fun v -> v = 1) st.value in
-    (match map with
-    | Some map ->
-      Array.iteri
-        (fun v f -> if f >= 0 then values.(v) <- lp_sol.(f) > 0.5)
-        map
-    | None ->
-      (* Sparse engine: the LP solution spans every variable. *)
-      Array.iteri
-        (fun v x -> if st.value.(v) = -1 then values.(v) <- x > 0.5)
-        lp_sol);
+    Array.iteri
+      (fun v x -> if st.value.(v) = -1 then values.(v) <- x > 0.5)
+      lp_sol;
     if check_feasible model values then
       let objective = objective_value model values in
       let better =
@@ -715,11 +636,11 @@ let try_integral_incumbent st model map lp_sol =
    ([Revised.add_rows] carries the basis, leaving it dual-feasible) and
    re-solves with the dual simplex.  A cut-LP infeasibility proves the
    model infeasible. *)
-let cut_loop st config model last_sol root_ok =
+let cut_loop st model last_sol root_ok =
   let ctx = Cuts.prepare model in
   let pool = Hashtbl.create 64 in
   let round = ref 0 and go = ref true in
-  while !go && !round < config.cut_rounds do
+  while !go && !round < cut_rounds do
     incr round;
     match (st.splx, !last_sol) with
     | Some lp, Some x ->
@@ -764,7 +685,7 @@ let cut_loop st config model last_sol root_ok =
         | Simplex.Revised.Optimal { objective; solution } ->
           if objective > st.root_bound then st.root_bound <- objective;
           last_sol := Some solution;
-          try_integral_incumbent st model None solution
+          try_integral_incumbent st model solution
         | Simplex.Revised.Infeasible ->
           root_ok := false;
           go := false
@@ -835,41 +756,24 @@ let prepare ~config ~cancel ?wall_deadline ?warm_start ?basis model =
           at the bound nearest the integer point give a primal-feasible
           start, skipping phase 1 entirely on paper-scale instances. *)
        let point =
-         match (st.best, config.lp_engine) with
-         | Some b, Simplex.Sparse when st.splx_seed = None ->
+         match st.best with
+         | Some b when st.splx_seed = None ->
            Some (Array.map (fun v -> if v then 1.0 else 0.0) b.values)
          | _ -> None
        in
-       let res =
-         try
-           match config.lp_engine with
-           | Simplex.Sparse -> lp_bound_sparse ~max_iters:200_000 ?point st
-           | Simplex.Dense -> lp_bound_dense st config
-         with Conflict ->
-           root_ok := false;
-           None
-       in
-       match res with
-       | Some (b, hint) ->
+       match lp_bound ~max_iters:200_000 ?point st with
+       | Some (b, lp_sol) ->
          st.root_bound <- b;
+         last_sol := Some lp_sol;
          (* An integral LP optimum is already the answer. *)
-         (match hint with
-         | Some (map, lp_sol) ->
-           if map = None then last_sol := Some lp_sol;
-           try_integral_incumbent st model map lp_sol
-         | None -> ())
+         try_integral_incumbent st model lp_sol
        | None -> ()
+       | exception Conflict -> root_ok := false
      end);
+    if !root_ok && config.cuts && not (settled st) then
+      cut_loop st model last_sol root_ok;
     if
-      !root_ok && config.cuts
-      && config.lp_engine = Simplex.Sparse
-      && not (settled st)
-    then cut_loop st config model last_sol root_ok;
-    if
-      !root_ok && config.fpump
-      && config.lp_engine = Simplex.Sparse
-      && !last_sol <> None
-      && not (settled st)
+      !root_ok && config.fpump && !last_sol <> None && not (settled st)
     then pump_and_dive st model;
     if not !root_ok then (st, `Settled Infeasible)
     else

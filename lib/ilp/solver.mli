@@ -14,10 +14,12 @@
     - {b covering-aware lower bounds}: unsatisfied disjoint covering rows
       each demand their cheapest remaining variables — this mirrors "every
       un-placed DROP rule costs at least one more slot";
-    - {b LP relaxation bounds} (dense bounded simplex) at the root and at
-      shallow nodes; an integral LP optimum short-circuits the search, which
-      is why under-constrained instances return quickly (the effect the
-      paper observes with CPLEX);
+    - {b LP relaxation bounds} at the root and at shallow nodes, on one
+      persistent sparse revised-simplex instance per search that each
+      node re-solves with the dual simplex from its parent's basis; an
+      integral LP optimum short-circuits the search, which is why
+      under-constrained instances return quickly (the effect the paper
+      observes with CPLEX);
     - {b branching} on the tightest unsatisfied covering row, most-covering
       variable first, value 1 first. *)
 
@@ -34,31 +36,21 @@ type config = {
   node_limit : int;
   lp_root : bool;  (** solve the root LP relaxation *)
   lp_depth : int;  (** also solve LP bounds at nodes of depth <= this *)
-  lp_size_limit : int;
-      (** dense engine only: skip LPs larger than rows*cols > this *)
-  lp_engine : Simplex.engine;
-      (** [Sparse] (default) keeps one persistent revised-simplex
-          instance per search state and re-solves each node with the
-          dual simplex from the parent's optimal basis (a bound change
-          leaves the basis dual-feasible); parallel workers warm their
-          first LP from a root-basis snapshot.  [Dense] rebuilds a
-          reduced dense-tableau LP per node — the reference oracle. *)
   presolve : bool;
       (** reduce the model before the search (variable fixing,
           redundant/duplicate/dominated row elimination — {!Presolve});
           solutions are lifted back automatically *)
   cuts : bool;
-      (** separate cover/pigeonhole cutting planes at the root and keep
-          them in the LP for the whole tree (sparse engine only) *)
-  cut_rounds : int;  (** maximum root separation rounds *)
+      (** separate cover/pigeonhole cutting planes at the root (at most
+          4 rounds) and keep them in the LP for the whole tree *)
   fpump : bool;
       (** run the feasibility pump and an objective dive at the root for
-          strong incumbents (sparse engine only) *)
+          strong incumbents *)
 }
 
 val default_config : config
-(** 60 s, 2M nodes, root LP plus LP to depth 2, size limit 12M, sparse
-    LP engine, presolve + 4 cut rounds + feasibility pump enabled. *)
+(** 60 s, 2M nodes, root LP plus LP to depth 2, presolve + cuts +
+    feasibility pump enabled. *)
 
 type stats = {
   nodes : int;
@@ -80,7 +72,7 @@ val solve :
     best incumbent ([Feasible]) or [Unknown] — the hook that lets a
     solver portfolio race this solver and cancel the loser.
 
-    [basis] (sparse LP engine only) is a caller-held cell chaining the
+    [basis] is a caller-held cell chaining the
     simplex basis {e across} solves: the cell's snapshot seeds this
     solve's first LP, and on return the cell holds the final basis.
     Restoration is fingerprint-guarded, so a snapshot from a

@@ -77,13 +77,8 @@ let default_options =
 
 let options ?(redundancy = true) ?(merge = false) ?(slice = false)
     ?(monitors = []) ?(objective = Encode.Total_rules) ?(engine = Ilp_engine)
-    ?(ilp_config = Ilp.Solver.default_config) ?lp_engine ?presolve ?cuts ?fpump
+    ?(ilp_config = Ilp.Solver.default_config) ?presolve ?cuts ?fpump
     ?sat_conflict_limit ?(greedy_warm_start = true) ?(jobs = 1) ?lp_basis () =
-  let ilp_config =
-    match lp_engine with
-    | Some e -> { ilp_config with Ilp.Solver.lp_engine = e }
-    | None -> ilp_config
-  in
   let ilp_config =
     match presolve with
     | Some b -> { ilp_config with Ilp.Solver.presolve = b }

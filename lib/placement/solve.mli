@@ -72,7 +72,6 @@ val options :
   ?objective:Encode.objective ->
   ?engine:engine ->
   ?ilp_config:Ilp.Solver.config ->
-  ?lp_engine:Simplex.engine ->
   ?presolve:bool ->
   ?cuts:bool ->
   ?fpump:bool ->
@@ -82,10 +81,9 @@ val options :
   ?lp_basis:Simplex.Revised.snapshot option ref ->
   unit ->
   options
-(** [lp_engine] (and likewise [presolve], [cuts], [fpump]) override the
-    matching [ilp_config] field in one step — the hooks behind the
-    [--lp-engine] / [--no-presolve] / [--no-cuts] / [--no-fpump]
-    CLI/bench flags. *)
+(** [presolve], [cuts] and [fpump] override the matching [ilp_config]
+    field in one step — the hooks behind the [--no-presolve] /
+    [--no-cuts] / [--no-fpump] CLI flags. *)
 
 type timing = {
   redundancy_s : float;

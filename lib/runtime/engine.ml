@@ -1,7 +1,5 @@
 open Placement
 
-type update_mode = Consistent | Legacy
-
 type config = {
   deadline_s : float;
   solve_options : Solve.options;
@@ -9,7 +7,6 @@ type config = {
   switch_config : Switch_api.config;
   verify_samples : int;
   verify_seed : int;
-  update_mode : update_mode;
   update_wave_retries : int;
 }
 
@@ -21,7 +18,6 @@ let default_config =
     switch_config = Switch_api.default_config;
     verify_samples = 10;
     verify_seed = 0x5EED;
-    update_mode = Consistent;
     update_wave_retries = 1;
   }
 
@@ -835,16 +831,16 @@ let handle ?tx ?resume ?rungs t event =
           (fun q -> q.q_ingress)
           (List.filter (fun q -> List.mem q.q_ingress fresh) q')
       in
-      let legacy ~fallback =
+      (* The single two-phase transaction: the fallback when the wave
+         schedule cannot be planned or aborts. *)
+      let fallback () =
         match
           Telemetry.Trace.with_span "runtime.tx" (fun () ->
               Transaction.apply ?observe ~api:t.api target)
         with
         | Transaction.Committed ->
           commit_good ();
-          finish ~rung ~status
-            ~applied:
-              (if fallback then Report.Committed_fallback else Report.Committed)
+          finish ~rung ~status ~applied:Report.Committed_fallback
             ~newq:(newq_committed ()) ~verified:(verify t) ~waves:0
         | Transaction.Rolled_back { switch; op } ->
           (* Tables are byte-identical to the pre-event state; fail closed
@@ -855,47 +851,44 @@ let handle ?tx ?resume ?rungs t event =
             ~applied:(Report.Rolled_back (Printf.sprintf "%s@%d" op switch))
             ~newq ~verified:(verify t) ~waves:0
       in
-      match t.config.update_mode with
-      | Legacy -> legacy ~fallback:false
-      | Consistent -> (
-        (* Preferred rung of the write ladder: the per-packet-consistent
-           wave schedule.  A planner failure or an aborted execution
-           leaves the pre-event tables in place and degrades explicitly
-           to the legacy single-transaction path. *)
-        let planned =
-          try
-            Some
-              (Update.build
-                 ~attach:(Topo.Net.host_attach (net t))
-                 ~corpus:(update_corpus t sol)
-                 ~old_tables:(Switch_api.tables t.api) ~target)
-          with _ -> None
+      (* Preferred rung of the write ladder: the per-packet-consistent
+         wave schedule.  A planner failure or an aborted execution leaves
+         the pre-event tables in place and degrades explicitly to the
+         legacy single-transaction path. *)
+      let planned =
+        try
+          Some
+            (Update.build
+               ~attach:(Topo.Net.host_attach (net t))
+               ~corpus:(update_corpus t sol)
+               ~old_tables:(Switch_api.tables t.api) ~target)
+        with _ -> None
+      in
+      match planned with
+      | None -> fallback ()
+      | Some uplan -> (
+        let observer =
+          Option.map
+            (fun o ->
+              {
+                Update.on_wave_begin = (fun ~wave -> o.on_wave_begin ~wave);
+                on_wave_commit =
+                  (fun ~wave ~frontier -> o.on_wave_commit ~wave ~frontier);
+              })
+            tx
         in
-        match planned with
-        | None -> legacy ~fallback:true
-        | Some uplan -> (
-          let observer =
-            Option.map
-              (fun o ->
-                {
-                  Update.on_wave_begin = (fun ~wave -> o.on_wave_begin ~wave);
-                  on_wave_commit =
-                    (fun ~wave ~frontier -> o.on_wave_commit ~wave ~frontier);
-                })
-              tx
-          in
-          let result =
-            Telemetry.Trace.with_span "runtime.update" (fun () ->
-                Update.execute ~wave_retries:t.config.update_wave_retries
-                  ?observer ?on_op:observe ?resume ~api:t.api ~fault:t.fault
-                  uplan)
-          in
-          match result.Update.outcome with
-          | Update.Committed ->
-            commit_good ();
-            finish ~rung ~status ~applied:Report.Committed
-              ~newq:(newq_committed ()) ~verified:(verify t)
-              ~waves:result.Update.waves_committed
-          | Update.Aborted _ -> legacy ~fallback:true)))
+        let result =
+          Telemetry.Trace.with_span "runtime.update" (fun () ->
+              Update.execute ~wave_retries:t.config.update_wave_retries
+                ?observer ?on_op:observe ?resume ~api:t.api ~fault:t.fault
+                uplan)
+        in
+        match result.Update.outcome with
+        | Update.Committed ->
+          commit_good ();
+          finish ~rung ~status ~applied:Report.Committed
+            ~newq:(newq_committed ()) ~verified:(verify t)
+            ~waves:result.Update.waves_committed
+        | Update.Aborted _ -> fallback ()))
 
 let run ?tx t events = List.map (handle ?tx t) events

@@ -21,9 +21,9 @@
 
     Whichever rung produces a placement, the table delta is applied by
     the {e write ladder}: the per-packet-consistent wave scheduler
-    ({!Update}) by default, degrading to the legacy two-phase
-    add-before-delete {!Transaction} (reported as
-    {!Report.Committed_fallback}) when the wave update aborts; an
+    ({!Update}), degrading to the legacy two-phase add-before-delete
+    {!Transaction} (reported as {!Report.Committed_fallback}) when the
+    wave update cannot be planned or aborts; an
     unrecoverable legacy transaction rolls the tables back to the
     pre-event state and drops to the quarantine rung.  After {e every} event the active placement is
     re-verified ({!Placement.Verify} structural + semantic, a packet
@@ -36,12 +36,6 @@
     {!create}, so equal seeds and equal event streams give equal report
     {!Report.signature} sequences. *)
 
-type update_mode =
-  | Consistent
-      (** wave-scheduled per-packet-consistent updates ({!Update}),
-          falling back to the legacy transaction on abort (default) *)
-  | Legacy  (** single two-phase {!Transaction} only *)
-
 type config = {
   deadline_s : float;  (** per-event wall-clock budget (default 30) *)
   solve_options : Placement.Solve.options;
@@ -53,7 +47,6 @@ type config = {
   switch_config : Switch_api.config;  (** retry/backoff policy *)
   verify_samples : int;  (** random probe packets per path (default 10) *)
   verify_seed : int;  (** seed for verification + re-routing draws *)
-  update_mode : update_mode;
   update_wave_retries : int;
       (** wave-level rollback/retry budget before a consistent update
           aborts to the legacy path (default 1) *)

@@ -31,9 +31,8 @@
     operations are compensated (through the same faulty API, in
     {!Switch_api.compensating} mode) and the wave restarts from its
     entry snapshot.  A wave that exhausts its retries aborts the whole
-    update back to the pre-update tables; the caller (see
-    {!Engine.config.update_mode}) then degrades to the legacy
-    single-transaction path.
+    update back to the pre-update tables; the caller ({!Engine}) then
+    degrades to the legacy single-transaction path.
 
     Each committed wave yields a {!frontier} — tables, fault-plan state
     and api stats — which the journal persists ({!Journal.Wal}'s

@@ -81,7 +81,7 @@ exception Fallback
 (* Telemetry: counts accumulate in the per-domain instance and are
    flushed to the shared registry once per (re)optimize, so the pivot
    loops never touch an atomic.  The pivot/flip/iteration series are
-   shared with the dense engine (registration is idempotent by name). *)
+   shared with the dense oracle (registration is idempotent by name). *)
 let m_pivots =
   Telemetry.Metrics.counter ~help:"simplex basis pivots"
     "sdnplace_simplex_pivots_total"

@@ -4,15 +4,6 @@ module Revised = Revised
 
 type sense = Le | Ge | Eq
 
-type engine = Dense | Sparse
-
-let engine_name = function Dense -> "dense" | Sparse -> "sparse"
-
-let engine_of_string = function
-  | "dense" -> Some Dense
-  | "sparse" -> Some Sparse
-  | _ -> None
-
 type row = { coeffs : (int * float) list; sense : sense; rhs : float }
 
 type problem = {
@@ -335,7 +326,9 @@ let run_phase tab cost ~allowed ~iters_left =
    with Exit -> ());
   !result
 
-let solve_dense ~max_iters p =
+let solve_dense ?(max_iters = 50_000) p =
+  validate p;
+  Telemetry.Metrics.incr m_solves;
   let tab = build p in
   let iters_left = ref max_iters in
   (* Phase 1: minimize the sum of artificials. *)
@@ -415,10 +408,12 @@ let solve_dense ~max_iters p =
   Telemetry.Metrics.add m_iterations (max_iters - !iters_left);
   result
 
-(* Sparse path: delegate to the revised simplex ({!Revised}) on a
-   one-shot instance.  Lower bounds are all zero in this interface, so a
-   straight translation of the rows suffices. *)
-let solve_sparse ~max_iters p =
+(* The production engine: the revised simplex ({!Revised}) on a one-shot
+   instance.  Lower bounds are all zero in this interface, so a straight
+   translation of the rows suffices. *)
+let solve ?(max_iters = 50_000) p =
+  validate p;
+  Telemetry.Metrics.incr m_solves;
   let rows =
     Array.of_list
       (List.map
@@ -441,10 +436,3 @@ let solve_sparse ~max_iters p =
   | Revised.Infeasible -> Infeasible
   | Revised.Unbounded -> Unbounded
   | Revised.Iteration_limit -> Iteration_limit
-
-let solve ?(engine = Sparse) ?(max_iters = 50_000) p =
-  validate p;
-  Telemetry.Metrics.incr m_solves;
-  match engine with
-  | Dense -> solve_dense ~max_iters p
-  | Sparse -> solve_sparse ~max_iters p

@@ -1,29 +1,28 @@
-(** Linear programming by the primal simplex method, with two engines.
+(** Linear programming by the primal simplex method.
 
     Solves   minimize  c·x
              subject to  a_i·x {<=, =, >=} b_i   for each row i
                          0 <= x_j <= u_j          (u_j may be infinite)
 
-    Two interchangeable engines sit behind {!solve}:
+    {!solve} is the production engine: a revised simplex over a
+    compressed sparse column/row constraint matrix — LU factorization of
+    the basis with Markowitz-style pivoting, product-form eta updates
+    with periodic refactorization, bounded-variable ratio test and
+    Devex-style partial pricing ({!Revised}).  Work per iteration is
+    proportional to the nonzeros involved, which is what lets the
+    placement LPs scale toward the paper's instance sizes.  The same
+    module exposes the {e persistent} API (bound updates + dual-simplex
+    reoptimize + basis snapshots) used by [Ilp.Solver]'s warm-started
+    branch & bound.
 
-    - {b [Sparse]} (the default): a revised simplex over a compressed
-      sparse column/row constraint matrix — LU factorization of the basis
-      with Markowitz-style pivoting, product-form eta updates with
-      periodic refactorization, bounded-variable ratio test and
-      Devex-style partial pricing ({!Revised}).  Work per iteration is
-      proportional to the nonzeros involved, which is what lets the
-      placement LPs scale toward the paper's instance sizes.  The same
-      module exposes the {e persistent} API (bound updates + dual-simplex
-      reoptimize + basis snapshots) used by [Ilp.Solver]'s warm-started
-      branch & bound.
-    - {b [Dense]}: the original textbook two-phase dense-tableau simplex
-      with upper-bounded variables (Chvátal, ch. 8).  O(rows × columns)
-      storage and work per pivot, so it only suits moderate-size
-      relaxations — it is kept as the reference oracle for differential
-      testing and for the [--lp-engine dense] CLI/bench flag.
+    {!solve_dense} is the textbook two-phase dense-tableau simplex with
+    upper-bounded variables (Chvátal, ch. 8).  O(rows × columns) storage
+    and work per pivot; nothing in production runs it.  It is the
+    differential oracle that the test suite and the root-LP benchmark
+    compare {!solve} against.
 
-    Both engines are exact in the floating-point sense (tolerance 1e-7),
-    agree on optimal objective values and infeasibility verdicts (the
+    Both are exact in the floating-point sense (tolerance 1e-7), agree
+    on optimal objective values and infeasibility verdicts (the
     differential suite enforces this), and share the anti-cycling rule:
     after a degenerate stall the pivot rule degrades to Bland's rule,
     which terminates finitely. *)
@@ -53,18 +52,15 @@ type status =
   | Unbounded
   | Iteration_limit
 
-type engine = Dense | Sparse
-
-val engine_name : engine -> string
-
-val engine_of_string : string -> engine option
-(** Recognizes ["dense"] and ["sparse"] (the CLI/bench flag values). *)
-
-val solve : ?engine:engine -> ?max_iters:int -> problem -> status
-(** [engine] selects the implementation (default [Sparse]); [max_iters]
-    bounds total pivots across both phases (default 50_000).  Raises
+val solve : ?max_iters:int -> problem -> status
+(** The sparse revised simplex, cold-started.  [max_iters] bounds total
+    pivots across both phases (default 50_000).  Raises
     [Invalid_argument] on malformed input (bad indices, negative upper
     bounds, wrong [upper] length). *)
+
+val solve_dense : ?max_iters:int -> problem -> status
+(** The dense-tableau reference oracle: same contract as {!solve}, for
+    differential tests and benchmarks only. *)
 
 val feasible : ?tol:float -> problem -> float array -> bool
 (** Checks a point against rows and bounds; used by tests and by {!Ilp}

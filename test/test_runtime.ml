@@ -336,10 +336,10 @@ let test_incremental_cancel () =
   ignore r.Incremental.status
 
 (* ------------------------------------------------------------------ *)
-(* Update modes: consistent waves, legacy, and the degraded fallback    *)
+(* Update paths: consistent waves and the degraded legacy fallback    *)
 
-let test_update_modes () =
-  (* consistent (the default): a committing install reports its waves *)
+let test_consistent_waves () =
+  (* a committing install reports its waves *)
   let eng = empty_engine ~config:(test_config ()) (diamond ()) in
   let r = Engine.handle eng (install_event ()) in
   check_report ~applied:Report.Committed "consistent install" r;
@@ -348,15 +348,7 @@ let test_update_modes () =
     (let sig_ = Report.signature r in
      let want = Printf.sprintf "waves=%d" r.Report.waves in
      let n = String.length sig_ and m = String.length want in
-     n >= m && String.sub sig_ (n - m) m = want);
-  (* legacy: same event, single-transaction path, zero waves *)
-  let config =
-    { (test_config ()) with Engine.update_mode = Engine.Legacy }
-  in
-  let eng = empty_engine ~config (diamond ()) in
-  let r = Engine.handle eng (install_event ()) in
-  check_report ~applied:Report.Committed "legacy install" r;
-  Alcotest.(check int) "no waves in legacy mode" 0 r.Report.waves
+     n >= m && String.sub sig_ (n - m) m = want)
 
 let test_consistent_falls_back_to_legacy () =
   (* Exhaust the consistent path deterministically: zero wave retries
@@ -431,8 +423,8 @@ let suite =
       test_incremental_deadline_prompt;
     Alcotest.test_case "cancel hook reaches the sub-solve" `Quick
       test_incremental_cancel;
-    Alcotest.test_case "consistent and legacy update modes report waves" `Quick
-      test_update_modes;
+    Alcotest.test_case "consistent updates report waves" `Quick
+      test_consistent_waves;
     Alcotest.test_case "aborted waves degrade to the legacy transaction" `Quick
       test_consistent_falls_back_to_legacy;
     Alcotest.test_case "chaos run verifies after every event" `Slow

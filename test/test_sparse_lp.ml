@@ -1,10 +1,11 @@
-(* Differential suite for the sparse revised simplex: the dense tableau
-   is the reference oracle, and the two engines must agree — on random
-   bounded LPs, on classic degenerate/cycling instances, and end-to-end
-   through the placement pipeline.  Also unit-level coverage of the LU
-   kernel and of the persistent-instance API (dual reoptimize, snapshot
-   transfer, cross-solve basis chaining) that the warm-started branch &
-   bound builds on. *)
+(* Differential suite for the sparse revised simplex ([Simplex.solve]):
+   the dense tableau ([Simplex.solve_dense]) is the reference oracle, and
+   the two must agree — on random bounded LPs, on classic
+   degenerate/cycling instances, and on the root LP relaxations of
+   placement models.  Also pinned end-to-end placement optima, and
+   unit-level coverage of the LU kernel and of the persistent-instance
+   API (dual reoptimize, snapshot transfer, cross-solve basis chaining)
+   that the warm-started branch & bound builds on. *)
 
 open Simplex
 
@@ -55,7 +56,7 @@ let qcheck_engines_agree =
   QCheck.Test.make ~count:300 ~name:"dense and sparse engines agree"
     QCheck.small_nat (fun seed ->
       let p = lp_of_seed seed in
-      let d = solve ~engine:Dense p and s = solve ~engine:Sparse p in
+      let d = solve_dense p and s = solve p in
       (match s with
       | Optimal { solution; _ } ->
         if not (feasible p solution) then
@@ -64,6 +65,9 @@ let qcheck_engines_agree =
       same_status d s)
 
 (* ---------------- degenerate / cycling regressions -------------------- *)
+
+let both_engines : (string * (problem -> status)) list =
+  [ ("dense", fun p -> solve_dense p); ("sparse", fun p -> solve p) ]
 
 (* Beale's cycling example: the textbook instance on which the naive
    most-negative-cost rule cycles forever.  Both engines must terminate
@@ -92,16 +96,13 @@ let test_beale_cycling () =
     }
   in
   List.iter
-    (fun engine ->
-      match solve ~engine p with
+    (fun (name, solve) ->
+      match solve p with
       | Optimal { objective; _ } ->
-        Alcotest.(check (float 1e-6))
-          (engine_name engine ^ " objective")
-          (-0.05) objective
+        Alcotest.(check (float 1e-6)) (name ^ " objective") (-0.05) objective
       | other ->
-        Alcotest.failf "%s: expected optimal, got %a" (engine_name engine)
-          pp_status other)
-    [ Dense; Sparse ]
+        Alcotest.failf "%s: expected optimal, got %a" name pp_status other)
+    both_engines
 
 (* A block of identical tight covering rows: every pivot is degenerate
    (zero step) until the entering variable finally moves. *)
@@ -115,11 +116,15 @@ let test_degenerate_block () =
       upper = Array.make 2 1.0;
     }
   in
-  match solve ~engine:Sparse p with
-  | Optimal { objective; solution } ->
-    Alcotest.(check (float 1e-6)) "objective" 1.0 objective;
-    Alcotest.(check (float 1e-6)) "x0" 1.0 solution.(0)
-  | other -> Alcotest.failf "expected optimal, got %a" pp_status other
+  List.iter
+    (fun (name, solve) ->
+      match solve p with
+      | Optimal { objective; solution } ->
+        Alcotest.(check (float 1e-6)) (name ^ " objective") 1.0 objective;
+        Alcotest.(check (float 1e-6)) (name ^ " x0") 1.0 solution.(0)
+      | other ->
+        Alcotest.failf "%s: expected optimal, got %a" name pp_status other)
+    both_engines
 
 (* ---------------- LU kernel ------------------------------------------ *)
 
@@ -298,12 +303,9 @@ let tiny_model () =
   m
 
 let test_basis_cell_chaining () =
-  let config =
-    { Ilp.Solver.default_config with Ilp.Solver.lp_engine = Simplex.Sparse }
-  in
   let cell = ref None in
   let obj1 =
-    match Ilp.Solver.solve ~config ~basis:cell (tiny_model ()) with
+    match Ilp.Solver.solve ~basis:cell (tiny_model ()) with
     | Ilp.Solver.Optimal s, _ -> s.Ilp.Solver.objective
     | _ -> Alcotest.fail "first solve not optimal"
   in
@@ -311,62 +313,76 @@ let test_basis_cell_chaining () =
   (* A second same-shaped solve seeds its first LP from the cell and must
      reach the same optimum. *)
   let obj2 =
-    match Ilp.Solver.solve ~config ~basis:cell (tiny_model ()) with
+    match Ilp.Solver.solve ~basis:cell (tiny_model ()) with
     | Ilp.Solver.Optimal s, _ -> s.Ilp.Solver.objective
     | _ -> Alcotest.fail "chained solve not optimal"
   in
   Alcotest.(check (float 1e-9)) "chained optimum identical" obj1 obj2;
   Alcotest.(check bool) "cell still filled" true (!cell <> None)
 
-(* ---------------- end-to-end placement differential ------------------- *)
+(* ---------------- placement models ---------------------------------- *)
 
-let solve_with engine family =
-  let inst = Workload.build family in
-  let options =
-    Placement.Solve.options ~lp_engine:engine
-      ~ilp_config:{ Ilp.Solver.default_config with time_limit = 20.0 }
-      ()
-  in
-  let report = Placement.Solve.run ~options inst in
-  ( report.Placement.Solve.status,
-    Option.map
-      (fun (s : Placement.Solution.t) -> s.Placement.Solution.objective)
-      report.Placement.Solve.solution )
-
-let status_str = function
-  | `Optimal -> "optimal"
-  | `Feasible -> "feasible"
-  | `Infeasible -> "infeasible"
-  | `Unknown -> "unknown"
-
-let test_placement_differential () =
-  List.iter
-    (fun family ->
-      let ds, dobj = solve_with Simplex.Dense family in
-      let ss, sobj = solve_with Simplex.Sparse family in
-      Alcotest.(check string) "status" (status_str ds) (status_str ss);
-      match (dobj, sobj) with
-      | Some a, Some b -> Alcotest.(check (float 1e-6)) "objective" a b
-      | None, None -> ()
-      | _ -> Alcotest.fail "one engine produced a solution, the other none")
-    [
-      { Workload.default with Workload.rules = 8; paths = 16; capacity = 60 };
-      {
+(* Three pipeline families (fat-tree k=4 and k=6, loose and tight
+   capacity) with their proven optima under the default pipeline. *)
+let placement_families =
+  [
+    ( { Workload.default with Workload.rules = 8; paths = 16; capacity = 60 },
+      34.0 );
+    ( {
         Workload.default with
         Workload.rules = 14;
         paths = 24;
         capacity = 12;
         seed = 3;
-      };
-      {
+      },
+      59.0 );
+    ( {
         Workload.default with
         Workload.k = 6;
         rules = 6;
         paths = 20;
         capacity = 30;
         seed = 5;
-      };
-    ]
+      },
+      21.0 );
+  ]
+
+let run_pipeline family =
+  let options =
+    Placement.Solve.options
+      ~ilp_config:{ Ilp.Solver.default_config with time_limit = 20.0 }
+      ()
+  in
+  Placement.Solve.run ~options (Workload.build family)
+
+(* Each family's root LP relaxation gets the same verdict and objective
+   from the oracle and the production engine. *)
+let test_root_lp_differential () =
+  List.iter
+    (fun (family, _) ->
+      let report = run_pipeline family in
+      let model, _ = Placement.Encode.to_model report.Placement.Solve.layout in
+      let lp = Ilp.Model.lp_relaxation model in
+      match (solve_dense lp, solve lp) with
+      | Optimal { objective = d; _ }, Optimal { objective = s; solution } ->
+        Alcotest.(check (float 1e-6)) "root LP objective" d s;
+        Alcotest.(check bool) "sparse root LP point feasible" true
+          (feasible lp solution)
+      | d, s ->
+        Alcotest.failf "root LP: dense %a, sparse %a" pp_status d pp_status s)
+    placement_families
+
+(* The sparse pipeline proves each family's optimum. *)
+let test_pipeline_objectives () =
+  List.iter
+    (fun (family, want) ->
+      let r = run_pipeline family in
+      match (r.Placement.Solve.status, r.Placement.Solve.solution) with
+      | `Optimal, Some sol ->
+        Alcotest.(check (float 1e-6)) "objective" want
+          sol.Placement.Solution.objective
+      | _ -> Alcotest.fail "pipeline did not prove optimality")
+    placement_families
 
 let suite =
   [
@@ -383,6 +399,8 @@ let suite =
       test_snapshot_transfer;
     Alcotest.test_case "basis cell chains across ILP solves" `Quick
       test_basis_cell_chaining;
-    Alcotest.test_case "placement pipeline differential" `Quick
-      test_placement_differential;
+    Alcotest.test_case "placement root LP differential" `Quick
+      test_root_lp_differential;
+    Alcotest.test_case "placement pipeline objectives" `Quick
+      test_pipeline_objectives;
   ]

@@ -305,7 +305,7 @@ let test_simplex_series_record () =
           }
       in
       let options =
-        Placement.Solve.options ~lp_engine:Simplex.Sparse
+        Placement.Solve.options
           ~ilp_config:{ Ilp.Solver.default_config with time_limit = 10.0 }
           ()
       in

@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
-"""CI gate for the paper-scale solver scoreboard.
+"""CI gate for the LP experiment's solver results.
 
 Usage: scoreboard_gate.py BASELINE.json NEW.json
 
-Compares the "scoreboard" sections of two BENCH_solver.json files
-(points matched by name).  The gate fails when:
+Compares two BENCH_solver.json files: the paper-scale "scoreboard"
+points and the LP1 sweep "points" (matched by section and name).  The
+gate fails when, for a point the baseline proved ("opt" or "INF"):
 
-  - a point that was "opt" (or "INF" — also a proof) in the baseline no
-    longer reaches a proof in the new run, or
-  - a proven point's best-of-N wall time regresses by more than 25%
-    (plus a 0.25 s absolute slack, and only for baseline walls >= 0.5 s,
-    so sub-second noise on shared runners cannot trip the lane).
+  - the new run no longer reaches a proof, or
+  - the proof flips between "opt" and "INF", or
+  - the proven objective moves by more than 1e-6, or
+  - (scoreboard only) the best-of-N wall time regresses by more than
+    25% (plus a 0.25 s absolute slack, and only for baseline walls
+    >= 0.5 s, so sub-second noise on shared runners cannot trip the
+    lane).
+
+The committed objectives are the ILP's regression oracle at paper
+scale, so any drift in a proven optimum is a correctness failure.
 
 Points present on only one side are reported but never fail the gate:
 the scoreboard is meant to grow, and a nightly full run carries points
@@ -21,18 +27,48 @@ import json
 import sys
 
 PROOFS = {"opt", "INF"}
+OBJ_TOL = 1e-6
 REL_SLACK = 1.25
 ABS_SLACK_S = 0.25
 MIN_GATED_WALL_S = 0.5
 
 
 def load(path):
+    """(section, name) -> {status, objective, wall_s} for every point."""
     with open(path) as f:
         doc = json.load(f)
-    sb = doc.get("scoreboard")
-    if not sb:
-        return {}
-    return {p["point"]: p for p in sb.get("points", [])}
+    points = {}
+    for p in doc.get("scoreboard", {}).get("points", []):
+        points[("scoreboard", p["point"])] = p
+    for p in doc.get("points", []):
+        # "ilp" holds the pipeline run; files written before the LP1
+        # root-LP rework keep it under "sparse".
+        points[("points", p["point"])] = p.get("ilp") or p["sparse"]
+    return points
+
+
+def check(section, name, b, n):
+    """The failure message for one matched point, or None."""
+    bs, ns = b["status"], n["status"]
+    if bs not in PROOFS:
+        return None
+    if ns not in PROOFS:
+        return f"was {bs}, now {ns}"
+    if bs != ns:
+        return f"proof flipped from {bs} to {ns}"
+    bo, no = b.get("objective"), n.get("objective")
+    if (bo is None) != (no is None) or (
+        bo is not None and abs(bo - no) > OBJ_TOL
+    ):
+        return f"objective {bo} -> {no}"
+    if section == "scoreboard" and b["wall_s"] >= MIN_GATED_WALL_S:
+        limit = b["wall_s"] * REL_SLACK + ABS_SLACK_S
+        if n["wall_s"] > limit:
+            return (
+                f"wall {b['wall_s']:.3f}s -> {n['wall_s']:.3f}s "
+                f"(limit {limit:.3f}s)"
+            )
+    return None
 
 
 def main():
@@ -40,33 +76,29 @@ def main():
         sys.exit(__doc__.strip())
     base = load(sys.argv[1])
     new = load(sys.argv[2])
-    if not new:
+    if not any(section == "scoreboard" for section, _ in new):
         sys.exit("scoreboard_gate: new run has no scoreboard section")
     failures = []
-    for name, b in sorted(base.items()):
-        n = new.get(name)
+    for key, b in sorted(base.items()):
+        section, name = key
+        n = new.get(key)
         if n is None:
-            print(f"note: {name!r} only in baseline (skipped)")
+            print(f"note: {section} {name!r} only in baseline (skipped)")
             continue
-        bs, ns = b["status"], n["status"]
-        if bs in PROOFS and ns not in PROOFS:
-            failures.append(f"{name}: was {bs}, now {ns}")
+        failure = check(section, name, b, n)
+        if failure:
+            failures.append(f"{section} {name}: {failure}")
             continue
-        if bs in PROOFS and ns in PROOFS and b["wall_s"] >= MIN_GATED_WALL_S:
-            limit = b["wall_s"] * REL_SLACK + ABS_SLACK_S
-            if n["wall_s"] > limit:
-                failures.append(
-                    f"{name}: wall {b['wall_s']:.3f}s -> {n['wall_s']:.3f}s "
-                    f"(limit {limit:.3f}s)"
-                )
         print(
-            f"ok: {name}: {bs}/{b['wall_s']:.3f}s -> {ns}/{n['wall_s']:.3f}s"
+            f"ok: {section} {name}: {b['status']}/{b.get('objective')}/"
+            f"{b['wall_s']:.3f}s -> {n['status']}/{n.get('objective')}/"
+            f"{n['wall_s']:.3f}s"
         )
-    for name in sorted(set(new) - set(base)):
-        n = new[name]
-        print(f"new point: {name}: {n['status']}/{n['wall_s']:.3f}s")
+    for section, name in sorted(set(new) - set(base)):
+        n = new[(section, name)]
+        print(f"new point: {section} {name}: {n['status']}/{n['wall_s']:.3f}s")
     if failures:
-        print("\nscoreboard regressions:")
+        print("\nsolver regressions:")
         for f in failures:
             print(f"  {f}")
         sys.exit(1)
