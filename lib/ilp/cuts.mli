@@ -15,9 +15,11 @@
       unit covering rows: [t] rows with maximum variable multiplicity
       [λ] imply [Σ x >= ceil(t/λ)] over the component's variables. *)
 
-type cut = { terms : (float * int) list; sense : Model.sense; rhs : float }
-(** Terms index structural variables of the model the separator was
-    prepared on. *)
+type cut = { terms : Simplex.Csc.row; sense : Model.sense; rhs : float }
+(** Packed terms over the structural variables of the model the
+    separator was prepared on.  Packing makes the representation
+    canonical, so structural equality is cut identity (the solver pools
+    cuts on it). *)
 
 type t
 (** Separation context: the capacity/dependency/cover structure
@@ -30,9 +32,6 @@ val separate : ?max_cuts:int -> t -> float array -> cut list
 (** [separate t x] returns cuts violated by the fractional point [x]
     (most violated first, at most [max_cuts], default 32).  Deterministic
     for a fixed model and point. *)
-
-val key : cut -> Model.sense * float * (float * int) list
-(** Canonical identity for pooling and duplicate suppression. *)
 
 val check : cut -> bool array -> bool
 (** [check c sol] — does the 0-1 point satisfy the cut?  Used by tests

@@ -18,11 +18,23 @@ type t = private {
   rval : float array;
 }
 
-val of_rows : m:int -> n:int -> (int * float) list array -> t
-(** [of_rows ~m ~n rows] builds the matrix from per-row sparse
-    [(column, coefficient)] term lists.  Duplicate column entries within a
-    row are summed; exact zeros are dropped.  Raises [Invalid_argument] on
-    an out-of-range column index. *)
+type row = { idx : int array; coef : float array }
+(** A packed sparse row, the one row format every layer from the ILP
+    model to the LP shares: [idx] strictly increasing, every [coef]
+    nonzero, both arrays the same length.  Rows are immutable by
+    convention, so layers pass (and share) them without copying. *)
+
+val pack : int array -> float array -> row
+(** [pack idx coef] packs unordered terms: sorts them by index (stably),
+    sums the coefficients of a repeated index in input order and drops
+    the terms that come out zero.  Takes ownership of both arrays and
+    returns them unchanged when they are already packed.  Raises
+    [Invalid_argument] when the lengths differ. *)
+
+val of_rows : m:int -> n:int -> row array -> t
+(** [of_rows ~m ~n rows] builds the matrix from [m] packed rows by one
+    linear scatter (no sorting or merging).  Raises [Invalid_argument] on
+    an out-of-range column index or a row that is not packed. *)
 
 val nnz : t -> int
 

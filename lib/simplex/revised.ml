@@ -126,15 +126,26 @@ let create ~nvars ~obj ~lower ~upper ~rows =
     lower;
   let m = Array.length rows in
   let n = nvars + m + m in
+  let in_range (r : Csc.row) =
+    Array.for_all (fun j -> j >= 0 && j < nvars) r.Csc.idx
+  in
+  if not (in_range obj) then
+    invalid_arg "Revised.create: variable index out of range";
+  (* Each packed row gains its slack and artificial entries, whose
+     column indices exceed every structural one, so the augmented row
+     stays packed. *)
   let aug =
     Array.mapi
-      (fun k (terms, _, _) ->
-        List.iter
-          (fun (j, _) ->
-            if j < 0 || j >= nvars then
-              invalid_arg "Revised.create: variable index out of range")
-          terms;
-        (nvars + k, 1.0) :: (nvars + m + k, 1.0) :: terms)
+      (fun k ((r : Csc.row), _, _) ->
+        if not (in_range r) then
+          invalid_arg "Revised.create: variable index out of range";
+        let len = Array.length r.Csc.idx in
+        let idx = Array.make (len + 2) (nvars + k)
+        and coef = Array.make (len + 2) 1.0 in
+        Array.blit r.Csc.idx 0 idx 0 len;
+        Array.blit r.Csc.coef 0 coef 0 len;
+        idx.(len + 1) <- nvars + m + k;
+        { Csc.idx; coef })
       rows
   in
   let a = Csc.of_rows ~m ~n aug in
@@ -159,7 +170,7 @@ let create ~nvars ~obj ~lower ~upper ~rows =
       up.(ja) <- 0.0)
     senses;
   let objd = Array.make n 0.0 in
-  List.iter (fun (j, c) -> objd.(j) <- objd.(j) +. c) obj;
+  Array.iteri (fun k j -> objd.(j) <- objd.(j) +. obj.Csc.coef.(k)) obj.Csc.idx;
   let basis = Array.init m (fun k -> nvars + m + k) in
   let inbasis = Array.make n (-1) in
   Array.iteri (fun k v -> inbasis.(v) <- k) basis;
@@ -917,14 +928,14 @@ let reoptimize ?(max_iters = 50_000) ?(deadline = infinity) ?point t =
    nonbasics, which is exactly a dual-feasibility repair for the new
    objective.  Used by the feasibility pump to swap distance objectives
    in and out without rebuilding the instance. *)
-let set_objective t obj =
+let set_objective t (obj : Csc.row) =
   Array.fill t.obj 0 t.n_struct 0.0;
-  List.iter
-    (fun (j, c) ->
+  Array.iteri
+    (fun k j ->
       if j < 0 || j >= t.n_struct then
         invalid_arg "Revised.set_objective: variable index out of range";
-      t.obj.(j) <- t.obj.(j) +. c)
-    obj;
+      t.obj.(j) <- t.obj.(j) +. obj.Csc.coef.(k))
+    obj.Csc.idx;
   t.d_exact <- false
 
 (* ---------- row append ---------- *)
@@ -943,21 +954,24 @@ let add_rows t extra =
   if ne = 0 then t
   else begin
     let ns = t.n_struct and m0 = t.m in
+    (* A stored row is packed, so its structural entries are a prefix
+       ahead of the row's slack and artificial. *)
     let rows =
       Array.init (m0 + ne) (fun k ->
           if k < m0 then begin
-            let terms = ref [] in
-            Csc.row_iter t.a k (fun j v -> if j < ns then terms := (j, v) :: !terms);
-            (!terms, t.senses.(k), t.b.(k))
+            let p0 = t.a.Csc.rowptr.(k) and p1 = t.a.Csc.rowptr.(k + 1) - 2 in
+            ( {
+                Csc.idx = Array.sub t.a.Csc.colind p0 (p1 - p0);
+                coef = Array.sub t.a.Csc.rval p0 (p1 - p0);
+              },
+              t.senses.(k),
+              t.b.(k) )
           end
           else extra.(k - m0))
     in
-    let obj = ref [] in
-    for j = ns - 1 downto 0 do
-      if t.obj.(j) <> 0.0 then obj := (j, t.obj.(j)) :: !obj
-    done;
+    let obj = Csc.pack (Array.init ns Fun.id) (Array.sub t.obj 0 ns) in
     let t' =
-      create ~nvars:ns ~obj:!obj ~lower:(Array.sub t.lo 0 ns)
+      create ~nvars:ns ~obj ~lower:(Array.sub t.lo 0 ns)
         ~upper:(Array.sub t.up 0 ns) ~rows
     in
     if t.solved_once then begin

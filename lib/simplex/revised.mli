@@ -31,17 +31,18 @@ type t
 
 val create :
   nvars:int ->
-  obj:(int * float) list ->
+  obj:Csc.row ->
   lower:float array ->
   upper:float array ->
-  rows:((int * float) list * sense * float) array ->
+  rows:(Csc.row * sense * float) array ->
   t
 (** Build a persistent instance: [nvars] structural variables with bounds
     [lower.(j) <= x_j <= upper.(j)] (lower bounds must be finite), sparse
     objective [obj] (minimized), and constraint rows given as
-    [(terms, sense, rhs)].  One slack and one artificial column are added
-    per row; the augmented matrix is stored once in CSC + CSR form.
-    Raises [Invalid_argument] on malformed input. *)
+    [(terms, sense, rhs)] over packed {!Csc.row}s.  One slack and one
+    artificial column are added per row; the augmented matrix is stored
+    once in CSC + CSR form.  Raises [Invalid_argument] on malformed input
+    (a variable index outside [0, nvars), a row that is not packed). *)
 
 val set_bounds : t -> int -> float -> float -> unit
 (** [set_bounds t j lo up] updates the bounds of structural variable [j].
@@ -75,14 +76,14 @@ val has_basis : t -> bool
     iterations or time still leaves a basis the next {!reoptimize} can
     resume from, so capped solves make monotone progress across calls. *)
 
-val set_objective : t -> (int * float) list -> unit
+val set_objective : t -> Csc.row -> unit
 (** Replace the objective over the structural variables (entries not
     listed become zero).  Takes effect at the next {!reoptimize}, which
     repairs dual feasibility for the new costs; the basis is kept.  Used
     by the feasibility pump to alternate between the true objective and
     rounding-distance objectives on one factorized instance. *)
 
-val add_rows : t -> ((int * float) list * sense * float) array -> t
+val add_rows : t -> (Csc.row * sense * float) array -> t
 (** [add_rows t extra] returns a {b new} instance whose matrix is [t]'s
     rows followed by [extra] (same structural variables, current bounds
     and objective), carrying [t]'s basis across: structural and slack

@@ -2,7 +2,7 @@ module Csc = Csc
 module Lu = Lu
 module Revised = Revised
 
-type sense = Le | Ge | Eq
+type sense = Revised.sense = Le | Ge | Eq
 
 type row = { coeffs : (int * float) list; sense : sense; rhs : float }
 
@@ -409,25 +409,21 @@ let solve_dense ?(max_iters = 50_000) p =
   result
 
 (* The production engine: the revised simplex ({!Revised}) on a one-shot
-   instance.  Lower bounds are all zero in this interface, so a straight
-   translation of the rows suffices. *)
+   instance.  Lower bounds are all zero in this interface, so packing
+   each row's term list is the whole translation. *)
+let pack terms =
+  Csc.pack
+    (Array.of_list (List.map fst terms))
+    (Array.of_list (List.map snd terms))
+
 let solve ?(max_iters = 50_000) p =
   validate p;
   Telemetry.Metrics.incr m_solves;
   let rows =
-    Array.of_list
-      (List.map
-         (fun r ->
-           ( r.coeffs,
-             (match r.sense with
-             | Le -> Revised.Le
-             | Ge -> Revised.Ge
-             | Eq -> Revised.Eq),
-             r.rhs ))
-         p.rows)
+    Array.of_list (List.map (fun r -> (pack r.coeffs, r.sense, r.rhs)) p.rows)
   in
   let t =
-    Revised.create ~nvars:p.num_vars ~obj:p.minimize
+    Revised.create ~nvars:p.num_vars ~obj:(pack p.minimize)
       ~lower:(Array.make p.num_vars 0.0)
       ~upper:p.upper ~rows
   in

@@ -31,7 +31,7 @@ module Csc = Csc
 module Lu = Lu
 module Revised = Revised
 
-type sense = Le | Ge | Eq
+type sense = Revised.sense = Le | Ge | Eq
 
 type row = {
   coeffs : (int * float) list;  (** sparse [(var, coefficient)] terms *)
