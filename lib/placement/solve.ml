@@ -219,6 +219,7 @@ type verdict = {
 let run_ilp ?(jobs = 1) ?(cancel = fun () -> false) options inst_pre_plan
     layout =
   let warm_start =
+    Telemetry.Trace.with_span "solve.warm_start" @@ fun () ->
     if options.greedy_warm_start then ilp_warm_start options inst_pre_plan layout
     else None
   in
