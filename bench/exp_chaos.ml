@@ -21,11 +21,7 @@ let run ~title ~seed ~events ~jobs ~time_limit () =
   in
   let inst = Workload.build family in
   let options =
-    Placement.Solve.options
-      ~engine:
-        (if jobs > 1 then Placement.Solve.Portfolio_engine
-         else Placement.Solve.Ilp_engine)
-      ~jobs
+    Placement.Solve.options ~jobs
       ~ilp_config:{ Ilp.Solver.default_config with time_limit }
       ()
   in

@@ -8,8 +8,8 @@
                                       [--metrics FILE] [--trace FILE]
                                       [--only fig7|fig8|fig9|fig10|fig11|
                                               table2|exp5|s1|b1|ablations|
-                                              portfolio|chaos|update|crash|
-                                              serve|lp|caching]
+                                              chaos|update|crash|serve|lp|
+                                              caching]
 
    --only is repeatable.  An unknown flag or --only name, a missing
    value, or a non-integer --jobs/--seed exits with status 2. *)
@@ -17,8 +17,7 @@
 let experiments =
   [
     "fig7"; "fig8"; "fig9"; "fig10"; "fig11"; "table2"; "exp5"; "s1"; "b1";
-    "ablations"; "portfolio"; "chaos"; "update"; "crash"; "serve"; "lp";
-    "caching";
+    "ablations"; "chaos"; "update"; "crash"; "serve"; "lp"; "caching";
   ]
 
 let smoke = ref false
@@ -69,7 +68,7 @@ let trace_out = !trace_out
 (* --smoke: the CI perf canary — one tiny point per experiment family so
    a regression fails loudly without burning minutes. *)
 let only =
-  if smoke && !only = [] then [ "fig7"; "s1"; "portfolio"; "lp" ] else !only
+  if smoke && !only = [] then [ "fig7"; "s1"; "lp" ] else !only
 
 let wants name = only = [] || List.mem name only
 
@@ -152,15 +151,6 @@ let run_experiments () =
     ~k:4 ~paths:32 ~caps:(16, 60)
     ~rules_sweep:[ 8; 20; 32 ]
     ~time_limit ();
-
-  if wants "portfolio" then
-    Exp_portfolio.run
-      ~title:
-        (Printf.sprintf
-           "Experiment P1: solver portfolio (parallel B&B || SAT racing, \
-            jobs=%d) vs sequential ILP"
-           jobs)
-      ~jobs ~seeds ~time_limit ~quick ();
 
   if wants "chaos" then
     Exp_chaos.run

@@ -148,19 +148,6 @@ let jobs_arg =
           "Domains for the parallel engines (default 1 = sequential; 0 \
            means one per recommended core).")
 
-let strategy_arg =
-  Arg.(
-    value
-    & opt (some (enum [ ("portfolio", `Portfolio); ("ilp", `Ilp); ("sat", `Sat); ("auto", `Auto) ]))
-        None
-    & info [ "strategy" ] ~docv:"STRATEGY"
-        ~doc:
-          "Solving strategy (overrides $(b,--engine)): $(b,portfolio) races \
-           the parallel ILP against the SAT formulation with \
-           first-winner-cancels, $(b,ilp) is the branch & bound (parallel \
-           when $(b,--jobs) > 1), $(b,sat) the optimizing SAT descent, and \
-           $(b,auto) picks from the instance's constrainedness.")
-
 let features_arg =
   let no_presolve =
     Arg.(
@@ -190,24 +177,22 @@ let features_arg =
     const (fun p c f -> (not p, not c, not f))
     $ no_presolve $ no_cuts $ no_fpump)
 
-let options_of merge slice engine (presolve, cuts, fpump) objective
-    time_limit jobs strategy =
-  let engine =
-    match strategy with
-    | Some `Portfolio -> Placement.Solve.Portfolio_engine
-    | Some `Ilp -> Placement.Solve.Ilp_engine
-    | Some `Sat -> Placement.Solve.Sat_opt_engine
-    | Some `Auto -> Placement.Solve.Auto_engine
-    | None -> engine
+(* The one solve-option surface shared by [solve], [verify] and [events]. *)
+let solve_options =
+  let make merge slice engine (presolve, cuts, fpump) objective time_limit
+      jobs =
+    let jobs = if jobs <= 0 then Domain.recommended_domain_count () else jobs in
+    Placement.Solve.options ~merge ~slice ~engine ~jobs ~presolve ~cuts ~fpump
+      ~objective:
+        (match objective with
+        | `Total -> Placement.Encode.Total_rules
+        | `Upstream -> Placement.Encode.Upstream_drops)
+      ~ilp_config:{ Ilp.Solver.default_config with time_limit }
+      ()
   in
-  let jobs = if jobs <= 0 then Portfolio.default_jobs () else jobs in
-  Placement.Solve.options ~merge ~slice ~engine ~jobs ~presolve ~cuts ~fpump
-    ~objective:
-      (match objective with
-      | `Total -> Placement.Encode.Total_rules
-      | `Upstream -> Placement.Encode.Upstream_drops)
-    ~ilp_config:{ Ilp.Solver.default_config with time_limit }
-    ()
+  Term.(
+    const make $ merge_flag $ slice_flag $ engine_arg $ features_arg
+    $ objective_arg $ time_limit_arg $ jobs_arg)
 
 (* ---------------- generate ---------------- *)
 
@@ -327,14 +312,10 @@ let print_solution (sol : Placement.Solution.t) =
       end)
     sol.Placement.Solution.per_switch
 
-let solve_run metrics trace file merge slice engine features objective
-    time_limit jobs strategy show_tables =
+let solve_run metrics trace file options show_tables =
   with_telemetry metrics trace @@ fun () ->
   protect @@ fun () ->
   let inst = Placement.Spec.load file in
-  let options =
-    options_of merge slice engine features objective time_limit jobs strategy
-  in
   let report = Placement.Solve.run ~options inst in
   Format.printf "%a@." Placement.Solve.pp_report report;
   (match report.Placement.Solve.ilp_stats with
@@ -359,9 +340,8 @@ let solve_cmd =
   Cmd.v
     (Cmd.info "solve" ~exits ~doc:"Place the rules and print the result.")
     Term.(
-      const solve_run $ metrics_arg $ trace_arg $ instance_arg $ merge_flag
-      $ slice_flag $ engine_arg $ features_arg $ objective_arg
-      $ time_limit_arg $ jobs_arg $ strategy_arg $ tables_flag)
+      const solve_run $ metrics_arg $ trace_arg $ instance_arg $ solve_options
+      $ tables_flag)
 
 (* ---------------- balance ---------------- *)
 
@@ -402,14 +382,10 @@ let balance_cmd =
 
 (* ---------------- verify ---------------- *)
 
-let verify_run metrics trace file merge slice engine features objective
-    time_limit jobs strategy samples =
+let verify_run metrics trace file options samples =
   with_telemetry metrics trace @@ fun () ->
   protect @@ fun () ->
   let inst = Placement.Spec.load file in
-  let options =
-    options_of merge slice engine features objective time_limit jobs strategy
-  in
   let report = Placement.Solve.run ~options inst in
   Format.printf "%a@." Placement.Solve.pp_report report;
   match report.Placement.Solve.solution with
@@ -450,9 +426,8 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~exits ~doc:"Solve and verify the placement end to end.")
     Term.(
-      const verify_run $ metrics_arg $ trace_arg $ instance_arg $ merge_flag
-      $ slice_flag $ engine_arg $ features_arg $ objective_arg
-      $ time_limit_arg $ jobs_arg $ strategy_arg $ samples)
+      const verify_run $ metrics_arg $ trace_arg $ instance_arg $ solve_options
+      $ samples)
 
 (* ---------------- events ---------------- *)
 
@@ -510,14 +485,10 @@ let summarize_events ?(pre_failed = false) reports eng =
     exit_violations
   end
 
-let events_run metrics trace file merge slice engine features objective
-    time_limit jobs strategy num_events seed fail_rate timeout_rate deadline
-    rules journal resume =
+let events_run metrics trace file options num_events seed fail_rate
+    timeout_rate deadline rules journal resume =
   with_telemetry metrics trace @@ fun () ->
   protect @@ fun () ->
-  let options =
-    options_of merge slice engine features objective time_limit jobs strategy
-  in
   let config =
     {
       Runtime.Engine.default_config with
@@ -680,11 +651,9 @@ let events_cmd =
           logged and snapshotted, and $(b,--resume) continues an \
           interrupted run.")
     Term.(
-      const events_run $ metrics_arg $ trace_arg $ instance $ merge_flag
-      $ slice_flag $ engine_arg $ features_arg $ objective_arg
-      $ time_limit_arg $ jobs_arg $ strategy_arg $ num_events $ seed
-      $ fail_rate $ timeout_rate $ deadline $ rules $ journal
-      $ resume)
+      const events_run $ metrics_arg $ trace_arg $ instance $ solve_options
+      $ num_events $ seed $ fail_rate $ timeout_rate $ deadline $ rules
+      $ journal $ resume)
 
 (* ---------------- caching ---------------- *)
 

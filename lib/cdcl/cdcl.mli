@@ -46,7 +46,7 @@ val solve : ?conflict_limit:int -> ?cancel:(unit -> bool) -> t -> result
     adding further constraints (it restarts from the root level).
     [cancel] is polled every 64 search-loop iterations; once it returns
     true the search stops cooperatively with [Unknown] — the hook that
-    lets a solver portfolio cancel a losing SAT run. *)
+    lets a deadline or a caller's stop signal end a SAT run. *)
 
 val num_conflicts : t -> int
 (** Total conflicts across all [solve] calls (search-effort metric

@@ -29,8 +29,8 @@ let feasible (model : Model.t) sol =
    seeded random perturbation, keeping runs deterministic for a fixed
    seed.  The true objective is always restored before returning; the
    caller owns the follow-up reoptimize. *)
-let pump ?(max_rounds = 40) ?(seed = 0x9e3779b9) ?(deadline = infinity) ~lp
-    (model : Model.t) =
+let pump ?(max_rounds = 40) ?(seed = 0x9e3779b9) ?(deadline = infinity)
+    ?(cancel = fun () -> false) ~lp (model : Model.t) =
   let n = Model.num_vars model in
   let g = Prng.create seed in
   let seen = Hashtbl.create 64 in
@@ -45,6 +45,7 @@ let pump ?(max_rounds = 40) ?(seed = 0x9e3779b9) ?(deadline = infinity) ~lp
       while
         !rounds < max_rounds
         && (deadline = infinity || Unix.gettimeofday () < deadline)
+        && not (cancel ())
       do
         incr rounds;
         let xt = Array.init n (fun j -> !x.(j) >= 0.5) in
@@ -79,8 +80,8 @@ let pump ?(max_rounds = 40) ?(seed = 0x9e3779b9) ?(deadline = infinity) ~lp
    opposite bound if that kills the LP) until the relaxation comes out
    integral.  [base_bounds] are the caller's per-variable root bounds,
    restored before returning. *)
-let dive ?(max_depth = 400) ?(deadline = infinity) ~lp ~base_bounds
-    (model : Model.t) =
+let dive ?(max_depth = 400) ?(deadline = infinity) ?(cancel = fun () -> false)
+    ~lp ~base_bounds (model : Model.t) =
   let n = Model.num_vars model in
   let touched = ref [] in
   let pin j v =
@@ -96,7 +97,10 @@ let dive ?(max_depth = 400) ?(deadline = infinity) ~lp ~base_bounds
   in
   let solve () = Simplex.Revised.reoptimize ~max_iters:30_000 ~deadline lp in
   let rec go x depth =
-    if depth > max_depth || (deadline < infinity && Unix.gettimeofday () > deadline)
+    if
+      depth > max_depth
+      || (deadline < infinity && Unix.gettimeofday () > deadline)
+      || cancel ()
     then None
     else begin
       let xt = Array.init n (fun j -> x.(j) >= 0.5) in

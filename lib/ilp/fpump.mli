@@ -6,12 +6,15 @@
     [set_objective], the dive pins fractional variables with
     [set_bounds].  Warm re-solves make each inner iteration a handful of
     pivots.  Callers should [reoptimize] afterwards before reading LP
-    bounds, since the basis is left at the heuristic's last iterate. *)
+    bounds, since the basis is left at the heuristic's last iterate.
+    Both stop early once [deadline] (wall clock) passes or [cancel]
+    returns true, polled once per round or dive step. *)
 
 val pump :
   ?max_rounds:int ->
   ?seed:int ->
   ?deadline:float ->
+  ?cancel:(unit -> bool) ->
   lp:Simplex.Revised.t ->
   Model.t ->
   (bool array * float) option * int
@@ -24,6 +27,7 @@ val pump :
 val dive :
   ?max_depth:int ->
   ?deadline:float ->
+  ?cancel:(unit -> bool) ->
   lp:Simplex.Revised.t ->
   base_bounds:(float * float) array ->
   Model.t ->

@@ -152,7 +152,9 @@ type state = {
      never prunes a strictly better solution — the parallel optimum is
      the sequential optimum. *)
   mutable shared_obj : float Atomic.t;
-  mutable cancel : unit -> bool;  (* cooperative cancellation, polled in [dfs] *)
+  mutable cancel : unit -> bool;
+      (* cooperative cancellation, polled in [dfs] and between root cut
+         rounds, pump rounds and dive steps *)
   mutable nodes : int;
   mutable lp_calls : int;
   mutable stopped : bool;
@@ -617,7 +619,7 @@ let cut_loop st model last_sol root_ok =
   let ctx = Cuts.prepare model in
   let pool = Hashtbl.create 64 in
   let round = ref 0 and go = ref true in
-  while !go && !round < cut_rounds do
+  while !go && !round < cut_rounds && not (st.cancel ()) do
     incr round;
     match (st.splx, !last_sol) with
     | Some lp, Some x ->
@@ -673,7 +675,7 @@ let pump_and_dive st model =
     let better obj =
       match st.best with None -> true | Some b -> obj < b.objective -. 1e-9
     in
-    let sol, rounds = Fpump.pump ~deadline ~lp model in
+    let sol, rounds = Fpump.pump ~deadline ~cancel:st.cancel ~lp model in
     Telemetry.Metrics.add m_pump_rounds rounds;
     (match sol with
     | Some (xt, obj) when better obj && check_feasible model xt ->
@@ -687,7 +689,7 @@ let pump_and_dive st model =
             | 0 -> (0.0, 0.0)
             | _ -> (1.0, 1.0))
       in
-      match Fpump.dive ~deadline ~lp ~base_bounds model with
+      match Fpump.dive ~deadline ~cancel:st.cancel ~lp ~base_bounds model with
       | Some (xt, obj) when better obj && check_feasible model xt ->
         set_best st xt obj
       | _ -> ()
@@ -695,7 +697,8 @@ let pump_and_dive st model =
 
 (* Root work shared by the sequential and parallel drivers: warm start,
    root propagation, root LP (crash-started from the incumbent, with the
-   integral-hint incumbent), cutting planes, primal heuristics.
+   integral-hint incumbent), cutting planes, primal heuristics.  Each
+   LP stage is skipped, or stopped between rounds, once [cancel] fires.
    Returns the prepared state plus [`Settled outcome] when the root
    already decides the instance, [`Open] otherwise. *)
 let prepare ~config ~cancel ?wall_deadline ?warm_start ?basis model =
@@ -724,7 +727,7 @@ let prepare ~config ~cancel ?wall_deadline ?warm_start ?basis model =
   else begin
     let root_ok = ref true in
     let last_sol = ref None in
-    (if config.lp_root then begin
+    (if config.lp_root && not (cancel ()) then begin
        (* A known incumbent crashes the first basis: nonbasic statuses
           at the bound nearest the integer point give a primal-feasible
           start, skipping phase 1 entirely on paper-scale instances. *)

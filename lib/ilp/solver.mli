@@ -67,10 +67,11 @@ val solve :
   Model.t ->
   outcome * stats
 (** [warm_start] seeds the incumbent if it satisfies every constraint
-    (silently ignored otherwise).  [cancel] is polled every 256 nodes;
-    once it returns true the search stops cooperatively and reports its
-    best incumbent ([Feasible]) or [Unknown] — the hook that lets a
-    solver portfolio race this solver and cancel the loser.
+    (silently ignored otherwise).  [cancel] is polled every 256 nodes,
+    before the root LP and between root cut rounds, pump rounds and
+    dive steps; once it returns true the search stops cooperatively and
+    reports its best incumbent ([Feasible]) or [Unknown] — the hook that
+    lets a deadline or a superseded runtime event stop a solve.
 
     [basis] is a caller-held cell chaining the
     simplex basis {e across} solves: the cell's snapshot seeds this

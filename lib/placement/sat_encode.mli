@@ -34,8 +34,8 @@ val solve :
   ?cancel:(unit -> bool) ->
   Layout.t ->
   result
-(** [cancel] stops the CDCL search cooperatively ([`Unknown]) — used by
-    the solver portfolio to cancel a losing run. *)
+(** [cancel] stops the CDCL search cooperatively ([`Unknown]) — the
+    pipeline passes its deadline and stop hook here. *)
 
 type opt_result = {
   opt_status : [ `Optimal | `Feasible | `Unsat | `Unknown ];

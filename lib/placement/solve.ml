@@ -2,8 +2,6 @@ type engine =
   | Ilp_engine
   | Sat_engine
   | Sat_opt_engine
-  | Portfolio_engine
-  | Auto_engine
 
 let m_runs =
   Telemetry.Metrics.counter ~help:"placement pipeline runs"
@@ -15,7 +13,7 @@ let stage_seconds stage =
     "sdnplace_solve_stage_seconds"
 
 (* Static registration so every series exists (at zero) from process
-   start, portfolio or not. *)
+   start. *)
 let m_stage_redundancy = stage_seconds "redundancy"
 
 let m_stage_plan = stage_seconds "merge_plan"
@@ -36,15 +34,6 @@ let m_status_feasible = m_status "feasible"
 let m_status_infeasible = m_status "infeasible"
 
 let m_status_unknown = m_status "unknown"
-
-let m_winner name =
-  Telemetry.Metrics.counter ~help:"portfolio winner attribution"
-    ~labels:[ ("engine", name) ]
-    "sdnplace_solve_winner_total"
-
-let m_winner_ilp = m_winner "ilp"
-
-let m_winner_sat = m_winner "sat"
 
 type options = {
   redundancy : bool;
@@ -125,28 +114,13 @@ type report = {
   removed_rules : int;
   ilp_stats : Ilp.Solver.stats option;
   sat_conflicts : int option;
-  winner : string option;
   timing : timing;
 }
 
-(* Ratio of placement demand (covering rows, each forcing >= 1 installed
-   entry) to capacity supply.  High values read as over-constrained —
-   the regime where the paper observes the satisfiability formulation
-   winning; low values as under-constrained, where the ILP's root LP
-   usually closes the instance outright. *)
-let tightness (layout : Layout.t) =
-  let demand = List.length layout.Layout.covers in
-  let supply =
-    List.fold_left
-      (fun acc (c : Layout.capacity) -> acc + c.Layout.bound)
-      0 layout.Layout.capacities
-  in
-  if supply <= 0 then infinity else float_of_int demand /. float_of_int supply
-
 (* Best available ILP warm start: greedy, plus (under merging) the plain
    merge-free optimum, plus a cheap SAT probe when everything else
-   fails. *)
-let ilp_warm_start options inst_pre_plan (layout : Layout.t) =
+   fails.  Both helper solves poll the run's [cancel] hook. *)
+let ilp_warm_start ~cancel options inst_pre_plan (layout : Layout.t) =
   let candidates =
     Option.to_list (Baseline.greedy_assignment layout)
     @
@@ -158,16 +132,16 @@ let ilp_warm_start options inst_pre_plan (layout : Layout.t) =
        stay uninstalled. *)
     (if options.merge then
        (* The plain solve is only a warm start: give it a fraction of
-          the budget. *)
+          the budget, never more than the whole of it. *)
+       let tl = options.ilp_config.Ilp.Solver.time_limit in
        let warm_config =
          {
            options.ilp_config with
-           Ilp.Solver.time_limit =
-             Float.max 1.0 (options.ilp_config.Ilp.Solver.time_limit /. 4.0);
+           Ilp.Solver.time_limit = Float.min tl (Float.max 1.0 (tl /. 4.0));
          }
        in
        match
-         (Encode.solve ~objective:options.objective ~config:warm_config
+         (Encode.solve ~objective:options.objective ~config:warm_config ~cancel
             (Layout.build ~sliced:options.slice ~plan:Merge.empty_plan
                ~monitors:options.monitors inst_pre_plan))
            .Encode.solution
@@ -198,7 +172,8 @@ let ilp_warm_start options inst_pre_plan (layout : Layout.t) =
     (* Greedy is stuck but the instance may well be feasible: a quick
        SAT probe often finds an incumbent that lets the branch-and-bound
        prune from the start. *)
-    (Sat_encode.solve ~conflict_limit:5_000 layout).Sat_encode.assignment
+    (Sat_encode.solve ~conflict_limit:5_000 ~cancel layout)
+      .Sat_encode.assignment
   | _ ->
     let score a =
       Encode.assignment_objective ~objective:options.objective layout a
@@ -208,7 +183,7 @@ let ilp_warm_start options inst_pre_plan (layout : Layout.t) =
          (fun best a -> if score a < score best then a else best)
          (List.hd candidates) (List.tl candidates))
 
-(* One racer's answer, normalized across engines. *)
+(* One engine's answer, normalized across engines. *)
 type verdict = {
   v_status : Encode.status;
   v_solution : Solution.t option;
@@ -216,16 +191,16 @@ type verdict = {
   v_conflicts : int option;
 }
 
-let run_ilp ?(jobs = 1) ?(cancel = fun () -> false) options inst_pre_plan
-    layout =
+let run_ilp ~cancel options inst_pre_plan layout =
   let warm_start =
     Telemetry.Trace.with_span "solve.warm_start" @@ fun () ->
-    if options.greedy_warm_start then ilp_warm_start options inst_pre_plan layout
+    if options.greedy_warm_start then
+      ilp_warm_start ~cancel options inst_pre_plan layout
     else None
   in
   let r =
-    Encode.solve ~objective:options.objective ~config:options.ilp_config ~jobs
-      ~cancel ?warm_start ?basis:options.lp_basis layout
+    Encode.solve ~objective:options.objective ~config:options.ilp_config
+      ~jobs:options.jobs ~cancel ?warm_start ?basis:options.lp_basis layout
   in
   {
     v_status = r.Encode.status;
@@ -234,7 +209,7 @@ let run_ilp ?(jobs = 1) ?(cancel = fun () -> false) options inst_pre_plan
     v_conflicts = None;
   }
 
-let run_sat ?(cancel = fun () -> false) options layout =
+let run_sat ~cancel options layout =
   let r = Sat_encode.solve ?conflict_limit:options.sat_conflict_limit ~cancel layout in
   let status =
     match r.Sat_encode.status with
@@ -249,7 +224,7 @@ let run_sat ?(cancel = fun () -> false) options layout =
     v_conflicts = Some r.Sat_encode.conflicts;
   }
 
-let run_sat_opt ?(cancel = fun () -> false) options layout =
+let run_sat_opt ~cancel options layout =
   match options.objective with
   | Encode.Total_rules ->
     let r =
@@ -271,114 +246,8 @@ let run_sat_opt ?(cancel = fun () -> false) options layout =
     }
   | Encode.Upstream_drops | Encode.Switch_weighted _ ->
     (* The cardinality descent only minimizes the installed-entry count:
-       under other objectives the SAT side races for feasibility /
-       infeasibility only. *)
+       under other objectives the SAT side decides feasibility only. *)
     run_sat ~cancel options layout
-
-let definitive v =
-  match v.v_status with `Optimal | `Infeasible -> true | _ -> false
-
-(* Race the parallel ILP branch-and-bound against the SAT formulation,
-   first winner cancels the loser.  [jobs] counts total domains: one
-   runs the SAT side, the rest the ILP's subtree pool. *)
-let run_portfolio ?(cancel = fun () -> false) options inst_pre_plan layout =
-  let ilp_jobs = max 1 (options.jobs - 1) in
-  (* The race shares the ILP's time budget as an overall wall-clock
-     deadline.  Without it a non-definitive ILP finish (deadline hit,
-     incumbent only) would leave the race blocked on the SAT descent,
-     which has no time bound of its own. *)
-  let deadline =
-    let tl = options.ilp_config.Ilp.Solver.time_limit in
-    if Float.is_finite tl then Some (Unix.gettimeofday () +. tl) else None
-  in
-  let timed race_cancel () =
-    race_cancel () || cancel ()
-    || match deadline with Some d -> Unix.gettimeofday () > d | None -> false
-  in
-  let entrants =
-    [
-      {
-        Portfolio.name = "ilp";
-        run =
-          (fun ~cancel ->
-            run_ilp ~jobs:ilp_jobs ~cancel:(timed cancel) options inst_pre_plan
-              layout);
-      };
-      {
-        Portfolio.name = "sat";
-        run = (fun ~cancel -> run_sat_opt ~cancel:(timed cancel) options layout);
-      };
-    ]
-  in
-  let finishes = Portfolio.race ~definitive entrants in
-  let find name =
-    List.find_opt (fun (f : verdict Portfolio.finish) -> f.Portfolio.from = name) finishes
-  in
-  let ilp_stats =
-    Option.bind (find "ilp") (fun f -> f.Portfolio.result.v_ilp_stats)
-  in
-  let sat_conflicts =
-    Option.bind (find "sat") (fun f -> f.Portfolio.result.v_conflicts)
-  in
-  (* Deterministic pick: a definitive answer wins (ILP preferred on the
-     rare double finish — when both are definitive they agree on
-     status and objective); otherwise the best incumbent. *)
-  let winner =
-    match
-      List.find_opt (fun (f : verdict Portfolio.finish) -> f.Portfolio.definitive) finishes
-    with
-    | Some f -> Some f
-    | None ->
-      let score (f : verdict Portfolio.finish) =
-        match f.Portfolio.result.v_solution with
-        | Some sol -> sol.Solution.objective
-        | None -> infinity
-      in
-      List.fold_left
-        (fun acc f ->
-          match acc with
-          | Some best when score best <= score f -> acc
-          | _ when score f < infinity -> Some f
-          | _ -> acc)
-        None finishes
-  in
-  match winner with
-  | Some f ->
-    ( {
-        f.Portfolio.result with
-        v_ilp_stats = ilp_stats;
-        v_conflicts = sat_conflicts;
-      },
-      Some f.Portfolio.from )
-  | None ->
-    ( {
-        v_status = `Unknown;
-        v_solution = None;
-        v_ilp_stats = ilp_stats;
-        v_conflicts = sat_conflicts;
-      },
-      None )
-
-let resolve_engine options layout =
-  let engine =
-    match options.engine with
-    | Auto_engine ->
-      if options.jobs > 1 then Portfolio_engine
-      else begin
-        (* Sequential auto: over-constrained instances go to the SAT
-           side (optimizing when the objective allows it), the rest to
-           the ILP. *)
-        match options.objective with
-        | Encode.Total_rules when tightness layout >= 0.5 -> Sat_opt_engine
-        | _ -> Ilp_engine
-      end
-    | e -> e
-  in
-  (* A one-domain portfolio has nobody to race: degrade to the plain
-     sequential ILP path. *)
-  match engine with
-  | Portfolio_engine when options.jobs <= 1 -> Ilp_engine
-  | e -> e
 
 let run ?(options = default_options) ?deadline ?cancel inst =
   (* Fold the wall-clock deadline and the caller's cancel hook into one
@@ -430,39 +299,12 @@ let run ?(options = default_options) ?deadline ?cancel inst =
   in
   let t3 = Sys.time () in
   (* Stage 4: solve. *)
-  let verdict, winner =
+  let verdict =
     Telemetry.Trace.with_span "solve.engine" @@ fun () ->
-    match resolve_engine options layout with
-    | Ilp_engine ->
-      (run_ilp ~jobs:options.jobs ~cancel:stop options inst_pre_plan layout, None)
-    | Sat_engine -> (run_sat ~cancel:stop options layout, None)
-    | Sat_opt_engine when options.engine = Auto_engine ->
-      (* The tightness signal can misjudge (covering rows overcount
-         demand — one entry covers many paths), so the descent runs as a
-         bounded probe: a conflict budget plus a wall-clock deadline (a
-         CDCL run can roam for a long time between conflicts), falling
-         back to the ILP when the probe proves nothing. *)
-      let budget =
-        Option.value options.sat_conflict_limit ~default:20_000
-      in
-      let probe_s =
-        let tl = options.ilp_config.Ilp.Solver.time_limit in
-        if Float.is_finite tl then Float.min 5.0 (Float.max 0.5 (0.25 *. tl))
-        else 5.0
-      in
-      let probe_deadline = Unix.gettimeofday () +. probe_s in
-      let v =
-        run_sat_opt
-          ~cancel:(fun () -> stop () || Unix.gettimeofday () > probe_deadline)
-          { options with sat_conflict_limit = Some budget }
-          layout
-      in
-      if definitive v then (v, None)
-      else
-        (run_ilp ~jobs:options.jobs ~cancel:stop options inst_pre_plan layout, None)
-    | Sat_opt_engine -> (run_sat_opt ~cancel:stop options layout, None)
-    | Portfolio_engine -> run_portfolio ~cancel:stop options inst_pre_plan layout
-    | Auto_engine -> assert false (* resolved above *)
+    match options.engine with
+    | Ilp_engine -> run_ilp ~cancel:stop options inst_pre_plan layout
+    | Sat_engine -> run_sat ~cancel:stop options layout
+    | Sat_opt_engine -> run_sat_opt ~cancel:stop options layout
   in
   let t4 = Sys.time () in
   Telemetry.Metrics.observe m_stage_redundancy (t1 -. t0);
@@ -475,11 +317,6 @@ let run ?(options = default_options) ?deadline ?cancel inst =
     | `Feasible -> m_status_feasible
     | `Infeasible -> m_status_infeasible
     | `Unknown -> m_status_unknown);
-  (match winner with
-  | Some "ilp" -> Telemetry.Metrics.incr m_winner_ilp
-  | Some "sat" -> Telemetry.Metrics.incr m_winner_sat
-  | Some other -> Telemetry.Metrics.incr (m_winner other)
-  | None -> ());
   {
     status = verdict.v_status;
     solution = verdict.v_solution;
@@ -489,7 +326,6 @@ let run ?(options = default_options) ?deadline ?cancel inst =
     removed_rules = !removed;
     ilp_stats = verdict.v_ilp_stats;
     sat_conflicts = verdict.v_conflicts;
-    winner;
     timing =
       {
         redundancy_s = t1 -. t0;
@@ -501,10 +337,8 @@ let run ?(options = default_options) ?deadline ?cancel inst =
   }
 
 let pp_report fmt r =
-  Format.fprintf fmt "@[<v>status: %a%a@,%a@,solve time: %.3fs (total %.3fs)@]"
+  Format.fprintf fmt "@[<v>status: %a@,%a@,solve time: %.3fs (total %.3fs)@]"
     Encode.pp_status r.status
-    (Format.pp_print_option (fun fmt w -> Format.fprintf fmt " (winner: %s)" w))
-    r.winner
     (Format.pp_print_option
        ~none:(fun fmt () -> Format.pp_print_string fmt "no placement")
        Solution.pp_summary)

@@ -6,14 +6,11 @@
     greedily warm-started when possible; finally decoding into a
     {!Solution}.
 
-    The {b portfolio} engine is the multicore path: it races the ILP
-    branch and bound (itself fanned out over a domain pool, see
-    {!Ilp.Solver.solve_parallel}) against the SAT formulation on
-    separate OCaml domains with first-winner-cancels semantics — the
-    paper observes that which formulation wins depends on how over- or
-    under-constrained the instance is, so racing both gets the best of
-    each regime.  Objective values are identical to the sequential ILP
-    on every instance both prove.
+    The ILP is the one optimizing path.  With [jobs > 1] its branch and
+    bound fans out over a domain pool ({!Ilp.Solver.solve_parallel});
+    objective values are identical to the sequential search on every
+    instance both prove.  The SAT engines stay as the paper's deferred
+    satisfiability formulation and an independent cross-check.
 
     All stage timings are reported so the scalability experiments can
     attribute cost. *)
@@ -25,16 +22,6 @@ type engine =
       (** optimizing via incremental SAT cardinality descent
           ({!Sat_encode.minimize}) — an independent cross-check of the
           ILP optimum *)
-  | Portfolio_engine
-      (** race ILP (on [jobs - 1] domains) against SAT (one domain),
-          first definitive answer cancels the loser; [jobs <= 1]
-          degrades to [Ilp_engine] *)
-  | Auto_engine
-      (** pick an engine from the instance: multicore ([jobs > 1]) goes
-          to the portfolio; sequentially, over-constrained instances
-          probe the SAT side under a conflict budget (falling back to
-          the ILP when the probe proves nothing), the rest go straight
-          to the ILP *)
 
 type options = {
   redundancy : bool;  (** default true *)
@@ -49,9 +36,8 @@ type options = {
   sat_conflict_limit : int option;
   greedy_warm_start : bool;  (** default true *)
   jobs : int;
-      (** total domains for the parallel engines (default 1 =
-          sequential); see {!Portfolio.default_jobs} for a hardware
-          default *)
+      (** domains for the ILP branch and bound (default 1 =
+          sequential) *)
   lp_basis : Simplex.Revised.snapshot option ref option;
       (** a caller-held cell chaining the sparse LP basis across solves
           (default [None] = every solve cold-starts its root LP).  Hold
@@ -104,15 +90,8 @@ type report = {
   removed_rules : int;  (** by redundancy removal *)
   ilp_stats : Ilp.Solver.stats option;
   sat_conflicts : int option;
-  winner : string option;
-      (** which portfolio entrant produced the answer (["ilp"] /
-          ["sat"]); [None] outside the portfolio engine *)
   timing : timing;
 }
-
-val tightness : Layout.t -> float
-(** Placement demand (covering rows) over capacity supply — the
-    constrainedness signal [Auto_engine] switches on. *)
 
 val run :
   ?options:options ->
@@ -126,7 +105,8 @@ val run :
     time limit is clamped to the remaining budget so neither bound can
     outlive the other.  [cancel] is polled alongside the deadline — the
     hook the fault-tolerant runtime uses to abandon a solve whose event
-    was superseded.  Both default to unbounded, preserving the original
+    was superseded.  Both bound the merge warm start's plain solve as
+    well as the main one.  Both default to unbounded, preserving the original
     behaviour. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -11,7 +11,7 @@
       the affected ingresses move;
     + {b full re-solve} — a from-scratch {!Placement.Solve.run} with
       whatever budget remains, using the configured engine (the
-      portfolio when [jobs > 1]);
+      parallel branch and bound when [jobs > 1]);
     + {b greedy} — the {!Placement.Baseline} ingress-first heuristic,
       effectively instant;
     + {b quarantine} — fail closed: the last-good tables stay, the

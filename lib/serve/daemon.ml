@@ -61,7 +61,7 @@ let m_tenant_events tenant =
 type t = {
   config : config;
   shards : Shard.t array;
-  pool : Portfolio.Pool.t;
+  pool : Bulkhead.t;
   exec : Exec.t;
   mutable draining : bool;
   (* Domain-safe counters: the merge step runs on the calling domain,
@@ -83,7 +83,7 @@ type t = {
 }
 
 let make_pool config =
-  Portfolio.Pool.create ~slots:(max 1 config.round_slots)
+  Bulkhead.create ~slots:(max 1 config.round_slots)
     ~per_key_cap:(max 1 config.tenant_round_cap)
 
 let build config shards =
@@ -271,7 +271,7 @@ let tick t =
      the journaled state depend on an admission the client cannot know
      happened. *)
   let acks = flush t in
-  Portfolio.Pool.reset t.pool;
+  Bulkhead.reset t.pool;
   acks @ run_round t ~pool:t.pool
 
 let drain t =
@@ -280,7 +280,7 @@ let drain t =
   let outcomes = ref [] in
   while pending t > 0 do
     let n = max 1 (pending t) in
-    let pool = Portfolio.Pool.create ~slots:n ~per_key_cap:n in
+    let pool = Bulkhead.create ~slots:n ~per_key_cap:n in
     outcomes := !outcomes @ run_round t ~pool
   done;
   Array.iter Shard.snapshot t.shards;

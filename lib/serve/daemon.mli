@@ -11,7 +11,7 @@
       {!Wire.Rejected_overload} naming the bound — acked events are
       never shed, shed events are never silent;
     - {e bulkhead scheduling}: each round runs through a
-      {!Portfolio.Pool} with global slots and a per-tenant cap, so a
+      {!Bulkhead} with global slots and a per-tenant cap, so a
       flooding tenant saturates its own allowance while others keep
       their latency;
     - {e graceful drain}: stop admitting, process everything acked,

@@ -432,7 +432,7 @@ let plan_round t ~pool =
   List.iter
     (fun ((_, tenant, _) as e) ->
       if Hashtbl.mem blocked tenant then ()
-      else if Portfolio.Pool.try_acquire pool ~key:tenant then begin
+      else if Bulkhead.try_acquire pool ~key:tenant then begin
         acquired := tenant :: !acquired;
         out := e :: !out
       end
@@ -441,7 +441,7 @@ let plan_round t ~pool =
            FIFO while later tenants overtake it. *)
         Hashtbl.replace blocked tenant ())
     t.queue;
-  List.iter (fun tenant -> Portfolio.Pool.release pool ~key:tenant) !acquired;
+  List.iter (fun tenant -> Bulkhead.release pool ~key:tenant) !acquired;
   List.rev !out
 
 let execute_batch t batch =
@@ -457,7 +457,7 @@ let drain t =
   let out = ref [] in
   while t.queue <> [] do
     let n = max 1 (pending t) in
-    let pool = Portfolio.Pool.create ~slots:n ~per_key_cap:n in
+    let pool = Bulkhead.create ~slots:n ~per_key_cap:n in
     out := !out @ process_round t ~pool
   done;
   snapshot t;

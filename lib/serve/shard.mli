@@ -132,7 +132,7 @@ type processed = { p_tenant : int; p_ticket : int; p_outcome : outcome }
 type batch = (int * int * Wire.op) list
 (** One round's selection for this shard, admission order. *)
 
-val plan_round : t -> pool:Portfolio.Pool.t -> batch
+val plan_round : t -> pool:Bulkhead.t -> batch
 (** Select this round's tickets: taken in admission order {e per
     tenant}, but a tenant refused a pool slot (global pressure or its
     per-tenant cap) is skipped {e as a whole} for the round — later
@@ -150,7 +150,7 @@ val execute_batch : t -> batch -> processed list
     concurrently, and never concurrently with {!admit} on the same
     shard. *)
 
-val process_round : t -> pool:Portfolio.Pool.t -> processed list
+val process_round : t -> pool:Bulkhead.t -> processed list
 (** [execute_batch t (plan_round t ~pool)] — the sequential round. *)
 
 val drain : t -> processed list

@@ -1,0 +1,220 @@
+(* Parallel search and cooperative cancellation: the parallel branch
+   and bound must reproduce the sequential answer exactly, cancellation
+   must stop every solver promptly without leaking domains or claiming
+   a proof, and [jobs = 1] must degrade to the plain sequential
+   search. *)
+open Placement
+
+let options ?(jobs = 1) () =
+  Solve.options ~jobs
+    ~ilp_config:{ Ilp.Solver.default_config with time_limit = 30.0 }
+    ()
+
+let objective (r : Solve.report) =
+  match r.Solve.solution with
+  | Some s -> s.Solution.objective
+  | None -> Alcotest.fail "optimal report without solution"
+
+(* Parallel B&B determinism: on every instance both runs prove, the
+   status and the objective value must coincide — the strict shared
+   cutoff never prunes a strictly better solution. *)
+let test_parallel_matches_sequential () =
+  let g = Prng.create 2024 in
+  let proved = ref 0 in
+  for i = 1 to 22 do
+    let inst = Util.random_instance g in
+    let seq = Solve.run ~options:(options ()) inst in
+    let par = Solve.run ~options:(options ~jobs:4 ()) inst in
+    Alcotest.(check bool)
+      (Printf.sprintf "case %d: same status" i)
+      true
+      (seq.Solve.status = par.Solve.status);
+    match seq.Solve.status with
+    | `Optimal ->
+      incr proved;
+      Alcotest.(check (float 1e-6))
+        (Printf.sprintf "case %d: same optimum" i)
+        (objective seq) (objective par)
+    | `Infeasible -> incr proved
+    | `Feasible | `Unknown -> ()
+  done;
+  Alcotest.(check bool) "proved most cases" true (!proved >= 15)
+
+(* An odd-cycle vertex cover: fractional LP optimum, deep search tree —
+   a model the solver cannot settle at the root, so cancellation has
+   something to interrupt. *)
+let hard_model n =
+  let m = Ilp.Model.create () in
+  let v = Array.init n (fun _ -> Ilp.Model.binary m) in
+  for i = 0 to n - 1 do
+    Ilp.Model.add_ge m [ (1.0, v.(i)); (1.0, v.((i + 1) mod n)) ] 1.0
+  done;
+  Ilp.Model.set_objective m (Array.to_list (Array.map (fun x -> (1.0, x)) v));
+  m
+
+let no_lp =
+  { Ilp.Solver.default_config with lp_root = false; lp_depth = 0 }
+
+(* Pigeonhole: [holes + 1] pigeons into [holes] holes.  Infeasible, but
+   only by exhausting an exponential tree — propagation and cover bounds
+   cannot close it early, so there is always work left to cancel. *)
+let pigeonhole holes =
+  let m = Ilp.Model.create () in
+  let x =
+    Array.init (holes + 1) (fun _ ->
+        Array.init holes (fun _ -> Ilp.Model.binary m))
+  in
+  Array.iter
+    (fun row ->
+      Ilp.Model.add_ge m (Array.to_list (Array.map (fun v -> (1.0, v)) row)) 1.0)
+    x;
+  for h = 0 to holes - 1 do
+    Ilp.Model.add_le m
+      (List.init (holes + 1) (fun p -> (1.0, x.(p).(h))))
+      1.0
+  done;
+  Ilp.Model.set_objective m
+    (List.concat_map
+       (fun row -> Array.to_list (Array.map (fun v -> (1.0, v)) row))
+       (Array.to_list x));
+  m
+
+(* [2 (x_1 + ... + x_n) = n] for odd [n]: the LP relaxation is feasible
+   (every x = 1/2), so unlike the pigeonhole no LP bound refutes it, and
+   only an exhaustive search proves it infeasible. *)
+let parity n =
+  let m = Ilp.Model.create () in
+  let x = List.init n (fun _ -> (1.0, Ilp.Model.binary m)) in
+  Ilp.Model.add_eq m (List.map (fun (_, v) -> (2.0, v)) x) (float_of_int n);
+  Ilp.Model.set_objective m x;
+  m
+
+(* Without the LP on the pigeonhole, and with the default configuration
+   on the parity model, whose root LP, cut rounds, feasibility pump and
+   dive must poll the hook too. *)
+let test_prefired_cancel_stops_ilp () =
+  List.iter
+    (fun (label, config, model) ->
+      let outcome, stats =
+        Ilp.Solver.solve ~config ~cancel:(fun () -> true) model
+      in
+      (match outcome with
+      | Ilp.Solver.Feasible _ | Ilp.Solver.Unknown -> ()
+      | Ilp.Solver.Optimal _ | Ilp.Solver.Infeasible ->
+        Alcotest.failf "%s: cancelled search claimed a proof" label);
+      (* The poll runs every 256 nodes: a prompt stop visits few nodes. *)
+      Alcotest.(check bool)
+        (label ^ ": stopped promptly")
+        true
+        (stats.Ilp.Solver.nodes <= 1024))
+    [
+      ("no LP", no_lp, pigeonhole 9);
+      ("default", Ilp.Solver.default_config, parity 21);
+    ]
+
+let test_prefired_cancel_stops_parallel () =
+  let outcome, stats =
+    Ilp.Solver.solve_parallel ~config:no_lp ~jobs:4
+      ~cancel:(fun () -> true)
+      (pigeonhole 9)
+  in
+  (* Returning at all proves every spawned domain was joined. *)
+  (match outcome with
+  | Ilp.Solver.Feasible _ | Ilp.Solver.Unknown -> ()
+  | Ilp.Solver.Optimal _ | Ilp.Solver.Infeasible ->
+    Alcotest.fail "cancelled parallel search claimed a proof");
+  Alcotest.(check bool)
+    "all workers stopped promptly" true
+    (stats.Ilp.Solver.nodes <= 8 * 1024)
+
+let test_prefired_cancel_stops_cdcl () =
+  let pb = Pb.create () in
+  let v = Array.init 30 (fun _ -> Pb.fresh pb) in
+  (* Pigeonhole-flavoured contradiction: exhaustive search territory. *)
+  Pb.at_least pb (Array.to_list v) 16;
+  Pb.at_most pb (Array.to_list v) 14;
+  match Pb.solve ~cancel:(fun () -> true) pb with
+  | Cdcl.Unknown -> ()
+  | Cdcl.Sat _ | Cdcl.Unsat ->
+    Alcotest.fail "cancelled CDCL search still answered"
+
+(* jobs = 1 is exactly the sequential solver — same outcome, same node
+   count, no domains spawned. *)
+let test_jobs1_is_sequential () =
+  let seq_outcome, seq_stats = Ilp.Solver.solve ~config:no_lp (hard_model 15) in
+  let par_outcome, par_stats =
+    Ilp.Solver.solve_parallel ~config:no_lp ~jobs:1 (hard_model 15)
+  in
+  (match (seq_outcome, par_outcome) with
+  | Ilp.Solver.Optimal a, Ilp.Solver.Optimal b ->
+    Alcotest.(check (float 1e-9)) "same optimum" a.objective b.objective
+  | _ -> Alcotest.fail "odd-cycle cover must be solved to optimality");
+  Alcotest.(check int) "identical search" seq_stats.Ilp.Solver.nodes
+    par_stats.Ilp.Solver.nodes
+
+(* A Table II merge instance whose root heuristics alone run for
+   seconds: under merging the pipeline first solves the plain model as a
+   warm start, so both that solve and the main one must honour the
+   run's stop signal. *)
+let table2_instance () =
+  Workload.build
+    {
+      Workload.default with
+      Workload.rules = 20;
+      mergeable = 10;
+      capacity = 30;
+      paths = 48;
+      ingress_mode = Workload.Contiguous;
+      seed = 1;
+    }
+
+let merge_options =
+  Solve.options ~merge:true
+    ~ilp_config:{ Ilp.Solver.default_config with time_limit = 10.0 }
+    ()
+
+let check_no_proof label (r : Solve.report) =
+  match r.Solve.status with
+  | `Feasible | `Unknown -> ()
+  | `Optimal | `Infeasible ->
+    Alcotest.failf "%s: stopped run claimed a proof" label
+
+let test_prefired_cancel_stops_merge_solve () =
+  let inst = table2_instance () in
+  let t0 = Unix.gettimeofday () in
+  let r = Solve.run ~options:merge_options ~cancel:(fun () -> true) inst in
+  let dt = Unix.gettimeofday () -. t0 in
+  check_no_proof "pre-fired cancel" r;
+  Alcotest.(check bool)
+    (Printf.sprintf "returned in under 2 s (%.3fs)" dt)
+    true (dt < 2.0)
+
+(* The warm start's plain solve used to get at least 1 s whatever the
+   remaining budget; a 50 ms deadline must now bound it as well. *)
+let test_deadline_bounds_merge_warm_start () =
+  let inst = table2_instance () in
+  let t0 = Unix.gettimeofday () in
+  let r = Solve.run ~options:merge_options ~deadline:(t0 +. 0.05) inst in
+  let dt = Unix.gettimeofday () -. t0 in
+  check_no_proof "50 ms deadline" r;
+  Alcotest.(check bool)
+    (Printf.sprintf "returned well inside 1 s (%.3fs)" dt)
+    true (dt < 1.0)
+
+let suite =
+  [
+    Alcotest.test_case "parallel B&B matches sequential" `Quick
+      test_parallel_matches_sequential;
+    Alcotest.test_case "pre-fired cancel stops ILP" `Quick
+      test_prefired_cancel_stops_ilp;
+    Alcotest.test_case "pre-fired cancel stops parallel ILP" `Quick
+      test_prefired_cancel_stops_parallel;
+    Alcotest.test_case "pre-fired cancel stops CDCL" `Quick
+      test_prefired_cancel_stops_cdcl;
+    Alcotest.test_case "jobs=1 is the sequential search" `Quick
+      test_jobs1_is_sequential;
+    Alcotest.test_case "pre-fired cancel stops a merge solve" `Quick
+      test_prefired_cancel_stops_merge_solve;
+    Alcotest.test_case "deadline bounds the merge warm start" `Quick
+      test_deadline_bounds_merge_warm_start;
+  ]

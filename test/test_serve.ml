@@ -7,6 +7,7 @@
    applied or deterministically quarantined, and equal seeds give
    byte-identical final tenant signatures. *)
 
+module Bulkhead = Serve.Bulkhead
 module Wire = Serve.Wire
 module Shard = Serve.Shard
 module Daemon = Serve.Daemon
@@ -16,31 +17,70 @@ let qtest = QCheck_alcotest.to_alcotest
 (* ---------------- bulkhead pool -------------------------------------- *)
 
 let test_pool_bulkhead () =
-  let p = Portfolio.Pool.create ~slots:3 ~per_key_cap:2 in
+  let p = Bulkhead.create ~slots:3 ~per_key_cap:2 in
   Alcotest.(check bool) "first slot for t1" true
-    (Portfolio.Pool.try_acquire p ~key:1);
+    (Bulkhead.try_acquire p ~key:1);
   Alcotest.(check bool) "second slot for t1" true
-    (Portfolio.Pool.try_acquire p ~key:1);
+    (Bulkhead.try_acquire p ~key:1);
   Alcotest.(check bool) "per-key cap bites" false
-    (Portfolio.Pool.try_acquire p ~key:1);
+    (Bulkhead.try_acquire p ~key:1);
   Alcotest.(check bool) "other tenant still admitted" true
-    (Portfolio.Pool.try_acquire p ~key:2);
+    (Bulkhead.try_acquire p ~key:2);
   Alcotest.(check bool) "global cap bites" false
-    (Portfolio.Pool.try_acquire p ~key:3);
-  Portfolio.Pool.release p ~key:2;
+    (Bulkhead.try_acquire p ~key:3);
+  Bulkhead.release p ~key:2;
   Alcotest.(check bool) "released slot reusable" true
-    (Portfolio.Pool.try_acquire p ~key:3);
-  Alcotest.(check int) "in flight" 3 (Portfolio.Pool.in_flight p);
-  (match Portfolio.Pool.release p ~key:9 with
+    (Bulkhead.try_acquire p ~key:3);
+  Alcotest.(check int) "in flight" 3 (Bulkhead.in_flight p);
+  (match Bulkhead.release p ~key:9 with
   | () -> Alcotest.fail "released a slot key 9 never held"
   | exception Invalid_argument _ -> ());
-  Portfolio.Pool.reset p;
-  Alcotest.(check int) "reset empties" 0 (Portfolio.Pool.in_flight p);
+  Bulkhead.reset p;
+  Alcotest.(check int) "reset empties" 0 (Bulkhead.in_flight p);
   Alcotest.(check bool) "usable after reset" true
-    (Portfolio.Pool.try_acquire p ~key:1);
-  match Portfolio.Pool.create ~slots:0 ~per_key_cap:1 with
+    (Bulkhead.try_acquire p ~key:1);
+  match Bulkhead.create ~slots:0 ~per_key_cap:1 with
   | _ -> Alcotest.fail "zero-slot pool accepted"
   | exception Invalid_argument _ -> ()
+
+(* The bulkhead pool under real contention: four domains hammer
+   acquire/release over a small key space, and a mirror of the pool's
+   occupancy in plain atomics must never observe more than [slots] in
+   flight in total nor more than [per_key_cap] for any key — the
+   serving daemon trusts exactly this when shard batches plan through
+   one shared pool. *)
+let test_pool_domain_stress () =
+  let slots = 6 and cap = 2 and keys = 8 in
+  let p = Bulkhead.create ~slots ~per_key_cap:cap in
+  let in_flight = Atomic.make 0 in
+  let per_key = Array.init keys (fun _ -> Atomic.make 0) in
+  let violations = Atomic.make 0 in
+  let worker seed () =
+    let st = ref seed in
+    let rand bound =
+      st := ((!st * 1103515245) + 12345) land 0x3FFFFFFF;
+      !st mod bound
+    in
+    for _ = 1 to 3000 do
+      let key = rand keys in
+      if Bulkhead.try_acquire p ~key then begin
+        let tot = 1 + Atomic.fetch_and_add in_flight 1 in
+        let mine = 1 + Atomic.fetch_and_add per_key.(key) 1 in
+        if tot > slots || mine > cap then Atomic.incr violations;
+        Atomic.decr per_key.(key);
+        Atomic.decr in_flight;
+        Bulkhead.release p ~key
+      end
+    done
+  in
+  let others = List.init 3 (fun i -> Domain.spawn (worker (31 * (i + 1)))) in
+  worker 7 ();
+  List.iter Domain.join others;
+  Alcotest.(check int) "no bulkhead violation under 4 domains" 0
+    (Atomic.get violations);
+  Alcotest.(check int) "every slot returned" 0 (Bulkhead.in_flight p);
+  Alcotest.(check bool) "pool still usable" true
+    (Bulkhead.try_acquire p ~key:0)
 
 (* ---------------- wire codec ----------------------------------------- *)
 
@@ -920,6 +960,8 @@ let qcheck_jobs_identical =
 let suite =
   [
     Alcotest.test_case "pool bulkhead semantics" `Quick test_pool_bulkhead;
+    Alcotest.test_case "pool bulkhead holds under four domains" `Quick
+      test_pool_domain_stress;
     Alcotest.test_case "wire codec roundtrips" `Quick test_wire_roundtrip;
     Alcotest.test_case "wire codec survives torn and corrupt streams" `Quick
       test_wire_torn_and_corrupt;

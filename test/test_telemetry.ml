@@ -189,7 +189,6 @@ let test_render_checks_out () =
         "sdnplace_simplex_";
         "sdnplace_ilp_";
         "sdnplace_cdcl_";
-        "sdnplace_portfolio_";
         "sdnplace_runtime_";
         "sdnplace_journal_";
       ]
