@@ -13,7 +13,16 @@
       field meets the path's flow region, Section IV-C), the PERMIT rules
       some placed DROP depends on, and merge-plan dummies;
     - a {b merged} variable per (merge group, switch) where at least two
-      members have placement variables (Section IV-B). *)
+      members have placement variables (Section IV-B).
+
+    Numbering: policies take consecutive ranges in ascending ingress
+    order.  Within policy [i], each placed rule has a {e slot} [s] (its
+    position in the policy's placed-rule order) and each switch of [S_i]
+    its position [j] in ascending switch order; the rule's variable at
+    that switch is [base_i + s * |S_i| + j], where [base_i] is the first
+    variable of the policy.  Merged variables follow every placement
+    variable, by group then ascending switch.  {!var} inverts this
+    numbering. *)
 
 type key =
   | Place of { ingress : int; priority : int; switch : int }
@@ -28,13 +37,19 @@ type capacity = {
           one slot when the merged var is set, else one each *)
 }
 
+type numbering
+(** The dense index behind {!var}, {!is_dummy} and {!is_forbidden}:
+    per ingress, its [base_i], [S_i] and placed priorities, plus a
+    forbidden flag per variable.  Built once by {!build} and read-only
+    afterwards, so a layout can be queried from several domains. *)
+
 type t = {
   instance : Instance.t;
   plan : Merge.plan;
   sliced : bool;
   monitors : (int * Ternary.Field.t) list;
   keys : key array;
-  index : (key, int) Hashtbl.t;  (** inverse of [keys] *)
+  numbering : numbering;  (** inverse of [keys] *)
   rules : (int * int, Acl.Rule.t) Hashtbl.t;  (** (ingress, priority) -> rule *)
   implications : (int * int) list;  (** (drop var, permit var): Eq. 1 / 6 *)
   covers : int list list;  (** each needs >= 1: Eq. 2 / 7, per path *)
@@ -68,8 +83,11 @@ val build :
 val num_vars : t -> int
 
 val var : t -> ingress:int -> priority:int -> switch:int -> int option
+(** The placement variable of that (policy rule, switch), [None] when
+    the rule places nothing or the switch is outside [S_i]. *)
 
 val is_dummy : t -> ingress:int -> priority:int -> bool
+(** Whether that rule is a dummy the merge plan inserted. *)
 
 val is_forbidden : t -> ingress:int -> priority:int -> switch:int -> bool
 (** Whether monitoring pins that placement to 0. *)
