@@ -192,14 +192,22 @@ type verdict = {
 }
 
 let run_ilp ~cancel options inst_pre_plan layout =
+  let t0 = Unix.gettimeofday () in
   let warm_start =
     Telemetry.Trace.with_span "solve.warm_start" @@ fun () ->
     if options.greedy_warm_start then
       ilp_warm_start ~cancel options inst_pre_plan layout
     else None
   in
+  (* The time limit bounds the run's ILP work as a whole: the main
+     solve gets what the warm start left of it. *)
+  let config =
+    let c = options.ilp_config in
+    let left = c.Ilp.Solver.time_limit -. (Unix.gettimeofday () -. t0) in
+    { c with Ilp.Solver.time_limit = Float.max 0.01 left }
+  in
   let r =
-    Encode.solve ~objective:options.objective ~config:options.ilp_config
+    Encode.solve ~objective:options.objective ~config
       ~jobs:options.jobs ~cancel ?warm_start ?basis:options.lp_basis layout
   in
   {

@@ -107,6 +107,11 @@ val run :
     hook the fault-tolerant runtime uses to abandon a solve whose event
     was superseded.  Both bound the merge warm start's plain solve as
     well as the main one.  Both default to unbounded, preserving the original
-    behaviour. *)
+    behaviour.
+
+    The ILP engine's [ilp_config.time_limit] bounds the run's ILP work
+    as a whole: the warm start's solves (the plain-model solve under
+    [merge], the SAT probe) spend from the same budget, and the main
+    solve gets only what remains of it. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -75,10 +75,13 @@ let pack idx coef =
     else { idx = Array.sub idx 0 !out; coef = Array.sub coef 0 !out }
   end
 
-let of_rows ~m ~n rows =
+let of_rows ?(units = 0) ~m ~n rows =
   if Array.length rows <> m then invalid_arg "Csc.of_rows: row count mismatch";
-  (* CSR: the packed rows laid end to end. *)
+  let ncols = n + (units * m) in
+  (* Check and size every row, counting its entries per column; each
+     unit column holds exactly one entry. *)
   let rowptr = Array.make (m + 1) 0 in
+  let colptr = Array.make (ncols + 1) 0 in
   Array.iteri
     (fun i r ->
       let len = Array.length r.idx in
@@ -86,37 +89,42 @@ let of_rows ~m ~n rows =
         invalid_arg "Csc.of_rows: row is not packed";
       if len > 0 && (r.idx.(0) < 0 || r.idx.(len - 1) >= n) then
         invalid_arg "Csc.of_rows: column index out of range";
-      rowptr.(i + 1) <- rowptr.(i) + len)
+      rowptr.(i + 1) <- rowptr.(i) + len + units;
+      for p = 0 to len - 1 do
+        colptr.(r.idx.(p) + 1) <- colptr.(r.idx.(p) + 1) + 1
+      done)
     rows;
-  let nnz = rowptr.(m) in
-  let colind = Array.make nnz 0 in
-  let rval = Array.make nnz 0.0 in
-  Array.iteri
-    (fun i r ->
-      let len = Array.length r.idx in
-      Array.blit r.idx 0 colind rowptr.(i) len;
-      Array.blit r.coef 0 rval rowptr.(i) len)
-    rows;
-  (* CSC: count per column, then scatter. *)
-  let colptr = Array.make (n + 1) 0 in
-  for p = 0 to nnz - 1 do
-    colptr.(colind.(p) + 1) <- colptr.(colind.(p) + 1) + 1
-  done;
   for j = 1 to n do
     colptr.(j) <- colptr.(j) + colptr.(j - 1)
   done;
-  let rowind = Array.make nnz 0 in
-  let cval = Array.make nnz 0.0 in
-  let next = Array.copy colptr in
-  for i = 0 to m - 1 do
-    for p = rowptr.(i) to rowptr.(i + 1) - 1 do
-      let j = colind.(p) in
-      rowind.(next.(j)) <- i;
-      cval.(next.(j)) <- rval.(p);
-      next.(j) <- next.(j) + 1
-    done
+  for j = n + 1 to ncols do
+    colptr.(j) <- colptr.(j - 1) + 1
   done;
-  { m; n; colptr; rowind; cval; rowptr; colind; rval }
+  (* One scatter per row: its packed terms, then its unit entries,
+     whose columns exceed every term's, into the CSR; the same entries
+     into the CSC, where rows arrive in order. *)
+  let nnz = rowptr.(m) in
+  let colind = Array.make nnz 0 and rval = Array.make nnz 1.0 in
+  let rowind = Array.make nnz 0 and cval = Array.make nnz 1.0 in
+  let next = Array.sub colptr 0 n in
+  Array.iteri
+    (fun i r ->
+      let len = Array.length r.idx and p0 = rowptr.(i) in
+      Array.blit r.idx 0 colind p0 len;
+      Array.blit r.coef 0 rval p0 len;
+      for p = 0 to len - 1 do
+        let j = r.idx.(p) in
+        rowind.(next.(j)) <- i;
+        cval.(next.(j)) <- r.coef.(p);
+        next.(j) <- next.(j) + 1
+      done;
+      for u = 0 to units - 1 do
+        let j = n + (u * m) + i in
+        colind.(p0 + len + u) <- j;
+        rowind.(colptr.(j)) <- i
+      done)
+    rows;
+  { m; n = ncols; colptr; rowind; cval; rowptr; colind; rval }
 
 let nnz a = a.colptr.(a.n)
 

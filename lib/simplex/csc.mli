@@ -31,10 +31,14 @@ val pack : int array -> float array -> row
     returns them unchanged when they are already packed.  Raises
     [Invalid_argument] when the lengths differ. *)
 
-val of_rows : m:int -> n:int -> row array -> t
-(** [of_rows ~m ~n rows] builds the matrix from [m] packed rows by one
-    linear scatter (no sorting or merging).  Raises [Invalid_argument] on
-    an out-of-range column index or a row that is not packed. *)
+val of_rows : ?units:int -> m:int -> n:int -> row array -> t
+(** [of_rows ~m ~n rows] builds the [m x n] matrix from [m] packed rows
+    in one linear scatter per row (no sorting or merging).  With
+    [~units:u] (default 0) each row [i] also gets a [1.0] in column
+    [n + k*m + i] for every [k < u], so the matrix has [n + u*m] columns:
+    the slack and artificial blocks of the revised simplex.  Raises
+    [Invalid_argument] on a column index outside [0, n) or a row that
+    is not packed. *)
 
 val nnz : t -> int
 

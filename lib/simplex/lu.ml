@@ -1,20 +1,31 @@
 exception Singular
 
-(* One factor step: pivot position, L multipliers below it, U row. *)
+(* One kernel factor step: pivot position, L multipliers below it, U
+   row, in kernel indices. *)
 type step = {
-  pr : int;  (** pivot row (constraint-row index) *)
-  pc : int;  (** pivot column (basis-slot index) *)
+  pr : int;  (** pivot row *)
+  pc : int;  (** pivot column *)
   l_idx : int array;  (** rows receiving a multiplier *)
   l_val : float array;
-  u_idx : int array;  (** later basis slots in the pivot row *)
+  u_idx : int array;  (** later columns in the pivot row *)
   u_val : float array;
   u_piv : float;
 }
 
 type t = {
-  m : int;
+  (* Permutation part: peeled block [q] is basis slot [p_slot.(q)], a
+     unit column whose one nonzero [p_piv.(q)] sits on row [p_row.(q)],
+     a row no other basis column touches. *)
+  p_row : int array;
+  p_slot : int array;
+  p_piv : float array;
+  (* Kernel: every other column, factored alone in local indices.
+     Kernel column [c] is basis slot [kslot.(c)]; kernel row [i] is
+     constraint row [kglob.(i)]. *)
+  kslot : int array;
+  kglob : int array;
   steps : step array;
-  (* Transposed factor indices, built once per factorization, so both
+  (* Transposed kernel indices, built once per factorization, so both
      triangular backward passes run push-form: work lands only on the
      nonzero entries of the solution instead of scanning every stored
      nonzero of L and U.  [ut] maps a column to the steps whose U row
@@ -27,8 +38,8 @@ type t = {
   lt_ptr : int array;
   lt_tgt : int array;
   lt_val : float array;
-  z : float array;  (** scratch, row space *)
-  s : float array;  (** scratch, slot space *)
+  z : float array;  (** scratch, kernel rows *)
+  s : float array;  (** scratch, kernel columns *)
   ux : float array;  (** scratch, per-step accumulator for the U solve *)
   nnz : int;
 }
@@ -44,8 +55,10 @@ let abs_tol = 1e-11
    amortized; the elimination itself runs through a sparse accumulator
    so each update is array reads, never a hash probe.  All scans and
    tie-breaks are index-ordered, keeping the factorization
-   deterministic. *)
-let factor ~m col =
+   deterministic.  [eliminate m col] factors the [m x m] matrix whose
+   column [c] [col] enumerates and returns its steps, in the indices of
+   [col], and the stored L + U nonzeros. *)
+let eliminate m col =
   (* Row storage. *)
   let rlen = Array.make m 0 in
   let rcol = Array.make m [||] in
@@ -90,9 +103,9 @@ let factor ~m col =
   let unlink c =
     let b = inbucket.(c) in
     if b >= 0 then begin
-      let p = bprev.(c) and n = bnext.(c) in
-      if p >= 0 then bnext.(p) <- n else bhead.(b) <- n;
-      if n >= 0 then bprev.(n) <- p;
+      let p = bprev.(c) and m = bnext.(c) in
+      if p >= 0 then bnext.(p) <- m else bhead.(b) <- m;
+      if m >= 0 then bprev.(m) <- p;
       inbucket.(c) <- -1
     end
   in
@@ -334,24 +347,86 @@ let factor ~m col =
     steps.(step_k) <-
       Some { pr; pc; l_idx; l_val; u_idx = u_idx'; u_val = u_val'; u_piv = piv }
   done;
-  let steps = Array.map Option.get steps in
+  (Array.map Option.get steps, !nnz)
+
+(* Peel the isolated unit blocks, then eliminate the kernel.  Pass 1
+   counts each column's and each row's nonzeros, remembering a column's
+   last entry; a column with one nonzero on a row of count one is an
+   isolated block.  Nothing in the kernel ever touches a peeled row or
+   column, so the kernel factors alone, in local indices whose order
+   follows the global one (every Markowitz tie-break is unchanged), and
+   each peeled block counts one stored nonzero. *)
+let factor ~m col =
+  let ccnt = Array.make m 0 and clast = Array.make m 0 in
+  let cval = Array.make m 0.0 and rcnt = Array.make m 0 in
+  for k = 0 to m - 1 do
+    col k (fun i v ->
+        if Float.abs v > drop_tol then begin
+          ccnt.(k) <- ccnt.(k) + 1;
+          clast.(k) <- i;
+          cval.(k) <- v;
+          rcnt.(i) <- rcnt.(i) + 1
+        end)
+  done;
+  let peeled k = ccnt.(k) = 1 && rcnt.(clast.(k)) = 1 in
+  let np = ref 0 in
+  for k = 0 to m - 1 do
+    if ccnt.(k) = 0 then raise Singular;
+    if peeled k then begin
+      if Float.abs cval.(k) <= abs_tol then raise Singular;
+      incr np
+    end
+  done;
+  let np = !np in
+  let nk = m - np in
+  let p_row = Array.make np 0 and p_slot = Array.make np 0 in
+  let p_piv = Array.make np 0.0 and kslot = Array.make nk 0 in
+  let q = ref 0 and c = ref 0 in
+  for k = 0 to m - 1 do
+    if peeled k then begin
+      p_row.(!q) <- clast.(k);
+      p_slot.(!q) <- k;
+      p_piv.(!q) <- cval.(k);
+      rcnt.(clast.(k)) <- -1;
+      incr q
+    end
+    else begin
+      kslot.(!c) <- k;
+      incr c
+    end
+  done;
+  (* [rcnt] now marks the peeled rows with -1; reuse it as the row ->
+     kernel-row map. *)
+  let krow = rcnt and kglob = Array.make nk 0 in
+  let r = ref 0 in
+  for i = 0 to m - 1 do
+    if krow.(i) >= 0 then begin
+      krow.(i) <- !r;
+      kglob.(!r) <- i;
+      incr r
+    end
+  done;
+  let steps, knnz =
+    eliminate nk (fun c f ->
+        col kslot.(c) (fun i v -> if Float.abs v > drop_tol then f krow.(i) v))
+  in
   (* Transpose CSR builds for the push-form solves. *)
-  let ut_cnt = Array.make (m + 1) 0 in
-  let lt_cnt = Array.make (m + 1) 0 in
+  let ut_cnt = Array.make (nk + 1) 0 in
+  let lt_cnt = Array.make (nk + 1) 0 in
   Array.iter
     (fun st ->
       Array.iter (fun c -> ut_cnt.(c + 1) <- ut_cnt.(c + 1) + 1) st.u_idx;
       Array.iter (fun i -> lt_cnt.(i + 1) <- lt_cnt.(i + 1) + 1) st.l_idx)
     steps;
-  for k = 1 to m do
+  for k = 1 to nk do
     ut_cnt.(k) <- ut_cnt.(k) + ut_cnt.(k - 1);
     lt_cnt.(k) <- lt_cnt.(k) + lt_cnt.(k - 1)
   done;
   let ut_ptr = Array.copy ut_cnt and lt_ptr = Array.copy lt_cnt in
-  let ut_step = Array.make ut_cnt.(m) 0 in
-  let ut_val = Array.make ut_cnt.(m) 0.0 in
-  let lt_tgt = Array.make lt_cnt.(m) 0 in
-  let lt_val = Array.make lt_cnt.(m) 0.0 in
+  let ut_step = Array.make ut_cnt.(nk) 0 in
+  let ut_val = Array.make ut_cnt.(nk) 0.0 in
+  let lt_tgt = Array.make lt_cnt.(nk) 0 in
+  let lt_val = Array.make lt_cnt.(nk) 0.0 in
   let unext = Array.copy ut_ptr and lnext = Array.copy lt_ptr in
   Array.iteri
     (fun k st ->
@@ -371,7 +446,11 @@ let factor ~m col =
         st.l_idx)
     steps;
   {
-    m;
+    p_row;
+    p_slot;
+    p_piv;
+    kslot;
+    kglob;
     steps;
     ut_ptr;
     ut_step;
@@ -379,24 +458,31 @@ let factor ~m col =
     lt_ptr;
     lt_tgt;
     lt_val;
-    z = Array.make m 0.0;
-    s = Array.make m 0.0;
-    ux = Array.make m 0.0;
-    nnz = !nnz;
+    z = Array.make nk 0.0;
+    s = Array.make nk 0.0;
+    ux = Array.make nk 0.0;
+    nnz = np + knnz;
   }
 
 let nnz t = t.nnz
 
-(* Solve B x = b:  (E_{m-1} ... E_0) B = U, so z = E b then U x = z.
-   Both passes spend flops only where values are nonzero: the L pass
-   skips steps whose pivot-row value is zero, and the U pass pushes each
+(* Solve B x = b.  Each peeled block is one division.  For the kernel,
+   (E_{k-1} ... E_0) B_K = U, so z = E b then U x = z.  Both kernel
+   passes spend flops only where values are nonzero: the L pass skips
+   steps whose pivot-row value is zero, and the U pass pushes each
    resolved component through the transpose index instead of pulling
    over every stored U entry. *)
 let ftran t ~b ~x =
-  let m = t.m in
+  for q = 0 to Array.length t.p_row - 1 do
+    let bv = b.(t.p_row.(q)) in
+    x.(t.p_slot.(q)) <- (if bv = 0.0 then 0.0 else bv /. t.p_piv.(q))
+  done;
+  let nk = Array.length t.steps in
   let z = t.z in
-  Array.blit b 0 z 0 m;
-  for k = 0 to m - 1 do
+  for i = 0 to nk - 1 do
+    z.(i) <- b.(t.kglob.(i))
+  done;
+  for k = 0 to nk - 1 do
     let st = t.steps.(k) in
     let zr = z.(st.pr) in
     if zr <> 0.0 then
@@ -405,29 +491,36 @@ let ftran t ~b ~x =
       done
   done;
   let ux = t.ux in
-  for k = 0 to m - 1 do
+  for k = 0 to nk - 1 do
     ux.(k) <- z.(t.steps.(k).pr)
   done;
-  for k = m - 1 downto 0 do
+  for k = nk - 1 downto 0 do
     let st = t.steps.(k) in
     let acc = ux.(k) in
-    if acc = 0.0 then x.(st.pc) <- 0.0
+    if acc = 0.0 then x.(t.kslot.(st.pc)) <- 0.0
     else begin
       let xv = acc /. st.u_piv in
-      x.(st.pc) <- xv;
+      x.(t.kslot.(st.pc)) <- xv;
       for p = t.ut_ptr.(st.pc) to t.ut_ptr.(st.pc + 1) - 1 do
         ux.(t.ut_step.(p)) <- ux.(t.ut_step.(p)) -. (t.ut_val.(p) *. xv)
       done
     end
   done
 
-(* Solve B^T y = c: forward-substitute U^T by scattering each pivot row,
-   then apply the transposed etas in reverse. *)
+(* Solve B^T y = c: one division per peeled block; for the kernel,
+   forward-substitute U^T by scattering each pivot row, then apply the
+   transposed etas in reverse. *)
 let btran t ~c ~y =
-  let m = t.m in
-  let s = t.s in
-  Array.blit c 0 s 0 m;
-  for k = 0 to m - 1 do
+  for q = 0 to Array.length t.p_row - 1 do
+    let cv = c.(t.p_slot.(q)) in
+    y.(t.p_row.(q)) <- (if cv <> 0.0 then cv /. t.p_piv.(q) else cv)
+  done;
+  let nk = Array.length t.steps in
+  let s = t.s and z = t.z in
+  for j = 0 to nk - 1 do
+    s.(j) <- c.(t.kslot.(j))
+  done;
+  for k = 0 to nk - 1 do
     let st = t.steps.(k) in
     let sv = s.(st.pc) in
     if sv <> 0.0 then begin
@@ -438,19 +531,22 @@ let btran t ~c ~y =
       done
     end
   done;
-  (* Scatter w (indexed by step) into row space via the pivot rows. *)
-  for k = 0 to m - 1 do
+  (* Scatter w (indexed by step) into kernel rows via the pivot rows. *)
+  for k = 0 to nk - 1 do
     let st = t.steps.(k) in
-    y.(st.pr) <- s.(st.pc)
+    z.(st.pr) <- s.(st.pc)
   done;
   (* L^T backward, push form: a row's final value feeds exactly the
      steps whose L column references it, so zero components cost one
      read. *)
-  for k = m - 1 downto 0 do
+  for k = nk - 1 downto 0 do
     let st = t.steps.(k) in
-    let yv = y.(st.pr) in
-    if yv <> 0.0 then
+    let zv = z.(st.pr) in
+    if zv <> 0.0 then
       for p = t.lt_ptr.(st.pr) to t.lt_ptr.(st.pr + 1) - 1 do
-        y.(t.lt_tgt.(p)) <- y.(t.lt_tgt.(p)) -. (t.lt_val.(p) *. yv)
+        z.(t.lt_tgt.(p)) <- z.(t.lt_tgt.(p)) -. (t.lt_val.(p) *. zv)
       done
+  done;
+  for i = 0 to nk - 1 do
+    y.(t.kglob.(i)) <- z.(i)
   done

@@ -126,29 +126,14 @@ let create ~nvars ~obj ~lower ~upper ~rows =
     lower;
   let m = Array.length rows in
   let n = nvars + m + m in
-  let in_range (r : Csc.row) =
-    Array.for_all (fun j -> j >= 0 && j < nvars) r.Csc.idx
-  in
-  if not (in_range obj) then
+  if not (Array.for_all (fun j -> j >= 0 && j < nvars) obj.Csc.idx) then
     invalid_arg "Revised.create: variable index out of range";
   (* Each packed row gains its slack and artificial entries, whose
-     column indices exceed every structural one, so the augmented row
-     stays packed. *)
-  let aug =
-    Array.mapi
-      (fun k ((r : Csc.row), _, _) ->
-        if not (in_range r) then
-          invalid_arg "Revised.create: variable index out of range";
-        let len = Array.length r.Csc.idx in
-        let idx = Array.make (len + 2) (nvars + k)
-        and coef = Array.make (len + 2) 1.0 in
-        Array.blit r.Csc.idx 0 idx 0 len;
-        Array.blit r.Csc.coef 0 coef 0 len;
-        idx.(len + 1) <- nvars + m + k;
-        { Csc.idx; coef })
-      rows
+     column indices exceed every structural one, so a stored row is its
+     structural terms, then its slack, then its artificial. *)
+  let a =
+    Csc.of_rows ~units:2 ~m ~n:nvars (Array.map (fun (r, _, _) -> r) rows)
   in
-  let a = Csc.of_rows ~m ~n aug in
   let lo = Array.make n 0.0 and up = Array.make n 0.0 in
   Array.blit lower 0 lo 0 nvars;
   Array.blit upper 0 up 0 nvars;

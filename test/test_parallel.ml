@@ -201,6 +201,24 @@ let test_deadline_bounds_merge_warm_start () =
     (Printf.sprintf "returned well inside 1 s (%.3fs)" dt)
     true (dt < 1.0)
 
+(* The time limit bounds the merge run's ILP work as a whole: the main
+   solve gets only what the warm start's plain solve left, so a 1 s
+   limit no longer stretches to 2 s of wall. *)
+let test_time_limit_bounds_merge_run () =
+  let inst = table2_instance () in
+  let options =
+    Solve.options ~merge:true
+      ~ilp_config:{ Ilp.Solver.default_config with time_limit = 1.0 }
+      ()
+  in
+  let t0 = Unix.gettimeofday () in
+  let r = Solve.run ~options inst in
+  let dt = Unix.gettimeofday () -. t0 in
+  check_no_proof "1 s time limit" r;
+  Alcotest.(check bool)
+    (Printf.sprintf "returned in under 1.5 s (%.3fs)" dt)
+    true (dt < 1.5)
+
 let suite =
   [
     Alcotest.test_case "parallel B&B matches sequential" `Quick
@@ -217,4 +235,6 @@ let suite =
       test_prefired_cancel_stops_merge_solve;
     Alcotest.test_case "deadline bounds the merge warm start" `Quick
       test_deadline_bounds_merge_warm_start;
+    Alcotest.test_case "time limit bounds the whole merge run" `Quick
+      test_time_limit_bounds_merge_run;
   ]

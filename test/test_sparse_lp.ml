@@ -128,65 +128,148 @@ let test_degenerate_block () =
 
 (* ---------------- LU kernel ------------------------------------------ *)
 
-(* Random diagonally dominant sparse bases: factor, then check both
-   solve directions against the matrix itself. *)
+(* Factor the basis whose slot [k] is the sparse column [cols.(k)]
+   ((row, value) pairs), then check both solve directions against the
+   matrix itself; returns the factor. *)
+let check_lu_roundtrip g ~label cols =
+  let m = Array.length cols in
+  let lu = Lu.factor ~m (fun k f -> List.iter (fun (i, v) -> f i v) cols.(k)) in
+  let b = Array.init m (fun _ -> Prng.float g 2.0 -. 1.0) in
+  let x = Array.make m 0.0 in
+  Lu.ftran lu ~b ~x;
+  (* B x = sum_k x_k * col_k must reproduce b. *)
+  let bx = Array.make m 0.0 in
+  Array.iteri
+    (fun k col ->
+      List.iter (fun (i, v) -> bx.(i) <- bx.(i) +. (v *. x.(k))) col)
+    cols;
+  Array.iteri
+    (fun i bi ->
+      if Float.abs (bx.(i) -. bi) > 1e-8 then
+        Alcotest.failf "%s: ftran residual %g at row %i (m=%d)" label
+          (bx.(i) -. bi) i m)
+    b;
+  let c = Array.init m (fun _ -> Prng.float g 2.0 -. 1.0) in
+  let y = Array.make m 0.0 in
+  Lu.btran lu ~c ~y;
+  (* B^T y: column k dotted with y must reproduce c_k. *)
+  Array.iteri
+    (fun k col ->
+      let dot =
+        List.fold_left (fun acc (i, v) -> acc +. (v *. y.(i))) 0.0 col
+      in
+      if Float.abs (dot -. c.(k)) > 1e-8 then
+        Alcotest.failf "%s: btran residual %g at slot %i (m=%d)" label
+          (dot -. c.(k)) k m)
+    cols;
+  lu
+
+let shuffle g a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Prng.int g (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  a
+
+(* A unit column's scale: +-1 (slacks and artificials) or another
+   magnitude. *)
+let unit_scale g =
+  let s = if Prng.int g 2 = 0 then 1.0 else 0.5 +. Prng.float g 4.0 in
+  if Prng.int g 2 = 0 then s else -.s
+
+(* A mixed basis of order [m] in permuted rows and slots.  Logical
+   column [j] sits on row [j]: the first [iso] are isolated unit blocks;
+   of the rest, every third is a unit column whose row some kernel
+   column also touches, and the others are column-diagonally-dominant
+   kernel columns with off-diagonals on kernel rows only, so the kernel
+   fills in while the isolated blocks stay untouched. *)
+let mixed_basis g m =
+  let iso = Prng.int g (m + 1) in
+  let kernel_row () = iso + Prng.int g (m - iso) in
+  let is_unit j = j < iso || (j - iso) mod 3 = 0 in
+  let dense = List.filter (fun j -> not (is_unit j)) (List.init m Fun.id) in
+  let logical =
+    Array.init m (fun j ->
+        if is_unit j then [ (j, unit_scale g) ]
+        else
+          (j, 4.0 +. Prng.float g 2.0)
+          :: List.filter_map
+               (fun _ ->
+                 let i = kernel_row () in
+                 if i = j then None else Some (i, Prng.float g 1.8 -. 0.9))
+               (List.init (Prng.int g 4) Fun.id))
+  in
+  (* Tie each kernel unit column's row to a dense kernel column. *)
+  (match dense with
+  | [] -> ()
+  | _ ->
+    let dense = Array.of_list dense in
+    for j = iso to m - 1 do
+      if is_unit j then begin
+        let d = dense.(Prng.int g (Array.length dense)) in
+        logical.(d) <- logical.(d) @ [ (j, Prng.float g 1.8 -. 0.9) ]
+      end
+    done);
+  let rperm = shuffle g (Array.init m Fun.id) in
+  let slot = shuffle g (Array.init m Fun.id) in
+  let cols = Array.make m [] in
+  Array.iteri
+    (fun j col ->
+      cols.(slot.(j)) <- List.map (fun (i, v) -> (rperm.(i), v)) col)
+    logical;
+  cols
+
+(* Random bases of three shapes: diagonally dominant sparse ones,
+   permuted unit (all-logical) ones, and mixed ones where isolated unit
+   blocks sit beside a kernel with fill. *)
 let test_lu_roundtrip () =
   let g = Prng.create 7 in
   for _ = 1 to 50 do
     let m = Prng.int_in g 2 16 in
-    (* cols.(k) = sparse column k as (row, value) pairs *)
     let cols =
       Array.init m (fun k ->
           let off =
             List.filter_map
               (fun _ ->
                 let i = Prng.int g m in
-                if i = k then None
-                else Some (i, Prng.float g 2.0 -. 1.0))
+                if i = k then None else Some (i, Prng.float g 2.0 -. 1.0))
               (List.init (Prng.int g 4) Fun.id)
           in
           (k, 4.0 +. Prng.float g 2.0) :: off)
     in
-    let lu = Lu.factor ~m (fun k f -> List.iter (fun (i, v) -> f i v) cols.(k)) in
-    let b = Array.init m (fun _ -> Prng.float g 2.0 -. 1.0) in
-    let x = Array.make m 0.0 in
-    Lu.ftran lu ~b ~x;
-    (* B x = sum_k x_k * col_k must reproduce b. *)
-    let bx = Array.make m 0.0 in
-    Array.iteri
-      (fun k col -> List.iter (fun (i, v) -> bx.(i) <- bx.(i) +. (v *. x.(k)))
-          col)
-      cols;
-    Array.iteri
-      (fun i bi ->
-        if Float.abs (bx.(i) -. bi) > 1e-8 then
-          Alcotest.failf "ftran residual %g at row %i (m=%d)"
-            (bx.(i) -. bi) i m)
-      b;
-    let c = Array.init m (fun _ -> Prng.float g 2.0 -. 1.0) in
-    let y = Array.make m 0.0 in
-    Lu.btran lu ~c ~y;
-    (* B^T y: column k dotted with y must reproduce c_k. *)
-    Array.iteri
-      (fun k col ->
-        let dot =
-          List.fold_left (fun acc (i, v) -> acc +. (v *. y.(i))) 0.0 col
-        in
-        if Float.abs (dot -. c.(k)) > 1e-8 then
-          Alcotest.failf "btran residual %g at slot %i (m=%d)"
-            (dot -. c.(k)) k m)
-      cols
+    ignore (check_lu_roundtrip g ~label:"diagonally dominant" cols)
+  done;
+  for _ = 1 to 20 do
+    let m = Prng.int_in g 1 300 in
+    let rperm = shuffle g (Array.init m Fun.id) in
+    let cols = Array.init m (fun k -> [ (rperm.(k), unit_scale g) ]) in
+    let lu = check_lu_roundtrip g ~label:"permuted unit" cols in
+    Alcotest.(check int) "all-unit basis stores m nonzeros" m (Lu.nnz lu)
+  done;
+  for _ = 1 to 40 do
+    let m = Prng.int_in g 2 300 in
+    ignore (check_lu_roundtrip g ~label:"mixed" (mixed_basis g m))
   done
 
 let test_lu_singular () =
-  (* Two identical columns: rank deficient, the factorization must say so. *)
-  let col _ f =
-    f 0 1.0;
-    f 1 2.0
+  let singular label m cols =
+    match
+      Lu.factor ~m (fun k f -> List.iter (fun (i, v) -> f i v) cols.(k))
+    with
+    | _ -> Alcotest.failf "%s: singular basis factored" label
+    | exception Lu.Singular -> ()
   in
-  match Lu.factor ~m:2 col with
-  | _ -> Alcotest.fail "singular basis factored"
-  | exception Lu.Singular -> ()
+  (* Two identical columns: rank deficient, the factorization must say so. *)
+  singular "identical columns" 2
+    [| [ (0, 1.0); (1, 2.0) ]; [ (0, 1.0); (1, 2.0) ] |];
+  (* Two unit columns on one row, beside an isolated one. *)
+  singular "unit columns share a row" 3
+    [| [ (0, 1.0) ]; [ (2, 1.0) ]; [ (0, -1.0) ] |];
+  (* A unit pivot below the absolute tolerance, though above the drop
+     tolerance. *)
+  singular "tiny unit pivot" 3 [| [ (1, 1.0) ]; [ (0, 5e-12) ]; [ (2, -1.0) ] |]
 
 (* ---------------- persistent instance: dual reoptimize ---------------- *)
 
@@ -403,9 +486,8 @@ let test_row_contract () =
     ignore
       (Revised.create ~nvars:2 ~obj ~lower:(fst bounds) ~upper:(snd bounds) ~rows)
   in
-  (* Column 2 exists in the augmented matrix (row 0's slack) and sorts
-     ahead of row 1's slack and artificial, so only [create]'s own range
-     check can catch it. *)
+  (* Column 2 exists in the augmented matrix (row 0's slack), so the
+     range check must hold rows to the structural columns. *)
   let row0 = (packed [ (0, 1.0) ], Revised.Le, 1.0) in
   raises "row var = nvars" (fun () ->
       create [| row0; (packed [ (2, 1.0) ], Revised.Le, 1.0) |]);
