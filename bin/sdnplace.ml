@@ -154,8 +154,9 @@ let features_arg =
       value & flag
       & info [ "no-presolve" ]
           ~doc:
-            "Disable the ILP presolve reductions (variable fixing, \
-             redundant/duplicate/dominated row elimination).")
+            "Disable the ILP presolve reductions (bound propagation, \
+             activity-redundant and duplicate row removal, \
+             dominated-column fixing).")
   in
   let no_cuts =
     Arg.(

@@ -1,5 +1,5 @@
-(* Root presolve for 0-1 models: bound propagation, duplicate and
-   dominated row removal, and safe column fixing, producing a smaller
+(* Root presolve for 0-1 models: bound propagation, activity-redundant
+   and duplicate row removal, and safe column fixing, producing a smaller
    model plus the bookkeeping to map solutions back.  Shrinking the
    matrix before the first factorization cuts both the LP work per node
    and the branching space; every reduction below preserves at least one
@@ -34,16 +34,11 @@ type wrow = {
 }
 
 (* Edits to the working rows within one [reduce] call, so that the
-   duplicate and dominance passes can skip a re-run on rows they have
-   already searched.  [edits] counts every row rewrite and kill (a
-   duplicate's kill also stands for the rhs it tightens);
-   [dups_clean] and [dominance_clean] hold its value after the last
-   run of that pass that changed nothing, else -1. *)
-type passes = {
-  mutable edits : int;
-  dups_clean : int ref;
-  dominance_clean : int ref;
-}
+   duplicate pass can skip a re-run on rows it has already searched.
+   [edits] counts every row rewrite and kill (a duplicate's kill also
+   stands for the rhs it tightens); [dups_clean] holds its value after
+   the last duplicate pass that changed nothing, else -1. *)
+type passes = { mutable edits : int; mutable dups_clean : int }
 
 let kill st r =
   r.live <- false;
@@ -176,83 +171,10 @@ let remove_duplicates st rows =
       end)
     rows
 
-(* Subset dominance among all-unit-coefficient rows.  Ge: A ⊆ B with
-   rhs_A >= rhs_B makes B redundant (Σ_B x >= Σ_A x >= rhs_A).  Le:
-   A ⊆ B with rhs_A >= rhs_B makes A redundant (Σ_A x <= Σ_B x <=
-   rhs_B).  In both cases the kept row is the subset (Ge) or the
-   superset (Le). *)
-let remove_dominated st n rows =
-  let unit r = r.live && Array.for_all (fun c -> Float.abs (c -. 1.0) <= eps) r.coefs in
-  let mark = Array.make n 0 in
-  let stamp = ref 0 in
-  let dominate sense =
-    let rs =
-      Array.of_list
-        (Array.fold_left (fun acc r -> if unit r && r.sense = sense then r :: acc else acc)
-           [] rows)
-    in
-    Array.sort (fun a b -> compare (Array.length a.vars) (Array.length b.vars)) rs;
-    (* occ.(v): the kept rows containing v, newest first; occ_n.(v) its
-       length. *)
-    let occ = Array.make n [] and occ_n = Array.make n 0 in
-    Array.iter
-      (fun r ->
-        if r.live then begin
-          (* Enumerate already-seen sets A ⊆ r via the least-frequent
-             member's occurrence list; ascending size order guarantees
-             subsets come first. *)
-          incr stamp;
-          let stamp = !stamp in
-          Array.iter (fun v -> mark.(v) <- stamp) r.vars;
-          let best_var = ref (-1) and best_n = ref max_int in
-          Array.iter
-            (fun v ->
-              if occ_n.(v) < !best_n then begin
-                best_n := occ_n.(v);
-                best_var := v
-              end)
-            r.vars;
-          let cands = if !best_var < 0 then [] else occ.(!best_var) in
-          let subset a =
-            a != r && a.live
-            && Array.length a.vars <= Array.length r.vars
-            && a.rhs >= r.rhs -. eps
-            && Array.for_all (fun v -> mark.(v) = stamp) a.vars
-          in
-          (match sense with
-          | Model.Ge ->
-            (* Σ_B x >= Σ_A x >= rhs_A >= rhs_B: the superset row [r] is
-               implied by any subset A with rhs_A >= rhs_B. *)
-            if List.exists subset cands then kill st r
-          | _ ->
-            (* Le: Σ_A x <= Σ_B x <= rhs_B <= rhs_A: each subset row A
-               is implied by the superset [r]. *)
-            List.iter (fun a -> if subset a then kill st a) cands);
-          if r.live then
-            Array.iter
-              (fun v ->
-                occ.(v) <- r :: occ.(v);
-                occ_n.(v) <- occ_n.(v) + 1)
-              r.vars
-        end)
-      rs
-  in
-  dominate Model.Ge;
-  dominate Model.Le
-
-(* Run [pass] unless its last run changed nothing and no row has been
-   edited since: on identical rows it would again change nothing.  The
-   dominance search only scans the least-frequent member's occurrences,
-   so after any edit it can find new subsets and must re-run. *)
-let rerun st clean pass =
-  if !clean <> st.edits then begin
-    let before = st.edits in
-    pass ();
-    if st.edits = before then clean := st.edits
-  end
-
-(* Row-level cleanup: substitution, activity-redundant rows, exact
-   duplicates and subset dominance among unit-coefficient rows. *)
+(* Row-level cleanup: substitution, activity-redundant rows and exact
+   duplicates.  The duplicate pass is skipped when its last run changed
+   nothing and no row has been edited since: on identical rows it would
+   again change nothing. *)
 let cleanup st fixed rows =
   Array.iter
     (fun r ->
@@ -267,9 +189,11 @@ let cleanup st fixed rows =
         else kill st r
       end)
     rows;
-  rerun st st.dups_clean (fun () -> remove_duplicates st rows);
-  rerun st st.dominance_clean (fun () ->
-      remove_dominated st (Array.length fixed) rows)
+  if st.dups_clean <> st.edits then begin
+    let before = st.edits in
+    remove_duplicates st rows;
+    if st.edits = before then st.dups_clean <- st.edits
+  end
 
 (* Column dominance: a variable with nonnegative cost whose only
    appearances are nonnegative coefficients in <=-rows can always be 0
@@ -331,7 +255,7 @@ let reduce (model : Model.t) =
       (Model.rows model)
   in
   let total_rows = Array.length rows in
-  let st = { edits = 0; dups_clean = ref (-1); dominance_clean = ref (-1) } in
+  let st = { edits = 0; dups_clean = -1 } in
   try
     propagate st fixed rows;
     cleanup st fixed rows;

@@ -1,11 +1,10 @@
 (** Root presolve for 0-1 models.
 
     [reduce] applies optimality-preserving reductions — bound
-    propagation to a fixpoint, removal of activity-redundant, duplicate
-    and subset-dominated rows (covers dominated by sub-covers, capacity
-    rows implied by tighter supersets), and dominated-column fixing —
-    and returns a smaller model together with the bookkeeping needed to
-    translate solutions back.  Every reduction keeps at least one
+    propagation to a fixpoint, removal of activity-redundant rows and of
+    exact duplicate rows (same sense and terms; the tightest rhs is
+    kept), and dominated-column fixing — and returns a smaller model
+    together with the bookkeeping needed to translate solutions back.  Every reduction keeps at least one
     optimal solution of the original model, so solving the reduced model
     and applying {!restore} yields an optimal original solution (with
     objective shifted by [obj_offset]). *)

@@ -172,8 +172,9 @@ type state = {
      globally valid); parallel workers receive them before building
      their own LP so the root basis snapshot's fingerprint matches. *)
   mutable extra_rows : (Simplex.Csc.row * Simplex.Revised.sense * float) array;
-  (* Wall-clock instant after which LP pivot loops give up; keeps a
-     single long relaxation from blowing through [time_limit]. *)
+  (* Wall-clock instant [time_limit] after the solve started: the search
+     and every LP pivot loop give up once it passes, so a single long
+     relaxation cannot blow through the limit either. *)
   mutable lp_deadline : float;
 }
 
@@ -547,11 +548,11 @@ let record_incumbent st =
     if objective <= settle_bound st +. eps then raise Stop
   end
 
-let rec dfs st cfg ~start ~depth =
+let rec dfs st cfg ~depth =
   st.nodes <- st.nodes + 1;
   if
     st.nodes land 255 = 0
-    && (Sys.time () -. start > cfg.time_limit || st.cancel ())
+    && (Unix.gettimeofday () > st.lp_deadline || st.cancel ())
   then begin
     st.stopped <- true;
     raise Stop
@@ -580,7 +581,7 @@ let rec dfs st cfg ~start ~depth =
         let try_value b =
           let mark = st.trail_len in
           assign st v b;
-          if propagate st mark then dfs st cfg ~start ~depth:(depth + 1);
+          if propagate st mark then dfs st cfg ~depth:(depth + 1);
           undo_to st mark
         in
         try_value first;
@@ -695,29 +696,21 @@ let pump_and_dive st model =
       | _ -> ()
     end
 
-(* Root work shared by the sequential and parallel drivers: warm start,
+(* Root work shared by the sequential and parallel searches: warm start,
    root propagation, root LP (crash-started from the incumbent, with the
    integral-hint incumbent), cutting planes, primal heuristics.  Each
    LP stage is skipped, or stopped between rounds, once [cancel] fires.
    Returns the prepared state plus [`Settled outcome] when the root
    already decides the instance, [`Open] otherwise. *)
-let prepare ~config ~cancel ?wall_deadline ?warm_start ?basis model =
+let prepare ~config ~cancel ~deadline ?warm_start model =
   let st =
     Telemetry.Trace.with_span "ilp.setup" @@ fun () ->
     let st = build_state model in
-    (* An externally supplied basis cell (see [solve]) seeds the first
-       sparse LP — the root re-solve warm-starts from the previous
-       solve's optimal basis when the model shape matches
-       (fingerprint-guarded inside [Revised.restore], so a stale
-       snapshot just cold-starts). *)
-    (match basis with Some cell -> st.splx_seed <- !cell | None -> ());
     if config.lp_root then ignore (persistent_lp st);
     st
   in
   st.cancel <- cancel;
-  (match wall_deadline with
-  | Some d -> st.lp_deadline <- d
-  | None -> ());
+  st.lp_deadline <- deadline;
   (match warm_start with
   | Some values
     when Array.length values = st.n && check_feasible model values ->
@@ -732,10 +725,9 @@ let prepare ~config ~cancel ?wall_deadline ?warm_start ?basis model =
           at the bound nearest the integer point give a primal-feasible
           start, skipping phase 1 entirely on paper-scale instances. *)
        let point =
-         match st.best with
-         | Some b when st.splx_seed = None ->
-           Some (Array.map (fun v -> if v then 1.0 else 0.0) b.values)
-         | _ -> None
+         Option.map
+           (fun b -> Array.map (fun v -> if v then 1.0 else 0.0) b.values)
+           st.best
        in
        match lp_bound ~max_iters:200_000 ?point st with
        | Some (b, lp_sol) ->
@@ -760,50 +752,12 @@ let prepare ~config ~cancel ?wall_deadline ?warm_start ?basis model =
       | _ -> (st, `Open)
   end
 
-(* Export the search state's final basis into the caller's cell so the
-   next solve over a same-shaped model (an incremental event re-solve)
-   starts from it. *)
-let export_basis st basis =
-  match basis with
-  | Some cell -> (
-    match st.splx with
-    | Some lp when Simplex.Revised.has_basis lp ->
-      cell := Some (Simplex.Revised.snapshot lp)
-    | _ -> ())
-  | None -> ()
-
-let solve_inner ~config ~cancel ?warm_start ?basis model =
-  let start = Sys.time () in
-  let wall_deadline = Unix.gettimeofday () +. config.time_limit in
-  Telemetry.Metrics.incr m_solves;
-  let st, root =
-    prepare ~config ~cancel ~wall_deadline ?warm_start ?basis model
-  in
-  let finish outcome =
-    let s =
-      {
-        nodes = st.nodes;
-        lp_calls = st.lp_calls;
-        elapsed = Sys.time () -. start;
-        root_bound = st.root_bound;
-      }
-    in
-    Telemetry.Metrics.add m_nodes s.nodes;
-    Telemetry.Metrics.add m_lp_calls s.lp_calls;
-    Telemetry.Metrics.observe m_solve_s s.elapsed;
-    Telemetry.Metrics.set m_root_bound s.root_bound;
-    export_basis st basis;
-    (outcome, s)
-  in
-  match root with
-  | `Settled outcome -> finish outcome
-  | `Open ->
-    (try dfs st config ~start ~depth:0 with Stop -> ());
-    (match (st.stopped, st.best) with
-    | false, Some b -> finish (Optimal b)
-    | false, None -> finish Infeasible
-    | true, Some b -> finish (Feasible b)
-    | true, None -> finish Unknown)
+let outcome_of ~stopped best =
+  match (stopped, best) with
+  | false, Some b -> Optimal b
+  | false, None -> Infeasible
+  | true, Some b -> Feasible b
+  | true, None -> Unknown
 
 (* ------------------------------------------------------------------ *)
 (* Parallel branch and bound over OCaml domains                       *)
@@ -855,229 +809,196 @@ let split_frontier st ~target =
   done;
   q |> Queue.to_seq |> Seq.map Array.of_list |> Array.of_seq
 
-let solve_parallel_inner ~config ~jobs ~cancel ?warm_start ?basis model =
-  if jobs <= 1 then solve_inner ~config ~cancel ?warm_start ?basis model
-  else begin
-    let wall0 = Unix.gettimeofday () in
-    Telemetry.Metrics.incr m_solves;
-    let st, root =
-      prepare ~config ~cancel
-        ~wall_deadline:(wall0 +. config.time_limit)
-        ?warm_start ?basis model
+(* The tree below an open root, fanned out over [jobs] domains.
+   Returns the outcome plus the nodes and LP calls the workers spent. *)
+let parallel_search st ~config ~jobs ~cancel model =
+  match split_frontier st ~target:(4 * jobs) with
+  | exception Stop -> (outcome_of ~stopped:false st.best, 0, 0)
+  | [||] ->
+    (* The splitting pass exhausted the whole tree. *)
+    (outcome_of ~stopped:false st.best, 0, 0)
+  | prefixes ->
+    let proven = Atomic.make false in
+    let deadline = st.lp_deadline in
+    let next = Atomic.make 0 in
+    let worker_cancel () =
+      cancel () || Atomic.get proven || Unix.gettimeofday () > deadline
     in
-    let finish ?(extra_nodes = 0) ?(extra_lp = 0) outcome =
-      let s =
-        {
-          nodes = st.nodes + extra_nodes;
-          lp_calls = st.lp_calls + extra_lp;
-          elapsed = Unix.gettimeofday () -. wall0;
-          root_bound = st.root_bound;
-        }
-      in
-      Telemetry.Metrics.add m_nodes s.nodes;
-      Telemetry.Metrics.add m_lp_calls s.lp_calls;
-      Telemetry.Metrics.observe m_solve_s s.elapsed;
-      Telemetry.Metrics.set m_root_bound s.root_bound;
-      export_basis st basis;
-      (outcome, s)
+    (* Frontier subtrees ship with a compact root-basis snapshot: each
+       worker rebuilds its own persistent LP (domains share no mutable
+       state) but warm-starts its first re-solve from the root's optimal
+       basis instead of a cold phase 1. *)
+    let root_basis =
+      match st.splx with
+      | Some lp when Simplex.Revised.has_basis lp ->
+        Some (Simplex.Revised.snapshot lp)
+      | _ -> None
     in
-    match root with
-    | `Settled outcome -> finish outcome
-    | `Open ->
-      let proven = Atomic.make false in
-      let prefixes =
-        try split_frontier st ~target:(4 * jobs)
-        with Stop ->
-          Atomic.set proven true;
-          [||]
-      in
-      if Atomic.get proven then finish (Optimal (Option.get st.best))
-      else if Array.length prefixes = 0 then
-        (* The splitting pass exhausted the whole tree. *)
-        (match st.best with
-        | Some b -> finish (Optimal b)
-        | None -> finish Infeasible)
+    let work () =
+      let w = build_state model in
+      w.shared_obj <- st.shared_obj;
+      w.root_bound <- st.root_bound;
+      w.cancel <- worker_cancel;
+      w.splx_seed <- root_basis;
+      (* Root cuts are globally valid, so workers keep them — and the
+         worker LP must carry the same rows anyway for the root basis
+         snapshot's fingerprint to match. *)
+      w.extra_rows <- st.extra_rows;
+      w.lp_deadline <- deadline;
+      if not (propagate_root w) then (None, 0, 0, false)
       else begin
-        (* The parallel driver budgets wall-clock time: [Sys.time]
-           counts CPU seconds across every domain, which would charge a
-           j-way search j times faster than the work it performs. *)
-        let deadline = wall0 +. config.time_limit in
-        let next = Atomic.make 0 in
-        let worker_cancel () =
-          cancel () || Atomic.get proven || Unix.gettimeofday () > deadline
-        in
-        let cfg = { config with time_limit = infinity; lp_root = false } in
-        (* Frontier subtrees ship with a compact root-basis snapshot:
-           each worker rebuilds its own persistent LP (domains share no
-           mutable state) but warm-starts its first re-solve from the
-           root's optimal basis instead of a cold phase 1. *)
-        let root_basis =
-          match st.splx with
-          | Some lp when Simplex.Revised.has_basis lp ->
-            Some (Simplex.Revised.snapshot lp)
-          | _ -> None
-        in
-        let work () =
-          let w = build_state model in
-          w.shared_obj <- st.shared_obj;
-          w.root_bound <- st.root_bound;
-          w.cancel <- worker_cancel;
-          w.splx_seed <- root_basis;
-          (* Root cuts are globally valid, so workers keep them — and the
-             worker LP must carry the same rows anyway for the root basis
-             snapshot's fingerprint to match. *)
-          w.extra_rows <- st.extra_rows;
-          w.lp_deadline <- deadline;
-          if not (propagate_root w) then (None, 0, 0, false)
-          else begin
-            let base = w.trail_len in
-            let continue_ = ref true in
-            while !continue_ do
-              let i = Atomic.fetch_and_add next 1 in
-              if i >= Array.length prefixes then continue_ := false
-              else if w.stopped || worker_cancel () then begin
-                (* Work remains but this worker must stop: without the
-                   [stopped] mark a cancelled run with an empty incumbent
-                   would be misread as a completed (Infeasible) search.
-                   Stopping because the optimum was proven is fine — the
-                   outcome logic discounts [stopped] under [proven]. *)
-                w.stopped <- true;
-                continue_ := false
-              end
-              else begin
-                (if replay w prefixes.(i) then
-                   (* Depth restarts at 0 so the worker gets LP bounds at
-                      the top of its subtree, like the sequential search
-                      does under the root (LP bounds hold at any node). *)
-                   try dfs w cfg ~start:(Sys.time ()) ~depth:0
-                   with Stop ->
-                     (* [Stop] without [stopped]: an incumbent matched
-                        the root bound — globally optimal, cancel all. *)
-                     if not w.stopped then Atomic.set proven true);
-                undo_to w base
-              end
-            done;
-            (w.best, w.nodes, w.lp_calls, w.stopped)
+        let base = w.trail_len in
+        let continue_ = ref true in
+        while !continue_ do
+          let i = Atomic.fetch_and_add next 1 in
+          if i >= Array.length prefixes then continue_ := false
+          else if w.stopped || worker_cancel () then begin
+            (* Work remains but this worker must stop: without the
+               [stopped] mark a cancelled run with an empty incumbent
+               would be misread as a completed (Infeasible) search.
+               Stopping because the optimum was proven is fine — the
+               outcome logic discounts [stopped] under [proven]. *)
+            w.stopped <- true;
+            continue_ := false
           end
-        in
-        let others = Array.init (jobs - 1) (fun _ -> Domain.spawn work) in
-        let mine = work () in
-        let results = mine :: Array.to_list (Array.map Domain.join others) in
-        let best =
-          List.fold_left
-            (fun acc (b, _, _, _) ->
-              match (acc, b) with
-              | None, b -> b
-              | Some a, Some b when b.objective < a.objective -. 1e-9 ->
-                Some b
-              | acc, _ -> acc)
-            st.best results
-        in
-        let extra_nodes =
-          List.fold_left (fun acc (_, n, _, _) -> acc + n) 0 results
-        in
-        let extra_lp =
-          List.fold_left (fun acc (_, _, l, _) -> acc + l) 0 results
-        in
-        let stopped =
-          List.exists (fun (_, _, _, s) -> s) results
-          && not (Atomic.get proven)
-        in
-        let outcome =
-          match (stopped, best) with
-          | false, Some b -> Optimal b
-          | false, None -> Infeasible
-          | true, Some b -> Feasible b
-          | true, None -> Unknown
-        in
-        finish ~extra_nodes ~extra_lp outcome
+          else begin
+            (if replay w prefixes.(i) then
+               (* Depth restarts at 0 so the worker gets LP bounds at the
+                  top of its subtree, like the sequential search does
+                  under the root (LP bounds hold at any node). *)
+               try dfs w config ~depth:0
+               with Stop ->
+                 (* [Stop] without [stopped]: an incumbent matched the
+                    root bound — globally optimal, cancel all. *)
+                 if not w.stopped then Atomic.set proven true);
+            undo_to w base
+          end
+        done;
+        (w.best, w.nodes, w.lp_calls, w.stopped)
       end
-  end
+    in
+    let others = Array.init (jobs - 1) (fun _ -> Domain.spawn work) in
+    let mine = work () in
+    let results = mine :: Array.to_list (Array.map Domain.join others) in
+    let best =
+      List.fold_left
+        (fun acc (b, _, _, _) ->
+          match (acc, b) with
+          | None, b -> b
+          | Some a, Some b when b.objective < a.objective -. 1e-9 -> Some b
+          | acc, _ -> acc)
+        st.best results
+    in
+    let nodes = List.fold_left (fun acc (_, n, _, _) -> acc + n) 0 results in
+    let lp_calls = List.fold_left (fun acc (_, _, l, _) -> acc + l) 0 results in
+    let stopped =
+      List.exists (fun (_, _, _, s) -> s) results && not (Atomic.get proven)
+    in
+    (outcome_of ~stopped best, nodes, lp_calls)
+
+(* Root work, then the sequential search ([jobs <= 1]) or the parallel
+   one.  [time_limit] counts wall-clock seconds from here: process CPU
+   time would charge this search for every other domain's work. *)
+let search ~config ~jobs ~cancel ?warm_start model =
+  let wall0 = Unix.gettimeofday () in
+  Telemetry.Metrics.incr m_solves;
+  let st, root =
+    prepare ~config ~cancel ~deadline:(wall0 +. config.time_limit) ?warm_start
+      model
+  in
+  let outcome, worker_nodes, worker_lp_calls =
+    match root with
+    | `Settled outcome -> (outcome, 0, 0)
+    | `Open when jobs <= 1 ->
+      (try dfs st config ~depth:0 with Stop -> ());
+      (outcome_of ~stopped:st.stopped st.best, 0, 0)
+    | `Open -> parallel_search st ~config ~jobs ~cancel model
+  in
+  let s =
+    {
+      nodes = st.nodes + worker_nodes;
+      lp_calls = st.lp_calls + worker_lp_calls;
+      elapsed = Unix.gettimeofday () -. wall0;
+      root_bound = st.root_bound;
+    }
+  in
+  Telemetry.Metrics.add m_nodes s.nodes;
+  Telemetry.Metrics.add m_lp_calls s.lp_calls;
+  Telemetry.Metrics.observe m_solve_s s.elapsed;
+  Telemetry.Metrics.set m_root_bound s.root_bound;
+  (outcome, s)
 
 (* ------------------------------------------------------------------ *)
 (* Presolve wrapper                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* Reduce the model before the search ever factorizes an LP: variable
-   fixing, redundant/duplicate/dominated row elimination.  The core
-   solver runs on the reduced model (with [presolve = false] so the
-   inner driver never recurses); solutions are lifted back through
-   [Presolve.restore] and objectives shifted by the fixed contribution. *)
-let run_presolved ~run ~config ?warm_start model =
-  let t0 = Sys.time () in
-  match
-    Telemetry.Trace.with_span "ilp.presolve" (fun () -> Presolve.reduce model)
-  with
-  | Presolve.Infeasible ->
-    Telemetry.Metrics.incr m_solves;
-    ( Infeasible,
-      {
-        nodes = 0;
-        lp_calls = 0;
-        elapsed = Sys.time () -. t0;
-        root_bound = neg_infinity;
-      } )
-  | Presolve.Reduced red ->
-    Telemetry.Metrics.set m_presolve_vars (float_of_int red.Presolve.vars_fixed);
-    Telemetry.Metrics.set m_presolve_rows
-      (float_of_int red.Presolve.rows_dropped);
-    if Model.num_vars red.Presolve.reduced = 0 then begin
-      (* Everything fixed by propagation: the reduction IS the solution
-         (cleanup checked every row under the fixings). *)
+   fixing, redundant and duplicate row elimination.  The search runs on
+   the reduced model; solutions are lifted back through
+   [Presolve.restore] and objectives shifted by the fixed
+   contribution. *)
+let solve ?(config = default_config) ?(jobs = 1) ?(cancel = fun () -> false)
+    ?warm_start model =
+  if not config.presolve then search ~config ~jobs ~cancel ?warm_start model
+  else
+    let t0 = Unix.gettimeofday () in
+    match
+      Telemetry.Trace.with_span "ilp.presolve" (fun () -> Presolve.reduce model)
+    with
+    | Presolve.Infeasible ->
       Telemetry.Metrics.incr m_solves;
-      let values = Presolve.restore red [||] in
-      let outcome =
-        if check_feasible model values then
-          Optimal { values; objective = red.Presolve.obj_offset }
-        else Infeasible
-      in
-      ( outcome,
+      ( Infeasible,
         {
           nodes = 0;
           lp_calls = 0;
-          elapsed = Sys.time () -. t0;
-          root_bound = red.Presolve.obj_offset;
+          elapsed = Unix.gettimeofday () -. t0;
+          root_bound = neg_infinity;
         } )
-    end
-    else begin
-      let warm' =
-        match warm_start with
-        | Some w when Array.length w = Model.num_vars model ->
-          Some (Presolve.project red w)
-        | _ -> None
-      in
-      let ((outcome, s) : outcome * stats) =
-        run { config with presolve = false } warm' red.Presolve.reduced
-      in
-      let lift (sol : solution) =
-        {
-          values = Presolve.restore red sol.values;
-          objective = sol.objective +. red.Presolve.obj_offset;
-        }
-      in
-      let outcome =
-        match outcome with
-        | Optimal sol -> Optimal (lift sol)
-        | Feasible sol -> Feasible (lift sol)
-        | Infeasible -> Infeasible
-        | Unknown -> Unknown
-      in
-      (outcome, { s with root_bound = s.root_bound +. red.Presolve.obj_offset })
-    end
-
-let solve ?(config = default_config) ?(cancel = fun () -> false) ?warm_start
-    ?basis model =
-  if not config.presolve then solve_inner ~config ~cancel ?warm_start ?basis model
-  else
-    run_presolved ~config ?warm_start model
-      ~run:(fun config warm m ->
-        solve_inner ~config ~cancel ?warm_start:warm ?basis m)
-
-let solve_parallel ?(config = default_config) ?(jobs = 1)
-    ?(cancel = fun () -> false) ?warm_start ?basis model =
-  if not config.presolve then
-    solve_parallel_inner ~config ~jobs ~cancel ?warm_start ?basis model
-  else
-    run_presolved ~config ?warm_start model
-      ~run:(fun config warm m ->
-        solve_parallel_inner ~config ~jobs ~cancel ?warm_start:warm ?basis m)
+    | Presolve.Reduced red ->
+      Telemetry.Metrics.set m_presolve_vars
+        (float_of_int red.Presolve.vars_fixed);
+      Telemetry.Metrics.set m_presolve_rows
+        (float_of_int red.Presolve.rows_dropped);
+      if Model.num_vars red.Presolve.reduced = 0 then begin
+        (* Everything fixed by propagation: the reduction IS the solution
+           (cleanup checked every row under the fixings). *)
+        Telemetry.Metrics.incr m_solves;
+        let values = Presolve.restore red [||] in
+        let outcome =
+          if check_feasible model values then
+            Optimal { values; objective = red.Presolve.obj_offset }
+          else Infeasible
+        in
+        ( outcome,
+          {
+            nodes = 0;
+            lp_calls = 0;
+            elapsed = Unix.gettimeofday () -. t0;
+            root_bound = red.Presolve.obj_offset;
+          } )
+      end
+      else begin
+        let warm_start =
+          match warm_start with
+          | Some w when Array.length w = Model.num_vars model ->
+            Some (Presolve.project red w)
+          | _ -> None
+        in
+        let outcome, s =
+          search ~config ~jobs ~cancel ?warm_start red.Presolve.reduced
+        in
+        let lift (sol : solution) =
+          {
+            values = Presolve.restore red sol.values;
+            objective = sol.objective +. red.Presolve.obj_offset;
+          }
+        in
+        let outcome =
+          match outcome with
+          | Optimal sol -> Optimal (lift sol)
+          | Feasible sol -> Feasible (lift sol)
+          | Infeasible -> Infeasible
+          | Unknown -> Unknown
+        in
+        (outcome, { s with root_bound = s.root_bound +. red.Presolve.obj_offset })
+      end

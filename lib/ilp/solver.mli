@@ -32,14 +32,17 @@ type outcome =
   | Unknown  (** limit hit before any incumbent was found *)
 
 type config = {
-  time_limit : float;  (** CPU seconds; [infinity] disables *)
+  time_limit : float;
+      (** wall-clock seconds from the start of the search (presolve
+          excluded); [infinity] disables *)
   node_limit : int;
   lp_root : bool;  (** solve the root LP relaxation *)
   lp_depth : int;  (** also solve LP bounds at nodes of depth <= this *)
   presolve : bool;
-      (** reduce the model before the search (variable fixing,
-          redundant/duplicate/dominated row elimination — {!Presolve});
-          solutions are lifted back automatically *)
+      (** reduce the model before the search ({!Presolve}: bound
+          propagation, activity-redundant and exact duplicate row
+          removal, dominated-column fixing); solutions are lifted back
+          automatically *)
   cuts : bool;
       (** separate cover/pigeonhole cutting planes at the root (at most
           4 rounds) and keep them in the LP for the whole tree *)
@@ -55,15 +58,15 @@ val default_config : config
 type stats = {
   nodes : int;
   lp_calls : int;
-  elapsed : float;  (** CPU seconds *)
+  elapsed : float;  (** wall-clock seconds *)
   root_bound : float;  (** best lower bound proven at the root *)
 }
 
 val solve :
   ?config:config ->
+  ?jobs:int ->
   ?cancel:(unit -> bool) ->
   ?warm_start:bool array ->
-  ?basis:Simplex.Revised.snapshot option ref ->
   Model.t ->
   outcome * stats
 (** [warm_start] seeds the incumbent if it satisfies every constraint
@@ -73,36 +76,17 @@ val solve :
     reports its best incumbent ([Feasible]) or [Unknown] — the hook that
     lets a deadline or a superseded runtime event stop a solve.
 
-    [basis] is a caller-held cell chaining the
-    simplex basis {e across} solves: the cell's snapshot seeds this
-    solve's first LP, and on return the cell holds the final basis.
-    Restoration is fingerprint-guarded, so a snapshot from a
-    differently-shaped model silently degrades to a cold start — safe
-    to share one cell across heterogeneous solves.  This is what lets
-    {!Placement.Incremental} event re-solves skip phase 1 when
-    consecutive events produce same-shaped relaxations. *)
-
-val solve_parallel :
-  ?config:config ->
-  ?jobs:int ->
-  ?cancel:(unit -> bool) ->
-  ?warm_start:bool array ->
-  ?basis:Simplex.Revised.snapshot option ref ->
-  Model.t ->
-  outcome * stats
-(** Branch and bound fanned out over [jobs] OCaml domains ([jobs <= 1]
-    is exactly {!solve}).  The root (propagation + LP) is solved once;
-    the top of the tree is then split breadth-first into at least
-    [4*jobs] subtrees by the {e same} deterministic propagation,
-    bounding and branching rules as the sequential search, and a
-    fixed-size domain pool drains that frontier, sharing the incumbent
-    objective through an [Atomic] so pruning stays globally effective.
-    The strict cutoff never prunes a strictly better solution, so the
-    returned objective is identical to the sequential one ([Optimal] /
-    [Infeasible] agree exactly; only tie-broken solution {e values} may
-    differ).  [config.time_limit] is interpreted as wall-clock seconds
-    here (CPU seconds would charge a [jobs]-way search [jobs] times
-    faster). *)
+    [jobs] (default 1) fans the branch and bound out over that many
+    OCaml domains; [jobs <= 1] is the sequential search.  The root
+    (propagation + LP) is solved once; the top of the tree is then
+    split breadth-first into at least [4*jobs] subtrees by the {e same}
+    deterministic propagation, bounding and branching rules as the
+    sequential search, and a fixed-size domain pool drains that
+    frontier, sharing the incumbent objective through an [Atomic] so
+    pruning stays globally effective.  The strict cutoff never prunes a
+    strictly better solution, so the returned objective is identical to
+    the sequential one ([Optimal] / [Infeasible] agree exactly; only
+    tie-broken solution {e values} may differ). *)
 
 val check_feasible : Model.t -> bool array -> bool
 (** Exact 0-1 feasibility check of an assignment against every row. *)

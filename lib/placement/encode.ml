@@ -114,14 +114,14 @@ let to_model ?(objective = Total_rules) (layout : Layout.t) =
   Ilp.Model.set_objective model !terms;
   (model, vars)
 
-let solve ?(objective = Total_rules) ?config ?(jobs = 1) ?cancel ?warm_start
-    ?basis (layout : Layout.t) =
+let solve ?(objective = Total_rules) ?config ?jobs ?cancel ?warm_start
+    (layout : Layout.t) =
   let model, _vars =
     Telemetry.Trace.with_span "solve.encode" @@ fun () ->
     to_model ~objective layout
   in
   let outcome, stats =
-    Ilp.Solver.solve_parallel ?config ~jobs ?cancel ?warm_start ?basis model
+    Ilp.Solver.solve ?config ?jobs ?cancel ?warm_start model
   in
   let solution_of (s : Ilp.Solver.solution) =
     Solution.of_assignment layout s.Ilp.Solver.values ~objective:s.Ilp.Solver.objective

@@ -41,14 +41,11 @@ val solve :
   ?jobs:int ->
   ?cancel:(unit -> bool) ->
   ?warm_start:bool array ->
-  ?basis:Simplex.Revised.snapshot option ref ->
   Layout.t ->
   result
 (** [warm_start] is indexed by layout variables.  [jobs > 1] runs the
-    branch and bound on {!Ilp.Solver.solve_parallel} over that many
-    domains (same objective value, wall-clock time limit); [cancel]
-    stops the search cooperatively; [basis] chains the sparse LP basis
-    across solves (see {!Ilp.Solver.solve}). *)
+    branch and bound over that many domains (same objective value; see
+    {!Ilp.Solver.solve}); [cancel] stops the search cooperatively. *)
 
 val assignment_objective : ?objective:objective -> Layout.t -> bool array -> float
 (** Objective value of an arbitrary layout assignment (used to score

@@ -14,17 +14,7 @@
     - {!reroute}: existing ingresses get new routing paths (the old
       placements of those ingresses are torn down first, freeing their
       slots);
-    - {!remove}: policies leave; pure bookkeeping, always succeeds.
-
-    {b LP basis reuse across events.}  Under the sparse LP engine the
-    sub-problem's branch and bound re-solves one persistent revised
-    simplex per node; passing the {e same} [options] value built with
-    [Solve.options ~lp_basis:(ref None)] to consecutive event calls
-    additionally chains the basis {e between} events — each event's
-    root LP dual-warm-starts from the previous event's optimal basis
-    when the sub-problem shape matches (e.g. repeated {!update_policy}
-    on the same ingress), and silently cold-starts otherwise.  See
-    {!Solve.options}. *)
+    - {!remove}: policies leave; pure bookkeeping, always succeeds. *)
 
 type result = {
   status : Encode.status;

@@ -44,9 +44,7 @@ type options = {
   engine : engine;
   ilp_config : Ilp.Solver.config;
   sat_conflict_limit : int option;
-  greedy_warm_start : bool;
   jobs : int;
-  lp_basis : Simplex.Revised.snapshot option ref option;
 }
 
 let default_options =
@@ -59,15 +57,13 @@ let default_options =
     engine = Ilp_engine;
     ilp_config = Ilp.Solver.default_config;
     sat_conflict_limit = None;
-    greedy_warm_start = true;
     jobs = 1;
-    lp_basis = None;
   }
 
 let options ?(redundancy = true) ?(merge = false) ?(slice = false)
     ?(monitors = []) ?(objective = Encode.Total_rules) ?(engine = Ilp_engine)
     ?(ilp_config = Ilp.Solver.default_config) ?presolve ?cuts ?fpump
-    ?sat_conflict_limit ?(greedy_warm_start = true) ?(jobs = 1) ?lp_basis () =
+    ?sat_conflict_limit ?(jobs = 1) () =
   let ilp_config =
     match presolve with
     | Some b -> { ilp_config with Ilp.Solver.presolve = b }
@@ -92,9 +88,7 @@ let options ?(redundancy = true) ?(merge = false) ?(slice = false)
     engine;
     ilp_config;
     sat_conflict_limit;
-    greedy_warm_start;
     jobs;
-    lp_basis;
   }
 
 type timing = {
@@ -195,9 +189,7 @@ let run_ilp ~cancel options inst_pre_plan layout =
   let t0 = Unix.gettimeofday () in
   let warm_start =
     Telemetry.Trace.with_span "solve.warm_start" @@ fun () ->
-    if options.greedy_warm_start then
-      ilp_warm_start ~cancel options inst_pre_plan layout
-    else None
+    ilp_warm_start ~cancel options inst_pre_plan layout
   in
   (* The time limit bounds the run's ILP work as a whole: the main
      solve gets what the warm start left of it. *)
@@ -208,7 +200,7 @@ let run_ilp ~cancel options inst_pre_plan layout =
   in
   let r =
     Encode.solve ~objective:options.objective ~config
-      ~jobs:options.jobs ~cancel ?warm_start ?basis:options.lp_basis layout
+      ~jobs:options.jobs ~cancel ?warm_start layout
   in
   {
     v_status = r.Encode.status;

@@ -7,7 +7,7 @@
     {!Solution}.
 
     The ILP is the one optimizing path.  With [jobs > 1] its branch and
-    bound fans out over a domain pool ({!Ilp.Solver.solve_parallel});
+    bound fans out over a domain pool ({!Ilp.Solver.solve} [~jobs]);
     objective values are identical to the sequential search on every
     instance both prove.  The SAT engines stay as the paper's deferred
     satisfiability formulation and an independent cross-check.
@@ -34,18 +34,9 @@ type options = {
   engine : engine;  (** default [Ilp_engine] *)
   ilp_config : Ilp.Solver.config;
   sat_conflict_limit : int option;
-  greedy_warm_start : bool;  (** default true *)
   jobs : int;
       (** domains for the ILP branch and bound (default 1 =
           sequential) *)
-  lp_basis : Simplex.Revised.snapshot option ref option;
-      (** a caller-held cell chaining the sparse LP basis across solves
-          (default [None] = every solve cold-starts its root LP).  Hold
-          one cell and pass the same options to consecutive
-          {!Incremental} event solves: each re-solve dual-warm-starts
-          from the previous event's optimal basis whenever the
-          relaxation shape matches (fingerprint-guarded, so a stale
-          snapshot silently cold-starts — see {!Ilp.Solver.solve}) *)
 }
 
 val default_options : options
@@ -62,9 +53,7 @@ val options :
   ?cuts:bool ->
   ?fpump:bool ->
   ?sat_conflict_limit:int ->
-  ?greedy_warm_start:bool ->
   ?jobs:int ->
-  ?lp_basis:Simplex.Revised.snapshot option ref ->
   unit ->
   options
 (** [presolve], [cuts] and [fpump] override the matching [ilp_config]

@@ -992,8 +992,6 @@ type snapshot = { s_fp : int; s_basis : int array; s_stat : vstat array }
 let snapshot t =
   { s_fp = t.fingerprint; s_basis = Array.copy t.basis; s_stat = Array.copy t.stat }
 
-let snapshot_fingerprint s = s.s_fp
-
 let restore t s =
   if s.s_fp <> t.fingerprint
      || Array.length s.s_basis <> t.m

@@ -16,7 +16,8 @@
     a branch & bound child node costs a handful of dual pivots instead of
     a from-scratch solve.  {!snapshot} / {!restore} capture the basis
     compactly (statuses + basic variables + a structural fingerprint) for
-    shipping across domains or re-solve events. *)
+    shipping a root basis to another domain's instance of the same
+    matrix. *)
 
 type sense = Le | Ge | Eq
 
@@ -97,7 +98,6 @@ val add_rows : t -> (Csc.row * sense * float) array -> t
 type snapshot
 
 val snapshot : t -> snapshot
-val snapshot_fingerprint : snapshot -> int
 
 val restore : t -> snapshot -> bool
 (** [restore t s] installs the snapshot's basis; returns false (leaving

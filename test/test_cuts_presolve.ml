@@ -99,16 +99,46 @@ let test_cuts_valid () =
     (Printf.sprintf "separation produced cuts (%d)" !separated)
     true (!separated > 0)
 
+(* Nested unit rows — covers with random supersets, capacity rows with
+   supersets of tighter bound: sub-covers and implied capacity rows that
+   presolve must handle as ordinary rows. *)
+let nested_model g =
+  let n = Prng.int_in g 8 14 in
+  let m = Model.create () in
+  let vars = Array.init n (fun _ -> Model.binary m) in
+  let subset k =
+    let c = Array.copy vars in
+    Prng.shuffle g c;
+    Array.to_list (Array.sub c 0 k)
+  in
+  let grow base k =
+    let extra = List.filter (fun v -> not (List.mem v base)) (subset n) in
+    base @ List.filteri (fun i _ -> i < k) extra
+  in
+  let unit vs = List.map (fun v -> (1.0, v)) vs in
+  for _ = 1 to Prng.int_in g 2 4 do
+    let a = subset (Prng.int_in g 2 3) in
+    Model.add_ge m (unit a) 1.0;
+    Model.add_ge m (unit (grow a (Prng.int_in g 1 2))) 1.0
+  done;
+  for _ = 1 to Prng.int_in g 1 2 do
+    let a = subset (Prng.int_in g 4 5) in
+    let b = grow a (Prng.int_in g 1 2) in
+    Model.add_le m ~kind:Model.Capacity (unit a) 3.0;
+    Model.add_le m ~kind:Model.Capacity (unit b)
+      (float_of_int (Prng.int_in g 2 3))
+  done;
+  Model.set_objective m
+    (Array.to_list
+       (Array.map (fun v -> (float_of_int (Prng.int_in g 1 3), v)) vars));
+  m
+
 (* Presolve must preserve the optimal objective: solving the reduced
    model and lifting through [restore] matches brute force on the
-   original, with the objective offset accounting for fixed variables. *)
+   original, with the objective offset accounting for fixed variables.
+   Inputs: 300 placement-shaped models and 40 nested-row ones. *)
 let test_presolve_preserves_optimum () =
-  let g = Prng.create 1717 in
-  for case = 1 to 300 do
-    let m =
-      if case mod 2 = 0 then random_placement_model g
-      else random_placement_model (Prng.split g)
-    in
+  let check label m =
     let expected = Brute.solve m in
     let got =
       match Presolve.reduce m with
@@ -125,21 +155,31 @@ let test_presolve_preserves_optimum () =
           | Solver.Optimal s ->
             let values = Presolve.restore red s.Solver.values in
             if not (Solver.check_feasible m values) then
-              Alcotest.failf "case %d: restored solution infeasible" case;
+              Alcotest.failf "%s: restored solution infeasible" label;
             let lifted = s.Solver.objective +. red.Presolve.obj_offset in
             if
               Float.abs (Solver.objective_value m values -. lifted) > 1e-6
             then
-              Alcotest.failf "case %d: offset accounting broken" case;
+              Alcotest.failf "%s: offset accounting broken" label;
             Solver.Optimal { values; objective = lifted }
           | o -> o
         end
     in
-    Alcotest.check outcome (Printf.sprintf "case %d" case) expected got
+    Alcotest.check outcome label expected got
+  in
+  let g = Prng.create 1717 in
+  for case = 1 to 300 do
+    let m =
+      if case mod 2 = 0 then random_placement_model g
+      else random_placement_model (Prng.split g)
+    in
+    check (Printf.sprintf "case %d" case) m
+  done;
+  let g = Prng.create 2024 in
+  for case = 1 to 40 do
+    check (Printf.sprintf "nested case %d" case) (nested_model g)
   done
 
-(* The feasibility pump only ever returns points that verify as feasible
-   placements, with a correctly computed objective. *)
 let lp_of_model m =
   let n = Model.num_vars m in
   let rows =

@@ -4,10 +4,9 @@
    and ten seeded k=4/6 ones covering merged, sliced, spread and
    contiguous layouts — the test pins the LP text of [Encode.to_model]
    and of the [Presolve.reduce] result with its [keep]/[fixed] maps and
-   objective offset (plus an upstream-drops and a monitored encoding);
-   the same reductions on forty nested-row models that exercise subset
-   dominance; and the exact simplex pivot count of
-   one k=16 root LP and of four full default-config ILP solves.  Any
+   objective offset (plus an upstream-drops and a monitored encoding),
+   and the exact simplex pivot count of one k=16 root LP and of four
+   full default-config ILP solves.  Any
    change to how rows are stored, presolved or handed to the LP that
    alters a reduction, a coefficient, a row order or a pivot shows up
    here as a mismatch. *)
@@ -95,51 +94,11 @@ let weighted_lines () =
   in
   [ upstream; layout_line (layout_of ~monitors f) ]
 
-(* Nested unit rows — covers with random supersets, capacity rows with
-   supersets of tighter bound — so that presolve's subset dominance
-   fires, which it never does on the placement layouts above. *)
-let nested_model g =
-  let n = Prng.int_in g 8 14 in
-  let m = Ilp.Model.create () in
-  let vars = Array.init n (fun _ -> Ilp.Model.binary m) in
-  let subset k =
-    let c = Array.copy vars in
-    Prng.shuffle g c;
-    Array.to_list (Array.sub c 0 k)
-  in
-  let grow base k =
-    let extra = List.filter (fun v -> not (List.mem v base)) (subset n) in
-    base @ List.filteri (fun i _ -> i < k) extra
-  in
-  let unit vs = List.map (fun v -> (1.0, v)) vs in
-  for _ = 1 to Prng.int_in g 2 4 do
-    let a = subset (Prng.int_in g 2 3) in
-    Ilp.Model.add_ge m (unit a) 1.0;
-    Ilp.Model.add_ge m (unit (grow a (Prng.int_in g 1 2))) 1.0
-  done;
-  for _ = 1 to Prng.int_in g 1 2 do
-    let a = subset (Prng.int_in g 4 5) in
-    let b = grow a (Prng.int_in g 1 2) in
-    Ilp.Model.add_le m ~kind:Ilp.Model.Capacity (unit a) 3.0;
-    Ilp.Model.add_le m ~kind:Ilp.Model.Capacity (unit b)
-      (float_of_int (Prng.int_in g 2 3))
-  done;
-  Ilp.Model.set_objective m
-    (Array.to_list
-       (Array.map (fun v -> (float_of_int (Prng.int_in g 1 3), v)) vars));
-  m
-
-let nested_line () =
-  let g = Prng.create 2024 in
-  hex (String.concat "\n" (List.init 40 (fun _ -> reduction_text (nested_model g))))
-
 let expected_weighted =
   [
     "e0a9837d505ad58ed3b97aac819d5811 3588763f63e36a0bc123c33c454f4c97";
     "68836501a2e5cb8fac6fec9eddbfc8bb 69943f9f6f2abc4eafbbb03c524c4159";
   ]
-
-let expected_nested = "4ac64c5d8911be2cee90fc1ece8402b2"
 
 let expected_lines =
   [
@@ -248,7 +207,6 @@ let test_golden () =
   if weighted <> expected_weighted then
     Alcotest.failf "weighted or monitored digests changed:\n%s"
       (String.concat "\n" weighted);
-  Alcotest.(check string) "nested-row reductions" expected_nested (nested_line ());
   let root = root_lp_line () in
   Alcotest.(check string) "root LP pivots" expected_root root
 

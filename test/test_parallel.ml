@@ -114,7 +114,7 @@ let test_prefired_cancel_stops_ilp () =
 
 let test_prefired_cancel_stops_parallel () =
   let outcome, stats =
-    Ilp.Solver.solve_parallel ~config:no_lp ~jobs:4
+    Ilp.Solver.solve ~config:no_lp ~jobs:4
       ~cancel:(fun () -> true)
       (pigeonhole 9)
   in
@@ -143,7 +143,7 @@ let test_prefired_cancel_stops_cdcl () =
 let test_jobs1_is_sequential () =
   let seq_outcome, seq_stats = Ilp.Solver.solve ~config:no_lp (hard_model 15) in
   let par_outcome, par_stats =
-    Ilp.Solver.solve_parallel ~config:no_lp ~jobs:1 (hard_model 15)
+    Ilp.Solver.solve ~config:no_lp ~jobs:1 (hard_model 15)
   in
   (match (seq_outcome, par_outcome) with
   | Ilp.Solver.Optimal a, Ilp.Solver.Optimal b ->
@@ -151,6 +151,37 @@ let test_jobs1_is_sequential () =
   | _ -> Alcotest.fail "odd-cycle cover must be solved to optimality");
   Alcotest.(check int) "identical search" seq_stats.Ilp.Solver.nodes
     par_stats.Ilp.Solver.nodes
+
+(* The sequential search's time limit is wall-clock time: with another
+   domain spinning beside it, a 1 s limit must still buy close to 1 s
+   of search, not 1 s of the whole process's CPU time. *)
+let test_time_limit_is_wall_clock () =
+  let limit = 1.0 in
+  let config = { no_lp with Ilp.Solver.time_limit = limit } in
+  let spin = Atomic.make true in
+  let spinner =
+    Domain.spawn (fun () ->
+        while Atomic.get spin do
+          ()
+        done)
+  in
+  let t0 = Unix.gettimeofday () in
+  let outcome, _ =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set spin false;
+        Domain.join spinner)
+      (fun () -> Ilp.Solver.solve ~config (pigeonhole 12))
+  in
+  let dt = Unix.gettimeofday () -. t0 in
+  (match outcome with
+  | Ilp.Solver.Feasible _ | Ilp.Solver.Unknown -> ()
+  | Ilp.Solver.Optimal _ | Ilp.Solver.Infeasible ->
+    Alcotest.fail "pigeonhole(12) settled inside the time limit");
+  Alcotest.(check bool)
+    (Printf.sprintf "searched %.2fs of wall for a %.1fs limit" dt limit)
+    true
+    (dt >= 0.8 *. limit)
 
 (* A Table II merge instance whose root heuristics alone run for
    seconds: under merging the pipeline first solves the plain model as a
@@ -231,6 +262,8 @@ let suite =
       test_prefired_cancel_stops_cdcl;
     Alcotest.test_case "jobs=1 is the sequential search" `Quick
       test_jobs1_is_sequential;
+    Alcotest.test_case "time limit is wall-clock beside a busy domain" `Quick
+      test_time_limit_is_wall_clock;
     Alcotest.test_case "pre-fired cancel stops a merge solve" `Quick
       test_prefired_cancel_stops_merge_solve;
     Alcotest.test_case "deadline bounds the merge warm start" `Quick

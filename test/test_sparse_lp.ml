@@ -4,7 +4,7 @@
    degenerate/cycling instances, and on the root LP relaxations of
    placement models.  Also pinned end-to-end placement optima, and
    unit-level coverage of the LU kernel and of the persistent-instance
-   API (dual reoptimize, snapshot transfer, cross-solve basis chaining)
+   API (dual reoptimize, snapshot transfer)
    that the warm-started branch & bound builds on. *)
 
 open Simplex
@@ -377,35 +377,6 @@ let test_snapshot_transfer () =
   Alcotest.(check bool) "refused restore leaves no basis" false
     (Revised.has_basis c)
 
-(* ---------------- basis chaining across ILP solves -------------------- *)
-
-let tiny_model () =
-  let m = Ilp.Model.create () in
-  let v = Array.init 4 (fun _ -> Ilp.Model.binary m) in
-  Ilp.Model.add_ge m [ (1.0, v.(0)); (1.0, v.(1)) ] 1.0;
-  Ilp.Model.add_ge m [ (1.0, v.(2)); (1.0, v.(3)) ] 1.0;
-  Ilp.Model.add_le m [ (1.0, v.(0)); (1.0, v.(2)) ] 1.0;
-  Ilp.Model.set_objective m (Array.to_list (Array.map (fun x -> (1.0, x)) v));
-  m
-
-let test_basis_cell_chaining () =
-  let cell = ref None in
-  let obj1 =
-    match Ilp.Solver.solve ~basis:cell (tiny_model ()) with
-    | Ilp.Solver.Optimal s, _ -> s.Ilp.Solver.objective
-    | _ -> Alcotest.fail "first solve not optimal"
-  in
-  Alcotest.(check bool) "cell filled after solve" true (!cell <> None);
-  (* A second same-shaped solve seeds its first LP from the cell and must
-     reach the same optimum. *)
-  let obj2 =
-    match Ilp.Solver.solve ~basis:cell (tiny_model ()) with
-    | Ilp.Solver.Optimal s, _ -> s.Ilp.Solver.objective
-    | _ -> Alcotest.fail "chained solve not optimal"
-  in
-  Alcotest.(check (float 1e-9)) "chained optimum identical" obj1 obj2;
-  Alcotest.(check bool) "cell still filled" true (!cell <> None)
-
 (* ---------------- placement models ---------------------------------- *)
 
 (* Three pipeline families (fat-tree k=4 and k=6, loose and tight
@@ -527,8 +498,6 @@ let suite =
     qtest qcheck_reoptimize_matches_cold;
     Alcotest.test_case "snapshot transfer is fingerprint-guarded" `Quick
       test_snapshot_transfer;
-    Alcotest.test_case "basis cell chains across ILP solves" `Quick
-      test_basis_cell_chaining;
     Alcotest.test_case "placement root LP differential" `Quick
       test_root_lp_differential;
     Alcotest.test_case "placement pipeline objectives" `Quick
