@@ -71,9 +71,9 @@ let m_wave_s =
    telemetry registry: chaos benches report it machine-readably even
    when telemetry is off, and a consistency violation must never be
    maskable by a monitoring switch. *)
-let violations_seen = ref 0
+let violations_seen = Atomic.make 0
 
-let violations_total () = !violations_seen
+let violations_total () = Atomic.get violations_seen
 
 (* Multiset difference [a \ b] preserving the order of [a] (the same
    notion Transaction uses for its add/delete sets). *)
@@ -363,38 +363,75 @@ let build ~attach ~corpus ~old_tables ~target =
     peak_occupancy = peak;
   }
 
+(* Whether the entries carrying tag [t] are the same, in the same order,
+   in [a] and [b]: everything a walk with tag [t] can see of a switch. *)
+let rec same_projection t a b =
+  match (a, b) with
+  | _ when a == b -> true
+  | (e : Netsim.entry) :: a, _ when not (List.mem t e.tags) ->
+    same_projection t a b
+  | _, (e : Netsim.entry) :: b when not (List.mem t e.tags) ->
+    same_projection t a b
+  | e :: a, e' :: b -> e = e' && same_projection t a b
+  | _ -> false
+
 (* Barrier check: with [committed] waves in, every probe of every
    ingress must see entirely-old or entirely-new policy.  Unaffected
    ingresses and affected ones before their flip walk the live tables
    with their plain tag and must reproduce the old placement's verdict;
    between flip and unflip an affected ingress walks its new paths with
    the version tag and must reproduce the target's; after unflip, the
-   plain tag over the new paths must already be the target's. *)
-let inconsistencies plan ~live ~committed =
-  let flip_done = plan.flip_wave >= 0 && committed > plan.flip_wave in
-  let unflip_done = plan.unflip_wave >= 0 && committed > plan.unflip_wave in
+   plain tag over the new paths must already be the target's.
+
+   [since] is the tables and committed count of a barrier that passed.
+   Only a walk whose mode (paths, walk tag, reference) or whose tag's
+   projection on a switch of its path changed since then can disagree
+   with its reference now; the others are skipped. *)
+let inconsistencies ?since plan ~live ~committed =
+  let mode committed i =
+    if not (List.mem i plan.affected) then `Old
+    else if plan.flip_wave < 0 || committed <= plan.flip_wave then `Old
+    else if plan.unflip_wave < 0 || committed <= plan.unflip_wave then `Flipped
+    else `New
+  in
+  let dirty = Hashtbl.create 16 in
+  let changed prev t k =
+    prev.(k) != live.(k)
+    &&
+    match Hashtbl.find_opt dirty (k, t) with
+    | Some d -> d
+    | None ->
+      let d = not (same_projection t prev.(k) live.(k)) in
+      Hashtbl.add dirty (k, t) d;
+      d
+  in
   let bad = ref 0 in
   List.iter
     (fun ip ->
       let i = ip.ingress in
-      let check paths ~walk_tag ~reference =
-        List.iter
-          (fun p ->
+      let m = mode committed i in
+      let paths, walk_tag, reference =
+        match m with
+        | `Old -> (ip.old_paths, i, plan.old_tables)
+        | `Flipped -> (ip.new_paths, Netsim.vtag i, plan.target)
+        | `New -> (ip.new_paths, i, plan.target)
+      in
+      let stale (p : Routing.Path.t) =
+        match since with
+        | None -> true
+        | Some (prev, c) ->
+          mode c i <> m || Array.exists (changed prev walk_tag) p.switches
+      in
+      List.iter
+        (fun p ->
+          if stale p then
             List.iter
               (fun pkt ->
                 let got = Netsim.forward_tables live p ~tag:walk_tag pkt in
                 let want = Netsim.forward_tables reference p ~tag:i pkt in
                 if got <> want then incr bad)
               ip.probes)
-          paths
-      in
-      if not (List.mem i plan.affected) then
-        check ip.old_paths ~walk_tag:i ~reference:plan.old_tables
-      else if not flip_done then
-        check ip.old_paths ~walk_tag:i ~reference:plan.old_tables
-      else if not unflip_done then
-        check ip.new_paths ~walk_tag:(Netsim.vtag i) ~reference:plan.target
-      else check ip.new_paths ~walk_tag:i ~reference:plan.target)
+        paths)
     plan.corpus;
   !bad
 
@@ -433,11 +470,15 @@ let execute ?(wave_retries = 1) ?observer ?on_op ?resume ~api ~fault plan =
       violations = !bad_total;
     }
   in
+  (* The last barrier that passed.  [plan.old_tables] is an exact start
+     even if the live tables drifted before this call, as it is every
+     unflipped ingress's reference; a resumed run starts with none. *)
+  let since = ref (if resume = None then Some (plan.old_tables, 0) else None) in
   let barrier ~committed =
-    let bad = inconsistencies plan ~live ~committed in
+    let bad = inconsistencies ?since:!since plan ~live ~committed in
     if bad > 0 then begin
       bad_total := !bad_total + bad;
-      violations_seen := !violations_seen + bad
+      ignore (Atomic.fetch_and_add violations_seen bad)
     end;
     bad = 0
   in
@@ -449,6 +490,7 @@ let execute ?(wave_retries = 1) ?observer ?on_op ?resume ~api ~fault plan =
      issuing any further operation. *)
   if resume <> None && not (barrier ~committed:start_wave) then verify_failed ()
   else begin
+    if resume <> None then since := Some (Switch_api.snapshot api, start_wave);
     let aborted = ref None in
     while !aborted = None && !w < n do
       let wave = plan.waves.(!w) in
@@ -531,6 +573,7 @@ let execute ?(wave_retries = 1) ?observer ?on_op ?resume ~api ~fault plan =
               f_stats = Switch_api.copy_stats (Switch_api.stats api);
             }
           in
+          since := Some (frontier.f_tables, !w + 1);
           Telemetry.Metrics.incr m_waves;
           Telemetry.Metrics.observe m_wave_s (Telemetry.Clock.now () -. t0);
           (match observer with

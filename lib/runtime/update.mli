@@ -25,7 +25,11 @@
     Every intermediate state shows each ingress entirely-old or
     entirely-new policy, which the barrier after each wave re-proves by
     walking probe packets over live tables against the old and new
-    placements' verdicts.
+    placements' verdicts.  It re-walks only what changed since the last
+    passing barrier: every walk of an ingress whose mode (paths, walk
+    tag, reference) changed, and any other walk whose tag's projection
+    changed on a switch of its path.  A skipped walk sees what it saw
+    when it last matched, so the count equals a full check's.
 
     A failed operation triggers bounded retry of its wave: applied
     operations are compensated (through the same faulty API, in
@@ -144,10 +148,19 @@ val execute :
     committed waves are not re-executed and fire no hooks. *)
 
 val inconsistencies :
-  plan -> live:Netsim.entry list array -> committed:int -> int
+  ?since:Netsim.entry list array * int ->
+  plan ->
+  live:Netsim.entry list array ->
+  committed:int ->
+  int
 (** The barrier check itself: number of probe walks over [live] that
     disagree with the single placement (old or new) the ingress must be
-    seeing with [committed] waves in.  Exposed for property tests. *)
+    seeing with [committed] waves in.  Without [since] it is the full
+    oracle, walking every probe of every ingress; {!execute} runs it in
+    full only for a resumed run's first barrier.  [since] is the tables
+    and committed count of a barrier that found nothing: only walks
+    whose mode or walk-tag projection changed since then are re-walked,
+    which gives the same count. *)
 
 val violations_total : unit -> int
 (** Process-wide count of consistency violations ever observed by a

@@ -154,6 +154,30 @@ let random_corpus g ~switches ~ingresses =
         probes = List.init (1 + Prng.int g 3) (fun _ -> random_packet g);
       })
 
+(* A random update over 2-5 switches and 1-4 ingresses, with entry tags
+   drawn from the ingress ids so projections overlap.  Returns the plan,
+   the switch count and the ingress count. *)
+let random_update g =
+  let switches = 2 + Prng.int g 4 in
+  let ingresses = 1 + Prng.int g 4 in
+  let random_entry g =
+    {
+      Netsim.tags = [ Prng.int g ingresses ];
+      rule =
+        Acl.Rule.make ~field:Ternary.Field.any
+          ~action:(if Prng.bool g then Acl.Rule.Permit else Acl.Rule.Drop)
+          ~priority:(Prng.int g 32);
+    }
+  in
+  let table g = List.init (Prng.int g 5) (fun _ -> random_entry g) in
+  let old_tables = Array.init switches (fun _ -> table g) in
+  let target = Array.init switches (fun _ -> table g) in
+  let corpus = random_corpus g ~switches ~ingresses in
+  let plan =
+    Update.build ~attach:(fun i -> i mod switches) ~corpus ~old_tables ~target
+  in
+  (plan, switches, ingresses)
+
 (* The tentpole property: whatever placements an update moves between
    and whatever the fault plan does to it, every barrier must see each
    ingress on entirely-old or entirely-new policy (zero violations), a
@@ -164,29 +188,7 @@ let prop_waves_old_xor_new =
   QCheck.Test.make ~name:"wave updates are per-packet consistent under faults"
     ~count:150 seed_arb (fun seed ->
       let g = Prng.create seed in
-      let switches = 2 + Prng.int g 4 in
-      let ingresses = 1 + Prng.int g 4 in
-      (* entry tags drawn from the ingress ids so projections overlap *)
-      let random_entry g =
-        {
-          Netsim.tags = [ Prng.int g ingresses ];
-          rule =
-            Acl.Rule.make ~field:Ternary.Field.any
-              ~action:(if Prng.bool g then Acl.Rule.Permit else Acl.Rule.Drop)
-              ~priority:(Prng.int g 32);
-        }
-      in
-      let table g =
-        List.init (Prng.int g 5) (fun _ -> random_entry g)
-      in
-      let old_tables = Array.init switches (fun _ -> table g) in
-      let target = Array.init switches (fun _ -> table g) in
-      let corpus = random_corpus g ~switches ~ingresses in
-      let plan =
-        Update.build
-          ~attach:(fun i -> i mod switches)
-          ~corpus ~old_tables ~target
-      in
+      let plan, _, _ = random_update g in
       let occupancy_ok () =
         Array.for_all Fun.id
           (Array.mapi
@@ -205,7 +207,7 @@ let prop_waves_old_xor_new =
       let config =
         { Switch_api.default_config with Switch_api.max_retries = Prng.int g 3 }
       in
-      let live = Array.copy old_tables in
+      let live = Array.copy plan.Update.old_tables in
       let api = Switch_api.create ~config ~fault live in
       let before = bytes_of (Switch_api.snapshot api) in
       (* re-run the barrier ourselves at every committed frontier: the
@@ -228,8 +230,96 @@ let prop_waves_old_xor_new =
       r.Update.violations = 0 && occupancy_ok ()
       &&
       match r.Update.outcome with
-      | Update.Committed -> bytes_of (Switch_api.tables api) = bytes_of target
+      | Update.Committed ->
+        bytes_of (Switch_api.tables api) = bytes_of plan.Update.target
       | Update.Aborted _ -> bytes_of (Switch_api.tables api) = before)
+
+(* The barrier inside [execute] skips walks that cannot have changed
+   since the last passing barrier; the full oracle walks them all.  Put
+   a drop-any entry no plan holds, on a random plain or version tag, at
+   the head of a random switch just before a random operation of wave W
+   of a fault-free run.  Waves only append and delete other entries, so
+   until a reorder rewrites that switch the live tables at barrier c are
+   the clean run's frontier c - 1 with the same entry on top.  The
+   update must abort at the first barrier whose full count on those
+   tables is not 0, with exactly that count, and land back on the old
+   tables.  A corruption a walk first meets at a later barrier, under a
+   changed mode, is how skipping a mode change would show. *)
+let prop_barrier_matches_oracle =
+  QCheck.Test.make
+    ~name:"the incremental barrier counts what the full oracle counts"
+    ~count:300 ~max_gen:3000 seed_arb (fun seed ->
+      let g = Prng.create seed in
+      let plan, switches, ingresses = random_update g in
+      let waves = plan.Update.waves in
+      let n = Array.length waves in
+      QCheck.assume (n > 0);
+      let clean = Array.make n [||] in
+      let record =
+        {
+          Update.on_wave_begin = (fun ~wave:_ -> ());
+          on_wave_commit =
+            (fun ~wave ~frontier -> clean.(wave) <- frontier.Update.f_tables);
+        }
+      in
+      (* the api mutates [live] in place *)
+      let execute ?on_op live observer =
+        let api = Switch_api.create ~fault:Fault_plan.none live in
+        Update.execute ~observer ?on_op ~api ~fault:Fault_plan.none plan
+      in
+      ignore (execute (Array.copy plan.Update.old_tables) record);
+      let w = Prng.int g n in
+      let ops = List.length waves.(w).Update.ops in
+      QCheck.assume (ops > 0);
+      let at = Prng.int g ops in
+      let k = Prng.int g switches in
+      let i = Prng.int g ingresses in
+      let bad =
+        {
+          Netsim.tags = [ (if Prng.bool g then i else Netsim.vtag i) ];
+          rule =
+            Acl.Rule.make ~field:Ternary.Field.any ~action:Acl.Rule.Drop
+              ~priority:1000;
+        }
+      in
+      let corrupt tables =
+        let t = Array.copy tables in
+        t.(k) <- bad :: t.(k);
+        t
+      in
+      let rec first c =
+        if c > n || List.mem_assoc k waves.(c - 1).Update.reorders then None
+        else
+          match
+            Update.inconsistencies plan ~live:(corrupt clean.(c - 1))
+              ~committed:c
+          with
+          | 0 -> first (c + 1)
+          | count -> Some (c, count)
+      in
+      match first (w + 1) with
+      | None -> QCheck.assume_fail ()
+      | Some (c, expected) ->
+        let wave = ref (-1) and nth = ref 0 in
+        let observer =
+          {
+            Update.on_wave_begin =
+              (fun ~wave:x ->
+                wave := x;
+                nth := 0);
+            on_wave_commit = (fun ~wave:_ ~frontier:_ -> ());
+          }
+        in
+        let live = Array.copy plan.Update.old_tables in
+        let on_op ~switch:_ ~op:_ =
+          if !wave = w && !nth = at then live.(k) <- bad :: live.(k);
+          incr nth
+        in
+        let r = execute ~on_op live observer in
+        r.Update.outcome = Update.Aborted { switch = -1; op = "verify" }
+        && r.Update.violations = expected
+        && r.Update.waves_committed = c - 1
+        && bytes_of live = bytes_of plan.Update.old_tables)
 
 let suite =
   [
@@ -238,4 +328,5 @@ let suite =
     qtest prop_restore_idempotent;
     qtest prop_partial_apply_restored;
     qtest prop_waves_old_xor_new;
+    qtest prop_barrier_matches_oracle;
   ]

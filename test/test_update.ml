@@ -179,6 +179,109 @@ let test_resume_from_frontier () =
     !frontiers
 
 (* ------------------------------------------------------------------ *)
+(* Barriers that catch a mixed state.                                  *)
+
+(* Ingress 0 moves from switch 0 to switch 1 and is delivered before and
+   after; ingress 1 stays on switch 2, which no wave touches. *)
+let barrier_corpus () =
+  [
+    {
+      Update.ingress = 0;
+      old_paths = [ path ~ingress:0 ~egress:1 [ 0 ] ];
+      new_paths = [ path ~ingress:0 ~egress:1 [ 1 ] ];
+      probes = [ packet 0 ];
+    };
+    {
+      Update.ingress = 1;
+      old_paths = [ path ~ingress:1 ~egress:2 [ 2 ] ];
+      new_paths = [ path ~ingress:1 ~egress:2 [ 2 ] ];
+      probes = [ packet 1 ];
+    };
+  ]
+
+let barrier_old () = [| [ entry 0 1 ]; []; [ entry 1 1 ] |]
+
+let build_barrier () =
+  Update.build
+    ~attach:(fun _ -> 0)
+    ~corpus:(barrier_corpus ()) ~old_tables:(barrier_old ())
+    ~target:[| []; [ entry 0 2 ]; [ entry 1 1 ] |]
+
+(* Run [plan] from [barrier_old ()], putting a drop-any entry on [tag]
+   that no plan holds at the head of [switch]'s live table, just before
+   the first operation of the wave labelled [at].  Returns the result
+   and whether the tables ended byte-identical to the pre-update ones. *)
+let corrupted_run plan ~at ~tag ~switch =
+  let fault = Fault_plan.faultless () in
+  let api = Switch_api.create ~fault (Array.copy (barrier_old ())) in
+  let before = bytes_of (Switch_api.snapshot api) in
+  let wave = ref (-1) and fired = ref false in
+  let observer =
+    {
+      Update.on_wave_begin = (fun ~wave:w -> wave := w);
+      on_wave_commit = (fun ~wave:_ ~frontier:_ -> ());
+    }
+  in
+  let on_op ~switch:_ ~op:_ =
+    if (not !fired) && plan.Update.waves.(!wave).Update.label = at then begin
+      fired := true;
+      let live = Switch_api.tables api in
+      live.(switch) <- entry ~action:Acl.Rule.Drop tag 1000 :: live.(switch)
+    end
+  in
+  let r = Update.execute ~observer ~on_op ~api ~fault plan in
+  (r, bytes_of (Switch_api.tables api) = before)
+
+let check_verify_abort name ~committed (r, restored) =
+  (match r.Update.outcome with
+  | Update.Aborted { switch = -1; op = "verify" } -> ()
+  | _ -> Alcotest.failf "%s: expected a verify abort" name);
+  Alcotest.(check int) (name ^ ": one violating walk") 1 r.Update.violations;
+  Alcotest.(check int) (name ^ ": waves before the failing barrier") committed
+    r.Update.waves_committed;
+  Alcotest.(check bool) (name ^ ": tables byte-identical to pre-update") true
+    restored
+
+let test_barrier_catches_unaffected () =
+  let plan = build_barrier () in
+  Alcotest.(check (list int)) "only ingress 0 is affected" [ 0 ]
+    plan.Update.affected;
+  let v0 = Update.violations_total () in
+  corrupted_run plan ~at:"shadow-depth-1" ~tag:1 ~switch:2
+  |> check_verify_abort "unaffected path" ~committed:0;
+  Alcotest.(check int) "process-wide tally advanced" (v0 + 1)
+    (Update.violations_total ())
+
+let test_barrier_catches_version_tag () =
+  let plan = build_barrier () in
+  Alcotest.(check string) "gc-old runs between flip and unflip" "gc-old"
+    plan.Update.waves.(plan.Update.flip_wave + 1).Update.label;
+  corrupted_run plan ~at:"gc-old" ~tag:(Netsim.vtag 0) ~switch:1
+  |> check_verify_abort "version tag" ~committed:(plan.Update.flip_wave + 1)
+
+(* Two domains each run updates whose first barrier fails: the
+   process-wide tally must count every violation either one saw. *)
+let test_violation_tally_across_domains () =
+  let runs = 20_000 in
+  let worker () =
+    let plan = build_barrier () in
+    let seen = ref 0 in
+    for _ = 1 to runs do
+      let r, _ = corrupted_run plan ~at:"shadow-depth-1" ~tag:1 ~switch:2 in
+      seen := !seen + r.Update.violations
+    done;
+    !seen
+  in
+  let v0 = Update.violations_total () in
+  let other = Domain.spawn worker in
+  let mine = worker () in
+  let theirs = Domain.join other in
+  Alcotest.(check int) "both domains ran their updates" (2 * runs)
+    (mine + theirs);
+  Alcotest.(check int) "no increment lost" (v0 + mine + theirs)
+    (Update.violations_total ())
+
+(* ------------------------------------------------------------------ *)
 (* Satellite: forward vs rollback-compensation backoff accounting.     *)
 
 let backoff_buckets = [| 0.001; 0.01; 0.05; 0.1; 0.5; 1.0; 5.0; 10.0; 60.0 |]
@@ -286,4 +389,10 @@ let suite =
       `Quick test_resume_from_frontier;
     Alcotest.test_case "forward and compensation backoff split cleanly" `Quick
       test_backoff_split_accounting;
+    Alcotest.test_case "a barrier catches a corrupted unaffected path" `Quick
+      test_barrier_catches_unaffected;
+    Alcotest.test_case "a barrier catches a corrupted version tag" `Quick
+      test_barrier_catches_version_tag;
+    Alcotest.test_case "the violation tally loses nothing across domains"
+      `Quick test_violation_tally_across_domains;
   ]

@@ -7,7 +7,9 @@ RESULT.json holds the last line `perfbench/run.py --trace 1 --seed 1
 --seconds 10` printed for WORKLOAD.  The work of such a run is a fixed
 function of its arguments, so its work counters (simplex pivots and
 refactorizations, LP calls, B&B nodes, presolve fixings, runtime rungs,
-update waves) repeat exactly on every host.  The gate fails when any of
+update waves, switch retries, journal appends, syncs, WAL bytes and
+snapshots, serve intake fsyncs, shed and quarantined fractions, wire
+bytes per request) repeat exactly on every host.  The gate fails when any of
 them differs from the value pinned in tools/perfbench_counters.json, or
 when the run was not correct.  Timings are not gated.
 
