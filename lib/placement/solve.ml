@@ -8,7 +8,7 @@ let m_runs =
     "sdnplace_solve_runs_total"
 
 let stage_seconds stage =
-  Telemetry.Metrics.histogram ~help:"pipeline stage CPU time by stage"
+  Telemetry.Metrics.histogram ~help:"pipeline stage wall time by stage"
     ~labels:[ ("stage", stage) ]
     "sdnplace_solve_stage_seconds"
 
@@ -272,7 +272,7 @@ let run ?(options = default_options) ?deadline ?cancel inst =
   in
   Telemetry.Metrics.incr m_runs;
   Telemetry.Trace.with_span "solve.run" @@ fun () ->
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   (* Stage 1 (optional): redundancy removal, per policy. *)
   let removed = ref 0 in
   let inst =
@@ -284,20 +284,20 @@ let run ?(options = default_options) ?deadline ?cancel inst =
           q')
     else inst
   in
-  let t1 = Sys.time () in
+  let t1 = Unix.gettimeofday () in
   (* Stage 2 (optional): merge planning with cycle breaking. *)
   let inst_pre_plan = inst in
   let inst, plan =
     Telemetry.Trace.with_span "solve.merge_plan" @@ fun () ->
     if options.merge then Merge.plan inst else (inst, Merge.empty_plan)
   in
-  let t2 = Sys.time () in
+  let t2 = Unix.gettimeofday () in
   (* Stage 3: dependency graphs + constraint layout. *)
   let layout =
     Telemetry.Trace.with_span "solve.layout" @@ fun () ->
     Layout.build ~sliced:options.slice ~plan ~monitors:options.monitors inst
   in
-  let t3 = Sys.time () in
+  let t3 = Unix.gettimeofday () in
   (* Stage 4: solve. *)
   let verdict =
     Telemetry.Trace.with_span "solve.engine" @@ fun () ->
@@ -306,7 +306,7 @@ let run ?(options = default_options) ?deadline ?cancel inst =
     | Sat_engine -> run_sat ~cancel:stop options layout
     | Sat_opt_engine -> run_sat_opt ~cancel:stop options layout
   in
-  let t4 = Sys.time () in
+  let t4 = Unix.gettimeofday () in
   Telemetry.Metrics.observe m_stage_redundancy (t1 -. t0);
   Telemetry.Metrics.observe m_stage_plan (t2 -. t1);
   Telemetry.Metrics.observe m_stage_layout (t3 -. t2);

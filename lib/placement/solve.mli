@@ -12,8 +12,9 @@
     instance both prove.  The SAT engines stay as the paper's deferred
     satisfiability formulation and an independent cross-check.
 
-    All stage timings are reported so the scalability experiments can
-    attribute cost. *)
+    All stage timings are reported, in wall-clock seconds, so the
+    scalability experiments can attribute cost; work other domains do
+    meanwhile is not charged to the run. *)
 
 type engine =
   | Ilp_engine  (** optimizing branch & bound (default); honours [jobs] *)

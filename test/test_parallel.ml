@@ -183,6 +183,42 @@ let test_time_limit_is_wall_clock () =
     true
     (dt >= 0.8 *. limit)
 
+(* [Solve.run]'s stage times are wall-clock times too: a domain
+   spinning beside the run must not be charged to it.  Process CPU time
+   counts both domains, about twice the wall time on two cores, so a
+   1-core host cannot tell the two clocks apart. *)
+let test_stage_times_are_wall_clock () =
+  let inst =
+    Workload.build
+      {
+        Workload.default with
+        Workload.k = 16;
+        paths = 1024;
+        capacity = 140;
+      }
+  in
+  let spin = Atomic.make true in
+  let spinner =
+    Domain.spawn (fun () ->
+        while Atomic.get spin do
+          ()
+        done)
+  in
+  let t0 = Unix.gettimeofday () in
+  let report =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set spin false;
+        Domain.join spinner)
+      (fun () -> Solve.run inst)
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  let total = report.Solve.timing.Solve.total_s in
+  Alcotest.(check bool)
+    (Printf.sprintf "total_s %.4fs within wall %.4fs" total wall)
+    true
+    (total <= (wall *. 1.2) +. 0.01)
+
 (* A Table II merge instance whose root heuristics alone run for
    seconds: under merging the pipeline first solves the plain model as a
    warm start, so both that solve and the main one must honour the
@@ -264,6 +300,8 @@ let suite =
       test_jobs1_is_sequential;
     Alcotest.test_case "time limit is wall-clock beside a busy domain" `Quick
       test_time_limit_is_wall_clock;
+    Alcotest.test_case "stage times are wall-clock beside a busy domain" `Quick
+      test_stage_times_are_wall_clock;
     Alcotest.test_case "pre-fired cancel stops a merge solve" `Quick
       test_prefired_cancel_stops_merge_solve;
     Alcotest.test_case "deadline bounds the merge warm start" `Quick
