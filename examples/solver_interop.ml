@@ -49,21 +49,36 @@ let () =
         dt)
     engines;
 
-  (* Export the exact models. *)
+  (* Export the exact models.  The LP file holds the layout's free
+     variables; the pinned ones add a constant to its objective. *)
   let layout = Placement.Layout.build inst in
-  let model, _ = Placement.Encode.to_model layout in
+  let enc = Placement.Encode.to_model layout in
+  let model = enc.Placement.Encode.model in
   let lp = Ilp.Model.to_lp_string model in
   let lp_path = Filename.temp_file "placement" ".lp" in
   Out_channel.with_open_text lp_path (fun oc -> output_string oc lp);
-  Format.printf "@.ILP model: %a -> %s@." Ilp.Model.pp_stats model lp_path;
+  Format.printf "@.ILP model: %a, objective constant %g -> %s@."
+    Ilp.Model.pp_stats model enc.Placement.Encode.constant lp_path;
 
-  (* The clause part of the SAT encoding as DIMACS (capacity rows use
-     native cardinality constraints and are listed separately). *)
+  (* The clause part of the SAT encoding as DIMACS, a unit clause per
+     pinned variable included (capacity rows use native cardinality
+     constraints and are listed separately). *)
+  let pins =
+    List.concat
+      (List.mapi
+         (fun v (pin : Placement.Layout.pin) ->
+           match pin with
+           | Placement.Layout.Free -> []
+           | Placement.Layout.Zero -> [ [ -(v + 1) ] ]
+           | Placement.Layout.One -> [ [ v + 1 ] ])
+         (Array.to_list layout.Placement.Layout.pins))
+  in
   let clauses =
     List.map (fun cover -> List.map (fun v -> v + 1) cover)
       layout.Placement.Layout.covers
     @ List.map (fun (d, p) -> [ -(d + 1); p + 1 ])
         layout.Placement.Layout.implications
+    @ pins
   in
   let cnf =
     { Cdcl.Dimacs.num_vars = Placement.Layout.num_vars layout; clauses }

@@ -22,7 +22,27 @@
     that switch is [base_i + s * |S_i| + j], where [base_i] is the first
     variable of the policy.  Merged variables follow every placement
     variable, by group then ascending switch.  {!var} inverts this
-    numbering. *)
+    numbering.
+
+    {b Pinned policies.}  Policy [i] is pinned at switch [k0] when
+    + one of its paths is the single switch [k0], and [k0] lies on
+      every path of [i];
+    + every placed drop applies to such a one-switch path (always
+      unsliced; sliced, its field meets the path's flow);
+    + no rule of [i] is a merge-group member (dummies are members);
+    + monitors forbid no placed rule of [i] at [k0];
+    + the rules of all policies pinned at [k0] fit [k0]'s capacity —
+      otherwise nothing is pinned there.
+
+    The one-switch paths force a copy of every placed drop at [k0], and
+    Eq. 1 forces their permits there, so those variables are 1 in every
+    feasible placement.  One copy of each at [k0] already covers every
+    path of [i] and meets every dependency, and no other variable of
+    [i] enters another policy's rows, so with non-negative costs some
+    optimum sets the rest of [i]'s variables to 0.  A pinned policy
+    keeps its keys, numbering and weights but gets no implication or
+    cover rows and no capacity terms; its variables are fixed in
+    [pins]. *)
 
 type key =
   | Place of { ingress : int; priority : int; switch : int }
@@ -36,6 +56,11 @@ type capacity = {
       (** (merged var, member placement vars): members collectively count
           one slot when the merged var is set, else one each *)
 }
+
+type pin =
+  | Free  (** left to the solver *)
+  | Zero  (** pinned to 0 *)
+  | One  (** pinned to 1 *)
 
 type numbering
 (** The dense index behind {!var}, {!is_dummy} and {!is_forbidden}:
@@ -51,9 +76,13 @@ type t = {
   keys : key array;
   numbering : numbering;  (** inverse of [keys] *)
   rules : (int * int, Acl.Rule.t) Hashtbl.t;  (** (ingress, priority) -> rule *)
-  implications : (int * int) list;  (** (drop var, permit var): Eq. 1 / 6 *)
-  covers : int list list;  (** each needs >= 1: Eq. 2 / 7, per path *)
-  capacities : capacity list;  (** Eq. 3, only rows that can bind *)
+  implications : (int * int) list;
+      (** (drop var, permit var): Eq. 1 / 6, free policies only *)
+  covers : int list list;
+      (** each needs >= 1: Eq. 2 / 7, per path of a free policy *)
+  capacities : capacity list;
+      (** Eq. 3 over [Free] variables, [bound] net of the load pinned at
+          the switch; only rows that can bind *)
   merge_defs : (int * int list) list;  (** merged var = AND members: Eqs. 4-5 / 8 *)
   weights : float array;
       (** per var: 1 + hops from ingress (the paper's loc function), used
@@ -64,7 +93,11 @@ type t = {
           ingress switch had room for its whole required set (relevant
           DROPs + dependent PERMITs, once each; dummies excluded) *)
   forbidden : int list;
-      (** placement variables pinned to 0 by monitoring constraints *)
+      (** placement variables fixed to 0 by monitoring constraints
+          (pinned policies' included) *)
+  pins : pin array;
+      (** per var: [One] exactly at the placed rules of a pinned policy
+          at its [k0], [Zero] at its other variables, else [Free] *)
 }
 
 val build :
@@ -93,3 +126,4 @@ val is_forbidden : t -> ingress:int -> priority:int -> switch:int -> bool
 (** Whether monitoring pins that placement to 0. *)
 
 val pp_stats : Format.formatter -> t -> unit
+(** Variables, rows, and the pinned policies and variables. *)

@@ -18,6 +18,13 @@ let to_pb ?encoding (layout : Layout.t) =
   List.iter
     (fun v -> Pb.add_clause pb [ -vars.(v) ])
     layout.Layout.forbidden;
+  Array.iteri
+    (fun v (pin : Layout.pin) ->
+      match pin with
+      | Layout.Free -> ()
+      | Layout.Zero -> Pb.add_clause pb [ -vars.(v) ]
+      | Layout.One -> Pb.add_clause pb [ vars.(v) ])
+    layout.Layout.pins;
   List.iter
     (fun cover -> Pb.add_clause pb (List.map (fun v -> vars.(v)) cover))
     layout.Layout.covers;

@@ -6,7 +6,9 @@
     - Eq. 3 (capacity): an at-most-C_k cardinality constraint per switch,
       with merging handled by counting auxiliaries [w = v && not v_m]
       so a fully merged group occupies one slot;
-    - Eq. 8 (merging): [v_m <-> AND members].
+    - Eq. 8 (merging): [v_m <-> AND members];
+    - the layout's pins (see {!Layout}): a unit clause per pinned
+      variable, its capacity constraints already net of the pinned load.
 
     No objective — this is the fast feasibility path the paper keeps for
     dynamic updates.  The decoded solution's [objective] field reports the

@@ -119,6 +119,8 @@ let reweight t weights =
   | Encode.Switch_weighted w ->
       if Array.length w <> Array.length weights then
         invalid_arg "Engine.reweight: weight vector length mismatch";
+      if not (Array.for_all Encode.valid_weight weights) then
+        invalid_arg "Engine.reweight: weights must be finite and >= 0";
       Array.blit weights 0 w 0 (Array.length w)
   | Encode.Total_rules | Encode.Upstream_drops ->
       invalid_arg "Engine.reweight: objective is not Switch_weighted"

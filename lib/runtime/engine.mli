@@ -138,7 +138,8 @@ val reweight : t -> float array -> unit
     layer pulls between events when observed popularity drifts.  Affects
     every subsequent solve (incremental and full rungs alike).  Raises
     [Invalid_argument] when the configured objective is not
-    [Switch_weighted] or the length differs.  Callers that journal the
+    [Switch_weighted], the length differs or a weight is negative or
+    not finite (the weights are left unchanged).  Callers that journal the
     engine must persist the weights themselves (e.g. in the client blob)
     and re-apply them before recovery replays events, or replayed solves
     run under different costs than the original. *)

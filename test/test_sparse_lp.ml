@@ -418,8 +418,8 @@ let test_root_lp_differential () =
   List.iter
     (fun (family, _) ->
       let report = run_pipeline family in
-      let model, _ = Placement.Encode.to_model report.Placement.Solve.layout in
-      let lp = Ilp.Model.lp_relaxation model in
+      let enc = Placement.Encode.to_model report.Placement.Solve.layout in
+      let lp = Ilp.Model.lp_relaxation enc.Placement.Encode.model in
       match (solve_dense lp, solve lp) with
       | Optimal { objective = d; _ }, Optimal { objective = s; solution } ->
         Alcotest.(check (float 1e-6)) "root LP objective" d s;
