@@ -50,26 +50,32 @@ let equal_semantics a b probes =
     probes
 
 (* Deterministic seed: witness packets must be stable across runs so test
-   failures are reproducible. *)
-let witness_packets t =
-  let g = Prng.create 0x5EED in
-  let singles =
-    List.map (fun r -> Ternary.Field.random_packet g r.Rule.field) t.rules
-  in
-  let pairs =
-    List.concat_map
-      (fun r1 ->
-        List.filter_map
-          (fun r2 ->
-            if r1 == r2 then None
-            else
-              match Ternary.Field.inter r1.Rule.field r2.Rule.field with
-              | None -> None
-              | Some f -> Some (Ternary.Field.random_packet g f))
-          t.rules)
-      t.rules
-  in
-  singles @ pairs
+   failures are reproducible.  Each packet is drawn when the sequence
+   first reaches it, so a caller keeping a prefix pays for that prefix
+   only; memoized, so every traversal yields the same packets. *)
+let witness_seq t =
+  Seq.memoize (fun () ->
+      let g = Prng.create 0x5EED in
+      let rules = List.to_seq t.rules in
+      let singles =
+        Seq.map (fun r -> Ternary.Field.random_packet g r.Rule.field) rules
+      in
+      let pairs =
+        Seq.concat_map
+          (fun r1 ->
+            Seq.filter_map
+              (fun r2 ->
+                if r1 == r2 then None
+                else
+                  Option.map
+                    (Ternary.Field.random_packet g)
+                    (Ternary.Field.inter r1.Rule.field r2.Rule.field))
+              rules)
+          rules
+      in
+      Seq.append singles pairs ())
+
+let witness_packets t = List.of_seq (witness_seq t)
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>%a@]"

@@ -49,4 +49,9 @@ val witness_packets : t -> Ternary.Packet.t list
     semantically equal with high confidence; used by redundancy-removal
     tests and the placement verifier. *)
 
+val witness_seq : t -> Ternary.Packet.t Seq.t
+(** {!witness_packets} as a lazy sequence: the same packets in the same
+    order, each drawn only when reached, so [Seq.take n] costs [n]
+    draws instead of one per rule and per overlapping pair. *)
+
 val pp : Format.formatter -> t -> unit

@@ -61,6 +61,51 @@ let forward_tables tables (path : Routing.Path.t) ~tag packet =
 
 let forward_tagged t path ~tag packet = forward_tables t.tables path ~tag packet
 
+(* Per tag, per switch: the rules of the entries carrying that tag, in
+   match order.  One pass over the tables builds it, so the first match
+   a walk finds in its tag's list is the first match [step_tables] finds
+   in the whole table. *)
+type view = (int, Acl.Rule.t list array) Hashtbl.t
+
+let tag_view t =
+  let n = Array.length t.tables in
+  let view = Hashtbl.create 16 in
+  Array.iteri
+    (fun k entries ->
+      List.iter
+        (fun e ->
+          List.iter
+            (fun tag ->
+              let at =
+                match Hashtbl.find_opt view tag with
+                | Some at -> at
+                | None ->
+                  let at = Array.make n [] in
+                  Hashtbl.add view tag at;
+                  at
+              in
+              at.(k) <- e.rule :: at.(k))
+            e.tags)
+        (List.rev entries))
+    t.tables;
+  view
+
+let forward_view view (path : Routing.Path.t) ~tag packet =
+  match Hashtbl.find_opt view tag with
+  | None -> Delivered
+  | Some at ->
+    let n = Array.length path.switches in
+    let matches r = Acl.Rule.matches r packet in
+    let rec go i =
+      if i >= n then Delivered
+      else
+        let switch = path.switches.(i) in
+        match List.find_opt matches at.(switch) with
+        | Some r when Acl.Rule.is_drop r -> Dropped switch
+        | Some _ | None -> go (i + 1)
+    in
+    go 0
+
 type hop = { hop_switch : int; matched : int option }
 
 let match_index tables ~switch ~tag packet =

@@ -78,6 +78,19 @@ val forward_tables :
   entry list array -> Routing.Path.t -> tag:int -> Ternary.Packet.t -> outcome
 (** {!forward_tagged} over a bare table array. *)
 
+type view
+(** A first-match view of the tables by tag: per tag and switch, the
+    rules of the entries carrying that tag, in match order.  A walk
+    through it scans only its own tag's entries. *)
+
+val tag_view : t -> view
+(** Built in one pass over every installed entry. *)
+
+val forward_view :
+  view -> Routing.Path.t -> tag:int -> Ternary.Packet.t -> outcome
+(** {!forward_tagged} on the simulator the view was built from: the same
+    outcome for every tag, packet and path over its switches. *)
+
 type hop = {
   hop_switch : int;
   matched : int option;

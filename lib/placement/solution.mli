@@ -49,6 +49,9 @@ val tcam_slots : ?tag_bits:int -> t -> int
     defaults to the width needed for the instance's host count. *)
 
 val is_placed : t -> ingress:int -> priority:int -> switch:int -> bool
+(** A scan of the switch's cells and of each cell's tags: linear in the
+    tags installed at [switch].  A caller asking many times indexes the
+    cells once instead, as {!Verify.structural} does. *)
 
 val cells_of_switch : t -> int -> cell list
 

@@ -32,8 +32,37 @@ let pp_violation fmt = function
       Ternary.Packet.pp packet ingress egress Acl.Rule.pp_action expected
       Netsim.pp_outcome got
 
-let structural (layout : Layout.t) (sol : Solution.t) =
+(* Where each placed (ingress, priority) sits, by switch: one pass over
+   the cells instead of a scan of a switch's cells and their tags per
+   lookup. *)
+let placements (sol : Solution.t) =
+  let n = Array.length sol.Solution.per_switch in
+  let at = Hashtbl.create (Solution.total_entries sol) in
+  Array.iteri
+    (fun k cells ->
+      List.iter
+        (fun (c : Solution.cell) ->
+          List.iter
+            (fun key ->
+              let where =
+                match Hashtbl.find_opt at key with
+                | Some where -> where
+                | None ->
+                  let where = Array.make n false in
+                  Hashtbl.add at key where;
+                  where
+              in
+              where.(k) <- true)
+            c.Solution.tags)
+        cells)
+    sol.Solution.per_switch;
+  let nowhere = Array.make n false in
+  fun ~ingress ~priority ->
+    Option.value (Hashtbl.find_opt at (ingress, priority)) ~default:nowhere
+
+let check_structure ~forbidden ~is_dummy ~sliced (sol : Solution.t) =
   let inst = sol.Solution.instance in
+  let placed = placements sol in
   let violations = ref [] in
   (* Capacity. *)
   Array.iteri
@@ -43,13 +72,10 @@ let structural (layout : Layout.t) (sol : Solution.t) =
     (Solution.switch_usage sol);
   (* Monitoring: every pinned-to-0 variable must indeed be unused. *)
   List.iter
-    (fun v ->
-      match layout.Layout.keys.(v) with
-      | Layout.Place { ingress; priority; switch } ->
-        if Solution.is_placed sol ~ingress ~priority ~switch then
-          violations := Monitor { ingress; priority; switch } :: !violations
-      | Layout.Merged _ -> ())
-    layout.Layout.forbidden;
+    (fun (ingress, priority, switch) ->
+      if (placed ~ingress ~priority).(switch) then
+        violations := Monitor { ingress; priority; switch } :: !violations)
+    forbidden;
   List.iter
     (fun (i, q) ->
       let dep = Depgraph.build q in
@@ -57,21 +83,17 @@ let structural (layout : Layout.t) (sol : Solution.t) =
       (* Coverage of every relevant, non-dummy DROP on every path. *)
       List.iter
         (fun (w : Acl.Rule.t) ->
-          if not (Layout.is_dummy layout ~ingress:i ~priority:w.priority) then
+          if not (is_dummy ~ingress:i ~priority:w.priority) then
+            let at = placed ~ingress:i ~priority:w.priority in
             List.iter
               (fun (p : Routing.Path.t) ->
                 let applies =
-                  (not layout.Layout.sliced)
+                  (not sliced)
                   || Ternary.Field.overlaps w.field p.Routing.Path.flow
                 in
                 if
                   applies
-                  && not
-                       (Array.exists
-                          (fun k ->
-                            Solution.is_placed sol ~ingress:i
-                              ~priority:w.priority ~switch:k)
-                          p.Routing.Path.switches)
+                  && not (Array.exists (Array.get at) p.Routing.Path.switches)
                 then
                   violations :=
                     Coverage
@@ -83,34 +105,59 @@ let structural (layout : Layout.t) (sol : Solution.t) =
       List.iter
         (fun (w : Acl.Rule.t) ->
           if Acl.Rule.is_drop w then
-            let deps = Depgraph.dependencies dep w in
-            for k = 0 to Topo.Net.num_switches inst.Instance.net - 1 do
-              if Solution.is_placed sol ~ingress:i ~priority:w.priority ~switch:k
-              then
-                List.iter
-                  (fun (u : Acl.Rule.t) ->
-                    if
-                      not
-                        (Solution.is_placed sol ~ingress:i
-                           ~priority:u.priority ~switch:k)
-                    then
-                      violations :=
-                        Dependency
-                          { ingress = i; drop = w.priority; permit = u.priority; switch = k }
-                        :: !violations)
-                  deps
-            done)
+            let deps =
+              List.map
+                (fun (u : Acl.Rule.t) ->
+                  (u.priority, placed ~ingress:i ~priority:u.priority))
+                (Depgraph.dependencies dep w)
+            in
+            Array.iteri
+              (fun k here ->
+                if here then
+                  List.iter
+                    (fun (permit, at) ->
+                      if not at.(k) then
+                        violations :=
+                          Dependency
+                            {
+                              ingress = i;
+                              drop = w.priority;
+                              permit;
+                              switch = k;
+                            }
+                          :: !violations)
+                    deps)
+              (placed ~ingress:i ~priority:w.priority))
         (Acl.Policy.rules q))
     inst.Instance.policies;
   List.rev !violations
 
+let structural (layout : Layout.t) (sol : Solution.t) =
+  let forbidden =
+    List.filter_map
+      (fun v ->
+        match layout.Layout.keys.(v) with
+        | Layout.Place { ingress; priority; switch } ->
+          Some (ingress, priority, switch)
+        | Layout.Merged _ -> None)
+      layout.Layout.forbidden
+  in
+  check_structure ~forbidden ~is_dummy:(Layout.is_dummy layout)
+    ~sliced:layout.Layout.sliced sol
+
+let structural_plain (sol : Solution.t) =
+  check_structure ~forbidden:[]
+    ~is_dummy:(fun ~ingress:_ ~priority:_ -> false)
+    ~sliced:sol.Solution.sliced sol
+
 let semantic ?(random_samples = 20) g (sol : Solution.t) =
   let inst = sol.Solution.instance in
   let { Tables.netsim; _ } = Tables.to_netsim sol in
+  let view = Netsim.tag_view netsim in
   let violations = ref [] in
   let probe (p : Routing.Path.t) q packet =
     let expected = Acl.Policy.evaluate q packet in
-    let got = Netsim.forward netsim p packet in
+    let got = Netsim.forward_view view p ~tag:p.Routing.Path.ingress packet in
     let agree =
       match (expected, got) with
       | Acl.Rule.Drop, Netsim.Dropped _ -> true

@@ -34,6 +34,12 @@ type violation =
 
 val structural : Layout.t -> Solution.t -> violation list
 
+val structural_plain : Solution.t -> violation list
+(** [structural (Layout.build ~sliced:sol.sliced sol.instance) sol]
+    without building the layout: with no merge plan and no monitors no
+    rule is a dummy and no placement is forbidden.  Runtime placements
+    are checked this way. *)
+
 val semantic : ?random_samples:int -> Prng.t -> Solution.t -> violation list
 (** [random_samples] extra uniform packets per path (default 20) on top
     of the per-rule and per-overlap probes. *)

@@ -55,9 +55,21 @@ let m_quarantined =
   Telemetry.Metrics.counter ~help:"ingresses newly fenced into quarantine"
     "sdnplace_runtime_quarantined_ingresses_total"
 
-let m_verify_failures =
-  Telemetry.Metrics.counter ~help:"events failing post-event verification"
+let m_verify_failed check =
+  Telemetry.Metrics.counter
+    ~help:"post-event verification checks that failed, by check"
+    ~labels:[ ("check", check) ]
     "sdnplace_runtime_verify_failures_total"
+
+let m_verify_structural = m_verify_failed "structural"
+
+let m_verify_semantic = m_verify_failed "semantic"
+
+let m_verify_live = m_verify_failed "live"
+
+let m_verify_fence = m_verify_failed "fence"
+
+let m_verify_exception = m_verify_failed "exception"
 
 (* A fenced ingress: the paths and probe packets remembered at quarantine
    time, so fail-closed verification keeps working after the policy is
@@ -86,9 +98,7 @@ let net t = (inst t).Instance.net
 
 let sort_uniq l = List.sort_uniq compare l
 
-let rec take n = function
-  | [] -> []
-  | x :: xs -> if n <= 0 then [] else x :: take (n - 1) xs
+let witnesses n q = List.of_seq (Seq.take n (Acl.Policy.witness_seq q))
 
 let tables_of_solution (sol : Solution.t) =
   let { Tables.netsim; splits = _ } = Tables.to_netsim sol in
@@ -598,7 +608,7 @@ let fenced_record t goal i =
     zero_packet
     ::
     (match policy with
-    | Some q -> take 8 (Acl.Policy.witness_packets q)
+    | Some q -> witnesses 8 q
     | None -> [])
   in
   { q_ingress = i; q_paths = paths; q_probes = probes }
@@ -643,55 +653,76 @@ let target_tables t sol quarantine =
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
 
+(* Every check runs, so each one that fails is counted under its own
+   label; an exception anywhere fails the event as "exception". *)
 let verify t =
   Telemetry.Trace.with_span "runtime.verify" @@ fun () ->
+  let holds failed ok =
+    if not ok then Telemetry.Metrics.incr failed;
+    ok
+  in
   try
     let sol = t.good in
     let inst = sol.Solution.instance in
     (* The declared placement: structural + semantic. *)
     let g = Prng.split t.verify_prng in
-    let layout = Layout.build ~sliced:sol.Solution.sliced inst in
-    let solution_ok =
-      Verify.check ~random_samples:t.config.verify_samples g layout sol = []
+    let structural_ok =
+      holds m_verify_structural (Verify.structural_plain sol = [])
+    in
+    let semantic_ok =
+      holds m_verify_semantic
+        (Verify.semantic ~random_samples:t.config.verify_samples g sol = [])
     in
     (* The live data plane: walk witness packets of every policy along
-       every path of its ingress and compare with the big-switch verdict. *)
-    let ns = Netsim.make inst.Instance.net (Switch_api.snapshot t.api) in
+       every path of its ingress and compare with the big-switch verdict,
+       evaluated once per witness. *)
+    let live =
+      Netsim.tag_view (Netsim.make inst.Instance.net (Switch_api.tables t.api))
+    in
+    let walk (p : Routing.Path.t) pkt =
+      Netsim.forward_view live p ~tag:p.Routing.Path.ingress pkt
+    in
     let live_ok =
-      List.for_all
-        (fun (i, q) ->
-          let probes = take 16 (Acl.Policy.witness_packets q) in
-          List.for_all
-            (fun (p : Routing.Path.t) ->
-              List.for_all
-                (fun pkt ->
-                  (not (Ternary.Field.matches p.Routing.Path.flow pkt))
-                  ||
-                  match (Acl.Policy.evaluate q pkt, Netsim.forward ns p pkt) with
-                  | Acl.Rule.Permit, Netsim.Delivered -> true
-                  | Acl.Rule.Drop, Netsim.Dropped _ -> true
-                  | _ -> false)
-                probes)
-            (Routing.Table.paths_from inst.Instance.routing i))
-        inst.Instance.policies
+      holds m_verify_live
+        (List.for_all
+           (fun (i, q) ->
+             let probes =
+               List.map
+                 (fun pkt -> (pkt, Acl.Policy.evaluate q pkt))
+                 (witnesses 16 q)
+             in
+             List.for_all
+               (fun (p : Routing.Path.t) ->
+                 List.for_all
+                   (fun (pkt, verdict) ->
+                     (not (Ternary.Field.matches p.Routing.Path.flow pkt))
+                     ||
+                     match (verdict, walk p pkt) with
+                     | Acl.Rule.Permit, Netsim.Delivered -> true
+                     | Acl.Rule.Drop, Netsim.Dropped _ -> true
+                     | _ -> false)
+                   probes)
+               (Routing.Table.paths_from inst.Instance.routing i))
+           inst.Instance.policies)
     in
     (* Fail closed: everything a quarantined ingress sends must die. *)
-    let quarantine_ok =
-      List.for_all
-        (fun qr ->
-          List.for_all
-            (fun (p : Routing.Path.t) ->
-              List.for_all
-                (fun pkt ->
-                  match Netsim.forward ns p pkt with
-                  | Netsim.Dropped _ -> true
-                  | Netsim.Delivered -> false)
-                qr.q_probes)
-            qr.q_paths)
-        t.quarantine
+    let fence_ok =
+      holds m_verify_fence
+        (List.for_all
+           (fun qr ->
+             List.for_all
+               (fun p ->
+                 List.for_all
+                   (fun pkt ->
+                     match walk p pkt with
+                     | Netsim.Dropped _ -> true
+                     | Netsim.Delivered -> false)
+                   qr.q_probes)
+               qr.q_paths)
+           t.quarantine)
     in
-    solution_ok && live_ok && quarantine_ok
-  with _ -> false
+    structural_ok && semantic_ok && live_ok && fence_ok
+  with _ -> holds m_verify_exception false
 
 (* ------------------------------------------------------------------ *)
 (* Consistent-update corpus                                            *)
@@ -713,12 +744,9 @@ let update_corpus t (sol : Solution.t) =
   let g = Prng.create (t.config.verify_seed lxor 0x757044) in
   List.map
     (fun i ->
-      let witnesses = function
-        | Some q -> take 8 (Acl.Policy.witness_packets q)
-        | None -> []
-      in
-      let olds = witnesses (Instance.policy_of (inst t) i) in
-      let news = witnesses (Instance.policy_of new_inst i) in
+      let probes_of = function Some q -> witnesses 8 q | None -> [] in
+      let olds = probes_of (Instance.policy_of (inst t) i) in
+      let news = probes_of (Instance.policy_of new_inst i) in
       let randoms = List.init 4 (fun _ -> Ternary.Packet.random g) in
       {
         Update.ingress = i;
@@ -760,7 +788,6 @@ let handle ?tx ?resume ?rungs t event =
     Telemetry.Metrics.incr (rung_counter rung);
     Telemetry.Metrics.observe m_event_s wall_s;
     Telemetry.Metrics.add m_quarantined (List.length newly_quarantined);
-    if not verified then Telemetry.Metrics.incr m_verify_failures;
     (match Telemetry.Trace.current () with
     | Some sp -> Telemetry.Trace.add_attr sp "rung" (Report.rung_name rung)
     | None -> ());

@@ -110,6 +110,44 @@ let test_witness_packets_cover_rules () =
         (List.exists (Rule.matches r) probes))
     (Policy.rules q)
 
+(* The witness set drawn eagerly, as its definition reads: a packet per
+   rule, then one per ordered pair of overlapping rules, from one fixed
+   stream. *)
+let eager_witnesses q =
+  let g = Prng.create 0x5EED in
+  let rules = Policy.rules q in
+  let singles =
+    List.map (fun (r : Rule.t) -> Ternary.Field.random_packet g r.field) rules
+  in
+  let pairs =
+    List.concat_map
+      (fun (r1 : Rule.t) ->
+        List.filter_map
+          (fun (r2 : Rule.t) ->
+            if r1 == r2 then None
+            else
+              Option.map (Ternary.Field.random_packet g)
+                (Ternary.Field.inter r1.field r2.field))
+          rules)
+      rules
+  in
+  singles @ pairs
+
+(* The lazy sequence yields the eager draw, prefix by prefix, and the
+   same packets on every traversal. *)
+let prop_witness_seq_prefixes =
+  QCheck.Test.make ~name:"lazy witnesses are the eager draw's prefixes"
+    ~count:60 QCheck.int (fun seed ->
+      let g = Prng.create seed in
+      let q = Classbench.policy g ~num_rules:(Prng.int_in g 1 24) in
+      let all = eager_witnesses q in
+      let seq = Policy.witness_seq q in
+      Policy.witness_packets q = all
+      && List.for_all
+           (fun n ->
+             List.of_seq (Seq.take n seq) = List.filteri (fun i _ -> i < n) all)
+           [ 0; 8; 16; List.length all; 16; 0 ])
+
 let suite =
   [
     Alcotest.test_case "policy evaluation order" `Quick test_policy_order;
@@ -120,4 +158,5 @@ let suite =
     Alcotest.test_case "redundancy: default permit" `Quick test_redundancy_default_permit;
     Alcotest.test_case "redundancy keeps needed permits" `Quick test_redundancy_keeps_needed_permit;
     Alcotest.test_case "witness packets cover rules" `Quick test_witness_packets_cover_rules;
+    QCheck_alcotest.to_alcotest prop_witness_seq_prefixes;
   ]

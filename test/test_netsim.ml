@@ -74,10 +74,74 @@ let test_entry_counts () =
   Alcotest.(check int) "merged counts once" 2 (Netsim.table_size sim 1);
   Alcotest.(check int) "total" 3 (Netsim.total_entries sim)
 
+(* Random tables over a small tag universe: plain and merged entries,
+   new-version shadows and stamps, all from a few overlapping fields. *)
+let view_fields =
+  [|
+    Ternary.Field.any;
+    Util.field ~src:"10.0.0.0/8" ();
+    Util.field ~src:"10.1.0.0/16" ();
+    Util.field ~dst:"10.0.1.0/24" ();
+    Util.field ~src:"10.1.0.0/16" ~dst:"10.0.0.0/8" ();
+    Util.field ~proto:(Ternary.Proto.Eq 6) ();
+  |]
+
+let random_tables g ~switches =
+  let tag () =
+    let i = Prng.int g 4 in
+    match Prng.int g 4 with
+    | 0 -> Netsim.vtag i
+    | 1 -> Netsim.stamp_tag i
+    | _ -> i
+  in
+  Array.init switches (fun _ ->
+      List.init (Prng.int g 9) (fun p ->
+          {
+            Netsim.tags = List.init (1 + Prng.int g 3) (fun _ -> tag ());
+            rule =
+              Acl.Rule.make
+                ~field:(Prng.choose g view_fields)
+                ~action:(if Prng.bool g then Acl.Rule.Drop else Acl.Rule.Permit)
+                ~priority:p;
+          }))
+
+let prop_tag_view_forwards_alike =
+  QCheck.Test.make ~name:"tag view forwards like the full tables" ~count:200
+    QCheck.int (fun seed ->
+      let g = Prng.create seed in
+      let switches = 1 + Prng.int g 5 in
+      let tables = random_tables g ~switches in
+      let net = Topo.Builder.linear ~switches ~hosts_per_end:1 in
+      let view = Netsim.tag_view (Netsim.make net tables) in
+      let path =
+        Routing.Path.make ~ingress:0 ~egress:1
+          ~switches:
+            (List.init (1 + Prng.int g switches) (fun _ -> Prng.int g switches))
+          ()
+      in
+      let tags =
+        9
+        :: List.concat_map
+             (fun i -> [ i; Netsim.vtag i; Netsim.stamp_tag i ])
+             [ 0; 1; 2; 3 ]
+      in
+      List.for_all
+        (fun tag ->
+          List.for_all
+            (fun _ ->
+              let packet =
+                Ternary.Field.random_packet g (Prng.choose g view_fields)
+              in
+              Netsim.forward_view view path ~tag packet
+              = Netsim.forward_tables tables path ~tag packet)
+            (List.init 8 Fun.id))
+        tags)
+
 let suite =
   [
     Alcotest.test_case "first match order" `Quick test_first_match_order;
     Alcotest.test_case "tag isolation" `Quick test_tag_isolation;
     Alcotest.test_case "forward along path" `Quick test_forward_along_path;
     Alcotest.test_case "entry counts" `Quick test_entry_counts;
+    QCheck_alcotest.to_alcotest prop_tag_view_forwards_alike;
   ]

@@ -391,6 +391,114 @@ let test_chaos_deterministic () =
   Alcotest.(check (list string)) "same seed, same transition reports"
     (sigs 25) (sigs 25)
 
+(* ------------------------------------------------------------------ *)
+(* Runtime verification fails on a corrupted data plane                *)
+
+let verify_checks = [ "structural"; "semantic"; "live"; "fence"; "exception" ]
+
+let verify_failures check =
+  Telemetry.Metrics.counter_value
+    (Telemetry.Metrics.counter ~labels:[ ("check", check) ]
+       "sdnplace_runtime_verify_failures_total")
+
+let with_metrics f =
+  let was = Telemetry.Metrics.is_enabled () in
+  Telemetry.Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () -> if not was then Telemetry.Metrics.disable ())
+    f
+
+(* Host 3 carries no policy and is not fenced: the event is rejected,
+   changes nothing and re-verifies the engine as it stands. *)
+let noop_event = Event.Remove { ingresses = [ 3 ] }
+
+(* Force [corrupt tables] into the data plane, send the no-op event and
+   check that exactly the [failed] check counts the failure ([None]: the
+   event verifies and nothing counts); then put the tables back. *)
+let reverify name eng ~corrupt ~failed =
+  let tables = Engine.table_snapshot eng in
+  Engine.resync eng (corrupt tables);
+  let before = List.map verify_failures verify_checks in
+  let r = Engine.handle eng noop_event in
+  check_report ~rung:Report.Noop ~verified:(failed = None) name r;
+  List.iter2
+    (fun check b ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s failures" name check)
+        (if Some check = failed then 1 else 0)
+        (verify_failures check - b))
+    verify_checks before;
+  Engine.resync eng tables
+
+let is_tenant action (e : Netsim.entry) =
+  e.Netsim.tags = [ 0 ]
+  && Acl.Rule.action_equal e.Netsim.rule.Acl.Rule.action action
+
+let test_runtime_verify_catches_corruption () =
+  with_metrics @@ fun () ->
+  let eng = empty_engine ~config:(test_config ()) (diamond ()) in
+  check_report ~applied:Report.Committed "install"
+    (Engine.handle eng (install_event ()));
+  let q = tenant_policy () in
+  let witnesses = List.of_seq (Seq.take 16 (Acl.Policy.witness_seq q)) in
+  let verdicts = List.map (Acl.Policy.evaluate q) witnesses in
+  Alcotest.(check bool) "a witness the policy drops" true
+    (List.mem Acl.Rule.Drop verdicts);
+  Alcotest.(check bool) "a witness in both the permit and the drop" true
+    (List.exists
+       (fun p ->
+         List.for_all
+           (fun (r : Acl.Rule.t) -> Acl.Rule.matches r p)
+           (Acl.Policy.rules q))
+       witnesses);
+  let drop_at =
+    List.concat
+      (List.mapi
+         (fun k entries ->
+           List.filter_map
+             (fun e -> if is_tenant Acl.Rule.Drop e then Some k else None)
+             entries)
+         (Array.to_list (Engine.table_snapshot eng)))
+  in
+  let k =
+    match drop_at with
+    | [ k ] -> k
+    | _ -> Alcotest.fail "expected one installed copy of the drop"
+  in
+  reverify "uncorrupted" eng ~corrupt:Fun.id ~failed:None;
+  reverify "drop removed" eng
+    ~corrupt:(fun t ->
+      let t = Array.copy t in
+      t.(k) <- List.filter (fun e -> not (is_tenant Acl.Rule.Drop e)) t.(k);
+      t)
+    ~failed:(Some "live");
+  reverify "permit below its drop" eng
+    ~corrupt:(fun t ->
+      let t = Array.copy t in
+      let permits, rest = List.partition (is_tenant Acl.Rule.Permit) t.(k) in
+      Alcotest.(check bool) "the permit sits with its drop" true
+        (permits <> []);
+      t.(k) <- rest @ permits;
+      t)
+    ~failed:(Some "live");
+  reverify "restored" eng ~corrupt:Fun.id ~failed:None;
+  (* A fenced tenant: stranded on the chain, its fence at switch 0. *)
+  let eng = empty_engine ~config:(test_config ()) (chain ()) in
+  ignore (Engine.handle eng (install_event ~switches:[ 0; 1; 2 ] ()));
+  check_report ~rung:Report.Quarantine "stranded"
+    (Engine.handle eng (Event.Switch_fail { switch = 2 }));
+  Alcotest.(check (list int)) "quarantined" [ 0 ] (Engine.quarantined eng);
+  reverify "fenced" eng ~corrupt:Fun.id ~failed:None;
+  reverify "fence stripped" eng
+    ~corrupt:(fun t ->
+      let t = Array.copy t in
+      t.(0) <-
+        List.filter
+          (fun (e : Netsim.entry) -> e.Netsim.rule.Acl.Rule.priority <> max_int)
+          t.(0);
+      t)
+    ~failed:(Some "fence")
+
 let suite =
   [
     Alcotest.test_case "install then remove round-trips" `Quick
@@ -427,6 +535,8 @@ let suite =
       test_consistent_waves;
     Alcotest.test_case "aborted waves degrade to the legacy transaction" `Quick
       test_consistent_falls_back_to_legacy;
+    Alcotest.test_case "runtime verify fails on corrupted tables" `Quick
+      test_runtime_verify_catches_corruption;
     Alcotest.test_case "chaos run verifies after every event" `Slow
       test_chaos_verified;
     Alcotest.test_case "chaos run replays from its seed" `Slow

@@ -38,61 +38,39 @@ let add_cell sol ~switch cell =
 
 let has_violation pred violations = List.exists pred violations
 
-let test_missing_coverage_detected () =
-  let layout, sol = solved_figure3 () in
-  (* Remove every drop everywhere: coverage must fire. *)
-  let broken = ref sol in
-  for k = 0 to 4 do
-    broken :=
-      drop_cells_at !broken ~switch:k ~pred:(fun c ->
-          Acl.Rule.is_drop c.Solution.rule)
-  done;
-  let violations = Verify.structural layout !broken in
-  Alcotest.(check bool) "coverage violation" true
-    (has_violation (function Verify.Coverage _ -> true | _ -> false) violations)
+(* The mutants: each breaks a correct solution in one specific way. *)
 
-let test_missing_dependency_detected () =
-  let layout, sol = solved_figure3 () in
-  (* Strip the permit wherever it sits: installed drops lose their
-     dependency. *)
-  let broken = ref sol in
-  for k = 0 to 4 do
-    broken :=
-      drop_cells_at !broken ~switch:k ~pred:(fun c ->
-          Acl.Rule.is_permit c.Solution.rule)
-  done;
-  let violations = Verify.structural layout !broken in
-  Alcotest.(check bool) "dependency violation" true
-    (has_violation
-       (function Verify.Dependency _ -> true | _ -> false)
-       violations);
-  (* And it is a real packet-level bug, not just bookkeeping. *)
-  let semantic = Verify.semantic ~random_samples:30 (Prng.create 1) !broken in
-  Alcotest.(check bool) "semantic violation too" true (semantic <> [])
+let strip_everywhere sol pred =
+  List.fold_left
+    (fun s k -> drop_cells_at s ~switch:k ~pred)
+    sol [ 0; 1; 2; 3; 4 ]
 
-let test_capacity_detected () =
-  let layout, sol = solved_figure3 () in
-  let filler i =
-    {
-      Solution.rule =
-        Acl.Rule.make ~field:Ternary.Field.any ~action:Acl.Rule.Permit
-          ~priority:(1000 + i);
-      tags = [ (0, 1000 + i) ];
-    }
-  in
-  let broken = ref sol in
-  for i = 1 to 6 do
-    broken := add_cell !broken ~switch:0 (filler i)
-  done;
-  let violations = Verify.structural layout !broken in
-  Alcotest.(check bool) "capacity violation" true
-    (has_violation (function Verify.Capacity _ -> true | _ -> false) violations)
+(* Every drop gone: coverage fires. *)
+let without_drops sol =
+  strip_everywhere sol (fun c -> Acl.Rule.is_drop c.Solution.rule)
 
-let test_rogue_drop_detected () =
-  (* A drop the policy never asked for kills permitted traffic: only the
-     semantic layer can see this. *)
-  let _, sol = solved_figure3 () in
-  let rogue =
+(* The permit gone wherever it sits: installed drops lose their
+   dependency. *)
+let without_permits sol =
+  strip_everywhere sol (fun c -> Acl.Rule.is_permit c.Solution.rule)
+
+(* Six fillers on switch 0: capacity overflows. *)
+let overfull sol =
+  List.fold_left
+    (fun s i ->
+      add_cell s ~switch:0
+        {
+          Solution.rule =
+            Acl.Rule.make ~field:Ternary.Field.any ~action:Acl.Rule.Permit
+              ~priority:(1000 + i);
+          tags = [ (0, 1000 + i) ];
+        })
+    sol [ 1; 2; 3; 4; 5; 6 ]
+
+(* A drop the policy never asked for kills permitted traffic: only the
+   semantic layer can see this. *)
+let with_rogue_drop sol =
+  add_cell sol ~switch:1
     {
       Solution.rule =
         Acl.Rule.make
@@ -100,9 +78,36 @@ let test_rogue_drop_detected () =
           ~action:Acl.Rule.Drop ~priority:99;
       tags = [ (0, 99) ];
     }
+
+let test_missing_coverage_detected () =
+  let layout, sol = solved_figure3 () in
+  let violations = Verify.structural layout (without_drops sol) in
+  Alcotest.(check bool) "coverage violation" true
+    (has_violation (function Verify.Coverage _ -> true | _ -> false) violations)
+
+let test_missing_dependency_detected () =
+  let layout, sol = solved_figure3 () in
+  let broken = without_permits sol in
+  let violations = Verify.structural layout broken in
+  Alcotest.(check bool) "dependency violation" true
+    (has_violation
+       (function Verify.Dependency _ -> true | _ -> false)
+       violations);
+  (* And it is a real packet-level bug, not just bookkeeping. *)
+  let semantic = Verify.semantic ~random_samples:30 (Prng.create 1) broken in
+  Alcotest.(check bool) "semantic violation too" true (semantic <> [])
+
+let test_capacity_detected () =
+  let layout, sol = solved_figure3 () in
+  let violations = Verify.structural layout (overfull sol) in
+  Alcotest.(check bool) "capacity violation" true
+    (has_violation (function Verify.Capacity _ -> true | _ -> false) violations)
+
+let test_rogue_drop_detected () =
+  let _, sol = solved_figure3 () in
+  let semantic =
+    Verify.semantic ~random_samples:40 (Prng.create 2) (with_rogue_drop sol)
   in
-  let broken = add_cell sol ~switch:1 rogue in
-  let semantic = Verify.semantic ~random_samples:40 (Prng.create 2) broken in
   Alcotest.(check bool) "rogue drop caught" true
     (has_violation (function Verify.Semantic _ -> true | _ -> false) semantic)
 
@@ -111,6 +116,84 @@ let test_clean_solution_passes () =
   Alcotest.(check int) "no violations" 0
     (List.length (Verify.check (Prng.create 3) layout sol))
 
+(* The layout-free structural check must return the violation list of
+   [structural] over the layout it stands for, in the same order. *)
+let plain_agrees (sol : Solution.t) =
+  Verify.structural_plain sol
+  = Verify.structural
+      (Layout.build ~sliced:sol.Solution.sliced sol.Solution.instance)
+      sol
+
+let test_plain_structural_on_mutants () =
+  let _, sol = solved_figure3 () in
+  List.iter
+    (fun (name, m) ->
+      Alcotest.(check bool) name true (plain_agrees m);
+      Alcotest.(check bool) (name ^ ", sliced") true
+        (plain_agrees { m with Solution.sliced = true }))
+    [
+      ("clean", sol);
+      ("without drops", without_drops sol);
+      ("without permits", without_permits sol);
+      ("overfull", overfull sol);
+      ("rogue drop", with_rogue_drop sol);
+    ]
+
+(* Random solved instances (random topologies, or fat-tree families
+   whose paths carry flow regions and whose policies share mergeable
+   rules), then random damage: cells dropped, and copies of others
+   spread over every switch, some re-tagged to the next ingress, so the
+   lists compared are rarely empty. *)
+let prop_plain_structural_agrees =
+  QCheck.Test.make ~name:"layout-free structural check equals structural"
+    ~count:40 QCheck.int (fun seed ->
+      let g = Prng.create seed in
+      let inst =
+        if Prng.bool g then Util.random_instance g
+        else
+          Workload.build
+            {
+              Workload.k = 4;
+              num_policies = Prng.int_in g 2 4;
+              rules = Prng.int_in g 3 8;
+              mergeable = Prng.int_in g 0 3;
+              paths = Prng.int_in g 6 14;
+              capacity = Prng.int_in g 10 30;
+              seed;
+              slice = true;
+              ingress_mode = Workload.Contiguous;
+            }
+      in
+      let options =
+        Solve.options ~merge:(Prng.bool g) ~slice:(Prng.bool g)
+          ~ilp_config:{ Ilp.Solver.default_config with time_limit = 5.0 }
+          ()
+      in
+      match (Solve.run ~options inst).Solve.solution with
+      | None -> QCheck.assume_fail ()
+      | Some sol ->
+        let cells = List.concat (Array.to_list sol.Solution.per_switch) in
+        let retag (c : Solution.cell) =
+          {
+            c with
+            Solution.tags =
+              List.map
+                (fun (i, p) -> ((if Prng.bool g then i else i + 1), p))
+                c.Solution.tags;
+          }
+        in
+        let damaged =
+          Array.map
+            (fun here ->
+              List.filter (fun _ -> Prng.int g 4 > 0) here
+              @ List.filter_map
+                  (fun c -> if Prng.int g 6 > 0 then None else Some (retag c))
+                  cells)
+            sol.Solution.per_switch
+        in
+        plain_agrees sol
+        && plain_agrees { sol with Solution.per_switch = damaged })
+
 let suite =
   [
     Alcotest.test_case "missing coverage detected" `Quick test_missing_coverage_detected;
@@ -118,4 +201,7 @@ let suite =
     Alcotest.test_case "capacity overflow detected" `Quick test_capacity_detected;
     Alcotest.test_case "rogue drop detected" `Quick test_rogue_drop_detected;
     Alcotest.test_case "clean solution passes" `Quick test_clean_solution_passes;
+    Alcotest.test_case "layout-free structural check on mutants" `Quick
+      test_plain_structural_on_mutants;
+    QCheck_alcotest.to_alcotest prop_plain_structural_agrees;
   ]
