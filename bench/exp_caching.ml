@@ -1,19 +1,17 @@
 (* Experiment CACHE1: traffic-driven rule caching and flow delegation.
 
    Runs the {!Traffic.Controller} epoch loop over a drifting-Zipf
-   workload in both modes — adaptive (decay, eviction, delegation,
-   drift-triggered incremental re-solves) and the static place-once
-   baseline — across a seed matrix, plus a threshold sweep tracing the
-   hit-rate vs re-solve-cost trade-off and a mid-epoch kill/resume run
-   per seed.
+   workload in both modes — adaptive (decay, eviction, delegation) and
+   the static place-once baseline — across a seed matrix, plus
+   kill/resume rounds per seed.
 
    Gates (all must hold, else the bench exits non-zero):
    - zero differential violations and zero cache-invariant violations
      across every run, both modes;
    - the adaptive hit-rate strictly above the static baseline (mean
      over the seed matrix);
-   - the crashed-and-resumed run's epoch report lines byte-identical
-     to the uncrashed run's.
+   - every kill/resume round crashed, and its resumed run's epoch
+     report lines are byte-identical to the uncrashed run's.
 
    Writes BENCH_caching.json for the CI caching lane to archive. *)
 
@@ -29,7 +27,7 @@ let family seed =
     capacity = 80;
   }
 
-let config ~smoke ~seed ~adaptive ~threshold =
+let config ~smoke ~seed ~adaptive =
   {
     C.default with
     C.family = family seed;
@@ -40,7 +38,6 @@ let config ~smoke ~seed ~adaptive ~threshold =
     (* low enough that the TCAM cannot hold every rule — the gate needs
        real eviction pressure to separate adaptive from static *)
     hw_frac = 0.3;
-    threshold;
     adaptive;
   }
 
@@ -66,64 +63,67 @@ let check_violations reps =
 
 let lines t = List.map C.line (C.reports t)
 
-(* One kill/resume round: run under a kill hook that crashes at the
-   [nth] journal kill point, resume from the surviving store, and
-   compare the full report-line sequence against the reference.
-   Returns [(crashed, identical)] — a run short enough never to reach
-   [nth] completes uncrashed and trivially matches. *)
-let crash_round cfg ~reference ~nth =
-  let store, mem = Journal.Store.memory () in
-  let hits = ref 0 in
-  let kill _ =
-    incr hits;
-    if !hits = nth then raise (Journal.Journaled.Killed "bench chaos")
+exception Killed
+
+(* One kill/resume round: the [nth] snapshot write raises [Killed],
+   before the write reaches the store or after it; the run resumes from
+   the store and its full report-line sequence is compared against the
+   reference.  Returns [(crashed, identical)]. *)
+let crash_round cfg ~reference ~nth ~after =
+  let store, _mem = Journal.Store.memory () in
+  let writes = ref 0 in
+  let snap_write blob =
+    incr writes;
+    if !writes = nth && not after then raise Killed;
+    store.Journal.Store.snap_write blob;
+    if !writes = nth && after then raise Killed
   in
-  let t = C.create ~store ~kill cfg in
-  let crashed =
-    try
-      ignore (C.run t);
-      false
-    with Journal.Journaled.Killed _ ->
-      Journal.Store.crash mem;
-      true
-  in
-  if not crashed then (false, lines t = reference)
-  else
+  match C.run (C.create ~store:{ store with snap_write } cfg) with
+  | _ -> (false, false)
+  | exception Killed -> (
     match C.resume ~store cfg with
     | Error _ -> (true, false)
     | Ok resumed ->
       ignore (C.run resumed);
-      (true, lines resumed = reference)
+      (true, lines resumed = reference))
+
+let round_ok (_, _, crashed, identical) = crashed && identical
 
 type point = {
   p_seed : int;
   p_adaptive : float;
   p_static : float;
   p_delegated : int;
-  p_resolves : int;
   p_violations : int;
-  p_crashes : (int * bool * bool) list;  (** nth, crashed, identical *)
+  p_crashes : (int * bool * bool * bool) list;
+      (** nth write, killed after it, crashed, identical *)
 }
 
 let run ~title ~seeds ~smoke ?(json_path = "BENCH_caching.json") () =
   Printf.printf "\n== %s ==\n" title;
-  let threshold = 0.05 in
   let points =
     List.map
       (fun seed ->
-        let acfg = config ~smoke ~seed ~adaptive:true ~threshold in
-        let scfg = config ~smoke ~seed ~adaptive:false ~threshold in
+        let acfg = config ~smoke ~seed ~adaptive:true in
+        let scfg = config ~smoke ~seed ~adaptive:false in
         let a = C.create acfg in
         let ra = C.run a in
         let s = C.create scfg in
         let rs = C.run s in
         let reference = lines a in
-        let kills = if smoke then [ 3; 9 ] else [ 2; 5; 9; 17 ] in
+        (* write 1 is the placement, write k + 1 closes epoch k: every
+           listed write happens in a run of this length *)
+        let kills =
+          if smoke then [ (3, false); (7, true) ]
+          else [ (2, false); (5, true); (9, false); (11, true) ]
+        in
         let crashes =
           List.map
-            (fun nth ->
-              let crashed, identical = crash_round acfg ~reference ~nth in
-              (nth, crashed, identical))
+            (fun (nth, after) ->
+              let crashed, identical =
+                crash_round acfg ~reference ~nth ~after
+              in
+              (nth, after, crashed, identical))
             kills
         in
         {
@@ -131,7 +131,6 @@ let run ~title ~seeds ~smoke ?(json_path = "BENCH_caching.json") () =
           p_adaptive = hit_rate ra;
           p_static = hit_rate rs;
           p_delegated = delegated ra;
-          p_resolves = C.resolves a;
           p_violations =
             C.violations a + C.violations s + check_violations ra
             + check_violations rs;
@@ -140,7 +139,7 @@ let run ~title ~seeds ~smoke ?(json_path = "BENCH_caching.json") () =
       seeds
   in
   Harness.print_table ~title:"adaptive cache vs static placement"
-    ~headers:[ "seed"; "adaptive"; "static"; "dhits"; "resolves"; "viol"; "crash" ]
+    ~headers:[ "seed"; "adaptive"; "static"; "dhits"; "viol"; "crash" ]
     (List.map
        (fun p ->
          [
@@ -148,46 +147,10 @@ let run ~title ~seeds ~smoke ?(json_path = "BENCH_caching.json") () =
            Printf.sprintf "%.4f" p.p_adaptive;
            Printf.sprintf "%.4f" p.p_static;
            string_of_int p.p_delegated;
-           string_of_int p.p_resolves;
            string_of_int p.p_violations;
-           (if List.for_all (fun (_, _, id) -> id) p.p_crashes then "ok"
-            else "DIVERGED");
+           (if List.for_all round_ok p.p_crashes then "ok" else "FAILED");
          ])
        points);
-  (* hit-rate vs re-solve-cost trade-off: sweep the drift threshold on
-     a seed whose traffic actually triggers re-solves (falling back to
-     the first) — lower thresholds re-solve more often, higher ones
-     converge on the place-once behavior. *)
-  let sweep_seed =
-    match List.find_opt (fun p -> p.p_resolves > 0) points with
-    | Some p -> p.p_seed
-    | None -> List.hd seeds
-  in
-  let thresholds =
-    if smoke then [ 0.05; 0.3 ] else [ 0.01; 0.02; 0.05; 0.1; 0.2; 0.4 ]
-  in
-  let curve =
-    List.map
-      (fun th ->
-        let t = C.create (config ~smoke ~seed:sweep_seed ~adaptive:true ~threshold:th) in
-        let reps = C.run t in
-        (th, hit_rate reps, C.resolves t, delegated reps))
-      thresholds
-  in
-  Harness.print_table
-    ~title:
-      (Printf.sprintf "threshold sweep: hit-rate vs re-solve cost (seed %d)"
-         sweep_seed)
-    ~headers:[ "threshold"; "hit-rate"; "resolves"; "dhits" ]
-    (List.map
-       (fun (th, hr, res, dh) ->
-         [
-           Printf.sprintf "%.2f" th;
-           Printf.sprintf "%.4f" hr;
-           string_of_int res;
-           string_of_int dh;
-         ])
-       curve);
   let mean sel =
     List.fold_left (fun acc p -> acc +. sel p) 0.0 points
     /. float_of_int (List.length points)
@@ -197,9 +160,7 @@ let run ~title ~seeds ~smoke ?(json_path = "BENCH_caching.json") () =
     mean (fun p -> p.p_adaptive) > mean (fun p -> p.p_static)
   in
   let crash_identical =
-    List.for_all
-      (fun p -> List.for_all (fun (_, _, id) -> id) p.p_crashes)
-      points
+    List.for_all (fun p -> List.for_all round_ok p.p_crashes) points
   in
   let ok = zero_violations && adaptive_above_static && crash_identical in
   Printf.printf
@@ -212,7 +173,6 @@ let run ~title ~seeds ~smoke ?(json_path = "BENCH_caching.json") () =
          [
            ("experiment", Str "caching");
            ("mode", Str (if smoke then "smoke" else "full"));
-           ("threshold", Float threshold);
            ("seeds", List (List.map (fun s -> Int s) seeds));
            ( "points",
              List
@@ -224,33 +184,21 @@ let run ~title ~seeds ~smoke ?(json_path = "BENCH_caching.json") () =
                         ("adaptive_hit_rate", Float p.p_adaptive);
                         ("static_hit_rate", Float p.p_static);
                         ("delegated_hits", Int p.p_delegated);
-                        ("resolves", Int p.p_resolves);
                         ("violations", Int p.p_violations);
                         ( "crashes",
                           List
                             (List.map
-                               (fun (nth, crashed, identical) ->
+                               (fun (nth, after, crashed, identical) ->
                                  Obj
                                    [
-                                     ("kill_point", Int nth);
+                                     ("kill_write", Int nth);
+                                     ("after_write", Bool after);
                                      ("crashed", Bool crashed);
                                      ("identical", Bool identical);
                                    ])
                                p.p_crashes) );
                       ])
                   points) );
-           ( "curve",
-             List
-               (List.map
-                  (fun (th, hr, res, dh) ->
-                    Obj
-                      [
-                        ("threshold", Float th);
-                        ("hit_rate", Float hr);
-                        ("resolves", Int res);
-                        ("delegated_hits", Int dh);
-                      ])
-                  curve) );
            ( "gates",
              Obj
                [

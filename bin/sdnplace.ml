@@ -659,8 +659,7 @@ let events_cmd =
 (* ---------------- caching ---------------- *)
 
 let caching_run metrics trace policies rules paths capacity seed epochs packets
-    alpha drift probes hw_frac decay threshold resolve_top static_mode journal
-    resume =
+    alpha drift probes hw_frac decay static_mode journal resume =
   with_telemetry metrics trace @@ fun () ->
   protect @@ fun () ->
   let family =
@@ -675,7 +674,6 @@ let caching_run metrics trace policies rules paths capacity seed epochs packets
   in
   let cfg =
     {
-      Traffic.Controller.default with
       Traffic.Controller.family;
       epochs;
       packets;
@@ -684,8 +682,6 @@ let caching_run metrics trace policies rules paths capacity seed epochs packets
       probes;
       hw_frac;
       decay;
-      threshold;
-      resolve_top;
       adaptive = not static_mode;
     }
   in
@@ -701,12 +697,10 @@ let caching_run metrics trace policies rules paths capacity seed epochs packets
         (0, 0, 0) reps
     in
     let total = hits + misses in
-    Printf.printf
-      "epochs=%d hit-rate=%.4f delegated-hits=%d re-solves=%d violations=%d\n"
+    Printf.printf "epochs=%d hit-rate=%.4f delegated-hits=%d violations=%d\n"
       (List.length reps)
       (if total = 0 then 1.0 else float_of_int hits /. float_of_int total)
       dhits
-      (Traffic.Controller.resolves t)
       (Traffic.Controller.violations t);
     if Traffic.Controller.violations t = 0 then 0 else exit_violations
   in
@@ -796,27 +790,13 @@ let caching_cmd =
       & info [ "decay" ] ~docv:"F"
           ~doc:"Per-epoch popularity retention factor in [0,1].")
   in
-  let threshold =
-    Arg.(
-      value & opt float 0.05
-      & info [ "threshold" ] ~docv:"T"
-          ~doc:
-            "Drift fraction above which (together with a degrading miss \
-             rate) an incremental re-solve is issued.")
-  in
-  let resolve_top =
-    Arg.(
-      value & opt int 2
-      & info [ "resolve-top" ] ~docv:"N"
-          ~doc:"Ingresses re-solved per triggered epoch, worst miss mass first.")
-  in
   let static_mode =
     Arg.(
       value & flag
       & info [ "static" ]
           ~doc:
-            "Place once and never adapt (no decay, eviction, delegation \
-             rebalancing or re-solves) — the baseline the adaptive \
+            "Place the cache once and never adapt (no decay, eviction or \
+             delegation rebalancing) — the baseline the adaptive \
              controller is measured against.")
   in
   let journal =
@@ -825,33 +805,32 @@ let caching_cmd =
       & opt (some string) None
       & info [ "journal" ] ~docv:"DIR"
           ~doc:
-            "Directory for the crash-safe write-ahead journal: every \
-             re-solve event is logged and every epoch boundary snapshotted, \
-             so an interrupted run can be continued with $(b,--resume).")
+            "Directory for the crash-safe snapshot: every epoch boundary \
+             is snapshotted, so an interrupted run can be continued with \
+             $(b,--resume).")
   in
   let resume =
     Arg.(
       value & flag
       & info [ "resume" ]
           ~doc:
-            "Resume a previous $(b,--journal) run from its latest snapshot \
-             and log; the completed run's epoch reports are byte-identical \
-             to an uninterrupted run with the same flags.")
+            "Resume a previous $(b,--journal) run from its latest snapshot; \
+             the completed run's epoch reports are byte-identical to an \
+             uninterrupted run with the same flags.")
   in
   Cmd.v
     (Cmd.info "caching" ~exits
        ~doc:
          "Run the traffic-driven rule-caching controller: a drifting-Zipf \
-          packet stream walks a synthesized placement whose switches hold \
+          packet stream walks a placement solved once, whose switches hold \
           only a hardware-sized cache of their full tables, with cold rules \
-          evicted, overflow drops delegated to on-path neighbors, and \
-          drift-triggered deadline-bounded incremental re-solves.  Prints \
-          one report line per epoch and a final summary; exits 1 if any \
-          differential or invariant violation was observed.")
+          evicted and overflow drops delegated to on-path neighbors.  \
+          Prints one report line per epoch and a final summary; exits 1 if \
+          any differential or invariant violation was observed.")
     Term.(
       const caching_run $ metrics_arg $ trace_arg $ policies $ rules $ paths
       $ capacity $ seed $ epochs $ packets $ alpha $ drift $ probes $ hw_frac
-      $ decay $ threshold $ resolve_top $ static_mode $ journal $ resume)
+      $ decay $ static_mode $ journal $ resume)
 
 (* ---------------- serve ---------------- *)
 

@@ -284,17 +284,6 @@ let read_snapshot store =
       | s -> Error (Printf.sprintf "unsupported snapshot version %d" s.snap_version)
       | exception _ -> Error "corrupt snapshot"))
 
-let peek_client ~store () =
-  match read_snapshot store with
-  | Error e -> Error e
-  | Ok snap ->
-    let records, _ = Wal.scan (store.Store.wal_read ()) in
-    let groups = group_records ~snap_seq:snap.snap_seq records in
-    Ok
-      (List.fold_left
-         (fun acc g -> match g.g_client with Some _ -> g.g_client | None -> acc)
-         snap.snap_client groups)
-
 let recover ?config ?(journal = default_config) ?now ?(kill = fun _ -> ())
     ?(resnap = true) ~store () =
   match read_snapshot store with

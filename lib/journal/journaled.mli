@@ -118,9 +118,9 @@ val client : t -> string option
 
 val set_client : t -> string -> unit
 (** Replace the client blob the {e next} snapshot will persist, without
-    writing anything.  For callers whose client state evolves {e after}
-    an event's report is in hand (the serving layer's circuit breaker
-    steps on the report's outcome): the blob passed to {!handle} rides
+    writing anything.  For a caller whose client state evolves {e after}
+    an event's report is in hand (the serving layer, whose circuit
+    breaker steps on the report's outcome): the blob passed to {!handle} rides
     the [Ev_begin] record for replay, and the post-report blob installed
     here is what a snapshot should freeze.  Recovery then patches the
     at-most-one missing step from the last replayed report. *)
@@ -165,16 +165,6 @@ type recovery = {
           logged [Ev_commit] records, or table mismatches vs logged
           undo/redo payloads.  Empty on a healthy recovery. *)
 }
-
-val peek_client :
-  store:Store.t -> unit -> (string option, string) result
-(** The most recent durable client blob in [store] — the snapshot's, or
-    the last [Ev_begin]'s in the surviving log — without constructing an
-    engine or replaying anything.  For callers whose recovery {e config}
-    itself depends on client state (the traffic controller's re-solve
-    weights live in its blob and parameterise the solve objective):
-    peek, install, then {!recover} once under the right config.
-    [Error] only when no usable snapshot exists. *)
 
 val recover :
   ?config:Runtime.Engine.config ->

@@ -150,9 +150,13 @@ let structural_plain (sol : Solution.t) =
     ~is_dummy:(fun ~ingress:_ ~priority:_ -> false)
     ~sliced:sol.Solution.sliced sol
 
-let semantic ?(random_samples = 20) g (sol : Solution.t) =
+let semantic ?(random_samples = 20) ?netsim g (sol : Solution.t) =
   let inst = sol.Solution.instance in
-  let { Tables.netsim; _ } = Tables.to_netsim sol in
+  let netsim =
+    match netsim with
+    | Some netsim -> netsim
+    | None -> (Tables.to_netsim sol).Tables.netsim
+  in
   let view = Netsim.tag_view netsim in
   let violations = ref [] in
   let probe (p : Routing.Path.t) q packet =

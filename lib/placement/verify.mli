@@ -40,9 +40,16 @@ val structural_plain : Solution.t -> violation list
     rule is a dummy and no placement is forbidden.  Runtime placements
     are checked this way. *)
 
-val semantic : ?random_samples:int -> Prng.t -> Solution.t -> violation list
+val semantic :
+  ?random_samples:int ->
+  ?netsim:Netsim.t ->
+  Prng.t ->
+  Solution.t ->
+  violation list
 (** [random_samples] extra uniform packets per path (default 20) on top
-    of the per-rule and per-overlap probes. *)
+    of the per-rule and per-overlap probes.  [netsim] is the solution's
+    {!Tables.to_netsim} build when the caller already has it; it is
+    built here otherwise. *)
 
 val check : ?random_samples:int -> Prng.t -> Layout.t -> Solution.t -> violation list
 (** Structural then semantic. *)

@@ -124,17 +124,6 @@ let create ?(config = default_config) ?(fault = Fault_plan.faultless ())
     verify_prng = Prng.create config.verify_seed;
   }
 
-let reweight t weights =
-  match t.config.solve_options.Solve.objective with
-  | Encode.Switch_weighted w ->
-      if Array.length w <> Array.length weights then
-        invalid_arg "Engine.reweight: weight vector length mismatch";
-      if not (Array.for_all Encode.valid_weight weights) then
-        invalid_arg "Engine.reweight: weights must be finite and >= 0";
-      Array.blit weights 0 w 0 (Array.length w)
-  | Encode.Total_rules | Encode.Upstream_drops ->
-      invalid_arg "Engine.reweight: objective is not Switch_weighted"
-
 (* ------------------------------------------------------------------ *)
 (* Durable state: everything a crash-safe journal must persist to
    rebuild an engine that behaves byte-for-byte like the original.
@@ -628,7 +617,8 @@ let quarantine_now t goal =
   fresh
 
 (* Target tables for a committed transition: the solution's tables plus
-   a fence per quarantined ingress.  Dead switches are unreachable
+   a fence per quarantined ingress, returned with the solution's netsim
+   build so verification need not build it again.  Dead switches are unreachable
    through the install API, so their target is pinned to the live table
    (no live path traverses them); a fence that must land on a dead
    switch goes through the controller's forced-resync path instead. *)
@@ -648,14 +638,15 @@ let target_tables t sol quarantine =
         quarantine;
       target.(k) <- (Switch_api.tables t.api).(k))
     t.dead_switches;
-  target
+  (netsim, target)
 
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
 
 (* Every check runs, so each one that fails is counted under its own
-   label; an exception anywhere fails the event as "exception". *)
-let verify t =
+   label; an exception anywhere fails the event as "exception".
+   [netsim], when given, is the good solution's table build. *)
+let verify ?netsim t =
   Telemetry.Trace.with_span "runtime.verify" @@ fun () ->
   let holds failed ok =
     if not ok then Telemetry.Metrics.incr failed;
@@ -671,7 +662,8 @@ let verify t =
     in
     let semantic_ok =
       holds m_verify_semantic
-        (Verify.semantic ~random_samples:t.config.verify_samples g sol = [])
+        (Verify.semantic ~random_samples:t.config.verify_samples ?netsim g sol
+        = [])
     in
     (* The live data plane: walk witness packets of every policy along
        every path of its ingress and compare with the big-switch verdict,
@@ -842,7 +834,7 @@ let handle ?tx ?resume ?rungs t event =
         if goal.sub_policies = [] && goal.unroutable <> [] then Report.Quarantine
         else rung
       in
-      let target = target_tables t sol q' in
+      let netsim, target = target_tables t sol q' in
       (match tx with
       | Some o ->
         o.on_intent ~undo:(Switch_api.snapshot t.api) ~redo:target
@@ -870,7 +862,7 @@ let handle ?tx ?resume ?rungs t event =
         | Transaction.Committed ->
           commit_good ();
           finish ~rung ~status ~applied:Report.Committed_fallback
-            ~newq:(newq_committed ()) ~verified:(verify t) ~waves:0
+            ~newq:(newq_committed ()) ~verified:(verify ~netsim t) ~waves:0
         | Transaction.Rolled_back { switch; op } ->
           (* Tables are byte-identical to the pre-event state; fail closed
              on everything the event touched. *)
@@ -916,7 +908,7 @@ let handle ?tx ?resume ?rungs t event =
         | Update.Committed ->
           commit_good ();
           finish ~rung ~status ~applied:Report.Committed
-            ~newq:(newq_committed ()) ~verified:(verify t)
+            ~newq:(newq_committed ()) ~verified:(verify ~netsim t)
             ~waves:result.Update.waves_committed
         | Update.Aborted _ -> fallback ()))
 

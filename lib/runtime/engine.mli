@@ -132,18 +132,6 @@ type tx_observer = {
     records and to place mid-apply kill points.  Exceptions raised by
     the hooks propagate out of {!handle} (a simulated crash). *)
 
-val reweight : t -> float array -> unit
-(** Replace the values of the engine's {!Placement.Encode.Switch_weighted}
-    objective vector in place — the online re-weighting hook the traffic
-    layer pulls between events when observed popularity drifts.  Affects
-    every subsequent solve (incremental and full rungs alike).  Raises
-    [Invalid_argument] when the configured objective is not
-    [Switch_weighted], the length differs or a weight is negative or
-    not finite (the weights are left unchanged).  Callers that journal the
-    engine must persist the weights themselves (e.g. in the client blob)
-    and re-apply them before recovery replays events, or replayed solves
-    run under different costs than the original. *)
-
 val handle :
   ?tx:tx_observer ->
   ?resume:Update.frontier ->

@@ -21,10 +21,7 @@ let m_delegations =
 
 (* Popularity is keyed by rule identity — the (tag, priority, action)
    triple — not by the copy's switch: flow popularity is a property of
-   the rule, so a re-solve that migrates a hot rule between switches
-   must carry its history along (resetting it would make the rebalance
-   evict exactly the rules the re-solve just moved toward the hot
-   spot). *)
+   the rule, so every copy of a rule shares one score. *)
 type key = { k_tag : int; k_prio : int; k_drop : bool }
 
 type origin = Home of int | Deleg of int * int  (* (home switch, home idx) *)
@@ -46,19 +43,18 @@ type t = {
   hw : int array;
   decay_f : float;
   scores : (key, float) Hashtbl.t;
-  mutable paths : Routing.Path.t array;
-  mutable full : Netsim.entry array array;  (* indexed view of the tables *)
-  mutable full_tables : Netsim.entry list array;
-  mutable guards : int list array array;  (* per (switch, idx): guard idxs *)
-  mutable entry_units : int list array array;  (* per (switch, idx): unit ids *)
-  mutable units : unit_ array;
+  paths : Routing.Path.t array;
+  full : Netsim.entry array array;  (* indexed view of the tables *)
+  full_tables : Netsim.entry list array;
+  guards : int list array array;  (* per (switch, idx): guard idxs *)
+  entry_units : int list array array;  (* per (switch, idx): unit ids *)
+  units : unit_ array;
   mutable resident : bool array array;  (* meaningful on DROP indices *)
   mutable pinned : bool array array;
   mutable delegated : deleg list;  (* insertion order (oldest first) *)
   mutable cached : Netsim.entry list array;
   mutable origin : origin array array;  (* aligned with [cached] *)
   mutable overflow : int array;  (* per-switch slots past hw, force-pins *)
-  miss_tag : (int, float) Hashtbl.t;  (* per-ingress decayed miss mass *)
   mutable last_pins : int;
   mutable c_hits : int;
   mutable c_misses : int;
@@ -91,16 +87,18 @@ let bump t s idx w =
 let share_tag (a : Netsim.entry) (b : Netsim.entry) =
   List.exists (fun x -> List.mem x b.Netsim.tags) a.Netsim.tags
 
-(* Rebuild the derived metadata (indexed tables, guard sets, coverage
-   units) from a set of full tables; clears residency and delegations. *)
-let derive t paths (tables : Netsim.entry list array) =
+(* The derived metadata (indexed tables, guard sets, coverage units) is
+   built once: the full tables never change under a cache. *)
+let create ?(decay = default_decay) ~net ~paths ~hw
+    (tables : Netsim.entry list array) =
+  if Array.length hw <> Array.length tables then
+    invalid_arg "Cache.create: one hw capacity per switch required";
   let n = Array.length tables in
-  t.paths <- Array.of_list paths;
-  t.full_tables <- Array.copy tables;
-  t.full <- Array.map Array.of_list tables;
-  t.guards <-
+  let paths = Array.of_list paths in
+  let full = Array.map Array.of_list tables in
+  let guards =
     Array.init n (fun s ->
-        let es = t.full.(s) in
+        let es = full.(s) in
         Array.init (Array.length es) (fun i ->
             let e = es.(i) in
             if not (Acl.Rule.is_drop e.Netsim.rule) then []
@@ -112,7 +110,8 @@ let derive t paths (tables : Netsim.entry list array) =
                   && prio_of g > prio_of e
                   && share_tag g e
                   && Acl.Rule.overlaps g.Netsim.rule e.Netsim.rule)
-                (List.init (Array.length es) (fun j -> j))));
+                (List.init (Array.length es) (fun j -> j))))
+  in
   let table = Hashtbl.create 64 in
   let order = ref [] in
   Array.iteri
@@ -145,10 +144,10 @@ let derive t paths (tables : Netsim.entry list array) =
                         in
                         Hashtbl.replace table k u;
                         order := u :: !order)
-                  t.paths)
+                  paths)
               e.Netsim.tags)
         es)
-    t.full;
+    full;
   let units =
     List.sort
       (fun a b ->
@@ -156,56 +155,39 @@ let derive t paths (tables : Netsim.entry list array) =
         else if a.u_prio <> b.u_prio then compare b.u_prio a.u_prio
         else compare a.u_path b.u_path)
       (List.rev !order)
+    |> Array.of_list
   in
-  t.units <- Array.of_list units;
-  t.entry_units <- Array.init n (fun s -> Array.make (Array.length t.full.(s)) []);
+  let entry_units =
+    Array.init n (fun s -> Array.make (Array.length full.(s)) [])
+  in
   Array.iteri
     (fun ui u ->
       List.iter
-        (fun (s, idx) -> t.entry_units.(s).(idx) <- ui :: t.entry_units.(s).(idx))
+        (fun (s, idx) -> entry_units.(s).(idx) <- ui :: entry_units.(s).(idx))
         u.hosts)
-    t.units;
-  t.resident <- Array.init n (fun s -> Array.make (Array.length t.full.(s)) false);
-  t.pinned <- Array.init n (fun s -> Array.make (Array.length t.full.(s)) false);
-  t.delegated <- [];
-  t.cached <- Array.make n [];
-  t.origin <- Array.init n (fun _ -> [||]);
-  t.overflow <- Array.make n 0
-
-let create ?(decay = default_decay) ~net ~paths ~hw tables =
-  if Array.length hw <> Array.length tables then
-    invalid_arg "Cache.create: one hw capacity per switch required";
-  let t =
-    {
-      net;
-      hw = Array.copy hw;
-      decay_f = decay;
-      scores = Hashtbl.create 256;
-      paths = [||];
-      full = [||];
-      full_tables = [||];
-      guards = [||];
-      entry_units = [||];
-      units = [||];
-      resident = [||];
-      pinned = [||];
-      delegated = [];
-      cached = [||];
-      origin = [||];
-      overflow = [||];
-      miss_tag = Hashtbl.create 16;
-      last_pins = 0;
-      c_hits = 0;
-      c_misses = 0;
-      c_dhits = 0;
-    }
-  in
-  derive t paths tables;
-  t
-
-let refresh t ?paths tables =
-  let paths = match paths with Some p -> p | None -> Array.to_list t.paths in
-  derive t paths tables
+    units;
+  {
+    net;
+    hw = Array.copy hw;
+    decay_f = decay;
+    scores = Hashtbl.create 256;
+    paths;
+    full;
+    full_tables = Array.copy tables;
+    guards;
+    entry_units;
+    units;
+    resident = Array.init n (fun s -> Array.make (Array.length full.(s)) false);
+    pinned = Array.init n (fun s -> Array.make (Array.length full.(s)) false);
+    delegated = [];
+    cached = Array.make n [];
+    origin = Array.init n (fun _ -> [||]);
+    overflow = Array.make n 0;
+    last_pins = 0;
+    c_hits = 0;
+    c_misses = 0;
+    c_dhits = 0;
+  }
 
 let full_tables t = Array.copy t.full_tables
 
@@ -263,7 +245,7 @@ type rebalance_stats = {
   overflow : int;
 }
 
-let rebalance ?(pinned_tags = []) t =
+let rebalance t =
   let n = Array.length t.full in
   let prev_res = Array.map Array.copy t.resident in
   let prev_deleg = t.delegated in
@@ -300,9 +282,7 @@ let rebalance ?(pinned_tags = []) t =
         (fun acc g -> if guard_ref.(s).(g) = 0 then acc + 1 else acc)
         0 t.guards.(s).(idx)
   in
-  (* Phase A: per-switch greedy by decayed popularity.  Fenced tags
-     (quarantined ingresses) are mandatory regardless of space — the
-     fail-closed fence outranks the cache. *)
+  (* Phase A: per-switch greedy by decayed popularity. *)
   for s = 0 to n - 1 do
     let drops = ref [] in
     Array.iteri
@@ -310,13 +290,6 @@ let rebalance ?(pinned_tags = []) t =
         if Acl.Rule.is_drop e.Netsim.rule then drops := idx :: !drops)
       t.full.(s);
     let drops = List.rev !drops in
-    List.iter
-      (fun idx ->
-        if List.mem (tag_of t.full.(s).(idx)) pinned_tags then begin
-          add_resident s idx;
-          t.pinned.(s).(idx) <- true
-        end)
-      drops;
     (* Greedy by popularity per hardware slot: a drop's marginal cost
        counts the guards it would newly pull in, so two hot drops
        sharing a guard beat one hot drop that needs its own — and the
@@ -483,10 +456,6 @@ let account t ~path ~weight packet =
     end
     else begin
       t.c_misses <- t.c_misses + weight;
-      let cur =
-        match Hashtbl.find_opt t.miss_tag tag with Some x -> x | None -> 0.0
-      in
-      Hashtbl.replace t.miss_tag tag (cur +. float_of_int weight);
       Telemetry.Metrics.add m_misses weight
     end;
   if
@@ -503,13 +472,7 @@ let account t ~path ~weight packet =
   { w_full; w_cached; w_hit }
 
 let decay t =
-  Hashtbl.filter_map_inplace (fun _ v -> Some (v *. t.decay_f)) t.scores;
-  Hashtbl.filter_map_inplace (fun _ v -> Some (v *. t.decay_f)) t.miss_tag
-
-let miss_masses t =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.miss_tag [])
-
-let clear_miss t tag = Hashtbl.remove t.miss_tag tag
+  Hashtbl.filter_map_inplace (fun _ v -> Some (v *. t.decay_f)) t.scores
 
 let hits t = t.c_hits
 
@@ -525,23 +488,6 @@ let reset_counters t =
   t.c_hits <- 0;
   t.c_misses <- 0;
   t.c_dhits <- 0
-
-let occupancy t =
-  Array.map
-    (fun es -> float_of_int (Array.length es))
-    t.full
-  |> Array.mapi (fun s n -> n /. float_of_int (max 1 t.hw.(s)))
-
-let score_pressure t =
-  Array.mapi
-    (fun s es ->
-      let mass = ref 0.0 in
-      Array.iteri
-        (fun idx (e : Netsim.entry) ->
-          if Acl.Rule.is_drop e.Netsim.rule then mass := !mass +. score t s idx)
-        es;
-      !mass /. float_of_int (max 1 t.hw.(s)))
-    t.full
 
 (* {2 Self-check} *)
 
@@ -619,7 +565,6 @@ type persisted = {
   p_pinned : bool array array;
   p_delegated : deleg list;
   p_overflow : int array;
-  p_miss : (int * float) list;
   p_last_pins : int;
   p_hits : int;
   p_misses : int;
@@ -639,7 +584,6 @@ let capture t =
       p_pinned = t.pinned;
       p_delegated = t.delegated;
       p_overflow = t.overflow;
-      p_miss = miss_masses t;
       p_last_pins = t.last_pins;
       p_hits = t.c_hits;
       p_misses = t.c_misses;
@@ -655,7 +599,6 @@ let restore ~net ~paths tables blob =
   t.pinned <- p.p_pinned;
   t.delegated <- p.p_delegated;
   t.overflow <- p.p_overflow;
-  List.iter (fun (k, v) -> Hashtbl.replace t.miss_tag k v) p.p_miss;
   t.last_pins <- p.p_last_pins;
   t.c_hits <- p.p_hits;
   t.c_misses <- p.p_misses;

@@ -1,6 +1,6 @@
 (** Popularity-driven TCAM caching with neighbor delegation.
 
-    The runtime engine's live tables are the {e full} placement — the
+    The solved placement's tables are the {e full} placement — the
     solver-verified ground truth.  Real switches hold a smaller
     hardware TCAM, so this layer maintains, per switch, a {e resident}
     subset under a hardware capacity, plus {e delegated} copies of
@@ -29,7 +29,7 @@
     recomputes the hottest feasible resident set.  All decisions are
     deterministic functions of the accounted traffic, so equal seeds
     give equal cache states, and the whole struct is plain data — it
-    rides a journal client blob for crash-resume. *)
+    rides the controller's snapshot for crash-resume. *)
 
 type config = {
   hw_capacity : int array;  (** per-switch hardware TCAM slots *)
@@ -52,14 +52,6 @@ val create :
     flow universe (the instance routing).  Raises [Invalid_argument]
     when [hw] length differs from the switch count. *)
 
-val refresh : t -> ?paths:Routing.Path.t list -> Netsim.entry list array -> unit
-(** Adopt new full tables (after a re-solve or churn event): entry
-    metadata and coverage units are rebuilt, popularity scores carry
-    over by rule identity — (tag, priority, action) — so a migrated
-    rule keeps its history, residency is cleared until the next
-    {!rebalance}.  Delegations are folded back — the re-solved
-    placement supersedes them. *)
-
 val cached_tables : t -> Netsim.entry list array
 (** The hardware view: per-switch resident + delegated entries in
     match order (priority-descending per tag). *)
@@ -81,18 +73,8 @@ val account : t -> path:Routing.Path.t -> weight:int -> Ternary.Packet.t -> walk
     the caller must surface. *)
 
 val decay : t -> unit
-(** Age every popularity score and per-ingress miss mass by the
-    configured retention factor (call once per epoch, before
-    accounting). *)
-
-val miss_masses : t -> (int * float) list
-(** Decayed miss weight per ingress tag, ascending by tag — which
-    ingresses' traffic the cached tables are currently failing to serve
-    at home.  The re-solve policy's targeting signal. *)
-
-val clear_miss : t -> int -> unit
-(** Forget one ingress's miss mass (call when it has been re-solved:
-    the new placement gets a clean slate). *)
+(** Age every popularity score by the configured retention factor
+    (call once per epoch, before accounting). *)
 
 type rebalance_stats = {
   resident : int;  (** resident entries after the pass (all switches) *)
@@ -103,13 +85,12 @@ type rebalance_stats = {
   overflow : int;  (** slots in excess of hw capacity, summed *)
 }
 
-val rebalance : ?pinned_tags:int list -> t -> rebalance_stats
+val rebalance : t -> rebalance_stats
 (** Recompute residency from current scores: per switch, keep the
     hottest DROPs (with their guards) under hardware capacity; repair
     every uncovered (DROP, path) unit by delegation to the
     most-underutilized on-path neighbor, force-pinning when no
-    neighbor has room.  [pinned_tags] (e.g. quarantined ingresses)
-    are always resident.  Deterministic given scores. *)
+    neighbor has room.  Deterministic given scores. *)
 
 type check_report = {
   guard_violations : int;
@@ -132,18 +113,9 @@ val hit_rate : t -> float
 
 val reset_counters : t -> unit
 
-val occupancy : t -> float array
-(** Per-switch full-table size divided by hardware capacity — how
-    oversubscribed each TCAM already is, popularity aside. *)
-
-val score_pressure : t -> float array
-(** Per-switch decayed popularity mass homed at each switch divided by
-    its hardware capacity — the cache-pressure signal the re-solve
-    policy turns into {!Placement.Encode.Switch_weighted} costs. *)
-
 val capture : t -> string
 (** Marshal the cache state (scores, residency, delegations, tallies)
-    for a journal client blob. *)
+    for the controller's snapshot. *)
 
 val restore :
   net:Topo.Net.t ->

@@ -2,10 +2,6 @@ let m_epochs =
   Telemetry.Metrics.counter ~help:"traffic epochs processed"
     "sdnplace_traffic_epochs_total"
 
-let m_resolves =
-  Telemetry.Metrics.counter ~help:"drift-triggered re-solve events issued"
-    "sdnplace_traffic_resolves_total"
-
 type config = {
   family : Workload.family;
   epochs : int;
@@ -15,10 +11,7 @@ type config = {
   probes : int;
   hw_frac : float;
   decay : float;
-  threshold : float;
-  resolve_top : int;
   adaptive : bool;
-  deadline_s : float;
 }
 
 let default =
@@ -31,18 +24,12 @@ let default =
     probes = 4;
     hw_frac = 0.5;
     decay = Cache.default_decay;
-    threshold = 0.08;
-    resolve_top = 2;
     adaptive = true;
-    deadline_s = 30.0;
   }
 
 let hw_of_frac ?(floor = 1) tables frac =
   (* Uniform TCAM hardware: every switch gets [frac] of the mean table
-     size.  Sizing per-switch from its own table would make hardware
-     headroom proportional to current load — then migrating rules off a
-     saturated switch could never gain residency, and the re-weighted
-     re-solves would be pointless by construction. *)
+     size, so a switch's headroom does not simply mirror its own load. *)
   let n = Array.length tables in
   let total = Array.fold_left (fun acc tbl -> acc + List.length tbl) 0 tables in
   let per =
@@ -54,9 +41,6 @@ let hw_of_frac ?(floor = 1) tables frac =
 
 type epoch_report = {
   e_index : int;
-  e_drift : int;
-  e_resolved : int list;
-  e_rungs : string list;
   e_hits : int;
   e_misses : int;
   e_dhits : int;
@@ -66,98 +50,56 @@ type epoch_report = {
 }
 
 let line r =
-  let ints l = if l = [] then "-" else String.concat "," (List.map string_of_int l) in
-  let strs l = if l = [] then "-" else String.concat "," l in
   let total = r.e_hits + r.e_misses in
   let rate = if total = 0 then 1.0 else float_of_int r.e_hits /. float_of_int total in
   Printf.sprintf
-    "epoch=%d drift=%d resolve=%s rungs=%s hits=%d misses=%d dhits=%d rate=%.4f \
-     res=%d deleg=%d evict=%d newdeleg=%d pin=%d over=%d viol=%d chk=%d/%d/%d"
-    r.e_index r.e_drift (ints r.e_resolved) (strs r.e_rungs) r.e_hits r.e_misses
-    r.e_dhits rate r.e_stats.Cache.resident r.e_stats.Cache.delegated
-    r.e_stats.Cache.evictions r.e_stats.Cache.delegations_new
-    r.e_stats.Cache.pinned r.e_stats.Cache.overflow r.e_violations
+    "epoch=%d hits=%d misses=%d dhits=%d rate=%.4f res=%d deleg=%d evict=%d \
+     newdeleg=%d pin=%d over=%d viol=%d chk=%d/%d/%d"
+    r.e_index r.e_hits r.e_misses r.e_dhits rate r.e_stats.Cache.resident
+    r.e_stats.Cache.delegated r.e_stats.Cache.evictions
+    r.e_stats.Cache.delegations_new r.e_stats.Cache.pinned
+    r.e_stats.Cache.overflow r.e_violations
     r.e_check.Cache.guard_violations r.e_check.Cache.coverage_violations
     r.e_check.Cache.capacity_violations
 
-(* ------------------------------------------------------------------ *)
-(* Journal client blob: the complete controller state as of one durable
-   point — an epoch boundary ([b_sub = 0]) or the completion of the
-   [b_sub]'th re-solve event of epoch [b_epoch].  Everything [resume]
-   needs to re-enter the loop rides here; the cache blob is captured
-   against [b_full] (the full tables at that instant), which the blob
-   carries so a restore after replayed re-solves still indexes the
-   tables the residency bitmaps were built over. *)
-
-type blob = {
-  b_epoch : int;
-  b_sub : int;
-  b_plan : int list;
-  b_drift : int;
-  b_cache : string;
-  b_full : Netsim.entry list array;
-  b_weights : float array;
-  b_last_resolve : int array;
-  b_best_miss : float;
-  b_resolves : int;
-  b_violations : int;
-  b_hits0 : int;
-  b_misses0 : int;
-  b_dhits0 : int;
-  b_viol0 : int;
-  b_reports : epoch_report list;  (* newest first *)
-  b_stats : Cache.rebalance_stats;
+(* The snapshot: the complete controller state at an epoch boundary.
+   The full tables ride along so [resume] rebuilds the cache without
+   solving again.  The payload is [snapshot_magic] followed by the
+   marshaled record, in one [Wal.frame], so a torn blob or one of
+   another version is refused before [Marshal] reads it. *)
+type snapshot = {
+  s_epoch : int;
+  s_full : Netsim.entry list array;
+  s_cache : string;
+  s_violations : int;
+  s_reports : epoch_report list;  (* newest first *)
+  s_stats : Cache.rebalance_stats;
 }
 
-(* A crash-resumed half-epoch: the walk and re-solve events
-   [0 .. p_sub - 1] are already durable (the events were replayed by
-   recovery, their rungs recorded here); the first [step] finishes the
-   epoch from the blob's captured state instead of re-walking. *)
-type pending = {
-  p_sub : int;
-  p_rungs : string list;  (* events 0..p_sub-1, in order *)
-  p_plan : int list;
-  p_drift : int;
-  p_cache : string;
-  p_full : Netsim.entry list array;
-  p_baselines : int * int * int * int;
-}
+let snapshot_magic = "sdnplace-caching/1\n"
 
 type t = {
   cfg : config;
-  zcfg : Zipf.config;
-  j : Journal.Journaled.t;
+  store : Journal.Store.t option;
   cache : Cache.t;
   paths : Routing.Path.t array;
-  weights : float array;  (* controller copy; pushed via Engine.reweight *)
-  mutable zs : Zipf.t;
+  targets : Ternary.Field.t array array;  (* per path: probe fields *)
+  zs : Zipf.t;
   mutable epoch : int;  (* next epoch to run *)
-  mutable last_resolve : int array;  (* counts at last re-solve; [||] = none *)
-  mutable best_miss : float;  (* lowest epoch miss rate since last re-solve *)
-  mutable resolves : int;
   mutable violations : int;
   mutable reports : epoch_report list;  (* newest first *)
   mutable last_stats : Cache.rebalance_stats;
-  mutable pending : pending option;
 }
 
-let engine t = Journal.Journaled.engine t.j
-let inst t = (Runtime.Engine.good (engine t)).Placement.Solution.instance
-let config t = t.cfg
-let cache t = t.cache
 let epoch t = t.epoch
-let resolves t = t.resolves
 let violations t = t.violations
 let reports t = List.rev t.reports
 
-let zipf_config cfg ~flows =
-  {
-    Zipf.flows;
-    packets = cfg.packets;
-    alpha = cfg.alpha;
-    drift = cfg.drift;
-    seed = cfg.family.Workload.seed;
-  }
+let validate cfg =
+  if cfg.epochs < 0 then invalid_arg "Controller: epochs < 0";
+  if cfg.packets < 0 then invalid_arg "Controller: packets < 0";
+  if cfg.probes < 1 then invalid_arg "Controller: probes < 1";
+  if cfg.hw_frac <= 0.0 then invalid_arg "Controller: hw_frac <= 0"
 
 (* The per-epoch packet stream: independent of the Zipf drift stream and
    of the workload's routing/policy streams, and a pure function of
@@ -166,122 +108,108 @@ let zipf_config cfg ~flows =
 let epoch_prng cfg i =
   Prng.create (((cfg.family.Workload.seed * 0x100000001B3) + i) lxor 0x243F6A8885A308D)
 
-let solve_options cfg ~weights =
-  let objective =
-    if cfg.adaptive then Placement.Encode.Switch_weighted weights
-    else Placement.Encode.Total_rules
-  in
-  Placement.Solve.options ~objective ()
+(* Probe packets target real rule fields: for each path, the drop rules
+   of its ingress policy that can fire inside the path's flow space.  A
+   uniform draw over the raw flow space almost never hits a classbench
+   rule, which would leave the hit accounting vacuous. *)
+let probe_targets paths (full : Netsim.entry list array) =
+  Array.map
+    (fun (p : Routing.Path.t) ->
+      let seen = Hashtbl.create 8 in
+      let acc = ref [] in
+      Array.iter
+        (List.iter (fun (en : Netsim.entry) ->
+             let rule = en.Netsim.rule in
+             if
+               Acl.Rule.is_drop rule
+               && List.exists
+                    (fun tag -> Netsim.base_tag tag = p.Routing.Path.ingress)
+                    en.Netsim.tags
+               && not (Hashtbl.mem seen rule.Acl.Rule.priority)
+             then
+               match
+                 Ternary.Field.inter rule.Acl.Rule.field p.Routing.Path.flow
+               with
+               | Some f ->
+                 Hashtbl.add seen rule.Acl.Rule.priority ();
+                 acc := f :: !acc
+               | None -> ()))
+        full;
+      Array.of_list (List.rev !acc))
+    paths
 
-let engine_config cfg ~weights =
+(* The network and routed paths of an instance (the paths are the
+   cache's flow universe). *)
+let routed (inst : Placement.Instance.t) =
+  let paths = Routing.Table.paths inst.Placement.Instance.routing in
+  if paths = [] then invalid_arg "Controller: no routed paths";
+  (inst.Placement.Instance.net, paths)
+
+let make ?store cfg ~cache ~paths ~epoch ~violations ~reports ~last_stats =
+  let paths = Array.of_list paths in
+  let zcfg =
+    {
+      Zipf.flows = Array.length paths;
+      packets = cfg.packets;
+      alpha = cfg.alpha;
+      drift = cfg.drift;
+      seed = cfg.family.Workload.seed;
+    }
+  in
   {
-    Runtime.Engine.default_config with
-    deadline_s = cfg.deadline_s;
-    solve_options = solve_options cfg ~weights;
+    cfg;
+    store;
+    cache;
+    paths;
+    targets = probe_targets paths (Cache.full_tables cache);
+    zs = Zipf.at zcfg epoch;
+    epoch;
+    violations;
+    reports;
+    last_stats;
   }
 
-(* Snapshots are taken manually at epoch boundaries only, so the WAL
-   between two snapshots is exactly one epoch's re-solve events and a
-   recovery's replayed-report list reconstructs that epoch's rungs. *)
-let journal_config = { Journal.Journaled.snapshot_every = max_int }
+let persist t =
+  Option.iter
+    (fun (store : Journal.Store.t) ->
+      let s =
+        {
+          s_epoch = t.epoch;
+          s_full = Cache.full_tables t.cache;
+          s_cache = Cache.capture t.cache;
+          s_violations = t.violations;
+          s_reports = t.reports;
+          s_stats = t.last_stats;
+        }
+      in
+      store.Journal.Store.snap_write
+        (Journal.Wal.frame (snapshot_magic ^ Marshal.to_string s [])))
+    t.store
 
-let validate cfg =
-  if cfg.epochs < 0 then invalid_arg "Controller: epochs < 0";
-  if cfg.packets < 0 then invalid_arg "Controller: packets < 0";
-  if cfg.probes < 1 then invalid_arg "Controller: probes < 1";
-  if cfg.hw_frac <= 0.0 then invalid_arg "Controller: hw_frac <= 0";
-  if cfg.threshold < 0.0 then invalid_arg "Controller: threshold < 0";
-  if cfg.resolve_top < 0 then invalid_arg "Controller: resolve_top < 0"
-
-let make_blob t ~sub ~plan ~drift ~cache_blob ~full
-    ~baselines:(h0, m0, d0, v0) =
-  {
-    b_epoch = t.epoch;
-    b_sub = sub;
-    b_plan = plan;
-    b_drift = drift;
-    b_cache = cache_blob;
-    b_full = full;
-    b_weights = Array.copy t.weights;
-    b_last_resolve = Array.copy t.last_resolve;
-    b_best_miss = t.best_miss;
-    b_resolves = t.resolves;
-    b_violations = t.violations;
-    b_hits0 = h0;
-    b_misses0 = m0;
-    b_dhits0 = d0;
-    b_viol0 = v0;
-    b_reports = t.reports;
-    b_stats = t.last_stats;
-  }
-
-let counters t =
-  (Cache.hits t.cache, Cache.misses t.cache, Cache.delegated_hits t.cache,
-   t.violations)
-
-let persist_boundary t =
-  let cache_blob = Cache.capture t.cache in
-  let full = Cache.full_tables t.cache in
-  let b =
-    make_blob t ~sub:0 ~plan:[] ~drift:0 ~cache_blob ~full
-      ~baselines:(counters t)
-  in
-  Journal.Journaled.set_client t.j (Marshal.to_string b []);
-  Journal.Journaled.snapshot_now t.j
-
-let create ?store ?kill cfg =
+let create ?store cfg =
   validate cfg;
-  let store = match store with Some s -> s | None -> fst (Journal.Store.memory ()) in
-  let inst0 = Workload.build cfg.family in
-  let n = Topo.Net.num_switches inst0.Placement.Instance.net in
-  let weights = Array.make n 1.0 in
-  let options = solve_options cfg ~weights in
-  let rep = Placement.Solve.run ~options inst0 in
+  let inst = Workload.build cfg.family in
+  let net, paths = routed inst in
   let sol =
-    match rep.Placement.Solve.solution with
+    match (Placement.Solve.run inst).Placement.Solve.solution with
     | Some s -> s
     | None -> invalid_arg "Controller: initial placement infeasible"
   in
-  let j =
-    Journal.Journaled.create ~config:(engine_config cfg ~weights)
-      ~journal:journal_config ?kill ~store sol
+  let { Placement.Tables.netsim; splits = _ } =
+    Placement.Tables.to_netsim sol
   in
-  let eng = Journal.Journaled.engine j in
-  let instance = sol.Placement.Solution.instance in
-  let paths =
-    Array.of_list (Routing.Table.paths instance.Placement.Instance.routing)
-  in
-  if Array.length paths = 0 then invalid_arg "Controller: no routed paths";
-  let zcfg = zipf_config cfg ~flows:(Array.length paths) in
-  let full = Runtime.Engine.table_snapshot eng in
-  let hw = hw_of_frac full cfg.hw_frac in
+  let full = Array.init (Topo.Net.num_switches net) (Netsim.table netsim) in
   let cache =
-    Cache.create ~decay:cfg.decay ~net:instance.Placement.Instance.net
-      ~paths:(Array.to_list paths) ~hw full
+    Cache.create ~decay:cfg.decay ~net ~paths ~hw:(hw_of_frac full cfg.hw_frac)
+      full
   in
   (* Both modes place once up front (coverage must hold from packet one);
      only the adaptive controller ever rebalances again. *)
-  let stats0 = Cache.rebalance ~pinned_tags:(Runtime.Engine.quarantined eng) cache in
+  let last_stats = Cache.rebalance cache in
   let t =
-    {
-      cfg;
-      zcfg;
-      j;
-      cache;
-      paths;
-      weights = Array.make n 1.0;
-      zs = Zipf.create zcfg;
-      epoch = 0;
-      last_resolve = [||];
-      best_miss = infinity;
-      resolves = 0;
-      violations = 0;
-      reports = [];
-      last_stats = stats0;
-      pending = None;
-    }
+    make ?store cfg ~cache ~paths ~epoch:0 ~violations:0 ~reports:[] ~last_stats
   in
-  persist_boundary t;
+  persist t;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -289,44 +217,13 @@ let create ?store ?kill cfg =
 
 let walk t i (e : Zipf.epoch) =
   let g = epoch_prng t.cfg i in
-  (* Probe packets target real rule fields: for each path, the drop
-     rules of its ingress policy that can fire inside the path's flow
-     space.  A uniform draw over the raw flow space almost never hits
-     a classbench rule, which would leave the hit accounting vacuous. *)
-  let full = Cache.full_tables t.cache in
-  let targets =
-    Array.map
-      (fun (p : Routing.Path.t) ->
-        let seen = Hashtbl.create 8 in
-        let acc = ref [] in
-        Array.iter
-          (List.iter (fun (en : Netsim.entry) ->
-               let rule = en.Netsim.rule in
-               if
-                 Acl.Rule.is_drop rule
-                 && List.exists
-                      (fun tag -> Netsim.base_tag tag = p.Routing.Path.ingress)
-                      en.Netsim.tags
-                 && not (Hashtbl.mem seen rule.Acl.Rule.priority)
-               then
-                 match
-                   Ternary.Field.inter rule.Acl.Rule.field p.Routing.Path.flow
-                 with
-                 | Some f ->
-                   Hashtbl.add seen rule.Acl.Rule.priority ();
-                   acc := f :: !acc
-                 | None -> ()))
-          full;
-        Array.of_list (List.rev !acc))
-      t.paths
-  in
   Array.iteri
     (fun f c ->
       if c > 0 then begin
         let n = min c t.cfg.probes in
         let q = c / n and r = c mod n in
         let path = t.paths.(f) in
-        let tgt = targets.(f) in
+        let tgt = t.targets.(f) in
         for k = 0 to n - 1 do
           let w = if k < r then q + 1 else q in
           (* each flow concentrates on its own few rules (offset by flow
@@ -352,159 +249,41 @@ let walk t i (e : Zipf.epoch) =
       end)
     e.Zipf.counts
 
-(* Re-solve the ingresses whose traffic the cache is failing to serve
-   at home, worst first.  Drift (the trigger) says the traffic changed;
-   miss mass says which placements are actually paying for it — an
-   ingress whose hot rules are all resident needs no re-solve however
-   much its ranks moved. *)
-let plan_resolves t (_e : Zipf.epoch) =
-  Cache.miss_masses t.cache
-  |> List.filter (fun (ing, m) ->
-         m > 0.0 && Placement.Instance.policy_of (inst t) ing <> None)
-  |> List.sort (fun (ia, ma) (ib, mb) ->
-         if ma = mb then compare ia ib else compare mb ma)
-  |> List.filteri (fun k _ -> k < t.cfg.resolve_top)
-  |> List.map fst
-
-let resolve_rungs = [ Runtime.Report.Incremental; Runtime.Report.Greedy ]
-
-(* Issue re-solve events [start_sub ..] of [plan], then close the epoch:
-   refresh the cache from the (possibly re-solved) live tables, rebalance,
-   self-check, report, persist the boundary.  Shared between the normal
-   path (start_sub = 0) and a crash-resumed half-epoch. *)
-let finish_epoch t ~drift ~plan ~cache_blob ~full ~baselines ~start_sub ~rungs0 =
+let run_epoch t =
   let i = t.epoch in
-  let rungs = ref (List.rev rungs0) in
-  List.iteri
-    (fun k ingress ->
-      if k >= start_sub then begin
-        let policy =
-          match Placement.Instance.policy_of (inst t) ingress with
-          | Some p -> p
-          | None -> invalid_arg "Controller: re-solve target lost its policy"
-        in
-        t.resolves <- t.resolves + 1;
-        let client =
-          Marshal.to_string
-            (make_blob t ~sub:(k + 1) ~plan ~drift ~cache_blob ~full ~baselines)
-            []
-        in
-        let report =
-          Journal.Journaled.handle ~client ~rungs:resolve_rungs t.j
-            (Runtime.Event.Update_policy { ingress; policy })
-        in
-        Telemetry.Metrics.incr m_resolves;
-        rungs := Runtime.Report.rung_name report.Runtime.Report.rung :: !rungs
-      end)
-    plan;
-  if plan <> [] then begin
-    Cache.refresh t.cache (Runtime.Engine.table_snapshot (engine t));
-    (* the re-solved placements start with a clean miss slate, so the
-       next trigger targets whoever suffers under the NEW tables *)
-    List.iter (Cache.clear_miss t.cache) plan
-  end;
+  let h0 = Cache.hits t.cache
+  and m0 = Cache.misses t.cache
+  and d0 = Cache.delegated_hits t.cache
+  and v0 = t.violations in
+  if t.cfg.adaptive then Cache.decay t.cache;
+  walk t i (Zipf.next t.zs);
   let stats =
     if t.cfg.adaptive then begin
-      let s =
-        Cache.rebalance ~pinned_tags:(Runtime.Engine.quarantined (engine t))
-          t.cache
-      in
-      t.last_stats <- s;
-      s
+      t.last_stats <- Cache.rebalance t.cache;
+      t.last_stats
     end
     else { t.last_stats with Cache.evictions = 0; delegations_new = 0 }
   in
-  let chk = Cache.check t.cache in
-  let h0, m0, d0, v0 = baselines in
   let er =
     {
       e_index = i;
-      e_drift = drift;
-      e_resolved = plan;
-      e_rungs = List.rev !rungs;
       e_hits = Cache.hits t.cache - h0;
       e_misses = Cache.misses t.cache - m0;
       e_dhits = Cache.delegated_hits t.cache - d0;
       e_violations = t.violations - v0;
       e_stats = stats;
-      e_check = chk;
+      e_check = Cache.check t.cache;
     }
   in
   t.reports <- er :: t.reports;
   t.epoch <- i + 1;
   Telemetry.Metrics.incr m_epochs;
-  persist_boundary t;
+  persist t;
   er
-
-let run_epoch t =
-  let i = t.epoch in
-  let baselines = counters t in
-  if t.cfg.adaptive then Cache.decay t.cache;
-  let e = Zipf.next t.zs in
-  walk t i e;
-  let drift =
-    if Array.length t.last_resolve = 0 then 0
-    else begin
-      let acc = ref 0 in
-      Array.iteri
-        (fun f c -> acc := !acc + abs (c - t.last_resolve.(f)))
-        e.Zipf.counts;
-      !acc
-    end
-  in
-  (* A re-solve needs BOTH signals: the traffic moved (drift) AND the
-     cache is actually degrading — this epoch's miss rate materially
-     above the best seen since the last re-solve.  Without the second
-     condition the pressure-weighted objective can flip-flop between
-     two placements while the cache is perfectly healthy. *)
-  let miss_rate =
-    let _, m0, _, _ = baselines in
-    float_of_int (Cache.misses t.cache - m0)
-    /. float_of_int (max 1 t.zcfg.Zipf.packets)
-  in
-  let plan =
-    if
-      t.cfg.adaptive
-      && Array.length t.last_resolve > 0
-      && float_of_int drift
-         > t.cfg.threshold *. float_of_int (2 * t.zcfg.Zipf.packets)
-      && miss_rate > 1.25 *. t.best_miss
-    then plan_resolves t e
-    else []
-  in
-  if plan <> [] then t.best_miss <- infinity
-  else t.best_miss <- Float.min t.best_miss miss_rate;
-  if Array.length t.last_resolve = 0 || plan <> [] then
-    t.last_resolve <- Array.copy e.Zipf.counts;
-  if plan <> [] then begin
-    (* Cache pressure -> per-switch placement cost: saturated TCAMs get
-       more expensive, so the incremental re-solve steers rules away
-       from them.  The engine's objective array is updated through the
-       runtime's reweight hook, never aliased. *)
-    let pressure = Cache.score_pressure t.cache in
-    let occ = Cache.occupancy t.cache in
-    Array.iteri
-      (fun s p -> t.weights.(s) <- 1.0 +. p +. occ.(s))
-      pressure;
-    Runtime.Engine.reweight (engine t) t.weights
-  end;
-  let cache_blob = Cache.capture t.cache in
-  let full = Cache.full_tables t.cache in
-  finish_epoch t ~drift ~plan ~cache_blob ~full ~baselines ~start_sub:0
-    ~rungs0:[]
 
 let step t =
   if t.epoch >= t.cfg.epochs then None
-  else
-    Some
-      (Telemetry.Trace.with_span "traffic.epoch" (fun () ->
-           match t.pending with
-           | None -> run_epoch t
-           | Some p ->
-             t.pending <- None;
-             finish_epoch t ~drift:p.p_drift ~plan:p.p_plan
-               ~cache_blob:p.p_cache ~full:p.p_full ~baselines:p.p_baselines
-               ~start_sub:p.p_sub ~rungs0:p.p_rungs))
+  else Some (Telemetry.Trace.with_span "traffic.epoch" (fun () -> run_epoch t))
 
 let run t =
   let rec go () = match step t with None -> reports t | Some _ -> go () in
@@ -513,98 +292,29 @@ let run t =
 (* ------------------------------------------------------------------ *)
 (* Crash-resume                                                        *)
 
+let read_snapshot (store : Journal.Store.t) =
+  match Option.map Journal.Wal.unframe (store.Journal.Store.snap_read ()) with
+  | None -> Error "no snapshot"
+  | Some None -> Error "corrupt snapshot"
+  | Some (Some p) when not (String.starts_with ~prefix:snapshot_magic p) ->
+    Error "unknown snapshot version"
+  | Some (Some p) -> (
+    match (Marshal.from_string p (String.length snapshot_magic) : snapshot) with
+    | s -> Ok s
+    | exception _ -> Error "corrupt snapshot")
+
 let resume ~store cfg =
-  validate cfg;
-  let inst0 = Workload.build cfg.family in
-  let n = Topo.Net.num_switches inst0.Placement.Instance.net in
-  let weights = Array.make n 1.0 in
-  let ecfg = engine_config cfg ~weights in
-  let recover () =
-    Journal.Journaled.recover ~config:ecfg ~journal:journal_config
-      ~resnap:false ~store ()
-  in
-  match Journal.Journaled.peek_client ~store () with
-  | Error e -> Error e
-  | Ok None -> Error "Controller.resume: journal has no client blob"
-  | Ok (Some blob_s) -> (
-      let b : blob = Marshal.from_string blob_s 0 in
-      if Array.length b.b_weights <> n then
-        Error "Controller.resume: weight vector shape mismatch"
-      else begin
-        (* Weights feed the solve objective the replay runs under, and
-           they are constant across one epoch's events (reweight happens
-           before the first re-solve; the boundary snapshot closes the
-           epoch) — so the latest blob's weights govern every event the
-           log can still hold.  Install them before recovering, so the
-           replayed solves run under the original costs. *)
-        Array.blit b.b_weights 0 weights 0 n;
-        match recover () with
-        | Error e -> Error e
-        | Ok r ->
-          if r.Journal.Journaled.divergences <> [] then
-            Error
-              ("Controller.resume: replay diverged: "
-              ^ String.concat "; " r.Journal.Journaled.divergences)
-          else if List.length r.Journal.Journaled.replayed <> b.b_sub then
-            Error "Controller.resume: replayed events do not match the blob"
-          else begin
-            let j = r.Journal.Journaled.journaled in
-            let eng = Journal.Journaled.engine j in
-            let instance =
-              (Runtime.Engine.good eng).Placement.Solution.instance
-            in
-            let paths =
-              Array.of_list
-                (Routing.Table.paths instance.Placement.Instance.routing)
-            in
-            let zcfg = zipf_config cfg ~flows:(Array.length paths) in
-            let cache =
-              Cache.restore ~net:instance.Placement.Instance.net
-                ~paths:(Array.to_list paths) b.b_full b.b_cache
-            in
-            let t =
-              {
-                cfg;
-                zcfg;
-                j;
-                cache;
-                paths;
-                weights;
-                zs =
-                  Zipf.at zcfg
-                    (if b.b_sub = 0 then b.b_epoch else b.b_epoch + 1);
-                epoch = b.b_epoch;
-                last_resolve = b.b_last_resolve;
-                best_miss = b.b_best_miss;
-                resolves = b.b_resolves;
-                violations = b.b_violations;
-                reports = b.b_reports;
-                last_stats = b.b_stats;
-                pending = None;
-              }
-            in
-            if b.b_sub = 0 then
-              (* clean boundary: re-snapshot so recovery is idempotent *)
-              persist_boundary t
-            else begin
-              let rungs =
-                List.map
-                  (fun (_, rep) ->
-                    Runtime.Report.rung_name rep.Runtime.Report.rung)
-                  r.Journal.Journaled.replayed
-              in
-              t.pending <-
-                Some
-                  {
-                    p_sub = b.b_sub;
-                    p_rungs = rungs;
-                    p_plan = b.b_plan;
-                    p_drift = b.b_drift;
-                    p_cache = b.b_cache;
-                    p_full = b.b_full;
-                    p_baselines = (b.b_hits0, b.b_misses0, b.b_dhits0, b.b_viol0);
-                  }
-            end;
-            Ok t
-          end
-      end)
+  match read_snapshot store with
+  | Error _ as e -> e
+  | Ok s -> (
+    match
+      validate cfg;
+      let net, paths = routed (Workload.build cfg.family) in
+      if Array.length s.s_full <> Topo.Net.num_switches net then
+        invalid_arg "snapshot does not match the config";
+      let cache = Cache.restore ~net ~paths s.s_full s.s_cache in
+      make ~store cfg ~cache ~paths ~epoch:s.s_epoch ~violations:s.s_violations
+        ~reports:s.s_reports ~last_stats:s.s_stats
+    with
+    | t -> Ok t
+    | exception (Invalid_argument msg | Failure msg) -> Error msg)

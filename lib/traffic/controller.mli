@@ -1,28 +1,25 @@
 (** The traffic-driven caching controller: one epoch loop tying the
-    drifting-Zipf workload ({!Zipf}), the TCAM cache ({!Cache}) and the
-    crash-safe runtime ({!Journal.Journaled} around {!Runtime.Engine})
-    together.
+    drifting-Zipf workload ({!Zipf}) and the TCAM cache ({!Cache}) to a
+    placement solved once, under the total-rules objective, for the
+    fixed rule set.
 
     Each epoch: draw the next traffic matrix; age the popularity scores;
     walk one probe packet per traffic share through {e both} the full
     and the cached tables (differential correctness check + hit
-    accounting); when popularity has drifted past the threshold since
-    the last re-solve, push the cache-pressure signal into the solver's
-    {!Placement.Encode.Switch_weighted} objective
-    ({!Runtime.Engine.reweight}) and re-solve the most-drifted ingresses
-    as deadline-bounded incremental [Update_policy] events through the
-    journaled engine; finally rebalance the cache and emit one
-    deterministic report line.
+    accounting); rebalance the cache; emit one deterministic report
+    line.  The placement itself never changes: the cache adapts to the
+    traffic, not the solve.
 
     Determinism and durability:
     - equal configs give byte-identical {!line} sequences (all
       randomness flows from the family seed's named substreams; report
       lines carry no wall-clock fields);
-    - every re-solve event rides the journal with a client blob holding
-      the complete controller state, and every epoch boundary forces a
-      snapshot — {!resume} re-enters the loop after a crash at {e any}
-      point and converges to the same report sequence and cache state
-      as an uncrashed run;
+    - with a store, every epoch boundary (and the placement before
+      epoch 0) writes the complete controller state through
+      [snap_write], one {!Journal.Wal.frame} around a versioned blob.
+      A crash anywhere in an epoch loses only that epoch's work: {!resume}
+      restarts from the last boundary and re-runs it to the same report
+      line;
     - the static baseline ([adaptive = false]) places the cache once,
       popularity-blind, and never adapts — the no-cache-management
       baseline the adaptive hit-rate is gated against. *)
@@ -35,30 +32,22 @@ type config = {
   drift : float;  (** rank transpositions per epoch / flows *)
   probes : int;  (** max probe packets per flow per epoch (>= 1) *)
   hw_frac : float;
-      (** hardware TCAM capacity as a fraction of each switch's full
-          table (floor 1 slot; see {!hw_of_frac}) *)
+      (** hardware TCAM capacity as a fraction of the mean full-table
+          size (floor 1 slot; see {!hw_of_frac}) *)
   decay : float;  (** per-epoch popularity retention *)
-  threshold : float;
-      (** re-solve when L1 drift since the last re-solve exceeds this
-          fraction of the maximum possible drift (2 x packets) *)
-  resolve_top : int;  (** most-drifted ingresses re-solved per trigger *)
-  adaptive : bool;  (** false = static baseline (no decay/resolve/rebalance) *)
-  deadline_s : float;  (** per-event runtime budget *)
+  adaptive : bool;  (** false = static baseline (no decay/rebalance) *)
 }
 
 val default : config
 (** [Workload.default] family, 6 epochs, 4096 packets, alpha 1.1, drift
-    0.125, 4 probes, hw_frac 0.5, threshold 0.08, top 2, adaptive. *)
+    0.125, 4 probes, hw_frac 0.5, adaptive. *)
 
 val hw_of_frac : ?floor:int -> Netsim.entry list array -> float -> int array
-(** Per-switch hardware capacity: [frac] of the full table size, rounded
-    to nearest, never below [floor] (default 1). *)
+(** Per-switch hardware capacity: [frac] of the mean table size,
+    rounded to nearest, never below [floor] (default 1). *)
 
 type epoch_report = {
   e_index : int;
-  e_drift : int;  (** L1 popularity drift since the last re-solve *)
-  e_resolved : int list;  (** ingresses re-solved this epoch *)
-  e_rungs : string list;  (** ladder rung per re-solve event *)
   e_hits : int;  (** this epoch's cache hits (traffic-weighted) *)
   e_misses : int;
   e_dhits : int;  (** hits served by a delegated copy *)
@@ -73,27 +62,19 @@ val line : epoch_report -> string
 
 type t
 
-val create :
-  ?store:Journal.Store.t ->
-  ?kill:(Journal.Journaled.kill_point -> unit) ->
-  config ->
-  t
-(** Build the instance, solve the initial placement (under the weighted
-    objective when adaptive), boot the journaled engine on [store]
-    (default: a fresh in-memory store), place the cache and persist
-    snapshot zero.  [kill] is the journal's simulated-crash hook (see
-    {!Journal.Journaled.kill_point}) — the crash-resume tests raise
-    {!Journal.Journaled.Killed} from it mid-epoch and {!resume} from the
-    same store.  Raises [Invalid_argument] when the initial solve fails
-    or the config is malformed. *)
+val create : ?store:Journal.Store.t -> config -> t
+(** Build the instance, solve the placement, place the cache and, with
+    a [store], write the epoch-0 snapshot.  Without a store nothing is
+    persisted.  Raises [Invalid_argument] when the solve fails or the
+    config is malformed. *)
 
 val resume : store:Journal.Store.t -> config -> (t, string) result
-(** Re-enter a crashed run from its journal.  [config] must equal the
-    original (it is not persisted).  Replays the log, restores the
-    cache and epoch position from the client blob, and finishes any
-    half-done epoch on the first {!step} — converging to the same
-    report sequence as an uncrashed run.  [Error] on an unusable store
-    or a replay divergence. *)
+(** Re-enter a crashed run at its last snapshotted epoch boundary.
+    [config] must equal the original apart from [epochs] (it is not
+    persisted); the snapshot carries the full tables, so nothing is
+    solved again.  Further epochs keep writing to [store].  [Error] on
+    a missing, corrupt or unknown-version snapshot, or one that does
+    not fit [config]; never raises. *)
 
 val step : t -> epoch_report option
 (** Run the next epoch ([None] when [epochs] are done).  Spans
@@ -108,15 +89,6 @@ val reports : t -> epoch_report list
 
 val epoch : t -> int
 (** Next epoch index to run. *)
-
-val config : t -> config
-
-val cache : t -> Cache.t
-
-val engine : t -> Runtime.Engine.t
-
-val resolves : t -> int
-(** Total re-solve events issued. *)
 
 val violations : t -> int
 (** Total differential violations observed (gate: zero). *)

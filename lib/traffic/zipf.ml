@@ -100,10 +100,3 @@ let epochs cfg n =
   let t = create cfg in
   let rec go acc k = if k = 0 then List.rev acc else go (next t :: acc) (k - 1) in
   go [] n
-
-let l1_drift a b =
-  if Array.length a.counts <> Array.length b.counts then
-    invalid_arg "Zipf.l1_drift: different flow universes";
-  let acc = ref 0 in
-  Array.iteri (fun i c -> acc := !acc + abs (c - b.counts.(i))) a.counts;
-  !acc

@@ -57,8 +57,3 @@ val epoch : config -> int -> epoch
 
 val epochs : config -> int -> epoch list
 (** The first [n] epochs. *)
-
-val l1_drift : epoch -> epoch -> int
-(** Sum of absolute per-flow count differences — the (unnormalized)
-    popularity-drift metric the re-solve policy thresholds on.  Bounded
-    by [2 * packets]. *)

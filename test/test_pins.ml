@@ -368,8 +368,8 @@ let test_overloaded_switch () =
     [ (2, 2, "optimal"); (1, 0, "infeasible") ]
 
 (* Negative or non-finite switch weights would break the pins' premise
-   (a pin to 0 is optimal only for non-negative costs): encoding and
-   re-weighting both refuse them. *)
+   (a pin to 0 is optimal only for non-negative costs): encoding refuses
+   them. *)
 let test_weights_must_be_nonnegative () =
   let inst = Workload.build { Workload.default with Workload.k = 4 } in
   let layout = Layout.build inst in
@@ -381,28 +381,7 @@ let test_weights_must_be_nonnegative () =
       match Encode.to_model ~objective:(Encode.Switch_weighted w) layout with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.failf "switch weight %g accepted" bad)
-    [ -1.0; Float.nan; Float.infinity ];
-  let engine_config =
-    {
-      Runtime.Engine.default_config with
-      Runtime.Engine.solve_options =
-        Solve.options ~objective:(Encode.Switch_weighted (Array.make n 1.0)) ();
-    }
-  in
-  let engine =
-    Runtime.Engine.create ~config:engine_config (Solution.empty inst)
-  in
-  let before = Array.make n 1.0 in
-  let bad = Array.make n 2.0 in
-  bad.(0) <- -0.5;
-  (match Runtime.Engine.reweight engine bad with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "Engine.reweight accepted a negative weight");
-  (match engine_config.Runtime.Engine.solve_options.Solve.objective with
-  | Encode.Switch_weighted w ->
-    Alcotest.(check (array (float 0.0))) "weights unchanged" before w
-  | _ -> ());
-  Runtime.Engine.reweight engine (Array.make n 2.0)
+    [ -1.0; Float.nan; Float.infinity ]
 
 let suite =
   [

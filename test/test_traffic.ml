@@ -73,8 +73,8 @@ let test_zipf_at () =
 (* ------------------------------------------------------------------ *)
 (* Controller: correctness, determinism, baseline comparison           *)
 
-(* seed 2 of this family both re-solves under drift and beats the
-   static baseline — the one config exercises every assertion below *)
+(* seed 2 of this family beats the static baseline — the one config
+   exercises every assertion below *)
 let small_family =
   {
     Workload.default with
@@ -94,7 +94,6 @@ let small cfg_adaptive =
     alpha = 1.3;
     probes = 4;
     hw_frac = 0.3;
-    threshold = 0.05;
     adaptive = cfg_adaptive;
   }
 
@@ -114,9 +113,7 @@ let test_controller_clean_run () =
         r.Traffic.Controller.e_check.Traffic.Cache.coverage_violations;
       Alcotest.(check int) "capacity violations" 0
         r.Traffic.Controller.e_check.Traffic.Cache.capacity_violations)
-    reps;
-  Alcotest.(check bool) "drift triggered at least one re-solve" true
-    (Traffic.Controller.resolves t > 0)
+    reps
 
 let test_controller_deterministic () =
   let a = Traffic.Controller.create (small true) in
@@ -139,8 +136,6 @@ let test_adaptive_beats_static () =
   let static = Traffic.Controller.create (small false) in
   let ra = Traffic.Controller.run adaptive in
   let rs = Traffic.Controller.run static in
-  Alcotest.(check int) "static never re-solves" 0
-    (Traffic.Controller.resolves static);
   Alcotest.(check int) "static stays correct too" 0
     (Traffic.Controller.violations static);
   Alcotest.(check bool)
@@ -159,7 +154,7 @@ let test_resume_at_boundary () =
   let t = Traffic.Controller.create ~store (small true) in
   ignore (Traffic.Controller.step t);
   ignore (Traffic.Controller.step t);
-  (* abandon [t] — the journal is the only survivor *)
+  (* abandon [t] — the store is the only survivor *)
   match Traffic.Controller.resume ~store (small true) with
   | Error e -> Alcotest.fail e
   | Ok resumed ->
@@ -169,34 +164,75 @@ let test_resume_at_boundary () =
     Alcotest.(check (list string)) "byte-identical report lines"
       (lines reference) (lines resumed)
 
+exception Killed
+
+(* [inner] with its [nth] snapshot write raising [Killed], before the
+   write reaches [inner] or after it. *)
+let killing_store (inner : Journal.Store.t) ~nth ~after =
+  let writes = ref 0 in
+  {
+    inner with
+    Journal.Store.snap_write =
+      (fun blob ->
+        incr writes;
+        if !writes = nth && not after then raise Killed;
+        inner.Journal.Store.snap_write blob;
+        if !writes = nth && after then raise Killed);
+  }
+
 let test_resume_mid_epoch () =
   let reference = Traffic.Controller.create (small true) in
   ignore (Traffic.Controller.run reference);
-  (* kill at successive journal write-protocol boundaries; each crashed
-     run is resumed from its store and must converge to the reference *)
+  (* Write 1 is the placement, write k + 1 closes epoch k.  Every round
+     must crash: a kill before the write loses the epoch it closes, one
+     after it loses nothing. *)
   List.iter
-    (fun nth ->
-      let store, mem = Journal.Store.memory () in
-      let hits = ref 0 in
-      let kill _ =
-        incr hits;
-        if !hits = nth then raise (Journal.Journaled.Killed "chaos")
+    (fun (nth, after) ->
+      let name =
+        Printf.sprintf "kill at write %d (%s)" nth
+          (if after then "after" else "before")
       in
-      let t = Traffic.Controller.create ~store ~kill (small true) in
-      let crashed = ref false in
-      (try ignore (Traffic.Controller.run t)
-       with Journal.Journaled.Killed _ ->
-         crashed := true;
-         Journal.Store.crash mem);
-      if !crashed then
-        match Traffic.Controller.resume ~store (small true) with
-        | Error e -> Alcotest.fail (Printf.sprintf "kill %d: %s" nth e)
-        | Ok resumed ->
-          ignore (Traffic.Controller.run resumed);
-          Alcotest.(check (list string))
-            (Printf.sprintf "kill %d converges" nth)
-            (lines reference) (lines resumed))
-    [ 1; 2; 3; 5; 8; 13 ]
+      let inner, _mem = Journal.Store.memory () in
+      let crashed =
+        match
+          Traffic.Controller.run
+            (Traffic.Controller.create ~store:(killing_store inner ~nth ~after)
+               (small true))
+        with
+        | _ -> false
+        | exception Killed -> true
+      in
+      Alcotest.(check bool) (name ^ " crashed") true crashed;
+      match Traffic.Controller.resume ~store:inner (small true) with
+      | Error e -> Alcotest.failf "%s: %s" name e
+      | Ok resumed ->
+        Alcotest.(check int) (name ^ " resumes at")
+          (if after then nth - 1 else nth - 2)
+          (Traffic.Controller.epoch resumed);
+        ignore (Traffic.Controller.run resumed);
+        Alcotest.(check (list string)) (name ^ " converges") (lines reference)
+          (lines resumed))
+    [ (2, false); (2, true); (5, false); (8, true); (11, false); (11, true) ]
+
+let test_resume_refuses_bad_snapshot () =
+  let store, mem = Journal.Store.memory () in
+  ignore (Traffic.Controller.create ~store (small true));
+  let good = Option.get (Journal.Store.snapshot_of mem) in
+  List.iter
+    (fun (name, blob) ->
+      Journal.Store.set_snapshot mem blob;
+      match Traffic.Controller.resume ~store (small true) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s snapshot accepted" name)
+    [
+      ("missing", None);
+      ("garbage", Some "not a snapshot at all");
+      ("truncated", Some (String.sub good 0 (String.length good - 1)));
+      ("unknown-version", Some (Journal.Wal.frame "sdnplace-caching/0\n"));
+    ];
+  Journal.Store.set_snapshot mem (Some good);
+  Alcotest.(check bool) "the intact snapshot resumes" true
+    (Result.is_ok (Traffic.Controller.resume ~store (small true)))
 
 let suite =
   [
@@ -212,4 +248,6 @@ let suite =
     Alcotest.test_case "crash-resume at epoch boundary" `Quick
       test_resume_at_boundary;
     Alcotest.test_case "crash-resume mid-epoch" `Quick test_resume_mid_epoch;
+    Alcotest.test_case "resume refuses a bad snapshot" `Quick
+      test_resume_refuses_bad_snapshot;
   ]

@@ -116,6 +116,80 @@ let test_clean_solution_passes () =
   Alcotest.(check int) "no violations" 0
     (List.length (Verify.check (Prng.create 3) layout sol))
 
+(* Two policies on a star sharing a drop, merged by a plan whose second
+   member is a shadowed copy of the drop marked as a dummy — the shape
+   a merge-cycle break leaves.  A dummy decides nothing, so it needs no
+   path coverage: stripping the dummy from the merged placement must
+   leave the structural check silent, while stripping the real drop
+   must not. *)
+let test_dummy_drops_need_no_coverage () =
+  let r1 = Util.field ~src:"10.0.0.0/16" ~dst:"11.0.0.0/8" () in
+  let r2 = Util.field ~src:"10.0.0.0/8" ~dst:"11.0.0.0/16" () in
+  let net = Topo.Builder.star ~leaves:3 in
+  let routing =
+    Routing.Table.of_paths
+      [
+        Routing.Path.make ~ingress:0 ~egress:1 ~switches:[ 1; 0; 2 ] ();
+        Routing.Path.make ~ingress:1 ~egress:2 ~switches:[ 2; 0; 3 ] ();
+      ]
+  in
+  let inst =
+    Instance.make ~net ~routing
+      ~policies:
+        [
+          ( 0,
+            Acl.Policy.of_fields [ (r1, Acl.Rule.Permit); (r2, Acl.Rule.Drop) ]
+          );
+          ( 1,
+            Acl.Policy.of_fields
+              [
+                (r1, Acl.Rule.Permit); (r2, Acl.Rule.Drop); (r2, Acl.Rule.Drop);
+              ] );
+        ]
+      ~capacities:(Instance.uniform_capacity net 10)
+  in
+  let real = (0, 1) and dummy = (1, 1) in
+  let group =
+    {
+      Merge.gid = 0;
+      field = r2;
+      action = Acl.Rule.Drop;
+      members =
+        [
+          { Merge.ingress = fst real; priority = snd real; is_dummy = false };
+          { Merge.ingress = fst dummy; priority = snd dummy; is_dummy = true };
+        ];
+    }
+  in
+  let layout =
+    Layout.build
+      ~plan:{ Merge.groups = [ group ]; num_dummies = 1; num_demotions = 1 }
+      inst
+  in
+  Alcotest.(check bool) "the plan's dummy" true
+    (Layout.is_dummy layout ~ingress:(fst dummy) ~priority:(snd dummy));
+  let sol = Option.get (Encode.solve layout).Encode.solution in
+  let strip key =
+    {
+      sol with
+      Solution.per_switch =
+        Array.map
+          (List.filter_map (fun (c : Solution.cell) ->
+               match List.filter (fun k -> k <> key) c.Solution.tags with
+               | [] -> None
+               | tags -> Some { c with Solution.tags }))
+          sol.Solution.per_switch;
+    }
+  in
+  Alcotest.(check int) "clean merged placement" 0
+    (List.length (Verify.structural layout sol));
+  Alcotest.(check int) "without its dummy" 0
+    (List.length (Verify.structural layout (strip dummy)));
+  Alcotest.(check bool) "without the real drop" true
+    (has_violation
+       (function Verify.Coverage _ -> true | _ -> false)
+       (Verify.structural layout (strip real)))
+
 (* The layout-free structural check must return the violation list of
    [structural] over the layout it stands for, in the same order. *)
 let plain_agrees (sol : Solution.t) =
@@ -201,6 +275,8 @@ let suite =
     Alcotest.test_case "capacity overflow detected" `Quick test_capacity_detected;
     Alcotest.test_case "rogue drop detected" `Quick test_rogue_drop_detected;
     Alcotest.test_case "clean solution passes" `Quick test_clean_solution_passes;
+    Alcotest.test_case "dummy drops need no coverage" `Quick
+      test_dummy_drops_need_no_coverage;
     Alcotest.test_case "layout-free structural check on mutants" `Quick
       test_plain_structural_on_mutants;
     QCheck_alcotest.to_alcotest prop_plain_structural_agrees;
