@@ -156,6 +156,10 @@ type state = {
       (* cooperative cancellation, polled in [dfs] and between root cut
          rounds, pump rounds and dive steps *)
   mutable nodes : int;
+  (* Nodes charged against [node_limit]: the search's own count in a
+     sequential solve, one atomic shared by every worker in a parallel
+     one, so the limit bounds the whole search. *)
+  mutable searched : int Atomic.t;
   mutable lp_calls : int;
   mutable stopped : bool;
   mutable root_bound : float;
@@ -267,6 +271,7 @@ let build_state model =
     shared_obj = Atomic.make infinity;
     cancel = (fun () -> false);
     nodes = 0;
+    searched = Atomic.make 0;
     lp_calls = 0;
     stopped = false;
     root_bound = neg_infinity;
@@ -557,7 +562,7 @@ let rec dfs st cfg ~depth =
     st.stopped <- true;
     raise Stop
   end;
-  if st.nodes > cfg.node_limit then begin
+  if Atomic.fetch_and_add st.searched 1 >= cfg.node_limit then begin
     st.stopped <- true;
     raise Stop
   end;
@@ -819,6 +824,7 @@ let parallel_search st ~config ~jobs ~cancel model =
     (outcome_of ~stopped:false st.best, 0, 0)
   | prefixes ->
     let proven = Atomic.make false in
+    let searched = Atomic.make st.nodes in
     let deadline = st.lp_deadline in
     let next = Atomic.make 0 in
     let worker_cancel () =
@@ -837,6 +843,7 @@ let parallel_search st ~config ~jobs ~cancel model =
     let work () =
       let w = build_state model in
       w.shared_obj <- st.shared_obj;
+      w.searched <- searched;
       w.root_bound <- st.root_bound;
       w.cancel <- worker_cancel;
       w.splx_seed <- root_basis;

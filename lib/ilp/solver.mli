@@ -36,6 +36,12 @@ type config = {
       (** wall-clock seconds from the start of the search (presolve
           excluded); [infinity] disables *)
   node_limit : int;
+      (** branch-and-bound nodes the whole search may expand.  A
+          parallel solve's workers draw on one shared count (the nodes
+          spent splitting the tree included), so [jobs] does not
+          multiply the limit: the search ends at most [jobs] nodes
+          past it (past the splitting nodes, if those alone exceed
+          it). *)
   lp_root : bool;  (** solve the root LP relaxation *)
   lp_depth : int;  (** also solve LP bounds at nodes of depth <= this *)
   presolve : bool;

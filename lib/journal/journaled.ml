@@ -33,10 +33,8 @@ type config = { snapshot_every : int }
 
 let default_config = { snapshot_every = 8 }
 
-(* Registry-backed observability: the journal's durability work used to
-   be visible only through ad-hoc counters inside the store; these
-   series are the process-wide aggregate, and [global_stats] is the thin
-   record view over them. *)
+(* Registry-backed observability: the process-wide aggregate of the
+   journal's durability work. *)
 let m_appends =
   Telemetry.Metrics.counter ~help:"WAL records appended"
     "sdnplace_journal_appends_total"
@@ -77,30 +75,6 @@ let m_dropped =
   Telemetry.Metrics.counter ~help:"torn/corrupt WAL tail bytes truncated"
     "sdnplace_journal_dropped_bytes_total"
 
-type stats = {
-  appends : int;
-  wal_bytes : int;
-  fsyncs : int;
-  snapshots : int;
-  compactions : int;
-  recoveries : int;
-  replayed_events : int;
-  dropped_bytes : int;
-}
-
-let global_stats () =
-  let v = Telemetry.Metrics.counter_value in
-  {
-    appends = v m_appends;
-    wal_bytes = v m_wal_bytes;
-    fsyncs = v m_fsyncs;
-    snapshots = v m_snapshots;
-    compactions = v m_compactions;
-    recoveries = v m_recoveries;
-    replayed_events = v m_replayed;
-    dropped_bytes = v m_dropped;
-  }
-
 type t = {
   store : Store.t;
   journal : config;
@@ -111,19 +85,20 @@ type t = {
   kill : kill_point -> unit;
 }
 
-(* The snapshot blob: one {!Wal.frame} around one Marshal of everything
-   below.  Engine state and the journal's own counters travel in a
-   single Marshal call so the sharing inside [Engine.persisted] (the
+(* The snapshot blob: everything below sealed as one value
+   ({!Wal.seal}).  Engine state and the journal's own counters travel in
+   a single Marshal call so the sharing inside [Engine.persisted] (the
    fault plan referenced from both the engine and its switch API)
-   survives the round-trip. *)
+   survives the round-trip.  The magic's version moves with this record
+   and with the WAL record tags (2: wave starts are no longer logged),
+   so a journal written by another build is refused, not misread. *)
 type snap = {
-  snap_version : int;
   snap_seq : int;
   snap_client : string option;
   snap_state : Runtime.Engine.persisted;
 }
 
-let snap_version = 1
+let snap_magic = "sdnplace-journal/2\n"
 
 let append_record t r =
   let bytes = Wal.encode r in
@@ -137,15 +112,12 @@ let snapshot_now t =
   Telemetry.Metrics.incr m_snapshots;
   Telemetry.Metrics.time m_snapshot_s @@ fun () ->
   let blob =
-    Wal.frame
-      (Marshal.to_string
-         {
-           snap_version;
-           snap_seq = t.seq;
-           snap_client = t.client;
-           snap_state = Runtime.Engine.capture t.eng;
-         }
-         [])
+    Wal.seal ~magic:snap_magic
+      {
+        snap_seq = t.seq;
+        snap_client = t.client;
+        snap_state = Runtime.Engine.capture t.eng;
+      }
   in
   (* Snapshot first, truncate second: a crash between the two leaves
      both a valid snapshot and the records it covers, and recovery skips
@@ -174,10 +146,7 @@ let handle ?client ?rungs t event =
         (fun ~undo ~redo -> append_record t (Wal.Tx_intent { seq; undo; redo }));
       on_op = (fun ~switch:_ ~op:_ -> t.kill Mid_apply);
       on_commit = (fun () -> append_record t (Wal.Tx_commit { seq }));
-      on_wave_begin =
-        (fun ~wave ->
-          append_record t (Wal.Wave_begin { seq; wave });
-          t.kill After_wave_begin);
+      on_wave_begin = (fun ~wave:_ -> t.kill After_wave_begin);
       on_wave_commit =
         (fun ~wave ~frontier ->
           t.kill Before_wave_commit;
@@ -194,13 +163,6 @@ let handle ?client ?rungs t event =
   t.since_snapshot <- t.since_snapshot + 1;
   if t.since_snapshot >= t.journal.snapshot_every then snapshot_now t;
   report
-
-let run ?client t events =
-  List.map
-    (fun ev ->
-      let blob = Option.map (fun f -> f ()) client in
-      handle ?client:blob t ev)
-    events
 
 let engine t = t.eng
 let seq t = t.seq
@@ -260,7 +222,6 @@ let group_records ~snap_seq records =
           match !current with
           | Some g when g.g_seq = seq -> g.g_commit <- true
           | _ -> ())
-        | Wal.Wave_begin _ -> ()
         | Wal.Wave_commit { seq; wave; frontier } -> (
           match !current with
           | Some g when g.g_seq = seq -> g.g_waves <- (wave, frontier) :: g.g_waves
@@ -275,14 +236,7 @@ let group_records ~snap_seq records =
 let read_snapshot store =
   match store.Store.snap_read () with
   | None -> Error "no snapshot"
-  | Some blob -> (
-    match Wal.unframe blob with
-    | None -> Error "corrupt snapshot"
-    | Some payload -> (
-      match (Marshal.from_string payload 0 : snap) with
-      | s when s.snap_version = snap_version -> Ok s
-      | s -> Error (Printf.sprintf "unsupported snapshot version %d" s.snap_version)
-      | exception _ -> Error "corrupt snapshot"))
+  | Some blob -> (Wal.unseal ~magic:snap_magic blob : (snap, string) result)
 
 let recover ?config ?(journal = default_config) ?now ?(kill = fun _ -> ())
     ?(resnap = true) ~store () =

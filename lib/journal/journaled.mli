@@ -2,12 +2,12 @@
 
     A journaled engine writes a {!Wal} record stream around every event
     it absorbs — [Ev_begin] before the engine sees it, [Tx_intent] /
-    [Tx_commit] around the data-plane write with a
-    [Wave_begin]/[Wave_commit] pair per consistent-update wave between
-    them, [Ev_commit] once the report is in hand — each fsynced before
-    the next step runs, and periodically compacts the log into a
-    full-state snapshot ({!Runtime.Engine.persisted} plus the journal's
-    own counters).
+    [Tx_commit] around the data-plane write with a [Wave_commit] per
+    committed consistent-update wave between them, [Ev_commit] once the
+    report is in hand — each fsynced before the next step runs, and
+    periodically compacts the log into a full-state snapshot
+    ({!Runtime.Engine.persisted} plus the journal's own counters),
+    sealed under the magic ["sdnplace-journal/2\n"] ({!Wal.seal}).
 
     {!recover} inverts that: load the latest valid snapshot, replay the
     log's longest valid prefix (a torn or corrupt tail is truncated, not
@@ -37,8 +37,8 @@ type kill_point =
   | After_begin  (** [Ev_begin] durable, engine has not run *)
   | Mid_apply  (** before a per-entry table operation (fires per op) *)
   | After_wave_begin
-      (** a wave's [Wave_begin] durable, its operations not yet issued
-          (fires per wave) *)
+      (** a wave has begun, its operations not yet issued (fires per
+          wave); nothing is logged for a wave until it commits *)
   | Before_wave_commit
       (** a wave's barrier passed, its [Wave_commit] frontier not yet
           durable (fires per wave) *)
@@ -57,22 +57,11 @@ type config = {
 
 val default_config : config
 
-type stats = {
-  appends : int;  (** WAL records appended *)
-  wal_bytes : int;  (** WAL bytes written *)
-  fsyncs : int;  (** durability barriers issued *)
-  snapshots : int;  (** full-state snapshots written *)
-  compactions : int;  (** log truncations after a snapshot *)
-  recoveries : int;  (** successful {!recover} calls *)
-  replayed_events : int;  (** events re-executed during recovery *)
-  dropped_bytes : int;  (** torn/corrupt tail bytes truncated *)
-}
-
-val global_stats : unit -> stats
-(** Process-wide journal tallies, read back from the telemetry registry
-    (zeros while telemetry is disabled).  Latency distributions live in
-    the [sdnplace_journal_fsync_seconds] and
-    [sdnplace_journal_snapshot_seconds] histograms. *)
+(** Process-wide journal tallies are telemetry series:
+    [sdnplace_journal_{appends,wal_bytes,fsyncs,snapshots,compactions,
+    recoveries,replayed_events,dropped_bytes}_total], plus the
+    [sdnplace_journal_fsync_seconds] and
+    [sdnplace_journal_snapshot_seconds] latency histograms. *)
 
 type t
 
@@ -107,9 +96,6 @@ val handle :
     [Ev_begin] record so recovery re-handles the event under the same
     restriction. *)
 
-val run : ?client:(unit -> string) -> t -> Runtime.Event.t list -> Runtime.Report.t list
-(** {!handle} in sequence; [client] is sampled after each event. *)
-
 val engine : t -> Runtime.Engine.t
 val seq : t -> int  (** events durably absorbed so far *)
 
@@ -118,12 +104,14 @@ val client : t -> string option
 
 val set_client : t -> string -> unit
 (** Replace the client blob the {e next} snapshot will persist, without
-    writing anything.  For a caller whose client state evolves {e after}
-    an event's report is in hand (the serving layer, whose circuit
-    breaker steps on the report's outcome): the blob passed to {!handle} rides
-    the [Ev_begin] record for replay, and the post-report blob installed
-    here is what a snapshot should freeze.  Recovery then patches the
-    at-most-one missing step from the last replayed report. *)
+    writing anything.  For a caller whose client state also changes
+    outside journaled events (the serving layer: its circuit breaker
+    steps on a report's outcome, and rejected tickets never reach the
+    engine): the blob passed to {!handle} rides the [Ev_begin] record
+    for replay, and the caller installs its current state here right
+    before {!snapshot_now}, so every snapshot freezes the newest state.
+    Recovery then patches the at-most-one missing step from the last
+    replayed report. *)
 
 val snapshot_now : t -> unit
 (** Force a snapshot and compact the log.  The snapshot is written

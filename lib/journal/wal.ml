@@ -11,7 +11,6 @@ type record =
       redo : Netsim.entry list array;
     }
   | Tx_commit of { seq : int }
-  | Wave_begin of { seq : int; wave : int }
   | Wave_commit of { seq : int; wave : int; frontier : Runtime.Update.frontier }
   | Ev_commit of { seq : int; signature : string }
 
@@ -19,7 +18,6 @@ let seq_of = function
   | Ev_begin { seq; _ }
   | Tx_intent { seq; _ }
   | Tx_commit { seq }
-  | Wave_begin { seq; _ }
   | Wave_commit { seq; _ }
   | Ev_commit { seq; _ } ->
     seq
@@ -29,7 +27,6 @@ let describe = function
     Printf.sprintf "ev_begin[%d] %s" seq (Runtime.Event.describe event)
   | Tx_intent { seq; _ } -> Printf.sprintf "tx_intent[%d]" seq
   | Tx_commit { seq } -> Printf.sprintf "tx_commit[%d]" seq
-  | Wave_begin { seq; wave } -> Printf.sprintf "wave_begin[%d] wave=%d" seq wave
   | Wave_commit { seq; wave; _ } ->
     Printf.sprintf "wave_commit[%d] wave=%d" seq wave
   | Ev_commit { seq; signature } -> Printf.sprintf "ev_commit[%d] %s" seq signature
@@ -73,6 +70,20 @@ let unframe s =
   | _ -> None
 
 let encode r = frame (Marshal.to_string r [])
+
+let seal ~magic v = frame (magic ^ Marshal.to_string v [])
+
+(* The magic is checked before [Marshal] reads a byte: a blob of another
+   format or version is refused, never misread. *)
+let unseal ~magic blob =
+  match unframe blob with
+  | None -> Error "corrupt snapshot"
+  | Some p when not (String.starts_with ~prefix:magic p) ->
+    Error "unknown snapshot version"
+  | Some p -> (
+    match Marshal.from_string p (String.length magic) with
+    | v -> Ok v
+    | exception _ -> Error "corrupt snapshot")
 
 (* The generic frame walk: the longest prefix of whole, checksummed
    frames.  The serving layer's intake logs and wire protocol share this

@@ -9,13 +9,14 @@
     everything after is discarded.
 
     The record sequence for one absorbed event [seq] is:
-    [Ev_begin] → ([Tx_intent] → interleaved [Wave_begin]/[Wave_commit]
-    pairs for a consistent wave update → [Tx_commit] if the event
-    produced a data-plane write) → [Ev_commit].  Which suffix of that
-    sequence survives a crash tells recovery exactly how far the event
-    got (see {!Journaled}); the last [Wave_commit]'s frontier is what
-    lets a torn consistent update {e resume} instead of replaying from
-    scratch. *)
+    [Ev_begin] → ([Tx_intent] → one [Wave_commit] per committed wave of
+    a consistent update → [Tx_commit] if the event produced a
+    data-plane write) → [Ev_commit].  Which suffix of that sequence
+    survives a crash tells recovery exactly how far the event got (see
+    {!Journaled}); the last [Wave_commit]'s frontier is what lets a torn
+    consistent update {e resume} instead of replaying from scratch.  A
+    wave that began but never committed leaves no record: recovery
+    re-runs it from the previous frontier either way. *)
 
 type record =
   | Ev_begin of {
@@ -36,9 +37,6 @@ type record =
       redo : Netsim.entry list array;  (** target tables *)
     }  (** logged before the first table operation of the transaction *)
   | Tx_commit of { seq : int }  (** logged right after the transaction commits *)
-  | Wave_begin of { seq : int; wave : int }
-      (** logged before a consistent-update wave issues its first
-          operation *)
   | Wave_commit of { seq : int; wave : int; frontier : Runtime.Update.frontier }
       (** logged after the wave's barrier re-proved consistency; the
           frontier carries everything resume needs (tables, fault-plan
@@ -56,11 +54,25 @@ val frame : string -> string
 
 val unframe : string -> string option
 (** Decode a string holding exactly one frame; [None] if torn, corrupt,
-    or trailed by garbage.  (Used for the snapshot blob, which is a
-    single frame.) *)
+    or trailed by garbage.  (Used for sealed snapshot blobs and wire
+    messages, each a single frame.) *)
 
 val encode : record -> string
 (** A framed, marshaled record, ready to append. *)
+
+val seal : magic:string -> 'a -> string
+(** A sealed snapshot blob: one {!frame} around [magic] followed by the
+    [Marshal]ed value.  [magic] names the format and its version (e.g.
+    ["sdnplace-journal/2\n"]); change it whenever the sealed type
+    changes. *)
+
+val unseal : magic:string -> string -> ('a, string) result
+(** Invert {!seal}.  The frame and then [magic] are checked before
+    [Marshal] reads a byte, so a torn blob is
+    [Error "corrupt snapshot"] and one of another format or version
+    [Error "unknown snapshot version"]; never raises.  Like [Marshal],
+    the result type is the caller's to annotate — it must be the type
+    that was sealed under this [magic]. *)
 
 val scan : string -> record list * int
 (** [scan log] decodes the longest valid prefix of the log: the records

@@ -40,7 +40,7 @@
 
     Each committed wave yields a {!frontier} — tables, fault-plan state
     and api stats — which the journal persists ({!Journal.Wal}'s
-    [Wave_begin]/[Wave_commit] records) so that a crash mid-update
+    [Wave_commit] record) so that a crash mid-update
     resumes from the last committed wave with the exact remaining fault
     sequence, converging byte-identically to an uncrashed run. *)
 

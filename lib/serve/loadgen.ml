@@ -26,9 +26,6 @@ let make ?(weights = default_weights) ?(tenants = 8) ?(flood_tenant = 0)
     flood_bias = max 0 flood_bias;
   }
 
-let capture t = Marshal.to_string t []
-let restore s = (Marshal.from_string s 0 : t)
-
 let next t =
   let tenant =
     if t.flood_bias > 0 && Prng.int t.prng (t.flood_bias + 1) > 0 then

@@ -34,6 +34,3 @@ val make :
 
 val next : t -> Wire.request
 (** The next [Submit] request. *)
-
-val capture : t -> string
-val restore : string -> t

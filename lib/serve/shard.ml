@@ -72,10 +72,10 @@ let fresh_ts = { ts_active = false; ts_ingress = None; ts_breaker = Closed { str
 (* Everything the deterministic op->event translation depends on, beyond
    the engine itself.  Captured (post-draw, ticket marked done) into the
    Ev_begin client blob of every journaled event, so recovery restores
-   the exact translation stream.  [cs_last] names the tenant whose
-   breaker step is still pending when this blob was written at Ev_begin
-   — the report was not in hand yet; recovery patches that one step from
-   the last replayed report. *)
+   the exact translation stream, and again by every {!snapshot}.
+   [cs_last] names the tenant whose breaker step is still pending when
+   this blob was written at Ev_begin — the report was not in hand yet;
+   recovery patches that one step from the last replayed report. *)
 type cstate = {
   cs_prng : Prng.t;
   mutable cs_done_below : int;  (** every ticket < this is processed *)
@@ -160,26 +160,50 @@ let base_solution config =
        ~policies:[]
        ~capacities:(Placement.Instance.uniform_capacity net config.capacity))
 
+let snapshot t =
+  (* Journal first: its snapshot carries the done-set that lets recovery
+     discard the intake records compaction is about to duplicate or that
+     a crash leaves behind.  The client blob is captured here, not after
+     each event: tickets resolved without an event (rejected
+     translations) and the last breaker step are in it too. *)
+  Journal.Journaled.set_client t.jeng (capture t.cs);
+  Journal.Journaled.snapshot_now t.jeng;
+  let frames =
+    String.concat ""
+      (List.map
+         (fun (ticket, tenant, op) ->
+           encode_intake { it_ticket = ticket; it_tenant = tenant; it_op = op })
+         t.queue)
+  in
+  (* Pending records move to the atomic snapshot slot before the log is
+     truncated: a crash between the two reads them twice (deduped on
+     recovery), never zero times.  The snap slot is durable on return,
+     so any appends still staged under group commit are covered by it —
+     their eventual acks no longer need a WAL barrier. *)
+  t.stores.intake.Journal.Store.snap_write frames;
+  t.stores.intake.Journal.Store.wal_reset ();
+  Journal.Store.Batched.note_durable t.intake_b;
+  t.since_snapshot <- 0
+
 let create ?(config = default_config) ?kill ~stores ~seed ~id () =
   let jeng =
     Journal.Journaled.create ~config:config.engine ~journal:journal_config
       ?kill ~store:stores.journal (base_solution config)
   in
-  let cs = initial_cstate ~seed ~id in
-  Journal.Journaled.set_client jeng (capture cs);
-  Journal.Journaled.snapshot_now jeng;
-  stores.intake.Journal.Store.snap_write "";
-  stores.intake.Journal.Store.wal_reset ();
-  {
-    config;
-    stores;
-    intake_b = Journal.Store.Batched.wrap stores.intake;
-    jeng;
-    cs;
-    next_ticket = 1;
-    queue = [];
-    since_snapshot = 0;
-  }
+  let t =
+    {
+      config;
+      stores;
+      intake_b = Journal.Store.Batched.wrap stores.intake;
+      jeng;
+      cs = initial_cstate ~seed ~id;
+      next_ticket = 1;
+      queue = [];
+      since_snapshot = 0;
+    }
+  in
+  snapshot t;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
@@ -347,28 +371,6 @@ type outcome =
 
 type processed = { p_tenant : int; p_ticket : int; p_outcome : outcome }
 
-let snapshot t =
-  (* Journal first: its snapshot carries the done-set that lets recovery
-     discard the intake records compaction is about to duplicate or that
-     a crash leaves behind. *)
-  Journal.Journaled.snapshot_now t.jeng;
-  let frames =
-    String.concat ""
-      (List.map
-         (fun (ticket, tenant, op) ->
-           encode_intake { it_ticket = ticket; it_tenant = tenant; it_op = op })
-         t.queue)
-  in
-  (* Pending records move to the atomic snapshot slot before the log is
-     truncated: a crash between the two reads them twice (deduped on
-     recovery), never zero times.  The snap slot is durable on return,
-     so any appends still staged under group commit are covered by it —
-     their eventual acks no longer need a WAL barrier. *)
-  t.stores.intake.Journal.Store.snap_write frames;
-  t.stores.intake.Journal.Store.wal_reset ();
-  Journal.Store.Batched.note_durable t.intake_b;
-  t.since_snapshot <- 0
-
 let process_one t (ticket, tenant, op) =
   match translate t tenant op with
   | Error reason ->
@@ -388,7 +390,6 @@ let process_one t (ticket, tenant, op) =
     let ts = ts_find t.cs tenant in
     ts_set t.cs tenant { ts with ts_breaker = breaker_step t.config b report };
     t.cs.cs_last <- None;
-    Journal.Journaled.set_client t.jeng (capture t.cs);
     t.since_snapshot <- t.since_snapshot + 1;
     if t.since_snapshot >= t.config.snapshot_every then snapshot t;
     let quarantined =
@@ -495,7 +496,6 @@ let recover ?(config = default_config) ?kill ~stores ~seed ~id () =
       ts_set cs tenant { ts with ts_breaker = breaker_step config ts.ts_breaker report }
     | _ -> ());
     cs.cs_last <- None;
-    Journal.Journaled.set_client jeng (capture cs);
     let snap_bytes =
       Option.value (stores.intake.Journal.Store.snap_read ()) ~default:""
     in

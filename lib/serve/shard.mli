@@ -12,14 +12,16 @@
 
     {b Determinism across crashes.}  Translation draws (ingress
     allocation, path choice, policy synthesis) come from a PRNG whose
-    state rides the journal's client blob, captured {e after} drawing
-    each event and marking its ticket done.  Recovery therefore splits
-    the intake log exactly: tickets the restored blob marks done were
-    journaled (the engine replay re-absorbs them); the rest re-translate
+    state rides the journal's client blob: captured {e after} drawing
+    each event and marking its ticket done (the [Ev_begin] blob), and
+    again by every shard snapshot.  Recovery therefore splits the intake
+    log exactly: tickets the restored blob marks done were resolved (the
+    engine replay re-absorbs the journaled ones); the rest re-translate
     from the restored PRNG state into byte-identical events.  A ticket
     whose translation fails (e.g. [Flow] from a disconnected tenant) is
     resolved as a {e quarantined ticket} — a pure function of the
-    restored state, so a crash re-derives the same resolution.
+    restored state, so a crash re-derives the same resolution, and the
+    next snapshot (a drain ends in one) makes it durable.
 
     {b Bulkhead.}  Each tenant carries a circuit breaker.  Events that
     keep escalating the engine's degradation ladder (greedy/quarantine
@@ -31,7 +33,8 @@
     original run.  Breaker steps depend on each event's {e report}, so
     the blob logged at [Ev_begin] lags by one step; {!recover} patches
     that step from the last replayed report (see
-    {!Journal.Journaled.set_client}). *)
+    {!Journal.Journaled.set_client}, which only the shard snapshot
+    calls). *)
 
 type config = {
   capacity : int;  (** uniform per-switch ACL budget of the shard's net *)

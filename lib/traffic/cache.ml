@@ -1,5 +1,3 @@
-type config = { hw_capacity : int array; decay : float }
-
 let default_decay = 0.5
 
 let m_hits =

@@ -31,12 +31,8 @@
     give equal cache states, and the whole struct is plain data — it
     rides the controller's snapshot for crash-resume. *)
 
-type config = {
-  hw_capacity : int array;  (** per-switch hardware TCAM slots *)
-  decay : float;  (** per-epoch score retention in [0,1] (default 0.5) *)
-}
-
 val default_decay : float
+(** Per-epoch score retention in [0,1] (0.5). *)
 
 type t
 

@@ -64,9 +64,9 @@ let line r =
 
 (* The snapshot: the complete controller state at an epoch boundary.
    The full tables ride along so [resume] rebuilds the cache without
-   solving again.  The payload is [snapshot_magic] followed by the
-   marshaled record, in one [Wal.frame], so a torn blob or one of
-   another version is refused before [Marshal] reads it. *)
+   solving again.  It is sealed under [snapshot_magic]
+   ({!Journal.Wal.seal}), so a torn blob or one of another version is
+   refused before [Marshal] reads it. *)
 type snapshot = {
   s_epoch : int;
   s_full : Netsim.entry list array;
@@ -182,8 +182,7 @@ let persist t =
           s_stats = t.last_stats;
         }
       in
-      store.Journal.Store.snap_write
-        (Journal.Wal.frame (snapshot_magic ^ Marshal.to_string s [])))
+      store.Journal.Store.snap_write (Journal.Wal.seal ~magic:snapshot_magic s))
     t.store
 
 let create ?store cfg =
@@ -293,15 +292,10 @@ let run t =
 (* Crash-resume                                                        *)
 
 let read_snapshot (store : Journal.Store.t) =
-  match Option.map Journal.Wal.unframe (store.Journal.Store.snap_read ()) with
+  match store.Journal.Store.snap_read () with
   | None -> Error "no snapshot"
-  | Some None -> Error "corrupt snapshot"
-  | Some (Some p) when not (String.starts_with ~prefix:snapshot_magic p) ->
-    Error "unknown snapshot version"
-  | Some (Some p) -> (
-    match (Marshal.from_string p (String.length snapshot_magic) : snapshot) with
-    | s -> Ok s
-    | exception _ -> Error "corrupt snapshot")
+  | Some blob ->
+    (Journal.Wal.unseal ~magic:snapshot_magic blob : (snapshot, string) result)
 
 let resume ~store cfg =
   match read_snapshot store with

@@ -16,7 +16,8 @@
       lines carry no wall-clock fields);
     - with a store, every epoch boundary (and the placement before
       epoch 0) writes the complete controller state through
-      [snap_write], one {!Journal.Wal.frame} around a versioned blob.
+      [snap_write], one blob sealed under a versioned magic
+      ({!Journal.Wal.seal}).
       A crash anywhere in an epoch loses only that epoch's work: {!resume}
       restarts from the last boundary and re-runs it to the same report
       line;

@@ -152,6 +152,29 @@ let test_jobs1_is_sequential () =
   Alcotest.(check int) "identical search" seq_stats.Ilp.Solver.nodes
     par_stats.Ilp.Solver.nodes
 
+(* The node limit bounds the whole search, not each worker: two workers
+   share one count, so they stop together just past the limit.  The
+   slack is one node per worker — each charges the node on which it sees
+   the count exceeded. *)
+let test_node_limit_is_shared () =
+  let limit = 5_000 in
+  let config = { no_lp with Ilp.Solver.node_limit = limit } in
+  let nodes jobs =
+    match Ilp.Solver.solve ~config ~jobs (pigeonhole 9) with
+    | (Ilp.Solver.Feasible _ | Ilp.Solver.Unknown), stats ->
+      stats.Ilp.Solver.nodes
+    | (Ilp.Solver.Optimal _ | Ilp.Solver.Infeasible), _ ->
+      Alcotest.failf "jobs=%d: a search cut at the node limit claimed a proof"
+        jobs
+  in
+  Alcotest.(check int) "sequential stops one node past the limit" (limit + 1)
+    (nodes 1);
+  let par = nodes 2 in
+  Alcotest.(check bool)
+    (Printf.sprintf "jobs=2 spent %d nodes: within [limit, limit + 2]" par)
+    true
+    (par >= limit && par <= limit + 2)
+
 (* The sequential search's time limit is wall-clock time: with another
    domain spinning beside it, a 1 s limit must still buy close to 1 s
    of search, not 1 s of the whole process's CPU time. *)
@@ -298,6 +321,8 @@ let suite =
       test_prefired_cancel_stops_cdcl;
     Alcotest.test_case "jobs=1 is the sequential search" `Quick
       test_jobs1_is_sequential;
+    Alcotest.test_case "node limit is shared by parallel workers" `Quick
+      test_node_limit_is_shared;
     Alcotest.test_case "time limit is wall-clock beside a busy domain" `Quick
       test_time_limit_is_wall_clock;
     Alcotest.test_case "stage times are wall-clock beside a busy domain" `Quick

@@ -603,6 +603,46 @@ let test_group_commit_acks () =
     !acked;
   Daemon.shutdown d2
 
+(* ---------------- drain snapshot keeps eventless resolutions -------- *)
+
+(* A quarantined ticket never reaches the journal, so only the shard
+   snapshot can make its resolution durable.  The drain snapshot must
+   carry it: a restart that forgot it would re-issue its number. *)
+let test_drain_keeps_quarantined_ticket () =
+  let stores, _ = mem_stores 1 in
+  let d = Daemon.create ~config:small_config ~stores () in
+  let admit tenant op =
+    match Daemon.submit d (Wire.Submit { tenant; op }) with
+    | [ Wire.Accepted { ticket; _ } ] -> ticket
+    | _ -> Alcotest.fail "admission not acked"
+  in
+  Alcotest.(check int) "connect is #1" 1 (admit 0 (Wire.Connect { rules = 2 }));
+  Alcotest.(check int) "flow is #2" 2 (admit 1 Wire.Flow);
+  let replies = Daemon.drain d in
+  Alcotest.(check bool) "#2 quarantined as not connected" true
+    (List.exists
+       (function
+         | Wire.Quarantined_ticket
+             { tenant = 1; ticket = 2; reason = "not connected" } ->
+           true
+         | _ -> false)
+       replies);
+  let before = Daemon.signature d in
+  Daemon.shutdown d;
+  let s = Daemon.start ~config:small_config ~stores () in
+  let d2 = s.Daemon.daemon in
+  Alcotest.(check (list string)) "clean recovery" [] s.Daemon.divergences;
+  Alcotest.(check bool) "#2 still resolved" true
+    (Daemon.resolved d2 ~tenant:1 ~ticket:2);
+  Alcotest.(check string) "signature survives the restart" before
+    (Daemon.signature d2);
+  (match Daemon.submit d2 (Wire.Submit { tenant = 1; op = Wire.Flow }) with
+  | [ Wire.Accepted { ticket = 3; _ } ] -> ()
+  | rs ->
+    Alcotest.failf "next admission: %s"
+      (String.concat "; " (List.map Wire.describe_reply rs)));
+  Daemon.shutdown d2
+
 (* ---------------- stats: untearable under a concurrent reader -------- *)
 
 let test_stats_atomic_audit () =
@@ -980,6 +1020,8 @@ let suite =
       test_exec_pool;
     Alcotest.test_case "group commit: acks wait for the covering barrier"
       `Quick test_group_commit_acks;
+    Alcotest.test_case "drain snapshot keeps a quarantined ticket" `Quick
+      test_drain_keeps_quarantined_ticket;
     Alcotest.test_case "stats reply untearable under a concurrent reader"
       `Quick test_stats_atomic_audit;
     Alcotest.test_case "accept loop multiplexes two sessions" `Quick
