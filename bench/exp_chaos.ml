@@ -8,7 +8,7 @@
    and quarantine events); any unverified transition fails the bench,
    which is what the CI chaos lane trips on. *)
 
-let run ~title ~seed ~events ~jobs ~time_limit () =
+let run ~title ~seed ~events ~time_limit () =
   let family =
     {
       Workload.default with
@@ -21,7 +21,7 @@ let run ~title ~seed ~events ~jobs ~time_limit () =
   in
   let inst = Workload.build family in
   let options =
-    Placement.Solve.options ~jobs
+    Placement.Solve.options
       ~ilp_config:{ Ilp.Solver.default_config with time_limit }
       ()
   in

@@ -4,7 +4,7 @@
    Bechamel micro-benchmark with one timing probe per table/figure.
 
    Usage: dune exec bench/main.exe -- [--quick] [--smoke] [--no-micro]
-                                      [--jobs N] [--seed N]
+                                      [--seed N]
                                       [--metrics FILE] [--trace FILE]
                                       [--only fig7|fig8|fig9|fig10|fig11|
                                               table2|exp5|s1|b1|ablations|
@@ -12,7 +12,7 @@
                                               caching]
 
    --only is repeatable.  An unknown flag or --only name, a missing
-   value, or a non-integer --jobs/--seed exits with status 2. *)
+   value, or a non-integer --seed exits with status 2. *)
 
 let experiments =
   [
@@ -24,7 +24,6 @@ let smoke = ref false
 let quick = ref false
 let no_micro = ref false
 let only = ref []
-let jobs = ref 4
 
 (* --seed N varies the chaos-soak churn/fault stream (CI runs a small
    seed matrix through it). *)
@@ -42,7 +41,6 @@ let () =
          ("--smoke", Arg.Set smoke, " one tiny point per experiment family");
          ("--quick", Arg.Set quick, " reduced sweeps");
          ("--no-micro", Arg.Set no_micro, " skip the micro-benchmarks");
-         ("--jobs", Arg.Set_int jobs, "N domains for the parallel experiments");
          ("--seed", Arg.Set_int seed, "N chaos/serve/caching seed");
          ( "--metrics",
            Arg.String (fun f -> metrics_out := Some f),
@@ -60,7 +58,6 @@ let () =
 let smoke = !smoke
 let quick = smoke || !quick
 let no_micro = smoke || !no_micro
-let jobs = !jobs
 let seed = !seed
 let metrics_out = !metrics_out
 let trace_out = !trace_out
@@ -161,7 +158,7 @@ let run_experiments () =
            seed)
       ~seed
       ~events:(if smoke then 60 else 100)
-      ~jobs ~time_limit ();
+      ~time_limit ();
 
   if wants "update" then
     Exp_chaos.update_storm

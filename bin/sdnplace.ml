@@ -140,14 +140,6 @@ let time_limit_arg =
     value & opt float 60.0
     & info [ "time-limit" ] ~docv:"SECONDS" ~doc:"ILP solver time limit.")
 
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Domains for the parallel engines (default 1 = sequential; 0 \
-           means one per recommended core).")
-
 let features_arg =
   let no_presolve =
     Arg.(
@@ -180,10 +172,8 @@ let features_arg =
 
 (* The one solve-option surface shared by [solve], [verify] and [events]. *)
 let solve_options =
-  let make merge slice engine (presolve, cuts, fpump) objective time_limit
-      jobs =
-    let jobs = if jobs <= 0 then Domain.recommended_domain_count () else jobs in
-    Placement.Solve.options ~merge ~slice ~engine ~jobs ~presolve ~cuts ~fpump
+  let make merge slice engine (presolve, cuts, fpump) objective time_limit =
+    Placement.Solve.options ~merge ~slice ~engine ~presolve ~cuts ~fpump
       ~objective:
         (match objective with
         | `Total -> Placement.Encode.Total_rules
@@ -193,7 +183,7 @@ let solve_options =
   in
   Term.(
     const make $ merge_flag $ slice_flag $ engine_arg $ features_arg
-    $ objective_arg $ time_limit_arg $ jobs_arg)
+    $ objective_arg $ time_limit_arg)
 
 (* ---------------- generate ---------------- *)
 

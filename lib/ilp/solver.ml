@@ -34,7 +34,7 @@ let eps = 1e-6
 (* Maximum root cut-separation rounds. *)
 let cut_rounds = 4
 
-(* Telemetry.  Node/LP tallies accumulate in the per-domain [state] and
+(* Telemetry.  Node/LP tallies accumulate in the search [state] and
    are flushed to the registry once per solve; only the incumbent
    counter is bumped inline (incumbents are rare by construction). *)
 let m_solves =
@@ -146,36 +146,18 @@ type state = {
   used_stamp : int array;  (* scratch for the cover bound *)
   mutable stamp : int;
   mutable best : solution option;
-  (* Best objective known globally.  In a sequential solve this mirrors
-     [best]; in a parallel solve every worker shares one atomic so
-     pruning stays globally effective.  The cutoff is strict, so sharing
-     never prunes a strictly better solution — the parallel optimum is
-     the sequential optimum. *)
-  mutable shared_obj : float Atomic.t;
   mutable cancel : unit -> bool;
       (* cooperative cancellation, polled in [dfs] and between root cut
          rounds, pump rounds and dive steps *)
   mutable nodes : int;
-  (* Nodes charged against [node_limit]: the search's own count in a
-     sequential solve, one atomic shared by every worker in a parallel
-     one, so the limit bounds the whole search. *)
-  mutable searched : int Atomic.t;
   mutable lp_calls : int;
   mutable stopped : bool;
   mutable root_bound : float;
   (* LP relaxation: one persistent revised-simplex instance per search
      state.  Each node narrows variable bounds in place and re-solves
      with the dual simplex from the parent's optimal basis instead of
-     rebuilding a reduced LP from scratch.  [splx_seed] optionally ships
-     a basis snapshot into a freshly built state (parallel workers warm
-     their first LP from the root basis). *)
+     rebuilding a reduced LP from scratch. *)
   mutable splx : Simplex.Revised.t option;
-  mutable splx_seed : Simplex.Revised.snapshot option;
-  (* Cut rows separated at the root.  They are part of the LP for the
-     whole tree (cuts are derived from model rows only, so they are
-     globally valid); parallel workers receive them before building
-     their own LP so the root basis snapshot's fingerprint matches. *)
-  mutable extra_rows : (Simplex.Csc.row * Simplex.Revised.sense * float) array;
   (* Wall-clock instant [time_limit] after the solve started: the search
      and every LP pivot loop give up once it passes, so a single long
      relaxation cannot blow through the limit either. *)
@@ -268,16 +250,12 @@ let build_state model =
     used_stamp = Array.make n 0;
     stamp = 0;
     best = None;
-    shared_obj = Atomic.make infinity;
     cancel = (fun () -> false);
     nodes = 0;
-    searched = Atomic.make 0;
     lp_calls = 0;
     stopped = false;
     root_bound = neg_infinity;
     splx = None;
-    splx_seed = None;
-    extra_rows = [||];
     lp_deadline = infinity;
   }
 
@@ -404,14 +382,12 @@ let bound st =
    basis dual-feasible, so each re-solve is a dual-simplex warm start. *)
 let build_splx st =
   let rows =
-    Array.append
-      (Array.map
-         (fun (r : lrow) ->
-           ( { Simplex.Csc.idx = r.vidx; coef = r.vcoef },
-             Simplex.Revised.Le,
-             r.rhs ))
-         st.lrows)
-      st.extra_rows
+    Array.map
+      (fun (r : lrow) ->
+        ( { Simplex.Csc.idx = r.vidx; coef = r.vcoef },
+          Simplex.Revised.Le,
+          r.rhs ))
+      st.lrows
   in
   Simplex.Revised.create ~nvars:st.n
     ~obj:(Simplex.Csc.pack (Array.init st.n Fun.id) (Array.copy st.c))
@@ -419,16 +395,12 @@ let build_splx st =
     ~upper:(Array.make st.n 1.0)
     ~rows
 
-(* The state's persistent LP, built on first use (seeded from
-   [splx_seed] when one was shipped in). *)
+(* The state's persistent LP, built on first use. *)
 let persistent_lp st =
   match st.splx with
   | Some lp -> lp
   | None ->
     let lp = build_splx st in
-    (match st.splx_seed with
-    | Some snap -> ignore (Simplex.Revised.restore lp snap)
-    | None -> ());
     st.splx <- Some lp;
     lp
 
@@ -513,22 +485,13 @@ let pick_branch st =
 exception Stop
 
 let cutoff st =
-  let b = Atomic.get st.shared_obj in
-  if b = infinity then infinity
-  else if st.all_int then b -. 0.5
-  else b -. 1e-9
-
-(* Publish an objective into the shared bound (monotone min via CAS). *)
-let rec publish shared objective =
-  let cur = Atomic.get shared in
-  if objective < cur -. 1e-9 then
-    if not (Atomic.compare_and_set shared cur objective) then
-      publish shared objective
+  match st.best with
+  | None -> infinity
+  | Some b -> if st.all_int then b.objective -. 0.5 else b.objective -. 1e-9
 
 let set_best st values objective =
   Telemetry.Metrics.incr m_incumbents;
-  st.best <- Some { values; objective };
-  publish st.shared_obj objective
+  st.best <- Some { values; objective }
 
 (* Root dual bound usable for optimality tests: with an all-integer
    objective the LP bound rounds up to the next integer. *)
@@ -562,7 +525,7 @@ let rec dfs st cfg ~depth =
     st.stopped <- true;
     raise Stop
   end;
-  if Atomic.fetch_and_add st.searched 1 >= cfg.node_limit then begin
+  if st.nodes > cfg.node_limit then begin
     st.stopped <- true;
     raise Stop
   end;
@@ -616,8 +579,7 @@ let try_integral_incumbent st model lp_sol =
 (* Root cutting-plane loop on the persistent sparse LP.  Cuts are
    separated from model structure only (never node fixings), so they are
    valid for the whole 0-1 feasible set: they stay in the LP across the
-   entire tree and are shipped to parallel workers via [st.extra_rows].
-   Each accepted round appends rows to the factorized instance
+   entire tree.  Each accepted round appends rows to the factorized instance
    ([Revised.add_rows] carries the basis, leaving it dual-feasible) and
    re-solves with the dual simplex.  A cut-LP infeasibility proves the
    model infeasible. *)
@@ -648,7 +610,6 @@ let cut_loop st model last_sol root_ok =
         in
         let lp = Simplex.Revised.add_rows lp rows in
         st.splx <- Some lp;
-        st.extra_rows <- Array.append st.extra_rows rows;
         Telemetry.Metrics.add m_cuts (Array.length rows);
         Telemetry.Metrics.incr m_cut_rounds;
         st.lp_calls <- st.lp_calls + 1;
@@ -701,12 +662,12 @@ let pump_and_dive st model =
       | _ -> ()
     end
 
-(* Root work shared by the sequential and parallel searches: warm start,
-   root propagation, root LP (crash-started from the incumbent, with the
-   integral-hint incumbent), cutting planes, primal heuristics.  Each
-   LP stage is skipped, or stopped between rounds, once [cancel] fires.
-   Returns the prepared state plus [`Settled outcome] when the root
-   already decides the instance, [`Open] otherwise. *)
+(* Root work before the search: warm start, root propagation, root LP
+   (crash-started from the incumbent, with the integral-hint incumbent),
+   cutting planes, primal heuristics.  Each LP stage is skipped, or
+   stopped between rounds, once [cancel] fires.  Returns the prepared
+   state plus [`Settled outcome] when the root already decides the
+   instance, [`Open] otherwise. *)
 let prepare ~config ~cancel ~deadline ?warm_start model =
   let st =
     Telemetry.Trace.with_span "ilp.setup" @@ fun () ->
@@ -764,167 +725,26 @@ let outcome_of ~stopped best =
   | true, Some b -> Feasible b
   | true, None -> Unknown
 
-(* ------------------------------------------------------------------ *)
-(* Parallel branch and bound over OCaml domains                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Replay a decision prefix (assign + propagate after each decision,
-   mirroring [try_value]).  Returns false when the prefix conflicts. *)
-let replay st prefix =
-  Array.for_all
-    (fun (v, b) ->
-      if st.value.(v) >= 0 then st.value.(v) = b
-      else begin
-        let mark = st.trail_len in
-        assign st v b;
-        propagate st mark
-      end)
-    prefix
-
-(* Deterministic work splitting: breadth-first expansion of the top of
-   the search tree (same propagation, bounding and branching rules as
-   [dfs], so the frontier depends only on the instance — never on
-   timing).  Leaves met while splitting are recorded as incumbents,
-   which may raise [Stop] when one matches the root bound. *)
-let split_frontier st ~target =
-  let q = Queue.create () in
-  Queue.add [] q;
-  let expansions = ref 0 in
-  let budget = 64 * target in
-  while
-    (not (Queue.is_empty q))
-    && Queue.length q < target
-    && !expansions < budget
-  do
-    let prefix = Queue.pop q in
-    incr expansions;
-    st.nodes <- st.nodes + 1;
-    let mark = st.trail_len in
-    (if replay st (Array.of_list prefix) then begin
-       let lb = bound st in
-       let lb = if st.all_int then Float.round (Float.ceil (lb -. eps)) else lb in
-       if lb < cutoff st then
-         match pick_branch st with
-         | None -> record_incumbent st
-         | Some (v, first) ->
-           Queue.add (prefix @ [ (v, first) ]) q;
-           Queue.add (prefix @ [ (v, 1 - first) ]) q
-     end);
-    undo_to st mark
-  done;
-  q |> Queue.to_seq |> Seq.map Array.of_list |> Array.of_seq
-
-(* The tree below an open root, fanned out over [jobs] domains.
-   Returns the outcome plus the nodes and LP calls the workers spent. *)
-let parallel_search st ~config ~jobs ~cancel model =
-  match split_frontier st ~target:(4 * jobs) with
-  | exception Stop -> (outcome_of ~stopped:false st.best, 0, 0)
-  | [||] ->
-    (* The splitting pass exhausted the whole tree. *)
-    (outcome_of ~stopped:false st.best, 0, 0)
-  | prefixes ->
-    let proven = Atomic.make false in
-    let searched = Atomic.make st.nodes in
-    let deadline = st.lp_deadline in
-    let next = Atomic.make 0 in
-    let worker_cancel () =
-      cancel () || Atomic.get proven || Unix.gettimeofday () > deadline
-    in
-    (* Frontier subtrees ship with a compact root-basis snapshot: each
-       worker rebuilds its own persistent LP (domains share no mutable
-       state) but warm-starts its first re-solve from the root's optimal
-       basis instead of a cold phase 1. *)
-    let root_basis =
-      match st.splx with
-      | Some lp when Simplex.Revised.has_basis lp ->
-        Some (Simplex.Revised.snapshot lp)
-      | _ -> None
-    in
-    let work () =
-      let w = build_state model in
-      w.shared_obj <- st.shared_obj;
-      w.searched <- searched;
-      w.root_bound <- st.root_bound;
-      w.cancel <- worker_cancel;
-      w.splx_seed <- root_basis;
-      (* Root cuts are globally valid, so workers keep them — and the
-         worker LP must carry the same rows anyway for the root basis
-         snapshot's fingerprint to match. *)
-      w.extra_rows <- st.extra_rows;
-      w.lp_deadline <- deadline;
-      if not (propagate_root w) then (None, 0, 0, false)
-      else begin
-        let base = w.trail_len in
-        let continue_ = ref true in
-        while !continue_ do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= Array.length prefixes then continue_ := false
-          else if w.stopped || worker_cancel () then begin
-            (* Work remains but this worker must stop: without the
-               [stopped] mark a cancelled run with an empty incumbent
-               would be misread as a completed (Infeasible) search.
-               Stopping because the optimum was proven is fine — the
-               outcome logic discounts [stopped] under [proven]. *)
-            w.stopped <- true;
-            continue_ := false
-          end
-          else begin
-            (if replay w prefixes.(i) then
-               (* Depth restarts at 0 so the worker gets LP bounds at the
-                  top of its subtree, like the sequential search does
-                  under the root (LP bounds hold at any node). *)
-               try dfs w config ~depth:0
-               with Stop ->
-                 (* [Stop] without [stopped]: an incumbent matched the
-                    root bound — globally optimal, cancel all. *)
-                 if not w.stopped then Atomic.set proven true);
-            undo_to w base
-          end
-        done;
-        (w.best, w.nodes, w.lp_calls, w.stopped)
-      end
-    in
-    let others = Array.init (jobs - 1) (fun _ -> Domain.spawn work) in
-    let mine = work () in
-    let results = mine :: Array.to_list (Array.map Domain.join others) in
-    let best =
-      List.fold_left
-        (fun acc (b, _, _, _) ->
-          match (acc, b) with
-          | None, b -> b
-          | Some a, Some b when b.objective < a.objective -. 1e-9 -> Some b
-          | acc, _ -> acc)
-        st.best results
-    in
-    let nodes = List.fold_left (fun acc (_, n, _, _) -> acc + n) 0 results in
-    let lp_calls = List.fold_left (fun acc (_, _, l, _) -> acc + l) 0 results in
-    let stopped =
-      List.exists (fun (_, _, _, s) -> s) results && not (Atomic.get proven)
-    in
-    (outcome_of ~stopped best, nodes, lp_calls)
-
-(* Root work, then the sequential search ([jobs <= 1]) or the parallel
-   one.  [time_limit] counts wall-clock seconds from here: process CPU
-   time would charge this search for every other domain's work. *)
-let search ~config ~jobs ~cancel ?warm_start model =
+(* Root work, then the depth-first search below an open root.
+   [time_limit] counts wall-clock seconds from here. *)
+let search ~config ~cancel ?warm_start model =
   let wall0 = Unix.gettimeofday () in
   Telemetry.Metrics.incr m_solves;
   let st, root =
     prepare ~config ~cancel ~deadline:(wall0 +. config.time_limit) ?warm_start
       model
   in
-  let outcome, worker_nodes, worker_lp_calls =
+  let outcome =
     match root with
-    | `Settled outcome -> (outcome, 0, 0)
-    | `Open when jobs <= 1 ->
+    | `Settled outcome -> outcome
+    | `Open ->
       (try dfs st config ~depth:0 with Stop -> ());
-      (outcome_of ~stopped:st.stopped st.best, 0, 0)
-    | `Open -> parallel_search st ~config ~jobs ~cancel model
+      outcome_of ~stopped:st.stopped st.best
   in
   let s =
     {
-      nodes = st.nodes + worker_nodes;
-      lp_calls = st.lp_calls + worker_lp_calls;
+      nodes = st.nodes;
+      lp_calls = st.lp_calls;
       elapsed = Unix.gettimeofday () -. wall0;
       root_bound = st.root_bound;
     }
@@ -944,9 +764,9 @@ let search ~config ~jobs ~cancel ?warm_start model =
    the reduced model; solutions are lifted back through
    [Presolve.restore] and objectives shifted by the fixed
    contribution. *)
-let solve ?(config = default_config) ?(jobs = 1) ?(cancel = fun () -> false)
-    ?warm_start model =
-  if not config.presolve then search ~config ~jobs ~cancel ?warm_start model
+let solve ?(config = default_config) ?(cancel = fun () -> false) ?warm_start
+    model =
+  if not config.presolve then search ~config ~cancel ?warm_start model
   else
     let t0 = Unix.gettimeofday () in
     match
@@ -992,7 +812,7 @@ let solve ?(config = default_config) ?(jobs = 1) ?(cancel = fun () -> false)
           | _ -> None
         in
         let outcome, s =
-          search ~config ~jobs ~cancel ?warm_start red.Presolve.reduced
+          search ~config ~cancel ?warm_start red.Presolve.reduced
         in
         let lift (sol : solution) =
           {

@@ -36,12 +36,8 @@ type config = {
       (** wall-clock seconds from the start of the search (presolve
           excluded); [infinity] disables *)
   node_limit : int;
-      (** branch-and-bound nodes the whole search may expand.  A
-          parallel solve's workers draw on one shared count (the nodes
-          spent splitting the tree included), so [jobs] does not
-          multiply the limit: the search ends at most [jobs] nodes
-          past it (past the splitting nodes, if those alone exceed
-          it). *)
+      (** branch-and-bound nodes the search may expand; a search that
+          reaches the limit stops on node [node_limit + 1] *)
   lp_root : bool;  (** solve the root LP relaxation *)
   lp_depth : int;  (** also solve LP bounds at nodes of depth <= this *)
   presolve : bool;
@@ -70,7 +66,6 @@ type stats = {
 
 val solve :
   ?config:config ->
-  ?jobs:int ->
   ?cancel:(unit -> bool) ->
   ?warm_start:bool array ->
   Model.t ->
@@ -80,19 +75,7 @@ val solve :
     before the root LP and between root cut rounds, pump rounds and
     dive steps; once it returns true the search stops cooperatively and
     reports its best incumbent ([Feasible]) or [Unknown] — the hook that
-    lets a deadline or a superseded runtime event stop a solve.
-
-    [jobs] (default 1) fans the branch and bound out over that many
-    OCaml domains; [jobs <= 1] is the sequential search.  The root
-    (propagation + LP) is solved once; the top of the tree is then
-    split breadth-first into at least [4*jobs] subtrees by the {e same}
-    deterministic propagation, bounding and branching rules as the
-    sequential search, and a fixed-size domain pool drains that
-    frontier, sharing the incumbent objective through an [Atomic] so
-    pruning stays globally effective.  The strict cutoff never prunes a
-    strictly better solution, so the returned objective is identical to
-    the sequential one ([Optimal] / [Infeasible] agree exactly; only
-    tie-broken solution {e values} may differ). *)
+    lets a deadline or a superseded runtime event stop a solve. *)
 
 val check_feasible : Model.t -> bool array -> bool
 (** Exact 0-1 feasibility check of an assignment against every row. *)

@@ -149,14 +149,14 @@ let project enc assignment =
   Array.iteri (fun v x -> if x >= 0 then point.(x) <- assignment.(v)) enc.vars;
   point
 
-let solve ?(objective = Total_rules) ?config ?jobs ?cancel ?warm_start
+let solve ?(objective = Total_rules) ?config ?cancel ?warm_start
     (layout : Layout.t) =
   let enc =
     Telemetry.Trace.with_span "solve.encode" @@ fun () ->
     to_model ~objective layout
   in
   let outcome, stats =
-    Ilp.Solver.solve ?config ?jobs ?cancel
+    Ilp.Solver.solve ?config ?cancel
       ?warm_start:(Option.map (project enc) warm_start)
       enc.model
   in

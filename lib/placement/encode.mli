@@ -61,7 +61,6 @@ val project : encoding -> bool array -> bool array
 val solve :
   ?objective:objective ->
   ?config:Ilp.Solver.config ->
-  ?jobs:int ->
   ?cancel:(unit -> bool) ->
   ?warm_start:bool array ->
   Layout.t ->
@@ -69,9 +68,7 @@ val solve :
 (** [warm_start] is indexed by layout variables and projected onto the
     model's.  The solution is lifted back to every layout variable, and
     its objective and [root_bound] include the encoding's constant.
-    [jobs > 1] runs the branch and bound over that many domains (same
-    objective value; see {!Ilp.Solver.solve}); [cancel] stops the search
-    cooperatively. *)
+    [cancel] stops the search cooperatively. *)
 
 val assignment_objective : ?objective:objective -> Layout.t -> bool array -> float
 (** Objective value of an arbitrary layout assignment (used to score

@@ -44,7 +44,6 @@ type options = {
   engine : engine;
   ilp_config : Ilp.Solver.config;
   sat_conflict_limit : int option;
-  jobs : int;
 }
 
 let default_options =
@@ -57,13 +56,13 @@ let default_options =
     engine = Ilp_engine;
     ilp_config = Ilp.Solver.default_config;
     sat_conflict_limit = None;
-    jobs = 1;
   }
 
 let options ?(redundancy = true) ?(merge = false) ?(slice = false)
     ?(monitors = []) ?(objective = Encode.Total_rules) ?(engine = Ilp_engine)
     ?(ilp_config = Ilp.Solver.default_config) ?presolve ?cuts ?fpump
     ?sat_conflict_limit ?(jobs = 1) () =
+  if jobs <> 1 then invalid_arg "Solve.options: jobs must be 1";
   let ilp_config =
     match presolve with
     | Some b -> { ilp_config with Ilp.Solver.presolve = b }
@@ -88,7 +87,6 @@ let options ?(redundancy = true) ?(merge = false) ?(slice = false)
     engine;
     ilp_config;
     sat_conflict_limit;
-    jobs;
   }
 
 type timing = {
@@ -199,8 +197,8 @@ let run_ilp ~cancel options inst_pre_plan layout =
     { c with Ilp.Solver.time_limit = Float.max 0.01 left }
   in
   let r =
-    Encode.solve ~objective:options.objective ~config
-      ~jobs:options.jobs ~cancel ?warm_start layout
+    Encode.solve ~objective:options.objective ~config ~cancel ?warm_start
+      layout
   in
   {
     v_status = r.Encode.status;

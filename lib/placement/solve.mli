@@ -6,18 +6,15 @@
     greedily warm-started when possible; finally decoding into a
     {!Solution}.
 
-    The ILP is the one optimizing path.  With [jobs > 1] its branch and
-    bound fans out over a domain pool ({!Ilp.Solver.solve} [~jobs]);
-    objective values are identical to the sequential search on every
-    instance both prove.  The SAT engines stay as the paper's deferred
+    The ILP is the one optimizing path: a sequential branch and bound
+    ({!Ilp.Solver.solve}).  The SAT engines stay as the paper's deferred
     satisfiability formulation and an independent cross-check.
 
     All stage timings are reported, in wall-clock seconds, so the
-    scalability experiments can attribute cost; work other domains do
-    meanwhile is not charged to the run. *)
+    scalability experiments can attribute cost. *)
 
 type engine =
-  | Ilp_engine  (** optimizing branch & bound (default); honours [jobs] *)
+  | Ilp_engine  (** optimizing branch & bound (default) *)
   | Sat_engine  (** feasibility only, fastest *)
   | Sat_opt_engine
       (** optimizing via incremental SAT cardinality descent
@@ -35,9 +32,6 @@ type options = {
   engine : engine;  (** default [Ilp_engine] *)
   ilp_config : Ilp.Solver.config;
   sat_conflict_limit : int option;
-  jobs : int;
-      (** domains for the ILP branch and bound (default 1 =
-          sequential) *)
 }
 
 val default_options : options
@@ -59,7 +53,12 @@ val options :
   options
 (** [presolve], [cuts] and [fpump] override the matching [ilp_config]
     field in one step — the hooks behind the [--no-presolve] /
-    [--no-cuts] / [--no-fpump] CLI flags. *)
+    [--no-cuts] / [--no-fpump] CLI flags.
+
+    [jobs] stores nothing: the branch and bound is sequential, and any
+    value other than 1 raises [Invalid_argument].  It stays only because
+    the committed benchmark's [place_paper] workload passes [~jobs:1],
+    and goes when that benchmark next changes. *)
 
 type timing = {
   redundancy_s : float;

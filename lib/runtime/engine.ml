@@ -875,35 +875,36 @@ let handle ?tx ?resume ?rungs t event =
       (* Preferred rung of the write ladder: the per-packet-consistent
          wave schedule.  A planner failure or an aborted execution leaves
          the pre-event tables in place and degrades explicitly to the
-         legacy single-transaction path. *)
-      let planned =
-        try
-          Some
-            (Update.build
-               ~attach:(Topo.Net.host_attach (net t))
-               ~corpus:(update_corpus t sol)
-               ~old_tables:(Switch_api.tables t.api) ~target)
-        with _ -> None
+         legacy single-transaction path.  One [runtime.update] span
+         covers the planning and the execution. *)
+      let observer =
+        Option.map
+          (fun o ->
+            {
+              Update.on_wave_begin = (fun ~wave -> o.on_wave_begin ~wave);
+              on_wave_commit =
+                (fun ~wave ~frontier -> o.on_wave_commit ~wave ~frontier);
+            })
+          tx
       in
-      match planned with
+      let updated =
+        Telemetry.Trace.with_span "runtime.update" @@ fun () ->
+        match
+          Update.build
+            ~attach:(Topo.Net.host_attach (net t))
+            ~corpus:(update_corpus t sol)
+            ~old_tables:(Switch_api.tables t.api) ~target
+        with
+        | exception _ -> None
+        | uplan ->
+          Some
+            (Update.execute ~wave_retries:t.config.update_wave_retries
+               ?observer ?on_op:observe ?resume ~api:t.api ~fault:t.fault
+               uplan)
+      in
+      match updated with
       | None -> fallback ()
-      | Some uplan -> (
-        let observer =
-          Option.map
-            (fun o ->
-              {
-                Update.on_wave_begin = (fun ~wave -> o.on_wave_begin ~wave);
-                on_wave_commit =
-                  (fun ~wave ~frontier -> o.on_wave_commit ~wave ~frontier);
-              })
-            tx
-        in
-        let result =
-          Telemetry.Trace.with_span "runtime.update" (fun () ->
-              Update.execute ~wave_retries:t.config.update_wave_retries
-                ?observer ?on_op:observe ?resume ~api:t.api ~fault:t.fault
-                uplan)
-        in
+      | Some result -> (
         match result.Update.outcome with
         | Update.Committed ->
           commit_good ();

@@ -10,8 +10,7 @@
       sub-solve (half the event budget): frozen placements stay, only
       the affected ingresses move;
     + {b full re-solve} — a from-scratch {!Placement.Solve.run} with
-      whatever budget remains, using the configured engine (the
-      parallel branch and bound when [jobs > 1]);
+      whatever budget remains, using the configured engine;
     + {b greedy} — the {!Placement.Baseline} ingress-first heuristic,
       effectively instant;
     + {b quarantine} — fail closed: the last-good tables stay, the

@@ -60,7 +60,6 @@ type t = {
   mutable c_refactor : int;
   mutable c_falls : int;
   mutable solved_once : bool;
-  fingerprint : int;
 }
 
 type counters = {
@@ -207,7 +206,6 @@ let create ~nvars ~obj ~lower ~upper ~rows =
     c_refactor = 0;
     c_falls = 0;
     solved_once = false;
-    fingerprint = Hashtbl.hash (m, nvars, Csc.nnz a);
   }
 
 let set_bounds t j l u =
@@ -296,7 +294,7 @@ let refactor t =
 (* Refactor when the eta file's traversal cost rivals the factor's own:
    every FTRAN/BTRAN walks the whole file, so the budget tracks stored
    entries against the LU size rather than a fixed eta count.  The hard
-   count cap bounds snapshot payloads and numerical drift. *)
+   count cap bounds numerical drift. *)
 let refactor_due t =
   let lu_nnz = match t.lu with Some lu -> Lu.nnz lu | None -> 0 in
   t.n_eta > 128 || t.eta_nnz > lu_nnz + (2 * t.m)
@@ -984,28 +982,4 @@ let add_rows t extra =
     t'.c_refactor <- t.c_refactor;
     t'.c_falls <- t.c_falls;
     t'
-  end
-
-(* ---------- basis snapshots ---------- *)
-
-type snapshot = { s_fp : int; s_basis : int array; s_stat : vstat array }
-
-let snapshot t =
-  { s_fp = t.fingerprint; s_basis = Array.copy t.basis; s_stat = Array.copy t.stat }
-
-let restore t s =
-  if s.s_fp <> t.fingerprint
-     || Array.length s.s_basis <> t.m
-     || Array.length s.s_stat <> t.n
-  then false
-  else begin
-    Array.blit s.s_basis 0 t.basis 0 t.m;
-    Array.blit s.s_stat 0 t.stat 0 t.n;
-    Array.fill t.inbasis 0 t.n (-1);
-    Array.iteri (fun k v -> t.inbasis.(v) <- k) t.basis;
-    t.lu <- None;
-    t.n_eta <- 0;
-    t.d_exact <- false;
-    t.solved_once <- true;
-    true
   end

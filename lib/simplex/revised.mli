@@ -14,10 +14,7 @@
     in place and {!reoptimize} re-solves with the {b dual simplex} from
     the current basis (a bound change leaves the basis dual-feasible), so
     a branch & bound child node costs a handful of dual pivots instead of
-    a from-scratch solve.  {!snapshot} / {!restore} capture the basis
-    compactly (statuses + basic variables + a structural fingerprint) for
-    shipping a root basis to another domain's instance of the same
-    matrix. *)
+    a from-scratch solve. *)
 
 type sense = Le | Ge | Eq
 
@@ -92,18 +89,7 @@ val add_rows : t -> (Csc.row * sense * float) array -> t
     slack enters the basis.  If the new rows are violated cuts, the
     carried basis is dual feasible and {!reoptimize} re-establishes
     optimality with a short dual-simplex run.  [t] itself is unchanged
-    (and still usable); snapshots do not transfer across the append
-    because the fingerprint covers the row count. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-
-val restore : t -> snapshot -> bool
-(** [restore t s] installs the snapshot's basis; returns false (leaving
-    [t] untouched) when the snapshot's structural fingerprint does not
-    match [t] — snapshots only transfer between instances of the same
-    matrix. *)
+    (and still usable). *)
 
 type counters = {
   pivots : int;

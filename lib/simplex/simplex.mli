@@ -12,7 +12,7 @@
     proportional to the nonzeros involved, which is what lets the
     placement LPs scale toward the paper's instance sizes.  The same
     module exposes the {e persistent} API (bound updates + dual-simplex
-    reoptimize + basis snapshots) used by [Ilp.Solver]'s warm-started
+    reoptimize) used by [Ilp.Solver]'s warm-started
     branch & bound.
 
     {!solve_dense} is the textbook two-phase dense-tableau simplex with

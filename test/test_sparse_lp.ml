@@ -4,8 +4,8 @@
    degenerate/cycling instances, and on the root LP relaxations of
    placement models.  Also pinned end-to-end placement optima, and
    unit-level coverage of the LU kernel and of the persistent-instance
-   API (dual reoptimize, snapshot transfer)
-   that the warm-started branch & bound builds on. *)
+   API (dual reoptimize) that the warm-started branch & bound builds
+   on. *)
 
 open Simplex
 
@@ -353,30 +353,6 @@ let qcheck_reoptimize_matches_cold =
       done;
       !ok)
 
-(* ---------------- snapshots ------------------------------------------ *)
-
-let test_snapshot_transfer () =
-  let a = covering_instance () in
-  ignore (Revised.optimize a);
-  let s = Revised.snapshot a in
-  (* Same-shaped instance: the snapshot installs and warm-starts. *)
-  let b = covering_instance () in
-  Alcotest.(check bool) "restore into same shape" true (Revised.restore b s);
-  Alcotest.(check bool) "restored basis counts" true (Revised.has_basis b);
-  Alcotest.(check (float 1e-7))
-    "warm solve from snapshot" 2.0
-    (objective_of "warm" (Revised.reoptimize b));
-  (* Differently-shaped instance: fingerprint mismatch, refused. *)
-  let c =
-    Revised.create ~nvars:2 ~obj:(packed [ (0, 1.0) ]) ~lower:(Array.make 2 0.0)
-      ~upper:(Array.make 2 1.0)
-      ~rows:[| (packed [ (0, 1.0); (1, 1.0) ], Revised.Ge, 1.0) |]
-  in
-  Alcotest.(check bool) "restore into other shape refused" false
-    (Revised.restore c s);
-  Alcotest.(check bool) "refused restore leaves no basis" false
-    (Revised.has_basis c)
-
 (* ---------------- placement models ---------------------------------- *)
 
 (* Three pipeline families (fat-tree k=4 and k=6, loose and tight
@@ -496,8 +472,6 @@ let suite =
     Alcotest.test_case "dual reoptimize after bound pinning" `Quick
       test_dual_reoptimize;
     qtest qcheck_reoptimize_matches_cold;
-    Alcotest.test_case "snapshot transfer is fingerprint-guarded" `Quick
-      test_snapshot_transfer;
     Alcotest.test_case "placement root LP differential" `Quick
       test_root_lp_differential;
     Alcotest.test_case "placement pipeline objectives" `Quick
