@@ -11,9 +11,6 @@ let equal a b =
   && action_equal a.action b.action
   && a.priority = b.priority
 
-let same_signature a b =
-  Ternary.Field.equal a.field b.field && action_equal a.action b.action
-
 let is_drop r = r.action = Drop
 
 let is_permit r = r.action = Permit

@@ -21,10 +21,6 @@ val action_equal : action -> action -> bool
 val equal : t -> t -> bool
 (** Structural equality including priority. *)
 
-val same_signature : t -> t -> bool
-(** Equal field and action, priority ignored — the paper's notion of
-    "identical" rules for cross-policy merging (Section IV-B). *)
-
 val is_drop : t -> bool
 val is_permit : t -> bool
 

@@ -279,7 +279,3 @@ let check c (sol : bool array) =
   | Model.Le -> lhs <= c.rhs +. 1e-6
   | Model.Ge -> lhs >= c.rhs -. 1e-6
   | Model.Eq -> Float.abs (lhs -. c.rhs) <= 1e-6
-
-let num_knapsack t = Array.length t.knap
-
-let num_components t = Array.length t.comps

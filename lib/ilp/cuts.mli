@@ -37,5 +37,3 @@ val check : cut -> bool array -> bool
 (** [check c sol] — does the 0-1 point satisfy the cut?  Used by tests
     to verify that no integer-feasible point is ever cut off. *)
 
-val num_knapsack : t -> int
-val num_components : t -> int

@@ -59,8 +59,6 @@ let forward_tables tables (path : Routing.Path.t) ~tag packet =
   in
   go 0
 
-let forward_tagged t path ~tag packet = forward_tables t.tables path ~tag packet
-
 (* Per tag, per switch: the rules of the entries carrying that tag, in
    match order.  One pass over the tables builds it, so the first match
    a walk finds in its tag's list is the first match [step_tables] finds

@@ -69,14 +69,11 @@ type outcome = Delivered | Dropped of int  (** switch where it died *)
 val forward : t -> Routing.Path.t -> Ternary.Packet.t -> outcome
 (** Walk the packet along the path's switches. *)
 
-val forward_tagged : t -> Routing.Path.t -> tag:int -> Ternary.Packet.t -> outcome
-(** {!forward}, but stamped with [tag] instead of the path's ingress —
-    how a packet that was ingress-stamped with the new version bit is
-    walked mid-update. *)
-
 val forward_tables :
   entry list array -> Routing.Path.t -> tag:int -> Ternary.Packet.t -> outcome
-(** {!forward_tagged} over a bare table array. *)
+(** {!forward} over a bare table array, stamped with [tag] instead of
+    the path's ingress — how a packet that was ingress-stamped with the
+    new version bit is walked mid-update. *)
 
 type view
 (** A first-match view of the tables by tag: per tag and switch, the
@@ -88,7 +85,7 @@ val tag_view : t -> view
 
 val forward_view :
   view -> Routing.Path.t -> tag:int -> Ternary.Packet.t -> outcome
-(** {!forward_tagged} on the simulator the view was built from: the same
+(** {!forward_tables} on the simulator the view was built from: the same
     outcome for every tag, packet and path over its switches. *)
 
 type hop = {

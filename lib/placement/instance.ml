@@ -44,8 +44,6 @@ let policy_of t i = List.assoc_opt i t.policies
 
 let ingresses t = List.map fst t.policies
 
-let switches_of t i = Routing.Table.switches_from t.routing i
-
 let total_policy_rules t =
   List.fold_left (fun acc (_, q) -> acc + Acl.Policy.size q) 0 t.policies
 

@@ -26,9 +26,6 @@ val policy_of : t -> int -> Acl.Policy.t option
 val ingresses : t -> int list
 (** Ingresses that carry a policy. *)
 
-val switches_of : t -> int -> int list
-(** [S_i] for a policy ingress. *)
-
 val total_policy_rules : t -> int
 (** The paper's [A]: rules summed over all policies (the network-wide
     rule count if everything fitted at the ingresses). *)

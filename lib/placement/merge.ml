@@ -23,12 +23,6 @@ let dummy_set plan =
     plan.groups;
   tbl
 
-let member_group plan ~ingress ~priority =
-  List.find_opt
-    (fun g ->
-      List.exists (fun m -> m.ingress = ingress && m.priority = priority) g.members)
-    plan.groups
-
 let renumber inst =
   Instance.map_policies inst (fun _ q ->
       Acl.Policy.of_rules

@@ -39,8 +39,6 @@ val empty_plan : plan
 val dummy_set : plan -> (int * int, unit) Hashtbl.t
 (** Keys [(ingress, priority)] of every dummy rule the plan inserted. *)
 
-val member_group : plan -> ingress:int -> priority:int -> group option
-
 val find_groups : Instance.t -> group list
 (** Identical-signature rules across >= 2 policies (no cycle analysis). *)
 

@@ -29,8 +29,6 @@ let switches_from t i =
        (fun (p : Path.t) -> Array.to_list p.switches)
        (paths_from t i))
 
-let add_paths t extra = of_paths (paths t @ extra)
-
 let remove_ingress t i =
   let removed = List.length (paths_from t i) in
   { by_ingress = Int_map.remove i t.by_ingress; count = t.count - removed }

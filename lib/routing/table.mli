@@ -22,8 +22,6 @@ val paths_from : t -> int -> Path.t list
 val switches_from : t -> int -> int list
 (** [S_i]: every switch on some path from this ingress, ascending. *)
 
-val add_paths : t -> Path.t list -> t
-
 val remove_ingress : t -> int -> t
 (** Drops every path originating at that host. *)
 

@@ -24,6 +24,13 @@ type outcome =
       (** first unrecoverable operation: which switch and ["install"] /
           ["delete"] *)
 
+val diff : Netsim.entry list -> Netsim.entry list -> Netsim.entry list
+(** [diff a b] is the multiset difference [a \ b], in [a]'s order: the
+    entries a move from [b] to [a] must install. *)
+
+val same_contents : Netsim.entry list -> Netsim.entry list -> bool
+(** Equal as multisets: the tables differ at most in priority order. *)
+
 val apply :
   ?observe:(switch:int -> op:string -> unit) ->
   api:Switch_api.t ->

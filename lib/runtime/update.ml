@@ -75,24 +75,6 @@ let violations_seen = Atomic.make 0
 
 let violations_total () = Atomic.get violations_seen
 
-(* Multiset difference [a \ b] preserving the order of [a] (the same
-   notion Transaction uses for its add/delete sets). *)
-let mdiff a b =
-  List.fold_left
-    (fun (kept, rest) e ->
-      let rec drop = function
-        | [] -> None
-        | x :: xs when x = e -> Some xs
-        | x :: xs -> Option.map (fun r -> x :: r) (drop xs)
-      in
-      match drop rest with
-      | Some rest' -> (kept, rest')
-      | None -> (e :: kept, rest))
-    ([], b) a
-  |> fun (kept, _) -> List.rev kept
-
-let same_contents a b = mdiff a b = [] && mdiff b a = []
-
 let remove_first entry table =
   let rec go = function
     | [] -> None
@@ -240,7 +222,7 @@ let build ~attach ~corpus ~old_tables ~target =
       (fun k ->
         List.map
           (fun e -> Delete { switch = k; entry = e })
-          (mdiff old_tables.(k) target.(k)))
+          (Transaction.diff old_tables.(k) target.(k)))
       (List.init n Fun.id)
   in
   let install_new_ops =
@@ -248,7 +230,7 @@ let build ~attach ~corpus ~old_tables ~target =
       (fun k ->
         List.map
           (fun e -> Install { switch = k; entry = e })
-          (mdiff target.(k) old_tables.(k)))
+          (Transaction.diff target.(k) old_tables.(k)))
       (List.init n Fun.id)
   in
   (* Plan-time simulation: replay every operation over a copy of the old
@@ -298,7 +280,7 @@ let build ~attach ~corpus ~old_tables ~target =
         if sim.(k) = want then None
         else begin
           let plain = List.filter (fun e -> classify e = `Plain) sim.(k) in
-          if not (same_contents plain target.(k)) then
+          if not (Transaction.same_contents plain target.(k)) then
             invalid_arg "Update.build: renormalisation would change contents";
           Some (k, want)
         end)
@@ -456,12 +438,7 @@ let execute ?(wave_retries = 1) ?observer ?on_op ?resume ~api ~fault plan =
   let rollbacks = ref 0 in
   let bad_total = ref 0 in
   let w = ref start_wave in
-  let restore_undo () =
-    Array.iteri
-      (fun k table ->
-        if live.(k) <> table then Switch_api.force_set api ~switch:k table)
-      undo
-  in
+  let restore_undo () = Transaction.restore ~api undo in
   let finish outcome =
     {
       outcome;
@@ -537,10 +514,7 @@ let execute ?(wave_retries = 1) ?observer ?on_op ?resume ~api ~fault plan =
                   | Delete { switch; entry } ->
                     ignore (Switch_api.install api ~switch entry))
                 !done_ops);
-          Array.iteri
-            (fun k table ->
-              if live.(k) <> table then Switch_api.force_set api ~switch:k table)
-            snap;
+          Transaction.restore ~api snap;
           if tries < wave_retries then attempt (tries + 1)
           else
             let switch, op =
@@ -559,7 +533,7 @@ let execute ?(wave_retries = 1) ?observer ?on_op ?resume ~api ~fault plan =
            priority rewrite, content-preserving by construction. *)
         List.iter
           (fun (k, table) ->
-            assert (same_contents live.(k) table);
+            assert (Transaction.same_contents live.(k) table);
             live.(k) <- table)
           wave.reorders;
         if not (barrier ~committed:(!w + 1)) then
@@ -590,7 +564,7 @@ let execute ?(wave_retries = 1) ?observer ?on_op ?resume ~api ~fault plan =
       Array.iteri
         (fun k table ->
           if live.(k) <> table then begin
-            assert (same_contents live.(k) table);
+            assert (Transaction.same_contents live.(k) table);
             live.(k) <- table
           end)
         plan.target;

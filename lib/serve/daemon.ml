@@ -61,7 +61,6 @@ let m_tenant_events tenant =
 type t = {
   config : config;
   shards : Shard.t array;
-  pool : Bulkhead.t;
   exec : Exec.t;
   mutable draining : bool;
   (* Domain-safe counters: the merge step runs on the calling domain,
@@ -82,15 +81,10 @@ type t = {
   mutable staged_count : int;
 }
 
-let make_pool config =
-  Bulkhead.create ~slots:(max 1 config.round_slots)
-    ~per_key_cap:(max 1 config.tenant_round_cap)
-
 let build config shards =
   {
     config;
     shards;
-    pool = make_pool config;
     exec = Exec.create ~jobs:(max 1 config.jobs);
     draining = false;
     accepted = Atomic.make 0;
@@ -227,13 +221,9 @@ let flush t =
        overlap exactly like batch execution (plain loop at jobs = 1).
        Order is irrelevant — each barrier touches only its own shard —
        so this changes nothing observable. *)
-    (match dirty with
-    | [] -> ()
-    | [ s ] -> Shard.flush_intake s
-    | _ ->
-        ignore
-          (Exec.run t.exec
-             (Array.of_list (List.map (fun s () -> Shard.flush_intake s) dirty))));
+    ignore
+      (Exec.run t.exec
+         (Array.of_list (List.map (fun s () -> Shard.flush_intake s) dirty)));
     List.iter (fun _ -> Telemetry.Metrics.incr m_intake_fsyncs) dirty;
     let acks = List.rev t.staged_acks in
     t.staged_acks <- [];
@@ -241,29 +231,24 @@ let flush t =
     acks
   end
 
-(* One scheduling round: plan every shard sequentially (the pool walk is
-   the only cross-shard coupling, so selection is identical at any
-   [jobs]), execute the per-shard batches on the domain pool, merge in
-   shard order.  The merge — accounting included — happens on the
-   calling domain, so the reply stream is byte-identical at any [jobs].
-   A batch that dies mid-way (the bench's simulated kill) still lets
-   every other batch complete before the exception surfaces, at any
-   [jobs] (see Exec). *)
-let run_round t ~pool =
-  let batches = Array.map (fun s -> Shard.plan_round s ~pool) t.shards in
-  let nonempty = Array.fold_left (fun n b -> if b = [] then n else n + 1) 0 batches in
-  let results =
-    if nonempty = 0 then Array.map (fun _ -> []) batches
-    else if nonempty = 1 then
-      (* Inline fast path: with a single non-empty batch there is
-         nothing else for the completion rule to complete, so an
-         exception propagating early is observably identical. *)
-      Array.mapi (fun i s -> Shard.execute_batch s batches.(i)) t.shards
-    else
-      Exec.run t.exec
-        (Array.mapi (fun i s () -> Shard.execute_batch s batches.(i)) t.shards)
+(* One scheduling round: plan every shard sequentially (shards share
+   nothing, so selection is identical at any [jobs]), execute the dirty
+   shards' batches on the domain pool, merge in shard order.  The merge
+   — accounting included — happens on the calling domain, so the reply
+   stream is byte-identical at any [jobs].  A batch that dies mid-way
+   (the bench's simulated kill) still lets every other batch complete
+   before the first failure in shard order surfaces, at any [jobs] (see
+   Exec). *)
+let run_round t ~slots ~tenant_cap =
+  let batches =
+    Array.to_list t.shards
+    |> List.filter_map (fun s ->
+           match Shard.plan_round s ~slots ~tenant_cap with
+           | [] -> None
+           | batch -> Some (fun () -> Shard.execute_batch s batch))
   in
-  Array.to_list results |> List.concat |> List.map (account t)
+  Exec.run t.exec (Array.of_list batches)
+  |> Array.to_list |> List.concat |> List.map (account t)
 
 let tick t =
   (* Nothing may be processed before its ack's covering barrier: an
@@ -271,20 +256,16 @@ let tick t =
      the journaled state depend on an admission the client cannot know
      happened. *)
   let acks = flush t in
-  Bulkhead.reset t.pool;
-  acks @ run_round t ~pool:t.pool
+  acks
+  @ run_round t ~slots:(max 1 t.config.round_slots)
+      ~tenant_cap:(max 1 t.config.tenant_round_cap)
 
 let drain t =
   t.draining <- true;
   let acks = flush t in
-  let outcomes = ref [] in
-  while pending t > 0 do
-    let n = max 1 (pending t) in
-    let pool = Bulkhead.create ~slots:n ~per_key_cap:n in
-    outcomes := !outcomes @ run_round t ~pool
-  done;
+  let outcomes = run_round t ~slots:max_int ~tenant_cap:max_int in
   Array.iter Shard.snapshot t.shards;
-  acks @ !outcomes
+  acks @ outcomes
   @ [ Wire.Drained { processed = Atomic.get t.applied + Atomic.get t.quarantined } ]
 
 let submit t request =
@@ -367,8 +348,6 @@ let signature t =
     (Digest.string
        (String.concat "|" (Array.to_list (Array.map Shard.signature t.shards))))
 
-let shard_signatures t = Array.to_list (Array.map Shard.signature t.shards)
-
 let tenant_signatures t =
   List.map
     (fun tenant ->
@@ -393,14 +372,14 @@ let serve_channels t ic oc =
       { drained = false; requests = !requests }
     | Some payload -> (
       incr requests;
-      match (Marshal.from_string payload 0 : Wire.request) with
-      | exception _ ->
+      match Wire.request_of_payload payload with
+      | None ->
         write (Wire.Rejected { reason = "malformed request" });
         loop ()
-      | Wire.Drain ->
+      | Some Wire.Drain ->
         List.iter write (drain t);
         { drained = true; requests = !requests }
-      | req ->
+      | Some req ->
         (* A synchronous session acks every request before the next one
            arrives, so a staged ack is flushed right away — group commit
            degenerates to a batch of one here; the batching win needs
@@ -503,9 +482,9 @@ let serve_sessions t ~listen ?(max_sessions = 4) () =
         | Wire.Frames payloads ->
           List.iter
             (fun p ->
-              match (Marshal.from_string p 0 : Wire.request) with
-              | exception _ -> send sid (Wire.Rejected { reason = "malformed request" })
-              | req -> handle_request sid req)
+              match Wire.request_of_payload p with
+              | None -> send sid (Wire.Rejected { reason = "malformed request" })
+              | Some req -> handle_request sid req)
             payloads
         | Wire.Torn ->
           (* A corrupt frame poisons the whole stream — same contract as

@@ -10,21 +10,20 @@
       an event over either bound gets a typed
       {!Wire.Rejected_overload} naming the bound — acked events are
       never shed, shed events are never silent;
-    - {e bulkhead scheduling}: each round runs through a
-      {!Bulkhead} with global slots and a per-tenant cap, so a
-      flooding tenant saturates its own allowance while others keep
-      their latency;
+    - {e fair rounds}: each round takes at most [round_slots] tickets
+      per shard and [tenant_round_cap] per tenant, so a flooding tenant
+      saturates its own allowance while others keep their latency;
     - {e graceful drain}: stop admitting, process everything acked,
       snapshot every shard;
     - {e crash-resume}: {!start} recovers every shard that has a durable
       snapshot and re-queues acked-but-unprocessed tickets.
 
     {b Parallel rounds.}  Each scheduling round splits into a
-    sequential {e plan} (per-shard ticket selection through the shared
-    pool, shard order — the only cross-shard coupling), a parallel
-    {e execute} (each shard's batch on a fixed {!Exec} domain pool,
-    share-nothing), and a sequential {e merge} (accounting and replies,
-    shard order, on the calling domain).  The reply stream and every
+    sequential {e plan} (each shard selects its own tickets, shard
+    order; shards share nothing), a parallel {e execute} (each
+    non-empty batch on a fixed {!Exec} domain pool, share-nothing), and
+    a sequential {e merge} (accounting and replies, shard order, on the
+    calling domain).  The reply stream and every
     signature are therefore a function of the request sequence and the
     seed alone — byte-identical at any [jobs], which is what the bench's
     equal-seeds/equal-signatures gate checks across the [--jobs] range.
@@ -45,7 +44,7 @@ type config = {
   shards : int;
   queue_limit : int;  (** daemon-wide pending-ticket cap *)
   tenant_queue_limit : int;  (** per-tenant pending-ticket cap *)
-  round_slots : int;  (** tickets processed per scheduling round *)
+  round_slots : int;  (** tickets each shard processes per round *)
   tenant_round_cap : int;  (** per-tenant tickets per round *)
   tenant_series_cap : int;
       (** bound on per-tenant labeled telemetry series
@@ -61,8 +60,9 @@ type config = {
 }
 
 val default_config : config
-(** 4 shards, queue 64 (8/tenant), 8 slots per round (2/tenant),
-    32 labeled tenant series, [jobs = 1], [batch_fsync = 1]. *)
+(** 4 shards, queue 64 (8/tenant), 8 slots per shard per round
+    (2/tenant), 32 labeled tenant series, [jobs = 1],
+    [batch_fsync = 1]. *)
 
 type t
 
@@ -102,8 +102,8 @@ val shutdown : t -> unit
 (** Join the executor's worker domains.  Idempotent.  Call when
     abandoning a daemon without draining it (the bench's simulated
     crashes) — leaked domains accumulate across restarts and OCaml caps
-    live domains at ~128.  The daemon must not {!tick}/{!drain} after
-    shutdown if [jobs > 1]. *)
+    live domains at ~128.  The daemon must not {!flush}/{!tick}/{!drain}
+    after shutdown. *)
 
 val submit : t -> Wire.request -> Wire.reply list
 (** Handle one request.  [Submit] returns exactly one admission reply
@@ -159,9 +159,6 @@ val signature : t -> string
 
 val tenant_signatures : t -> (int * string) list
 (** Every known tenant's {!Shard.tenant_signature}, ascending. *)
-
-val shard_signatures : t -> string list
-(** Per-shard signatures, shard order. *)
 
 type session = { drained : bool; requests : int }
 

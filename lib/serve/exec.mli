@@ -36,9 +36,9 @@ val run : t -> (unit -> 'a) array -> 'a array
     run concurrently on its threads), and return the results in task
     order.  Blocks until all tasks finish.  If any tasks raised, the
     first exception in task order is re-raised — after every other
-    task has still run.  At [jobs = 1] this is a plain sequential
-    index-order loop, no threads.  Raises [Invalid_argument] after
-    {!stop}. *)
+    task has still run.  At [jobs = 1], or with at most one task, this
+    is a plain sequential index-order loop, no threads.  Raises
+    [Invalid_argument] after {!stop} (unless there is no task). *)
 
 val stop : t -> unit
 (** Join every worker domain.  Idempotent; the executor is unusable

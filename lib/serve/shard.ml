@@ -412,10 +412,9 @@ let process_one t (ticket, tenant, op) =
 type batch = (int * int * Wire.op) list
 
 (* Selection is split from execution so the daemon can plan every
-   shard's round sequentially (the pool walk below is the only
-   cross-shard coupling) and then execute the per-shard batches on a
-   domain pool: by the time a batch runs, it touches nothing but its own
-   shard. *)
+   shard's round sequentially and then execute the per-shard batches on
+   a domain pool: by the time a batch runs, it touches nothing but its
+   own shard. *)
 (* Selection does NOT dequeue: a planned ticket stays in [t.queue] until
    the moment {!execute_batch} reaches it.  That keeps the compaction
    invariant — every admitted-unprocessed ticket is in [t.queue] or in
@@ -426,24 +425,22 @@ type batch = (int * int * Wire.op) list
    subsequently quarantined — never journaled — ticket then vanished
    entirely across a crash and its number was re-issued to a new
    admission.) *)
-let plan_round t ~pool =
-  let blocked = Hashtbl.create 8 in
-  let acquired = ref [] in
-  let out = ref [] in
-  List.iter
-    (fun ((_, tenant, _) as e) ->
-      if Hashtbl.mem blocked tenant then ()
-      else if Bulkhead.try_acquire pool ~key:tenant then begin
-        acquired := tenant :: !acquired;
-        out := e :: !out
+(* Both counters only grow, so a refused tenant stays refused for the
+   rest of the round: its own tickets keep FIFO order while later
+   tenants overtake it. *)
+let plan_round t ~slots ~tenant_cap =
+  let taken = ref 0 in
+  let by_tenant = Hashtbl.create 8 in
+  List.filter
+    (fun (_, tenant, _) ->
+      let mine = Option.value (Hashtbl.find_opt by_tenant tenant) ~default:0 in
+      if !taken < slots && mine < tenant_cap then begin
+        incr taken;
+        Hashtbl.replace by_tenant tenant (mine + 1);
+        true
       end
-      else
-        (* Skipping the whole tenant for the round keeps its own tickets
-           FIFO while later tenants overtake it. *)
-        Hashtbl.replace blocked tenant ())
-    t.queue;
-  List.iter (fun tenant -> Bulkhead.release pool ~key:tenant) !acquired;
-  List.rev !out
+      else false)
+    t.queue
 
 let execute_batch t batch =
   List.map
@@ -452,17 +449,10 @@ let execute_batch t batch =
       process_one t e)
     batch
 
-let process_round t ~pool = execute_batch t (plan_round t ~pool)
-
 let drain t =
-  let out = ref [] in
-  while t.queue <> [] do
-    let n = max 1 (pending t) in
-    let pool = Bulkhead.create ~slots:n ~per_key_cap:n in
-    out := !out @ process_round t ~pool
-  done;
+  let out = execute_batch t t.queue in
   snapshot t;
-  !out
+  out
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
@@ -636,7 +626,5 @@ let tenant_signature t ~tenant =
     (ts.ts_active, ts.ts_ingress, breaker_name ts.ts_breaker, policy, paths, fenced)
 
 let tenants t = List.map fst t.cs.cs_tenants
-
-let breaker_state t ~tenant = breaker_name (ts_find t.cs tenant).ts_breaker
 
 let seq t = Journal.Journaled.seq t.jeng

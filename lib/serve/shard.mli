@@ -23,12 +23,12 @@
     restored state, so a crash re-derives the same resolution, and the
     next snapshot (a drain ends in one) makes it durable.
 
-    {b Bulkhead.}  Each tenant carries a circuit breaker.  Events that
-    keep escalating the engine's degradation ladder (greedy/quarantine
-    outcomes, failed verification) trip it open, after which the
-    tenant's events are pinned to the cheap greedy rung (quarantine
-    floor intact) until a cooldown of clean outcomes half-opens and then
-    closes it.  The per-event rung restriction is persisted in the WAL
+    {b Circuit breakers.}  Each tenant carries a circuit breaker.
+    Events that keep escalating the engine's degradation ladder
+    (greedy/quarantine outcomes, failed verification) trip it open,
+    after which the tenant's events are pinned to the cheap greedy rung
+    (quarantine floor intact) until a cooldown of clean outcomes
+    half-opens and then closes it.  The per-event rung restriction is persisted in the WAL
     ({!Journal.Wal.Ev_begin}), so replay degrades exactly like the
     original run.  Breaker steps depend on each event's {e report}, so
     the blob logged at [Ev_begin] lags by one step; {!recover} patches
@@ -135,16 +135,16 @@ type processed = { p_tenant : int; p_ticket : int; p_outcome : outcome }
 type batch = (int * int * Wire.op) list
 (** One round's selection for this shard, admission order. *)
 
-val plan_round : t -> pool:Bulkhead.t -> batch
-(** Select this round's tickets: taken in admission order {e per
-    tenant}, but a tenant refused a pool slot (global pressure or its
-    per-tenant cap) is skipped {e as a whole} for the round — later
-    tenants overtake it, its own later tickets never do.  Every slot
-    acquired is released before returning.  Pure bookkeeping — nothing
-    touches the engine or the stores, and planned tickets stay queued
-    until {!execute_batch} reaches them (so a mid-batch intake
-    compaction still sees them) — so the daemon plans all shards
-    sequentially (deterministically) before executing in parallel. *)
+val plan_round : t -> slots:int -> tenant_cap:int -> batch
+(** Select this round's tickets in admission order, while the shard has
+    taken fewer than [slots] and the ticket's tenant fewer than
+    [tenant_cap].  A tenant refused once is skipped {e as a whole} for
+    the round — later tenants overtake it, its own later tickets never
+    do.  Pure bookkeeping — nothing touches the engine or the stores,
+    and planned tickets stay queued until {!execute_batch} reaches them
+    (so a mid-batch intake compaction still sees them) — and shards
+    share nothing, so the daemon plans all shards sequentially
+    (deterministically) before executing in parallel. *)
 
 val execute_batch : t -> batch -> processed list
 (** Process a planned batch in order.  Touches only this shard's state
@@ -153,12 +153,9 @@ val execute_batch : t -> batch -> processed list
     concurrently, and never concurrently with {!admit} on the same
     shard. *)
 
-val process_round : t -> pool:Bulkhead.t -> processed list
-(** [execute_batch t (plan_round t ~pool)] — the sequential round. *)
-
 val drain : t -> processed list
-(** Process everything pending (unbounded rounds), then snapshot the
-    engine journal and compact the intake log. *)
+(** Process everything pending in one unbounded round, then snapshot
+    the engine journal and compact the intake log. *)
 
 val snapshot : t -> unit
 (** Snapshot the journal (post-report client blob included) and compact
@@ -221,10 +218,6 @@ val tenant_signature : t -> tenant:int -> string
 
 val tenants : t -> int list
 (** Tenants this shard has ever seen, ascending. *)
-
-val breaker_state : t -> tenant:int -> string
-(** ["closed"], ["open"] or ["half-open"] (unknown tenants are
-    closed). *)
 
 val seq : t -> int
 (** Events durably absorbed by the journaled engine. *)

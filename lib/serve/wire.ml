@@ -57,28 +57,6 @@ type reply =
       dropped : int;
     }
 
-let chaos_name = function
-  | Kill_switch -> "kill-switch"
-  | Cut_link -> "cut-link"
-  | Shrink_capacity -> "shrink-capacity"
-
-let op_name = function
-  | Connect { rules } -> Printf.sprintf "connect(rules=%d)" rules
-  | Flow -> "flow"
-  | Update { rules } -> Printf.sprintf "update(rules=%d)" rules
-  | Disconnect -> "disconnect"
-  | Chaos c -> Printf.sprintf "chaos(%s)" (chaos_name c)
-
-let describe_request = function
-  | Submit { tenant; op } -> Printf.sprintf "submit t%d %s" tenant (op_name op)
-  | Drain -> "drain"
-  | Stats -> "stats"
-  | Metrics_dump -> "metrics-dump"
-  | Traffic_tick { seed; epoch; packets; alpha; drift; probes } ->
-    Printf.sprintf
-      "traffic-tick seed=%d epoch=%d packets=%d alpha=%g drift=%g probes=%d"
-      seed epoch packets alpha drift probes
-
 let scope_name = function Global -> "global" | Tenant -> "tenant"
 
 let describe_reply = function

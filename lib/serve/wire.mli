@@ -98,7 +98,6 @@ type reply =
       dropped : int;  (** traffic-weighted packets dropped on-path *)
     }
 
-val describe_request : request -> string
 val describe_reply : reply -> string
 
 val encode_request : request -> string
@@ -111,6 +110,10 @@ val decode_requests : string -> request list * int
     consumed; a torn tail (or garbage) stops the decode, never raises. *)
 
 val decode_replies : string -> reply list * int
+
+val request_of_payload : string -> request option
+(** Decode one unframed payload (a {!read_message} or {!take_frames}
+    result); [None] when it is not a request, never raises. *)
 
 type frames =
   | Frames of string list

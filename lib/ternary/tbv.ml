@@ -43,11 +43,6 @@ let set t i v =
     bits.(w) <- bits.(w) lor (1 lsl b));
   { t with mask; bits }
 
-let of_trits a =
-  let t = ref (all_star (Array.length a)) in
-  Array.iteri (fun i v -> t := set !t i v) a;
-  !t
-
 let of_string s =
   let t = ref (all_star (String.length s)) in
   String.iteri

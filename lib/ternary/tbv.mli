@@ -21,8 +21,6 @@ val width : t -> int
 val all_star : int -> t
 (** [all_star w] is the width-[w] vector matching every [w]-bit string. *)
 
-val of_trits : trit array -> t
-
 val get : t -> int -> trit
 (** [get t i] is position [i]; position 0 is the leftmost (most significant)
     bit of {!to_string}.  Raises [Invalid_argument] when out of bounds. *)

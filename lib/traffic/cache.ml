@@ -189,8 +189,6 @@ let create ?(decay = default_decay) ~net ~paths ~hw
 
 let full_tables t = Array.copy t.full_tables
 
-let cached_tables t = Array.copy t.cached
-
 (* The hardware view: resident drops with their (deduplicated) guards,
    plus delegated copies, sorted priority-descending (stable).  With
    unmerged placements every entry carries one tag, so priority order
@@ -481,11 +479,6 @@ let delegated_hits t = t.c_dhits
 let hit_rate t =
   let total = t.c_hits + t.c_misses in
   if total = 0 then 1.0 else float_of_int t.c_hits /. float_of_int total
-
-let reset_counters t =
-  t.c_hits <- 0;
-  t.c_misses <- 0;
-  t.c_dhits <- 0
 
 (* {2 Self-check} *)
 

@@ -48,10 +48,6 @@ val create :
     flow universe (the instance routing).  Raises [Invalid_argument]
     when [hw] length differs from the switch count. *)
 
-val cached_tables : t -> Netsim.entry list array
-(** The hardware view: per-switch resident + delegated entries in
-    match order (priority-descending per tag). *)
-
 val full_tables : t -> Netsim.entry list array
 
 type walk = {
@@ -106,8 +102,6 @@ val delegated_hits : t -> int
 
 val hit_rate : t -> float
 (** hits / (hits + misses); 1.0 when nothing was accounted. *)
-
-val reset_counters : t -> unit
 
 val capture : t -> string
 (** Marshal the cache state (scores, residency, delegations, tallies)

@@ -57,8 +57,6 @@ let routing_stream f = Prng.create f.seed
 
 let policy_stream f = Prng.create (f.seed lxor 0x5DEECE66D)
 
-let traffic_stream f = Prng.create (f.seed lxor 0x2545F4914F6CDD1)
-
 let ingresses net mode num =
   let hosts = Topo.Net.num_hosts net in
   let num = min num hosts in

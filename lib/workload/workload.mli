@@ -43,11 +43,8 @@ val ingresses : Topo.Net.t -> ingress_mode -> int -> int list
 
     Every purpose draws from an independent stream of the family seed,
     so consuming one stream never perturbs another.  [build] uses the
-    routing and policy streams; the traffic stream feeds the dynamic
-    Zipf workload ([Traffic.Zipf]) layered on a family's paths. *)
+    routing and policy streams. *)
 
 val routing_stream : family -> Prng.t
 
 val policy_stream : family -> Prng.t
-
-val traffic_stream : family -> Prng.t

@@ -1,5 +1,5 @@
-(* The serving layer: bulkhead pool semantics, the framed wire codec
-   (torn and corrupt streams included), typed admission bounds, the
+(* The serving layer: the framed wire codec (torn and corrupt streams
+   included), typed admission bounds, per-shard round budgets, the
    per-tenant circuit breaker state machine, graceful drain over a
    framed session, and — the load-bearing property — admission never
    loses an acked event: across random request streams, overload and
@@ -7,80 +7,11 @@
    applied or deterministically quarantined, and equal seeds give
    byte-identical final tenant signatures. *)
 
-module Bulkhead = Serve.Bulkhead
 module Wire = Serve.Wire
 module Shard = Serve.Shard
 module Daemon = Serve.Daemon
 
 let qtest = QCheck_alcotest.to_alcotest
-
-(* ---------------- bulkhead pool -------------------------------------- *)
-
-let test_pool_bulkhead () =
-  let p = Bulkhead.create ~slots:3 ~per_key_cap:2 in
-  Alcotest.(check bool) "first slot for t1" true
-    (Bulkhead.try_acquire p ~key:1);
-  Alcotest.(check bool) "second slot for t1" true
-    (Bulkhead.try_acquire p ~key:1);
-  Alcotest.(check bool) "per-key cap bites" false
-    (Bulkhead.try_acquire p ~key:1);
-  Alcotest.(check bool) "other tenant still admitted" true
-    (Bulkhead.try_acquire p ~key:2);
-  Alcotest.(check bool) "global cap bites" false
-    (Bulkhead.try_acquire p ~key:3);
-  Bulkhead.release p ~key:2;
-  Alcotest.(check bool) "released slot reusable" true
-    (Bulkhead.try_acquire p ~key:3);
-  Alcotest.(check int) "in flight" 3 (Bulkhead.in_flight p);
-  (match Bulkhead.release p ~key:9 with
-  | () -> Alcotest.fail "released a slot key 9 never held"
-  | exception Invalid_argument _ -> ());
-  Bulkhead.reset p;
-  Alcotest.(check int) "reset empties" 0 (Bulkhead.in_flight p);
-  Alcotest.(check bool) "usable after reset" true
-    (Bulkhead.try_acquire p ~key:1);
-  match Bulkhead.create ~slots:0 ~per_key_cap:1 with
-  | _ -> Alcotest.fail "zero-slot pool accepted"
-  | exception Invalid_argument _ -> ()
-
-(* The bulkhead pool under real contention: four domains hammer
-   acquire/release over a small key space, and a mirror of the pool's
-   occupancy in plain atomics must never observe more than [slots] in
-   flight in total nor more than [per_key_cap] for any key — the
-   serving daemon trusts exactly this when shard batches plan through
-   one shared pool. *)
-let test_pool_domain_stress () =
-  let slots = 6 and cap = 2 and keys = 8 in
-  let p = Bulkhead.create ~slots ~per_key_cap:cap in
-  let in_flight = Atomic.make 0 in
-  let per_key = Array.init keys (fun _ -> Atomic.make 0) in
-  let violations = Atomic.make 0 in
-  let worker seed () =
-    let st = ref seed in
-    let rand bound =
-      st := ((!st * 1103515245) + 12345) land 0x3FFFFFFF;
-      !st mod bound
-    in
-    for _ = 1 to 3000 do
-      let key = rand keys in
-      if Bulkhead.try_acquire p ~key then begin
-        let tot = 1 + Atomic.fetch_and_add in_flight 1 in
-        let mine = 1 + Atomic.fetch_and_add per_key.(key) 1 in
-        if tot > slots || mine > cap then Atomic.incr violations;
-        Atomic.decr per_key.(key);
-        Atomic.decr in_flight;
-        Bulkhead.release p ~key
-      end
-    done
-  in
-  let others = List.init 3 (fun i -> Domain.spawn (worker (31 * (i + 1)))) in
-  worker 7 ();
-  List.iter Domain.join others;
-  Alcotest.(check int) "no bulkhead violation under 4 domains" 0
-    (Atomic.get violations);
-  Alcotest.(check int) "every slot returned" 0 (Bulkhead.in_flight p);
-  Alcotest.(check bool) "pool still usable" true
-    (Bulkhead.try_acquire p ~key:0)
 
 (* ---------------- wire codec ----------------------------------------- *)
 
@@ -182,7 +113,7 @@ let test_wire_read_message () =
           | None -> Alcotest.fail "stream ended early"
           | Some payload ->
             Alcotest.(check bool) "framed payload decodes to the request" true
-              ((Marshal.from_string payload 0 : Wire.request) = expect))
+              (Wire.request_of_payload payload = Some expect))
         sample_requests;
       Alcotest.(check bool) "torn tail reads as end of stream" true
         (Wire.read_message ic = None))
@@ -373,22 +304,13 @@ let test_breaker_machine () =
 
 (* ---------------- framed session: drain semantics -------------------- *)
 
-let test_serve_channels_drains () =
-  let stores, _ = mem_stores 1 in
-  let d = Daemon.create ~config:small_config ~stores () in
-  let requests =
-    [
-      Wire.Submit { tenant = 0; op = Wire.Connect { rules = 2 } };
-      Wire.Submit { tenant = 1; op = Wire.Connect { rules = 2 } };
-      Wire.Submit { tenant = 0; op = Wire.Flow };
-      Wire.Stats;
-      Wire.Drain;
-    ]
-  in
+(* Run one [serve_channels] session over the given framed messages and
+   decode everything it wrote back. *)
+let run_session d frames =
   let in_path = "serve_session_in.bin" in
   let out_path = "serve_session_out.bin" in
   let oc = open_out_bin in_path in
-  List.iter (fun r -> output_string oc (Wire.encode_request r)) requests;
+  List.iter (output_string oc) frames;
   close_out oc;
   let ic = open_in_bin in_path in
   let oc = open_out_bin out_path in
@@ -406,6 +328,23 @@ let test_serve_channels_drains () =
   Sys.remove out_path;
   let replies, consumed = Wire.decode_replies bytes in
   Alcotest.(check int) "every reply byte framed" (String.length bytes) consumed;
+  (session, replies)
+
+let test_serve_channels_drains () =
+  let stores, _ = mem_stores 1 in
+  let d = Daemon.create ~config:small_config ~stores () in
+  let requests =
+    [
+      Wire.Submit { tenant = 0; op = Wire.Connect { rules = 2 } };
+      Wire.Submit { tenant = 1; op = Wire.Connect { rules = 2 } };
+      Wire.Submit { tenant = 0; op = Wire.Flow };
+      Wire.Stats;
+      Wire.Drain;
+    ]
+  in
+  let session, replies =
+    run_session d (List.map Wire.encode_request requests)
+  in
   Alcotest.(check bool) "session saw the drain request" true session.Daemon.drained;
   Alcotest.(check int) "all requests read" (List.length requests)
     session.Daemon.requests;
@@ -424,6 +363,88 @@ let test_serve_channels_drains () =
       | Wire.Applied _ | Wire.Quarantined_ticket _ -> true
       | _ -> false));
   Alcotest.(check int) "daemon fully drained" 0 (Daemon.pending d)
+
+(* A frame whose CRC holds but whose payload is not a request is
+   answered with a typed rejection; the session carries on. *)
+let test_serve_channels_malformed () =
+  let stores, _ = mem_stores 1 in
+  let d = Daemon.create ~config:small_config ~stores () in
+  let session, replies =
+    run_session d
+      [
+        Wire.encode_request
+          (Wire.Submit { tenant = 0; op = Wire.Connect { rules = 2 } });
+        Journal.Wal.frame "not a request";
+        Wire.encode_request Wire.Stats;
+        Wire.encode_request Wire.Drain;
+      ]
+  in
+  Alcotest.(check int) "all frames read" 4 session.Daemon.requests;
+  Alcotest.(check bool) "session reached the drain" true session.Daemon.drained;
+  let count p = List.length (List.filter p replies) in
+  Alcotest.(check int) "one malformed rejection" 1
+    (count (function
+      | Wire.Rejected { reason = "malformed request" } -> true
+      | _ -> false));
+  Alcotest.(check int) "later requests still served" 1
+    (count (function Wire.Stats_reply _ -> true | _ -> false));
+  Alcotest.(check bool) "the acked connect landed" true
+    (Daemon.resolved d ~tenant:0 ~ticket:1)
+
+(* ---------------- round budget: per shard ---------------------------- *)
+
+(* [round_slots] bounds each shard's round, not the daemon's: two shards
+   with two slots each run four tickets in one tick, one per tenant under
+   [tenant_round_cap = 1], and each tenant's second ticket waits its
+   turn. *)
+let test_round_budget_per_shard () =
+  let config =
+    {
+      Daemon.default_config with
+      Daemon.shards = 2;
+      round_slots = 2;
+      tenant_round_cap = 1;
+    }
+  in
+  let stores, _ = mem_stores 2 in
+  let d = Daemon.create ~config ~stores () in
+  let admit tenant op =
+    match Daemon.submit d (Wire.Submit { tenant; op }) with
+    | [ Wire.Accepted _ ] -> ()
+    | rs ->
+      Alcotest.failf "admission: %s"
+        (String.concat "; " (List.map Wire.describe_reply rs))
+  in
+  let tenants = [ 0; 1; 2; 3 ] in
+  List.iter (fun tenant -> admit tenant (Wire.Connect { rules = 2 })) tenants;
+  ignore (Daemon.tick d);
+  Alcotest.(check int) "connects all ran" 0 (Daemon.pending d);
+  List.iter
+    (fun tenant ->
+      admit tenant Wire.Flow;
+      admit tenant Wire.Flow)
+    tenants;
+  let outcomes =
+    List.filter_map
+      (function
+        | Wire.Applied { tenant; ticket; _ }
+        | Wire.Quarantined_ticket { tenant; ticket; _ } ->
+          Some (tenant, ticket)
+        | _ -> None)
+      (Daemon.tick d)
+  in
+  Alcotest.(check (list (pair int int)))
+    "one ticket per tenant, shard order" [ (0, 3); (2, 5); (1, 3); (3, 5) ]
+    outcomes;
+  List.iter
+    (fun (tenant, ticket) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "t%d #%d still pending" tenant ticket)
+        false
+        (Daemon.resolved d ~tenant ~ticket))
+    [ (0, 4); (2, 6); (1, 4); (3, 6) ];
+  Alcotest.(check int) "second tickets queued" 4 (Daemon.pending d);
+  Daemon.shutdown d
 
 (* ---------------- crash/recovery: deterministic shard resume --------- *)
 
@@ -999,9 +1020,6 @@ let qcheck_jobs_identical =
 
 let suite =
   [
-    Alcotest.test_case "pool bulkhead semantics" `Quick test_pool_bulkhead;
-    Alcotest.test_case "pool bulkhead holds under four domains" `Quick
-      test_pool_domain_stress;
     Alcotest.test_case "wire codec roundtrips" `Quick test_wire_roundtrip;
     Alcotest.test_case "wire codec survives torn and corrupt streams" `Quick
       test_wire_torn_and_corrupt;
@@ -1014,6 +1032,10 @@ let suite =
       test_breaker_machine;
     Alcotest.test_case "framed session drains gracefully" `Quick
       test_serve_channels_drains;
+    Alcotest.test_case "framed session rejects a malformed request" `Quick
+      test_serve_channels_malformed;
+    Alcotest.test_case "round budget is per shard" `Quick
+      test_round_budget_per_shard;
     Alcotest.test_case "shard crash-resume is deterministic" `Quick
       test_shard_crash_resume_deterministic;
     Alcotest.test_case "executor: order, completion rule, stop" `Quick
