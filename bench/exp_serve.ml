@@ -359,9 +359,11 @@ let run ~title ~seed ~smoke () =
        host's group-commit batching pays. *)
     let shards = 4 * (config 1 1).Serve.Daemon.shards in
     let tenants = 2 * shards in
-    (* round_slots = tenants x cap: every tenant gets its full per-round
-       allowance, so each shard's batch is its tenant count x cap —
-       balanced by construction once the queues are primed. *)
+    (* round_slots is a per-shard budget and never binds here: each
+       shard hosts 2 tenants, and tenant_round_cap = 2 lets it take at
+       most 4 tickets a round, far under 2 x tenants.  The cap is what
+       balances each shard's batch (4 tickets once the queues are
+       primed); the value still sizes queue_limit and the burst. *)
     let round_slots = 2 * tenants in
     let config =
       {

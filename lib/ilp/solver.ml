@@ -115,15 +115,14 @@ let check_feasible model values =
 (* Internal search state                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* All constraints are normalized to <= rows.  [minact] is the smallest
-   achievable activity given current fixings (free variables contribute
-   min(coef, 0)); a row is unsatisfiable iff minact > rhs. *)
-type lrow = {
-  vidx : int array;
-  vcoef : float array;
-  rhs : float;
-  mutable minact : float;
-}
+(* All constraints are normalized to <= rows and stored once, in [a]:
+   the augmented matrix of {!Simplex.Revised.matrix} that the persistent
+   LP factorizes, so each row ends with its LP slack and artificial
+   entries, which propagation skips.  Bound consistency reads a row from
+   [a]'s CSR, activity updates read a variable's occurrences from its
+   CSC.  [minact.(i)] is row [i]'s smallest achievable activity given
+   current fixings (free variables contribute min(coef, 0)); the row is
+   unsatisfiable iff minact > rhs. *)
 
 (* Covering rows (sum of distinct variables >= need) get dedicated
    bookkeeping for branching and lower bounds. *)
@@ -133,11 +132,11 @@ type state = {
   n : int;
   c : float array;
   all_int : bool;
-  lrows : lrow array;
+  a : Simplex.Csc.t;  (* <= rows x (vars, LP slacks, LP artificials) *)
+  rhs : float array;
+  minact : float array;
   covers : cover array;
-  occ_row : int array array;  (* var -> lrow indices *)
-  occ_coef : float array array;
-  cocc : int array array;  (* var -> cover indices *)
+  cover_of : int array;  (* row of [a] -> its cover's index, or -1 *)
   value : int array;  (* -1 free, 0, 1 *)
   trail : int array;
   mutable trail_len : int;
@@ -154,9 +153,9 @@ type state = {
   mutable stopped : bool;
   mutable root_bound : float;
   (* LP relaxation: one persistent revised-simplex instance per search
-     state.  Each node narrows variable bounds in place and re-solves
-     with the dual simplex from the parent's optimal basis instead of
-     rebuilding a reduced LP from scratch. *)
+     state, over [a] itself.  Each node narrows variable bounds in place
+     and re-solves with the dual simplex from the parent's optimal basis
+     instead of rebuilding a reduced LP from scratch. *)
   mutable splx : Simplex.Revised.t option;
   (* Wall-clock instant [time_limit] after the solve started: the search
      and every LP pivot loop give up once it passes, so a single long
@@ -170,32 +169,37 @@ let build_state model =
   let { Simplex.Csc.idx = oidx; coef = ocoef } = Model.objective model in
   Array.iteri (fun k v -> c.(v) <- ocoef.(k)) oidx;
   let all_int = Array.for_all (fun x -> Float.is_integer x) c in
-  let lrows = ref [] and covers = ref [] in
+  let mrows = Model.rows model in
+  let m =
+    Array.fold_left
+      (fun k (r : Model.row) -> if r.sense = Model.Eq then k + 2 else k + 1)
+      0 mrows
+  in
+  let terms = Array.make m { Simplex.Csc.idx = [||]; coef = [||] } in
+  let rhs = Array.make m 0.0 in
+  let cover_of = Array.make m (-1) and covers = ref [] and ncov = ref 0 in
+  let i = ref 0 in
   (* Packed terms carry no zeros, so a <= row shares the model's arrays
      and only a >= view needs its negated coefficients. *)
-  let add_lrow vidx vcoef rhs =
-    let minact =
-      Array.fold_left (fun acc a -> acc +. Float.min a 0.0) 0.0 vcoef
-    in
-    lrows := { vidx; vcoef; rhs; minact } :: !lrows
+  let add t b =
+    terms.(!i) <- t;
+    rhs.(!i) <- b;
+    incr i
+  and neg (t : Simplex.Csc.row) =
+    { t with coef = Array.map Float.neg t.coef }
   in
   Array.iter
     (fun (r : Model.row) ->
       let { Simplex.Csc.idx; coef } = r.terms in
-      let neg () = Array.map Float.neg coef in
-      (match r.sense with
-      | Model.Le -> add_lrow idx coef r.rhs
-      | Model.Ge -> add_lrow idx (neg ()) (-.r.rhs)
-      | Model.Eq ->
-        add_lrow idx coef r.rhs;
-        add_lrow idx (neg ()) (-.r.rhs));
       (* A packed row has distinct variables, so all-unit coefficients
          with rhs >= 1 make a covering row. *)
       if
         r.sense = Model.Ge
         && r.rhs >= 1.0 -. eps
         && Array.for_all (fun a -> Float.abs (a -. 1.0) < eps) coef
-      then
+      then begin
+        cover_of.(!i) <- !ncov;
+        incr ncov;
         covers :=
           {
             cvars = idx;
@@ -203,45 +207,34 @@ let build_state model =
             ones = 0;
             free = Array.length idx;
           }
-          :: !covers)
-    (Model.rows model);
-  let lrows = Array.of_list (List.rev !lrows) in
-  let covers = Array.of_list (List.rev !covers) in
-  let occ_count = Array.make n 0 and cocc_count = Array.make n 0 in
-  Array.iter (fun r -> Array.iter (fun v -> occ_count.(v) <- occ_count.(v) + 1) r.vidx) lrows;
-  Array.iter (fun cv -> Array.iter (fun v -> cocc_count.(v) <- cocc_count.(v) + 1) cv.cvars) covers;
-  let occ_row = Array.init n (fun v -> Array.make occ_count.(v) 0) in
-  let occ_coef = Array.init n (fun v -> Array.make occ_count.(v) 0.0) in
-  let cocc = Array.init n (fun v -> Array.make cocc_count.(v) 0) in
-  Array.fill occ_count 0 n 0;
-  Array.fill cocc_count 0 n 0;
-  Array.iteri
-    (fun ri r ->
-      Array.iteri
-        (fun k v ->
-          occ_row.(v).(occ_count.(v)) <- ri;
-          occ_coef.(v).(occ_count.(v)) <- r.vcoef.(k);
-          occ_count.(v) <- occ_count.(v) + 1)
-        r.vidx)
-    lrows;
-  Array.iteri
-    (fun ci cv ->
-      Array.iter
-        (fun v ->
-          cocc.(v).(cocc_count.(v)) <- ci;
-          cocc_count.(v) <- cocc_count.(v) + 1)
-        cv.cvars)
-    covers;
+          :: !covers
+      end;
+      match r.sense with
+      | Model.Le -> add r.terms r.rhs
+      | Model.Ge -> add (neg r.terms) (-.r.rhs)
+      | Model.Eq ->
+        add r.terms r.rhs;
+        add (neg r.terms) (-.r.rhs))
+    mrows;
+  let a = Simplex.Revised.matrix ~nvars:n terms in
+  let minact =
+    Array.init m (fun i ->
+        let acc = ref 0.0 in
+        for p = a.rowptr.(i) to a.rowptr.(i + 1) - 3 do
+          acc := !acc +. Float.min a.rval.(p) 0.0
+        done;
+        !acc)
+  in
   let neg_free = Array.fold_left (fun acc x -> acc +. Float.min x 0.0) 0.0 c in
   {
     n;
     c;
     all_int;
-    lrows;
-    covers;
-    occ_row;
-    occ_coef;
-    cocc;
+    a;
+    rhs;
+    minact;
+    covers = Array.of_list (List.rev !covers);
+    cover_of;
     value = Array.make n (-1);
     trail = Array.make (max n 1) 0;
     trail_len = 0;
@@ -259,76 +252,68 @@ let build_state model =
     lp_deadline = infinity;
   }
 
+(* Apply ([sign] = 1) or retract ([sign] = -1) the effect of [v] = [b]
+   on row activities, covers and the objective tallies.  Scaling by
+   [sign] is exact, so a retraction restores every float bit for bit. *)
+let account st v b sign =
+  let a = st.a and s = float_of_int sign in
+  let bf = if b = 1 then 1.0 else 0.0 in
+  for p = a.colptr.(v) to a.colptr.(v + 1) - 1 do
+    let x = a.cval.(p) and i = a.rowind.(p) in
+    st.minact.(i) <- st.minact.(i) +. (s *. ((x *. bf) -. Float.min x 0.0));
+    let ci = st.cover_of.(i) in
+    if ci >= 0 then begin
+      let cv = st.covers.(ci) in
+      cv.free <- cv.free - sign;
+      if b = 1 then cv.ones <- cv.ones + sign
+    end
+  done;
+  if st.c.(v) < 0.0 then st.neg_free <- st.neg_free -. (s *. st.c.(v));
+  if b = 1 then st.obj_fixed <- st.obj_fixed +. (s *. st.c.(v))
+
 let assign st v b =
   st.value.(v) <- b;
   st.trail.(st.trail_len) <- v;
   st.trail_len <- st.trail_len + 1;
-  let bf = if b = 1 then 1.0 else 0.0 in
-  let rows = st.occ_row.(v) and coefs = st.occ_coef.(v) in
-  for k = 0 to Array.length rows - 1 do
-    let a = coefs.(k) in
-    st.lrows.(rows.(k)).minact <-
-      st.lrows.(rows.(k)).minact +. ((a *. bf) -. Float.min a 0.0)
-  done;
-  Array.iter
-    (fun ci ->
-      let cv = st.covers.(ci) in
-      cv.free <- cv.free - 1;
-      if b = 1 then cv.ones <- cv.ones + 1)
-    st.cocc.(v);
-  if st.c.(v) < 0.0 then st.neg_free <- st.neg_free -. st.c.(v);
-  if b = 1 then st.obj_fixed <- st.obj_fixed +. st.c.(v)
+  account st v b 1
 
 let undo_to st mark =
   while st.trail_len > mark do
     st.trail_len <- st.trail_len - 1;
     let v = st.trail.(st.trail_len) in
-    let b = st.value.(v) in
-    st.value.(v) <- -1;
-    let bf = if b = 1 then 1.0 else 0.0 in
-    let rows = st.occ_row.(v) and coefs = st.occ_coef.(v) in
-    for k = 0 to Array.length rows - 1 do
-      let a = coefs.(k) in
-      st.lrows.(rows.(k)).minact <-
-        st.lrows.(rows.(k)).minact -. ((a *. bf) -. Float.min a 0.0)
-    done;
-    Array.iter
-      (fun ci ->
-        let cv = st.covers.(ci) in
-        cv.free <- cv.free + 1;
-        if b = 1 then cv.ones <- cv.ones - 1)
-      st.cocc.(v);
-    if st.c.(v) < 0.0 then st.neg_free <- st.neg_free +. st.c.(v);
-    if b = 1 then st.obj_fixed <- st.obj_fixed -. st.c.(v)
+    account st v st.value.(v) (-1);
+    st.value.(v) <- -1
   done
 
 exception Conflict
 
 (* Enforce bound-consistency on one row; may assign further variables
-   (which lengthens the trail and will be processed by the caller). *)
+   (which lengthens the trail and will be processed by the caller).  The
+   row's last two entries are its LP slack and artificial. *)
 let force_row st ri =
-  let r = st.lrows.(ri) in
-  if r.minact > r.rhs +. eps then raise Conflict;
-  let slack = r.rhs -. r.minact in
-  for k = 0 to Array.length r.vidx - 1 do
-    let v = r.vidx.(k) in
+  let a = st.a in
+  let minact = st.minact.(ri) and rhs = st.rhs.(ri) in
+  if minact > rhs +. eps then raise Conflict;
+  let slack = rhs -. minact in
+  for p = a.rowptr.(ri) to a.rowptr.(ri + 1) - 3 do
+    let v = a.colind.(p) in
     if st.value.(v) = -1 then begin
-      let a = r.vcoef.(k) in
-      if a > slack +. eps then assign st v 0
-      else if -.a > slack +. eps then assign st v 1
+      let x = a.rval.(p) in
+      if x > slack +. eps then assign st v 0
+      else if -.x > slack +. eps then assign st v 1
     end
   done
 
 (* Process trail entries from [mark] to fixpoint. *)
 let propagate st mark =
+  let a = st.a in
   let q = ref mark in
   try
     while !q < st.trail_len do
       let v = st.trail.(!q) in
       incr q;
-      let rows = st.occ_row.(v) in
-      for k = 0 to Array.length rows - 1 do
-        force_row st rows.(k)
+      for p = a.colptr.(v) to a.colptr.(v + 1) - 1 do
+        force_row st a.rowind.(p)
       done
     done;
     true
@@ -336,7 +321,7 @@ let propagate st mark =
 
 let propagate_root st =
   try
-    for ri = 0 to Array.length st.lrows - 1 do
+    for ri = 0 to st.a.m - 1 do
       force_row st ri
     done;
     propagate st 0
@@ -376,31 +361,23 @@ let bound st =
     st.covers;
   base +. !extra
 
-(* Sparse persistent LP: built once over the full model (every variable,
-   every normalized <= row), then re-solved per node after narrowing the
-   fixed variables' bounds to a point.  A bound change keeps the old
-   basis dual-feasible, so each re-solve is a dual-simplex warm start. *)
-let build_splx st =
-  let rows =
-    Array.map
-      (fun (r : lrow) ->
-        ( { Simplex.Csc.idx = r.vidx; coef = r.vcoef },
-          Simplex.Revised.Le,
-          r.rhs ))
-      st.lrows
-  in
-  Simplex.Revised.create ~nvars:st.n
-    ~obj:(Simplex.Csc.pack (Array.init st.n Fun.id) (Array.copy st.c))
-    ~lower:(Array.make st.n 0.0)
-    ~upper:(Array.make st.n 1.0)
-    ~rows
-
-(* The state's persistent LP, built on first use. *)
+(* The state's persistent LP, built on first use over the search's own
+   matrix (every variable, every normalized <= row) and re-solved per
+   node after narrowing the fixed variables' bounds to a point.  A bound
+   change keeps the old basis dual-feasible, so each re-solve is a
+   dual-simplex warm start. *)
 let persistent_lp st =
   match st.splx with
   | Some lp -> lp
   | None ->
-    let lp = build_splx st in
+    let lp =
+      Simplex.Revised.create ~a:st.a
+        ~senses:(Array.make st.a.m Simplex.Revised.Le)
+        ~rhs:st.rhs
+        ~obj:(Simplex.Csc.pack (Array.init st.n Fun.id) (Array.copy st.c))
+        ~lower:(Array.make st.n 0.0)
+        ~upper:(Array.make st.n 1.0)
+    in
     st.splx <- Some lp;
     lp
 
@@ -449,11 +426,11 @@ let pick_branch st =
       (fun v ->
         if st.value.(v) = -1 then begin
           let unsat = ref 0 in
-          Array.iter
-            (fun ci ->
-              let c2 = st.covers.(ci) in
-              if c2.ones < c2.need then incr unsat)
-            st.cocc.(v);
+          for p = st.a.colptr.(v) to st.a.colptr.(v + 1) - 1 do
+            let ci = st.cover_of.(st.a.rowind.(p)) in
+            if ci >= 0 && st.covers.(ci).ones < st.covers.(ci).need then
+              incr unsat
+          done;
           let score = float_of_int !unsat -. (0.01 *. st.c.(v)) in
           if score > !best_score then begin
             best_score := score;

@@ -13,7 +13,14 @@ type greedy_outcome =
    Stage B: for each path, the block of still-uncovered relevant DROPs
    plus their dependent PERMITs lands whole on the first switch (walking
    from the ingress side) whose remaining capacity absorbs the entries
-   not already installed there for this policy. *)
+   not already installed there for this policy.
+
+   A pinned policy is placed before either stage: its [Layout.One]
+   variables are set and charged to their switch, and Stage B skips it.
+   When the stages succeed this is the placement they would have made
+   themselves: every block of such a policy fits at its ingress switch
+   [k0] (its one-switch path needs all of them there), and charging the
+   pins early rejects no switch a later step would have taken. *)
 let greedy_raw (layout : Layout.t) =
   let inst = layout.Layout.instance in
   let n_switches = Topo.Net.num_switches inst.Instance.net in
@@ -28,7 +35,17 @@ let greedy_raw (layout : Layout.t) =
   let policies = Array.of_list inst.Instance.policies in
   let ord = Array.make (Topo.Net.num_hosts inst.Instance.net) (-1) in
   Array.iteri (fun o (i, _) -> ord.(i) <- o) policies;
-  let deps = Array.map (fun (_, q) -> Depgraph.build q) policies in
+  let pinned = Array.make (Topo.Net.num_hosts inst.Instance.net) false in
+  Array.iteri
+    (fun v pin ->
+      match (pin, layout.Layout.keys.(v)) with
+      | Layout.One, Layout.Place { ingress; switch; _ } ->
+        placed.(v) <- true;
+        used.(switch) <- used.(switch) + 1;
+        pinned.(ingress) <- true
+      | _ -> ())
+    layout.Layout.pins;
+  let deps = Array.map (fun (_, q) -> lazy (Depgraph.build q)) policies in
   let paths =
     Array.map
       (fun (i, _) ->
@@ -55,7 +72,8 @@ let greedy_raw (layout : Layout.t) =
       let dependency_free =
         List.for_all
           (fun (_, o, r) ->
-            Acl.Rule.is_permit r || Depgraph.dependencies deps.(o) r = [])
+            Acl.Rule.is_permit r
+            || Depgraph.dependencies (Lazy.force deps.(o)) r = [])
           members
       in
       if dependency_free && g.Merge.action = Acl.Rule.Drop then begin
@@ -122,7 +140,7 @@ let greedy_raw (layout : Layout.t) =
   let failure = ref None in
   Array.iteri
     (fun o (i, q) ->
-      if !failure = None then begin
+      if !failure = None && not pinned.(i) then begin
         let drops =
           List.filter
             (fun (w : Acl.Rule.t) ->
@@ -142,7 +160,8 @@ let greedy_raw (layout : Layout.t) =
               in
               if block_drops <> [] then begin
                 let block =
-                  block_drops @ Depgraph.required_permits deps.(o) block_drops
+                  block_drops
+                  @ Depgraph.required_permits (Lazy.force deps.(o)) block_drops
                 in
                 (* Block drops are relevant placed drops and the permits
                    are their dependencies, so every block rule has a

@@ -184,32 +184,36 @@ let insert_dummy inst i ~field ~action ~below =
   in
   (inst', priority)
 
-(* Break one cycle: pick an edge whose head is a group, expel that
-   member and re-admit it as a dummy placed below the edge's tail. *)
+(* Break one cycle: pick an edge whose tail is a group, and a policy
+   [i] behind it where the group's member [pu] sits above a conflicting
+   rule [pv].  That member leaves the group and rejoins it as a dummy
+   just below [pv] (shadowed by the original, so [i]'s semantics are
+   unchanged), so [i] no longer puts the group above [pv].  Expelling
+   the edge's head member instead cannot work: whatever sits above a
+   member sits above its dummy too, so the edge would come back. *)
 let break_cycle inst groups cycle =
   let edges = build_graph inst groups in
   let target =
     List.find_map
       (fun (u, v) ->
-        match v with
+        match u with
         | G gid -> (
           match Hashtbl.find_opt edges (u, v) with
           | Some ((i, pu, pv) :: _) ->
-            (* Prefer expelling a non-dummy member so progress is made. *)
             let g = List.find (fun g -> g.gid = gid) groups in
             let m =
-              List.find (fun m -> m.ingress = i && m.priority = pv) g.members
+              List.find (fun m -> m.ingress = i && m.priority = pu) g.members
             in
-            Some (g, m, i, pu)
+            Some (g, m, i, pv)
           | _ -> None)
         | P _ -> None)
       cycle
   in
   match target with
-  | None -> None (* cycle without group heads: impossible, but be safe *)
-  | Some (g, m, i, pu) ->
+  | None -> None (* cycle without group tails: impossible, but be safe *)
+  | Some (g, m, i, pv) ->
     let inst', dummy_prio =
-      insert_dummy inst i ~field:g.field ~action:g.action ~below:pu
+      insert_dummy inst i ~field:g.field ~action:g.action ~below:pv
     in
     let members' =
       { ingress = i; priority = dummy_prio; is_dummy = true }
@@ -219,7 +223,7 @@ let break_cycle inst groups cycle =
       List.map (fun g' -> if g'.gid = g.gid then { g' with members = members' } else g')
         groups
     in
-    Some (inst', groups', g.gid)
+    Some (inst', groups', (i, dummy_prio))
 
 let drop_group groups gid = List.filter (fun g -> g.gid <> gid) groups
 
@@ -229,33 +233,45 @@ let plan inst =
   let max_iters =
     4 * List.fold_left (fun acc g -> acc + List.length g.members) 1 groups
   in
-  let rec loop inst groups dummies demotions iters =
+  (* [dummies]: the (ingress, priority) of every dummy inserted so far;
+     each insertion demotes one member. *)
+  let rec loop inst groups dummies iters =
     match find_cycle (build_graph inst groups) with
-    | None -> (inst, { groups; num_dummies = dummies; num_demotions = demotions })
-    | Some cycle ->
-      if iters >= max_iters then begin
+    | None -> (inst, groups, dummies)
+    | Some cycle -> (
+      let broken =
+        if iters >= max_iters then None else break_cycle inst groups cycle
+      in
+      match broken with
+      | Some (inst', groups', dummy) ->
+        loop inst' groups' (dummy :: dummies) (iters + 1)
+      | None -> (
         (* Safety valve: abandon merging for a group on the cycle. *)
         match
           List.find_map (function _, G gid -> Some gid | _ -> None) cycle
         with
-        | Some gid -> loop inst (drop_group groups gid) dummies demotions iters
-        | None -> (inst, { groups; num_dummies = dummies; num_demotions = demotions })
-      end
-      else begin
-        match break_cycle inst groups cycle with
-        | Some (inst', groups', _) ->
-          loop inst' groups' (dummies + 1) (demotions + 1) (iters + 1)
-        | None ->
-          (match
-             List.find_map (function _, G gid -> Some gid | _ -> None) cycle
-           with
-          | Some gid -> loop inst (drop_group groups gid) dummies demotions (iters + 1)
-          | None -> (inst, { groups; num_dummies = dummies; num_demotions = demotions }))
-      end
+        | Some gid -> loop inst (drop_group groups gid) dummies (iters + 1)
+        | None -> (inst, groups, dummies)))
   in
-  let inst, p = loop inst groups 0 0 0 in
+  let inst, groups, dummies = loop inst groups [] 0 in
   (* Groups reduced below two members merge nothing: drop them. *)
-  (inst, { p with groups = List.filter (fun g -> List.length g.members >= 2) p.groups })
+  let groups = List.filter (fun g -> List.length g.members >= 2) groups in
+  let plan = { groups; num_dummies = 0; num_demotions = List.length dummies } in
+  (* A dummy that is in no surviving group (its group was dropped, or it
+     was expelled itself) would stay behind as an ordinary shadowed rule
+     that only costs a slot: remove it. *)
+  let kept = dummy_set plan in
+  let stale = List.filter (fun key -> not (Hashtbl.mem kept key)) dummies in
+  let inst =
+    if stale = [] then inst
+    else
+      Instance.map_policies inst (fun i q ->
+          List.fold_left
+            (fun q (j, priority) ->
+              if j = i then Acl.Policy.remove_rule q ~priority else q)
+            q stale)
+  in
+  (inst, { plan with num_dummies = Hashtbl.length kept })
 
 let order_graph_acyclic inst plan =
   find_cycle (build_graph inst plan.groups) = None

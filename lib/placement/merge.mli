@@ -31,6 +31,7 @@ type group = {
 type plan = {
   groups : group list;
   num_dummies : int;
+      (** dummy rules in the planned instance, each a member of a group *)
   num_demotions : int;  (** members expelled from groups to break cycles *)
 }
 
@@ -46,7 +47,8 @@ val plan : Instance.t -> Instance.t * plan
 (** Full pipeline: renumber priorities to make room for dummies (each
     priority is scaled by {!renumber_factor}), find groups, then break
     order cycles.  The returned instance is the one all later stages must
-    use (it contains the renumbered policies and any dummy rules). *)
+    use (it contains the renumbered policies and the dummies of the
+    returned groups; a dummy whose group was abandoned is removed). *)
 
 val renumber_factor : int
 

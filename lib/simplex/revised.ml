@@ -114,9 +114,12 @@ let counters t =
     cold_falls = t.c_falls;
   }
 
-let create ~nvars ~obj ~lower ~upper ~rows =
-  if nvars < 0 then invalid_arg "Revised.create: negative nvars";
-  if Array.length lower <> nvars || Array.length upper <> nvars then
+let matrix ~nvars rows =
+  Csc.of_rows ~units:2 ~m:(Array.length rows) ~n:nvars rows
+
+let create ~a ~senses ~rhs ~obj ~lower ~upper =
+  let nvars = Array.length lower in
+  if Array.length upper <> nvars then
     invalid_arg "Revised.create: bound array length mismatch";
   Array.iteri
     (fun j l ->
@@ -124,20 +127,27 @@ let create ~nvars ~obj ~lower ~upper ~rows =
         invalid_arg "Revised.create: lower bounds must be finite";
       if l > upper.(j) then invalid_arg "Revised.create: empty bound interval")
     lower;
-  let m = Array.length rows in
+  let m = a.Csc.m in
   let n = nvars + m + m in
+  if Array.length senses <> m || Array.length rhs <> m then
+    invalid_arg "Revised.create: row count mismatch";
   if not (Array.for_all (fun j -> j >= 0 && j < nvars) obj.Csc.idx) then
     invalid_arg "Revised.create: variable index out of range";
-  (* Each packed row gains its slack and artificial entries, whose
-     column indices exceed every structural one, so a stored row is its
-     structural terms, then its slack, then its artificial. *)
-  let a =
-    Csc.of_rows ~units:2 ~m ~n:nvars (Array.map (fun (r, _, _) -> r) rows)
-  in
+  (* Past the structural columns, [a] must be exactly the slack and
+     artificial blocks {!matrix} appends: one 1.0 per column, in row
+     [(j - nvars) mod m]. *)
+  if a.Csc.n <> n then invalid_arg "Revised.create: matrix is not augmented";
+  for j = nvars to n - 1 do
+    let p = a.Csc.colptr.(j) in
+    if
+      a.Csc.colptr.(j + 1) - p <> 1
+      || a.Csc.rowind.(p) <> (j - nvars) mod m
+      || a.Csc.cval.(p) <> 1.0
+    then invalid_arg "Revised.create: matrix is not augmented"
+  done;
   let lo = Array.make n 0.0 and up = Array.make n 0.0 in
   Array.blit lower 0 lo 0 nvars;
   Array.blit upper 0 up 0 nvars;
-  let senses = Array.map (fun (_, s, _) -> s) rows in
   Array.iteri
     (fun k s ->
       let js = nvars + k and ja = nvars + m + k in
@@ -166,7 +176,7 @@ let create ~nvars ~obj ~lower ~upper ~rows =
     n;
     n_struct = nvars;
     a;
-    b = Array.map (fun (_, _, r) -> r) rows;
+    b = rhs;
     senses;
     obj = objd;
     pobj = Array.make n 0.0;
@@ -944,19 +954,21 @@ let add_rows t extra =
       Array.init (m0 + ne) (fun k ->
           if k < m0 then begin
             let p0 = t.a.Csc.rowptr.(k) and p1 = t.a.Csc.rowptr.(k + 1) - 2 in
-            ( {
-                Csc.idx = Array.sub t.a.Csc.colind p0 (p1 - p0);
-                coef = Array.sub t.a.Csc.rval p0 (p1 - p0);
-              },
-              t.senses.(k),
-              t.b.(k) )
+            {
+              Csc.idx = Array.sub t.a.Csc.colind p0 (p1 - p0);
+              coef = Array.sub t.a.Csc.rval p0 (p1 - p0);
+            }
           end
-          else extra.(k - m0))
+          else
+            let r, _, _ = extra.(k - m0) in
+            r)
     in
-    let obj = Csc.pack (Array.init ns Fun.id) (Array.sub t.obj 0 ns) in
     let t' =
-      create ~nvars:ns ~obj ~lower:(Array.sub t.lo 0 ns)
-        ~upper:(Array.sub t.up 0 ns) ~rows
+      create ~a:(matrix ~nvars:ns rows)
+        ~senses:(Array.append t.senses (Array.map (fun (_, s, _) -> s) extra))
+        ~rhs:(Array.append t.b (Array.map (fun (_, _, r) -> r) extra))
+        ~obj:(Csc.pack (Array.init ns Fun.id) (Array.sub t.obj 0 ns))
+        ~lower:(Array.sub t.lo 0 ns) ~upper:(Array.sub t.up 0 ns)
     in
     if t.solved_once then begin
       Array.blit t.stat 0 t'.stat 0 (ns + m0);

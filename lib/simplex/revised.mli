@@ -27,20 +27,32 @@ type outcome =
 
 type t
 
+val matrix : nvars:int -> Csc.row array -> Csc.t
+(** [matrix ~nvars rows] is the constraint matrix {!create} takes: the
+    packed [rows] over [nvars] structural columns, each row followed by
+    its slack entry (column [nvars + i]) and its artificial entry
+    (column [nvars + m + i]), stored once in CSC + CSR form
+    ([Csc.of_rows ~units:2]).  Raises [Invalid_argument] on a variable
+    index outside [0, nvars) or a row that is not packed. *)
+
 val create :
-  nvars:int ->
+  a:Csc.t ->
+  senses:sense array ->
+  rhs:float array ->
   obj:Csc.row ->
   lower:float array ->
   upper:float array ->
-  rows:(Csc.row * sense * float) array ->
   t
-(** Build a persistent instance: [nvars] structural variables with bounds
+(** Build a persistent instance over the matrix [a] from {!matrix}:
+    [nvars = Array.length lower] structural variables with bounds
     [lower.(j) <= x_j <= upper.(j)] (lower bounds must be finite), sparse
-    objective [obj] (minimized), and constraint rows given as
-    [(terms, sense, rhs)] over packed {!Csc.row}s.  One slack and one
-    artificial column are added per row; the augmented matrix is stored
-    once in CSC + CSR form.  Raises [Invalid_argument] on malformed input
-    (a variable index outside [0, nvars), a row that is not packed). *)
+    objective [obj] (minimized), and row [i] reading
+    [(a x)_i senses.(i) rhs.(i)].  [a], [senses] and [rhs] are read,
+    never written, so a caller may share them (the ILP search propagates
+    over the same matrix).  Raises [Invalid_argument] on malformed input
+    (lengths that disagree, an objective index outside [0, nvars), or
+    an [a] whose columns past [nvars] are not the slack and artificial
+    blocks). *)
 
 val set_bounds : t -> int -> float -> float -> unit
 (** [set_bounds t j lo up] updates the bounds of structural variable [j].

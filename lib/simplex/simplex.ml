@@ -419,13 +419,17 @@ let pack terms =
 let solve ?(max_iters = 50_000) p =
   validate p;
   Telemetry.Metrics.incr m_solves;
-  let rows =
-    Array.of_list (List.map (fun r -> (pack r.coeffs, r.sense, r.rhs)) p.rows)
-  in
+  let rows = Array.of_list p.rows in
   let t =
-    Revised.create ~nvars:p.num_vars ~obj:(pack p.minimize)
+    Revised.create
+      ~a:
+        (Revised.matrix ~nvars:p.num_vars
+           (Array.map (fun r -> pack r.coeffs) rows))
+      ~senses:(Array.map (fun r -> r.sense) rows)
+      ~rhs:(Array.map (fun r -> r.rhs) rows)
+      ~obj:(pack p.minimize)
       ~lower:(Array.make p.num_vars 0.0)
-      ~upper:p.upper ~rows
+      ~upper:p.upper
   in
   match Revised.optimize ~max_iters t with
   | Revised.Optimal { objective; solution } -> Optimal { objective; solution }

@@ -182,13 +182,15 @@ let test_presolve_preserves_optimum () =
 
 let lp_of_model m =
   let n = Model.num_vars m in
-  let rows =
-    Array.map
-      (fun (r : Model.row) -> (r.Model.terms, r.Model.sense, r.Model.rhs))
-      (Model.rows m)
-  in
-  Simplex.Revised.create ~nvars:n ~obj:(Model.objective m)
-    ~lower:(Array.make n 0.0) ~upper:(Array.make n 1.0) ~rows
+  let rows = Model.rows m in
+  Simplex.Revised.create
+    ~a:
+      (Simplex.Revised.matrix ~nvars:n
+         (Array.map (fun (r : Model.row) -> r.terms) rows))
+    ~senses:(Array.map (fun (r : Model.row) -> r.sense) rows)
+    ~rhs:(Array.map (fun (r : Model.row) -> r.rhs) rows)
+    ~obj:(Model.objective m) ~lower:(Array.make n 0.0)
+    ~upper:(Array.make n 1.0)
 
 let test_fpump_feasible () =
   let g = Prng.create 99 in

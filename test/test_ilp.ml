@@ -119,18 +119,36 @@ let random_model g =
        (Array.map (fun v -> (float_of_int (Prng.int_in g (-2) 5), v)) vars));
   m
 
+(* Each model is solved as configured by default, then without presolve
+   (with and without the root LP), so propagation over the search's own
+   matrix meets [Brute] with nothing reducing the model first. *)
 let test_vs_brute () =
   let g = Prng.create 2024 in
+  let no_presolve lp_root =
+    { Solver.default_config with Solver.presolve = false; lp_root }
+  in
+  let configs =
+    [
+      ("default", Solver.default_config);
+      ("no presolve", no_presolve true);
+      ("no presolve, no root LP", no_presolve false);
+    ]
+  in
   for i = 1 to 300 do
     let m = random_model g in
     let expected = Brute.solve m in
-    let got = solve m in
-    (match (expected, got) with
-    | Solver.Optimal _, Solver.Optimal s ->
-      if not (Solver.check_feasible m s.values) then
-        Alcotest.failf "case %d: optimal not feasible" i
-    | _ -> ());
-    Alcotest.check outcome (Printf.sprintf "case %d" i) expected got
+    List.iter
+      (fun (name, config) ->
+        let got = fst (Solver.solve ~config m) in
+        (match (expected, got) with
+        | Solver.Optimal _, Solver.Optimal s ->
+          if not (Solver.check_feasible m s.values) then
+            Alcotest.failf "case %d (%s): optimal not feasible" i name
+        | _ -> ());
+        Alcotest.check outcome
+          (Printf.sprintf "case %d (%s)" i name)
+          expected got)
+      configs
   done
 
 let test_stats_sane () =

@@ -97,6 +97,30 @@ let test_plan_breaks_figure5_cycle () =
   let inst', plan = Merge.plan inst in
   Alcotest.(check bool) "acyclic" true (Merge.order_graph_acyclic inst' plan);
   Alcotest.(check bool) "dummy added" true (plan.Merge.num_dummies >= 1);
+  (* Every rule the plan added is a dummy member of a surviving group,
+     and [num_dummies] counts exactly those. *)
+  let kept = Merge.dummy_set plan in
+  let added = ref 0 in
+  List.iter2
+    (fun (i, q) (_, q') ->
+      let original =
+        List.map
+          (fun (r : Acl.Rule.t) -> r.priority * Merge.renumber_factor)
+          (Acl.Policy.rules q)
+      in
+      List.iter
+        (fun (r : Acl.Rule.t) ->
+          if not (List.mem r.priority original) then begin
+            incr added;
+            Alcotest.(check bool)
+              (Printf.sprintf "added rule %d of policy %d is a kept dummy"
+                 r.priority i)
+              true
+              (Hashtbl.mem kept (i, r.priority))
+          end)
+        (Acl.Policy.rules q'))
+    inst.Instance.policies inst'.Instance.policies;
+  Alcotest.(check int) "dummies counted" !added plan.Merge.num_dummies;
   (* The dummy is shadowed: policy semantics unchanged. *)
   let g = Prng.create 5 in
   List.iter2

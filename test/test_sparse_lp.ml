@@ -279,16 +279,23 @@ let test_lu_singular () =
 let packed terms =
   Csc.pack (Array.of_list (List.map fst terms)) (Array.of_list (List.map snd terms))
 
+(* A persistent instance over [(terms, sense, rhs)] rows. *)
+let instance ~nvars ~obj ~lower ~upper rows =
+  Revised.create
+    ~a:(Revised.matrix ~nvars (Array.map (fun (r, _, _) -> r) rows))
+    ~senses:(Array.map (fun (_, s, _) -> s) rows)
+    ~rhs:(Array.map (fun (_, _, b) -> b) rows)
+    ~obj ~lower ~upper
+
 let covering_instance () =
-  Revised.create ~nvars:4
+  instance ~nvars:4
     ~obj:(packed [ (0, 1.0); (1, 1.0); (2, 1.0); (3, 1.0) ])
     ~lower:(Array.make 4 0.0) ~upper:(Array.make 4 1.0)
-    ~rows:
-      [|
-        (packed [ (0, 1.0); (1, 1.0) ], Revised.Ge, 1.0);
-        (packed [ (2, 1.0); (3, 1.0) ], Revised.Ge, 1.0);
-        (packed [ (0, 1.0); (2, 1.0) ], Revised.Le, 1.0);
-      |]
+    [|
+      (packed [ (0, 1.0); (1, 1.0) ], Revised.Ge, 1.0);
+      (packed [ (2, 1.0); (3, 1.0) ], Revised.Ge, 1.0);
+      (packed [ (0, 1.0); (2, 1.0) ], Revised.Le, 1.0);
+    |]
 
 let objective_of name = function
   | Revised.Optimal { objective; _ } -> objective
@@ -431,7 +438,7 @@ let test_row_contract () =
   let bounds = (Array.make 2 0.0, Array.make 2 1.0) in
   let create ?(obj = packed []) rows =
     ignore
-      (Revised.create ~nvars:2 ~obj ~lower:(fst bounds) ~upper:(snd bounds) ~rows)
+      (instance ~nvars:2 ~obj ~lower:(fst bounds) ~upper:(snd bounds) rows)
   in
   (* Column 2 exists in the augmented matrix (row 0's slack), so the
      range check must hold rows to the structural columns. *)
@@ -446,6 +453,18 @@ let test_row_contract () =
   raises "of_rows range" (fun () -> Csc.of_rows ~m:1 ~n:2 [| packed [ (2, 1.0) ] |]);
   raises "of_rows zero" (fun () ->
       Csc.of_rows ~m:1 ~n:2 [| { Csc.idx = [| 0 |]; coef = [| 0.0 |] } |]);
+  (* [create] takes only {!Revised.matrix}'s augmented shape: four
+     columns over two variables and one row, but no unit blocks. *)
+  let bare ~a =
+    ignore
+      (Revised.create ~a ~senses:[| Revised.Le |] ~rhs:[| 1.0 |]
+         ~obj:(packed []) ~lower:(fst bounds) ~upper:(snd bounds))
+  in
+  raises "matrix without unit blocks" (fun () ->
+      bare ~a:(Csc.of_rows ~m:1 ~n:4 [| packed [ (0, 1.0) ] |]));
+  raises "matrix over other vars" (fun () ->
+      bare ~a:(Revised.matrix ~nvars:3 [| packed [ (0, 1.0) ] |]));
+  bare ~a:(Revised.matrix ~nvars:2 [| packed [ (0, 1.0) ] |]);
   (* The one-shot list API packs for its caller: x0 + x0 <= 1 is
      2 x0 <= 1. *)
   match
