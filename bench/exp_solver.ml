@@ -194,7 +194,7 @@ let geomean = function
 (* ---------------- paper-scale scoreboard (LP2) ---------------- *)
 
 (* Each scoreboard point runs the full pipeline with the default solver
-   stack (sparse engine, presolve + cuts + feasibility pump) under a
+   stack (sparse engine, cuts + feasibility pump) under a
    per-point wall cap, and records status / best-of-reps wall /
    attributed LP time / objective / root bound.  Unsolved points are
    included deliberately: the scoreboard records progress over time,

@@ -141,15 +141,6 @@ let time_limit_arg =
     & info [ "time-limit" ] ~docv:"SECONDS" ~doc:"ILP solver time limit.")
 
 let features_arg =
-  let no_presolve =
-    Arg.(
-      value & flag
-      & info [ "no-presolve" ]
-          ~doc:
-            "Disable the ILP presolve reductions (bound propagation, \
-             activity-redundant and duplicate row removal, \
-             dominated-column fixing).")
-  in
   let no_cuts =
     Arg.(
       value & flag
@@ -167,13 +158,12 @@ let features_arg =
              incumbent heuristics.")
   in
   Term.(
-    const (fun p c f -> (not p, not c, not f))
-    $ no_presolve $ no_cuts $ no_fpump)
+    const (fun c f -> (not c, not f)) $ no_cuts $ no_fpump)
 
 (* The one solve-option surface shared by [solve], [verify] and [events]. *)
 let solve_options =
-  let make merge slice engine (presolve, cuts, fpump) objective time_limit =
-    Placement.Solve.options ~merge ~slice ~engine ~presolve ~cuts ~fpump
+  let make merge slice engine (cuts, fpump) objective time_limit =
+    Placement.Solve.options ~merge ~slice ~engine ~cuts ~fpump
       ~objective:
         (match objective with
         | `Total -> Placement.Encode.Total_rules

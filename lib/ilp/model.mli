@@ -26,7 +26,7 @@ type kind =
   | Merge_def  (** merged-variable linking row (Eq. 4) *)
   | Cut  (** separator-generated valid inequality *)
 (** Structural tag carried by each row.  Encoders label the rows they
-    emit so downstream passes (presolve, cut separation) can recover the
+    emit so downstream passes (cut separation) can recover the
     capacity/cover/dependency structure without re-deriving it from
     coefficients; [Generic] is always safe and merely disables the
     structure-specific treatments. *)
@@ -70,7 +70,7 @@ val activity : Simplex.Csc.row -> bool array -> float
 
 type row = { terms : Simplex.Csc.row; sense : sense; rhs : float; kind : kind }
 (** A constraint in the one sparse-row format every layer shares: the
-    packed terms pass unchanged through {!Presolve}, {!Solver}, {!Cuts},
+    packed terms pass unchanged through {!Solver}, {!Cuts},
     {!Fpump} and into {!Simplex.Revised}. *)
 
 val rows : t -> row array

@@ -11,7 +11,6 @@ type config = {
   node_limit : int;
   lp_root : bool;
   lp_depth : int;
-  presolve : bool;
   cuts : bool;
   fpump : bool;
 }
@@ -22,7 +21,6 @@ let default_config =
     node_limit = 2_000_000;
     lp_root = true;
     lp_depth = 2;
-    presolve = true;
     cuts = true;
     fpump = true;
   }
@@ -89,16 +87,6 @@ let m_pump_rounds =
   Telemetry.Metrics.counter
     ~help:"feasibility-pump LP-round-project iterations"
     "sdnplace_ilp_fpump_rounds_total"
-
-let m_presolve_vars =
-  Telemetry.Metrics.gauge
-    ~help:"variables eliminated by presolve in the last solve"
-    "sdnplace_ilp_presolve_vars_fixed"
-
-let m_presolve_rows =
-  Telemetry.Metrics.gauge
-    ~help:"rows dropped by presolve in the last solve"
-    "sdnplace_ilp_presolve_rows_dropped"
 
 let pp_outcome fmt = function
   | Optimal s -> Format.fprintf fmt "optimal (%g)" s.objective
@@ -702,107 +690,39 @@ let outcome_of ~stopped best =
   | true, Some b -> Feasible b
   | true, None -> Unknown
 
-(* Root work, then the depth-first search below an open root.
-   [time_limit] counts wall-clock seconds from here. *)
-let search ~config ~cancel ?warm_start model =
+(* Root work, then the depth-first search below an open root.  A
+   model with no variables is decided by its constant rows alone, with
+   no state or LP built.  [time_limit] counts wall-clock seconds from
+   here. *)
+let solve ?(config = default_config) ?(cancel = fun () -> false) ?warm_start
+    model =
   let wall0 = Unix.gettimeofday () in
   Telemetry.Metrics.incr m_solves;
-  let st, root =
-    prepare ~config ~cancel ~deadline:(wall0 +. config.time_limit) ?warm_start
-      model
-  in
-  let outcome =
-    match root with
-    | `Settled outcome -> outcome
-    | `Open ->
-      (try dfs st config ~depth:0 with Stop -> ());
-      outcome_of ~stopped:st.stopped st.best
+  let outcome, nodes, lp_calls, root_bound =
+    if Model.num_vars model = 0 then
+      if check_feasible model [||] then
+        let objective = objective_value model [||] in
+        (Optimal { values = [||]; objective }, 0, 0, objective)
+      else (Infeasible, 0, 0, neg_infinity)
+    else
+      let st, root =
+        prepare ~config ~cancel ~deadline:(wall0 +. config.time_limit)
+          ?warm_start model
+      in
+      let outcome =
+        match root with
+        | `Settled outcome -> outcome
+        | `Open ->
+          (try dfs st config ~depth:0 with Stop -> ());
+          outcome_of ~stopped:st.stopped st.best
+      in
+      (outcome, st.nodes, st.lp_calls, st.root_bound)
   in
   let s =
-    {
-      nodes = st.nodes;
-      lp_calls = st.lp_calls;
-      elapsed = Unix.gettimeofday () -. wall0;
-      root_bound = st.root_bound;
-    }
+    { nodes; lp_calls; elapsed = Unix.gettimeofday () -. wall0; root_bound }
   in
   Telemetry.Metrics.add m_nodes s.nodes;
   Telemetry.Metrics.add m_lp_calls s.lp_calls;
   Telemetry.Metrics.observe m_solve_s s.elapsed;
   Telemetry.Metrics.set m_root_bound s.root_bound;
   (outcome, s)
-
-(* ------------------------------------------------------------------ *)
-(* Presolve wrapper                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Reduce the model before the search ever factorizes an LP: variable
-   fixing, redundant and duplicate row elimination.  The search runs on
-   the reduced model; solutions are lifted back through
-   [Presolve.restore] and objectives shifted by the fixed
-   contribution. *)
-let solve ?(config = default_config) ?(cancel = fun () -> false) ?warm_start
-    model =
-  if not config.presolve then search ~config ~cancel ?warm_start model
-  else
-    let t0 = Unix.gettimeofday () in
-    match
-      Telemetry.Trace.with_span "ilp.presolve" (fun () -> Presolve.reduce model)
-    with
-    | Presolve.Infeasible ->
-      Telemetry.Metrics.incr m_solves;
-      ( Infeasible,
-        {
-          nodes = 0;
-          lp_calls = 0;
-          elapsed = Unix.gettimeofday () -. t0;
-          root_bound = neg_infinity;
-        } )
-    | Presolve.Reduced red ->
-      Telemetry.Metrics.set m_presolve_vars
-        (float_of_int red.Presolve.vars_fixed);
-      Telemetry.Metrics.set m_presolve_rows
-        (float_of_int red.Presolve.rows_dropped);
-      if Model.num_vars red.Presolve.reduced = 0 then begin
-        (* Everything fixed by propagation: the reduction IS the solution
-           (cleanup checked every row under the fixings). *)
-        Telemetry.Metrics.incr m_solves;
-        let values = Presolve.restore red [||] in
-        let outcome =
-          if check_feasible model values then
-            Optimal { values; objective = red.Presolve.obj_offset }
-          else Infeasible
-        in
-        ( outcome,
-          {
-            nodes = 0;
-            lp_calls = 0;
-            elapsed = Unix.gettimeofday () -. t0;
-            root_bound = red.Presolve.obj_offset;
-          } )
-      end
-      else begin
-        let warm_start =
-          match warm_start with
-          | Some w when Array.length w = Model.num_vars model ->
-            Some (Presolve.project red w)
-          | _ -> None
-        in
-        let outcome, s =
-          search ~config ~cancel ?warm_start red.Presolve.reduced
-        in
-        let lift (sol : solution) =
-          {
-            values = Presolve.restore red sol.values;
-            objective = sol.objective +. red.Presolve.obj_offset;
-          }
-        in
-        let outcome =
-          match outcome with
-          | Optimal sol -> Optimal (lift sol)
-          | Feasible sol -> Feasible (lift sol)
-          | Infeasible -> Infeasible
-          | Unknown -> Unknown
-        in
-        (outcome, { s with root_bound = s.root_bound +. red.Presolve.obj_offset })
-      end

@@ -33,18 +33,13 @@ type outcome =
 
 type config = {
   time_limit : float;
-      (** wall-clock seconds from the start of the search (presolve
-          excluded); [infinity] disables *)
+      (** wall-clock seconds from the start of the solve; [infinity]
+          disables *)
   node_limit : int;
       (** branch-and-bound nodes the search may expand; a search that
           reaches the limit stops on node [node_limit + 1] *)
   lp_root : bool;  (** solve the root LP relaxation *)
   lp_depth : int;  (** also solve LP bounds at nodes of depth <= this *)
-  presolve : bool;
-      (** reduce the model before the search ({!Presolve}: bound
-          propagation, activity-redundant and exact duplicate row
-          removal, dominated-column fixing); solutions are lifted back
-          automatically *)
   cuts : bool;
       (** separate cover/pigeonhole cutting planes at the root (at most
           4 rounds) and keep them in the LP for the whole tree *)
@@ -54,8 +49,8 @@ type config = {
 }
 
 val default_config : config
-(** 60 s, 2M nodes, root LP plus LP to depth 2, presolve + cuts +
-    feasibility pump enabled. *)
+(** 60 s, 2M nodes, root LP plus LP to depth 2, cuts and feasibility
+    pump enabled. *)
 
 type stats = {
   nodes : int;
@@ -75,7 +70,11 @@ val solve :
     before the root LP and between root cut rounds, pump rounds and
     dive steps; once it returns true the search stops cooperatively and
     reports its best incumbent ([Feasible]) or [Unknown] — the hook that
-    lets a deadline or a superseded runtime event stop a solve. *)
+    lets a deadline or a superseded runtime event stop a solve.
+
+    A model with no variables is decided by its constant rows alone:
+    [Optimal] when each holds, else [Infeasible], with no node and no
+    LP. *)
 
 val check_feasible : Model.t -> bool array -> bool
 (** Exact 0-1 feasibility check of an assignment against every row. *)

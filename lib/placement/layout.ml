@@ -353,27 +353,49 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
                 done)
               (Depgraph.dependencies pi.dep w))
           pi.placed_drops;
-        (* Per path; Section IV-C slices the drops a path must carry to
-           those its flow can meet. *)
+        (* One row per (drop, path switch set); Section IV-C slices the
+           drops a path must carry to those its flow can meet.  Paths
+           with equal switch sets share a group.  The walk runs over
+           paths and drops backwards, the order of [covers], and keeps
+           the first row of each (drop, group). *)
         Array.iteri (fun j k -> pos.(k) <- j) b.switches;
+        let group = Hashtbl.create 64 in
+        let group_of (p : Routing.Path.t) =
+          let set = Array.copy p.Routing.Path.switches in
+          Array.sort compare set;
+          match Hashtbl.find_opt group set with
+          | Some g -> g
+          | None ->
+            let g = Hashtbl.length group in
+            Hashtbl.add group set g;
+            g
+        in
+        let drops = Array.of_list (List.rev pi.coverage_drops) in
+        let n_drops = Array.length drops in
+        let seen = Bytes.make (List.length pi.paths * n_drops) '\000' in
+        let own = ref [] in
         List.iter
           (fun (p : Routing.Path.t) ->
-            List.iter
-              (fun (w : Acl.Rule.t) ->
-                let applies =
-                  (not sliced)
-                  || Ternary.Field.overlaps w.field p.Routing.Path.flow
-                in
-                if applies then begin
+            let g = group_of p in
+            Array.iteri
+              (fun d (w : Acl.Rule.t) ->
+                let cell = (g * n_drops) + d in
+                if
+                  Bytes.get seen cell = '\000'
+                  && ((not sliced)
+                     || Ternary.Field.overlaps w.field p.Routing.Path.flow)
+                then begin
+                  Bytes.set seen cell '\001';
                   let sw = slot_of b w.priority in
-                  covers :=
+                  own :=
                     Array.fold_right
                       (fun k acc -> var_in b sw pos.(k) :: acc)
                       p.Routing.Path.switches []
-                    :: !covers
+                    :: !own
                 end)
-              pi.coverage_drops)
-          pi.paths;
+              drops)
+          (List.rev pi.paths);
+        covers := List.rev_append !own !covers;
         Array.iter (fun k -> pos.(k) <- -1) b.switches
       end)
     policies;

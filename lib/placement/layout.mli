@@ -79,7 +79,10 @@ type t = {
   implications : (int * int) list;
       (** (drop var, permit var): Eq. 1 / 6, free policies only *)
   covers : int list list;
-      (** each needs >= 1: Eq. 2 / 7, per path of a free policy *)
+      (** each needs >= 1: Eq. 2 / 7, per (coverage drop, distinct path
+          switch set) of a free policy, so no two are equal as sets.
+          Sliced, a drop gets a set's row when its field meets the flow
+          of some path with that switch set. *)
   capacities : capacity list;
       (** Eq. 3 over [Free] variables, [bound] net of the load pinned at
           the switch; only rows that can bind *)

@@ -60,14 +60,9 @@ let default_options =
 
 let options ?(redundancy = true) ?(merge = false) ?(slice = false)
     ?(monitors = []) ?(objective = Encode.Total_rules) ?(engine = Ilp_engine)
-    ?(ilp_config = Ilp.Solver.default_config) ?presolve ?cuts ?fpump
-    ?sat_conflict_limit ?(jobs = 1) () =
+    ?(ilp_config = Ilp.Solver.default_config) ?cuts ?fpump ?sat_conflict_limit
+    ?(jobs = 1) () =
   if jobs <> 1 then invalid_arg "Solve.options: jobs must be 1";
-  let ilp_config =
-    match presolve with
-    | Some b -> { ilp_config with Ilp.Solver.presolve = b }
-    | None -> ilp_config
-  in
   let ilp_config =
     match cuts with
     | Some b -> { ilp_config with Ilp.Solver.cuts = b }
@@ -132,10 +127,16 @@ let ilp_warm_start ~cancel options inst_pre_plan (layout : Layout.t) =
            Ilp.Solver.time_limit = Float.min tl (Float.max 1.0 (tl /. 4.0));
          }
        in
+       let plain_layout =
+         Layout.build ~sliced:options.slice ~plan:Merge.empty_plan
+           ~monitors:options.monitors inst_pre_plan
+       in
+       (* Greedy seeds the plain solve too: its incumbent crashes the
+          root LP's first basis, where a cold start can stall. *)
        match
          (Encode.solve ~objective:options.objective ~config:warm_config ~cancel
-            (Layout.build ~sliced:options.slice ~plan:Merge.empty_plan
-               ~monitors:options.monitors inst_pre_plan))
+            ?warm_start:(Baseline.greedy_assignment plain_layout)
+            plain_layout)
            .Encode.solution
        with
        | Some plain ->

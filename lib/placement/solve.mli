@@ -44,16 +44,14 @@ val options :
   ?objective:Encode.objective ->
   ?engine:engine ->
   ?ilp_config:Ilp.Solver.config ->
-  ?presolve:bool ->
   ?cuts:bool ->
   ?fpump:bool ->
   ?sat_conflict_limit:int ->
   ?jobs:int ->
   unit ->
   options
-(** [presolve], [cuts] and [fpump] override the matching [ilp_config]
-    field in one step — the hooks behind the [--no-presolve] /
-    [--no-cuts] / [--no-fpump] CLI flags.
+(** [cuts] and [fpump] override the matching [ilp_config] field in one
+    step — the hooks behind the [--no-cuts] / [--no-fpump] CLI flags.
 
     [jobs] stores nothing: the branch and bound is sequential, and any
     value other than 1 raises [Invalid_argument].  It stays only because

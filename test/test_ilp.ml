@@ -119,19 +119,15 @@ let random_model g =
        (Array.map (fun v -> (float_of_int (Prng.int_in g (-2) 5), v)) vars));
   m
 
-(* Each model is solved as configured by default, then without presolve
-   (with and without the root LP), so propagation over the search's own
-   matrix meets [Brute] with nothing reducing the model first. *)
+(* Each model is solved as configured by default, then without the
+   root LP, so propagation over the search's own matrix meets [Brute]
+   with no LP bound either. *)
 let test_vs_brute () =
   let g = Prng.create 2024 in
-  let no_presolve lp_root =
-    { Solver.default_config with Solver.presolve = false; lp_root }
-  in
   let configs =
     [
       ("default", Solver.default_config);
-      ("no presolve", no_presolve true);
-      ("no presolve, no root LP", no_presolve false);
+      ("no root LP", { Solver.default_config with Solver.lp_root = false });
     ]
   in
   for i = 1 to 300 do
@@ -151,6 +147,28 @@ let test_vs_brute () =
       configs
   done
 
+(* A model with no variables is decided by its constant rows, with no
+   node and no LP. *)
+let test_no_variables () =
+  let decide rows =
+    let m = Model.create () in
+    List.iter
+      (fun (sense, rhs) ->
+        Model.add_row m { Simplex.Csc.idx = [||]; coef = [||] } sense rhs)
+      rows;
+    let o, stats = Solver.solve m in
+    Alcotest.(check int) "no nodes" 0 stats.Solver.nodes;
+    Alcotest.(check int) "no LP" 0 stats.Solver.lp_calls;
+    o
+  in
+  (match decide [ (Model.Le, 0.0); (Model.Ge, -1.0); (Model.Eq, 0.0) ] with
+  | Solver.Optimal s ->
+    Alcotest.(check (float 1e-9)) "zero objective" 0.0 s.Solver.objective;
+    Alcotest.(check int) "empty point" 0 (Array.length s.Solver.values)
+  | o -> Alcotest.failf "constant rows hold: %a" Solver.pp_outcome o);
+  Alcotest.check outcome "a violated constant row" Solver.Infeasible
+    (decide [ (Model.Le, 1.0); (Model.Ge, 1.0) ])
+
 let test_stats_sane () =
   let m = Model.create () in
   let a = Model.binary m in
@@ -168,6 +186,7 @@ let suite =
     Alcotest.test_case "merge-shaped aux var" `Quick test_negative_objective_merge_shape;
     Alcotest.test_case "warm start" `Quick test_warm_start_respected;
     Alcotest.test_case "agrees with brute force" `Quick test_vs_brute;
+    Alcotest.test_case "no variables" `Quick test_no_variables;
     Alcotest.test_case "stats sane" `Quick test_stats_sane;
   ]
 

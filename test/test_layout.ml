@@ -263,8 +263,54 @@ let test_monitor_forbidden_vars () =
   Alcotest.(check int) "one forbidden var" 1
     (List.length layout.Layout.forbidden)
 
+(* No two rows of an encoded model share their sense and packed terms:
+   paths with equal switch sets get one cover row per drop, and nothing
+   else repeats.  Random k=4/6 families, with and without slicing, the
+   merge plan and a monitor at one switch that sees all traffic. *)
+let prop_no_duplicate_rows =
+  QCheck.Test.make ~name:"encoded rows are pairwise distinct" ~count:40
+    QCheck.int (fun seed ->
+      let g = Prng.create seed in
+      let f =
+        {
+          Workload.k = (if Prng.bool g then 4 else 6);
+          num_policies = Prng.int_in g 2 5;
+          rules = Prng.int_in g 4 12;
+          mergeable = Prng.int_in g 0 3;
+          paths = Prng.int_in g 8 40;
+          capacity = Prng.int_in g 6 30;
+          seed;
+          slice = Prng.bool g;
+          ingress_mode =
+            (if Prng.bool g then Workload.Spread else Workload.Contiguous);
+        }
+      in
+      let inst = Workload.build f in
+      let inst, plan =
+        if f.Workload.mergeable > 0 && Prng.bool g then Merge.plan inst
+        else (inst, Merge.empty_plan)
+      in
+      let monitors =
+        if Prng.bool g then []
+        else
+          let switches = Topo.Net.num_switches inst.Instance.net in
+          [ (Prng.int g switches, Ternary.Field.any) ]
+      in
+      let layout = Layout.build ~sliced:f.Workload.slice ~plan ~monitors inst in
+      let model = (Encode.to_model layout).Encode.model in
+      let seen = Hashtbl.create 256 in
+      Array.iteri
+        (fun i (r : Ilp.Model.row) ->
+          let key = (r.sense, r.terms.idx, r.terms.coef) in
+          match Hashtbl.find_opt seen key with
+          | Some j -> QCheck.Test.fail_reportf "rows %d and %d are equal" j i
+          | None -> Hashtbl.add seen key i)
+        (Ilp.Model.rows model);
+      true)
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest prop_no_duplicate_rows;
     Alcotest.test_case "variable scoping" `Quick test_variable_scoping;
     Alcotest.test_case "capacity rows bind" `Quick test_capacity_rows_appear_when_binding;
     Alcotest.test_case "covers follow paths" `Quick test_cover_uses_path_switches_only;

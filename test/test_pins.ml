@@ -2,9 +2,8 @@
    exactly what the rest of the instance leaves it: solving the
    instance equals solving it without the pinned policies and with each
    pin switch's capacity lowered by their load, plus their cost.  An
-   independent encoding written straight from the instance, the SAT
-   cardinality descent and the presolve-free search must all reach the
-   same optimum. *)
+   independent encoding written straight from the instance and the SAT
+   cardinality descent must both reach the same optimum. *)
 open Placement
 
 (* The pins of a layout, per pinned ingress: its switch [k0] and the
@@ -198,11 +197,6 @@ let check_instance ~name ~options ?(reference = true) ?(sat_opt = true) inst =
   in
   if report.Solve.status = `Optimal || report.Solve.status = `Infeasible
   then begin
-    let no_presolve =
-      { options.Solve.ilp_config with Ilp.Solver.presolve = false }
-    in
-    same "presolve-free"
-      (Solve.run ~options:{ options with Solve.ilp_config = no_presolve } inst);
     if sat_opt then
       same "SAT descent"
         (Solve.run

@@ -467,7 +467,6 @@ let stage_spans =
   [
     "solve.warm_start";
     "solve.encode";
-    "ilp.presolve";
     "ilp.setup";
     "ilp.cuts";
     "ilp.pump";
