@@ -6,7 +6,17 @@
     or a pivot looks numerically unstable.  Pricing is Devex-style
     (incrementally maintained reference weights) with partial pricing in
     cyclic blocks; the ratio test handles general [lo, up] variable
-    bounds with bound flips.  Feasibility (phase 1) minimizes signed
+    bounds with bound flips.
+
+    The per-pivot kernels cost what their nonzeros cost: the entering
+    column's FTRAN and the pivot row's BTRAN solve from nonzero lists
+    through the eta file and the factor, the pivot row is accumulated
+    over rho's nonzero rows, and pricing walks a candidate set of the
+    attractive columns.  Each keeps the float operations of the dense
+    pass in the same order, and falls back to that pass when its
+    previous result was dense (more than m/10 nonzeros for a solve,
+    more than n/8 candidates for pricing), so the pivots are the same
+    either way.  Feasibility (phase 1) minimizes signed
     bounded artificials, which works from {e any} bound configuration —
     the property the warm-started branch & bound relies on.
 
@@ -91,7 +101,9 @@ val set_objective : t -> Csc.row -> unit
     listed become zero).  Takes effect at the next {!reoptimize}, which
     repairs dual feasibility for the new costs; the basis is kept.  Used
     by the feasibility pump to alternate between the true objective and
-    rounding-distance objectives on one factorized instance. *)
+    rounding-distance objectives on one factorized instance.  Raises
+    [Invalid_argument] on an index outside [0, nvars), before changing
+    anything. *)
 
 val add_rows : t -> (Csc.row * sense * float) array -> t
 (** [add_rows t extra] returns a {b new} instance whose matrix is [t]'s
