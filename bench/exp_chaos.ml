@@ -155,8 +155,8 @@ let run ~title ~seed ~events ~time_limit () =
 (* Update storm: a churn stream driven entirely through the
    per-packet-consistent wave scheduler (the engine's default write
    path), with injected mid-wave operation faults, a determinism re-run,
-   and a journaled pass that keeps crashing at the wave kill points and
-   resuming from the last durable frontier.  Every barrier violation the
+   and a journaled pass that keeps crashing between the operations of
+   consistent updates and re-running them.  Every barrier violation the
    scheduler ever observes is machine-readably reported (and fails the
    bench); so does a recovered run that diverges from the uncrashed
    reference, a missing crash quota, or a non-reproducible signature
@@ -233,28 +233,26 @@ let update_storm ~title ~seed ~events ~time_limit () =
         (fun acc (r : Runtime.Report.t) -> acc + r.Runtime.Report.waves)
         0 ref_reports
     in
-    (* crashing pass: journaled, killed at the wave kill points past the
-       first committed wave (so recovery must resume, not just roll
-       back), plus the occasional mid-apply kill *)
+    (* crashing pass: journaled, killed at mid-apply.  A crash counts as
+       mid-update when the reference committed that event through the
+       wave schedule, so every operation of it was a wave's; recovery
+       rolls such an update back and re-runs it from wave 0. *)
     let store, mem = Journal.Store.memory () in
-    let wave_points =
-      [|
-        Journal.Journaled.After_wave_begin;
-        Journal.Journaled.Before_wave_commit;
-        Journal.Journaled.Mid_apply;
-      |]
+    let ref_waves =
+      Array.of_list
+        (List.map (fun (r : Runtime.Report.t) -> r.Runtime.Report.waves)
+           ref_reports)
     in
-    let armed = ref None in
-    let crashes = ref 0 and wave_crashes = ref 0 and resumed = ref 0 in
-    let next_point = ref 0 in
+    let armed = ref None and current = ref 0 in
+    let crashes = ref 0 and update_crashes = ref 0 in
     let kill kp =
       match !armed with
-      | Some (target, countdown) when kp = target ->
+      | Some countdown when kp = Journal.Journaled.Mid_apply ->
         decr countdown;
         if !countdown <= 0 then begin
           armed := None;
           incr crashes;
-          if kp <> Journal.Journaled.Mid_apply then incr wave_crashes;
+          if ref_waves.(!current - 1) > 0 then incr update_crashes;
           raise
             (Journal.Journaled.Killed (Journal.Journaled.kill_point_name kp))
         end
@@ -277,13 +275,11 @@ let update_storm ~title ~seed ~events ~time_limit () =
               Printf.printf "update-storm: no progress after %d steps\n" !steps;
               exit 1
             end;
-            (* arm a crash roughly every fourth event, cycling through
-               the kill points; countdown 2 lands the wave kills past
-               wave 0, where a durable frontier already exists *)
-            if !armed = None && !steps mod 4 = 1 then begin
-              armed := Some (wave_points.(!next_point mod 3), ref 2);
-              incr next_point
-            end;
+            (* arm a crash roughly every fourth event, cycling the
+               countdown so crashes land in early and late waves *)
+            if !armed = None && !steps mod 4 = 1 then
+              armed := Some (ref [| 2; 5; 9 |].(!steps / 4 mod 3));
+            current := Journal.Journaled.seq !j + 1;
             let ev = Runtime.Churn.next !churn (Journal.Journaled.engine !j) in
             let client = Runtime.Churn.capture !churn in
             match Journal.Journaled.handle ~client !j ev with
@@ -307,9 +303,6 @@ let update_storm ~title ~seed ~events ~time_limit () =
                     "update-storm: recovery diverged after %s crash\n" point;
                   exit 1
                 end;
-                (match rcv.Journal.Journaled.resolution with
-                | Some (Journal.Journaled.Resumed _) -> incr resumed
-                | _ -> ());
                 List.iter
                   (fun (s, r) -> Hashtbl.replace by_seq s r)
                   rcv.Journal.Journaled.replayed;
@@ -347,9 +340,8 @@ let update_storm ~title ~seed ~events ~time_limit () =
        waves committed (runs+replays), %d wave rollbacks\n"
       (List.length ref_reports) consistent_commits fallbacks waves_counted
       rollbacks;
-    Printf.printf
-      "crashes: %d (%d at wave kill points, %d resumed from a frontier)\n"
-      !crashes !wave_crashes !resumed;
+    Printf.printf "crashes: %d (%d inside consistent updates)\n" !crashes
+      !update_crashes;
     Harness.write_json ~path:"BENCH_update.json"
       (Harness.Obj
          [
@@ -361,8 +353,7 @@ let update_storm ~title ~seed ~events ~time_limit () =
            ("waves", Harness.Int total_waves);
            ("wave_rollbacks", Harness.Int rollbacks);
            ("crashes", Harness.Int !crashes);
-           ("wave_crashes", Harness.Int !wave_crashes);
-           ("resumed", Harness.Int !resumed);
+           ("update_crashes", Harness.Int !update_crashes);
            ("violations", Harness.Int violations);
            ("deterministic", Harness.Bool deterministic);
            ("recovered_identical", Harness.Bool (!mismatches = 0 && tables_equal));
@@ -377,9 +368,9 @@ let update_storm ~title ~seed ~events ~time_limit () =
       Printf.printf "update-storm: consistent path never exercised\n";
       failed := true
     end;
-    if !wave_crashes < 3 then begin
-      Printf.printf "update-storm: only %d wave kill-point crashes (< 3)\n"
-        !wave_crashes;
+    if !update_crashes < 3 then begin
+      Printf.printf "update-storm: only %d mid-update crashes (< 3)\n"
+        !update_crashes;
       failed := true
     end;
     if !mismatches > 0 || not tables_equal then begin
@@ -389,7 +380,7 @@ let update_storm ~title ~seed ~events ~time_limit () =
     if not deterministic then failed := true;
     if !failed then exit 1;
     Printf.printf
-      "update-storm: %d transitions consistent, crash-resumable and \
+      "update-storm: %d transitions consistent, crash-recoverable and \
        replayable in %ss (reference %ss)\n"
       events (Harness.sec t_run) (Harness.sec t_ref)
 

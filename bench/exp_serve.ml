@@ -259,9 +259,11 @@ let run ~title ~seed ~smoke () =
   let requests = if smoke then 360 else 1200 in
   let tenants = if smoke then 6 else 10 in
   let burst = 4 in
+  (* Countdowns count the armed shard's kill-point callbacks, about 8
+     per event that runs a wave update. *)
   let kills =
-    if smoke then [ (0, 150); (1, 260) ]
-    else [ (1, 300); (3, 150); (0, 800) ]
+    if smoke then [ (0, 75); (1, 130) ]
+    else [ (1, 150); (3, 75); (0, 400) ]
   in
   let config jobs batch_fsync =
     {

@@ -499,10 +499,7 @@ let events_run metrics trace file options num_events seed fail_rate
         | Some (Journal.Journaled.Rolled_back s) ->
           Printf.sprintf ", interrupted event %d rolled back and re-executed" s
         | Some (Journal.Journaled.Rolled_forward s) ->
-          Printf.sprintf ", interrupted event %d rolled forward" s
-        | Some (Journal.Journaled.Resumed { seq; wave }) ->
-          Printf.sprintf
-            ", interrupted event %d resumed from update wave %d" seq wave);
+          Printf.sprintf ", interrupted event %d rolled forward" s);
       if rcv.Journal.Journaled.dropped_bytes > 0 then
         Format.printf "truncated %d bytes of torn journal tail@."
           rcv.Journal.Journaled.dropped_bytes;

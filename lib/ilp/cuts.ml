@@ -2,8 +2,7 @@
 
    Two families, both derived from model rows only (never from node
    bound changes), so every cut is globally valid and can live in the
-   LP for the whole branch & bound tree and be shipped to parallel
-   workers:
+   LP for the whole branch & bound tree:
 
    - Implication-lifted knapsack cover cuts from capacity rows.  A plain
      unit-coefficient row Σ x <= C only yields covers the LP already
@@ -86,7 +85,6 @@ let prepare (model : Model.t) =
           r.Model.sense = Model.Le
           && Array.length idx >= 2
           && r.Model.rhs >= 1.0 -. eps
-          && r.Model.kind <> Model.Cut
         then knap := { kcoefs = coef; kvars = idx; krhs = r.Model.rhs } :: !knap)
     rows;
   Array.iteri (fun d ps -> permits_of.(d) <- List.rev ps) permits_of;

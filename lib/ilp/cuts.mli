@@ -2,8 +2,9 @@
 
     Cuts are derived from model rows only — never from branch-local
     bound changes — so every returned inequality is valid for the whole
-    0-1 feasible set and may stay in the LP across the entire tree (and
-    be shared with parallel workers).  Two families are separated:
+    0-1 feasible set and may stay in the LP across the entire tree.
+    Rows carry no structural tag; each family recognises the rows it
+    works on from their coefficients.  Two families are separated:
 
     - {b implication-lifted knapsack cover cuts} from capacity-shaped
       [<=] rows, where an item's weight is augmented by the weights of
@@ -23,8 +24,7 @@ type cut = { terms : Simplex.Csc.row; sense : Model.sense; rhs : float }
 
 type t
 (** Separation context: the capacity/dependency/cover structure
-    extracted once per model.  Rows tagged {!Model.Cut} are ignored, so
-    re-preparing on a model that already contains cuts is safe. *)
+    extracted once per model. *)
 
 val prepare : Model.t -> t
 

@@ -18,32 +18,21 @@ val binary : t -> var
 
 val num_vars : t -> int
 
-type kind =
-  | Generic
-  | Cover  (** unit-coefficient ≥ row: at least one var of a path set *)
-  | Capacity  (** TCAM budget ≤ row of a single switch (Eq. 2/5) *)
-  | Dependency  (** implication [a - b <= 0] (Eq. 1) *)
-  | Merge_def  (** merged-variable linking row (Eq. 4) *)
-  | Cut  (** separator-generated valid inequality *)
-(** Structural tag carried by each row.  Encoders label the rows they
-    emit so downstream passes (cut separation) can recover the
-    capacity/cover/dependency structure without re-deriving it from
-    coefficients; [Generic] is always safe and merely disables the
-    structure-specific treatments. *)
-
 type sense = Simplex.Revised.sense = Le | Ge | Eq
 
-val add_le : ?kind:kind -> t -> (float * var) list -> float -> unit
-(** [add_le m terms b] adds Σ terms <= b.  [kind] defaults to
-    [Generic].  The terms are packed once, here: sorted by variable, a
-    repeated variable's coefficients summed, zero terms dropped.  Raises
-    [Invalid_argument] on a variable that is not of this model. *)
+val add_le : t -> (float * var) list -> float -> unit
+(** [add_le m terms b] adds Σ terms <= b.  The terms are packed once,
+    here: sorted by variable, a repeated variable's coefficients summed,
+    zero terms dropped.  Raises [Invalid_argument] on a variable that is
+    not of this model.  Rows carry no structural tag: the cut
+    separators ({!Cuts}) recognise covers, capacities and implications
+    from their coefficients. *)
 
-val add_ge : ?kind:kind -> t -> (float * var) list -> float -> unit
+val add_ge : t -> (float * var) list -> float -> unit
 
-val add_eq : ?kind:kind -> t -> (float * var) list -> float -> unit
+val add_eq : t -> (float * var) list -> float -> unit
 
-val add_row : ?kind:kind -> t -> Simplex.Csc.row -> sense -> float -> unit
+val add_row : t -> Simplex.Csc.row -> sense -> float -> unit
 (** [add_row m terms sense b] adds a row given as index/coefficient
     arrays over variable indices, packing them if they are not packed
     already (taking ownership of both arrays, see {!Simplex.Csc.pack}).
@@ -68,7 +57,7 @@ val activity : Simplex.Csc.row -> bool array -> float
 (** [activity terms x] is the sum of the coefficients of [terms] whose
     variable is true in the 0-1 point [x]. *)
 
-type row = { terms : Simplex.Csc.row; sense : sense; rhs : float; kind : kind }
+type row = { terms : Simplex.Csc.row; sense : sense; rhs : float }
 (** A constraint in the one sparse-row format every layer shares: the
     packed terms pass unchanged through {!Solver}, {!Cuts},
     {!Fpump} and into {!Simplex.Revised}. *)

@@ -4,8 +4,6 @@ type kill_point =
   | Before_begin
   | After_begin
   | Mid_apply
-  | After_wave_begin
-  | Before_wave_commit
   | Before_commit
   | After_commit
 
@@ -13,21 +11,11 @@ let kill_point_name = function
   | Before_begin -> "before-begin"
   | After_begin -> "after-begin"
   | Mid_apply -> "mid-apply"
-  | After_wave_begin -> "after-wave-begin"
-  | Before_wave_commit -> "before-wave-commit"
   | Before_commit -> "before-commit"
   | After_commit -> "after-commit"
 
 let all_kill_points =
-  [
-    Before_begin;
-    After_begin;
-    Mid_apply;
-    After_wave_begin;
-    Before_wave_commit;
-    Before_commit;
-    After_commit;
-  ]
+  [ Before_begin; After_begin; Mid_apply; Before_commit; After_commit ]
 
 type config = { snapshot_every : int }
 
@@ -90,15 +78,16 @@ type t = {
    a single Marshal call so the sharing inside [Engine.persisted] (the
    fault plan referenced from both the engine and its switch API)
    survives the round-trip.  The magic's version moves with this record
-   and with the WAL record tags (2: wave starts are no longer logged),
-   so a journal written by another build is refused, not misread. *)
+   and with the WAL record tags (2: wave starts are no longer logged;
+   3: nor are wave commits), so a journal written by another build is
+   refused, not misread. *)
 type snap = {
   snap_seq : int;
   snap_client : string option;
   snap_state : Runtime.Engine.persisted;
 }
 
-let snap_magic = "sdnplace-journal/2\n"
+let snap_magic = "sdnplace-journal/3\n"
 
 let append_record t r =
   let bytes = Wal.encode r in
@@ -146,11 +135,6 @@ let handle ?client ?rungs t event =
         (fun ~undo ~redo -> append_record t (Wal.Tx_intent { seq; undo; redo }));
       on_op = (fun ~switch:_ ~op:_ -> t.kill Mid_apply);
       on_commit = (fun () -> append_record t (Wal.Tx_commit { seq }));
-      on_wave_begin = (fun ~wave:_ -> t.kill After_wave_begin);
-      on_wave_commit =
-        (fun ~wave ~frontier ->
-          t.kill Before_wave_commit;
-          append_record t (Wal.Wave_commit { seq; wave; frontier }));
     }
   in
   let report = Runtime.Engine.handle ~tx ?rungs t.eng event in
@@ -176,7 +160,6 @@ type resolution =
   | Replayed of int
   | Rolled_back of int
   | Rolled_forward of int
-  | Resumed of { seq : int; wave : int }
 
 type recovery = {
   journaled : t;
@@ -196,8 +179,6 @@ type group = {
   g_rungs : Runtime.Report.rung list option;
   mutable g_intent : (Netsim.entry list array * Netsim.entry list array) option;
   mutable g_commit : bool;
-  mutable g_waves : (int * Runtime.Update.frontier) list;
-      (* committed wave frontiers, most recent first *)
   mutable g_sig : string option;
 }
 
@@ -210,7 +191,7 @@ let group_records ~snap_seq records =
         | Wal.Ev_begin { seq; event; client; rungs } ->
           let g =
             { g_seq = seq; g_event = event; g_client = client; g_rungs = rungs;
-              g_intent = None; g_commit = false; g_waves = []; g_sig = None }
+              g_intent = None; g_commit = false; g_sig = None }
           in
           groups := g :: !groups;
           current := Some g
@@ -221,10 +202,6 @@ let group_records ~snap_seq records =
         | Wal.Tx_commit { seq } -> (
           match !current with
           | Some g when g.g_seq = seq -> g.g_commit <- true
-          | _ -> ())
-        | Wal.Wave_commit { seq; wave; frontier } -> (
-          match !current with
-          | Some g when g.g_seq = seq -> g.g_waves <- (wave, frontier) :: g.g_waves
           | _ -> ())
         | Wal.Ev_commit { seq; signature } -> (
           match !current with
@@ -269,12 +246,8 @@ let recover ?config ?(journal = default_config) ?now ?(kill = fun _ -> ())
         | None ->
           (* The crash interrupted this event — by construction it is the
              last group.  Repair the data plane from the logged undo
-             snapshot if the write tore it, then re-execute — resuming
-             from the last journaled wave frontier when the interrupted
-             write was a consistent update with committed waves (the
-             skipped waves are not re-executed; the resumed run restores
-             the frontier's tables, fault stream and stats and re-proves
-             its consistency before continuing). *)
+             snapshot if the write tore it, then re-execute from the
+             pre-event state (a consistent update from wave 0). *)
           (match g.g_intent with
           | Some (undo, _) ->
             if Runtime.Engine.table_snapshot eng <> undo then begin
@@ -282,23 +255,15 @@ let recover ?config ?(journal = default_config) ?now ?(kill = fun _ -> ())
               Runtime.Engine.resync eng undo
             end
           | None -> ());
-          let resume =
-            match (g.g_intent, g.g_commit, g.g_waves) with
-            | Some _, false, (_, frontier) :: _ -> Some frontier
-            | _ -> None
-          in
-          let report = Runtime.Engine.handle ?resume ?rungs:g.g_rungs eng g.g_event in
-          (match (g.g_intent, resume) with
-          | Some (_, redo), _ when g.g_commit ->
+          let report = Runtime.Engine.handle ?rungs:g.g_rungs eng g.g_event in
+          (match g.g_intent with
+          | Some (_, redo) when g.g_commit ->
             resolution := Some (Rolled_forward g.g_seq);
             if Runtime.Engine.table_snapshot eng <> redo then
               diverge "event %d: rolled-forward tables differ from logged redo"
                 g.g_seq
-          | Some _, Some f ->
-            resolution :=
-              Some (Resumed { seq = g.g_seq; wave = f.Runtime.Update.f_wave })
-          | Some _, None -> resolution := Some (Rolled_back g.g_seq)
-          | None, _ -> resolution := Some (Replayed g.g_seq));
+          | Some _ -> resolution := Some (Rolled_back g.g_seq)
+          | None -> resolution := Some (Replayed g.g_seq));
           replayed := (g.g_seq, report) :: !replayed);
         last_seq := g.g_seq)
       groups;

@@ -2,21 +2,19 @@
 
     A journaled engine writes a {!Wal} record stream around every event
     it absorbs — [Ev_begin] before the engine sees it, [Tx_intent] /
-    [Tx_commit] around the data-plane write with a [Wave_commit] per
-    committed consistent-update wave between them, [Ev_commit] once the
-    report is in hand — each fsynced before the next step runs, and
-    periodically compacts the log into a full-state snapshot
+    [Tx_commit] around the data-plane write (a whole consistent update,
+    all its waves, is one such write), [Ev_commit] once the report is in
+    hand — each fsynced before the next step runs, and periodically
+    compacts the log into a full-state snapshot
     ({!Runtime.Engine.persisted} plus the journal's own counters),
-    sealed under the magic ["sdnplace-journal/2\n"] ({!Wal.seal}).
+    sealed under the magic ["sdnplace-journal/3\n"] ({!Wal.seal}).
 
     {!recover} inverts that: load the latest valid snapshot, replay the
     log's longest valid prefix (a torn or corrupt tail is truncated, not
     fatal), and resolve the at-most-one event the crash interrupted —
     transactions whose commit record survived are rolled forward,
     uncommitted ones are rolled back to their logged undo snapshot and
-    re-executed, {e resuming} from the last durable wave frontier when
-    the interrupted write was a consistent update with committed
-    waves.  Because every source of
+    re-executed from wave 0.  Because every source of
     engine randomness lives in the snapshot, the recovered engine's
     tables and report signatures are byte-identical to a run that never
     crashed — divergence from the logged signatures is reported, never
@@ -35,13 +33,9 @@ exception Killed of string
 type kill_point =
   | Before_begin  (** before the [Ev_begin] record is written *)
   | After_begin  (** [Ev_begin] durable, engine has not run *)
-  | Mid_apply  (** before a per-entry table operation (fires per op) *)
-  | After_wave_begin
-      (** a wave has begun, its operations not yet issued (fires per
-          wave); nothing is logged for a wave until it commits *)
-  | Before_wave_commit
-      (** a wave's barrier passed, its [Wave_commit] frontier not yet
-          durable (fires per wave) *)
+  | Mid_apply
+      (** before a per-entry table operation of any wave or of the
+          fallback transaction (fires per op) *)
   | Before_commit  (** event handled, [Ev_commit] not yet written *)
   | After_commit  (** [Ev_commit] durable, before any compaction *)
 
@@ -127,17 +121,12 @@ type resolution =
   | Rolled_back of int
       (** its transaction had begun ([Tx_intent]) but not committed:
           tables were restored to the undo snapshot, then the event was
-          re-executed *)
+          re-executed — a consistent update from wave 0, whatever waves
+          had committed before the crash *)
   | Rolled_forward of int
       (** its transaction had committed ([Tx_commit]) but the event
           record was lost: re-execution redid it, and the final tables
           were checked against the logged redo target *)
-  | Resumed of { seq : int; wave : int }
-      (** its consistent update had committed waves up to [wave]
-          ([Wave_commit] durable) when the crash hit: the event was
-          re-executed resuming from that frontier — committed waves were
-          not re-applied, and the frontier's consistency was re-proved
-          before the remaining waves ran *)
 
 type recovery = {
   journaled : t;  (** ready to absorb further events *)

@@ -11,14 +11,12 @@ type record =
       redo : Netsim.entry list array;
     }
   | Tx_commit of { seq : int }
-  | Wave_commit of { seq : int; wave : int; frontier : Runtime.Update.frontier }
   | Ev_commit of { seq : int; signature : string }
 
 let seq_of = function
   | Ev_begin { seq; _ }
   | Tx_intent { seq; _ }
   | Tx_commit { seq }
-  | Wave_commit { seq; _ }
   | Ev_commit { seq; _ } ->
     seq
 
@@ -27,8 +25,6 @@ let describe = function
     Printf.sprintf "ev_begin[%d] %s" seq (Runtime.Event.describe event)
   | Tx_intent { seq; _ } -> Printf.sprintf "tx_intent[%d]" seq
   | Tx_commit { seq } -> Printf.sprintf "tx_commit[%d]" seq
-  | Wave_commit { seq; wave; _ } ->
-    Printf.sprintf "wave_commit[%d] wave=%d" seq wave
   | Ev_commit { seq; signature } -> Printf.sprintf "ev_commit[%d] %s" seq signature
 
 (* Frame: [u32 len BE][u32 crc BE][payload].  A record a power cut tore

@@ -9,14 +9,12 @@
     everything after is discarded.
 
     The record sequence for one absorbed event [seq] is:
-    [Ev_begin] → ([Tx_intent] → one [Wave_commit] per committed wave of
-    a consistent update → [Tx_commit] if the event produced a
+    [Ev_begin] → ([Tx_intent] → [Tx_commit] if the event produced a
     data-plane write) → [Ev_commit].  Which suffix of that sequence
     survives a crash tells recovery exactly how far the event got (see
-    {!Journaled}); the last [Wave_commit]'s frontier is what lets a torn
-    consistent update {e resume} instead of replaying from scratch.  A
-    wave that began but never committed leaves no record: recovery
-    re-runs it from the previous frontier either way. *)
+    {!Journaled}).  Nothing is logged per consistent-update wave: a torn
+    update is rolled back to its [Tx_intent] undo tables and re-run from
+    wave 0. *)
 
 type record =
   | Ev_begin of {
@@ -33,14 +31,10 @@ type record =
           the same restriction to converge on the same report *)
   | Tx_intent of {
       seq : int;
-      undo : Netsim.entry list array;  (** pre-transaction tables *)
+      undo : Netsim.entry list array;  (** tables the event started from *)
       redo : Netsim.entry list array;  (** target tables *)
     }  (** logged before the first table operation of the transaction *)
   | Tx_commit of { seq : int }  (** logged right after the transaction commits *)
-  | Wave_commit of { seq : int; wave : int; frontier : Runtime.Update.frontier }
-      (** logged after the wave's barrier re-proved consistency; the
-          frontier carries everything resume needs (tables, fault-plan
-          state, api stats) *)
   | Ev_commit of { seq : int; signature : string }
       (** logged once the event is fully absorbed; [signature] is the
           report's {!Runtime.Report.signature}, recovery's cross-check
@@ -63,7 +57,7 @@ val encode : record -> string
 val seal : magic:string -> 'a -> string
 (** A sealed snapshot blob: one {!frame} around [magic] followed by the
     [Marshal]ed value.  [magic] names the format and its version (e.g.
-    ["sdnplace-journal/2\n"]); change it whenever the sealed type
+    ["sdnplace-journal/3\n"]); change it whenever the sealed type
     changes. *)
 
 val unseal : magic:string -> string -> ('a, string) result

@@ -96,7 +96,7 @@ let to_model ?(objective = Total_rules) (layout : Layout.t) =
     layout.Layout.forbidden;
   List.iter
     (fun cover ->
-      Ilp.Model.add_ge ~kind:Ilp.Model.Cover model
+      Ilp.Model.add_ge model
         (List.map (fun v -> (1.0, x v)) cover)
         1.0)
     layout.Layout.covers;
@@ -110,14 +110,14 @@ let to_model ?(objective = Total_rules) (layout : Layout.t) =
               :: List.map (fun v -> (1.0, x v)) members)
             cap.Layout.grouped
       in
-      Ilp.Model.add_le ~kind:Ilp.Model.Capacity model terms
+      Ilp.Model.add_le model terms
         (float_of_int cap.Layout.bound))
     layout.Layout.capacities;
   List.iter
     (fun (mv, members) ->
       let m = float_of_int (List.length members) in
       (* Eq. 4: v_m >= sum v - (M - 1). *)
-      Ilp.Model.add_ge ~kind:Ilp.Model.Merge_def model
+      Ilp.Model.add_ge model
         ((1.0, x mv) :: List.map (fun v -> (-1.0, x v)) members)
         (1.0 -. m);
       (* Eq. 5 of the paper is v_m <= (1/M) sum v; over binaries that is

@@ -11,8 +11,6 @@ let create seed = { state = mix64 (Int64.of_int seed) }
 
 let copy g = { state = g.state }
 
-let assign dst src = dst.state <- src.state
-
 let bits64 g =
   g.state <- Int64.add g.state golden_gamma;
   mix64 g.state

@@ -18,12 +18,6 @@ val copy : t -> t
 (** [copy g] duplicates the current state; the copy and the original then
     produce identical, independent streams. *)
 
-val assign : t -> t -> unit
-(** [assign dst src] overwrites [dst]'s state with [src]'s, after which
-    both produce identical streams.  Used to transplant a previously
-    {!copy}-captured state back into a live generator (e.g. when a
-    crash-recovered run resumes from a mid-update frontier). *)
-
 val split : t -> t
 (** [split g] advances [g] and returns a new generator seeded from it, so
     that the two subsequent streams are statistically independent.  Used to

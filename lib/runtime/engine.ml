@@ -723,8 +723,8 @@ let verify ?netsim t =
    policy before or after the event, its routed paths under the old and
    new placements plus a deterministic packet sample (policy witnesses
    of both sides and a few randoms from a PRNG derived fresh from the
-   verify seed — never the mutable verify stream, so a crash-resumed
-   event rebuilds the identical corpus). *)
+   verify seed — never the mutable verify stream, so an event re-run
+   after a crash rebuilds the identical corpus). *)
 let update_corpus t (sol : Solution.t) =
   let old_routing = (inst t).Instance.routing in
   let new_inst = sol.Solution.instance in
@@ -756,11 +756,9 @@ type tx_observer = {
     undo:Netsim.entry list array -> redo:Netsim.entry list array -> unit;
   on_op : switch:int -> op:string -> unit;
   on_commit : unit -> unit;
-  on_wave_begin : wave:int -> unit;
-  on_wave_commit : wave:int -> frontier:Update.frontier -> unit;
 }
 
-let handle ?tx ?resume ?rungs t event =
+let handle ?tx ?rungs t event =
   Telemetry.Trace.with_span "runtime.event" @@ fun () ->
   let rungs = Option.value rungs ~default:t.config.rungs in
   (match Telemetry.Trace.current () with
@@ -834,11 +832,12 @@ let handle ?tx ?resume ?rungs t event =
         if goal.sub_policies = [] && goal.unroutable <> [] then Report.Quarantine
         else rung
       in
+      (* The undo record is the tables the event started from, taken
+         before [target_tables] forces fences onto dead switches: the
+         state recovery restores the engine to before it re-runs. *)
+      let undo = Switch_api.snapshot t.api in
       let netsim, target = target_tables t sol q' in
-      (match tx with
-      | Some o ->
-        o.on_intent ~undo:(Switch_api.snapshot t.api) ~redo:target
-      | None -> ());
+      (match tx with Some o -> o.on_intent ~undo ~redo:target | None -> ());
       let observe =
         Option.map (fun o ~switch ~op -> o.on_op ~switch ~op) tx
       in
@@ -877,16 +876,6 @@ let handle ?tx ?resume ?rungs t event =
          the pre-event tables in place and degrades explicitly to the
          legacy single-transaction path.  One [runtime.update] span
          covers the planning and the execution. *)
-      let observer =
-        Option.map
-          (fun o ->
-            {
-              Update.on_wave_begin = (fun ~wave -> o.on_wave_begin ~wave);
-              on_wave_commit =
-                (fun ~wave ~frontier -> o.on_wave_commit ~wave ~frontier);
-            })
-          tx
-      in
       let updated =
         Telemetry.Trace.with_span "runtime.update" @@ fun () ->
         match
@@ -899,8 +888,7 @@ let handle ?tx ?resume ?rungs t event =
         | uplan ->
           Some
             (Update.execute ~wave_retries:t.config.update_wave_retries
-               ?observer ?on_op:observe ?resume ~api:t.api ~fault:t.fault
-               uplan)
+               ?on_op:observe ~api:t.api uplan)
       in
       match updated with
       | None -> fallback ()

@@ -113,39 +113,28 @@ type tx_observer = {
   on_intent :
     undo:Netsim.entry list array -> redo:Netsim.entry list array -> unit;
       (** called once per data-plane transaction, after the target is
-          fixed and before the first operation: [undo] is the
-          pre-transaction snapshot, [redo] the target tables *)
+          fixed and before the first operation: [undo] is the tables the
+          event started from (before any fence forced onto a dead
+          switch), [redo] the target tables *)
   on_op : switch:int -> op:string -> unit;
       (** called before each per-entry install/delete of the two phases *)
   on_commit : unit -> unit;
       (** called right after the transaction committed, before the
           engine adopts the new solution *)
-  on_wave_begin : wave:int -> unit;
-      (** called as a consistent-update wave starts issuing operations *)
-  on_wave_commit : wave:int -> frontier:Update.frontier -> unit;
-      (** called after the wave's barrier re-proved consistency, with
-          the frontier the journal persists for crash-resume *)
 }
 (** Write-ahead hooks around the data-plane write — what the crash-safe
-    journal uses to log transaction intent/commit and wave-boundary
-    records and to place mid-apply kill points.  Exceptions raised by
-    the hooks propagate out of {!handle} (a simulated crash). *)
+    journal uses to log transaction intent/commit records and to place
+    mid-apply kill points.  Exceptions raised by the hooks propagate out
+    of {!handle} (a simulated crash). *)
 
 val handle :
   ?tx:tx_observer ->
-  ?resume:Update.frontier ->
   ?rungs:Report.rung list ->
   t ->
   Event.t ->
   Report.t
 (** Absorb one event.  Never raises on malformed events (they are
     rejected in the report); never leaves the tables torn.
-
-    [resume] continues a consistent update that a crash interrupted: the
-    event is re-planned from the same pre-event engine state, and the
-    update's execution restores the frontier (tables, fault-plan state,
-    api stats), re-proves its consistency and carries on from the next
-    wave — converging byte-identically to an uncrashed run.
 
     [rungs] restricts the {e solve} rungs of the ladder for this event
     only (quarantine stays available as the floor), overriding the

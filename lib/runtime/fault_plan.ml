@@ -54,26 +54,3 @@ let draw t ~switch =
 
 let jitter t =
   match t.prng with None -> 1.0 | Some g -> 0.5 +. Prng.float g 1.0
-
-type state = {
-  s_prng : Prng.t option;
-  s_forced_fails : int;
-  s_dead : int list;
-}
-
-let capture t =
-  {
-    s_prng = Option.map Prng.copy t.prng;
-    s_forced_fails = t.forced_fails;
-    s_dead = t.dead;
-  }
-
-let restore t s =
-  if t == none then () (* its own captured state, nothing to rewind *)
-  else begin
-    (match (t.prng, s.s_prng) with
-    | Some g, Some saved -> Prng.assign g saved
-    | _ -> ());
-    t.forced_fails <- s.s_forced_fails;
-    t.dead <- s.s_dead
-  end

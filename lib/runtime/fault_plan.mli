@@ -47,16 +47,3 @@ val draw : t -> switch:int -> outcome
 val jitter : t -> float
 (** Uniform in \[0.5, 1.5), from the same seeded stream — the backoff
     jitter factor, kept here so retry schedules replay with the plan. *)
-
-type state
-(** A point-in-time copy of the plan's mutable state (PRNG position,
-    pending forced fails, dead set).  Plain data, safe to [Marshal] —
-    consistent-update wave frontiers persist one per committed wave so a
-    crash-recovered run can resume mid-update with the exact remaining
-    fault sequence. *)
-
-val capture : t -> state
-
-val restore : t -> state -> unit
-(** Rewind the plan to a captured state; subsequent draws replay the
-    stream from that point. *)

@@ -120,20 +120,6 @@ let snapshot t = Array.copy t.live
 
 let stats t = t.stats
 
-let copy_stats (s : stats) = { s with attempts = s.attempts }
-
-let restore_stats t (s : stats) =
-  let d = t.stats in
-  d.attempts <- s.attempts;
-  d.failures <- s.failures;
-  d.timeouts <- s.timeouts;
-  d.retries <- s.retries;
-  d.gave_up <- s.gave_up;
-  d.forced_resyncs <- s.forced_resyncs;
-  d.backoff_s <- s.backoff_s;
-  d.last_op_backoff_s <- s.last_op_backoff_s;
-  d.max_op_backoff_s <- s.max_op_backoff_s
-
 let compensating t f =
   let saved = t.compensation in
   t.compensation <- true;

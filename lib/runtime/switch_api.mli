@@ -57,13 +57,6 @@ val snapshot : t -> Netsim.entry list array
 val stats : t -> stats
 (** This api instance's own tallies (the journal-persisted view). *)
 
-val copy_stats : stats -> stats
-(** A detached snapshot of a stats record (wave frontiers persist one so
-    a resumed update continues with the exact pre-crash tallies). *)
-
-val restore_stats : t -> stats -> unit
-(** Overwrite this instance's tallies with a previously captured copy. *)
-
 val global_stats : unit -> stats
 (** Process-wide aggregate across every api instance, read back from the
     telemetry registry (zeros while telemetry is disabled).  The

@@ -1,6 +1,6 @@
 (* Per-packet-consistent update scheduling: two-phase tag-and-match
-   waves with bounded retry, wave-level rollback and crash-resumable
-   frontiers.  See update.mli for the full protocol description. *)
+   waves with bounded retry and wave-level rollback.  See update.mli for
+   the full protocol description. *)
 
 type ingress_paths = {
   ingress : int;
@@ -32,16 +32,9 @@ type plan = {
   peak_occupancy : int array;
 }
 
-type frontier = {
-  f_wave : int;
-  f_tables : Netsim.entry list array;
-  f_fault : Fault_plan.state;
-  f_stats : Switch_api.stats;
-}
-
 type observer = {
   on_wave_begin : wave:int -> unit;
-  on_wave_commit : wave:int -> frontier:frontier -> unit;
+  on_wave_commit : wave:int -> unit;
 }
 
 type outcome = Committed | Aborted of { switch : int; op : string }
@@ -59,7 +52,7 @@ let m_waves =
 
 let m_wave_rollbacks =
   Telemetry.Metrics.counter
-    ~help:"waves rolled back to their frontier after an operation failure"
+    ~help:"waves rolled back to their entry state after an operation failure"
     "sdnplace_update_wave_rollbacks_total"
 
 let m_wave_s =
@@ -417,27 +410,15 @@ let inconsistencies ?since plan ~live ~committed =
     plan.corpus;
   !bad
 
-let execute ?(wave_retries = 1) ?observer ?on_op ?resume ~api ~fault plan =
+let execute ?(wave_retries = 1) ?observer ?on_op ~api plan =
   let live = Switch_api.tables api in
   if Array.length live <> Array.length plan.target then
     invalid_arg "Update.execute: switch count mismatch";
-  (* The undo point is the pre-update state: captured before a resumed
-     run overwrites the tables with its frontier, because recovery hands
-     us the data plane already resynced to that same pre-update state. *)
   let undo = Switch_api.snapshot api in
-  let start_wave =
-    match resume with
-    | None -> 0
-    | Some f ->
-      Array.iteri (fun k table -> live.(k) <- table) f.f_tables;
-      Fault_plan.restore fault f.f_fault;
-      Switch_api.restore_stats api f.f_stats;
-      f.f_wave + 1
-  in
   let n = Array.length plan.waves in
   let rollbacks = ref 0 in
   let bad_total = ref 0 in
-  let w = ref start_wave in
+  let w = ref 0 in
   let restore_undo () = Transaction.restore ~api undo in
   let finish outcome =
     {
@@ -449,124 +430,106 @@ let execute ?(wave_retries = 1) ?observer ?on_op ?resume ~api ~fault plan =
   in
   (* The last barrier that passed.  [plan.old_tables] is an exact start
      even if the live tables drifted before this call, as it is every
-     unflipped ingress's reference; a resumed run starts with none. *)
-  let since = ref (if resume = None then Some (plan.old_tables, 0) else None) in
+     unflipped ingress's reference. *)
+  let since = ref (plan.old_tables, 0) in
   let barrier ~committed =
-    let bad = inconsistencies ?since:!since plan ~live ~committed in
+    let bad = inconsistencies ~since:!since plan ~live ~committed in
     if bad > 0 then begin
       bad_total := !bad_total + bad;
       ignore (Atomic.fetch_and_add violations_seen bad)
     end;
     bad = 0
   in
-  let verify_failed () =
-    restore_undo ();
-    finish (Aborted { switch = -1; op = "verify" })
-  in
-  (* A resumed run re-proves the restored frontier's consistency before
-     issuing any further operation. *)
-  if resume <> None && not (barrier ~committed:start_wave) then verify_failed ()
-  else begin
-    if resume <> None then since := Some (Switch_api.snapshot api, start_wave);
-    let aborted = ref None in
-    while !aborted = None && !w < n do
-      let wave = plan.waves.(!w) in
-      (match observer with Some o -> o.on_wave_begin ~wave:!w | None -> ());
-      let t0 = Telemetry.Clock.now () in
-      let snap = Switch_api.snapshot api in
-      let apply_op op =
-        let switch, name =
-          match op with
-          | Install { switch; _ } -> (switch, "install")
-          | Delete { switch; _ } -> (switch, "delete")
-        in
-        (match on_op with Some f -> f ~switch ~op:name | None -> ());
+  let aborted = ref None in
+  while !aborted = None && !w < n do
+    let wave = plan.waves.(!w) in
+    (match observer with Some o -> o.on_wave_begin ~wave:!w | None -> ());
+    let t0 = Telemetry.Clock.now () in
+    let snap = Switch_api.snapshot api in
+    let apply_op op =
+      let switch, name =
         match op with
-        | Install { switch; entry } -> Switch_api.install api ~switch entry
-        | Delete { switch; entry } -> Switch_api.delete api ~switch entry
+        | Install { switch; _ } -> (switch, "install")
+        | Delete { switch; _ } -> (switch, "delete")
       in
-      let rec attempt tries =
-        let done_ops = ref [] in
-        let rec run = function
-          | [] -> None
-          | op :: rest ->
-            if apply_op op then begin
-              done_ops := op :: !done_ops;
-              run rest
-            end
-            else Some op
-        in
-        match run wave.ops with
-        | None -> `Committed
-        | Some failed ->
-          incr rollbacks;
-          Telemetry.Metrics.incr m_wave_rollbacks;
-          (* Wave rollback: compensate the wave's applied operations in
-             reverse through the faulty API, then force-resync whatever
-             is still off the wave's entry snapshot — the data plane is
-             back on the last consistent frontier either way. *)
-          Switch_api.compensating api (fun () ->
-              List.iter
-                (fun op ->
-                  match op with
-                  | Install { switch; entry } ->
-                    ignore (Switch_api.delete api ~switch entry)
-                  | Delete { switch; entry } ->
-                    ignore (Switch_api.install api ~switch entry))
-                !done_ops);
-          Transaction.restore ~api snap;
-          if tries < wave_retries then attempt (tries + 1)
-          else
-            let switch, op =
-              match failed with
-              | Install { switch; _ } -> (switch, "install")
-              | Delete { switch; _ } -> (switch, "delete")
-            in
-            `Failed (switch, op)
+      (match on_op with Some f -> f ~switch ~op:name | None -> ());
+      match op with
+      | Install { switch; entry } -> Switch_api.install api ~switch entry
+      | Delete { switch; entry } -> Switch_api.delete api ~switch entry
+    in
+    let rec attempt tries =
+      let done_ops = ref [] in
+      let rec run = function
+        | [] -> None
+        | op :: rest ->
+          if apply_op op then begin
+            done_ops := op :: !done_ops;
+            run rest
+          end
+          else Some op
       in
-      match attempt 0 with
-      | `Failed (switch, op) ->
-        restore_undo ();
-        aborted := Some (finish (Aborted { switch; op }))
-      | `Committed ->
-        (* Renormalisation rides the wave's commit: a direct controller
-           priority rewrite, content-preserving by construction. *)
-        List.iter
-          (fun (k, table) ->
-            assert (Transaction.same_contents live.(k) table);
-            live.(k) <- table)
-          wave.reorders;
-        if not (barrier ~committed:(!w + 1)) then
-          aborted := Some (verify_failed ())
-        else begin
-          let frontier =
-            {
-              f_wave = !w;
-              f_tables = Switch_api.snapshot api;
-              f_fault = Fault_plan.capture fault;
-              f_stats = Switch_api.copy_stats (Switch_api.stats api);
-            }
+      match run wave.ops with
+      | None -> `Committed
+      | Some failed ->
+        incr rollbacks;
+        Telemetry.Metrics.incr m_wave_rollbacks;
+        (* Wave rollback: compensate the wave's applied operations in
+           reverse through the faulty API, then force-resync whatever
+           is still off the wave's entry snapshot — the data plane is
+           back on the last consistent state either way. *)
+        Switch_api.compensating api (fun () ->
+            List.iter
+              (fun op ->
+                match op with
+                | Install { switch; entry } ->
+                  ignore (Switch_api.delete api ~switch entry)
+                | Delete { switch; entry } ->
+                  ignore (Switch_api.install api ~switch entry))
+              !done_ops);
+        Transaction.restore ~api snap;
+        if tries < wave_retries then attempt (tries + 1)
+        else
+          let switch, op =
+            match failed with
+            | Install { switch; _ } -> (switch, "install")
+            | Delete { switch; _ } -> (switch, "delete")
           in
-          since := Some (frontier.f_tables, !w + 1);
-          Telemetry.Metrics.incr m_waves;
-          Telemetry.Metrics.observe m_wave_s (Telemetry.Clock.now () -. t0);
-          (match observer with
-          | Some o -> o.on_wave_commit ~wave:!w ~frontier
-          | None -> ());
-          incr w
-        end
-    done;
-    match !aborted with
-    | Some r -> r
-    | None ->
-      (* Defensive final write, mirroring Transaction's commit: contents
-         are already in place, fix any residual order drift. *)
-      Array.iteri
-        (fun k table ->
-          if live.(k) <> table then begin
-            assert (Transaction.same_contents live.(k) table);
-            live.(k) <- table
-          end)
-        plan.target;
-      finish Committed
-  end
+          `Failed (switch, op)
+    in
+    match attempt 0 with
+    | `Failed (switch, op) ->
+      restore_undo ();
+      aborted := Some (finish (Aborted { switch; op }))
+    | `Committed ->
+      (* Renormalisation rides the wave's commit: a direct controller
+         priority rewrite, content-preserving by construction. *)
+      List.iter
+        (fun (k, table) ->
+          assert (Transaction.same_contents live.(k) table);
+          live.(k) <- table)
+        wave.reorders;
+      if not (barrier ~committed:(!w + 1)) then begin
+        restore_undo ();
+        aborted := Some (finish (Aborted { switch = -1; op = "verify" }))
+      end
+      else begin
+        since := (Switch_api.snapshot api, !w + 1);
+        Telemetry.Metrics.incr m_waves;
+        Telemetry.Metrics.observe m_wave_s (Telemetry.Clock.now () -. t0);
+        (match observer with Some o -> o.on_wave_commit ~wave:!w | None -> ());
+        incr w
+      end
+  done;
+  match !aborted with
+  | Some r -> r
+  | None ->
+    (* Defensive final write, mirroring Transaction's commit: contents
+       are already in place, fix any residual order drift. *)
+    Array.iteri
+      (fun k table ->
+        if live.(k) <> table then begin
+          assert (Transaction.same_contents live.(k) table);
+          live.(k) <- table
+        end)
+      plan.target;
+    finish Committed

@@ -1,4 +1,4 @@
-(** Per-packet-consistent update scheduling with crash-resumable waves.
+(** Per-packet-consistent update scheduling in waves.
 
     {!Transaction} moves the data plane add-before-delete, which keeps a
     firewall safe (transient extra drops only) but not {e consistent}: a
@@ -38,11 +38,10 @@
     update back to the pre-update tables; the caller ({!Engine}) then
     degrades to the legacy single-transaction path.
 
-    Each committed wave yields a {!frontier} — tables, fault-plan state
-    and api stats — which the journal persists ({!Journal.Wal}'s
-    [Wave_commit] record) so that a crash mid-update
-    resumes from the last committed wave with the exact remaining fault
-    sequence, converging byte-identically to an uncrashed run. *)
+    Nothing is persisted per wave.  A crash mid-update is recovered by
+    restoring the pre-update tables and re-running the whole update from
+    wave 0: planning and execution are deterministic functions of the
+    pre-event state, so the re-run reaches the same tables. *)
 
 type ingress_paths = {
   ingress : int;
@@ -82,18 +81,10 @@ type plan = {
           bounded by base + headroom *)
 }
 
-type frontier = {
-  f_wave : int;  (** index of the last committed wave *)
-  f_tables : Netsim.entry list array;
-  f_fault : Fault_plan.state;
-  f_stats : Switch_api.stats;
-}
-(** Everything needed to resume after this wave: plain data, safe to
-    [Marshal] into a WAL record. *)
-
 type observer = {
   on_wave_begin : wave:int -> unit;
-  on_wave_commit : wave:int -> frontier:frontier -> unit;
+  on_wave_commit : wave:int -> unit;
+      (** after the wave's barrier re-proved consistency *)
 }
 
 type outcome =
@@ -106,8 +97,6 @@ type outcome =
 type result = {
   outcome : outcome;
   waves_committed : int;
-      (** total committed waves, resumed ones included — a recovered run
-          reports the same count as an uncrashed one *)
   wave_rollbacks : int;
   violations : int;  (** probe walks that saw mixed policy (0 on a sound plan) *)
 }
@@ -129,23 +118,15 @@ val execute :
   ?wave_retries:int ->
   ?observer:observer ->
   ?on_op:(switch:int -> op:string -> unit) ->
-  ?resume:frontier ->
   api:Switch_api.t ->
-  fault:Fault_plan.t ->
   plan ->
   result
-(** Run the plan's waves against the live tables.  [wave_retries]
-    (default 1) bounds how often a wave is rolled back to its entry
-    snapshot and retried before the update aborts to the pre-update
-    tables.  [on_op] is called before each per-entry operation (the
-    journal's mid-apply kill-point hook); [observer] fires at wave
-    boundaries, after the barrier has re-proved consistency.
-
-    With [resume], the pre-update undo point is captured first (recovery
-    hands over tables resynced to it), then the frontier's tables,
-    fault-plan state and stats are restored, the frontier's consistency
-    is re-proved, and execution continues at wave [f_wave + 1] —
-    committed waves are not re-executed and fire no hooks. *)
+(** Run the plan's waves, from wave 0, against the live tables.
+    [wave_retries] (default 1) bounds how often a wave is rolled back to
+    its entry snapshot and retried before the update aborts to the
+    pre-update tables.  [on_op] is called before each per-entry
+    operation (the journal's mid-apply kill-point hook); [observer]
+    fires at wave boundaries. *)
 
 val inconsistencies :
   ?since:Netsim.entry list array * int ->
@@ -156,11 +137,10 @@ val inconsistencies :
 (** The barrier check itself: number of probe walks over [live] that
     disagree with the single placement (old or new) the ingress must be
     seeing with [committed] waves in.  Without [since] it is the full
-    oracle, walking every probe of every ingress; {!execute} runs it in
-    full only for a resumed run's first barrier.  [since] is the tables
+    oracle, walking every probe of every ingress.  [since] is the tables
     and committed count of a barrier that found nothing: only walks
     whose mode or walk-tag projection changed since then are re-walked,
-    which gives the same count. *)
+    which gives the same count; {!execute} always passes it. *)
 
 val violations_total : unit -> int
 (** Process-wide count of consistency violations ever observed by a

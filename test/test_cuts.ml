@@ -44,7 +44,7 @@ let random_placement_model g =
     let k = Prng.int_in g 2 (Array.length all) in
     let c = Array.copy all in
     Prng.shuffle g c;
-    Model.add_le m ~kind:Model.Capacity
+    Model.add_le m
       (Array.to_list (Array.map (fun v -> (1.0, v)) (Array.sub c 0 k)))
       (float_of_int (Prng.int_in g 1 (max 1 (k - 1))))
   done;

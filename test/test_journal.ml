@@ -245,28 +245,18 @@ let test_journaled_record_stream () =
   Alcotest.(check bool) "event verified" true r.Report.verified;
   Alcotest.(check int) "seq advanced" 1 (Journaled.seq j);
   let records, _ = Wal.scan (store.Store.wal_read ()) in
-  (* Between Tx_intent and Tx_commit sits one Wave_commit per
-     consistent-update wave, numbered 0.. in order. *)
-  let rec waves n = function
-    | Wal.Wave_commit { seq = 1; wave; _ } :: rest when wave = n ->
-      waves (n + 1) rest
-    | rest -> (n, rest)
-  in
+  (* A consistent update is one transaction however many waves it runs:
+     nothing is logged per wave. *)
+  Alcotest.(check bool) "the event ran a wave update" true (r.Report.waves > 0);
   (match records with
-  | Wal.Ev_begin { seq = 1; client = Some "c1"; _ }
-    :: Wal.Tx_intent { seq = 1; _ }
-    :: rest -> (
-    match waves 0 rest with
-    | ( n,
-        [ Wal.Tx_commit { seq = 1 }; Wal.Ev_commit { seq = 1; signature } ] )
-      ->
-      Alcotest.(check bool) "at least one wave logged" true (n > 0);
-      Alcotest.(check int) "wave count matches the report" r.Report.waves n;
-      Alcotest.(check string) "logged signature matches the report" signature
-        (Report.signature r)
-    | _ ->
-      Alcotest.failf "unexpected record stream: %s"
-        (String.concat "; " (List.map Wal.describe records)))
+  | [
+   Wal.Ev_begin { seq = 1; client = Some "c1"; _ };
+   Wal.Tx_intent { seq = 1; _ };
+   Wal.Tx_commit { seq = 1 };
+   Wal.Ev_commit { seq = 1; signature };
+  ] ->
+    Alcotest.(check string) "logged signature matches the report" signature
+      (Report.signature r)
   | rs ->
     Alcotest.failf "unexpected record stream: %s"
       (String.concat "; " (List.map Wal.describe rs)));
@@ -313,10 +303,23 @@ let test_recover_without_snapshot () =
                (None : string option),
                Engine.capture engine )
              [])));
+  (match Journaled.recover ~config:(config ()) ~store () with
+  | Error "unknown snapshot version" -> ()
+  | Error m -> Alcotest.failf "unexpected error: %s" m
+  | Ok _ -> Alcotest.fail "recovered from an old-format snapshot");
+  (* A journal sealed under version 2, whose WAL could still hold
+     per-wave records: a record's Marshal tag names another constructor
+     now, so the whole journal is refused. *)
+  Store.set_snapshot mem
+    (Some
+       (Wal.seal ~magic:"sdnplace-journal/2\n"
+          ( 0 (* snap_seq *),
+            (None : string option),
+            Engine.capture engine )));
   match Journaled.recover ~config:(config ()) ~store () with
   | Error "unknown snapshot version" -> ()
   | Error m -> Alcotest.failf "unexpected error: %s" m
-  | Ok _ -> Alcotest.fail "recovered from an old-format snapshot"
+  | Ok _ -> Alcotest.fail "recovered from a version-2 journal"
 
 (* ------------------------------------------------------------------ *)
 (* Kill-point matrix                                                   *)
@@ -344,14 +347,11 @@ let crashed_run ~kp ~crash_at n =
   let armed = ref false and fired = ref 0 and countdown = ref 0 in
   let kill p =
     if !armed && p = kp then begin
-      (* Per-occurrence points get a countdown so the crash lands past
-         the first op / past the first committed wave — the latter is
-         what makes recovery take the Resumed path instead of a plain
-         rollback. *)
+      (* Mid_apply fires per operation; a countdown lands the crash
+         past the first one. *)
       let fire =
         match p with
-        | Journaled.Mid_apply | Journaled.After_wave_begin
-        | Journaled.Before_wave_commit ->
+        | Journaled.Mid_apply ->
           decr countdown;
           !countdown <= 0
         | _ -> true
@@ -430,54 +430,52 @@ let test_kill_point_matrix () =
         [ 1; 5; 10 ])
     Journaled.all_kill_points
 
-(* A crash after the first Wave_commit must recover via the Resumed
-   resolution — committed waves are not re-applied, the run picks up at
-   the durable frontier — and still land byte-identical to an uncrashed
-   run of the same event. *)
-let test_mid_wave_crash_resumes () =
-  List.iter
-    (fun kp ->
-      let name = Journaled.kill_point_name kp in
-      (* uncrashed reference *)
-      let ref_eng =
-        Engine.create ~config:(config ()) (initial (Test_runtime.diamond ()))
-      in
-      let ref_r = Engine.handle ref_eng (Test_runtime.install_event ()) in
-      (* crashed run: fire on the kill point's second occurrence, i.e.
-         with wave 0 already durable in the log *)
-      let store, _ = Store.memory () in
-      let countdown = ref 2 in
-      let kill p =
-        if p = kp then begin
-          decr countdown;
-          if !countdown = 0 then
-            raise (Journaled.Killed (Journaled.kill_point_name p))
-        end
-      in
-      let j =
-        Journaled.create ~config:(config ())
-          ~journal:{ Journaled.snapshot_every = 100 }
-          ~kill ~store
-          (initial (Test_runtime.diamond ()))
-      in
-      (match Journaled.handle j (Test_runtime.install_event ()) with
-      | _ -> Alcotest.failf "%s: run did not crash" name
-      | exception Journaled.Killed _ -> ());
+(* A crash between two operations of a consistent update — wherever it
+   lands, past wave 0's commit included — leaves nothing of the update
+   in the log but its Tx_intent.  Recovery must roll the tables back to
+   the logged undo and re-run the update from wave 0, landing
+   byte-identical to an uncrashed run of the same event. *)
+let test_mid_wave_crash_reruns () =
+  let ref_eng =
+    Engine.create ~config:(config ()) (initial (Test_runtime.diamond ()))
+  in
+  let ref_r = Engine.handle ref_eng (Test_runtime.install_event ()) in
+  Alcotest.(check bool) "the update runs more than one wave" true
+    (ref_r.Report.waves > 1);
+  (* [crash_at] = 0 counts the update's operations without crashing *)
+  let run crash_at =
+    let store, _ = Store.memory () in
+    let ops = ref 0 in
+    let kill = function
+      | Journaled.Mid_apply ->
+        incr ops;
+        if !ops = crash_at then raise (Journaled.Killed "mid-apply")
+      | _ -> ()
+    in
+    let j =
+      Journaled.create ~config:(config ())
+        ~journal:{ Journaled.snapshot_every = 100 }
+        ~kill ~store
+        (initial (Test_runtime.diamond ()))
+    in
+    match Journaled.handle j (Test_runtime.install_event ()) with
+    | _ -> (!ops, None)
+    | exception Journaled.Killed _ -> (!ops, Some store)
+  in
+  let total, _ = run 0 in
+  (* the last operation belongs to the last wave, so crashing at it and
+     at every earlier one covers a crash after wave 0 committed *)
+  for crash_at = 1 to total do
+    let name = Printf.sprintf "mid-apply@op %d/%d" crash_at total in
+    match run crash_at with
+    | _, None -> Alcotest.failf "%s: run did not crash" name
+    | _, Some store -> (
       match Journaled.recover ~config:(config ()) ~store () with
       | Error msg -> Alcotest.failf "%s: recovery failed: %s" name msg
       | Ok rcv ->
         (match rcv.Journaled.resolution with
-        | Some (Journaled.Resumed { seq = 1; wave = 0 }) -> ()
-        | Some res ->
-          Alcotest.failf "%s: expected Resumed from wave 0, got %s" name
-            (match res with
-            | Journaled.Replayed s -> Printf.sprintf "Replayed %d" s
-            | Journaled.Rolled_back s -> Printf.sprintf "Rolled_back %d" s
-            | Journaled.Rolled_forward s ->
-              Printf.sprintf "Rolled_forward %d" s
-            | Journaled.Resumed { seq; wave } ->
-              Printf.sprintf "Resumed {seq=%d; wave=%d}" seq wave)
-        | None -> Alcotest.failf "%s: no resolution" name);
+        | Some (Journaled.Rolled_back 1) -> ()
+        | _ -> Alcotest.failf "%s: expected Rolled_back 1" name);
         Alcotest.(check (list string)) (name ^ ": divergence-free") []
           rcv.Journaled.divergences;
         (match rcv.Journaled.replayed with
@@ -490,7 +488,50 @@ let test_mid_wave_crash_resumes () =
         Alcotest.(check bool) (name ^ ": tables byte-identical") true
           (Engine.table_snapshot (Journaled.engine rcv.Journaled.journaled)
           = Engine.table_snapshot ref_eng))
-    [ Journaled.After_wave_begin; Journaled.Before_wave_commit ]
+  done
+
+(* A switch failure that strands a tenant attached to the dead switch
+   fences it there through the controller's forced write, before the
+   transaction's intent is logged.  The logged undo must still be the
+   tables the event started from — the state recovery restores — or a
+   crash later in the event reads as a divergence. *)
+let test_dead_switch_fence_recovers () =
+  let events =
+    [ Test_runtime.install_event ~switches:[ 0; 1; 2 ] ();
+      Event.Switch_fail { switch = 0 } ]
+  in
+  let ref_eng =
+    Engine.create ~config:(config ()) (initial (Test_runtime.chain ()))
+  in
+  let ref_sigs = List.map Report.signature (Engine.run ref_eng events) in
+  Alcotest.(check (list int)) "the stranded tenant is fenced" [ 0 ]
+    (Engine.quarantined ref_eng);
+  List.iter
+    (fun kp ->
+      let name = Journaled.kill_point_name kp in
+      let store, _ = Store.memory () in
+      let armed = ref false in
+      let kill p = if !armed && p = kp then raise (Journaled.Killed name) in
+      let j =
+        Journaled.create ~config:(config ()) ~kill ~store
+          (initial (Test_runtime.chain ()))
+      in
+      ignore (Journaled.handle j (List.hd events));
+      armed := true;
+      (match Journaled.handle j (List.nth events 1) with
+      | _ -> Alcotest.failf "%s: run did not crash" name
+      | exception Journaled.Killed _ -> ());
+      match Journaled.recover ~config:(config ()) ~store () with
+      | Error msg -> Alcotest.failf "%s: recovery failed: %s" name msg
+      | Ok rcv ->
+        Alcotest.(check (list string)) (name ^ ": divergence-free") []
+          rcv.Journaled.divergences;
+        Alcotest.(check (list string)) (name ^ ": signatures") ref_sigs
+          (List.map (fun (_, r) -> Report.signature r) rcv.Journaled.replayed);
+        Alcotest.(check bool) (name ^ ": tables byte-identical") true
+          (Engine.table_snapshot (Journaled.engine rcv.Journaled.journaled)
+          = Engine.table_snapshot ref_eng))
+    [ Journaled.Mid_apply; Journaled.Before_commit ]
 
 (* Corrupt tail at the journal level: run, flip a byte near the end of
    the durable log, recover (must not fail), keep driving, and still
@@ -647,8 +688,10 @@ let suite =
       test_recover_without_snapshot;
     Alcotest.test_case "kill-point matrix recovers byte-identical" `Slow
       test_kill_point_matrix;
-    Alcotest.test_case "mid-wave crash resumes from the durable frontier"
-      `Quick test_mid_wave_crash_resumes;
+    Alcotest.test_case "mid-wave crash re-runs the update from wave 0"
+      `Quick test_mid_wave_crash_reruns;
+    Alcotest.test_case "a dead-switch fence recovers without divergence"
+      `Quick test_dead_switch_fence_recovers;
     Alcotest.test_case "corrupt journal tail truncates and converges" `Quick
       test_corrupt_tail_recovery_converges;
     Alcotest.test_case "recovery is idempotent" `Quick test_recovery_idempotent;

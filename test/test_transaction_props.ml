@@ -210,13 +210,13 @@ let prop_waves_old_xor_new =
       let live = Array.copy plan.Update.old_tables in
       let api = Switch_api.create ~config ~fault live in
       let before = bytes_of (Switch_api.snapshot api) in
-      (* re-run the barrier ourselves at every committed frontier: the
+      (* re-run the barrier ourselves after every committed wave: the
          live tables mid-update must already be single-version *)
       let observer =
         {
           Update.on_wave_begin = (fun ~wave:_ -> ());
           on_wave_commit =
-            (fun ~wave ~frontier:_ ->
+            (fun ~wave ->
               if
                 Update.inconsistencies plan ~live:(Switch_api.tables api)
                   ~committed:(wave + 1)
@@ -225,7 +225,7 @@ let prop_waves_old_xor_new =
         }
       in
       let r =
-        Update.execute ~wave_retries:(Prng.int g 3) ~observer ~api ~fault plan
+        Update.execute ~wave_retries:(Prng.int g 3) ~observer ~api plan
       in
       r.Update.violations = 0 && occupancy_ok ()
       &&
@@ -240,7 +240,7 @@ let prop_waves_old_xor_new =
    the head of a random switch just before a random operation of wave W
    of a fault-free run.  Waves only append and delete other entries, so
    until a reorder rewrites that switch the live tables at barrier c are
-   the clean run's frontier c - 1 with the same entry on top.  The
+   the clean run's tables after wave c - 1 with the same entry on top.  The
    update must abort at the first barrier whose full count on those
    tables is not 0, with exactly that count, and land back on the old
    tables.  A corruption a walk first meets at a later barrier, under a
@@ -254,18 +254,18 @@ let prop_barrier_matches_oracle =
       let waves = plan.Update.waves in
       let n = Array.length waves in
       QCheck.assume (n > 0);
-      let clean = Array.make n [||] in
-      let record =
-        {
-          Update.on_wave_begin = (fun ~wave:_ -> ());
-          on_wave_commit =
-            (fun ~wave ~frontier -> clean.(wave) <- frontier.Update.f_tables);
-        }
-      in
       (* the api mutates [live] in place *)
       let execute ?on_op live observer =
         let api = Switch_api.create ~fault:Fault_plan.none live in
-        Update.execute ~observer ?on_op ~api ~fault:Fault_plan.none plan
+        Update.execute ~observer:(observer api) ?on_op ~api plan
+      in
+      let clean = Array.make n [||] in
+      let record api =
+        {
+          Update.on_wave_begin = (fun ~wave:_ -> ());
+          on_wave_commit =
+            (fun ~wave -> clean.(wave) <- Switch_api.snapshot api);
+        }
       in
       ignore (execute (Array.copy plan.Update.old_tables) record);
       let w = Prng.int g n in
@@ -301,13 +301,13 @@ let prop_barrier_matches_oracle =
       | None -> QCheck.assume_fail ()
       | Some (c, expected) ->
         let wave = ref (-1) and nth = ref 0 in
-        let observer =
+        let observer _ =
           {
             Update.on_wave_begin =
               (fun ~wave:x ->
                 wave := x;
                 nth := 0);
-            on_wave_commit = (fun ~wave:_ ~frontier:_ -> ());
+            on_wave_commit = (fun ~wave:_ -> ());
           }
         in
         let live = Array.copy plan.Update.old_tables in

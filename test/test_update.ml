@@ -1,7 +1,6 @@
 (* The per-packet-consistent update scheduler: wave planning and
    labels, clean execution landing exactly on the target, fault-driven
-   wave rollback and whole-update abort, frontier-based resume, the
-   transient-occupancy bound, and the forward/compensation backoff
+   wave rollback and whole-update abort, the transient-occupancy bound, and the forward/compensation backoff
    accounting split in the switch API. *)
 open Runtime
 
@@ -74,10 +73,10 @@ let test_clean_execute () =
     {
       Update.on_wave_begin = (fun ~wave -> boundaries := (`B, wave) :: !boundaries);
       on_wave_commit =
-        (fun ~wave ~frontier:_ -> boundaries := (`C, wave) :: !boundaries);
+        (fun ~wave -> boundaries := (`C, wave) :: !boundaries);
     }
   in
-  let r = Update.execute ~observer ~api ~fault:Fault_plan.none plan in
+  let r = Update.execute ~observer ~api plan in
   Alcotest.(check bool) "committed" true (r.Update.outcome = Update.Committed);
   Alcotest.(check int) "every wave committed"
     (Array.length plan.Update.waves)
@@ -106,7 +105,7 @@ let test_wave_rollback_then_commit () =
     incr ops;
     if !ops = 2 then Fault_plan.fail_next fault 1
   in
-  let r = Update.execute ~on_op ~api ~fault plan in
+  let r = Update.execute ~on_op ~api plan in
   Alcotest.(check bool) "committed after wave retry" true
     (r.Update.outcome = Update.Committed);
   Alcotest.(check int) "one wave rollback" 1 r.Update.wave_rollbacks;
@@ -121,7 +120,7 @@ let test_abort_restores_pre_update () =
   let api = Switch_api.create ~config ~fault (Array.copy (old_tables ())) in
   let before = bytes_of (Switch_api.snapshot api) in
   Fault_plan.fail_next fault 1;
-  let r = Update.execute ~wave_retries:0 ~api ~fault plan in
+  let r = Update.execute ~wave_retries:0 ~api plan in
   (match r.Update.outcome with
   | Update.Aborted { op = "install"; _ } -> ()
   | Update.Aborted { op; _ } -> Alcotest.failf "aborted on unexpected op %s" op
@@ -131,52 +130,6 @@ let test_abort_restores_pre_update () =
     r.Update.wave_rollbacks;
   Alcotest.(check bool) "tables byte-identical to pre-update" true
     (bytes_of (Switch_api.tables api) = before)
-
-let test_resume_from_frontier () =
-  (* reference: uncrashed clean run, frontiers captured per wave *)
-  let plan = build_small () in
-  let frontiers = ref [] in
-  let observer =
-    {
-      Update.on_wave_begin = (fun ~wave:_ -> ());
-      on_wave_commit =
-        (fun ~wave ~frontier -> frontiers := (wave, frontier) :: !frontiers);
-    }
-  in
-  let ref_api =
-    Switch_api.create ~fault:Fault_plan.none (Array.copy (old_tables ()))
-  in
-  let ref_r = Update.execute ~observer ~api:ref_api ~fault:Fault_plan.none plan in
-  Alcotest.(check bool) "reference committed" true
-    (ref_r.Update.outcome = Update.Committed);
-  (* resume from every committed frontier: the recovered run starts from
-     tables resynced to the undo point (recovery's contract), restores
-     the frontier, and must land byte-identical with the same absolute
-     wave count *)
-  List.iter
-    (fun (wave, frontier) ->
-      (* round-trip the frontier through Marshal like the WAL does *)
-      let frontier =
-        (Marshal.from_string (Marshal.to_string frontier []) 0 : Update.frontier)
-      in
-      let api =
-        Switch_api.create ~fault:Fault_plan.none (Array.copy (old_tables ()))
-      in
-      let r =
-        Update.execute ~resume:frontier ~api ~fault:Fault_plan.none plan
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "resume@%d: committed" wave)
-        true
-        (r.Update.outcome = Update.Committed);
-      Alcotest.(check int)
-        (Printf.sprintf "resume@%d: absolute wave count" wave)
-        ref_r.Update.waves_committed r.Update.waves_committed;
-      Alcotest.(check bool)
-        (Printf.sprintf "resume@%d: tables byte-identical" wave)
-        true
-        (bytes_of (Switch_api.tables api) = bytes_of (Switch_api.tables ref_api)))
-    !frontiers
 
 (* ------------------------------------------------------------------ *)
 (* Barriers that catch a mixed state.                                  *)
@@ -219,7 +172,7 @@ let corrupted_run plan ~at ~tag ~switch =
   let observer =
     {
       Update.on_wave_begin = (fun ~wave:w -> wave := w);
-      on_wave_commit = (fun ~wave:_ ~frontier:_ -> ());
+      on_wave_commit = (fun ~wave:_ -> ());
     }
   in
   let on_op ~switch:_ ~op:_ =
@@ -229,7 +182,7 @@ let corrupted_run plan ~at ~tag ~switch =
       live.(switch) <- entry ~action:Acl.Rule.Drop tag 1000 :: live.(switch)
     end
   in
-  let r = Update.execute ~observer ~on_op ~api ~fault plan in
+  let r = Update.execute ~observer ~on_op ~api plan in
   (r, bytes_of (Switch_api.tables api) = before)
 
 let check_verify_abort name ~committed (r, restored) =
@@ -354,7 +307,7 @@ let test_backoff_split_accounting () =
     incr ops;
     if !ops = 2 then Fault_plan.fail_next fault 3
   in
-  let r = Update.execute ~on_op ~api ~fault plan in
+  let r = Update.execute ~on_op ~api plan in
   Alcotest.(check bool) "wave retry commits" true
     (r.Update.outcome = Update.Committed);
   Alcotest.(check int) "one wave rollback" 1 r.Update.wave_rollbacks;
@@ -385,8 +338,6 @@ let suite =
       test_wave_rollback_then_commit;
     Alcotest.test_case "an exhausted wave aborts to pre-update tables" `Quick
       test_abort_restores_pre_update;
-    Alcotest.test_case "resume from any frontier converges byte-identical"
-      `Quick test_resume_from_frontier;
     Alcotest.test_case "forward and compensation backoff split cleanly" `Quick
       test_backoff_split_accounting;
     Alcotest.test_case "a barrier catches a corrupted unaffected path" `Quick
