@@ -31,35 +31,25 @@ type cut = { terms : Simplex.Csc.row; sense : Model.sense; rhs : float }
    and packed only once chosen. *)
 type raw = { rterms : (float * int) list; rsense : Model.sense; rrhs : float }
 
-type krow = { kcoefs : float array; kvars : int array; krhs : float }
+(* A knapsack row: entries [k0, k1) of the model matrix's CSR. *)
+type krow = { k0 : int; k1 : int; krhs : float }
 
 type t = {
-  nvars : int;
+  a : Simplex.Csc.t;  (* the model's matrix *)
   knap : krow array;
   permits_of : int list array;  (* drop var -> permit vars (model arcs) *)
   comps : (int array * int) array;  (* cover-component vars, ceil(t/λ) *)
 }
 
-let is_arc (r : Model.row) =
-  let { Simplex.Csc.idx; coef } = r.Model.terms in
-  if
-    Array.length idx = 2
-    && r.Model.sense = Model.Le
-    && Float.abs r.Model.rhs <= eps
-  then
-    let one c = Float.abs (c -. 1.0) <= eps in
-    let minus_one c = Float.abs (c +. 1.0) <= eps in
-    if one coef.(0) && minus_one coef.(1) then Some (idx.(0), idx.(1))
-    else if one coef.(1) && minus_one coef.(0) then Some (idx.(1), idx.(0))
-    else None
-  else None
+let one c = Float.abs (c -. 1.0) <= eps
 
-let is_unit_cover (r : Model.row) =
-  r.Model.sense = Model.Ge
-  && Float.abs (r.Model.rhs -. 1.0) <= eps
-  && Array.for_all
-       (fun c -> Float.abs (c -. 1.0) <= eps)
-       r.Model.terms.Simplex.Csc.coef
+(* An [a - b <= 0] arc, read from a [<=] row's terms [p0, p0 + 1]. *)
+let arc (a : Simplex.Csc.t) p0 =
+  let minus_one c = Float.abs (c +. 1.0) <= eps in
+  let c0 = a.rval.(p0) and c1 = a.rval.(p0 + 1) in
+  if one c0 && minus_one c1 then Some (a.colind.(p0), a.colind.(p0 + 1))
+  else if one c1 && minus_one c0 then Some (a.colind.(p0 + 1), a.colind.(p0))
+  else None
 
 (* Union-find over variables for the cover components. *)
 let rec uf_find parent v =
@@ -71,22 +61,29 @@ let rec uf_find parent v =
 
 let prepare (model : Model.t) =
   let n = Model.num_vars model in
-  let rows = Model.rows model in
+  let a = Model.matrix model and b = Model.rhs model in
   let permits_of = Array.make n [] in
   let knap = ref [] and covers = ref [] in
-  Array.iter
-    (fun (r : Model.row) ->
-      match is_arc r with
-      | Some (d, p) -> permits_of.(d) <- p :: permits_of.(d)
-      | None ->
-        let { Simplex.Csc.idx; coef } = r.Model.terms in
-        if is_unit_cover r then covers := Array.to_list idx :: !covers
-        else if
-          r.Model.sense = Model.Le
-          && Array.length idx >= 2
-          && r.Model.rhs >= 1.0 -. eps
-        then knap := { kcoefs = coef; kvars = idx; krhs = r.Model.rhs } :: !knap)
-    rows;
+  (* A row's terms end ahead of its LP slack and artificial. *)
+  Model.iter_rows model (fun sense i s ->
+      let p0 = a.rowptr.(i) and p1 = a.rowptr.(i + 1) - 2 in
+      match sense with
+      | Model.Le -> (
+        match
+          if p1 - p0 = 2 && Float.abs b.(i) <= eps then arc a p0 else None
+        with
+        | Some (d, p) -> permits_of.(d) <- p :: permits_of.(d)
+        | None ->
+          if p1 - p0 >= 2 && b.(i) >= 1.0 -. eps then
+            knap := { k0 = p0; k1 = p1; krhs = b.(i) } :: !knap)
+      | Model.Ge ->
+        let unit = ref (one (s *. b.(i))) in
+        for p = p0 to p1 - 1 do
+          if not (one (s *. a.rval.(p))) then unit := false
+        done;
+        if !unit then
+          covers := List.init (p1 - p0) (fun k -> a.colind.(p0 + k)) :: !covers
+      | Model.Eq -> ());
   Array.iteri (fun d ps -> permits_of.(d) <- List.rev ps) permits_of;
   (* Cover components. *)
   let parent = Array.init n (fun v -> v) in
@@ -132,29 +129,34 @@ let prepare (model : Model.t) =
     by_root;
   let comps = Array.of_list !comps in
   Array.sort compare comps;
-  { nvars = n; knap = Array.of_list (List.rev !knap); permits_of; comps }
+  { a; knap = Array.of_list (List.rev !knap); permits_of; comps }
 
 (* Separate one knapsack row at fractional point [x].  Items are
    literals: variables with positive coefficient appear directly,
    negative coefficients are complemented (literal 1 - x). *)
 let sep_knap t x (row : krow) =
-  let nitems = Array.length row.kvars in
-  let neg = Array.map (fun c -> c < 0.0) row.kcoefs in
-  let w = Array.map Float.abs row.kcoefs in
-  let cap =
-    Array.to_list row.kcoefs
-    |> List.fold_left (fun b c -> if c < 0.0 then b -. c else b) row.krhs
-  in
+  let a = t.a and k0 = row.k0 in
+  let nitems = row.k1 - k0 in
+  let var i = a.colind.(k0 + i) in
+  let neg = Array.init nitems (fun i -> a.rval.(k0 + i) < 0.0) in
+  let w = Array.init nitems (fun i -> Float.abs a.rval.(k0 + i)) in
+  let cap = ref row.krhs in
+  for p = k0 to row.k1 - 1 do
+    if a.rval.(p) < 0.0 then cap := !cap -. a.rval.(p)
+  done;
+  let cap = !cap in
   if cap <= eps then None
   else begin
     let xlit =
       Array.init nitems (fun i ->
-          let xv = x.(row.kvars.(i)) in
+          let xv = x.(var i) in
           if neg.(i) then 1.0 -. xv else xv)
     in
     (* Greedy disjoint permit assignment onto uncomplemented items. *)
     let slot = Hashtbl.create (2 * nitems) in
-    Array.iteri (fun i v -> Hashtbl.replace slot v i) row.kvars;
+    for i = 0 to nitems - 1 do
+      Hashtbl.replace slot (var i) i
+    done;
     let absorbed = Array.make nitems false in
     let aug = Array.copy w in
     for i = 0 to nitems - 1 do
@@ -168,7 +170,7 @@ let sep_knap t x (row : krow) =
               absorbed.(pi) <- true;
               aug.(i) <- aug.(i) +. w.(pi)
             | _ -> ())
-          t.permits_of.(row.kvars.(i))
+          t.permits_of.(var i)
     done;
     (* Candidates by descending fractional value; ties on index keep the
        separation deterministic. *)
@@ -219,7 +221,7 @@ let sep_knap t x (row : krow) =
           let terms =
             List.rev_map
               (fun i ->
-                ((if neg.(i) then -1.0 else 1.0), row.kvars.(i)))
+                ((if neg.(i) then -1.0 else 1.0), var i))
               d
           in
           Some

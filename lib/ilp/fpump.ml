@@ -13,15 +13,26 @@ let itol = 1e-6
 let objective_value (model : Model.t) sol =
   Model.activity (Model.objective model) sol
 
+(* Each row as it was added, read from the solver's matrix. *)
 let feasible (model : Model.t) sol =
-  Array.for_all
-    (fun (r : Model.row) ->
-      let lhs = Model.activity r.Model.terms sol in
-      match r.Model.sense with
-      | Model.Le -> lhs <= r.Model.rhs +. itol
-      | Model.Ge -> lhs >= r.Model.rhs -. itol
-      | Model.Eq -> Float.abs (lhs -. r.Model.rhs) <= itol)
-    (Model.rows model)
+  let a = Model.matrix model and rhs = Model.rhs model in
+  match
+    Model.iter_rows model (fun sense i s ->
+        let acc = ref 0.0 in
+        for p = a.rowptr.(i) to a.rowptr.(i + 1) - 3 do
+          if sol.(a.colind.(p)) then acc := !acc +. a.rval.(p)
+        done;
+        let lhs = s *. !acc and b = s *. rhs.(i) in
+        let holds =
+          match sense with
+          | Model.Le -> lhs <= b +. itol
+          | Model.Ge -> lhs >= b -. itol
+          | Model.Eq -> Float.abs (lhs -. b) <= itol
+        in
+        if not holds then raise Exit)
+  with
+  | () -> true
+  | exception Exit -> false
 
 (* LP-round-project loop.  From the LP optimum, round to the nearest 0-1
    point; if infeasible, re-solve the LP minimizing the Hamming distance

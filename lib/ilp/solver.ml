@@ -103,25 +103,32 @@ let check_feasible model values =
 (* Internal search state                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* All constraints are normalized to <= rows and stored once, in [a]:
-   the augmented matrix of {!Simplex.Revised.matrix} that the persistent
-   LP factorizes, so each row ends with its LP slack and artificial
-   entries, which propagation skips.  Bound consistency reads a row from
-   [a]'s CSR, activity updates read a variable's occurrences from its
-   CSC.  [minact.(i)] is row [i]'s smallest achievable activity given
-   current fixings (free variables contribute min(coef, 0)); the row is
+(* All constraints are <= rows stored once, in [a]: the model's own
+   matrix ({!Model.matrix}), which the persistent LP factorizes too, so
+   each row ends with its LP slack and artificial entries, which
+   propagation skips.  Bound consistency reads a row from [a]'s CSR,
+   activity updates read a variable's occurrences from its CSC.
+   [minact.(i)] is row [i]'s smallest achievable activity given current
+   fixings (free variables contribute min(coef, 0)); the row is
    unsatisfiable iff minact > rhs. *)
 
 (* Covering rows (sum of distinct variables >= need) get dedicated
-   bookkeeping for branching and lower bounds. *)
-type cover = { cvars : int array; need : int; mutable ones : int; mutable free : int }
+   bookkeeping for branching and lower bounds.  A cover's variables are
+   [a.colind.(c0 .. c1 - 1)]. *)
+type cover = {
+  c0 : int;
+  c1 : int;
+  need : int;
+  mutable ones : int;
+  mutable free : int;
+}
 
 type state = {
   n : int;
   c : float array;
   all_int : bool;
   a : Simplex.Csc.t;  (* <= rows x (vars, LP slacks, LP artificials) *)
-  rhs : float array;
+  rhs : float array;  (* [Model.rhs], shared like [a] *)
   minact : float array;
   covers : cover array;
   cover_of : int array;  (* row of [a] -> its cover's index, or -1 *)
@@ -156,64 +163,48 @@ let build_state model =
   let c = Array.make n 0.0 in
   let { Simplex.Csc.idx = oidx; coef = ocoef } = Model.objective model in
   Array.iteri (fun k v -> c.(v) <- ocoef.(k)) oidx;
-  let all_int = Array.for_all (fun x -> Float.is_integer x) c in
-  let mrows = Model.rows model in
-  let m =
-    Array.fold_left
-      (fun k (r : Model.row) -> if r.sense = Model.Eq then k + 2 else k + 1)
-      0 mrows
-  in
-  let terms = Array.make m { Simplex.Csc.idx = [||]; coef = [||] } in
-  let rhs = Array.make m 0.0 in
+  let a = Model.matrix model and rhs = Model.rhs model in
+  let m = a.m in
   let cover_of = Array.make m (-1) and covers = ref [] and ncov = ref 0 in
-  let i = ref 0 in
-  (* Packed terms carry no zeros, so a <= row shares the model's arrays
-     and only a >= view needs its negated coefficients. *)
-  let add t b =
-    terms.(!i) <- t;
-    rhs.(!i) <- b;
-    incr i
-  and neg (t : Simplex.Csc.row) =
-    { t with coef = Array.map Float.neg t.coef }
-  in
-  Array.iter
-    (fun (r : Model.row) ->
-      let { Simplex.Csc.idx; coef } = r.terms in
-      (* A packed row has distinct variables, so all-unit coefficients
-         with rhs >= 1 make a covering row. *)
-      if
-        r.sense = Model.Ge
-        && r.rhs >= 1.0 -. eps
-        && Array.for_all (fun a -> Float.abs (a -. 1.0) < eps) coef
-      then begin
-        cover_of.(!i) <- !ncov;
-        incr ncov;
-        covers :=
-          {
-            cvars = idx;
-            need = int_of_float (Float.round r.rhs);
-            ones = 0;
-            free = Array.length idx;
-          }
-          :: !covers
-      end;
-      match r.sense with
-      | Model.Le -> add r.terms r.rhs
-      | Model.Ge -> add (neg r.terms) (-.r.rhs)
-      | Model.Eq ->
-        add r.terms r.rhs;
-        add (neg r.terms) (-.r.rhs))
-    mrows;
-  let a = Simplex.Revised.matrix ~nvars:n terms in
-  let minact =
-    Array.init m (fun i ->
-        let acc = ref 0.0 in
-        for p = a.rowptr.(i) to a.rowptr.(i + 1) - 3 do
-          acc := !acc +. Float.min a.rval.(p) 0.0
+  (* A packed row has distinct variables, so a [Ge] row with all-unit
+     coefficients and rhs >= 1 is a covering row. *)
+  Model.iter_rows model (fun sense i s ->
+      if sense = Model.Ge && s *. rhs.(i) >= 1.0 -. eps then begin
+        let c0 = a.rowptr.(i) and c1 = a.rowptr.(i + 1) - 2 in
+        let unit = ref true in
+        for p = c0 to c1 - 1 do
+          if not (Float.abs ((s *. a.rval.(p)) -. 1.0) < eps) then
+            unit := false
         done;
-        !acc)
-  in
-  let neg_free = Array.fold_left (fun acc x -> acc +. Float.min x 0.0) 0.0 c in
+        if !unit then begin
+          cover_of.(i) <- !ncov;
+          incr ncov;
+          covers :=
+            {
+              c0;
+              c1;
+              need = int_of_float (Float.round (s *. rhs.(i)));
+              ones = 0;
+              free = c1 - c0;
+            }
+            :: !covers
+        end
+      end);
+  (* Loops, not closures, so no float is boxed. *)
+  let minact = Array.make m 0.0 in
+  for i = 0 to m - 1 do
+    let acc = ref 0.0 in
+    for p = a.rowptr.(i) to a.rowptr.(i + 1) - 3 do
+      acc := !acc +. Float.min a.rval.(p) 0.0
+    done;
+    minact.(i) <- !acc
+  done;
+  let neg_free = ref 0.0 and all_int = ref true in
+  for v = 0 to n - 1 do
+    neg_free := !neg_free +. Float.min c.(v) 0.0;
+    if not (Float.is_integer c.(v)) then all_int := false
+  done;
+  let neg_free = !neg_free and all_int = !all_int in
   {
     n;
     c;
@@ -315,6 +306,11 @@ let propagate_root st =
     propagate st 0
   with Conflict -> false
 
+let cover_iter st cv f =
+  for p = cv.c0 to cv.c1 - 1 do
+    f st.a.colind.(p)
+  done
+
 (* Lower bound = cost already committed
                 + negative costs still collectable
                 + cheapest completions of disjoint unsatisfied covers. *)
@@ -327,12 +323,10 @@ let bound st =
       if cv.ones < cv.need then begin
         let free_costs = ref [] in
         let clean = ref true in
-        Array.iter
-          (fun v ->
+        cover_iter st cv (fun v ->
             if st.value.(v) = -1 then
               if st.used_stamp.(v) = st.stamp then clean := false
-              else free_costs := Float.max st.c.(v) 0.0 :: !free_costs)
-          cv.cvars;
+              else free_costs := Float.max st.c.(v) 0.0 :: !free_costs);
         if !clean then begin
           let costs = List.sort Stdlib.compare !free_costs in
           let needed = cv.need - cv.ones in
@@ -341,9 +335,8 @@ let bound st =
             | _ -> 0.0
           in
           extra := !extra +. take needed costs;
-          Array.iter
-            (fun v -> if st.value.(v) = -1 then st.used_stamp.(v) <- st.stamp)
-            cv.cvars
+          cover_iter st cv (fun v ->
+              if st.value.(v) = -1 then st.used_stamp.(v) <- st.stamp)
         end
       end)
     st.covers;
@@ -410,8 +403,7 @@ let pick_branch st =
   if !best_cover >= 0 then begin
     let cv = st.covers.(!best_cover) in
     let best_v = ref (-1) and best_score = ref neg_infinity in
-    Array.iter
-      (fun v ->
+    cover_iter st cv (fun v ->
         if st.value.(v) = -1 then begin
           let unsat = ref 0 in
           for p = st.a.colptr.(v) to st.a.colptr.(v + 1) - 1 do
@@ -424,8 +416,7 @@ let pick_branch st =
             best_score := score;
             best_v := v
           end
-        end)
-      cv.cvars;
+        end);
     Some (!best_v, 1)
   end
   else begin

@@ -14,6 +14,9 @@
     - {b covering-aware lower bounds}: unsatisfied disjoint covering rows
       each demand their cheapest remaining variables — this mirrors "every
       un-placed DROP rule costs at least one more slot";
+    - {b one matrix}: propagation and the LP both work on the model's
+      own [<=]-normalized matrix ({!Model.matrix}) and right-hand
+      sides, built once per model and never copied;
     - {b LP relaxation bounds} at the root and at shallow nodes, on one
       persistent sparse revised-simplex instance per search that each
       node re-solves with the dual simplex from its parent's basis; an
@@ -77,7 +80,8 @@ val solve :
     LP. *)
 
 val check_feasible : Model.t -> bool array -> bool
-(** Exact 0-1 feasibility check of an assignment against every row. *)
+(** Exact 0-1 feasibility check of an assignment against every row, each
+    read from {!Model.matrix} in the sense it was added with. *)
 
 val objective_value : Model.t -> bool array -> float
 

@@ -26,6 +26,10 @@ let valid_weight w = Float.is_finite w && w >= 0.0
    entry (or one max-weight entry for the upstream objective). *)
 let coefficients objective (layout : Layout.t) =
   (match objective with
+  | Switch_weighted w
+    when Array.length w
+         <> Topo.Net.num_switches layout.Layout.instance.Instance.net ->
+    invalid_arg "Encode: switch weights need one entry per switch"
   | Switch_weighted w when not (Array.for_all valid_weight w) ->
     invalid_arg "Encode: switch weights must be finite and >= 0"
   | Total_rules | Upstream_drops | Switch_weighted _ -> ());
@@ -70,9 +74,30 @@ let assignment_objective ?(objective = Total_rules) layout assignment =
 
 type encoding = { model : Ilp.Model.t; vars : int array; constant : float }
 
+(* The rows go straight into the model's matrix buffers, sized first
+   so they never grow: one term at a time, each row closed in its own
+   sense (the model stores a >= row negated and an = row as its two <=
+   halves). *)
 let to_model ?(objective = Total_rules) (layout : Layout.t) =
   let coef = coefficients objective layout in
-  let model = Ilp.Model.create () in
+  let len = List.length and sum f = List.fold_left (fun n x -> n + f x) 0 in
+  let fixes =
+    List.filter (fun v -> layout.Layout.pins.(v) = Layout.Free)
+      layout.Layout.forbidden
+  in
+  let { Layout.implications; covers; capacities; merge_defs; _ } = layout in
+  let rows =
+    len implications + (2 * len fixes) + len covers + len capacities
+    + sum (fun (_, ms) -> 1 + len ms) merge_defs
+  and terms =
+    (2 * len implications) + (2 * len fixes) + sum len covers
+    + sum
+        (fun (c : Layout.capacity) ->
+          len c.plain + sum (fun (_, ms) -> 1 + len ms) c.grouped)
+        capacities
+    + sum (fun (_, ms) -> 1 + (3 * len ms)) merge_defs
+  in
+  let model = Ilp.Model.create ~rows ~entries:(terms + (2 * rows)) () in
   (* One model variable per free layout variable, in layout order; the
      pinned ones fold into the constant. *)
   let constant = ref 0.0 in
@@ -87,51 +112,52 @@ let to_model ?(objective = Total_rules) (layout : Layout.t) =
         | Layout.Zero -> -1)
       layout.Layout.pins
   in
-  let x v = Ilp.Model.var_of_int model vars.(v) in
+  let term c v = Ilp.Model.term model vars.(v) c in
+  let row = Ilp.Model.end_row model in
+  let implies a b =
+    term 1.0 a;
+    term (-1.0) b;
+    row Le 0.0
+  in
+  List.iter (fun (vd, vp) -> implies vd vp) implications;
   List.iter
-    (fun (vd, vp) -> Ilp.Model.implies model (x vd) (x vp))
-    layout.Layout.implications;
-  List.iter
-    (fun v -> if vars.(v) >= 0 then Ilp.Model.fix model (x v) false)
-    layout.Layout.forbidden;
+    (fun v ->
+      term 1.0 v;
+      row Eq 0.0)
+    fixes;
   List.iter
     (fun cover ->
-      Ilp.Model.add_ge model
-        (List.map (fun v -> (1.0, x v)) cover)
-        1.0)
-    layout.Layout.covers;
+      List.iter (term 1.0) cover;
+      row Ge 1.0)
+    covers;
   List.iter
     (fun (cap : Layout.capacity) ->
-      let terms =
-        List.map (fun v -> (1.0, x v)) cap.Layout.plain
-        @ List.concat_map
-            (fun (mv, members) ->
-              (1.0 -. float_of_int (List.length members), x mv)
-              :: List.map (fun v -> (1.0, x v)) members)
-            cap.Layout.grouped
-      in
-      Ilp.Model.add_le model terms
-        (float_of_int cap.Layout.bound))
-    layout.Layout.capacities;
+      List.iter (term 1.0) cap.Layout.plain;
+      List.iter
+        (fun (mv, members) ->
+          term (1.0 -. float_of_int (List.length members)) mv;
+          List.iter (term 1.0) members)
+        cap.Layout.grouped;
+      row Le (float_of_int cap.Layout.bound))
+    capacities;
   List.iter
     (fun (mv, members) ->
-      let m = float_of_int (List.length members) in
       (* Eq. 4: v_m >= sum v - (M - 1). *)
-      Ilp.Model.add_ge model
-        ((1.0, x mv) :: List.map (fun v -> (-1.0, x v)) members)
-        (1.0 -. m);
+      term 1.0 mv;
+      List.iter (term (-1.0)) members;
+      row Ge (1.0 -. float_of_int (List.length members));
       (* Eq. 5 of the paper is v_m <= (1/M) sum v; over binaries that is
          equivalent to v_m <= v for every member, and the per-member form
          has a much tighter LP relaxation (v_m is bounded by the minimum
          member rather than their average), which keeps merged models as
          easy for branch-and-bound as plain ones. *)
-      List.iter (fun v -> Ilp.Model.implies model (x mv) (x v)) members)
-    layout.Layout.merge_defs;
-  let terms = ref [] in
-  for v = Array.length coef - 1 downto 0 do
-    if vars.(v) >= 0 && coef.(v) <> 0.0 then terms := (coef.(v), x v) :: !terms
-  done;
-  Ilp.Model.set_objective model !terms;
+      List.iter (implies mv) members)
+    merge_defs;
+  (* Packing drops the zero coefficients. *)
+  let nv = Ilp.Model.num_vars model in
+  let idx = Array.init nv Fun.id and ocoef = Array.make nv 0.0 in
+  Array.iteri (fun v x -> if x >= 0 then ocoef.(x) <- coef.(v)) vars;
+  Ilp.Model.set_objective_row model { Simplex.Csc.idx; coef = ocoef };
   { model; vars; constant = !constant }
 
 (* A model point as a layout assignment, pins filled in. *)

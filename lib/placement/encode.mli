@@ -24,10 +24,11 @@ type objective =
   | Upstream_drops
   | Switch_weighted of float array
       (** per-switch placement cost (the paper's "weighted placement to
-          favor certain switches"); length = number of switches.  Every
-          weight must be finite and [>= 0]: the layout's pins to 0 are
-          optimal only for non-negative costs.  Encoding or scoring
-          under any other weight raises [Invalid_argument]. *)
+          favor certain switches"), one per switch of the instance.
+          Every weight must be finite and [>= 0]: the layout's pins to 0
+          are optimal only for non-negative costs.  Encoding or scoring
+          under an array of another length or any other weight raises
+          [Invalid_argument]. *)
 
 val valid_weight : float -> bool
 (** Finite and [>= 0]. *)
@@ -53,6 +54,13 @@ type encoding = {
 }
 
 val to_model : ?objective:objective -> Layout.t -> encoding
+(** Writes the layout's rows straight into the model's matrix
+    ({!Ilp.Model.matrix}), in the order implications, monitor fixes,
+    covers, capacities, merge definitions: it counts rows and entries
+    first, so the model's buffers are exactly sized and become the
+    solver's matrix with no copy, then writes each row term by term
+    ({!Ilp.Model.term}) and closes it in its own sense
+    ({!Ilp.Model.end_row}). *)
 
 val project : encoding -> bool array -> bool array
 (** A layout assignment restricted to the model's variables (e.g. a

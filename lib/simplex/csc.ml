@@ -11,57 +11,56 @@ type t = {
 
 type row = { idx : int array; coef : float array }
 
-let is_packed idx coef =
+(* Whether the [len] terms from [pos] are packed. *)
+let is_packed (idx : int array) (coef : float array) pos len =
   let ok = ref true in
-  for k = 0 to Array.length idx - 1 do
-    if coef.(k) = 0.0 || (k > 0 && idx.(k - 1) >= idx.(k)) then ok := false
+  for k = pos to pos + len - 1 do
+    if coef.(k) = 0.0 || (k > pos && idx.(k - 1) >= idx.(k)) then ok := false
   done;
   !ok
 
-let is_sorted idx =
+let is_sorted (idx : int array) pos len =
   let ok = ref true in
-  for k = 1 to Array.length idx - 1 do
+  for k = pos + 1 to pos + len - 1 do
     if idx.(k - 1) > idx.(k) then ok := false
   done;
   !ok
 
-(* Short rows (the common case) are sorted in place by insertion, which
+(* Short runs (the common case) are sorted in place by insertion, which
    is stable; long ones through a stably sorted permutation. *)
-let sort_terms idx coef =
-  let len = Array.length idx in
-  if len <= 32 then begin
-    for k = 1 to len - 1 do
+let sort_terms (idx : int array) (coef : float array) pos len =
+  if len <= 32 then
+    for k = pos + 1 to pos + len - 1 do
       let j = idx.(k) and c = coef.(k) in
       let p = ref k in
-      while !p > 0 && idx.(!p - 1) > j do
+      while !p > pos && idx.(!p - 1) > j do
         idx.(!p) <- idx.(!p - 1);
         coef.(!p) <- coef.(!p - 1);
         decr p
       done;
       idx.(!p) <- j;
       coef.(!p) <- c
-    done;
-    (idx, coef)
-  end
+    done
   else begin
-    let perm = Array.init len Fun.id in
+    let perm = Array.init len (fun k -> pos + k) in
     Array.stable_sort (fun a b -> compare (idx.(a) : int) idx.(b)) perm;
-    (Array.map (fun k -> idx.(k)) perm, Array.map (fun k -> coef.(k)) perm)
+    let sidx = Array.map (fun k -> idx.(k)) perm in
+    let scoef = Array.map (fun k -> coef.(k)) perm in
+    Array.blit sidx 0 idx pos len;
+    Array.blit scoef 0 coef pos len
   end
 
-let pack idx coef =
-  let len = Array.length idx in
-  if Array.length coef <> len then invalid_arg "Csc.pack: length mismatch";
-  if is_packed idx coef then { idx; coef }
+let pack_into (idx : int array) (coef : float array) pos len =
+  if is_packed idx coef pos len then len
   else begin
-    let idx, coef = if is_sorted idx then (idx, coef) else sort_terms idx coef in
+    if not (is_sorted idx pos len) then sort_terms idx coef pos len;
     (* Sum runs of one index left to right, then drop zero sums. *)
-    let out = ref 0 and k = ref 0 in
-    while !k < len do
+    let out = ref pos and k = ref pos and stop = pos + len in
+    while !k < stop do
       let j = idx.(!k) in
       let c = ref coef.(!k) in
       incr k;
-      while !k < len && idx.(!k) = j do
+      while !k < stop && idx.(!k) = j do
         c := !c +. coef.(!k);
         incr k
       done;
@@ -71,60 +70,49 @@ let pack idx coef =
         incr out
       end
     done;
-    if !out = len then { idx; coef }
-    else { idx = Array.sub idx 0 !out; coef = Array.sub coef 0 !out }
+    !out - pos
   end
 
-let of_rows ?(units = 0) ~m ~n rows =
-  if Array.length rows <> m then invalid_arg "Csc.of_rows: row count mismatch";
-  let ncols = n + (units * m) in
-  (* Check and size every row, counting its entries per column; each
-     unit column holds exactly one entry. *)
-  let rowptr = Array.make (m + 1) 0 in
-  let colptr = Array.make (ncols + 1) 0 in
-  Array.iteri
-    (fun i r ->
-      let len = Array.length r.idx in
-      if Array.length r.coef <> len || not (is_packed r.idx r.coef) then
-        invalid_arg "Csc.of_rows: row is not packed";
-      if len > 0 && (r.idx.(0) < 0 || r.idx.(len - 1) >= n) then
-        invalid_arg "Csc.of_rows: column index out of range";
-      rowptr.(i + 1) <- rowptr.(i) + len + units;
-      for p = 0 to len - 1 do
-        colptr.(r.idx.(p) + 1) <- colptr.(r.idx.(p) + 1) + 1
-      done)
-    rows;
+let pack idx coef =
+  let len = Array.length idx in
+  if Array.length coef <> len then invalid_arg "Csc.pack: length mismatch";
+  let kept = pack_into idx coef 0 len in
+  if kept = len then { idx; coef }
+  else { idx = Array.sub idx 0 kept; coef = Array.sub coef 0 kept }
+
+let of_csr ~m ~n rowptr colind rval =
+  if Array.length rowptr <> m + 1 || rowptr.(0) <> 0 then
+    invalid_arg "Csc.of_csr: row pointers do not match the row count";
+  let nnz = rowptr.(m) in
+  if Array.length colind < nnz || Array.length rval < nnz then
+    invalid_arg "Csc.of_csr: entry arrays shorter than the row pointers";
+  (* Check every row, counting its entries per column. *)
+  let colptr = Array.make (n + 1) 0 in
+  for i = 0 to m - 1 do
+    let p0 = rowptr.(i) and p1 = rowptr.(i + 1) in
+    if p1 < p0 || not (is_packed colind rval p0 (p1 - p0)) then
+      invalid_arg "Csc.of_csr: row is not packed";
+    if p1 > p0 && (colind.(p0) < 0 || colind.(p1 - 1) >= n) then
+      invalid_arg "Csc.of_csr: column index out of range";
+    for p = p0 to p1 - 1 do
+      colptr.(colind.(p) + 1) <- colptr.(colind.(p) + 1) + 1
+    done
+  done;
   for j = 1 to n do
     colptr.(j) <- colptr.(j) + colptr.(j - 1)
   done;
-  for j = n + 1 to ncols do
-    colptr.(j) <- colptr.(j - 1) + 1
-  done;
-  (* One scatter per row: its packed terms, then its unit entries,
-     whose columns exceed every term's, into the CSR; the same entries
-     into the CSC, where rows arrive in order. *)
-  let nnz = rowptr.(m) in
-  let colind = Array.make nnz 0 and rval = Array.make nnz 1.0 in
-  let rowind = Array.make nnz 0 and cval = Array.make nnz 1.0 in
+  (* Rows scatter in order, so each column lists its rows ascending. *)
+  let rowind = Array.make nnz 0 and cval = Array.make nnz 0.0 in
   let next = Array.sub colptr 0 n in
-  Array.iteri
-    (fun i r ->
-      let len = Array.length r.idx and p0 = rowptr.(i) in
-      Array.blit r.idx 0 colind p0 len;
-      Array.blit r.coef 0 rval p0 len;
-      for p = 0 to len - 1 do
-        let j = r.idx.(p) in
-        rowind.(next.(j)) <- i;
-        cval.(next.(j)) <- r.coef.(p);
-        next.(j) <- next.(j) + 1
-      done;
-      for u = 0 to units - 1 do
-        let j = n + (u * m) + i in
-        colind.(p0 + len + u) <- j;
-        rowind.(colptr.(j)) <- i
-      done)
-    rows;
-  { m; n = ncols; colptr; rowind; cval; rowptr; colind; rval }
+  for i = 0 to m - 1 do
+    for p = rowptr.(i) to rowptr.(i + 1) - 1 do
+      let j = colind.(p) in
+      rowind.(next.(j)) <- i;
+      cval.(next.(j)) <- rval.(p);
+      next.(j) <- next.(j) + 1
+    done
+  done;
+  { m; n; colptr; rowind; cval; rowptr; colind; rval }
 
 let nnz a = a.colptr.(a.n)
 

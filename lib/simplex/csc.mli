@@ -14,7 +14,7 @@ type t = private {
   rowind : int array;
   cval : float array;
   rowptr : int array;  (** length m+1 *)
-  colind : int array;
+  colind : int array;  (** past [rowptr.(m)]: spare room, never read *)
   rval : float array;
 }
 
@@ -31,14 +31,20 @@ val pack : int array -> float array -> row
     returns them unchanged when they are already packed.  Raises
     [Invalid_argument] when the lengths differ. *)
 
-val of_rows : ?units:int -> m:int -> n:int -> row array -> t
-(** [of_rows ~m ~n rows] builds the [m x n] matrix from [m] packed rows
-    in one linear scatter per row (no sorting or merging).  With
-    [~units:u] (default 0) each row [i] also gets a [1.0] in column
-    [n + k*m + i] for every [k < u], so the matrix has [n + u*m] columns:
-    the slack and artificial blocks of the revised simplex.  Raises
-    [Invalid_argument] on a column index outside [0, n) or a row that
-    is not packed. *)
+val pack_into : int array -> float array -> int -> int -> int
+(** [pack_into idx coef pos len] packs the [len] terms from [pos] in
+    place, as {!pack} does, and returns how many it kept: the packed
+    row is the [kept] terms from [pos]. *)
+
+val of_csr : m:int -> n:int -> int array -> int array -> float array -> t
+(** [of_csr ~m ~n rowptr colind rval] is the [m x n] matrix whose row
+    [i] is the packed terms [colind]/[rval] from [rowptr.(i)] to
+    [rowptr.(i+1) - 1].  It takes the three arrays as they are (no
+    copy; entries of [colind] and [rval] past [rowptr.(m)] are spare
+    room it never reads) and adds the CSC in one counting pass and one
+    scatter.  Raises [Invalid_argument] on a [rowptr] that is not
+    [m + 1] long, entry arrays shorter than [rowptr.(m)], a row that is
+    not packed or a column index outside [0, n). *)
 
 val nnz : t -> int
 

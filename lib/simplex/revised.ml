@@ -127,7 +127,27 @@ let counters t =
   }
 
 let matrix ~nvars rows =
-  Csc.of_rows ~units:2 ~m:(Array.length rows) ~n:nvars rows
+  let m = Array.length rows in
+  let rowptr = Array.make (m + 1) 0 in
+  Array.iteri
+    (fun i (r : Csc.row) ->
+      let len = Array.length r.idx in
+      if Array.length r.coef <> len then
+        invalid_arg "Revised.matrix: row is not packed";
+      if len > 0 && (r.idx.(0) < 0 || r.idx.(len - 1) >= nvars) then
+        invalid_arg "Revised.matrix: variable index out of range";
+      rowptr.(i + 1) <- rowptr.(i) + len + 2)
+    rows;
+  let colind = Array.make rowptr.(m) 0 and rval = Array.make rowptr.(m) 1.0 in
+  Array.iteri
+    (fun i (r : Csc.row) ->
+      let p = rowptr.(i) and len = Array.length r.idx in
+      Array.blit r.idx 0 colind p len;
+      Array.blit r.coef 0 rval p len;
+      colind.(p + len) <- nvars + i;
+      colind.(p + len + 1) <- nvars + m + i)
+    rows;
+  Csc.of_csr ~m ~n:(nvars + m + m) rowptr colind rval
 
 let create ~a ~senses ~rhs ~obj ~lower ~upper =
   let nvars = Array.length lower in

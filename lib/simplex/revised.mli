@@ -38,12 +38,15 @@ type outcome =
 type t
 
 val matrix : nvars:int -> Csc.row array -> Csc.t
-(** [matrix ~nvars rows] is the constraint matrix {!create} takes: the
+(** [matrix ~nvars rows] is the augmented shape {!create} takes: the
     packed [rows] over [nvars] structural columns, each row followed by
     its slack entry (column [nvars + i]) and its artificial entry
-    (column [nvars + m + i]), stored once in CSC + CSR form
-    ([Csc.of_rows ~units:2]).  Raises [Invalid_argument] on a variable
-    index outside [0, nvars) or a row that is not packed. *)
+    (column [nvars + m + i]), all [1.0], stored once in CSC + CSR form
+    ({!Csc.of_csr}).  The one-shot {!Simplex.solve} and {!add_rows}
+    build their matrices here; the ILP solver takes the same shape from
+    [Ilp.Model.matrix], which its builder writes directly.  Raises
+    [Invalid_argument] on a variable index outside [0, nvars) or a row
+    that is not packed. *)
 
 val create :
   a:Csc.t ->
@@ -53,13 +56,14 @@ val create :
   lower:float array ->
   upper:float array ->
   t
-(** Build a persistent instance over the matrix [a] from {!matrix}:
-    [nvars = Array.length lower] structural variables with bounds
-    [lower.(j) <= x_j <= upper.(j)] (lower bounds must be finite), sparse
-    objective [obj] (minimized), and row [i] reading
-    [(a x)_i senses.(i) rhs.(i)].  [a], [senses] and [rhs] are read,
-    never written, so a caller may share them (the ILP search propagates
-    over the same matrix).  Raises [Invalid_argument] on malformed input
+(** Build a persistent instance over an augmented matrix [a], from
+    {!matrix} or [Ilp.Model.matrix]: [nvars = Array.length lower]
+    structural variables with bounds [lower.(j) <= x_j <= upper.(j)]
+    (lower bounds must be finite), sparse objective [obj] (minimized),
+    and row [i] reading [(a x)_i senses.(i) rhs.(i)].  [a], [senses]
+    and [rhs] are taken as they are, read and never written, so a
+    caller may share them (the ILP search propagates over the same
+    matrix and right-hand sides).  Raises [Invalid_argument] on malformed input
     (lengths that disagree, an objective index outside [0, nvars), or
     an [a] whose columns past [nvars] are not the slack and artificial
     blocks). *)

@@ -101,14 +101,10 @@ let test_cuts_valid () =
 
 let lp_of_model m =
   let n = Model.num_vars m in
-  let rows = Model.rows m in
-  Simplex.Revised.create
-    ~a:
-      (Simplex.Revised.matrix ~nvars:n
-         (Array.map (fun (r : Model.row) -> r.terms) rows))
-    ~senses:(Array.map (fun (r : Model.row) -> r.sense) rows)
-    ~rhs:(Array.map (fun (r : Model.row) -> r.rhs) rows)
-    ~obj:(Model.objective m) ~lower:(Array.make n 0.0)
+  let a = Model.matrix m in
+  Simplex.Revised.create ~a
+    ~senses:(Array.make a.m Simplex.Revised.Le)
+    ~rhs:(Model.rhs m) ~obj:(Model.objective m) ~lower:(Array.make n 0.0)
     ~upper:(Array.make n 1.0)
 
 let test_fpump_feasible () =

@@ -210,23 +210,23 @@ let test_lp_export () =
 (* The row contract: [Model.add_*] packs its terms once — sorted by
    variable, a repeated variable's coefficients summed, zeros dropped —
    and rejects a variable the model does not own. *)
-let row_terms (r : Model.row) =
-  Array.to_list
-    (Array.mapi (fun k v -> (v, r.Model.terms.Simplex.Csc.coef.(k))) r.Model.terms.idx)
+let row_terms (_, terms, _) = terms
 
 let test_rows_sum_repeats () =
   let m = Model.create () in
   let a = Model.binary m and b = Model.binary m in
   Model.add_le m [ (2.0, b); (1.0, a); (0.5, b); (3.0, a) ] 4.0;
   Alcotest.(check (list (pair int (float 0.0))))
-    "sorted, repeats summed" [ (0, 4.0); (1, 2.5) ] (row_terms (Model.rows m).(0))
+    "sorted, repeats summed"
+    [ (0, 4.0); (1, 2.5) ]
+    (row_terms (Util.model_rows m).(0))
 
 let test_rows_drop_cancelled () =
   let m = Model.create () in
   let a = Model.binary m and b = Model.binary m and c = Model.binary m in
   Model.add_le m [ (1.0, c); (1.0, a); (-1.0, c); (0.0, b) ] 1.0;
   Model.implies m b b;
-  let rows = Model.rows m in
+  let rows = Util.model_rows m in
   Alcotest.(check (list (pair int (float 0.0))))
     "cancelled and zero terms dropped" [ (0, 1.0) ] (row_terms rows.(0));
   Alcotest.(check (list (pair int (float 0.0))))

@@ -263,54 +263,245 @@ let test_monitor_forbidden_vars () =
   Alcotest.(check int) "one forbidden var" 1
     (List.length layout.Layout.forbidden)
 
+(* A random k=4/6 family's layout, with and without slicing, the merge
+   plan and a monitor at one switch that sees all traffic. *)
+let random_layout seed =
+  let g = Prng.create seed in
+  let f =
+    {
+      Workload.k = (if Prng.bool g then 4 else 6);
+      num_policies = Prng.int_in g 2 5;
+      rules = Prng.int_in g 4 12;
+      mergeable = Prng.int_in g 0 3;
+      paths = Prng.int_in g 8 40;
+      capacity = Prng.int_in g 6 30;
+      seed;
+      slice = Prng.bool g;
+      ingress_mode =
+        (if Prng.bool g then Workload.Spread else Workload.Contiguous);
+    }
+  in
+  let inst = Workload.build f in
+  let inst, plan =
+    if f.Workload.mergeable > 0 && Prng.bool g then Merge.plan inst
+    else (inst, Merge.empty_plan)
+  in
+  let monitors =
+    if Prng.bool g then []
+    else
+      let switches = Topo.Net.num_switches inst.Instance.net in
+      [ (Prng.int g switches, Ternary.Field.any) ]
+  in
+  (g, Layout.build ~sliced:f.Workload.slice ~plan ~monitors inst)
+
 (* No two rows of an encoded model share their sense and packed terms:
    paths with equal switch sets get one cover row per drop, and nothing
-   else repeats.  Random k=4/6 families, with and without slicing, the
-   merge plan and a monitor at one switch that sees all traffic. *)
+   else repeats. *)
 let prop_no_duplicate_rows =
   QCheck.Test.make ~name:"encoded rows are pairwise distinct" ~count:40
     QCheck.int (fun seed ->
-      let g = Prng.create seed in
-      let f =
-        {
-          Workload.k = (if Prng.bool g then 4 else 6);
-          num_policies = Prng.int_in g 2 5;
-          rules = Prng.int_in g 4 12;
-          mergeable = Prng.int_in g 0 3;
-          paths = Prng.int_in g 8 40;
-          capacity = Prng.int_in g 6 30;
-          seed;
-          slice = Prng.bool g;
-          ingress_mode =
-            (if Prng.bool g then Workload.Spread else Workload.Contiguous);
-        }
-      in
-      let inst = Workload.build f in
-      let inst, plan =
-        if f.Workload.mergeable > 0 && Prng.bool g then Merge.plan inst
-        else (inst, Merge.empty_plan)
-      in
-      let monitors =
-        if Prng.bool g then []
-        else
-          let switches = Topo.Net.num_switches inst.Instance.net in
-          [ (Prng.int g switches, Ternary.Field.any) ]
-      in
-      let layout = Layout.build ~sliced:f.Workload.slice ~plan ~monitors inst in
+      let _, layout = random_layout seed in
       let model = (Encode.to_model layout).Encode.model in
       let seen = Hashtbl.create 256 in
       Array.iteri
-        (fun i (r : Ilp.Model.row) ->
-          let key = (r.sense, r.terms.idx, r.terms.coef) in
+        (fun i (sense, terms, _) ->
+          let key = (sense, terms) in
           match Hashtbl.find_opt seen key with
           | Some j -> QCheck.Test.fail_reportf "rows %d and %d are equal" j i
           | None -> Hashtbl.add seen key i)
-        (Ilp.Model.rows model);
+        (Util.model_rows model);
       true)
+
+(* The paper's rows as Encode wrote them before it filled the solver's
+   matrix itself: one [Ilp.Model] builder call per row.  Returns the
+   model, its variable of each layout variable, the objective constant
+   of the pinned variables and each row as (sense, (coef, layout var)
+   terms, rhs) for an evaluation that never reads a matrix. *)
+let builder_encoding objective (layout : Layout.t) =
+  let n = Layout.num_vars layout in
+  let coef =
+    Array.init n (fun v ->
+        Encode.assignment_objective ~objective layout
+          (Array.init n (fun u -> u = v)))
+  in
+  let model = Ilp.Model.create () in
+  let xs =
+    Array.map
+      (fun (pin : Layout.pin) ->
+        if pin = Layout.Free then Some (Ilp.Model.binary model) else None)
+      layout.Layout.pins
+  in
+  let x v = Option.get xs.(v) in
+  let constant = ref 0.0 and rows = ref [] in
+  Array.iteri
+    (fun v (pin : Layout.pin) ->
+      if pin = Layout.One then constant := !constant +. coef.(v))
+    layout.Layout.pins;
+  let add sense terms b =
+    rows := (sense, terms, b) :: !rows;
+    let terms = List.map (fun (c, v) -> (c, x v)) terms in
+    match sense with
+    | Ilp.Model.Le -> Ilp.Model.add_le model terms b
+    | Ilp.Model.Ge -> Ilp.Model.add_ge model terms b
+    | Ilp.Model.Eq -> Ilp.Model.add_eq model terms b
+  in
+  let implies a b =
+    rows := (Ilp.Model.Le, [ (1.0, a); (-1.0, b) ], 0.0) :: !rows;
+    Ilp.Model.implies model (x a) (x b)
+  in
+  List.iter (fun (d, p) -> implies d p) layout.Layout.implications;
+  List.iter
+    (fun v ->
+      if xs.(v) <> None then begin
+        rows := (Ilp.Model.Eq, [ (1.0, v) ], 0.0) :: !rows;
+        Ilp.Model.fix model (x v) false
+      end)
+    layout.Layout.forbidden;
+  List.iter
+    (fun cover -> add Ilp.Model.Ge (List.map (fun v -> (1.0, v)) cover) 1.0)
+    layout.Layout.covers;
+  List.iter
+    (fun (cap : Layout.capacity) ->
+      add Ilp.Model.Le
+        (List.map (fun v -> (1.0, v)) cap.Layout.plain
+        @ List.concat_map
+            (fun (mv, ms) ->
+              (1.0 -. float_of_int (List.length ms), mv)
+              :: List.map (fun v -> (1.0, v)) ms)
+            cap.Layout.grouped)
+        (float_of_int cap.Layout.bound))
+    layout.Layout.capacities;
+  List.iter
+    (fun (mv, ms) ->
+      add Ilp.Model.Ge
+        ((1.0, mv) :: List.map (fun v -> (-1.0, v)) ms)
+        (1.0 -. float_of_int (List.length ms));
+      List.iter (implies mv) ms)
+    layout.Layout.merge_defs;
+  let objective =
+    List.filter_map
+      (fun v ->
+        if xs.(v) <> None && coef.(v) <> 0.0 then Some (coef.(v), v) else None)
+      (List.init n Fun.id)
+  in
+  Ilp.Model.set_objective model (List.map (fun (c, v) -> (c, x v)) objective);
+  (model, xs, !constant, List.rev !rows, objective)
+
+(* Single-variable flips of a feasible point that break exactly one
+   row, over the whole run: the next case checks it is not vacuous. *)
+let one_row_breaks = ref 0
+
+(* The encoder's matrix, rhs, senses and objective equal the builder's,
+   bit for bit, and the solver's feasibility check and objective agree
+   with each row evaluated in its own sense on random 0-1 points, a
+   feasible point and its one-variable flips. *)
+let prop_encoder_matches_builder =
+  QCheck.Test.make ~name:"encoder matrix equals the row-by-row builder's"
+    ~count:40 QCheck.int (fun seed ->
+      let g, layout = random_layout seed in
+      let objective =
+        match Prng.int g 3 with
+        | 0 -> Encode.Total_rules
+        | 1 -> Encode.Upstream_drops
+        | _ ->
+          Encode.Switch_weighted
+            (Array.init
+               (Topo.Net.num_switches layout.Layout.instance.Instance.net)
+               (fun _ -> float_of_int (Prng.int g 4)))
+      in
+      let enc = Encode.to_model ~objective layout in
+      let model, xs, constant, rows, obj = builder_encoding objective layout in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let bits = Array.map Int64.bits_of_float in
+      (* Entries past [rowptr.(m)] are spare room. *)
+      let arrays (a : Simplex.Csc.t) =
+        let live x = Array.sub x 0 (Simplex.Csc.nnz a) in
+        ( (a.m, a.n, a.rowptr, live a.colind, a.colptr, a.rowind),
+          (bits (live a.rval), bits a.cval) )
+      in
+      if
+        arrays (Ilp.Model.matrix enc.Encode.model)
+        <> arrays (Ilp.Model.matrix model)
+      then fail "matrices differ";
+      if bits (Ilp.Model.rhs enc.Encode.model) <> bits (Ilp.Model.rhs model)
+      then fail "right-hand sides differ";
+      let senses m =
+        let l = ref [] in
+        Ilp.Model.iter_rows m (fun sense i s -> l := (sense, i, s) :: !l);
+        !l
+      in
+      if senses enc.Encode.model <> senses model then fail "senses differ";
+      if Ilp.Model.objective enc.Encode.model <> Ilp.Model.objective model then
+        fail "objectives differ";
+      if Int64.bits_of_float enc.Encode.constant <> Int64.bits_of_float constant
+      then fail "constants differ: %g, %g" enc.Encode.constant constant;
+      if
+        enc.Encode.vars
+        <> Array.map
+             (function Some (x : Ilp.Model.var) -> (x :> int) | None -> -1)
+             xs
+      then fail "variable maps differ";
+      (* Each row in its own sense, over layout variables. *)
+      let value p v = p.(enc.Encode.vars.(v)) in
+      let broken p =
+        List.length
+          (List.filter
+             (fun (sense, terms, b) ->
+               let lhs =
+                 List.fold_left
+                   (fun acc (c, v) -> if value p v then acc +. c else acc)
+                   0.0 terms
+               in
+               not
+                 (match sense with
+                 | Ilp.Model.Le -> lhs <= b +. 1e-6
+                 | Ilp.Model.Ge -> lhs >= b -. 1e-6
+                 | Ilp.Model.Eq -> Float.abs (lhs -. b) <= 1e-6))
+             rows)
+      in
+      let check p =
+        let k = broken p in
+        if Ilp.Solver.check_feasible enc.Encode.model p <> (k = 0) then
+          fail "check_feasible disagrees on a point breaking %d rows" k;
+        let expected =
+          List.fold_left
+            (fun acc (c, v) -> if value p v then acc +. c else acc)
+            0.0 obj
+        in
+        if Ilp.Solver.objective_value enc.Encode.model p <> expected then
+          fail "objective_value disagrees";
+        k
+      in
+      let nv = Ilp.Model.num_vars enc.Encode.model in
+      for _ = 1 to 20 do
+        ignore (check (Array.init nv (fun _ -> Prng.bool g)))
+      done;
+      (match
+         Ilp.Solver.solve
+           ~config:{ Ilp.Solver.default_config with time_limit = 10.0 }
+           enc.Encode.model
+       with
+      | (Ilp.Solver.Optimal s | Ilp.Solver.Feasible s), _ ->
+        if check s.Ilp.Solver.values <> 0 then fail "the optimum breaks a row";
+        for j = 0 to nv - 1 do
+          let p = Array.copy s.Ilp.Solver.values in
+          p.(j) <- not p.(j);
+          if check p = 1 then incr one_row_breaks
+        done
+      | _ -> ());
+      true)
+
+let test_one_row_breaks () =
+  Alcotest.(check bool)
+    (Printf.sprintf "%d flips broke exactly one row" !one_row_breaks)
+    true (!one_row_breaks > 0)
 
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_no_duplicate_rows;
+    QCheck_alcotest.to_alcotest prop_encoder_matches_builder;
+    Alcotest.test_case "encoder differential broke single rows" `Quick
+      test_one_row_breaks;
     Alcotest.test_case "variable scoping" `Quick test_variable_scoping;
     Alcotest.test_case "capacity rows bind" `Quick test_capacity_rows_appear_when_binding;
     Alcotest.test_case "covers follow paths" `Quick test_cover_uses_path_switches_only;

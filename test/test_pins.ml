@@ -368,14 +368,26 @@ let test_weights_must_be_nonnegative () =
   let inst = Workload.build { Workload.default with Workload.k = 4 } in
   let layout = Layout.build inst in
   let n = Topo.Net.num_switches inst.Instance.net in
+  let last bad =
+    let w = Array.make n 1.0 in
+    w.(n - 1) <- bad;
+    (Printf.sprintf "switch weight %g" bad, w)
+  in
+  (* A weight array of any other length than the switch count is
+     rejected by name, not by an index out of bounds. *)
   List.iter
-    (fun bad ->
-      let w = Array.make n 1.0 in
-      w.(n - 1) <- bad;
+    (fun (name, w) ->
       match Encode.to_model ~objective:(Encode.Switch_weighted w) layout with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "switch weight %g accepted" bad)
-    [ -1.0; Float.nan; Float.infinity ]
+      | exception Invalid_argument msg when msg <> "index out of bounds" -> ()
+      | exception e -> Alcotest.failf "%s: %s" name (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s accepted" name)
+    [
+      last (-1.0);
+      last Float.nan;
+      last Float.infinity;
+      ("a short weight array", Array.make (n - 1) 1.0);
+      ("a long weight array", Array.make (n + 1) 1.0);
+    ]
 
 let suite =
   [

@@ -525,9 +525,11 @@ let test_row_contract () =
   raises "objective var = nvars" (fun () -> create ~obj:(packed [ (2, 1.0) ]) [| row0 |]);
   raises "unpacked row" (fun () ->
       create [| ({ Csc.idx = [| 1; 0 |]; coef = [| 1.0; 1.0 |] }, Revised.Le, 1.0) |]);
-  raises "of_rows range" (fun () -> Csc.of_rows ~m:1 ~n:2 [| packed [ (2, 1.0) ] |]);
-  raises "of_rows zero" (fun () ->
-      Csc.of_rows ~m:1 ~n:2 [| { Csc.idx = [| 0 |]; coef = [| 0.0 |] } |]);
+  let csr rowptr colind rval () = Csc.of_csr ~m:1 ~n:2 rowptr colind rval in
+  raises "of_csr range" (csr [| 0; 1 |] [| 2 |] [| 1.0 |]);
+  raises "of_csr zero" (csr [| 0; 1 |] [| 0 |] [| 0.0 |]);
+  raises "of_csr unsorted" (csr [| 0; 2 |] [| 1; 0 |] [| 1.0; 1.0 |]);
+  raises "of_csr lengths" (csr [| 0; 2 |] [| 0 |] [| 1.0 |]);
   (* [create] takes only {!Revised.matrix}'s augmented shape: four
      columns over two variables and one row, but no unit blocks. *)
   let bare ~a =
@@ -536,7 +538,7 @@ let test_row_contract () =
          ~obj:(packed []) ~lower:(fst bounds) ~upper:(snd bounds))
   in
   raises "matrix without unit blocks" (fun () ->
-      bare ~a:(Csc.of_rows ~m:1 ~n:4 [| packed [ (0, 1.0) ] |]));
+      bare ~a:(Csc.of_csr ~m:1 ~n:4 [| 0; 1 |] [| 0 |] [| 1.0 |]));
   raises "matrix over other vars" (fun () ->
       bare ~a:(Revised.matrix ~nvars:3 [| packed [ (0, 1.0) ] |]));
   bare ~a:(Revised.matrix ~nvars:2 [| packed [ (0, 1.0) ] |]);

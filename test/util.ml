@@ -50,3 +50,11 @@ let check_no_violations name g (report : Placement.Solve.report) =
     | v :: _ ->
       Alcotest.failf "%s: %d violations, first: %a" name
         (List.length violations) Placement.Verify.pp_violation v)
+
+(* The rows of a model in the senses they were added with, read back
+   from its normalized matrix: (sense, packed terms, rhs). *)
+let model_rows model =
+  Array.of_list
+    (List.map
+       (fun (r : Simplex.row) -> (r.sense, r.coeffs, r.rhs))
+       (Ilp.Model.lp_relaxation model).Simplex.rows)
