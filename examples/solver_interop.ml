@@ -6,9 +6,18 @@
      - the SAT-opt engine (cardinality descent: reaches the optimum,
        proves it only on small instances);
    and the underlying models are exported as a CPLEX LP file and a
-   DIMACS CNF so the encodings can be fed to industrial solvers.
+   DIMACS CNF so the encodings can be fed to industrial solvers.  The
+   exports go to temporary files, removed when the example ends.
 
    Run with:  dune exec examples/solver_interop.exe *)
+
+(* Writes [text] to a fresh temporary file, passes its path to [k] and
+   removes the file once [k] returns or raises. *)
+let with_export suffix text k =
+  let path = Filename.temp_file "placement" suffix in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_text path (fun oc -> output_string oc text);
+  k path
 
 let () =
   let inst =
@@ -54,11 +63,9 @@ let () =
   let layout = Placement.Layout.build inst in
   let enc = Placement.Encode.to_model layout in
   let model = enc.Placement.Encode.model in
-  let lp = Ilp.Model.to_lp_string model in
-  let lp_path = Filename.temp_file "placement" ".lp" in
-  Out_channel.with_open_text lp_path (fun oc -> output_string oc lp);
-  Format.printf "@.ILP model: %a, objective constant %g -> %s@."
-    Ilp.Model.pp_stats model enc.Placement.Encode.constant lp_path;
+  with_export ".lp" (Ilp.Model.to_lp_string model) (fun lp_path ->
+      Format.printf "@.ILP model: %a, objective constant %g -> %s@."
+        Ilp.Model.pp_stats model enc.Placement.Encode.constant lp_path);
 
   (* The clause part of the SAT encoding as DIMACS, a unit clause per
      pinned variable included (capacity rows use native cardinality
@@ -83,9 +90,7 @@ let () =
   let cnf =
     { Cdcl.Dimacs.num_vars = Placement.Layout.num_vars layout; clauses }
   in
-  let cnf_path = Filename.temp_file "placement" ".cnf" in
-  Out_channel.with_open_text cnf_path (fun oc ->
-      output_string oc (Cdcl.Dimacs.print cnf));
+  with_export ".cnf" (Cdcl.Dimacs.print cnf) @@ fun cnf_path ->
   Format.printf
     "SAT clauses: %d vars, %d clauses (+%d cardinality rows) -> %s@."
     cnf.Cdcl.Dimacs.num_vars
@@ -94,6 +99,9 @@ let () =
     cnf_path;
 
   (* Round-trip sanity: our own solver accepts its own export. *)
-  match Cdcl.Dimacs.solve_text (Cdcl.Dimacs.print cnf) with
+  match
+    Cdcl.Dimacs.solve_text
+      (In_channel.with_open_text cnf_path In_channel.input_all)
+  with
   | Cdcl.Sat _ -> Format.printf "DIMACS round-trip: sat (as expected)@."
   | r -> Format.printf "DIMACS round-trip: %a?!@." Cdcl.pp_result r

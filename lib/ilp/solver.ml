@@ -60,8 +60,14 @@ let m_lp_s =
     "sdnplace_ilp_lp_seconds"
 
 let m_root_bound =
-  Telemetry.Metrics.gauge ~help:"root LP lower bound of the last solve"
+  Telemetry.Metrics.gauge
+    ~help:"root lower bound (LP or counting) of the last solve"
     "sdnplace_ilp_root_bound"
+
+let m_count_settled =
+  Telemetry.Metrics.counter
+    ~help:"solves whose warm start met the caller's counting lower bound"
+    "sdnplace_ilp_count_settled_total"
 
 let m_warm_hits =
   Telemetry.Metrics.counter
@@ -449,12 +455,12 @@ let set_best st values objective =
   Telemetry.Metrics.incr m_incumbents;
   st.best <- Some { values; objective }
 
-(* Root dual bound usable for optimality tests: with an all-integer
-   objective the LP bound rounds up to the next integer. *)
-let settle_bound st =
-  if st.all_int && st.root_bound > neg_infinity then
-    Float.round (Float.ceil (st.root_bound -. eps))
-  else st.root_bound
+(* A lower bound usable for optimality tests: with an all-integer
+   objective it rounds up to the next integer. *)
+let round_bound ~all_int b =
+  if all_int && b > neg_infinity then Float.round (Float.ceil (b -. eps)) else b
+
+let settle_bound st = round_bound ~all_int:st.all_int st.root_bound
 
 let settled st =
   match st.best with
@@ -618,13 +624,14 @@ let pump_and_dive st model =
       | _ -> ()
     end
 
-(* Root work before the search: warm start, root propagation, root LP
-   (crash-started from the incumbent, with the integral-hint incumbent),
-   cutting planes, primal heuristics.  Each LP stage is skipped, or
-   stopped between rounds, once [cancel] fires.  Returns the prepared
-   state plus [`Settled outcome] when the root already decides the
-   instance, [`Open] otherwise. *)
-let prepare ~config ~cancel ~deadline ?warm_start model =
+(* Root work before the search: the checked warm start as incumbent,
+   root propagation, root LP (crash-started from the incumbent, with
+   the integral-hint incumbent), cutting planes, primal heuristics.
+   The root bound starts at [lower_bound], and each LP stage can only
+   raise it.  Each LP stage is skipped, or stopped between rounds, once
+   [cancel] fires.  Returns the prepared state plus [`Settled outcome]
+   when the root already decides the instance, [`Open] otherwise. *)
+let prepare ~config ~cancel ~deadline ~lower_bound ~incumbent model =
   let st =
     Telemetry.Trace.with_span "ilp.setup" @@ fun () ->
     let st = build_state model in
@@ -633,11 +640,8 @@ let prepare ~config ~cancel ~deadline ?warm_start model =
   in
   st.cancel <- cancel;
   st.lp_deadline <- deadline;
-  (match warm_start with
-  | Some values
-    when Array.length values = st.n && check_feasible model values ->
-    set_best st (Array.copy values) (objective_value model values)
-  | _ -> ());
+  st.root_bound <- lower_bound;
+  Option.iter (fun b -> set_best st b.values b.objective) incumbent;
   if not (propagate_root st) then (st, `Settled Infeasible)
   else begin
     let root_ok = ref true in
@@ -653,7 +657,7 @@ let prepare ~config ~cancel ~deadline ?warm_start model =
        in
        match lp_bound ~max_iters:200_000 ?point st with
        | Some (b, lp_sol) ->
-         st.root_bound <- b;
+         st.root_bound <- Float.max st.root_bound b;
          last_sol := Some lp_sol;
          (* An integral LP optimum is already the answer. *)
          try_integral_incumbent st model lp_sol
@@ -682,13 +686,27 @@ let outcome_of ~stopped best =
   | true, None -> Unknown
 
 (* Root work, then the depth-first search below an open root.  A
-   model with no variables is decided by its constant rows alone, with
-   no state or LP built.  [time_limit] counts wall-clock seconds from
+   model with no variables is decided by its constant rows alone, and
+   a warm start that meets [lower_bound] is the optimum, both with no
+   state or LP built.  [time_limit] counts wall-clock seconds from
    here. *)
 let solve ?(config = default_config) ?(cancel = fun () -> false) ?warm_start
-    model =
+    ?(lower_bound = neg_infinity) model =
   let wall0 = Unix.gettimeofday () in
   Telemetry.Metrics.incr m_solves;
+  let incumbent =
+    match warm_start with
+    | Some values when check_feasible model values ->
+      let objective = objective_value model values in
+      Some { values = Array.copy values; objective }
+    | _ -> None
+  in
+  let counted (b : solution) =
+    let all_int =
+      Array.for_all Float.is_integer (Model.objective model).Simplex.Csc.coef
+    in
+    b.objective <= round_bound ~all_int lower_bound +. eps
+  in
   let outcome, nodes, lp_calls, root_bound =
     if Model.num_vars model = 0 then
       if check_feasible model [||] then
@@ -696,18 +714,24 @@ let solve ?(config = default_config) ?(cancel = fun () -> false) ?warm_start
         (Optimal { values = [||]; objective }, 0, 0, objective)
       else (Infeasible, 0, 0, neg_infinity)
     else
-      let st, root =
-        prepare ~config ~cancel ~deadline:(wall0 +. config.time_limit)
-          ?warm_start model
-      in
-      let outcome =
-        match root with
-        | `Settled outcome -> outcome
-        | `Open ->
-          (try dfs st config ~depth:0 with Stop -> ());
-          outcome_of ~stopped:st.stopped st.best
-      in
-      (outcome, st.nodes, st.lp_calls, st.root_bound)
+      match incumbent with
+      | Some b when counted b ->
+        Telemetry.Metrics.incr m_count_settled;
+        Telemetry.Metrics.incr m_incumbents;
+        (Optimal b, 0, 0, lower_bound)
+      | _ ->
+        let st, root =
+          prepare ~config ~cancel ~deadline:(wall0 +. config.time_limit)
+            ~lower_bound ~incumbent model
+        in
+        let outcome =
+          match root with
+          | `Settled outcome -> outcome
+          | `Open ->
+            (try dfs st config ~depth:0 with Stop -> ());
+            outcome_of ~stopped:st.stopped st.best
+        in
+        (outcome, st.nodes, st.lp_calls, st.root_bound)
   in
   let s =
     { nodes; lp_calls; elapsed = Unix.gettimeofday () -. wall0; root_bound }

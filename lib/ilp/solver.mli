@@ -14,6 +14,11 @@
     - {b covering-aware lower bounds}: unsatisfied disjoint covering rows
       each demand their cheapest remaining variables — this mirrors "every
       un-placed DROP rule costs at least one more slot";
+    - {b a counting bound} from the caller ([?lower_bound]): a warm
+      start that meets it is returned as the optimum before any search
+      state or LP is built, and otherwise it seeds the root bound the LP
+      can only raise — placement passes the paper's A, so an instance
+      where every policy fits settles by counting;
     - {b one matrix}: propagation and the LP both work on the model's
       own [<=]-normalized matrix ({!Model.matrix}) and right-hand
       sides, built once per model and never copied;
@@ -59,21 +64,33 @@ type stats = {
   nodes : int;
   lp_calls : int;
   elapsed : float;  (** wall-clock seconds *)
-  root_bound : float;  (** best lower bound proven at the root *)
+  root_bound : float;
+      (** best lower bound proven at the root: the LP or counting bound,
+          whichever is larger *)
 }
 
 val solve :
   ?config:config ->
   ?cancel:(unit -> bool) ->
   ?warm_start:bool array ->
+  ?lower_bound:float ->
   Model.t ->
   outcome * stats
 (** [warm_start] seeds the incumbent if it satisfies every constraint
-    (silently ignored otherwise).  [cancel] is polled every 256 nodes,
-    before the root LP and between root cut rounds, pump rounds and
-    dive steps; once it returns true the search stops cooperatively and
-    reports its best incumbent ([Feasible]) or [Unknown] — the hook that
-    lets a deadline or a superseded runtime event stop a solve.
+    (silently ignored otherwise).
+
+    [lower_bound] (default [neg_infinity]) must be at most the objective
+    of every feasible point.  Like the LP bound it is rounded up when
+    every objective coefficient is an integer.  A warm start whose
+    objective meets it is returned as [Optimal] (that same array) with
+    0 nodes, 0 LP calls and the bound as [root_bound], before
+    [ilp.setup] runs.  Otherwise it is the root bound's starting value.
+
+    [cancel] is polled every 256 nodes, before the root LP and between
+    root cut rounds, pump rounds and dive steps; once it returns true
+    the search stops cooperatively and reports its best incumbent
+    ([Feasible]) or [Unknown] — the hook that lets a deadline or a
+    superseded runtime event stop a solve.
 
     A model with no variables is decided by its constant rows alone:
     [Optimal] when each holds, else [Infeasible], with no node and no

@@ -175,6 +175,20 @@ let project enc assignment =
   Array.iteri (fun v x -> if x >= 0 then point.(x) <- assignment.(v)) enc.vars;
   point
 
+(* The paper's A bounds the entries of every placement when each costs
+   one and nothing merges.  [Instance.make] gives every ingress a path,
+   so each coverage drop has a cover row, and each permit A counts is
+   forced by an implication row from such a drop: every rule A counts
+   is installed somewhere, each as its own unit-cost variable.  A
+   pinned policy's rules sit in [constant], once each.  Merging can
+   place fewer entries than A, and other objectives do not count
+   entries. *)
+let counting_bound objective (layout : Layout.t) enc =
+  match objective with
+  | Total_rules when layout.Layout.plan.Merge.groups = [] ->
+    Some (float_of_int layout.Layout.baseline_rule_count -. enc.constant)
+  | Total_rules | Upstream_drops | Switch_weighted _ -> None
+
 let solve ?(objective = Total_rules) ?config ?cancel ?warm_start
     (layout : Layout.t) =
   let enc =
@@ -184,6 +198,7 @@ let solve ?(objective = Total_rules) ?config ?cancel ?warm_start
   let outcome, stats =
     Ilp.Solver.solve ?config ?cancel
       ?warm_start:(Option.map (project enc) warm_start)
+      ?lower_bound:(counting_bound objective layout enc)
       enc.model
   in
   let solution_of (s : Ilp.Solver.solution) =

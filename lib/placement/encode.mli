@@ -66,6 +66,12 @@ val project : encoding -> bool array -> bool array
 (** A layout assignment restricted to the model's variables (e.g. a
     warm start). *)
 
+val counting_bound : objective -> Layout.t -> encoding -> float option
+(** The paper's A ([Layout.baseline_rule_count]) less the encoding's
+    [constant]: a lower bound on the model objective of every feasible
+    point, given only for [Total_rules] with an empty merge plan (with
+    merging a placement can use fewer entries than A). *)
+
 val solve :
   ?objective:objective ->
   ?config:Ilp.Solver.config ->
@@ -76,6 +82,9 @@ val solve :
 (** [warm_start] is indexed by layout variables and projected onto the
     model's.  The solution is lifted back to every layout variable, and
     its objective and [root_bound] include the encoding's constant.
+    The solver gets {!counting_bound} as its lower bound, so a warm
+    start that places exactly A entries is returned as [`Optimal] with
+    no LP.
     [cancel] stops the search cooperatively. *)
 
 val assignment_objective : ?objective:objective -> Layout.t -> bool array -> float
