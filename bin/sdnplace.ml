@@ -94,6 +94,21 @@ let with_telemetry metrics trace body =
 
 (* ---------------- shared arguments ---------------- *)
 
+(* Counts and sizes: a value outside [ok] is a usage error (exit 124),
+   not an internal one. *)
+let int_conv ~expect ok =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when ok n -> Ok n
+        | _ -> Error (Printf.sprintf "expected %s, got %S" expect s)),
+      Format.pp_print_int )
+
+let positive_int = int_conv ~expect:"a positive integer" (fun n -> n >= 1)
+
+let fat_tree_arity =
+  int_conv ~expect:"an even integer >= 2" (fun n -> n >= 2 && n mod 2 = 0)
+
 let instance_arg =
   Arg.(
     required
@@ -140,30 +155,10 @@ let time_limit_arg =
     value & opt float 60.0
     & info [ "time-limit" ] ~docv:"SECONDS" ~doc:"ILP solver time limit.")
 
-let features_arg =
-  let no_cuts =
-    Arg.(
-      value & flag
-      & info [ "no-cuts" ]
-          ~doc:
-            "Disable root cutting planes (lifted cover and pigeonhole \
-             cuts on the persistent LP).")
-  in
-  let no_fpump =
-    Arg.(
-      value & flag
-      & info [ "no-fpump" ]
-          ~doc:
-            "Disable the feasibility-pump and objective-dive root \
-             incumbent heuristics.")
-  in
-  Term.(
-    const (fun c f -> (not c, not f)) $ no_cuts $ no_fpump)
-
 (* The one solve-option surface shared by [solve], [verify] and [events]. *)
 let solve_options =
-  let make merge slice engine (cuts, fpump) objective time_limit =
-    Placement.Solve.options ~merge ~slice ~engine ~cuts ~fpump
+  let make merge slice engine objective time_limit =
+    Placement.Solve.options ~merge ~slice ~engine
       ~objective:
         (match objective with
         | `Total -> Placement.Encode.Total_rules
@@ -172,8 +167,8 @@ let solve_options =
       ()
   in
   Term.(
-    const make $ merge_flag $ slice_flag $ engine_arg $ features_arg
-    $ objective_arg $ time_limit_arg)
+    const make $ merge_flag $ slice_flag $ engine_arg $ objective_arg
+    $ time_limit_arg)
 
 (* ---------------- generate ---------------- *)
 
@@ -204,10 +199,14 @@ let generate metrics trace k policies rules mergeable paths capacity seed slice
 
 let generate_cmd =
   let k =
-    Arg.(value & opt int 4 & info [ "k" ] ~docv:"K" ~doc:"Fat-Tree arity (even).")
+    Arg.(
+      value & opt fat_tree_arity 4
+      & info [ "k" ] ~docv:"K" ~doc:"Fat-Tree arity (even).")
   in
   let policies =
-    Arg.(value & opt int 8 & info [ "policies" ] ~docv:"N" ~doc:"Ingress policies.")
+    Arg.(
+      value & opt positive_int 8
+      & info [ "policies" ] ~docv:"N" ~doc:"Ingress policies.")
   in
   let rules =
     Arg.(value & opt int 20 & info [ "rules" ] ~docv:"N" ~doc:"Rules per policy.")
@@ -218,7 +217,9 @@ let generate_cmd =
       & info [ "mergeable" ] ~docv:"N" ~doc:"Shared blacklist rules.")
   in
   let paths =
-    Arg.(value & opt int 64 & info [ "paths" ] ~docv:"N" ~doc:"Routed paths.")
+    Arg.(
+      value & opt positive_int 64
+      & info [ "paths" ] ~docv:"N" ~doc:"Routed paths.")
   in
   let capacity =
     Arg.(
@@ -703,13 +704,17 @@ let caching_run metrics trace policies rules paths capacity seed epochs packets
 
 let caching_cmd =
   let policies =
-    Arg.(value & opt int 4 & info [ "policies" ] ~docv:"N" ~doc:"Ingress policies.")
+    Arg.(
+      value & opt positive_int 4
+      & info [ "policies" ] ~docv:"N" ~doc:"Ingress policies.")
   in
   let rules =
     Arg.(value & opt int 10 & info [ "rules" ] ~docv:"N" ~doc:"Rules per policy.")
   in
   let paths =
-    Arg.(value & opt int 24 & info [ "paths" ] ~docv:"N" ~doc:"Routed paths.")
+    Arg.(
+      value & opt positive_int 24
+      & info [ "paths" ] ~docv:"N" ~doc:"Routed paths.")
   in
   let capacity =
     Arg.(
@@ -938,7 +943,7 @@ let serve_cmd =
   in
   let shards =
     Arg.(
-      value & opt int 4
+      value & opt positive_int 4
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Independently journaled tenant regions (tenant t lands on \
@@ -968,7 +973,7 @@ let serve_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "jobs" ] ~docv:"J"
           ~doc:
             "Worker domains for shard batch execution.  $(docv)=1 is the \
@@ -989,7 +994,7 @@ let serve_cmd =
   in
   let max_sessions =
     Arg.(
-      value & opt int 4
+      value & opt positive_int 4
       & info [ "max-sessions" ] ~docv:"N"
           ~doc:
             "Concurrent sessions accepted on $(b,--socket) (ignored \

@@ -22,9 +22,9 @@ let drop_region ?budget policy = drop_region_of_rules ?budget (Policy.rules poli
 let equal ?budget a b =
   Cube.equal ?budget (drop_region ?budget a) (drop_region ?budget b)
 
-let witness_divergence ?budget a b =
-  let da = drop_region ?budget a and db = drop_region ?budget b in
+let witness_divergence a b =
+  let da = drop_region a and db = drop_region b in
   let pick diff = Option.map Field.packet_of_tbv (Cube.choose diff) in
-  match pick (Cube.subtract ?budget da db) with
+  match pick (Cube.subtract da db) with
   | Some p -> Some p
-  | None -> pick (Cube.subtract ?budget db da)
+  | None -> pick (Cube.subtract db da)

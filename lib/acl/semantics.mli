@@ -27,6 +27,5 @@ val equal : ?budget:int -> Policy.t -> Policy.t -> bool
 (** Exact semantic equality (agreement on every one of the 2^104
     packets). *)
 
-val witness_divergence :
-  ?budget:int -> Policy.t -> Policy.t -> Ternary.Packet.t option
+val witness_divergence : Policy.t -> Policy.t -> Ternary.Packet.t option
 (** A packet on which the two policies disagree, if any. *)

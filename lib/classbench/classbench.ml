@@ -1,16 +1,19 @@
 open Ternary
 
 type profile = {
-  drop_fraction : float;
-  src_any_prob : float;
+  drop_fraction : float; (* probability a rule is a DROP *)
+  src_any_prob : float; (* probability the source is fully wildcarded *)
   dst_any_prob : float;
   dst_host_bias : float;
+      (* probability a destination is one of the network's actual egress
+         host prefixes (makes path slicing meaningful) *)
   port_any_prob : float;
-  port_point_prob : float;
-  pool_size : int;
+  port_point_prob : float; (* else a short range *)
+  pool_size : int; (* prefixes per pool *)
 }
 
-let default_profile =
+(* TCP-heavy, moderately nested pools. *)
+let profile =
   {
     drop_fraction = 0.45;
     src_any_prob = 0.15;
@@ -47,7 +50,7 @@ let grow_pool g ~roots ~size =
 
 let well_known_ports = [| 22; 25; 53; 80; 110; 123; 143; 443; 993; 3306; 8080 |]
 
-let gen_port g profile =
+let gen_port g =
   let u = Prng.float g 1.0 in
   if u < profile.port_any_prob then Range.full
   else if u < profile.port_any_prob +. profile.port_point_prob then
@@ -64,7 +67,7 @@ let gen_proto g =
   else if u < 0.88 then Proto.icmp
   else Proto.Any
 
-let gen_field g profile ~src_pool ~dst_pool ~egress =
+let gen_field g ~src_pool ~dst_pool ~egress =
   let src =
     if Prng.float g 1.0 < profile.src_any_prob then Prefix.any
     else Prng.choose g src_pool
@@ -75,10 +78,10 @@ let gen_field g profile ~src_pool ~dst_pool ~egress =
       Prng.choose g egress
     else Prng.choose g dst_pool
   in
-  Field.make ~src ~dst ~sport:(gen_port g profile) ~dport:(gen_port g profile)
+  Field.make ~src ~dst ~sport:(gen_port g) ~dport:(gen_port g)
     ~proto:(gen_proto g) ()
 
-let policy ?(profile = default_profile) ?(egress_prefixes = []) g ~num_rules =
+let policy ?(egress_prefixes = []) g ~num_rules =
   let src_pool = grow_pool g ~roots:[ tenant_root ] ~size:profile.pool_size in
   let dst_roots =
     match egress_prefixes with [] -> [ tenant_root ] | l -> tenant_root :: l
@@ -87,7 +90,7 @@ let policy ?(profile = default_profile) ?(egress_prefixes = []) g ~num_rules =
   let egress = Array.of_list egress_prefixes in
   let specs =
     List.init num_rules (fun _ ->
-        let field = gen_field g profile ~src_pool ~dst_pool ~egress in
+        let field = gen_field g ~src_pool ~dst_pool ~egress in
         let action =
           if Prng.float g 1.0 < profile.drop_fraction then Acl.Rule.Drop
           else Acl.Rule.Permit
@@ -96,10 +99,10 @@ let policy ?(profile = default_profile) ?(egress_prefixes = []) g ~num_rules =
   in
   Acl.Policy.of_fields specs
 
-let policy_for_ingress ?profile g ~net ~egresses ~num_rules =
+let policy_for_ingress g ~net ~egresses ~num_rules =
   let egress_prefixes = List.map Topo.Net.host_prefix egresses in
   ignore net;
-  policy ?profile ~egress_prefixes g ~num_rules
+  policy ~egress_prefixes g ~num_rules
 
 (* Blacklists name attacker sources outside the tenant space, so they are
    disjoint from normal inter-tenant rules and safe to share verbatim. *)

@@ -12,27 +12,11 @@
       ports, or short ranges (ranges cost several TCAM slots when
       expanded);
     - {b protocol mix}: TCP-heavy with UDP/ICMP/any minorities;
-    - {b action mix}: a configurable DROP fraction.
+    - {b action mix}: 45% DROP.
 
     All generation is deterministic in the supplied {!Prng.t}. *)
 
-type profile = {
-  drop_fraction : float;  (** probability a rule is a DROP *)
-  src_any_prob : float;  (** probability the source is fully wildcarded *)
-  dst_any_prob : float;
-  dst_host_bias : float;
-      (** probability a destination is one of the network's actual egress
-          host prefixes (makes path slicing meaningful) *)
-  port_any_prob : float;
-  port_point_prob : float;  (** else a short range *)
-  pool_size : int;  (** prefixes per pool *)
-}
-
-val default_profile : profile
-(** drop_fraction 0.45, TCP-heavy, moderately nested pools. *)
-
 val policy :
-  ?profile:profile ->
   ?egress_prefixes:Ternary.Prefix.t list ->
   Prng.t ->
   num_rules:int ->
@@ -42,7 +26,6 @@ val policy :
     hosts this ingress actually routes to). *)
 
 val policy_for_ingress :
-  ?profile:profile ->
   Prng.t ->
   net:Topo.Net.t ->
   egresses:int list ->

@@ -23,6 +23,7 @@
 
 let eps = 1e-9
 let min_violation = 1e-4
+let max_cuts = 32
 
 type cut = { terms : Simplex.Csc.row; sense : Model.sense; rhs : float }
 
@@ -236,7 +237,7 @@ let sep_knap t x (row : krow) =
     end
   end
 
-let separate ?(max_cuts = 32) t x =
+let separate t x =
   let found = ref [] in
   Array.iter
     (fun row -> match sep_knap t x row with

@@ -28,9 +28,9 @@ type t
 
 val prepare : Model.t -> t
 
-val separate : ?max_cuts:int -> t -> float array -> cut list
+val separate : t -> float array -> cut list
 (** [separate t x] returns cuts violated by the fractional point [x]
-    (most violated first, at most [max_cuts], default 32).  Deterministic
+    (most violated first, at most 32).  Deterministic
     for a fixed model and point. *)
 
 val check : cut -> bool array -> bool

@@ -9,6 +9,9 @@
    the tree prune against a near-optimal bound from node one. *)
 
 let itol = 1e-6
+let max_rounds = 40
+let max_depth = 400
+let seed = 0x9e3779b9
 
 let objective_value (model : Model.t) sol =
   Model.activity (Model.objective model) sol
@@ -40,8 +43,8 @@ let feasible (model : Model.t) sol =
    seeded random perturbation, keeping runs deterministic for a fixed
    seed.  The true objective is always restored before returning; the
    caller owns the follow-up reoptimize. *)
-let pump ?(max_rounds = 40) ?(seed = 0x9e3779b9) ?(deadline = infinity)
-    ?(cancel = fun () -> false) ~lp (model : Model.t) =
+let pump ?(deadline = infinity) ?(cancel = fun () -> false) ~lp
+    (model : Model.t) =
   let n = Model.num_vars model in
   let g = Prng.create seed in
   let seen = Hashtbl.create 64 in
@@ -91,8 +94,8 @@ let pump ?(max_rounds = 40) ?(seed = 0x9e3779b9) ?(deadline = infinity)
    opposite bound if that kills the LP) until the relaxation comes out
    integral.  [base_bounds] are the caller's per-variable root bounds,
    restored before returning. *)
-let dive ?(max_depth = 400) ?(deadline = infinity) ?(cancel = fun () -> false)
-    ~lp ~base_bounds (model : Model.t) =
+let dive ?(deadline = infinity) ?(cancel = fun () -> false) ~lp ~base_bounds
+    (model : Model.t) =
   let n = Model.num_vars model in
   let touched = ref [] in
   let pin j v =

@@ -11,21 +11,18 @@
     returns true, polled once per round or dive step. *)
 
 val pump :
-  ?max_rounds:int ->
-  ?seed:int ->
   ?deadline:float ->
   ?cancel:(unit -> bool) ->
   lp:Simplex.Revised.t ->
   Model.t ->
   (bool array * float) option * int
 (** LP-round-project loop with seeded restart perturbation on cycles
-    (deterministic for a fixed seed; default 40 rounds).  Returns the
+    (deterministic, from a fixed seed; at most 40 rounds).  Returns the
     first feasible 0-1 point found with its objective value, plus the
     number of rounds used.  The model's true objective is restored on
     the LP before returning. *)
 
 val dive :
-  ?max_depth:int ->
   ?deadline:float ->
   ?cancel:(unit -> bool) ->
   lp:Simplex.Revised.t ->
@@ -34,7 +31,8 @@ val dive :
   (bool array * float) option
 (** Objective-driven dive: repeatedly pin the most fractional variable
     of the true-objective LP to its nearest bound (retrying the opposite
-    bound once when a pin makes the LP infeasible).  [base_bounds] are
+    bound once when a pin makes the LP infeasible), at most 400 pins
+    deep.  [base_bounds] are
     restored before returning.  Produces incumbents biased toward the
     LP optimum rather than mere feasibility. *)
 

@@ -116,9 +116,9 @@ let snapshot_now t =
   Telemetry.Metrics.incr m_compactions;
   t.since_snapshot <- 0
 
-let create ?config ?(journal = default_config) ?fault ?now ?(kill = fun _ -> ())
+let create ?config ?(journal = default_config) ?fault ?(kill = fun _ -> ())
     ~store initial =
-  let eng = Runtime.Engine.create ?config ?fault ?now initial in
+  let eng = Runtime.Engine.create ?config ?fault initial in
   let t = { store; journal; eng; seq = 0; client = None; since_snapshot = 0; kill } in
   snapshot_now t;
   t
@@ -215,12 +215,12 @@ let read_snapshot store =
   | None -> Error "no snapshot"
   | Some blob -> (Wal.unseal ~magic:snap_magic blob : (snap, string) result)
 
-let recover ?config ?(journal = default_config) ?now ?(kill = fun _ -> ())
+let recover ?config ?(journal = default_config) ?(kill = fun _ -> ())
     ?(resnap = true) ~store () =
   match read_snapshot store with
   | Error _ as e -> e
   | Ok snap ->
-    let eng = Runtime.Engine.restore ?config ?now snap.snap_state in
+    let eng = Runtime.Engine.restore ?config snap.snap_state in
     let log = store.Store.wal_read () in
     let records, consumed = Wal.scan log in
     let dropped_bytes = String.length log - consumed in

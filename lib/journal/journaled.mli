@@ -63,7 +63,6 @@ val create :
   ?config:Runtime.Engine.config ->
   ?journal:config ->
   ?fault:Runtime.Fault_plan.t ->
-  ?now:(unit -> float) ->
   ?kill:(kill_point -> unit) ->
   store:Store.t ->
   Placement.Solution.t ->
@@ -146,7 +145,6 @@ type recovery = {
 val recover :
   ?config:Runtime.Engine.config ->
   ?journal:config ->
-  ?now:(unit -> float) ->
   ?kill:(kill_point -> unit) ->
   ?resnap:bool ->
   store:Store.t ->

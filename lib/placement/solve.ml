@@ -36,7 +36,6 @@ let m_status_infeasible = m_status "infeasible"
 let m_status_unknown = m_status "unknown"
 
 type options = {
-  redundancy : bool;
   merge : bool;
   slice : bool;
   monitors : (int * Ternary.Field.t) list;
@@ -48,7 +47,6 @@ type options = {
 
 let default_options =
   {
-    redundancy = true;
     merge = false;
     slice = false;
     monitors = [];
@@ -58,31 +56,18 @@ let default_options =
     sat_conflict_limit = None;
   }
 
-let options ?(redundancy = true) ?(merge = false) ?(slice = false)
-    ?(monitors = []) ?(objective = Encode.Total_rules) ?(engine = Ilp_engine)
-    ?(ilp_config = Ilp.Solver.default_config) ?cuts ?fpump ?sat_conflict_limit
-    ?(jobs = 1) () =
+let options ?(merge = default_options.merge) ?(slice = default_options.slice)
+    ?(monitors = default_options.monitors)
+    ?(objective = default_options.objective) ?(engine = default_options.engine)
+    ?(ilp_config = default_options.ilp_config) ?sat_conflict_limit ?(jobs = 1)
+    () =
   if jobs <> 1 then invalid_arg "Solve.options: jobs must be 1";
-  let ilp_config =
-    match cuts with
-    | Some b -> { ilp_config with Ilp.Solver.cuts = b }
-    | None -> ilp_config
+  let sat_conflict_limit =
+    match sat_conflict_limit with
+    | None -> default_options.sat_conflict_limit
+    | limit -> limit
   in
-  let ilp_config =
-    match fpump with
-    | Some b -> { ilp_config with Ilp.Solver.fpump = b }
-    | None -> ilp_config
-  in
-  {
-    redundancy;
-    merge;
-    slice;
-    monitors;
-    objective;
-    engine;
-    ilp_config;
-    sat_conflict_limit;
-  }
+  { merge; slice; monitors; objective; engine; ilp_config; sat_conflict_limit }
 
 type timing = {
   redundancy_s : float;
@@ -272,16 +257,14 @@ let run ?(options = default_options) ?deadline ?cancel inst =
   Telemetry.Metrics.incr m_runs;
   Telemetry.Trace.with_span "solve.run" @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  (* Stage 1 (optional): redundancy removal, per policy. *)
+  (* Stage 1: redundancy removal, per policy. *)
   let removed = ref 0 in
   let inst =
     Telemetry.Trace.with_span "solve.redundancy" @@ fun () ->
-    if options.redundancy then
-      Instance.map_policies inst (fun _ q ->
-          let q', report = Acl.Redundancy.remove q in
-          removed := !removed + Acl.Redundancy.total report;
-          q')
-    else inst
+    Instance.map_policies inst (fun _ q ->
+        let q', report = Acl.Redundancy.remove q in
+        removed := !removed + Acl.Redundancy.total report;
+        q')
   in
   let t1 = Unix.gettimeofday () in
   (* Stage 2 (optional): merge planning with cycle breaking. *)

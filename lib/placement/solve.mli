@@ -1,6 +1,6 @@
 (** End-to-end placement pipeline — the paper's Fig. 4 flow chart.
 
-    Stages: optional redundancy removal on every policy; optional merge
+    Stages: redundancy removal on every policy; optional merge
     planning (group discovery + cycle breaking); layout construction
     (dependency graph, path slicing); then one of the solving engines,
     greedily warm-started when possible; finally decoding into a
@@ -22,7 +22,6 @@ type engine =
           ILP optimum *)
 
 type options = {
-  redundancy : bool;  (** default true *)
   merge : bool;  (** default false *)
   slice : bool;  (** default false *)
   monitors : (int * Ternary.Field.t) list;
@@ -37,21 +36,17 @@ type options = {
 val default_options : options
 
 val options :
-  ?redundancy:bool ->
   ?merge:bool ->
   ?slice:bool ->
   ?monitors:(int * Ternary.Field.t) list ->
   ?objective:Encode.objective ->
   ?engine:engine ->
   ?ilp_config:Ilp.Solver.config ->
-  ?cuts:bool ->
-  ?fpump:bool ->
   ?sat_conflict_limit:int ->
   ?jobs:int ->
   unit ->
   options
-(** [cuts] and [fpump] override the matching [ilp_config] field in one
-    step — the hooks behind the [--no-cuts] / [--no-fpump] CLI flags.
+(** {!default_options} with the given fields replaced.
 
     [jobs] stores nothing: the branch and bound is sequential, and any
     value other than 1 raises [Invalid_argument].  It stays only because

@@ -68,7 +68,7 @@ let spray ?(slice = false) g net ~ingresses ~total_paths =
   in
   random ~slice g net ~pairs
 
-let ecmp ?(slice = false) ?(limit = 16) net ~pairs =
+let ecmp ?(limit = 16) net ~pairs =
   let paths =
     List.concat_map
       (fun (ingress, egress) ->
@@ -79,8 +79,7 @@ let ecmp ?(slice = false) ?(limit = 16) net ~pairs =
         | all ->
           List.map
             (fun switches ->
-              Path.make ~flow:(flow_of ~slice ~egress) ~ingress ~egress
-                ~switches ())
+              Path.make ~flow:Ternary.Field.any ~ingress ~egress ~switches ())
             all)
       pairs
   in

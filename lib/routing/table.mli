@@ -49,7 +49,6 @@ val spray :
     experiments scale the path count [p] independently of topology. *)
 
 val ecmp :
-  ?slice:bool ->
   ?limit:int ->
   Topo.Net.t ->
   pairs:(int * int) list ->

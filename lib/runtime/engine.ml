@@ -3,23 +3,24 @@ open Placement
 type config = {
   deadline_s : float;
   solve_options : Solve.options;
-  rungs : Report.rung list;
   switch_config : Switch_api.config;
-  verify_samples : int;
-  verify_seed : int;
-  update_wave_retries : int;
 }
 
 let default_config =
   {
     deadline_s = 30.0;
     solve_options = Solve.default_options;
-    rungs = [ Report.Incremental; Report.Full_resolve; Report.Greedy ];
     switch_config = Switch_api.default_config;
-    verify_samples = 10;
-    verify_seed = 0x5EED;
-    update_wave_retries = 1;
   }
+
+(* The solve rungs, in ladder order; quarantine is always the floor. *)
+let ladder_rungs = [ Report.Incremental; Report.Full_resolve; Report.Greedy ]
+
+(* Random probe packets per path in the semantic check. *)
+let verify_samples = 10
+
+(* Seed of the verification and re-routing draws. *)
+let verify_seed = 0x5EED
 
 let m_rung name =
   Telemetry.Metrics.counter ~help:"events by degradation-ladder rung reached"
@@ -82,7 +83,6 @@ type fenced = {
 
 type t = {
   config : config;
-  now : unit -> float;
   fault : Fault_plan.t;
   api : Switch_api.t;
   mutable good : Solution.t;
@@ -105,23 +105,21 @@ let tables_of_solution (sol : Solution.t) =
   let n = Topo.Net.num_switches sol.Solution.instance.Instance.net in
   Array.init n (Netsim.table netsim)
 
-let create ?(config = default_config) ?(fault = Fault_plan.faultless ())
-    ?(now = Unix.gettimeofday) good =
+let create ?(config = default_config) ?(fault = Fault_plan.faultless ()) good =
   let api =
     Switch_api.create ~config:config.switch_config ~fault
       (tables_of_solution good)
   in
   {
     config;
-    now;
     fault;
     api;
     good;
     quarantine = [];
     dead_switches = [];
     dead_links = [];
-    route_prng = Prng.create ((config.verify_seed * 2) + 1);
-    verify_prng = Prng.create config.verify_seed;
+    route_prng = Prng.create ((verify_seed * 2) + 1);
+    verify_prng = Prng.create verify_seed;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -155,10 +153,9 @@ let capture t =
     p_verify_prng = t.verify_prng;
   }
 
-let restore ?(config = default_config) ?(now = Unix.gettimeofday) p =
+let restore ?(config = default_config) p =
   {
     config;
-    now;
     fault = p.p_fault;
     api = p.p_api;
     good = p.p_good;
@@ -662,7 +659,7 @@ let verify ?netsim t =
     in
     let semantic_ok =
       holds m_verify_semantic
-        (Verify.semantic ~random_samples:t.config.verify_samples ?netsim g sol
+        (Verify.semantic ~random_samples:verify_samples ?netsim g sol
         = [])
     in
     (* The live data plane: walk witness packets of every policy along
@@ -733,7 +730,7 @@ let update_corpus t (sol : Solution.t) =
       (List.map fst (inst t).Instance.policies
       @ List.map fst new_inst.Instance.policies)
   in
-  let g = Prng.create (t.config.verify_seed lxor 0x757044) in
+  let g = Prng.create (verify_seed lxor 0x757044) in
   List.map
     (fun i ->
       let probes_of = function Some q -> witnesses 8 q | None -> [] in
@@ -760,11 +757,11 @@ type tx_observer = {
 
 let handle ?tx ?rungs t event =
   Telemetry.Trace.with_span "runtime.event" @@ fun () ->
-  let rungs = Option.value rungs ~default:t.config.rungs in
+  let rungs = Option.value rungs ~default:ladder_rungs in
   (match Telemetry.Trace.current () with
   | Some sp -> Telemetry.Trace.add_attr sp "event" (Event.describe event)
   | None -> ());
-  let t0 = t.now () in
+  let t0 = Unix.gettimeofday () in
   let s = Switch_api.stats t.api in
   let a0 = s.Switch_api.attempts
   and f0 = s.Switch_api.failures
@@ -774,7 +771,7 @@ let handle ?tx ?rungs t event =
   let finish ~rung ~status ~applied ~newq ~verified ~waves =
     let s = Switch_api.stats t.api in
     let newly_quarantined = sort_uniq newq in
-    let wall_s = t.now () -. t0 in
+    let wall_s = Unix.gettimeofday () -. t0 in
     Telemetry.Metrics.incr (rung_counter rung);
     Telemetry.Metrics.observe m_event_s wall_s;
     Telemetry.Metrics.add m_quarantined (List.length newly_quarantined);
@@ -887,8 +884,7 @@ let handle ?tx ?rungs t event =
         | exception _ -> None
         | uplan ->
           Some
-            (Update.execute ~wave_retries:t.config.update_wave_retries
-               ?on_op:observe ~api:t.api uplan)
+            (Update.execute ?on_op:observe ~api:t.api uplan)
       in
       match updated with
       | None -> fallback ()

@@ -39,16 +39,7 @@ type config = {
   deadline_s : float;  (** per-event wall-clock budget (default 30) *)
   solve_options : Placement.Solve.options;
       (** solver options for the incremental and full rungs *)
-  rungs : Report.rung list;
-      (** enabled {e solve} rungs, tried in ladder order; quarantine is
-          always available as the floor (default: incremental,
-          full-resolve, greedy) *)
   switch_config : Switch_api.config;  (** retry/backoff policy *)
-  verify_samples : int;  (** random probe packets per path (default 10) *)
-  verify_seed : int;  (** seed for verification + re-routing draws *)
-  update_wave_retries : int;
-      (** wave-level rollback/retry budget before a consistent update
-          aborts to the legacy path (default 1) *)
 }
 
 val default_config : config
@@ -58,17 +49,12 @@ type t
 val create :
   ?config:config ->
   ?fault:Fault_plan.t ->
-  ?now:(unit -> float) ->
   Placement.Solution.t ->
   t
 (** Boots the runtime from an initial placement: the live tables are the
     solution's tables ({!Placement.Tables.to_netsim}), nothing is
-    quarantined, nothing is dead.
-
-    [now] is the engine's clock (default [Unix.gettimeofday]), consulted
-    only for the per-event deadline and the report's [wall_s].  Tests
-    freeze it to make deadline behaviour deterministic without
-    sleeping. *)
+    quarantined, nothing is dead.  The per-event deadline and the
+    report's [wall_s] read the wall clock ([Unix.gettimeofday]). *)
 
 type persisted
 (** The engine's complete durable state: last-good solution, quarantine
@@ -82,10 +68,10 @@ val capture : t -> persisted
 (** A cheap structural view sharing the engine's mutable state —
     serialize it before handling further events. *)
 
-val restore : ?config:config -> ?now:(unit -> float) -> persisted -> t
+val restore : ?config:config -> persisted -> t
 (** Rebuild an engine from captured state.  [config] must match the one
     the original engine ran with for replay determinism (solver options
-    and ladder rungs change solve outcomes). *)
+    change solve outcomes). *)
 
 val table_snapshot : t -> Netsim.entry list array
 (** A deep-enough copy of the live per-switch tables. *)
@@ -137,10 +123,10 @@ val handle :
     rejected in the report); never leaves the tables torn.
 
     [rungs] restricts the {e solve} rungs of the ladder for this event
-    only (quarantine stays available as the floor), overriding the
-    config's rung list — the serving layer's circuit breaker uses it to
-    pin a misbehaving tenant to the cheap greedy/fail-closed rungs.  A
-    replayed event must be re-handled with the same restriction to
+    only (quarantine stays available as the floor), in place of the
+    full ladder (incremental, full-resolve, greedy) — the serving layer's
+    circuit breaker uses it to pin a misbehaving tenant to the cheap
+    greedy/fail-closed rungs.  A replayed event must be re-handled with the same restriction to
     reproduce the same report (the journal persists it per event). *)
 
 val run : ?tx:tx_observer -> t -> Event.t list -> Report.t list

@@ -4,7 +4,6 @@ type config = {
   tenant_queue_limit : int;
   round_slots : int;
   tenant_round_cap : int;
-  tenant_series_cap : int;
   jobs : int;
   batch_fsync : int;
   shard : Shard.config;
@@ -18,7 +17,6 @@ let default_config =
     tenant_queue_limit = 8;
     round_slots = 8;
     tenant_round_cap = 2;
-    tenant_series_cap = 32;
     jobs = 1;
     batch_fsync = 1;
     shard = Shard.default_config;
@@ -53,6 +51,8 @@ let () = List.iter (fun s -> ignore (m_shed s)) [ "global"; "tenant" ]
    which is exactly what the registry's label cap exists for — tenants
    past the cap aggregate into the _overflow series instead of growing
    the registry without bound. *)
+let tenant_series_cap = 32
+
 let m_tenant_events tenant =
   Telemetry.Metrics.counter ~help:"admitted events by tenant"
     ~labels:[ ("tenant", string_of_int tenant) ]
@@ -85,7 +85,7 @@ let build config shards =
   {
     config;
     shards;
-    exec = Exec.create ~jobs:(max 1 config.jobs);
+    exec = Exec.create ~jobs:config.jobs;
     draining = false;
     accepted = Atomic.make 0;
     applied = Atomic.make 0;
@@ -95,8 +95,14 @@ let build config shards =
     staged_count = 0;
   }
 
+(* Checked before any shard touches its stores. *)
+let validate (config : config) =
+  if config.shards < 1 then invalid_arg "Serve.Daemon: shards must be >= 1";
+  if config.jobs < 1 then invalid_arg "Serve.Daemon: jobs must be >= 1"
+
 let create ?(config = default_config) ?kill ~stores () =
-  Telemetry.Metrics.set_label_cap (Some config.tenant_series_cap);
+  validate config;
+  Telemetry.Metrics.set_label_cap (Some tenant_series_cap);
   let shards =
     Array.init config.shards (fun i ->
         Shard.create ~config:config.shard
@@ -114,7 +120,8 @@ type started = {
 }
 
 let start ?(config = default_config) ?kill ~stores () =
-  Telemetry.Metrics.set_label_cap (Some config.tenant_series_cap);
+  validate config;
+  Telemetry.Metrics.set_label_cap (Some tenant_series_cap);
   let recovered_shards = ref 0 in
   let replayed = ref 0 in
   let reissued = ref 0 in
@@ -415,6 +422,8 @@ let write_fd_all fd s =
   done
 
 let serve_sessions t ~listen ?(max_sessions = 4) () =
+  if max_sessions < 1 then
+    invalid_arg "Serve.Daemon.serve_sessions: max_sessions must be >= 1";
   let conns : (int, conn) Hashtbl.t = Hashtbl.create 8 in
   let next_id = ref 0 in
   let served = ref 0 in

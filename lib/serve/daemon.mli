@@ -46,9 +46,6 @@ type config = {
   tenant_queue_limit : int;  (** per-tenant pending-ticket cap *)
   round_slots : int;  (** tickets each shard processes per round *)
   tenant_round_cap : int;  (** per-tenant tickets per round *)
-  tenant_series_cap : int;
-      (** bound on per-tenant labeled telemetry series
-          ({!Telemetry.Metrics.set_label_cap}) *)
   jobs : int;
       (** worker domains for batch execution (1 = fully sequential;
           results are byte-identical either way) *)
@@ -61,8 +58,9 @@ type config = {
 
 val default_config : config
 (** 4 shards, queue 64 (8/tenant), 8 slots per shard per round
-    (2/tenant), 32 labeled tenant series, [jobs = 1],
-    [batch_fsync = 1]. *)
+    (2/tenant), [jobs = 1], [batch_fsync = 1].  Every daemon bounds its
+    per-tenant labeled telemetry series at 32
+    ({!Telemetry.Metrics.set_label_cap}). *)
 
 type t
 
@@ -78,7 +76,8 @@ val create :
     mid-update crash lever), now {e per shard}: kill plans must count
     per-shard kill points, because under [jobs > 1] the interleaving of
     different shards' journal writes is scheduling-dependent — only each
-    shard's own stream is deterministic. *)
+    shard's own stream is deterministic.  Raises [Invalid_argument]
+    when [config.shards] or [config.jobs] is below 1. *)
 
 type started = {
   daemon : t;
@@ -96,7 +95,8 @@ val start :
   started
 (** {!create} or crash-resume, per shard: a shard with a durable
     snapshot is {!Shard.recover}ed, one without is created fresh.
-    [config.seed] must match the crashed process. *)
+    [config.seed] must match the crashed process.  Rejects the configs
+    {!create} rejects, before touching any store. *)
 
 val shutdown : t -> unit
 (** Join the executor's worker domains.  Idempotent.  Call when
@@ -191,4 +191,5 @@ val serve_sessions : t -> listen:Unix.file_descr -> ?max_sessions:int -> unit ->
     an explicit [Drain] (drained broadcast, all sessions closed) or when
     the last session disconnects (same graceful drain as
     {!serve_channels}).  The caller closes [listen] and calls
-    {!shutdown}. *)
+    {!shutdown}.  Raises [Invalid_argument] when [max_sessions] is below
+    1. *)

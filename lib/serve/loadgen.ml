@@ -12,24 +12,25 @@ type t = {
   prng : Prng.t;
   weights : weights;
   tenants : int;
-  flood_tenant : int;
   flood_bias : int;
 }
 
-let make ?(weights = default_weights) ?(tenants = 8) ?(flood_tenant = 0)
-    ?(flood_bias = 2) ~seed () =
+(* The tenant that [flood_bias] favours. *)
+let flood_tenant = 0
+
+let make ?(weights = default_weights) ?(tenants = 8) ?(flood_bias = 2) ~seed
+    () =
   {
     prng = Prng.create ((seed * 0x5851) + 0x2F);
     weights;
     tenants = max 1 tenants;
-    flood_tenant;
     flood_bias = max 0 flood_bias;
   }
 
 let next t =
   let tenant =
     if t.flood_bias > 0 && Prng.int t.prng (t.flood_bias + 1) > 0 then
-      t.flood_tenant
+      flood_tenant
     else Prng.int t.prng t.tenants
   in
   let w = t.weights in

@@ -23,12 +23,11 @@ type t
 val make :
   ?weights:weights ->
   ?tenants:int ->
-  ?flood_tenant:int ->
   ?flood_bias:int ->
   seed:int ->
   unit ->
   t
-(** [tenants] is the id space (default 8); [flood_tenant] (default 0)
+(** [tenants] is the id space (default 8); tenant 0, the flooder,
     is drawn with an extra [flood_bias]-in-[flood_bias+1] chance
     (default 2). *)
 

@@ -1,7 +1,5 @@
 type config = {
   capacity : int;
-  trip_after : int;
-  cooldown : int;
   snapshot_every : int;
   engine : Runtime.Engine.config;
 }
@@ -9,8 +7,6 @@ type config = {
 let default_config =
   {
     capacity = 30;
-    trip_after = 3;
-    cooldown = 4;
     snapshot_every = 8;
     engine =
       { Runtime.Engine.default_config with Runtime.Engine.deadline_s = 5.0 };
@@ -33,7 +29,12 @@ let restriction = function
   | Open _ -> Some [ Runtime.Report.Greedy ]
   | Closed _ | Half_open -> None
 
-let breaker_step config b (report : Runtime.Report.t) =
+(* Consecutive escalations that open a breaker, and clean restricted
+   events before an open one half-opens. *)
+let trip_after = 3
+let cooldown = 4
+
+let breaker_step b (report : Runtime.Report.t) =
   let escalated =
     (match report.Runtime.Report.rung with
     | Runtime.Report.Greedy | Runtime.Report.Quarantine -> true
@@ -45,8 +46,8 @@ let breaker_step config b (report : Runtime.Report.t) =
   match b with
   | Closed { strikes } ->
     if escalated then
-      if strikes + 1 >= config.trip_after then
-        Open { cooldown_left = config.cooldown }
+      if strikes + 1 >= trip_after then
+        Open { cooldown_left = cooldown }
       else Closed { strikes = strikes + 1 }
     else Closed { strikes = 0 }
   | Open { cooldown_left } ->
@@ -55,11 +56,11 @@ let breaker_step config b (report : Runtime.Report.t) =
        cooldown. *)
     if report.Runtime.Report.rung = Runtime.Report.Quarantine
        || not report.Runtime.Report.verified
-    then Open { cooldown_left = config.cooldown }
+    then Open { cooldown_left = cooldown }
     else if cooldown_left <= 1 then Half_open
     else Open { cooldown_left = cooldown_left - 1 }
   | Half_open ->
-    if escalated then Open { cooldown_left = config.cooldown }
+    if escalated then Open { cooldown_left = cooldown }
     else Closed { strikes = 0 }
 
 (* ------------------------------------------------------------------ *)
@@ -388,7 +389,7 @@ let process_one t (ticket, tenant, op) =
     let blob = capture t.cs in
     let report = Journal.Journaled.handle ~client:blob ?rungs t.jeng event in
     let ts = ts_find t.cs tenant in
-    ts_set t.cs tenant { ts with ts_breaker = breaker_step t.config b report };
+    ts_set t.cs tenant { ts with ts_breaker = breaker_step b report };
     t.cs.cs_last <- None;
     t.since_snapshot <- t.since_snapshot + 1;
     if t.since_snapshot >= t.config.snapshot_every then snapshot t;
@@ -483,7 +484,8 @@ let recover ?(config = default_config) ?kill ~stores ~seed ~id () =
     (match (cs.cs_last, List.rev r.Journal.Journaled.replayed) with
     | Some tenant, (_, report) :: _ ->
       let ts = ts_find cs tenant in
-      ts_set cs tenant { ts with ts_breaker = breaker_step config ts.ts_breaker report }
+      ts_set cs tenant
+        { ts with ts_breaker = breaker_step ts.ts_breaker report }
     | _ -> ());
     cs.cs_last <- None;
     let snap_bytes =

@@ -28,9 +28,10 @@
     (greedy/quarantine outcomes, failed verification) trip it open,
     after which the tenant's events are pinned to the cheap greedy rung
     (quarantine floor intact) until a cooldown of clean outcomes
-    half-opens and then closes it.  The per-event rung restriction is persisted in the WAL
-    ({!Journal.Wal.Ev_begin}), so replay degrades exactly like the
-    original run.  Breaker steps depend on each event's {e report}, so
+    half-opens and then closes it: 3 consecutive escalations trip it,
+    and 4 clean restricted events half-open it.  The per-event rung
+    restriction is persisted in the WAL ({!Journal.Wal.Ev_begin}), so
+    replay degrades exactly like the original run.  Breaker steps depend on each event's {e report}, so
     the blob logged at [Ev_begin] lags by one step; {!recover} patches
     that step from the last replayed report (see
     {!Journal.Journaled.set_client}, which only the shard snapshot
@@ -38,15 +39,13 @@
 
 type config = {
   capacity : int;  (** uniform per-switch ACL budget of the shard's net *)
-  trip_after : int;  (** consecutive escalations that open the breaker *)
-  cooldown : int;  (** clean restricted events before half-open *)
   snapshot_every : int;  (** events between shard snapshots/compactions *)
   engine : Runtime.Engine.config;
 }
 
 val default_config : config
-(** k=4 fat-tree, capacity 30, trip_after 3, cooldown 4,
-    snapshot_every 8, a 5 s engine deadline. *)
+(** k=4 fat-tree, capacity 30, snapshot_every 8, a 5 s engine
+    deadline. *)
 
 (** The per-tenant circuit breaker, a pure state machine over event
     reports (exposed for direct unit testing; the shard drives it
@@ -56,11 +55,11 @@ type breaker =
   | Open of { cooldown_left : int }
   | Half_open
 
-val breaker_step : config -> breaker -> Runtime.Report.t -> breaker
+val breaker_step : breaker -> Runtime.Report.t -> breaker
 (** One transition.  An {e escalated} report (greedy or quarantine rung,
-    or failed verification) strikes a closed breaker — [trip_after]
-    consecutive strikes open it — and re-opens a half-open one.  While
-    open, only a quarantine rung or failed verification resets the
+    or failed verification) strikes a closed breaker — 3 consecutive
+    strikes open it with a cooldown of 4 — and re-opens a half-open one.
+    While open, only a quarantine rung or failed verification resets the
     cooldown; anything better counts it down to half-open. *)
 
 val restriction : breaker -> Runtime.Report.rung list option

@@ -1149,11 +1149,11 @@ let flush t f =
       Telemetry.Metrics.set m_eta_len (float_of_int t.n_eta))
     f
 
-let optimize ?(max_iters = 50_000) ?(deadline = infinity) ?point t =
+let optimize ?(max_iters = 50_000) t =
   t.iters_left <- max_iters;
-  t.deadline <- deadline;
+  t.deadline <- infinity;
   flush t @@ fun () ->
-  try cold_optimize ?point t with Fallback | Lu.Singular -> Iteration_limit
+  try cold_optimize t with Fallback | Lu.Singular -> Iteration_limit
 
 let reoptimize ?(max_iters = 50_000) ?(deadline = infinity) ?point t =
   t.iters_left <- max_iters;

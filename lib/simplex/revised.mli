@@ -72,27 +72,25 @@ val set_bounds : t -> int -> float -> float -> unit
 (** [set_bounds t j lo up] updates the bounds of structural variable [j].
     Takes effect at the next {!optimize} / {!reoptimize}. *)
 
-val optimize :
-  ?max_iters:int -> ?deadline:float -> ?point:float array -> t -> outcome
+val optimize : ?max_iters:int -> t -> outcome
 (** Cold solve: signed-artificial phase 1 from the all-logical basis,
-    then primal phase 2.
-
-    [?deadline] is an absolute [Unix.gettimeofday] instant; the pivot
-    loops check it every 256 iterations and return {!Iteration_limit}
-    past it.  [?point] supplies a crash point (length [nvars]): each
-    structural nonbasic starts at the bound nearest its value.  When the
-    point satisfies every row — e.g. a known-feasible incumbent — no
-    artificial is needed, phase 1 is skipped, and phase 2 starts at the
-    point's own objective. *)
+    then primal phase 2. *)
 
 val reoptimize :
   ?max_iters:int -> ?deadline:float -> ?point:float array -> t -> outcome
 (** Warm solve from the current basis: refactor, restore dual
     feasibility by nonbasic bound reassignment, run the dual simplex to
     primal feasibility (dual unboundedness proves primal infeasibility),
-    then finish with primal phase 2.  Falls back to {!optimize} when no
-    basis exists or the warm path hits numerical trouble ([?point] only
-    applies to that cold path). *)
+    then finish with primal phase 2.  Falls back to {!optimize}'s cold
+    solve when no basis exists or the warm path hits numerical trouble.
+
+    [?deadline] is an absolute [Unix.gettimeofday] instant; the pivot
+    loops check it every 256 iterations and return {!Iteration_limit}
+    past it.  [?point] supplies a crash point for the cold path (length
+    [nvars]): each structural nonbasic starts at the bound nearest its
+    value.  When the point satisfies every row — e.g. a known-feasible
+    incumbent — no artificial is needed, phase 1 is skipped, and phase 2
+    starts at the point's own objective. *)
 
 val has_basis : t -> bool
 (** True once the instance holds a warm-startable basis.  This includes

@@ -72,7 +72,8 @@ let validate p =
   check_terms p.minimize;
   List.iter (fun r -> check_terms r.coeffs) p.rows
 
-let feasible ?(tol = 1e-6) p x =
+let feasible p x =
+  let tol = 1e-6 in
   Array.length x = p.num_vars
   && Array.for_all (fun v -> v >= -.tol) x
   && Array.for_all2 (fun v u -> v <= u +. tol) x p.upper

@@ -62,8 +62,8 @@ val solve_dense : ?max_iters:int -> problem -> status
 (** The dense-tableau reference oracle: same contract as {!solve}, for
     differential tests and benchmarks only. *)
 
-val feasible : ?tol:float -> problem -> float array -> bool
-(** Checks a point against rows and bounds; used by tests and by {!Ilp}
-    to validate incumbents. *)
+val feasible : problem -> float array -> bool
+(** Checks a point against rows and bounds, each within 1e-6; tests use
+    it to validate the solvers' answers. *)
 
 val pp_status : Format.formatter -> status -> unit

@@ -54,7 +54,7 @@ let enable ?registry () = Atomic.set (reg registry).enabled true
 
 let disable ?registry () = Atomic.set (reg registry).enabled false
 
-let is_enabled ?registry () = Atomic.get (reg registry).enabled
+let is_enabled () = Atomic.get default_registry.enabled
 
 let set_label_cap ?registry cap =
   (match cap with
@@ -271,8 +271,8 @@ let merge a b =
     sum = a.sum +. b.sum;
   }
 
-let reset ?registry () =
-  let r = reg registry in
+let reset () =
+  let r = default_registry in
   Mutex.lock r.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock r.lock)

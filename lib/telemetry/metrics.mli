@@ -23,7 +23,8 @@ val enable : ?registry:registry -> unit -> unit
 
 val disable : ?registry:registry -> unit -> unit
 
-val is_enabled : ?registry:registry -> unit -> bool
+val is_enabled : unit -> bool
+(** Whether the process-wide registry records. *)
 
 val set_label_cap : ?registry:registry -> int option -> unit
 (** Bound the number of distinct labeled series any single metric name
@@ -109,8 +110,9 @@ val merge : histogram_snapshot -> histogram_snapshot -> histogram_snapshot
     recording the union of the two observation streams.  Raises
     [Invalid_argument] if the bounds differ. *)
 
-val reset : ?registry:registry -> unit -> unit
-(** Zero every registered cell (registrations are kept). *)
+val reset : unit -> unit
+(** Zero every cell of the process-wide registry (registrations are
+    kept). *)
 
 val render : ?registry:registry -> unit -> string
 (** Prometheus text exposition of every registered series, in

@@ -5,7 +5,7 @@
    ladder rung, a WAL append), not per-iteration work, so contention is
    irrelevant next to the work they bracket.  The per-domain current
    span lives in [Domain.DLS]; spawned domains start with an empty
-   scope and receive their parent explicitly. *)
+   scope. *)
 
 type span = {
   id : int64; (* 0L = the null span *)
@@ -74,14 +74,10 @@ let span_id ~parent ~name ~occ =
 let current () =
   match !(Domain.DLS.get scope) with [] -> None | sp :: _ -> Some sp
 
-let start ?parent name =
+let start name =
   if not (Atomic.get enabled) then null
   else begin
-    let parent_id =
-      match parent with
-      | Some p -> p.id
-      | None -> ( match current () with Some p -> p.id | None -> 0L)
-    in
+    let parent_id = match current () with Some p -> p.id | None -> 0L in
     let t = Clock.now () in
     Mutex.lock lock;
     let occ =
@@ -114,10 +110,10 @@ let finish sp =
 
 let add_attr sp k v = if sp.id <> 0L then sp.attrs <- (k, v) :: sp.attrs
 
-let with_span ?parent name f =
+let with_span name f =
   if not (Atomic.get enabled) then f ()
   else begin
-    let sp = start ?parent name in
+    let sp = start name in
     let stack = Domain.DLS.get scope in
     let saved = !stack in
     stack := sp :: saved;

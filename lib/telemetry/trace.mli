@@ -1,9 +1,8 @@
 (** Hierarchical tracing spans with deterministic identifiers.
 
     A span records a named interval [start_s, end_s] on the injectable
-    {!Clock}.  The current span is tracked per domain (via [Domain.DLS]);
-    a child started on a spawned domain passes its parent explicitly
-    (see [?parent]).
+    {!Clock}.  The current span is tracked per domain (via [Domain.DLS]),
+    so a span opened on a spawned domain starts a root of its own.
 
     Span identifiers do not depend on wall time or on cross-domain
     scheduling: the id of a span is a 64-bit mix of the trace seed, the
@@ -28,9 +27,9 @@ val is_enabled : unit -> bool
 val set_seed : int -> unit
 (** Seed for span-id derivation (default 0).  Also applied by {!reset}. *)
 
-val start : ?parent:span -> string -> span
-(** Open a span.  [parent] defaults to the calling domain's current
-    [with_span] scope (root if none). *)
+val start : string -> span
+(** Open a span under the calling domain's current [with_span] scope
+    (root if none). *)
 
 val finish : span -> unit
 (** Close a span (idempotent).  End time is clamped to [>= start]. *)
@@ -38,11 +37,9 @@ val finish : span -> unit
 val add_attr : span -> string -> string -> unit
 
 val current : unit -> span option
-(** The calling domain's innermost open [with_span] scope, if any.
-    Capture it before [Domain.spawn] and pass it as [?parent] to root
-    work running on the spawned domain under the caller's span. *)
+(** The calling domain's innermost open [with_span] scope, if any. *)
 
-val with_span : ?parent:span -> string -> (unit -> 'a) -> 'a
+val with_span : string -> (unit -> 'a) -> 'a
 (** Scoped span: opens, makes it the domain's current span for the
     dynamic extent of the thunk, and closes it even on exceptions. *)
 

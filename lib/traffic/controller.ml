@@ -27,13 +27,13 @@ let default =
     adaptive = true;
   }
 
-let hw_of_frac ?(floor = 1) tables frac =
+let hw_of_frac tables frac =
   (* Uniform TCAM hardware: every switch gets [frac] of the mean table
      size, so a switch's headroom does not simply mirror its own load. *)
   let n = Array.length tables in
   let total = Array.fold_left (fun acc tbl -> acc + List.length tbl) 0 tables in
   let per =
-    max floor
+    max 1
       (int_of_float
          (Float.round (frac *. float_of_int total /. float_of_int (max 1 n))))
   in

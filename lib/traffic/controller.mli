@@ -43,9 +43,9 @@ val default : config
 (** [Workload.default] family, 6 epochs, 4096 packets, alpha 1.1, drift
     0.125, 4 probes, hw_frac 0.5, adaptive. *)
 
-val hw_of_frac : ?floor:int -> Netsim.entry list array -> float -> int array
+val hw_of_frac : Netsim.entry list array -> float -> int array
 (** Per-switch hardware capacity: [frac] of the mean table size,
-    rounded to nearest, never below [floor] (default 1). *)
+    rounded to nearest, never below 1 slot. *)
 
 type epoch_report = {
   e_index : int;

@@ -24,12 +24,10 @@ let chain () =
     ~edges:[ (0, 1); (1, 2) ]
     ~host_attach:[| 0; 2 |] ()
 
-let test_config ?rungs () =
-  let rungs = Option.value rungs ~default:Engine.default_config.Engine.rungs in
+let test_config () =
   {
     Engine.default_config with
     Engine.solve_options = Test_placement.solve_opts ();
-    rungs;
   }
 
 let empty_engine ?config ?fault ?(capacity = 10) net =
@@ -104,10 +102,8 @@ let test_rejected_event () =
 let test_forced_rungs () =
   List.iter
     (fun rung ->
-      let eng =
-        empty_engine ~config:(test_config ~rungs:[ rung ] ()) (diamond ())
-      in
-      let r = Engine.handle eng (install_event ()) in
+      let eng = empty_engine ~config:(test_config ()) (diamond ()) in
+      let r = Engine.handle ~rungs:[ rung ] eng (install_event ()) in
       check_report ~rung ~applied:Report.Committed
         ("forced " ^ Report.rung_name rung)
         r)
@@ -135,8 +131,8 @@ let test_ladder_exhausted_quarantines () =
   | o -> Alcotest.failf "expected drop at switch 0, got %a" Netsim.pp_outcome o)
 
 let test_no_solve_rungs_quarantines () =
-  let eng = empty_engine ~config:(test_config ~rungs:[] ()) (diamond ()) in
-  let r = Engine.handle eng (install_event ()) in
+  let eng = empty_engine ~config:(test_config ()) (diamond ()) in
+  let r = Engine.handle ~rungs:[] eng (install_event ()) in
   check_report ~rung:Report.Quarantine ~applied:Report.Kept_last_good
     "no rungs" r;
   Alcotest.(check (list int)) "quarantined" [ 0 ] (Engine.quarantined eng)
@@ -351,17 +347,14 @@ let test_consistent_waves () =
      n >= m && String.sub sig_ (n - m) m = want)
 
 let test_consistent_falls_back_to_legacy () =
-  (* Exhaust the consistent path deterministically: zero wave retries
-     and a forced-fail burst long enough to burn the first operation's
-     whole retry budget (1 + 4 retries).  The wave aborts, the engine
-     degrades to the legacy transaction — whose draws are clean again —
-     and the report must say so. *)
+  (* Exhaust the consistent path deterministically: a forced-fail burst
+     long enough to burn the first operation's whole retry budget
+     (1 + 4 retries) on both attempts of the wave (one wave retry).  The
+     wave aborts, the engine degrades to the legacy transaction — whose
+     draws are clean again — and the report must say so. *)
   let fault = Fault_plan.make ~seed:41 () in
-  let config =
-    { (test_config ()) with Engine.update_wave_retries = 0 }
-  in
-  let eng = empty_engine ~config ~fault (diamond ()) in
-  Fault_plan.fail_next fault 5;
+  let eng = empty_engine ~config:(test_config ()) ~fault (diamond ()) in
+  Fault_plan.fail_next fault 10;
   let r = Engine.handle eng (install_event ()) in
   check_report ~applied:Report.Committed_fallback "degraded install" r;
   Alcotest.(check int) "no waves survived" 0 r.Report.waves;

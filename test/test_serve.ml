@@ -150,6 +150,40 @@ let small_config =
     tenant_round_cap = 2;
   }
 
+(* Zero shards once died in the first [Submit] with Division_by_zero, and
+   zero sessions blocked forever in [select]: both are rejected up front,
+   before a store or the socket is used. *)
+let test_rejects_empty_sizes () =
+  let touched = ref false in
+  let stores i =
+    touched := true;
+    fst (mem_stores 1) i
+  in
+  List.iter
+    (fun (config, msg) ->
+      let exn = Invalid_argument ("Serve.Daemon: " ^ msg) in
+      Alcotest.check_raises ("create: " ^ msg) exn (fun () ->
+          ignore (Daemon.create ~config ~stores ()));
+      Alcotest.check_raises ("start: " ^ msg) exn (fun () ->
+          ignore (Daemon.start ~config ~stores ())))
+    [
+      ({ small_config with Daemon.shards = 0 }, "shards must be >= 1");
+      ({ small_config with Daemon.jobs = 0 }, "jobs must be >= 1");
+    ];
+  Alcotest.(check bool) "no store touched" false !touched;
+  let stores, _ = mem_stores 1 in
+  let d = Daemon.create ~config:small_config ~stores () in
+  let listen = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listen;
+      Daemon.shutdown d)
+    (fun () ->
+      Alcotest.check_raises "serve_sessions: max_sessions 0"
+        (Invalid_argument
+           "Serve.Daemon.serve_sessions: max_sessions must be >= 1")
+        (fun () -> ignore (Daemon.serve_sessions d ~listen ~max_sessions:0 ())))
+
 let test_admission_bounds_typed () =
   let stores, _ = mem_stores 1 in
   let d = Daemon.create ~config:small_config ~stores () in
@@ -266,8 +300,7 @@ let report ~rung ~verified =
   }
 
 let test_breaker_machine () =
-  let config = { Shard.default_config with Shard.trip_after = 2; cooldown = 2 } in
-  let step = Shard.breaker_step config in
+  let step = Shard.breaker_step in
   let ok = report ~rung:Runtime.Report.Incremental ~verified:true in
   let greedy = report ~rung:Runtime.Report.Greedy ~verified:true in
   let quarantine = report ~rung:Runtime.Report.Quarantine ~verified:true in
@@ -275,31 +308,39 @@ let test_breaker_machine () =
   let closed = Shard.Closed { strikes = 0 } in
   Alcotest.(check bool) "closed carries no restriction" true
     (Shard.restriction closed = None);
-  (* strike, then trip *)
+  (* strikes, then trip on the third *)
   let b1 = step closed greedy in
   Alcotest.(check bool) "one strike" true (b1 = Shard.Closed { strikes = 1 });
   Alcotest.(check bool) "clean outcome clears strikes" true
     (step b1 ok = closed);
   Alcotest.(check bool) "failed verification strikes too" true
     (step closed unverified = Shard.Closed { strikes = 1 });
-  let tripped = step b1 greedy in
-  Alcotest.(check bool) "second strike trips" true
-    (tripped = Shard.Open { cooldown_left = 2 });
+  let b2 = step b1 quarantine in
+  Alcotest.(check bool) "second strike stays closed" true
+    (b2 = Shard.Closed { strikes = 2 });
+  let tripped = step b2 greedy in
+  Alcotest.(check bool) "third strike trips" true
+    (tripped = Shard.Open { cooldown_left = 4 });
   Alcotest.(check bool) "open pins to greedy" true
     (Shard.restriction tripped = Some [ Runtime.Report.Greedy ]);
   (* under restriction greedy is the expected rung: it counts the
      cooldown down; only the floor resets it *)
   let cooling = step tripped greedy in
   Alcotest.(check bool) "cooldown counts down" true
-    (cooling = Shard.Open { cooldown_left = 1 });
+    (cooling = Shard.Open { cooldown_left = 3 });
   Alcotest.(check bool) "quarantine resets the cooldown" true
-    (step cooling quarantine = Shard.Open { cooldown_left = 2 });
-  let half = step cooling greedy in
+    (step cooling quarantine = Shard.Open { cooldown_left = 4 });
+  Alcotest.(check bool) "failed verification resets the cooldown" true
+    (step cooling unverified = Shard.Open { cooldown_left = 4 });
+  let last = step (step cooling greedy) ok in
+  Alcotest.(check bool) "clean outcomes count down too" true
+    (last = Shard.Open { cooldown_left = 1 });
+  let half = step last greedy in
   Alcotest.(check bool) "cooldown expiry half-opens" true (half = Shard.Half_open);
   Alcotest.(check bool) "half-open probes unrestricted" true
     (Shard.restriction half = None);
   Alcotest.(check bool) "escalation re-opens" true
-    (step half greedy = Shard.Open { cooldown_left = 2 });
+    (step half greedy = Shard.Open { cooldown_left = 4 });
   Alcotest.(check bool) "clean probe closes" true (step half ok = closed)
 
 (* ---------------- framed session: drain semantics -------------------- *)
@@ -928,7 +969,6 @@ let daemon_life_at ~jobs ~seed ~kills () =
       queue_limit = 10;
       tenant_queue_limit = 3;
       round_slots = 4;
-      tenant_round_cap = 2;
       jobs;
       batch_fsync = 2;
       shard = { Shard.default_config with Shard.snapshot_every = 4 };
@@ -1026,6 +1066,8 @@ let suite =
     Alcotest.test_case "framed channel reader" `Quick test_wire_read_message;
     Alcotest.test_case "metrics dump and traffic tick wire ops" `Quick
       test_metrics_and_traffic_ops;
+    Alcotest.test_case "zero shards, jobs or sessions are rejected" `Quick
+      test_rejects_empty_sizes;
     Alcotest.test_case "admission bounds are typed, acked events land" `Quick
       test_admission_bounds_typed;
     Alcotest.test_case "circuit breaker trips, cools down, closes" `Quick

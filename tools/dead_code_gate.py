@@ -13,8 +13,22 @@ skipped whole, and a "(*" inside a string opens nothing), so a name
 that only a comment mentions, such as `{!name}` in a doc comment,
 counts as unused.  Otherwise the search is textual and by bare name, so
 a name shared by two modules counts as used when either is used; the
-gate can miss dead code, never flag live code.  Exits 1 and lists each
-dead `val` when any is found.
+gate can miss dead code, never flag live code.
+
+Every optional parameter `?label:` of such a `val` (at the top level of
+its type, not inside a callback's) must be passed, as `~label` or
+`?label`, by some call of a function of that bare name anywhere in
+those sources, the defining module's own calls included.  A call is the
+name followed by its arguments, read up to the first token that ends
+the application (a closing bracket, a keyword, an infix operator).  A
+name used as a first-class value rather than applied (`let f = M.name
+in`) may be applied later under another name, so it counts as passing
+every label.  Bindings (`let`, `and`, `val`, ...) are not calls.  The
+same bias holds: a name or label shared by two functions can hide a
+dead parameter, never flag a live one.
+
+Exits 1 and lists each dead `val` and each dead optional parameter
+when any is found.
 
 Every run first checks the scanner itself on a built-in source tree and
 fails if it misjudges it.
@@ -29,6 +43,33 @@ VAL = re.compile(r"^\s*val\s+([a-z_][A-Za-z0-9_']*)\s*:", re.M)
 WORD = r"(?<![A-Za-z0-9_'])%s(?![A-Za-z0-9_'])"
 CHAR = re.compile(r"'(?:[^\\'\n]|\\(?:[\\'\"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-3][0-7]{2}))'")
 QUOTED = re.compile(r"\{([a-z_]*)\|")
+OPT = re.compile(r"\?([a-z_][A-Za-z0-9_']*)\s*:")
+SIG_ITEM = re.compile(
+    r"^\s*(val|type|module|exception|external|include|open|end|class)\b", re.M)
+TOKEN = re.compile(r"""
+    (?P<label>[~?][a-z_][A-Za-z0-9_']*:?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<num>[0-9][0-9A-Za-z_.]*)
+  | (?P<open>\[\||[(\[{])
+  | (?P<close>\|\]|[)\]}])
+  | (?P<op>[-+*/=<>@^|&$%!.:;,\#~?`]+)
+""", re.X)
+# Keywords that open or close a bracket-like scope.
+OPENERS = {"begin", "struct", "sig", "object"}
+# Tokens after which an identifier is bound, not used.
+BINDERS = {"let", "rec", "and", "val", "external", "method", "type", "fun",
+           "as", "mutable", "module", "open", "include", "exception"}
+# Tokens that can start the next argument of an application.
+ARG_OPS = {"!", "`", "~", "?"}
+KEYWORDS = {
+    "and", "as", "asr", "assert", "begin", "class", "constraint", "do",
+    "done", "downto", "else", "end", "exception", "external", "false", "for",
+    "fun", "function", "functor", "if", "in", "include", "inherit",
+    "initializer", "land", "lazy", "let", "lor", "lsl", "lsr", "lxor",
+    "match", "method", "mod", "module", "mutable", "new", "nonrec", "object",
+    "of", "open", "or", "private", "rec", "sig", "struct", "then", "to",
+    "true", "try", "type", "val", "virtual", "when", "while", "with",
+}
 
 
 def literal_end(src, i):
@@ -82,7 +123,7 @@ def dead_vals(text):
     for path, src in sorted(text.items()):
         if path.endswith(".mli") and path.replace(os.sep, "/").startswith("lib/"):
             for m in VAL.finditer(src):
-                decls.append((path, src.count("\n", 0, m.start()) + 1, m.group(1)))
+                decls.append((path, src.count("\n", 0, m.start(1)) + 1, m.group(1)))
     uses = {}
     for name in {n for _, _, n in decls}:
         word = re.compile(WORD % re.escape(name))
@@ -96,6 +137,106 @@ def dead_vals(text):
         if binding.search(impl):
             defs[name] += 1
     return decls, [(p, line, n) for p, line, n in decls if uses[n] <= defs[n]]
+
+
+def tokens(src):
+    """[src] (comment-free) as a list of (kind, text); every literal is
+    one ("lit", ...) token."""
+    out = []
+    i = 0
+    while i < len(src):
+        if src[i].isspace():
+            i += 1
+            continue
+        j = literal_end(src, i)
+        if j is not None:
+            out.append(("lit", src[i:j]))
+            i = j
+            continue
+        m = TOKEN.match(src, i)
+        if m is None:
+            out.append(("op", src[i]))
+            i += 1
+            continue
+        kind = m.lastgroup
+        text = m.group()
+        if kind == "ident" and text in OPENERS:
+            kind = "open"
+        elif kind == "ident" and text == "end":
+            kind = "close"
+        elif kind == "ident" and text in KEYWORDS:
+            kind = "kw"
+        out.append((kind, text))
+        i = m.end()
+    return out
+
+
+def optional_labels(src, start):
+    """Optional labels at the top level of the type of the [val] whose
+    ':' ends at [start], which runs up to the next signature item."""
+    end = SIG_ITEM.search(src, start)
+    sig = []
+    depth = 0
+    for kind, text in tokens(src[start:end.start() if end else len(src)]):
+        if kind == "open":
+            depth += 1
+        elif kind == "close":
+            depth -= 1
+        elif depth == 0:
+            sig.append(text)
+    return {m.group(1) for m in OPT.finditer(" ".join(sig))}
+
+
+def passed_labels(toks, i):
+    """Labels passed by the use of a name at [toks[i]]: an empty set for
+    a binding, None for a use as a value (it may be applied elsewhere
+    under another name, so every label counts as passed)."""
+    if i > 0 and toks[i - 1][1] in BINDERS:
+        return set()
+    j = i
+    while j >= 2 and toks[j - 1][1] == "." and toks[j - 2][0] == "ident":
+        j -= 2
+    if j > 0 and toks[j - 1][0] == "label" or i + 1 == len(toks):
+        return None
+    kind, text = toks[i + 1]
+    if not (kind in ("label", "ident", "num", "lit", "open") or text in ARG_OPS):
+        return None
+    labels = set()
+    depth = 0
+    for kind, text in toks[i + 1:]:
+        if kind == "open":
+            depth += 1
+        elif kind == "close":
+            if depth == 0:
+                break
+            depth -= 1
+        elif depth == 0 and kind == "label":
+            labels.add(text[1:].rstrip(":"))
+        elif depth == 0 and (kind == "kw" or (kind == "op" and text != "."
+                                              and text not in ARG_OPS)):
+            break
+    return labels
+
+
+def dead_options(text):
+    """Map of path -> comment-free source in, list of (mli path, line,
+    val name, label) out: each optional parameter no call passes."""
+    wanted = []
+    for path, src in sorted(text.items()):
+        if path.endswith(".mli") and path.replace(os.sep, "/").startswith("lib/"):
+            for m in VAL.finditer(src):
+                for label in sorted(optional_labels(src, m.end())):
+                    wanted.append((path, src.count("\n", 0, m.start(1)) + 1,
+                                   m.group(1), label))
+    passed = {n: set() for _, _, n, _ in wanted}
+    for src in text.values():
+        toks = tokens(src)
+        for i, (kind, name) in enumerate(toks):
+            if kind == "ident" and passed.get(name) is not None:
+                labels = passed_labels(toks, i)
+                passed[name] = None if labels is None else passed[name] | labels
+    return [(p, line, n, label) for p, line, n, label in wanted
+            if passed[n] is not None and label not in passed[n]]
 
 
 def self_check():
@@ -112,6 +253,29 @@ def self_check():
     if [n for _, _, n in dead] != ["ghost"]:
         sys.exit("dead-code gate: self-check failed, dead vals %s, want [ghost]"
                  % [n for _, _, n in dead])
+    # [run]'s ?quiet is passed only in a comment and ?depth only inside
+    # a nested lambda; ?inner belongs to the callback's type, not to
+    # [run]; ?limit and ?seed are passed across lines and through a
+    # forwarding wrapper.  [alias] and [hook] escape as values (bound
+    # to a name, passed as a labelled argument), so their ?x counts as
+    # passed.
+    tree = {
+        "lib/m/m.mli": "val run :\n  ?limit:int ->\n  ?seed:int ->\n  ?quiet:bool ->\n"
+                       "  ?depth:int ->\n  f:(?inner:int -> unit) -> unit -> int\n"
+                       "(** Doc. *)\nval alias : ?x:int -> unit -> int\n"
+                       "val hook : ?x:int -> unit -> int\ntype t = int\n",
+        "lib/m/m.ml": "let run ?(limit = 1) ?(seed = 0) ?(quiet = false) ?(depth = 0)\n"
+                      "    ~f () = limit + seed\nlet alias ?(x = 0) () = x\nlet hook ?(x = 0) () = x\n"
+                      "let again ?seed () = run ?seed ~f:(fun ?depth () -> ()) ()\n",
+        "bin/main.ml": "let () = ignore (M.run\n    ~limit:(1 + 2) ~f:ignore ())\n"
+                       "(* M.run ~quiet:true () *)\nlet g = M.alias in\n"
+                       "let _ = h ~k:M.hook (x)\n",
+    }
+    dead = dead_options({p: strip_comments(s) for p, s in tree.items()})
+    got = [(n, label) for _, _, n, label in dead]
+    if got != [("run", "depth"), ("run", "quiet")]:
+        sys.exit("dead-code gate: self-check failed, dead options %s, want "
+                 "[run ?depth, run ?quiet]" % got)
 
 
 def sources(root):
@@ -134,9 +298,13 @@ def main():
     for path, line, name in dead:
         print("%s:%d: val %s is referenced nowhere but its definition"
               % (path, line, name))
-    if dead:
+    options = dead_options(text)
+    for path, line, name, label in options:
+        print("%s:%d: val %s: no call passes ?%s" % (path, line, name, label))
+    if dead or options:
         sys.exit(1)
-    print("dead-code gate: %d exported vals, all referenced" % len(decls))
+    print("dead-code gate: %d exported vals, all referenced; every optional "
+          "parameter passed somewhere" % len(decls))
 
 
 if __name__ == "__main__":
