@@ -109,6 +109,13 @@ let positive_int = int_conv ~expect:"a positive integer" (fun n -> n >= 1)
 let fat_tree_arity =
   int_conv ~expect:"an even integer >= 2" (fun n -> n >= 2 && n mod 2 = 0)
 
+(* A family [Workload.build] would reject is a usage error (exit 124),
+   like a bad count: [run] gets the family only once it is valid. *)
+let with_family family run =
+  match Workload.validate family with
+  | Error msg -> `Error (true, msg)
+  | Ok () -> `Ok (run family)
+
 let instance_arg =
   Arg.(
     required
@@ -174,8 +181,7 @@ let solve_options =
 
 let generate metrics trace k policies rules mergeable paths capacity seed slice
     output =
-  with_telemetry metrics trace @@ fun () ->
-  let family =
+  with_family
     {
       Workload.default with
       Workload.k;
@@ -187,7 +193,8 @@ let generate metrics trace k policies rules mergeable paths capacity seed slice
       seed;
       slice;
     }
-  in
+  @@ fun family ->
+  with_telemetry metrics trace @@ fun () ->
   let inst = Workload.build family in
   (match output with
   | Some path ->
@@ -236,8 +243,9 @@ let generate_cmd =
   Cmd.v
     (Cmd.info "generate" ~doc:"Synthesize a benchmark-style instance.")
     Term.(
-      const generate $ metrics_arg $ trace_arg $ k $ policies $ rules
-      $ mergeable $ paths $ capacity $ seed $ slice_flag $ output)
+      ret
+        (const generate $ metrics_arg $ trace_arg $ k $ policies $ rules
+       $ mergeable $ paths $ capacity $ seed $ slice_flag $ output))
 
 (* ---------------- info ---------------- *)
 
@@ -638,9 +646,7 @@ let events_cmd =
 
 let caching_run metrics trace policies rules paths capacity seed epochs packets
     alpha drift probes hw_frac decay static_mode journal resume =
-  with_telemetry metrics trace @@ fun () ->
-  protect @@ fun () ->
-  let family =
+  with_family
     {
       Workload.default with
       Workload.num_policies = policies;
@@ -649,7 +655,9 @@ let caching_run metrics trace policies rules paths capacity seed epochs packets
       capacity;
       seed;
     }
-  in
+  @@ fun family ->
+  with_telemetry metrics trace @@ fun () ->
+  protect @@ fun () ->
   let cfg =
     {
       Traffic.Controller.family;
@@ -810,9 +818,10 @@ let caching_cmd =
           Prints one report line per epoch and a final summary; exits 1 if \
           any differential or invariant violation was observed.")
     Term.(
-      const caching_run $ metrics_arg $ trace_arg $ policies $ rules $ paths
-      $ capacity $ seed $ epochs $ packets $ alpha $ drift $ probes $ hw_frac
-      $ decay $ static_mode $ journal $ resume)
+      ret
+        (const caching_run $ metrics_arg $ trace_arg $ policies $ rules $ paths
+       $ capacity $ seed $ epochs $ packets $ alpha $ drift $ probes $ hw_frac
+       $ decay $ static_mode $ journal $ resume))
 
 (* ---------------- serve ---------------- *)
 

@@ -64,11 +64,6 @@ let m_root_bound =
     ~help:"root lower bound (LP or counting) of the last solve"
     "sdnplace_ilp_root_bound"
 
-let m_count_settled =
-  Telemetry.Metrics.counter
-    ~help:"solves whose warm start met the caller's counting lower bound"
-    "sdnplace_ilp_count_settled_total"
-
 let m_warm_hits =
   Telemetry.Metrics.counter
     ~help:"LP re-solves warm-started from an existing basis"
@@ -686,9 +681,8 @@ let outcome_of ~stopped best =
   | true, None -> Unknown
 
 (* Root work, then the depth-first search below an open root.  A
-   model with no variables is decided by its constant rows alone, and
-   a warm start that meets [lower_bound] is the optimum, both with no
-   state or LP built.  [time_limit] counts wall-clock seconds from
+   model with no variables is decided by its constant rows alone, with
+   no state or LP built.  [time_limit] counts wall-clock seconds from
    here. *)
 let solve ?(config = default_config) ?(cancel = fun () -> false) ?warm_start
     ?(lower_bound = neg_infinity) model =
@@ -701,12 +695,6 @@ let solve ?(config = default_config) ?(cancel = fun () -> false) ?warm_start
       Some { values = Array.copy values; objective }
     | _ -> None
   in
-  let counted (b : solution) =
-    let all_int =
-      Array.for_all Float.is_integer (Model.objective model).Simplex.Csc.coef
-    in
-    b.objective <= round_bound ~all_int lower_bound +. eps
-  in
   let outcome, nodes, lp_calls, root_bound =
     if Model.num_vars model = 0 then
       if check_feasible model [||] then
@@ -714,24 +702,18 @@ let solve ?(config = default_config) ?(cancel = fun () -> false) ?warm_start
         (Optimal { values = [||]; objective }, 0, 0, objective)
       else (Infeasible, 0, 0, neg_infinity)
     else
-      match incumbent with
-      | Some b when counted b ->
-        Telemetry.Metrics.incr m_count_settled;
-        Telemetry.Metrics.incr m_incumbents;
-        (Optimal b, 0, 0, lower_bound)
-      | _ ->
-        let st, root =
-          prepare ~config ~cancel ~deadline:(wall0 +. config.time_limit)
-            ~lower_bound ~incumbent model
-        in
-        let outcome =
-          match root with
-          | `Settled outcome -> outcome
-          | `Open ->
-            (try dfs st config ~depth:0 with Stop -> ());
-            outcome_of ~stopped:st.stopped st.best
-        in
-        (outcome, st.nodes, st.lp_calls, st.root_bound)
+      let st, root =
+        prepare ~config ~cancel ~deadline:(wall0 +. config.time_limit)
+          ~lower_bound ~incumbent model
+      in
+      let outcome =
+        match root with
+        | `Settled outcome -> outcome
+        | `Open ->
+          (try dfs st config ~depth:0 with Stop -> ());
+          outcome_of ~stopped:st.stopped st.best
+      in
+      (outcome, st.nodes, st.lp_calls, st.root_bound)
   in
   let s =
     { nodes; lp_calls; elapsed = Unix.gettimeofday () -. wall0; root_bound }

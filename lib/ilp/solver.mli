@@ -14,11 +14,11 @@
     - {b covering-aware lower bounds}: unsatisfied disjoint covering rows
       each demand their cheapest remaining variables — this mirrors "every
       un-placed DROP rule costs at least one more slot";
-    - {b a counting bound} from the caller ([?lower_bound]): a warm
-      start that meets it is returned as the optimum before any search
-      state or LP is built, and otherwise it seeds the root bound the LP
-      can only raise — placement passes the paper's A, so an instance
-      where every policy fits settles by counting;
+    - {b a counting bound} from the caller ([?lower_bound]) seeds the
+      root bound the LP can only raise; placement passes the paper's A
+      here only after its warm start failed to meet A, since one that
+      meets it settles the placement before any model is written
+      ([Placement.Encode.solve]);
     - {b one matrix}: propagation and the LP both work on the model's
       own [<=]-normalized matrix ({!Model.matrix}) and right-hand
       sides, built once per model and never copied;
@@ -80,11 +80,10 @@ val solve :
     (silently ignored otherwise).
 
     [lower_bound] (default [neg_infinity]) must be at most the objective
-    of every feasible point.  Like the LP bound it is rounded up when
-    every objective coefficient is an integer.  A warm start whose
-    objective meets it is returned as [Optimal] (that same array) with
-    0 nodes, 0 LP calls and the bound as [root_bound], before
-    [ilp.setup] runs.  Otherwise it is the root bound's starting value.
+    of every feasible point.  It is the root bound's starting value,
+    which each LP stage can only raise; like the LP bound it is rounded
+    up when every objective coefficient is an integer, so an incumbent
+    that meets it ends the solve at the root, with no branching.
 
     [cancel] is polled every 256 nodes, before the root LP and between
     root cut rounds, pump rounds and dive steps; once it returns true

@@ -147,48 +147,81 @@ let greedy_raw (layout : Layout.t) =
               not (Layout.is_dummy layout ~ingress:i ~priority:w.priority))
             (Acl.Policy.drops q)
         in
+        (* Paths that leave the same drops uncovered share a block, and
+           its variables at a switch: each is derived once, keyed by
+           the block's drop priorities (by switch for the variables).
+           Unsliced, a path nothing covered needs every drop. *)
+        let blocks = Hashtbl.create 4 in
+        let block_of = function
+          | [] -> None
+          | block_drops -> (
+            let key =
+              List.map (fun (w : Acl.Rule.t) -> w.priority) block_drops
+            in
+            match Hashtbl.find_opt blocks key with
+            | Some b -> Some b
+            | None ->
+              let rules =
+                block_drops
+                @ Depgraph.required_permits (Lazy.force deps.(o)) block_drops
+              in
+              let b = (rules, Hashtbl.create 4) in
+              Hashtbl.add blocks key b;
+              Some b)
+        in
+        let whole = lazy (block_of drops) in
+        (* Block drops are relevant placed drops and the permits are
+           their dependencies, so every block rule has a variable at
+           every switch of the path. *)
+        let vars_at (rules, at) k =
+          match Hashtbl.find_opt at k with
+          | Some vars -> vars
+          | None ->
+            let vars =
+              List.map
+                (fun (r : Acl.Rule.t) ->
+                  Option.get
+                    (Layout.var layout ~ingress:i ~priority:r.priority
+                       ~switch:k))
+                rules
+            in
+            Hashtbl.add at k vars;
+            vars
+        in
+        let fits vars k =
+          (not (List.exists (fun v -> forbidden.(v)) vars))
+          && used.(k)
+             + List.fold_left
+                 (fun n v -> if placed.(v) then n else n + 1)
+                 0 vars
+             <= inst.Instance.capacities.(k)
+        in
         Array.iteri
           (fun j (path : Routing.Path.t) ->
             if !failure = None then begin
-              let block_drops =
-                List.filter
-                  (fun (w : Acl.Rule.t) ->
-                    (not (List.mem w.priority covered.(o).(j)))
-                    && ((not layout.Layout.sliced)
-                       || Ternary.Field.overlaps w.field path.Routing.Path.flow))
-                  drops
+              let block =
+                if covered.(o).(j) = [] && not layout.Layout.sliced then
+                  Lazy.force whole
+                else
+                  block_of
+                    (List.filter
+                       (fun (w : Acl.Rule.t) ->
+                         (not (List.mem w.priority covered.(o).(j)))
+                         && ((not layout.Layout.sliced)
+                            || Ternary.Field.overlaps w.field
+                                 path.Routing.Path.flow))
+                       drops)
               in
-              if block_drops <> [] then begin
-                let block =
-                  block_drops
-                  @ Depgraph.required_permits (Lazy.force deps.(o)) block_drops
-                in
-                (* Block drops are relevant placed drops and the permits
-                   are their dependencies, so every block rule has a
-                   variable at every switch of the path. *)
-                let vars_at k =
-                  List.map
-                    (fun (r : Acl.Rule.t) ->
-                      Option.get
-                        (Layout.var layout ~ingress:i ~priority:r.priority
-                           ~switch:k))
-                    block
-                in
-                let fits vars k =
-                  (not (List.exists (fun v -> forbidden.(v)) vars))
-                  && used.(k)
-                     + List.fold_left
-                         (fun n v -> if placed.(v) then n else n + 1)
-                         0 vars
-                     <= inst.Instance.capacities.(k)
-                in
+              match block with
+              | None -> ()
+              | Some block -> (
                 match
                   Array.fold_left
                     (fun acc k ->
                       match acc with
                       | Some _ -> acc
                       | None ->
-                        let vars = vars_at k in
+                        let vars = vars_at block k in
                         if fits vars k then Some (k, vars) else None)
                     None path.Routing.Path.switches
                 with
@@ -203,8 +236,8 @@ let greedy_raw (layout : Layout.t) =
                 | None ->
                   failure :=
                     Some
-                      (Stuck { ingress = i; egress = path.Routing.Path.egress })
-              end
+                      (Stuck
+                         { ingress = i; egress = path.Routing.Path.egress }))
             end)
           paths.(o)
       end)

@@ -9,9 +9,12 @@ type result = {
   status : status;
   solution : Solution.t option;
   ilp_stats : Ilp.Solver.stats;
-  model_vars : int;
-  model_rows : int;
 }
+
+let m_count_settled =
+  Telemetry.Metrics.counter
+    ~help:"placements whose warm start met the paper's counting bound"
+    "sdnplace_ilp_count_settled_total"
 
 let pp_status fmt = function
   | `Optimal -> Format.pp_print_string fmt "optimal"
@@ -160,12 +163,13 @@ let to_model ?(objective = Total_rules) (layout : Layout.t) =
   Ilp.Model.set_objective_row model { Simplex.Csc.idx; coef = ocoef };
   { model; vars; constant = !constant }
 
-(* A model point as a layout assignment, pins filled in. *)
-let lift (layout : Layout.t) enc values =
+(* A layout assignment with the pins filled in, each free variable
+   read from [free]. *)
+let with_pins (layout : Layout.t) free =
   Array.mapi
     (fun v (pin : Layout.pin) ->
       match pin with
-      | Layout.Free -> values.(enc.vars.(v))
+      | Layout.Free -> free v
       | Layout.One -> true
       | Layout.Zero -> false)
     layout.Layout.pins
@@ -180,47 +184,100 @@ let project enc assignment =
    so each coverage drop has a cover row, and each permit A counts is
    forced by an implication row from such a drop: every rule A counts
    is installed somewhere, each as its own unit-cost variable.  A
-   pinned policy's rules sit in [constant], once each.  Merging can
-   place fewer entries than A, and other objectives do not count
+   pinned policy's rules count once each, as its [One] pins.  Merging
+   can place fewer entries than A, and other objectives do not count
    entries. *)
-let counting_bound objective (layout : Layout.t) enc =
+let counting_bound objective (layout : Layout.t) =
   match objective with
   | Total_rules when layout.Layout.plan.Merge.groups = [] ->
-    Some (float_of_int layout.Layout.baseline_rule_count -. enc.constant)
+    Some layout.Layout.baseline_rule_count
   | Total_rules | Upstream_drops | Switch_weighted _ -> None
+
+(* Every row [to_model] writes, read off the layout's own lists.  The
+   rows hold only free variables, so [a]'s pinned entries go unread. *)
+let feasible (layout : Layout.t) a =
+  let set = List.fold_left (fun n v -> if a.(v) then n + 1 else n) 0 in
+  List.for_all
+    (fun (vd, vp) -> (not a.(vd)) || a.(vp))
+    layout.Layout.implications
+  && List.for_all
+       (fun v -> layout.Layout.pins.(v) <> Layout.Free || not a.(v))
+       layout.Layout.forbidden
+  && List.for_all (List.exists (Array.get a)) layout.Layout.covers
+  && List.for_all
+       (fun (c : Layout.capacity) ->
+         List.fold_left
+           (fun n (mv, ms) ->
+             n + set ms - if a.(mv) then List.length ms - 1 else 0)
+           (set c.Layout.plain) c.Layout.grouped
+         <= c.Layout.bound)
+       layout.Layout.capacities
+  && List.for_all
+       (fun (mv, ms) -> a.(mv) = (set ms = List.length ms))
+       layout.Layout.merge_defs
+
+(* A warm start that meets {!counting_bound} is optimal.  Under that
+   bound every variable is a unit-cost placement, so its objective is
+   the count of set variables, pins included. *)
+let settle objective layout warm_start =
+  match (counting_bound objective layout, warm_start) with
+  | Some bound, Some w ->
+    let a = with_pins layout (Array.get w) in
+    let count = Array.fold_left (fun n x -> if x then n + 1 else n) 0 a in
+    if count <= bound && feasible layout a then Some (a, count, bound)
+    else None
+  | _ -> None
 
 let solve ?(objective = Total_rules) ?config ?cancel ?warm_start
     (layout : Layout.t) =
-  let enc =
-    Telemetry.Trace.with_span "solve.encode" @@ fun () ->
-    to_model ~objective layout
-  in
-  let outcome, stats =
-    Ilp.Solver.solve ?config ?cancel
-      ?warm_start:(Option.map (project enc) warm_start)
-      ?lower_bound:(counting_bound objective layout enc)
-      enc.model
-  in
-  let solution_of (s : Ilp.Solver.solution) =
-    Solution.of_assignment layout
-      (lift layout enc s.Ilp.Solver.values)
-      ~objective:(s.Ilp.Solver.objective +. enc.constant)
-  in
-  let status, solution =
-    match outcome with
-    | Ilp.Solver.Optimal s -> (`Optimal, Some (solution_of s))
-    | Ilp.Solver.Feasible s -> (`Feasible, Some (solution_of s))
-    | Ilp.Solver.Infeasible -> (`Infeasible, None)
-    | Ilp.Solver.Unknown -> (`Unknown, None)
-  in
-  {
-    status;
-    solution;
-    ilp_stats =
-      {
-        stats with
-        Ilp.Solver.root_bound = stats.Ilp.Solver.root_bound +. enc.constant;
-      };
-    model_vars = Ilp.Model.num_vars enc.model;
-    model_rows = Ilp.Model.num_rows enc.model;
-  }
+  let wall0 = Unix.gettimeofday () in
+  match settle objective layout warm_start with
+  | Some (a, count, bound) ->
+    Telemetry.Metrics.incr m_count_settled;
+    {
+      status = `Optimal;
+      solution =
+        Some (Solution.of_assignment layout a ~objective:(float_of_int count));
+      ilp_stats =
+        {
+          Ilp.Solver.nodes = 0;
+          lp_calls = 0;
+          elapsed = Unix.gettimeofday () -. wall0;
+          root_bound = float_of_int bound;
+        };
+    }
+  | None ->
+    let enc =
+      Telemetry.Trace.with_span "solve.encode" @@ fun () ->
+      to_model ~objective layout
+    in
+    let outcome, stats =
+      Ilp.Solver.solve ?config ?cancel
+        ?warm_start:(Option.map (project enc) warm_start)
+        ?lower_bound:
+          (Option.map
+             (fun a -> float_of_int a -. enc.constant)
+             (counting_bound objective layout))
+        enc.model
+    in
+    let solution_of (s : Ilp.Solver.solution) =
+      Solution.of_assignment layout
+        (with_pins layout (fun v -> s.Ilp.Solver.values.(enc.vars.(v))))
+        ~objective:(s.Ilp.Solver.objective +. enc.constant)
+    in
+    let status, solution =
+      match outcome with
+      | Ilp.Solver.Optimal s -> (`Optimal, Some (solution_of s))
+      | Ilp.Solver.Feasible s -> (`Feasible, Some (solution_of s))
+      | Ilp.Solver.Infeasible -> (`Infeasible, None)
+      | Ilp.Solver.Unknown -> (`Unknown, None)
+    in
+    {
+      status;
+      solution;
+      ilp_stats =
+        {
+          stats with
+          Ilp.Solver.root_bound = stats.Ilp.Solver.root_bound +. enc.constant;
+        };
+    }

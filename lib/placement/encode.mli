@@ -39,8 +39,6 @@ type result = {
   status : status;
   solution : Solution.t option;
   ilp_stats : Ilp.Solver.stats;
-  model_vars : int;
-  model_rows : int;
 }
 
 type encoding = {
@@ -66,11 +64,18 @@ val project : encoding -> bool array -> bool array
 (** A layout assignment restricted to the model's variables (e.g. a
     warm start). *)
 
-val counting_bound : objective -> Layout.t -> encoding -> float option
-(** The paper's A ([Layout.baseline_rule_count]) less the encoding's
-    [constant]: a lower bound on the model objective of every feasible
-    point, given only for [Total_rules] with an empty merge plan (with
-    merging a placement can use fewer entries than A). *)
+val counting_bound : objective -> Layout.t -> int option
+(** The paper's A ([Layout.baseline_rule_count]): a lower bound on the
+    objective of every feasible layout assignment, pins included, given
+    only for [Total_rules] with an empty merge plan (with merging a
+    placement can use fewer entries than A). *)
+
+val feasible : Layout.t -> bool array -> bool
+(** Whether a layout assignment satisfies every row {!to_model} writes,
+    read off the layout's own lists: implications, monitor fixes,
+    covers, capacities and merge definitions.  The rows hold only free
+    variables, so it agrees with {!Ilp.Solver.check_feasible} on the
+    {!project}ed assignment. *)
 
 val solve :
   ?objective:objective ->
@@ -79,12 +84,17 @@ val solve :
   ?warm_start:bool array ->
   Layout.t ->
   result
-(** [warm_start] is indexed by layout variables and projected onto the
-    model's.  The solution is lifted back to every layout variable, and
-    its objective and [root_bound] include the encoding's constant.
-    The solver gets {!counting_bound} as its lower bound, so a warm
-    start that places exactly A entries is returned as [`Optimal] with
-    no LP.
+(** [warm_start] is indexed by layout variables.  Under a
+    {!counting_bound} A, a warm start that is {!feasible} once its pins
+    are filled in and places at most A entries settles the solve: it is
+    returned as [`Optimal] with 0 nodes, 0 LP calls and A as the root
+    bound, and no model is written (no [solve.encode] or [ilp.setup]
+    span); [sdnplace_ilp_count_settled_total] counts these.  Otherwise
+    the layout is encoded ({!to_model}), the warm start projected onto
+    the model's variables, and the solver given A less the encoding's
+    constant to seed its root bound.  The solution is lifted back to
+    every layout variable, and its objective and [root_bound] include
+    the encoding's constant.
     [cancel] stops the search cooperatively. *)
 
 val assignment_objective : ?objective:objective -> Layout.t -> bool array -> float

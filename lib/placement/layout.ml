@@ -400,41 +400,54 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
       end)
     policies;
   (* Capacity rows (Eq. 3) over the free variables, net of the load
-     pinned at the switch, only where the worst case can exceed it. *)
+     pinned at the switch, only where the worst case can exceed it: the
+     load is counted first, and only those switches list their
+     variables. *)
   let grouped = Array.make (Array.length keys) false in
   List.iter
     (fun (_, members) -> List.iter (fun v -> grouped.(v) <- true) members)
     !merge_defs;
-  let plain_by_switch = Array.make n_switches [] in
+  let worst = Array.make n_switches 0 in
+  let plain v = (not grouped.(v)) && pins.(v) = Free in
   Array.iteri
     (fun v key ->
       match key with
-      | Place { switch; _ } ->
-        if (not grouped.(v)) && pins.(v) = Free then
-          plain_by_switch.(switch) <- v :: plain_by_switch.(switch)
-      | Merged _ -> ())
+      | Place { switch; _ } when plain v -> worst.(switch) <- worst.(switch) + 1
+      | Place _ | Merged _ -> ())
     keys;
   let grouped_by_switch = Array.make n_switches [] in
   List.iter
     (fun (mv, members) ->
       match keys.(mv) with
       | Merged { switch; _ } ->
-        grouped_by_switch.(switch) <- (mv, members) :: grouped_by_switch.(switch)
+        grouped_by_switch.(switch) <- (mv, members) :: grouped_by_switch.(switch);
+        worst.(switch) <- worst.(switch) + List.length members
       | Place _ -> assert false)
     !merge_defs;
-  let capacity_rows = ref [] in
-  Array.iteri
-    (fun k plain ->
-      let grouped = grouped_by_switch.(k) in
-      let worst =
-        List.length plain
-        + List.fold_left (fun acc (_, ms) -> acc + List.length ms) 0 grouped
-      in
-      let bound = capacities.(k) - pinned_load.(k) in
-      if worst > bound then
-        capacity_rows :=
-          { switch = k; bound; plain; grouped } :: !capacity_rows)
-    plain_by_switch;
+  let bound k = capacities.(k) - pinned_load.(k) in
+  let binding =
+    List.filter (fun k -> worst.(k) > bound k) (List.init n_switches Fun.id)
+  in
+  let plain_by_switch = Array.make n_switches [] in
+  if binding <> [] then
+    Array.iteri
+      (fun v key ->
+        match key with
+        | Place { switch; _ } when plain v && worst.(switch) > bound switch ->
+          plain_by_switch.(switch) <- v :: plain_by_switch.(switch)
+        | Place _ | Merged _ -> ())
+      keys;
+  let capacity_rows =
+    List.rev_map
+      (fun k ->
+        {
+          switch = k;
+          bound = bound k;
+          plain = plain_by_switch.(k);
+          grouped = grouped_by_switch.(k);
+        })
+      binding
+  in
   {
     instance = inst;
     plan;
@@ -445,7 +458,7 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
     rules;
     implications = !implications;
     covers = !covers;
-    capacities = !capacity_rows;
+    capacities = capacity_rows;
     merge_defs = !merge_defs;
     weights;
     baseline_rule_count = !baseline;

@@ -64,11 +64,29 @@ let ingresses net mode num =
   | Spread -> List.init num (fun i -> i * (hosts / num))
   | Contiguous -> List.init num (fun i -> i)
 
+(* [spray] hands paths to the ingresses round-robin, so each gets one
+   only when [paths] reaches their count. *)
+let paths_error f ing =
+  let n = List.length ing in
+  if f.paths >= n then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "paths = %d is fewer than the %d policy ingresses (num_policies = \
+          %d): each needs a path"
+         f.paths n f.num_policies)
+
+let validate f =
+  paths_error f
+    (ingresses (Topo.Fattree.make f.k) f.ingress_mode f.num_policies)
+
 let build f =
   let g_routing = routing_stream f in
   let g_policy = policy_stream f in
   let net = Topo.Fattree.make f.k in
   let ing = ingresses net f.ingress_mode f.num_policies in
+  Result.iter_error (fun m -> invalid_arg ("Workload.build: " ^ m))
+    (paths_error f ing);
   let universe = max f.paths 64 in
   let routing_universe =
     Routing.Table.spray ~slice:f.slice g_routing net ~ingresses:ing

@@ -35,6 +35,12 @@ val default : family
 (** k=4, 8 policies, 20 rules, 64 paths, capacity 100, seed 1. *)
 
 val build : family -> Placement.Instance.t
+(** Raises [Invalid_argument] when {!validate} rejects the family. *)
+
+val validate : family -> (unit, string) result
+(** [Error] naming [paths] and [num_policies] when [paths] is below the
+    number of policy ingresses ({!ingresses}): every ingress needs a
+    path of its own. *)
 
 val ingresses : Topo.Net.t -> ingress_mode -> int -> int list
 (** The ingress hosts a family with this mode and policy count uses. *)

@@ -1,9 +1,10 @@
-(* The counting bound: the paper's A (Table II) less the objective of
-   the pinned variables bounds the encoded model's objective from below
-   under the unit-weight total objective without merging.  Checked
-   against exhaustive enumeration on tiny layouts, against the solver
-   run with and without the bound on the same model, and on a k=32
-   point of the paper's own grid, which it settles with no LP. *)
+(* The counting bound: the paper's A (Table II) bounds the entry count
+   of every placement under the unit-weight total objective without
+   merging.  Checked against exhaustive enumeration on tiny layouts,
+   against the model path (the layout encoded and solved with A as the
+   solver's seed) where [Encode.solve] settles without writing a model,
+   and on a k=16 [place_paper] instance and a k=32 point of the paper's
+   own grid, which it settles with no model. *)
 open Placement
 
 (* What the tiny draws covered, over the whole run; the case after the
@@ -69,28 +70,96 @@ let star_instance g =
   in
   Instance.make ~net ~routing ~policies ~capacities:(Array.init 4 capacity)
 
+(* A less the pinned constant: the bound in the model's space. *)
+let model_bound (layout : Layout.t) enc =
+  float_of_int (Option.get (Encode.counting_bound Encode.Total_rules layout))
+  -. enc.Encode.constant
+
+(* [f ()] and the names of the spans it opened. *)
+let traced f =
+  Telemetry.Trace.reset ();
+  Telemetry.Trace.enable ();
+  let r = Fun.protect ~finally:Telemetry.Trace.disable f in
+  let names =
+    List.map
+      (fun (i : Telemetry.Trace.info) -> i.Telemetry.Trace.name)
+      (Telemetry.Trace.spans ())
+  in
+  Telemetry.Trace.reset ();
+  (r, names)
+
+let no_model_spans what names =
+  List.iter
+    (fun span ->
+      Alcotest.(check bool) (what ^ ": no " ^ span) false (List.mem span names))
+    [ "solve.encode"; "ilp.setup" ]
+
 (* The solver with and without [lower_bound], with the projected greedy
-   warm start and with none, returns the same outcome, values included.
-   Returns whether the bound spared the LP the warm-started solve ran. *)
+   warm start and with none, returns the same outcome, values included. *)
 let same_with_and_without ~fail (layout : Layout.t) enc lower_bound =
   let warm =
     Option.map (Encode.project enc) (Baseline.greedy_assignment layout)
   in
-  let spared = ref false in
   List.iter
     (fun warm_start ->
       let model = enc.Encode.model in
-      let plain, s = Ilp.Solver.solve ?warm_start model in
-      let bounded, s' = Ilp.Solver.solve ?warm_start ~lower_bound model in
-      if warm_start <> None && s.Ilp.Solver.lp_calls > 0 then
-        spared := s'.Ilp.Solver.lp_calls = 0;
+      let plain, _ = Ilp.Solver.solve ?warm_start model in
+      let bounded, _ = Ilp.Solver.solve ?warm_start ~lower_bound model in
       if plain <> bounded then
         fail
           (Format.asprintf "%s warm start: %a without the bound, %a with it"
              (if warm_start = None then "no" else "greedy")
              Ilp.Solver.pp_outcome plain Ilp.Solver.pp_outcome bounded))
-    [ warm; None ];
-  !spared
+    [ warm; None ]
+
+(* [Encode.solve] with the greedy warm start against the model path
+   called directly: the layout encoded, then solved with the projected
+   warm start and A less the constant as the seed.  Status, objective
+   and the lifted placement agree.  Returns whether [Encode.solve]
+   settled without writing the model. *)
+let same_as_model_path ~fail (layout : Layout.t) enc =
+  let warm_start = Baseline.greedy_assignment layout in
+  let r, names = traced (fun () -> Encode.solve ?warm_start layout) in
+  let outcome, _ =
+    Ilp.Solver.solve
+      ?warm_start:(Option.map (Encode.project enc) warm_start)
+      ~lower_bound:(model_bound layout enc) enc.Encode.model
+  in
+  let lifted (s : Ilp.Solver.solution) =
+    let a =
+      Array.mapi
+        (fun v (pin : Layout.pin) ->
+          match pin with
+          | Layout.Free -> s.Ilp.Solver.values.(enc.Encode.vars.(v))
+          | Layout.One -> true
+          | Layout.Zero -> false)
+        layout.Layout.pins
+    in
+    Some (a, s.Ilp.Solver.objective +. enc.Encode.constant)
+  in
+  let status, expected =
+    match outcome with
+    | Ilp.Solver.Optimal s -> (`Optimal, lifted s)
+    | Ilp.Solver.Feasible s -> (`Feasible, lifted s)
+    | Ilp.Solver.Infeasible -> (`Infeasible, None)
+    | Ilp.Solver.Unknown -> (`Unknown, None)
+  in
+  if r.Encode.status <> status then
+    fail
+      (Format.asprintf "Encode.solve %a, the model path %a" Encode.pp_status
+         r.Encode.status Encode.pp_status status);
+  (match (r.Encode.solution, expected) with
+  | None, None -> ()
+  | Some sol, Some (a, objective) ->
+    let want = Solution.of_assignment layout a ~objective in
+    if sol.Solution.objective <> objective then
+      fail
+        (Printf.sprintf "objective %g, the model path %g"
+           sol.Solution.objective objective);
+    if sol.Solution.per_switch <> want.Solution.per_switch then
+      fail "the placements differ"
+  | _ -> fail "one path placed, the other did not");
+  not (List.mem "solve.encode" names)
 
 let prop_bound_below_brute =
   QCheck.Test.make ~name:"A minus the pinned constant <= the brute optimum"
@@ -103,9 +172,7 @@ let prop_bound_below_brute =
       in
       let layout = Layout.build ~sliced ~monitors inst in
       let enc = Encode.to_model layout in
-      let lower_bound =
-        Option.get (Encode.counting_bound Encode.Total_rules layout enc)
-      in
+      let lower_bound = model_bound layout enc in
       let fail msg = QCheck.Test.fail_reportf "seed %d: %s" seed msg in
       (* Enumeration takes 2^n steps: larger draws are skipped. *)
       if Ilp.Model.num_vars enc.Encode.model > 20 then true
@@ -121,10 +188,53 @@ let prop_bound_below_brute =
               (Printf.sprintf "bound %g above the optimum %g" lower_bound obj);
           saw (if lower_bound < obj -. 0.5 then "B > A" else "B = A")
         | _ -> saw "infeasible");
-        if same_with_and_without ~fail layout enc lower_bound then
-          saw "settled by counting";
+        same_with_and_without ~fail layout enc lower_bound;
+        if same_as_model_path ~fail layout enc then saw "settled by counting";
         true
       end)
+
+(* The layout-row check against the model's own: on tiny star layouts
+   (sliced, a monitor, pinned policies, crowded capacity, sometimes a
+   merge plan), for the greedy assignment (all-false when greedy is
+   stuck) and each single-bit flip of it. *)
+let prop_rows_match_model =
+  QCheck.Test.make ~name:"layout rows hold exactly where the model's do"
+    ~count:300 QCheck.int (fun seed ->
+      let g = Prng.create seed in
+      let inst = star_instance g in
+      let sliced = Prng.bool g in
+      let monitors =
+        if Prng.int g 3 = 0 then [ (Prng.int g 4, Ternary.Field.any) ] else []
+      in
+      let inst, plan =
+        if Prng.int g 4 = 0 then Merge.plan inst else (inst, Merge.empty_plan)
+      in
+      if plan.Merge.groups <> [] then saw "merged";
+      let layout = Layout.build ~sliced ~plan ~monitors inst in
+      let enc = Encode.to_model layout in
+      let base =
+        match Baseline.greedy_assignment layout with
+        | Some a -> a
+        | None -> Array.make (Layout.num_vars layout) false
+      in
+      let agree a =
+        let rows = Encode.feasible layout a
+        and model =
+          Ilp.Solver.check_feasible enc.Encode.model (Encode.project enc a)
+        in
+        if rows <> model then
+          QCheck.Test.fail_reportf "seed %d: layout rows %b, model %b" seed
+            rows model;
+        saw (if rows then "rows hold" else "a row fails")
+      in
+      agree base;
+      Array.iteri
+        (fun v x ->
+          let a = Array.copy base in
+          a.(v) <- not x;
+          agree a)
+        base;
+      true)
 
 let test_draws_cover_the_kinds () =
   List.iter
@@ -138,10 +248,14 @@ let test_draws_cover_the_kinds () =
       "B = A";
       "infeasible";
       "settled by counting";
+      "rows hold";
+      "a row fails";
+      "merged";
     ]
 
 (* Random k=4/6 families without merging, too large to enumerate: the
-   bound does not change the outcome, and sits below the optimum. *)
+   bound does not change the outcome, sits below the optimum, and
+   [Encode.solve] ends as the model path does. *)
 let prop_same_on_families =
   QCheck.Test.make ~name:"the bound changes no outcome on random families"
     ~count:30 QCheck.int (fun seed ->
@@ -174,11 +288,10 @@ let prop_same_on_families =
         Layout.build ~sliced:f.Workload.slice ~monitors (Workload.build f)
       in
       let enc = Encode.to_model layout in
-      let lower_bound =
-        Option.get (Encode.counting_bound Encode.Total_rules layout enc)
-      in
+      let lower_bound = model_bound layout enc in
       let fail msg = QCheck.Test.fail_reportf "seed %d: %s" seed msg in
-      ignore (same_with_and_without ~fail layout enc lower_bound);
+      same_with_and_without ~fail layout enc lower_bound;
+      ignore (same_as_model_path ~fail layout enc);
       (match Ilp.Solver.solve enc.Encode.model with
       | Ilp.Solver.Optimal s, _ ->
         if lower_bound > s.Ilp.Solver.objective +. 1e-9 then
@@ -195,9 +308,8 @@ let test_no_bound_elsewhere () =
   in
   let plain = Layout.build inst in
   let none what objective layout =
-    let enc = Encode.to_model ~objective layout in
     Alcotest.(check bool) what true
-      (Encode.counting_bound objective layout enc = None)
+      (Encode.counting_bound objective layout = None)
   in
   none "upstream drops" Encode.Upstream_drops plain;
   none "switch weighted"
@@ -208,39 +320,52 @@ let test_no_bound_elsewhere () =
   Alcotest.(check bool) "the family merges" true (plan.Merge.groups <> []);
   none "merge plan" Encode.Total_rules (Layout.build ~plan merged_inst)
 
-(* The solver's side of the contract on a hand-made cover: x0 + x1 >= 1,
-   x1 + x2 >= 1, unit costs, optimum 1 at x1. *)
+(* The contract on both sides.  [Encode.solve] settles a warm start
+   that meets A with no model written; the solver takes its lower bound
+   as the root bound's seed only, shown on a hand-made cover:
+   x0 + x1 >= 1, x1 + x2 >= 1, unit costs, optimum 1 at x1. *)
 let test_solver_lower_bound () =
+  let layout =
+    Layout.build
+      (Workload.build
+         {
+           Workload.default with
+           Workload.rules = 8;
+           paths = 16;
+           capacity = 60;
+         })
+  in
+  let warm = Option.get (Baseline.greedy_assignment layout) in
+  let a = Option.get (Encode.counting_bound Encode.Total_rules layout) in
+  let r, spans = traced (fun () -> Encode.solve ~warm_start:warm layout) in
+  (match (r.Encode.status, r.Encode.solution) with
+  | `Optimal, Some sol ->
+    Alcotest.(check int) "B = A" a (Solution.total_entries sol);
+    Alcotest.(check bool) "the warm start's placement" true
+      (sol.Solution.per_switch
+      = (Solution.of_assignment layout warm ~objective:0.0).Solution.per_switch)
+  | st, _ -> Alcotest.failf "got %a" Encode.pp_status st);
+  let s = r.Encode.ilp_stats in
+  Alcotest.(check (pair int int)) "no node, no LP" (0, 0)
+    (s.Ilp.Solver.nodes, s.Ilp.Solver.lp_calls);
+  Alcotest.(check (float 0.0)) "root bound is A" (float_of_int a)
+    s.Ilp.Solver.root_bound;
+  no_model_spans "settled" spans;
   let m = Ilp.Model.create () in
   let x = Array.init 3 (fun _ -> Ilp.Model.binary m) in
   Ilp.Model.add_ge m [ (1.0, x.(0)); (1.0, x.(1)) ] 1.0;
   Ilp.Model.add_ge m [ (1.0, x.(1)); (1.0, x.(2)) ] 1.0;
   Ilp.Model.set_objective m (Array.to_list (Array.map (fun v -> (1.0, v)) x));
-  let warm = [| false; true; false |] in
-  (* A warm start that meets the bound (0.5 rounds up to 1) is the
-     answer: that array's values, no node, no LP, the bound as the root
-     bound, and no setup span. *)
-  Telemetry.Trace.reset ();
-  Telemetry.Trace.enable ();
+  (* The solver has no early exit: a warm start that meets the bound
+     (0.5 rounds up to 1) still runs the root, and is the answer. *)
   let o, s =
-    Fun.protect ~finally:Telemetry.Trace.disable (fun () ->
-        Ilp.Solver.solve ~warm_start:warm ~lower_bound:0.5 m)
+    Ilp.Solver.solve ~warm_start:[| false; true; false |] ~lower_bound:0.5 m
   in
-  let spans =
-    List.map
-      (fun (i : Telemetry.Trace.info) -> i.Telemetry.Trace.name)
-      (Telemetry.Trace.spans ())
-  in
-  Telemetry.Trace.reset ();
   (match o with
   | Ilp.Solver.Optimal sol ->
-    Alcotest.(check (array bool)) "the warm start" warm sol.Ilp.Solver.values;
     Alcotest.(check (float 0.0)) "objective" 1.0 sol.Ilp.Solver.objective
   | o -> Alcotest.failf "got %a" Ilp.Solver.pp_outcome o);
-  Alcotest.(check (pair int int)) "no node, no LP" (0, 0)
-    (s.Ilp.Solver.nodes, s.Ilp.Solver.lp_calls);
-  Alcotest.(check (float 0.0)) "root bound" 0.5 s.Ilp.Solver.root_bound;
-  Alcotest.(check bool) "no ilp.setup" false (List.mem "ilp.setup" spans);
+  Alcotest.(check bool) "the root LP runs" true (s.Ilp.Solver.lp_calls > 0);
   (* A worse warm start does not settle, but the bound seeds the root
      bound, which the LP can only raise: with no root LP it stays. *)
   let worse = [| true; false; true |] in
@@ -264,6 +389,33 @@ let test_solver_lower_bound () =
   let _, s = Ilp.Solver.solve ~warm_start:[| true |] ~lower_bound:1.5 f in
   Alcotest.(check bool) "fractional objective searches" true
     (s.Ilp.Solver.lp_calls > 0)
+
+(* A [place_paper] instance (k=16, 8 policies, 1024 paths, r=20,
+   C=140): the greedy warm start places exactly A entries, so the solve
+   settles with no model written. *)
+let test_place_paper_settles () =
+  let inst =
+    Workload.build
+      {
+        Workload.default with
+        Workload.k = 16;
+        num_policies = 8;
+        rules = 20;
+        paths = 1024;
+        capacity = 140;
+        seed = 100_003;
+      }
+  in
+  let r, spans = traced (fun () -> Solve.run inst) in
+  Alcotest.(check string) "status" "optimal"
+    (Format.asprintf "%a" Encode.pp_status r.Solve.status);
+  let s = Option.get r.Solve.ilp_stats in
+  Alcotest.(check (pair int int)) "no node, no LP" (0, 0)
+    (s.Ilp.Solver.nodes, s.Ilp.Solver.lp_calls);
+  let sol = Option.get r.Solve.solution in
+  Alcotest.(check int) "B = A" sol.Solution.baseline_rule_count
+    (Solution.total_entries sol);
+  no_model_spans "place_paper" spans
 
 (* A k=32 point of the paper's grid (1024 policies, 1024 paths, r=20,
    C=200): every policy fits, the greedy warm start places exactly A
@@ -296,6 +448,7 @@ let test_paper_grid_point () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_bound_below_brute;
+    QCheck_alcotest.to_alcotest prop_rows_match_model;
     Alcotest.test_case "tiny draws met every kind" `Quick
       test_draws_cover_the_kinds;
     QCheck_alcotest.to_alcotest prop_same_on_families;
@@ -303,6 +456,8 @@ let suite =
       test_no_bound_elsewhere;
     Alcotest.test_case "solver lower bound: exit, seed, rounding" `Quick
       test_solver_lower_bound;
+    Alcotest.test_case "a place_paper instance settles with no model" `Quick
+      test_place_paper_settles;
     Alcotest.test_case "k=32 paper grid point settles by counting" `Quick
       test_paper_grid_point;
   ]

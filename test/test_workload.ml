@@ -58,10 +58,38 @@ let test_ingress_modes () =
   Alcotest.(check int) "distinct switches" 8
     (List.length (List.sort_uniq Stdlib.compare attach))
 
+(* Fewer paths than policy ingresses: [build] raises a named error
+   instead of failing deep in [Instance.make], and [validate] gives the
+   same message for the CLI's usage error. *)
+let test_too_few_paths () =
+  let f = { Workload.default with Workload.paths = 1; num_policies = 8 } in
+  let msg =
+    "paths = 1 is fewer than the 8 policy ingresses (num_policies = 8): \
+     each needs a path"
+  in
+  Alcotest.(check (result unit string)) "validate" (Error msg)
+    (Workload.validate f);
+  Alcotest.check_raises "build raises"
+    (Invalid_argument ("Workload.build: " ^ msg))
+    (fun () -> ignore (Workload.build f));
+  (* One path per ingress is enough, counted after [ingresses] caps the
+     policies at the 16 hosts of k=4. *)
+  List.iter
+    (fun (paths, num_policies) ->
+      let f = { Workload.default with Workload.paths; num_policies } in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d paths, %d policies" paths num_policies)
+        true
+        (Workload.validate f = Ok ());
+      ignore (Workload.build f))
+    [ (8, 8); (16, 20) ]
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "nested path sweeps" `Quick test_paths_nested;
     Alcotest.test_case "blacklist shared" `Quick test_mergeable_blacklist_shared;
     Alcotest.test_case "ingress modes" `Quick test_ingress_modes;
+    Alcotest.test_case "too few paths is a named error" `Quick
+      test_too_few_paths;
   ]

@@ -37,10 +37,13 @@ fails if it misjudges it.
 import os
 import re
 import sys
+from collections import Counter
 
 DIRS = ["lib", "bin", "bench", "test", "examples", "tools", "perfbench"]
 VAL = re.compile(r"^\s*val\s+([a-z_][A-Za-z0-9_']*)\s*:", re.M)
-WORD = r"(?<![A-Za-z0-9_'])%s(?![A-Za-z0-9_'])"
+# A maximal run of identifier characters: a name is used where a run
+# equals it.
+WORD = re.compile(r"[A-Za-z0-9_']+")
 CHAR = re.compile(r"'(?:[^\\'\n]|\\(?:[\\'\"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-3][0-7]{2}))'")
 QUOTED = re.compile(r"\{([a-z_]*)\|")
 OPT = re.compile(r"\?([a-z_][A-Za-z0-9_']*)\s*:")
@@ -124,10 +127,9 @@ def dead_vals(text):
         if path.endswith(".mli") and path.replace(os.sep, "/").startswith("lib/"):
             for m in VAL.finditer(src):
                 decls.append((path, src.count("\n", 0, m.start(1)) + 1, m.group(1)))
-    uses = {}
-    for name in {n for _, _, n in decls}:
-        word = re.compile(WORD % re.escape(name))
-        uses[name] = sum(len(word.findall(src)) for src in text.values())
+    uses = Counter()
+    for src in text.values():
+        uses.update(WORD.findall(src))
     defs = {}
     for path, _, name in decls:
         defs[name] = defs.get(name, 0) + 1
