@@ -58,8 +58,9 @@ let () =
         dt)
     engines;
 
-  (* Export the exact models.  The LP file holds the layout's free
-     variables; the pinned ones add a constant to its objective. *)
+  (* Export the exact models.  The LP file holds the layout's
+     variables; the pinned policies' rules add a constant to its
+     objective. *)
   let layout = Placement.Layout.build inst in
   let enc = Placement.Encode.to_model layout in
   let model = enc.Placement.Encode.model in
@@ -67,25 +68,14 @@ let () =
       Format.printf "@.ILP model: %a, objective constant %g -> %s@."
         Ilp.Model.pp_stats model enc.Placement.Encode.constant lp_path);
 
-  (* The clause part of the SAT encoding as DIMACS, a unit clause per
-     pinned variable included (capacity rows use native cardinality
-     constraints and are listed separately). *)
-  let pins =
-    List.concat
-      (List.mapi
-         (fun v (pin : Placement.Layout.pin) ->
-           match pin with
-           | Placement.Layout.Free -> []
-           | Placement.Layout.Zero -> [ [ -(v + 1) ] ]
-           | Placement.Layout.One -> [ [ v + 1 ] ])
-         (Array.to_list layout.Placement.Layout.pins))
-  in
+  (* The clause part of the SAT encoding as DIMACS (capacity rows use
+     native cardinality constraints and are listed separately; the
+     pinned policies have no variables). *)
   let clauses =
     List.map (fun cover -> List.map (fun v -> v + 1) cover)
       layout.Placement.Layout.covers
     @ List.map (fun (d, p) -> [ -(d + 1); p + 1 ])
         layout.Placement.Layout.implications
-    @ pins
   in
   let cnf =
     { Cdcl.Dimacs.num_vars = Placement.Layout.num_vars layout; clauses }

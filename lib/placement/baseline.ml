@@ -15,8 +15,8 @@ type greedy_outcome =
    from the ingress side) whose remaining capacity absorbs the entries
    not already installed there for this policy.
 
-   A pinned policy is placed before either stage: its [Layout.One]
-   variables are set and charged to their switch, and Stage B skips it.
+   A pinned policy is placed before either stage: its rules are charged
+   to its switch [k0], and Stage B skips it.
    When the stages succeed this is the placement they would have made
    themselves: every block of such a policy fits at its ingress switch
    [k0] (its one-switch path needs all of them there), and charging the
@@ -36,15 +36,11 @@ let greedy_raw (layout : Layout.t) =
   let ord = Array.make (Topo.Net.num_hosts inst.Instance.net) (-1) in
   Array.iteri (fun o (i, _) -> ord.(i) <- o) policies;
   let pinned = Array.make (Topo.Net.num_hosts inst.Instance.net) false in
-  Array.iteri
-    (fun v pin ->
-      match (pin, layout.Layout.keys.(v)) with
-      | Layout.One, Layout.Place { ingress; switch; _ } ->
-        placed.(v) <- true;
-        used.(switch) <- used.(switch) + 1;
-        pinned.(ingress) <- true
-      | _ -> ())
-    layout.Layout.pins;
+  List.iter
+    (fun (i, k0, n) ->
+      used.(k0) <- used.(k0) + n;
+      pinned.(i) <- true)
+    layout.Layout.pinned;
   let deps = Array.map (fun (_, q) -> lazy (Depgraph.build q)) policies in
   let paths =
     Array.map

@@ -36,32 +36,29 @@ let coefficients objective (layout : Layout.t) =
   | Switch_weighted w when not (Array.for_all valid_weight w) ->
     invalid_arg "Encode: switch weights must be finite and >= 0"
   | Total_rules | Upstream_drops | Switch_weighted _ -> ());
-  let n = Layout.num_vars layout in
-  let coef = Array.make n 0.0 in
-  Array.iteri
-    (fun v key ->
-      match key with
-      | Layout.Place { switch; _ } ->
-        coef.(v) <-
-          (match objective with
-          | Total_rules -> 1.0
-          | Upstream_drops -> layout.Layout.weights.(v)
-          | Switch_weighted w -> w.(switch))
-      | Layout.Merged _ -> ())
-    layout.Layout.keys;
+  let coef =
+    match objective with
+    | Total_rules -> Array.make (Layout.num_vars layout) 1.0
+    | Upstream_drops | Switch_weighted _ ->
+      Array.init (Layout.num_vars layout) (fun v ->
+          match (Layout.key layout v, objective) with
+          | Layout.Merged _, _ | _, Total_rules -> 0.0
+          | Layout.Place { hops; _ }, Upstream_drops -> 1.0 +. float_of_int hops
+          | Layout.Place { switch; _ }, Switch_weighted w -> w.(switch))
+  in
   List.iter
     (fun (mv, members) ->
       match objective with
       | Total_rules -> coef.(mv) <- 1.0 -. float_of_int (List.length members)
       | Upstream_drops ->
-        let sum =
-          List.fold_left (fun acc v -> acc +. layout.Layout.weights.(v)) 0.0 members
-        in
-        coef.(mv) <- layout.Layout.weights.(mv) -. sum
+        (* A merged entry weighs as its heaviest member. *)
+        let ws = List.map (Array.get coef) members in
+        coef.(mv) <-
+          List.fold_left Float.max 1.0 ws -. List.fold_left ( +. ) 0.0 ws
       | Switch_weighted w ->
         (* A merged entry still occupies one slot at its switch. *)
         let k =
-          match layout.Layout.keys.(mv) with
+          match Layout.key layout mv with
           | Layout.Merged { switch; _ } -> switch
           | Layout.Place _ -> assert false
         in
@@ -69,13 +66,27 @@ let coefficients objective (layout : Layout.t) =
     layout.Layout.merge_defs;
   coef
 
+(* The cost of the pinned policies' rules, added rule by rule in
+   ingress order.  Each sits at its ingress switch [k0], 0 hops from
+   the ingress, so it weighs 1 under the upstream objective. *)
+let pinned_cost objective (layout : Layout.t) =
+  List.fold_left
+    (fun acc (_, k0, n) ->
+      let c =
+        match objective with
+        | Total_rules | Upstream_drops -> 1.0
+        | Switch_weighted w -> w.(k0)
+      in
+      List.fold_left ( +. ) acc (List.init n (Fun.const c)))
+    0.0 layout.Layout.pinned
+
 let assignment_objective ?(objective = Total_rules) layout assignment =
   let coef = coefficients objective layout in
   let total = ref 0.0 in
   Array.iteri (fun v c -> if assignment.(v) then total := !total +. c) coef;
-  !total
+  !total +. pinned_cost objective layout
 
-type encoding = { model : Ilp.Model.t; vars : int array; constant : float }
+type encoding = { model : Ilp.Model.t; constant : float }
 
 (* The rows go straight into the model's matrix buffers, sized first
    so they never grow: one term at a time, each row closed in its own
@@ -84,11 +95,8 @@ type encoding = { model : Ilp.Model.t; vars : int array; constant : float }
 let to_model ?(objective = Total_rules) (layout : Layout.t) =
   let coef = coefficients objective layout in
   let len = List.length and sum f = List.fold_left (fun n x -> n + f x) 0 in
-  let fixes =
-    List.filter (fun v -> layout.Layout.pins.(v) = Layout.Free)
-      layout.Layout.forbidden
-  in
   let { Layout.implications; covers; capacities; merge_defs; _ } = layout in
+  let fixes = layout.Layout.forbidden in
   let rows =
     len implications + (2 * len fixes) + len covers + len capacities
     + sum (fun (_, ms) -> 1 + len ms) merge_defs
@@ -101,21 +109,9 @@ let to_model ?(objective = Total_rules) (layout : Layout.t) =
     + sum (fun (_, ms) -> 1 + (3 * len ms)) merge_defs
   in
   let model = Ilp.Model.create ~rows ~entries:(terms + (2 * rows)) () in
-  (* One model variable per free layout variable, in layout order; the
-     pinned ones fold into the constant. *)
-  let constant = ref 0.0 in
-  let vars =
-    Array.mapi
-      (fun v (pin : Layout.pin) ->
-        match pin with
-        | Layout.Free -> (Ilp.Model.binary model :> int)
-        | Layout.One ->
-          constant := !constant +. coef.(v);
-          -1
-        | Layout.Zero -> -1)
-      layout.Layout.pins
-  in
-  let term c v = Ilp.Model.term model vars.(v) c in
+  (* Model variable [v] is layout variable [v]. *)
+  Array.iter (fun _ -> ignore (Ilp.Model.binary model)) coef;
+  let term c v = Ilp.Model.term model v c in
   let row = Ilp.Model.end_row model in
   let implies a b =
     term 1.0 a;
@@ -157,34 +153,16 @@ let to_model ?(objective = Total_rules) (layout : Layout.t) =
       List.iter (implies mv) members)
     merge_defs;
   (* Packing drops the zero coefficients. *)
-  let nv = Ilp.Model.num_vars model in
-  let idx = Array.init nv Fun.id and ocoef = Array.make nv 0.0 in
-  Array.iteri (fun v x -> if x >= 0 then ocoef.(x) <- coef.(v)) vars;
-  Ilp.Model.set_objective_row model { Simplex.Csc.idx; coef = ocoef };
-  { model; vars; constant = !constant }
-
-(* A layout assignment with the pins filled in, each free variable
-   read from [free]. *)
-let with_pins (layout : Layout.t) free =
-  Array.mapi
-    (fun v (pin : Layout.pin) ->
-      match pin with
-      | Layout.Free -> free v
-      | Layout.One -> true
-      | Layout.Zero -> false)
-    layout.Layout.pins
-
-let project enc assignment =
-  let point = Array.make (Ilp.Model.num_vars enc.model) false in
-  Array.iteri (fun v x -> if x >= 0 then point.(x) <- assignment.(v)) enc.vars;
-  point
+  Ilp.Model.set_objective_row model
+    { Simplex.Csc.idx = Array.init (Array.length coef) Fun.id; coef };
+  { model; constant = pinned_cost objective layout }
 
 (* The paper's A bounds the entries of every placement when each costs
    one and nothing merges.  [Instance.make] gives every ingress a path,
    so each coverage drop has a cover row, and each permit A counts is
    forced by an implication row from such a drop: every rule A counts
    is installed somewhere, each as its own unit-cost variable.  A
-   pinned policy's rules count once each, as its [One] pins.  Merging
+   pinned policy's rules count once each, at its [k0].  Merging
    can place fewer entries than A, and other objectives do not count
    entries. *)
 let counting_bound objective (layout : Layout.t) =
@@ -193,16 +171,13 @@ let counting_bound objective (layout : Layout.t) =
     Some layout.Layout.baseline_rule_count
   | Total_rules | Upstream_drops | Switch_weighted _ -> None
 
-(* Every row [to_model] writes, read off the layout's own lists.  The
-   rows hold only free variables, so [a]'s pinned entries go unread. *)
+(* Every row [to_model] writes, read off the layout's own lists. *)
 let feasible (layout : Layout.t) a =
   let set = List.fold_left (fun n v -> if a.(v) then n + 1 else n) 0 in
   List.for_all
     (fun (vd, vp) -> (not a.(vd)) || a.(vp))
     layout.Layout.implications
-  && List.for_all
-       (fun v -> layout.Layout.pins.(v) <> Layout.Free || not a.(v))
-       layout.Layout.forbidden
+  && List.for_all (fun v -> not a.(v)) layout.Layout.forbidden
   && List.for_all (List.exists (Array.get a)) layout.Layout.covers
   && List.for_all
        (fun (c : Layout.capacity) ->
@@ -218,12 +193,15 @@ let feasible (layout : Layout.t) a =
 
 (* A warm start that meets {!counting_bound} is optimal.  Under that
    bound every variable is a unit-cost placement, so its objective is
-   the count of set variables, pins included. *)
+   the count of set variables plus the pinned rules. *)
 let settle objective layout warm_start =
   match (counting_bound objective layout, warm_start) with
-  | Some bound, Some w ->
-    let a = with_pins layout (Array.get w) in
-    let count = Array.fold_left (fun n x -> if x then n + 1 else n) 0 a in
+  | Some bound, Some a ->
+    let count =
+      Array.fold_left
+        (fun n x -> if x then n + 1 else n)
+        (Layout.pinned_rules layout) a
+    in
     if count <= bound && feasible layout a then Some (a, count, bound)
     else None
   | _ -> None
@@ -253,7 +231,7 @@ let solve ?(objective = Total_rules) ?config ?cancel ?warm_start
     in
     let outcome, stats =
       Ilp.Solver.solve ?config ?cancel
-        ?warm_start:(Option.map (project enc) warm_start)
+        ?warm_start
         ?lower_bound:
           (Option.map
              (fun a -> float_of_int a -. enc.constant)
@@ -261,8 +239,7 @@ let solve ?(objective = Total_rules) ?config ?cancel ?warm_start
         enc.model
     in
     let solution_of (s : Ilp.Solver.solution) =
-      Solution.of_assignment layout
-        (with_pins layout (fun v -> s.Ilp.Solver.values.(enc.vars.(v))))
+      Solution.of_assignment layout s.Ilp.Solver.values
         ~objective:(s.Ilp.Solver.objective +. enc.constant)
     in
     let status, solution =

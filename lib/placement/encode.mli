@@ -15,9 +15,9 @@
     - [Upstream_drops]: minimize traffic-weighted placement, each entry
       costing [1 + loc(s, P_i)] so drops move toward the ingress.
 
-    Only the layout's [Free] variables become model variables (see
-    {!Layout} on pinned policies); the objective of the variables it
-    pins to 1 is the encoding's [constant]. *)
+    Model variable [v] is layout variable [v]; the pinned policies,
+    which have no variables (see {!Layout}), cost the encoding's
+    [constant]. *)
 
 type objective =
   | Total_rules
@@ -25,8 +25,9 @@ type objective =
   | Switch_weighted of float array
       (** per-switch placement cost (the paper's "weighted placement to
           favor certain switches"), one per switch of the instance.
-          Every weight must be finite and [>= 0]: the layout's pins to 0
-          are optimal only for non-negative costs.  Encoding or scoring
+          Every weight must be finite and [>= 0]: holding a pinned
+          policy at its [k0] alone is optimal only for non-negative
+          costs.  Encoding or scoring
           under an array of another length or any other weight raises
           [Invalid_argument]. *)
 
@@ -43,11 +44,8 @@ type result = {
 
 type encoding = {
   model : Ilp.Model.t;
-  vars : int array;
-      (** layout variable -> model variable, [-1] where the layout pins
-          it; model variables follow layout order *)
   constant : float;
-      (** objective of the layout's variables pinned to 1: a layout
+      (** objective of the pinned policies' rules: a layout
           assignment's objective is the model's plus [constant] *)
 }
 
@@ -60,22 +58,18 @@ val to_model : ?objective:objective -> Layout.t -> encoding
     ({!Ilp.Model.term}) and closes it in its own sense
     ({!Ilp.Model.end_row}). *)
 
-val project : encoding -> bool array -> bool array
-(** A layout assignment restricted to the model's variables (e.g. a
-    warm start). *)
-
 val counting_bound : objective -> Layout.t -> int option
 (** The paper's A ([Layout.baseline_rule_count]): a lower bound on the
-    objective of every feasible layout assignment, pins included, given
+    objective of every feasible layout assignment, pinned rules
+    included, given
     only for [Total_rules] with an empty merge plan (with merging a
     placement can use fewer entries than A). *)
 
 val feasible : Layout.t -> bool array -> bool
 (** Whether a layout assignment satisfies every row {!to_model} writes,
     read off the layout's own lists: implications, monitor fixes,
-    covers, capacities and merge definitions.  The rows hold only free
-    variables, so it agrees with {!Ilp.Solver.check_feasible} on the
-    {!project}ed assignment. *)
+    covers, capacities and merge definitions.  It agrees with
+    {!Ilp.Solver.check_feasible} on the same assignment. *)
 
 val solve :
   ?objective:objective ->
@@ -85,20 +79,20 @@ val solve :
   Layout.t ->
   result
 (** [warm_start] is indexed by layout variables.  Under a
-    {!counting_bound} A, a warm start that is {!feasible} once its pins
-    are filled in and places at most A entries settles the solve: it is
+    {!counting_bound} A, a warm start that is {!feasible} and places at
+    most A entries, pinned rules included, settles the solve: it is
     returned as [`Optimal] with 0 nodes, 0 LP calls and A as the root
     bound, and no model is written (no [solve.encode] or [ilp.setup]
     span); [sdnplace_ilp_count_settled_total] counts these.  Otherwise
-    the layout is encoded ({!to_model}), the warm start projected onto
-    the model's variables, and the solver given A less the encoding's
-    constant to seed its root bound.  The solution is lifted back to
-    every layout variable, and its objective and [root_bound] include
-    the encoding's constant.
+    the layout is encoded ({!to_model}) and the solver given the warm
+    start and A less the encoding's constant to seed its root bound.
+    The solution's objective and [root_bound] include the encoding's
+    constant.
     [cancel] stops the search cooperatively. *)
 
 val assignment_objective : ?objective:objective -> Layout.t -> bool array -> float
-(** Objective value of an arbitrary layout assignment (used to score
-    greedy/SAT solutions consistently). *)
+(** Objective value of an arbitrary layout assignment, the pinned
+    rules' cost included (used to score greedy/SAT solutions
+    consistently). *)
 
 val pp_status : Format.formatter -> status -> unit

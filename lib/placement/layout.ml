@@ -1,5 +1,5 @@
 type key =
-  | Place of { ingress : int; priority : int; switch : int }
+  | Place of { ingress : int; priority : int; switch : int; hops : int }
   | Merged of { gid : int; switch : int }
 
 type capacity = {
@@ -9,47 +9,60 @@ type capacity = {
   grouped : (int * int list) list;
 }
 
-(* One policy's placement variables: the rule in slot [s] at the switch
-   in position [j] of [switches] is variable [base + s * |switches| + j].
-   [prios] is ascending; [slots.(x)] and [dummies.(x)] belong to
-   [prios.(x)]. *)
+(* One policy's placed rules over its switches [S_i].  A cell is
+   [s * |switches| + j]: the rule in slot [s] at the switch in position
+   [j] of [switches].  A free policy's cell [c] is variable [base + c];
+   a pinned one ([k0] >= 0) has no variables and holds each rule once at
+   [k0].  [prios] is ascending and [slots.(x)] belongs to [prios.(x)];
+   [rules.(s)] is the rule in slot [s]; [loc.(j)] is the
+   paper's loc of [switches.(j)]. *)
 type block = {
+  ingress : int;
   base : int;
   switches : int array;
+  loc : int array;
   prios : int array;
   slots : int array;
-  dummies : bool array;
+  rules : Acl.Rule.t array;
+  k0 : int;
 }
 
 type numbering = {
   blocks : block array;  (* by ingress host; [no_block] without a policy *)
-  forbidden_mask : bool array;  (* by variable *)
+  free : block array;  (* the blocks that have variables, by base *)
+  n_place : int;
+  merged : key array;  (* of variable [n_place + x] *)
+  dummies : (int * int, unit) Hashtbl.t;  (* (ingress, priority) *)
 }
-
-type pin = Free | Zero | One
 
 type t = {
   instance : Instance.t;
   plan : Merge.plan;
   sliced : bool;
   monitors : (int * Ternary.Field.t) list;
-  keys : key array;
   numbering : numbering;
-  rules : (int * int, Acl.Rule.t) Hashtbl.t;
   implications : (int * int) list;
   covers : int list list;
   capacities : capacity list;
   merge_defs : (int * int list) list;
-  weights : float array;
   baseline_rule_count : int;
   forbidden : int list;
-  pins : pin array;
+  pinned : (int * int * int) list;
 }
 
-let num_vars t = Array.length t.keys
+let num_vars t = t.numbering.n_place + Array.length t.numbering.merged
 
 let no_block =
-  { base = 0; switches = [||]; prios = [||]; slots = [||]; dummies = [||] }
+  {
+    ingress = -1;
+    base = 0;
+    switches = [||];
+    loc = [||];
+    prios = [||];
+    slots = [||];
+    rules = [||];
+    k0 = -1;
+  }
 
 (* Position of [x] in the ascending array [a], or -1. *)
 let find_sorted a x =
@@ -72,9 +85,9 @@ let slot_of b priority =
   let x = find_sorted b.prios priority in
   if x < 0 then -1 else b.slots.(x)
 
-(* One policy between the passes of [build]: what its rows need, and
-   the switch [k0] where conditions 1-3 of the pin rule hold (-1 when
-   they fail). *)
+(* One policy between the passes of [build]: what its rows need, the
+   switch [k0] where conditions 1-3 of the pin rule hold (-1 when they
+   fail), and the cells its monitors forbid. *)
 type policy_info = {
   block : block;
   dep : Depgraph.t;
@@ -82,6 +95,7 @@ type policy_info = {
   placed_drops : Acl.Rule.t list;
   coverage_drops : Acl.Rule.t list;
   pin_at : int;
+  walk : int list;
 }
 
 (* Conditions 1-2 of the pin rule: the switch of a one-switch path that
@@ -121,224 +135,161 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
         (fun (m : Merge.member) -> Hashtbl.replace merging m.Merge.ingress ())
         g.Merge.members)
     plan.Merge.groups;
-  let blocks = Array.make (Topo.Net.num_hosts net) no_block in
-  let n_place = ref 0 in
-  (* Each policy's keys and weights, last policy first. *)
-  let place_keys = ref [] and place_weights = ref [] in
-  let rules = Hashtbl.create 256 in
   let baseline = ref 0 in
   (* Scratch, by switch, reset after each policy: the position in [S_i]
      and the paper's loc(s, P_i), min hops over the paths of this
      ingress (ingress-side switch = 0 hops). *)
   let pos = Array.make n_switches (-1) in
   let loc = Array.make n_switches max_int in
-  let policies = ref [] in
-  List.iter
-    (fun (i, q) ->
-      let dep = Depgraph.build q in
-      let paths = Routing.Table.paths_from inst.Instance.routing i in
-      let drops = Acl.Policy.drops q in
-      let relevant (w : Acl.Rule.t) =
-        (not sliced)
-        || List.exists
-             (fun (p : Routing.Path.t) ->
-               Ternary.Field.overlaps w.field p.Routing.Path.flow)
-             paths
-      in
-      let coverage_drops =
-        List.filter (fun w -> (not (is_dummy i w)) && relevant w) drops
-      in
-      let dummy_rules = List.filter (is_dummy i) (Acl.Policy.rules q) in
-      let placed_drops = coverage_drops @ List.filter Acl.Rule.is_drop dummy_rules in
-      let needed_permits = Depgraph.required_permits dep placed_drops in
-      (* The paper's A counts the rules each policy would install if they
-         all fitted at the ingress switch: its relevant drops plus their
-         dependent permits, once each (dummies excluded — they install
-         nothing on their own). *)
-      let non_dummy rs =
-        List.filter (fun (r : Acl.Rule.t) -> not (is_dummy i r)) rs
-      in
-      baseline :=
-        !baseline
-        + List.length (non_dummy coverage_drops)
-        + List.length (non_dummy needed_permits);
-      let placed_rules =
-        (* Dummy permits may coincide with needed permits: dedupe.  The
-           table's fold order is the slot order. *)
-        let tbl = Hashtbl.create 16 in
-        List.iter
-          (fun (r : Acl.Rule.t) -> Hashtbl.replace tbl r.priority r)
-          (placed_drops @ needed_permits @ dummy_rules);
-        Array.of_list (Hashtbl.fold (fun _ r acc -> r :: acc) tbl [])
-      in
-      let by_prio =
-        Array.mapi (fun s (r : Acl.Rule.t) -> (r.priority, s)) placed_rules
-      in
-      Array.sort compare by_prio;
-      let b =
-        {
-          base = !n_place;
-          switches =
-            Array.of_list (Routing.Table.switches_from inst.Instance.routing i);
-          prios = Array.map fst by_prio;
-          slots = Array.map snd by_prio;
-          dummies =
-            Array.map (fun (p, _) -> Hashtbl.mem dummies (i, p)) by_prio;
-        }
-      in
-      blocks.(i) <- b;
-      let width = Array.length b.switches in
-      let n = Array.length placed_rules * width in
-      n_place := !n_place + n;
-      List.iter
-        (fun (p : Routing.Path.t) ->
-          Array.iteri
-            (fun d k -> if d < loc.(k) then loc.(k) <- d)
-            p.Routing.Path.switches)
-        paths;
-      let keys = Array.make n (Merged { gid = -1; switch = -1 }) in
-      let weights = Array.make n 1.0 in
-      Array.iteri
-        (fun s (r : Acl.Rule.t) ->
-          Hashtbl.replace rules (i, r.priority) r;
-          Array.iteri
-            (fun j k ->
-              keys.((s * width) + j) <-
-                Place { ingress = i; priority = r.priority; switch = k };
-              weights.((s * width) + j) <- 1.0 +. float_of_int loc.(k))
-            b.switches)
-        placed_rules;
-      place_keys := keys :: !place_keys;
-      place_weights := weights :: !place_weights;
-      Array.iter (fun k -> loc.(k) <- max_int) b.switches;
-      let pin_at =
-        if n = 0 || Hashtbl.mem merging i then -1
-        else forced_switch ~sliced paths coverage_drops
-      in
-      policies :=
-        { block = b; dep; paths; placed_drops; coverage_drops; pin_at }
-        :: !policies)
-    inst.Instance.policies;
-  let policies = List.rev !policies in
-  let weights = Array.concat (List.rev !place_weights) in
-  (* Merged variables (Section IV-B): one per (group, switch) where at
-     least two members have a placement variable, numbered after all
-     placement variables, by group then switch. *)
-  let n_vars = ref !n_place in
-  let merged_keys = ref [] and merged_weights = ref [] in
-  let merge_defs = ref [] in
-  let at = Array.make n_switches [] in
-  List.iter
-    (fun (g : Merge.group) ->
-      List.iter
-        (fun (m : Merge.member) ->
-          let b = block_at blocks m.Merge.ingress in
-          let s = slot_of b m.Merge.priority in
-          if s >= 0 then
-            Array.iteri
-              (fun j k -> at.(k) <- var_in b s j :: at.(k))
-              b.switches)
-        (List.rev g.Merge.members);
-      for k = 0 to n_switches - 1 do
-        (match at.(k) with
-        | _ :: _ :: _ as members ->
-          let mv = !n_vars in
-          incr n_vars;
-          merged_keys :=
-            Merged { gid = g.Merge.gid; switch = k } :: !merged_keys;
-          merge_defs := (mv, members) :: !merge_defs;
-          merged_weights :=
-            List.fold_left (fun acc v -> Float.max acc weights.(v)) 1.0 members
-            :: !merged_weights
-        | _ -> ());
-        at.(k) <- []
-      done)
-    plan.Merge.groups;
-  let merged_keys = Array.of_list (List.rev !merged_keys) in
-  let keys = Array.concat (List.rev (merged_keys :: !place_keys)) in
-  let weights =
-    Array.append weights (Array.of_list (List.rev !merged_weights))
-  in
-  (* Monitoring constraints (paper Section VII): a DROP that could kill
-     monitored packets may not sit upstream of the monitor on any path
-     through it.  The table's fold order is the order of [forbidden],
-     in which Encode emits its fixings. *)
-  let forbidden = Hashtbl.create 16 in
-  if monitors <> [] then
-    List.iter
+  let policies =
+    List.map
       (fun (i, q) ->
-        let b = blocks.(i) in
+        let dep = Depgraph.build q in
         let paths = Routing.Table.paths_from inst.Instance.routing i in
+        let drops = Acl.Policy.drops q in
+        let relevant (w : Acl.Rule.t) =
+          (not sliced)
+          || List.exists
+               (fun (p : Routing.Path.t) ->
+                 Ternary.Field.overlaps w.field p.Routing.Path.flow)
+               paths
+        in
+        let coverage_drops =
+          List.filter (fun w -> (not (is_dummy i w)) && relevant w) drops
+        in
+        let dummy_rules = List.filter (is_dummy i) (Acl.Policy.rules q) in
+        let placed_drops =
+          coverage_drops @ List.filter Acl.Rule.is_drop dummy_rules
+        in
+        let needed_permits = Depgraph.required_permits dep placed_drops in
+        (* The paper's A counts the rules each policy would install if
+           they all fitted at the ingress switch: its relevant drops plus
+           their dependent permits, once each (dummies excluded — they
+           install nothing on their own). *)
+        let non_dummy rs =
+          List.filter (fun (r : Acl.Rule.t) -> not (is_dummy i r)) rs
+        in
+        baseline :=
+          !baseline
+          + List.length (non_dummy coverage_drops)
+          + List.length (non_dummy needed_permits);
+        let placed_rules =
+          (* Dummy permits may coincide with needed permits: dedupe.  The
+             table's fold order is the slot order. *)
+          let tbl = Hashtbl.create 16 in
+          List.iter
+            (fun (r : Acl.Rule.t) -> Hashtbl.replace tbl r.priority r)
+            (placed_drops @ needed_permits @ dummy_rules);
+          Array.of_list (Hashtbl.fold (fun _ r acc -> r :: acc) tbl [])
+        in
+        let by_prio =
+          Array.mapi (fun s (r : Acl.Rule.t) -> (r.priority, s)) placed_rules
+        in
+        Array.sort compare by_prio;
+        (* [S_i] is the switches the walk for loc meets. *)
+        let met = ref [] in
         List.iter
-          (fun (w : Acl.Rule.t) ->
-            let s = slot_of b w.priority in
-            if Acl.Rule.is_drop w && s >= 0 then
-              List.iter
-                (fun (m_switch, region) ->
-                  if Ternary.Field.overlaps w.field region then
-                    List.iter
-                      (fun (p : Routing.Path.t) ->
-                        match Routing.Path.position p m_switch with
-                        | None -> ()
-                        | Some at_monitor ->
-                          for d = 0 to at_monitor - 1 do
-                            let j =
-                              find_sorted b.switches p.Routing.Path.switches.(d)
-                            in
-                            Hashtbl.replace forbidden (var_in b s j) ()
-                          done)
-                      paths)
-                monitors)
-          (Acl.Policy.rules q))
-      inst.Instance.policies;
-  let forbidden = Hashtbl.fold (fun v () acc -> v :: acc) forbidden [] in
-  let forbidden_mask = Array.make (Array.length keys) false in
-  List.iter (fun v -> forbidden_mask.(v) <- true) forbidden;
+          (fun (p : Routing.Path.t) ->
+            Array.iteri
+              (fun d k ->
+                if loc.(k) = max_int then met := k :: !met;
+                if d < loc.(k) then loc.(k) <- d)
+              p.Routing.Path.switches)
+          paths;
+        let switches = Array.of_list !met in
+        Array.sort compare switches;
+        let block =
+          {
+            ingress = i;
+            base = 0;
+            switches;
+            loc = Array.map (fun k -> loc.(k)) switches;
+            prios = Array.map fst by_prio;
+            slots = Array.map snd by_prio;
+            rules = placed_rules;
+            k0 = -1;
+          }
+        in
+        Array.iter (fun k -> loc.(k) <- max_int) switches;
+        (* Monitoring constraints (paper Section VII): a DROP that could
+           kill monitored packets may not sit upstream of the monitor on
+           any path through it.  [walk] lists the cells that breaks, in
+           the order of the walk. *)
+        let upstream s (p : Routing.Path.t) (m, _) =
+          match Routing.Path.position p m with
+          | None -> []
+          | Some at ->
+            List.init at (fun d ->
+                (s * Array.length switches)
+                + find_sorted switches p.Routing.Path.switches.(d))
+        in
+        let walk =
+          List.concat_map
+            (fun (w : Acl.Rule.t) ->
+              let s = slot_of block w.priority in
+              if Acl.Rule.is_drop w && s >= 0 then
+                List.concat_map
+                  (fun ((_, region) as m) ->
+                    if Ternary.Field.overlaps w.field region then
+                      List.concat_map (fun p -> upstream s p m) paths
+                    else [])
+                  monitors
+              else [])
+            (if monitors = [] then [] else Acl.Policy.rules q)
+        in
+        let pin_at =
+          if Array.length placed_rules = 0 || Hashtbl.mem merging i then -1
+          else forced_switch ~sliced paths coverage_drops
+        in
+        { block; dep; paths; placed_drops; coverage_drops; pin_at; walk })
+      inst.Instance.policies
+  in
   (* Pins, conditions 4-5: monitors forbid no placed rule of the
      policy at [k0], and everything pinned at [k0] fits its capacity —
      else nothing is pinned there. *)
   let capacities = inst.Instance.capacities in
-  let n_rules pi = Array.length pi.block.prios in
-  let at_k0 pi s =
-    var_in pi.block s (find_sorted pi.block.switches pi.pin_at)
-  in
-  let candidates =
-    List.filter
-      (fun pi ->
-        let rec allowed s =
-          s >= n_rules pi
-          || ((not forbidden_mask.(at_k0 pi s)) && allowed (s + 1))
-        in
-        pi.pin_at >= 0 && allowed 0)
-      policies
+  let n_rules b = Array.length b.prios in
+  let pinnable pi =
+    pi.pin_at >= 0
+    &&
+    let b = pi.block in
+    let j0 = find_sorted b.switches pi.pin_at in
+    not (List.exists (fun c -> c mod Array.length b.switches = j0) pi.walk)
   in
   let pinned_load = Array.make n_switches 0 in
   List.iter
-    (fun pi -> pinned_load.(pi.pin_at) <- pinned_load.(pi.pin_at) + n_rules pi)
-    candidates;
+    (fun pi ->
+      if pinnable pi then
+        pinned_load.(pi.pin_at) <- pinned_load.(pi.pin_at) + n_rules pi.block)
+    policies;
   Array.iteri
     (fun k load -> if load > capacities.(k) then pinned_load.(k) <- 0)
     pinned_load;
-  let pins = Array.make (Array.length keys) Free in
-  List.iter
-    (fun pi ->
-      if pinned_load.(pi.pin_at) > 0 then
-        for s = 0 to n_rules pi - 1 do
-          Array.iteri
-            (fun j _ -> pins.(var_in pi.block s j) <- Zero)
-            pi.block.switches;
-          pins.(at_k0 pi s) <- One
-        done)
-    candidates;
-  (* Rule dependency (Eq. 1) and path coverage (Eq. 2) rows of every
-     policy left free. *)
+  (* Number the free policies' variables in ingress order, a pinned
+     policy taking none, and write each free policy's monitor fixings
+     (the table's fold order is the order of [forbidden], in which
+     Encode emits them), rule dependency (Eq. 1) and path coverage
+     (Eq. 2) rows. *)
+  let blocks = Array.make (Topo.Net.num_hosts net) no_block in
+  let n_place = ref 0 and free = ref [] and pinned = ref [] in
+  let forbidden = Hashtbl.create 16 in
   let implications = ref [] in
   let covers = ref [] in
   List.iter
     (fun pi ->
-      if n_rules pi > 0 && pins.(pi.block.base) = Free then begin
-        let b = pi.block in
-        let width = Array.length b.switches in
+      let k0 =
+        if pinnable pi && pinned_load.(pi.pin_at) > 0 then pi.pin_at else -1
+      in
+      let b = { pi.block with base = !n_place; k0 } in
+      let width = Array.length b.switches in
+      blocks.(b.ingress) <- b;
+      if k0 >= 0 then pinned := (b.ingress, k0, n_rules b) :: !pinned
+      else if n_rules b * width > 0 then begin
+        free := b :: !free;
+        n_place := !n_place + (n_rules b * width);
+        List.iter
+          (fun c -> Hashtbl.replace forbidden (b.base + c) ())
+          pi.walk;
         (* Placed drops, their permits and coverage drops are all
            placed, so all have slots. *)
         List.iter
@@ -399,51 +350,86 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
         Array.iter (fun k -> pos.(k) <- -1) b.switches
       end)
     policies;
+  let free = Array.of_list (List.rev !free) in
+  let forbidden = Hashtbl.fold (fun v () acc -> v :: acc) forbidden [] in
+  (* Merged variables (Section IV-B): one per (group, switch) where at
+     least two members have a placement variable, numbered after all
+     placement variables, by group then switch. *)
+  let n_vars = ref !n_place in
+  let merged = ref [] in
+  let merge_defs = ref [] in
+  let at = Array.make n_switches [] in
+  List.iter
+    (fun (g : Merge.group) ->
+      List.iter
+        (fun (m : Merge.member) ->
+          let b = block_at blocks m.Merge.ingress in
+          let s = slot_of b m.Merge.priority in
+          if s >= 0 then
+            Array.iteri
+              (fun j k -> at.(k) <- var_in b s j :: at.(k))
+              b.switches)
+        (List.rev g.Merge.members);
+      for k = 0 to n_switches - 1 do
+        (match at.(k) with
+        | _ :: _ :: _ as members ->
+          merge_defs := (!n_vars, members) :: !merge_defs;
+          merged := Merged { gid = g.Merge.gid; switch = k } :: !merged;
+          incr n_vars
+        | _ -> ());
+        at.(k) <- []
+      done)
+    plan.Merge.groups;
+  let merged = Array.of_list (List.rev !merged) in
   (* Capacity rows (Eq. 3) over the free variables, net of the load
      pinned at the switch, only where the worst case can exceed it: the
-     load is counted first, and only those switches list their
-     variables. *)
-  let grouped = Array.make (Array.length keys) false in
-  List.iter
-    (fun (_, members) -> List.iter (fun v -> grouped.(v) <- true) members)
-    !merge_defs;
+     load is counted per free policy first, and only those switches
+     list their variables.  A member of a merged variable counts
+     through it, not on its own. *)
   let worst = Array.make n_switches 0 in
-  let plain v = (not grouped.(v)) && pins.(v) = Free in
-  Array.iteri
-    (fun v key ->
-      match key with
-      | Place { switch; _ } when plain v -> worst.(switch) <- worst.(switch) + 1
-      | Place _ | Merged _ -> ())
-    keys;
+  Array.iter
+    (fun b ->
+      Array.iter (fun k -> worst.(k) <- worst.(k) + n_rules b) b.switches)
+    free;
+  let grouped = Hashtbl.create 16 in
   let grouped_by_switch = Array.make n_switches [] in
   List.iter
     (fun (mv, members) ->
-      match keys.(mv) with
-      | Merged { switch; _ } ->
-        grouped_by_switch.(switch) <- (mv, members) :: grouped_by_switch.(switch);
-        worst.(switch) <- worst.(switch) + List.length members
-      | Place _ -> assert false)
+      let switch =
+        match merged.(mv - !n_place) with
+        | Merged { switch; _ } | Place { switch; _ } -> switch
+      in
+      grouped_by_switch.(switch) <- (mv, members) :: grouped_by_switch.(switch);
+      worst.(switch) <- worst.(switch) + List.length members;
+      List.iter
+        (fun v ->
+          if not (Hashtbl.mem grouped v) then begin
+            Hashtbl.add grouped v ();
+            worst.(switch) <- worst.(switch) - 1
+          end)
+        members)
     !merge_defs;
   let bound k = capacities.(k) - pinned_load.(k) in
   let binding =
     List.filter (fun k -> worst.(k) > bound k) (List.init n_switches Fun.id)
   in
-  let plain_by_switch = Array.make n_switches [] in
-  if binding <> [] then
-    Array.iteri
-      (fun v key ->
-        match key with
-        | Place { switch; _ } when plain v && worst.(switch) > bound switch ->
-          plain_by_switch.(switch) <- v :: plain_by_switch.(switch)
-        | Place _ | Merged _ -> ())
-      keys;
   let capacity_rows =
     List.rev_map
       (fun k ->
+        let plain = ref [] in
+        Array.iter
+          (fun b ->
+            let j = find_sorted b.switches k in
+            if j >= 0 then
+              for s = 0 to n_rules b - 1 do
+                let v = var_in b s j in
+                if not (Hashtbl.mem grouped v) then plain := v :: !plain
+              done)
+          free;
         {
           switch = k;
           bound = bound k;
-          plain = plain_by_switch.(k);
+          plain = !plain;
           grouped = grouped_by_switch.(k);
         })
       binding
@@ -453,52 +439,82 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
     plan;
     sliced;
     monitors;
-    keys;
-    numbering = { blocks; forbidden_mask };
-    rules;
+    numbering = { blocks; free; n_place = !n_place; merged; dummies };
     implications = !implications;
     covers = !covers;
     capacities = capacity_rows;
     merge_defs = !merge_defs;
-    weights;
     baseline_rule_count = !baseline;
     forbidden;
-    pins;
+    pinned = List.rev !pinned;
   }
+
+let key t v =
+  let nb = t.numbering in
+  if v < 0 || v >= num_vars t then invalid_arg "Layout.key: no such variable";
+  if v >= nb.n_place then nb.merged.(v - nb.n_place)
+  else
+    (* The free block holding [v]: the last one whose base is at most
+       [v]. *)
+    let lo = ref 0 and hi = ref (Array.length nb.free - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) lsr 1 in
+      if nb.free.(mid).base <= v then lo := mid else hi := mid - 1
+    done;
+    let b = nb.free.(!lo) in
+    let width = Array.length b.switches in
+    let j = (v - b.base) mod width in
+    Place
+      {
+        ingress = b.ingress;
+        priority = b.rules.((v - b.base) / width).priority;
+        switch = b.switches.(j);
+        hops = b.loc.(j);
+      }
+
+let iter_placed t assignment f =
+  Array.iter
+    (fun b ->
+      if b.k0 >= 0 then Array.iter (fun r -> f (-1) b.ingress r b.k0) b.rules
+      else
+        Array.iteri
+          (fun s r ->
+            Array.iteri
+              (fun j k ->
+                let v = var_in b s j in
+                if assignment.(v) then f v b.ingress r k)
+              b.switches)
+          b.rules)
+    t.numbering.blocks
+
+let iter_pairs t f =
+  Array.iter
+    (fun b ->
+      let width = Array.length b.switches in
+      for c = 0 to (Array.length b.rules * width) - 1 do
+        if b.k0 < 0 then f (b.base + c) false
+        else f (-1) (b.switches.(c mod width) = b.k0)
+      done)
+    t.numbering.blocks
+
+let pinned_rules t = List.fold_left (fun n (_, _, r) -> n + r) 0 t.pinned
 
 let var t ~ingress ~priority ~switch =
   let b = block_at t.numbering.blocks ingress in
-  let s = slot_of b priority in
+  let s = if b.k0 >= 0 then -1 else slot_of b priority in
   let j = if s < 0 then -1 else find_sorted b.switches switch in
   if j < 0 then None else Some (var_in b s j)
 
 let is_dummy t ~ingress ~priority =
-  let b = block_at t.numbering.blocks ingress in
-  let x = find_sorted b.prios priority in
-  x >= 0 && b.dummies.(x)
-
-let is_forbidden t ~ingress ~priority ~switch =
-  match var t ~ingress ~priority ~switch with
-  | Some v -> t.numbering.forbidden_mask.(v)
-  | None -> false
+  Hashtbl.mem t.numbering.dummies (ingress, priority)
 
 let pp_stats fmt t =
-  let pinned_vars =
-    Array.fold_left (fun n p -> if p = Free then n else n + 1) 0 t.pins
-  in
-  let pinned_policies =
-    Array.fold_left
-      (fun n b ->
-        if Array.length b.prios > 0 && t.pins.(b.base) <> Free then n + 1
-        else n)
-      0 t.numbering.blocks
-  in
   Format.fprintf fmt
     "layout: %d vars (%d merged), %d implications, %d covers, %d capacity \
-     rows, %d policies pinned (%d vars)"
-    (Array.length t.keys)
+     rows, %d policies pinned (%d rules)"
+    (num_vars t)
     (List.length t.merge_defs)
     (List.length t.implications)
     (List.length t.covers)
     (List.length t.capacities)
-    pinned_policies pinned_vars
+    (List.length t.pinned) (pinned_rules t)

@@ -15,14 +15,15 @@
     - a {b merged} variable per (merge group, switch) where at least two
       members have placement variables (Section IV-B).
 
-    Numbering: policies take consecutive ranges in ascending ingress
-    order.  Within policy [i], each placed rule has a {e slot} [s] (its
-    position in the policy's placed-rule order) and each switch of [S_i]
-    its position [j] in ascending switch order; the rule's variable at
-    that switch is [base_i + s * |S_i| + j], where [base_i] is the first
-    variable of the policy.  Merged variables follow every placement
-    variable, by group then ascending switch.  {!var} inverts this
-    numbering.
+    Numbering: free policies take consecutive ranges in ascending
+    ingress order.  Within policy [i], each placed rule has a {e slot}
+    [s] (its position in the policy's placed-rule order) and each switch
+    of [S_i] its position [j] in ascending switch order; the rule's
+    variable at that switch is [base_i + s * |S_i| + j], where [base_i]
+    is the first variable of the policy.  Merged variables follow every
+    placement variable, by group then ascending switch.  {!var} inverts
+    this numbering and {!key} applies it, by binary search over the
+    policies' bases: no array is kept per variable.
 
     {b Pinned policies.}  Policy [i] is pinned at switch [k0] when
     + one of its paths is the single switch [k0], and [k0] lies on
@@ -35,17 +36,20 @@
       otherwise nothing is pinned there.
 
     The one-switch paths force a copy of every placed drop at [k0], and
-    Eq. 1 forces their permits there, so those variables are 1 in every
-    feasible placement.  One copy of each at [k0] already covers every
-    path of [i] and meets every dependency, and no other variable of
-    [i] enters another policy's rows, so with non-negative costs some
-    optimum sets the rest of [i]'s variables to 0.  A pinned policy
-    keeps its keys, numbering and weights but gets no implication or
-    cover rows and no capacity terms; its variables are fixed in
-    [pins]. *)
+    Eq. 1 forces their permits there, so every feasible placement holds
+    them.  One copy of each at [k0] already covers every path of [i] and
+    meets every dependency, and no other placement of [i] enters another
+    policy's rows, so with non-negative costs some optimum holds [i]'s
+    rules at [k0] and nowhere else.  A pinned policy therefore takes no
+    variables and gets no implication, cover or capacity rows; it is one
+    entry of [pinned], and each assignment's placement
+    ({!iter_placed}) holds its rules at [k0]. *)
 
 type key =
-  | Place of { ingress : int; priority : int; switch : int }
+  | Place of { ingress : int; priority : int; switch : int; hops : int }
+      (** [hops]: the paper's loc(s, P_i), min hops from the ingress to
+          [switch] over the policy's paths, so the upstream objective
+          costs the variable [1 + hops] *)
   | Merged of { gid : int; switch : int }
 
 type capacity = {
@@ -57,25 +61,19 @@ type capacity = {
           one slot when the merged var is set, else one each *)
 }
 
-type pin =
-  | Free  (** left to the solver *)
-  | Zero  (** pinned to 0 *)
-  | One  (** pinned to 1 *)
-
 type numbering
-(** The dense index behind {!var}, {!is_dummy} and {!is_forbidden}:
-    per ingress, its [base_i], [S_i] and placed priorities, plus a
-    forbidden flag per variable.  Built once by {!build} and read-only
-    afterwards, so a layout can be queried from several domains. *)
+(** The dense index behind {!key}, {!var} and {!is_dummy}: per ingress,
+    its [base_i], [S_i] with each switch's loc, its placed priorities
+    and rules and its pin switch, plus the merged variables' keys and
+    the dummies.  Built once by {!build} and read-only afterwards, so a
+    layout can be queried from several domains. *)
 
 type t = {
   instance : Instance.t;
   plan : Merge.plan;
   sliced : bool;
   monitors : (int * Ternary.Field.t) list;
-  keys : key array;
-  numbering : numbering;  (** inverse of [keys] *)
-  rules : (int * int, Acl.Rule.t) Hashtbl.t;  (** (ingress, priority) -> rule *)
+  numbering : numbering;
   implications : (int * int) list;
       (** (drop var, permit var): Eq. 1 / 6, free policies only *)
   covers : int list list;
@@ -84,23 +82,18 @@ type t = {
           Sliced, a drop gets a set's row when its field meets the flow
           of some path with that switch set. *)
   capacities : capacity list;
-      (** Eq. 3 over [Free] variables, [bound] net of the load pinned at
-          the switch; only rows that can bind *)
+      (** Eq. 3, [bound] net of the rules pinned at the switch; only
+          rows that can bind *)
   merge_defs : (int * int list) list;  (** merged var = AND members: Eqs. 4-5 / 8 *)
-  weights : float array;
-      (** per var: 1 + hops from ingress (the paper's loc function), used
-          by the upstream objective; merged vars carry the max member
-          weight *)
   baseline_rule_count : int;
       (** the paper's A: the rules the policies would install if every
           ingress switch had room for its whole required set (relevant
           DROPs + dependent PERMITs, once each; dummies excluded) *)
   forbidden : int list;
-      (** placement variables fixed to 0 by monitoring constraints
-          (pinned policies' included) *)
-  pins : pin array;
-      (** per var: [One] exactly at the placed rules of a pinned policy
-          at its [k0], [Zero] at its other variables, else [Free] *)
+      (** placement variables fixed to 0 by monitoring constraints *)
+  pinned : (int * int * int) list;
+      (** (ingress, [k0], rule count) of each pinned policy, by
+          ascending ingress *)
 }
 
 val build :
@@ -114,19 +107,38 @@ val build :
     for packets in [region], so no DROP rule overlapping [region] may be
     installed upstream of [m] on any path that traverses [m] (the packet
     must reach the monitor before the firewall can kill it).  The
-    affected placement variables are pinned to 0. *)
+    affected placement variables are fixed to 0. *)
 
 val num_vars : t -> int
 
+val key : t -> int -> key
+(** What variable [v] stands for.  Raises [Invalid_argument] unless
+    [0 <= v < num_vars t]. *)
+
+val iter_placed :
+  t -> bool array -> (int -> int -> Acl.Rule.t -> int -> unit) -> unit
+(** [iter_placed t a f] calls [f v ingress rule switch] on each
+    placement of assignment [a]: each set placement variable [v] and,
+    with [v = -1], each pinned rule at its [k0], by ingress, then slot,
+    then switch (the variables' order).  Merged variables are skipped. *)
+
+val iter_pairs : t -> (int -> bool -> unit) -> unit
+(** [iter_pairs t f] calls [f v held] on every (placed rule, switch of
+    [S_i]) pair, pinned policies' included, in the same order: [v] is
+    the pair's variable, or -1 in a pinned policy, where [held] tells
+    whether the pair is the rule at [k0]. *)
+
+val pinned_rules : t -> int
+(** The rules the pinned policies hold: the entries every assignment
+    places beyond its own variables. *)
+
 val var : t -> ingress:int -> priority:int -> switch:int -> int option
 (** The placement variable of that (policy rule, switch), [None] when
-    the rule places nothing or the switch is outside [S_i]. *)
+    the rule places nothing, the switch is outside [S_i], or the policy
+    is pinned (its rules have no variables). *)
 
 val is_dummy : t -> ingress:int -> priority:int -> bool
 (** Whether that rule is a dummy the merge plan inserted. *)
 
-val is_forbidden : t -> ingress:int -> priority:int -> switch:int -> bool
-(** Whether monitoring pins that placement to 0. *)
-
 val pp_stats : Format.formatter -> t -> unit
-(** Variables, rows, and the pinned policies and variables. *)
+(** Variables, rows, and the pinned policies and their rules. *)

@@ -9,22 +9,32 @@ type result = {
   pb_aux : int;
 }
 
+(* The formula, the literal of each layout variable, and every
+   placement literal with its layout variable (-1 for a pinned pair),
+   last first.  Each (rule, switch) pair of a pinned policy gets a
+   literal too, fixed by a unit clause: the CDCL breaks ties between
+   equal activities by an unstable sort over all its variables, so
+   leaving them out would change its search, and the incumbent the SAT
+   probe hands the ILP. *)
 let to_pb ?encoding (layout : Layout.t) =
   let pb = Pb.create ?encoding () in
-  let vars = Array.map (fun _ -> Pb.fresh pb) layout.Layout.keys in
+  let vars = Array.make (Layout.num_vars layout) 0 in
+  let placements = ref [] and pins = ref [] in
+  Layout.iter_pairs layout (fun v held ->
+      let x = Pb.fresh pb in
+      placements := (v, x) :: !placements;
+      if v >= 0 then vars.(v) <- x
+      else pins := (if held then x else -x) :: !pins);
+  List.iter
+    (fun (mv, _) -> vars.(mv) <- Pb.fresh pb)
+    (List.rev layout.Layout.merge_defs);
   List.iter
     (fun (vd, vp) -> Pb.implies pb vars.(vd) vars.(vp))
     layout.Layout.implications;
   List.iter
     (fun v -> Pb.add_clause pb [ -vars.(v) ])
     layout.Layout.forbidden;
-  Array.iteri
-    (fun v (pin : Layout.pin) ->
-      match pin with
-      | Layout.Free -> ()
-      | Layout.Zero -> Pb.add_clause pb [ -vars.(v) ]
-      | Layout.One -> Pb.add_clause pb [ vars.(v) ])
-    layout.Layout.pins;
+  List.iter (fun l -> Pb.add_clause pb [ l ]) (List.rev !pins);
   List.iter
     (fun cover -> Pb.add_clause pb (List.map (fun v -> vars.(v)) cover))
     layout.Layout.covers;
@@ -55,43 +65,30 @@ let to_pb ?encoding (layout : Layout.t) =
       in
       Pb.at_most pb (plain @ grouped) cap.Layout.bound)
     layout.Layout.capacities;
-  (pb, vars)
+  (pb, vars, !placements)
+
+(* A layout assignment as a solution, scored by its entry count. *)
+let solution_of layout a =
+  Solution.of_assignment layout a
+    ~objective:
+      (Encode.assignment_objective ~objective:Encode.Total_rules layout a)
 
 let solve ?encoding ?conflict_limit ?cancel (layout : Layout.t) =
-  let pb, vars = to_pb ?encoding layout in
-  match Pb.solve ?conflict_limit ?cancel pb with
-  | Cdcl.Sat model ->
-    let assignment = Array.map (fun v -> model.(v - 1)) vars in
-    let objective =
-      Encode.assignment_objective ~objective:Encode.Total_rules layout assignment
-    in
-    let solution = Solution.of_assignment layout assignment ~objective in
-    {
-      status = `Sat;
-      solution = Some solution;
-      assignment = Some assignment;
-      conflicts = Pb.num_conflicts pb;
-      pb_vars = Pb.num_vars pb;
-      pb_aux = Pb.num_aux pb;
-    }
-  | Cdcl.Unsat ->
-    {
-      status = `Unsat;
-      solution = None;
-      assignment = None;
-      conflicts = Pb.num_conflicts pb;
-      pb_vars = Pb.num_vars pb;
-      pb_aux = Pb.num_aux pb;
-    }
-  | Cdcl.Unknown ->
-    {
-      status = `Unknown;
-      solution = None;
-      assignment = None;
-      conflicts = Pb.num_conflicts pb;
-      pb_vars = Pb.num_vars pb;
-      pb_aux = Pb.num_aux pb;
-    }
+  let pb, vars, _ = to_pb ?encoding layout in
+  let status, assignment =
+    match Pb.solve ?conflict_limit ?cancel pb with
+    | Cdcl.Sat model -> (`Sat, Some (Array.map (fun v -> model.(v - 1)) vars))
+    | Cdcl.Unsat -> (`Unsat, None)
+    | Cdcl.Unknown -> (`Unknown, None)
+  in
+  {
+    status;
+    solution = Option.map (solution_of layout) assignment;
+    assignment;
+    conflicts = Pb.num_conflicts pb;
+    pb_vars = Pb.num_vars pb;
+    pb_aux = Pb.num_aux pb;
+  }
 
 type opt_result = {
   opt_status : [ `Optimal | `Feasible | `Unsat | `Unknown ];
@@ -102,7 +99,7 @@ type opt_result = {
 
 let minimize ?(conflict_limit = 2_000_000) ?(cancel = fun () -> false)
     (layout : Layout.t) =
-  let pb, vars = to_pb layout in
+  let pb, vars, placements = to_pb layout in
   (* Counting literals: one per prospective entry.  Grouped members are
      counted through w = v && not v_m so an active merge costs exactly
      one (the merged literal itself). *)
@@ -112,14 +109,12 @@ let minimize ?(conflict_limit = 2_000_000) ?(cancel = fun () -> false)
       Hashtbl.replace grouped mv ();
       List.iter (fun v -> Hashtbl.replace grouped v ()) members)
     layout.Layout.merge_defs;
-  let counting = ref [] in
-  Array.iteri
-    (fun v key ->
-      match key with
-      | Layout.Place _ when not (Hashtbl.mem grouped v) ->
-        counting := vars.(v) :: !counting
-      | Layout.Place _ | Layout.Merged _ -> ())
-    layout.Layout.keys;
+  let counting =
+    ref
+      (List.filter_map
+         (fun (v, x) -> if Hashtbl.mem grouped v then None else Some x)
+         placements)
+  in
   List.iter
     (fun (mv, members) ->
       counting := vars.(mv) :: !counting;
@@ -138,15 +133,8 @@ let minimize ?(conflict_limit = 2_000_000) ?(cancel = fun () -> false)
       (fun acc l -> if model.(l - 1) then acc + 1 else acc)
       0 counting
   in
-  let decode_assignment assignment =
-    let objective =
-      Encode.assignment_objective ~objective:Encode.Total_rules layout
-        assignment
-    in
-    Solution.of_assignment layout assignment ~objective
-  in
   let decode model =
-    decode_assignment (Array.map (fun v -> model.(v - 1)) vars)
+    solution_of layout (Array.map (fun v -> model.(v - 1)) vars)
   in
   (* Seed the descent from the greedy heuristic: its entry count is an
      upper bound, so the first SAT call already searches strictly below
@@ -154,7 +142,7 @@ let minimize ?(conflict_limit = 2_000_000) ?(cancel = fun () -> false)
   let best = ref None in
   (match Baseline.greedy_assignment layout with
   | Some a ->
-    let sol = decode_assignment a in
+    let sol = solution_of layout a in
     let c = Solution.total_entries sol in
     best := Some sol;
     if c = 0 then () else Pb.at_most pb counting (c - 1)

@@ -7,8 +7,9 @@
       with merging handled by counting auxiliaries [w = v && not v_m]
       so a fully merged group occupies one slot;
     - Eq. 8 (merging): [v_m <-> AND members];
-    - the layout's pins (see {!Layout}): a unit clause per pinned
-      variable, its capacity constraints already net of the pinned load.
+    - a pinned policy (see {!Layout}): a unit clause per (rule, switch)
+      pair, true at [k0], the capacity constraints already net of its
+      load.
 
     No objective — this is the fast feasibility path the paper keeps for
     dynamic updates.  The decoded solution's [objective] field reports the
@@ -26,9 +27,6 @@ type result = {
   pb_vars : int;  (** problem variables *)
   pb_aux : int;  (** auxiliaries (counting + any CNF cardinality) *)
 }
-
-val to_pb : ?encoding:Pb.encoding -> Layout.t -> Pb.t * int array
-(** The formula plus the layout-index -> DIMACS-variable mapping. *)
 
 val solve :
   ?encoding:Pb.encoding ->

@@ -22,39 +22,38 @@ let of_assignment (layout : Layout.t) assignment ~objective =
       if assignment.(mv) then
         List.iter (fun v -> Hashtbl.replace absorbed v ()) members)
     layout.Layout.merge_defs;
-  Array.iteri
-    (fun v key ->
-      if assignment.(v) then
-        match key with
-        | Layout.Place { ingress; priority; switch } ->
-          if not (Hashtbl.mem absorbed v) then begin
-            let rule = Hashtbl.find layout.Layout.rules (ingress, priority) in
-            per_switch.(switch) <-
-              { rule; tags = [ (ingress, priority) ] } :: per_switch.(switch)
-          end
-        | Layout.Merged { gid; switch } ->
-          let g = List.assoc gid groups in
-          (* AND semantics: every member with a variable at this switch is
-             placed; they form the merged entry's tag set. *)
-          let tags =
-            List.filter_map
-              (fun (m : Merge.member) ->
-                match
-                  Layout.var layout ~ingress:m.Merge.ingress
-                    ~priority:m.Merge.priority ~switch
-                with
-                | Some _ -> Some (m.Merge.ingress, m.Merge.priority)
-                | None -> None)
-              g.Merge.members
-          in
-          let priority =
-            List.fold_left (fun acc (_, p) -> max acc p) min_int tags
-          in
-          let rule =
-            Acl.Rule.make ~field:g.Merge.field ~action:g.Merge.action ~priority
-          in
-          per_switch.(switch) <- { rule; tags } :: per_switch.(switch))
-    layout.Layout.keys;
+  Layout.iter_placed layout assignment (fun v ingress rule switch ->
+      if not (Hashtbl.mem absorbed v) then
+        per_switch.(switch) <-
+          { rule; tags = [ (ingress, rule.Acl.Rule.priority) ] }
+          :: per_switch.(switch));
+  List.iter
+    (fun (mv, _) ->
+      match Layout.key layout mv with
+      | Layout.Merged { gid; switch } when assignment.(mv) ->
+        let g = List.assoc gid groups in
+        (* AND semantics: every member with a variable at this switch is
+           placed; they form the merged entry's tag set. *)
+        let tags =
+          List.filter_map
+            (fun (m : Merge.member) ->
+              match
+                Layout.var layout ~ingress:m.Merge.ingress
+                  ~priority:m.Merge.priority ~switch
+              with
+              | Some _ -> Some (m.Merge.ingress, m.Merge.priority)
+              | None -> None)
+            g.Merge.members
+        in
+        let priority =
+          List.fold_left (fun acc (_, p) -> max acc p) min_int tags
+        in
+        let rule =
+          Acl.Rule.make ~field:g.Merge.field ~action:g.Merge.action ~priority
+        in
+        per_switch.(switch) <- { rule; tags } :: per_switch.(switch)
+      | Layout.Merged _ | Layout.Place _ -> ())
+    (List.rev layout.Layout.merge_defs);
   {
     instance = inst;
     sliced = layout.Layout.sliced;

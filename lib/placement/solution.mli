@@ -22,8 +22,9 @@ type t = {
 
 val of_assignment : Layout.t -> bool array -> objective:float -> t
 (** Interprets a satisfying assignment of the layout's variables: true
-    placement variables become cells; an active merged variable collapses
-    its member placements into one multi-tag cell. *)
+    placement variables and the pinned policies' rules
+    ({!Layout.iter_placed}) become cells; an active merged variable
+    collapses its member placements into one multi-tag cell. *)
 
 val empty : Instance.t -> t
 (** No rules installed anywhere (valid when there are no DROP rules). *)

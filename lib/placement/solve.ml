@@ -125,18 +125,16 @@ let ilp_warm_start ~cancel options inst_pre_plan (layout : Layout.t) =
            .Encode.solution
        with
        | Some plain ->
-         let a = Array.make (Layout.num_vars layout) false in
-         Array.iteri
-           (fun v key ->
-             match key with
-             | Layout.Place { ingress; priority; switch } ->
-               if priority mod Merge.renumber_factor = 0 then
-                 a.(v) <-
-                   Solution.is_placed plain ~ingress
-                     ~priority:(priority / Merge.renumber_factor)
-                     ~switch
-             | Layout.Merged _ -> ())
-           layout.Layout.keys;
+         let a =
+           Array.init (Layout.num_vars layout) (fun v ->
+               match Layout.key layout v with
+               | Layout.Place { ingress; priority; switch; _ } ->
+                 priority mod Merge.renumber_factor = 0
+                 && Solution.is_placed plain ~ingress
+                      ~priority:(priority / Merge.renumber_factor)
+                      ~switch
+               | Layout.Merged _ -> false)
+         in
          List.iter
            (fun (mv, members) ->
              a.(mv) <- List.for_all (fun v -> a.(v)) members)
@@ -171,9 +169,13 @@ type verdict = {
 
 let run_ilp ~cancel options inst_pre_plan layout =
   let t0 = Unix.gettimeofday () in
+  let limit = options.ilp_config.Ilp.Solver.time_limit in
+  (* The SAT probe has no time limit of its own: the run's limit stops
+     the warm start's solves too. *)
+  let warm_cancel () = cancel () || Unix.gettimeofday () -. t0 > limit in
   let warm_start =
     Telemetry.Trace.with_span "solve.warm_start" @@ fun () ->
-    ilp_warm_start ~cancel options inst_pre_plan layout
+    ilp_warm_start ~cancel:warm_cancel options inst_pre_plan layout
   in
   (* The time limit bounds the run's ILP work as a whole: the main
      solve gets what the warm start left of it. *)

@@ -93,7 +93,7 @@ val run :
 
     The ILP engine's [ilp_config.time_limit] bounds the run's ILP work
     as a whole: the warm start's solves (the plain-model solve under
-    [merge], the SAT probe) spend from the same budget, and the main
-    solve gets only what remains of it. *)
+    [merge], the SAT probe) spend from the same budget and stop once it
+    is spent, and the main solve gets only what remains of it. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -60,7 +60,7 @@ let placements (sol : Solution.t) =
   fun ~ingress ~priority ->
     Option.value (Hashtbl.find_opt at (ingress, priority)) ~default:nowhere
 
-let check_structure ~forbidden ~is_dummy ~sliced (sol : Solution.t) =
+let check_structure ~monitors ~is_dummy ~sliced (sol : Solution.t) =
   let inst = sol.Solution.instance in
   let placed = placements sol in
   let violations = ref [] in
@@ -70,12 +70,32 @@ let check_structure ~forbidden ~is_dummy ~sliced (sol : Solution.t) =
       let bound = inst.Instance.capacities.(k) in
       if used > bound then violations := Capacity { switch = k; used; bound } :: !violations)
     (Solution.switch_usage sol);
-  (* Monitoring: every pinned-to-0 variable must indeed be unused. *)
-  List.iter
-    (fun (ingress, priority, switch) ->
-      if (placed ~ingress ~priority).(switch) then
-        violations := Monitor { ingress; priority; switch } :: !violations)
-    forbidden;
+  (* Monitoring: no DROP that could kill monitored packets sits upstream
+     of the monitor on a path of its policy through it. *)
+  let upstream i switch (r : Acl.Rule.t) (m, region) =
+    Acl.Rule.is_drop r
+    && Ternary.Field.overlaps r.field region
+    && List.exists
+         (fun (p : Routing.Path.t) ->
+           match Routing.Path.position p m with
+           | Some at ->
+             Array.mem switch (Array.sub p.Routing.Path.switches 0 at)
+           | None -> false)
+         (Routing.Table.paths_from inst.Instance.routing i)
+  in
+  Array.iteri
+    (fun switch cells ->
+      List.iter
+        (fun (c : Solution.cell) ->
+          List.iter
+            (fun (ingress, priority) ->
+              if List.exists (upstream ingress switch c.Solution.rule) monitors
+              then
+                violations :=
+                  Monitor { ingress; priority; switch } :: !violations)
+            c.Solution.tags)
+        cells)
+    sol.Solution.per_switch;
   List.iter
     (fun (i, q) ->
       let dep = Depgraph.build q in
@@ -133,20 +153,12 @@ let check_structure ~forbidden ~is_dummy ~sliced (sol : Solution.t) =
   List.rev !violations
 
 let structural (layout : Layout.t) (sol : Solution.t) =
-  let forbidden =
-    List.filter_map
-      (fun v ->
-        match layout.Layout.keys.(v) with
-        | Layout.Place { ingress; priority; switch } ->
-          Some (ingress, priority, switch)
-        | Layout.Merged _ -> None)
-      layout.Layout.forbidden
-  in
-  check_structure ~forbidden ~is_dummy:(Layout.is_dummy layout)
+  check_structure ~monitors:layout.Layout.monitors
+    ~is_dummy:(Layout.is_dummy layout)
     ~sliced:layout.Layout.sliced sol
 
 let structural_plain (sol : Solution.t) =
-  check_structure ~forbidden:[]
+  check_structure ~monitors:[]
     ~is_dummy:(fun ~ingress:_ ~priority:_ -> false)
     ~sliced:sol.Solution.sliced sol
 

@@ -94,12 +94,10 @@ let no_model_spans what names =
       Alcotest.(check bool) (what ^ ": no " ^ span) false (List.mem span names))
     [ "solve.encode"; "ilp.setup" ]
 
-(* The solver with and without [lower_bound], with the projected greedy
-   warm start and with none, returns the same outcome, values included. *)
+(* The solver with and without [lower_bound], with the greedy warm
+   start and with none, returns the same outcome, values included. *)
 let same_with_and_without ~fail (layout : Layout.t) enc lower_bound =
-  let warm =
-    Option.map (Encode.project enc) (Baseline.greedy_assignment layout)
-  in
+  let warm = Baseline.greedy_assignment layout in
   List.iter
     (fun warm_start ->
       let model = enc.Encode.model in
@@ -113,29 +111,19 @@ let same_with_and_without ~fail (layout : Layout.t) enc lower_bound =
     [ warm; None ]
 
 (* [Encode.solve] with the greedy warm start against the model path
-   called directly: the layout encoded, then solved with the projected
-   warm start and A less the constant as the seed.  Status, objective
-   and the lifted placement agree.  Returns whether [Encode.solve]
+   called directly: the layout encoded, then solved with the warm start
+   and A less the constant as the seed.  Status, objective and
+   placement agree.  Returns whether [Encode.solve]
    settled without writing the model. *)
 let same_as_model_path ~fail (layout : Layout.t) enc =
   let warm_start = Baseline.greedy_assignment layout in
   let r, names = traced (fun () -> Encode.solve ?warm_start layout) in
   let outcome, _ =
     Ilp.Solver.solve
-      ?warm_start:(Option.map (Encode.project enc) warm_start)
-      ~lower_bound:(model_bound layout enc) enc.Encode.model
+      ?warm_start ~lower_bound:(model_bound layout enc) enc.Encode.model
   in
   let lifted (s : Ilp.Solver.solution) =
-    let a =
-      Array.mapi
-        (fun v (pin : Layout.pin) ->
-          match pin with
-          | Layout.Free -> s.Ilp.Solver.values.(enc.Encode.vars.(v))
-          | Layout.One -> true
-          | Layout.Zero -> false)
-        layout.Layout.pins
-    in
-    Some (a, s.Ilp.Solver.objective +. enc.Encode.constant)
+    Some (s.Ilp.Solver.values, s.Ilp.Solver.objective +. enc.Encode.constant)
   in
   let status, expected =
     match outcome with
@@ -179,7 +167,7 @@ let prop_bound_below_brute =
       else begin
         if sliced then saw "sliced";
         if monitors <> [] then saw "monitor";
-        if Array.mem Layout.One layout.Layout.pins then saw "pinned";
+        if layout.Layout.pinned <> [] then saw "pinned";
         (match Ilp.Brute.solve enc.Encode.model with
         | Ilp.Solver.Optimal s ->
           let obj = s.Ilp.Solver.objective in
@@ -219,9 +207,7 @@ let prop_rows_match_model =
       in
       let agree a =
         let rows = Encode.feasible layout a
-        and model =
-          Ilp.Solver.check_feasible enc.Encode.model (Encode.project enc a)
-        in
+        and model = Ilp.Solver.check_feasible enc.Encode.model a in
         if rows <> model then
           QCheck.Test.fail_reportf "seed %d: layout rows %b, model %b" seed
             rows model;
@@ -392,7 +378,9 @@ let test_solver_lower_bound () =
 
 (* A [place_paper] instance (k=16, 8 policies, 1024 paths, r=20,
    C=140): the greedy warm start places exactly A entries, so the solve
-   settles with no model written. *)
+   settles with no model written.  Five of its policies are pinned, so
+   only the other three take variables: 5,801 of them, where numbering
+   every (rule, switch) pair took 17,719. *)
 let test_place_paper_settles () =
   let inst =
     Workload.build
@@ -415,7 +403,10 @@ let test_place_paper_settles () =
   let sol = Option.get r.Solve.solution in
   Alcotest.(check int) "B = A" sol.Solution.baseline_rule_count
     (Solution.total_entries sol);
-  no_model_spans "place_paper" spans
+  no_model_spans "place_paper" spans;
+  Alcotest.(check int) "pinned policies" 5
+    (List.length r.Solve.layout.Layout.pinned);
+  Alcotest.(check int) "variables" 5801 (Layout.num_vars r.Solve.layout)
 
 (* A k=32 point of the paper's grid (1024 policies, 1024 paths, r=20,
    C=200): every policy fits, the greedy warm start places exactly A

@@ -214,7 +214,7 @@ let family_model f =
   let layout = layout_of f in
   let enc = Placement.Encode.to_model layout in
   (* The incumbent a production solve starts from: greedy, else a
-     short SAT probe, projected onto the model's variables. *)
+     short SAT probe. *)
   let warm =
     match Placement.Baseline.greedy_assignment layout with
     | Some a -> Some a
@@ -222,7 +222,7 @@ let family_model f =
       (Placement.Sat_encode.solve ~conflict_limit:5_000 layout)
         .Placement.Sat_encode.assignment
   in
-  (enc, Option.map (Placement.Encode.project enc) warm)
+  (enc, warm)
 
 let root_config =
   {

@@ -25,12 +25,16 @@ let two_path_instance ~capacity =
   Instance.make ~net ~routing ~policies:[ (0, policy) ]
     ~capacities:(Instance.uniform_capacity net capacity)
 
-(* [var], [is_dummy] and [is_forbidden] against a linear scan of
-   [keys], the merge plan and [forbidden], for every policy rule at
-   every switch, including the pairs that have no variable.  Returns
-   how many dummies and forbidden variables it met. *)
+(* [key], [var], [is_dummy] and [forbidden] against a linear scan of
+   every variable's key, the merge plan and the monitors read straight
+   off the paths, for every policy rule at every switch, including the
+   pairs that have no variable.  Every variable [v] has
+   [var (key v) = v]; a pinned policy's rules have no variable and sit
+   at its [k0], where no monitor forbids them.  Returns how many
+   dummies, forbidden variables and pinned policies it met. *)
 let check_numbering name (layout : Layout.t) =
   let inst = layout.Layout.instance in
+  let keys = Array.init (Layout.num_vars layout) (Layout.key layout) in
   let scan ingress priority switch =
     let found = ref None in
     Array.iteri
@@ -40,9 +44,44 @@ let check_numbering name (layout : Layout.t) =
           ->
           found := Some v
         | _ -> ())
-      layout.Layout.keys;
+      keys;
     !found
   in
+  (* Upstream of a monitor that sees the rule, on a path through it. *)
+  let monitored i (r : Acl.Rule.t) switch =
+    Acl.Rule.is_drop r
+    && List.exists
+         (fun (m, region) ->
+           Ternary.Field.overlaps r.field region
+           && List.exists
+                (fun (p : Routing.Path.t) ->
+                  match Routing.Path.position p m with
+                  | Some at ->
+                    Array.exists (( = ) switch)
+                      (Array.sub p.Routing.Path.switches 0 at)
+                  | None -> false)
+                (Routing.Table.paths_from inst.Instance.routing i))
+         layout.Layout.monitors
+  in
+  let pinned_rules = Hashtbl.create 16 in
+  Layout.iter_placed layout
+    (Array.make (Layout.num_vars layout) false)
+    (fun v ingress (r : Acl.Rule.t) switch ->
+      if
+        v <> -1
+        || monitored ingress r switch
+        || not
+             (List.exists
+                (fun (i, k0, _) -> i = ingress && k0 = switch)
+                layout.Layout.pinned)
+      then
+        Alcotest.failf "%s: %d/%d placed at %d with nothing set" name ingress
+          r.priority switch;
+      Hashtbl.replace pinned_rules (ingress, r.priority) ());
+  Alcotest.(check int)
+    (name ^ ": pinned rules")
+    (Layout.pinned_rules layout)
+    (Hashtbl.length pinned_rules);
   let in_plan ingress priority =
     List.exists
       (fun (g : Merge.group) ->
@@ -57,6 +96,15 @@ let check_numbering name (layout : Layout.t) =
   let expect what want got =
     if want <> got then wrong := Printf.sprintf "%s: %s" name what :: !wrong
   in
+  Array.iteri
+    (fun v -> function
+      | Layout.Place { ingress; priority; switch; _ } ->
+        expect
+          (Printf.sprintf "var (key %d)" v)
+          (Some v)
+          (Layout.var layout ~ingress ~priority ~switch)
+      | Layout.Merged _ -> ())
+    keys;
   List.iter
     (fun (i, q) ->
       List.iter
@@ -69,25 +117,25 @@ let check_numbering name (layout : Layout.t) =
             dummy
             (Layout.is_dummy layout ~ingress:i ~priority);
           for switch = 0 to Topo.Net.num_switches inst.Instance.net - 1 do
-            let v = scan i priority switch in
             let at = Printf.sprintf "%d/%d at %d" i priority switch in
+            let v = scan i priority switch in
             expect ("var " ^ at) v
               (Layout.var layout ~ingress:i ~priority ~switch);
-            let pinned =
-              match v with
-              | Some v -> List.mem v layout.Layout.forbidden
-              | None -> false
-            in
-            if pinned then incr forbidden;
-            expect ("is_forbidden " ^ at) pinned
-              (Layout.is_forbidden layout ~ingress:i ~priority ~switch)
+            match v with
+            | Some v ->
+              let no = monitored i r switch in
+              if no then incr forbidden;
+              expect ("forbidden " ^ at) no
+                (List.mem v layout.Layout.forbidden)
+            | None -> ()
           done)
         (Acl.Policy.rules q))
     inst.Instance.policies;
+  expect "forbidden count" !forbidden (List.length layout.Layout.forbidden);
   Alcotest.(check (list string))
     (name ^ ": index agrees with keys")
     [] (List.rev !wrong);
-  (!dummies, !forbidden)
+  (!dummies, !forbidden, List.length layout.Layout.pinned)
 
 (* Two policies on a star sharing a drop, merged by a hand-made plan
    whose second member is a shadowed copy of the drop marked as a dummy
@@ -183,16 +231,19 @@ let test_variable_scoping () =
   (* Capacity 10 can never bind (at most 2 rules per switch): no rows. *)
   Alcotest.(check int) "no capacity rows" 0
     (List.length layout.Layout.capacities);
-  (* The dense index inverts [keys] on every instance shape. *)
+  (* The dense index inverts [key] on every instance shape. *)
   ignore (check_numbering "two paths" layout);
-  let dummies, _ = check_numbering "dummy" (dummy_layout ()) in
+  let dummies, _, _ = check_numbering "dummy" (dummy_layout ()) in
   Alcotest.(check int) "one dummy" 1 dummies;
-  let forbidden =
+  let forbidden, pinned =
     List.fold_left
-      (fun acc (name, layout) -> acc + snd (check_numbering name layout))
-      0 (small_layouts ())
+      (fun (f, p) (name, layout) ->
+        let _, f', p' = check_numbering name layout in
+        (f + f', p + p'))
+      (0, 0) (small_layouts ())
   in
-  Alcotest.(check bool) "monitors pin some variables" true (forbidden > 0)
+  Alcotest.(check bool) "monitors forbid some variables" true (forbidden > 0);
+  Alcotest.(check bool) "some policies are pinned" true (pinned > 0)
 
 let test_capacity_rows_appear_when_binding () =
   let layout = Layout.build (two_path_instance ~capacity:1) in
@@ -252,16 +303,35 @@ let test_monitor_forbidden_vars () =
   let inst = two_path_instance ~capacity:10 in
   let monitors = [ (1, Util.field ~src:"10.0.0.0/8" ()) ] in
   let layout = Layout.build ~monitors inst in
-  (* The drop (priority 2) is pinned to 0 at switch 0 (upstream of the
+  let forbidden priority switch =
+    match Layout.var layout ~ingress:0 ~priority ~switch with
+    | Some v -> List.mem v layout.Layout.forbidden
+    | None -> Alcotest.fail "no variable"
+  in
+  (* The drop (priority 2) is fixed to 0 at switch 0 (upstream of the
      monitor on both paths); the permit is not a drop, so unaffected. *)
-  Alcotest.(check bool) "drop forbidden at 0" true
-    (Layout.is_forbidden layout ~ingress:0 ~priority:2 ~switch:0);
-  Alcotest.(check bool) "drop allowed at 1" false
-    (Layout.is_forbidden layout ~ingress:0 ~priority:2 ~switch:1);
-  Alcotest.(check bool) "permit unaffected" false
-    (Layout.is_forbidden layout ~ingress:0 ~priority:3 ~switch:0);
+  Alcotest.(check bool) "drop forbidden at 0" true (forbidden 2 0);
+  Alcotest.(check bool) "drop allowed at 1" false (forbidden 2 1);
+  Alcotest.(check bool) "permit unaffected" false (forbidden 3 0);
   Alcotest.(check int) "one forbidden var" 1
-    (List.length layout.Layout.forbidden)
+    (List.length layout.Layout.forbidden);
+  (* The verifier reads the monitors off the paths itself: the drop and
+     its permit at switch 0 break the monitor, at switch 1 they do not. *)
+  let at k =
+    Array.init (Layout.num_vars layout) (fun v ->
+        match Layout.key layout v with
+        | Layout.Place { switch; _ } -> switch = k
+        | Layout.Merged _ -> false)
+  in
+  let monitor_violations k =
+    Verify.structural layout
+      (Solution.of_assignment layout (at k) ~objective:2.0)
+    |> List.filter (function Verify.Monitor _ -> true | _ -> false)
+  in
+  Alcotest.(check int) "a drop at 0 breaks the monitor" 1
+    (List.length (monitor_violations 0));
+  Alcotest.(check int) "a drop at 1 does not" 0
+    (List.length (monitor_violations 1))
 
 (* A random k=4/6 family's layout, with and without slicing, the merge
    plan and a monitor at one switch that sees all traffic. *)
@@ -314,29 +384,32 @@ let prop_no_duplicate_rows =
 
 (* The paper's rows as Encode wrote them before it filled the solver's
    matrix itself: one [Ilp.Model] builder call per row.  Returns the
-   model, its variable of each layout variable, the objective constant
-   of the pinned variables and each row as (sense, (coef, layout var)
-   terms, rhs) for an evaluation that never reads a matrix. *)
+   model, the objective constant of the pinned policies' rules (each at
+   its ingress switch, 0 hops out) and each row as (sense, (coef,
+   layout var) terms, rhs) for an evaluation that never reads a
+   matrix. *)
 let builder_encoding objective (layout : Layout.t) =
   let n = Layout.num_vars layout in
+  let cost k =
+    match objective with
+    | Encode.Total_rules | Encode.Upstream_drops -> 1.0
+    | Encode.Switch_weighted w -> w.(k)
+  in
+  let constant =
+    List.fold_left
+      (fun acc (_, k0, rules) -> acc +. (float_of_int rules *. cost k0))
+      0.0 layout.Layout.pinned
+  in
   let coef =
     Array.init n (fun v ->
         Encode.assignment_objective ~objective layout
-          (Array.init n (fun u -> u = v)))
+          (Array.init n (fun u -> u = v))
+        -. constant)
   in
   let model = Ilp.Model.create () in
-  let xs =
-    Array.map
-      (fun (pin : Layout.pin) ->
-        if pin = Layout.Free then Some (Ilp.Model.binary model) else None)
-      layout.Layout.pins
-  in
-  let x v = Option.get xs.(v) in
-  let constant = ref 0.0 and rows = ref [] in
-  Array.iteri
-    (fun v (pin : Layout.pin) ->
-      if pin = Layout.One then constant := !constant +. coef.(v))
-    layout.Layout.pins;
+  let xs = Array.init n (fun _ -> Ilp.Model.binary model) in
+  let x v = xs.(v) in
+  let rows = ref [] in
   let add sense terms b =
     rows := (sense, terms, b) :: !rows;
     let terms = List.map (fun (c, v) -> (c, x v)) terms in
@@ -352,10 +425,8 @@ let builder_encoding objective (layout : Layout.t) =
   List.iter (fun (d, p) -> implies d p) layout.Layout.implications;
   List.iter
     (fun v ->
-      if xs.(v) <> None then begin
-        rows := (Ilp.Model.Eq, [ (1.0, v) ], 0.0) :: !rows;
-        Ilp.Model.fix model (x v) false
-      end)
+      rows := (Ilp.Model.Eq, [ (1.0, v) ], 0.0) :: !rows;
+      Ilp.Model.fix model (x v) false)
     layout.Layout.forbidden;
   List.iter
     (fun cover -> add Ilp.Model.Ge (List.map (fun v -> (1.0, v)) cover) 1.0)
@@ -381,11 +452,11 @@ let builder_encoding objective (layout : Layout.t) =
   let objective =
     List.filter_map
       (fun v ->
-        if xs.(v) <> None && coef.(v) <> 0.0 then Some (coef.(v), v) else None)
+        if coef.(v) <> 0.0 then Some (coef.(v), v) else None)
       (List.init n Fun.id)
   in
   Ilp.Model.set_objective model (List.map (fun (c, v) -> (c, x v)) objective);
-  (model, xs, !constant, List.rev !rows, objective)
+  (model, constant, List.rev !rows, objective)
 
 (* Single-variable flips of a feasible point that break exactly one
    row, over the whole run: the next case checks it is not vacuous. *)
@@ -410,7 +481,7 @@ let prop_encoder_matches_builder =
                (fun _ -> float_of_int (Prng.int g 4)))
       in
       let enc = Encode.to_model ~objective layout in
-      let model, xs, constant, rows, obj = builder_encoding objective layout in
+      let model, constant, rows, obj = builder_encoding objective layout in
       let fail fmt = QCheck.Test.fail_reportf fmt in
       let bits = Array.map Int64.bits_of_float in
       (* Entries past [rowptr.(m)] are spare room. *)
@@ -435,14 +506,8 @@ let prop_encoder_matches_builder =
         fail "objectives differ";
       if Int64.bits_of_float enc.Encode.constant <> Int64.bits_of_float constant
       then fail "constants differ: %g, %g" enc.Encode.constant constant;
-      if
-        enc.Encode.vars
-        <> Array.map
-             (function Some (x : Ilp.Model.var) -> (x :> int) | None -> -1)
-             xs
-      then fail "variable maps differ";
       (* Each row in its own sense, over layout variables. *)
-      let value p v = p.(enc.Encode.vars.(v)) in
+      let value p v = p.(v) in
       let broken p =
         List.length
           (List.filter

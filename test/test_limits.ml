@@ -242,6 +242,39 @@ let test_time_limit_bounds_merge_run () =
     (Printf.sprintf "returned in under 1.5 s (%.3fs)" dt)
     true (dt < 1.5)
 
+(* A family the greedy warm start cannot place (k=8, 64 contiguous
+   policies of 30 rules, C=40), so the run falls back on the SAT probe,
+   which has no time limit of its own and took 8 s here before the run's
+   limit stopped it.  A 1 s limit now bounds the whole run. *)
+let test_time_limit_bounds_sat_probe () =
+  let inst =
+    Workload.build
+      {
+        Workload.default with
+        Workload.k = 8;
+        num_policies = 64;
+        rules = 30;
+        paths = 256;
+        capacity = 40;
+        ingress_mode = Workload.Contiguous;
+        seed = 1;
+      }
+  in
+  let options =
+    Solve.options
+      ~ilp_config:{ Ilp.Solver.default_config with time_limit = 1.0 }
+      ()
+  in
+  let t0 = Unix.gettimeofday () in
+  let r = Solve.run ~options inst in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "greedy is stuck" true
+    (Baseline.greedy_assignment r.Solve.layout = None);
+  check_no_proof "1 s time limit" r;
+  Alcotest.(check bool)
+    (Printf.sprintf "returned in under 1.5 s (%.3fs)" dt)
+    true (dt < 1.5)
+
 let suite =
   [
     Alcotest.test_case "random instances are mostly proved" `Quick
@@ -262,4 +295,6 @@ let suite =
       test_deadline_bounds_merge_warm_start;
     Alcotest.test_case "time limit bounds the whole merge run" `Quick
       test_time_limit_bounds_merge_run;
+    Alcotest.test_case "time limit bounds the SAT probe" `Quick
+      test_time_limit_bounds_sat_probe;
   ]

@@ -6,39 +6,31 @@
    cardinality descent must both reach the same optimum. *)
 open Placement
 
-(* The pins of a layout, per pinned ingress: its switch [k0] and the
-   number of rules pinned there.  Fails unless every pinned policy has
-   all its variables pinned and its 1s on one switch. *)
+(* The pinned policies of a layout: per ingress, its switch [k0] and
+   the number of rules pinned there.  Fails unless no pinned policy has
+   a variable and the empty assignment places exactly its rules, all at
+   [k0]. *)
 let pinned_policies (layout : Layout.t) =
-  let by_ingress = Hashtbl.create 16 in
-  Array.iteri
-    (fun v key ->
-      match (key, layout.Layout.pins.(v)) with
-      | Layout.Place { ingress; switch; _ }, pin ->
-        let ones, pinned, free =
-          Option.value
-            (Hashtbl.find_opt by_ingress ingress)
-            ~default:([], 0, 0)
-        in
-        Hashtbl.replace by_ingress ingress
-          (match pin with
-          | Layout.One -> (switch :: ones, pinned + 1, free)
-          | Layout.Zero -> (ones, pinned + 1, free)
-          | Layout.Free -> (ones, pinned, free + 1))
-      | Layout.Merged _, pin ->
-        if pin <> Layout.Free then Alcotest.fail "a merged variable is pinned")
-    layout.Layout.keys;
-  Hashtbl.fold
-    (fun i (ones, pinned, free) acc ->
-      if pinned = 0 then acc
-      else begin
-        if free > 0 then Alcotest.failf "policy %d is partly pinned" i;
-        match List.sort_uniq compare ones with
-        | [ k0 ] -> (i, k0, List.length ones) :: acc
-        | _ -> Alcotest.failf "policy %d is not pinned at one switch" i
-      end)
-    by_ingress []
-  |> List.sort compare
+  let pinned = layout.Layout.pinned in
+  for v = 0 to Layout.num_vars layout - 1 do
+    match Layout.key layout v with
+    | Layout.Place { ingress; _ }
+      when List.exists (fun (i, _, _) -> i = ingress) pinned ->
+      Alcotest.failf "pinned policy %d has variable %d" ingress v
+    | Layout.Place _ | Layout.Merged _ -> ()
+  done;
+  let held = ref [] in
+  Layout.iter_placed layout
+    (Array.make (Layout.num_vars layout) false)
+    (fun _ i _ k -> held := (i, k) :: !held);
+  List.iter
+    (fun (i, k0, n) ->
+      if List.filter (( = ) (i, k0)) !held |> List.length <> n then
+        Alcotest.failf "policy %d does not hold its %d rules at %d" i n k0)
+    pinned;
+  if List.length !held <> Layout.pinned_rules layout then
+    Alcotest.fail "a pinned rule sits off its policy's switch";
+  pinned
 
 (* Sorted (switch, tags) of every installed entry whose tags [keep]. *)
 let cells ?(keep = fun _ -> true) (sol : Solution.t) =

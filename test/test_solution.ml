@@ -102,15 +102,12 @@ let test_merged_decode () =
   let inst', plan = Merge.plan inst in
   let layout = Layout.build ~plan inst' in
   (* Place both members at switch 0 and activate the merge var there. *)
-  let assignment = Array.make (Layout.num_vars layout) false in
-  Array.iteri
-    (fun v key ->
-      match key with
-      | Layout.Place { switch = 0; _ } -> assignment.(v) <- true
-      | Layout.Place _ -> ()
-      | Layout.Merged { switch = 0; _ } -> assignment.(v) <- true
-      | Layout.Merged _ -> ())
-    layout.Layout.keys;
+  let assignment =
+    Array.init (Layout.num_vars layout) (fun v ->
+        match Layout.key layout v with
+        | Layout.Place { switch; _ } | Layout.Merged { switch; _ } ->
+          switch = 0)
+  in
   let sol = Solution.of_assignment layout assignment ~objective:1.0 in
   (match Solution.cells_of_switch sol 0 with
   | [ cell ] ->
