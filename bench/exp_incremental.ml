@@ -22,6 +22,15 @@ let run ~title ~base_family ~install_batches ~reroute_batches ~new_rules
     let net = inst.Placement.Instance.net in
     let hosts = Topo.Net.num_hosts net in
     let g = Prng.create 4242 in
+    (* A random shortest path from host [h] to a random other host. *)
+    let random_path h =
+      let rec egress () =
+        let e = Prng.int g hosts in
+        if e = h then egress () else e
+      in
+      let egress = egress () in
+      Option.get (Routing.Shortest.random_path g net ~ingress:h ~egress)
+    in
     (* (a) install new policies, one random path each. *)
     let install_rows =
       List.map
@@ -39,23 +48,7 @@ let run ~title ~base_family ~install_batches ~reroute_batches ~new_rules
               (fun h -> (h, Classbench.policy g ~num_rules:new_rules))
               chosen
           in
-          let paths =
-            List.map
-              (fun h ->
-                let rec egress () =
-                  let e = Prng.int g hosts in
-                  if e = h then egress () else e
-                in
-                let e = egress () in
-                let switches =
-                  Option.get
-                    (Routing.Shortest.random_shortest_path g net
-                       ~src:(Topo.Net.host_attach net h)
-                       ~dst:(Topo.Net.host_attach net e))
-                in
-                Routing.Path.make ~ingress:h ~egress:e ~switches ())
-              chosen
-          in
+          let paths = List.map random_path chosen in
           let result, dt =
             Harness.wall (fun () ->
                 Placement.Incremental.install
@@ -78,28 +71,26 @@ let run ~title ~base_family ~install_batches ~reroute_batches ~new_rules
               (Placement.Instance.ingresses base.Placement.Solution.instance)
           in
           let new_paths =
-            List.concat_map
-              (fun h ->
-                List.init 2 (fun _ ->
-                    let rec egress () =
-                      let e = Prng.int g hosts in
-                      if e = h then egress () else e
-                    in
-                    let e = egress () in
-                    let switches =
-                      Option.get
-                        (Routing.Shortest.random_shortest_path g net
-                           ~src:(Topo.Net.host_attach net h)
-                           ~dst:(Topo.Net.host_attach net e))
-                    in
-                    Routing.Path.make ~ingress:h ~egress:e ~switches ()))
+            List.concat_map (fun h -> List.init 2 (fun _ -> random_path h))
               ingresses
           in
+          let policies =
+            List.map
+              (fun h ->
+                ( h,
+                  Option.get
+                    (Placement.Instance.policy_of base.Placement.Solution.instance
+                       h) ))
+              ingresses
+          in
+          (* A re-route tears the ingresses down and installs their
+             policies again over the new paths. *)
           let result, dt =
             Harness.wall (fun () ->
-                Placement.Incremental.reroute
+                Placement.Incremental.install
                   ~options:(Harness.solve_options ~time_limit ())
-                  ~base ~ingresses ~new_paths ())
+                  ~base:(Placement.Incremental.remove ~base ~ingresses)
+                  ~policies ~paths:new_paths ())
           in
           [
             Printf.sprintf "reroute %d policies" batch;

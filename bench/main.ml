@@ -261,13 +261,9 @@ let micro_tests () =
     let policy = Classbench.policy g ~num_rules:8 in
     let net = inst.Placement.Instance.net in
     let h = Topo.Net.num_hosts net - 1 in
-    let switches =
-      Option.get
-        (Routing.Shortest.random_shortest_path g net
-           ~src:(Topo.Net.host_attach net h)
-           ~dst:(Topo.Net.host_attach net 1))
+    let path =
+      Option.get (Routing.Shortest.random_path g net ~ingress:h ~egress:1)
     in
-    let path = Routing.Path.make ~ingress:h ~egress:1 ~switches () in
     Staged.stage (fun () ->
         ignore
           (Placement.Incremental.install

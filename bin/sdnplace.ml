@@ -770,8 +770,9 @@ let caching_cmd =
       value & opt float 0.3
       & info [ "hw-frac" ] ~docv:"F"
           ~doc:
-            "Hardware TCAM size as a fraction of the mean full-table size — \
-             below 1.0 the cache is under real eviction pressure.")
+            "Hardware TCAM size as a fraction of the mean non-empty \
+             full-table size — below 1.0 the cache is under real eviction \
+             pressure.")
   in
   let decay =
     Arg.(

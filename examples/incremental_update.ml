@@ -6,10 +6,18 @@
    existing placement, computes the spare capacity it leaves, and solves
    only the delta.
 
+   Two operations cover every change: Incremental.install places new
+   policies in the spare capacity, and Incremental.remove tears
+   placements down.  Any other change is a teardown plus an install:
+   a re-route removes the tenant and installs its policy again over the
+   new paths, and a policy update (the paper's rule addition, removal or
+   modification) removes it and installs the new policy over its
+   existing paths.
+
    This example: solve a base network; then
-     1. a new tenant arrives  (Incremental.install),
-     2. an existing tenant is re-routed  (Incremental.reroute),
-     3. a tenant leaves  (Incremental.remove),
+     1. a new tenant arrives  (install),
+     2. an existing tenant is re-routed  (remove + install),
+     3. a tenant leaves  (remove),
    timing each step and verifying the final data plane.
 
    Run with:  dune exec examples/incremental_update.exe *)
@@ -31,13 +39,7 @@ let random_path g net ~ingress =
     if e = ingress then pick () else e
   in
   let egress = pick () in
-  let switches =
-    Option.get
-      (Routing.Shortest.random_shortest_path g net
-         ~src:(Topo.Net.host_attach net ingress)
-         ~dst:(Topo.Net.host_attach net egress))
-  in
-  Routing.Path.make ~ingress ~egress ~switches ()
+  Option.get (Routing.Shortest.random_path g net ~ingress ~egress)
 
 let () =
   let g = Prng.create 2026 in
@@ -73,9 +75,18 @@ let () =
   let moved = List.hd (Placement.Instance.ingresses inst) in
   let result, dt =
     wall (fun () ->
-        Placement.Incremental.reroute ~options ~base:after_install
-          ~ingresses:[ moved ]
-          ~new_paths:
+        Placement.Incremental.install ~options
+          ~base:
+            (Placement.Incremental.remove ~base:after_install
+               ~ingresses:[ moved ])
+          ~policies:
+            [
+              ( moved,
+                Option.get
+                  (Placement.Instance.policy_of
+                     after_install.Placement.Solution.instance moved) );
+            ]
+          ~paths:
             [ random_path g net ~ingress:moved; random_path g net ~ingress:moved ]
           ())
   in

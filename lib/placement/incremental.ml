@@ -24,41 +24,24 @@ let combine ~(frozen : Solution.t) ~(sub : Solution.t) ~instance =
     objective = frozen.Solution.objective +. sub.Solution.objective;
   }
 
-let keep_policies inst ingresses =
-  List.filter (fun (i, _) -> List.mem i ingresses) inst.Instance.policies
-
-let drop_policies inst ingresses =
-  List.filter (fun (i, _) -> not (List.mem i ingresses)) inst.Instance.policies
-
-let paths_without routing ingresses =
-  List.filter
-    (fun (p : Routing.Path.t) -> not (List.mem p.Routing.Path.ingress ingresses))
-    (Routing.Table.paths routing)
-
-let solve_sub ?options ?deadline ?cancel ~net ~policies ~paths ~capacities () =
-  let routing = Routing.Table.of_paths paths in
-  let sub_inst =
-    Instance.make ~net ~routing ~policies ~capacities
-  in
-  Solve.run ?options ?deadline ?cancel sub_inst
-
 let install ?options ?deadline ?cancel ~(base : Solution.t) ~policies ~paths ()
     =
   let base_inst = base.Solution.instance in
+  let net = base_inst.Instance.net in
   List.iter
     (fun (i, _) ->
       if Instance.policy_of base_inst i <> None then
         invalid_arg "Incremental.install: ingress already carries a policy")
     policies;
   let report =
-    solve_sub ?options ?deadline ?cancel ~net:base_inst.Instance.net ~policies
-      ~paths
-      ~capacities:(residual_capacities base) ()
+    Solve.run ?options ?deadline ?cancel
+      (Instance.make ~net ~routing:(Routing.Table.of_paths paths) ~policies
+         ~capacities:(residual_capacities base))
   in
   match report.Solve.solution with
   | Some sub ->
     let instance =
-      Instance.make ~net:base_inst.Instance.net
+      Instance.make ~net
         ~routing:
           (Routing.Table.of_paths
              (Routing.Table.paths base_inst.Instance.routing @ paths))
@@ -73,78 +56,17 @@ let install ?options ?deadline ?cancel ~(base : Solution.t) ~policies ~paths ()
   | None ->
     { status = report.Solve.status; solution = None; sub_report = Some report }
 
-let reroute ?options ?deadline ?cancel ~(base : Solution.t) ~ingresses
-    ~new_paths () =
-  let base_inst = base.Solution.instance in
-  let moved = keep_policies base_inst ingresses in
-  if List.length moved <> List.length ingresses then
-    invalid_arg "Incremental.reroute: unknown ingress";
-  let stripped = Solution.strip_ingresses base ingresses in
-  let report =
-    solve_sub ?options ?deadline ?cancel ~net:base_inst.Instance.net
-      ~policies:moved ~paths:new_paths
-      ~capacities:(residual_capacities stripped) ()
-  in
-  match report.Solve.solution with
-  | Some sub ->
-    let instance =
-      Instance.make ~net:base_inst.Instance.net
-        ~routing:
-          (Routing.Table.of_paths
-             (paths_without base_inst.Instance.routing ingresses @ new_paths))
-        ~policies:
-          (drop_policies base_inst ingresses
-          @ report.Solve.instance.Instance.policies)
-        ~capacities:base_inst.Instance.capacities
-    in
-    let frozen = { stripped with Solution.instance } in
-    {
-      status = report.Solve.status;
-      solution = Some (combine ~frozen ~sub ~instance);
-      sub_report = Some report;
-    }
-  | None ->
-    { status = report.Solve.status; solution = None; sub_report = Some report }
-
 let remove ~(base : Solution.t) ~ingresses =
   let base_inst = base.Solution.instance in
-  let stripped = Solution.strip_ingresses base ingresses in
+  let kept i = not (List.mem i ingresses) in
   let instance =
     Instance.make ~net:base_inst.Instance.net
-      ~routing:(Routing.Table.of_paths (paths_without base_inst.Instance.routing ingresses))
-      ~policies:(drop_policies base_inst ingresses)
+      ~routing:
+        (Routing.Table.of_paths
+           (List.filter
+              (fun (p : Routing.Path.t) -> kept p.Routing.Path.ingress)
+              (Routing.Table.paths base_inst.Instance.routing)))
+      ~policies:(List.filter (fun (i, _) -> kept i) base_inst.Instance.policies)
       ~capacities:base_inst.Instance.capacities
   in
-  { stripped with Solution.instance }
-
-let update_policy ?options ?deadline ?cancel ~(base : Solution.t) ~ingress
-    ~policy () =
-  let base_inst = base.Solution.instance in
-  if Instance.policy_of base_inst ingress = None then
-    invalid_arg "Incremental.update_policy: unknown ingress";
-  let stripped = Solution.strip_ingresses base [ ingress ] in
-  let paths = Routing.Table.paths_from base_inst.Instance.routing ingress in
-  let report =
-    solve_sub ?options ?deadline ?cancel ~net:base_inst.Instance.net
-      ~policies:[ (ingress, policy) ]
-      ~paths
-      ~capacities:(residual_capacities stripped) ()
-  in
-  match report.Solve.solution with
-  | Some sub ->
-    let instance =
-      Instance.make ~net:base_inst.Instance.net
-        ~routing:base_inst.Instance.routing
-        ~policies:
-          (drop_policies base_inst [ ingress ]
-          @ report.Solve.instance.Instance.policies)
-        ~capacities:base_inst.Instance.capacities
-    in
-    let frozen = { stripped with Solution.instance } in
-    {
-      status = report.Solve.status;
-      solution = Some (combine ~frozen ~sub ~instance);
-      sub_report = Some report;
-    }
-  | None ->
-    { status = report.Solve.status; solution = None; sub_report = Some report }
+  { (Solution.strip_ingresses base ingresses) with Solution.instance }

@@ -9,12 +9,16 @@
     infeasible even though a from-scratch solve might succeed — which is
     exactly the trade-off the paper accepts for sub-second updates.
 
-    Supported changes:
+    Two operations cover every change:
     - {!install}: new ingress policies join (tenant arrival);
-    - {!reroute}: existing ingresses get new routing paths (the old
-      placements of those ingresses are torn down first, freeing their
-      slots);
-    - {!remove}: policies leave; pure bookkeeping, always succeeds. *)
+    - {!remove}: policies leave; pure bookkeeping, always succeeds.
+
+    Every other change is a teardown plus an install, as the paper
+    models rule modification: a re-route is
+    [install ~base:(remove ~base ~ingresses)] with the ingresses' own
+    policies over their new paths, and a policy update the same with
+    the new policy over the ingress's existing paths.  The routing table
+    is keyed by ingress, so the order of the paths changes nothing. *)
 
 type result = {
   status : Encode.status;
@@ -45,33 +49,6 @@ val install :
     each one a hard wall-clock budget.  A deadline hit reports
     [`Feasible] (best incumbent) or [`Unknown], never blocks. *)
 
-val reroute :
-  ?options:Solve.options ->
-  ?deadline:float ->
-  ?cancel:(unit -> bool) ->
-  base:Solution.t ->
-  ingresses:int list ->
-  new_paths:Routing.Path.t list ->
-  unit ->
-  result
-(** Replace the routing of the given ingresses: their old placements are
-    removed, then their policies are placed against the new paths within
-    the remaining free capacity. *)
-
 val remove : base:Solution.t -> ingresses:int list -> Solution.t
-
-val update_policy :
-  ?options:Solve.options ->
-  ?deadline:float ->
-  ?cancel:(unit -> bool) ->
-  base:Solution.t ->
-  ingress:int ->
-  policy:Acl.Policy.t ->
-  unit ->
-  result
-(** Ingress-policy change (Section IV-E: rule addition, removal or
-    modification): the ingress's old placement is torn down and the new
-    policy is placed over its existing paths within the remaining free
-    capacity.  The paper models rule modification exactly this way —
-    deletion plus installation.  Raises [Invalid_argument] when the
-    ingress carries no policy. *)
+(** Tear down the placements of [ingresses] and drop their policies and
+    paths from the instance. *)

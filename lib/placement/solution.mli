@@ -46,7 +46,7 @@ val tcam_slots : ?tag_bits:int -> t -> int
     cell (the paper's convention), but a real TCAM expands port ranges
     into prefix covers and a merged entry's tag set into ternary tag
     patterns.  Each cell costs
-    [Field.tcam_entries x tag_prefix_patterns(tags)].  [tag_bits]
+    [Field.tcam_entries x Tag_cover.patterns(tags)].  [tag_bits]
     defaults to the width needed for the instance's host count. *)
 
 val is_placed : t -> ingress:int -> priority:int -> switch:int -> bool

@@ -135,5 +135,3 @@ let to_netsim (sol : Solution.t) =
       sol.Solution.per_switch
   in
   { netsim = Netsim.make sol.Solution.instance.Instance.net tables; splits = !splits }
-
-let tag_prefix_patterns = Tag_cover.patterns

@@ -17,10 +17,3 @@ type build = {
 }
 
 val to_netsim : Solution.t -> build
-
-val tag_prefix_patterns : universe_bits:int -> int list -> int
-(** Number of ternary (prefix-cover) patterns needed to express a tag set
-    in a [universe_bits]-wide tag field — the real TCAM cost of a merged
-    entry's tag union.  [tag_prefix_patterns ~universe_bits:4 [0;1;2;3]]
-    is 1; scattered tags cost more.  Tags must lie in
-    [0, 2^universe_bits). *)

@@ -30,6 +30,12 @@ let random_shortest_path g net ~src ~dst =
     in
     Some (walk src [])
 
+let random_path ?flow g net ~ingress ~egress =
+  Option.map
+    (fun switches -> Path.make ?flow ~ingress ~egress ~switches ())
+    (random_shortest_path g net ~src:(Topo.Net.host_attach net ingress)
+       ~dst:(Topo.Net.host_attach net egress))
+
 let all_shortest_paths ?(limit = 1024) net ~src ~dst =
   let dist = distances net dst in
   if dist.(src) = max_int then []

@@ -10,6 +10,17 @@ val random_shortest_path : Prng.t -> Topo.Net.t -> src:int -> dst:int -> int lis
     (random shortest-path routing, the paper's routing-module stand-in).
     [None] when unreachable; [Some [src]] when [src = dst]. *)
 
+val random_path :
+  ?flow:Ternary.Field.t ->
+  Prng.t ->
+  Topo.Net.t ->
+  ingress:int ->
+  egress:int ->
+  Path.t option
+(** {!random_shortest_path} between the two hosts' attachment switches,
+    as a routed path carrying [flow] (default [Field.any]); [None] when
+    unreachable. *)
+
 val all_shortest_paths : ?limit:int -> Topo.Net.t -> src:int -> dst:int -> int list list
 (** Every shortest path (ECMP set), cut off at [limit] paths
     (default 1024). *)

@@ -39,12 +39,11 @@ let flow_of ~slice ~egress =
   else Ternary.Field.any
 
 let path_for ?(slice = false) g net (ingress, egress) =
-  let src = Topo.Net.host_attach net ingress in
-  let dst = Topo.Net.host_attach net egress in
-  match Shortest.random_shortest_path g net ~src ~dst with
+  match
+    Shortest.random_path ~flow:(flow_of ~slice ~egress) g net ~ingress ~egress
+  with
   | None -> invalid_arg "Table.random: egress unreachable from ingress"
-  | Some switches ->
-    Path.make ~flow:(flow_of ~slice ~egress) ~ingress ~egress ~switches ()
+  | Some p -> p
 
 let random ?(slice = false) g net ~pairs =
   of_paths (List.map (path_for ~slice g net) pairs)

@@ -33,62 +33,84 @@ let capture t = Marshal.to_string t []
 
 let restore s = (Marshal.from_string s 0 : t)
 
-let path_to t net ~ingress ~egress =
-  let src = Topo.Net.host_attach net ingress in
-  let dst = Topo.Net.host_attach net egress in
-  match Routing.Shortest.random_shortest_path t.prng net ~src ~dst with
-  | Some switches -> Some (Routing.Path.make ~ingress ~egress ~switches ())
-  | None -> None
+(* ------------------------------------------------------------------ *)
+(* Event builders, shared with the serving shard's op translation      *)
 
-let next t eng =
-  let inst = (Engine.good eng).Placement.Solution.instance in
-  let net = inst.Placement.Instance.net in
-  let caps = inst.Placement.Instance.capacities in
-  let usage = Placement.Solution.switch_usage (Engine.good eng) in
-  let num_hosts = Topo.Net.num_hosts net in
-  let num_switches = Topo.Net.num_switches net in
-  let dead = Engine.dead_switches eng in
-  let active = Placement.Instance.ingresses inst in
-  let fenced = Engine.quarantined eng in
-  let attach_alive h = not (List.mem (Topo.Net.host_attach net h) dead) in
-  let hosts = List.init num_hosts Fun.id in
-  let free =
-    List.filter
-      (fun h ->
-        attach_alive h && (not (List.mem h active)) && not (List.mem h fenced))
-      hosts
+let attach_alive net ~dead h = not (List.mem (Topo.Net.host_attach net h) dead)
+
+let free_hosts net ~dead ~taken =
+  List.filter
+    (fun h -> attach_alive net ~dead h && not (List.mem h taken))
+    (List.init (Topo.Net.num_hosts net) Fun.id)
+
+let egress_pool net ~dead i =
+  List.filter
+    (fun h -> h <> i && attach_alive net ~dead h)
+    (List.init (Topo.Net.num_hosts net) Fun.id)
+
+let fresh_paths g net ~dead i =
+  let pool = egress_pool net ~dead i in
+  if pool = [] then []
+  else
+    let n = 1 + Prng.int g 2 in
+    List.filter_map
+      (fun _ ->
+        Routing.Shortest.random_path g net ~ingress:i
+          ~egress:(Prng.choose_list g pool))
+      (List.init n Fun.id)
+
+let fresh_policy g net ~dead i paths ~rules =
+  let egresses =
+    List.sort_uniq compare
+      (List.map (fun (p : Routing.Path.t) -> p.Routing.Path.egress) paths)
   in
-  let egress_pool i = List.filter (fun h -> h <> i && attach_alive h) hosts in
-  let tenants = List.sort_uniq compare (active @ fenced) in
-  let alive_switches =
-    List.filter (fun k -> not (List.mem k dead)) (List.init num_switches Fun.id)
-  in
-  let alive_edges =
+  let egresses = if egresses = [] then egress_pool net ~dead i else egresses in
+  Classbench.policy_for_ingress g ~net ~egresses ~num_rules:rules
+
+let alive_switches net ~dead =
+  List.filter
+    (fun k -> not (List.mem k dead))
+    (List.init (Topo.Net.num_switches net) Fun.id)
+
+let switch_victims net ~dead =
+  if List.length dead >= Topo.Net.num_switches net / 4 then []
+  else alive_switches net ~dead
+
+let link_victims net ~dead ~killed =
+  let edges = Topo.Net.edges net in
+  if List.length killed >= List.length edges / 4 then []
+  else
     List.filter
       (fun (a, b) ->
         (not (List.mem a dead))
         && (not (List.mem b dead))
-        && not (List.mem (a, b) t.killed_links))
-      (Topo.Net.edges net)
+        && not (List.mem (a, b) killed))
+      edges
+
+let shrink_pool net ~dead caps =
+  List.filter (fun k -> caps.(k) > 0) (alive_switches net ~dead)
+
+(* ------------------------------------------------------------------ *)
+(* The churn stream                                                    *)
+
+let next t eng =
+  let g = t.prng in
+  let inst = (Engine.good eng).Placement.Solution.instance in
+  let net = inst.Placement.Instance.net in
+  let caps = inst.Placement.Instance.capacities in
+  let usage = Placement.Solution.switch_usage (Engine.good eng) in
+  let dead = Engine.dead_switches eng in
+  let active = Placement.Instance.ingresses inst in
+  let fenced = Engine.quarantined eng in
+  let free = free_hosts net ~dead ~taken:(active @ fenced) in
+  let tenants = List.sort_uniq compare (active @ fenced) in
+  let policy_for i paths =
+    let rules = max 1 (t.rules + Prng.int_in g (-2) 2) in
+    fresh_policy g net ~dead i paths ~rules
   in
-  let fresh_paths i =
-    let pool = egress_pool i in
-    if pool = [] then []
-    else
-      let n = 1 + Prng.int t.prng 2 in
-      List.filter_map
-        (fun _ -> path_to t net ~ingress:i ~egress:(Prng.choose_list t.prng pool))
-        (List.init n Fun.id)
-  in
-  let fresh_policy i paths =
-    let egresses =
-      List.sort_uniq compare
-        (List.map (fun (p : Routing.Path.t) -> p.Routing.Path.egress) paths)
-    in
-    let egresses = if egresses = [] then egress_pool i else egresses in
-    let num_rules = max 1 (t.rules + Prng.int_in t.prng (-2) 2) in
-    Classbench.policy_for_ingress t.prng ~net ~egresses ~num_rules
-  in
+  let shrink = shrink_pool net ~dead caps in
+  let switch_victims = switch_victims net ~dead in
+  let link_victims = link_victims net ~dead ~killed:t.killed_links in
   (* Each category: (weight, available?, build).  Builders may still
      come up empty (no shortest path, say); we fall through in weighted
      order until one produces. *)
@@ -97,55 +119,49 @@ let next t eng =
       ( t.weights.install,
         free <> [],
         fun () ->
-          let i = Prng.choose_list t.prng free in
-          match fresh_paths i with
+          let i = Prng.choose_list g free in
+          match fresh_paths g net ~dead i with
           | [] -> None
           | paths ->
-            Some (Event.Install { ingress = i; policy = fresh_policy i paths; paths })
+            Some (Event.Install { ingress = i; policy = policy_for i paths; paths })
       );
       ( t.weights.reroute,
         active <> [],
         fun () ->
-          let i = Prng.choose_list t.prng active in
-          match fresh_paths i with
+          let i = Prng.choose_list g active in
+          match fresh_paths g net ~dead i with
           | [] -> None
           | paths -> Some (Event.Reroute { ingresses = [ i ]; paths }) );
       ( t.weights.update_policy,
         active <> [],
         fun () ->
-          let i = Prng.choose_list t.prng active in
+          let i = Prng.choose_list g active in
           let paths =
             Routing.Table.paths_from inst.Placement.Instance.routing i
           in
-          Some (Event.Update_policy { ingress = i; policy = fresh_policy i paths })
+          Some (Event.Update_policy { ingress = i; policy = policy_for i paths })
       );
       ( t.weights.remove,
         tenants <> [],
-        fun () ->
-          Some (Event.Remove { ingresses = [ Prng.choose_list t.prng tenants ] })
+        fun () -> Some (Event.Remove { ingresses = [ Prng.choose_list g tenants ] })
       );
       ( t.weights.capacity_shrink,
-        List.exists (fun k -> caps.(k) > 0 && not (List.mem k dead)) alive_switches,
+        shrink <> [],
         fun () ->
-          let pool =
-            List.filter (fun k -> caps.(k) > 0) alive_switches
-          in
-          let k = Prng.choose_list t.prng pool in
+          let k = Prng.choose_list g shrink in
           let capacity =
-            if usage.(k) > 0 && Prng.bool t.prng then usage.(k) - 1
-            else caps.(k) / 2
+            if usage.(k) > 0 && Prng.bool g then usage.(k) - 1 else caps.(k) / 2
           in
           Some (Event.Capacity_shrink { switch = k; capacity }) );
       ( t.weights.switch_fail,
-        List.length dead < num_switches / 4 && alive_switches <> [],
+        switch_victims <> [],
         fun () ->
-          Some (Event.Switch_fail { switch = Prng.choose_list t.prng alive_switches })
+          Some (Event.Switch_fail { switch = Prng.choose_list g switch_victims })
       );
       ( t.weights.link_fail,
-        List.length t.killed_links < List.length (Topo.Net.edges net) / 4
-        && alive_edges <> [],
+        link_victims <> [],
         fun () ->
-          let u, v = Prng.choose_list t.prng alive_edges in
+          let u, v = Prng.choose_list g link_victims in
           t.killed_links <- (u, v) :: t.killed_links;
           Some (Event.Link_fail { u; v }) );
     ]
@@ -156,7 +172,7 @@ let next t eng =
       (* Degenerate state; emit something deterministic and harmless. *)
       Event.Remove { ingresses = [ 0 ] }
     else
-      let roll = Prng.int t.prng total in
+      let roll = Prng.int g total in
       let rec pick acc = function
         | [] -> assert false
         | ((w, _, build) as c) :: rest ->

@@ -49,6 +49,47 @@ val next : t -> Engine.t -> Event.t
     to remove); always returns an event as long as the network has at
     least one host. *)
 
+(** {2 Event builders}
+
+    The draws {!next} makes, with the PRNG explicit, so the serving
+    shard translates client ops into events with the same code.  [dead]
+    lists the dead switches; a host is usable when its attachment switch
+    is alive. *)
+
+val free_hosts : Topo.Net.t -> dead:int list -> taken:int list -> int list
+(** Usable hosts not in [taken]: where a new tenant may attach. *)
+
+val fresh_paths :
+  Prng.t -> Topo.Net.t -> dead:int list -> int -> Routing.Path.t list
+(** One or two random shortest paths from ingress [i], each toward an
+    egress drawn among the other usable hosts; unreachable draws are
+    dropped, so the list may be empty. *)
+
+val fresh_policy :
+  Prng.t ->
+  Topo.Net.t ->
+  dead:int list ->
+  int ->
+  Routing.Path.t list ->
+  rules:int ->
+  Acl.Policy.t
+(** A ClassBench-style policy of [rules] rules for ingress [i], aimed at
+    the egresses of [paths] (at every usable egress when [paths] is
+    empty). *)
+
+val switch_victims : Topo.Net.t -> dead:int list -> int list
+(** The live switches a failure may hit; empty once a quarter of the
+    switches are dead. *)
+
+val link_victims :
+  Topo.Net.t -> dead:int list -> killed:(int * int) list -> (int * int) list
+(** The live links, between live switches and not in [killed], a cut
+    may hit; empty once a quarter of the links are in [killed]. *)
+
+val shrink_pool : Topo.Net.t -> dead:int list -> int array -> int list
+(** The live switches whose capacity (from the given array) is still
+    positive. *)
+
 val drive : t -> Engine.t -> int -> Report.t list
 (** Generate-and-handle [n] events in sequence; the reports come back in
     event order. *)

@@ -227,36 +227,20 @@ let pruned_net t =
     ~host_attach ()
 
 let reroute_path t pruned (p : Routing.Path.t) =
-  let src = Topo.Net.host_attach (net t) p.Routing.Path.ingress in
-  let dst = Topo.Net.host_attach (net t) p.Routing.Path.egress in
-  if List.mem src t.dead_switches || List.mem dst t.dead_switches then None
+  let dead h = List.mem (Topo.Net.host_attach (net t) h) t.dead_switches in
+  if dead p.Routing.Path.ingress || dead p.Routing.Path.egress then None
   else
-    match Routing.Shortest.random_shortest_path t.route_prng pruned ~src ~dst with
-    | Some switches ->
-      Some
-        (Routing.Path.make ~flow:p.Routing.Path.flow
-           ~ingress:p.Routing.Path.ingress ~egress:p.Routing.Path.egress
-           ~switches ())
-    | None -> None
+    Routing.Shortest.random_path ~flow:p.Routing.Path.flow t.route_prng pruned
+      ~ingress:p.Routing.Path.ingress ~egress:p.Routing.Path.egress
 
 (* Keep alive paths as they are; re-route the rest around the dead
-   infrastructure.  Returns the surviving paths plus the ingresses that
-   lost every path. *)
+   infrastructure, dropping those that cannot be. *)
 let fix_paths t paths =
   let pruned = lazy (pruned_net t) in
-  let fixed =
-    List.filter_map
-      (fun p ->
-        if path_alive t p then Some p else reroute_path t (Lazy.force pruned) p)
-      paths
-  in
-  let ingress_of (p : Routing.Path.t) = p.Routing.Path.ingress in
-  let lost =
-    List.filter
-      (fun i -> not (List.exists (fun p -> ingress_of p = i) fixed))
-      (sort_uniq (List.map ingress_of paths))
-  in
-  (fixed, lost)
+  List.filter_map
+    (fun p ->
+      if path_alive t p then Some p else reroute_path t (Lazy.force pruned) p)
+    paths
 
 (* ------------------------------------------------------------------ *)
 (* Event planning                                                      *)
@@ -279,37 +263,43 @@ let cur_paths t i = Routing.Table.paths_from (inst t).Instance.routing i
 let has_policy t i = Instance.policy_of (inst t) i <> None
 let in_quarantine t i = List.exists (fun q -> q.q_ingress = i) t.quarantine
 
-(* Re-place a set of existing ingresses (after infrastructure loss or a
-   capacity shrink): their current paths are fixed up around the dead
-   infrastructure first. *)
-let replan t affected ~capacities =
-  let affected = sort_uniq affected in
-  let fixed, _ = fix_paths t (List.concat_map (cur_paths t) affected) in
-  let routable i =
+(* Every event is a re-placement: strip [strip], then place [place] over
+   [paths] fixed up around the dead infrastructure.  An ingress of
+   [place] left without a live path is unroutable. *)
+let goal t ?(release = []) ~strip ~place ~paths capacities =
+  let fixed = fix_paths t paths in
+  let routable (i, _) =
     List.exists (fun (p : Routing.Path.t) -> p.Routing.Path.ingress = i) fixed
   in
-  let unroutable = List.filter (fun i -> not (routable i)) affected in
-  let sub_policies =
-    List.filter_map
-      (fun i ->
-        if routable i then
-          Option.map (fun q -> (i, q)) (Instance.policy_of (inst t) i)
-        else None)
-      affected
-  in
+  let placed, lost = List.partition routable place in
   Ok
     {
-      strip = affected;
-      sub_policies;
+      strip;
+      sub_policies = placed;
       sub_paths = fixed;
       capacities;
-      unroutable;
-      release = [];
+      unroutable = List.map fst lost;
+      release;
     }
 
 let plan t event =
   let caps = (inst t).Instance.capacities in
   let n = net t in
+  let current is =
+    List.map (fun i -> (i, Option.get (Instance.policy_of (inst t) i))) is
+  in
+  (* Re-place existing ingresses over their current paths. *)
+  let replace is capacities =
+    let is = sort_uniq is in
+    goal t ~strip:is ~place:(current is)
+      ~paths:(List.concat_map (cur_paths t) is)
+      capacities
+  in
+  let broken () =
+    List.filter
+      (fun i -> List.exists (fun p -> not (path_alive t p)) (cur_paths t i))
+      (Instance.ingresses (inst t))
+  in
   match event with
   | Event.Install { ingress; policy; paths } ->
     if ingress < 0 || ingress >= Topo.Net.num_hosts n then Error "unknown ingress"
@@ -320,28 +310,7 @@ let plan t event =
         (fun (p : Routing.Path.t) -> p.Routing.Path.ingress <> ingress)
         paths
     then Error "path/ingress mismatch"
-    else
-      let fixed, _ = fix_paths t paths in
-      if fixed = [] then
-        Ok
-          {
-            strip = [];
-            sub_policies = [];
-            sub_paths = [];
-            capacities = caps;
-            unroutable = [ ingress ];
-            release = [];
-          }
-      else
-        Ok
-          {
-            strip = [];
-            sub_policies = [ (ingress, policy) ];
-            sub_paths = fixed;
-            capacities = caps;
-            unroutable = [];
-            release = [];
-          }
+    else goal t ~strip:[] ~place:[ (ingress, policy) ] ~paths caps
   | Event.Reroute { ingresses; paths } ->
     let ingresses = sort_uniq ingresses in
     if ingresses = [] then Error "no ingresses"
@@ -353,69 +322,19 @@ let plan t event =
           not (List.mem p.Routing.Path.ingress ingresses))
         paths
     then Error "path/ingress mismatch"
-    else
-      let fixed, _ = fix_paths t paths in
-      let routable i =
-        List.exists (fun (p : Routing.Path.t) -> p.Routing.Path.ingress = i) fixed
-      in
-      let unroutable = List.filter (fun i -> not (routable i)) ingresses in
-      let sub_policies =
-        List.filter_map
-          (fun i ->
-            if routable i then
-              Option.map (fun q -> (i, q)) (Instance.policy_of (inst t) i)
-            else None)
-          ingresses
-      in
-      Ok
-        {
-          strip = ingresses;
-          sub_policies;
-          sub_paths = fixed;
-          capacities = caps;
-          unroutable;
-          release = [];
-        }
+    else goal t ~strip:ingresses ~place:(current ingresses) ~paths caps
   | Event.Update_policy { ingress; policy } ->
     if not (has_policy t ingress) then
       Error "update of an ingress without a policy"
     else
-      let fixed, _ = fix_paths t (cur_paths t ingress) in
-      if fixed = [] then
-        Ok
-          {
-            strip = [ ingress ];
-            sub_policies = [];
-            sub_paths = [];
-            capacities = caps;
-            unroutable = [ ingress ];
-            release = [];
-          }
-      else
-        Ok
-          {
-            strip = [ ingress ];
-            sub_policies = [ (ingress, policy) ];
-            sub_paths = fixed;
-            capacities = caps;
-            unroutable = [];
-            release = [];
-          }
+      goal t ~strip:[ ingress ] ~place:[ (ingress, policy) ]
+        ~paths:(cur_paths t ingress) caps
   | Event.Remove { ingresses } ->
     let ingresses = sort_uniq ingresses in
     let present = List.filter (has_policy t) ingresses in
     let release = List.filter (in_quarantine t) ingresses in
     if present = [] && release = [] then Error "no such ingress"
-    else
-      Ok
-        {
-          strip = present;
-          sub_policies = [];
-          sub_paths = [];
-          capacities = caps;
-          unroutable = [];
-          release;
-        }
+    else goal t ~release ~strip:present ~place:[] ~paths:[] caps
   | Event.Switch_fail { switch } ->
     if switch < 0 || switch >= Topo.Net.num_switches n then
       Error "unknown switch"
@@ -425,12 +344,7 @@ let plan t event =
       Fault_plan.mark_dead t.fault switch;
       let caps' = Array.copy caps in
       caps'.(switch) <- 0;
-      let affected =
-        List.filter
-          (fun i -> List.exists (fun p -> not (path_alive t p)) (cur_paths t i))
-          (Instance.ingresses (inst t))
-      in
-      replan t affected ~capacities:caps'
+      replace (broken ()) caps'
     end
   | Event.Link_fail { u; v } ->
     let key = link_key u v in
@@ -438,12 +352,7 @@ let plan t event =
     else if List.mem key t.dead_links then Error "link already dead"
     else begin
       t.dead_links <- key :: t.dead_links;
-      let affected =
-        List.filter
-          (fun i -> List.exists (fun p -> not (path_alive t p)) (cur_paths t i))
-          (Instance.ingresses (inst t))
-      in
-      replan t affected ~capacities:caps
+      replace (broken ()) caps
     end
   | Event.Capacity_shrink { switch; capacity } ->
     if switch < 0 || switch >= Topo.Net.num_switches n then
@@ -454,25 +363,16 @@ let plan t event =
       let caps' = Array.copy caps in
       caps'.(switch) <- capacity;
       if (Solution.switch_usage t.good).(switch) <= capacity then
-        Ok
-          {
-            strip = [];
-            sub_policies = [];
-            sub_paths = [];
-            capacities = caps';
-            unroutable = [];
-            release = [];
-          }
+        goal t ~strip:[] ~place:[] ~paths:[] caps'
       else
-        let affected =
-          List.filter
-            (fun i ->
-              List.exists
-                (fun (c : Solution.cell) -> List.mem_assoc i c.Solution.tags)
-                t.good.Solution.per_switch.(switch))
-            (Instance.ingresses (inst t))
-        in
-        replan t affected ~capacities:caps'
+        replace
+          (List.filter
+             (fun i ->
+               List.exists
+                 (fun (c : Solution.cell) -> List.mem_assoc i c.Solution.tags)
+                 t.good.Solution.per_switch.(switch))
+             (Instance.ingresses (inst t)))
+          caps'
     end
 
 (* ------------------------------------------------------------------ *)

@@ -242,126 +242,76 @@ let resolved t ~ticket = is_done t.cs ticket
 
 let eng t = Journal.Journaled.engine t.jeng
 
-let path_to prng net ~ingress ~egress =
-  let src = Topo.Net.host_attach net ingress in
-  let dst = Topo.Net.host_attach net egress in
-  match Routing.Shortest.random_shortest_path prng net ~src ~dst with
-  | Some switches -> Some (Routing.Path.make ~ingress ~egress ~switches ())
-  | None -> None
-
 let translate t tenant op =
+  let module C = Runtime.Churn in
   let e = eng t in
   let inst = (Runtime.Engine.good e).Placement.Solution.instance in
   let net = inst.Placement.Instance.net in
   let dead = Runtime.Engine.dead_switches e in
   let cs = t.cs in
+  let g = cs.cs_prng in
   let ts = ts_find cs tenant in
-  let attach_alive h = not (List.mem (Topo.Net.host_attach net h) dead) in
-  let hosts = List.init (Topo.Net.num_hosts net) Fun.id in
-  let taken =
-    List.filter_map (fun (_, s) -> if s.ts_active then s.ts_ingress else None)
-      cs.cs_tenants
-  in
-  let egress_pool i = List.filter (fun h -> h <> i && attach_alive h) hosts in
-  let fresh_paths i =
-    let pool = egress_pool i in
-    if pool = [] then []
-    else
-      let n = 1 + Prng.int cs.cs_prng 2 in
-      List.filter_map
-        (fun _ ->
-          path_to cs.cs_prng net ~ingress:i
-            ~egress:(Prng.choose_list cs.cs_prng pool))
-        (List.init n Fun.id)
-  in
-  let fresh_policy i paths rules =
-    let egresses =
-      List.sort_uniq compare
-        (List.map (fun (p : Routing.Path.t) -> p.Routing.Path.egress) paths)
-    in
-    let egresses = if egresses = [] then egress_pool i else egresses in
-    Classbench.policy_for_ingress cs.cs_prng ~net ~egresses ~num_rules:rules
+  let connected () =
+    match ts.ts_ingress with Some i when ts.ts_active -> Some i | _ -> None
   in
   match op with
   | Wire.Connect { rules } -> (
     if ts.ts_active then Error "already connected"
     else
-      let free =
-        List.filter
-          (fun h ->
-            attach_alive h
-            && (not (List.mem h taken))
-            && not (List.mem h (Runtime.Engine.quarantined e)))
-          hosts
+      let taken =
+        List.filter_map
+          (fun (_, s) -> if s.ts_active then s.ts_ingress else None)
+          cs.cs_tenants
+        @ Runtime.Engine.quarantined e
       in
-      if free = [] then Error "no free ingress"
-      else
-        let i = Prng.choose_list cs.cs_prng free in
-        match fresh_paths i with
+      match C.free_hosts net ~dead ~taken with
+      | [] -> Error "no free ingress"
+      | free -> (
+        let i = Prng.choose_list g free in
+        match C.fresh_paths g net ~dead i with
         | [] -> Error "no route"
         | paths ->
           ts_set cs tenant { ts with ts_active = true; ts_ingress = Some i };
-          Ok
-            (Runtime.Event.Install
-               { ingress = i; policy = fresh_policy i paths (max 1 rules); paths }))
+          let policy = C.fresh_policy g net ~dead i paths ~rules:(max 1 rules) in
+          Ok (Runtime.Event.Install { ingress = i; policy; paths })))
   | Wire.Flow -> (
-    match ts.ts_ingress with
-    | Some i when ts.ts_active -> (
-      match fresh_paths i with
+    match connected () with
+    | None -> Error "not connected"
+    | Some i -> (
+      match C.fresh_paths g net ~dead i with
       | [] -> Error "no route"
-      | paths -> Ok (Runtime.Event.Reroute { ingresses = [ i ]; paths }))
-    | _ -> Error "not connected")
+      | paths -> Ok (Runtime.Event.Reroute { ingresses = [ i ]; paths })))
   | Wire.Update { rules } -> (
-    match ts.ts_ingress with
-    | Some i when ts.ts_active ->
+    match connected () with
+    | None -> Error "not connected"
+    | Some i ->
       let paths = Routing.Table.paths_from inst.Placement.Instance.routing i in
-      Ok
-        (Runtime.Event.Update_policy
-           { ingress = i; policy = fresh_policy i paths (max 1 rules) })
-    | _ -> Error "not connected")
+      let policy = C.fresh_policy g net ~dead i paths ~rules:(max 1 rules) in
+      Ok (Runtime.Event.Update_policy { ingress = i; policy }))
   | Wire.Disconnect -> (
-    match ts.ts_ingress with
-    | Some i when ts.ts_active ->
+    match connected () with
+    | None -> Error "not connected"
+    | Some i ->
       ts_set cs tenant { ts with ts_active = false; ts_ingress = None };
-      Ok (Runtime.Event.Remove { ingresses = [ i ] })
-    | _ -> Error "not connected")
-  | Wire.Chaos c -> (
-    let num_switches = Topo.Net.num_switches net in
-    let alive =
-      List.filter (fun k -> not (List.mem k dead)) (List.init num_switches Fun.id)
-    in
-    match c with
-    | Wire.Kill_switch ->
-      if List.length dead >= num_switches / 4 || alive = [] then
-        Error "too many dead switches"
-      else
-        Ok
-          (Runtime.Event.Switch_fail
-             { switch = Prng.choose_list cs.cs_prng alive })
-    | Wire.Cut_link ->
-      let edges = Topo.Net.edges net in
-      let alive_edges =
-        List.filter
-          (fun (a, b) ->
-            (not (List.mem a dead))
-            && (not (List.mem b dead))
-            && not (List.mem (a, b) cs.cs_killed))
-          edges
-      in
-      if List.length cs.cs_killed >= List.length edges / 4 || alive_edges = []
-      then Error "too many cut links"
-      else begin
-        let u, v = Prng.choose_list cs.cs_prng alive_edges in
-        cs.cs_killed <- (u, v) :: cs.cs_killed;
-        Ok (Runtime.Event.Link_fail { u; v })
-      end
-    | Wire.Shrink_capacity -> (
-      let caps = inst.Placement.Instance.capacities in
-      match List.filter (fun k -> caps.(k) > 0) alive with
-      | [] -> Error "no capacity left to shrink"
-      | pool ->
-        let k = Prng.choose_list cs.cs_prng pool in
-        Ok (Runtime.Event.Capacity_shrink { switch = k; capacity = caps.(k) / 2 })))
+      Ok (Runtime.Event.Remove { ingresses = [ i ] }))
+  | Wire.Chaos Wire.Kill_switch -> (
+    match C.switch_victims net ~dead with
+    | [] -> Error "too many dead switches"
+    | pool -> Ok (Runtime.Event.Switch_fail { switch = Prng.choose_list g pool }))
+  | Wire.Chaos Wire.Cut_link -> (
+    match C.link_victims net ~dead ~killed:cs.cs_killed with
+    | [] -> Error "too many cut links"
+    | pool ->
+      let u, v = Prng.choose_list g pool in
+      cs.cs_killed <- (u, v) :: cs.cs_killed;
+      Ok (Runtime.Event.Link_fail { u; v }))
+  | Wire.Chaos Wire.Shrink_capacity -> (
+    let caps = inst.Placement.Instance.capacities in
+    match C.shrink_pool net ~dead caps with
+    | [] -> Error "no capacity left to shrink"
+    | pool ->
+      let k = Prng.choose_list g pool in
+      Ok (Runtime.Event.Capacity_shrink { switch = k; capacity = caps.(k) / 2 }))
 
 (* ------------------------------------------------------------------ *)
 (* Processing                                                          *)
@@ -567,29 +517,18 @@ let traffic_walk t ~seed ~epoch ~packets ~alpha ~drift ~probes =
         seed;
       }
     in
-    let counts = (Traffic.Zipf.epoch zcfg (max 0 epoch)).Traffic.Zipf.counts in
     let tables = Runtime.Engine.table_snapshot e in
-    let g = Prng.create (((seed * 0x100000001B3) + max 0 epoch) lxor 0x243F6A8885A308D) in
-    let probes = max 1 probes in
     let delivered = ref 0 and dropped = ref 0 in
-    Array.iteri
-      (fun f c ->
-        if c > 0 then begin
-          let n = min c probes in
-          let q = c / n and r = c mod n in
-          let path = paths.(f) in
-          for k = 0 to n - 1 do
-            let w = if k < r then q + 1 else q in
-            let pkt = Ternary.Field.random_packet g path.Routing.Path.flow in
-            match
-              Netsim.forward_tables tables path
-                ~tag:path.Routing.Path.ingress pkt
-            with
-            | Netsim.Delivered -> delivered := !delivered + w
-            | Netsim.Dropped _ -> dropped := !dropped + w
-          done
-        end)
-      counts;
+    Traffic.Zipf.walk ~seed ~probes:(max 1 probes)
+      (Traffic.Zipf.epoch zcfg (max 0 epoch))
+      ~field:(fun f _ -> paths.(f).Routing.Path.flow)
+      (fun f pkt w ->
+        let path = paths.(f) in
+        match
+          Netsim.forward_tables tables path ~tag:path.Routing.Path.ingress pkt
+        with
+        | Netsim.Delivered -> delivered := !delivered + w
+        | Netsim.Dropped _ -> dropped := !dropped + w);
     (flows, !delivered, !dropped)
   end
 

@@ -29,13 +29,19 @@ let default =
 
 let hw_of_frac tables frac =
   (* Uniform TCAM hardware: every switch gets [frac] of the mean table
-     size, so a switch's headroom does not simply mirror its own load. *)
-  let n = Array.length tables in
-  let total = Array.fold_left (fun acc tbl -> acc + List.length tbl) 0 tables in
+     size, so a switch's headroom does not simply mirror its own load.
+     The mean is over the switches that hold rules: most switches of a
+     placement hold none, and counting them held every switch at the
+     1-slot floor for any [frac] up to about 1.3. *)
+  let sizes = List.map List.length (Array.to_list tables) in
+  let used = List.filter (fun n -> n > 0) sizes in
+  let total = List.fold_left ( + ) 0 used in
   let per =
     max 1
       (int_of_float
-         (Float.round (frac *. float_of_int total /. float_of_int (max 1 n))))
+         (Float.round
+            (frac *. float_of_int total
+            /. float_of_int (max 1 (List.length used)))))
   in
   Array.map (fun _ -> per) tables
 
@@ -100,13 +106,6 @@ let validate cfg =
   if cfg.packets < 0 then invalid_arg "Controller: packets < 0";
   if cfg.probes < 1 then invalid_arg "Controller: probes < 1";
   if cfg.hw_frac <= 0.0 then invalid_arg "Controller: hw_frac <= 0"
-
-(* The per-epoch packet stream: independent of the Zipf drift stream and
-   of the workload's routing/policy streams, and a pure function of
-   (family seed, epoch index) so a resumed run redraws the identical
-   probes for a replayed epoch. *)
-let epoch_prng cfg i =
-  Prng.create (((cfg.family.Workload.seed * 0x100000001B3) + i) lxor 0x243F6A8885A308D)
 
 (* Probe packets target real rule fields: for each path, the drop rules
    of its ingress policy that can fire inside the path's flow space.  A
@@ -214,39 +213,28 @@ let create ?store cfg =
 (* ------------------------------------------------------------------ *)
 (* The epoch pipeline                                                  *)
 
-let walk t i (e : Zipf.epoch) =
-  let g = epoch_prng t.cfg i in
-  Array.iteri
-    (fun f c ->
-      if c > 0 then begin
-        let n = min c t.cfg.probes in
-        let q = c / n and r = c mod n in
-        let path = t.paths.(f) in
-        let tgt = t.targets.(f) in
-        for k = 0 to n - 1 do
-          let w = if k < r then q + 1 else q in
-          (* each flow concentrates on its own few rules (offset by flow
-             id), so rule popularity follows the Zipf flow ranks and
-             drifts with them — a uniform per-probe rule choice would
-             flatten popularity into plain match-priority order *)
-          let field =
-            if Array.length tgt = 0 then path.Routing.Path.flow
-            else tgt.((f + k) mod Array.length tgt)
-          in
-          let pkt = Ternary.Field.random_packet g field in
-          let res = Cache.account t.cache ~path ~weight:w pkt in
-          (* the delegation contract preserves the verdict, not the drop
-             location: a delegated drop fires at an on-path neighbor *)
-          let agree =
-            match (res.Cache.w_full, res.Cache.w_cached) with
-            | Netsim.Delivered, Netsim.Delivered -> true
-            | Netsim.Dropped _, Netsim.Dropped _ -> true
-            | _ -> false
-          in
-          if not agree then t.violations <- t.violations + 1
-        done
-      end)
-    e.Zipf.counts
+let walk t (e : Zipf.epoch) =
+  (* each flow concentrates on its own few rules (offset by flow id), so
+     rule popularity follows the Zipf flow ranks and drifts with them — a
+     uniform per-probe rule choice would flatten popularity into plain
+     match-priority order *)
+  let field f k =
+    let tgt = t.targets.(f) in
+    if Array.length tgt = 0 then t.paths.(f).Routing.Path.flow
+    else tgt.((f + k) mod Array.length tgt)
+  in
+  Zipf.walk ~seed:t.cfg.family.Workload.seed ~probes:t.cfg.probes e ~field
+    (fun f pkt w ->
+      let res = Cache.account t.cache ~path:t.paths.(f) ~weight:w pkt in
+      (* the delegation contract preserves the verdict, not the drop
+         location: a delegated drop fires at an on-path neighbor *)
+      let agree =
+        match (res.Cache.w_full, res.Cache.w_cached) with
+        | Netsim.Delivered, Netsim.Delivered -> true
+        | Netsim.Dropped _, Netsim.Dropped _ -> true
+        | _ -> false
+      in
+      if not agree then t.violations <- t.violations + 1)
 
 let run_epoch t =
   let i = t.epoch in
@@ -255,7 +243,7 @@ let run_epoch t =
   and d0 = Cache.delegated_hits t.cache
   and v0 = t.violations in
   if t.cfg.adaptive then Cache.decay t.cache;
-  walk t i (Zipf.next t.zs);
+  walk t (Zipf.next t.zs);
   let stats =
     if t.cfg.adaptive then begin
       t.last_stats <- Cache.rebalance t.cache;

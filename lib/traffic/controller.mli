@@ -33,8 +33,8 @@ type config = {
   drift : float;  (** rank transpositions per epoch / flows *)
   probes : int;  (** max probe packets per flow per epoch (>= 1) *)
   hw_frac : float;
-      (** hardware TCAM capacity as a fraction of the mean full-table
-          size (floor 1 slot; see {!hw_of_frac}) *)
+      (** hardware TCAM capacity as a fraction of the mean non-empty
+          full-table size (floor 1 slot; see {!hw_of_frac}) *)
   decay : float;  (** per-epoch popularity retention *)
   adaptive : bool;  (** false = static baseline (no decay/rebalance) *)
 }
@@ -44,8 +44,8 @@ val default : config
     0.125, 4 probes, hw_frac 0.5, adaptive. *)
 
 val hw_of_frac : Netsim.entry list array -> float -> int array
-(** Per-switch hardware capacity: [frac] of the mean table size,
-    rounded to nearest, never below 1 slot. *)
+(** Per-switch hardware capacity: [frac] of the mean size of the
+    non-empty tables, rounded to nearest, never below 1 slot. *)
 
 type epoch_report = {
   e_index : int;

@@ -100,3 +100,20 @@ let epochs cfg n =
   let t = create cfg in
   let rec go acc k = if k = 0 then List.rev acc else go (next t :: acc) (k - 1) in
   go [] n
+
+(* The probe stream is independent of the drift stream and of the
+   workload's routing/policy streams, and a pure function of (seed,
+   epoch index), so a replayed epoch redraws the identical probes. *)
+let walk ~seed ~probes (e : epoch) ~field f =
+  let g = Prng.create (((seed * 0x100000001B3) + e.index) lxor 0x243F6A8885A308D) in
+  Array.iteri
+    (fun flow c ->
+      if c > 0 then begin
+        let n = min c probes in
+        let q = c / n and r = c mod n in
+        for k = 0 to n - 1 do
+          let pkt = Ternary.Field.random_packet g (field flow k) in
+          f flow pkt (if k < r then q + 1 else q)
+        done
+      end)
+    e.counts

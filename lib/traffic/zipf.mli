@@ -57,3 +57,17 @@ val epoch : config -> int -> epoch
 
 val epochs : config -> int -> epoch list
 (** The first [n] epochs. *)
+
+val walk :
+  seed:int ->
+  probes:int ->
+  epoch ->
+  field:(int -> int -> Ternary.Field.t) ->
+  (int -> Ternary.Packet.t -> int -> unit) ->
+  unit
+(** [walk ~seed ~probes e ~field f] walks epoch [e]'s traffic as probe
+    packets: each flow's count is split over at most [probes] (>= 1)
+    probes whose weights differ by at most one and sum to the count.
+    Probe [k] of [flow] is a packet drawn inside [field flow k] and
+    handed on as [f flow packet weight].  The packets come from a stream
+    that is a pure function of [seed] and [e.index]. *)

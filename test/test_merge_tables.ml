@@ -137,13 +137,13 @@ let test_plan_breaks_figure5_cycle () =
 
 let test_tag_prefix_patterns () =
   Alcotest.(check int) "full universe" 1
-    (Tables.tag_prefix_patterns ~universe_bits:3 [ 0; 1; 2; 3; 4; 5; 6; 7 ]);
-  Alcotest.(check int) "single" 1 (Tables.tag_prefix_patterns ~universe_bits:3 [ 5 ]);
+    (Tag_cover.patterns ~universe_bits:3 [ 0; 1; 2; 3; 4; 5; 6; 7 ]);
+  Alcotest.(check int) "single" 1 (Tag_cover.patterns ~universe_bits:3 [ 5 ]);
   Alcotest.(check int) "aligned pair" 1
-    (Tables.tag_prefix_patterns ~universe_bits:3 [ 4; 5 ]);
+    (Tag_cover.patterns ~universe_bits:3 [ 4; 5 ]);
   Alcotest.(check int) "unaligned pair" 2
-    (Tables.tag_prefix_patterns ~universe_bits:3 [ 3; 4 ]);
-  Alcotest.(check int) "empty" 0 (Tables.tag_prefix_patterns ~universe_bits:3 [])
+    (Tag_cover.patterns ~universe_bits:3 [ 3; 4 ]);
+  Alcotest.(check int) "empty" 0 (Tag_cover.patterns ~universe_bits:3 [])
 
 let test_table_ordering_respects_policy () =
   (* Build a tiny solved instance and check the emitted table keeps the

@@ -287,10 +287,12 @@ let test_incremental_reroute () =
   in
   let base = Option.get (Solve.run ~options:(solve_opts ()) inst).Solve.solution in
   let new_path = Routing.Path.make ~ingress:0 ~egress:3 ~switches:[ 1; 0; 4 ] () in
+  (* A re-route is a teardown plus an install over the new paths. *)
   let r =
-    Incremental.reroute
-      ~options:(solve_opts ())
-      ~base ~ingresses:[ 0 ] ~new_paths:[ new_path ] ()
+    Incremental.install ~options:(solve_opts ())
+      ~base:(Incremental.remove ~base ~ingresses:[ 0 ])
+      ~policies:[ (0, Option.get (Instance.policy_of base.Solution.instance 0)) ]
+      ~paths:[ new_path ] ()
   in
   (match r.Incremental.status with
   | `Optimal | `Feasible -> ()
@@ -362,8 +364,11 @@ let test_incremental_update_policy () =
      modification = deletion + installation). *)
   let new_policy = Classbench.policy g ~num_rules:7 in
   let r =
-    Incremental.update_policy ~options:(solve_opts ()) ~base ~ingress:0
-      ~policy:new_policy ()
+    Incremental.install ~options:(solve_opts ())
+      ~base:(Incremental.remove ~base ~ingresses:[ 0 ])
+      ~policies:[ (0, new_policy) ]
+      ~paths:(Routing.Table.paths_from routing 0)
+      ()
   in
   (match r.Incremental.status with
   | `Optimal | `Feasible -> ()

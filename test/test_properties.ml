@@ -94,17 +94,14 @@ let prop_install_remove_roundtrip =
           let newcomer = Topo.Net.num_hosts net - 1 in
           QCheck.assume (Instance.policy_of inst newcomer = None);
           let egress = 1 in
-          let switches =
+          let path =
             Option.get
-              (Routing.Shortest.random_shortest_path g net
-                 ~src:(Topo.Net.host_attach net newcomer)
-                 ~dst:(Topo.Net.host_attach net egress))
+              (Routing.Shortest.random_path g net ~ingress:newcomer ~egress)
           in
           let r =
             Incremental.install ~options:(options ()) ~base
               ~policies:[ (newcomer, Classbench.policy g ~num_rules:4) ]
-              ~paths:[ Routing.Path.make ~ingress:newcomer ~egress ~switches () ]
-              ()
+              ~paths:[ path ] ()
           in
           (match r.Incremental.solution with
           | None -> true (* exhausted capacity: acceptable *)

@@ -384,6 +384,13 @@ let test_chaos_deterministic () =
   Alcotest.(check (list string)) "same seed, same transition reports"
     (sigs 25) (sigs 25)
 
+(* The chaos stream's exact bytes, pinned: a refactor of event drawing
+   or planning must leave every report signature unchanged. *)
+let test_chaos_golden () =
+  let sigs = List.map Report.signature (chaos_run ~seed:9 40) in
+  Alcotest.(check string) "seed 9 signatures digest" "4dbe93f51f6a8b7dc4fd691a75245ab2"
+    (Digest.to_hex (Digest.string (String.concat "\n" sigs)))
+
 (* ------------------------------------------------------------------ *)
 (* Runtime verification fails on a corrupted data plane                *)
 
@@ -534,4 +541,6 @@ let suite =
       test_chaos_verified;
     Alcotest.test_case "chaos run replays from its seed" `Slow
       test_chaos_deterministic;
+    Alcotest.test_case "chaos run matches its golden signatures" `Slow
+      test_chaos_golden;
   ]

@@ -1027,6 +1027,40 @@ let daemon_life_at ~jobs ~seed ~kills () =
   Daemon.shutdown !d;
   (lost, !divergences, !crashes, List.rev !acked, sigs)
 
+(* The serving stack's exact bytes, pinned: a seeded Loadgen life at
+   jobs = 1 must end on these daemon and tenant signatures and answer a
+   traffic tick with this reply. *)
+let test_serve_golden () =
+  let config =
+    { Daemon.default_config with Daemon.seed = 5; shards = 2; jobs = 1 }
+  in
+  let stores, _ = mem_stores 2 in
+  let d = Daemon.create ~config ~stores () in
+  let gen = Serve.Loadgen.make ~tenants:6 ~seed:5 () in
+  for _ = 1 to 15 do
+    for _ = 1 to 4 do
+      ignore (Daemon.submit d (Serve.Loadgen.next gen))
+    done;
+    ignore (Daemon.tick d)
+  done;
+  ignore (Daemon.drain d);
+  let tick =
+    Wire.Traffic_tick
+      { seed = 3; epoch = 2; packets = 4096; alpha = 1.1; drift = 0.25;
+        probes = 3 }
+  in
+  let replies = List.map Wire.describe_reply (Daemon.submit d tick) in
+  let tenants =
+    List.map (fun (t, s) -> Printf.sprintf "%d %s" t s)
+      (Daemon.tenant_signatures d)
+  in
+  let daemon_sig = Daemon.signature d in
+  Daemon.shutdown d;
+  Alcotest.(check (list string)) "traffic tick reply" [ "traffic epoch=2 flows=6 delivered=8192 dropped=0" ] replies;
+  Alcotest.(check string) "daemon signature" "6ab416cc6dc085f07b08f75330248a8d" daemon_sig;
+  Alcotest.(check string) "tenant signatures digest" "0965144baed24cd7ea0848a99fb6e40a"
+    (Digest.to_hex (Digest.string (String.concat "\n" tenants)))
+
 let qcheck_jobs_identical =
   QCheck.Test.make ~count:8
     ~name:"jobs=1 and jobs=4 lives are byte-identical, crashes included"
@@ -1090,6 +1124,8 @@ let suite =
       `Quick test_stats_atomic_audit;
     Alcotest.test_case "accept loop multiplexes two sessions" `Quick
       test_serve_sessions_multiplex;
+    Alcotest.test_case "seeded life matches its golden signatures" `Quick
+      test_serve_golden;
     qtest qcheck_no_lost_acks;
     qtest qcheck_jobs_identical;
   ]

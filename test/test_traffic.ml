@@ -144,6 +144,24 @@ let test_adaptive_beats_static () =
     true
     (hit_rate ra >= hit_rate rs)
 
+(* The hardware fraction must reach the capacity: most switches of a
+   placement hold no rule, and a mean over all of them once put every
+   switch of this family (the caching CLI's default) at the 1-slot
+   floor for any fraction up to about 1.3. *)
+let test_hw_frac_sets_capacity () =
+  let sol =
+    Option.get
+      (Placement.Solve.run (Workload.build small_family)).Placement.Solve.solution
+  in
+  let { Placement.Tables.netsim; splits = _ } = Placement.Tables.to_netsim sol in
+  let net = sol.Placement.Solution.instance.Placement.Instance.net in
+  let full = Array.init (Topo.Net.num_switches net) (Netsim.table netsim) in
+  let hw frac = (Traffic.Controller.hw_of_frac full frac).(0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "0.3 gives %d slots, 0.6 gives %d" (hw 0.3) (hw 0.6))
+    true
+    (hw 0.3 > 1 && hw 0.6 > hw 0.3)
+
 (* ------------------------------------------------------------------ *)
 (* Crash-resume                                                        *)
 
@@ -245,6 +263,8 @@ let suite =
       test_controller_deterministic;
     Alcotest.test_case "adaptive >= static hit-rate" `Quick
       test_adaptive_beats_static;
+    Alcotest.test_case "hw fraction sets the TCAM capacity" `Quick
+      test_hw_frac_sets_capacity;
     Alcotest.test_case "crash-resume at epoch boundary" `Quick
       test_resume_at_boundary;
     Alcotest.test_case "crash-resume mid-epoch" `Quick test_resume_mid_epoch;
