@@ -184,7 +184,12 @@ let run_scenario ~config ~seed ~tenants ~requests ~burst ~kills ?(flood_bias = 2
     retire !daemon;
     crash_stores ();
     arm ();
-    let s = Serve.Daemon.start ~config ~kill ~stores () in
+    let s =
+      match Serve.Daemon.start ~config ~kill ~stores () with
+      | Ok s -> s
+      | Error { Serve.Daemon.shard; reason } ->
+        failwith (Printf.sprintf "serve restart: shard %d: %s" shard reason)
+    in
     replayed := !replayed + s.Serve.Daemon.replayed;
     reissued := !reissued + s.Serve.Daemon.reissued;
     divergences := !divergences @ s.Serve.Daemon.divergences;

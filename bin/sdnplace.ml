@@ -39,7 +39,8 @@ let exits =
   :: Cmd.Exit.info exit_internal
        ~doc:
          "on an internal error, or when $(b,serve) recovery found a state \
-          divergence."
+          divergence or a shard whose snapshot is corrupt or of an unknown \
+          version."
   :: Cmd.Exit.info exit_overload
        ~doc:
          "when $(b,serve --fail-on-shed) shed load: the session drained \
@@ -847,14 +848,6 @@ let serve_stores dir i =
       intake = Journal.Store.file ~dir:(Filename.concat shard_dir "intake");
     }
 
-let serve_session daemon ic oc =
-  let session = Serve.Daemon.serve_channels daemon ic oc in
-  Printf.eprintf "sdnplace: session over: %d requests, %s\n%!"
-    session.Serve.Daemon.requests
-    (if session.Serve.Daemon.drained then "drained on request"
-     else "drained on disconnect");
-  session
-
 let serve_run metrics trace dir socket seed shards queue_limit
     tenant_queue_limit capacity jobs batch_fsync max_sessions fail_on_shed =
   with_telemetry metrics trace @@ fun () ->
@@ -872,21 +865,34 @@ let serve_run metrics trace dir socket seed shards queue_limit
         { Serve.Shard.default_config with Serve.Shard.capacity };
     }
   in
-  let started = Serve.Daemon.start ~config ~stores:(serve_stores dir) () in
-  if started.Serve.Daemon.recovered_shards > 0 then
+  match Serve.Daemon.start ~config ~stores:(serve_stores dir) () with
+  | Error { Serve.Daemon.shard; reason } ->
     Printf.eprintf
-      "sdnplace: recovered %d/%d shards (%d events replayed, %d acked \
-       tickets re-queued)\n%!"
-      started.Serve.Daemon.recovered_shards shards
-      started.Serve.Daemon.replayed started.Serve.Daemon.reissued;
-  match started.Serve.Daemon.divergences with
-  | _ :: _ as ds ->
+      "sdnplace: shard %d: %s; refusing to start over its state\n%!" shard
+      reason;
+    exit_internal
+  | Ok { Serve.Daemon.divergences = _ :: _ as ds; _ } ->
     List.iter (Printf.eprintf "sdnplace: recovery divergence: %s\n%!") ds;
     exit_internal
-  | [] ->
+  | Ok started ->
+    if started.Serve.Daemon.recovered_shards > 0 then
+      Printf.eprintf
+        "sdnplace: recovered %d/%d shards (%d events replayed, %d acked \
+         tickets re-queued)\n%!"
+        started.Serve.Daemon.recovered_shards shards
+        started.Serve.Daemon.replayed started.Serve.Daemon.reissued;
     let daemon = started.Serve.Daemon.daemon in
+    let serve ?listen ?session () =
+      let served =
+        Serve.Daemon.serve_sessions daemon ?listen ?session ~max_sessions ()
+      in
+      Printf.eprintf "sdnplace: served %d sessions, %d requests, %s\n%!"
+        served.Serve.Daemon.sessions served.Serve.Daemon.total_requests
+        (if served.Serve.Daemon.drain_requested then "drained on request"
+         else "drained on disconnect")
+    in
     (match socket with
-    | None -> ignore (serve_session daemon stdin stdout)
+    | None -> serve ~session:(Unix.stdin, Unix.stdout) ()
     | Some path ->
       if Sys.file_exists path then Sys.remove path;
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -899,13 +905,7 @@ let serve_run metrics trace dir socket seed shards queue_limit
           Unix.listen fd max_sessions;
           Printf.eprintf "sdnplace: listening on %s (up to %d sessions)\n%!"
             path max_sessions;
-          let served =
-            Serve.Daemon.serve_sessions daemon ~listen:fd ~max_sessions ()
-          in
-          Printf.eprintf "sdnplace: served %d sessions, %d requests, %s\n%!"
-            served.Serve.Daemon.sessions served.Serve.Daemon.total_requests
-            (if served.Serve.Daemon.drain_requested then "drained on request"
-             else "drained on disconnect")));
+          serve ~listen:fd ()));
     Serve.Daemon.shutdown daemon;
     (match Serve.Daemon.stats_reply daemon with
     | Serve.Wire.Stats_reply { tenants; accepted; applied; quarantined; shed;
@@ -939,7 +939,8 @@ let serve_cmd =
           ~doc:
             "Listen on a Unix domain socket and serve up to \
              $(b,--max-sessions) concurrent client sessions over one \
-             admission path; default is one session over stdin/stdout.")
+             admission path; default is one session over stdin/stdout, \
+             served by the same loop.")
   in
   let seed =
     Arg.(
@@ -1000,15 +1001,17 @@ let serve_cmd =
             "Group-commit window for the intake log: stage up to $(docv) \
              admissions per covering fsync instead of one fsync each.  An \
              event is still acked only after a barrier covers its record — \
-             $(docv)=1 keeps the sync-every-admission behaviour.")
+             $(docv)=1 keeps the sync-every-admission behaviour.  Stdio \
+             and socket sessions alike commit once per poll cycle: the \
+             requests that arrive in one read share their fsyncs.")
   in
   let max_sessions =
     Arg.(
       value & opt positive_int 4
       & info [ "max-sessions" ] ~docv:"N"
           ~doc:
-            "Concurrent sessions accepted on $(b,--socket) (ignored \
-             without it).")
+            "Concurrent sessions accepted on $(b,--socket).  Without \
+             it the one stdin/stdout session is the only one.")
   in
   let fail_on_shed =
     Arg.(
@@ -1029,8 +1032,14 @@ let serve_cmd =
           per-tenant circuit breakers pin misbehaving tenants to the cheap \
           greedy rung; the session ends with a graceful drain (on an \
           explicit $(i,Drain) request or on disconnect) that processes \
-          every acked event and snapshots every shard.  Exit codes: 0 \
-          clean drain, 12 recovery divergence, 13 shed under \
+          every acked event and snapshots every shard.  Stdin/stdout is \
+          served like a socket session: the requests that arrive in one \
+          read are admitted before any is processed, so a piped burst \
+          larger than the queue caps gets typed overload rejections.  A \
+          shard whose journal snapshot is corrupt or of an unknown \
+          version is never booted fresh: the start is refused and no \
+          store is written.  Exit codes: 0 clean drain, 12 recovery \
+          divergence or unreadable snapshot, 13 shed under \
           $(b,--fail-on-shed).")
     Term.(
       const serve_run $ metrics_arg $ trace_arg $ dir $ socket $ seed $ shards

@@ -215,6 +215,11 @@ let read_snapshot store =
   | None -> Error "no snapshot"
   | Some blob -> (Wal.unseal ~magic:snap_magic blob : (snap, string) result)
 
+let has_snapshot store =
+  match store.Store.snap_read () with
+  | None -> Ok false
+  | Some _ -> Result.map (fun _ -> true) (read_snapshot store)
+
 let recover ?config ?(journal = default_config) ?(kill = fun _ -> ())
     ?(resnap = true) ~store () =
   match read_snapshot store with

@@ -142,6 +142,13 @@ type recovery = {
           undo/redo payloads.  Empty on a healthy recovery. *)
 }
 
+val has_snapshot : Store.t -> (bool, string) result
+(** Read [store]'s snapshot without writing anything: [Ok false] when
+    there is none (a fresh store), [Ok true] when {!recover} can start
+    from it, and {!recover}'s own [Error] when it is corrupt or of an
+    unknown version.  A caller that boots fresh on a missing snapshot
+    must not do so on a bad one: that would overwrite acked state. *)
+
 val recover :
   ?config:Runtime.Engine.config ->
   ?journal:config ->

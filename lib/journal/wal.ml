@@ -45,27 +45,48 @@ let frame payload =
   Bytes.blit_string payload 0 b header_len len;
   Bytes.unsafe_to_string b
 
-(* Reads the frame starting at [pos]; [None] when the bytes there are
-   short, implausible, or fail the checksum. *)
-let unframe_at s pos =
+type stop = Short | Bad
+
+(* The one frame walk.  The length is checked against [cap] before the
+   walk waits for the payload, so an over-cap header is [Bad] at once,
+   not a short tail that never completes; payloads are handed on in
+   place, never copied. *)
+let walk ~cap s f =
   let total = String.length s in
-  if total - pos < header_len then None
-  else
-    let len = Int32.to_int (String.get_int32_be s pos) in
-    let crc =
-      Int32.to_int (String.get_int32_be s (pos + 4)) land 0xFFFFFFFF
-    in
-    if len < 0 || len > max_record_len || len > total - pos - header_len then None
-    else if Crc32.sub s ~pos:(pos + header_len) ~len <> crc then None
-    else Some (String.sub s (pos + header_len) len)
+  let rec go pos =
+    if total - pos < header_len then (pos, Short)
+    else
+      let len = Int32.to_int (String.get_int32_be s pos) in
+      if len < 0 || len > cap then (pos, Bad)
+      else if total - pos - header_len < len then (pos, Short)
+      else
+        let crc = Int32.to_int (String.get_int32_be s (pos + 4)) land 0xFFFFFFFF in
+        if Crc32.sub s ~pos:(pos + header_len) ~len <> crc then (pos, Bad)
+        else if f (pos + header_len) len then go (pos + header_len + len)
+        else (pos, Bad)
+  in
+  go 0
 
 let unframe s =
-  match unframe_at s 0 with
-  | Some payload when header_len + String.length payload = String.length s ->
-    Some payload
-  | _ -> None
+  let payload = ref None in
+  ignore
+    (walk ~cap:max_record_len s (fun pos len ->
+         if header_len + len = String.length s then
+           payload := Some (String.sub s pos len);
+         false));
+  !payload
 
-let encode r = frame (Marshal.to_string r [])
+let pack v = frame (Marshal.to_string v [])
+
+(* A CRC proves the bytes arrived as sent, not that a build of this
+   type wrote them: [Marshal] must find exactly one value spanning the
+   payload, and whatever it raises on the rest is a [None]. *)
+let unpack s ~pos ~len =
+  match Marshal.total_size (Bytes.unsafe_of_string s) pos with
+  | n when n = len -> ( try Some (Marshal.from_string s pos) with _ -> None)
+  | _ | (exception _) -> None
+
+let encode (r : record) = pack r
 
 let seal ~magic v = frame (magic ^ Marshal.to_string v [])
 
@@ -77,41 +98,22 @@ let unseal ~magic blob =
   | Some p when not (String.starts_with ~prefix:magic p) ->
     Error "unknown snapshot version"
   | Some p -> (
-    match Marshal.from_string p (String.length magic) with
-    | v -> Ok v
-    | exception _ -> Error "corrupt snapshot")
+    let m = String.length magic in
+    match unpack p ~pos:m ~len:(String.length p - m) with
+    | Some v -> Ok v
+    | None -> Error "corrupt snapshot")
 
-(* The generic frame walk: the longest prefix of whole, checksummed
-   frames.  The serving layer's intake logs and wire protocol share this
-   framing, so the tear-tolerant scan lives here once. *)
-let scan_payloads log =
-  let payloads = ref [] in
-  let pos = ref 0 in
-  let stop = ref false in
-  while not !stop do
-    match unframe_at log !pos with
-    | None -> stop := true
-    | Some payload ->
-      payloads := payload :: !payloads;
-      pos := !pos + header_len + String.length payload
-  done;
-  (List.rev !payloads, !pos)
-
+(* A record that passes the CRC but not [unpack] (a colliding corruption,
+   or a record written by an incompatible build) truncates the tail like
+   a torn one: recovery never raises. *)
 let scan log =
   let records = ref [] in
-  let pos = ref 0 in
-  let stop = ref false in
-  while not !stop do
-    match unframe_at log !pos with
-    | None -> stop := true
-    | Some payload -> (
-      (* CRC passed, but guard Marshal anyway: a colliding corruption or
-         a record written by an incompatible build must truncate the
-         tail, not take down recovery. *)
-      match (Marshal.from_string payload 0 : record) with
-      | r ->
-        records := r :: !records;
-        pos := !pos + header_len + String.length payload
-      | exception _ -> stop := true)
-  done;
-  (List.rev !records, !pos)
+  let consumed, _ =
+    walk ~cap:max_record_len log (fun pos len ->
+        match unpack log ~pos ~len with
+        | Some (r : record) ->
+          records := r :: !records;
+          true
+        | None -> false)
+  in
+  (List.rev !records, consumed)

@@ -43,16 +43,53 @@ type record =
 val seq_of : record -> int
 val describe : record -> string
 
+val max_record_len : int
+(** The WAL's own frame cap, 1 GiB: a length field above it is corrupt,
+    not a record.  Other framed formats pass their own cap to {!walk}. *)
+
 val frame : string -> string
 (** Wrap a payload in the length+CRC frame. *)
 
+(** Why a {!walk} stopped. *)
+type stop =
+  | Short
+      (** the bytes from the stop offset on (possibly none) are shorter
+          than the frame they start: more bytes may complete it *)
+  | Bad
+      (** a length out of bounds or a CRC mismatch, which no more bytes
+          can mend, or a frame the callback refused *)
+
+val walk : cap:int -> string -> (int -> int -> bool) -> int * stop
+(** [walk ~cap s f] walks the frames of [s] from offset 0, handing each
+    checksummed payload on in place as [f pos len] (its offset and
+    length in [s]; nothing is copied) and going on while [f] returns
+    [true].  Returns the offset of the first frame not taken and why
+    the walk stopped there.  [cap] is the format's largest payload: a
+    length above it is [Bad] even before its bytes arrive.  Every
+    framed stream is read through this one walk — the WAL ({!scan}),
+    sealed blobs ({!unframe}), the serving layer's intake logs and its
+    wire protocol — each caller deciding what a payload that fails to
+    decode means.  Never raises. *)
+
 val unframe : string -> string option
 (** Decode a string holding exactly one frame; [None] if torn, corrupt,
-    or trailed by garbage.  (Used for sealed snapshot blobs and wire
-    messages, each a single frame.) *)
+    or trailed by garbage.  (Used for sealed snapshot blobs.) *)
+
+val pack : 'a -> string
+(** A framed value: one {!frame} around its payload encoding
+    ([Marshal]).  The payload codec lives here and in {!unpack} only. *)
+
+val unpack : string -> pos:int -> len:int -> 'a option
+(** The guarded payload decoder: the value whose encoding spans exactly
+    the [len] bytes of [s] from [pos] (a {!walk} callback's
+    arguments), or [None] when those bytes are not one whole encoded
+    value — never raises.  A checksum proves the bytes arrived as sent,
+    not that they encode the caller's type: like [Marshal], the result
+    type is the caller's to annotate and must be the type that was
+    packed. *)
 
 val encode : record -> string
-(** A framed, marshaled record, ready to append. *)
+(** A framed record ({!pack}), ready to append. *)
 
 val seal : magic:string -> 'a -> string
 (** A sealed snapshot blob: one {!frame} around [magic] followed by the
@@ -71,12 +108,6 @@ val unseal : magic:string -> string -> ('a, string) result
 val scan : string -> record list * int
 (** [scan log] decodes the longest valid prefix of the log: the records
     in order plus how many bytes they span.  Stops — without raising,
-    whatever the bytes are — at a short header, an implausible length, a
-    CRC mismatch, or a payload [Marshal] rejects; the remainder is a
-    torn tail to truncate. *)
-
-val scan_payloads : string -> string list * int
-(** The generic frame walk under {!scan}: the longest prefix of whole,
-    checksummed frames, as raw payloads plus the bytes they span.  The
-    serving layer's intake logs and wire protocol reuse the WAL framing,
-    so the tear-tolerant scan lives here once. *)
+    whatever the bytes are — where {!walk} does under {!max_record_len},
+    or at a payload {!unpack} rejects; the remainder is a torn tail to
+    truncate. *)

@@ -75,8 +75,8 @@ type t = {
   quarantined : int Atomic.t;
   shed_count : int Atomic.t;
   (* Group commit: acks staged since the last covering fsync, admission
-     order.  Each entry remembers which shard's intake log carries its
-     record, so [flush] can fsync exactly the dirty shards. *)
+     order.  [flush] finds the dirty shards from their own intake
+     views ({!Shard.staged_intake}), not from these replies. *)
   mutable staged_acks : Wire.reply list;  (* reversed *)
   mutable staged_count : int;
 }
@@ -119,17 +119,36 @@ type started = {
   divergences : string list;
 }
 
+type start_error = { shard : int; reason : string }
+
 let start ?(config = default_config) ?kill ~stores () =
   validate config;
   Telemetry.Metrics.set_label_cap (Some tenant_series_cap);
-  let recovered_shards = ref 0 in
-  let replayed = ref 0 in
-  let reissued = ref 0 in
-  let divergences = ref [] in
-  let shards =
-    Array.init config.shards (fun i ->
-        let st = stores i in
-        let kill = Option.map (fun k -> k ~shard:i) kill in
+  let stores = Array.init config.shards stores in
+  (* Every snapshot is read before any shard writes: only a store with
+     no snapshot is fresh, and a corrupt or unknown-version one refuses
+     the start with every store left as it was. *)
+  let snapshots =
+    Array.map (fun st -> Journal.Journaled.has_snapshot st.Shard.journal) stores
+  in
+  match
+    Array.find_mapi
+      (fun shard -> function
+        | Error reason -> Some { shard; reason } | Ok _ -> None)
+      snapshots
+  with
+  | Some e -> Error e
+  | None ->
+    let recovered_shards = ref 0 in
+    let replayed = ref 0 in
+    let reissued = ref 0 in
+    let divergences = ref [] in
+    let boot i st =
+      let kill = Option.map (fun k -> k ~shard:i) kill in
+      if snapshots.(i) = Ok false then
+        Shard.create ~config:config.shard ?kill ~stores:st ~seed:config.seed
+          ~id:i ()
+      else
         match
           Shard.recover ~config:config.shard ?kill ~stores:st ~seed:config.seed
             ~id:i ()
@@ -140,17 +159,19 @@ let start ?(config = default_config) ?kill ~stores () =
           reissued := !reissued + r.Shard.reissued;
           divergences := !divergences @ r.Shard.divergences;
           r.Shard.shard
-        | Error _ ->
-          Shard.create ~config:config.shard ?kill ~stores:st ~seed:config.seed
-            ~id:i ())
-  in
-  {
-    daemon = build config shards;
-    recovered_shards = !recovered_shards;
-    replayed = !replayed;
-    reissued = !reissued;
-    divergences = !divergences;
-  }
+        | Error reason ->
+          (* the snapshot read above changed under the start *)
+          failwith (Printf.sprintf "Serve.Daemon.start: shard %d: %s" i reason)
+    in
+    let shards = Array.mapi boot stores in
+    Ok
+      {
+        daemon = build config shards;
+        recovered_shards = !recovered_shards;
+        replayed = !replayed;
+        reissued = !reissued;
+        divergences = !divergences;
+      }
 
 let shutdown t = if not (Exec.stopped t.exec) then Exec.stop t.exec
 
@@ -361,52 +382,13 @@ let tenant_signatures t =
       (tenant, Shard.tenant_signature (shard_of t tenant) ~tenant))
     (known_tenants t)
 
-type session = { drained : bool; requests : int }
-
-let serve_channels t ic oc =
-  let write reply =
-    output_string oc (Wire.encode_reply reply);
-    Stdlib.flush oc
-  in
-  let requests = ref 0 in
-  let rec loop () =
-    match Wire.read_message ic with
-    | None ->
-      (* EOF or a torn frame: the stream is gone, but every acked event
-         must still land — same graceful drain as an explicit Drain,
-         with nobody left to read the replies. *)
-      if not t.draining then ignore (drain t);
-      { drained = false; requests = !requests }
-    | Some payload -> (
-      incr requests;
-      match Wire.request_of_payload payload with
-      | None ->
-        write (Wire.Rejected { reason = "malformed request" });
-        loop ()
-      | Some Wire.Drain ->
-        List.iter write (drain t);
-        { drained = true; requests = !requests }
-      | Some req ->
-        (* A synchronous session acks every request before the next one
-           arrives, so a staged ack is flushed right away — group commit
-           degenerates to a batch of one here; the batching win needs
-           the multi-session loop (or an in-process caller driving
-           submit/flush/tick directly). *)
-        List.iter write (submit t req);
-        List.iter write (flush t);
-        (* One fair round after every request keeps outcome latency
-           bounded by the request rate and the whole session
-           deterministic. *)
-        List.iter write (tick t);
-        loop ())
-  in
-  loop ()
-
 (* ------------------------------------------------------------------ *)
-(* Multi-session accept loop                                           *)
+(* The session loop: stdio and socket sessions alike                   *)
 
 type conn = {
-  fd : Unix.file_descr;
+  input : Unix.file_descr;
+  output : Unix.file_descr;
+  owned : bool;  (* accepted by the loop, so closed by it *)
   inbuf : Buffer.t;
   mutable alive : bool;
 }
@@ -414,22 +396,32 @@ type conn = {
 type served = { sessions : int; total_requests : int; drain_requested : bool }
 
 let write_fd_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+  let n = String.length s in
   let off = ref 0 in
   while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
+    off := !off + Unix.write_substring fd s !off (n - !off)
   done
 
-let serve_sessions t ~listen ?(max_sessions = 4) () =
+let serve_sessions t ?listen ?session ?(max_sessions = 4) () =
   if max_sessions < 1 then
     invalid_arg "Serve.Daemon.serve_sessions: max_sessions must be >= 1";
+  (* A reply to a session that hung up must fail with EPIPE, which the
+     loop absorbs, not raise SIGPIPE, which kills the process before
+     its drain. *)
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe sigpipe)
+  @@ fun () ->
   let conns : (int, conn) Hashtbl.t = Hashtbl.create 8 in
-  let next_id = ref 0 in
   let served = ref 0 in
   let total_requests = ref 0 in
   let drain_requested = ref false in
   let finished = ref false in
+  let open_session ~owned input output =
+    Hashtbl.replace conns !served
+      { input; output; owned; inbuf = Buffer.create 4096; alive = true };
+    incr served
+  in
+  Option.iter (fun (input, output) -> open_session ~owned:false input output) session;
   (* Replies that name a tenant route to the session that last submitted
      for that tenant — outcomes can surface rounds after the submit, on
      a later poll cycle.  Tenant-less replies answer the requesting
@@ -438,7 +430,7 @@ let serve_sessions t ~listen ?(max_sessions = 4) () =
   let send sid reply =
     match Hashtbl.find_opt conns sid with
     | Some c when c.alive -> (
-      try write_fd_all c.fd (Wire.encode_reply reply)
+      try write_fd_all c.output (Wire.encode_reply reply)
       with Unix.Unix_error _ -> c.alive <- false)
     | _ -> ()
   in
@@ -464,88 +456,86 @@ let serve_sessions t ~listen ?(max_sessions = 4) () =
     | None -> ()
     | Some c ->
       c.alive <- false;
-      (try Unix.close c.fd with Unix.Unix_error _ -> ());
+      (if c.owned then try Unix.close c.input with Unix.Unix_error _ -> ());
       Hashtbl.remove conns sid
   in
-  let handle_request sid req =
-    incr total_requests;
-    match req with
-    | Wire.Drain -> drain_requested := true
-    | Wire.Submit { tenant; _ } when tenant >= 0 ->
+  let handle_request sid = function
+    | None -> send sid (Wire.Rejected { reason = "malformed request" })
+    | Some Wire.Drain ->
+      (* admission stops now; the drain itself runs after this cycle's
+         flush *)
+      drain_requested := true;
+      t.draining <- true
+    | Some (Wire.Submit { tenant; _ } as req) when tenant >= 0 ->
       Hashtbl.replace tenant_session tenant sid;
       List.iter (route ~from:sid) (submit t req)
-    | req -> List.iter (route ~from:sid) (submit t req)
+    | Some req -> List.iter (route ~from:sid) (submit t req)
   in
-  let read_session sid =
-    match Hashtbl.find_opt conns sid with
-    | None -> ()
-    | Some c -> (
-      let chunk = Bytes.create 65536 in
-      match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-      | exception Unix.Unix_error _ -> close sid
-      | 0 -> close sid
-      | n -> (
-        Buffer.add_subbytes c.inbuf chunk 0 n;
-        match Wire.take_frames c.inbuf with
-        | Wire.Frames payloads ->
-          List.iter
-            (fun p ->
-              match Wire.request_of_payload p with
-              | None -> send sid (Wire.Rejected { reason = "malformed request" })
-              | Some req -> handle_request sid req)
-            payloads
-        | Wire.Torn ->
-          (* A corrupt frame poisons the whole stream — same contract as
-             the synchronous session: the connection is dropped; its
-             acked events still land via the shared drain-on-exit. *)
-          close sid))
+  let chunk = Bytes.create 65536 in
+  let read_session sid c =
+    match Unix.read c.input chunk 0 (Bytes.length chunk) with
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error _ -> close sid
+    | 0 -> close sid
+    | n ->
+      Buffer.add_subbytes c.inbuf chunk 0 n;
+      let requests, stop = Wire.take_requests c.inbuf in
+      total_requests := !total_requests + List.length requests;
+      List.iter (handle_request sid) requests;
+      (* A corrupt frame poisons the rest of the stream: the session is
+         dropped after the frames before it; its acked events still
+         land via the drain below. *)
+      if stop = Journal.Wal.Bad then close sid
+  in
+  let session_ids () =
+    List.sort compare (Hashtbl.fold (fun sid _ acc -> sid :: acc) conns [])
   in
   while not !finished do
-    let accepting = Hashtbl.length conns < max_sessions && not !drain_requested in
-    let watch =
-      (if accepting then [ listen ] else [])
-      @ Hashtbl.fold (fun _ c acc -> c.fd :: acc) conns []
-    in
-    let timeout = if pending t > 0 then 0.0 else -1.0 in
-    let readable, _, _ =
-      try Unix.select watch [] [] timeout
-      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-    in
-    if accepting && List.mem listen readable then begin
-      match Unix.accept listen with
-      | exception Unix.Unix_error _ -> ()
-      | fd, _ ->
-        let sid = !next_id in
-        incr next_id;
-        incr served;
-        Hashtbl.replace conns sid { fd; inbuf = Buffer.create 4096; alive = true }
-    end;
-    (* Poll cycle: pull everything that arrived, then pay one covering
-       fsync per dirty shard for the whole batch (group commit), release
-       the acks, and run one fair scheduling round. *)
-    let sids = List.sort compare (Hashtbl.fold (fun sid _ acc -> sid :: acc) conns []) in
-    List.iter
-      (fun sid ->
-        match Hashtbl.find_opt conns sid with
-        | Some c when List.mem c.fd readable -> read_session sid
-        | _ -> ())
-      sids;
-    List.iter (route ~from:0) (flush t);
-    if !drain_requested then begin
-      List.iter (route ~from:0) (drain t);
-      List.iter close (List.sort compare (Hashtbl.fold (fun sid _ acc -> sid :: acc) conns []));
+    if Hashtbl.length conns = 0 && (!served > 0 || listen = None) then begin
+      (* Last session gone (EOF, a torn frame or a hang-up): the same
+         graceful drain as an explicit Drain — every acked event
+         processed, every shard snapshotted — with nobody left to read
+         the outcomes. *)
+      if not t.draining then ignore (drain t);
       finished := true
     end
     else begin
-      if pending t > 0 then List.iter (route ~from:0) (tick t);
-      if Hashtbl.length conns = 0 && !served > 0 then begin
-        (* Last client gone: same graceful drain as a torn single
-           session — every acked event processed, every shard
-           snapshotted, with nobody left to read the outcomes. *)
-        if not t.draining then ignore (drain t);
+      let listening =
+        match listen with
+        | Some fd when Hashtbl.length conns < max_sessions && not !drain_requested
+          ->
+          [ fd ]
+        | _ -> []
+      in
+      let watch = listening @ Hashtbl.fold (fun _ c acc -> c.input :: acc) conns [] in
+      let timeout = if pending t > 0 then 0.0 else -1.0 in
+      let readable, _, _ =
+        try Unix.select watch [] [] timeout
+        with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+      in
+      List.iter
+        (fun fd ->
+          if List.mem fd readable then
+            match Unix.accept fd with
+            | exception Unix.Unix_error _ -> ()
+            | fd, _ -> open_session ~owned:true fd fd)
+        listening;
+      (* Poll cycle: pull everything that arrived, then pay one covering
+         fsync per dirty shard for the whole batch (group commit),
+         release the acks, and run one fair scheduling round. *)
+      List.iter
+        (fun sid ->
+          match Hashtbl.find_opt conns sid with
+          | Some c when List.mem c.input readable -> read_session sid c
+          | _ -> ())
+        (session_ids ());
+      List.iter (route ~from:0) (flush t);
+      if !drain_requested then begin
+        List.iter (route ~from:0) (drain t);
+        List.iter close (session_ids ());
         finished := true
       end
+      else if pending t > 0 then List.iter (route ~from:0) (tick t)
     end
   done;
   {

@@ -87,16 +87,25 @@ type started = {
   divergences : string list;  (** recovery cross-check failures *)
 }
 
+type start_error = {
+  shard : int;  (** the first shard, by index, whose snapshot is unreadable *)
+  reason : string;  (** ["corrupt snapshot"] or ["unknown snapshot version"] *)
+}
+
 val start :
   ?config:config ->
   ?kill:(shard:int -> Journal.Journaled.kill_point -> unit) ->
   stores:(int -> Shard.stores) ->
   unit ->
-  started
+  (started, start_error) result
 (** {!create} or crash-resume, per shard: a shard with a durable
-    snapshot is {!Shard.recover}ed, one without is created fresh.
-    [config.seed] must match the crashed process.  Rejects the configs
-    {!create} rejects, before touching any store. *)
+    snapshot is {!Shard.recover}ed, one with no snapshot at all is
+    created fresh.  A corrupt or unknown-version journal snapshot is
+    neither: the start is refused with the shard named, and every
+    shard's snapshot is read before any shard writes, so no store is
+    touched — booting such a shard fresh would overwrite its acked
+    events.  [config.seed] must match the crashed process.  Rejects
+    the configs {!create} rejects, before touching any store. *)
 
 val shutdown : t -> unit
 (** Join the executor's worker domains.  Idempotent.  Call when
@@ -160,36 +169,49 @@ val signature : t -> string
 val tenant_signatures : t -> (int * string) list
 (** Every known tenant's {!Shard.tenant_signature}, ascending. *)
 
-type session = { drained : bool; requests : int }
-
-val serve_channels : t -> in_channel -> out_channel -> session
-(** Serve one framed-message session: read {!Wire.request}s, write the
-    replies (admission reply first, then any outcomes the follow-up
-    scheduling round produced).  Ends on [Drain] (drained true) or on
-    EOF / a torn frame, which triggers the same graceful drain (drained
-    false).  Either way every acked event has been processed and every
-    shard snapshotted when this returns.  Synchronous: each request is
-    flushed before the next arrives, so group commit degenerates to
-    batches of one here — the batching win needs {!serve_sessions} or an
-    in-process caller. *)
-
 type served = {
-  sessions : int;  (** sessions accepted over the loop's lifetime *)
-  total_requests : int;
+  sessions : int;  (** sessions served over the loop's lifetime *)
+  total_requests : int;  (** frames read, malformed payloads included *)
   drain_requested : bool;  (** an explicit [Drain] ended the loop *)
 }
 
-val serve_sessions : t -> listen:Unix.file_descr -> ?max_sessions:int -> unit -> served
-(** Accept up to [max_sessions] (default 4) concurrent sessions on the
-    listening socket and multiplex them over one admission path with
+val serve_sessions :
+  t ->
+  ?listen:Unix.file_descr ->
+  ?session:Unix.file_descr * Unix.file_descr ->
+  ?max_sessions:int ->
+  unit ->
+  served
+(** The daemon's one session loop.  [session] is an [(input, output)]
+    pair of fds open from the start — stdin/stdout under the CLI; a
+    socket session has one fd for both.  [listen] is a listening socket
+    on which up to [max_sessions] (default 4) concurrent sessions are
+    accepted.  The loop closes only the fds it accepted; the caller
+    owns [session] and [listen] and calls {!shutdown}.
+
+    Sessions are multiplexed over one admission path with
     [Unix.select].  Each poll cycle reads every ready session (session
-    order, so admission order is deterministic given arrival order),
-    pays one group-commit {!flush} for the whole cycle, then runs one
-    {!tick} round if work is pending.  Replies that name a tenant are
-    routed to the session that last submitted for that tenant; [Drained]
-    broadcasts.  A torn frame drops only that session.  The loop ends on
-    an explicit [Drain] (drained broadcast, all sessions closed) or when
-    the last session disconnects (same graceful drain as
-    {!serve_channels}).  The caller closes [listen] and calls
-    {!shutdown}.  Raises [Invalid_argument] when [max_sessions] is below
-    1. *)
+    order, so admission order is deterministic given arrival order) —
+    every whole frame that arrived ({!Wire.take_requests}) — pays one
+    group-commit {!flush} for the whole cycle, then runs one {!tick}
+    round if work is pending.  A burst that arrives in one read is thus
+    admitted before any of it is processed: under [batch_fsync > 1] it
+    shares its fsyncs, and a burst larger than the queue caps gets
+    typed overload rejections.  A payload that is not a request gets a
+    typed [Rejected]; the session reads on.  Replies that name a tenant
+    are routed to the session that last submitted for that tenant;
+    [Drained] broadcasts and is the last reply.
+
+    A torn frame (an over-cap length or a CRC mismatch) drops only its
+    session, after the frames before it.  The loop ends on an explicit
+    [Drain] (admission stops at once: a [Submit] read after it gets
+    [Rejected "draining"]; then drained broadcast, all sessions
+    closed), or when no
+    session is open any more — the last one ended on EOF, a torn frame
+    or a hang-up, and a listener, if any, has served at least one.  The
+    latter runs the same graceful drain with nobody left to read the
+    outcomes.  Either way every acked event has been processed and
+    every shard snapshotted when it returns.  SIGPIPE is ignored while
+    the loop runs, so a session that hangs up is dropped instead of
+    killing the process.  Raises [Invalid_argument] when [max_sessions]
+    is below 1. *)

@@ -140,16 +140,19 @@ type t = {
 (* One durable intake record: what was acked, exactly. *)
 type intake = { it_ticket : int; it_tenant : int; it_op : Wire.op }
 
-let encode_intake it = Journal.Wal.frame (Marshal.to_string it [])
+let encode_intake (it : intake) = Journal.Wal.pack it
 
+(* Tickets are independent: a record that passes its CRC but does not
+   decode is skipped, not a cut. *)
 let decode_intakes bytes =
-  let payloads, _ = Journal.Wal.scan_payloads bytes in
-  List.filter_map
-    (fun p ->
-      match (Marshal.from_string p 0 : intake) with
-      | it -> Some it
-      | exception _ -> None)
-    payloads
+  let intakes = ref [] in
+  ignore
+    (Journal.Wal.walk ~cap:Journal.Wal.max_record_len bytes (fun pos len ->
+         Option.iter
+           (fun it -> intakes := it :: !intakes)
+           (Journal.Wal.unpack bytes ~pos ~len : intake option);
+         true));
+  List.rev !intakes
 
 let journal_config = { Journal.Journaled.snapshot_every = max_int }
 
@@ -521,7 +524,7 @@ let traffic_walk t ~seed ~epoch ~packets ~alpha ~drift ~probes =
     let delivered = ref 0 and dropped = ref 0 in
     Traffic.Zipf.walk ~seed ~probes:(max 1 probes)
       (Traffic.Zipf.epoch zcfg (max 0 epoch))
-      ~field:(fun f _ -> paths.(f).Routing.Path.flow)
+      ~field:(Traffic.Controller.probe_field paths tables)
       (fun f pkt w ->
         let path = paths.(f) in
         match

@@ -200,7 +200,9 @@ val traffic_walk :
   int * int * int
 (** [(flows, delivered, dropped)] of walking one {!Traffic.Zipf} epoch's
     probe packets over the shard's live tables (traffic-weighted; the
-    daemon's [Traffic_tick] wire op).  Stateless: a pure function of the
+    daemon's [Traffic_tick] wire op).  Probes are aimed at the
+    tenants' drop rules as the caching controller aims them
+    ({!Traffic.Controller.probe_field}).  Stateless: a pure function of the
     parameters and the live placement, so equal requests to a restarted
     shard get equal answers.  Malformed parameters are clamped, never
     raised on. *)

@@ -81,76 +81,41 @@ let describe_reply = function
     Printf.sprintf "traffic epoch=%d flows=%d delivered=%d dropped=%d" epoch
       flows delivered dropped
 
-let encode_request (r : request) = Journal.Wal.frame (Marshal.to_string r [])
-let encode_reply (r : reply) = Journal.Wal.frame (Marshal.to_string r [])
+(* The wire's frame cap: a length field above it is corrupt, and the
+   bound keeps a session's buffer from growing without limit on outside
+   input. *)
+let max_frame_len = 1 lsl 24
 
-(* Decoding walks the checksummed frames first ({!Journal.Wal.scan_payloads})
-   and only then lets Marshal near the payloads, with the same guard the
-   WAL scan uses: a CRC collision or cross-build frame truncates the
-   stream rather than raising. *)
-let decode_with (of_payload : string -> 'a option) stream =
-  let payloads, consumed = Journal.Wal.scan_payloads stream in
-  let rec go acc used = function
-    | [] -> (List.rev acc, consumed)
-    | p :: rest -> (
-      match of_payload p with
-      | Some m -> go (m :: acc) (used + String.length p + 8) rest
-      | None -> (List.rev acc, used))
+let encode_request (r : request) = Journal.Wal.pack r
+let encode_reply (r : reply) = Journal.Wal.pack r
+
+(* A whole stream is cut at the first payload that is not a message,
+   as the WAL scan cuts at the first record it cannot read. *)
+let decode_with stream =
+  let msgs = ref [] in
+  let consumed, _ =
+    Journal.Wal.walk ~cap:max_frame_len stream (fun pos len ->
+        match Journal.Wal.unpack stream ~pos ~len with
+        | Some m ->
+          msgs := m :: !msgs;
+          true
+        | None -> false)
   in
-  go [] 0 payloads
+  (List.rev !msgs, consumed)
 
-let request_of_payload p =
-  match (Marshal.from_string p 0 : request) with
-  | r -> Some r
-  | exception _ -> None
+let decode_requests s : request list * int = decode_with s
+let decode_replies s : reply list * int = decode_with s
 
-let reply_of_payload p =
-  match (Marshal.from_string p 0 : reply) with
-  | r -> Some r
-  | exception _ -> None
-
-let decode_requests s = decode_with request_of_payload s
-let decode_replies s = decode_with reply_of_payload s
-
-type frames = Frames of string list | Torn
-
-(* Incremental sibling of [decode_requests] for non-blocking sessions: a
-   session buffer grows by whatever [read] returned, which can end
-   mid-frame.  A short tail is *not* an error — the frames so far are
-   returned and the tail stays buffered for the next read.  Only an
-   impossible length or a CRC mismatch is [Torn]: unlike the
-   prefix-decode used on complete streams, a live session can
-   distinguish "not yet arrived" from "never valid", and must kill the
-   connection on the latter instead of silently eating its tail. *)
-let take_frames buf =
+(* A live session answers a payload that is not a request and reads on,
+   so every whole frame is taken; only [Bad] ends the stream. *)
+let take_requests buf =
   let data = Buffer.contents buf in
-  let n = String.length data in
-  let rec go acc off =
-    if n - off < 8 then Ok (List.rev acc, off)
-    else
-      let len = Int32.to_int (String.get_int32_be data off) in
-      if len < 0 || len > 1 lsl 24 then Error ()
-      else if n - off < 8 + len then Ok (List.rev acc, off)
-      else
-        match Journal.Wal.unframe (String.sub data off (8 + len)) with
-        | Some payload -> go (payload :: acc) (off + 8 + len)
-        | None -> Error ()
+  let reqs = ref [] in
+  let consumed, stop =
+    Journal.Wal.walk ~cap:max_frame_len data (fun pos len ->
+        reqs := (Journal.Wal.unpack data ~pos ~len : request option) :: !reqs;
+        true)
   in
-  match go [] 0 with
-  | Error () -> Torn
-  | Ok (payloads, consumed) ->
-    let rest = String.sub data consumed (n - consumed) in
-    Buffer.clear buf;
-    Buffer.add_string buf rest;
-    Frames payloads
-
-let read_message ic =
-  match really_input_string ic 8 with
-  | exception End_of_file -> None
-  | header -> (
-    let len = Int32.to_int (String.get_int32_be header 0) in
-    if len < 0 || len > 1 lsl 24 then None
-    else
-      match really_input_string ic len with
-      | exception End_of_file -> None
-      | payload -> Journal.Wal.unframe (header ^ payload))
+  Buffer.clear buf;
+  Buffer.add_substring buf data consumed (String.length data - consumed);
+  (List.rev !reqs, stop)

@@ -2,9 +2,11 @@
     and outcome replies out.
 
     Messages reuse the journal's WAL framing ([[u32 len][u32 crc]] +
-    Marshal payload, see {!Journal.Wal}), so a torn or corrupt stream is
-    cut at the first bad frame instead of crashing the decoder — the
-    same tear-tolerance the crash-recovery path already trusts.  The
+    Marshal payload, see {!Journal.Wal}) and are read by its one frame
+    walker ({!Journal.Wal.walk}) under the wire's own length cap
+    ({!max_frame_len}), so a torn or corrupt stream is cut at the first
+    bad frame instead of crashing the decoder — the same
+    tear-tolerance the crash-recovery path already trusts.  The
     protocol is deliberately tenant-{e operation} shaped (connect, send
     flows, edit policy, disconnect) rather than engine-event shaped: the
     daemon owns the deterministic translation into {!Runtime.Event}
@@ -100,6 +102,12 @@ type reply =
 
 val describe_reply : reply -> string
 
+val max_frame_len : int
+(** The wire's frame cap, 16 MiB: a length field above it is corrupt.
+    Both readers below walk under it ({!Journal.Wal.walk}), so a frame
+    one rejects the other rejects too, and a session never waits to
+    buffer a frame larger than this. *)
+
 val encode_request : request -> string
 (** One framed message, ready to write. *)
 
@@ -107,29 +115,18 @@ val encode_reply : reply -> string
 
 val decode_requests : string -> request list * int
 (** The longest valid prefix of a byte stream as messages plus the bytes
-    consumed; a torn tail (or garbage) stops the decode, never raises. *)
+    consumed; a torn tail, an over-cap length, a CRC mismatch or a
+    payload that is not a request stops the decode, never raises. *)
 
 val decode_replies : string -> reply list * int
 
-val request_of_payload : string -> request option
-(** Decode one unframed payload (a {!read_message} or {!take_frames}
-    result); [None] when it is not a request, never raises. *)
-
-type frames =
-  | Frames of string list
-      (** every complete frame's payload, arrival order; an incomplete
-          tail stays buffered for the next read *)
-  | Torn  (** impossible length or CRC mismatch — the stream can never
-              become valid again; close the session *)
-
-val take_frames : Buffer.t -> frames
-(** Extract the complete frames from a growing session buffer, leaving
-    any incomplete tail in place.  The incremental sibling of
-    {!decode_requests}: a live session can tell "not yet arrived" (wait
-    for more bytes) from "never valid" ([Torn] — drop the connection),
-    which the whole-stream prefix decode cannot. *)
-
-val read_message : in_channel -> string option
-(** Blocking read of one framed payload; [None] on EOF or a corrupt
-    frame (either way the stream is unusable and the connection should
-    drain). *)
+val take_requests : Buffer.t -> request option list * Journal.Wal.stop
+(** The live reader: take every whole frame from a growing session
+    buffer, leaving the rest in place for the next read.  Each frame is
+    its request, or [None] when its payload is not a request (the
+    session answers it and reads on).  The stop says why the rest
+    stayed: [Short] — it has not fully arrived, wait for more bytes;
+    [Bad] — an over-cap length or a CRC mismatch that no more bytes can
+    mend, drop the session.  Walks the same frames as
+    {!decode_requests}, so fed any chunking of a stream it yields the
+    same prefix. *)

@@ -89,7 +89,7 @@ type t = {
   store : Journal.Store.t option;
   cache : Cache.t;
   paths : Routing.Path.t array;
-  targets : Ternary.Field.t array array;  (* per path: probe fields *)
+  field : int -> int -> Ternary.Field.t;  (* flow, probe -> probe field *)
   zs : Zipf.t;
   mutable epoch : int;  (* next epoch to run *)
   mutable violations : int;
@@ -110,32 +110,42 @@ let validate cfg =
 (* Probe packets target real rule fields: for each path, the drop rules
    of its ingress policy that can fire inside the path's flow space.  A
    uniform draw over the raw flow space almost never hits a classbench
-   rule, which would leave the hit accounting vacuous. *)
-let probe_targets paths (full : Netsim.entry list array) =
-  Array.map
-    (fun (p : Routing.Path.t) ->
-      let seen = Hashtbl.create 8 in
-      let acc = ref [] in
-      Array.iter
-        (List.iter (fun (en : Netsim.entry) ->
-             let rule = en.Netsim.rule in
-             if
-               Acl.Rule.is_drop rule
-               && List.exists
-                    (fun tag -> Netsim.base_tag tag = p.Routing.Path.ingress)
-                    en.Netsim.tags
-               && not (Hashtbl.mem seen rule.Acl.Rule.priority)
-             then
-               match
-                 Ternary.Field.inter rule.Acl.Rule.field p.Routing.Path.flow
-               with
-               | Some f ->
-                 Hashtbl.add seen rule.Acl.Rule.priority ();
-                 acc := f :: !acc
-               | None -> ()))
-        full;
-      Array.of_list (List.rev !acc))
-    paths
+   rule, which would leave the hit accounting vacuous.  Each flow
+   concentrates on its own few rules (offset by flow id), so rule
+   popularity follows the Zipf flow ranks and drifts with them — a
+   uniform per-probe rule choice would flatten popularity into plain
+   match-priority order. *)
+let probe_field paths (full : Netsim.entry list array) =
+  let targets =
+    Array.map
+      (fun (p : Routing.Path.t) ->
+        let seen = Hashtbl.create 8 in
+        let acc = ref [] in
+        Array.iter
+          (List.iter (fun (en : Netsim.entry) ->
+               let rule = en.Netsim.rule in
+               if
+                 Acl.Rule.is_drop rule
+                 && List.exists
+                      (fun tag -> Netsim.base_tag tag = p.Routing.Path.ingress)
+                      en.Netsim.tags
+                 && not (Hashtbl.mem seen rule.Acl.Rule.priority)
+               then
+                 match
+                   Ternary.Field.inter rule.Acl.Rule.field p.Routing.Path.flow
+                 with
+                 | Some f ->
+                   Hashtbl.add seen rule.Acl.Rule.priority ();
+                   acc := f :: !acc
+                 | None -> ()))
+          full;
+        Array.of_list (List.rev !acc))
+      paths
+  in
+  fun f k ->
+    let tgt = targets.(f) in
+    if Array.length tgt = 0 then paths.(f).Routing.Path.flow
+    else tgt.((f + k) mod Array.length tgt)
 
 (* The network and routed paths of an instance (the paths are the
    cache's flow universe). *)
@@ -160,7 +170,7 @@ let make ?store cfg ~cache ~paths ~epoch ~violations ~reports ~last_stats =
     store;
     cache;
     paths;
-    targets = probe_targets paths (Cache.full_tables cache);
+    field = probe_field paths (Cache.full_tables cache);
     zs = Zipf.at zcfg epoch;
     epoch;
     violations;
@@ -214,16 +224,8 @@ let create ?store cfg =
 (* The epoch pipeline                                                  *)
 
 let walk t (e : Zipf.epoch) =
-  (* each flow concentrates on its own few rules (offset by flow id), so
-     rule popularity follows the Zipf flow ranks and drifts with them — a
-     uniform per-probe rule choice would flatten popularity into plain
-     match-priority order *)
-  let field f k =
-    let tgt = t.targets.(f) in
-    if Array.length tgt = 0 then t.paths.(f).Routing.Path.flow
-    else tgt.((f + k) mod Array.length tgt)
-  in
-  Zipf.walk ~seed:t.cfg.family.Workload.seed ~probes:t.cfg.probes e ~field
+  Zipf.walk ~seed:t.cfg.family.Workload.seed ~probes:t.cfg.probes e
+    ~field:t.field
     (fun f pkt w ->
       let res = Cache.account t.cache ~path:t.paths.(f) ~weight:w pkt in
       (* the delegation contract preserves the verdict, not the drop

@@ -47,6 +47,17 @@ val hw_of_frac : Netsim.entry list array -> float -> int array
 (** Per-switch hardware capacity: [frac] of the mean size of the
     non-empty tables, rounded to nearest, never below 1 slot. *)
 
+val probe_field :
+  Routing.Path.t array -> Netsim.entry list array -> int -> int -> Ternary.Field.t
+(** [probe_field paths tables] is the [~field] argument of {!Zipf.walk}
+    over [paths] through [tables]: probe [k] of flow [f] is aimed at one
+    of the drop rules of [f]'s ingress policy that can fire inside the
+    path's flow space (taken in turn from an offset of [f], so each flow
+    concentrates on its own few rules), or drawn over the whole flow
+    space when there is none.  A uniform draw almost never hits a
+    classbench rule.  The controller's epoch walk and the serving
+    layer's traffic tick both aim their probes with it. *)
+
 type epoch_report = {
   e_index : int;
   e_hits : int;  (** this epoch's cache hits (traffic-weighted) *)

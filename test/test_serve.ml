@@ -94,29 +94,81 @@ let test_wire_torn_and_corrupt () =
   Alcotest.(check int) "CRC stops the scan at the flipped frame" 1
     (List.length decoded)
 
-let test_wire_read_message () =
-  let path = "serve_wire_frames.bin" in
-  let oc = open_out_bin path in
-  List.iter (fun r -> output_string oc (Wire.encode_request r)) sample_requests;
-  (* plus a torn header at the tail *)
-  output_string oc "\000\000";
-  close_out oc;
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () ->
-      close_in ic;
-      Sys.remove path)
-    (fun () ->
-      List.iter
-        (fun expect ->
-          match Wire.read_message ic with
-          | None -> Alcotest.fail "stream ended early"
-          | Some payload ->
-            Alcotest.(check bool) "framed payload decodes to the request" true
-              (Wire.request_of_payload payload = Some expect))
-        sample_requests;
-      Alcotest.(check bool) "torn tail reads as end of stream" true
-        (Wire.read_message ic = None))
+(* Feed [stream] to the live reader [chunk k] bytes at a time, as reads
+   would deliver it; stop at the first [Bad].  Returns every frame taken
+   and the last stop. *)
+let live_read ~chunk stream =
+  let buf = Buffer.create 64 in
+  let rec go off k acc =
+    if off >= String.length stream then (List.rev acc, Journal.Wal.Short)
+    else
+      let n = min (chunk k) (String.length stream - off) in
+      Buffer.add_substring buf stream off n;
+      let reqs, stop = Wire.take_requests buf in
+      let acc = List.rev_append reqs acc in
+      if stop = Journal.Wal.Bad then (List.rev acc, stop)
+      else go (off + n) (k + 1) acc
+  in
+  let reqs, stop = go 0 0 [] in
+  (reqs, stop, Buffer.length buf)
+
+let test_wire_live_reader () =
+  let stream =
+    String.concat "" (List.map Wire.encode_request sample_requests)
+    (* plus a torn header at the tail *)
+    ^ "\000\000"
+  in
+  let reqs, stop, left = live_read ~chunk:(fun _ -> 7) stream in
+  Alcotest.(check bool) "every frame decodes to its request" true
+    (reqs = List.map Option.some sample_requests);
+  Alcotest.(check bool) "a torn tail waits for more bytes" true
+    (stop = Journal.Wal.Short);
+  Alcotest.(check int) "the torn tail stays buffered" 2 left
+
+(* The live reader and the whole-stream decoder walk the same frames
+   under the same cap: over any chunking of a truncated, byte-flipped or
+   over-cap stream they give the same request prefix, and an over-cap
+   header is cut by the one and tears the other. *)
+let qcheck_one_reader =
+  let gen =
+    QCheck.Gen.(
+      let* picks = list_size (1 -- 8) (int_bound (List.length sample_requests - 1)) in
+      let* damage = int_bound 2 in
+      let* at = nat in
+      let* chunks = list_size (1 -- 6) (1 -- 40) in
+      return (picks, damage, at, chunks))
+  in
+  QCheck.Test.make ~count:300 ~name:"live reader and decode_requests agree"
+    (QCheck.make gen)
+    (fun (picks, damage, at, chunks) ->
+      let frames =
+        List.map (fun i -> Wire.encode_request (List.nth sample_requests i)) picks
+      in
+      let whole = String.concat "" frames in
+      let n = String.length whole in
+      let stream =
+        match damage with
+        | 0 -> String.sub whole 0 (at mod (n + 1))
+        | 1 ->
+          let b = Bytes.of_string whole in
+          let i = at mod n in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5A));
+          Bytes.to_string b
+        | _ ->
+          let header = Bytes.make 8 '\000' in
+          Bytes.set_int32_be header 0 (Int32.of_int (Wire.max_frame_len + 1));
+          whole ^ Bytes.to_string header ^ String.make 32 'x'
+      in
+      let decoded, consumed = Wire.decode_requests stream in
+      let chunk k = List.nth chunks (k mod List.length chunks) in
+      let live, stop, _ = live_read ~chunk stream in
+      let rec prefix = function Some r :: rest -> r :: prefix rest | _ -> [] in
+      if prefix live <> decoded then
+        QCheck.Test.fail_reportf "decoded %d requests, live reader %d"
+          (List.length decoded) (List.length (prefix live));
+      if damage = 2 && (consumed > n || stop <> Journal.Wal.Bad) then
+        QCheck.Test.fail_reportf "over-cap header not cut and torn";
+      true)
 
 (* ---------------- typed admission bounds ----------------------------- *)
 
@@ -139,6 +191,12 @@ let mem_stores shards =
       backing
   in
   (stores, crash)
+
+let start_ok ?config ?kill ~stores () =
+  match Daemon.start ?config ?kill ~stores () with
+  | Ok s -> s
+  | Error { Daemon.shard; reason } ->
+    Alcotest.failf "start refused shard %d: %s" shard reason
 
 let small_config =
   {
@@ -269,6 +327,9 @@ let test_metrics_and_traffic_ops () =
       Alcotest.(check bool) "flows after connects" true (flows > 0);
       Alcotest.(check bool) "all packet weight accounted" true
         (delivered + dropped = 256);
+      (* both tenants' policies hold drop rules, and the probes aim at
+         them *)
+      Alcotest.(check bool) "probes hit the drop rules" true (dropped > 0);
       r
     | rs -> Alcotest.failf "expected one traffic reply, got %d" (List.length rs)
   in
@@ -345,33 +406,60 @@ let test_breaker_machine () =
 
 (* ---------------- framed session: drain semantics -------------------- *)
 
-(* Run one [serve_channels] session over the given framed messages and
-   decode everything it wrote back. *)
-let run_session d frames =
-  let in_path = "serve_session_in.bin" in
-  let out_path = "serve_session_out.bin" in
-  let oc = open_out_bin in_path in
-  List.iter (output_string oc) frames;
-  close_out oc;
-  let ic = open_in_bin in_path in
-  let oc = open_out_bin out_path in
-  let session = Daemon.serve_channels d ic oc in
-  close_in ic;
-  close_out oc;
-  let bytes =
-    let ic = open_in_bin out_path in
-    let n = in_channel_length ic in
-    let b = really_input_string ic n in
-    close_in ic;
-    b
+(* Everything a session's peer reads until the loop closes or drops
+   its end. *)
+let read_to_eof fd =
+  let buf = Buffer.create 1024 in
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 4096 with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes buf chunk 0 n;
+      go ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
   in
-  Sys.remove in_path;
-  Sys.remove out_path;
+  go ();
+  Buffer.contents buf
+
+(* Run the session loop over one session that exists from the start:
+   the framed messages are written to its input and its input closed,
+   then everything written back is decoded.  [`Pipe] shapes the session
+   like stdio (an input and an output fd); [`Socketpair] like an
+   accepted socket (one fd both ways). *)
+let run_session ?(over = `Pipe) d frames =
+  let script = String.concat "" frames in
+  let write_all fd =
+    ignore (Unix.write_substring fd script 0 (String.length script))
+  in
+  let served, bytes =
+    match over with
+    | `Pipe ->
+      let in_r, in_w = Unix.pipe () in
+      let out_r, out_w = Unix.pipe () in
+      write_all in_w;
+      Unix.close in_w;
+      let served = Daemon.serve_sessions d ~session:(in_r, out_w) () in
+      Unix.close in_r;
+      Unix.close out_w;
+      let bytes = read_to_eof out_r in
+      Unix.close out_r;
+      (served, bytes)
+    | `Socketpair ->
+      let mine, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      write_all theirs;
+      Unix.shutdown theirs Unix.SHUTDOWN_SEND;
+      let served = Daemon.serve_sessions d ~session:(mine, mine) () in
+      Unix.close mine;
+      let bytes = read_to_eof theirs in
+      Unix.close theirs;
+      (served, bytes)
+  in
   let replies, consumed = Wire.decode_replies bytes in
   Alcotest.(check int) "every reply byte framed" (String.length bytes) consumed;
-  (session, replies)
+  (served, replies)
 
-let test_serve_channels_drains () =
+let test_session_drains () =
   let stores, _ = mem_stores 1 in
   let d = Daemon.create ~config:small_config ~stores () in
   let requests =
@@ -386,9 +474,10 @@ let test_serve_channels_drains () =
   let session, replies =
     run_session d (List.map Wire.encode_request requests)
   in
-  Alcotest.(check bool) "session saw the drain request" true session.Daemon.drained;
+  Alcotest.(check bool) "session saw the drain request" true
+    session.Daemon.drain_requested;
   Alcotest.(check int) "all requests read" (List.length requests)
-    session.Daemon.requests;
+    session.Daemon.total_requests;
   let count p = List.length (List.filter p replies) in
   Alcotest.(check int) "three acks" 3
     (count (function Wire.Accepted _ -> true | _ -> false));
@@ -407,7 +496,7 @@ let test_serve_channels_drains () =
 
 (* A frame whose CRC holds but whose payload is not a request is
    answered with a typed rejection; the session carries on. *)
-let test_serve_channels_malformed () =
+let test_session_malformed () =
   let stores, _ = mem_stores 1 in
   let d = Daemon.create ~config:small_config ~stores () in
   let session, replies =
@@ -420,8 +509,9 @@ let test_serve_channels_malformed () =
         Wire.encode_request Wire.Drain;
       ]
   in
-  Alcotest.(check int) "all frames read" 4 session.Daemon.requests;
-  Alcotest.(check bool) "session reached the drain" true session.Daemon.drained;
+  Alcotest.(check int) "all frames read" 4 session.Daemon.total_requests;
+  Alcotest.(check bool) "session reached the drain" true
+    session.Daemon.drain_requested;
   let count p = List.length (List.filter p replies) in
   Alcotest.(check int) "one malformed rejection" 1
     (count (function
@@ -431,6 +521,133 @@ let test_serve_channels_malformed () =
     (count (function Wire.Stats_reply _ -> true | _ -> false));
   Alcotest.(check bool) "the acked connect landed" true
     (Daemon.resolved d ~tenant:0 ~ticket:1)
+
+(* One loop serves both session shapes: the same script over a stdio-
+   shaped pipe pair and over a socketpair gives the same replies and the
+   same final state, whether it ends on an explicit Drain or on EOF. *)
+let test_session_parity () =
+  let config =
+    { small_config with Daemon.shards = 2; queue_limit = 16; batch_fsync = 3 }
+  in
+  let script =
+    List.concat_map
+      (fun tenant ->
+        [
+          Wire.Submit { tenant; op = Wire.Connect { rules = 3 } };
+          Wire.Submit { tenant; op = Wire.Flow };
+        ])
+      [ 0; 1; 2; 3 ]
+    @ [
+        Wire.Submit { tenant = 1; op = Wire.Update { rules = 2 } };
+        Wire.Submit { tenant = 2; op = Wire.Disconnect };
+        Wire.Stats;
+        Wire.Traffic_tick
+          { seed = 4; epoch = 1; packets = 300; alpha = 1.1; drift = 0.25;
+            probes = 2 };
+      ]
+  in
+  let run over requests =
+    let stores, _ = mem_stores 2 in
+    let d = Daemon.create ~config ~stores () in
+    let served, replies =
+      run_session ~over d (List.map Wire.encode_request requests)
+    in
+    let signature = Daemon.signature d in
+    Alcotest.(check int) "daemon fully drained" 0 (Daemon.pending d);
+    Daemon.shutdown d;
+    ( served.Daemon.drain_requested,
+      List.sort compare (List.map Wire.describe_reply replies),
+      signature )
+  in
+  List.iter
+    (fun (requests, drained) ->
+      let pipe_drained, pipe_replies, pipe_sig = run `Pipe requests in
+      let sock_drained, sock_replies, sock_sig = run `Socketpair requests in
+      Alcotest.(check bool) "pipe: how the session ended" drained pipe_drained;
+      Alcotest.(check bool) "socketpair: how the session ended" drained
+        sock_drained;
+      Alcotest.(check (list string)) "same reply multiset" pipe_replies
+        sock_replies;
+      Alcotest.(check string) "same daemon signature" pipe_sig sock_sig;
+      Alcotest.(check int) "Drained reaches a draining session"
+        (if drained then 1 else 0)
+        (List.length
+           (List.filter
+              (fun r -> String.starts_with ~prefix:"drained" r)
+              pipe_replies)))
+    [ (script @ [ Wire.Drain ], true); (script, false) ]
+
+(* A client that sends its requests and hangs up before reading a reply
+   ends its session like EOF: the replies fail with EPIPE, not SIGPIPE
+   (which killed the daemon before its drain), and every acked event
+   still lands. *)
+let test_hung_up_session_drains () =
+  let stores, _ = mem_stores 1 in
+  let d = Daemon.create ~config:small_config ~stores () in
+  let mine, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let script =
+    String.concat ""
+      (List.map
+         (fun tenant ->
+           Wire.encode_request
+             (Wire.Submit { tenant; op = Wire.Connect { rules = 2 } }))
+         [ 0; 1; 2 ])
+  in
+  ignore (Unix.write_substring theirs script 0 (String.length script));
+  Unix.close theirs;
+  let served = Daemon.serve_sessions d ~session:(mine, mine) () in
+  Unix.close mine;
+  Daemon.shutdown d;
+  Alcotest.(check int) "every request read" 3 served.Daemon.total_requests;
+  Alcotest.(check int) "nothing left pending" 0 (Daemon.pending d);
+  List.iteri
+    (fun i tenant ->
+      Alcotest.(check bool)
+        (Printf.sprintf "acked t%d resolved" tenant)
+        true
+        (Daemon.resolved d ~tenant ~ticket:(i + 1)))
+    [ 0; 1; 2 ]
+
+(* A journal snapshot that exists but does not read is not a fresh
+   shard: booting it fresh would overwrite three acked connects.  The
+   start is refused, naming the shard, and neither store is written. *)
+let test_start_refuses_bad_snapshot () =
+  List.iter
+    (fun (what, blob) ->
+      let journal, jmem = Journal.Store.memory () in
+      let intake, imem = Journal.Store.memory () in
+      let stores _ = { Shard.journal; intake } in
+      let d = Daemon.create ~config:small_config ~stores () in
+      List.iter
+        (fun tenant ->
+          match
+            Daemon.submit d
+              (Wire.Submit { tenant; op = Wire.Connect { rules = 2 } })
+          with
+          | [ Wire.Accepted _ ] -> ()
+          | _ -> Alcotest.fail "connect not acked")
+        [ 0; 1; 2 ];
+      Daemon.shutdown d;
+      Journal.Store.set_snapshot jmem (Some blob);
+      let bytes () =
+        ( journal.Journal.Store.wal_read (),
+          Journal.Store.snapshot_of jmem,
+          intake.Journal.Store.wal_read (),
+          Journal.Store.snapshot_of imem )
+      in
+      let before = bytes () in
+      (match Daemon.start ~config:small_config ~stores () with
+      | Ok _ -> Alcotest.failf "%s snapshot: start booted the shard" what
+      | Error { Daemon.shard; reason } ->
+        Alcotest.(check int) (what ^ ": the shard is named") 0 shard;
+        Alcotest.(check string) (what ^ ": the reason") what reason);
+      Alcotest.(check bool) (what ^ ": both stores byte-identical") true
+        (bytes () = before))
+    [
+      ("corrupt snapshot", "garbage");
+      ( "unknown snapshot version",
+        Journal.Wal.seal ~magic:"sdnplace-journal/0\n" () );
+    ]
 
 (* ---------------- round budget: per shard ---------------------------- *)
 
@@ -652,7 +869,7 @@ let test_group_commit_acks () =
   (* every released ack survives a crash: recover, drain, probe *)
   crash ();
   Daemon.shutdown d;
-  let s = Daemon.start ~config ~stores () in
+  let s = start_ok ~config ~stores () in
   Alcotest.(check (list string)) "clean recovery" [] s.Daemon.divergences;
   let d2 = s.Daemon.daemon in
   ignore (Daemon.drain d2);
@@ -691,7 +908,7 @@ let test_drain_keeps_quarantined_ticket () =
        replies);
   let before = Daemon.signature d in
   Daemon.shutdown d;
-  let s = Daemon.start ~config:small_config ~stores () in
+  let s = start_ok ~config:small_config ~stores () in
   let d2 = s.Daemon.daemon in
   Alcotest.(check (list string)) "clean recovery" [] s.Daemon.divergences;
   Alcotest.(check bool) "#2 still resolved" true
@@ -807,20 +1024,10 @@ let test_serve_sessions_multiplex () =
       send b Wire.Drain;
       (* the server closes every session after the drain broadcast *)
       let read_all fd =
-        let buf = Buffer.create 1024 in
-        let chunk = Bytes.create 4096 in
-        let rec go () =
-          match Unix.read fd chunk 0 4096 with
-          | 0 -> ()
-          | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            go ()
-          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
-        in
-        go ();
+        let bytes = read_to_eof fd in
         Unix.close fd;
-        let replies, consumed = Wire.decode_replies (Buffer.contents buf) in
-        Alcotest.(check int) "no torn reply bytes" (Buffer.length buf) consumed;
+        let replies, consumed = Wire.decode_replies bytes in
+        Alcotest.(check int) "no torn reply bytes" (String.length bytes) consumed;
         replies
       in
       let ra = read_all a in
@@ -914,7 +1121,7 @@ let daemon_life ~seed ~kills () =
       incr crashes;
       crash ();
       arm ();
-      let s = Daemon.start ~config ~kill ~stores () in
+      let s = start_ok ~config ~kill ~stores () in
       divergences := !divergences @ s.Daemon.divergences;
       d := s.Daemon.daemon
   done;
@@ -1012,7 +1219,7 @@ let daemon_life_at ~jobs ~seed ~kills () =
       crash ();
       Daemon.shutdown !d;
       arm ();
-      let s = Daemon.start ~config ~kill ~stores () in
+      let s = start_ok ~config ~kill ~stores () in
       divergences := !divergences @ s.Daemon.divergences;
       d := s.Daemon.daemon
   done;
@@ -1056,7 +1263,10 @@ let test_serve_golden () =
   in
   let daemon_sig = Daemon.signature d in
   Daemon.shutdown d;
-  Alcotest.(check (list string)) "traffic tick reply" [ "traffic epoch=2 flows=6 delivered=8192 dropped=0" ] replies;
+  (* every probe is aimed at one of the tenants' drop rules
+     (Traffic.Controller.probe_field), and every one of them fires *)
+  Alcotest.(check (list string)) "traffic tick reply"
+    [ "traffic epoch=2 flows=6 delivered=0 dropped=8192" ] replies;
   Alcotest.(check string) "daemon signature" "6ab416cc6dc085f07b08f75330248a8d" daemon_sig;
   Alcotest.(check string) "tenant signatures digest" "0965144baed24cd7ea0848a99fb6e40a"
     (Digest.to_hex (Digest.string (String.concat "\n" tenants)))
@@ -1097,7 +1307,8 @@ let suite =
     Alcotest.test_case "wire codec roundtrips" `Quick test_wire_roundtrip;
     Alcotest.test_case "wire codec survives torn and corrupt streams" `Quick
       test_wire_torn_and_corrupt;
-    Alcotest.test_case "framed channel reader" `Quick test_wire_read_message;
+    Alcotest.test_case "framed channel reader" `Quick test_wire_live_reader;
+    qtest qcheck_one_reader;
     Alcotest.test_case "metrics dump and traffic tick wire ops" `Quick
       test_metrics_and_traffic_ops;
     Alcotest.test_case "zero shards, jobs or sessions are rejected" `Quick
@@ -1107,9 +1318,15 @@ let suite =
     Alcotest.test_case "circuit breaker trips, cools down, closes" `Quick
       test_breaker_machine;
     Alcotest.test_case "framed session drains gracefully" `Quick
-      test_serve_channels_drains;
+      test_session_drains;
     Alcotest.test_case "framed session rejects a malformed request" `Quick
-      test_serve_channels_malformed;
+      test_session_malformed;
+    Alcotest.test_case "stdio and socket sessions are served alike" `Quick
+      test_session_parity;
+    Alcotest.test_case "a hung-up session drains" `Quick
+      test_hung_up_session_drains;
+    Alcotest.test_case "start refuses an unreadable snapshot" `Quick
+      test_start_refuses_bad_snapshot;
     Alcotest.test_case "round budget is per shard" `Quick
       test_round_budget_per_shard;
     Alcotest.test_case "shard crash-resume is deterministic" `Quick
