@@ -181,10 +181,9 @@ let solve_options =
 (* ---------------- generate ---------------- *)
 
 let generate metrics trace k policies rules mergeable paths capacity seed slice
-    output =
+    ingress_mode output =
   with_family
     {
-      Workload.default with
       Workload.k;
       num_policies = policies;
       rules;
@@ -193,6 +192,7 @@ let generate metrics trace k policies rules mergeable paths capacity seed slice
       capacity;
       seed;
       slice;
+      ingress_mode;
     }
   @@ fun family ->
   with_telemetry metrics trace @@ fun () ->
@@ -235,6 +235,21 @@ let generate_cmd =
       & info [ "capacity" ] ~docv:"C" ~doc:"Per-switch ACL capacity.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
+  let ingress_mode =
+    Arg.(
+      value
+      & opt
+          (enum
+             [
+               ("spread", Workload.Spread); ("contiguous", Workload.Contiguous);
+             ])
+          Workload.Spread
+      & info [ "ingress" ] ~docv:"MODE"
+          ~doc:
+            "Policy ingress hosts: $(b,spread) (one per region of the host \
+             space) or $(b,contiguous) (hosts 0..N-1, so policies share edge \
+             switches and their capacity).")
+  in
   let output =
     Arg.(
       value
@@ -246,7 +261,8 @@ let generate_cmd =
     Term.(
       ret
         (const generate $ metrics_arg $ trace_arg $ k $ policies $ rules
-       $ mergeable $ paths $ capacity $ seed $ slice_flag $ output))
+       $ mergeable $ paths $ capacity $ seed $ slice_flag $ ingress_mode
+       $ output))
 
 (* ---------------- info ---------------- *)
 

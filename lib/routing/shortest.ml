@@ -20,15 +20,18 @@ let downhill net dist u =
   List.filter (fun v -> dist.(v) < dist.(u) && dist.(v) <> max_int)
     (Topo.Net.neighbors net u)
 
-let random_shortest_path g net ~src ~dst =
-  let dist = distances net dst in
+(* A row's destination is its one switch at distance 0. *)
+let random_walk g net dist ~src =
   if dist.(src) = max_int then None
   else
     let rec walk u acc =
-      if u = dst then List.rev (u :: acc)
+      if dist.(u) = 0 then List.rev (u :: acc)
       else walk (Prng.choose_list g (downhill net dist u)) (u :: acc)
     in
     Some (walk src [])
+
+let random_shortest_path g net ~src ~dst =
+  random_walk g net (distances net dst) ~src
 
 let random_path ?flow g net ~ingress ~egress =
   Option.map
@@ -36,15 +39,14 @@ let random_path ?flow g net ~ingress ~egress =
     (random_shortest_path g net ~src:(Topo.Net.host_attach net ingress)
        ~dst:(Topo.Net.host_attach net egress))
 
-let all_shortest_paths ?(limit = 1024) net ~src ~dst =
-  let dist = distances net dst in
+let all_walks ~limit net dist ~src =
   if dist.(src) = max_int then []
   else begin
     let found = ref [] in
     let count = ref 0 in
     let rec walk u acc =
       if !count < limit then
-        if u = dst then begin
+        if dist.(u) = 0 then begin
           incr count;
           found := List.rev (u :: acc) :: !found
         end
@@ -53,6 +55,9 @@ let all_shortest_paths ?(limit = 1024) net ~src ~dst =
     walk src [];
     List.rev !found
   end
+
+let all_shortest_paths ?(limit = 1024) net ~src ~dst =
+  all_walks ~limit net (distances net dst) ~src
 
 let count_shortest_paths net ~src ~dst =
   let dist = distances net dst in

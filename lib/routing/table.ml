@@ -38,15 +38,32 @@ let flow_of ~slice ~egress =
     Ternary.Field.make ~dst:(Topo.Net.host_prefix egress) ()
   else Ternary.Field.any
 
-let path_for ?(slice = false) g net (ingress, egress) =
-  match
-    Shortest.random_path ~flow:(flow_of ~slice ~egress) g net ~ingress ~egress
-  with
-  | None -> invalid_arg "Table.random: egress unreachable from ingress"
-  | Some p -> p
+(* One BFS row per destination switch, computed on first use and shared
+   by every path of one call toward that switch.  A row takes no random
+   draws, so the paths are those of per-pair calls.  Nothing outlives
+   the call: a [Net.t] is shared read-only across domains. *)
+let rows net =
+  let rows = Array.make (Topo.Net.num_switches net) [||] in
+  fun dst ->
+    if Array.length rows.(dst) = 0 then
+      rows.(dst) <- Shortest.distances net dst;
+    rows.(dst)
 
 let random ?(slice = false) g net ~pairs =
-  of_paths (List.map (path_for ~slice g net) pairs)
+  let row = rows net in
+  of_paths
+    (List.map
+       (fun (ingress, egress) ->
+         match
+           Shortest.random_walk g net
+             (row (Topo.Net.host_attach net egress))
+             ~src:(Topo.Net.host_attach net ingress)
+         with
+         | None -> invalid_arg "Table.random: egress unreachable from ingress"
+         | Some switches ->
+           Path.make ~flow:(flow_of ~slice ~egress) ~ingress ~egress ~switches
+             ())
+       pairs)
 
 let spray ?(slice = false) g net ~ingresses ~total_paths =
   if ingresses = [] then invalid_arg "Table.spray: no ingresses";
@@ -68,12 +85,15 @@ let spray ?(slice = false) g net ~ingresses ~total_paths =
   random ~slice g net ~pairs
 
 let ecmp ?(limit = 16) net ~pairs =
+  let row = rows net in
   let paths =
     List.concat_map
       (fun (ingress, egress) ->
-        let src = Topo.Net.host_attach net ingress in
-        let dst = Topo.Net.host_attach net egress in
-        match Shortest.all_shortest_paths ~limit net ~src ~dst with
+        match
+          Shortest.all_walks ~limit net
+            (row (Topo.Net.host_attach net egress))
+            ~src:(Topo.Net.host_attach net ingress)
+        with
         | [] -> invalid_arg "Table.ecmp: egress unreachable from ingress"
         | all ->
           List.map

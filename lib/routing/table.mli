@@ -35,7 +35,12 @@ val random :
     [slice] (default false) each path's flow region is restricted to the
     egress host's /24 destination prefix, enabling path-sliced placement.
     Unreachable pairs raise [Invalid_argument] (they indicate a broken
-    topology). *)
+    topology).
+
+    The call computes one BFS distance row per destination switch, on
+    first use, and draws every path toward that switch from it
+    ({!Shortest.random_walk}); the paths and the draws are exactly those
+    of one {!Shortest.random_path} per pair, in order. *)
 
 val spray :
   ?slice:bool ->
@@ -45,8 +50,9 @@ val spray :
   total_paths:int ->
   t
 (** Distributes [total_paths] paths round-robin over the given ingress
-    hosts, each toward a random distinct egress host.  This is how the
-    experiments scale the path count [p] independently of topology. *)
+    hosts, each toward a random distinct egress host, then routes them
+    with {!random}.  This is how the experiments scale the path count
+    [p] independently of topology. *)
 
 val ecmp :
   ?limit:int ->
@@ -55,6 +61,8 @@ val ecmp :
   t
 (** Every shortest path (up to [limit] per pair, default 16) for each
     [(ingress, egress)] host pair — the multipath counterpart of
-    {!random}.  Raises [Invalid_argument] on unreachable pairs. *)
+    {!random}, with the same one BFS row per destination switch; the
+    paths are those of {!Shortest.all_shortest_paths} per pair.  Raises
+    [Invalid_argument] on unreachable pairs. *)
 
 val pp : Format.formatter -> t -> unit

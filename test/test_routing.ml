@@ -110,3 +110,136 @@ let test_ecmp_table () =
   Alcotest.(check int) "limit respected" 2 (Routing.Table.num_paths limited)
 
 let suite = suite @ [ Alcotest.test_case "ecmp table" `Quick test_ecmp_table ]
+
+(* Batched routing computes one BFS row per destination switch and
+   shares it across the batch.  A row takes no random draws, so from
+   equal PRNG states [Table.random], [Table.spray] and [Table.ecmp] must
+   give exactly the paths of one per-pair [Shortest] call each, in
+   order, and leave the PRNG where the per-pair calls leave it. *)
+let differential_nets () =
+  let g = Prng.create 41 in
+  ("fat-tree k=4", Topo.Fattree.make 4)
+  :: ("fat-tree k=8", Topo.Fattree.make 8)
+  :: List.init 6 (fun i ->
+         ( Printf.sprintf "random graph %d" i,
+           Topo.Builder.random_connected g ~switches:(3 + Prng.int g 20)
+             ~extra_edges:(Prng.int g 12) ~hosts:(2 + Prng.int g 10) ))
+
+let check_same_paths name ~expected ~got =
+  Alcotest.(check int) (name ^ ": path count") (List.length expected)
+    (List.length got);
+  List.iteri
+    (fun n (e, p) ->
+      if not (Routing.Path.equal e p) then
+        Alcotest.failf "%s: path %d is %s, per-pair gives %s" name n
+          (Format.asprintf "%a" Routing.Path.pp p)
+          (Format.asprintf "%a" Routing.Path.pp e))
+    (List.combine expected got)
+
+let check_same_state name ga gb =
+  Alcotest.(check int64) (name ^ ": prng state") (Prng.bits64 ga)
+    (Prng.bits64 gb)
+
+let per_pair ~slice g net pairs =
+  List.map
+    (fun (ingress, egress) ->
+      let flow =
+        if slice then Ternary.Field.make ~dst:(Topo.Net.host_prefix egress) ()
+        else Ternary.Field.any
+      in
+      Option.get (Routing.Shortest.random_path ~flow g net ~ingress ~egress))
+    pairs
+
+let random_pairs g net n =
+  let hosts = Topo.Net.num_hosts net in
+  List.init n (fun _ -> (Prng.int g hosts, Prng.int g hosts))
+
+let test_batched_random_differential () =
+  List.iter
+    (fun (name, net) ->
+      let pairs = random_pairs (Prng.create 5) net 60 in
+      List.iter
+        (fun slice ->
+          let name = Printf.sprintf "%s slice=%b" name slice in
+          let ga = Prng.create 99 and gb = Prng.create 99 in
+          let expected =
+            Routing.Table.paths
+              (Routing.Table.of_paths (per_pair ~slice ga net pairs))
+          in
+          let got =
+            Routing.Table.paths (Routing.Table.random ~slice gb net ~pairs)
+          in
+          check_same_paths name ~expected ~got;
+          check_same_state name ga gb)
+        [ false; true ])
+    (differential_nets ())
+
+(* [spray]'s egress draws, written out per pair: path n leaves ingress
+   n mod #ingresses toward a uniform host other than itself. *)
+let test_batched_spray_differential () =
+  List.iter
+    (fun (name, net) ->
+      let hosts = Topo.Net.num_hosts net in
+      let n_ing = min 5 hosts in
+      let ingresses = List.init n_ing (fun i -> i * (hosts / n_ing)) in
+      let ing = Array.of_list ingresses in
+      List.iter
+        (fun slice ->
+          let name = Printf.sprintf "%s slice=%b" name slice in
+          let ga = Prng.create 7 and gb = Prng.create 7 in
+          let pairs =
+            List.init 50 (fun n ->
+                let i = ing.(n mod n_ing) in
+                let rec egress () =
+                  let e = Prng.int ga hosts in
+                  if e = i then egress () else e
+                in
+                (i, egress ()))
+          in
+          let expected =
+            Routing.Table.paths
+              (Routing.Table.of_paths (per_pair ~slice ga net pairs))
+          in
+          let got =
+            Routing.Table.paths
+              (Routing.Table.spray ~slice gb net ~ingresses ~total_paths:50)
+          in
+          check_same_paths name ~expected ~got;
+          check_same_state name ga gb)
+        [ false; true ])
+    (differential_nets ())
+
+let test_batched_ecmp_differential () =
+  List.iter
+    (fun (name, net) ->
+      let pairs = random_pairs (Prng.create 11) net 30 in
+      List.iter
+        (fun limit ->
+          let expected =
+            List.concat_map
+              (fun (ingress, egress) ->
+                List.map
+                  (fun switches ->
+                    Routing.Path.make ~ingress ~egress ~switches ())
+                  (Routing.Shortest.all_shortest_paths ~limit net
+                     ~src:(Topo.Net.host_attach net ingress)
+                     ~dst:(Topo.Net.host_attach net egress)))
+              pairs
+          in
+          check_same_paths
+            (Printf.sprintf "%s limit=%d" name limit)
+            ~expected:(Routing.Table.paths (Routing.Table.of_paths expected))
+            ~got:(Routing.Table.paths (Routing.Table.ecmp ~limit net ~pairs)))
+        [ 1; 3; 16 ])
+    (differential_nets ())
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "batched random = per-pair paths" `Quick
+        test_batched_random_differential;
+      Alcotest.test_case "batched spray = per-pair paths" `Quick
+        test_batched_spray_differential;
+      Alcotest.test_case "batched ecmp = per-pair paths" `Quick
+        test_batched_ecmp_differential;
+    ]

@@ -84,6 +84,111 @@ let test_too_few_paths () =
       ignore (Workload.build f))
     [ (8, 8); (16, 20) ]
 
+(* The [place_paper] benchmark family (its seed-1 instance 0) and the
+   [churn_journal] base (seed 1, episode 0). *)
+let place_paper_family =
+  {
+    Workload.default with
+    Workload.k = 16;
+    num_policies = 8;
+    rules = 20;
+    paths = 1024;
+    capacity = 140;
+    seed = 100_003;
+  }
+
+let churn_base_family =
+  {
+    Workload.default with
+    Workload.k = 4;
+    rules = 20;
+    paths = 48;
+    capacity = 60;
+    seed = 7919;
+  }
+
+let paths_digest (inst : Placement.Instance.t) =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          (List.map
+             (Format.asprintf "%a" Routing.Path.pp)
+             (Routing.Table.paths inst.Placement.Instance.routing))))
+
+(* Golden: the exact paths [build] routes for the two benchmark
+   families.  The benchmark digests cover only a solve's status and
+   objective, so a routing change that moved every instance could pass
+   them; it fails here. *)
+let test_paths_golden () =
+  List.iter
+    (fun (name, family, want) ->
+      let inst = Workload.build family in
+      Alcotest.(check int) (name ^ " paths") family.Workload.paths
+        (Routing.Table.num_paths inst.Placement.Instance.routing);
+      Alcotest.(check string) (name ^ " paths digest") want
+        (paths_digest inst))
+    [
+      ("place_paper", place_paper_family, "137f4796b9d15c87cdf489e23bcebf67");
+      ("churn_journal", churn_base_family, "17db2117728bfb9b7a844a897e917329");
+    ]
+
+(* Allocation gate.  One [build] of the k=16 family allocates the same
+   number of minor-heap words on every run, so this bound is a count,
+   not a timing.  Routing it with one BFS per path allocated 3.43 Mwords;
+   one BFS row per destination switch allocates 0.84.  The bound of 1.2
+   Mwords sits between: it fails if routing goes back to a BFS per path,
+   or if any other part of [build] grows by half again. *)
+let test_build_allocation () =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Workload.build place_paper_family));
+  let mwords = (Gc.minor_words () -. w0) /. 1e6 in
+  if mwords > 1.2 then
+    Alcotest.failf
+      "Workload.build of the k=16 family allocated %.3f Mwords (bound 1.2)"
+      mwords
+
+(* [sdnplace generate] and its [--ingress] flag, run as a process.
+   Without the flag the output is byte for byte what [generate] wrote
+   before the flag existed (the pinned digest), [spread] is that
+   default, [contiguous] selects [Workload.Contiguous], and any other
+   mode is a usage error (exit 124). *)
+let sdnplace =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/sdnplace.exe"
+
+let generate args =
+  let out = Filename.temp_file "generate" ".sdn" in
+  let code =
+    Sys.command
+      (Filename.quote_command sdnplace ("generate" :: args) ~stdout:out
+         ~stderr:Filename.null)
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  (code, text)
+
+let test_generate_ingress_flag () =
+  let base = [ "-k"; "4"; "--seed"; "3" ] in
+  let code, default = generate base in
+  Alcotest.(check int) "default exit" 0 code;
+  Alcotest.(check string) "default output unchanged"
+    "41f39179c3379ba502b7daafc43f22b7"
+    (Digest.to_hex (Digest.string default));
+  Alcotest.(check (pair int string)) "spread is the default" (0, default)
+    (generate (base @ [ "--ingress"; "spread" ]));
+  let contiguous =
+    Workload.build
+      {
+        Workload.default with
+        Workload.seed = 3;
+        ingress_mode = Workload.Contiguous;
+      }
+  in
+  Alcotest.(check (pair int string)) "contiguous"
+    (0, Placement.Spec.to_string contiguous)
+    (generate (base @ [ "--ingress"; "contiguous" ]));
+  Alcotest.(check int) "unknown mode is a usage error" 124
+    (fst (generate (base @ [ "--ingress"; "edge" ])))
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -92,4 +197,9 @@ let suite =
     Alcotest.test_case "ingress modes" `Quick test_ingress_modes;
     Alcotest.test_case "too few paths is a named error" `Quick
       test_too_few_paths;
+    Alcotest.test_case "benchmark families route golden paths" `Quick
+      test_paths_golden;
+    Alcotest.test_case "k=16 build allocation bound" `Quick
+      test_build_allocation;
+    Alcotest.test_case "generate --ingress" `Quick test_generate_ingress_flag;
   ]
