@@ -71,11 +71,13 @@ let () =
   (* The clause part of the SAT encoding as DIMACS (capacity rows use
      native cardinality constraints and are listed separately; the
      pinned policies have no variables). *)
+  let covers = ref [] in
+  Placement.Layout.iter_covers layout (fun off js ->
+      covers := Array.to_list (Array.map (fun j -> off + j + 1) js) :: !covers);
   let clauses =
-    List.map (fun cover -> List.map (fun v -> v + 1) cover)
-      layout.Placement.Layout.covers
-    @ List.map (fun (d, p) -> [ -(d + 1); p + 1 ])
-        layout.Placement.Layout.implications
+    List.rev_append !covers
+      (List.map (fun (d, p) -> [ -(d + 1); p + 1 ])
+         layout.Placement.Layout.implications)
   in
   let cnf =
     { Cdcl.Dimacs.num_vars = Placement.Layout.num_vars layout; clauses }

@@ -95,13 +95,14 @@ type encoding = { model : Ilp.Model.t; constant : float }
 let to_model ?(objective = Total_rules) (layout : Layout.t) =
   let coef = coefficients objective layout in
   let len = List.length and sum f = List.fold_left (fun n x -> n + f x) 0 in
-  let { Layout.implications; covers; capacities; merge_defs; _ } = layout in
+  let { Layout.implications; capacities; merge_defs; _ } = layout in
   let fixes = layout.Layout.forbidden in
   let rows =
-    len implications + (2 * len fixes) + len covers + len capacities
+    len implications + (2 * len fixes) + layout.Layout.cover_rows
+    + len capacities
     + sum (fun (_, ms) -> 1 + len ms) merge_defs
   and terms =
-    (2 * len implications) + (2 * len fixes) + sum len covers
+    (2 * len implications) + (2 * len fixes) + layout.Layout.cover_terms
     + sum
         (fun (c : Layout.capacity) ->
           len c.plain + sum (fun (_, ms) -> 1 + len ms) c.grouped)
@@ -124,11 +125,9 @@ let to_model ?(objective = Total_rules) (layout : Layout.t) =
       term 1.0 v;
       row Eq 0.0)
     fixes;
-  List.iter
-    (fun cover ->
-      List.iter (term 1.0) cover;
-      row Ge 1.0)
-    covers;
+  Layout.iter_covers layout (fun off js ->
+      Array.iter (fun j -> term 1.0 (off + j)) js;
+      row Ge 1.0);
   List.iter
     (fun (cap : Layout.capacity) ->
       List.iter (term 1.0) cap.Layout.plain;
@@ -171,14 +170,27 @@ let counting_bound objective (layout : Layout.t) =
     Some layout.Layout.baseline_rule_count
   | Total_rules | Upstream_drops | Switch_weighted _ -> None
 
-(* Every row [to_model] writes, read off the layout's own lists. *)
+(* Whether every cover row has a set variable; stops at the first that
+   has none. *)
+let covered layout a =
+  let rec hit off js x =
+    x < Array.length js && (a.(off + js.(x)) || hit off js (x + 1))
+  in
+  match
+    Layout.iter_covers layout (fun off js ->
+        if not (hit off js 0) then raise_notrace Exit)
+  with
+  | () -> true
+  | exception Exit -> false
+
+(* Every row [to_model] writes, read off the layout itself. *)
 let feasible (layout : Layout.t) a =
   let set = List.fold_left (fun n v -> if a.(v) then n + 1 else n) 0 in
   List.for_all
     (fun (vd, vp) -> (not a.(vd)) || a.(vp))
     layout.Layout.implications
   && List.for_all (fun v -> not a.(v)) layout.Layout.forbidden
-  && List.for_all (List.exists (Array.get a)) layout.Layout.covers
+  && covered layout a
   && List.for_all
        (fun (c : Layout.capacity) ->
          List.fold_left

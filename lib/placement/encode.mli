@@ -67,8 +67,9 @@ val counting_bound : objective -> Layout.t -> int option
 
 val feasible : Layout.t -> bool array -> bool
 (** Whether a layout assignment satisfies every row {!to_model} writes,
-    read off the layout's own lists: implications, monitor fixes,
-    covers, capacities and merge definitions.  It agrees with
+    read off the layout itself: implications, monitor fixes, covers
+    (through {!Layout.iter_covers}, in place), capacities and merge
+    definitions.  It agrees with
     {!Ilp.Solver.check_feasible} on the same assignment. *)
 
 val solve :

@@ -15,7 +15,11 @@ type capacity = {
    a pinned one ([k0] >= 0) has no variables and holds each rule once at
    [k0].  [prios] is ascending and [slots.(x)] belongs to [prios.(x)];
    [rules.(s)] is the rule in slot [s]; [loc.(j)] is the
-   paper's loc of [switches.(j)]. *)
+   paper's loc of [switches.(j)].  A free policy's cover rows are the
+   pairs [(rows.(2r), rows.(2r+1))] of (path, drop slot): row [r] holds
+   the drop's variables at the positions [paths.(rows.(2r))] of the
+   path's switches, in path order.  [paths] keeps only the paths that
+   own a row. *)
 type block = {
   ingress : int;
   base : int;
@@ -25,6 +29,8 @@ type block = {
   slots : int array;
   rules : Acl.Rule.t array;
   k0 : int;
+  paths : int array array;
+  rows : int array;
 }
 
 type numbering = {
@@ -42,7 +48,8 @@ type t = {
   monitors : (int * Ternary.Field.t) list;
   numbering : numbering;
   implications : (int * int) list;
-  covers : int list list;
+  cover_rows : int;
+  cover_terms : int;
   capacities : capacity list;
   merge_defs : (int * int list) list;
   baseline_rule_count : int;
@@ -62,6 +69,8 @@ let no_block =
     slots = [||];
     rules = [||];
     k0 = -1;
+    paths = [||];
+    rows = [||];
   }
 
 (* Position of [x] in the ascending array [a], or -1. *)
@@ -75,6 +84,18 @@ let find_sorted a x =
 
 (* The variable of slot [s] at switch position [j] of [b]. *)
 let var_in b s j = b.base + (s * Array.length b.switches) + j
+
+(* Paths as sorted switch positions, compared as int arrays. *)
+module Switch_set = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    let rec same x = x >= n || (a.(x) = b.(x) && same (x + 1)) in
+    n = Array.length b && same 0
+
+  let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 17 a
+end)
 
 let block_at blocks ingress =
   if ingress < 0 || ingress >= Array.length blocks then no_block
@@ -182,32 +203,39 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
             (placed_drops @ needed_permits @ dummy_rules);
           Array.of_list (Hashtbl.fold (fun _ r acc -> r :: acc) tbl [])
         in
-        let by_prio =
-          Array.mapi (fun s (r : Acl.Rule.t) -> (r.priority, s)) placed_rules
-        in
-        Array.sort compare by_prio;
-        (* [S_i] is the switches the walk for loc meets. *)
-        let met = ref [] in
+        (* Priorities are distinct: the slots by ascending priority. *)
+        let slots = Array.init (Array.length placed_rules) Fun.id in
+        Array.sort
+          (fun a b ->
+            Int.compare placed_rules.(a).priority placed_rules.(b).priority)
+          slots;
+        (* [S_i] is the switches the walk for loc meets, ascending. *)
+        let met = ref 0 in
         List.iter
           (fun (p : Routing.Path.t) ->
             Array.iteri
               (fun d k ->
-                if loc.(k) = max_int then met := k :: !met;
+                if loc.(k) = max_int then incr met;
                 if d < loc.(k) then loc.(k) <- d)
               p.Routing.Path.switches)
           paths;
-        let switches = Array.of_list !met in
-        Array.sort compare switches;
+        let switches = Array.make !met 0 in
+        let j = ref 0 in
+        for k = 0 to n_switches - 1 do
+          if loc.(k) <> max_int then begin
+            switches.(!j) <- k;
+            incr j
+          end
+        done;
         let block =
           {
+            no_block with
             ingress = i;
-            base = 0;
             switches;
             loc = Array.map (fun k -> loc.(k)) switches;
-            prios = Array.map fst by_prio;
-            slots = Array.map snd by_prio;
+            prios = Array.map (fun s -> placed_rules.(s).priority) slots;
+            slots;
             rules = placed_rules;
-            k0 = -1;
           }
         in
         Array.iter (fun k -> loc.(k) <- max_int) switches;
@@ -274,7 +302,20 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
   let n_place = ref 0 and free = ref [] and pinned = ref [] in
   let forbidden = Hashtbl.create 16 in
   let implications = ref [] in
-  let covers = ref [] in
+  (* The cover rows' pairs of the block being written, and the layout's
+     row and term counts. *)
+  let pairs = ref (Array.make 64 0) and n_pairs = ref 0 in
+  let push x =
+    if !n_pairs = Array.length !pairs then begin
+      let grown = Array.make (2 * !n_pairs) 0 in
+      Array.blit !pairs 0 grown 0 !n_pairs;
+      pairs := grown
+    end;
+    !pairs.(!n_pairs) <- x;
+    incr n_pairs
+  in
+  let cover_rows = ref 0 and cover_terms = ref 0 in
+  let group = Switch_set.create 64 in
   List.iter
     (fun pi ->
       let k0 =
@@ -282,73 +323,95 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
       in
       let b = { pi.block with base = !n_place; k0 } in
       let width = Array.length b.switches in
-      blocks.(b.ingress) <- b;
-      if k0 >= 0 then pinned := (b.ingress, k0, n_rules b) :: !pinned
-      else if n_rules b * width > 0 then begin
-        free := b :: !free;
-        n_place := !n_place + (n_rules b * width);
-        List.iter
-          (fun c -> Hashtbl.replace forbidden (b.base + c) ())
-          pi.walk;
-        (* Placed drops, their permits and coverage drops are all
-           placed, so all have slots. *)
-        List.iter
-          (fun (w : Acl.Rule.t) ->
-            let sw = slot_of b w.priority in
-            List.iter
-              (fun (u : Acl.Rule.t) ->
-                let su = slot_of b u.priority in
-                for j = 0 to width - 1 do
-                  implications :=
-                    (var_in b sw j, var_in b su j) :: !implications
-                done)
-              (Depgraph.dependencies pi.dep w))
-          pi.placed_drops;
-        (* One row per (drop, path switch set); Section IV-C slices the
-           drops a path must carry to those its flow can meet.  Paths
-           with equal switch sets share a group.  The walk runs over
-           paths and drops backwards, the order of [covers], and keeps
-           the first row of each (drop, group). *)
-        Array.iteri (fun j k -> pos.(k) <- j) b.switches;
-        let group = Hashtbl.create 64 in
-        let group_of (p : Routing.Path.t) =
-          let set = Array.copy p.Routing.Path.switches in
-          Array.sort compare set;
-          match Hashtbl.find_opt group set with
-          | Some g -> g
-          | None ->
-            let g = Hashtbl.length group in
-            Hashtbl.add group set g;
-            g
-        in
-        let drops = Array.of_list (List.rev pi.coverage_drops) in
-        let n_drops = Array.length drops in
-        let seen = Bytes.make (List.length pi.paths * n_drops) '\000' in
-        let own = ref [] in
-        List.iter
-          (fun (p : Routing.Path.t) ->
-            let g = group_of p in
-            Array.iteri
-              (fun d (w : Acl.Rule.t) ->
-                let cell = (g * n_drops) + d in
-                if
-                  Bytes.get seen cell = '\000'
-                  && ((not sliced)
-                     || Ternary.Field.overlaps w.field p.Routing.Path.flow)
-                then begin
-                  Bytes.set seen cell '\001';
-                  let sw = slot_of b w.priority in
-                  own :=
-                    Array.fold_right
-                      (fun k acc -> var_in b sw pos.(k) :: acc)
-                      p.Routing.Path.switches []
-                    :: !own
-                end)
-              drops)
-          (List.rev pi.paths);
-        covers := List.rev_append !own !covers;
-        Array.iter (fun k -> pos.(k) <- -1) b.switches
-      end)
+      let b =
+        if k0 >= 0 then begin
+          pinned := (b.ingress, k0, n_rules b) :: !pinned;
+          b
+        end
+        else if n_rules b * width = 0 then b
+        else begin
+          n_place := !n_place + (n_rules b * width);
+          List.iter
+            (fun c -> Hashtbl.replace forbidden (b.base + c) ())
+            pi.walk;
+          (* Placed drops, their permits and coverage drops are all
+             placed, so all have slots. *)
+          List.iter
+            (fun (w : Acl.Rule.t) ->
+              let sw = slot_of b w.priority in
+              List.iter
+                (fun (u : Acl.Rule.t) ->
+                  let su = slot_of b u.priority in
+                  for j = 0 to width - 1 do
+                    implications :=
+                      (var_in b sw j, var_in b su j) :: !implications
+                  done)
+                (Depgraph.dependencies pi.dep w))
+            pi.placed_drops;
+          (* One row per (drop, path switch set); Section IV-C slices the
+             drops a path must carry to those its flow can meet.  Paths
+             with equal switch sets share a group.  The walk runs over
+             paths and drops backwards, the order of the rows, and keeps
+             the first row of each (drop, group): the pair of the path
+             that meets it first and the drop's slot. *)
+          Array.iteri (fun j k -> pos.(k) <- j) b.switches;
+          Switch_set.clear group;
+          let drops = Array.of_list (List.rev pi.coverage_drops) in
+          let n_drops = Array.length drops in
+          let drop_slots =
+            Array.map (fun (w : Acl.Rule.t) -> slot_of b w.priority) drops
+          in
+          let seen = Bytes.make (List.length pi.paths * n_drops) '\000' in
+          let paths = ref [] and n_paths = ref 0 in
+          n_pairs := 0;
+          List.iter
+            (fun (p : Routing.Path.t) ->
+              let js = Array.map (fun k -> pos.(k)) p.Routing.Path.switches in
+              let set = Array.copy js in
+              Array.sort Int.compare set;
+              let g =
+                match Switch_set.find_opt group set with
+                | Some g -> g
+                | None ->
+                  let g = Switch_set.length group in
+                  Switch_set.add group set g;
+                  g
+              in
+              let owner = ref (-1) in
+              Array.iteri
+                (fun d (w : Acl.Rule.t) ->
+                  let cell = (g * n_drops) + d in
+                  if
+                    Bytes.get seen cell = '\000'
+                    && ((not sliced)
+                       || Ternary.Field.overlaps w.field p.Routing.Path.flow)
+                  then begin
+                    Bytes.set seen cell '\001';
+                    if !owner < 0 then begin
+                      owner := !n_paths;
+                      paths := js :: !paths;
+                      incr n_paths
+                    end;
+                    push !owner;
+                    push drop_slots.(d);
+                    incr cover_rows;
+                    cover_terms := !cover_terms + Array.length js
+                  end)
+                drops)
+            (List.rev pi.paths);
+          Array.iter (fun k -> pos.(k) <- -1) b.switches;
+          let b =
+            {
+              b with
+              paths = Array.of_list (List.rev !paths);
+              rows = Array.sub !pairs 0 !n_pairs;
+            }
+          in
+          free := b :: !free;
+          b
+        end
+      in
+      blocks.(b.ingress) <- b)
     policies;
   let free = Array.of_list (List.rev !free) in
   let forbidden = Hashtbl.fold (fun v () acc -> v :: acc) forbidden [] in
@@ -441,7 +504,8 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
     monitors;
     numbering = { blocks; free; n_place = !n_place; merged; dummies };
     implications = !implications;
-    covers = !covers;
+    cover_rows = !cover_rows;
+    cover_terms = !cover_terms;
     capacities = capacity_rows;
     merge_defs = !merge_defs;
     baseline_rule_count = !baseline;
@@ -497,6 +561,16 @@ let iter_pairs t f =
       done)
     t.numbering.blocks
 
+let iter_covers t f =
+  let free = t.numbering.free in
+  for x = Array.length free - 1 downto 0 do
+    let b = free.(x) in
+    let width = Array.length b.switches in
+    for r = 0 to (Array.length b.rows / 2) - 1 do
+      f (b.base + (b.rows.((2 * r) + 1) * width)) b.paths.(b.rows.(2 * r))
+    done
+  done
+
 let pinned_rules t = List.fold_left (fun n (_, _, r) -> n + r) 0 t.pinned
 
 let var t ~ingress ~priority ~switch =
@@ -515,6 +589,6 @@ let pp_stats fmt t =
     (num_vars t)
     (List.length t.merge_defs)
     (List.length t.implications)
-    (List.length t.covers)
+    t.cover_rows
     (List.length t.capacities)
     (List.length t.pinned) (pinned_rules t)

@@ -76,11 +76,10 @@ type t = {
   numbering : numbering;
   implications : (int * int) list;
       (** (drop var, permit var): Eq. 1 / 6, free policies only *)
-  covers : int list list;
-      (** each needs >= 1: Eq. 2 / 7, per (coverage drop, distinct path
-          switch set) of a free policy, so no two are equal as sets.
-          Sliced, a drop gets a set's row when its field meets the flow
-          of some path with that switch set. *)
+  cover_rows : int;
+      (** the rows {!iter_covers} visits *)
+  cover_terms : int;
+      (** the variables of those rows, repeats counted *)
   capacities : capacity list;
       (** Eq. 3, [bound] net of the rules pinned at the switch; only
           rows that can bind *)
@@ -127,6 +126,24 @@ val iter_pairs : t -> (int -> bool -> unit) -> unit
     [S_i]) pair, pinned policies' included, in the same order: [v] is
     the pair's variable, or -1 in a pinned policy, where [held] tells
     whether the pair is the rule at [k0]. *)
+
+val iter_covers : t -> (int -> int array -> unit) -> unit
+(** [iter_covers t f] calls [f off js] on each cover row, in the order
+    the encoders write them.  The row's variables are [off + js.(0)],
+    [off + js.(1)], ... and each needs >= 1 of them set: Eq. 2 / 7, one
+    row per (coverage drop, distinct path switch set) of a free policy,
+    so no two rows are equal as sets.  Sliced, a drop gets a set's row
+    when its field meets the flow of some path with that switch set.
+
+    A free policy keeps its rows as (path, drop slot) pairs, and each
+    path that owns a row as the positions [js] of its switches in
+    [S_i], in path order; [off] is the first variable of the drop's
+    slot.  So a row is written out only when it is read, and [js] is
+    shared by the drops of one path: [f] must not modify it.  Policies
+    come last first; within a policy the paths and drops run
+    backwards, and a (drop, switch set) row comes from the first path
+    of that walk that meets the drop, so rows of different sets can
+    interleave. *)
 
 val pinned_rules : t -> int
 (** The rules the pinned policies hold: the entries every assignment

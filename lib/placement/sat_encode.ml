@@ -35,9 +35,9 @@ let to_pb ?encoding (layout : Layout.t) =
     (fun v -> Pb.add_clause pb [ -vars.(v) ])
     layout.Layout.forbidden;
   List.iter (fun l -> Pb.add_clause pb [ l ]) (List.rev !pins);
-  List.iter
-    (fun cover -> Pb.add_clause pb (List.map (fun v -> vars.(v)) cover))
-    layout.Layout.covers;
+  Layout.iter_covers layout (fun off js ->
+      Pb.add_clause pb
+        (Array.fold_right (fun j l -> vars.(off + j) :: l) js []));
   List.iter
     (fun (mv, members) ->
       Pb.and_eq pb vars.(mv) (List.map (fun v -> vars.(v)) members))

@@ -1,18 +1,27 @@
+(* Sets each unseen switch of [vs] at distance [d], queued from
+   [queue.(tail)] on; returns the new tail. *)
+let rec visit dist queue tail d = function
+  | [] -> tail
+  | v :: vs ->
+    if dist.(v) = max_int then begin
+      dist.(v) <- d;
+      queue.(tail) <- v;
+      visit dist queue (tail + 1) d vs
+    end
+    else visit dist queue tail d vs
+
+(* Breadth first from [src]; each switch enters [queue] once. *)
 let distances net src =
   let n = Topo.Net.num_switches net in
   let dist = Array.make n max_int in
-  let q = Queue.create () in
+  let queue = Array.make n 0 in
   dist.(src) <- 0;
-  Queue.add src q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    List.iter
-      (fun v ->
-        if dist.(v) = max_int then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v q
-        end)
-      (Topo.Net.neighbors net u)
+  queue.(0) <- src;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    tail := visit dist queue !tail (dist.(u) + 1) (Topo.Net.neighbors net u)
   done;
   dist
 

@@ -1,5 +1,11 @@
 type kind = Core | Aggregation | Edge | Plain
 
+module Int_tbl = Hashtbl.Make (Int)
+
+let compare_pair (a, b) (c, d) =
+  let x = Int.compare a c in
+  if x <> 0 then x else Int.compare b d
+
 type t = {
   adj : int list array;
   edges : (int * int) list;
@@ -15,17 +21,19 @@ let create ?kinds ~num_switches ~edges ~host_attach () =
       invalid_arg "Net.create: switch id out of range"
   in
   let adj = Array.make num_switches [] in
-  let seen = Hashtbl.create 64 in
+  (* An edge [(a, b)], [a < b], is seen as [a * num_switches + b]. *)
+  let seen = Int_tbl.create 64 in
   let norm_edges =
     List.map
       (fun (a, b) ->
         check_switch a;
         check_switch b;
         if a = b then invalid_arg "Net.create: self-loop";
-        let e = (min a b, max a b) in
-        if Hashtbl.mem seen e then invalid_arg "Net.create: duplicate edge";
-        Hashtbl.add seen e ();
-        e)
+        let a, b = if a < b then (a, b) else (b, a) in
+        let key = (a * num_switches) + b in
+        if Int_tbl.mem seen key then invalid_arg "Net.create: duplicate edge";
+        Int_tbl.add seen key ();
+        (a, b))
       edges
   in
   List.iter
@@ -33,7 +41,7 @@ let create ?kinds ~num_switches ~edges ~host_attach () =
       adj.(a) <- b :: adj.(a);
       adj.(b) <- a :: adj.(b))
     norm_edges;
-  Array.iteri (fun i l -> adj.(i) <- List.sort_uniq Stdlib.compare l) adj;
+  Array.iteri (fun i l -> adj.(i) <- List.sort_uniq Int.compare l) adj;
   Array.iter check_switch host_attach;
   let hosts_by_switch = Array.make num_switches [] in
   Array.iteri
@@ -52,7 +60,7 @@ let create ?kinds ~num_switches ~edges ~host_attach () =
   in
   {
     adj;
-    edges = List.sort Stdlib.compare norm_edges;
+    edges = List.sort compare_pair norm_edges;
     host_attach = Array.copy host_attach;
     hosts_by_switch;
     kinds;

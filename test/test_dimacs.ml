@@ -53,13 +53,14 @@ let test_export_placement_encoding () =
   let g = Prng.create 3 in
   let inst = Util.random_instance g in
   let layout = Placement.Layout.build inst in
+  let covers = ref [] in
+  Placement.Layout.iter_covers layout (fun off js ->
+      covers := Array.to_list (Array.map (fun j -> off + j + 1) js) :: !covers);
   let clauses =
-    List.map
-      (fun cover -> List.map (fun v -> v + 1) cover)
-      layout.Placement.Layout.covers
-    @ List.map
-        (fun (d, p) -> [ -(d + 1); p + 1 ])
-        layout.Placement.Layout.implications
+    List.rev_append !covers
+      (List.map
+         (fun (d, p) -> [ -(d + 1); p + 1 ])
+         layout.Placement.Layout.implications)
   in
   let cnf = { num_vars = Placement.Layout.num_vars layout; clauses } in
   let printed = print cnf in

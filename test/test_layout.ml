@@ -5,6 +5,13 @@ open Placement
 let drop f = (f, Acl.Rule.Drop)
 let permit f = (f, Acl.Rule.Permit)
 
+(* The cover rows as variable lists, in the iterator's order. *)
+let covers layout =
+  let rows = ref [] in
+  Layout.iter_covers layout (fun off js ->
+      rows := Array.to_list (Array.map (fun j -> off + j) js) :: !rows);
+  List.rev !rows
+
 let two_path_instance ~capacity =
   let net = Topo.Builder.figure3 () in
   let routing =
@@ -227,7 +234,7 @@ let test_variable_scoping () =
   done;
   (* One implication per switch; one cover per path. *)
   Alcotest.(check int) "implications" 5 (List.length layout.Layout.implications);
-  Alcotest.(check int) "covers" 2 (List.length layout.Layout.covers);
+  Alcotest.(check int) "covers" 2 (List.length (covers layout));
   (* Capacity 10 can never bind (at most 2 rules per switch): no rows. *)
   Alcotest.(check int) "no capacity rows" 0
     (List.length layout.Layout.capacities);
@@ -263,7 +270,7 @@ let test_cover_uses_path_switches_only () =
       let len = List.length cover in
       Alcotest.(check bool) "cover size = path length" true
         (len = 3 || len = 4))
-    layout.Layout.covers
+    (covers layout)
 
 let test_baseline_counts_required_set () =
   let layout = Layout.build (two_path_instance ~capacity:10) in
@@ -296,8 +303,8 @@ let test_sliced_layout_prunes () =
   let unsliced = Layout.build inst in
   let sliced = Layout.build ~sliced:true inst in
   (* Unsliced: 2 covers per drop (both paths).  Sliced: 1 each. *)
-  Alcotest.(check int) "unsliced covers" 4 (List.length unsliced.Layout.covers);
-  Alcotest.(check int) "sliced covers" 2 (List.length sliced.Layout.covers)
+  Alcotest.(check int) "unsliced covers" 4 (List.length (covers unsliced));
+  Alcotest.(check int) "sliced covers" 2 (List.length (covers sliced))
 
 let test_monitor_forbidden_vars () =
   let inst = two_path_instance ~capacity:10 in
@@ -430,7 +437,7 @@ let builder_encoding objective (layout : Layout.t) =
     layout.Layout.forbidden;
   List.iter
     (fun cover -> add Ilp.Model.Ge (List.map (fun v -> (1.0, v)) cover) 1.0)
-    layout.Layout.covers;
+    (covers layout);
   List.iter
     (fun (cap : Layout.capacity) ->
       add Ilp.Model.Le
@@ -561,6 +568,271 @@ let test_one_row_breaks () =
     (Printf.sprintf "%d flips broke exactly one row" !one_row_breaks)
     true (!one_row_breaks > 0)
 
+(* The cover rows as [Layout.build] listed them before it kept (path,
+   drop slot) pairs, read off the public index: per free policy, the
+   last policy first, the paths and drops walked backwards, the first
+   row of each (drop, path switch set) kept, each row the drop's
+   variables along its path. *)
+let reference_covers (layout : Layout.t) =
+  let inst = layout.Layout.instance in
+  let sliced = layout.Layout.sliced in
+  List.fold_left
+    (fun rows (i, q) ->
+      if List.exists (fun (i', _, _) -> i' = i) layout.Layout.pinned then rows
+      else
+        let paths = Routing.Table.paths_from inst.Instance.routing i in
+        let meets (w : Acl.Rule.t) (p : Routing.Path.t) =
+          (not sliced) || Ternary.Field.overlaps w.field p.Routing.Path.flow
+        in
+        let drops =
+          List.filter
+            (fun (w : Acl.Rule.t) ->
+              (not (Layout.is_dummy layout ~ingress:i ~priority:w.priority))
+              && List.exists (meets w) paths)
+            (Acl.Policy.drops q)
+        in
+        let var (w : Acl.Rule.t) k =
+          match Layout.var layout ~ingress:i ~priority:w.priority ~switch:k with
+          | Some v -> v
+          | None -> Alcotest.failf "no variable for %d/%d at %d" i w.priority k
+        in
+        let seen = Hashtbl.create 64 and own = ref [] in
+        List.iter
+          (fun (p : Routing.Path.t) ->
+            let set =
+              List.sort compare (Array.to_list p.Routing.Path.switches)
+            in
+            List.iter
+              (fun (w : Acl.Rule.t) ->
+                if (not (Hashtbl.mem seen (set, w.priority))) && meets w p
+                then begin
+                  Hashtbl.add seen (set, w.priority) ();
+                  own :=
+                    List.map (var w) (Array.to_list p.Routing.Path.switches)
+                    :: !own
+                end)
+              (List.rev drops))
+          (List.rev paths);
+        List.rev_append !own rows)
+    [] inst.Instance.policies
+
+(* [Encode.feasible] as it read the rows when the layout kept them as
+   lists. *)
+let reference_feasible (layout : Layout.t) rows a =
+  let set = List.fold_left (fun n v -> if a.(v) then n + 1 else n) 0 in
+  List.for_all
+    (fun (vd, vp) -> (not a.(vd)) || a.(vp))
+    layout.Layout.implications
+  && List.for_all (fun v -> not a.(v)) layout.Layout.forbidden
+  && List.for_all (List.exists (Array.get a)) rows
+  && List.for_all
+       (fun (c : Layout.capacity) ->
+         List.fold_left
+           (fun n (mv, ms) ->
+             n + set ms - if a.(mv) then List.length ms - 1 else 0)
+           (set c.Layout.plain) c.Layout.grouped
+         <= c.Layout.bound)
+       layout.Layout.capacities
+  && List.for_all
+       (fun (mv, ms) -> a.(mv) = (set ms = List.length ms))
+       layout.Layout.merge_defs
+
+(* Seeded fat-tree layouts at k = 4, 8 and 16, unsliced and sliced,
+   spread and contiguous ingresses, each plain and with a merge plan
+   and two monitors (an edge switch seeing all traffic, an aggregation
+   switch seeing one prefix). *)
+let differential_layouts () =
+  List.concat_map
+    (fun k ->
+      List.concat_map
+        (fun slice ->
+          List.concat_map
+            (fun ingress_mode ->
+              let f =
+                {
+                  Workload.k;
+                  num_policies = 8;
+                  rules = 12;
+                  mergeable = 3;
+                  paths = 16 * k;
+                  capacity = 60;
+                  seed = 17 + k;
+                  slice;
+                  ingress_mode;
+                }
+              in
+              let inst = Workload.build f in
+              let merged, plan = Merge.plan inst in
+              let net = inst.Instance.net in
+              let first kind = List.hd (Topo.Net.switches_of_kind net kind) in
+              let monitors =
+                [
+                  (first Topo.Net.Edge, Ternary.Field.any);
+                  ( first Topo.Net.Aggregation,
+                    Util.field ~src:"10.0.0.0/12" () );
+                ]
+              in
+              let name =
+                Printf.sprintf "k=%d %s %s" k
+                  (if slice then "sliced" else "unsliced")
+                  (match ingress_mode with
+                  | Workload.Spread -> "spread"
+                  | Workload.Contiguous -> "contiguous")
+              in
+              [
+                (name, Layout.build ~sliced:slice inst);
+                ( name ^ " merged, monitored",
+                  Layout.build ~sliced:slice ~plan ~monitors merged );
+              ])
+            [ Workload.Spread; Workload.Contiguous ])
+        [ false; true ])
+    [ 4; 8; 16 ]
+
+(* Paths 0 and 2 of ingress 0 share a switch set in different orders,
+   and each sliced flow meets one drop: the walk (paths 2, 1, 0) writes
+   path 2's row, then path 1's, then path 0's, so the rows of the two
+   switch sets interleave. *)
+let interleaved_instance () =
+  let net = Topo.Builder.figure3 () in
+  let dst s = Ternary.Field.make ~dst:(Ternary.Prefix.of_string s) () in
+  let routing =
+    Routing.Table.of_paths
+      [
+        Routing.Path.make ~flow:(dst "10.0.1.0/24") ~ingress:0 ~egress:1
+          ~switches:[ 0; 1; 2 ] ();
+        Routing.Path.make ~flow:(dst "10.0.2.0/24") ~ingress:0 ~egress:2
+          ~switches:[ 0; 1; 3; 4 ] ();
+        Routing.Path.make ~flow:(dst "10.9.0.0/16") ~ingress:0 ~egress:1
+          ~switches:[ 2; 1; 0 ] ();
+      ]
+  in
+  let policy =
+    Acl.Policy.of_fields
+      [
+        (Util.field ~dst:"10.0.1.0/24" (), Acl.Rule.Drop);
+        (Util.field ~dst:"10.0.2.0/24" (), Acl.Rule.Drop);
+        (Util.field ~dst:"10.9.0.0/16" (), Acl.Rule.Drop);
+      ]
+  in
+  Instance.make ~net ~routing ~policies:[ (0, policy) ]
+    ~capacities:(Instance.uniform_capacity net 5)
+
+let test_covers_match_reference () =
+  let layouts = differential_layouts () in
+  List.iter
+    (fun (name, layout) ->
+      let rows = covers layout in
+      Alcotest.(check (list (list int)))
+        (name ^ ": rows and term order")
+        (reference_covers layout) rows;
+      Alcotest.(check int)
+        (name ^ ": row count")
+        (List.length rows) layout.Layout.cover_rows;
+      Alcotest.(check int)
+        (name ^ ": term count")
+        (List.fold_left (fun n r -> n + List.length r) 0 rows)
+        layout.Layout.cover_terms)
+    layouts;
+  Alcotest.(check bool) "some layouts are monitored and merged" true
+    (List.exists
+       (fun (_, (l : Layout.t)) ->
+         l.Layout.forbidden <> [] && l.Layout.merge_defs <> [])
+       layouts);
+  let inst = interleaved_instance () in
+  let v priority switch =
+    Option.get (Layout.var (Layout.build inst) ~ingress:0 ~priority ~switch)
+  in
+  List.iter
+    (fun (name, sliced, want) ->
+      let layout = Layout.build ~sliced inst in
+      Alcotest.(check (list (list int)))
+        (name ^ ": reference") (reference_covers layout) (covers layout);
+      Alcotest.(check (list (list int))) name want (covers layout))
+    [
+      (* The drops have priorities 3, 2 and 1 and run backwards.
+         Unsliced, path 2's order [2; 1; 0] serves its switch set. *)
+      ( "unsliced",
+        false,
+        [
+          [ v 1 2; v 1 1; v 1 0 ];
+          [ v 2 2; v 2 1; v 2 0 ];
+          [ v 3 2; v 3 1; v 3 0 ];
+          [ v 1 0; v 1 1; v 1 3; v 1 4 ];
+          [ v 2 0; v 2 1; v 2 3; v 2 4 ];
+          [ v 3 0; v 3 1; v 3 3; v 3 4 ];
+        ] );
+      ( "sliced",
+        true,
+        [
+          [ v 1 2; v 1 1; v 1 0 ];
+          [ v 2 0; v 2 1; v 2 3; v 2 4 ];
+          [ v 3 0; v 3 1; v 3 2 ];
+        ] );
+    ]
+
+(* [Encode.feasible] against the list-based check on each layout's
+   greedy assignment and every single-variable flip of it. *)
+let test_feasible_matches_reference () =
+  let agreed = ref 0 and infeasible = ref 0 in
+  List.iter
+    (fun (name, layout) ->
+      match Baseline.greedy_assignment layout with
+      | None -> ()
+      | Some a ->
+        let rows = reference_covers layout in
+        let check what a =
+          let want = reference_feasible layout rows a in
+          if Encode.feasible layout a <> want then
+            Alcotest.failf "%s: feasible disagrees on %s" name what;
+          incr agreed;
+          if not want then incr infeasible
+        in
+        check "the greedy assignment" a;
+        for v = 0 to Array.length a - 1 do
+          a.(v) <- not a.(v);
+          check (Printf.sprintf "flip %d" v) a;
+          a.(v) <- not a.(v)
+        done)
+    (differential_layouts ());
+  Alcotest.(check bool)
+    (Printf.sprintf "%d points, %d infeasible" !agreed !infeasible)
+    true
+    (!infeasible > 0 && !infeasible < !agreed)
+
+(* One layout read from two domains at once gives each the same model
+   text and feasibility answers as a read on its own: [Layout.t] holds
+   no state that a read fills in. *)
+let test_two_domains_read_one_layout () =
+  let layout, a =
+    match
+      List.find_map
+        (fun (_, (l : Layout.t)) ->
+          if l.Layout.merge_defs = [] || l.Layout.forbidden = [] then None
+          else Option.map (fun a -> (l, a)) (Baseline.greedy_assignment l))
+        (differential_layouts ())
+    with
+    | Some found -> found
+    | None -> Alcotest.fail "no merged, monitored layout has a greedy point"
+  in
+  let points =
+    a
+    :: List.init (Array.length a) (fun v ->
+           Array.mapi (fun u x -> if u = v then not x else x) a)
+  in
+  let read () =
+    List.init 5 (fun _ ->
+        ( Ilp.Model.to_lp_string (Encode.to_model layout).Encode.model,
+          List.map (Encode.feasible layout) points ))
+  in
+  let d1 = Domain.spawn read and d2 = Domain.spawn read in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  let alone = List.hd (read ()) in
+  List.iter
+    (fun (lp, answers) ->
+      Alcotest.(check string) "model text" (fst alone) lp;
+      Alcotest.(check (list bool)) "feasibility" (snd alone) answers)
+    (r1 @ r2)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_no_duplicate_rows;
@@ -570,6 +842,12 @@ let suite =
     Alcotest.test_case "variable scoping" `Quick test_variable_scoping;
     Alcotest.test_case "capacity rows bind" `Quick test_capacity_rows_appear_when_binding;
     Alcotest.test_case "covers follow paths" `Quick test_cover_uses_path_switches_only;
+    Alcotest.test_case "cover rows match the list reference" `Quick
+      test_covers_match_reference;
+    Alcotest.test_case "feasible matches the list reference" `Quick
+      test_feasible_matches_reference;
+    Alcotest.test_case "two domains read one layout" `Quick
+      test_two_domains_read_one_layout;
     Alcotest.test_case "baseline A" `Quick test_baseline_counts_required_set;
     Alcotest.test_case "sliced pruning" `Quick test_sliced_layout_prunes;
     Alcotest.test_case "monitor forbidden vars" `Quick test_monitor_forbidden_vars;
