@@ -843,12 +843,6 @@ let caching_cmd =
 
 (* ---------------- serve ---------------- *)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  end
-
 let serve_stores dir i =
   match dir with
   | None ->
@@ -857,7 +851,6 @@ let serve_stores dir i =
     { Serve.Shard.journal; intake }
   | Some dir ->
     let shard_dir = Filename.concat dir (Printf.sprintf "shard-%d" i) in
-    mkdir_p shard_dir;
     {
       Serve.Shard.journal =
         Journal.Store.file ~dir:(Filename.concat shard_dir "journal");

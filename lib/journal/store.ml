@@ -122,13 +122,25 @@ let fsync_dir dir =
     (try Unix.fsync fd with Unix.Unix_error _ -> ());
     Unix.close fd
 
+(* A new directory entry is durable only once its directory is
+   fsynced: each new directory's parent, and [dir] for [wal.log]. *)
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    let parent = Filename.dirname dir in
+    mkdir_p parent;
+    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    fsync_dir parent
+  end
+
 let file ~dir =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  mkdir_p dir;
   let wal_path = Filename.concat dir "wal.log" in
   let snap_path = Filename.concat dir "snapshot.bin" in
+  let fresh = not (Sys.file_exists wal_path) in
   let wal_fd =
     ref (Unix.openfile wal_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644)
   in
+  if fresh then fsync_dir dir;
   {
     wal_append = (fun s -> write_all !wal_fd s);
     wal_sync = (fun () -> Unix.fsync !wal_fd);

@@ -100,6 +100,10 @@ end
 
 val file : dir:string -> t
 (** Store the log as [dir/wal.log] and the snapshot as [dir/snapshot.bin]
-    (written to a temp file, fsynced, then renamed over).  Creates [dir]
-    if missing.  Appends are written immediately and fsynced at
-    [wal_sync]. *)
+    (written to a temp file, fsynced, then renamed over, then [dir]
+    fsynced).  Creates [dir] and any missing parents, fsyncing the
+    parent of each directory it creates, and fsyncs [dir] after it
+    creates [wal.log], so every new entry is durable.  A file system
+    that refuses to fsync a directory is tolerated (the barrier is then
+    weaker, never wrong).  Appends are written immediately and fsynced
+    at [wal_sync]. *)

@@ -36,6 +36,43 @@ let is_stamp_tag i = i land stamp_bit <> 0
 
 let base_tag i = i land lnot (version_bit lor stamp_bit)
 
+(* Only a switch whose tables differ can change a projection.  Its
+   entries are grouped by tag, newest first, on both sides: an entry
+   listing a tag twice lands twice on both sides alike, so two groups
+   are equal exactly when the projections are. *)
+let changed_tags old_tables new_tables =
+  if Array.length old_tables <> Array.length new_tables then
+    invalid_arg "Netsim.changed_tags: switch count mismatch";
+  let changed = Hashtbl.create 16 in
+  let scanned = ref 0 in
+  let group table =
+    let by_tag = Hashtbl.create 16 in
+    List.iter
+      (fun e ->
+        incr scanned;
+        List.iter
+          (fun t ->
+            let es = Option.value (Hashtbl.find_opt by_tag t) ~default:[] in
+            Hashtbl.replace by_tag t (e :: es))
+          e.tags)
+      table;
+    by_tag
+  in
+  let mark t = Hashtbl.replace changed t () in
+  Array.iteri
+    (fun k a ->
+      let b = new_tables.(k) in
+      if a != b && a <> b then begin
+        let ga = group a and gb = group b in
+        Hashtbl.iter
+          (fun t es -> if Hashtbl.find_opt gb t <> Some es then mark t)
+          ga;
+        Hashtbl.iter (fun t _ -> if not (Hashtbl.mem ga t) then mark t) gb
+      end)
+    old_tables;
+  let tags = Hashtbl.fold (fun t () acc -> t :: acc) changed [] in
+  (List.sort compare tags, !scanned)
+
 let step_tables tables ~switch ~tag packet =
   let applies e = List.mem tag e.tags && Acl.Rule.matches e.rule packet in
   match List.find_opt applies tables.(switch) with
@@ -65,7 +102,7 @@ let forward_tables tables (path : Routing.Path.t) ~tag packet =
    in the whole table. *)
 type view = (int, Acl.Rule.t list array) Hashtbl.t
 
-let tag_view t =
+let tag_view ?(only = fun _ -> true) t =
   let n = Array.length t.tables in
   let view = Hashtbl.create 16 in
   Array.iteri
@@ -74,15 +111,17 @@ let tag_view t =
         (fun e ->
           List.iter
             (fun tag ->
-              let at =
-                match Hashtbl.find_opt view tag with
-                | Some at -> at
-                | None ->
-                  let at = Array.make n [] in
-                  Hashtbl.add view tag at;
-                  at
-              in
-              at.(k) <- e.rule :: at.(k))
+              if only tag then begin
+                let at =
+                  match Hashtbl.find_opt view tag with
+                  | Some at -> at
+                  | None ->
+                    let at = Array.make n [] in
+                    Hashtbl.add view tag at;
+                    at
+                in
+                at.(k) <- e.rule :: at.(k)
+              end)
             e.tags)
         (List.rev entries))
     t.tables;

@@ -54,6 +54,15 @@ val is_stamp_tag : int -> bool
 val base_tag : int -> int
 (** Strip the version/stamp bits back to the plain ingress id. *)
 
+val changed_tags : entry list array -> entry list array -> int list * int
+(** [changed_tags old new] is the tags, ascending, whose projection
+    differs on some switch: the entries carrying the tag, in match
+    order, duplicates included.  Version and stamp tags are listed like
+    any other.  Only switches whose tables differ (physically, then
+    structurally) are read, and their entries are grouped by tag in one
+    pass; the second component counts the entries grouped, old and new.
+    Raises [Invalid_argument] when the switch counts differ. *)
+
 val step : t -> switch:int -> ingress:int -> Ternary.Packet.t -> Acl.Rule.action
 (** First-match outcome of one switch for a packet tagged [ingress];
     [Permit] when nothing matches. *)
@@ -80,13 +89,15 @@ type view
     rules of the entries carrying that tag, in match order.  A walk
     through it scans only its own tag's entries. *)
 
-val tag_view : t -> view
-(** Built in one pass over every installed entry. *)
+val tag_view : ?only:(int -> bool) -> t -> view
+(** Built in one pass over every installed entry, keeping the tags
+    [only] accepts (default all). *)
 
 val forward_view :
   view -> Routing.Path.t -> tag:int -> Ternary.Packet.t -> outcome
 (** {!forward_tables} on the simulator the view was built from: the same
-    outcome for every tag, packet and path over its switches. *)
+    outcome for every tag the view kept, packet and path over its
+    switches. *)
 
 type hop = {
   hop_switch : int;

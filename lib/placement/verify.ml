@@ -32,11 +32,11 @@ let pp_violation fmt = function
       Ternary.Packet.pp packet ingress egress Acl.Rule.pp_action expected
       Netsim.pp_outcome got
 
-(* Where each placed (ingress, priority) sits, by switch: one pass over
-   the cells instead of a scan of a switch's cells and their tags per
-   lookup. *)
+(* Where each placed (ingress, priority) sits: its switches, ascending
+   and without repeats, from one pass over the cells instead of a scan
+   of a switch's cells and their tags per lookup.  A list, not a
+   per-switch array, so the index costs the placement, not the network. *)
 let placements (sol : Solution.t) =
-  let n = Array.length sol.Solution.per_switch in
   let at = Hashtbl.create (Solution.total_entries sol) in
   Array.iteri
     (fun k cells ->
@@ -44,21 +44,16 @@ let placements (sol : Solution.t) =
         (fun (c : Solution.cell) ->
           List.iter
             (fun key ->
-              let where =
-                match Hashtbl.find_opt at key with
-                | Some where -> where
-                | None ->
-                  let where = Array.make n false in
-                  Hashtbl.add at key where;
-                  where
-              in
-              where.(k) <- true)
+              match Hashtbl.find_opt at key with
+              | Some (k' :: _) when k' = k -> ()
+              | Some where -> Hashtbl.replace at key (k :: where)
+              | None -> Hashtbl.add at key [ k ])
             c.Solution.tags)
         cells)
     sol.Solution.per_switch;
-  let nowhere = Array.make n false in
+  Hashtbl.filter_map_inplace (fun _ where -> Some (List.rev where)) at;
   fun ~ingress ~priority ->
-    Option.value (Hashtbl.find_opt at (ingress, priority)) ~default:nowhere
+    Option.value (Hashtbl.find_opt at (ingress, priority)) ~default:[]
 
 let check_structure ~monitors ~is_dummy ~sliced (sol : Solution.t) =
   let inst = sol.Solution.instance in
@@ -113,7 +108,9 @@ let check_structure ~monitors ~is_dummy ~sliced (sol : Solution.t) =
                 in
                 if
                   applies
-                  && not (Array.exists (Array.get at) p.Routing.Path.switches)
+                  && not
+                       (Array.exists (fun k -> List.mem k at)
+                          p.Routing.Path.switches)
                 then
                   violations :=
                     Coverage
@@ -131,22 +128,16 @@ let check_structure ~monitors ~is_dummy ~sliced (sol : Solution.t) =
                   (u.priority, placed ~ingress:i ~priority:u.priority))
                 (Depgraph.dependencies dep w)
             in
-            Array.iteri
-              (fun k here ->
-                if here then
-                  List.iter
-                    (fun (permit, at) ->
-                      if not at.(k) then
-                        violations :=
-                          Dependency
-                            {
-                              ingress = i;
-                              drop = w.priority;
-                              permit;
-                              switch = k;
-                            }
-                          :: !violations)
-                    deps)
+            List.iter
+              (fun k ->
+                List.iter
+                  (fun (permit, at) ->
+                    if not (List.mem k at) then
+                      violations :=
+                        Dependency
+                          { ingress = i; drop = w.priority; permit; switch = k }
+                        :: !violations)
+                  deps)
               (placed ~ingress:i ~priority:w.priority))
         (Acl.Policy.rules q))
     inst.Instance.policies;
@@ -162,14 +153,15 @@ let structural_plain (sol : Solution.t) =
     ~is_dummy:(fun ~ingress:_ ~priority:_ -> false)
     ~sliced:sol.Solution.sliced sol
 
-let semantic ?(random_samples = 20) ?netsim g (sol : Solution.t) =
+let semantic ?(random_samples = 20) ?(only = fun _ -> true) ?netsim g
+    (sol : Solution.t) =
   let inst = sol.Solution.instance in
   let netsim =
     match netsim with
     | Some netsim -> netsim
     | None -> (Tables.to_netsim sol).Tables.netsim
   in
-  let view = Netsim.tag_view netsim in
+  let view = Netsim.tag_view ~only netsim in
   let violations = ref [] in
   let probe (p : Routing.Path.t) q packet =
     let expected = Acl.Policy.evaluate q packet in
@@ -229,7 +221,7 @@ let semantic ?(random_samples = 20) ?netsim g (sol : Solution.t) =
             probe p q packet
           done)
         (Routing.Table.paths_from inst.Instance.routing i))
-    inst.Instance.policies;
+    (List.filter (fun (i, _) -> only i) inst.Instance.policies);
   List.rev !violations
 
 let check ?random_samples g layout sol =

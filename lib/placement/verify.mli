@@ -42,14 +42,18 @@ val structural_plain : Solution.t -> violation list
 
 val semantic :
   ?random_samples:int ->
+  ?only:(int -> bool) ->
   ?netsim:Netsim.t ->
   Prng.t ->
   Solution.t ->
   violation list
 (** [random_samples] extra uniform packets per path (default 20) on top
-    of the per-rule and per-overlap probes.  [netsim] is the solution's
-    {!Tables.to_netsim} build when the caller already has it; it is
-    built here otherwise. *)
+    of the per-rule and per-overlap probes.  [only] picks the ingresses
+    whose policies are probed (default all); no packet is drawn for the
+    others, so without [only] the packets and their order are those of
+    {!check}.
+    [netsim] is the solution's {!Tables.to_netsim} build when the caller
+    already has it; it is built here otherwise. *)
 
 val check : ?random_samples:int -> Prng.t -> Layout.t -> Solution.t -> violation list
 (** Structural then semantic. *)

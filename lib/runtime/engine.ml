@@ -22,6 +22,10 @@ let verify_samples = 10
 (* Seed of the verification and re-routing draws. *)
 let verify_seed = 0x5EED
 
+(* Every this many verifies, the semantic and live checks walk every
+   ingress whatever the memo holds. *)
+let full_verify_every = 16
+
 let m_rung name =
   Telemetry.Metrics.counter ~help:"events by degradation-ladder rung reached"
     ~labels:[ ("rung", name) ]
@@ -72,6 +76,16 @@ let m_verify_fence = m_verify_failed "fence"
 
 let m_verify_exception = m_verify_failed "exception"
 
+let m_verify_skipped check =
+  Telemetry.Metrics.counter
+    ~help:"ingresses whose post-event verdict was reused, by check"
+    ~labels:[ ("check", check) ]
+    "sdnplace_runtime_verify_skipped_total"
+
+let m_skipped_semantic = m_verify_skipped "semantic"
+
+let m_skipped_live = m_verify_skipped "live"
+
 (* A fenced ingress: the paths and probe packets remembered at quarantine
    time, so fail-closed verification keeps working after the policy is
    stripped from the good solution. *)
@@ -79,6 +93,24 @@ type fenced = {
   q_ingress : int;
   q_paths : Routing.Path.t list;
   q_probes : Ternary.Packet.t list;
+}
+
+(* What the last verify checked an ingress against, and its verdicts. *)
+type seen = {
+  s_policy : Acl.Policy.t;
+  s_paths : Routing.Path.t list;
+  s_fenced : bool;
+  s_semantic : bool;
+  s_live : bool;
+}
+
+(* The last verify's inputs: the declared tables, a snapshot of the live
+   ones, and each policy ingress's verdicts.  In memory only. *)
+type memo = {
+  m_sliced : bool;
+  m_declared : Netsim.entry list array;
+  m_live : Netsim.entry list array;
+  m_seen : (int, seen) Hashtbl.t;
 }
 
 type t = {
@@ -91,6 +123,8 @@ type t = {
   mutable dead_links : (int * int) list;
   route_prng : Prng.t;
   verify_prng : Prng.t;
+  mutable memo : memo option;
+  mutable verifies : int;  (** since the engine was built *)
 }
 
 let inst t = t.good.Solution.instance
@@ -120,6 +154,8 @@ let create ?(config = default_config) ?(fault = Fault_plan.faultless ()) good =
     dead_links = [];
     route_prng = Prng.create ((verify_seed * 2) + 1);
     verify_prng = Prng.create verify_seed;
+    memo = None;
+    verifies = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -164,10 +200,13 @@ let restore ?(config = default_config) p =
     dead_links = p.p_dead_links;
     route_prng = p.p_route_prng;
     verify_prng = p.p_verify_prng;
+    memo = None;
+    verifies = 0;
   }
 
 let good t = t.good
 let netsim t = Netsim.make (net t) (Switch_api.snapshot t.api)
+let switch_api t = t.api
 let table_snapshot t = Switch_api.snapshot t.api
 let resync t tables = Transaction.restore ~api:t.api tables
 
@@ -540,15 +579,28 @@ let target_tables t sol quarantine =
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
 
+module IS = Set.Make (Int)
+
 (* Every check runs, so each one that fails is counted under its own
    label; an exception anywhere fails the event as "exception".
-   [netsim], when given, is the good solution's table build. *)
+   [netsim], when given, is the good solution's table build.
+
+   The semantic and live checks re-walk only the policy ingresses whose
+   inputs changed since the last verify: policy, routed paths,
+   quarantine state, or its tag's projection in the declared tables
+   (semantic) or the live ones (live).  Every other ingress keeps its
+   stored verdict, [false] included.  The first verify of an engine,
+   and every [full_verify_every]-th, walks them all. *)
 let verify ?netsim t =
   Telemetry.Trace.with_span "runtime.verify" @@ fun () ->
   let holds failed ok =
     if not ok then Telemetry.Metrics.incr failed;
     ok
   in
+  let memo = t.memo in
+  t.memo <- None;
+  let full = t.verifies mod full_verify_every = 0 in
+  t.verifies <- t.verifies + 1;
   try
     let sol = t.good in
     let inst = sol.Solution.instance in
@@ -557,43 +609,126 @@ let verify ?netsim t =
     let structural_ok =
       holds m_verify_structural (Verify.structural_plain sol = [])
     in
-    let semantic_ok =
-      holds m_verify_semantic
-        (Verify.semantic ~random_samples:verify_samples ?netsim g sol
-        = [])
+    let netsim =
+      match netsim with
+      | Some ns -> ns
+      | None -> (Tables.to_netsim sol).Tables.netsim
+    in
+    let declared =
+      Array.init (Topo.Net.num_switches inst.Instance.net) (Netsim.table netsim)
+    in
+    let live_tables = Switch_api.snapshot t.api in
+    (* What the last verify stored of an ingress whose policy, paths and
+       quarantine state are unchanged, and the tags whose projection
+       moved since then in the declared and in the live tables. *)
+    let prior, declared_moved, live_moved =
+      match memo with
+      | Some m when (not full) && m.m_sliced = sol.Solution.sliced ->
+        let moved old now = IS.of_list (Update.changed_tags old now) in
+        ( (fun i q paths ->
+            match Hashtbl.find_opt m.m_seen i with
+            | Some s
+              when s.s_policy = q && s.s_paths = paths
+                   && s.s_fenced = in_quarantine t i ->
+              Some s
+            | _ -> None),
+          moved m.m_declared declared,
+          moved m.m_live live_tables )
+      | _ -> ((fun _ _ _ -> None), IS.empty, IS.empty)
+    in
+    let policies =
+      List.map
+        (fun (i, q) ->
+          let paths = Routing.Table.paths_from inst.Instance.routing i in
+          let prior = prior i q paths in
+          let kept moved verdict =
+            match prior with
+            | Some s when not (IS.mem i moved) -> Some (verdict s)
+            | _ -> None
+          in
+          ( i,
+            q,
+            paths,
+            kept declared_moved (fun s -> s.s_semantic),
+            kept live_moved (fun s -> s.s_live) ))
+        inst.Instance.policies
+    in
+    let rechecked =
+      IS.of_list
+        (List.filter_map
+           (fun (i, _, _, s, _) -> if s = None then Some i else None)
+           policies)
+    in
+    let failed_semantic =
+      IS.of_list
+        (List.filter_map
+           (function Verify.Semantic { ingress; _ } -> Some ingress | _ -> None)
+           (Verify.semantic ~random_samples:verify_samples
+              ~only:(fun i -> IS.mem i rechecked)
+              ~netsim g sol))
     in
     (* The live data plane: walk witness packets of every policy along
        every path of its ingress and compare with the big-switch verdict,
-       evaluated once per witness. *)
+       evaluated once per witness.  Only the tags walked below, the
+       re-checked and the fenced ingresses, are viewed. *)
+    let walked =
+      IS.of_list
+        (List.filter_map
+           (fun (i, _, _, _, l) -> if l = None then Some i else None)
+           policies
+        @ List.map (fun qr -> qr.q_ingress) t.quarantine)
+    in
     let live =
-      Netsim.tag_view (Netsim.make inst.Instance.net (Switch_api.tables t.api))
+      Netsim.tag_view
+        ~only:(fun tag -> IS.mem tag walked)
+        (Netsim.make inst.Instance.net live_tables)
     in
     let walk (p : Routing.Path.t) pkt =
       Netsim.forward_view live p ~tag:p.Routing.Path.ingress pkt
     in
-    let live_ok =
-      holds m_verify_live
-        (List.for_all
-           (fun (i, q) ->
-             let probes =
-               List.map
-                 (fun pkt -> (pkt, Acl.Policy.evaluate q pkt))
-                 (witnesses 16 q)
-             in
-             List.for_all
-               (fun (p : Routing.Path.t) ->
-                 List.for_all
-                   (fun (pkt, verdict) ->
-                     (not (Ternary.Field.matches p.Routing.Path.flow pkt))
-                     ||
-                     match (verdict, walk p pkt) with
-                     | Acl.Rule.Permit, Netsim.Delivered -> true
-                     | Acl.Rule.Drop, Netsim.Dropped _ -> true
-                     | _ -> false)
-                   probes)
-               (Routing.Table.paths_from inst.Instance.routing i))
-           inst.Instance.policies)
+    let live_check q paths =
+      let probes =
+        List.map (fun pkt -> (pkt, Acl.Policy.evaluate q pkt)) (witnesses 16 q)
+      in
+      List.for_all
+        (fun (p : Routing.Path.t) ->
+          List.for_all
+            (fun (pkt, verdict) ->
+              (not (Ternary.Field.matches p.Routing.Path.flow pkt))
+              ||
+              match (verdict, walk p pkt) with
+              | Acl.Rule.Permit, Netsim.Delivered -> true
+              | Acl.Rule.Drop, Netsim.Dropped _ -> true
+              | _ -> false)
+            probes)
+        paths
     in
+    (* A kept verdict counts as skipped; a missing one is checked now. *)
+    let verdict skipped check = function
+      | Some ok ->
+        Telemetry.Metrics.incr skipped;
+        ok
+      | None -> check ()
+    in
+    let seen = Hashtbl.create 16 in
+    List.iter
+      (fun (i, q, paths, kept_semantic, kept_live) ->
+        Hashtbl.replace seen i
+          {
+            s_policy = q;
+            s_paths = paths;
+            s_fenced = in_quarantine t i;
+            s_semantic =
+              verdict m_skipped_semantic
+                (fun () -> not (IS.mem i failed_semantic))
+                kept_semantic;
+            s_live =
+              verdict m_skipped_live (fun () -> live_check q paths) kept_live;
+          })
+      policies;
+    let all pick = Hashtbl.fold (fun _ s ok -> ok && pick s) seen true in
+    let semantic_ok = holds m_verify_semantic (all (fun s -> s.s_semantic)) in
+    let live_ok = holds m_verify_live (all (fun s -> s.s_live)) in
     (* Fail closed: everything a quarantined ingress sends must die. *)
     let fence_ok =
       holds m_verify_fence
@@ -610,6 +745,14 @@ let verify ?netsim t =
                qr.q_paths)
            t.quarantine)
     in
+    t.memo <-
+      Some
+        {
+          m_sliced = sol.Solution.sliced;
+          m_declared = declared;
+          m_live = live_tables;
+          m_seen = seen;
+        };
     structural_ok && semantic_ok && live_ok && fence_ok
   with _ -> holds m_verify_exception false
 

@@ -24,11 +24,18 @@
     {!Transaction} (reported as {!Report.Committed_fallback}) when the
     wave update cannot be planned or aborts; an
     unrecoverable legacy transaction rolls the tables back to the
-    pre-event state and drops to the quarantine rung.  After {e every} event the active placement is
-    re-verified ({!Placement.Verify} structural + semantic, a packet
-    walk of the {e live} tables against every policy, and a fail-closed
-    check that quarantined ingresses' packets are dropped); the result
-    lands in the event's {!Report}.
+    pre-event state and drops to the quarantine rung.  After {e every}
+    event the active placement is re-verified ({!Placement.Verify}
+    structural + semantic, a packet walk of the {e live} tables against
+    every policy, and a fail-closed check that quarantined ingresses'
+    packets are dropped); the result lands in the event's {!Report}.
+    The structural and fail-closed checks run in full.  The semantic
+    and live walks are redone only for the ingresses whose policy,
+    paths, quarantine state, or tag projection in the declared or live
+    tables changed since the last verify ({!Netsim.changed_tags} against
+    an in-memory copy of both); the others keep their stored verdicts,
+    [false] included.  The first verify after {!create} or {!restore},
+    and every 16th, walks every ingress.
 
     Determinism: all randomness (fault draws, backoff jitter, re-routing
     path choice, verification probes) flows from seeds fixed at
@@ -62,7 +69,8 @@ type persisted
     {e every} PRNG stream (fault draws, re-routing, verification) — so a
     restored engine replays future events byte-for-byte like the
     original.  Plain data, safe to [Marshal] (the clock and config are
-    deliberately excluded; they are re-supplied at {!restore}). *)
+    deliberately excluded; they are re-supplied at {!restore}; so is
+    the verify memo, which only saves work). *)
 
 val capture : t -> persisted
 (** A cheap structural view sharing the engine's mutable state —
@@ -86,6 +94,11 @@ val good : t -> Placement.Solution.t
 
 val netsim : t -> Netsim.t
 (** The live data plane as a simulator (snapshot). *)
+
+val switch_api : t -> Switch_api.t
+(** The live data plane's write path.  A write through it, or into its
+    {!Switch_api.tables} array, between events is drift the next verify
+    must see. *)
 
 val live_entries : t -> int
 (** Total entries currently installed. *)

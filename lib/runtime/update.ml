@@ -78,6 +78,16 @@ let remove_first entry table =
 
 module IS = Set.Make (Int)
 
+let m_entries_scanned =
+  Telemetry.Metrics.counter
+    ~help:"table entries the changed-tag diffs grouped by tag"
+    "sdnplace_runtime_entries_scanned_total"
+
+let changed_tags old_tables new_tables =
+  let tags, scanned = Netsim.changed_tags old_tables new_tables in
+  Telemetry.Metrics.add m_entries_scanned scanned;
+  tags
+
 let build ~attach ~corpus ~old_tables ~target =
   let n = Array.length old_tables in
   if Array.length target <> n then
@@ -86,38 +96,16 @@ let build ~attach ~corpus ~old_tables ~target =
      pre-update view even while execution mutates the data plane. *)
   let old_tables = Array.copy old_tables in
   let target = Array.copy target in
-  let proj i table =
-    List.filter (fun (e : Netsim.entry) -> List.mem i e.Netsim.tags) table
-  in
-  let tags_of tables =
-    Array.fold_left
-      (fun acc tbl ->
-        List.fold_left
-          (fun acc (e : Netsim.entry) ->
-            List.fold_left (fun acc t -> IS.add t acc) acc e.Netsim.tags)
-          acc tbl)
-      IS.empty tables
-  in
-  let universe =
-    IS.filter
-      (fun i -> not (Netsim.is_version_tag i || Netsim.is_stamp_tag i))
-      (IS.union (tags_of old_tables) (tags_of target))
-  in
   (* Affected ingresses: any whose per-switch projection changes, plus
      any whose routed paths change.  Everything in the add/delete
      multisets carries only affected tags — a count change in any
      entry's tag is a projection change for that tag — so unaffected
      ingresses' match sequences are untouched by every wave below. *)
   let affected_tables =
-    IS.filter
-      (fun i ->
-        let differs = ref false in
-        for k = 0 to n - 1 do
-          if (not !differs) && proj i old_tables.(k) <> proj i target.(k) then
-            differs := true
-        done;
-        !differs)
-      universe
+    IS.of_list
+      (List.filter
+         (fun i -> not (Netsim.is_version_tag i || Netsim.is_stamp_tag i))
+         (changed_tags old_tables target))
   in
   let affected_set =
     List.fold_left

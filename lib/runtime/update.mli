@@ -68,7 +68,9 @@ type plan = {
   flip_wave : int;  (** index of the flip wave, [-1] when nothing flips *)
   unflip_wave : int;
   affected : int list;
-      (** ingresses whose projection or paths change, sorted *)
+      (** ingresses whose projection or paths change, sorted: the plain
+          tags {!changed_tags} finds between [old_tables] and [target],
+          plus the ingresses whose corpus paths differ *)
   corpus : ingress_paths list;
   old_tables : Netsim.entry list array;  (** detached pre-update snapshot *)
   target : Netsim.entry list array;
@@ -101,13 +103,21 @@ type result = {
   violations : int;  (** probe walks that saw mixed policy (0 on a sound plan) *)
 }
 
+val changed_tags :
+  Netsim.entry list array -> Netsim.entry list array -> int list
+(** {!Netsim.changed_tags}, adding the entries it grouped to
+    [sdnplace_runtime_entries_scanned_total]: the one diff {!build} and
+    the engine's verify memo share. *)
+
 val build :
   attach:(int -> int) ->
   corpus:ingress_paths list ->
   old_tables:Netsim.entry list array ->
   target:Netsim.entry list array ->
   plan
-(** Plan the wave schedule moving [old_tables] to [target].  [attach]
+(** Plan the wave schedule moving [old_tables] to [target].  The
+    affected set comes from one {!changed_tags} diff, so only the
+    switches whose tables differ are read to find it.  [attach]
     gives an ingress's attachment switch, used to place its flip stamp
     when it has no new path.  Deterministic: equal inputs yield equal
     plans.  The whole schedule is simulated at plan time; raises

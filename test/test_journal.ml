@@ -229,6 +229,28 @@ let test_file_store_roundtrip () =
       Alcotest.(check string) "reset truncates the file" ""
         (store2.Store.wal_read ()))
 
+(* A store whose directory and its parent do not exist yet creates
+   both (fsyncing each new entry's directory) and reads back. *)
+let test_file_store_fresh_dirs () =
+  let top = temp_dir () in
+  let dir = Filename.concat (Filename.concat top "shard-0") "journal" in
+  Fun.protect
+    ~finally:(fun () ->
+      rm_rf dir;
+      rm_rf (Filename.dirname dir);
+      rm_rf top)
+    (fun () ->
+      let records = sample_records () in
+      let store = Store.file ~dir in
+      List.iter (fun r -> store.Store.wal_append (Wal.encode r)) records;
+      store.Store.wal_sync ();
+      let reopened = Store.file ~dir in
+      let scanned, _ = Wal.scan (reopened.Store.wal_read ()) in
+      Alcotest.(check bool) "log reads back after reopen" true
+        (scanned = records);
+      Alcotest.(check bool) "no snapshot yet" true
+        (reopened.Store.snap_read () = None))
+
 (* ------------------------------------------------------------------ *)
 (* Journaled engine                                                    *)
 
@@ -682,6 +704,8 @@ let suite =
       test_memory_store_crash_semantics;
     Alcotest.test_case "file store survives reopen" `Quick
       test_file_store_roundtrip;
+    Alcotest.test_case "file store creates a fresh two-level directory"
+      `Quick test_file_store_fresh_dirs;
     Alcotest.test_case "journaled engine writes the WAL protocol" `Quick
       test_journaled_record_stream;
     Alcotest.test_case "recovery refuses missing/corrupt snapshots" `Quick

@@ -112,7 +112,10 @@ let prop_tag_view_forwards_alike =
       let switches = 1 + Prng.int g 5 in
       let tables = random_tables g ~switches in
       let net = Topo.Builder.linear ~switches ~hosts_per_end:1 in
-      let view = Netsim.tag_view (Netsim.make net tables) in
+      (* Half the runs view every tag, the others about three in four. *)
+      let all = Prng.bool g and skip = Prng.int g 4 in
+      let only tag = all || tag land 3 <> skip in
+      let view = Netsim.tag_view ~only (Netsim.make net tables) in
       let path =
         Routing.Path.make ~ingress:0 ~egress:1
           ~switches:
@@ -127,7 +130,8 @@ let prop_tag_view_forwards_alike =
       in
       List.for_all
         (fun tag ->
-          List.for_all
+          (not (only tag))
+          || List.for_all
             (fun _ ->
               let packet =
                 Ternary.Field.random_packet g (Prng.choose g view_fields)
@@ -137,6 +141,84 @@ let prop_tag_view_forwards_alike =
             (List.init 8 Fun.id))
         tags)
 
+(* The reference diff: for every tag either side carries, filter each
+   switch's tables down to the tag's entries and compare. *)
+let reference_changed_tags old_tables new_tables =
+  let module IS = Set.Make (Int) in
+  let tags_of tables =
+    Array.fold_left
+      (fun acc tbl ->
+        List.fold_left
+          (fun acc (e : Netsim.entry) ->
+            IS.union acc (IS.of_list e.Netsim.tags))
+          acc tbl)
+      IS.empty tables
+  in
+  let proj i table =
+    List.filter (fun (e : Netsim.entry) -> List.mem i e.Netsim.tags) table
+  in
+  IS.elements
+    (IS.filter
+       (fun i ->
+         let differs = ref false in
+         Array.iteri
+           (fun k a ->
+             if proj i a <> proj i new_tables.(k) then differs := true)
+           old_tables;
+         !differs)
+       (IS.union (tags_of old_tables) (tags_of new_tables)))
+
+(* A table after a few random edits: kept as the same list (a dead
+   switch's row), copied cell by cell, two entries swapped, an entry
+   duplicated, dropped or retagged, or a fresh table. *)
+let edit_table g table =
+  let copy =
+    List.map (fun (e : Netsim.entry) -> { e with Netsim.tags = e.tags })
+  in
+  let a = Array.of_list table in
+  let n = Array.length a in
+  match Prng.int g 7 with
+  | 0 -> table
+  | 1 -> copy table
+  | 2 when n >= 2 ->
+    let i = Prng.int g n and j = Prng.int g n in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t;
+    Array.to_list a
+  | 3 when n >= 1 ->
+    let i = Prng.int g n in
+    List.concat (List.mapi (fun j e -> if j = i then [ e; e ] else [ e ]) table)
+  | 4 when n >= 1 ->
+    let i = Prng.int g n in
+    List.filteri (fun j _ -> j <> i) table
+  | 5 when n >= 1 ->
+    let i = Prng.int g n in
+    List.mapi
+      (fun j (e : Netsim.entry) ->
+        if j = i then { e with Netsim.tags = List.rev (Prng.int g 4 :: e.tags) }
+        else e)
+      table
+  | _ -> (random_tables g ~switches:1).(0)
+
+let prop_changed_tags_matches_reference =
+  QCheck.Test.make ~name:"changed tags match the per-tag filter" ~count:500
+    QCheck.int (fun seed ->
+      let g = Prng.create seed in
+      let switches = 1 + Prng.int g 6 in
+      let old_tables = random_tables g ~switches in
+      let new_tables = Array.map (edit_table g) old_tables in
+      let tags, scanned = Netsim.changed_tags old_tables new_tables in
+      let read =
+        Array.fold_left ( + ) 0
+          (Array.mapi
+             (fun k a ->
+               let b = new_tables.(k) in
+               if a = b then 0 else List.length a + List.length b)
+             old_tables)
+      in
+      tags = reference_changed_tags old_tables new_tables && scanned = read)
+
 let suite =
   [
     Alcotest.test_case "first match order" `Quick test_first_match_order;
@@ -144,4 +226,5 @@ let suite =
     Alcotest.test_case "forward along path" `Quick test_forward_along_path;
     Alcotest.test_case "entry counts" `Quick test_entry_counts;
     QCheck_alcotest.to_alcotest prop_tag_view_forwards_alike;
+    QCheck_alcotest.to_alcotest prop_changed_tags_matches_reference;
   ]

@@ -499,6 +499,219 @@ let test_runtime_verify_catches_corruption () =
       t)
     ~failed:(Some "fence")
 
+(* ------------------------------------------------------------------ *)
+(* The verify memo: a reused verdict is the one a full check gives      *)
+
+let skipped check =
+  Telemetry.Metrics.counter_value
+    (Telemetry.Metrics.counter ~labels:[ ("check", check) ]
+       "sdnplace_runtime_verify_skipped_total")
+
+let entries_scanned () =
+  Telemetry.Metrics.counter_value
+    (Telemetry.Metrics.counter "sdnplace_runtime_entries_scanned_total")
+
+(* Tenants on hosts 0 and 2, both entering at switch 0. *)
+let two_tenants () =
+  let eng = empty_engine ~config:(test_config ()) (diamond ()) in
+  check_report ~applied:Report.Committed "install 0"
+    (Engine.handle eng (install_event ()));
+  check_report ~applied:Report.Committed "install 2"
+    (Engine.handle eng
+       (Event.Install
+          {
+            ingress = 2;
+            policy = tenant_policy ();
+            paths = [ path ~ingress:2 ~egress:3 [ 0; 2; 3 ] ];
+          }));
+  eng
+
+(* The switch holding tenant 0's drop. *)
+let drop_switch eng =
+  let tables = Engine.table_snapshot eng in
+  let rec find k =
+    if k >= Array.length tables then Alcotest.fail "tenant 0 has no drop"
+    else if List.exists (is_tenant Acl.Rule.Drop) tables.(k) then k
+    else find (k + 1)
+  in
+  find 0
+
+let test_memo_sees_live_drift () =
+  with_metrics @@ fun () ->
+  let drifts =
+    [
+      ( "a switch api delete",
+        fun eng k ->
+          let api = Engine.switch_api eng in
+          List.iter
+            (fun e ->
+              if is_tenant Acl.Rule.Drop e then
+                Alcotest.(check bool) "delete succeeds" true
+                  (Switch_api.delete api ~switch:k e))
+            (Switch_api.tables api).(k) );
+      ( "an in-place slot write",
+        fun eng k ->
+          let live = Switch_api.tables (Engine.switch_api eng) in
+          live.(k) <-
+            List.filter (fun e -> not (is_tenant Acl.Rule.Drop e)) live.(k) );
+    ]
+  in
+  List.iter
+    (fun (how, drift) ->
+      let reused0 = skipped "live" in
+      let eng = two_tenants () in
+      let tables = Engine.table_snapshot eng in
+      (* The last event touched tenant 2 only: tenant 0's verdict was
+         reused, and its tables now drift. *)
+      Alcotest.(check int) (how ^ ": tenant 0 reused") 1
+        (skipped "live" - reused0);
+      drift eng (drop_switch eng);
+      let live0 = verify_failures "live" in
+      check_report ~rung:Report.Noop ~verified:false (how ^ ": next verify")
+        (Engine.handle eng noop_event);
+      check_report ~rung:Report.Noop ~verified:false
+        (how ^ ": the no-op after it")
+        (Engine.handle eng noop_event);
+      Alcotest.(check int) (how ^ ": live failures counted") 2
+        (verify_failures "live" - live0);
+      Engine.resync eng tables;
+      check_report ~rung:Report.Noop (how ^ ": repaired")
+        (Engine.handle eng noop_event))
+    drifts
+
+(* A fresh engine restored from the same state has an empty memo, so
+   its verify is a full check. *)
+let full_check_twin eng =
+  Engine.restore ~config:(test_config ())
+    (Marshal.from_string (Marshal.to_string (Engine.capture eng) []) 0)
+
+let test_memo_keeps_failed_verdict () =
+  let eng = two_tenants () in
+  let k = drop_switch eng in
+  let tables = Engine.table_snapshot eng in
+  Engine.resync eng
+    (Array.mapi
+       (fun j t ->
+         if j = k then List.filter (fun e -> not (is_tenant Acl.Rule.Drop e)) t
+         else t)
+       tables);
+  check_report ~verified:false "corrupted" (Engine.handle eng noop_event);
+  let twin = full_check_twin eng in
+  let r = Engine.handle eng noop_event and r' = Engine.handle twin noop_event in
+  check_report ~verified:false "no-op after a failed verify" r;
+  Alcotest.(check string) "memo verdict = full check verdict"
+    (Report.signature r') (Report.signature r);
+  Engine.resync eng tables;
+  Engine.resync twin tables;
+  let r = Engine.handle eng noop_event and r' = Engine.handle twin noop_event in
+  check_report "repaired" r;
+  Alcotest.(check string) "repaired: memo verdict = full check verdict"
+    (Report.signature r') (Report.signature r)
+
+(* A k=4 base of eight tenants under faults, driven by churn. *)
+let churn_base () =
+  let inst =
+    Workload.build
+      { Workload.default with Workload.rules = 6; paths = 24; capacity = 40 }
+  in
+  let options = Test_placement.solve_opts () in
+  match (Solve.run ~options inst).Solve.solution with
+  | Some sol ->
+    let fault = Fault_plan.make ~fail_rate:0.1 ~timeout_rate:0.05 ~seed:11 () in
+    ( Engine.create ~config:(test_config ()) ~fault sol,
+      Churn.make ~rules:4 ~seed:23 () )
+  | None -> Alcotest.fail "churn base did not solve"
+
+let test_restore_mid_stream () =
+  let sigs reports = List.map Report.signature reports in
+  let eng, churn = churn_base () in
+  let straight = sigs (Churn.drive churn eng 30) in
+  let eng, churn = churn_base () in
+  let first = sigs (Churn.drive churn eng 12) in
+  let eng = full_check_twin eng in
+  let churn = Churn.restore (Churn.capture churn) in
+  let rest = sigs (Churn.drive churn eng 18) in
+  Alcotest.(check (list string)) "restored mid-stream = uninterrupted" straight
+    (first @ rest)
+
+(* At k=16 (320 switches) a no-op event reads no table entry and walks
+   no probe; a one-tenant install reads only the switches it changed and
+   walks only the new tenant's probes. *)
+let test_k16_event_costs_the_change () =
+  with_metrics @@ fun () ->
+  let inst =
+    Workload.build
+      {
+        Workload.default with
+        Workload.k = 16;
+        num_policies = 48;
+        rules = 10;
+        paths = 64;
+        capacity = 60;
+      }
+  in
+  let options = Test_placement.solve_opts () in
+  let sol =
+    match (Solve.run ~options inst).Solve.solution with
+    | Some sol -> sol
+    | None -> Alcotest.fail "k=16 base did not solve"
+  in
+  let eng = Engine.create ~config:(test_config ()) sol in
+  let net = inst.Instance.net in
+  let policies = List.length inst.Instance.policies in
+  let idle =
+    match Churn.free_hosts net ~dead:[] ~taken:(Instance.ingresses inst) with
+    | h :: _ -> h
+    | [] -> Alcotest.fail "no free host"
+  in
+  let noop = Event.Remove { ingresses = [ idle ] } in
+  check_report ~rung:Report.Noop "warm-up" (Engine.handle eng noop);
+  let cost f =
+    let s0 = entries_scanned ()
+    and sem0 = skipped "semantic"
+    and live0 = skipped "live" in
+    let r = f () in
+    ( r,
+      entries_scanned () - s0,
+      skipped "semantic" - sem0,
+      skipped "live" - live0 )
+  in
+  let r, scanned, sem, live = cost (fun () -> Engine.handle eng noop) in
+  check_report ~rung:Report.Noop "no-op" r;
+  Alcotest.(check int) "no-op: entries scanned" 0 scanned;
+  Alcotest.(check (pair int int)) "no-op: every verdict reused"
+    (policies, policies) (sem, live);
+  let g = Prng.create 5 in
+  let paths = Churn.fresh_paths g net ~dead:[] idle in
+  let policy = Churn.fresh_policy g net ~dead:[] idle paths ~rules:4 in
+  let before = Engine.table_snapshot eng in
+  let r, scanned, sem, live =
+    cost (fun () ->
+        Engine.handle eng (Event.Install { ingress = idle; policy; paths }))
+  in
+  check_report ~applied:Report.Committed "one-tenant install" r;
+  let after = Engine.table_snapshot eng in
+  let changed = ref 0 and total = ref 0 in
+  Array.iteri
+    (fun k a ->
+      let b = after.(k) in
+      total := !total + List.length b;
+      if a <> b then changed := !changed + List.length a + List.length b)
+    before;
+  (* One diff in Update.build, two in verify (declared and live), each
+     reading only the switches whose tables differ. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "install: %d entries scanned <= 3 x %d" scanned !changed)
+    true
+    (scanned > 0 && scanned <= 3 * !changed);
+  Alcotest.(check bool)
+    (Printf.sprintf "install: the change (%d) is a sliver of the tables (%d)"
+       !changed !total)
+    true
+    (10 * !changed < !total);
+  Alcotest.(check (pair int int)) "install: only the new tenant is walked"
+    (policies, policies) (sem, live)
+
 let suite =
   [
     Alcotest.test_case "install then remove round-trips" `Quick
@@ -537,6 +750,14 @@ let suite =
       test_consistent_falls_back_to_legacy;
     Alcotest.test_case "runtime verify fails on corrupted tables" `Quick
       test_runtime_verify_catches_corruption;
+    Alcotest.test_case "verify memo sees live drift on an unaffected tenant"
+      `Quick test_memo_sees_live_drift;
+    Alcotest.test_case "a no-op after a failed verify gives the full verdict"
+      `Quick test_memo_keeps_failed_verdict;
+    Alcotest.test_case "restore mid-stream replays the same signatures" `Quick
+      test_restore_mid_stream;
+    Alcotest.test_case "a k=16 event costs the change" `Quick
+      test_k16_event_costs_the_change;
     Alcotest.test_case "chaos run verifies after every event" `Slow
       test_chaos_verified;
     Alcotest.test_case "chaos run replays from its seed" `Slow

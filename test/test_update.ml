@@ -328,10 +328,42 @@ let test_backoff_split_accounting () =
     (Metrics.snapshot (Metrics.histogram "sdnplace_update_wave_seconds"))
       .Metrics.count
 
+(* ------------------------------------------------------------------ *)
+(* The affected set is the per-tag filter's.                           *)
+
+(* Every plain tag whose projection the per-tag filter finds changed,
+   plus every ingress whose routed paths changed. *)
+let reference_affected (plan : Update.plan) =
+  List.sort_uniq compare
+    (List.filter
+       (fun i -> not (Netsim.is_version_tag i || Netsim.is_stamp_tag i))
+       (Test_netsim.reference_changed_tags plan.Update.old_tables
+          plan.Update.target)
+    @ List.filter_map
+        (fun ip ->
+          if ip.Update.old_paths <> ip.Update.new_paths then
+            Some ip.Update.ingress
+          else None)
+        plan.Update.corpus)
+
+let test_affected_matches_reference () =
+  let check name plan =
+    Alcotest.(check (list int))
+      name (reference_affected plan) plan.Update.affected
+  in
+  check "small corpus" (build_small ());
+  check "barrier corpus" (build_barrier ());
+  for seed = 0 to 299 do
+    let plan, _, _ = Test_transaction_props.random_update (Prng.create seed) in
+    check (Printf.sprintf "random update %d" seed) plan
+  done
+
 let suite =
   [
     Alcotest.test_case "plan has the protocol's wave structure" `Quick
       test_plan_structure;
+    Alcotest.test_case "the affected set is the per-tag filter's" `Quick
+      test_affected_matches_reference;
     Alcotest.test_case "clean execution lands exactly on the target" `Quick
       test_clean_execute;
     Alcotest.test_case "a failed op rolls the wave back and retries" `Quick
