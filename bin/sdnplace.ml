@@ -302,11 +302,10 @@ let print_solution (sol : Placement.Solution.t) =
   Format.printf "%a@." Placement.Solution.pp_summary sol;
   Format.printf "physical TCAM estimate: %d slots (range + tag expansion)@."
     (Placement.Solution.tcam_slots sol);
-  let { Placement.Tables.netsim; splits } = Placement.Tables.to_netsim sol in
+  let { Placement.Tables.tables; splits } = Placement.Tables.of_solution sol in
   if splits > 0 then Format.printf "(%d merged entries split for ordering)@." splits;
   Array.iteri
-    (fun k _ ->
-      let table = Netsim.table netsim k in
+    (fun k table ->
       if table <> [] then begin
         Format.printf "switch %d (%d entries):@." k (List.length table);
         List.iter
@@ -317,7 +316,7 @@ let print_solution (sol : Placement.Solution.t) =
               e.Netsim.rule.Acl.Rule.field)
           table
       end)
-    sol.Placement.Solution.per_switch
+    tables
 
 let solve_run metrics trace file options show_tables =
   with_telemetry metrics trace @@ fun () ->

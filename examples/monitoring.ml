@@ -77,8 +77,8 @@ let () =
   in
   let path = List.hd (Routing.Table.paths_from routing 0) in
   let outcome_of sol =
-    let { Placement.Tables.netsim; _ } = Placement.Tables.to_netsim sol in
-    Netsim.forward netsim path packet
+    let { Placement.Tables.tables; _ } = Placement.Tables.of_solution sol in
+    Netsim.forward tables path ~tag:path.Routing.Path.ingress packet
   in
   Format.printf "@.suspicious packet %a:@." Ternary.Packet.pp packet;
   Format.printf "  unconstrained placement: %a@." Netsim.pp_outcome

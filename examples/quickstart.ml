@@ -55,10 +55,9 @@ let () =
     | None -> failwith "expected a placement"
   in
   (* Print the per-switch tables the controller would install. *)
-  let { Placement.Tables.netsim; _ } = Placement.Tables.to_netsim sol in
+  let { Placement.Tables.tables; _ } = Placement.Tables.of_solution sol in
   Array.iteri
-    (fun k _ ->
-      match Netsim.table netsim k with
+    (fun k -> function
       | [] -> ()
       | table ->
         Format.printf "switch s%d:@." k;
@@ -68,7 +67,7 @@ let () =
               e.Netsim.rule.Acl.Rule.action Ternary.Field.pp
               e.Netsim.rule.Acl.Rule.field)
           table)
-    sol.Placement.Solution.per_switch;
+    tables;
 
   (* Sanity-check the data plane against the big-switch policy. *)
   let g = Prng.create 42 in
@@ -80,7 +79,7 @@ let () =
       (fun p ->
         incr total;
         let expected = Acl.Policy.evaluate policy packet in
-        let got = Netsim.forward netsim p packet in
+        let got = Netsim.forward tables p ~tag:p.Routing.Path.ingress packet in
         let ok =
           match (expected, got) with
           | Acl.Rule.Drop, Netsim.Dropped _ | Acl.Rule.Permit, Netsim.Delivered

@@ -29,8 +29,6 @@ let size t = List.length t.rules
 
 let drops t = List.filter Rule.is_drop t.rules
 
-let permits t = List.filter Rule.is_permit t.rules
-
 let first_match t p = List.find_opt (fun r -> Rule.matches r p) t.rules
 
 let evaluate t p =

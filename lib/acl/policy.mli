@@ -22,7 +22,6 @@ val rules : t -> Rule.t list
 val size : t -> int
 
 val drops : t -> Rule.t list
-val permits : t -> Rule.t list
 
 val evaluate : t -> Ternary.Packet.t -> Rule.action
 (** First-match semantics; [Permit] when nothing matches. *)

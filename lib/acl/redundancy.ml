@@ -58,7 +58,3 @@ let remove policy =
       { shadowed = 0; downward = 0; default_permit = 0 }
   in
   (Policy.of_rules rules, report)
-
-let pp_report fmt r =
-  Format.fprintf fmt "removed %d (shadowed %d, downward %d, default-permit %d)"
-    (total r) r.shadowed r.downward r.default_permit

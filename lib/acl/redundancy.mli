@@ -25,5 +25,3 @@ val total : report -> int
 val remove : Policy.t -> Policy.t * report
 (** Iterates the three eliminations until no rule is removed.  The result
     is semantically equal to the input on every packet. *)
-
-val pp_report : Format.formatter -> report -> unit

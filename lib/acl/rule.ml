@@ -19,8 +19,6 @@ let overlaps a b = Ternary.Field.overlaps a.field b.field
 
 let matches r p = Ternary.Field.matches r.field p
 
-let tcam_entries r = Ternary.Field.tcam_entries r.field
-
 let compare_priority_desc a b = Stdlib.compare b.priority a.priority
 
 let pp_action fmt = function

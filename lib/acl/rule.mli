@@ -29,9 +29,6 @@ val overlaps : t -> t -> bool
 
 val matches : t -> Ternary.Packet.t -> bool
 
-val tcam_entries : t -> int
-(** TCAM slots one installed copy consumes (range expansion included). *)
-
 val compare_priority_desc : t -> t -> int
 (** Sorts highest priority first. *)
 

@@ -1,18 +1,12 @@
 type entry = { tags : int list; rule : Acl.Rule.t }
 
-type t = { net : Topo.Net.t; tables : entry list array }
-
-let make net tables =
-  if Array.length tables <> Topo.Net.num_switches net then
-    invalid_arg "Netsim.make: one table per switch required";
-  { net; tables = Array.copy tables }
-
-let table t k = t.tables.(k)
-
-let table_size t k = List.length t.tables.(k)
-
-let total_entries t =
-  Array.fold_left (fun acc tbl -> acc + List.length tbl) 0 t.tables
+let remove_first entry table =
+  let rec go = function
+    | [] -> None
+    | e :: rest when e = entry -> Some rest
+    | e :: rest -> Option.map (fun r -> e :: r) (go rest)
+  in
+  go table
 
 (* Version-tag algebra for two-phase consistent updates: a shadow copy
    of a new-placement entry is keyed on the ingress tag with the version
@@ -73,24 +67,21 @@ let changed_tags old_tables new_tables =
   let tags = Hashtbl.fold (fun t () acc -> t :: acc) changed [] in
   (List.sort compare tags, !scanned)
 
-let step_tables tables ~switch ~tag packet =
+let step tables ~switch ~tag packet =
   let applies e = List.mem tag e.tags && Acl.Rule.matches e.rule packet in
   match List.find_opt applies tables.(switch) with
   | Some e -> e.rule.Acl.Rule.action
   | None -> Acl.Rule.Permit
 
-let step t ~switch ~ingress packet =
-  step_tables t.tables ~switch ~tag:ingress packet
-
 type outcome = Delivered | Dropped of int
 
-let forward_tables tables (path : Routing.Path.t) ~tag packet =
+let forward tables (path : Routing.Path.t) ~tag packet =
   let n = Array.length path.switches in
   let rec go i =
     if i >= n then Delivered
     else
       let switch = path.switches.(i) in
-      match step_tables tables ~switch ~tag packet with
+      match step tables ~switch ~tag packet with
       | Acl.Rule.Drop -> Dropped switch
       | Acl.Rule.Permit -> go (i + 1)
   in
@@ -98,12 +89,12 @@ let forward_tables tables (path : Routing.Path.t) ~tag packet =
 
 (* Per tag, per switch: the rules of the entries carrying that tag, in
    match order.  One pass over the tables builds it, so the first match
-   a walk finds in its tag's list is the first match [step_tables] finds
+   a walk finds in its tag's list is the first match [step] finds
    in the whole table. *)
 type view = (int, Acl.Rule.t list array) Hashtbl.t
 
-let tag_view ?(only = fun _ -> true) t =
-  let n = Array.length t.tables in
+let tag_view ?(only = fun _ -> true) tables =
+  let n = Array.length tables in
   let view = Hashtbl.create 16 in
   Array.iteri
     (fun k entries ->
@@ -124,7 +115,7 @@ let tag_view ?(only = fun _ -> true) t =
               end)
             e.tags)
         (List.rev entries))
-    t.tables;
+    tables;
   view
 
 let forward_view view (path : Routing.Path.t) ~tag packet =
@@ -168,9 +159,6 @@ let forward_trace tables (path : Routing.Path.t) ~tag packet =
       | None -> go (i + 1) ({ hop_switch = switch; matched = None } :: acc)
   in
   go 0 []
-
-let forward t (path : Routing.Path.t) packet =
-  forward_tables t.tables path ~tag:path.ingress packet
 
 let pp_outcome fmt = function
   | Delivered -> Format.pp_print_string fmt "delivered"

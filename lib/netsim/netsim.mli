@@ -14,20 +14,12 @@ type entry = {
   rule : Acl.Rule.t;
 }
 
-type t
+(** A data plane is an [entry list array]: slot [k] holds the
+    prioritized table of switch [k] in match order (first entry wins). *)
 
-val make : Topo.Net.t -> entry list array -> t
-(** [make net tables] with [tables.(k)] the prioritized table of switch
-    [k] in match order (first entry wins).  Raises [Invalid_argument] when
-    the array length differs from the switch count. *)
-
-val table : t -> int -> entry list
-
-val table_size : t -> int -> int
-(** Installed entries at a switch (each merged entry counts once — that is
-    the point of merging). *)
-
-val total_entries : t -> int
+val remove_first : entry -> entry list -> entry list option
+(** The table without its first entry structurally equal to the given
+    one; [None] when there is none. *)
 
 (** {2 Version tags}
 
@@ -63,39 +55,33 @@ val changed_tags : entry list array -> entry list array -> int list * int
     pass; the second component counts the entries grouped, old and new.
     Raises [Invalid_argument] when the switch counts differ. *)
 
-val step : t -> switch:int -> ingress:int -> Ternary.Packet.t -> Acl.Rule.action
-(** First-match outcome of one switch for a packet tagged [ingress];
-    [Permit] when nothing matches. *)
-
-val step_tables :
+val step :
   entry list array -> switch:int -> tag:int -> Ternary.Packet.t -> Acl.Rule.action
-(** {!step} over a bare table array, matching on an explicit (possibly
-    version-bit-carrying) tag — the walk primitive consistent-update
-    barrier checks use on live and reference tables alike. *)
+(** First-match outcome of one switch for a packet stamped [tag] (an
+    ingress id, possibly carrying the version bit); [Permit] when
+    nothing matches.  The walk primitive consistent-update barrier
+    checks use on live and reference tables alike. *)
 
 type outcome = Delivered | Dropped of int  (** switch where it died *)
 
-val forward : t -> Routing.Path.t -> Ternary.Packet.t -> outcome
-(** Walk the packet along the path's switches. *)
-
-val forward_tables :
+val forward :
   entry list array -> Routing.Path.t -> tag:int -> Ternary.Packet.t -> outcome
-(** {!forward} over a bare table array, stamped with [tag] instead of
-    the path's ingress — how a packet that was ingress-stamped with the
-    new version bit is walked mid-update. *)
+(** Walk the packet, stamped [tag], along the path's switches: the
+    path's ingress for a plain walk, its version alias for a packet
+    ingress-stamped with the new version mid-update. *)
 
 type view
 (** A first-match view of the tables by tag: per tag and switch, the
     rules of the entries carrying that tag, in match order.  A walk
     through it scans only its own tag's entries. *)
 
-val tag_view : ?only:(int -> bool) -> t -> view
+val tag_view : ?only:(int -> bool) -> entry list array -> view
 (** Built in one pass over every installed entry, keeping the tags
     [only] accepts (default all). *)
 
 val forward_view :
   view -> Routing.Path.t -> tag:int -> Ternary.Packet.t -> outcome
-(** {!forward_tables} on the simulator the view was built from: the same
+(** {!forward} on the tables the view was built from: the same
     outcome for every tag the view kept, packet and path over its
     switches. *)
 
@@ -114,7 +100,7 @@ val forward_trace :
   tag:int ->
   Ternary.Packet.t ->
   outcome * hop list
-(** {!forward_tables}, additionally reporting which entry matched at
+(** {!forward}, additionally reporting which entry matched at
     every switch visited.  Hops are in walk order; a drop ends the list
     at the dropping switch. *)
 

@@ -1,4 +1,4 @@
-type build = { netsim : Netsim.t; splits : int }
+type build = { tables : Netsim.entry list array; splits : int }
 
 (* Order-sensitive pair: same policy tag on both cells, overlapping
    fields, different actions.  Two merged cells can share several
@@ -121,7 +121,7 @@ let order_switch cells =
   in
   go cells 0
 
-let to_netsim (sol : Solution.t) =
+let of_solution (sol : Solution.t) =
   let splits = ref 0 in
   let tables =
     Array.map
@@ -134,4 +134,4 @@ let to_netsim (sol : Solution.t) =
           ordered)
       sol.Solution.per_switch
   in
-  { netsim = Netsim.make sol.Solution.instance.Instance.net tables; splits = !splits }
+  { tables; splits = !splits }

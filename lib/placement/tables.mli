@@ -12,8 +12,10 @@
     entries, which always resolves, and the split is reported. *)
 
 type build = {
-  netsim : Netsim.t;
+  tables : Netsim.entry list array;
+      (** one table per switch, in match order; a fresh array the caller
+          owns *)
   splits : int;  (** merged entries that had to be split to order tables *)
 }
 
-val to_netsim : Solution.t -> build
+val of_solution : Solution.t -> build

@@ -153,15 +153,15 @@ let structural_plain (sol : Solution.t) =
     ~is_dummy:(fun ~ingress:_ ~priority:_ -> false)
     ~sliced:sol.Solution.sliced sol
 
-let semantic ?(random_samples = 20) ?(only = fun _ -> true) ?netsim g
+let semantic ?(random_samples = 20) ?(only = fun _ -> true) ?tables g
     (sol : Solution.t) =
   let inst = sol.Solution.instance in
-  let netsim =
-    match netsim with
-    | Some netsim -> netsim
-    | None -> (Tables.to_netsim sol).Tables.netsim
+  let tables =
+    match tables with
+    | Some tables -> tables
+    | None -> (Tables.of_solution sol).Tables.tables
   in
-  let view = Netsim.tag_view ~only netsim in
+  let view = Netsim.tag_view ~only tables in
   let violations = ref [] in
   let probe (p : Routing.Path.t) q packet =
     let expected = Acl.Policy.evaluate q packet in
@@ -229,7 +229,7 @@ let check ?random_samples g layout sol =
 
 let exact ?budget (sol : Solution.t) =
   let inst = sol.Solution.instance in
-  let { Tables.netsim; _ } = Tables.to_netsim sol in
+  let { Tables.tables; _ } = Tables.of_solution sol in
   let cube_width = Ternary.Field.width in
   try
     let violations = ref [] in
@@ -246,7 +246,7 @@ let exact ?budget (sol : Solution.t) =
               List.filter_map
                 (fun (e : Netsim.entry) ->
                   if List.mem i e.Netsim.tags then Some e.Netsim.rule else None)
-                (Netsim.table netsim s)
+                tables.(s)
             in
             let r = Acl.Semantics.drop_region_of_rules ?budget rules in
             Hashtbl.replace switch_drop s r;
@@ -284,7 +284,9 @@ let exact ?budget (sol : Solution.t) =
                       egress = p.Routing.Path.egress;
                       packet;
                       expected = expected_action;
-                      got = Netsim.forward netsim p packet;
+                      got =
+                        Netsim.forward tables p ~tag:p.Routing.Path.ingress
+                          packet;
                     }
                   :: !violations
             in

@@ -43,7 +43,7 @@ val structural_plain : Solution.t -> violation list
 val semantic :
   ?random_samples:int ->
   ?only:(int -> bool) ->
-  ?netsim:Netsim.t ->
+  ?tables:Netsim.entry list array ->
   Prng.t ->
   Solution.t ->
   violation list
@@ -52,8 +52,8 @@ val semantic :
     whose policies are probed (default all); no packet is drawn for the
     others, so without [only] the packets and their order are those of
     {!check}.
-    [netsim] is the solution's {!Tables.to_netsim} build when the caller
-    already has it; it is built here otherwise. *)
+    [tables] are the solution's {!Tables.of_solution} tables when the
+    caller already has them; they are built here otherwise. *)
 
 val check : ?random_samples:int -> Prng.t -> Layout.t -> Solution.t -> violation list
 (** Structural then semantic. *)

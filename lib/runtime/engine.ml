@@ -134,15 +134,10 @@ let sort_uniq l = List.sort_uniq compare l
 
 let witnesses n q = List.of_seq (Seq.take n (Acl.Policy.witness_seq q))
 
-let tables_of_solution (sol : Solution.t) =
-  let { Tables.netsim; splits = _ } = Tables.to_netsim sol in
-  let n = Topo.Net.num_switches sol.Solution.instance.Instance.net in
-  Array.init n (Netsim.table netsim)
-
 let create ?(config = default_config) ?(fault = Fault_plan.faultless ()) good =
   let api =
     Switch_api.create ~config:config.switch_config ~fault
-      (tables_of_solution good)
+      (Tables.of_solution good).Tables.tables
   in
   {
     config;
@@ -205,7 +200,6 @@ let restore ?(config = default_config) p =
   }
 
 let good t = t.good
-let netsim t = Netsim.make (net t) (Switch_api.snapshot t.api)
 let switch_api t = t.api
 let table_snapshot t = Switch_api.snapshot t.api
 let resync t tables = Transaction.restore ~api:t.api tables
@@ -552,16 +546,18 @@ let quarantine_now t goal =
   List.iter (force_fence t) recs;
   fresh
 
-(* Target tables for a committed transition: the solution's tables plus
-   a fence per quarantined ingress, returned with the solution's netsim
-   build so verification need not build it again.  Dead switches are unreachable
-   through the install API, so their target is pinned to the live table
-   (no live path traverses them); a fence that must land on a dead
-   switch goes through the controller's forced-resync path instead. *)
+(* Target tables for a committed transition: a copy of the solution's
+   tables plus a fence per quarantined ingress.  The solution's own
+   tables come back too, so verification need not build them again;
+   the verify memo keeps them, hence the copy.  Dead switches are
+   unreachable through the install API, so their target is pinned to
+   the live table (no live path traverses them); a fence that must land
+   on a dead switch goes through the controller's forced-resync path
+   instead. *)
 let target_tables t sol quarantine =
   let n = net t in
-  let { Tables.netsim; splits = _ } = Tables.to_netsim sol in
-  let target = Array.init (Topo.Net.num_switches n) (Netsim.table netsim) in
+  let declared = (Tables.of_solution sol).Tables.tables in
+  let target = Array.copy declared in
   List.iter
     (fun q ->
       let k = Topo.Net.host_attach n q.q_ingress in
@@ -574,7 +570,7 @@ let target_tables t sol quarantine =
         quarantine;
       target.(k) <- (Switch_api.tables t.api).(k))
     t.dead_switches;
-  (netsim, target)
+  (declared, target)
 
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
@@ -583,7 +579,7 @@ module IS = Set.Make (Int)
 
 (* Every check runs, so each one that fails is counted under its own
    label; an exception anywhere fails the event as "exception".
-   [netsim], when given, is the good solution's table build.
+   [tables], when given, are the good solution's tables.
 
    The semantic and live checks re-walk only the policy ingresses whose
    inputs changed since the last verify: policy, routed paths,
@@ -591,7 +587,7 @@ module IS = Set.Make (Int)
    (semantic) or the live ones (live).  Every other ingress keeps its
    stored verdict, [false] included.  The first verify of an engine,
    and every [full_verify_every]-th, walks them all. *)
-let verify ?netsim t =
+let verify ?tables t =
   Telemetry.Trace.with_span "runtime.verify" @@ fun () ->
   let holds failed ok =
     if not ok then Telemetry.Metrics.incr failed;
@@ -609,13 +605,10 @@ let verify ?netsim t =
     let structural_ok =
       holds m_verify_structural (Verify.structural_plain sol = [])
     in
-    let netsim =
-      match netsim with
-      | Some ns -> ns
-      | None -> (Tables.to_netsim sol).Tables.netsim
-    in
     let declared =
-      Array.init (Topo.Net.num_switches inst.Instance.net) (Netsim.table netsim)
+      match tables with
+      | Some tables -> tables
+      | None -> (Tables.of_solution sol).Tables.tables
     in
     let live_tables = Switch_api.snapshot t.api in
     (* What the last verify stored of an ingress whose policy, paths and
@@ -665,7 +658,7 @@ let verify ?netsim t =
            (function Verify.Semantic { ingress; _ } -> Some ingress | _ -> None)
            (Verify.semantic ~random_samples:verify_samples
               ~only:(fun i -> IS.mem i rechecked)
-              ~netsim g sol))
+              ~tables:declared g sol))
     in
     (* The live data plane: walk witness packets of every policy along
        every path of its ingress and compare with the big-switch verdict,
@@ -679,9 +672,7 @@ let verify ?netsim t =
         @ List.map (fun qr -> qr.q_ingress) t.quarantine)
     in
     let live =
-      Netsim.tag_view
-        ~only:(fun tag -> IS.mem tag walked)
-        (Netsim.make inst.Instance.net live_tables)
+      Netsim.tag_view ~only:(fun tag -> IS.mem tag walked) live_tables
     in
     let walk (p : Routing.Path.t) pkt =
       Netsim.forward_view live p ~tag:p.Routing.Path.ingress pkt
@@ -876,7 +867,7 @@ let handle ?tx ?rungs t event =
          before [target_tables] forces fences onto dead switches: the
          state recovery restores the engine to before it re-runs. *)
       let undo = Switch_api.snapshot t.api in
-      let netsim, target = target_tables t sol q' in
+      let declared, target = target_tables t sol q' in
       (match tx with Some o -> o.on_intent ~undo ~redo:target | None -> ());
       let observe =
         Option.map (fun o ~switch ~op -> o.on_op ~switch ~op) tx
@@ -901,7 +892,7 @@ let handle ?tx ?rungs t event =
         | Transaction.Committed ->
           commit_good ();
           finish ~rung ~status ~applied:Report.Committed_fallback
-            ~newq:(newq_committed ()) ~verified:(verify ~netsim t) ~waves:0
+            ~newq:(newq_committed ()) ~verified:(verify ~tables:declared t) ~waves:0
         | Transaction.Rolled_back { switch; op } ->
           (* Tables are byte-identical to the pre-event state; fail closed
              on everything the event touched. *)
@@ -936,7 +927,7 @@ let handle ?tx ?rungs t event =
         | Update.Committed ->
           commit_good ();
           finish ~rung ~status ~applied:Report.Committed
-            ~newq:(newq_committed ()) ~verified:(verify ~netsim t)
+            ~newq:(newq_committed ()) ~verified:(verify ~tables:declared t)
             ~waves:result.Update.waves_committed
         | Update.Aborted _ -> fallback ()))
 

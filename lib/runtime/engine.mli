@@ -59,7 +59,7 @@ val create :
   Placement.Solution.t ->
   t
 (** Boots the runtime from an initial placement: the live tables are the
-    solution's tables ({!Placement.Tables.to_netsim}), nothing is
+    solution's tables ({!Placement.Tables.of_solution}), nothing is
     quarantined, nothing is dead.  The per-event deadline and the
     report's [wall_s] read the wall clock ([Unix.gettimeofday]). *)
 
@@ -91,9 +91,6 @@ val resync : t -> Netsim.entry list array -> unit
 
 val good : t -> Placement.Solution.t
 (** The last-known-good placement (instance included). *)
-
-val netsim : t -> Netsim.t
-(** The live data plane as a simulator (snapshot). *)
 
 val switch_api : t -> Switch_api.t
 (** The live data plane's write path.  A write through it, or into its

@@ -176,17 +176,8 @@ let attempt t ~switch apply =
 let install t ~switch entry =
   attempt t ~switch (fun () -> t.live.(switch) <- t.live.(switch) @ [ entry ])
 
-(* Remove exactly one structurally equal entry (the first). *)
-let remove_first entry table =
-  let rec go = function
-    | [] -> None
-    | e :: rest when e = entry -> Some rest
-    | e :: rest -> Option.map (fun r -> e :: r) (go rest)
-  in
-  go table
-
 let delete t ~switch entry =
-  match remove_first entry t.live.(switch) with
+  match Netsim.remove_first entry t.live.(switch) with
   | None -> true (* idempotent: nothing to delete *)
   | Some without -> attempt t ~switch (fun () -> t.live.(switch) <- without)
 

@@ -4,12 +4,7 @@ type outcome = Committed | Rolled_back of { switch : int; op : string }
 let diff a b =
   List.fold_left
     (fun (kept, rest) e ->
-      let rec drop = function
-        | [] -> None
-        | x :: xs when x = e -> Some xs
-        | x :: xs -> Option.map (fun r -> x :: r) (drop xs)
-      in
-      match drop rest with
+      match Netsim.remove_first e rest with
       | Some rest' -> (kept, rest')
       | None -> (e :: kept, rest))
     ([], b) a

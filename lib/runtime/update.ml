@@ -68,14 +68,6 @@ let violations_seen = Atomic.make 0
 
 let violations_total () = Atomic.get violations_seen
 
-let remove_first entry table =
-  let rec go = function
-    | [] -> None
-    | e :: rest when e = entry -> Some rest
-    | e :: rest -> Option.map (fun r -> e :: r) (go rest)
-  in
-  go table
-
 module IS = Set.Make (Int)
 
 let m_entries_scanned =
@@ -233,7 +225,7 @@ let build ~attach ~corpus ~old_tables ~target =
       sim.(switch) <- sim.(switch) @ [ entry ];
       note switch
     | Delete { switch; entry } -> (
-      match remove_first entry sim.(switch) with
+      match Netsim.remove_first entry sim.(switch) with
       | Some t -> sim.(switch) <- t
       | None -> ())
   in
@@ -390,8 +382,8 @@ let inconsistencies ?since plan ~live ~committed =
           if stale p then
             List.iter
               (fun pkt ->
-                let got = Netsim.forward_tables live p ~tag:walk_tag pkt in
-                let want = Netsim.forward_tables reference p ~tag:i pkt in
+                let got = Netsim.forward live p ~tag:walk_tag pkt in
+                let want = Netsim.forward reference p ~tag:i pkt in
                 if got <> want then incr bad)
               ip.probes)
         paths)
@@ -432,7 +424,7 @@ let execute ?(wave_retries = 1) ?observer ?on_op ~api plan =
   while !aborted = None && !w < n do
     let wave = plan.waves.(!w) in
     (match observer with Some o -> o.on_wave_begin ~wave:!w | None -> ());
-    let t0 = Telemetry.Clock.now () in
+    let t0 = Unix.gettimeofday () in
     let snap = Switch_api.snapshot api in
     let apply_op op =
       let switch, name =
@@ -503,7 +495,7 @@ let execute ?(wave_retries = 1) ?observer ?on_op ~api plan =
       else begin
         since := (Switch_api.snapshot api, !w + 1);
         Telemetry.Metrics.incr m_waves;
-        Telemetry.Metrics.observe m_wave_s (Telemetry.Clock.now () -. t0);
+        Telemetry.Metrics.observe m_wave_s (Unix.gettimeofday () -. t0);
         (match observer with Some o -> o.on_wave_commit ~wave:!w | None -> ());
         incr w
       end

@@ -35,11 +35,6 @@ let m_quarantined =
   Telemetry.Metrics.counter ~help:"acked events resolved as quarantined tickets"
     "sdnplace_serve_quarantined_tickets_total"
 
-let m_intake_fsyncs =
-  Telemetry.Metrics.counter
-    ~help:"intake-log durability barriers issued (group commit batches)"
-    "sdnplace_serve_intake_fsyncs_total"
-
 let m_shed name =
   Telemetry.Metrics.counter ~help:"overload rejections by scope"
     ~labels:[ ("scope", name) ]
@@ -213,25 +208,16 @@ let intake_stats t =
     { appends = 0; fsyncs = 0 }
     t.shards
 
-let reply_of_processed (p : Shard.processed) =
-  match p.Shard.p_outcome with
-  | Shard.Applied { rung; verified; quarantined } ->
-    Wire.Applied
-      { tenant = p.Shard.p_tenant; ticket = p.Shard.p_ticket; rung; verified;
-        quarantined }
-  | Shard.Quarantined { reason } ->
-    Wire.Quarantined_ticket
-      { tenant = p.Shard.p_tenant; ticket = p.Shard.p_ticket; reason }
-
-let account t (p : Shard.processed) =
-  (match p.Shard.p_outcome with
-  | Shard.Applied _ ->
+let account t (reply : Wire.reply) =
+  (match reply with
+  | Wire.Applied _ ->
     Atomic.incr t.applied;
     Telemetry.Metrics.incr m_applied
-  | Shard.Quarantined _ ->
+  | Wire.Quarantined_ticket _ ->
     Atomic.incr t.quarantined;
-    Telemetry.Metrics.incr m_quarantined);
-  reply_of_processed p
+    Telemetry.Metrics.incr m_quarantined
+  | _ -> ());
+  reply
 
 (* Group commit: one durability barrier per dirty shard covers every ack
    staged since the last flush; only then are the Accepted replies
@@ -252,7 +238,6 @@ let flush t =
     ignore
       (Exec.run t.exec
          (Array.of_list (List.map (fun s () -> Shard.flush_intake s) dirty)));
-    List.iter (fun _ -> Telemetry.Metrics.incr m_intake_fsyncs) dirty;
     let acks = List.rev t.staged_acks in
     t.staged_acks <- [];
     t.staged_count <- 0;

@@ -212,16 +212,27 @@ let create ?(config = default_config) ?kill ~stores ~seed ~id () =
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
 
+let m_intake_fsyncs =
+  Telemetry.Metrics.counter
+    ~help:"intake-log fsync barriers (synchronous admits and group commits)"
+    "sdnplace_serve_intake_fsyncs_total"
+
+(* The one intake barrier, on the synchronous admit path and the group
+   commit path alike, so the counter sees every fsync. *)
+let flush_intake t =
+  if Journal.Store.Batched.staged t.intake_b > 0 then begin
+    Journal.Store.Batched.flush t.intake_b;
+    Telemetry.Metrics.incr m_intake_fsyncs
+  end
+
 let admit ?(sync = true) t ~tenant ~op =
   let ticket = t.next_ticket in
   t.next_ticket <- ticket + 1;
   Journal.Store.Batched.append t.intake_b
     (encode_intake { it_ticket = ticket; it_tenant = tenant; it_op = op });
-  if sync then Journal.Store.Batched.flush t.intake_b;
+  if sync then flush_intake t;
   t.queue <- t.queue @ [ (ticket, tenant, op) ];
   ticket
-
-let flush_intake t = Journal.Store.Batched.flush t.intake_b
 
 let staged_intake t = Journal.Store.Batched.staged t.intake_b
 
@@ -319,12 +330,6 @@ let translate t tenant op =
 (* ------------------------------------------------------------------ *)
 (* Processing                                                          *)
 
-type outcome =
-  | Applied of { rung : Runtime.Report.rung; verified : bool; quarantined : bool }
-  | Quarantined of { reason : string }
-
-type processed = { p_tenant : int; p_ticket : int; p_outcome : outcome }
-
 let process_one t (ticket, tenant, op) =
   match translate t tenant op with
   | Error reason ->
@@ -333,7 +338,7 @@ let process_one t (ticket, tenant, op) =
        next journaled event or snapshot; until then a crash simply
        re-translates this ticket to the same rejection. *)
     mark_done t.cs ticket;
-    { p_tenant = tenant; p_ticket = ticket; p_outcome = Quarantined { reason } }
+    Wire.Quarantined_ticket { tenant; ticket; reason }
   | Ok event ->
     mark_done t.cs ticket;
     let b = (ts_find t.cs tenant).ts_breaker in
@@ -351,17 +356,14 @@ let process_one t (ticket, tenant, op) =
       | Some i -> List.mem i report.Runtime.Report.quarantined
       | None -> false
     in
-    {
-      p_tenant = tenant;
-      p_ticket = ticket;
-      p_outcome =
-        Applied
-          {
-            rung = report.Runtime.Report.rung;
-            verified = report.Runtime.Report.verified;
-            quarantined;
-          };
-    }
+    Wire.Applied
+      {
+        tenant;
+        ticket;
+        rung = report.Runtime.Report.rung;
+        verified = report.Runtime.Report.verified;
+        quarantined;
+      }
 
 type batch = (int * int * Wire.op) list
 
@@ -527,9 +529,7 @@ let traffic_walk t ~seed ~epoch ~packets ~alpha ~drift ~probes =
       ~field:(Traffic.Controller.probe_field paths tables)
       (fun f pkt w ->
         let path = paths.(f) in
-        match
-          Netsim.forward_tables tables path ~tag:path.Routing.Path.ingress pkt
-        with
+        match Netsim.forward tables path ~tag:path.Routing.Path.ingress pkt with
         | Netsim.Delivered -> delivered := !delivered + w
         | Netsim.Dropped _ -> dropped := !dropped + w);
     (flows, !delivered, !dropped)
@@ -570,5 +570,3 @@ let tenant_signature t ~tenant =
     (ts.ts_active, ts.ts_ingress, breaker_name ts.ts_breaker, policy, paths, fenced)
 
 let tenants t = List.map fst t.cs.cs_tenants
-
-let seq t = Journal.Journaled.seq t.jeng

@@ -124,13 +124,6 @@ val resolved : t -> ticket:int -> bool
 
 (** {1 Processing} *)
 
-type outcome =
-  | Applied of { rung : Runtime.Report.rung; verified : bool; quarantined : bool }
-  | Quarantined of { reason : string }
-      (** translation failed deterministically; the network is untouched *)
-
-type processed = { p_tenant : int; p_ticket : int; p_outcome : outcome }
-
 type batch = (int * int * Wire.op) list
 (** One round's selection for this shard, admission order. *)
 
@@ -145,14 +138,15 @@ val plan_round : t -> slots:int -> tenant_cap:int -> batch
     share nothing, so the daemon plans all shards sequentially
     (deterministically) before executing in parallel. *)
 
-val execute_batch : t -> batch -> processed list
-(** Process a planned batch in order.  Touches only this shard's state
+val execute_batch : t -> batch -> Wire.reply list
+(** Process a planned batch in order, one [Applied] or
+    [Quarantined_ticket] reply per ticket.  Touches only this shard's state
     and stores, so batches of {e distinct} shards may run on distinct
     domains concurrently; never run two batches of the same shard
     concurrently, and never concurrently with {!admit} on the same
     shard. *)
 
-val drain : t -> processed list
+val drain : t -> Wire.reply list
 (** Process everything pending in one unbounded round, then snapshot
     the engine journal and compact the intake log. *)
 
@@ -219,6 +213,3 @@ val tenant_signature : t -> tenant:int -> string
 
 val tenants : t -> int list
 (** Tenants this shard has ever seen, ascending. *)
-
-val seq : t -> int
-(** Events durably absorbed by the journaled engine. *)

@@ -237,8 +237,8 @@ let observe hm x =
 
 let time hm f =
   if Atomic.get hm.h_on then begin
-    let t0 = Clock.now () in
-    Fun.protect ~finally:(fun () -> observe hm (Clock.now () -. t0)) f
+    let t0 = Unix.gettimeofday () in
+    Fun.protect ~finally:(fun () -> observe hm (Unix.gettimeofday () -. t0)) f
   end
   else f ()
 
@@ -270,23 +270,6 @@ let merge a b =
     count = a.count + b.count;
     sum = a.sum +. b.sum;
   }
-
-let reset () =
-  let r = default_registry in
-  Mutex.lock r.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock r.lock)
-    (fun () ->
-      List.iter
-        (fun m ->
-          match m.m_cell with
-          | C c -> Atomic.set c 0
-          | G g -> Atomic.set g 0.0
-          | H h ->
-            Array.iter (fun b -> Atomic.set b 0) h.h_buckets;
-            Atomic.set h.h_sum 0.0;
-            Atomic.set h.h_count 0)
-        r.items)
 
 (* ---------------- Prometheus text exposition ---------------- *)
 

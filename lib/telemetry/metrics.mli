@@ -110,10 +110,6 @@ val merge : histogram_snapshot -> histogram_snapshot -> histogram_snapshot
     recording the union of the two observation streams.  Raises
     [Invalid_argument] if the bounds differ. *)
 
-val reset : unit -> unit
-(** Zero every cell of the process-wide registry (registrations are
-    kept). *)
-
 val render : ?registry:registry -> unit -> string
 (** Prometheus text exposition of every registered series, in
     registration order, including zero-valued series. *)

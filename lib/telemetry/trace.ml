@@ -78,7 +78,7 @@ let start name =
   if not (Atomic.get enabled) then null
   else begin
     let parent_id = match current () with Some p -> p.id | None -> 0L in
-    let t = Clock.now () in
+    let t = Unix.gettimeofday () in
     Mutex.lock lock;
     let occ =
       let key = (parent_id, name) in
@@ -104,7 +104,7 @@ let start name =
 
 let finish sp =
   if sp.id <> 0L && Float.is_nan sp.end_s then begin
-    sp.end_s <- Float.max (Clock.now ()) sp.start_s;
+    sp.end_s <- Float.max (Unix.gettimeofday ()) sp.start_s;
     Atomic.decr open_spans
   end
 

@@ -1,7 +1,7 @@
 (** Hierarchical tracing spans with deterministic identifiers.
 
-    A span records a named interval [start_s, end_s] on the injectable
-    {!Clock}.  The current span is tracked per domain (via [Domain.DLS]),
+    A span records a named interval [start_s, end_s] of wall-clock time
+    ([Unix.gettimeofday]).  The current span is tracked per domain (via [Domain.DLS]),
     so a span opened on a spawned domain starts a root of its own.
 
     Span identifiers do not depend on wall time or on cross-domain
@@ -70,5 +70,5 @@ val export_jsonl : unit -> string
 (** One JSON object per span per line, in start order. *)
 
 val reset : unit -> unit
-(** Drop all recorded spans and occurrence counts (enable flag, seed and
-    clock are kept). *)
+(** Drop all recorded spans and occurrence counts (the enable flag and
+    the seed are kept). *)

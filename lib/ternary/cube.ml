@@ -80,10 +80,3 @@ let equal ?budget a b = subsumes ?budget a b && subsumes ?budget b a
 let choose t = match t.cubes with [] -> None | c :: _ -> Some c
 
 let mem t v = List.exists (fun c -> Tbv.matches_int c v) t.cubes
-
-let pp fmt t =
-  Format.fprintf fmt "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-       Tbv.pp)
-    t.cubes

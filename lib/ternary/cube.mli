@@ -56,5 +56,3 @@ val choose : t -> Tbv.t option
 
 val mem : t -> int -> bool
 (** Membership of a concrete value (width at most 62 bits). *)
-
-val pp : Format.formatter -> t -> unit

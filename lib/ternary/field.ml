@@ -30,8 +30,6 @@ let compare a b =
         let c = Range.compare a.dport b.dport in
         if c <> 0 then c else Proto.compare a.proto b.proto
 
-let hash t = Hashtbl.hash t
-
 let matches t (p : Packet.t) =
   Prefix.member t.src p.src && Prefix.member t.dst p.dst
   && Range.member t.sport p.sport && Range.member t.dport p.dport

@@ -31,7 +31,6 @@ val any : t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val matches : t -> Packet.t -> bool
 

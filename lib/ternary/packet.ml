@@ -12,10 +12,6 @@ let make ~src ~dst ~sport ~dport ~proto =
   check "proto" proto 0xFF;
   { src; dst; sport; dport; proto }
 
-let equal a b = a = b
-
-let compare = Stdlib.compare
-
 let random g =
   {
     src = Prng.int g 0x100000000;

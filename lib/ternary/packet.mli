@@ -11,9 +11,6 @@ type t = {
 val make : src:int -> dst:int -> sport:int -> dport:int -> proto:int -> t
 (** Raises [Invalid_argument] when a component is out of range. *)
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
-
 val random : Prng.t -> t
 (** Uniform over the whole header space. *)
 

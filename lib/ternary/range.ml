@@ -17,8 +17,6 @@ let lo t = t.lo
 
 let hi t = t.hi
 
-let size t = t.hi - t.lo + 1
-
 let equal a b = a.lo = b.lo && a.hi = b.hi
 
 let compare a b =

@@ -27,8 +27,6 @@ val lo : t -> int
 
 val hi : t -> int
 
-val size : t -> int
-
 val equal : t -> t -> bool
 
 val compare : t -> t -> int

@@ -65,13 +65,6 @@ let to_string t =
 let equal a b =
   a.width = b.width && a.mask = b.mask && a.bits = b.bits
 
-let compare a b =
-  let c = Stdlib.compare a.width b.width in
-  if c <> 0 then c
-  else
-    let c = Stdlib.compare a.mask b.mask in
-    if c <> 0 then c else Stdlib.compare a.bits b.bits
-
 let hash t = Hashtbl.hash (t.width, t.mask, t.bits)
 
 let check_same_width a b =
@@ -166,5 +159,3 @@ let random_member g t =
     v := (!v lsl 1) lor bit
   done;
   !v
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

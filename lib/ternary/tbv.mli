@@ -36,9 +36,6 @@ val to_string : t -> string
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-(** Total order (width first, then lexicographic); suitable for [Map]s. *)
-
 val hash : t -> int
 
 val is_disjoint : t -> t -> bool
@@ -78,5 +75,3 @@ val random : Prng.t -> width:int -> star_prob:float -> t
 
 val random_member : Prng.t -> t -> int
 (** A uniformly random concrete value matching [t] (width at most 62). *)
-
-val pp : Format.formatter -> t -> unit

@@ -54,11 +54,3 @@ let make k =
         edge_id ~h ~k p e)
   in
   Net.create ~kinds ~num_switches:n ~edges:!edges ~host_attach ()
-
-let pod_of_edge ~k s =
-  check k;
-  let h = k / 2 in
-  let off = s - (h * h) in
-  if off < 0 || off >= k * k || off mod k < h then
-    invalid_arg "Fattree.pod_of_edge: not an edge switch";
-  off / k

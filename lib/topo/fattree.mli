@@ -16,7 +16,3 @@ val num_switches : int -> int
 
 val num_hosts : int -> int
 (** [k^3/4]. *)
-
-val pod_of_edge : k:int -> int -> int
-(** [pod_of_edge ~k s] is the pod of edge switch [s].
-    Raises [Invalid_argument] when [s] is not an edge switch id. *)

@@ -476,10 +476,6 @@ let misses t = t.c_misses
 
 let delegated_hits t = t.c_dhits
 
-let hit_rate t =
-  let total = t.c_hits + t.c_misses in
-  if total = 0 then 1.0 else float_of_int t.c_hits /. float_of_int total
-
 (* {2 Self-check} *)
 
 type check_report = {

@@ -100,9 +100,6 @@ val delegated_hits : t -> int
 (** Cached-table matches served by a delegated copy (subset of the hit
     tally's complement accounting; informational). *)
 
-val hit_rate : t -> float
-(** hits / (hits + misses); 1.0 when nothing was accounted. *)
-
 val capture : t -> string
 (** Marshal the cache state (scores, residency, delegations, tallies)
     for the controller's snapshot. *)

@@ -203,10 +203,7 @@ let create ?store cfg =
     | Some s -> s
     | None -> invalid_arg "Controller: initial placement infeasible"
   in
-  let { Placement.Tables.netsim; splits = _ } =
-    Placement.Tables.to_netsim sol
-  in
-  let full = Array.init (Topo.Net.num_switches net) (Netsim.table netsim) in
+  let full = (Placement.Tables.of_solution sol).Placement.Tables.tables in
   let cache =
     Cache.create ~decay:cfg.decay ~net ~paths ~hw:(hw_of_frac full cfg.hw_frac)
       full

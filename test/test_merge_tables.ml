@@ -166,9 +166,9 @@ let test_table_ordering_respects_policy () =
   in
   let report = Solve.run inst in
   let sol = Option.get report.Solve.solution in
-  let { Tables.netsim; splits } = Tables.to_netsim sol in
+  let { Tables.tables; splits } = Tables.of_solution sol in
   Alcotest.(check int) "no splits" 0 splits;
-  match Netsim.table netsim 0 with
+  match tables.(0) with
   | [ first; second ] ->
     Alcotest.(check bool) "permit first" true
       (Acl.Rule.is_permit first.Netsim.rule);
@@ -219,7 +219,7 @@ let test_table_split_on_conflict () =
   let sol =
     { (Solution.empty inst) with Solution.per_switch = [| [ cell_a; cell_b ] |] }
   in
-  let { Tables.netsim; splits } = Tables.to_netsim sol in
+  let { Tables.tables; splits } = Tables.of_solution sol in
   Alcotest.(check bool) "at least one split" true (splits >= 1);
   (* After splitting, per-tag order is consistent: check both policies'
      intersection packet gets that policy's decision. *)
@@ -228,9 +228,9 @@ let test_table_split_on_conflict () =
     Ternary.Field.random_packet g (Option.get (Ternary.Field.inter fa fb))
   in
   Alcotest.(check bool) "policy 5 permits first" true
-    (Netsim.step netsim ~switch:0 ~ingress:5 packet = Acl.Rule.Permit);
+    (Netsim.step tables ~switch:0 ~tag:5 packet = Acl.Rule.Permit);
   Alcotest.(check bool) "policy 6 drops first" true
-    (Netsim.step netsim ~switch:0 ~ingress:6 packet = Acl.Rule.Drop)
+    (Netsim.step tables ~switch:0 ~tag:6 packet = Acl.Rule.Drop)
 
 let suite =
   suite

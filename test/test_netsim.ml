@@ -2,7 +2,6 @@ let entry ?(tags = [ 0 ]) field action =
   { Netsim.tags; rule = Acl.Rule.make ~field ~action ~priority:0 }
 
 let test_first_match_order () =
-  let net = Topo.Builder.linear ~switches:1 ~hosts_per_end:1 in
   let tables =
     [|
       [
@@ -11,30 +10,26 @@ let test_first_match_order () =
       ];
     |]
   in
-  let sim = Netsim.make net tables in
   let g = Prng.create 2 in
   let inner = Ternary.Field.random_packet g (Util.field ~src:"10.1.0.0/16" ()) in
   let outer = Ternary.Field.random_packet g (Util.field ~src:"10.9.0.0/16" ()) in
   Alcotest.(check bool) "inner permitted" true
-    (Netsim.step sim ~switch:0 ~ingress:0 inner = Acl.Rule.Permit);
+    (Netsim.step tables ~switch:0 ~tag:0 inner = Acl.Rule.Permit);
   Alcotest.(check bool) "outer dropped" true
-    (Netsim.step sim ~switch:0 ~ingress:0 outer = Acl.Rule.Drop)
+    (Netsim.step tables ~switch:0 ~tag:0 outer = Acl.Rule.Drop)
 
 let test_tag_isolation () =
-  let net = Topo.Builder.linear ~switches:1 ~hosts_per_end:1 in
   let tables =
     [| [ entry ~tags:[ 1 ] (Util.field ~src:"10.0.0.0/8" ()) Acl.Rule.Drop ] |]
   in
-  let sim = Netsim.make net tables in
   let g = Prng.create 3 in
   let pkt = Ternary.Field.random_packet g (Util.field ~src:"10.0.0.0/8" ()) in
   Alcotest.(check bool) "other tag passes" true
-    (Netsim.step sim ~switch:0 ~ingress:0 pkt = Acl.Rule.Permit);
+    (Netsim.step tables ~switch:0 ~tag:0 pkt = Acl.Rule.Permit);
   Alcotest.(check bool) "tagged traffic dropped" true
-    (Netsim.step sim ~switch:0 ~ingress:1 pkt = Acl.Rule.Drop)
+    (Netsim.step tables ~switch:0 ~tag:1 pkt = Acl.Rule.Drop)
 
 let test_forward_along_path () =
-  let net = Topo.Builder.linear ~switches:3 ~hosts_per_end:1 in
   let drop_at k =
     Array.init 3 (fun i ->
         if i = k then [ entry (Util.field ~src:"10.0.0.0/8" ()) Acl.Rule.Drop ]
@@ -45,34 +40,15 @@ let test_forward_along_path () =
   let pkt = Ternary.Field.random_packet g (Util.field ~src:"10.0.0.0/8" ()) in
   List.iter
     (fun k ->
-      let sim = Netsim.make net (drop_at k) in
-      match Netsim.forward sim path pkt with
+      match Netsim.forward (drop_at k) path ~tag:0 pkt with
       | Netsim.Dropped s -> Alcotest.(check int) "dropped at k" k s
       | Netsim.Delivered -> Alcotest.fail "expected drop")
     [ 0; 1; 2 ];
-  let sim = Netsim.make net [| []; []; [] |] in
   Alcotest.(check bool) "no rules delivers" true
-    (Netsim.forward sim path pkt = Netsim.Delivered);
+    (Netsim.forward [| []; []; [] |] path ~tag:0 pkt = Netsim.Delivered);
   let alien = Ternary.Field.random_packet g (Util.field ~src:"11.0.0.0/8" ()) in
-  let sim2 = Netsim.make net (drop_at 1) in
   Alcotest.(check bool) "non-matching delivers" true
-    (Netsim.forward sim2 path alien = Netsim.Delivered)
-
-let test_entry_counts () =
-  let net = Topo.Builder.linear ~switches:2 ~hosts_per_end:1 in
-  let sim =
-    Netsim.make net
-      [|
-        [ entry Ternary.Field.any Acl.Rule.Permit ];
-        [
-          entry ~tags:[ 0; 1; 2 ] Ternary.Field.any Acl.Rule.Drop;
-          entry Ternary.Field.any Acl.Rule.Permit;
-        ];
-      |]
-  in
-  Alcotest.(check int) "table sizes" 1 (Netsim.table_size sim 0);
-  Alcotest.(check int) "merged counts once" 2 (Netsim.table_size sim 1);
-  Alcotest.(check int) "total" 3 (Netsim.total_entries sim)
+    (Netsim.forward (drop_at 1) path ~tag:0 alien = Netsim.Delivered)
 
 (* Random tables over a small tag universe: plain and merged entries,
    new-version shadows and stamps, all from a few overlapping fields. *)
@@ -111,11 +87,10 @@ let prop_tag_view_forwards_alike =
       let g = Prng.create seed in
       let switches = 1 + Prng.int g 5 in
       let tables = random_tables g ~switches in
-      let net = Topo.Builder.linear ~switches ~hosts_per_end:1 in
       (* Half the runs view every tag, the others about three in four. *)
       let all = Prng.bool g and skip = Prng.int g 4 in
       let only tag = all || tag land 3 <> skip in
-      let view = Netsim.tag_view ~only (Netsim.make net tables) in
+      let view = Netsim.tag_view ~only tables in
       let path =
         Routing.Path.make ~ingress:0 ~egress:1
           ~switches:
@@ -137,7 +112,7 @@ let prop_tag_view_forwards_alike =
                 Ternary.Field.random_packet g (Prng.choose g view_fields)
               in
               Netsim.forward_view view path ~tag packet
-              = Netsim.forward_tables tables path ~tag packet)
+              = Netsim.forward tables path ~tag packet)
             (List.init 8 Fun.id))
         tags)
 
@@ -224,7 +199,6 @@ let suite =
     Alcotest.test_case "first match order" `Quick test_first_match_order;
     Alcotest.test_case "tag isolation" `Quick test_tag_isolation;
     Alcotest.test_case "forward along path" `Quick test_forward_along_path;
-    Alcotest.test_case "entry counts" `Quick test_entry_counts;
     QCheck_alcotest.to_alcotest prop_tag_view_forwards_alike;
     QCheck_alcotest.to_alcotest prop_changed_tags_matches_reference;
   ]

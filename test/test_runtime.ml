@@ -78,13 +78,13 @@ let test_install_and_remove () =
   Alcotest.(check string) "solve status" "optimal" r.Report.solve_status;
   Alcotest.(check bool) "entries installed" true (Engine.live_entries eng > 0);
   (* The data plane actually forwards/filters for the new tenant. *)
-  let ns = Engine.netsim eng in
+  let tables = Engine.table_snapshot eng in
   let p = path ~ingress:0 ~egress:1 [ 0; 1; 3 ] in
   let blocked =
     Ternary.Packet.make ~src:0 ~dst:(10 lsl 24 lor 256) ~sport:1 ~dport:2
       ~proto:6
   in
-  (match Netsim.forward ns p blocked with
+  (match Netsim.forward tables p ~tag:0 blocked with
   | Netsim.Dropped _ -> ()
   | Netsim.Delivered -> Alcotest.fail "blacklisted packet delivered");
   let r = Engine.handle eng (Event.Remove { ingresses = [ 0 ] }) in
@@ -120,13 +120,13 @@ let test_ladder_exhausted_quarantines () =
     r.Report.newly_quarantined;
   (* Fail closed: everything from the fenced ingress dies at its
      attachment switch, even packets its policy would have permitted. *)
-  let ns = Engine.netsim eng in
+  let tables = Engine.table_snapshot eng in
   let p = path ~ingress:0 ~egress:1 [ 0; 1; 3 ] in
   let permitted =
     Ternary.Packet.make ~src:(10 lsl 24 lor (1 lsl 16)) ~dst:0 ~sport:9
       ~dport:9 ~proto:6
   in
-  (match Netsim.forward ns p permitted with
+  (match Netsim.forward tables p ~tag:0 permitted with
   | Netsim.Dropped 0 -> ()
   | o -> Alcotest.failf "expected drop at switch 0, got %a" Netsim.pp_outcome o)
 
@@ -166,9 +166,12 @@ let test_quarantine_fails_closed_on_chain () =
   let r = Engine.handle eng (Event.Switch_fail { switch = 2 }) in
   check_report ~rung:Report.Quarantine "stranded" r;
   Alcotest.(check (list int)) "quarantined" [ 0 ] (Engine.quarantined eng);
-  let ns = Engine.netsim eng in
+  let tables = Engine.table_snapshot eng in
   let p = path ~ingress:0 ~egress:1 [ 0; 1; 2 ] in
-  (match Netsim.forward ns p (Ternary.Packet.make ~src:1 ~dst:2 ~sport:3 ~dport:4 ~proto:17) with
+  (match
+     Netsim.forward tables p ~tag:0
+       (Ternary.Packet.make ~src:1 ~dst:2 ~sport:3 ~dport:4 ~proto:17)
+   with
   | Netsim.Dropped 0 -> ()
   | o -> Alcotest.failf "expected fence drop at switch 0, got %a" Netsim.pp_outcome o);
   (* A departing quarantined tenant releases its fence. *)
@@ -579,6 +582,40 @@ let test_memo_sees_live_drift () =
         (Engine.handle eng noop_event))
     drifts
 
+(* An engine booted from a placement owns its live tables: a write into
+   the [Switch_api.tables] slots changes the data plane only, never the
+   declared tables the next verify compares against, so it is drift
+   (the live check fails, the semantic one holds), whether it lands
+   before the engine's first verify or after one. *)
+let test_boot_tables_unaliased () =
+  with_metrics @@ fun () ->
+  let good = Engine.good (two_tenants ()) in
+  let declared = (Tables.of_solution good).Tables.tables in
+  let eng = Engine.create ~config:(test_config ()) good in
+  let k = drop_switch eng in
+  let write () =
+    let live = Switch_api.tables (Engine.switch_api eng) in
+    live.(k) <- List.filter (fun e -> not (is_tenant Acl.Rule.Drop e)) live.(k)
+  in
+  let drifted name =
+    let live0 = verify_failures "live"
+    and semantic0 = verify_failures "semantic" in
+    check_report ~rung:Report.Noop ~verified:false name
+      (Engine.handle eng noop_event);
+    Alcotest.(check int) (name ^ ": live failure") 1
+      (verify_failures "live" - live0);
+    Alcotest.(check int) (name ^ ": declared tables hold") 0
+      (verify_failures "semantic" - semantic0);
+    Alcotest.(check bool) (name ^ ": declared tables unchanged") true
+      ((Tables.of_solution (Engine.good eng)).Tables.tables = declared)
+  in
+  write ();
+  drifted "write before the first verify";
+  Engine.resync eng declared;
+  check_report ~rung:Report.Noop "repaired" (Engine.handle eng noop_event);
+  write ();
+  drifted "write after a verify"
+
 (* A fresh engine restored from the same state has an empty memo, so
    its verify is a full check. *)
 let full_check_twin eng =
@@ -752,6 +789,8 @@ let suite =
       test_runtime_verify_catches_corruption;
     Alcotest.test_case "verify memo sees live drift on an unaffected tenant"
       `Quick test_memo_sees_live_drift;
+    Alcotest.test_case "boot tables are not aliased" `Quick
+      test_boot_tables_unaliased;
     Alcotest.test_case "a no-op after a failed verify gives the full verdict"
       `Quick test_memo_keeps_failed_verdict;
     Alcotest.test_case "restore mid-stream replays the same signatures" `Quick

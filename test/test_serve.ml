@@ -882,6 +882,55 @@ let test_group_commit_acks () =
     !acked;
   Daemon.shutdown d2
 
+(* ---------------- every intake barrier is counted -------------------- *)
+
+(* [batch_fsync = 1] fsyncs inside every admission and larger batches
+   at the group-commit flush; the counter must see both. *)
+let test_intake_fsyncs_counted () =
+  let counted () =
+    Telemetry.Metrics.counter_value
+      (Telemetry.Metrics.counter "sdnplace_serve_intake_fsyncs_total")
+  in
+  let was = Telemetry.Metrics.is_enabled () in
+  Telemetry.Metrics.enable ();
+  Fun.protect ~finally:(fun () -> if not was then Telemetry.Metrics.disable ())
+  @@ fun () ->
+  List.iter
+    (fun batch_fsync ->
+      let name = Printf.sprintf "batch_fsync %d" batch_fsync in
+      let config =
+        {
+          Daemon.default_config with
+          Daemon.seed = 7;
+          shards = 2;
+          batch_fsync;
+          queue_limit = 32;
+          tenant_queue_limit = 8;
+        }
+      in
+      let stores, _ = mem_stores 2 in
+      let before = counted () in
+      let d = Daemon.create ~config ~stores () in
+      let gen = Serve.Loadgen.make ~tenants:6 ~seed:7 () in
+      for _ = 1 to 10 do
+        for _ = 1 to 5 do
+          ignore (Daemon.submit d (Serve.Loadgen.next gen))
+        done;
+        ignore (Daemon.tick d)
+      done;
+      ignore (Daemon.drain d);
+      let stats = Daemon.intake_stats d in
+      Daemon.shutdown d;
+      Alcotest.(check bool) (name ^ ": barriers issued") true
+        (stats.Daemon.fsyncs > 0);
+      if batch_fsync = 1 then
+        Alcotest.(check int) (name ^ ": one barrier per admission")
+          stats.Daemon.appends stats.Daemon.fsyncs;
+      Alcotest.(check int) (name ^ ": counter equals the barriers")
+        stats.Daemon.fsyncs
+        (counted () - before))
+    [ 1; 4 ]
+
 (* ---------------- drain snapshot keeps eventless resolutions -------- *)
 
 (* A quarantined ticket never reaches the journal, so only the shard
@@ -1335,6 +1384,8 @@ let suite =
       test_exec_pool;
     Alcotest.test_case "group commit: acks wait for the covering barrier"
       `Quick test_group_commit_acks;
+    Alcotest.test_case "intake fsync counter sees every barrier" `Quick
+      test_intake_fsyncs_counted;
     Alcotest.test_case "drain snapshot keeps a quarantined ticket" `Quick
       test_drain_keeps_quarantined_ticket;
     Alcotest.test_case "stats reply untearable under a concurrent reader"

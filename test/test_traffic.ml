@@ -153,9 +153,7 @@ let test_hw_frac_sets_capacity () =
     Option.get
       (Placement.Solve.run (Workload.build small_family)).Placement.Solve.solution
   in
-  let { Placement.Tables.netsim; splits = _ } = Placement.Tables.to_netsim sol in
-  let net = sol.Placement.Solution.instance.Placement.Instance.net in
-  let full = Array.init (Topo.Net.num_switches net) (Netsim.table netsim) in
+  let full = (Placement.Tables.of_solution sol).Placement.Tables.tables in
   let hw frac = (Traffic.Controller.hw_of_frac full frac).(0) in
   Alcotest.(check bool)
     (Printf.sprintf "0.3 gives %d slots, 0.6 gives %d" (hw 0.3) (hw 0.6))

@@ -3,17 +3,28 @@
 
 Usage: dead_code_gate.py [ROOT]
 
-Every `val NAME` declared in a lib/**/*.mli must be referenced somewhere
-in the OCaml sources (.ml/.mli) under lib, bin, bench, test, examples,
-tools or perfbench, other than its own definition: the `val` line
-itself and the first `let`/`and`/`external` binding of NAME in the
-sibling .ml.  Comments are stripped first (nested, and lexed the way
-OCaml lexes them: a string or character literal inside a comment is
-skipped whole, and a "(*" inside a string opens nothing), so a name
-that only a comment mentions, such as `{!name}` in a doc comment,
-counts as unused.  Otherwise the search is textual and by bare name, so
-a name shared by two modules counts as used when either is used; the
-gate can miss dead code, never flag live code.
+Every `val NAME` declared in a lib/**/*.mli must be used by some .ml
+under lib, bin, bench, test, examples, tools or perfbench.  Uses are
+resolved by module: a val of module M (the .mli's own module, or B for
+a val inside a nested `module B : sig ... end`) is used when
+
+- some .ml names it `M.NAME` or `X.NAME`, where X is an alias of M made
+  by `module X = ...M` or `let module X = ...M in`;
+- M's own .ml uses it bare, its first `let`/`and`/`external` binding
+  there not counting;
+- a file that opens M (`open`, `let open` or `M.( ... )`) uses it bare;
+- or, when M is passed to a functor, included or packed as a
+  first-class module (or the val sits in a module type), any .ml names
+  it at all.
+
+Aliases are collected across all files, and a qualifier matches by the
+last component of the module path, so two modules of one name count
+as one.  Comments are stripped first (nested, and lexed the way OCaml
+lexes them: a string or character literal inside a comment is skipped
+whole, and a "(*" inside a string opens nothing), so a name that only a
+comment mentions, such as `{!name}` in a doc comment, counts as
+unused.  Every approximation leans one way: the gate can miss dead
+code, never flag live code.
 
 Every optional parameter `?label:` of such a `val` (at the top level of
 its type, not inside a callback's) must be passed, as `~label` or
@@ -23,15 +34,15 @@ name followed by its arguments, read up to the first token that ends
 the application (a closing bracket, a keyword, an infix operator).  A
 name used as a first-class value rather than applied (`let f = M.name
 in`) may be applied later under another name, so it counts as passing
-every label.  Bindings (`let`, `and`, `val`, ...) are not calls.  The
-same bias holds: a name or label shared by two functions can hide a
-dead parameter, never flag a live one.
+every label.  Bindings (`let`, `and`, `val`, ...) are not calls.  This
+search is by bare name: a name or label shared by two functions can
+hide a dead parameter, never flag a live one.
 
 Exits 1 and lists each dead `val` and each dead optional parameter
 when any is found.
 
-Every run first checks the scanner itself on a built-in source tree and
-fails if it misjudges it.
+Every run first checks the scanner itself on built-in source trees and
+fails if it misjudges them.
 """
 
 import os
@@ -47,6 +58,27 @@ WORD = re.compile(r"[A-Za-z0-9_']+")
 CHAR = re.compile(r"'(?:[^\\'\n]|\\(?:[\\'\"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-3][0-7]{2}))'")
 QUOTED = re.compile(r"\{([a-z_]*)\|")
 OPT = re.compile(r"\?([a-z_][A-Za-z0-9_']*)\s*:")
+# A module path; the group is its last component.
+PATH = r"(?:[A-Z][A-Za-z0-9_']*\.)*([A-Z][A-Za-z0-9_']*)(?![A-Za-z0-9_'.])"
+# Scopes of an .mli: a nested [module B : sig] names its vals' module;
+# any other [sig] (a module type, a functor argument) names none.
+SIG_SCOPE = re.compile(
+    r"\bmodule\s+(?P<nested>[A-Z][A-Za-z0-9_']*)\s*:\s*sig\b"
+    r"|\b(?:sig|struct|object|begin)\b"
+    r"|(?P<end>\bend\b)"
+    r"|^\s*val\s+(?P<val>[a-z_][A-Za-z0-9_']*)\s*:", re.M)
+# [module X = ...M] and [let module X = ...M in]: X is an alias of M.
+ALIAS = re.compile(r"\bmodule\s+([A-Z][A-Za-z0-9_']*)\s*(?::[^=]*)?=\s*"
+                   + PATH + r"(?!\s*\()")
+# [open M], [open! M], [let open M in] and [M.( ... )].
+OPEN = re.compile(r"\bopen!?\s+" + PATH
+                  + r"|(?<![A-Za-z0-9_'.])(?:[A-Z][A-Za-z0-9_']*\.)*"
+                    r"([A-Z][A-Za-z0-9_']*)\.(?=[(\[{])")
+# [include M], a functor argument [F (M)] and a packed [(module M)].
+ESCAPE = re.compile(r"\binclude\s+" + PATH
+                    + r"|(?:[A-Z][A-Za-z0-9_']*\.)*[A-Z][A-Za-z0-9_']*\s*\(\s*"
+                    + PATH + r"\s*\)"
+                    + r"|\(\s*module\s+" + PATH)
 SIG_ITEM = re.compile(
     r"^\s*(val|type|module|exception|external|include|open|end|class)\b", re.M)
 TOKEN = re.compile(r"""
@@ -119,26 +151,128 @@ def strip_comments(src):
     return "".join(out)
 
 
+def module_of(path):
+    """The module an .ml/.mli file defines: its capitalised basename."""
+    base = os.path.splitext(os.path.basename(path))[0]
+    return base[:1].upper() + base[1:]
+
+
+def declared_vals(path, src):
+    """(line, name, module) of each [val] of the .mli [src]: [module]
+    is the innermost enclosing [module B : sig], else the file's own
+    module, or None inside a [module type] or an anonymous [sig] (such a
+    val belongs to whatever module matches the signature)."""
+    out = []
+    stack = []
+    for m in SIG_SCOPE.finditer(src):
+        if m.group("val"):
+            owner = stack[-1] if stack else module_of(path)
+            out.append((src.count("\n", 0, m.start("val")) + 1, m.group("val"), owner))
+        elif m.group("end"):
+            if stack:
+                stack.pop()
+        else:
+            stack.append(m.group("nested"))
+    return out
+
+
+def module_refs(text):
+    """Aliases (name -> set of module names it may denote) and the
+    modules passed to a functor, included or packed, across [text]."""
+    aliases = {}
+    escaped = set()
+    for src in text.values():
+        for m in ALIAS.finditer(src):
+            aliases.setdefault(m.group(1), set()).add(m.group(2))
+        for m in ESCAPE.finditer(src):
+            escaped.add(m.group(m.lastindex))
+    return aliases, escaped
+
+
+def denotes(aliases, name):
+    """Every module [name] may denote, following aliases."""
+    seen = {name}
+    todo = [name]
+    while todo:
+        for target in aliases.get(todo.pop(), ()):
+            if target not in seen:
+                seen.add(target)
+                todo.append(target)
+    return seen
+
+
+def scan_uses(src):
+    """Qualified uses (Counter of (qualifier, name)) and bare uses
+    (Counter of name, punned labels included) of the .ml [src]."""
+    qualified = Counter()
+    bare = Counter()
+    toks = tokens(src)
+    for i, (kind, text) in enumerate(toks):
+        if kind == "label" and not text.endswith(":"):
+            bare[text[1:]] += 1
+        elif kind != "ident":
+            continue
+        elif i >= 2 and toks[i - 1] == ("op", ".") and toks[i - 2][0] == "ident":
+            if toks[i - 2][1][:1].isupper():
+                qualified[(toks[i - 2][1], text)] += 1
+        elif i == 0 or toks[i - 1] != ("op", "."):
+            bare[text] += 1
+    return qualified, bare
+
+
 def dead_vals(text):
     """Map of path -> comment-free source in, (declared vals, dead vals)
-    out, each a list of (mli path, line, name)."""
+    out, each a list of (mli path, line, name).
+
+    A val of module M is used when some .ml names it as [X.name] with X
+    denoting M (M itself or an alias of it), uses it bare in M's own .ml
+    (its first binding there aside) or in a file that opens M, or, when
+    M is passed to a functor, included or packed (or the val belongs to
+    a module type), names it anywhere at all."""
     decls = []
     for path, src in sorted(text.items()):
         if path.endswith(".mli") and path.replace(os.sep, "/").startswith("lib/"):
-            for m in VAL.finditer(src):
-                decls.append((path, src.count("\n", 0, m.start(1)) + 1, m.group(1)))
-    uses = Counter()
-    for src in text.values():
-        uses.update(WORD.findall(src))
-    defs = {}
-    for path, _, name in decls:
-        defs[name] = defs.get(name, 0) + 1
-        impl = text.get(path[:-1], "")
-        binding = re.compile(r"^\s*(let|and|external)\s+(rec\s+)?%s(?![A-Za-z0-9_'])"
-                             % re.escape(name), re.M)
-        if binding.search(impl):
-            defs[name] += 1
-    return decls, [(p, line, n) for p, line, n in decls if uses[n] <= defs[n]]
+            for line, name, owner in declared_vals(path, src):
+                decls.append((path, line, name, owner))
+    impls = {p: s for p, s in text.items() if p.endswith(".ml")}
+    aliases, escaped = module_refs(impls)
+    escaped = set().union(*[denotes(aliases, m) for m in escaped])
+    uses = {p: scan_uses(s) for p, s in impls.items()}
+    opens = {}
+    for path, src in impls.items():
+        opened = set()
+        for m in OPEN.finditer(src):
+            opened |= denotes(aliases, m.group(m.lastindex))
+        opens[path] = opened
+    qualified = Counter()
+    for q, _ in uses.values():
+        for (x, name), count in q.items():
+            for owner in denotes(aliases, x):
+                qualified[(owner, name)] += count
+    words = Counter()
+    for src in impls.values():
+        words.update(WORD.findall(src))
+
+    def binds(impl, name):
+        return re.search(r"^\s*(let|and|external)\s+(rec\s+)?%s(?![A-Za-z0-9_'])"
+                         % re.escape(name), impl, re.M) is not None
+
+    defs = Counter()
+    for path, _, name, _ in decls:
+        defs[name] += binds(text.get(path[:-1], ""), name)
+
+    def used(path, name, owner):
+        if owner is None or owner in escaped:
+            return words[name] > defs[name]
+        if qualified[(owner, name)]:
+            return True
+        own = path[:-1]
+        if own in uses and uses[own][1][name] > binds(impls[own], name):
+            return True
+        return any(uses[p][1][name] for p in impls if p != own and owner in opens[p])
+
+    return ([(p, line, n) for p, line, n, _ in decls],
+            [(p, line, n) for p, line, n, owner in decls if not used(p, n, owner)])
 
 
 def tokens(src):
@@ -244,7 +378,8 @@ def dead_options(text):
 def self_check():
     """[ghost] is named only inside comments and [used] only after a
     string and a character literal that a naive scan would misread as
-    opening a comment or a string."""
+    opening a comment or a string.  Then one fixture per way a val
+    escapes its module, each beside a val it does not save."""
     tree = {
         "lib/m/m.mli": "val used : int\n(** Unlike {!ghost}. *)\nval ghost : int\n",
         "lib/m/m.ml": "let used = 1\nlet ghost = 2\n",
@@ -255,6 +390,48 @@ def self_check():
     if [n for _, _, n in dead] != ["ghost"]:
         sys.exit("dead-code gate: self-check failed, dead vals %s, want [ghost]"
                  % [n for _, _, n in dead])
+    # [Churn.next] is reached through a module alias and [Churn.step]
+    # through a [let module] one; [Own.helper] only bare in its own .ml; [Opened.by_*] bare
+    # in files that open it with [open], [let open] and [M.( )];
+    # [Passed.via_functor] and [Included.via_include] through a module
+    # passed to a functor or included; [Store.Batched.append] through
+    # its nested module; [Metrics.reset] qualified.  Their dead
+    # neighbours: [Churn.spare] is named only as [Other.spare],
+    # [Own.lonely] has nothing but its binding, [Opened.closed] is used
+    # bare only where [Opened] is not open, [Store.flush] only as
+    # [Batched.flush], and [Clock.reset] shares its name with the
+    # called [Metrics.reset].
+    tree = {
+        "lib/a/churn.mli": "val next : int\nval step : int\nval spare : int\n",
+        "lib/a/own.mli": "val helper : int -> int\nval lonely : int\n",
+        "lib/a/own.ml": "let helper x = x\nlet lonely = helper 1\n",
+        "lib/a/opened.mli": "val by_open : int\nval by_let_open : int\n"
+                            "val by_local_open : int\nval closed : int\n",
+        "lib/a/passed.mli": "val via_functor : int\n",
+        "lib/a/included.mli": "val via_include : int\n",
+        "lib/a/store.mli": "type t\nval flush : t -> unit\nmodule Batched : sig\n"
+                           "  type t\n  val append : t -> unit\n  val flush : t -> unit\n"
+                           "end\nval wrap : t -> Batched.t\n",
+        "lib/a/metrics.mli": "val reset : unit -> unit\n",
+        "lib/a/clock.mli": "val reset : unit -> unit\n",
+        "bin/alias.ml": "module C = A.Churn\nlet _ = C.next + Other.spare\n"
+                        "let _ = let module D = A.Churn in D.step\n",
+        "bin/opens.ml": "open A.Opened\nlet _ = by_open + closed'\n"
+                        "let _ = let open Opened in by_let_open\n"
+                        "let _ = Opened.(by_local_open + 1)\n",
+        "bin/closed.ml": "let _ = closed + Store.wrap\n",
+        "bin/escape.ml": "module S = Make (A.Passed)\ninclude Included\n"
+                         "let _ = via_functor + via_include\n",
+        "bin/nested.ml": "let _ = A.Store.Batched.append (Batched.flush x)\n"
+                         "let () = Metrics.reset ()\n",
+    }
+    _, dead = dead_vals({p: strip_comments(s) for p, s in tree.items()})
+    got = sorted("%s.%s" % (module_of(p), n) for p, _, n in dead)
+    want = ["Churn.spare", "Clock.reset", "Opened.closed", "Own.lonely",
+            "Store.flush"]
+    if got != want:
+        sys.exit("dead-code gate: self-check failed, dead vals %s, want %s"
+                 % (got, want))
     # [run]'s ?quiet is passed only in a comment and ?depth only inside
     # a nested lambda; ?inner belongs to the callback's type, not to
     # [run]; ?limit and ?seed are passed across lines and through a
