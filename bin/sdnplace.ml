@@ -517,14 +517,9 @@ let events_run metrics trace file options num_events seed fail_rate
       Format.printf "resumed from %s: snapshot seq %d, %d events replayed%s@."
         dir rcv.Journal.Journaled.snapshot_seq
         (List.length rcv.Journal.Journaled.replayed)
-        (match rcv.Journal.Journaled.resolution with
+        (match rcv.Journal.Journaled.interrupted with
         | None -> ""
-        | Some (Journal.Journaled.Replayed s) ->
-          Printf.sprintf ", interrupted event %d re-executed" s
-        | Some (Journal.Journaled.Rolled_back s) ->
-          Printf.sprintf ", interrupted event %d rolled back and re-executed" s
-        | Some (Journal.Journaled.Rolled_forward s) ->
-          Printf.sprintf ", interrupted event %d rolled forward" s);
+        | Some s -> Printf.sprintf ", interrupted event %d re-executed" s);
       if rcv.Journal.Journaled.dropped_bytes > 0 then
         Format.printf "truncated %d bytes of torn journal tail@."
           rcv.Journal.Journaled.dropped_bytes;

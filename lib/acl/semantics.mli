@@ -10,20 +10,19 @@
     pathologically fragmented rule lists; callers (tests, the exact
     verifier) fall back to sampling in that case. *)
 
-val effective_regions :
-  ?budget:int -> Rule.t list -> (Rule.t * Ternary.Cube.t) list
+val effective_regions : Rule.t list -> (Rule.t * Ternary.Cube.t) list
 (** [effective_regions rules] pairs each rule (given highest-priority
     first — the order of {!Policy.rules}) with the exact packet region it
     decides. *)
 
-val drop_region : ?budget:int -> Policy.t -> Ternary.Cube.t
+val drop_region : Policy.t -> Ternary.Cube.t
 (** Exact region of packets the policy drops. *)
 
-val drop_region_of_rules : ?budget:int -> Rule.t list -> Ternary.Cube.t
+val drop_region_of_rules : Rule.t list -> Ternary.Cube.t
 (** Same over an explicitly ordered rule list (first rule matched first),
     e.g. an installed switch table. *)
 
-val equal : ?budget:int -> Policy.t -> Policy.t -> bool
+val equal : Policy.t -> Policy.t -> bool
 (** Exact semantic equality (agreement on every one of the 2^104
     packets). *)
 

@@ -79,15 +79,16 @@ type t = {
    fault plan referenced from both the engine and its switch API)
    survives the round-trip.  The magic's version moves with this record
    and with the WAL record tags (2: wave starts are no longer logged;
-   3: nor are wave commits), so a journal written by another build is
-   refused, not misread. *)
+   3: nor are wave commits; 4: nor is the transaction around the write,
+   and [Ev_commit] carries a tables digest), so a journal written by
+   another build is refused, not misread. *)
 type snap = {
   snap_seq : int;
   snap_client : string option;
   snap_state : Runtime.Engine.persisted;
 }
 
-let snap_magic = "sdnplace-journal/3\n"
+let snap_magic = "sdnplace-journal/4\n"
 
 let append_record t r =
   let bytes = Wal.encode r in
@@ -96,6 +97,9 @@ let append_record t r =
   t.store.Store.wal_append bytes;
   Telemetry.Metrics.incr m_fsyncs;
   Telemetry.Metrics.time m_fsync_s t.store.Store.wal_sync
+
+let tables_digest eng =
+  Wal.digest (Runtime.Switch_api.tables (Runtime.Engine.switch_api eng))
 
 let snapshot_now t =
   Telemetry.Metrics.incr m_snapshots;
@@ -129,18 +133,16 @@ let handle ?client ?rungs t event =
   let seq = t.seq + 1 in
   append_record t (Wal.Ev_begin { seq; event; client; rungs });
   t.kill After_begin;
-  let tx =
-    {
-      Runtime.Engine.on_intent =
-        (fun ~undo ~redo -> append_record t (Wal.Tx_intent { seq; undo; redo }));
-      on_op = (fun ~switch:_ ~op:_ -> t.kill Mid_apply);
-      on_commit = (fun () -> append_record t (Wal.Tx_commit { seq }));
-    }
-  in
-  let report = Runtime.Engine.handle ~tx ?rungs t.eng event in
+  let on_op ~switch:_ ~op:_ = t.kill Mid_apply in
+  let report = Runtime.Engine.handle ~on_op ?rungs t.eng event in
   t.kill Before_commit;
   append_record t
-    (Wal.Ev_commit { seq; signature = Runtime.Report.signature report });
+    (Wal.Ev_commit
+       {
+         seq;
+         signature = Runtime.Report.signature report;
+         tables = tables_digest t.eng;
+       });
   t.seq <- seq;
   (match client with Some _ -> t.client <- client | None -> ());
   t.kill After_commit;
@@ -156,16 +158,11 @@ let set_client t blob = t.client <- Some blob
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
 
-type resolution =
-  | Replayed of int
-  | Rolled_back of int
-  | Rolled_forward of int
-
 type recovery = {
   journaled : t;
   snapshot_seq : int;
   replayed : (int * Runtime.Report.t) list;
-  resolution : resolution option;
+  interrupted : int option;
   client : string option;
   dropped_bytes : int;
   divergences : string list;
@@ -177,9 +174,7 @@ type group = {
   g_event : Runtime.Event.t;
   g_client : string option;
   g_rungs : Runtime.Report.rung list option;
-  mutable g_intent : (Netsim.entry list array * Netsim.entry list array) option;
-  mutable g_commit : bool;
-  mutable g_sig : string option;
+  mutable g_commit : (string * string) option;  (* signature, tables digest *)
 }
 
 let group_records ~snap_seq records =
@@ -191,21 +186,13 @@ let group_records ~snap_seq records =
         | Wal.Ev_begin { seq; event; client; rungs } ->
           let g =
             { g_seq = seq; g_event = event; g_client = client; g_rungs = rungs;
-              g_intent = None; g_commit = false; g_sig = None }
+              g_commit = None }
           in
           groups := g :: !groups;
           current := Some g
-        | Wal.Tx_intent { seq; undo; redo } -> (
+        | Wal.Ev_commit { seq; signature; tables } -> (
           match !current with
-          | Some g when g.g_seq = seq -> g.g_intent <- Some (undo, redo)
-          | _ -> ())
-        | Wal.Tx_commit { seq } -> (
-          match !current with
-          | Some g when g.g_seq = seq -> g.g_commit <- true
-          | _ -> ())
-        | Wal.Ev_commit { seq; signature } -> (
-          match !current with
-          | Some g when g.g_seq = seq -> g.g_sig <- Some signature
+          | Some g when g.g_seq = seq -> g.g_commit <- Some (signature, tables)
           | _ -> ()))
     records;
   List.rev !groups
@@ -233,43 +220,30 @@ let recover ?config ?(journal = default_config) ?(kill = fun _ -> ())
     let divergences = ref [] in
     let diverge fmt = Printf.ksprintf (fun s -> divergences := s :: !divergences) fmt in
     let replayed = ref [] in
-    let resolution = ref None in
+    let interrupted = ref None in
     let client = ref snap.snap_client in
     let last_seq = ref snap.snap_seq in
+    (* Every logged event is re-executed from the snapshot's state
+       (deterministic, so the tables are rebuilt, never read back from
+       the crashed process).  An event with its [Ev_commit] is
+       cross-checked against the logged signature and tables digest;
+       the one without is the event the crash interrupted — by
+       construction the last group — and simply runs, a consistent
+       update from wave 0. *)
     List.iter
       (fun g ->
         (match g.g_client with Some _ -> client := g.g_client | None -> ());
-        (match g.g_sig with
-        | Some logged ->
-          (* Fully absorbed before the crash: re-execute (deterministic)
-             and cross-check against the logged signature. *)
-          let report = Runtime.Engine.handle ?rungs:g.g_rungs eng g.g_event in
+        let report = Runtime.Engine.handle ?rungs:g.g_rungs eng g.g_event in
+        (match g.g_commit with
+        | Some (logged, tables) ->
           let s = Runtime.Report.signature report in
           if s <> logged then
             diverge "event %d: replay signature %s != logged %s" g.g_seq s logged;
-          replayed := (g.g_seq, report) :: !replayed
-        | None ->
-          (* The crash interrupted this event — by construction it is the
-             last group.  Repair the data plane from the logged undo
-             snapshot if the write tore it, then re-execute from the
-             pre-event state (a consistent update from wave 0). *)
-          (match g.g_intent with
-          | Some (undo, _) ->
-            if Runtime.Engine.table_snapshot eng <> undo then begin
-              diverge "event %d: live tables differ from logged undo; resynced" g.g_seq;
-              Runtime.Engine.resync eng undo
-            end
-          | None -> ());
-          let report = Runtime.Engine.handle ?rungs:g.g_rungs eng g.g_event in
-          (match g.g_intent with
-          | Some (_, redo) when g.g_commit ->
-            resolution := Some (Rolled_forward g.g_seq);
-            if Runtime.Engine.table_snapshot eng <> redo then
-              diverge "event %d: rolled-forward tables differ from logged redo"
-                g.g_seq
-          | Some _ -> resolution := Some (Rolled_back g.g_seq)
-          | None -> resolution := Some (Replayed g.g_seq));
-          replayed := (g.g_seq, report) :: !replayed);
+          if tables_digest eng <> tables then
+            diverge "event %d: replayed tables differ from the logged digest"
+              g.g_seq
+        | None -> interrupted := Some g.g_seq);
+        replayed := (g.g_seq, report) :: !replayed;
         last_seq := g.g_seq)
       groups;
     let t =
@@ -290,7 +264,7 @@ let recover ?config ?(journal = default_config) ?(kill = fun _ -> ())
         journaled = t;
         snapshot_seq = snap.snap_seq;
         replayed = List.rev !replayed;
-        resolution = !resolution;
+        interrupted = !interrupted;
         client = !client;
         dropped_bytes;
         divergences = List.rev !divergences;

@@ -1,24 +1,24 @@
 (** Crash-safe persistence around {!Runtime.Engine}.
 
-    A journaled engine writes a {!Wal} record stream around every event
-    it absorbs — [Ev_begin] before the engine sees it, [Tx_intent] /
-    [Tx_commit] around the data-plane write (a whole consistent update,
-    all its waves, is one such write), [Ev_commit] once the report is in
+    A journaled engine writes two {!Wal} records per event it absorbs —
+    [Ev_begin] before the engine sees it, [Ev_commit] (the report's
+    signature and a digest of the live tables) once the report is in
     hand — each fsynced before the next step runs, and periodically
     compacts the log into a full-state snapshot
     ({!Runtime.Engine.persisted} plus the journal's own counters),
-    sealed under the magic ["sdnplace-journal/3\n"] ({!Wal.seal}).
+    sealed under the magic ["sdnplace-journal/4\n"] ({!Wal.seal}).
 
     {!recover} inverts that: load the latest valid snapshot, replay the
     log's longest valid prefix (a torn or corrupt tail is truncated, not
-    fatal), and resolve the at-most-one event the crash interrupted —
-    transactions whose commit record survived are rolled forward,
-    uncommitted ones are rolled back to their logged undo snapshot and
-    re-executed from wave 0.  Because every source of
-    engine randomness lives in the snapshot, the recovered engine's
-    tables and report signatures are byte-identical to a run that never
-    crashed — divergence from the logged signatures is reported, never
-    silently accepted.
+    fatal) by re-executing every logged event, the at-most-one event
+    the crash interrupted included — a consistent update re-runs from
+    wave 0, whatever waves had committed before the crash.  Nothing is
+    read back from the crashed process's data plane.  Because every
+    source of engine randomness lives in the snapshot, the recovered
+    engine's tables and report signatures are byte-identical to a run
+    that never crashed — each replayed event with an [Ev_commit] is
+    checked against its logged signature and tables digest, and a
+    divergence is reported, never silently accepted.
 
     Crash windows are modeled as {e kill points}: a caller-supplied hook
     invoked at each boundary of the write protocol, which the test
@@ -113,33 +113,20 @@ val snapshot_now : t -> unit
 
 (** {1 Recovery} *)
 
-type resolution =
-  | Replayed of int
-      (** the interrupted event had no durable transaction records;
-          it was simply re-executed *)
-  | Rolled_back of int
-      (** its transaction had begun ([Tx_intent]) but not committed:
-          tables were restored to the undo snapshot, then the event was
-          re-executed — a consistent update from wave 0, whatever waves
-          had committed before the crash *)
-  | Rolled_forward of int
-      (** its transaction had committed ([Tx_commit]) but the event
-          record was lost: re-execution redid it, and the final tables
-          were checked against the logged redo target *)
-
 type recovery = {
   journaled : t;  (** ready to absorb further events *)
   snapshot_seq : int;  (** the snapshot the log was replayed on top of *)
   replayed : (int * Runtime.Report.t) list;
       (** re-executed events in order, with their replay reports *)
-  resolution : resolution option;
-      (** how the at-most-one interrupted event was resolved, if any *)
+  interrupted : int option;
+      (** the seq of the at-most-one event re-run without an
+          [Ev_commit]: the event the crash interrupted *)
   client : string option;  (** most recent durable client blob *)
   dropped_bytes : int;  (** torn/corrupt log tail truncated by the scan *)
   divergences : string list;
-      (** replay cross-check failures: signature mismatches vs the
-          logged [Ev_commit] records, or table mismatches vs logged
-          undo/redo payloads.  Empty on a healthy recovery. *)
+      (** replay cross-check failures: signature or tables-digest
+          mismatches vs the logged [Ev_commit] records.  Empty on a
+          healthy recovery. *)
 }
 
 val has_snapshot : Store.t -> (bool, string) result

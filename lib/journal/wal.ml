@@ -5,27 +5,15 @@ type record =
       client : string option;
       rungs : Runtime.Report.rung list option;
     }
-  | Tx_intent of {
-      seq : int;
-      undo : Netsim.entry list array;
-      redo : Netsim.entry list array;
-    }
-  | Tx_commit of { seq : int }
-  | Ev_commit of { seq : int; signature : string }
+  | Ev_commit of { seq : int; signature : string; tables : string }
 
-let seq_of = function
-  | Ev_begin { seq; _ }
-  | Tx_intent { seq; _ }
-  | Tx_commit { seq }
-  | Ev_commit { seq; _ } ->
-    seq
+let seq_of = function Ev_begin { seq; _ } | Ev_commit { seq; _ } -> seq
 
 let describe = function
   | Ev_begin { seq; event; _ } ->
     Printf.sprintf "ev_begin[%d] %s" seq (Runtime.Event.describe event)
-  | Tx_intent { seq; _ } -> Printf.sprintf "tx_intent[%d]" seq
-  | Tx_commit { seq } -> Printf.sprintf "tx_commit[%d]" seq
-  | Ev_commit { seq; signature } -> Printf.sprintf "ev_commit[%d] %s" seq signature
+  | Ev_commit { seq; signature; _ } ->
+    Printf.sprintf "ev_commit[%d] %s" seq signature
 
 (* Frame: [u32 len BE][u32 crc BE][payload].  A record a power cut tore
    mid-write fails either the length bound or the CRC — never Marshal. *)
@@ -87,6 +75,11 @@ let unpack s ~pos ~len =
   | _ | (exception _) -> None
 
 let encode (r : record) = pack r
+
+(* [No_sharing]: equal values give equal bytes however their parts are
+   shared, so a value rebuilt by replay digests like the original. *)
+let digest v =
+  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
 
 let seal ~magic v = frame (magic ^ Marshal.to_string v [])
 

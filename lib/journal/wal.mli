@@ -8,13 +8,12 @@
     first record that fails — everything before the cut is trusted,
     everything after is discarded.
 
-    The record sequence for one absorbed event [seq] is:
-    [Ev_begin] → ([Tx_intent] → [Tx_commit] if the event produced a
-    data-plane write) → [Ev_commit].  Which suffix of that sequence
-    survives a crash tells recovery exactly how far the event got (see
-    {!Journaled}).  Nothing is logged per consistent-update wave: a torn
-    update is rolled back to its [Tx_intent] undo tables and re-run from
-    wave 0. *)
+    The record sequence for one absorbed event [seq] is [Ev_begin] →
+    [Ev_commit].  Whether the [Ev_commit] survived a crash tells
+    recovery whether the event was absorbed; either way recovery
+    re-runs it (see {!Journaled}).  Nothing is logged per table
+    operation or per consistent-update wave: a torn update is re-run
+    from wave 0. *)
 
 type record =
   | Ev_begin of {
@@ -29,16 +28,11 @@ type record =
           ladder restriction the caller handled it under ([None] = the
           engine config's rungs) — replay must re-handle the event with
           the same restriction to converge on the same report *)
-  | Tx_intent of {
-      seq : int;
-      undo : Netsim.entry list array;  (** tables the event started from *)
-      redo : Netsim.entry list array;  (** target tables *)
-    }  (** logged before the first table operation of the transaction *)
-  | Tx_commit of { seq : int }  (** logged right after the transaction commits *)
-  | Ev_commit of { seq : int; signature : string }
+  | Ev_commit of { seq : int; signature : string; tables : string }
       (** logged once the event is fully absorbed; [signature] is the
-          report's {!Runtime.Report.signature}, recovery's cross-check
-          that replay converged *)
+          report's {!Runtime.Report.signature} and [tables] the
+          {!digest} of the live tables after the event, recovery's
+          cross-checks that replay converged *)
 
 val seq_of : record -> int
 val describe : record -> string
@@ -90,6 +84,12 @@ val unpack : string -> pos:int -> len:int -> 'a option
 
 val encode : record -> string
 (** A framed record ({!pack}), ready to append. *)
+
+val digest : 'a -> string
+(** Hex MD5 of the value's [Marshal] image taken without sharing
+    ([Marshal.No_sharing]): structurally equal values digest equal
+    however their parts are physically shared, so tables rebuilt by a
+    replay digest like the ones they replay. *)
 
 val seal : magic:string -> 'a -> string
 (** A sealed snapshot blob: one {!frame} around [magic] followed by the

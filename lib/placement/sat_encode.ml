@@ -16,8 +16,8 @@ type result = {
    equal activities by an unstable sort over all its variables, so
    leaving them out would change its search, and the incumbent the SAT
    probe hands the ILP. *)
-let to_pb ?encoding (layout : Layout.t) =
-  let pb = Pb.create ?encoding () in
+let to_pb (layout : Layout.t) =
+  let pb = Pb.create () in
   let vars = Array.make (Layout.num_vars layout) 0 in
   let placements = ref [] and pins = ref [] in
   Layout.iter_pairs layout (fun v held ->
@@ -73,8 +73,8 @@ let solution_of layout a =
     ~objective:
       (Encode.assignment_objective ~objective:Encode.Total_rules layout a)
 
-let solve ?encoding ?conflict_limit ?cancel (layout : Layout.t) =
-  let pb, vars, _ = to_pb ?encoding layout in
+let solve ?conflict_limit ?cancel (layout : Layout.t) =
+  let pb, vars, _ = to_pb layout in
   let status, assignment =
     match Pb.solve ?conflict_limit ?cancel pb with
     | Cdcl.Sat model -> (`Sat, Some (Array.map (fun v -> model.(v - 1)) vars))

@@ -29,7 +29,6 @@ type result = {
 }
 
 val solve :
-  ?encoding:Pb.encoding ->
   ?conflict_limit:int ->
   ?cancel:(unit -> bool) ->
   Layout.t ->

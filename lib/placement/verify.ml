@@ -227,7 +227,7 @@ let semantic ?(random_samples = 20) ?(only = fun _ -> true) ?tables g
 let check ?random_samples g layout sol =
   structural layout sol @ semantic ?random_samples g sol
 
-let exact ?budget (sol : Solution.t) =
+let exact (sol : Solution.t) =
   let inst = sol.Solution.instance in
   let { Tables.tables; _ } = Tables.of_solution sol in
   let cube_width = Ternary.Field.width in
@@ -235,7 +235,7 @@ let exact ?budget (sol : Solution.t) =
     let violations = ref [] in
     List.iter
       (fun (i, q) ->
-        let expected_all = Acl.Semantics.drop_region ?budget q in
+        let expected_all = Acl.Semantics.drop_region q in
         (* Per-switch drop regions for this ingress tag, cached. *)
         let switch_drop = Hashtbl.create 16 in
         let drop_at s =
@@ -248,7 +248,7 @@ let exact ?budget (sol : Solution.t) =
                   if List.mem i e.Netsim.tags then Some e.Netsim.rule else None)
                 tables.(s)
             in
-            let r = Acl.Semantics.drop_region_of_rules ?budget rules in
+            let r = Acl.Semantics.drop_region_of_rules rules in
             Hashtbl.replace switch_drop s r;
             r
         in
@@ -291,10 +291,10 @@ let exact ?budget (sol : Solution.t) =
                   :: !violations
             in
             witness_of
-              (Ternary.Cube.subtract ?budget expected actual)
+              (Ternary.Cube.subtract expected actual)
               Acl.Rule.Drop;
             witness_of
-              (Ternary.Cube.subtract ?budget actual expected)
+              (Ternary.Cube.subtract actual expected)
               Acl.Rule.Permit)
           (Routing.Table.paths_from inst.Instance.routing i))
       inst.Instance.policies;

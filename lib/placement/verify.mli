@@ -58,7 +58,7 @@ val semantic :
 val check : ?random_samples:int -> Prng.t -> Layout.t -> Solution.t -> violation list
 (** Structural then semantic. *)
 
-val exact : ?budget:int -> Solution.t -> violation list option
+val exact : Solution.t -> violation list option
 (** Sampling-free equivalence proof via {!Ternary.Cube} region algebra:
     for every policy and every routed path, the region of packets the
     installed tables drop along the path (union of per-switch first-match
@@ -66,7 +66,8 @@ val exact : ?budget:int -> Solution.t -> violation list option
     sliced) must equal the big-switch policy's exact drop region.  An
     empty list is a {e proof} of semantic correctness on all 2^104
     packets of every path; any difference yields a concrete witness
-    packet.  [None] when the cube budget (default 100_000) is exceeded —
+    packet.  [None] when the cube budget ({!Ternary.Cube.subtract}'s
+    default, 100_000) is exceeded —
     fall back to {!semantic} sampling then. *)
 
 val pp_violation : Format.formatter -> violation -> unit

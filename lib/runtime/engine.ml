@@ -202,7 +202,6 @@ let restore ?(config = default_config) p =
 let good t = t.good
 let switch_api t = t.api
 let table_snapshot t = Switch_api.snapshot t.api
-let resync t tables = Transaction.restore ~api:t.api tables
 
 let live_entries t =
   Array.fold_left (fun acc es -> acc + List.length es) 0 (Switch_api.tables t.api)
@@ -782,14 +781,7 @@ let update_corpus t (sol : Solution.t) =
 (* ------------------------------------------------------------------ *)
 (* The event loop                                                      *)
 
-type tx_observer = {
-  on_intent :
-    undo:Netsim.entry list array -> redo:Netsim.entry list array -> unit;
-  on_op : switch:int -> op:string -> unit;
-  on_commit : unit -> unit;
-}
-
-let handle ?tx ?rungs t event =
+let handle ?on_op ?rungs t event =
   Telemetry.Trace.with_span "runtime.event" @@ fun () ->
   let rungs = Option.value rungs ~default:ladder_rungs in
   (match Telemetry.Trace.current () with
@@ -863,17 +855,8 @@ let handle ?tx ?rungs t event =
         if goal.sub_policies = [] && goal.unroutable <> [] then Report.Quarantine
         else rung
       in
-      (* The undo record is the tables the event started from, taken
-         before [target_tables] forces fences onto dead switches: the
-         state recovery restores the engine to before it re-runs. *)
-      let undo = Switch_api.snapshot t.api in
       let declared, target = target_tables t sol q' in
-      (match tx with Some o -> o.on_intent ~undo ~redo:target | None -> ());
-      let observe =
-        Option.map (fun o ~switch ~op -> o.on_op ~switch ~op) tx
-      in
       let commit_good () =
-        (match tx with Some o -> o.on_commit () | None -> ());
         t.good <- sol;
         t.quarantine <- q'
       in
@@ -887,7 +870,7 @@ let handle ?tx ?rungs t event =
       let fallback () =
         match
           Telemetry.Trace.with_span "runtime.tx" (fun () ->
-              Transaction.apply ?observe ~api:t.api target)
+              Transaction.apply ?observe:on_op ~api:t.api target)
         with
         | Transaction.Committed ->
           commit_good ();
@@ -917,8 +900,7 @@ let handle ?tx ?rungs t event =
         with
         | exception _ -> None
         | uplan ->
-          Some
-            (Update.execute ?on_op:observe ~api:t.api uplan)
+          Some (Update.execute ?on_op ~api:t.api uplan)
       in
       match updated with
       | None -> fallback ()
@@ -931,4 +913,4 @@ let handle ?tx ?rungs t event =
             ~waves:result.Update.waves_committed
         | Update.Aborted _ -> fallback ()))
 
-let run ?tx t events = List.map (handle ?tx t) events
+let run t events = List.map (handle t) events

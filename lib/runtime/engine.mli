@@ -84,11 +84,6 @@ val restore : ?config:config -> persisted -> t
 val table_snapshot : t -> Netsim.entry list array
 (** A deep-enough copy of the live per-switch tables. *)
 
-val resync : t -> Netsim.entry list array -> unit
-(** Force-resync the data plane to the given tables (see
-    {!Transaction.restore}) — the recovery path's tool for resolving a
-    transaction a crash left torn. *)
-
 val good : t -> Placement.Solution.t
 (** The last-known-good placement (instance included). *)
 
@@ -105,32 +100,19 @@ val quarantined : t -> int list
 
 val dead_switches : t -> int list
 
-type tx_observer = {
-  on_intent :
-    undo:Netsim.entry list array -> redo:Netsim.entry list array -> unit;
-      (** called once per data-plane transaction, after the target is
-          fixed and before the first operation: [undo] is the tables the
-          event started from (before any fence forced onto a dead
-          switch), [redo] the target tables *)
-  on_op : switch:int -> op:string -> unit;
-      (** called before each per-entry install/delete of the two phases *)
-  on_commit : unit -> unit;
-      (** called right after the transaction committed, before the
-          engine adopts the new solution *)
-}
-(** Write-ahead hooks around the data-plane write — what the crash-safe
-    journal uses to log transaction intent/commit records and to place
-    mid-apply kill points.  Exceptions raised by the hooks propagate out
-    of {!handle} (a simulated crash). *)
-
 val handle :
-  ?tx:tx_observer ->
+  ?on_op:(switch:int -> op:string -> unit) ->
   ?rungs:Report.rung list ->
   t ->
   Event.t ->
   Report.t
 (** Absorb one event.  Never raises on malformed events (they are
     rejected in the report); never leaves the tables torn.
+
+    [on_op] is called before each per-entry install/delete of the data
+    plane write, a wave update's or the fallback transaction's — where
+    the crash-safe journal places its mid-apply kill point.  An
+    exception it raises propagates out of [handle] (a simulated crash).
 
     [rungs] restricts the {e solve} rungs of the ladder for this event
     only (quarantine stays available as the floor), in place of the
@@ -139,5 +121,5 @@ val handle :
     greedy/fail-closed rungs.  A replayed event must be re-handled with the same restriction to
     reproduce the same report (the journal persists it per event). *)
 
-val run : ?tx:tx_observer -> t -> Event.t list -> Report.t list
+val run : t -> Event.t list -> Report.t list
 (** [handle] in sequence, reports in event order. *)

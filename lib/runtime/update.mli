@@ -38,10 +38,11 @@
     update back to the pre-update tables; the caller ({!Engine}) then
     degrades to the legacy single-transaction path.
 
-    Nothing is persisted per wave.  A crash mid-update is recovered by
-    restoring the pre-update tables and re-running the whole update from
-    wave 0: planning and execution are deterministic functions of the
-    pre-event state, so the re-run reaches the same tables. *)
+    Nothing is persisted per wave or per operation.  A crash mid-update
+    is recovered by rebuilding the pre-event state (the journal's
+    snapshot plus the events logged after it) and re-running the whole
+    update from wave 0: planning and execution are deterministic
+    functions of that state, so the re-run reaches the same tables. *)
 
 type ingress_paths = {
   ingress : int;

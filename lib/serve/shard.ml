@@ -495,11 +495,6 @@ let recover ?(config = default_config) ?kill ~stores ~seed ~id () =
       }
 
 (* ------------------------------------------------------------------ *)
-(* Inspection                                                          *)
-
-let digest x = Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
-
-(* ------------------------------------------------------------------ *)
 (* Traffic tick: walk one drifting-Zipf epoch over the live tables.
    Stateless — a pure function of the parameters and the last-good
    placement — so a restarted shard answers byte-identically. *)
@@ -545,7 +540,7 @@ let cs_view cs =
 
 let signature t =
   let e = eng t in
-  digest
+  Journal.Wal.digest
     ( Runtime.Engine.table_snapshot e,
       Runtime.Engine.quarantined e,
       Runtime.Engine.dead_switches e,
@@ -566,7 +561,7 @@ let tenant_signature t ~tenant =
         List.mem i (Runtime.Engine.quarantined e) )
     | None -> (None, [], false)
   in
-  digest
+  Journal.Wal.digest
     (ts.ts_active, ts.ts_ingress, breaker_name ts.ts_breaker, policy, paths, fenced)
 
 let tenants t = List.map fst t.cs.cs_tenants

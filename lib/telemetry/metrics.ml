@@ -168,10 +168,10 @@ let counter ?registry ?(help = "") ?(labels = []) name =
   | C c -> { c_on = r.enabled; c }
   | _ -> assert false
 
-let gauge ?registry ?(help = "") ?(labels = []) name =
+let gauge ?registry ?(help = "") name =
   let r = reg registry in
   match
-    register r ~name ~labels ~help ~kind:Gauge (fun () -> G (Atomic.make 0.0))
+    register r ~name ~labels:[] ~help ~kind:Gauge (fun () -> G (Atomic.make 0.0))
   with
   | G g -> { g_on = r.enabled; g }
   | _ -> assert false

@@ -58,12 +58,7 @@ val counter :
     integer counter.  Raises [Invalid_argument] on a malformed metric
     name or a kind clash with an existing series. *)
 
-val gauge :
-  ?registry:registry ->
-  ?help:string ->
-  ?labels:(string * string) list ->
-  string ->
-  gauge
+val gauge : ?registry:registry -> ?help:string -> string -> gauge
 
 val histogram :
   ?registry:registry ->

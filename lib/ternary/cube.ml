@@ -73,9 +73,9 @@ let subtract ?(budget = 100_000) a b =
   in
   { a with cubes }
 
-let subsumes ?budget a b = is_empty (subtract ?budget b a)
+let subsumes a b = is_empty (subtract b a)
 
-let equal ?budget a b = subsumes ?budget a b && subsumes ?budget b a
+let equal a b = subsumes a b && subsumes b a
 
 let choose t = match t.cubes with [] -> None | c :: _ -> Some c
 

@@ -45,10 +45,10 @@ val subtract : ?budget:int -> t -> t -> t
     disjoint from [b].  [budget] (default 100_000) bounds intermediate
     cube counts. *)
 
-val subsumes : ?budget:int -> t -> t -> bool
+val subsumes : t -> t -> bool
 (** [subsumes a b] iff [b] is contained in [a] (i.e. [b \ a] is empty). *)
 
-val equal : ?budget:int -> t -> t -> bool
+val equal : t -> t -> bool
 (** Set equality (mutual containment). *)
 
 val choose : t -> Tbv.t option

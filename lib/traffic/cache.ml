@@ -562,30 +562,27 @@ let capture t =
   let bindings =
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.scores [])
   in
-  Marshal.to_string
-    {
-      p_hw = t.hw;
-      p_decay = t.decay_f;
-      p_scores = bindings;
-      p_resident = t.resident;
-      p_pinned = t.pinned;
-      p_delegated = t.delegated;
-      p_overflow = t.overflow;
-      p_last_pins = t.last_pins;
-      p_hits = t.c_hits;
-      p_misses = t.c_misses;
-      p_dhits = t.c_dhits;
-    }
-    []
+  {
+    p_hw = Array.copy t.hw;
+    p_decay = t.decay_f;
+    p_scores = bindings;
+    p_resident = Array.map Array.copy t.resident;
+    p_pinned = Array.map Array.copy t.pinned;
+    p_delegated = t.delegated;
+    p_overflow = Array.copy t.overflow;
+    p_last_pins = t.last_pins;
+    p_hits = t.c_hits;
+    p_misses = t.c_misses;
+    p_dhits = t.c_dhits;
+  }
 
-let restore ~net ~paths tables blob =
-  let p : persisted = Marshal.from_string blob 0 in
+let restore ~net ~paths tables p =
   let t = create ~decay:p.p_decay ~net ~paths ~hw:p.p_hw tables in
   List.iter (fun (k, v) -> Hashtbl.replace t.scores k v) p.p_scores;
-  t.resident <- p.p_resident;
-  t.pinned <- p.p_pinned;
+  t.resident <- Array.map Array.copy p.p_resident;
+  t.pinned <- Array.map Array.copy p.p_pinned;
   t.delegated <- p.p_delegated;
-  t.overflow <- p.p_overflow;
+  t.overflow <- Array.copy p.p_overflow;
   t.last_pins <- p.p_last_pins;
   t.c_hits <- p.p_hits;
   t.c_misses <- p.p_misses;

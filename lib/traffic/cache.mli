@@ -100,15 +100,18 @@ val delegated_hits : t -> int
 (** Cached-table matches served by a delegated copy (subset of the hit
     tally's complement accounting; informational). *)
 
-val capture : t -> string
-(** Marshal the cache state (scores, residency, delegations, tallies)
-    for the controller's snapshot. *)
+type persisted
+(** The cache state (scores, residency, delegations, tallies) as plain
+    data, for the controller to seal inside its own snapshot. *)
+
+val capture : t -> persisted
+(** A copy of the state: the cache stepping on leaves it as it was. *)
 
 val restore :
   net:Topo.Net.t ->
   paths:Routing.Path.t list ->
   Netsim.entry list array ->
-  string ->
+  persisted ->
   t
 (** Rebuild from {!capture} output plus the (re-derivable) topology,
-    paths and full tables the blob was captured against. *)
+    paths and full tables the state was captured against. *)

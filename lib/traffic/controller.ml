@@ -72,17 +72,18 @@ let line r =
    The full tables ride along so [resume] rebuilds the cache without
    solving again.  It is sealed under [snapshot_magic]
    ({!Journal.Wal.seal}), so a torn blob or one of another version is
-   refused before [Marshal] reads it. *)
+   refused before [Marshal] reads it (2: the cache state is a field of
+   this record, no longer a Marshal string of its own). *)
 type snapshot = {
   s_epoch : int;
   s_full : Netsim.entry list array;
-  s_cache : string;
+  s_cache : Cache.persisted;
   s_violations : int;
   s_reports : epoch_report list;  (* newest first *)
   s_stats : Cache.rebalance_stats;
 }
 
-let snapshot_magic = "sdnplace-caching/1\n"
+let snapshot_magic = "sdnplace-caching/2\n"
 
 type t = {
   cfg : config;

@@ -56,10 +56,12 @@ let sample_records () =
         client = Some "churn blob";
         rungs = None;
       };
-    Wal.Tx_intent
-      { seq = 1; undo = [| [ entry 0 1 ]; [] |]; redo = [| []; [ entry 1 2 ] |] };
-    Wal.Tx_commit { seq = 1 };
-    Wal.Ev_commit { seq = 1; signature = "sig-1" };
+    Wal.Ev_commit
+      {
+        seq = 1;
+        signature = "sig-1";
+        tables = Wal.digest [| [ entry 1 2 ]; [] |];
+      };
   ]
 
 let test_scan_roundtrip_and_torn_tail () =
@@ -69,22 +71,20 @@ let test_scan_roundtrip_and_torn_tail () =
   Alcotest.(check bool) "all records decoded" true (scanned = records);
   Alcotest.(check int) "whole log consumed" (String.length log) consumed;
   (* a torn final record: the valid prefix survives, the tail is cut *)
-  let extra = Wal.encode (Wal.Tx_commit { seq = 2 }) in
+  let extra =
+    Wal.encode (Wal.Ev_commit { seq = 2; signature = "sig-2"; tables = "" })
+  in
   let torn = log ^ String.sub extra 0 (String.length extra - 3) in
   let scanned, consumed = Wal.scan torn in
   Alcotest.(check bool) "torn tail dropped" true (scanned = records);
   Alcotest.(check int) "cut at the tear" (String.length log) consumed;
-  (* a flipped byte inside record 2: scan keeps records 0-1 only *)
-  let off =
-    String.length (Wal.encode (List.nth records 0))
-    + String.length (Wal.encode (List.nth records 1))
-    + 12
-  in
+  (* a flipped byte inside record 1: scan keeps record 0 only *)
+  let off = String.length (Wal.encode (List.nth records 0)) + 12 in
   let b = Bytes.of_string log in
   Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x40));
   let scanned, _ = Wal.scan (Bytes.to_string b) in
   Alcotest.(check bool) "corruption cuts mid-log" true
-    (scanned = [ List.nth records 0; List.nth records 1 ]);
+    (scanned = [ List.nth records 0 ]);
   (* pure garbage *)
   let scanned, consumed = Wal.scan "not a journal at all" in
   Alcotest.(check bool) "garbage yields nothing" true (scanned = []);
@@ -96,7 +96,7 @@ let test_scan_roundtrip_and_torn_tail () =
 let test_wal_fuzz () =
   let g = Prng.create 0xF00D in
   let random_record seq =
-    match Prng.int g 4 with
+    match Prng.int g 2 with
     | 0 ->
       Wal.Ev_begin
         {
@@ -111,19 +111,12 @@ let test_wal_fuzz () =
           rungs =
             (if Prng.bool g then Some [ Runtime.Report.Greedy ] else None);
         }
-    | 1 ->
-      Wal.Tx_intent
-        {
-          seq;
-          undo = [| [ entry (Prng.int g 9) 1 ]; [] |];
-          redo = [| []; [ entry (Prng.int g 9) 2 ] |];
-        }
-    | 2 -> Wal.Tx_commit { seq }
     | _ ->
       Wal.Ev_commit
         {
           seq;
           signature = String.init (Prng.int g 40) (fun _ -> Char.chr (32 + Prng.int g 90));
+          tables = Wal.digest [| [ entry (Prng.int g 9) 2 ]; [] |];
         }
   in
   let rec is_prefix xs ys =
@@ -254,7 +247,47 @@ let test_file_store_fresh_dirs () =
 (* ------------------------------------------------------------------ *)
 (* Journaled engine                                                    *)
 
+let chaos_seed = 3
+let chaos_fault () =
+  Fault_plan.make ~fail_rate:0.12 ~timeout_rate:0.08 ~seed:chaos_seed ()
+let chaos_churn () = Churn.make ~rules:4 ~seed:((chaos_seed * 7) + 1) ()
+
+let live_digest eng = Wal.digest (Switch_api.tables (Engine.switch_api eng))
+
+(* An event is two records whatever its write did: [Ev_begin], then
+   [Ev_commit] with the report's signature and the live tables' digest. *)
+let check_two_records name j (r : Report.t) records =
+  match records with
+  | [
+   Wal.Ev_begin { seq = 1; client = Some "c1"; _ };
+   Wal.Ev_commit { seq = 1; signature; tables };
+  ] ->
+    Alcotest.(check string) (name ^ ": logged signature matches the report")
+      (Report.signature r) signature;
+    Alcotest.(check string) (name ^ ": logged digest matches the live tables")
+      (live_digest (Journaled.engine j)) tables
+  | rs ->
+    Alcotest.failf "%s: unexpected record stream: %s" name
+      (String.concat "; " (List.map Wal.describe rs))
+
 let test_journaled_record_stream () =
+  (* A fallback transaction and a rolled-back one log nothing more than
+     a wave update: [fail_next] bursts force each. *)
+  List.iter
+    (fun (name, burst, want) ->
+      let fault = Fault_plan.make ~seed:41 () in
+      let store, _ = Store.memory () in
+      let j =
+        Journaled.create ~config:(config ()) ~fault ~store
+          (initial (Test_runtime.diamond ()))
+      in
+      Fault_plan.fail_next fault burst;
+      let r = Journaled.handle ~client:"c1" j (Test_runtime.install_event ()) in
+      Alcotest.(check string) (name ^ ": write path") want
+        (Report.applied_name r.Report.applied);
+      check_two_records name j r (fst (Wal.scan (store.Store.wal_read ()))))
+    [ ("fallback", 10, "committed-legacy-fallback");
+      ("rollback", 1000, "rolled-back:install@0") ];
   let store, mem = Store.memory () in
   let j =
     Journaled.create ~config:(config ())
@@ -266,22 +299,9 @@ let test_journaled_record_stream () =
   let r = Journaled.handle ~client:"c1" j (Test_runtime.install_event ()) in
   Alcotest.(check bool) "event verified" true r.Report.verified;
   Alcotest.(check int) "seq advanced" 1 (Journaled.seq j);
-  let records, _ = Wal.scan (store.Store.wal_read ()) in
-  (* A consistent update is one transaction however many waves it runs:
-     nothing is logged per wave. *)
-  Alcotest.(check bool) "the event ran a wave update" true (r.Report.waves > 0);
-  (match records with
-  | [
-   Wal.Ev_begin { seq = 1; client = Some "c1"; _ };
-   Wal.Tx_intent { seq = 1; _ };
-   Wal.Tx_commit { seq = 1 };
-   Wal.Ev_commit { seq = 1; signature };
-  ] ->
-    Alcotest.(check string) "logged signature matches the report" signature
-      (Report.signature r)
-  | rs ->
-    Alcotest.failf "unexpected record stream: %s"
-      (String.concat "; " (List.map Wal.describe rs)));
+  (* A consistent update logs nothing per wave or per operation. *)
+  Alcotest.(check bool) "the event ran a wave update" true (r.Report.waves > 1);
+  check_two_records "wave update" j r (fst (Wal.scan (store.Store.wal_read ())));
   (* snapshot + compaction empties the log and recovery still lands on
      the same state *)
   Journaled.snapshot_now j;
@@ -329,27 +349,68 @@ let test_recover_without_snapshot () =
   | Error "unknown snapshot version" -> ()
   | Error m -> Alcotest.failf "unexpected error: %s" m
   | Ok _ -> Alcotest.fail "recovered from an old-format snapshot");
-  (* A journal sealed under version 2, whose WAL could still hold
-     per-wave records: a record's Marshal tag names another constructor
-     now, so the whole journal is refused. *)
-  Store.set_snapshot mem
-    (Some
-       (Wal.seal ~magic:"sdnplace-journal/2\n"
-          ( 0 (* snap_seq *),
-            (None : string option),
-            Engine.capture engine )));
+  (* Journals sealed under versions 2 and 3, whose WALs could still hold
+     per-wave or transaction records: a record's Marshal tag names
+     another constructor now, so the whole journal is refused. *)
+  List.iter
+    (fun version ->
+      Store.set_snapshot mem
+        (Some
+           (Wal.seal
+              ~magic:(Printf.sprintf "sdnplace-journal/%d\n" version)
+              ( 0 (* snap_seq *),
+                (None : string option),
+                Engine.capture engine )));
+      match Journaled.recover ~config:(config ()) ~store () with
+      | Error "unknown snapshot version" -> ()
+      | Error m -> Alcotest.failf "version %d: unexpected error: %s" version m
+      | Ok _ -> Alcotest.failf "recovered from a version-%d journal" version)
+    [ 2; 3 ]
+
+(* A log whose [Ev_commit] carries a digest the replayed tables do not
+   have — rewritten with a valid frame, so the CRC passes — must recover
+   with a divergence naming that event, while its signature still
+   matches. *)
+let test_wrong_tables_digest_diverges () =
+  let store, _ = Store.memory () in
+  let j =
+    Journaled.create ~config:(config ())
+      ~journal:{ Journaled.snapshot_every = 100 }
+      ~fault:(chaos_fault ()) ~store
+      (initial (Test_runtime.diamond ()))
+  in
+  let churn = chaos_churn () in
+  for _ = 1 to 4 do
+    let ev = Churn.next churn (Journaled.engine j) in
+    ignore (Journaled.handle ~client:(Churn.capture churn) j ev)
+  done;
+  let records, _ = Wal.scan (store.Store.wal_read ()) in
+  let forged =
+    List.map
+      (function
+        | Wal.Ev_commit { seq = 3; signature; _ } ->
+          Wal.Ev_commit { seq = 3; signature; tables = Wal.digest [| [] |] }
+        | r -> r)
+      records
+  in
+  Alcotest.(check bool) "event 3's commit was rewritten" true (forged <> records);
+  store.Store.wal_reset ();
+  List.iter (fun r -> store.Store.wal_append (Wal.encode r)) forged;
+  store.Store.wal_sync ();
   match Journaled.recover ~config:(config ()) ~store () with
-  | Error "unknown snapshot version" -> ()
-  | Error m -> Alcotest.failf "unexpected error: %s" m
-  | Ok _ -> Alcotest.fail "recovered from a version-2 journal"
+  | Error m -> Alcotest.failf "recover: %s" m
+  | Ok rcv ->
+    Alcotest.(check int) "nothing dropped" 0 rcv.Journaled.dropped_bytes;
+    Alcotest.(check int) "every event replayed" 4
+      (List.length rcv.Journaled.replayed);
+    Alcotest.(check (option int)) "no interrupted event" None
+      rcv.Journaled.interrupted;
+    Alcotest.(check (list string)) "one divergence, at event 3"
+      [ "event 3: replayed tables differ from the logged digest" ]
+      rcv.Journaled.divergences
 
 (* ------------------------------------------------------------------ *)
 (* Kill-point matrix                                                   *)
-
-let chaos_seed = 3
-let chaos_fault () =
-  Fault_plan.make ~fail_rate:0.12 ~timeout_rate:0.08 ~seed:chaos_seed ()
-let chaos_churn () = Churn.make ~rules:4 ~seed:((chaos_seed * 7) + 1) ()
 
 let reference_run n =
   let eng =
@@ -453,10 +514,10 @@ let test_kill_point_matrix () =
     Journaled.all_kill_points
 
 (* A crash between two operations of a consistent update — wherever it
-   lands, past wave 0's commit included — leaves nothing of the update
-   in the log but its Tx_intent.  Recovery must roll the tables back to
-   the logged undo and re-run the update from wave 0, landing
-   byte-identical to an uncrashed run of the same event. *)
+   lands, past wave 0's commit included — leaves nothing of the event in
+   the log but its Ev_begin.  Recovery must re-run the event from the
+   snapshot's tables, the update from wave 0, landing byte-identical to
+   an uncrashed run of the same event. *)
 let test_mid_wave_crash_reruns () =
   let ref_eng =
     Engine.create ~config:(config ()) (initial (Test_runtime.diamond ()))
@@ -495,9 +556,8 @@ let test_mid_wave_crash_reruns () =
       match Journaled.recover ~config:(config ()) ~store () with
       | Error msg -> Alcotest.failf "%s: recovery failed: %s" name msg
       | Ok rcv ->
-        (match rcv.Journaled.resolution with
-        | Some (Journaled.Rolled_back 1) -> ()
-        | _ -> Alcotest.failf "%s: expected Rolled_back 1" name);
+        Alcotest.(check (option int)) (name ^ ": interrupted event")
+          (Some 1) rcv.Journaled.interrupted;
         Alcotest.(check (list string)) (name ^ ": divergence-free") []
           rcv.Journaled.divergences;
         (match rcv.Journaled.replayed with
@@ -514,9 +574,8 @@ let test_mid_wave_crash_reruns () =
 
 (* A switch failure that strands a tenant attached to the dead switch
    fences it there through the controller's forced write, before the
-   transaction's intent is logged.  The logged undo must still be the
-   tables the event started from — the state recovery restores — or a
-   crash later in the event reads as a divergence. *)
+   event's table operations.  A crash later in the event must still
+   recover without a divergence. *)
 let test_dead_switch_fence_recovers () =
   let events =
     [ Test_runtime.install_event ~switches:[ 0; 1; 2 ] ();
@@ -710,6 +769,8 @@ let suite =
       test_journaled_record_stream;
     Alcotest.test_case "recovery refuses missing/corrupt snapshots" `Quick
       test_recover_without_snapshot;
+    Alcotest.test_case "a wrong tables digest on Ev_commit is a divergence"
+      `Quick test_wrong_tables_digest_diverges;
     Alcotest.test_case "kill-point matrix recovers byte-identical" `Slow
       test_kill_point_matrix;
     Alcotest.test_case "mid-wave crash re-runs the update from wave 0"

@@ -415,12 +415,16 @@ let with_metrics f =
    changes nothing and re-verifies the engine as it stands. *)
 let noop_event = Event.Remove { ingresses = [ 3 ] }
 
+(* Force [tables] into [eng]'s data plane behind the engine's back: drift
+   the next verify must see. *)
+let resync eng tables = Transaction.restore ~api:(Engine.switch_api eng) tables
+
 (* Force [corrupt tables] into the data plane, send the no-op event and
    check that exactly the [failed] check counts the failure ([None]: the
    event verifies and nothing counts); then put the tables back. *)
 let reverify name eng ~corrupt ~failed =
   let tables = Engine.table_snapshot eng in
-  Engine.resync eng (corrupt tables);
+  resync eng (corrupt tables);
   let before = List.map verify_failures verify_checks in
   let r = Engine.handle eng noop_event in
   check_report ~rung:Report.Noop ~verified:(failed = None) name r;
@@ -431,7 +435,7 @@ let reverify name eng ~corrupt ~failed =
         (if Some check = failed then 1 else 0)
         (verify_failures check - b))
     verify_checks before;
-  Engine.resync eng tables
+  resync eng tables
 
 let is_tenant action (e : Netsim.entry) =
   e.Netsim.tags = [ 0 ]
@@ -577,7 +581,7 @@ let test_memo_sees_live_drift () =
         (Engine.handle eng noop_event);
       Alcotest.(check int) (how ^ ": live failures counted") 2
         (verify_failures "live" - live0);
-      Engine.resync eng tables;
+      resync eng tables;
       check_report ~rung:Report.Noop (how ^ ": repaired")
         (Engine.handle eng noop_event))
     drifts
@@ -611,7 +615,7 @@ let test_boot_tables_unaliased () =
   in
   write ();
   drifted "write before the first verify";
-  Engine.resync eng declared;
+  resync eng declared;
   check_report ~rung:Report.Noop "repaired" (Engine.handle eng noop_event);
   write ();
   drifted "write after a verify"
@@ -626,7 +630,7 @@ let test_memo_keeps_failed_verdict () =
   let eng = two_tenants () in
   let k = drop_switch eng in
   let tables = Engine.table_snapshot eng in
-  Engine.resync eng
+  resync eng
     (Array.mapi
        (fun j t ->
          if j = k then List.filter (fun e -> not (is_tenant Acl.Rule.Drop e)) t
@@ -638,8 +642,8 @@ let test_memo_keeps_failed_verdict () =
   check_report ~verified:false "no-op after a failed verify" r;
   Alcotest.(check string) "memo verdict = full check verdict"
     (Report.signature r') (Report.signature r);
-  Engine.resync eng tables;
-  Engine.resync twin tables;
+  resync eng tables;
+  resync twin tables;
   let r = Engine.handle eng noop_event and r' = Engine.handle twin noop_event in
   check_report "repaired" r;
   Alcotest.(check string) "repaired: memo verdict = full check verdict"

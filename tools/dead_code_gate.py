@@ -28,15 +28,17 @@ code, never flag live code.
 
 Every optional parameter `?label:` of such a `val` (at the top level of
 its type, not inside a callback's) must be passed, as `~label` or
-`?label`, by some call of a function of that bare name anywhere in
-those sources, the defining module's own calls included.  A call is the
-name followed by its arguments, read up to the first token that ends
-the application (a closing bracket, a keyword, an infix operator).  A
-name used as a first-class value rather than applied (`let f = M.name
-in`) may be applied later under another name, so it counts as passing
-every label.  Bindings (`let`, `and`, `val`, ...) are not calls.  This
-search is by bare name: a name or label shared by two functions can
-hide a dead parameter, never flag a live one.
+`?label`, by some call of that val, the defining module's own calls
+included.  Calls resolve by module the way uses do: `X.name` with X
+denoting M, a bare `name` in M's own .ml or in a file that opens M, or
+any call of the name when M escapes.  So a same-named function of
+another module passing the label does not keep it alive.  A call is
+the name followed by its arguments, read up to the first token that
+ends the application (a closing bracket, a keyword, an infix
+operator).  A name used as a first-class value rather than applied
+(`let f = M.name in`) may be applied later under another name, so it
+counts as passing every label.  Bindings (`let`, `and`, `val`, ...)
+are not calls.
 
 Exits 1 and lists each dead `val` and each dead optional parameter
 when any is found.
@@ -51,7 +53,6 @@ import sys
 from collections import Counter
 
 DIRS = ["lib", "bin", "bench", "test", "examples", "tools", "perfbench"]
-VAL = re.compile(r"^\s*val\s+([a-z_][A-Za-z0-9_']*)\s*:", re.M)
 # A maximal run of identifier characters: a name is used where a run
 # equals it.
 WORD = re.compile(r"[A-Za-z0-9_']+")
@@ -158,16 +159,18 @@ def module_of(path):
 
 
 def declared_vals(path, src):
-    """(line, name, module) of each [val] of the .mli [src]: [module]
-    is the innermost enclosing [module B : sig], else the file's own
-    module, or None inside a [module type] or an anonymous [sig] (such a
-    val belongs to whatever module matches the signature)."""
+    """(line, name, module, end) of each [val] of the .mli [src]:
+    [module] is the innermost enclosing [module B : sig], else the
+    file's own module, or None inside a [module type] or an anonymous
+    [sig] (such a val belongs to whatever module matches the
+    signature); [end] is the offset just past the val's ':'."""
     out = []
     stack = []
     for m in SIG_SCOPE.finditer(src):
         if m.group("val"):
             owner = stack[-1] if stack else module_of(path)
-            out.append((src.count("\n", 0, m.start("val")) + 1, m.group("val"), owner))
+            out.append((src.count("\n", 0, m.start("val")) + 1, m.group("val"),
+                        owner, m.end()))
         elif m.group("end"):
             if stack:
                 stack.pop()
@@ -176,17 +179,34 @@ def declared_vals(path, src):
     return out
 
 
-def module_refs(text):
-    """Aliases (name -> set of module names it may denote) and the
-    modules passed to a functor, included or packed, across [text]."""
+def module_refs(impls):
+    """Aliases (name -> set of module names it may denote), the modules
+    passed to a functor, included or packed (aliases followed), and
+    the modules each file opens, across the .ml sources [impls]."""
     aliases = {}
     escaped = set()
-    for src in text.values():
+    for src in impls.values():
         for m in ALIAS.finditer(src):
             aliases.setdefault(m.group(1), set()).add(m.group(2))
         for m in ESCAPE.finditer(src):
             escaped.add(m.group(m.lastindex))
-    return aliases, escaped
+    escaped = set().union(*[denotes(aliases, m) for m in escaped])
+    opens = {}
+    for path, src in impls.items():
+        opened = set()
+        for m in OPEN.finditer(src):
+            opened |= denotes(aliases, m.group(m.lastindex))
+        opens[path] = opened
+    return aliases, escaped, opens
+
+
+def lib_decls(text):
+    """(mli path, line, name, module, end) of every val of every
+    lib/**/*.mli in [text]."""
+    return [(path,) + decl
+            for path, src in sorted(text.items())
+            if path.endswith(".mli") and path.replace(os.sep, "/").startswith("lib/")
+            for decl in declared_vals(path, src)]
 
 
 def denotes(aliases, name):
@@ -229,21 +249,10 @@ def dead_vals(text):
     (its first binding there aside) or in a file that opens M, or, when
     M is passed to a functor, included or packed (or the val belongs to
     a module type), names it anywhere at all."""
-    decls = []
-    for path, src in sorted(text.items()):
-        if path.endswith(".mli") and path.replace(os.sep, "/").startswith("lib/"):
-            for line, name, owner in declared_vals(path, src):
-                decls.append((path, line, name, owner))
+    decls = [d[:4] for d in lib_decls(text)]
     impls = {p: s for p, s in text.items() if p.endswith(".ml")}
-    aliases, escaped = module_refs(impls)
-    escaped = set().union(*[denotes(aliases, m) for m in escaped])
+    aliases, escaped, opens = module_refs(impls)
     uses = {p: scan_uses(s) for p, s in impls.items()}
-    opens = {}
-    for path, src in impls.items():
-        opened = set()
-        for m in OPEN.finditer(src):
-            opened |= denotes(aliases, m.group(m.lastindex))
-        opens[path] = opened
     qualified = Counter()
     for q, _ in uses.values():
         for (x, name), count in q.items():
@@ -356,23 +365,50 @@ def passed_labels(toks, i):
 
 def dead_options(text):
     """Map of path -> comment-free source in, list of (mli path, line,
-    val name, label) out: each optional parameter no call passes."""
-    wanted = []
-    for path, src in sorted(text.items()):
-        if path.endswith(".mli") and path.replace(os.sep, "/").startswith("lib/"):
-            for m in VAL.finditer(src):
-                for label in sorted(optional_labels(src, m.end())):
-                    wanted.append((path, src.count("\n", 0, m.start(1)) + 1,
-                                   m.group(1), label))
-    passed = {n: set() for _, _, n, _ in wanted}
-    for src in text.values():
+    val name, label) out: each optional parameter no call of its own
+    val passes.  A call [X.name] is a call of module M's [name] when X
+    denotes M; a bare [name] is one in M's own .ml and in files that
+    open M; any call of the name is one when M escapes (or the val sits
+    in a module type)."""
+    impls = {p: s for p, s in text.items() if p.endswith(".ml")}
+    aliases, escaped, opens = module_refs(impls)
+    # name -> the vals of that name with optional labels, each a dict
+    # whose "passed" turns None once the val is used as a value.
+    vals = {}
+    for path, line, name, owner, end in lib_decls(text):
+        labels = optional_labels(text[path], end)
+        if labels:
+            vals.setdefault(name, []).append({
+                "path": path, "line": line, "wanted": labels, "passed": set(),
+                "owner": None if owner in escaped else owner})
+
+    def calls(val, path, qualifier):
+        if val["owner"] is None:
+            return True
+        if qualifier is not None:
+            return val["owner"] in denotes(aliases, qualifier)
+        return path == val["path"][:-1] or val["owner"] in opens[path]
+
+    for path, src in impls.items():
         toks = tokens(src)
         for i, (kind, name) in enumerate(toks):
-            if kind == "ident" and passed.get(name) is not None:
+            if kind != "ident" or name not in vals:
+                continue
+            qualifier = None
+            if i >= 2 and toks[i - 1] == ("op", ".") and toks[i - 2][0] == "ident":
+                qualifier = toks[i - 2][1]
+                if not qualifier[:1].isupper():
+                    continue  # a record field, not a val
+            targets = [v for v in vals[name]
+                       if v["passed"] is not None and calls(v, path, qualifier)]
+            if targets:
                 labels = passed_labels(toks, i)
-                passed[name] = None if labels is None else passed[name] | labels
-    return [(p, line, n, label) for p, line, n, label in wanted
-            if passed[n] is not None and label not in passed[n]]
+                for v in targets:
+                    v["passed"] = None if labels is None else v["passed"] | labels
+    return sorted((v["path"], v["line"], name, label)
+                  for name, entries in vals.items() for v in entries
+                  if v["passed"] is not None
+                  for label in v["wanted"] - v["passed"])
 
 
 def self_check():
@@ -455,6 +491,25 @@ def self_check():
     if got != [("run", "depth"), ("run", "quiet")]:
         sys.exit("dead-code gate: self-check failed, dead options %s, want "
                  "[run ?depth, run ?quiet]" % got)
+    # [Ilp.solve] and [Sat.solve] share a name and a label; only
+    # [Ilp.solve]'s calls pass ?encoding (qualified, through an alias,
+    # and bare where [Ilp] is open), so [Sat.solve ?encoding] is dead
+    # though a same-named call passes it.  [Sat.solve ?budget] is kept
+    # by a bare call in its own .ml.
+    tree = {
+        "lib/a/ilp.mli": "val solve : ?encoding:int -> unit -> int\n",
+        "lib/a/sat.mli": "val solve : ?encoding:int -> ?budget:int -> unit -> int\n",
+        "lib/a/sat.ml": "let solve ?(encoding = 0) ?(budget = 0) () = encoding + budget\n"
+                        "let again () = solve ~budget:1 ()\n",
+        "bin/main.ml": "module I = A.Ilp\nlet _ = Ilp.solve ~encoding:1 () + Sat.solve ()\n"
+                       "let _ = I.solve ~encoding:2 ()\n"
+                       "let _ = let open Ilp in solve ~encoding:3 ()\n",
+    }
+    dead = dead_options({p: strip_comments(s) for p, s in tree.items()})
+    got = ["%s.%s ?%s" % (module_of(p), n, label) for p, _, n, label in dead]
+    if got != ["Sat.solve ?encoding"]:
+        sys.exit("dead-code gate: self-check failed, dead options %s, want "
+                 "[Sat.solve ?encoding]" % got)
 
 
 def sources(root):
@@ -483,7 +538,7 @@ def main():
     if dead or options:
         sys.exit(1)
     print("dead-code gate: %d exported vals, all referenced; every optional "
-          "parameter passed somewhere" % len(decls))
+          "parameter passed by a call of its val" % len(decls))
 
 
 if __name__ == "__main__":
