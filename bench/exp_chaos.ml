@@ -41,11 +41,7 @@ let run ~title ~seed ~events ~time_limit () =
       Runtime.Fault_plan.make ~fail_rate:0.15 ~timeout_rate:0.08 ~seed ()
     in
     let config =
-      {
-        Runtime.Engine.default_config with
-        Runtime.Engine.deadline_s = 10.0;
-        solve_options = options;
-      }
+      { Runtime.Engine.deadline_s = 10.0; solve_options = options }
     in
     let eng = Runtime.Engine.create ~config ~fault initial in
     let churn = Runtime.Churn.make ~rules:6 ~seed:((seed * 13) + 5) () in
@@ -187,11 +183,7 @@ let update_storm ~title ~seed ~events ~time_limit () =
   | Some initial ->
     Printf.printf "\n== %s ==\n%d events, seed %d\n" title events seed;
     let config =
-      {
-        Runtime.Engine.default_config with
-        Runtime.Engine.deadline_s = 10.0;
-        solve_options = options;
-      }
+      { Runtime.Engine.deadline_s = 10.0; solve_options = options }
     in
     let fault () =
       Runtime.Fault_plan.make ~fail_rate:0.15 ~timeout_rate:0.08 ~seed ()
@@ -420,11 +412,7 @@ let crash_soak ~title ~seed ~events ~time_limit () =
   | Some initial ->
     Printf.printf "\n== %s ==\n%d events, seed %d\n" title events seed;
     let config =
-      {
-        Runtime.Engine.default_config with
-        Runtime.Engine.deadline_s = 10.0;
-        solve_options = options;
-      }
+      { Runtime.Engine.deadline_s = 10.0; solve_options = options }
     in
     let fault () =
       Runtime.Fault_plan.make ~fail_rate:0.15 ~timeout_rate:0.08 ~seed ()

@@ -496,11 +496,7 @@ let events_run metrics trace file options num_events seed fail_rate
   with_telemetry metrics trace @@ fun () ->
   protect @@ fun () ->
   let config =
-    {
-      Runtime.Engine.default_config with
-      Runtime.Engine.deadline_s = deadline;
-      solve_options = options;
-    }
+    { Runtime.Engine.deadline_s = deadline; solve_options = options }
   in
   let churn_seed = (seed * 31) + 7 in
   match (resume, journal) with
@@ -621,8 +617,9 @@ let events_cmd =
       & info [ "journal" ] ~docv:"DIR"
           ~doc:
             "Directory for the crash-safe write-ahead journal.  Every event \
-             is durably logged (begin record, transaction intent/commit, \
-             commit record, each fsynced) and the full engine state is \
+             is durably logged (a begin record before it runs, a commit \
+             record with its report signature and a digest of the live \
+             tables after, each fsynced) and the full engine state is \
              periodically snapshotted with log compaction, so an \
              interrupted replay can be continued with $(b,--resume).")
   in
@@ -633,10 +630,11 @@ let events_cmd =
           ~doc:
             "Resume a previous $(b,--journal) run: load the latest \
              snapshot, replay the write-ahead log (a torn or corrupt tail \
-             is truncated, not fatal), resolve the event the crash \
-             interrupted (committed transactions are rolled forward, \
-             uncommitted ones rolled back), then continue the same churn \
-             stream for $(b,--events) more events.")
+             is truncated, not fatal) by re-executing every logged event, \
+             the one the crash interrupted included, checking each \
+             committed one against its logged signature and tables \
+             digest, then continue the same churn stream for \
+             $(b,--events) more events.")
   in
   Cmd.v
     (Cmd.info "events" ~exits
@@ -1003,8 +1001,8 @@ let serve_cmd =
           ~doc:
             "Group-commit window for the intake log: stage up to $(docv) \
              admissions per covering fsync instead of one fsync each.  An \
-             event is still acked only after a barrier covers its record — \
-             $(docv)=1 keeps the sync-every-admission behaviour.  Stdio \
+             event is acked only after a barrier covers its record — \
+             $(docv)=1 is a window of one, one fsync per admission.  Stdio \
              and socket sessions alike commit once per poll cycle: the \
              requests that arrive in one read share their fsyncs.")
   in

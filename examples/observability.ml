@@ -43,11 +43,13 @@ let () =
          (List.filter (fun (r : Runtime.Report.t) -> r.Runtime.Report.verified)
             reports)));
 
-  (* 1. Typed access: the migrated stat surfaces read the registry. *)
-  let s = Runtime.Switch_api.global_stats () in
+  (* 1. Typed access: registering a series name again returns the
+     registry's existing cell, so any caller can read it back. *)
+  let count name = Telemetry.Metrics.(counter_value (counter name)) in
   Format.printf "switch ops: %d attempts, %d failures, %d retries@."
-    s.Runtime.Switch_api.attempts s.Runtime.Switch_api.failures
-    s.Runtime.Switch_api.retries;
+    (count "sdnplace_switch_attempts_total")
+    (count "sdnplace_switch_failures_total")
+    (count "sdnplace_switch_retries_total");
 
   (* 2. Prometheus exposition: every registered series, including the
      zero-valued ones.  `sdnplace solve INSTANCE --metrics -` prints the

@@ -88,7 +88,7 @@ type snap = {
   snap_state : Runtime.Engine.persisted;
 }
 
-let snap_magic = "sdnplace-journal/4\n"
+let snap_magic = "sdnplace-journal/5\n"
 
 let append_record t r =
   let bytes = Wal.encode r in

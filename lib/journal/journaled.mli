@@ -6,7 +6,7 @@
     hand — each fsynced before the next step runs, and periodically
     compacts the log into a full-state snapshot
     ({!Runtime.Engine.persisted} plus the journal's own counters),
-    sealed under the magic ["sdnplace-journal/4\n"] ({!Wal.seal}).
+    sealed under the magic ["sdnplace-journal/5\n"] ({!Wal.seal}).
 
     {!recover} inverts that: load the latest valid snapshot, replay the
     log's longest valid prefix (a torn or corrupt tail is truncated, not

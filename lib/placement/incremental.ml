@@ -24,8 +24,7 @@ let combine ~(frozen : Solution.t) ~(sub : Solution.t) ~instance =
     objective = frozen.Solution.objective +. sub.Solution.objective;
   }
 
-let install ?options ?deadline ?cancel ~(base : Solution.t) ~policies ~paths ()
-    =
+let install ?options ?deadline ~(base : Solution.t) ~policies ~paths () =
   let base_inst = base.Solution.instance in
   let net = base_inst.Instance.net in
   List.iter
@@ -34,7 +33,7 @@ let install ?options ?deadline ?cancel ~(base : Solution.t) ~policies ~paths ()
         invalid_arg "Incremental.install: ingress already carries a policy")
     policies;
   let report =
-    Solve.run ?options ?deadline ?cancel
+    Solve.run ?options ?deadline
       (Instance.make ~net ~routing:(Routing.Table.of_paths paths) ~policies
          ~capacities:(residual_capacities base))
   in

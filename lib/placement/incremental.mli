@@ -32,7 +32,6 @@ val residual_capacities : Solution.t -> int array
 val install :
   ?options:Solve.options ->
   ?deadline:float ->
-  ?cancel:(unit -> bool) ->
   base:Solution.t ->
   policies:(int * Acl.Policy.t) list ->
   paths:Routing.Path.t list ->
@@ -42,8 +41,8 @@ val install :
     must not already carry a policy.  Raises [Invalid_argument] if they
     do, or if a path references an unknown host/switch.
 
-    [deadline] (an absolute [Unix.gettimeofday] instant) and [cancel]
-    bound the sub-problem solve the same way {!Solve.run} is bounded:
+    [deadline] (an absolute [Unix.gettimeofday] instant) bounds the
+    sub-problem solve the same way it bounds {!Solve.run}:
     online updates are exactly where an unbounded stall is unacceptable
     (Section IV-E exists to make them sub-second), so the runtime hands
     each one a hard wall-clock budget.  A deadline hit reports

@@ -88,14 +88,11 @@ let capacity_ok t =
     t.per_switch;
   !ok
 
-let tcam_slots ?tag_bits t =
+let tcam_slots t =
   let tag_bits =
-    match tag_bits with
-    | Some b -> b
-    | None ->
-      let hosts = Topo.Net.num_hosts t.instance.Instance.net in
-      let rec bits n acc = if n <= 1 then acc else bits ((n + 1) / 2) (acc + 1) in
-      max 1 (bits hosts 0)
+    let hosts = Topo.Net.num_hosts t.instance.Instance.net in
+    let rec bits n acc = if n <= 1 then acc else bits ((n + 1) / 2) (acc + 1) in
+    max 1 (bits hosts 0)
   in
   Array.fold_left
     (fun acc cells ->

@@ -41,13 +41,13 @@ val overhead_pct : t -> float
 
 val capacity_ok : t -> bool
 
-val tcam_slots : ?tag_bits:int -> t -> int
+val tcam_slots : t -> int
 (** Physical TCAM slot estimate: the placement model counts one slot per
     cell (the paper's convention), but a real TCAM expands port ranges
     into prefix covers and a merged entry's tag set into ternary tag
     patterns.  Each cell costs
-    [Field.tcam_entries x Tag_cover.patterns(tags)].  [tag_bits]
-    defaults to the width needed for the instance's host count. *)
+    [Field.tcam_entries x Tag_cover.patterns(tags)], the tag patterns
+    taken over the width needed for the instance's host count. *)
 
 val is_placed : t -> ingress:int -> priority:int -> switch:int -> bool
 (** A scan of the switch's cells and of each cell's tags: linear in the

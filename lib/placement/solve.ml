@@ -91,7 +91,7 @@ type report = {
 
 (* Best available ILP warm start: greedy, plus (under merging) the plain
    merge-free optimum, plus a cheap SAT probe when everything else
-   fails.  Both helper solves poll the run's [cancel] hook. *)
+   fails.  Both helper solves poll the run's stop hook. *)
 let ilp_warm_start ~cancel options inst_pre_plan (layout : Layout.t) =
   let candidates =
     Option.to_list (Baseline.greedy_assignment layout)
@@ -235,10 +235,10 @@ let run_sat_opt ~cancel options layout =
        under other objectives the SAT side decides feasibility only. *)
     run_sat ~cancel options layout
 
-let run ?(options = default_options) ?deadline ?cancel inst =
-  (* Fold the wall-clock deadline and the caller's cancel hook into one
-     cooperative stop signal, and clamp the ILP time limit to the
-     remaining budget so neither bound can outlive the other. *)
+let run ?(options = default_options) ?deadline inst =
+  (* Turn the wall-clock deadline into one cooperative stop signal, and
+     clamp the ILP time limit to the remaining budget so neither bound
+     can outlive the other. *)
   let options =
     match deadline with
     | None -> options
@@ -253,8 +253,7 @@ let run ?(options = default_options) ?deadline ?cancel inst =
       }
   in
   let stop () =
-    (match cancel with Some c -> c () | None -> false)
-    || match deadline with Some d -> Unix.gettimeofday () > d | None -> false
+    match deadline with Some d -> Unix.gettimeofday () > d | None -> false
   in
   Telemetry.Metrics.incr m_runs;
   Telemetry.Trace.with_span "solve.run" @@ fun () ->

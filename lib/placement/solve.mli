@@ -78,18 +78,14 @@ type report = {
 val run :
   ?options:options ->
   ?deadline:float ->
-  ?cancel:(unit -> bool) ->
   Instance.t ->
   report
 (** [deadline] is an absolute wall-clock instant (same scale as
     [Unix.gettimeofday]); past it every engine stops cooperatively and
     reports its best incumbent ([`Feasible]) or [`Unknown].  The ILP
     time limit is clamped to the remaining budget so neither bound can
-    outlive the other.  [cancel] is polled alongside the deadline — the
-    hook the fault-tolerant runtime uses to abandon a solve whose event
-    was superseded.  Both bound the merge warm start's plain solve as
-    well as the main one.  Both default to unbounded, preserving the original
-    behaviour.
+    outlive the other.  The deadline bounds the merge warm start's
+    plain solve as well as the main one.  It defaults to unbounded.
 
     The ILP engine's [ilp_config.time_limit] bounds the run's ILP work
     as a whole: the warm start's solves (the plain-model solve under

@@ -47,46 +47,3 @@ let random_path ?flow g net ~ingress ~egress =
     (fun switches -> Path.make ?flow ~ingress ~egress ~switches ())
     (random_shortest_path g net ~src:(Topo.Net.host_attach net ingress)
        ~dst:(Topo.Net.host_attach net egress))
-
-let all_walks ~limit net dist ~src =
-  if dist.(src) = max_int then []
-  else begin
-    let found = ref [] in
-    let count = ref 0 in
-    let rec walk u acc =
-      if !count < limit then
-        if dist.(u) = 0 then begin
-          incr count;
-          found := List.rev (u :: acc) :: !found
-        end
-        else List.iter (fun v -> walk v (u :: acc)) (downhill net dist u)
-    in
-    walk src [];
-    List.rev !found
-  end
-
-let all_shortest_paths ?(limit = 1024) net ~src ~dst =
-  all_walks ~limit net (distances net dst) ~src
-
-let count_shortest_paths net ~src ~dst =
-  let dist = distances net dst in
-  if dist.(src) = max_int then 0
-  else begin
-    (* Count paths in the shortest-path DAG by memoized descent. *)
-    let n = Topo.Net.num_switches net in
-    let memo = Array.make n (-1) in
-    let sat_add a b = if a > max_int - b then max_int else a + b in
-    let rec count u =
-      if u = dst then 1
-      else if memo.(u) >= 0 then memo.(u)
-      else begin
-        let c =
-          List.fold_left (fun acc v -> sat_add acc (count v)) 0
-            (downhill net dist u)
-        in
-        memo.(u) <- c;
-        c
-      end
-    in
-    count src
-  end

@@ -2,9 +2,9 @@
 
     Every path is a walk down a BFS distance row toward its destination
     switch.  A row takes no random draws, so a caller routing many paths
-    ({!Table.random}, {!Table.ecmp}) computes one row per destination
-    switch and hands it to {!random_walk} or {!all_walks}; the per-pair
-    functions compute their own row and draw the same paths. *)
+    ({!Table.random}) computes one row per destination switch and hands
+    it to {!random_walk}; the per-pair functions compute their own row
+    and draw the same paths. *)
 
 val distances : Topo.Net.t -> int -> int array
 (** [distances net src] is BFS hop distance from switch [src] to every
@@ -33,16 +33,3 @@ val random_path :
 (** {!random_shortest_path} between the two hosts' attachment switches,
     as a routed path carrying [flow] (default [Field.any]); [None] when
     unreachable. *)
-
-val all_walks : limit:int -> Topo.Net.t -> int array -> src:int -> int list list
-(** Every shortest path (ECMP set) from [src] to the destination of the
-    row [dist], in depth-first neighbor order, cut off at [limit]
-    paths. *)
-
-val all_shortest_paths : ?limit:int -> Topo.Net.t -> src:int -> dst:int -> int list list
-(** {!all_walks} from [src] on the row of [dst], computed for this one
-    call; [limit] defaults to 1024. *)
-
-val count_shortest_paths : Topo.Net.t -> src:int -> dst:int -> int
-(** Number of distinct shortest paths (DAG path count; saturates at
-    [max_int]). *)

@@ -84,26 +84,6 @@ let spray ?(slice = false) g net ~ingresses ~total_paths =
   in
   random ~slice g net ~pairs
 
-let ecmp ?(limit = 16) net ~pairs =
-  let row = rows net in
-  let paths =
-    List.concat_map
-      (fun (ingress, egress) ->
-        match
-          Shortest.all_walks ~limit net
-            (row (Topo.Net.host_attach net egress))
-            ~src:(Topo.Net.host_attach net ingress)
-        with
-        | [] -> invalid_arg "Table.ecmp: egress unreachable from ingress"
-        | all ->
-          List.map
-            (fun switches ->
-              Path.make ~flow:Ternary.Field.any ~ingress ~egress ~switches ())
-            all)
-      pairs
-  in
-  of_paths paths
-
 let pp fmt t =
   Format.fprintf fmt "routing: %d paths from %d ingresses" t.count
     (List.length (ingresses t))

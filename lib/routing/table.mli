@@ -54,15 +54,4 @@ val spray :
     with {!random}.  This is how the experiments scale the path count
     [p] independently of topology. *)
 
-val ecmp :
-  ?limit:int ->
-  Topo.Net.t ->
-  pairs:(int * int) list ->
-  t
-(** Every shortest path (up to [limit] per pair, default 16) for each
-    [(ingress, egress)] host pair — the multipath counterpart of
-    {!random}, with the same one BFS row per destination switch; the
-    paths are those of {!Shortest.all_shortest_paths} per pair.  Raises
-    [Invalid_argument] on unreachable pairs. *)
-
 val pp : Format.formatter -> t -> unit

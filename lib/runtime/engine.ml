@@ -3,15 +3,10 @@ open Placement
 type config = {
   deadline_s : float;
   solve_options : Solve.options;
-  switch_config : Switch_api.config;
 }
 
 let default_config =
-  {
-    deadline_s = 30.0;
-    solve_options = Solve.default_options;
-    switch_config = Switch_api.default_config;
-  }
+  { deadline_s = 30.0; solve_options = Solve.default_options }
 
 (* The solve rungs, in ladder order; quarantine is always the floor. *)
 let ladder_rungs = [ Report.Incremental; Report.Full_resolve; Report.Greedy ]
@@ -135,10 +130,7 @@ let sort_uniq l = List.sort_uniq compare l
 let witnesses n q = List.of_seq (Seq.take n (Acl.Policy.witness_seq q))
 
 let create ?(config = default_config) ?(fault = Fault_plan.faultless ()) good =
-  let api =
-    Switch_api.create ~config:config.switch_config ~fault
-      (Tables.of_solution good).Tables.tables
-  in
+  let api = Switch_api.create ~fault (Tables.of_solution good).Tables.tables in
   {
     config;
     fault;
@@ -912,5 +904,3 @@ let handle ?on_op ?rungs t event =
             ~newq:(newq_committed ()) ~verified:(verify ~tables:declared t)
             ~waves:result.Update.waves_committed
         | Update.Aborted _ -> fallback ()))
-
-let run t events = List.map (handle t) events

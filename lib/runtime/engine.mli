@@ -46,7 +46,6 @@ type config = {
   deadline_s : float;  (** per-event wall-clock budget (default 30) *)
   solve_options : Placement.Solve.options;
       (** solver options for the incremental and full rungs *)
-  switch_config : Switch_api.config;  (** retry/backoff policy *)
 }
 
 val default_config : config
@@ -120,6 +119,3 @@ val handle :
     circuit breaker uses it to pin a misbehaving tenant to the cheap
     greedy/fail-closed rungs.  A replayed event must be re-handled with the same restriction to
     reproduce the same report (the journal persists it per event). *)
-
-val run : t -> Event.t list -> Report.t list
-(** [handle] in sequence, reports in event order. *)

@@ -11,11 +11,6 @@ type t = {
 let faultless () =
   { prng = None; fail_rate = 0.0; timeout_rate = 0.0; forced_fails = 0; dead = [] }
 
-(* [none] is shared across the whole process, so it must stay pristine:
-   a caller that needs a faultless plan it can mutate (mark switches
-   dead, force fails) owns a [faultless ()] instead. *)
-let none = faultless ()
-
 let make ?(fail_rate = 0.0) ?(timeout_rate = 0.0) ~seed () =
   if fail_rate < 0.0 || timeout_rate < 0.0 || fail_rate +. timeout_rate > 1.0
   then invalid_arg "Fault_plan.make: rates must be >= 0 and sum to <= 1";
@@ -27,12 +22,9 @@ let make ?(fail_rate = 0.0) ?(timeout_rate = 0.0) ~seed () =
     dead = [];
   }
 
-let fail_next t n =
-  if t == none then invalid_arg "Fault_plan.none is immutable";
-  t.forced_fails <- t.forced_fails + n
+let fail_next t n = t.forced_fails <- t.forced_fails + n
 
 let mark_dead t k =
-  if t == none then invalid_arg "Fault_plan.none is immutable";
   if not (List.mem k t.dead) then t.dead <- k :: t.dead
 
 let is_dead t k = List.mem k t.dead

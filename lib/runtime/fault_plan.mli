@@ -15,16 +15,10 @@ type outcome = Ok | Fail | Timeout
 
 type t
 
-val none : t
-(** No injected faults, nothing ever dead: every operation succeeds.
-    Shared and immutable — {!mark_dead} and {!fail_next} raise
-    [Invalid_argument] on it (a mutation would silently poison every
-    later user of the shared value). *)
-
 val faultless : unit -> t
-(** A fresh plan with no probabilistic faults: like {!none}, but owned
-    by the caller, so it can accumulate dead switches and forced fails.
-    What {!Engine.create} defaults to when no fault plan is given. *)
+(** A fresh plan with no probabilistic faults: every operation succeeds
+    until the caller marks a switch dead or forces fails.  What
+    {!Engine.create} defaults to when no fault plan is given. *)
 
 val make : ?fail_rate:float -> ?timeout_rate:float -> seed:int -> unit -> t
 (** [fail_rate] (default 0.0) and [timeout_rate] (default 0.0) are

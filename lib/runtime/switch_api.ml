@@ -1,35 +1,25 @@
-type config = {
-  max_retries : int;
-  base_backoff_s : float;
-  max_backoff_s : float;
-  max_total_backoff_s : float;
-}
-
-let default_config =
-  {
-    max_retries = 4;
-    base_backoff_s = 0.01;
-    max_backoff_s = 1.0;
-    max_total_backoff_s = 60.0;
-  }
+(* The retry policy: up to [max_retries] re-sends after a failed
+   attempt, the first delayed [base_backoff_s], each later one twice the
+   last, capped at [max_backoff_s], every delay scaled by one jitter
+   draw.  An operation so accrues at most (0.01 + 0.02 + 0.04 + 0.08)
+   x 1.5 = 0.225 s of simulated backoff. *)
+let max_retries = 4
+let base_backoff_s = 0.01
+let max_backoff_s = 1.0
 
 type stats = {
   mutable attempts : int;
   mutable failures : int;
   mutable timeouts : int;
   mutable retries : int;
-  mutable gave_up : int;
   mutable forced_resyncs : int;
   mutable backoff_s : float;
-  mutable last_op_backoff_s : float;
-  mutable max_op_backoff_s : float;
 }
 
 (* The registry is fed at the same mutation points as the per-instance
    record.  The record stays: it is the per-event-delta and journal-
    persisted (Marshal) view; the registry is the process-wide aggregate
-   across every api instance.  [global_stats] reads the aggregate back
-   in the same record shape. *)
+   across every api instance. *)
 let m_attempts =
   Telemetry.Metrics.counter ~help:"switch ops sent, retries included"
     "sdnplace_switch_attempts_total"
@@ -64,41 +54,25 @@ let m_op_backoff_s =
 (* Compensation (rollback) operations get their own backoff series.
    Before this split, a wave or transaction that rolled back contributed
    each aborted operation's backoff to [sdnplace_switch_op_backoff_seconds]
-   twice — once forward, once while compensating — so the aggregate
-   [global_stats ()].backoff_s (the histogram sum) double-counted the
-   aborted work.  Forward ops observe into [m_op_backoff_s], rollback
-   compensation into this one. *)
+   twice — once forward, once while compensating — so the histogram's
+   sum double-counted the aborted work.  Forward ops observe into
+   [m_op_backoff_s], rollback compensation into this one. *)
 let m_rollback_backoff_s =
   Telemetry.Metrics.histogram
     ~help:"simulated backoff of rollback-compensation ops"
     ~buckets:backoff_buckets "sdnplace_switch_rollback_backoff_seconds"
 
-let global_stats () =
-  {
-    attempts = Telemetry.Metrics.counter_value m_attempts;
-    failures = Telemetry.Metrics.counter_value m_failures;
-    timeouts = Telemetry.Metrics.counter_value m_timeouts;
-    retries = Telemetry.Metrics.counter_value m_retries;
-    gave_up = Telemetry.Metrics.counter_value m_gave_up;
-    forced_resyncs = Telemetry.Metrics.counter_value m_forced;
-    backoff_s = (Telemetry.Metrics.snapshot m_op_backoff_s).Telemetry.Metrics.sum;
-    last_op_backoff_s = 0.0;
-    max_op_backoff_s = 0.0;
-  }
-
 type t = {
   live : Netsim.entry list array;
   fault : Fault_plan.t;
-  config : config;
   stats : stats;
   mutable compensation : bool;
 }
 
-let create ?(config = default_config) ~fault live =
+let create ~fault live =
   {
     live;
     fault;
-    config;
     compensation = false;
     stats =
       {
@@ -106,11 +80,8 @@ let create ?(config = default_config) ~fault live =
         failures = 0;
         timeouts = 0;
         retries = 0;
-        gave_up = 0;
         forced_resyncs = 0;
         backoff_s = 0.0;
-        last_op_backoff_s = 0.0;
-        max_op_backoff_s = 0.0;
       };
   }
 
@@ -130,7 +101,6 @@ let compensating t f =
    handles events under a wall-clock deadline and must not burn it
    waiting on a switch the fault plan scripted to misbehave. *)
 let attempt t ~switch apply =
-  let cap = t.config.max_total_backoff_s in
   let acc = ref 0.0 in
   let rec go tries backoff =
     t.stats.attempts <- t.stats.attempts + 1;
@@ -147,25 +117,18 @@ let attempt t ~switch apply =
       | _ ->
         t.stats.timeouts <- t.stats.timeouts + 1;
         Telemetry.Metrics.incr m_timeouts);
-      if tries >= t.config.max_retries then begin
-        t.stats.gave_up <- t.stats.gave_up + 1;
+      if tries >= max_retries then begin
         Telemetry.Metrics.incr m_gave_up;
         false
       end
       else begin
         t.stats.retries <- t.stats.retries + 1;
         Telemetry.Metrics.incr m_retries;
-        (* Clamp the per-operation accumulation: a huge [max_retries]
-           (or an unbounded [max_backoff_s]) must neither overflow the
-           float accounting nor blow the operation's delay budget. *)
-        acc := Float.min cap (!acc +. (backoff *. Fault_plan.jitter t.fault));
-        let next = Float.min t.config.max_backoff_s (2.0 *. backoff) in
-        go (tries + 1) (if Float.is_finite next then next else backoff)
+        acc := !acc +. (backoff *. Fault_plan.jitter t.fault);
+        go (tries + 1) (Float.min max_backoff_s (2.0 *. backoff))
       end
   in
-  let ok = go 0 t.config.base_backoff_s in
-  t.stats.last_op_backoff_s <- !acc;
-  if !acc > t.stats.max_op_backoff_s then t.stats.max_op_backoff_s <- !acc;
+  let ok = go 0 base_backoff_s in
   t.stats.backoff_s <- t.stats.backoff_s +. !acc;
   if !acc > 0.0 then
     Telemetry.Metrics.observe

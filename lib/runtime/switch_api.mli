@@ -3,48 +3,31 @@
     This is the runtime's only write path to the data plane: single-entry
     install/delete operations against a live table array, each of which
     the {!Fault_plan} may reject or time out.  A failed operation is
-    retried up to [max_retries] times under exponential backoff with
-    jitter (delays are {e simulated} — accumulated into {!stats}, never
-    slept — so chaos runs stay fast and deterministic); an operation
-    that exhausts its retries reports failure to the caller, which is
-    what triggers transactional rollback one layer up.
+    retried up to 4 times under exponential backoff with jitter: 0.01 s
+    before the first retry, doubling after each, capped at 1 s, each
+    delay scaled by a {!Fault_plan.jitter} draw.  Delays are
+    {e simulated} — accumulated into {!stats}, never slept — so chaos
+    runs stay fast and deterministic.  An operation that exhausts its
+    retries reports failure to the caller, which is what triggers
+    transactional rollback one layer up.
 
     [force_set] models a controller-driven full-table resync: it bypasses
     fault injection entirely.  It is reserved for restoring a known-good
     snapshot (rollback's last resort) and for quarantine fencing, the
     two places where the runtime must win. *)
 
-type config = {
-  max_retries : int;  (** retries beyond the first attempt (default 4) *)
-  base_backoff_s : float;  (** first retry delay (default 0.01) *)
-  max_backoff_s : float;  (** per-retry backoff ceiling (default 1.0) *)
-  max_total_backoff_s : float;
-      (** cap on the {e accumulated} simulated backoff of one operation
-          (default 60.0): however large [max_retries] is, a single
-          operation's accounted delay can neither exceed this budget nor
-          overflow the float accounting *)
-}
-
-val default_config : config
-
 type stats = {
   mutable attempts : int;  (** operations sent, retries included *)
   mutable failures : int;  (** attempts the plan rejected *)
   mutable timeouts : int;  (** attempts the plan timed out *)
   mutable retries : int;  (** re-sends after a failed attempt *)
-  mutable gave_up : int;  (** operations that exhausted their retries *)
   mutable forced_resyncs : int;  (** [force_set] calls *)
   mutable backoff_s : float;  (** total simulated backoff delay *)
-  mutable last_op_backoff_s : float;
-      (** simulated backoff of the most recent operation (clamped to
-          [max_total_backoff_s]) *)
-  mutable max_op_backoff_s : float;
-      (** worst single-operation backoff seen so far *)
 }
 
 type t
 
-val create : ?config:config -> fault:Fault_plan.t -> Netsim.entry list array -> t
+val create : fault:Fault_plan.t -> Netsim.entry list array -> t
 (** Wraps the given live tables; the array is owned by the API from then
     on and mutated in place. *)
 
@@ -55,18 +38,13 @@ val snapshot : t -> Netsim.entry list array
 (** Deep-enough copy: a fresh array of the per-switch entry lists. *)
 
 val stats : t -> stats
-(** This api instance's own tallies (the journal-persisted view). *)
-
-val global_stats : unit -> stats
-(** Process-wide aggregate across every api instance, read back from the
-    telemetry registry (zeros while telemetry is disabled).  The
-    [last_op_backoff_s] / [max_op_backoff_s] fields are per-instance
-    notions and read 0 in this view; the backoff distribution lives in
-    the [sdnplace_switch_op_backoff_seconds] histogram.  [backoff_s]
-    (that histogram's sum) counts {e forward} operations only —
-    rollback-compensation backoff is accounted separately in
+(** This api instance's own tallies (the journal-persisted view).  The
+    process-wide aggregate lives in the telemetry registry: the
+    [sdnplace_switch_*_total] counters, and the forward backoff
+    distribution in the [sdnplace_switch_op_backoff_seconds] histogram
+    (rollback compensation's in
     [sdnplace_switch_rollback_backoff_seconds], so an aborted wave or
-    transaction does not double-count its ops' backoff here. *)
+    transaction does not double-count its ops' backoff). *)
 
 val compensating : t -> (unit -> 'a) -> 'a
 (** Run [f] with this instance in compensation mode: operations still

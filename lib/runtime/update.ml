@@ -390,7 +390,11 @@ let inconsistencies ?since plan ~live ~committed =
     plan.corpus;
   !bad
 
-let execute ?(wave_retries = 1) ?observer ?on_op ~api plan =
+(* How often a failed wave is rolled back to its entry snapshot and
+   retried before the update aborts. *)
+let wave_retries = 1
+
+let execute ?observer ?on_op ~api plan =
   let live = Switch_api.tables api in
   if Array.length live <> Array.length plan.target then
     invalid_arg "Update.execute: switch count mismatch";

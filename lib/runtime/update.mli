@@ -126,18 +126,18 @@ val build :
     target (a planner bug, never data-dependent). *)
 
 val execute :
-  ?wave_retries:int ->
   ?observer:observer ->
   ?on_op:(switch:int -> op:string -> unit) ->
   api:Switch_api.t ->
   plan ->
   result
 (** Run the plan's waves, from wave 0, against the live tables.
-    [wave_retries] (default 1) bounds how often a wave is rolled back to
-    its entry snapshot and retried before the update aborts to the
+    A wave whose operation fails is rolled back to its entry snapshot
+    and retried once; a second failure aborts the update to the
     pre-update tables.  [on_op] is called before each per-entry
     operation (the journal's mid-apply kill-point hook); [observer]
-    fires at wave boundaries. *)
+    fires at wave boundaries, where a test can re-run the full barrier
+    oracle ({!inconsistencies} without [since]) on the live tables. *)
 
 val inconsistencies :
   ?since:Netsim.entry list array * int ->

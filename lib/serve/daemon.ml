@@ -339,20 +339,16 @@ let submit t request =
         ]
       end
       else begin
-        let sync = t.config.batch_fsync <= 1 in
-        let ticket = Shard.admit ~sync s ~tenant ~op in
+        let ticket = Shard.admit s ~tenant ~op in
         Atomic.incr t.accepted;
         Telemetry.Metrics.incr m_accepted;
         Telemetry.Metrics.incr (m_tenant_events tenant);
-        let ack = Wire.Accepted { tenant; ticket } in
-        if sync then [ ack ]
-        else begin
-          t.staged_acks <- ack :: t.staged_acks;
-          t.staged_count <- t.staged_count + 1;
-          (* Bounded batch: the covering fsync is issued at the batch
-             cap even if the caller never flushes explicitly. *)
-          if t.staged_count >= t.config.batch_fsync then flush t else []
-        end
+        t.staged_acks <- Wire.Accepted { tenant; ticket } :: t.staged_acks;
+        t.staged_count <- t.staged_count + 1;
+        (* Bounded batch: the covering fsync is issued at the batch cap
+           even if the caller never flushes explicitly, so at
+           [batch_fsync = 1] every admit is acked by its own fsync. *)
+        if t.staged_count >= t.config.batch_fsync then flush t else []
       end
     end
 

@@ -28,12 +28,14 @@
     seed alone — byte-identical at any [jobs], which is what the bench's
     equal-seeds/equal-signatures gate checks across the [--jobs] range.
 
-    {b Group commit.}  With [batch_fsync > 1] admission {e stages}
-    intake records and their [Accepted] acks; one covering fsync per
-    dirty shard is paid at {!flush} (issued automatically by {!tick},
-    {!drain}, and whenever the staged count reaches [batch_fsync]), and
-    only then are the acks released — an ack still always means "an
-    fsync covered this record", there are just fewer fsyncs than acks.
+    {b Group commit.}  Admission {e stages} intake records and their
+    [Accepted] acks; one covering fsync per dirty shard is paid at
+    {!flush} (issued automatically by {!tick}, {!drain}, and whenever
+    the staged count reaches [batch_fsync]), and only then are the acks
+    released — an ack always means "an fsync covered this record".
+    [batch_fsync = 1] is a window of one: every admit pays its own
+    fsync and gets its ack at once; a larger window pays fewer fsyncs
+    than acks.
 
     The daemon's control loop is single-threaded (admission, planning
     and merging all happen on the calling domain); only shard batch
@@ -50,8 +52,8 @@ type config = {
       (** worker domains for batch execution (1 = fully sequential;
           results are byte-identical either way) *)
   batch_fsync : int;
-      (** acks staged per covering intake fsync (1 = sync every
-          admission, the pre-group-commit behaviour) *)
+      (** acks staged per covering intake fsync (1 = one fsync per
+          admission, acked at once) *)
   shard : Shard.config;
   seed : int;
 }
@@ -116,12 +118,13 @@ val shutdown : t -> unit
 
 val submit : t -> Wire.request -> Wire.reply list
 (** Handle one request.  [Submit] returns exactly one admission reply
-    ([Accepted] / [Rejected_overload] / [Rejected]) when it can — under
-    group commit ([batch_fsync > 1]) an admission that doesn't fill the
-    batch returns [[]] and its [Accepted] ack is released by the next
-    {!flush}/{!tick}/{!drain}, in admission order.  [Drain] processes
-    everything and returns [Drained]; [Stats] returns [Stats_reply].
-    Processing outcomes for accepted events arrive from {!tick}. *)
+    ([Accepted] / [Rejected_overload] / [Rejected]) when it can — an
+    admission that doesn't fill the group-commit window
+    ([batch_fsync > 1]) returns [[]] and its [Accepted] ack is released
+    by the next {!flush}/{!tick}/{!drain}, in admission order.
+    [Drain] processes everything and returns [Drained]; [Stats] returns
+    [Stats_reply].  Processing outcomes for accepted events arrive from
+    {!tick}. *)
 
 val flush : t -> Wire.reply list
 (** Group-commit barrier: one covering fsync per dirty shard, then the

@@ -217,20 +217,18 @@ let m_intake_fsyncs =
     ~help:"intake-log fsync barriers (synchronous admits and group commits)"
     "sdnplace_serve_intake_fsyncs_total"
 
-(* The one intake barrier, on the synchronous admit path and the group
-   commit path alike, so the counter sees every fsync. *)
+(* The one intake barrier, so the counter sees every fsync. *)
 let flush_intake t =
   if Journal.Store.Batched.staged t.intake_b > 0 then begin
     Journal.Store.Batched.flush t.intake_b;
     Telemetry.Metrics.incr m_intake_fsyncs
   end
 
-let admit ?(sync = true) t ~tenant ~op =
+let admit t ~tenant ~op =
   let ticket = t.next_ticket in
   t.next_ticket <- ticket + 1;
   Journal.Store.Batched.append t.intake_b
     (encode_intake { it_ticket = ticket; it_tenant = tenant; it_op = op });
-  if sync then flush_intake t;
   t.queue <- t.queue @ [ (ticket, tenant, op) ];
   ticket
 
@@ -404,11 +402,6 @@ let execute_batch t batch =
       t.queue <- List.filter (fun (tk, _, _) -> tk <> ticket) t.queue;
       process_one t e)
     batch
-
-let drain t =
-  let out = execute_batch t t.queue in
-  snapshot t;
-  out
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)

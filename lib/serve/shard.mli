@@ -87,11 +87,9 @@ val create :
 
 (** {1 Admission} *)
 
-val admit : ?sync:bool -> t -> tenant:int -> op:Wire.op -> int
+val admit : t -> tenant:int -> op:Wire.op -> int
 (** Log one admitted operation and return its ticket (a per-shard
-    sequence starting at 1).  With [sync] (the default) the intake
-    append is fsynced before returning — callers may ack immediately.
-    With [~sync:false] the record is only {e staged} (group commit): the
+    sequence starting at 1).  The intake record is only {e staged}: the
     caller must not ack until a {!flush_intake} — or a {!snapshot},
     whose atomic snap slot carries the pending records — covers it.
     Queue bounds are the caller's job ({!Daemon}); the shard never
@@ -119,7 +117,7 @@ val pending_for : t -> tenant:int -> int
 
 val resolved : t -> ticket:int -> bool
 (** The ticket has been processed (applied or deterministically
-    quarantined).  After a restart plus {!drain}, every ticket ever
+    quarantined).  After a restart plus {!Daemon.drain}, every ticket ever
     acked must be resolved — the no-lost-acks invariant. *)
 
 (** {1 Processing} *)
@@ -145,10 +143,6 @@ val execute_batch : t -> batch -> Wire.reply list
     domains concurrently; never run two batches of the same shard
     concurrently, and never concurrently with {!admit} on the same
     shard. *)
-
-val drain : t -> Wire.reply list
-(** Process everything pending in one unbounded round, then snapshot
-    the engine journal and compact the intake log. *)
 
 val snapshot : t -> unit
 (** Snapshot the journal (post-report client blob included) and compact

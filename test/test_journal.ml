@@ -351,7 +351,9 @@ let test_recover_without_snapshot () =
   | Ok _ -> Alcotest.fail "recovered from an old-format snapshot");
   (* Journals sealed under versions 2 and 3, whose WALs could still hold
      per-wave or transaction records: a record's Marshal tag names
-     another constructor now, so the whole journal is refused. *)
+     another constructor now, so the whole journal is refused.  Version
+     4 logged the same records, but its snapshot's switch api carried a
+     retry config and three more stats fields. *)
   List.iter
     (fun version ->
       Store.set_snapshot mem
@@ -365,7 +367,7 @@ let test_recover_without_snapshot () =
       | Error "unknown snapshot version" -> ()
       | Error m -> Alcotest.failf "version %d: unexpected error: %s" version m
       | Ok _ -> Alcotest.failf "recovered from a version-%d journal" version)
-    [ 2; 3 ]
+    [ 2; 3; 4 ]
 
 (* A log whose [Ev_commit] carries a digest the replayed tables do not
    have — rewritten with a valid frame, so the CRC passes — must recover
@@ -584,7 +586,9 @@ let test_dead_switch_fence_recovers () =
   let ref_eng =
     Engine.create ~config:(config ()) (initial (Test_runtime.chain ()))
   in
-  let ref_sigs = List.map Report.signature (Engine.run ref_eng events) in
+  let ref_sigs =
+    List.map (fun e -> Report.signature (Engine.handle ref_eng e)) events
+  in
   Alcotest.(check (list int)) "the stranded tenant is fenced" [ 0 ]
     (Engine.quarantined ref_eng);
   List.iter

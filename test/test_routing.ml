@@ -30,19 +30,6 @@ let test_random_shortest_path_valid () =
       check_adj path
   done
 
-let test_all_shortest_paths_fattree () =
-  (* In a k=4 fat-tree, two hosts in different pods have k^2/4 = 4
-     shortest paths (one per core). *)
-  let net = Topo.Fattree.make 4 in
-  let src = Topo.Net.host_attach net 0 in
-  let dst = Topo.Net.host_attach net (Topo.Net.num_hosts net - 1) in
-  Alcotest.(check int) "ecmp count" 4
-    (Routing.Shortest.count_shortest_paths net ~src ~dst);
-  let all = Routing.Shortest.all_shortest_paths net ~src ~dst in
-  Alcotest.(check int) "enumerated" 4 (List.length all);
-  let distinct = List.sort_uniq Stdlib.compare all in
-  Alcotest.(check int) "distinct" 4 (List.length distinct)
-
 let test_table_grouping () =
   let p1 = Routing.Path.make ~ingress:0 ~egress:1 ~switches:[ 0; 1 ] () in
   let p2 = Routing.Path.make ~ingress:0 ~egress:2 ~switches:[ 0; 2 ] () in
@@ -90,30 +77,14 @@ let suite =
   [
     Alcotest.test_case "bfs distances" `Quick test_bfs_distances;
     Alcotest.test_case "random shortest paths valid" `Quick test_random_shortest_path_valid;
-    Alcotest.test_case "fat-tree ecmp" `Quick test_all_shortest_paths_fattree;
     Alcotest.test_case "table grouping" `Quick test_table_grouping;
     Alcotest.test_case "spray properties" `Quick test_spray_properties;
     Alcotest.test_case "path position" `Quick test_path_position;
   ]
 
-let test_ecmp_table () =
-  let net = Topo.Fattree.make 4 in
-  let src = 0 and dst = Topo.Net.num_hosts net - 1 in
-  let t = Routing.Table.ecmp net ~pairs:[ (src, dst) ] in
-  Alcotest.(check int) "all 4 ecmp paths" 4 (Routing.Table.num_paths t);
-  List.iter
-    (fun (p : Routing.Path.t) ->
-      Alcotest.(check int) "ingress" src p.Routing.Path.ingress;
-      Alcotest.(check int) "egress" dst p.Routing.Path.egress)
-    (Routing.Table.paths t);
-  let limited = Routing.Table.ecmp ~limit:2 net ~pairs:[ (src, dst) ] in
-  Alcotest.(check int) "limit respected" 2 (Routing.Table.num_paths limited)
-
-let suite = suite @ [ Alcotest.test_case "ecmp table" `Quick test_ecmp_table ]
-
 (* Batched routing computes one BFS row per destination switch and
    shares it across the batch.  A row takes no random draws, so from
-   equal PRNG states [Table.random], [Table.spray] and [Table.ecmp] must
+   equal PRNG states [Table.random] and [Table.spray] must
    give exactly the paths of one per-pair [Shortest] call each, in
    order, and leave the PRNG where the per-pair calls leave it. *)
 let differential_nets () =
@@ -209,30 +180,6 @@ let test_batched_spray_differential () =
         [ false; true ])
     (differential_nets ())
 
-let test_batched_ecmp_differential () =
-  List.iter
-    (fun (name, net) ->
-      let pairs = random_pairs (Prng.create 11) net 30 in
-      List.iter
-        (fun limit ->
-          let expected =
-            List.concat_map
-              (fun (ingress, egress) ->
-                List.map
-                  (fun switches ->
-                    Routing.Path.make ~ingress ~egress ~switches ())
-                  (Routing.Shortest.all_shortest_paths ~limit net
-                     ~src:(Topo.Net.host_attach net ingress)
-                     ~dst:(Topo.Net.host_attach net egress)))
-              pairs
-          in
-          check_same_paths
-            (Printf.sprintf "%s limit=%d" name limit)
-            ~expected:(Routing.Table.paths (Routing.Table.of_paths expected))
-            ~got:(Routing.Table.paths (Routing.Table.ecmp ~limit net ~pairs)))
-        [ 1; 3; 16 ])
-    (differential_nets ())
-
 let suite =
   suite
   @ [
@@ -240,6 +187,4 @@ let suite =
         test_batched_random_differential;
       Alcotest.test_case "batched spray = per-pair paths" `Quick
         test_batched_spray_differential;
-      Alcotest.test_case "batched ecmp = per-pair paths" `Quick
-        test_batched_ecmp_differential;
     ]

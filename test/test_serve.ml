@@ -719,6 +719,14 @@ let test_shard_crash_resume_deterministic () =
       (1, Wire.Flow);
     ]
   in
+  (* Process everything pending in one unbounded round, then snapshot:
+     the shard's half of [Daemon.drain]. *)
+  let drain shard =
+    ignore
+      (Shard.execute_batch shard
+         (Shard.plan_round shard ~slots:max_int ~tenant_cap:max_int));
+    Shard.snapshot shard
+  in
   let run ~kill_after =
     let journal, jmem = Journal.Store.memory () in
     let intake, imem = Journal.Store.memory () in
@@ -737,7 +745,8 @@ let test_shard_crash_resume_deterministic () =
     List.iter
       (fun (tenant, op) ->
         acked := Shard.admit !shard ~tenant ~op :: !acked;
-        match Shard.drain !shard with
+        Shard.flush_intake !shard;
+        match drain !shard with
         | _ -> ()
         | exception Journal.Journaled.Killed _ ->
           crashed := true;
@@ -749,7 +758,7 @@ let test_shard_crash_resume_deterministic () =
           | Ok r ->
             Alcotest.(check (list string)) "no divergence" [] r.Shard.divergences;
             shard := r.Shard.shard);
-          ignore (Shard.drain !shard))
+          drain !shard)
       ops;
     Alcotest.(check bool) "armed kill actually fired" true
       (!crashed = (kill_after <> None));

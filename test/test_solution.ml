@@ -141,8 +141,9 @@ let test_tcam_slots () =
         |];
     }
   in
-  (* range 1-6 needs 4 prefixes; tag {0} is 1 pattern -> 4 slots.
-     any-field cell is 1 entry; tags {0,1} aligned -> 1 pattern -> 1. *)
-  Alcotest.(check int) "slots" 5 (Solution.tcam_slots ~tag_bits:1 sol)
+  (* Two hosts, so tags take 1 bit.  Range 1-6 needs 4 prefixes; tag
+     {0} is 1 pattern -> 4 slots.  Any-field cell is 1 entry; tags
+     {0,1} aligned -> 1 pattern -> 1. *)
+  Alcotest.(check int) "slots" 5 (Solution.tcam_slots sol)
 
 let suite = suite @ [ Alcotest.test_case "tcam slots" `Quick test_tcam_slots ]

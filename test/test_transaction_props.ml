@@ -42,8 +42,10 @@ let prop_apply_all_or_nothing =
           ~timeout_rate:(Prng.float g 0.3)
           ~seed:(seed lxor 0x5EED) ()
       in
-      let config = { Switch_api.default_config with Switch_api.max_retries = Prng.int g 3 } in
-      let api = Switch_api.create ~config ~fault live in
+      let api = Switch_api.create ~fault live in
+      (* a burst of forced fails can exhaust the first operations' five
+         attempts, so the rollback starts at once *)
+      Fault_plan.fail_next fault (Prng.int g 12);
       let before = bytes_of (Switch_api.snapshot api) in
       match Transaction.apply ~api target with
       | Transaction.Committed -> bytes_of (Switch_api.tables api) = bytes_of target
@@ -86,7 +88,7 @@ let prop_restore_idempotent =
       let switches = 2 + Prng.int g 4 in
       let live = random_tables g ~switches in
       let snapshot = random_tables g ~switches in
-      let api = Switch_api.create ~fault:Fault_plan.none live in
+      let api = Switch_api.create ~fault:(Fault_plan.faultless ()) live in
       Transaction.restore ~api snapshot;
       let after_first = bytes_of (Switch_api.tables api) in
       let resyncs = (Switch_api.stats api).Switch_api.forced_resyncs in
@@ -204,11 +206,17 @@ let prop_waves_old_xor_new =
           ~timeout_rate:(Prng.float g 0.2)
           ~seed:(seed lxor 0x3A7E) ()
       in
-      let config =
-        { Switch_api.default_config with Switch_api.max_retries = Prng.int g 3 }
-      in
       let live = Array.copy plan.Update.old_tables in
-      let api = Switch_api.create ~config ~fault live in
+      let api = Switch_api.create ~fault live in
+      (* a burst of forced fails before a random operation: long enough
+         to exhaust an operation's five attempts, fail its wave's retry
+         too, or hit a compensation *)
+      let burst_at = Prng.int g 8 and burst = Prng.int g 16 in
+      let ops = ref 0 in
+      let on_op ~switch:_ ~op:_ =
+        if !ops = burst_at then Fault_plan.fail_next fault burst;
+        incr ops
+      in
       let before = bytes_of (Switch_api.snapshot api) in
       (* re-run the barrier ourselves after every committed wave: the
          live tables mid-update must already be single-version *)
@@ -225,7 +233,7 @@ let prop_waves_old_xor_new =
         }
       in
       let r =
-        Update.execute ~wave_retries:(Prng.int g 3) ~observer ~api plan
+        Update.execute ~observer ~on_op ~api plan
       in
       r.Update.violations = 0 && occupancy_ok ()
       &&
@@ -256,7 +264,7 @@ let prop_barrier_matches_oracle =
       QCheck.assume (n > 0);
       (* the api mutates [live] in place *)
       let execute ?on_op live observer =
-        let api = Switch_api.create ~fault:Fault_plan.none live in
+        let api = Switch_api.create ~fault:(Fault_plan.faultless ()) live in
         Update.execute ~observer:(observer api) ?on_op ~api plan
       in
       let clean = Array.make n [||] in

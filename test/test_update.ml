@@ -67,7 +67,10 @@ let test_plan_structure () =
 
 let test_clean_execute () =
   let plan = build_small () in
-  let api = Switch_api.create ~fault:Fault_plan.none (Array.copy (old_tables ())) in
+  let api =
+    Switch_api.create ~fault:(Fault_plan.faultless ())
+      (Array.copy (old_tables ()))
+  in
   let boundaries = ref [] in
   let observer =
     {
@@ -96,14 +99,14 @@ let test_clean_execute () =
 let test_wave_rollback_then_commit () =
   let plan = build_small () in
   let fault = Fault_plan.make ~seed:5 () in
-  let config = { Switch_api.default_config with Switch_api.max_retries = 0 } in
-  let api = Switch_api.create ~config ~fault (Array.copy (old_tables ())) in
+  let api = Switch_api.create ~fault (Array.copy (old_tables ())) in
   let ops = ref 0 in
-  (* fail the second operation of the first (two-op shadow) wave: the
-     first shadow is already in, so the rollback must compensate it *)
+  (* fail all five attempts of the second operation of the first
+     (two-op shadow) wave: the first shadow is already in, so the
+     rollback must compensate it *)
   let on_op ~switch:_ ~op:_ =
     incr ops;
-    if !ops = 2 then Fault_plan.fail_next fault 1
+    if !ops = 2 then Fault_plan.fail_next fault 5
   in
   let r = Update.execute ~on_op ~api plan in
   Alcotest.(check bool) "committed after wave retry" true
@@ -116,17 +119,18 @@ let test_wave_rollback_then_commit () =
 let test_abort_restores_pre_update () =
   let plan = build_small () in
   let fault = Fault_plan.make ~seed:6 () in
-  let config = { Switch_api.default_config with Switch_api.max_retries = 0 } in
-  let api = Switch_api.create ~config ~fault (Array.copy (old_tables ())) in
+  let api = Switch_api.create ~fault (Array.copy (old_tables ())) in
   let before = bytes_of (Switch_api.snapshot api) in
-  Fault_plan.fail_next fault 1;
-  let r = Update.execute ~wave_retries:0 ~api plan in
+  (* the first operation fails all five attempts, on the wave's first
+     run and on its one retry *)
+  Fault_plan.fail_next fault 10;
+  let r = Update.execute ~api plan in
   (match r.Update.outcome with
   | Update.Aborted { op = "install"; _ } -> ()
   | Update.Aborted { op; _ } -> Alcotest.failf "aborted on unexpected op %s" op
   | Update.Committed -> Alcotest.fail "expected abort");
   Alcotest.(check int) "nothing committed" 0 r.Update.waves_committed;
-  Alcotest.(check int) "the failed wave counts as rolled back" 1
+  Alcotest.(check int) "both runs of the failed wave count as rolled back" 2
     r.Update.wave_rollbacks;
   Alcotest.(check bool) "tables byte-identical to pre-update" true
     (bytes_of (Switch_api.tables api) = before)
@@ -254,10 +258,8 @@ let test_backoff_split_accounting () =
   Fun.protect ~finally:(fun () -> Metrics.disable ()) @@ fun () ->
   (* --- unit level: one forward retry, one compensation retry -------- *)
   let op0 = hist_sum (op_hist ()) and rb0 = hist_sum (rb_hist ()) in
-  let g0 = (Switch_api.global_stats ()).Switch_api.backoff_s in
   let fault = Fault_plan.make ~seed:7 () in
-  let config = { Switch_api.default_config with Switch_api.max_retries = 1 } in
-  let api = Switch_api.create ~config ~fault [| [] |] in
+  let api = Switch_api.create ~fault [| [] |] in
   Fault_plan.fail_next fault 1;
   Alcotest.(check bool) "forward install retries into success" true
     (Switch_api.install api ~switch:0 (entry 0 1));
@@ -274,11 +276,8 @@ let test_backoff_split_accounting () =
     op1 op2;
   Alcotest.(check bool) "compensation backoff lands in the rollback histogram"
     true (rb2 > rb1);
-  (* the regression this split pins: the aggregate forward view counts
-     forward backoff only, while the instance record keeps the total *)
-  Alcotest.(check (float 1e-9))
-    "global backoff_s = forward histogram growth only" (op2 -. op0)
-    ((Switch_api.global_stats ()).Switch_api.backoff_s -. g0);
+  (* the regression this split pins: the instance record keeps the
+     total, each histogram only its own share *)
   Alcotest.(check (float 1e-9))
     "instance backoff_s = forward + compensation"
     ((op2 -. op0) +. (rb2 -. rb0))
@@ -296,16 +295,15 @@ let test_backoff_split_accounting () =
   in
   let plan = build_small () in
   let fault = Fault_plan.make ~seed:8 () in
-  let config = { Switch_api.default_config with Switch_api.max_retries = 1 } in
-  let api = Switch_api.create ~config ~fault (Array.copy (old_tables ())) in
+  let api = Switch_api.create ~fault (Array.copy (old_tables ())) in
   let op3 = hist_sum (op_hist ()) and rb3 = hist_sum (rb_hist ()) in
-  let g3 = (Switch_api.global_stats ()).Switch_api.backoff_s in
+  let b3 = (Switch_api.stats api).Switch_api.backoff_s in
   let ops = ref 0 in
-  (* op 2 exhausts its retry (2 forced fails), then the compensation of
-     op 1 retries once (1 more forced fail) before succeeding *)
+  (* op 2 exhausts its 4 retries (5 forced fails), then the compensation
+     of op 1 retries once (1 more forced fail) before succeeding *)
   let on_op ~switch:_ ~op:_ =
     incr ops;
-    if !ops = 2 then Fault_plan.fail_next fault 3
+    if !ops = 2 then Fault_plan.fail_next fault 6
   in
   let r = Update.execute ~on_op ~api plan in
   Alcotest.(check bool) "wave retry commits" true
@@ -315,8 +313,8 @@ let test_backoff_split_accounting () =
   Alcotest.(check bool) "aborted op's own backoff is forward" true (op4 > op3);
   Alcotest.(check bool) "its compensation is rollback" true (rb4 > rb3);
   Alcotest.(check (float 1e-9))
-    "wave rollback does not double-count into global backoff_s" (op4 -. op3)
-    ((Switch_api.global_stats ()).Switch_api.backoff_s -. g3);
+    "wave rollback counts each op's backoff once" ((op4 -. op3) +. (rb4 -. rb3))
+    ((Switch_api.stats api).Switch_api.backoff_s -. b3);
   Alcotest.(check int) "wave counter advanced by the plan's waves"
     (waves0 + Array.length plan.Update.waves)
     (Metrics.counter_value (Metrics.counter "sdnplace_update_waves_total"));

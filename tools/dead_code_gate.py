@@ -28,10 +28,12 @@ code, never flag live code.
 
 Every optional parameter `?label:` of such a `val` (at the top level of
 its type, not inside a callback's) must be passed, as `~label` or
-`?label`, by some call of that val, the defining module's own calls
-included.  Calls resolve by module the way uses do: `X.name` with X
-denoting M, a bare `name` in M's own .ml or in a file that opens M, or
-any call of the name when M escapes.  So a same-named function of
+`?label`, by some call of that val outside test/, the defining
+module's own calls included: a knob only tests set is a constant, save
+the test seams tools/option_seams.txt names, each with its reason.
+Calls resolve by module the way uses do: `X.name` with X denoting M,
+a bare `name` in M's own .ml or in a file that opens M, or any call of
+the name when M escapes.  So a same-named function of
 another module passing the label does not keep it alive.  A call is
 the name followed by its arguments, read up to the first token that
 ends the application (a closing bracket, a keyword, an infix
@@ -41,18 +43,22 @@ counts as passing every label.  Bindings (`let`, `and`, `val`, ...)
 are not calls.
 
 Exits 1 and lists each dead `val` and each dead optional parameter
-when any is found.
+when any is found, and each line of the seam list that names no
+optional parameter only tests pass.
 
 Every run first checks the scanner itself on built-in source trees and
 fails if it misjudges them.
 """
 
+import fnmatch
 import os
 import re
 import sys
 from collections import Counter
 
 DIRS = ["lib", "bin", "bench", "test", "examples", "tools", "perfbench"]
+SEAMS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                     "option_seams.txt")
 # A maximal run of identifier characters: a name is used where a run
 # equals it.
 WORD = re.compile(r"[A-Za-z0-9_']+")
@@ -366,10 +372,10 @@ def passed_labels(toks, i):
 def dead_options(text):
     """Map of path -> comment-free source in, list of (mli path, line,
     val name, label) out: each optional parameter no call of its own
-    val passes.  A call [X.name] is a call of module M's [name] when X
-    denotes M; a bare [name] is one in M's own .ml and in files that
-    open M; any call of the name is one when M escapes (or the val sits
-    in a module type)."""
+    val outside test/ passes.  A call [X.name] is a call of module M's
+    [name] when X denotes M; a bare [name] is one in M's own .ml and in
+    files that open M; any call of the name is one when M escapes (or
+    the val sits in a module type)."""
     impls = {p: s for p, s in text.items() if p.endswith(".ml")}
     aliases, escaped, opens = module_refs(impls)
     # name -> the vals of that name with optional labels, each a dict
@@ -390,6 +396,8 @@ def dead_options(text):
         return path == val["path"][:-1] or val["owner"] in opens[path]
 
     for path, src in impls.items():
+        if path.replace(os.sep, "/").startswith("test/"):
+            continue
         toks = tokens(src)
         for i, (kind, name) in enumerate(toks):
             if kind != "ident" or name not in vals:
@@ -409,6 +417,32 @@ def dead_options(text):
                   for name, entries in vals.items() for v in entries
                   if v["passed"] is not None
                   for label in v["wanted"] - v["passed"])
+
+
+def read_seams(src):
+    """(line, "Module.val" glob, label) of each entry of a seam list:
+    blank lines and '#' comments aside, each line is `Module.val ?label`
+    and then its reason."""
+    out = []
+    for n, line in enumerate(src.splitlines(), 1):
+        words = line.split()
+        if not words or words[0].startswith("#"):
+            continue
+        if len(words) < 3 or not words[1].startswith("?"):
+            sys.exit("%s:%d: want `Module.val ?label reason`" % (SEAMS, n))
+        out.append((n, words[0], words[1][1:]))
+    return out
+
+
+def unseamed(options, seams):
+    """The dead options no seam names, and the seams that name none."""
+    def names(seam, option):
+        path, _, name, label = option
+        return (label == seam[2]
+                and fnmatch.fnmatchcase("%s.%s" % (module_of(path), name), seam[1]))
+
+    return ([o for o in options if not any(names(s, o) for s in seams)],
+            [s for s in seams if not any(names(s, o) for o in options)])
 
 
 def self_check():
@@ -510,6 +544,29 @@ def self_check():
     if got != ["Sat.solve ?encoding"]:
         sys.exit("dead-code gate: self-check failed, dead options %s, want "
                  "[Sat.solve ?encoding]" % got)
+    # Only tests pass [Store.crash ?keep] and [Reg.counter ?registry],
+    # so both are dead, but a seam names the second; [Store.crash ?torn]
+    # is passed by a bench call too.  The seam on [Reg.gauge] names
+    # nothing dead, so it is stale.
+    tree = {
+        "lib/a/store.mli": "val crash : ?keep:int -> ?torn:bool -> unit -> unit\n",
+        "lib/a/reg.mli": "val counter : ?registry:int -> unit -> int\n"
+                         "val gauge : ?registry:int -> unit -> int\n",
+        "bench/b.ml": "let () = Store.crash ~torn:true ()\n"
+                      "let _ = Reg.counter () + Reg.gauge ~registry:1 ()\n",
+        "test/t.ml": "let () = Store.crash ~keep:2 ()\n"
+                     "let _ = Reg.counter ~registry:1 ()\n",
+    }
+    dead = dead_options({p: strip_comments(s) for p, s in tree.items()})
+    left, stale = unseamed(dead, read_seams(
+        "# seams\nReg.c* ?registry  isolated registries\n\n"
+        "Reg.gauge ?registry  stale\n"))
+    got = (["%s.%s ?%s" % (module_of(p), n, label) for p, _, n, label in left],
+           [glob for _, glob, _ in stale])
+    if got != (["Store.crash ?keep"], ["Reg.gauge"]):
+        sys.exit("dead-code gate: self-check failed, unseamed options and "
+                 "stale seams %s, want ([Store.crash ?keep], [Reg.gauge])"
+                 % (got,))
 
 
 def sources(root):
@@ -532,13 +589,20 @@ def main():
     for path, line, name in dead:
         print("%s:%d: val %s is referenced nowhere but its definition"
               % (path, line, name))
-    options = dead_options(text)
+    with open(SEAMS, encoding="utf-8") as f:
+        seams = read_seams(f.read())
+    options, stale = unseamed(dead_options(text), seams)
     for path, line, name, label in options:
-        print("%s:%d: val %s: no call passes ?%s" % (path, line, name, label))
-    if dead or options:
+        print("%s:%d: val %s: no call outside test/ passes ?%s"
+              % (path, line, name, label))
+    for line, glob, label in stale:
+        print("%s:%d: seam %s ?%s names no optional parameter only tests "
+              "pass" % (os.path.relpath(SEAMS, root), line, glob, label))
+    if dead or options or stale:
         sys.exit(1)
     print("dead-code gate: %d exported vals, all referenced; every optional "
-          "parameter passed by a call of its val" % len(decls))
+          "parameter passed by a call of its val outside test/ or named by "
+          "one of %d seams" % (len(decls), len(seams)))
 
 
 if __name__ == "__main__":
