@@ -33,7 +33,8 @@ let base_tag i = i land lnot (version_bit lor stamp_bit)
 (* Only a switch whose tables differ can change a projection.  Its
    entries are grouped by tag, newest first, on both sides: an entry
    listing a tag twice lands twice on both sides alike, so two groups
-   are equal exactly when the projections are. *)
+   are equal exactly when the projections are.  Such a switch is listed
+   even when no projection changed (a reorder across tags). *)
 let changed_tags old_tables new_tables =
   if Array.length old_tables <> Array.length new_tables then
     invalid_arg "Netsim.changed_tags: switch count mismatch";
@@ -53,10 +54,12 @@ let changed_tags old_tables new_tables =
     by_tag
   in
   let mark t = Hashtbl.replace changed t () in
+  let switches = ref [] in
   Array.iteri
     (fun k a ->
       let b = new_tables.(k) in
       if a != b && a <> b then begin
+        switches := k :: !switches;
         let ga = group a and gb = group b in
         Hashtbl.iter
           (fun t es -> if Hashtbl.find_opt gb t <> Some es then mark t)
@@ -65,7 +68,7 @@ let changed_tags old_tables new_tables =
       end)
     old_tables;
   let tags = Hashtbl.fold (fun t () acc -> t :: acc) changed [] in
-  (List.sort compare tags, !scanned)
+  (List.sort compare tags, List.rev !switches, !scanned)
 
 let step tables ~switch ~tag packet =
   let applies e = List.mem tag e.tags && Acl.Rule.matches e.rule packet in

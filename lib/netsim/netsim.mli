@@ -46,14 +46,16 @@ val is_stamp_tag : int -> bool
 val base_tag : int -> int
 (** Strip the version/stamp bits back to the plain ingress id. *)
 
-val changed_tags : entry list array -> entry list array -> int list * int
+val changed_tags :
+  entry list array -> entry list array -> int list * int list * int
 (** [changed_tags old new] is the tags, ascending, whose projection
     differs on some switch: the entries carrying the tag, in match
     order, duplicates included.  Version and stamp tags are listed like
     any other.  Only switches whose tables differ (physically, then
     structurally) are read, and their entries are grouped by tag in one
-    pass; the second component counts the entries grouped, old and new.
-    Raises [Invalid_argument] when the switch counts differ. *)
+    pass; the second component is those switches, ascending, and the
+    third counts the entries grouped, old and new.  Raises
+    [Invalid_argument] when the switch counts differ. *)
 
 val step :
   entry list array -> switch:int -> tag:int -> Ternary.Packet.t -> Acl.Rule.action

@@ -608,7 +608,7 @@ let verify ?tables t =
     let prior, declared_moved, live_moved =
       match memo with
       | Some m when (not full) && m.m_sliced = sol.Solution.sliced ->
-        let moved old now = IS.of_list (Update.changed_tags old now) in
+        let moved old now = IS.of_list (fst (Update.changed_tags old now)) in
         ( (fun i q paths ->
             match Hashtbl.find_opt m.m_seen i with
             | Some s
@@ -746,27 +746,36 @@ let verify ?tables t =
    new placements plus a deterministic packet sample (policy witnesses
    of both sides and a few randoms from a PRNG derived fresh from the
    verify seed — never the mutable verify stream, so an event re-run
-   after a crash rebuilds the identical corpus). *)
+   after a crash rebuilds the identical corpus).  The randoms are drawn
+   here, in ingress order, so the stream never depends on which
+   barriers walk; the witnesses are drawn only when a barrier finds a
+   differing projection on one of the ingress's paths, so a sound
+   update draws none. *)
 let update_corpus t (sol : Solution.t) =
-  let old_routing = (inst t).Instance.routing in
+  let old_inst = inst t in
   let new_inst = sol.Solution.instance in
   let ingresses =
     sort_uniq
-      (List.map fst (inst t).Instance.policies
+      (List.map fst old_inst.Instance.policies
       @ List.map fst new_inst.Instance.policies)
   in
   let g = Prng.create (verify_seed lxor 0x757044) in
   List.map
     (fun i ->
-      let probes_of = function Some q -> witnesses 8 q | None -> [] in
-      let olds = probes_of (Instance.policy_of (inst t) i) in
-      let news = probes_of (Instance.policy_of new_inst i) in
       let randoms = List.init 4 (fun _ -> Ternary.Packet.random g) in
+      let probes_of inst =
+        match Instance.policy_of inst i with
+        | Some q -> witnesses 8 q
+        | None -> []
+      in
       {
         Update.ingress = i;
-        old_paths = Routing.Table.paths_from old_routing i;
+        old_paths = Routing.Table.paths_from old_inst.Instance.routing i;
         new_paths = Routing.Table.paths_from new_inst.Instance.routing i;
-        probes = (zero_packet :: olds) @ news @ randoms;
+        probes =
+          lazy
+            ((zero_packet :: probes_of old_inst)
+            @ probes_of new_inst @ randoms);
       })
     ingresses
 

@@ -6,7 +6,7 @@ type ingress_paths = {
   ingress : int;
   old_paths : Routing.Path.t list;
   new_paths : Routing.Path.t list;
-  probes : Ternary.Packet.t list;
+  probes : Ternary.Packet.t list Lazy.t;
 }
 
 type op =
@@ -55,6 +55,11 @@ let m_wave_rollbacks =
     ~help:"waves rolled back to their entry state after an operation failure"
     "sdnplace_update_wave_rollbacks_total"
 
+let m_probe_walks =
+  Telemetry.Metrics.counter
+    ~help:"probe packets the wave barriers walked on a differing projection"
+    "sdnplace_update_probe_walks_total"
+
 let m_wave_s =
   Telemetry.Metrics.histogram ~help:"wall-clock latency of one update wave"
     ~buckets:[| 0.0001; 0.001; 0.01; 0.05; 0.1; 0.5; 1.0; 5.0 |]
@@ -76,9 +81,9 @@ let m_entries_scanned =
     "sdnplace_runtime_entries_scanned_total"
 
 let changed_tags old_tables new_tables =
-  let tags, scanned = Netsim.changed_tags old_tables new_tables in
+  let tags, switches, scanned = Netsim.changed_tags old_tables new_tables in
   Telemetry.Metrics.add m_entries_scanned scanned;
-  tags
+  (tags, switches)
 
 let build ~attach ~corpus ~old_tables ~target =
   let n = Array.length old_tables in
@@ -93,11 +98,12 @@ let build ~attach ~corpus ~old_tables ~target =
      multisets carries only affected tags — a count change in any
      entry's tag is a projection change for that tag — so unaffected
      ingresses' match sequences are untouched by every wave below. *)
+  let changed, differing = changed_tags old_tables target in
   let affected_tables =
     IS.of_list
       (List.filter
          (fun i -> not (Netsim.is_version_tag i || Netsim.is_stamp_tag i))
-         (changed_tags old_tables target))
+         changed)
   in
   let affected_set =
     List.fold_left
@@ -190,13 +196,14 @@ let build ~attach ~corpus ~old_tables ~target =
       (fun i -> Install { switch = stamp_switch i; entry = stamp_entry i })
       affected
   in
+  (* Only a switch whose tables differ has entries to retire or add. *)
   let gc_old_ops =
     List.concat_map
       (fun k ->
         List.map
           (fun e -> Delete { switch = k; entry = e })
           (Transaction.diff old_tables.(k) target.(k)))
-      (List.init n Fun.id)
+      differing
   in
   let install_new_ops =
     List.concat_map
@@ -204,7 +211,7 @@ let build ~attach ~corpus ~old_tables ~target =
         List.map
           (fun e -> Install { switch = k; entry = e })
           (Transaction.diff target.(k) old_tables.(k)))
-      (List.init n Fun.id)
+      differing
   in
   (* Plan-time simulation: replay every operation over a copy of the old
      tables to (a) derive the renormalisation rewrites, (b) track the
@@ -238,7 +245,14 @@ let build ~attach ~corpus ~old_tables ~target =
      shadows and stamps.  A pure priority reorder (content-preserving,
      no fault draws) — but it must land *before* the unflip, or an
      ingress whose update is a pure reorder would unflip onto the old
-     order. *)
+     order.  Every other switch holds its old table, which is its target:
+     only the differing switches and those a shadow or a stamp reaches
+     are read here and in the final-state check. *)
+  let touched =
+    IS.elements
+      (IS.of_list
+         (differing @ shadow_switches @ List.map stamp_switch affected))
+  in
   let classify (e : Netsim.entry) =
     if List.exists Netsim.is_stamp_tag e.Netsim.tags then `Stamp
     else if List.exists Netsim.is_version_tag e.Netsim.tags then `Shadow
@@ -257,7 +271,7 @@ let build ~attach ~corpus ~old_tables ~target =
             invalid_arg "Update.build: renormalisation would change contents";
           Some (k, want)
         end)
-      (List.init n Fun.id)
+      touched
   in
   List.iter (fun (k, table) -> sim.(k) <- table) reorders;
   let unflip_ops =
@@ -273,11 +287,11 @@ let build ~attach ~corpus ~old_tables ~target =
   in
   List.iter sim_op unflip_ops;
   List.iter sim_op gc_shadow_ops;
-  Array.iteri
-    (fun k tbl ->
-      if tbl <> target.(k) then
+  List.iter
+    (fun k ->
+      if sim.(k) <> target.(k) then
         invalid_arg "Update.build: simulated final state differs from target")
-    sim;
+    touched;
   let headroom = Array.make n 0 in
   List.iter (fun k -> headroom.(k) <- List.length (shadow_at k)) shadow_switches;
   List.iter
@@ -318,16 +332,20 @@ let build ~attach ~corpus ~old_tables ~target =
     peak_occupancy = peak;
   }
 
-(* Whether the entries carrying tag [t] are the same, in the same order,
-   in [a] and [b]: everything a walk with tag [t] can see of a switch. *)
-let rec same_projection t a b =
+(* Whether a walk with tag [t] over table [a] and one with tag [i] over
+   table [b] see the same rules in the same order: the rules of the
+   entries carrying the tag, which is all a first-match walk reads of a
+   switch.  Physically equal tables under one tag are equal at once. *)
+let rec same_rules t a i b =
+  (t = i && a == b)
+  ||
   match (a, b) with
-  | _ when a == b -> true
   | (e : Netsim.entry) :: a, _ when not (List.mem t e.tags) ->
-    same_projection t a b
-  | _, (e : Netsim.entry) :: b when not (List.mem t e.tags) ->
-    same_projection t a b
-  | e :: a, e' :: b -> e = e' && same_projection t a b
+    same_rules t a i b
+  | _, (e : Netsim.entry) :: b when not (List.mem i e.tags) ->
+    same_rules t a i b
+  | e :: a, e' :: b -> e.rule = e'.rule && same_rules t a i b
+  | [], [] -> true
   | _ -> false
 
 (* Barrier check: with [committed] waves in, every probe of every
@@ -338,54 +356,36 @@ let rec same_projection t a b =
    the version tag and must reproduce the target's; after unflip, the
    plain tag over the new paths must already be the target's.
 
-   [since] is the tables and committed count of a barrier that passed.
-   Only a walk whose mode (paths, walk tag, reference) or whose tag's
-   projection on a switch of its path changed since then can disagree
-   with its reference now; the others are skipped. *)
-let inconsistencies ?since plan ~live ~committed =
-  let mode committed i =
-    if not (List.mem i plan.affected) then `Old
-    else if plan.flip_wave < 0 || committed <= plan.flip_wave then `Old
-    else if plan.unflip_wave < 0 || committed <= plan.unflip_wave then `Flipped
-    else `New
-  in
-  let dirty = Hashtbl.create 16 in
-  let changed prev t k =
-    prev.(k) != live.(k)
-    &&
-    match Hashtbl.find_opt dirty (k, t) with
-    | Some d -> d
-    | None ->
-      let d = not (same_projection t prev.(k) live.(k)) in
-      Hashtbl.add dirty (k, t) d;
-      d
-  in
+   A path whose walk-tag projection equals the reference's on each of
+   its switches forwards every packet alike, so it adds 0 unwalked; only
+   a path where they differ walks its probes, forcing the lazy corpus. *)
+let inconsistencies plan ~live ~committed =
   let bad = ref 0 in
   List.iter
     (fun ip ->
       let i = ip.ingress in
-      let m = mode committed i in
       let paths, walk_tag, reference =
-        match m with
-        | `Old -> (ip.old_paths, i, plan.old_tables)
-        | `Flipped -> (ip.new_paths, Netsim.vtag i, plan.target)
-        | `New -> (ip.new_paths, i, plan.target)
+        if
+          (not (List.mem i plan.affected))
+          || plan.flip_wave < 0 || committed <= plan.flip_wave
+        then (ip.old_paths, i, plan.old_tables)
+        else if plan.unflip_wave < 0 || committed <= plan.unflip_wave then
+          (ip.new_paths, Netsim.vtag i, plan.target)
+        else (ip.new_paths, i, plan.target)
       in
-      let stale (p : Routing.Path.t) =
-        match since with
-        | None -> true
-        | Some (prev, c) ->
-          mode c i <> m || Array.exists (changed prev walk_tag) p.switches
-      in
+      let proven k = same_rules walk_tag live.(k) i reference.(k) in
       List.iter
-        (fun p ->
-          if stale p then
+        (fun (p : Routing.Path.t) ->
+          if not (Array.for_all proven p.switches) then begin
+            let probes = Lazy.force ip.probes in
+            Telemetry.Metrics.add m_probe_walks (List.length probes);
             List.iter
               (fun pkt ->
                 let got = Netsim.forward live p ~tag:walk_tag pkt in
                 let want = Netsim.forward reference p ~tag:i pkt in
                 if got <> want then incr bad)
-              ip.probes)
+              probes
+          end)
         paths)
     plan.corpus;
   !bad
@@ -412,12 +412,8 @@ let execute ?observer ?on_op ~api plan =
       violations = !bad_total;
     }
   in
-  (* The last barrier that passed.  [plan.old_tables] is an exact start
-     even if the live tables drifted before this call, as it is every
-     unflipped ingress's reference. *)
-  let since = ref (plan.old_tables, 0) in
   let barrier ~committed =
-    let bad = inconsistencies ~since:!since plan ~live ~committed in
+    let bad = inconsistencies plan ~live ~committed in
     if bad > 0 then begin
       bad_total := !bad_total + bad;
       ignore (Atomic.fetch_and_add violations_seen bad)
@@ -497,7 +493,6 @@ let execute ?observer ?on_op ~api plan =
         aborted := Some (finish (Aborted { switch = -1; op = "verify" }))
       end
       else begin
-        since := (Switch_api.snapshot api, !w + 1);
         Telemetry.Metrics.incr m_waves;
         Telemetry.Metrics.observe m_wave_s (Unix.gettimeofday () -. t0);
         (match observer with Some o -> o.on_wave_commit ~wave:!w | None -> ());

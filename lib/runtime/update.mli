@@ -23,13 +23,14 @@
       target — and {b gc-shadow} removes the version-tagged copies.
 
     Every intermediate state shows each ingress entirely-old or
-    entirely-new policy, which the barrier after each wave re-proves by
-    walking probe packets over live tables against the old and new
-    placements' verdicts.  It re-walks only what changed since the last
-    passing barrier: every walk of an ingress whose mode (paths, walk
-    tag, reference) changed, and any other walk whose tag's projection
-    changed on a switch of its path.  A skipped walk sees what it saw
-    when it last matched, so the count equals a full check's.
+    entirely-new policy, which the barrier after each wave proves
+    path by path.  On each switch of a walk's path it compares the rules
+    of the live entries carrying the walk tag with those of the
+    reference placement's entries carrying the ingress tag; where they
+    are equal on every switch, every packet forwards alike and the path
+    is proven without a walk.  Only a path whose projections differ
+    walks its probe packets over live tables against the reference's
+    verdicts, so the count equals walking every probe.
 
     A failed operation triggers bounded retry of its wave: applied
     operations are compensated (through the same faulty API, in
@@ -48,8 +49,10 @@ type ingress_paths = {
   ingress : int;
   old_paths : Routing.Path.t list;  (** routed paths before the update *)
   new_paths : Routing.Path.t list;  (** routed paths after the update *)
-  probes : Ternary.Packet.t list;
-      (** packets the barrier walks for this ingress *)
+  probes : Ternary.Packet.t list Lazy.t;
+      (** packets the barrier walks for this ingress, forced only when
+          one of its paths' projections differs from the reference's;
+          a plan holding an unforced one cannot be marshaled *)
 }
 
 type op =
@@ -105,10 +108,10 @@ type result = {
 }
 
 val changed_tags :
-  Netsim.entry list array -> Netsim.entry list array -> int list
-(** {!Netsim.changed_tags}, adding the entries it grouped to
-    [sdnplace_runtime_entries_scanned_total]: the one diff {!build} and
-    the engine's verify memo share. *)
+  Netsim.entry list array -> Netsim.entry list array -> int list * int list
+(** {!Netsim.changed_tags}'s tags and differing switches, adding the
+    entries it grouped to [sdnplace_runtime_entries_scanned_total]: the
+    one diff {!build} and the engine's verify memo share. *)
 
 val build :
   attach:(int -> int) ->
@@ -117,8 +120,10 @@ val build :
   target:Netsim.entry list array ->
   plan
 (** Plan the wave schedule moving [old_tables] to [target].  The
-    affected set comes from one {!changed_tags} diff, so only the
-    switches whose tables differ are read to find it.  [attach]
+    affected set and the differing switches come from one
+    {!changed_tags} diff; the gc-old and install-new diffs, the
+    renormalisation and the final-state check read only the switches an
+    operation or a stamp reaches.  [attach]
     gives an ingress's attachment switch, used to place its flip stamp
     when it has no new path.  Deterministic: equal inputs yield equal
     plans.  The whole schedule is simulated at plan time; raises
@@ -136,22 +141,19 @@ val execute :
     and retried once; a second failure aborts the update to the
     pre-update tables.  [on_op] is called before each per-entry
     operation (the journal's mid-apply kill-point hook); [observer]
-    fires at wave boundaries, where a test can re-run the full barrier
-    oracle ({!inconsistencies} without [since]) on the live tables. *)
+    fires at wave boundaries, where a test can re-run the barrier
+    ({!inconsistencies}) on the live tables. *)
 
 val inconsistencies :
-  ?since:Netsim.entry list array * int ->
-  plan ->
-  live:Netsim.entry list array ->
-  committed:int ->
-  int
-(** The barrier check itself: number of probe walks over [live] that
-    disagree with the single placement (old or new) the ingress must be
-    seeing with [committed] waves in.  Without [since] it is the full
-    oracle, walking every probe of every ingress.  [since] is the tables
-    and committed count of a barrier that found nothing: only walks
-    whose mode or walk-tag projection changed since then are re-walked,
-    which gives the same count; {!execute} always passes it. *)
+  plan -> live:Netsim.entry list array -> committed:int -> int
+(** The barrier check itself: the number of probe walks over [live]
+    that disagree with the single placement (old or new) the ingress
+    must be seeing with [committed] waves in.  A path whose walk-tag
+    projection on [live] equals the reference's ingress-tag projection
+    on each of its switches adds 0 without a walk; every other path
+    walks all its ingress's probes, counted in
+    [sdnplace_update_probe_walks_total].  The count is the one walking
+    every probe of every path gives. *)
 
 val violations_total : unit -> int
 (** Process-wide count of consistency violations ever observed by a

@@ -183,7 +183,12 @@ let prop_changed_tags_matches_reference =
       let switches = 1 + Prng.int g 6 in
       let old_tables = random_tables g ~switches in
       let new_tables = Array.map (edit_table g) old_tables in
-      let tags, scanned = Netsim.changed_tags old_tables new_tables in
+      let tags, moved, scanned = Netsim.changed_tags old_tables new_tables in
+      let differ =
+        List.filter
+          (fun k -> old_tables.(k) <> new_tables.(k))
+          (List.init switches Fun.id)
+      in
       let read =
         Array.fold_left ( + ) 0
           (Array.mapi
@@ -192,7 +197,8 @@ let prop_changed_tags_matches_reference =
                if a = b then 0 else List.length a + List.length b)
              old_tables)
       in
-      tags = reference_changed_tags old_tables new_tables && scanned = read)
+      tags = reference_changed_tags old_tables new_tables
+      && moved = differ && scanned = read)
 
 let suite =
   [

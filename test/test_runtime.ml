@@ -483,6 +483,10 @@ let entries_scanned () =
   Telemetry.Metrics.counter_value
     (Telemetry.Metrics.counter "sdnplace_runtime_entries_scanned_total")
 
+let probe_walks () =
+  Telemetry.Metrics.counter_value
+    (Telemetry.Metrics.counter "sdnplace_update_probe_walks_total")
+
 (* Tenants on hosts 0 and 2, both entering at switch 0. *)
 let two_tenants () =
   let eng = empty_engine ~config:(test_config ()) (diamond ()) in
@@ -642,7 +646,7 @@ let test_restore_mid_stream () =
 
 (* At k=16 (320 switches) a no-op event reads no table entry and walks
    no probe; a one-tenant install reads only the switches it changed and
-   walks only the new tenant's probes. *)
+   walks no probe either: every barrier proves its paths by projection. *)
 let test_k16_event_costs_the_change () =
   with_metrics @@ fun () ->
   let inst =
@@ -674,28 +678,33 @@ let test_k16_event_costs_the_change () =
   check_report ~rung:Report.Noop "warm-up" (Engine.handle eng noop);
   let cost f =
     let s0 = entries_scanned ()
+    and w0 = probe_walks ()
     and sem0 = skipped "semantic"
     and live0 = skipped "live" in
     let r = f () in
     ( r,
       entries_scanned () - s0,
+      probe_walks () - w0,
       skipped "semantic" - sem0,
       skipped "live" - live0 )
   in
-  let r, scanned, sem, live = cost (fun () -> Engine.handle eng noop) in
+  let r, scanned, walks, sem, live = cost (fun () -> Engine.handle eng noop) in
   check_report ~rung:Report.Noop "no-op" r;
   Alcotest.(check int) "no-op: entries scanned" 0 scanned;
+  Alcotest.(check int) "no-op: probes walked" 0 walks;
   Alcotest.(check (pair int int)) "no-op: every verdict reused"
     (policies, policies) (sem, live);
   let g = Prng.create 5 in
   let paths = Churn.fresh_paths g net ~dead:[] idle in
   let policy = Churn.fresh_policy g net ~dead:[] idle paths ~rules:4 in
   let before = Engine.table_snapshot eng in
-  let r, scanned, sem, live =
+  let r, scanned, walks, sem, live =
     cost (fun () ->
         Engine.handle eng (Event.Install { ingress = idle; policy; paths }))
   in
   check_report ~applied:Report.Committed "one-tenant install" r;
+  Alcotest.(check bool) "install: waves ran" true (r.Report.waves > 0);
+  Alcotest.(check int) "install: probes walked" 0 walks;
   let after = Engine.table_snapshot eng in
   let changed = ref 0 and total = ref 0 in
   Array.iteri

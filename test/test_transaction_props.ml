@@ -153,7 +153,9 @@ let random_corpus g ~switches ~ingresses =
         Update.ingress;
         old_paths = paths ();
         new_paths = paths ();
-        probes = List.init (1 + Prng.int g 3) (fun _ -> random_packet g);
+        probes =
+          Lazy.from_val
+            (List.init (1 + Prng.int g 3) (fun _ -> random_packet g));
       })
 
 (* A random update over 2-5 switches and 1-4 ingresses, with entry tags
@@ -242,17 +244,18 @@ let prop_waves_old_xor_new =
         bytes_of (Switch_api.tables api) = bytes_of plan.Update.target
       | Update.Aborted _ -> bytes_of (Switch_api.tables api) = before)
 
-(* The barrier inside [execute] skips walks that cannot have changed
-   since the last passing barrier; the full oracle walks them all.  Put
-   a drop-any entry no plan holds, on a random plain or version tag, at
-   the head of a random switch just before a random operation of wave W
-   of a fault-free run.  Waves only append and delete other entries, so
-   until a reorder rewrites that switch the live tables at barrier c are
-   the clean run's tables after wave c - 1 with the same entry on top.  The
-   update must abort at the first barrier whose full count on those
-   tables is not 0, with exactly that count, and land back on the old
-   tables.  A corruption a walk first meets at a later barrier, under a
-   changed mode, is how skipping a mode change would show. *)
+(* The barrier inside [execute] proves each path by projection and
+   walks only where the projections differ; the full oracle walks every
+   probe.  Put a drop-any entry no plan holds, on a random plain or
+   version tag, at the head of a random switch just before a random
+   operation of wave W of a fault-free run.  Waves only append and
+   delete other entries, so until a reorder rewrites that switch the
+   live tables at barrier c are the clean run's tables after wave c - 1
+   with the same entry on top.  The update must abort at the first
+   barrier whose full count on those tables is not 0, with exactly that
+   count, and land back on the old tables.  A corruption a walk first
+   meets at a later barrier, under a changed mode, shows that the count
+   follows the mode. *)
 let prop_barrier_matches_oracle =
   QCheck.Test.make
     ~name:"the incremental barrier counts what the full oracle counts"
@@ -329,6 +332,143 @@ let prop_barrier_matches_oracle =
         && r.Update.waves_committed = c - 1
         && bytes_of live = bytes_of plan.Update.old_tables)
 
+(* A test-local oracle with no projection shortcut: with [committed]
+   waves in, every probe of every path each ingress walks, over [live]
+   with its walk tag and over its reference placement with its own tag,
+   counting the walks whose outcomes differ. *)
+let walk_every_probe (plan : Update.plan) ~live ~committed =
+  List.fold_left
+    (fun bad (ip : Update.ingress_paths) ->
+      let i = ip.Update.ingress in
+      let flipped =
+        List.mem i plan.Update.affected
+        && plan.Update.flip_wave >= 0
+        && committed > plan.Update.flip_wave
+      in
+      let unflipped =
+        flipped && plan.Update.unflip_wave >= 0
+        && committed > plan.Update.unflip_wave
+      in
+      let paths, tag, reference =
+        if unflipped then (ip.Update.new_paths, i, plan.Update.target)
+        else if flipped then
+          (ip.Update.new_paths, Netsim.vtag i, plan.Update.target)
+        else (ip.Update.old_paths, i, plan.Update.old_tables)
+      in
+      List.fold_left
+        (fun bad p ->
+          List.fold_left
+            (fun bad pkt ->
+              if
+                Netsim.forward live p ~tag pkt
+                <> Netsim.forward reference p ~tag:i pkt
+              then bad + 1
+              else bad)
+            bad (Lazy.force ip.Update.probes))
+        bad paths)
+    0 plan.Update.corpus
+
+(* One corruption of one switch's table: a drop entry (on any packet or
+   on TCP only) on a plain or a version tag at a random position, two
+   entries carrying one tag swapped, an entry duplicated in place, or an
+   entry deleted.  A table with nothing to swap, duplicate or delete gets
+   the drop entry. *)
+let corrupt g ~ingresses tables =
+  let t = Array.copy tables in
+  let k = Prng.int g (Array.length t) in
+  let a = Array.of_list t.(k) in
+  let n = Array.length a in
+  let insert_drop () =
+    let i = Prng.int g ingresses in
+    let field =
+      if Prng.bool g then Ternary.Field.any
+      else Ternary.Field.make ~proto:Ternary.Proto.tcp ()
+    in
+    let bad =
+      {
+        Netsim.tags = [ (if Prng.bool g then i else Netsim.vtag i) ];
+        rule = Acl.Rule.make ~field ~action:Acl.Rule.Drop ~priority:1000;
+      }
+    in
+    let pos = Prng.int g (n + 1) in
+    List.filteri (fun j _ -> j < pos) t.(k)
+    @ (bad :: List.filteri (fun j _ -> j >= pos) t.(k))
+  in
+  let swap () =
+    let tag = List.hd a.(Prng.int g n).Netsim.tags in
+    let at =
+      List.filter
+        (fun j -> List.mem tag a.(j).Netsim.tags)
+        (List.init n Fun.id)
+    in
+    match at with
+    | _ :: _ :: _ ->
+      let m = List.length at in
+      let x = List.nth at (Prng.int g m) and y = List.nth at (Prng.int g m) in
+      let e = a.(x) in
+      a.(x) <- a.(y);
+      a.(y) <- e;
+      Array.to_list a
+    | _ -> insert_drop ()
+  in
+  let duplicate () =
+    let x = Prng.int g n in
+    List.concat (List.mapi (fun j e -> if j = x then [ e; e ] else [ e ]) t.(k))
+  in
+  let delete () =
+    let x = Prng.int g n in
+    List.filteri (fun j _ -> j <> x) t.(k)
+  in
+  t.(k) <-
+    (match Prng.int g 4 with
+    | 1 when n > 0 -> swap ()
+    | 2 when n > 0 -> duplicate ()
+    | 3 when n > 0 -> delete ()
+    | _ -> insert_drop ());
+  t
+
+(* The barrier's projection proof counts exactly what walking every
+   probe counts: on random plans, at a random committed count, over the
+   clean run's tables at that barrier with one to three corruptions.  A
+   quarter of the cases corrupt the target's own lists instead, so a
+   live table is often physically a reference table under another
+   walk tag. *)
+let prop_projection_matches_walker =
+  QCheck.Test.make
+    ~name:"the projection barrier counts what walking every probe counts"
+    ~count:400 seed_arb (fun seed ->
+      let g = Prng.create seed in
+      let plan, _, ingresses = random_update g in
+      let n = Array.length plan.Update.waves in
+      let clean = Array.make (n + 1) plan.Update.old_tables in
+      let api =
+        Switch_api.create ~fault:(Fault_plan.faultless ())
+          (Array.copy plan.Update.old_tables)
+      in
+      let record =
+        {
+          Update.on_wave_begin = (fun ~wave:_ -> ());
+          on_wave_commit =
+            (fun ~wave -> clean.(wave + 1) <- Switch_api.snapshot api);
+        }
+      in
+      ignore (Update.execute ~observer:record ~api plan);
+      let committed = Prng.int g (n + 1) in
+      let rec corrupt_n m live =
+        if m = 0 then live else corrupt_n (m - 1) (corrupt g ~ingresses live)
+      in
+      let base =
+        if Prng.int g 4 = 0 then plan.Update.target else clean.(committed)
+      in
+      let live = corrupt_n (1 + Prng.int g 3) base in
+      let want = walk_every_probe plan ~live ~committed in
+      let got = Update.inconsistencies plan ~live ~committed in
+      if got <> want then
+        QCheck.Test.fail_reportf "barrier %d, walker %d at committed %d" got
+          want committed;
+      walk_every_probe plan ~live:clean.(committed) ~committed = 0
+      && Update.inconsistencies plan ~live:clean.(committed) ~committed = 0)
+
 let suite =
   [
     qtest prop_apply_all_or_nothing;
@@ -337,4 +477,5 @@ let suite =
     qtest prop_partial_apply_restored;
     qtest prop_waves_old_xor_new;
     qtest prop_barrier_matches_oracle;
+    qtest prop_projection_matches_walker;
   ]

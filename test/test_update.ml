@@ -29,7 +29,7 @@ let small_corpus () =
       Update.ingress = 0;
       old_paths = [ path ~ingress:0 ~egress:1 [ 0 ] ];
       new_paths = [ path ~ingress:0 ~egress:1 [ 1 ] ];
-      probes = [ packet 0 ];
+      probes = Lazy.from_val [ packet 0 ];
     };
   ]
 
@@ -146,13 +146,13 @@ let barrier_corpus () =
       Update.ingress = 0;
       old_paths = [ path ~ingress:0 ~egress:1 [ 0 ] ];
       new_paths = [ path ~ingress:0 ~egress:1 [ 1 ] ];
-      probes = [ packet 0 ];
+      probes = Lazy.from_val [ packet 0 ];
     };
     {
       Update.ingress = 1;
       old_paths = [ path ~ingress:1 ~egress:2 [ 2 ] ];
       new_paths = [ path ~ingress:1 ~egress:2 [ 2 ] ];
-      probes = [ packet 1 ];
+      probes = Lazy.from_val [ packet 1 ];
     };
   ]
 
