@@ -302,7 +302,7 @@ let print_solution (sol : Placement.Solution.t) =
   Format.printf "%a@." Placement.Solution.pp_summary sol;
   Format.printf "physical TCAM estimate: %d slots (range + tag expansion)@."
     (Placement.Solution.tcam_slots sol);
-  let { Placement.Tables.tables; splits } = Placement.Tables.of_solution sol in
+  let { Placement.Tables.tables; splits; _ } = Placement.Tables.of_solution sol in
   if splits > 0 then Format.printf "(%d merged entries split for ordering)@." splits;
   Array.iteri
     (fun k table ->

@@ -1,4 +1,8 @@
-type build = { tables : Netsim.entry list array; splits : int }
+type build = {
+  tables : Netsim.entry list array;
+  splits : int;
+  rebuilt : int list;
+}
 
 (* Order-sensitive pair: same policy tag on both cells, overlapping
    fields, different actions.  Two merged cells can share several
@@ -121,17 +125,28 @@ let order_switch cells =
   in
   go cells 0
 
-let of_solution (sol : Solution.t) =
-  let splits = ref 0 in
+let entry (c : Solution.cell) =
+  { Netsim.tags = List.map fst c.Solution.tags; rule = c.Solution.rule }
+
+let patch ~cells ~tables (sol : Solution.t) =
+  let reuse =
+    Array.length cells = Array.length sol.Solution.per_switch
+    && Array.length tables = Array.length cells
+  in
+  let splits = ref 0 and rebuilt = ref [] in
   let tables =
-    Array.map
-      (fun cells ->
-        let ordered, s = order_switch cells in
-        splits := !splits + s;
-        List.map
-          (fun (c : Solution.cell) ->
-            { Netsim.tags = List.map fst c.Solution.tags; rule = c.Solution.rule })
-          ordered)
+    Array.mapi
+      (fun k now ->
+        (* [=] does not stop at physical equality, so test it first. *)
+        if reuse && (cells.(k) == now || cells.(k) = now) then tables.(k)
+        else begin
+          rebuilt := k :: !rebuilt;
+          let ordered, s = order_switch now in
+          splits := !splits + s;
+          List.map entry ordered
+        end)
       sol.Solution.per_switch
   in
-  { tables; splits = !splits }
+  { tables; splits = !splits; rebuilt = List.rev !rebuilt }
+
+let of_solution sol = patch ~cells:[||] ~tables:[||] sol

@@ -35,19 +35,21 @@ let pp_violation fmt = function
 (* Where each placed (ingress, priority) sits: its switches, ascending
    and without repeats, from one pass over the cells instead of a scan
    of a switch's cells and their tags per lookup.  A list, not a
-   per-switch array, so the index costs the placement, not the network. *)
-let placements (sol : Solution.t) =
+   per-switch array, so the index costs the placement, not the network.
+   Only the tags of the ingresses [only] picks are indexed. *)
+let placements ~only (sol : Solution.t) =
   let at = Hashtbl.create (Solution.total_entries sol) in
   Array.iteri
     (fun k cells ->
       List.iter
         (fun (c : Solution.cell) ->
           List.iter
-            (fun key ->
-              match Hashtbl.find_opt at key with
-              | Some (k' :: _) when k' = k -> ()
-              | Some where -> Hashtbl.replace at key (k :: where)
-              | None -> Hashtbl.add at key [ k ])
+            (fun ((i, _) as key) ->
+              if only i then
+                match Hashtbl.find_opt at key with
+                | Some (k' :: _) when k' = k -> ()
+                | Some where -> Hashtbl.replace at key (k :: where)
+                | None -> Hashtbl.add at key [ k ])
             c.Solution.tags)
         cells)
     sol.Solution.per_switch;
@@ -55,9 +57,10 @@ let placements (sol : Solution.t) =
   fun ~ingress ~priority ->
     Option.value (Hashtbl.find_opt at (ingress, priority)) ~default:[]
 
-let check_structure ~monitors ~is_dummy ~sliced (sol : Solution.t) =
+let check_structure ?(only = fun _ -> true) ~monitors ~is_dummy ~sliced
+    (sol : Solution.t) =
   let inst = sol.Solution.instance in
-  let placed = placements sol in
+  let placed = placements ~only sol in
   let violations = ref [] in
   (* Capacity. *)
   Array.iteri
@@ -84,7 +87,11 @@ let check_structure ~monitors ~is_dummy ~sliced (sol : Solution.t) =
         (fun (c : Solution.cell) ->
           List.iter
             (fun (ingress, priority) ->
-              if List.exists (upstream ingress switch c.Solution.rule) monitors
+              if
+                only ingress
+                && List.exists
+                     (upstream ingress switch c.Solution.rule)
+                     monitors
               then
                 violations :=
                   Monitor { ingress; priority; switch } :: !violations)
@@ -140,7 +147,7 @@ let check_structure ~monitors ~is_dummy ~sliced (sol : Solution.t) =
                   deps)
               (placed ~ingress:i ~priority:w.priority))
         (Acl.Policy.rules q))
-    inst.Instance.policies;
+    (List.filter (fun (i, _) -> only i) inst.Instance.policies);
   List.rev !violations
 
 let structural (layout : Layout.t) (sol : Solution.t) =
@@ -148,8 +155,8 @@ let structural (layout : Layout.t) (sol : Solution.t) =
     ~is_dummy:(Layout.is_dummy layout)
     ~sliced:layout.Layout.sliced sol
 
-let structural_plain (sol : Solution.t) =
-  check_structure ~monitors:[]
+let structural_plain ?only (sol : Solution.t) =
+  check_structure ?only ~monitors:[]
     ~is_dummy:(fun ~ingress:_ ~priority:_ -> false)
     ~sliced:sol.Solution.sliced sol
 

@@ -34,11 +34,15 @@ type violation =
 
 val structural : Layout.t -> Solution.t -> violation list
 
-val structural_plain : Solution.t -> violation list
+val structural_plain : ?only:(int -> bool) -> Solution.t -> violation list
 (** [structural (Layout.build ~sliced:sol.sliced sol.instance) sol]
     without building the layout: with no merge plan and no monitors no
     rule is a dummy and no placement is forbidden.  Runtime placements
-    are checked this way. *)
+    are checked this way.  [only] picks the ingresses whose policies are
+    checked for coverage and dependencies (default all): the result is
+    the full check's violations of those ingresses, plus every
+    {!Capacity} violation, since capacity is always checked over the
+    whole network. *)
 
 val semantic :
   ?random_samples:int ->

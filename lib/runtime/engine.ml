@@ -81,6 +81,16 @@ let m_skipped_semantic = m_verify_skipped "semantic"
 
 let m_skipped_live = m_verify_skipped "live"
 
+let m_switches_rebuilt =
+  Telemetry.Metrics.counter
+    ~help:"switches whose declared table was ordered afresh"
+    "sdnplace_runtime_switches_rebuilt_total"
+
+let m_structural_checked =
+  Telemetry.Metrics.counter
+    ~help:"policies checked for coverage and dependencies"
+    "sdnplace_runtime_structural_checked_total"
+
 (* A fenced ingress: the paths and probe packets remembered at quarantine
    time, so fail-closed verification keeps working after the policy is
    stripped from the good solution. *)
@@ -95,14 +105,24 @@ type seen = {
   s_policy : Acl.Policy.t;
   s_paths : Routing.Path.t list;
   s_fenced : bool;
+  s_structural : bool;
   s_semantic : bool;
   s_live : bool;
 }
 
-(* The last verify's inputs: the declared tables, a snapshot of the live
-   ones, and each policy ingress's verdicts.  In memory only. *)
+(* An ingress's stored verdicts this verify may reuse, by check. *)
+type kept = {
+  k_structural : bool option;
+  k_semantic : bool option;
+  k_live : bool option;
+}
+
+(* The last verify's inputs: the good solution's cells (a copy of the
+   array), the declared tables built from them, a snapshot of the live
+   tables, and each policy ingress's verdicts.  In memory only. *)
 type memo = {
   m_sliced : bool;
+  m_cells : Solution.cell list array;
   m_declared : Netsim.entry list array;
   m_live : Netsim.entry list array;
   m_seen : (int, seen) Hashtbl.t;
@@ -537,18 +557,30 @@ let quarantine_now t goal =
   List.iter (force_fence t) recs;
   fresh
 
+(* The declared tables of [sol], patched from those of the last verify
+   ([memo]): only the switches whose cells changed since are ordered
+   afresh.  With no memo every switch is. *)
+let declared_tables memo sol =
+  let b =
+    match memo with
+    | Some m -> Tables.patch ~cells:m.m_cells ~tables:m.m_declared sol
+    | None -> Tables.of_solution sol
+  in
+  Telemetry.Metrics.add m_switches_rebuilt (List.length b.Tables.rebuilt);
+  b
+
 (* Target tables for a committed transition: a copy of the solution's
-   tables plus a fence per quarantined ingress.  The solution's own
-   tables come back too, so verification need not build them again;
-   the verify memo keeps them, hence the copy.  Dead switches are
+   declared tables plus a fence per quarantined ingress.  The declared
+   build comes back too, so verification need not build it again; the
+   verify memo keeps its tables, hence the copy.  Dead switches are
    unreachable through the install API, so their target is pinned to
    the live table (no live path traverses them); a fence that must land
    on a dead switch goes through the controller's forced-resync path
    instead. *)
 let target_tables t sol quarantine =
   let n = net t in
-  let declared = (Tables.of_solution sol).Tables.tables in
-  let target = Array.copy declared in
+  let declared = declared_tables t.memo sol in
+  let target = Array.copy declared.Tables.tables in
   List.iter
     (fun q ->
       let k = Topo.Net.host_attach n q.q_ingress in
@@ -568,17 +600,31 @@ let target_tables t sol quarantine =
 
 module IS = Set.Make (Int)
 
+(* The tags' ingresses of the cells two solutions hold at [switches]. *)
+let ingresses_at switches old_cells new_cells =
+  let add acc (c : Solution.cell) =
+    List.fold_left (fun acc (i, _) -> IS.add i acc) acc c.Solution.tags
+  in
+  List.fold_left
+    (fun acc k ->
+      List.fold_left add (List.fold_left add acc old_cells.(k)) new_cells.(k))
+    IS.empty switches
+
 (* Every check runs, so each one that fails is counted under its own
    label; an exception anywhere fails the event as "exception".
-   [tables], when given, are the good solution's tables.
+   [declared], when given, is the good solution's declared build, patched
+   from the memo's ({!declared_tables}); it is patched here otherwise.
 
-   The semantic and live checks re-walk only the policy ingresses whose
-   inputs changed since the last verify: policy, routed paths,
-   quarantine state, or its tag's projection in the declared tables
-   (semantic) or the live ones (live).  Every other ingress keeps its
-   stored verdict, [false] included.  The first verify of an engine,
-   and every [full_verify_every]-th, walks them all. *)
-let verify ?tables t =
+   Capacity and the fence are checked in full.  The structural,
+   semantic and live checks redo only the policy ingresses whose inputs
+   changed since the last verify: policy, routed paths or quarantine
+   state, and for each check its own view of the placement: a cell on
+   a switch whose cells changed (structural), or the tag's projection in
+   the declared tables (semantic) or the live ones (live).  Every other
+   ingress keeps its stored verdict, [false] included.  The first verify
+   of an engine, every [full_verify_every]-th, and one after slicing
+   flipped check them all. *)
+let verify ?declared t =
   Telemetry.Trace.with_span "runtime.verify" @@ fun () ->
   let holds failed ok =
     if not ok then Telemetry.Metrics.incr failed;
@@ -591,21 +637,19 @@ let verify ?tables t =
   try
     let sol = t.good in
     let inst = sol.Solution.instance in
-    (* The declared placement: structural + semantic. *)
     let g = Prng.split t.verify_prng in
-    let structural_ok =
-      holds m_verify_structural (Verify.structural_plain sol = [])
-    in
     let declared =
-      match tables with
-      | Some tables -> tables
-      | None -> (Tables.of_solution sol).Tables.tables
+      match declared with
+      | Some b -> b
+      | None -> declared_tables memo sol
     in
     let live_tables = Switch_api.snapshot t.api in
     (* What the last verify stored of an ingress whose policy, paths and
-       quarantine state are unchanged, and the tags whose projection
-       moved since then in the declared and in the live tables. *)
-    let prior, declared_moved, live_moved =
+       quarantine state are unchanged, and the ingresses whose placement
+       moved since then: tagged on a rebuilt switch's old or new cells,
+       or with a changed projection in the declared or the live
+       tables. *)
+    let prior, placed_moved, declared_moved, live_moved =
       match memo with
       | Some m when (not full) && m.m_sliced = sol.Solution.sliced ->
         let moved old now = IS.of_list (fst (Update.changed_tags old now)) in
@@ -616,9 +660,11 @@ let verify ?tables t =
                    && s.s_fenced = in_quarantine t i ->
               Some s
             | _ -> None),
-          moved m.m_declared declared,
+          ingresses_at declared.Tables.rebuilt m.m_cells
+            sol.Solution.per_switch,
+          moved m.m_declared declared.Tables.tables,
           moved m.m_live live_tables )
-      | _ -> ((fun _ _ _ -> None), IS.empty, IS.empty)
+      | _ -> ((fun _ _ _ -> None), IS.empty, IS.empty, IS.empty)
     in
     let policies =
       List.map
@@ -633,34 +679,58 @@ let verify ?tables t =
           ( i,
             q,
             paths,
-            kept declared_moved (fun s -> s.s_semantic),
-            kept live_moved (fun s -> s.s_live) ))
+            {
+              k_structural = kept placed_moved (fun s -> s.s_structural);
+              k_semantic = kept declared_moved (fun s -> s.s_semantic);
+              k_live = kept live_moved (fun s -> s.s_live);
+            } ))
         inst.Instance.policies
     in
-    let rechecked =
+    let rechecked pick =
       IS.of_list
         (List.filter_map
-           (fun (i, _, _, s, _) -> if s = None then Some i else None)
+           (fun (i, _, _, k) -> if pick k = None then Some i else None)
            policies)
     in
+    (* The declared placement: structural + semantic. *)
+    let structure_checked = rechecked (fun k -> k.k_structural) in
+    Telemetry.Metrics.add m_structural_checked (IS.cardinal structure_checked);
+    let structural =
+      Verify.structural_plain ~only:(fun i -> IS.mem i structure_checked) sol
+    in
+    let capacity_ok =
+      List.for_all
+        (function Verify.Capacity _ -> false | _ -> true)
+        structural
+    in
+    let failed_structural =
+      IS.of_list
+        (List.filter_map
+           (function
+             | Verify.Coverage { ingress; _ }
+             | Verify.Dependency { ingress; _ }
+             | Verify.Monitor { ingress; _ } ->
+               Some ingress
+             | Verify.Capacity _ | Verify.Semantic _ -> None)
+           structural)
+    in
+    let semantic_checked = rechecked (fun k -> k.k_semantic) in
     let failed_semantic =
       IS.of_list
         (List.filter_map
            (function Verify.Semantic { ingress; _ } -> Some ingress | _ -> None)
            (Verify.semantic ~random_samples:verify_samples
-              ~only:(fun i -> IS.mem i rechecked)
-              ~tables:declared g sol))
+              ~only:(fun i -> IS.mem i semantic_checked)
+              ~tables:declared.Tables.tables g sol))
     in
     (* The live data plane: walk witness packets of every policy along
        every path of its ingress and compare with the big-switch verdict,
        evaluated once per witness.  Only the tags walked below, the
        re-checked and the fenced ingresses, are viewed. *)
     let walked =
-      IS.of_list
-        (List.filter_map
-           (fun (i, _, _, _, l) -> if l = None then Some i else None)
-           policies
-        @ List.map (fun qr -> qr.q_ingress) t.quarantine)
+      IS.union
+        (rechecked (fun k -> k.k_live))
+        (IS.of_list (List.map (fun qr -> qr.q_ingress) t.quarantine))
     in
     let live =
       Netsim.tag_view ~only:(fun tag -> IS.mem tag walked) live_tables
@@ -694,21 +764,27 @@ let verify ?tables t =
     in
     let seen = Hashtbl.create 16 in
     List.iter
-      (fun (i, q, paths, kept_semantic, kept_live) ->
+      (fun (i, q, paths, k) ->
         Hashtbl.replace seen i
           {
             s_policy = q;
             s_paths = paths;
             s_fenced = in_quarantine t i;
+            s_structural =
+              Option.value k.k_structural
+                ~default:(not (IS.mem i failed_structural));
             s_semantic =
               verdict m_skipped_semantic
                 (fun () -> not (IS.mem i failed_semantic))
-                kept_semantic;
+                k.k_semantic;
             s_live =
-              verdict m_skipped_live (fun () -> live_check q paths) kept_live;
+              verdict m_skipped_live (fun () -> live_check q paths) k.k_live;
           })
       policies;
     let all pick = Hashtbl.fold (fun _ s ok -> ok && pick s) seen true in
+    let structural_ok =
+      holds m_verify_structural (capacity_ok && all (fun s -> s.s_structural))
+    in
     let semantic_ok = holds m_verify_semantic (all (fun s -> s.s_semantic)) in
     let live_ok = holds m_verify_live (all (fun s -> s.s_live)) in
     (* Fail closed: everything a quarantined ingress sends must die. *)
@@ -731,12 +807,15 @@ let verify ?tables t =
       Some
         {
           m_sliced = sol.Solution.sliced;
-          m_declared = declared;
+          m_cells = Array.copy sol.Solution.per_switch;
+          m_declared = declared.Tables.tables;
           m_live = live_tables;
           m_seen = seen;
         };
     structural_ok && semantic_ok && live_ok && fence_ok
   with _ -> holds m_verify_exception false
+
+let declared t = Option.map (fun m -> m.m_declared) t.memo
 
 (* ------------------------------------------------------------------ *)
 (* Consistent-update corpus                                            *)
@@ -876,7 +955,7 @@ let handle ?on_op ?rungs t event =
         | Transaction.Committed ->
           commit_good ();
           finish ~rung ~status ~applied:Report.Committed_fallback
-            ~newq:(newq_committed ()) ~verified:(verify ~tables:declared t) ~waves:0
+            ~newq:(newq_committed ()) ~verified:(verify ~declared t) ~waves:0
         | Transaction.Rolled_back { switch; op } ->
           (* Tables are byte-identical to the pre-event state; fail closed
              on everything the event touched. *)
@@ -910,6 +989,6 @@ let handle ?on_op ?rungs t event =
         | Update.Committed ->
           commit_good ();
           finish ~rung ~status ~applied:Report.Committed
-            ~newq:(newq_committed ()) ~verified:(verify ~tables:declared t)
+            ~newq:(newq_committed ()) ~verified:(verify ~declared t)
             ~waves:result.Update.waves_committed
         | Update.Aborted _ -> fallback ()))

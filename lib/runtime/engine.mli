@@ -29,13 +29,18 @@
     structural + semantic, a packet walk of the {e live} tables against
     every policy, and a fail-closed check that quarantined ingresses'
     packets are dropped); the result lands in the event's {!Report}.
-    The structural and fail-closed checks run in full.  The semantic
-    and live walks are redone only for the ingresses whose policy,
-    paths, quarantine state, or tag projection in the declared or live
-    tables changed since the last verify ({!Netsim.changed_tags} against
-    an in-memory copy of both); the others keep their stored verdicts,
-    [false] included.  The first verify after {!create} or {!restore},
-    and every 16th, walks every ingress.
+    The declared tables are patched from the last verify's
+    ({!Placement.Tables.patch}): only the switches whose cells changed
+    are ordered afresh.  The capacity and fail-closed checks run in
+    full.  The structural check and the semantic and live walks are
+    redone only for the ingresses whose policy, paths or quarantine
+    state changed since the last verify, or whose placement did: a
+    cell on a switch whose cells changed (structural), or a changed tag
+    projection in the declared or live tables ({!Netsim.changed_tags}
+    against an in-memory copy of both); the others keep their stored
+    verdicts, [false] included.  The first verify after {!create} or
+    {!restore}, every 16th, and one after slicing flipped check every
+    ingress.
 
     Determinism: all randomness (fault draws, backoff jitter, re-routing
     path choice, verification probes) flows from seeds fixed at
@@ -85,6 +90,11 @@ val table_snapshot : t -> Netsim.entry list array
 
 val good : t -> Placement.Solution.t
 (** The last-known-good placement (instance included). *)
+
+val declared : t -> Netsim.entry list array option
+(** The declared tables the last verify checked: the good placement's
+    tables, patched ({!Placement.Tables.patch}) from the verify before's.
+    [None] before the first verify and after one that raised. *)
 
 val switch_api : t -> Switch_api.t
 (** The live data plane's write path.  A write through it, or into its

@@ -166,7 +166,7 @@ let test_table_ordering_respects_policy () =
   in
   let report = Solve.run inst in
   let sol = Option.get report.Solve.solution in
-  let { Tables.tables; splits } = Tables.of_solution sol in
+  let { Tables.tables; splits; _ } = Tables.of_solution sol in
   Alcotest.(check int) "no splits" 0 splits;
   match tables.(0) with
   | [ first; second ] ->
@@ -219,7 +219,7 @@ let test_table_split_on_conflict () =
   let sol =
     { (Solution.empty inst) with Solution.per_switch = [| [ cell_a; cell_b ] |] }
   in
-  let { Tables.tables; splits } = Tables.of_solution sol in
+  let { Tables.tables; splits; _ } = Tables.of_solution sol in
   Alcotest.(check bool) "at least one split" true (splits >= 1);
   (* After splitting, per-tag order is consistent: check both policies'
      intersection packet gets that policy's decision. *)

@@ -487,6 +487,14 @@ let probe_walks () =
   Telemetry.Metrics.counter_value
     (Telemetry.Metrics.counter "sdnplace_update_probe_walks_total")
 
+let switches_rebuilt () =
+  Telemetry.Metrics.counter_value
+    (Telemetry.Metrics.counter "sdnplace_runtime_switches_rebuilt_total")
+
+let structural_checked () =
+  Telemetry.Metrics.counter_value
+    (Telemetry.Metrics.counter "sdnplace_runtime_structural_checked_total")
+
 (* Tenants on hosts 0 and 2, both entering at switch 0. *)
 let two_tenants () =
   let eng = empty_engine ~config:(test_config ()) (diamond ()) in
@@ -644,9 +652,11 @@ let test_restore_mid_stream () =
   Alcotest.(check (list string)) "restored mid-stream = uninterrupted" straight
     (first @ rest)
 
-(* At k=16 (320 switches) a no-op event reads no table entry and walks
-   no probe; a one-tenant install reads only the switches it changed and
-   walks no probe either: every barrier proves its paths by projection. *)
+(* At k=16 (320 switches) a no-op event reads no table entry, walks no
+   probe, orders no switch's table and checks no policy's structure; a
+   one-tenant install reads and orders only the switches it changed,
+   checks the structure of the tenants placed there and walks no probe
+   either: every barrier proves its paths by projection. *)
 let test_k16_event_costs_the_change () =
   with_metrics @@ fun () ->
   let inst =
@@ -680,25 +690,33 @@ let test_k16_event_costs_the_change () =
     let s0 = entries_scanned ()
     and w0 = probe_walks ()
     and sem0 = skipped "semantic"
-    and live0 = skipped "live" in
+    and live0 = skipped "live"
+    and b0 = switches_rebuilt ()
+    and c0 = structural_checked () in
     let r = f () in
     ( r,
       entries_scanned () - s0,
       probe_walks () - w0,
       skipped "semantic" - sem0,
-      skipped "live" - live0 )
+      skipped "live" - live0,
+      (switches_rebuilt () - b0, structural_checked () - c0) )
   in
-  let r, scanned, walks, sem, live = cost (fun () -> Engine.handle eng noop) in
+  let r, scanned, walks, sem, live, rebuilt_checked =
+    cost (fun () -> Engine.handle eng noop)
+  in
   check_report ~rung:Report.Noop "no-op" r;
   Alcotest.(check int) "no-op: entries scanned" 0 scanned;
   Alcotest.(check int) "no-op: probes walked" 0 walks;
   Alcotest.(check (pair int int)) "no-op: every verdict reused"
     (policies, policies) (sem, live);
+  Alcotest.(check (pair int int))
+    "no-op: no switch rebuilt, no structure checked" (0, 0) rebuilt_checked;
+  let cells_before = Array.copy (Engine.good eng).Solution.per_switch in
   let g = Prng.create 5 in
   let paths = Churn.fresh_paths g net ~dead:[] idle in
   let policy = Churn.fresh_policy g net ~dead:[] idle paths ~rules:4 in
   let before = Engine.table_snapshot eng in
-  let r, scanned, walks, sem, live =
+  let r, scanned, walks, sem, live, (rebuilt, checked) =
     cost (fun () ->
         Engine.handle eng (Event.Install { ingress = idle; policy; paths }))
   in
@@ -725,7 +743,187 @@ let test_k16_event_costs_the_change () =
     true
     (10 * !changed < !total);
   Alcotest.(check (pair int int)) "install: only the new tenant is walked"
-    (policies, policies) (sem, live)
+    (policies, policies) (sem, live);
+  (* The switches whose cells changed, and the tenants with a rule on
+     one of them before or after: exactly what the event re-orders and
+     re-checks. *)
+  let cells_after = (Engine.good eng).Solution.per_switch in
+  let moved = ref [] and tenants = ref [] in
+  Array.iteri
+    (fun k was ->
+      if was <> cells_after.(k) then begin
+        moved := k :: !moved;
+        List.iter
+          (fun (c : Solution.cell) ->
+            List.iter (fun (i, _) -> tenants := i :: !tenants) c.Solution.tags)
+          (was @ cells_after.(k))
+      end)
+    cells_before;
+  let tenants = List.sort_uniq compare !tenants in
+  Alcotest.(check bool) "install: the new tenant is among them" true
+    (List.mem idle tenants);
+  Alcotest.(check int) "install: switches rebuilt" (List.length !moved) rebuilt;
+  Alcotest.(check int)
+    "install: policies checked" (List.length tenants) checked;
+  Alcotest.(check bool)
+    (Printf.sprintf "install: %d switches and %d policies are a sliver" rebuilt
+       checked)
+    true
+    (rebuilt > 0 && 10 * rebuilt < Array.length cells_after
+    && 4 * checked <= policies)
+
+(* ------------------------------------------------------------------ *)
+(* Declared tables and structure follow the solution's diff            *)
+
+(* An event every plan rejects: it re-verifies the engine as it stands. *)
+let reverify_event = Event.Switch_fail { switch = -1 }
+
+(* The engine's last verify against a from-scratch one: its patched
+   declared tables are [Tables.of_solution]'s, entry for entry and in
+   order, and it counted a structure failure exactly when
+   [Verify.structural_plain] finds one. *)
+let check_against_full name eng ~structural0 =
+  let good = Engine.good eng in
+  let full = (Tables.of_solution good).Tables.tables in
+  (match Engine.declared eng with
+  | None -> Alcotest.fail (name ^ ": the verify kept no declared tables")
+  | Some tables ->
+    Array.iteri
+      (fun k t ->
+        if t <> full.(k) then
+          Alcotest.failf "%s: switch %d's patched table is not of_solution's"
+            name k)
+      tables);
+  let broken = Verify.structural_plain good <> [] in
+  Alcotest.(check bool)
+    (name ^ ": scoped structural verdict = full check")
+    broken
+    (verify_failures "structural" > structural0);
+  broken
+
+(* Cut each tenant in turn out of the fullest switch of the good
+   placement, in place (a change of the declared placement on that one
+   switch, which the next verify must see), re-verify, put the cells
+   back and re-verify.  Returns how many cuts broke the structure. *)
+let cut_round name eng =
+  let cells = (Engine.good eng).Solution.per_switch in
+  let k = ref 0 in
+  Array.iteri
+    (fun j c -> if List.length c > List.length cells.(!k) then k := j)
+    cells;
+  let k = !k in
+  let original = cells.(k) in
+  let tenants =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun (c : Solution.cell) -> List.map fst c.Solution.tags)
+         original)
+  in
+  List.fold_left
+    (fun broke i ->
+      let name = Printf.sprintf "%s, cut %d at %d" name i k in
+      let reverify name =
+        let structural0 = verify_failures "structural" in
+        ignore (Engine.handle eng reverify_event);
+        check_against_full name eng ~structural0
+      in
+      cells.(k) <-
+        List.filter_map
+          (fun (c : Solution.cell) ->
+            match List.filter (fun (j, _) -> j <> i) c.Solution.tags with
+            | [] -> None
+            | tags -> Some { c with Solution.tags })
+          original;
+      let cut_broke = reverify name in
+      cells.(k) <- original;
+      Alcotest.(check bool)
+        (name ^ ", put back: sound")
+        false
+        (reverify (name ^ ", put back"));
+      if cut_broke then broke + 1 else broke)
+    0 tenants
+
+(* Seeded churn under switch faults, with every third event's ladder
+   emptied so it quarantines: after every event, and every cut of a
+   round, the engine's verify matches a from-scratch one.  The run
+   checks that faults, fences and cuts that break the structure all
+   happened, and that the placements were sliced or merged as asked. *)
+let differential ~name ~family ~options ~events =
+  with_metrics @@ fun () ->
+  let inst = Workload.build family in
+  let sol =
+    match (Solve.run ~options inst).Solve.solution with
+    | Some sol -> sol
+    | None -> Alcotest.failf "%s: base did not solve" name
+  in
+  let fault = Fault_plan.make ~fail_rate:0.1 ~timeout_rate:0.05 ~seed:5 () in
+  let eng =
+    Engine.create
+      ~config:{ Engine.default_config with Engine.solve_options = options }
+      ~fault sol
+  in
+  let churn = Churn.make ~rules:4 ~seed:17 () in
+  let broke = ref 0 and failures = ref 0 in
+  let fenced = ref 0 and merged = ref 0 in
+  for e = 1 to events do
+    let structural0 = verify_failures "structural" in
+    let rungs = if e mod 3 = 0 then Some [] else None in
+    let r = Engine.handle ?rungs eng (Churn.next churn eng) in
+    let name = Printf.sprintf "%s, event %d" name e in
+    Alcotest.(check bool) (name ^ ": sound") false
+      (check_against_full name eng ~structural0);
+    failures := !failures + r.Report.failures;
+    fenced := !fenced + List.length r.Report.newly_quarantined;
+    if Solution.merged_cells (Engine.good eng) <> [] then incr merged;
+    broke := !broke + cut_round name eng
+  done;
+  Alcotest.(check bool) (name ^ ": switch faults hit") true (!failures > 0);
+  Alcotest.(check bool) (name ^ ": tenants were fenced") true (!fenced > 0);
+  Alcotest.(check bool) (name ^ ": cuts broke the structure") true (!broke > 0);
+  Alcotest.(check bool) (name ^ ": slicing as asked") options.Solve.slice
+    (Engine.good eng).Solution.sliced;
+  Alcotest.(check bool) (name ^ ": merging as asked") options.Solve.merge
+    (!merged > 0)
+
+let test_diff_k4 () =
+  let family =
+    { Workload.default with Workload.rules = 6; paths = 24; capacity = 40 }
+  in
+  List.iter
+    (fun (name, family, slice, merge) ->
+      differential ~name ~family
+        ~options:(Test_placement.solve_opts ~slice ~merge ())
+        ~events:30)
+    [
+      ("k=4", family, false, false);
+      ("k=4 sliced", family, true, false);
+      ( "k=4 merged",
+        {
+          family with
+          Workload.mergeable = 2;
+          ingress_mode = Workload.Contiguous;
+        },
+        false,
+        true );
+    ]
+
+let test_diff_k16 () =
+  let family =
+    {
+      Workload.default with
+      Workload.k = 16;
+      num_policies = 48;
+      rules = 10;
+      paths = 64;
+      capacity = 60;
+    }
+  in
+  List.iter
+    (fun (name, slice) ->
+      differential ~name ~family
+        ~options:(Test_placement.solve_opts ~slice ())
+        ~events:12)
+    [ ("k=16", false); ("k=16 sliced", true) ]
 
 let suite =
   [
@@ -771,6 +969,10 @@ let suite =
       test_restore_mid_stream;
     Alcotest.test_case "a k=16 event costs the change" `Quick
       test_k16_event_costs_the_change;
+    Alcotest.test_case "patched tables and scoped structure at k=4" `Quick
+      test_diff_k4;
+    Alcotest.test_case "patched tables and scoped structure at k=16" `Quick
+      test_diff_k16;
     Alcotest.test_case "chaos run verifies after every event" `Slow
       test_chaos_verified;
     Alcotest.test_case "chaos run replays from its seed" `Slow
