@@ -1,10 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    Section V (scaled — see EXPERIMENTS.md), runs the future-work SAT
-   comparison, the baseline comparison and the design ablations, then a
-   Bechamel micro-benchmark with one timing probe per table/figure.
+   comparison, the baseline comparison and the design ablations.
 
-   Usage: dune exec bench/main.exe -- [--quick] [--smoke] [--no-micro]
-                                      [--seed N]
+   Usage: dune exec bench/main.exe -- [--quick] [--smoke] [--seed N]
                                       [--metrics FILE] [--trace FILE]
                                       [--only fig7|fig8|fig9|fig10|fig11|
                                               table2|exp5|s1|b1|ablations|
@@ -22,7 +20,6 @@ let experiments =
 
 let smoke = ref false
 let quick = ref false
-let no_micro = ref false
 let only = ref []
 
 (* --seed N varies the chaos-soak churn/fault stream (CI runs a small
@@ -40,7 +37,6 @@ let () =
        [
          ("--smoke", Arg.Set smoke, " one tiny point per experiment family");
          ("--quick", Arg.Set quick, " reduced sweeps");
-         ("--no-micro", Arg.Set no_micro, " skip the micro-benchmarks");
          ("--seed", Arg.Set_int seed, "N chaos/serve/caching seed");
          ( "--metrics",
            Arg.String (fun f -> metrics_out := Some f),
@@ -57,7 +53,6 @@ let () =
 
 let smoke = !smoke
 let quick = smoke || !quick
-let no_micro = smoke || !no_micro
 let seed = !seed
 let metrics_out = !metrics_out
 let trace_out = !trace_out
@@ -235,88 +230,10 @@ let run_experiments () =
       ~title:"Ablation A3: root LP relaxation on/off" ~time_limit ()
   end
 
-(* ---------------- Bechamel micro-benchmarks ---------------- *)
-
-open Bechamel
-
-let solve_staged ?(merge = false) ?(engine = Placement.Solve.Ilp_engine) f =
-  let inst = Workload.build f in
-  Staged.stage (fun () ->
-      ignore
-        (Placement.Solve.run
-           ~options:
-             (Placement.Solve.options ~merge ~engine
-                ~ilp_config:{ Ilp.Solver.default_config with time_limit = 5.0 }
-                ())
-           inst))
-
-let micro_tests () =
-  let small k = { Workload.default with Workload.k; rules = 8; paths = 16; capacity = 60 } in
-  let incremental_staged () =
-    let f = small 4 in
-    let inst = Workload.build f in
-    let report = Placement.Solve.run ~options:(Harness.solve_options ()) inst in
-    let base = Option.get report.Placement.Solve.solution in
-    let g = Prng.create 7 in
-    let policy = Classbench.policy g ~num_rules:8 in
-    let net = inst.Placement.Instance.net in
-    let h = Topo.Net.num_hosts net - 1 in
-    let path =
-      Option.get (Routing.Shortest.random_path g net ~ingress:h ~egress:1)
-    in
-    Staged.stage (fun () ->
-        ignore
-          (Placement.Incremental.install
-             ~options:(Harness.solve_options ())
-             ~base
-             ~policies:[ (h, policy) ]
-             ~paths:[ path ] ()))
-  in
-  Test.make_grouped ~name:"paper"
-    [
-      Test.make ~name:"fig7_point_k4" (solve_staged (small 4));
-      Test.make ~name:"fig8_point_k6" (solve_staged (small 6));
-      Test.make ~name:"fig9_point_k8" (solve_staged (small 8));
-      Test.make ~name:"fig10_point_paths"
-        (solve_staged { (small 4) with Workload.paths = 32 });
-      Test.make ~name:"fig11_point_capacity"
-        (solve_staged { (small 4) with Workload.capacity = 20 });
-      Test.make ~name:"table2_point_merging"
-        (solve_staged ~merge:true { (small 4) with Workload.mergeable = 4 });
-      Test.make ~name:"exp5_incremental_install" (incremental_staged ());
-      Test.make ~name:"expS1_sat_point"
-        (solve_staged ~engine:Placement.Solve.Sat_engine (small 4));
-    ]
-
-let run_micro () =
-  print_endline "\n== Bechamel micro-benchmarks (one probe per table/figure) ==";
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None () in
-  let raw =
-    Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] (micro_tests ())
-  in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name est ->
-      let time =
-        match Analyze.OLS.estimates est with
-        | Some [ x ] -> Printf.sprintf "%.3f ms" (x /. 1e6)
-        | _ -> "-"
-      in
-      rows := [ name; time ] :: !rows)
-    results;
-  Harness.print_table ~title:"estimated time per solve"
-    ~headers:[ "probe"; "time/run" ]
-    (List.sort Stdlib.compare !rows)
-
 let () =
   if metrics_out <> None then Telemetry.Metrics.enable ();
   if trace_out <> None then Telemetry.Trace.enable ();
   run_experiments ();
-  if not no_micro then run_micro ();
   Option.iter
     (fun d -> write_export d (Telemetry.Metrics.render ()))
     metrics_out;

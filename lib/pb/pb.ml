@@ -12,26 +12,17 @@ let m_aux =
   Telemetry.Metrics.counter ~help:"auxiliary variables minted by encodings"
     "sdnplace_pb_aux_vars_total"
 
-type t = {
-  solver : Cdcl.t;
-  encoding : encoding;
-  mutable problem_vars : int;
-  mutable aux_vars : int;
-}
+type t = { solver : Cdcl.t; encoding : encoding; mutable aux_vars : int }
 
 let create ?(encoding = `Native) () =
-  { solver = Cdcl.create (); encoding; problem_vars = 0; aux_vars = 0 }
+  { solver = Cdcl.create (); encoding; aux_vars = 0 }
 
-let fresh t =
-  t.problem_vars <- t.problem_vars + 1;
-  Cdcl.new_var t.solver
+let fresh t = Cdcl.new_var t.solver
 
 let fresh_aux t =
   t.aux_vars <- t.aux_vars + 1;
   Telemetry.Metrics.incr m_aux;
   Cdcl.new_var t.solver
-
-let num_vars t = t.problem_vars
 
 let num_aux t = t.aux_vars
 

@@ -23,14 +23,11 @@ val create : ?encoding:encoding -> unit -> t
 val fresh : t -> int
 (** New problem variable. *)
 
-val num_vars : t -> int
-(** Problem variables (excludes encoding auxiliaries). *)
-
 val num_aux : t -> int
 (** Auxiliary variables introduced by CNF encodings. *)
 
 val fresh_aux : t -> int
-(** New auxiliary variable (counted by {!num_aux}, not {!num_vars});
+(** New auxiliary variable (counted by {!num_aux});
     for encodings layered on top of this module. *)
 
 val add_clause : t -> int list -> unit

@@ -1,7 +1,6 @@
 type result = {
   status : Encode.status;
   solution : Solution.t option;
-  sub_report : Solve.report option;
 }
 
 let residual_capacities (sol : Solution.t) =
@@ -50,10 +49,8 @@ let install ?options ?deadline ~(base : Solution.t) ~policies ~paths () =
     {
       status = report.Solve.status;
       solution = Some (combine ~frozen:base ~sub ~instance);
-      sub_report = Some report;
     }
-  | None ->
-    { status = report.Solve.status; solution = None; sub_report = Some report }
+  | None -> { status = report.Solve.status; solution = None }
 
 let remove ~(base : Solution.t) ~ingresses =
   let base_inst = base.Solution.instance in

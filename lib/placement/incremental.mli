@@ -23,7 +23,6 @@
 type result = {
   status : Encode.status;
   solution : Solution.t option;  (** combined placement: frozen + new *)
-  sub_report : Solve.report option;  (** the sub-problem's solve report *)
 }
 
 val residual_capacities : Solution.t -> int array

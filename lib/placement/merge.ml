@@ -7,9 +7,9 @@ type group = {
   members : member list;
 }
 
-type plan = { groups : group list; num_dummies : int; num_demotions : int }
+type plan = { groups : group list; num_dummies : int }
 
-let empty_plan = { groups = []; num_dummies = 0; num_demotions = 0 }
+let empty_plan = { groups = []; num_dummies = 0 }
 
 let renumber_factor = 1024
 
@@ -256,7 +256,7 @@ let plan inst =
   let inst, groups, dummies = loop inst groups [] 0 in
   (* Groups reduced below two members merge nothing: drop them. *)
   let groups = List.filter (fun g -> List.length g.members >= 2) groups in
-  let plan = { groups; num_dummies = 0; num_demotions = List.length dummies } in
+  let plan = { groups; num_dummies = 0 } in
   (* A dummy that is in no surviving group (its group was dropped, or it
      was expelled itself) would stay behind as an ordinary shadowed rule
      that only costs a slot: remove it. *)

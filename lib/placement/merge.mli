@@ -32,7 +32,6 @@ type plan = {
   groups : group list;
   num_dummies : int;
       (** dummy rules in the planned instance, each a member of a group *)
-  num_demotions : int;  (** members expelled from groups to break cycles *)
 }
 
 val empty_plan : plan

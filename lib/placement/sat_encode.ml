@@ -5,8 +5,6 @@ type result = {
   solution : Solution.t option;
   assignment : bool array option;
   conflicts : int;
-  pb_vars : int;
-  pb_aux : int;
 }
 
 (* The formula, the literal of each layout variable, and every
@@ -86,15 +84,12 @@ let solve ?conflict_limit ?cancel (layout : Layout.t) =
     solution = Option.map (solution_of layout) assignment;
     assignment;
     conflicts = Pb.num_conflicts pb;
-    pb_vars = Pb.num_vars pb;
-    pb_aux = Pb.num_aux pb;
   }
 
 type opt_result = {
   opt_status : [ `Optimal | `Feasible | `Unsat | `Unknown ];
   opt_solution : Solution.t option;
   opt_conflicts : int;
-  iterations : int;
 }
 
 let minimize ?(conflict_limit = 2_000_000) ?(cancel = fun () -> false)
@@ -147,33 +142,32 @@ let minimize ?(conflict_limit = 2_000_000) ?(cancel = fun () -> false)
     best := Some sol;
     if c = 0 then () else Pb.at_most pb counting (c - 1)
   | None -> ());
-  let rec descend iterations =
+  let rec descend () =
     let remaining = conflict_limit - Pb.num_conflicts pb in
     if remaining <= 0 || cancel () then
-      ((match !best with Some _ -> `Feasible | None -> `Unknown), !best, iterations)
+      ((match !best with Some _ -> `Feasible | None -> `Unknown), !best)
     else
       match Pb.solve ~conflict_limit:remaining ~cancel pb with
       | Cdcl.Sat model ->
         let c = count_true model in
         best := Some (decode model);
-        if c = 0 then (`Optimal, !best, iterations + 1)
+        if c = 0 then (`Optimal, !best)
         else begin
           Pb.at_most pb counting (c - 1);
-          descend (iterations + 1)
+          descend ()
         end
       | Cdcl.Unsat -> (
         match !best with
-        | Some sol -> (`Optimal, Some sol, iterations + 1)
-        | None -> (`Unsat, None, iterations + 1))
+        | Some sol -> (`Optimal, Some sol)
+        | None -> (`Unsat, None))
       | Cdcl.Unknown -> (
         match !best with
-        | Some sol -> (`Feasible, Some sol, iterations + 1)
-        | None -> (`Unknown, None, iterations + 1))
+        | Some sol -> (`Feasible, Some sol)
+        | None -> (`Unknown, None))
   in
-  let status, solution, iterations = descend 0 in
+  let status, solution = descend () in
   {
     opt_status = status;
     opt_solution = solution;
     opt_conflicts = Pb.num_conflicts pb;
-    iterations;
   }

@@ -24,8 +24,6 @@ type result = {
       (** satisfying assignment over layout variables (for ILP warm
           starts) *)
   conflicts : int;
-  pb_vars : int;  (** problem variables *)
-  pb_aux : int;  (** auxiliaries (counting + any CNF cardinality) *)
 }
 
 val solve :
@@ -40,7 +38,6 @@ type opt_result = {
   opt_status : [ `Optimal | `Feasible | `Unsat | `Unknown ];
   opt_solution : Solution.t option;
   opt_conflicts : int;
-  iterations : int;  (** SAT calls made by the descent *)
 }
 
 val minimize :

@@ -69,21 +69,13 @@ let options ?(merge = default_options.merge) ?(slice = default_options.slice)
   in
   { merge; slice; monitors; objective; engine; ilp_config; sat_conflict_limit }
 
-type timing = {
-  redundancy_s : float;
-  plan_s : float;
-  layout_s : float;
-  solve_s : float;
-  total_s : float;
-}
+type timing = { solve_s : float; total_s : float }
 
 type report = {
   status : Encode.status;
   solution : Solution.t option;
   instance : Instance.t;
   layout : Layout.t;
-  plan : Merge.plan;
-  removed_rules : int;
   ilp_stats : Ilp.Solver.stats option;
   sat_conflicts : int option;
   timing : timing;
@@ -259,13 +251,9 @@ let run ?(options = default_options) ?deadline inst =
   Telemetry.Trace.with_span "solve.run" @@ fun () ->
   let t0 = Unix.gettimeofday () in
   (* Stage 1: redundancy removal, per policy. *)
-  let removed = ref 0 in
   let inst =
     Telemetry.Trace.with_span "solve.redundancy" @@ fun () ->
-    Instance.map_policies inst (fun _ q ->
-        let q', report = Acl.Redundancy.remove q in
-        removed := !removed + Acl.Redundancy.total report;
-        q')
+    Instance.map_policies inst (fun _ q -> fst (Acl.Redundancy.remove q))
   in
   let t1 = Unix.gettimeofday () in
   (* Stage 2 (optional): merge planning with cycle breaking. *)
@@ -305,18 +293,9 @@ let run ?(options = default_options) ?deadline inst =
     solution = verdict.v_solution;
     instance = inst;
     layout;
-    plan;
-    removed_rules = !removed;
     ilp_stats = verdict.v_ilp_stats;
     sat_conflicts = verdict.v_conflicts;
-    timing =
-      {
-        redundancy_s = t1 -. t0;
-        plan_s = t2 -. t1;
-        layout_s = t3 -. t2;
-        solve_s = t4 -. t3;
-        total_s = t4 -. t0;
-      };
+    timing = { solve_s = t4 -. t3; total_s = t4 -. t0 };
   }
 
 let pp_report fmt r =

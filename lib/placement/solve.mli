@@ -53,13 +53,7 @@ val options :
     the committed benchmark's [place_paper] workload passes [~jobs:1],
     and goes when that benchmark next changes. *)
 
-type timing = {
-  redundancy_s : float;
-  plan_s : float;
-  layout_s : float;
-  solve_s : float;
-  total_s : float;
-}
+type timing = { solve_s : float; total_s : float }
 
 type report = {
   status : Encode.status;
@@ -68,8 +62,6 @@ type report = {
       (** post-transform instance (redundancy-cleaned, renumbered, with
           merge dummies) — the one the solution refers to *)
   layout : Layout.t;
-  plan : Merge.plan;
-  removed_rules : int;  (** by redundancy removal *)
   ilp_stats : Ilp.Solver.stats option;
   sat_conflicts : int option;
   timing : timing;

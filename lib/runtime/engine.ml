@@ -119,7 +119,8 @@ type kept = {
 
 (* The last verify's inputs: the good solution's cells (a copy of the
    array), the declared tables built from them, a snapshot of the live
-   tables, and each policy ingress's verdicts.  In memory only. *)
+   tables, and each policy ingress's verdicts.  In memory only.  An
+   engine starts from the memo of its first placement ({!seed_memo}). *)
 type memo = {
   m_sliced : bool;
   m_cells : Solution.cell list array;
@@ -138,7 +139,7 @@ type t = {
   mutable dead_links : (int * int) list;
   route_prng : Prng.t;
   verify_prng : Prng.t;
-  mutable memo : memo option;
+  mutable memo : memo;
   mutable verifies : int;  (** since the engine was built *)
 }
 
@@ -149,19 +150,33 @@ let sort_uniq l = List.sort_uniq compare l
 
 let witnesses n q = List.of_seq (Seq.take n (Acl.Policy.witness_seq q))
 
+(* The memo of [good] and its declared [tables]: the first verify
+   patches them.  That verify is a full one, which reads neither the
+   live snapshot nor the verdicts, so the declared tables stand in for
+   the one and there are none of the other. *)
+let seed_memo (good : Solution.t) tables =
+  {
+    m_sliced = good.Solution.sliced;
+    m_cells = Array.copy good.Solution.per_switch;
+    m_declared = tables;
+    m_live = tables;
+    m_seen = Hashtbl.create 0;
+  }
+
 let create ?(config = default_config) ?(fault = Fault_plan.faultless ()) good =
-  let api = Switch_api.create ~fault (Tables.of_solution good).Tables.tables in
+  let tables = (Tables.of_solution good).Tables.tables in
   {
     config;
     fault;
-    api;
+    (* The switch API writes into its array; the memo keeps this one. *)
+    api = Switch_api.create ~fault (Array.copy tables);
     good;
     quarantine = [];
     dead_switches = [];
     dead_links = [];
     route_prng = Prng.create ((verify_seed * 2) + 1);
     verify_prng = Prng.create verify_seed;
-    memo = None;
+    memo = seed_memo good tables;
     verifies = 0;
   }
 
@@ -207,7 +222,7 @@ let restore ?(config = default_config) p =
     dead_links = p.p_dead_links;
     route_prng = p.p_route_prng;
     verify_prng = p.p_verify_prng;
-    memo = None;
+    memo = seed_memo p.p_good (Tables.of_solution p.p_good).Tables.tables;
     verifies = 0;
   }
 
@@ -559,13 +574,9 @@ let quarantine_now t goal =
 
 (* The declared tables of [sol], patched from those of the last verify
    ([memo]): only the switches whose cells changed since are ordered
-   afresh.  With no memo every switch is. *)
+   afresh. *)
 let declared_tables memo sol =
-  let b =
-    match memo with
-    | Some m -> Tables.patch ~cells:m.m_cells ~tables:m.m_declared sol
-    | None -> Tables.of_solution sol
-  in
+  let b = Tables.patch ~cells:memo.m_cells ~tables:memo.m_declared sol in
   Telemetry.Metrics.add m_switches_rebuilt (List.length b.Tables.rebuilt);
   b
 
@@ -631,7 +642,6 @@ let verify ?declared t =
     ok
   in
   let memo = t.memo in
-  t.memo <- None;
   let full = t.verifies mod full_verify_every = 0 in
   t.verifies <- t.verifies + 1;
   try
@@ -650,21 +660,20 @@ let verify ?declared t =
        or with a changed projection in the declared or the live
        tables. *)
     let prior, placed_moved, declared_moved, live_moved =
-      match memo with
-      | Some m when (not full) && m.m_sliced = sol.Solution.sliced ->
+      if (not full) && memo.m_sliced = sol.Solution.sliced then
         let moved old now = IS.of_list (fst (Update.changed_tags old now)) in
         ( (fun i q paths ->
-            match Hashtbl.find_opt m.m_seen i with
+            match Hashtbl.find_opt memo.m_seen i with
             | Some s
               when s.s_policy = q && s.s_paths = paths
                    && s.s_fenced = in_quarantine t i ->
               Some s
             | _ -> None),
-          ingresses_at declared.Tables.rebuilt m.m_cells
+          ingresses_at declared.Tables.rebuilt memo.m_cells
             sol.Solution.per_switch,
-          moved m.m_declared declared.Tables.tables,
-          moved m.m_live live_tables )
-      | _ -> ((fun _ _ _ -> None), IS.empty, IS.empty, IS.empty)
+          moved memo.m_declared declared.Tables.tables,
+          moved memo.m_live live_tables )
+      else ((fun _ _ _ -> None), IS.empty, IS.empty, IS.empty)
     in
     let policies =
       List.map
@@ -804,18 +813,17 @@ let verify ?declared t =
            t.quarantine)
     in
     t.memo <-
-      Some
-        {
-          m_sliced = sol.Solution.sliced;
-          m_cells = Array.copy sol.Solution.per_switch;
-          m_declared = declared.Tables.tables;
-          m_live = live_tables;
-          m_seen = seen;
-        };
+      {
+        m_sliced = sol.Solution.sliced;
+        m_cells = Array.copy sol.Solution.per_switch;
+        m_declared = declared.Tables.tables;
+        m_live = live_tables;
+        m_seen = seen;
+      };
     structural_ok && semantic_ok && live_ok && fence_ok
   with _ -> holds m_verify_exception false
 
-let declared t = Option.map (fun m -> m.m_declared) t.memo
+let declared t = t.memo.m_declared
 
 (* ------------------------------------------------------------------ *)
 (* Consistent-update corpus                                            *)
@@ -823,13 +831,11 @@ let declared t = Option.map (fun m -> m.m_declared) t.memo
 (* The probe corpus the wave barriers walk: for every ingress carrying a
    policy before or after the event, its routed paths under the old and
    new placements plus a deterministic packet sample (policy witnesses
-   of both sides and a few randoms from a PRNG derived fresh from the
-   verify seed — never the mutable verify stream, so an event re-run
-   after a crash rebuilds the identical corpus).  The randoms are drawn
-   here, in ingress order, so the stream never depends on which
-   barriers walk; the witnesses are drawn only when a barrier finds a
-   differing projection on one of the ingress's paths, so a sound
-   update draws none. *)
+   of both sides and a few randoms from a PRNG seeded by the verify seed
+   and the ingress — never the mutable verify stream, so an event re-run
+   after a crash rebuilds the identical corpus).  The sample is drawn
+   only when a barrier finds a differing projection on one of the
+   ingress's paths, so a sound update draws none. *)
 let update_corpus t (sol : Solution.t) =
   let old_inst = inst t in
   let new_inst = sol.Solution.instance in
@@ -838,10 +844,8 @@ let update_corpus t (sol : Solution.t) =
       (List.map fst old_inst.Instance.policies
       @ List.map fst new_inst.Instance.policies)
   in
-  let g = Prng.create (verify_seed lxor 0x757044) in
   List.map
     (fun i ->
-      let randoms = List.init 4 (fun _ -> Ternary.Packet.random g) in
       let probes_of inst =
         match Instance.policy_of inst i with
         | Some q -> witnesses 8 q
@@ -853,8 +857,10 @@ let update_corpus t (sol : Solution.t) =
         new_paths = Routing.Table.paths_from new_inst.Instance.routing i;
         probes =
           lazy
-            ((zero_packet :: probes_of old_inst)
-            @ probes_of new_inst @ randoms);
+            (let g = Prng.create ((verify_seed lxor 0x757044) + i) in
+             (zero_packet :: probes_of old_inst)
+             @ probes_of new_inst
+             @ List.init 4 (fun _ -> Ternary.Packet.random g));
       })
     ingresses
 

@@ -91,10 +91,11 @@ val table_snapshot : t -> Netsim.entry list array
 val good : t -> Placement.Solution.t
 (** The last-known-good placement (instance included). *)
 
-val declared : t -> Netsim.entry list array option
+val declared : t -> Netsim.entry list array
 (** The declared tables the last verify checked: the good placement's
     tables, patched ({!Placement.Tables.patch}) from the verify before's.
-    [None] before the first verify and after one that raised. *)
+    Before the first verify, the tables {!create} or {!restore} built;
+    a verify that raised keeps the ones before it. *)
 
 val switch_api : t -> Switch_api.t
 (** The live data plane's write path.  A write through it, or into its

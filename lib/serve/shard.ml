@@ -1,13 +1,11 @@
-type config = {
-  capacity : int;
-  snapshot_every : int;
-  engine : Runtime.Engine.config;
-}
+type config = { capacity : int; engine : Runtime.Engine.config }
+
+(* Events between shard snapshots and compactions. *)
+let snapshot_every = 8
 
 let default_config =
   {
     capacity = 30;
-    snapshot_every = 8;
     engine =
       { Runtime.Engine.default_config with Runtime.Engine.deadline_s = 5.0 };
   }
@@ -348,7 +346,7 @@ let process_one t (ticket, tenant, op) =
     ts_set t.cs tenant { ts with ts_breaker = breaker_step b report };
     t.cs.cs_last <- None;
     t.since_snapshot <- t.since_snapshot + 1;
-    if t.since_snapshot >= t.config.snapshot_every then snapshot t;
+    if t.since_snapshot >= snapshot_every then snapshot t;
     let quarantined =
       match ts.ts_ingress with
       | Some i -> List.mem i report.Runtime.Report.quarantined

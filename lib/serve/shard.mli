@@ -39,13 +39,12 @@
 
 type config = {
   capacity : int;  (** uniform per-switch ACL budget of the shard's net *)
-  snapshot_every : int;  (** events between shard snapshots/compactions *)
   engine : Runtime.Engine.config;
 }
 
 val default_config : config
-(** k=4 fat-tree, capacity 30, snapshot_every 8, a 5 s engine
-    deadline. *)
+(** k=4 fat-tree, capacity 30, a 5 s engine deadline.  A shard snapshots
+    and compacts every 8 events. *)
 
 (** The per-tenant circuit breaker, a pure state machine over event
     reports (exposed for direct unit testing; the shard drives it

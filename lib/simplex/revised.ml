@@ -70,17 +70,7 @@ type t = {
   mutable c_flips : int;
   mutable c_iters : int;
   mutable c_refactor : int;
-  mutable c_falls : int;
   mutable solved_once : bool;
-}
-
-type counters = {
-  pivots : int;
-  bound_flips : int;
-  iterations : int;
-  refactorizations : int;
-  eta_len : int;
-  cold_falls : int;
 }
 
 let dtol = 1e-7 (* reduced-cost (dual) tolerance *)
@@ -115,16 +105,6 @@ let m_eta_len =
   Telemetry.Metrics.gauge
     ~help:"eta-file length after the last sparse solve"
     "sdnplace_simplex_eta_len"
-
-let counters t =
-  {
-    pivots = t.c_pivots;
-    bound_flips = t.c_flips;
-    iterations = t.c_iters;
-    refactorizations = t.c_refactor;
-    eta_len = t.n_eta;
-    cold_falls = t.c_falls;
-  }
 
 let matrix ~nvars rows =
   let m = Array.length rows in
@@ -257,7 +237,6 @@ let create ~a ~senses ~rhs ~obj ~lower ~upper =
     c_flips = 0;
     c_iters = 0;
     c_refactor = 0;
-    c_falls = 0;
     solved_once = false;
   }
 
@@ -1163,9 +1142,7 @@ let reoptimize ?(max_iters = 50_000) ?(deadline = infinity) ?point t =
     if not t.solved_once then cold_optimize ?point t
     else
       try warm_optimize t
-      with Fallback | Lu.Singular ->
-        t.c_falls <- t.c_falls + 1;
-        cold_optimize ?point t
+      with Fallback | Lu.Singular -> cold_optimize ?point t
   with Fallback | Lu.Singular -> Iteration_limit
 
 (* ---------- in-place objective replacement ---------- *)
@@ -1243,10 +1220,7 @@ let add_rows t extra =
         t'.basis;
       t'.solved_once <- true
     end;
-    t'.c_pivots <- t.c_pivots;
-    t'.c_flips <- t.c_flips;
+    (* The deadline poll keeps its cadence across the copy. *)
     t'.c_iters <- t.c_iters;
-    t'.c_refactor <- t.c_refactor;
-    t'.c_falls <- t.c_falls;
     t'
   end

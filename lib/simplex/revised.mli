@@ -116,16 +116,3 @@ val add_rows : t -> (Csc.row * sense * float) array -> t
     carried basis is dual feasible and {!reoptimize} re-establishes
     optimality with a short dual-simplex run.  [t] itself is unchanged
     (and still usable). *)
-
-type counters = {
-  pivots : int;
-  bound_flips : int;
-  iterations : int;
-  refactorizations : int;
-  eta_len : int;  (** current eta-file length *)
-  cold_falls : int;  (** warm re-solves that fell back to a cold solve *)
-}
-
-val counters : t -> counters
-(** Cumulative work counters since {!create}; also flushed to the
-    [sdnplace_simplex_*] telemetry series after every solve. *)

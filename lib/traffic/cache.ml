@@ -427,7 +427,7 @@ let rebalance t =
 
 (* {2 Accounting} *)
 
-type walk = { w_full : Netsim.outcome; w_cached : Netsim.outcome; w_hit : bool }
+type walk = { w_full : Netsim.outcome; w_cached : Netsim.outcome }
 
 let account t ~path ~weight packet =
   let tag = path.Routing.Path.ingress in
@@ -444,9 +444,8 @@ let account t ~path ~weight packet =
         bump t h.Netsim.hop_switch idx weight;
         if not t.resident.(h.Netsim.hop_switch).(idx) then all_resident := false)
     fhops;
-  let w_hit = !matches = 0 || !all_resident in
   if !matches > 0 then
-    if w_hit then begin
+    if !all_resident then begin
       t.c_hits <- t.c_hits + weight;
       Telemetry.Metrics.add m_hits weight
     end
@@ -465,7 +464,7 @@ let account t ~path ~weight packet =
           | Home _ -> false))
       chops
   then t.c_dhits <- t.c_dhits + weight;
-  { w_full; w_cached; w_hit }
+  { w_full; w_cached }
 
 let decay t =
   Hashtbl.filter_map_inplace (fun _ v -> Some (v *. t.decay_f)) t.scores

@@ -50,11 +50,7 @@ val create :
 
 val full_tables : t -> Netsim.entry list array
 
-type walk = {
-  w_full : Netsim.outcome;
-  w_cached : Netsim.outcome;
-  w_hit : bool;  (** every full-table match was resident at its switch *)
-}
+type walk = { w_full : Netsim.outcome; w_cached : Netsim.outcome }
 
 val account : t -> path:Routing.Path.t -> weight:int -> Ternary.Packet.t -> walk
 (** Walk one probe packet (standing for [weight] identical packets of

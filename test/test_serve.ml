@@ -738,7 +738,7 @@ let test_shard_crash_resume_deterministic () =
       | Some n -> armed := Some (n - 1)
       | None -> ()
     in
-    let config = { Shard.default_config with Shard.snapshot_every = 3 } in
+    let config = Shard.default_config in
     let shard = ref (Shard.create ~config ~kill ~stores ~seed:5 ~id:0 ()) in
     let acked = ref [] in
     let crashed = ref false in
@@ -1134,7 +1134,6 @@ let daemon_life ~seed ~kills () =
       tenant_queue_limit = 3;
       round_slots = 4;
       tenant_round_cap = 2;
-      shard = { Shard.default_config with Shard.snapshot_every = 4 };
     }
   in
   let stores, crash = mem_stores config.Daemon.shards in
@@ -1236,7 +1235,6 @@ let daemon_life_at ~jobs ~seed ~kills () =
       round_slots = 4;
       jobs;
       batch_fsync = 2;
-      shard = { Shard.default_config with Shard.snapshot_every = 4 };
     }
   in
   let stores, crash = mem_stores shards in

@@ -42,9 +42,27 @@ operator).  A name used as a first-class value rather than applied
 counts as passing every label.  Bindings (`let`, `and`, `val`, ...)
 are not calls.
 
-Exits 1 and lists each dead `val` and each dead optional parameter
-when any is found, and each line of the seam list that names no
-optional parameter only tests pass.
+Every field of a record type declared in a lib/**/*.mli must be read
+by some .ml under the same directories: as `x.f` or `x.M.f`, or in a
+record pattern.  Building a record (a literal, `{e with f = ...}`) or
+assigning `x.f <- v` does not read it.  Reads resolve by module: a
+qualified read counts for the modules its qualifier denotes, but an
+unqualified one, which OCaml may resolve by type, counts for every
+field of that name.  A record pattern's fields must all be fields of
+the type (all of them unless it ends in `_`), so a pattern reads no
+field of a type it cannot have.
+
+Every field of a `config` or `options` record must be set by some
+program outside test/: by a literal (whose fields are exactly its
+type's), by `{e with f = ...}` or by an assignment.  A `let default...
+= { ... }` literal in lib/ is the module's own defaults and sets
+nothing.  A field only tests set is a constant, save the seams
+tools/option_seams.txt names as `Module.type.field`.
+
+Exits 1 and lists each dead `val`, each dead optional parameter, each
+unread field and each config field no program sets, when any is
+found, and each line of the seam list that names no optional parameter
+or config field only tests set.
 
 Every run first checks the scanner itself on built-in source trees and
 fails if it misjudges them.
@@ -73,7 +91,14 @@ SIG_SCOPE = re.compile(
     r"\bmodule\s+(?P<nested>[A-Z][A-Za-z0-9_']*)\s*:\s*sig\b"
     r"|\b(?:sig|struct|object|begin)\b"
     r"|(?P<end>\bend\b)"
-    r"|^\s*val\s+(?P<val>[a-z_][A-Za-z0-9_']*)\s*:", re.M)
+    r"|^\s*val\s+(?P<val>[a-z_][A-Za-z0-9_']*)\s*:"
+    r"|\b(?:type|and)\s+(?:nonrec\s+)?(?:(?:'[a-z_][A-Za-z0-9_']*|\([^)]*\))\s+)?"
+    r"(?P<record>[a-z_][A-Za-z0-9_']*)\s*=\s*(?:private\s+)?\{", re.M)
+# A field of a record type's body: [mutable name :].
+FIELD_DECL = re.compile(r"^\s*(?:mutable\s+)?([a-z_][A-Za-z0-9_']*)\s*:")
+# The record types whose fields must be set by a program, not only tests.
+CONFIGS = {"config", "options"}
+FIELD_SEAM = re.compile(r"[A-Z][A-Za-z0-9_']*\.[a-z_][A-Za-z0-9_']*\.[a-z_][A-Za-z0-9_']*$")
 # [module X = ...M] and [let module X = ...M in]: X is an alias of M.
 ALIAS = re.compile(r"\bmodule\s+([A-Z][A-Za-z0-9_']*)\s*(?::[^=]*)?=\s*"
                    + PATH + r"(?!\s*\()")
@@ -170,18 +195,51 @@ def declared_vals(path, src):
     file's own module, or None inside a [module type] or an anonymous
     [sig] (such a val belongs to whatever module matches the
     signature); [end] is the offset just past the val's ':'."""
-    out = []
+    return [(src.count("\n", 0, m.start("val")) + 1, m.group("val"), owner,
+             m.end())
+            for m, owner in sig_items(path, src) if m.group("val")]
+
+
+def sig_items(path, src):
+    """Each [val] and record [type] match of the .mli [src] with its
+    owning module, as {!declared_vals} resolves it."""
     stack = []
     for m in SIG_SCOPE.finditer(src):
-        if m.group("val"):
-            owner = stack[-1] if stack else module_of(path)
-            out.append((src.count("\n", 0, m.start("val")) + 1, m.group("val"),
-                        owner, m.end()))
+        if m.group("val") or m.group("record"):
+            yield m, (stack[-1] if stack else module_of(path))
         elif m.group("end"):
             if stack:
                 stack.pop()
         else:
             stack.append(m.group("nested"))
+
+
+def declared_fields(path, src):
+    """(line, type, field, module, fields) of each field of each record
+    type of the .mli [src]; [module] as in {!declared_vals}, [fields]
+    the frozenset of its type's fields."""
+    out = []
+    for m, owner in sig_items(path, src):
+        if not m.group("record"):
+            continue
+        depth = 0
+        start = j = m.end()
+        items = []
+        while j < len(src) and depth >= 0:
+            c = src[j]
+            if c in "([{":
+                depth += 1
+            elif c in ")]}":
+                depth -= 1
+            if depth < 0 or (c == ";" and depth == 0):
+                items.append((start, src[start:j]))
+                start = j + 1
+            j += 1
+        fields = [(src.count("\n", 0, at + f.start(1)) + 1, f.group(1))
+                  for at, item in items for f in [FIELD_DECL.match(item)] if f]
+        names = frozenset(name for _, name in fields)
+        out.extend((line, m.group("record"), name, owner, names)
+                   for line, name in fields)
     return out
 
 
@@ -419,30 +477,197 @@ def dead_options(text):
                   for label in v["wanted"] - v["passed"])
 
 
+def default_literal(toks, i):
+    """Whether the brace at [toks[i]] is the body of [let default... =]."""
+    if i < 1 or toks[i - 1] != ("op", "="):
+        return False
+    for k in range(i - 2, max(i - 8, 0) - 1, -1):
+        if toks[k][1] in ("let", "and"):
+            return toks[k + 1][1].startswith("default")
+    return False
+
+
+def field_uses(toks):
+    """Reads and sets of record fields in the tokens [toks] of an .ml,
+    each (qualifier, field, labels, exact, default).  [x.f] and
+    [x.M.f] read with labels None, and [x.f <- v] sets so.  A record
+    pattern reads each of its fields and a record literal sets each,
+    with [labels] the frozenset of the braces' fields: every field of
+    the record's type when [exact], some of them for a pattern ending in
+    [_] and for [{e with ...}].  [default] marks a literal bound by
+    [let default... =].
+
+    A brace is a pattern inside the tokens [let]/[and] ... [=],
+    [fun]/[function] ... [->] and [|]/[match ... with] ... [->]; a brace
+    whose first field is followed by ':' declares a type.  Every
+    misreading leans one way: the keywords that open a pattern are
+    over-counted, so a literal can pass for a pattern and count as a
+    read, never a pattern for a literal."""
+    reads, sets = [], []
+    # One frame per open bracket: whether it is a pattern, how many of
+    # its [match]/[try] await their [with], the tokens that end a
+    # pattern opened by a keyword in it, and, for a record, its fields.
+    frames = [{"pattern": False, "pending": 0, "until": None, "record": None}]
+    end = ("close", "")
+    for i, (kind, text) in enumerate(toks):
+        top = frames[-1]
+        rec = top["record"]
+        nxt = toks[i + 1] if i + 1 < len(toks) else end
+        if rec is not None and rec["expect"]:
+            if kind == "ident" and not text[:1].isupper() and (
+                    nxt[0] == "close" or nxt[1][:1] in ("=", ";")):
+                if text == "_":
+                    rec["open"] = True
+                else:
+                    qualified = i >= 2 and toks[i - 1] == ("op", ".")
+                    rec["fields"].append((toks[i - 2][1] if qualified else None, text))
+                rec["expect"] = False
+                continue
+            if not (kind == "ident" and text[:1].isupper() or text == "."):
+                rec["expect"] = False
+        if kind == "open":
+            after = toks[i + 2] if i + 2 < len(toks) else end
+            frames.append({
+                "pattern": top["pattern"] or top["until"] is not None,
+                "pending": 0, "until": None,
+                "record": None if text != "{" or nxt[1] == "mutable"
+                or nxt[0] == "ident" and after[1] == ":" else
+                {"fields": [], "open": False, "with": False, "expect": True,
+                 "default": default_literal(toks, i)}})
+        elif kind == "close":
+            if len(frames) == 1:
+                continue
+            done = frames.pop()
+            rec = done["record"]
+            if rec is None:
+                continue
+            labels = frozenset(name for _, name in rec["fields"])
+            for q, name in rec["fields"]:
+                if done["pattern"]:
+                    reads.append((q, name, labels, not rec["open"], False))
+                else:
+                    sets.append((q, name, labels, not rec["with"],
+                                 rec["default"] and not rec["with"]))
+        elif text in ("let", "and"):
+            top["until"] = {"=", "in"}
+        elif text in ("fun", "function"):
+            top["until"] = {"->"}
+        elif text in ("match", "try"):
+            top["pending"] += 1
+        elif text == "with":
+            if top["pending"]:
+                top["pending"] -= 1
+                top["until"] = {"->", "when"}
+            elif rec is not None:
+                rec.update({"fields": [], "with": True, "expect": True})
+        elif text in ("when", "in", "type", "module", "open", "val", "external"):
+            top["until"] = None
+        elif text == "|" and top["until"] is None and not top["pattern"]:
+            top["until"] = {"->", "when"}
+        elif top["until"] is not None and text in top["until"]:
+            top["until"] = None
+        elif text == ";" and rec is not None:
+            rec["expect"] = True
+        elif kind == "ident" and i >= 2 and toks[i - 1] == ("op", "."):
+            q = None
+            if toks[i - 2][0] == "ident" and toks[i - 2][1][:1].isupper():
+                q = toks[i - 2][1]
+                k = i - 2
+                while k >= 2 and toks[k - 1] == ("op", ".") and toks[k - 2][1][:1].isupper():
+                    k -= 2
+                if k < 1 or toks[k - 1] != ("op", "."):
+                    continue  # [M.name]: a value, not a field
+            if nxt == ("op", "<-"):
+                sets.append((q, text, None, False, False))
+            else:
+                reads.append((q, text, None, False, False))
+    return reads, sets
+
+
+def dead_fields(text):
+    """Map of path -> comment-free source in; (declared fields, unread
+    fields, unset config fields) out, each a list of (mli path, line,
+    "Module.type.field").
+
+    A field of module M's record type is read by some [x.f], [x.X.f]
+    or record pattern naming it, X denoting M (any X when M escapes);
+    a pattern's fields must all belong to the type (all of them unless
+    it ends in [_]).  A field of a [config] or [options] record is set
+    by a literal with exactly its type's fields, a [{e with ...}] or an
+    assignment outside test/, a [let default... =] literal in lib/
+    aside (the module's own defaults)."""
+    decls = [(path, line, tname, fname, owner, fields)
+             for path, src in sorted(text.items())
+             if path.endswith(".mli") and path.replace(os.sep, "/").startswith("lib/")
+             for line, tname, fname, owner, fields in declared_fields(path, src)]
+    impls = {p: s for p, s in text.items() if p.endswith(".ml")}
+    aliases, escaped, _ = module_refs(impls)
+    reads, sets = {}, {}
+    for path, src in impls.items():
+        r, w = field_uses(tokens(src))
+        for use in r:
+            reads.setdefault(use[1], []).append(use)
+        unix = path.replace(os.sep, "/")
+        if not unix.startswith("test/"):
+            for use in w:
+                if not (use[4] and unix.startswith("lib/")):
+                    sets.setdefault(use[1], []).append(use)
+
+    def names(decl, use):
+        _, _, _, _, owner, fields = decl
+        q, _, labels, exact, _ = use
+        if (q is not None and owner is not None and owner not in escaped
+                and owner not in denotes(aliases, q)):
+            return False
+        return labels is None or (labels <= fields and (not exact or labels == fields))
+
+    def out(ds):
+        return [(d[0], d[1], "%s.%s.%s" % (d[4], d[2], d[3])) for d in ds]
+
+    return (out(decls),
+            out(d for d in decls if not any(names(d, u) for u in reads.get(d[3], []))),
+            out(d for d in decls if d[2] in CONFIGS
+                and not any(names(d, u) for u in sets.get(d[3], []))))
+
+
 def read_seams(src):
-    """(line, "Module.val" glob, label) of each entry of a seam list:
-    blank lines and '#' comments aside, each line is `Module.val ?label`
-    and then its reason."""
+    """(line, glob, label) of each entry of a seam list: blank lines and
+    '#' comments aside, each line is `Module.val ?label` (the val may be
+    a glob) or `Module.type.field` with [label] None, then its reason."""
     out = []
     for n, line in enumerate(src.splitlines(), 1):
         words = line.split()
         if not words or words[0].startswith("#"):
             continue
-        if len(words) < 3 or not words[1].startswith("?"):
-            sys.exit("%s:%d: want `Module.val ?label reason`" % (SEAMS, n))
-        out.append((n, words[0], words[1][1:]))
+        if len(words) >= 3 and words[1].startswith("?"):
+            out.append((n, words[0], words[1][1:]))
+        elif len(words) >= 2 and FIELD_SEAM.match(words[0]):
+            out.append((n, words[0], None))
+        else:
+            sys.exit("%s:%d: want `Module.val ?label reason` or "
+                     "`Module.type.field reason`" % (SEAMS, n))
     return out
 
 
 def unseamed(options, seams):
-    """The dead options no seam names, and the seams that name none."""
+    """The dead options no seam names, and the option seams that name
+    none."""
     def names(seam, option):
         path, _, name, label = option
         return (label == seam[2]
                 and fnmatch.fnmatchcase("%s.%s" % (module_of(path), name), seam[1]))
 
+    seams = [s for s in seams if s[2] is not None]
     return ([o for o in options if not any(names(s, o) for s in seams)],
             [s for s in seams if not any(names(s, o) for o in options)])
+
+
+def unseamed_fields(unset, seams):
+    """The unset config fields no seam names, and the field seams that
+    name none."""
+    seams = [s for s in seams if s[2] is None]
+    return ([f for f in unset if not any(s[1] == f[2] for s in seams)],
+            [s for s in seams if not any(s[1] == f[2] for f in unset)])
 
 
 def self_check():
@@ -568,6 +793,43 @@ def self_check():
                  "stale seams %s, want ([Store.crash ?keep], [Reg.gauge])"
                  % (got,))
 
+    # Record fields: [Rep.t.status] is read only by a record pattern,
+    # [nodes] only under test/, and [iterations] only as a same-named
+    # field of [Other], unqualified, so it may be either.  [timing] is
+    # only built, [removed] only assigned, and [plan] read only as
+    # [Other.plan].  Of [Cfg.config], only tests set [depth] (by
+    # [with]) and [cuts] (by a literal); a bin program sets [seed], and
+    # [Cfg]'s own default literal counts for none.  The seam names
+    # [depth], so [cuts] is left; the seam on [seed] is stale.
+    tree = {
+        "lib/a/cfg.mli": "type config = { depth : int; cuts : bool; seed : int }\n"
+                         "val default_config : config\n",
+        "lib/a/cfg.ml": "type config = { depth : int; cuts : bool; seed : int }\n"
+                        "let default_config = { depth = 1; cuts = true; seed = 0 }\n",
+        "lib/a/rep.mli": "type t = {\n  status : int;\n  timing : float;  (** s *)\n"
+                         "  mutable removed : int;\n  nodes : int;\n  iterations : int;\n"
+                         "  plan : int;\n}\nval make : unit -> t\n",
+        "lib/a/other.mli": "type t = { plan : int; iterations : int }\n",
+        "lib/a/rep.ml": "let make () =\n  { status = 0; timing = 0.; removed = 0; nodes = 1;"
+                        " iterations = 0; plan = 2 }\n",
+        "bin/main.ml": "let f = function { Rep.status; _ } -> status\n"
+                       "let g (o : Other.t) = o.Other.plan + o.iterations\n"
+                       "let h r = r.Rep.removed <- 1\n"
+                       "let c = { Cfg.default_config with Cfg.seed = 3 }\n"
+                       "let k { Cfg.depth; cuts; seed } = if cuts then depth else seed\n",
+        "test/t.ml": "let n r = r.nodes\nlet c = { Cfg.default_config with depth = 0 }\n"
+                     "let d = { Cfg.depth = 0; cuts = false; seed = 1 }\n",
+    }
+    _, unread, unset = dead_fields({p: strip_comments(s) for p, s in tree.items()})
+    left, stale = unseamed_fields(unset, read_seams(
+        "Cfg.config.depth  pins the root alone\nCfg.config.seed  stale\n"))
+    got = ([n for _, _, n in unread], [n for _, _, n in left], [n for _, n, _ in stale])
+    want = (["Rep.t.timing", "Rep.t.removed", "Rep.t.plan"], ["Cfg.config.cuts"],
+            ["Cfg.config.seed"])
+    if got != want:
+        sys.exit("dead-code gate: self-check failed, unread fields, unseamed "
+                 "config fields and stale field seams %s, want %s" % (got, want))
+
 
 def sources(root):
     for d in DIRS:
@@ -598,11 +860,23 @@ def main():
     for line, glob, label in stale:
         print("%s:%d: seam %s ?%s names no optional parameter only tests "
               "pass" % (os.path.relpath(SEAMS, root), line, glob, label))
-    if dead or options or stale:
+    fields, unread, unset = dead_fields(text)
+    for path, line, name in unread:
+        print("%s:%d: field %s is read nowhere" % (path, line, name))
+    unset, stale_fields = unseamed_fields(unset, seams)
+    for path, line, name in unset:
+        print("%s:%d: field %s: no program outside test/ sets it"
+              % (path, line, name))
+    for line, name, _ in stale_fields:
+        print("%s:%d: seam %s names no config field that only tests set"
+              % (os.path.relpath(SEAMS, root), line, name))
+    if dead or options or stale or unread or unset or stale_fields:
         sys.exit(1)
     print("dead-code gate: %d exported vals, all referenced; every optional "
           "parameter passed by a call of its val outside test/ or named by "
-          "one of %d seams" % (len(decls), len(seams)))
+          "a seam; %d record fields, all read; every config field set "
+          "outside test/ or named by a seam (%d seams)"
+          % (len(decls), len(fields), len(seams)))
 
 
 if __name__ == "__main__":
