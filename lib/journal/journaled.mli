@@ -34,8 +34,9 @@ type kill_point =
   | Before_begin  (** before the [Ev_begin] record is written *)
   | After_begin  (** [Ev_begin] durable, engine has not run *)
   | Mid_apply
-      (** before a per-entry table operation of any wave or of the
-          fallback transaction (fires per op) *)
+      (** before a per-entry table operation of any wave, the
+          consistent plan's or the direct plan's (fires per op;
+          rollback compensation does not fire it) *)
   | Before_commit  (** event handled, [Ev_commit] not yet written *)
   | After_commit  (** [Ev_commit] durable, before any compaction *)
 

@@ -48,7 +48,8 @@ let m_event_s =
     "sdnplace_runtime_event_seconds"
 
 let m_rollbacks =
-  Telemetry.Metrics.counter ~help:"transactions rolled back"
+  Telemetry.Metrics.counter
+    ~help:"direct-plan updates rolled back to the pre-event tables"
     "sdnplace_runtime_rollbacks_total"
 
 let m_quarantined =
@@ -951,18 +952,19 @@ let handle ?on_op ?rungs t event =
           (fun q -> q.q_ingress)
           (List.filter (fun q -> List.mem q.q_ingress fresh) q')
       in
-      (* The single two-phase transaction: the fallback when the wave
-         schedule cannot be planned or aborts. *)
+      (* The direct plan, one add-before-delete wave: the fallback when
+         the consistent schedule cannot be planned or aborts. *)
       let fallback () =
         match
           Telemetry.Trace.with_span "runtime.tx" (fun () ->
-              Transaction.apply ?observe:on_op ~api:t.api target)
+              Update.execute ?on_op ~api:t.api
+                (Update.direct ~old_tables:(Switch_api.tables t.api) ~target))
         with
-        | Transaction.Committed ->
+        | { Update.outcome = Update.Committed; _ } ->
           commit_good ();
           finish ~rung ~status ~applied:Report.Committed_fallback
             ~newq:(newq_committed ()) ~verified:(verify ~declared t) ~waves:0
-        | Transaction.Rolled_back { switch; op } ->
+        | { Update.outcome = Update.Aborted { switch; op }; _ } ->
           (* Tables are byte-identical to the pre-event state; fail closed
              on everything the event touched. *)
           Telemetry.Metrics.incr m_rollbacks;
@@ -974,8 +976,8 @@ let handle ?on_op ?rungs t event =
       (* Preferred rung of the write ladder: the per-packet-consistent
          wave schedule.  A planner failure or an aborted execution leaves
          the pre-event tables in place and degrades explicitly to the
-         legacy single-transaction path.  One [runtime.update] span
-         covers the planning and the execution. *)
+         direct plan.  One [runtime.update] span covers the planning and
+         the execution. *)
       let updated =
         Telemetry.Trace.with_span "runtime.update" @@ fun () ->
         match

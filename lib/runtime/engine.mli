@@ -18,13 +18,13 @@
       entry at their attachment switch, and the event is recorded as
       degraded.
 
-    Whichever rung produces a placement, the table delta is applied by
-    the {e write ladder}: the per-packet-consistent wave scheduler
-    ({!Update}), degrading to the legacy two-phase add-before-delete
-    {!Transaction} (reported as {!Report.Committed_fallback}) when the
-    wave update cannot be planned or aborts; an
-    unrecoverable legacy transaction rolls the tables back to the
-    pre-event state and drops to the quarantine rung.  After {e every}
+    Whichever rung produces a placement, one executor,
+    {!Update.execute}, writes the table delta, walking the {e write
+    ladder}: first a per-packet-consistent plan ({!Update.build}); when
+    that cannot be planned or aborts, the direct add-before-delete plan
+    ({!Update.direct}, reported as {!Report.Committed_fallback}).  A
+    direct plan that aborts has rolled the tables back to the pre-event
+    state, and the event drops to the quarantine rung.  After {e every}
     event the active placement is re-verified ({!Placement.Verify}
     structural + semantic, a packet walk of the {e live} tables against
     every policy, and a fail-closed check that quarantined ingresses'
@@ -120,7 +120,7 @@ val handle :
     rejected in the report); never leaves the tables torn.
 
     [on_op] is called before each per-entry install/delete of the data
-    plane write, a wave update's or the fallback transaction's — where
+    plane write, the consistent plan's or the direct plan's — where
     the crash-safe journal places its mid-apply kill point.  An
     exception it raises propagates out of [handle] (a simulated crash).
 

@@ -27,8 +27,8 @@ val make : ?fail_rate:float -> ?timeout_rate:float -> seed:int -> unit -> t
 
 val fail_next : t -> int -> unit
 (** [fail_next plan n] forces the next [n] draws to [Fail] regardless of
-    rates — the deterministic knob tests use to hit a specific phase of
-    a transaction. *)
+    rates — the deterministic knob tests use to hit a specific wave or
+    phase of an update. *)
 
 val mark_dead : t -> int -> unit
 (** Every subsequent operation on this switch fails. *)

@@ -22,13 +22,16 @@ type rung =
 val rung_name : rung -> string
 
 type applied =
-  | Committed  (** consistent update (or transaction) committed *)
+  | Committed  (** the consistent wave update committed *)
   | Committed_fallback
-      (** the consistent wave update aborted and the legacy
-          single-transaction path committed instead — correct outcome,
-          degraded consistency guarantee *)
-  | Rolled_back of string  (** unrecoverable install/delete; which op *)
-  | Kept_last_good  (** no transaction attempted (quarantine / noop) *)
+      (** the consistent wave update could not be planned or aborted,
+          and the direct add-before-delete plan ({!Update.direct})
+          committed instead — correct outcome, no per-packet
+          consistency mid-update *)
+  | Rolled_back of string
+      (** the direct plan hit an unrecoverable install/delete: which
+          op, as ["op@switch"] *)
+  | Kept_last_good  (** no update attempted (quarantine / noop) *)
 
 val applied_name : applied -> string
 
@@ -47,8 +50,8 @@ type t = {
   retries : int;
   forced_resyncs : int;
   waves : int;
-      (** consistent-update waves committed for this event (0 in legacy
-          mode or when no update ran) *)
+      (** consistent-update waves committed for this event (0 after the
+          direct plan or when no update ran) *)
   wall_s : float;  (** event handling time — excluded from {!signature} *)
 }
 

@@ -52,7 +52,7 @@ let m_op_backoff_s =
     ~buckets:backoff_buckets "sdnplace_switch_op_backoff_seconds"
 
 (* Compensation (rollback) operations get their own backoff series.
-   Before this split, a wave or transaction that rolled back contributed
+   Before this split, a wave that rolled back contributed
    each aborted operation's backoff to [sdnplace_switch_op_backoff_seconds]
    twice — once forward, once while compensating — so the histogram's
    sum double-counted the aborted work.  Forward ops observe into
@@ -148,3 +148,10 @@ let force_set t ~switch table =
   t.stats.forced_resyncs <- t.stats.forced_resyncs + 1;
   Telemetry.Metrics.incr m_forced;
   t.live.(switch) <- table
+
+let restore t tables =
+  if Array.length tables <> Array.length t.live then
+    invalid_arg "Switch_api.restore: switch count mismatch";
+  Array.iteri
+    (fun k table -> if t.live.(k) <> table then force_set t ~switch:k table)
+    tables

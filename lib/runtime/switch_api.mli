@@ -9,12 +9,12 @@
     {e simulated} — accumulated into {!stats}, never slept — so chaos
     runs stay fast and deterministic.  An operation that exhausts its
     retries reports failure to the caller, which is what triggers
-    transactional rollback one layer up.
+    a wave rollback one layer up ({!Update.execute}).
 
-    [force_set] models a controller-driven full-table resync: it bypasses
-    fault injection entirely.  It is reserved for restoring a known-good
-    snapshot (rollback's last resort) and for quarantine fencing, the
-    two places where the runtime must win. *)
+    [force_set] and [restore] model a controller-driven full-table
+    resync: they bypass fault injection entirely.  They are reserved for
+    restoring a known-good snapshot (rollback's last resort) and for
+    quarantine fencing, the two places where the runtime must win. *)
 
 type stats = {
   mutable attempts : int;  (** operations sent, retries included *)
@@ -43,15 +43,15 @@ val stats : t -> stats
     [sdnplace_switch_*_total] counters, and the forward backoff
     distribution in the [sdnplace_switch_op_backoff_seconds] histogram
     (rollback compensation's in
-    [sdnplace_switch_rollback_backoff_seconds], so an aborted wave or
-    transaction does not double-count its ops' backoff). *)
+    [sdnplace_switch_rollback_backoff_seconds], so an aborted wave does
+    not double-count its ops' backoff). *)
 
 val compensating : t -> (unit -> 'a) -> 'a
 (** Run [f] with this instance in compensation mode: operations still
     draw faults, retry, and tally into {!stats} exactly as usual, but
     their backoff is observed into the rollback histogram instead of
-    [sdnplace_switch_op_backoff_seconds].  Wave and transaction rollback
-    wrap their compensating installs/deletes in this. *)
+    [sdnplace_switch_op_backoff_seconds].  Wave rollback wraps its
+    compensating installs/deletes in this. *)
 
 val install : t -> switch:int -> Netsim.entry -> bool
 (** Append the entry to the switch's table (retrying on faults); [false]
@@ -63,3 +63,10 @@ val delete : t -> switch:int -> Netsim.entry -> bool
 
 val force_set : t -> switch:int -> Netsim.entry list -> unit
 (** Controller resync: overwrite the switch's table, no faults. *)
+
+val restore : t -> Netsim.entry list array -> unit
+(** [force_set] every switch whose live table differs from the given
+    tables (no fault draws are consumed).  Idempotent: restoring twice
+    is a no-op, and restoring the tables the data plane already holds
+    touches nothing.  Raises [Invalid_argument] on a switch count
+    mismatch. *)

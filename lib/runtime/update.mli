@@ -1,11 +1,11 @@
-(** Per-packet-consistent update scheduling in waves.
+(** Data-plane updates as plans of waves, and the one executor that
+    writes them.
 
-    {!Transaction} moves the data plane add-before-delete, which keeps a
-    firewall safe (transient extra drops only) but not {e consistent}: a
-    packet in flight mid-transaction can match a mix of the outgoing and
-    incoming placements.  This module upgrades an update to per-packet
-    consistency with the classic two-phase tag-and-match construction,
-    executed as a sequence of {e waves} with a barrier after each:
+    A plan moves the live tables from [old_tables] to [target] as a
+    sequence of {e waves} of single-entry installs and deletes, with a
+    barrier after each; {!execute} runs any plan.  {!build} plans a
+    {e per-packet-consistent} update with the classic two-phase
+    tag-and-match construction:
 
     + {b shadow waves} (deepest switches first) install a version-tagged
       copy of every new-placement entry an affected ingress needs, keyed
@@ -22,22 +22,30 @@
     + {b unflip} removes the stamps — plain walks now see exactly the
       target — and {b gc-shadow} removes the version-tagged copies.
 
-    Every intermediate state shows each ingress entirely-old or
-    entirely-new policy, which the barrier after each wave proves
-    path by path.  On each switch of a walk's path it compares the rules
-    of the live entries carrying the walk tag with those of the
-    reference placement's entries carrying the ingress tag; where they
-    are equal on every switch, every packet forwards alike and the path
-    is proven without a walk.  Only a path whose projections differ
+    Every intermediate state of that schedule shows each ingress
+    entirely-old or entirely-new policy, which the barrier after each
+    wave proves path by path.  On each switch of a walk's path it
+    compares the rules of the live entries carrying the walk tag with
+    those of the reference placement's entries carrying the ingress
+    tag; where they are equal on every switch, every packet forwards
+    alike and the path is proven without a walk.  Only a path whose projections differ
     walks its probe packets over live tables against the reference's
     verdicts, so the count equals walking every probe.
 
-    A failed operation triggers bounded retry of its wave: applied
+    {!direct} plans one add-before-delete wave instead: every install of
+    the target, then every delete.  Mid-wave the tables hold a superset
+    of both placements, so no packet a correct placement drops slips
+    through (transient extra drops are the safe direction for a
+    firewall), but a packet may see a mix of the two.  The caller
+    ({!Engine}) runs it when a consistent update cannot be planned or
+    aborts.
+
+    A failed operation rolls its wave back: the wave's applied
     operations are compensated (through the same faulty API, in
-    {!Switch_api.compensating} mode) and the wave restarts from its
-    entry snapshot.  A wave that exhausts its retries aborts the whole
-    update back to the pre-update tables; the caller ({!Engine}) then
-    degrades to the legacy single-transaction path.
+    {!Switch_api.compensating} mode) and any switch still off the
+    wave's entry snapshot is force-resynced.  A consistent plan then
+    retries the wave once; a wave that exhausts its plan's retries
+    aborts the whole update back to the pre-update tables.
 
     Nothing is persisted per wave or per operation.  A crash mid-update
     is recovered by rebuilding the pre-event state (the journal's
@@ -69,6 +77,9 @@ type wave = {
 
 type plan = {
   waves : wave array;
+  retries : int;
+      (** how often a failed wave is rolled back and run again before
+          the update aborts: 1 for {!build}, 0 for {!direct} *)
   flip_wave : int;  (** index of the flip wave, [-1] when nothing flips *)
   unflip_wave : int;
   affected : int list;
@@ -79,8 +90,9 @@ type plan = {
   old_tables : Netsim.entry list array;  (** detached pre-update snapshot *)
   target : Netsim.entry list array;
   shadow_headroom : int array;
-      (** per-switch transient entries (shadows + stamps) beyond the
-          placements' own *)
+      (** per-switch transient entries beyond the placements' own:
+          shadows and stamps, or the direct wave's installs that land
+          before its deletes *)
   base_occupancy : int array;  (** per-switch [max |old| |target|] *)
   peak_occupancy : int array;
       (** per-switch maximum simulated occupancy over the whole update;
@@ -130,6 +142,16 @@ val build :
     [Invalid_argument] if the simulated final state is not exactly the
     target (a planner bug, never data-dependent). *)
 
+val direct :
+  old_tables:Netsim.entry list array -> target:Netsim.entry list array -> plan
+(** One wave moving [old_tables] to [target] add-before-delete: for each
+    switch whose table differs, ascending, the entries [target] adds;
+    then, in the same switch order, the entries it drops (multiset
+    differences, each in its table's order).  Its commit writes each
+    such switch's target order.  No retry, an empty corpus (the barrier
+    proves nothing and walks nothing), and no wave when nothing
+    differs.  Raises [Invalid_argument] on a switch count mismatch. *)
+
 val execute :
   ?observer:observer ->
   ?on_op:(switch:int -> op:string -> unit) ->
@@ -137,12 +159,16 @@ val execute :
   plan ->
   result
 (** Run the plan's waves, from wave 0, against the live tables.
-    A wave whose operation fails is rolled back to its entry snapshot
-    and retried once; a second failure aborts the update to the
-    pre-update tables.  [on_op] is called before each per-entry
-    operation (the journal's mid-apply kill-point hook); [observer]
-    fires at wave boundaries, where a test can re-run the barrier
-    ({!inconsistencies}) on the live tables. *)
+    A wave whose operation fails is rolled back to its entry snapshot:
+    its applied installs are undone newest first, then its applied
+    deletes newest first.  It is retried [plan.retries] times; one more
+    failure aborts the update to the pre-update tables.  [on_op] is
+    called before each per-entry operation, compensation excepted (the
+    journal's mid-apply kill-point hook: an exception it raises leaves
+    the tables torn, for recovery to repair); [observer] fires at wave
+    boundaries, where a test can re-run the barrier
+    ({!inconsistencies}) on the live tables.  Only a plan that retries
+    its waves counts them in the [sdnplace_update_wave*] series. *)
 
 val inconsistencies :
   plan -> live:Netsim.entry list array -> committed:int -> int

@@ -48,8 +48,9 @@ let default =
 (* Named substreams of a family's seed.  Each purpose gets an
    independent SplitMix64 stream keyed by a fixed xor constant, so
    consuming one stream (or adding a new purpose) never perturbs the
-   others — the discipline that keeps every committed BENCH_*.json
-   scoreboard byte-stable across refactors.  The routing and policy
+   others — the discipline that keeps the committed scoreboard
+   baseline (tools/scoreboard_baseline.json) byte-stable across
+   refactors.  The routing and policy
    constants predate this table and must never change: the paper-scale
    scoreboard gate diffs solver results on instances generated from
    them. *)

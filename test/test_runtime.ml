@@ -1,5 +1,5 @@
 (* The fault-tolerant controller runtime: degradation-ladder rungs,
-   transactional rollback, quarantine fencing, retry/backoff accounting
+   rollback of the direct plan, quarantine fencing, retry/backoff accounting
    and seeded replayability. *)
 open Placement
 open Runtime
@@ -180,7 +180,9 @@ let test_quarantine_fails_closed_on_chain () =
   Alcotest.(check (list int)) "fence lifted" [] (Engine.quarantined eng)
 
 (* ------------------------------------------------------------------ *)
-(* Transaction-level rollback                                          *)
+(* The direct plan: one add-before-delete wave, rolled back whole     *)
+
+let apply_direct = Test_transaction_props.apply_direct
 
 let test_rollback_byte_identical_on_install_failure () =
   let fault = Fault_plan.make ~seed:11 () in
@@ -191,11 +193,11 @@ let test_rollback_byte_identical_on_install_failure () =
      after the first succeeded — rollback must undo switch 1. *)
   Fault_plan.mark_dead fault 2;
   let target = [| [ entry 0 5 ]; [ entry 2 9 ]; [ entry 1 4; entry 3 1 ]; [] |] in
-  (match Transaction.apply ~api target with
-  | Transaction.Rolled_back { switch = 2; op = "install" } -> ()
-  | Transaction.Rolled_back { switch; op } ->
+  (match apply_direct ~api target with
+  | Update.Aborted { switch = 2; op = "install" } -> ()
+  | Update.Aborted { switch; op } ->
     Alcotest.failf "unexpected rollback point %s@%d" op switch
-  | Transaction.Committed -> Alcotest.fail "expected rollback");
+  | Update.Committed -> Alcotest.fail "expected rollback");
   Alcotest.(check bool) "tables byte-identical" true
     (Switch_api.snapshot api = before)
 
@@ -208,11 +210,11 @@ let test_rollback_byte_identical_on_delete_failure () =
      rollback deletes the installed entries again. *)
   Fault_plan.mark_dead fault 0;
   let target = [| []; [ entry 2 9 ]; [ entry 1 4; entry 3 1 ]; [] |] in
-  (match Transaction.apply ~api target with
-  | Transaction.Rolled_back { switch = 0; op = "delete" } -> ()
-  | Transaction.Rolled_back { switch; op } ->
+  (match apply_direct ~api target with
+  | Update.Aborted { switch = 0; op = "delete" } -> ()
+  | Update.Aborted { switch; op } ->
     Alcotest.failf "unexpected rollback point %s@%d" op switch
-  | Transaction.Committed -> Alcotest.fail "expected rollback");
+  | Update.Committed -> Alcotest.fail "expected rollback");
   Alcotest.(check bool) "tables byte-identical" true
     (Switch_api.snapshot api = before)
 
@@ -222,15 +224,15 @@ let test_transaction_commit_orders_target () =
       [| [ entry 0 1; entry 1 2 ] |]
   in
   let target = [| [ entry 1 2; entry 2 7 ] |] in
-  (match Transaction.apply ~api target with
-  | Transaction.Committed -> ()
-  | Transaction.Rolled_back _ -> Alcotest.fail "expected commit");
+  (match apply_direct ~api target with
+  | Update.Committed -> ()
+  | Update.Aborted _ -> Alcotest.fail "expected commit");
   Alcotest.(check bool) "exact target order" true
     ((Switch_api.tables api).(0) = target.(0))
 
 let test_engine_rollback_quarantines () =
   (* Every install attempt on every switch fails: the install event's
-     transaction must roll back and the tenant must end up fenced, with
+     direct plan must roll back and the tenant must end up fenced, with
      the pre-event (empty) tables intact. *)
   let fault = Fault_plan.make ~seed:5 () in
   let net = diamond () in
@@ -243,8 +245,7 @@ let test_engine_rollback_quarantines () =
   Alcotest.(check bool) "verified after rollback" true r.Report.verified;
   Alcotest.(check (list int)) "tenant fenced" [ 0 ] (Engine.quarantined eng);
   Alcotest.(check bool) "retries were spent" true (r.Report.retries > 0);
-  (* Only the forced fence remains; every transactional write was
-     undone. *)
+  (* Only the forced fence remains; every other write was undone. *)
   Alcotest.(check int) "only the fence installed" 1 (Engine.live_entries eng)
 
 (* ------------------------------------------------------------------ *)
@@ -300,7 +301,7 @@ let test_incremental_deadline_prompt () =
   ignore r.Incremental.status
 
 (* ------------------------------------------------------------------ *)
-(* Update paths: consistent waves and the degraded legacy fallback    *)
+(* Update paths: consistent waves and the direct-plan fallback       *)
 
 let test_consistent_waves () =
   (* a committing install reports its waves *)
@@ -318,8 +319,8 @@ let test_consistent_falls_back_to_legacy () =
   (* Exhaust the consistent path deterministically: a forced-fail burst
      long enough to burn the first operation's whole retry budget
      (1 + 4 retries) on both attempts of the wave (one wave retry).  The
-     wave aborts, the engine degrades to the legacy transaction — whose
-     draws are clean again — and the report must say so. *)
+     wave aborts, the engine degrades to the direct plan — whose draws
+     are clean again — and the report must say so. *)
   let fault = Fault_plan.make ~seed:41 () in
   let eng = empty_engine ~config:(test_config ()) ~fault (diamond ()) in
   Fault_plan.fail_next fault 10;
@@ -382,7 +383,7 @@ let noop_event = Event.Remove { ingresses = [ 3 ] }
 
 (* Force [tables] into [eng]'s data plane behind the engine's back: drift
    the next verify must see. *)
-let resync eng tables = Transaction.restore ~api:(Engine.switch_api eng) tables
+let resync eng tables = Switch_api.restore (Engine.switch_api eng) tables
 
 (* Force [corrupt tables] into the data plane, send the no-op event and
    check that exactly the [failed] check counts the failure ([None]: the

@@ -1,8 +1,10 @@
-(* Property-based tests for the two-phase transaction layer: whatever
-   the fault plan does to the per-entry operations, a rolled-back
-   transaction must leave the tables byte-for-byte at their
-   pre-transaction state, rolling back again must change nothing, and a
-   snapshot restore must be idempotent. *)
+(* Property-based tests for the data-plane executor.  The direct plan
+   (one add-before-delete wave): whatever the fault plan does to the
+   per-entry operations, a rolled-back update must leave the tables
+   byte-for-byte at their pre-update state, rolling back again must
+   change nothing, a snapshot restore must be idempotent, and the whole
+   run must match a reference two-phase transaction op for op.  Then
+   the per-packet-consistent wave schedule. *)
 open Runtime
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -26,6 +28,12 @@ let bytes_of tables = Marshal.to_string tables []
 
 let seed_arb = QCheck.(make ~print:string_of_int Gen.int)
 
+(* Move [api]'s tables to [target] with the direct plan. *)
+let apply_direct ?on_op ~api target =
+  (Update.execute ?on_op ~api
+     (Update.direct ~old_tables:(Switch_api.tables api) ~target))
+    .Update.outcome
+
 (* Whatever happens — commit, clean rollback, rollback that itself had
    to fight injected faults — the tables end either exactly at the
    target or byte-for-byte back at the start. *)
@@ -47,13 +55,13 @@ let prop_apply_all_or_nothing =
          attempts, so the rollback starts at once *)
       Fault_plan.fail_next fault (Prng.int g 12);
       let before = bytes_of (Switch_api.snapshot api) in
-      match Transaction.apply ~api target with
-      | Transaction.Committed -> bytes_of (Switch_api.tables api) = bytes_of target
-      | Transaction.Rolled_back _ -> bytes_of (Switch_api.tables api) = before)
+      match apply_direct ~api target with
+      | Update.Committed -> bytes_of (Switch_api.tables api) = bytes_of target
+      | Update.Aborted _ -> bytes_of (Switch_api.tables api) = before)
 
-(* A transaction that rolled back once rolls back again identically:
-   the dead switch still refuses, and both rollbacks land on the same
-   byte-identical pre-transaction tables. *)
+(* An update that rolled back once rolls back again identically: the
+   dead switch still refuses, and both rollbacks land on the same
+   byte-identical pre-update tables. *)
 let prop_double_rollback_noop =
   QCheck.Test.make ~name:"double rollback is a no-op" ~count:200 seed_arb
     (fun seed ->
@@ -66,15 +74,15 @@ let prop_double_rollback_noop =
       Fault_plan.mark_dead fault dead;
       let api = Switch_api.create ~fault live in
       let before = bytes_of (Switch_api.snapshot api) in
-      match Transaction.apply ~api target with
-      | Transaction.Committed ->
+      match apply_direct ~api target with
+      | Update.Committed ->
         (* no operation touched the dead switch; nothing to roll back *)
         bytes_of (Switch_api.tables api) = bytes_of target
-      | Transaction.Rolled_back _ -> (
+      | Update.Aborted _ -> (
         let after_first = bytes_of (Switch_api.tables api) in
-        match Transaction.apply ~api target with
-        | Transaction.Committed -> false
-        | Transaction.Rolled_back _ ->
+        match apply_direct ~api target with
+        | Update.Committed -> false
+        | Update.Aborted _ ->
           after_first = before
           && bytes_of (Switch_api.tables api) = before))
 
@@ -89,17 +97,17 @@ let prop_restore_idempotent =
       let live = random_tables g ~switches in
       let snapshot = random_tables g ~switches in
       let api = Switch_api.create ~fault:(Fault_plan.faultless ()) live in
-      Transaction.restore ~api snapshot;
+      Switch_api.restore api snapshot;
       let after_first = bytes_of (Switch_api.tables api) in
       let resyncs = (Switch_api.stats api).Switch_api.forced_resyncs in
-      Transaction.restore ~api snapshot;
+      Switch_api.restore api snapshot;
       after_first = bytes_of snapshot
       && bytes_of (Switch_api.tables api) = after_first
       && (Switch_api.stats api).Switch_api.forced_resyncs = resyncs)
 
 (* Rollback after a partial apply: force the failure onto a switch the
-   transaction must touch late, so earlier operations have already
-   mutated other switches before the rollback — those mutations must be
+   update must touch late, so earlier operations have already mutated
+   other switches before the rollback — those mutations must be
    compensated byte-for-byte. *)
 let prop_partial_apply_restored =
   QCheck.Test.make ~name:"rollback after partial apply restores snapshot"
@@ -124,10 +132,128 @@ let prop_partial_apply_restored =
       Fault_plan.mark_dead fault (switches - 1);
       let api = Switch_api.create ~fault live in
       let before = bytes_of (Switch_api.snapshot api) in
-      match Transaction.apply ~api target with
-      | Transaction.Committed -> false
-      | Transaction.Rolled_back { switch; _ } ->
+      match apply_direct ~api target with
+      | Update.Committed -> false
+      | Update.Aborted { switch; _ } ->
         switch = switches - 1 && bytes_of (Switch_api.tables api) = before)
+
+(* The reference the direct plan must reproduce: a two-phase
+   add-before-delete transaction with its own op loop.  Installs, then
+   deletes, each phase over the differing switches in ascending order;
+   on a failure, compensate the applied installs newest first, then the
+   applied deletes newest first (in compensation mode), and force-resync
+   each differing switch still off its pre-update table; on success,
+   write each differing switch's target order.  [observe] is called
+   before each forward operation. *)
+let reference_apply ~observe ~api (target : Netsim.entry list array) =
+  let live = Switch_api.tables api in
+  let diff a b =
+    List.fold_left
+      (fun (kept, rest) e ->
+        match Netsim.remove_first e rest with
+        | Some rest' -> (kept, rest')
+        | None -> (e :: kept, rest))
+      ([], b) a
+    |> fun (kept, _) -> List.rev kept
+  in
+  let touched =
+    List.filter
+      (fun k -> live.(k) <> target.(k))
+      (List.init (Array.length live) Fun.id)
+  in
+  let saved = List.map (fun k -> (k, live.(k))) touched in
+  let pairs a b =
+    List.concat_map
+      (fun k -> List.map (fun e -> (k, e)) (diff a.(k) b.(k)))
+      touched
+  in
+  let adds = pairs target live and dels = pairs live target in
+  let installed = ref [] and deleted = ref [] in
+  let rollback () =
+    Switch_api.compensating api (fun () ->
+        List.iter
+          (fun (k, e) -> ignore (Switch_api.delete api ~switch:k e))
+          !installed;
+        List.iter
+          (fun (k, e) -> ignore (Switch_api.install api ~switch:k e))
+          !deleted);
+    List.iter
+      (fun (k, table) ->
+        if live.(k) <> table then Switch_api.force_set api ~switch:k table)
+      saved
+  in
+  let rec phase name op acted = function
+    | [] -> None
+    | (k, e) :: rest ->
+      observe ~switch:k ~op:name;
+      if op api ~switch:k e then begin
+        acted := (k, e) :: !acted;
+        phase name op acted rest
+      end
+      else Some k
+  in
+  match phase "install" Switch_api.install installed adds with
+  | Some switch ->
+    rollback ();
+    Update.Aborted { switch; op = "install" }
+  | None -> (
+    match phase "delete" Switch_api.delete deleted dels with
+    | Some switch ->
+      rollback ();
+      Update.Aborted { switch; op = "delete" }
+    | None ->
+      List.iter (fun k -> live.(k) <- target.(k)) touched;
+      Update.Committed)
+
+(* The direct plan run by [Update.execute] does exactly what the
+   reference transaction does: on two APIs over equal tables with
+   equally seeded fault plans, the outcome, the table bytes, every
+   [Switch_api.stats] field and the sequence of [on_op] calls agree.
+   The fault mix draws fail and timeout rates, a dead switch, and a
+   [fail_next] burst before a random forward operation, so a run fails
+   in the install phase, in the delete phase, in compensation, or not
+   at all. *)
+let prop_direct_matches_reference =
+  QCheck.Test.make ~name:"the direct plan matches the reference transaction"
+    ~count:500 seed_arb (fun seed ->
+      let g = Prng.create seed in
+      let switches = 2 + Prng.int g 4 in
+      let live = random_tables g ~switches in
+      let target = random_tables g ~switches in
+      let fail_rate = Prng.float g 0.5 and timeout_rate = Prng.float g 0.3 in
+      let dead =
+        if Prng.int g 4 = 0 then Some (Prng.int g switches) else None
+      in
+      let burst_at = Prng.int g 12 and burst = Prng.int g 12 in
+      let run apply =
+        let fault =
+          Fault_plan.make ~fail_rate ~timeout_rate ~seed:(seed lxor 0xD1FF) ()
+        in
+        Option.iter (Fault_plan.mark_dead fault) dead;
+        let api = Switch_api.create ~fault (Array.copy live) in
+        let calls = ref [] in
+        let on_op ~switch ~op =
+          if List.length !calls = burst_at then
+            Fault_plan.fail_next fault burst;
+          calls := (switch, op) :: !calls
+        in
+        let outcome = apply ~on_op ~api target in
+        ( outcome,
+          bytes_of (Switch_api.tables api),
+          Switch_api.stats api,
+          !calls )
+      in
+      let ((o, b, s, c) as want) =
+        run (fun ~on_op -> reference_apply ~observe:on_op)
+      in
+      let ((o', b', s', c') as got) =
+        run (fun ~on_op -> apply_direct ~on_op)
+      in
+      if got <> want then
+        QCheck.Test.fail_reportf
+          "outcome %b, tables %b, stats %b, on_op calls %b (%d vs %d)" (o = o')
+          (b = b') (s = s') (c = c') (List.length c) (List.length c');
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Per-packet-consistent wave updates                                  *)
@@ -475,6 +601,7 @@ let suite =
     qtest prop_double_rollback_noop;
     qtest prop_restore_idempotent;
     qtest prop_partial_apply_restored;
+    qtest prop_direct_matches_reference;
     qtest prop_waves_old_xor_new;
     qtest prop_barrier_matches_oracle;
     qtest prop_projection_matches_walker;

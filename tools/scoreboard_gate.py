@@ -3,6 +3,18 @@
 
 Usage: scoreboard_gate.py BASELINE.json NEW.json
 
+CI runs it as
+
+    python3 tools/scoreboard_gate.py tools/scoreboard_baseline.json BENCH_solver.json
+
+after `bench/main.exe --quick --only lp` (nightly: `--only lp`).  The
+baseline is committed at tools/scoreboard_baseline.json; bench runs
+write BENCH_solver.json into the directory they run from, which git
+ignores, so a local run never overwrites the baseline.  To refresh it
+after a change that moves a proven point on purpose, copy a fresh
+`bench/main.exe --only lp` run's BENCH_solver.json over the baseline in
+the same change.
+
 Compares two BENCH_solver.json files: the paper-scale "scoreboard"
 points and the LP1 sweep "points" (matched by section and name).  The
 gate fails when, for a point the baseline proved ("opt" or "INF"):
