@@ -654,7 +654,7 @@ let events_cmd =
 (* ---------------- caching ---------------- *)
 
 let caching_run metrics trace policies rules paths capacity seed epochs packets
-    alpha drift probes hw_frac decay static_mode journal resume =
+    alpha drift probes hw_frac static_mode journal resume =
   with_family
     {
       Workload.default with
@@ -676,7 +676,6 @@ let caching_run metrics trace policies rules paths capacity seed epochs packets
       drift;
       probes;
       hw_frac;
-      decay;
       adaptive = not static_mode;
     }
   in
@@ -783,13 +782,6 @@ let caching_cmd =
              full-table size — below 1.0 the cache is under real eviction \
              pressure.")
   in
-  let decay =
-    Arg.(
-      value
-      & opt float Traffic.Cache.default_decay
-      & info [ "decay" ] ~docv:"F"
-          ~doc:"Per-epoch popularity retention factor in [0,1].")
-  in
   let static_mode =
     Arg.(
       value & flag
@@ -831,7 +823,7 @@ let caching_cmd =
       ret
         (const caching_run $ metrics_arg $ trace_arg $ policies $ rules $ paths
        $ capacity $ seed $ epochs $ packets $ alpha $ drift $ probes $ hw_frac
-       $ decay $ static_mode $ journal $ resume))
+       $ static_mode $ journal $ resume))
 
 (* ---------------- serve ---------------- *)
 

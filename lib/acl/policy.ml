@@ -42,11 +42,6 @@ let add_rule t r = of_rules (r :: t.rules)
 let remove_rule t ~priority =
   { rules = List.filter (fun r -> r.Rule.priority <> priority) t.rules }
 
-let equal_semantics a b probes =
-  List.for_all
-    (fun p -> Rule.action_equal (evaluate a p) (evaluate b p))
-    probes
-
 (* Deterministic seed: witness packets must be stable across runs so test
    failures are reproducible.  Each packet is drawn when the sequence
    first reaches it, so a caller keeping a prefix pays for that prefix
@@ -72,8 +67,6 @@ let witness_seq t =
           rules
       in
       Seq.append singles pairs ())
-
-let witness_packets t = List.of_seq (witness_seq t)
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>%a@]"

@@ -37,20 +37,12 @@ val add_rule : t -> Rule.t -> t
 val remove_rule : t -> priority:int -> t
 (** Drops the rule with that priority; no-op if absent. *)
 
-val equal_semantics : t -> t -> Ternary.Packet.t list -> bool
-(** Agreement of the two policies on every probe packet. *)
-
-val witness_packets : t -> Ternary.Packet.t list
-(** Deterministic probe set exercising every rule and every pairwise
-    overlap region: for each rule a packet in its field, and for each
-    overlapping pair a packet in the intersection.  Two policies built from
-    the same rule pool that agree on these probes and on random packets are
-    semantically equal with high confidence; used by redundancy-removal
-    tests and the placement verifier. *)
-
 val witness_seq : t -> Ternary.Packet.t Seq.t
-(** {!witness_packets} as a lazy sequence: the same packets in the same
-    order, each drawn only when reached, so [Seq.take n] costs [n]
-    draws instead of one per rule and per overlapping pair. *)
+(** Deterministic probe sequence exercising every rule and every
+    pairwise overlap region: for each rule a packet in its field, then
+    for each overlapping pair a packet in the intersection.  Lazy: each
+    packet is drawn only when reached, so [Seq.take n] costs [n] draws
+    instead of one per rule and per overlapping pair; used by the
+    placement verifier. *)
 
 val pp : Format.formatter -> t -> unit

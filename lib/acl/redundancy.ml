@@ -1,7 +1,5 @@
 type report = { shadowed : int; downward : int; default_permit : int }
 
-let total r = r.shadowed + r.downward + r.default_permit
-
 (* [rules] is in descending priority order throughout; [before] are the
    strictly higher-priority rules, [after] the strictly lower ones. *)
 

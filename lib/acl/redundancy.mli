@@ -20,8 +20,6 @@ type report = {
   default_permit : int;
 }
 
-val total : report -> int
-
 val remove : Policy.t -> Policy.t * report
 (** Iterates the three eliminations until no rule is removed.  The result
     is semantically equal to the input on every packet. *)

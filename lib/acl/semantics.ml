@@ -20,10 +20,3 @@ let drop_region_of_rules rules =
 let drop_region policy = drop_region_of_rules (Policy.rules policy)
 
 let equal a b = Cube.equal (drop_region a) (drop_region b)
-
-let witness_divergence a b =
-  let da = drop_region a and db = drop_region b in
-  let pick diff = Option.map Field.packet_of_tbv (Cube.choose diff) in
-  match pick (Cube.subtract da db) with
-  | Some p -> Some p
-  | None -> pick (Cube.subtract db da)

@@ -25,6 +25,3 @@ val drop_region_of_rules : Rule.t list -> Ternary.Cube.t
 val equal : Policy.t -> Policy.t -> bool
 (** Exact semantic equality (agreement on every one of the 2^104
     packets). *)
-
-val witness_divergence : Policy.t -> Policy.t -> Ternary.Packet.t option
-(** A packet on which the two policies disagree, if any. *)

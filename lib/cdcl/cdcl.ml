@@ -371,13 +371,6 @@ let add_at_most s dimacs_lits k =
     end
   end
 
-let add_at_least s dimacs_lits k =
-  let n = List.length dimacs_lits in
-  if k > n then (if not s.root_unsat then s.root_unsat <- true)
-  else if k = n then List.iter (fun l -> add_clause s [ l ]) dimacs_lits
-  else if k = 1 then add_clause s dimacs_lits
-  else if k > 0 then add_at_most s (List.map (fun l -> -l) dimacs_lits) (n - k)
-
 let refresh_order s =
   if Array.length s.order <> s.nvars then
     s.order <- Array.init s.nvars (fun i -> i);

@@ -38,9 +38,6 @@ val add_at_most : t -> int list -> int -> unit
 (** [add_at_most s lits k]: at most [k] of [lits] may be true.  Duplicate
     literals are not supported (raises [Invalid_argument]). *)
 
-val add_at_least : t -> int list -> int -> unit
-(** At least [k] of [lits] true (dual of {!add_at_most}). *)
-
 val solve : ?conflict_limit:int -> ?cancel:(unit -> bool) -> t -> result
 (** Decides the accumulated formula.  The solver may be re-solved after
     adding further constraints (it restarts from the root level).

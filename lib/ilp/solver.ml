@@ -89,12 +89,6 @@ let m_pump_rounds =
     ~help:"feasibility-pump LP-round-project iterations"
     "sdnplace_ilp_fpump_rounds_total"
 
-let pp_outcome fmt = function
-  | Optimal s -> Format.fprintf fmt "optimal (%g)" s.objective
-  | Feasible s -> Format.fprintf fmt "feasible (%g, not proven optimal)" s.objective
-  | Infeasible -> Format.pp_print_string fmt "infeasible"
-  | Unknown -> Format.pp_print_string fmt "unknown (limit hit)"
-
 let objective_value = Fpump.objective_value
 
 let check_feasible model values =

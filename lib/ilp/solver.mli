@@ -100,5 +100,3 @@ val check_feasible : Model.t -> bool array -> bool
     read from {!Model.matrix} in the sense it was added with. *)
 
 val objective_value : Model.t -> bool array -> float
-
-val pp_outcome : Format.formatter -> outcome -> unit

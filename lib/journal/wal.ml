@@ -9,12 +9,6 @@ type record =
 
 let seq_of = function Ev_begin { seq; _ } | Ev_commit { seq; _ } -> seq
 
-let describe = function
-  | Ev_begin { seq; event; _ } ->
-    Printf.sprintf "ev_begin[%d] %s" seq (Runtime.Event.describe event)
-  | Ev_commit { seq; signature; _ } ->
-    Printf.sprintf "ev_commit[%d] %s" seq signature
-
 (* Frame: [u32 len BE][u32 crc BE][payload].  A record a power cut tore
    mid-write fails either the length bound or the CRC — never Marshal. *)
 

@@ -35,7 +35,6 @@ type record =
           cross-checks that replay converged *)
 
 val seq_of : record -> int
-val describe : record -> string
 
 val max_record_len : int
 (** The WAL's own frame cap, 1 GiB: a length field above it is corrupt,

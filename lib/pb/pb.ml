@@ -12,19 +12,15 @@ let m_aux =
   Telemetry.Metrics.counter ~help:"auxiliary variables minted by encodings"
     "sdnplace_pb_aux_vars_total"
 
-type t = { solver : Cdcl.t; encoding : encoding; mutable aux_vars : int }
+type t = { solver : Cdcl.t; encoding : encoding }
 
-let create ?(encoding = `Native) () =
-  { solver = Cdcl.create (); encoding; aux_vars = 0 }
+let create ?(encoding = `Native) () = { solver = Cdcl.create (); encoding }
 
 let fresh t = Cdcl.new_var t.solver
 
 let fresh_aux t =
-  t.aux_vars <- t.aux_vars + 1;
   Telemetry.Metrics.incr m_aux;
   Cdcl.new_var t.solver
-
-let num_aux t = t.aux_vars
 
 let add_clause t lits =
   Telemetry.Metrics.incr m_clauses;
@@ -60,15 +56,6 @@ let at_most t lits k =
   match t.encoding with
   | `Native -> Cdcl.add_at_most t.solver lits k
   | `Sequential -> sequential_at_most t lits k
-
-let at_least t lits k =
-  let n = List.length lits in
-  if k = 1 then add_clause t lits
-  else if k > 0 then at_most t (List.map (fun l -> -l) lits) (n - k)
-
-let exactly t lits k =
-  at_most t lits k;
-  at_least t lits k
 
 let and_eq t v lits =
   List.iter (fun l -> add_clause t [ -v; l ]) lits;

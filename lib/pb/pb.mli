@@ -23,21 +23,14 @@ val create : ?encoding:encoding -> unit -> t
 val fresh : t -> int
 (** New problem variable. *)
 
-val num_aux : t -> int
-(** Auxiliary variables introduced by CNF encodings. *)
-
 val fresh_aux : t -> int
-(** New auxiliary variable (counted by {!num_aux});
-    for encodings layered on top of this module. *)
+(** New auxiliary variable, for encodings layered on top of this
+    module. *)
 
 val add_clause : t -> int list -> unit
 
 val at_most : t -> int list -> int -> unit
 (** At most [k] of the literals true. *)
-
-val at_least : t -> int list -> int -> unit
-
-val exactly : t -> int list -> int -> unit
 
 val and_eq : t -> int -> int list -> unit
 (** [and_eq t v lits] asserts [v <-> (l1 && ... && ln)] — the merged-rule

@@ -34,14 +34,6 @@ let dependencies t (r : Acl.Rule.t) =
     | Some permits -> permits
     | None -> invalid_arg "Depgraph.dependencies: rule not in policy"
 
-let dependencies_within t (r : Acl.Rule.t) flow =
-  List.filter
-    (fun (u : Acl.Rule.t) ->
-      match Ternary.Field.inter u.field r.field with
-      | None -> false
-      | Some region -> Ternary.Field.overlaps region flow)
-    (dependencies t r)
-
 let required_permits t drops =
   let permits = List.concat_map (dependencies t) drops in
   let seen = Hashtbl.create 16 in

@@ -22,12 +22,6 @@ val dependencies : t -> Acl.Rule.t -> Acl.Rule.t list
     in descending priority.  Empty for permits.  The rule is looked up by
     priority; unknown priorities raise [Invalid_argument]. *)
 
-val dependencies_within : t -> Acl.Rule.t -> Ternary.Field.t -> Acl.Rule.t list
-(** Dependencies restricted to permits whose overlap with the drop also
-    intersects the given flow region — the refinement path slicing makes
-    possible (a permit is only needed on a switch if some sliced packet
-    could reach both rules). *)
-
 val required_permits : t -> Acl.Rule.t list -> Acl.Rule.t list
 (** Union of dependencies of the given drops, deduplicated, descending
     priority — the extra TCAM freight of placing that drop set together. *)

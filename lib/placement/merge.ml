@@ -7,9 +7,9 @@ type group = {
   members : member list;
 }
 
-type plan = { groups : group list; num_dummies : int }
+type plan = { groups : group list }
 
-let empty_plan = { groups = []; num_dummies = 0 }
+let empty_plan = { groups = [] }
 
 let renumber_factor = 1024
 
@@ -256,7 +256,7 @@ let plan inst =
   let inst, groups, dummies = loop inst groups [] 0 in
   (* Groups reduced below two members merge nothing: drop them. *)
   let groups = List.filter (fun g -> List.length g.members >= 2) groups in
-  let plan = { groups; num_dummies = 0 } in
+  let plan = { groups } in
   (* A dummy that is in no surviving group (its group was dropped, or it
      was expelled itself) would stay behind as an ordinary shadowed rule
      that only costs a slot: remove it. *)
@@ -271,7 +271,7 @@ let plan inst =
               if j = i then Acl.Policy.remove_rule q ~priority else q)
             q stale)
   in
-  (inst, { plan with num_dummies = Hashtbl.length kept })
+  (inst, plan)
 
 let order_graph_acyclic inst plan =
   find_cycle (build_graph inst plan.groups) = None

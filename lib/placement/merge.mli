@@ -28,11 +28,7 @@ type group = {
   members : member list;  (** at least two, distinct ingresses *)
 }
 
-type plan = {
-  groups : group list;
-  num_dummies : int;
-      (** dummy rules in the planned instance, each a member of a group *)
-}
+type plan = { groups : group list }
 
 val empty_plan : plan
 

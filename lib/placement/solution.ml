@@ -80,14 +80,6 @@ let overhead_pct t =
   let a = float_of_int t.baseline_rule_count in
   if a = 0.0 then 0.0 else 100.0 *. (float_of_int (total_entries t) -. a) /. a
 
-let capacity_ok t =
-  let ok = ref true in
-  Array.iteri
-    (fun k cells ->
-      if List.length cells > t.instance.Instance.capacities.(k) then ok := false)
-    t.per_switch;
-  !ok
-
 let tcam_slots t =
   let tag_bits =
     let hosts = Topo.Net.num_hosts t.instance.Instance.net in
@@ -111,8 +103,6 @@ let is_placed t ~ingress ~priority ~switch =
     (fun c -> List.mem (ingress, priority) c.tags)
     t.per_switch.(switch)
 
-let cells_of_switch t k = t.per_switch.(k)
-
 let merged_cells t =
   let acc = ref [] in
   Array.iteri
@@ -122,16 +112,6 @@ let merged_cells t =
         cells)
     t.per_switch;
   !acc
-
-let union a b =
-  if Array.length a.per_switch <> Array.length b.per_switch then
-    invalid_arg "Solution.union: different networks";
-  {
-    a with
-    per_switch = Array.map2 (fun x y -> x @ y) a.per_switch b.per_switch;
-    objective = a.objective +. b.objective;
-    baseline_rule_count = a.baseline_rule_count + b.baseline_rule_count;
-  }
 
 let strip_ingresses t ingresses =
   let keep (i, _) = not (List.mem i ingresses) in

@@ -39,8 +39,6 @@ val overhead_pct : t -> float
 (** The paper's duplication overhead (B - A) / A in percent (Table II);
     negative when merging beats the single-copy baseline. *)
 
-val capacity_ok : t -> bool
-
 val tcam_slots : t -> int
 (** Physical TCAM slot estimate: the placement model counts one slot per
     cell (the paper's convention), but a real TCAM expands port ranges
@@ -54,15 +52,8 @@ val is_placed : t -> ingress:int -> priority:int -> switch:int -> bool
     tags installed at [switch].  A caller asking many times indexes the
     cells once instead, as {!Verify.structural} does. *)
 
-val cells_of_switch : t -> int -> cell list
-
 val merged_cells : t -> (int * cell) list
 (** (switch, cell) for every multi-tag cell. *)
-
-val union : t -> t -> t
-(** Overlay of two placements on the same network (used by incremental
-    deployment: base placement + newly solved sub-problem).  Capacities
-    are taken from the first argument's instance. *)
 
 val strip_ingresses : t -> int list -> t
 (** Remove the given ingresses' tags everywhere; cells left with no tag

@@ -9,8 +9,6 @@ let mix64 z =
 
 let create seed = { state = mix64 (Int64.of_int seed) }
 
-let copy g = { state = g.state }
-
 let bits64 g =
   g.state <- Int64.add g.state golden_gamma;
   mix64 g.state

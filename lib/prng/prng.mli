@@ -14,10 +14,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator.  Equal seeds give equal streams. *)
 
-val copy : t -> t
-(** [copy g] duplicates the current state; the copy and the original then
-    produce identical, independent streams. *)
-
 val split : t -> t
 (** [split g] advances [g] and returns a new generator seeded from it, so
     that the two subsequent streams are statistically independent.  Used to

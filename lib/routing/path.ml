@@ -9,8 +9,6 @@ let make ?(flow = Ternary.Field.any) ~ingress ~egress ~switches () =
   if switches = [] then invalid_arg "Path.make: empty switch list";
   { ingress; egress; switches = Array.of_list switches; flow }
 
-let length p = Array.length p.switches
-
 let position p s =
   let rec go i =
     if i >= Array.length p.switches then None
@@ -20,12 +18,3 @@ let position p s =
   go 0
 
 let mem p s = position p s <> None
-
-let equal a b =
-  a.ingress = b.ingress && a.egress = b.egress && a.switches = b.switches
-  && Ternary.Field.equal a.flow b.flow
-
-let pp fmt p =
-  Format.fprintf fmt "h%d->h%d via [%s]" p.ingress p.egress
-    (String.concat ";"
-       (Array.to_list (Array.map string_of_int p.switches)))

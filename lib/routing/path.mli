@@ -17,15 +17,8 @@ val make :
   ?flow:Ternary.Field.t -> ingress:int -> egress:int -> switches:int list -> unit -> t
 (** Raises [Invalid_argument] on an empty switch list. *)
 
-val length : t -> int
-(** Hop count = number of switches. *)
-
 val position : t -> int -> int option
 (** [position p s] is the 0-based index of switch [s] on the path (the
     paper's [loc(s, P)] distance-from-ingress), [None] if off-path. *)
 
 val mem : t -> int -> bool
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

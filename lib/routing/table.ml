@@ -16,22 +16,10 @@ let of_paths paths =
 let paths t =
   List.concat_map snd (Int_map.bindings t.by_ingress)
 
-let num_paths t = t.count
-
 let ingresses t = List.map fst (Int_map.bindings t.by_ingress)
 
 let paths_from t i =
   match Int_map.find_opt i t.by_ingress with Some l -> l | None -> []
-
-let switches_from t i =
-  List.sort_uniq Stdlib.compare
-    (List.concat_map
-       (fun (p : Path.t) -> Array.to_list p.switches)
-       (paths_from t i))
-
-let remove_ingress t i =
-  let removed = List.length (paths_from t i) in
-  { by_ingress = Int_map.remove i t.by_ingress; count = t.count - removed }
 
 let flow_of ~slice ~egress =
   if slice then

@@ -11,19 +11,11 @@ val of_paths : Path.t list -> t
 
 val paths : t -> Path.t list
 
-val num_paths : t -> int
-
 val ingresses : t -> int list
 (** Hosts with at least one originating path, ascending. *)
 
 val paths_from : t -> int -> Path.t list
 (** [P_i]. *)
-
-val switches_from : t -> int -> int list
-(** [S_i]: every switch on some path from this ingress, ascending. *)
-
-val remove_ingress : t -> int -> t
-(** Drops every path originating at that host. *)
 
 val random :
   ?slice:bool ->

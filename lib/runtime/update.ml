@@ -43,7 +43,6 @@ type outcome = Committed | Aborted of { switch : int; op : string }
 type result = {
   outcome : outcome;
   waves_committed : int;
-  wave_rollbacks : int;
   violations : int;
 }
 
@@ -476,14 +475,12 @@ let execute ?observer ?on_op ~api plan =
   let consistent = plan.retries > 0 in
   let undo = Switch_api.snapshot api in
   let n = Array.length plan.waves in
-  let rollbacks = ref 0 in
   let bad_total = ref 0 in
   let w = ref 0 in
   let finish outcome =
     {
       outcome;
       waves_committed = !w;
-      wave_rollbacks = !rollbacks;
       violations = !bad_total;
     }
   in
@@ -526,7 +523,6 @@ let execute ?observer ?on_op ~api plan =
       match run wave.ops with
       | None -> `Committed
       | Some failed ->
-        incr rollbacks;
         if consistent then Telemetry.Metrics.incr m_wave_rollbacks;
         (* Wave rollback: compensate the wave's applied installs newest
            first, then its applied deletes newest first, through the

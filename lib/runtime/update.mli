@@ -115,7 +115,6 @@ type outcome =
 type result = {
   outcome : outcome;
   waves_committed : int;
-  wave_rollbacks : int;
   violations : int;  (** probe walks that saw mixed policy (0 on a sound plan) *)
 }
 

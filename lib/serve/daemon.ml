@@ -287,6 +287,10 @@ let submit t request =
   | Wire.Stats -> [ stats_reply t ]
   | Wire.Metrics_dump ->
     [ Wire.Metrics_text { text = Telemetry.Metrics.render () } ]
+  | Wire.Traffic_tick { alpha; _ } when not (Float.is_finite alpha) ->
+    [ Wire.Rejected { reason = "non-finite alpha" } ]
+  | Wire.Traffic_tick { drift; _ } when not (Float.is_finite drift) ->
+    [ Wire.Rejected { reason = "non-finite drift" } ]
   | Wire.Traffic_tick { seed; epoch; packets; alpha; drift; probes } ->
     (* each shard walks its own flow universe on a shard-mixed seed;
        the reply aggregates — read-only, so allowed even while draining *)

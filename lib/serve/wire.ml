@@ -57,30 +57,6 @@ type reply =
       dropped : int;
     }
 
-let scope_name = function Global -> "global" | Tenant -> "tenant"
-
-let describe_reply = function
-  | Accepted { tenant; ticket } -> Printf.sprintf "accepted t%d #%d" tenant ticket
-  | Rejected_overload { tenant; scope; queued; limit } ->
-    Printf.sprintf "rejected-overload t%d %s %d/%d" tenant (scope_name scope)
-      queued limit
-  | Rejected { reason } -> Printf.sprintf "rejected (%s)" reason
-  | Applied { tenant; ticket; rung; verified; quarantined } ->
-    Printf.sprintf "applied t%d #%d rung=%s verified=%b quarantined=%b" tenant
-      ticket (Runtime.Report.rung_name rung) verified quarantined
-  | Quarantined_ticket { tenant; ticket; reason } ->
-    Printf.sprintf "quarantined t%d #%d (%s)" tenant ticket reason
-  | Drained { processed } -> Printf.sprintf "drained processed=%d" processed
-  | Stats_reply { tenants; accepted; applied; quarantined; shed; pending } ->
-    Printf.sprintf
-      "stats tenants=%d accepted=%d applied=%d quarantined=%d shed=%d pending=%d"
-      tenants accepted applied quarantined shed pending
-  | Metrics_text { text } ->
-    Printf.sprintf "metrics (%d bytes)" (String.length text)
-  | Traffic_report { epoch; flows; delivered; dropped } ->
-    Printf.sprintf "traffic epoch=%d flows=%d delivered=%d dropped=%d" epoch
-      flows delivered dropped
-
 (* The wire's frame cap: a length field above it is corrupt, and the
    bound keeps a session's buffer from growing without limit on outside
    input. *)

@@ -49,7 +49,8 @@ type request =
           outcome; stateless in the daemon — the whole walk is a pure
           function of these parameters and the live placement, so a
           restarted daemon answers identically.  Reply
-          {!Traffic_report}. *)
+          {!Traffic_report}, or {!Rejected} naming [alpha] or [drift]
+          when it is NaN or infinite. *)
 
 type scope =
   | Global  (** the daemon-wide admission queue is full *)
@@ -99,8 +100,6 @@ type reply =
       delivered : int;  (** traffic-weighted packets delivered *)
       dropped : int;  (** traffic-weighted packets dropped on-path *)
     }
-
-val describe_reply : reply -> string
 
 val max_frame_len : int
 (** The wire's frame cap, 16 MiB: a length field above it is corrupt.

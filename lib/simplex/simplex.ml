@@ -49,12 +49,6 @@ let m_phase2_s =
   Telemetry.Metrics.histogram ~help:"phase-2 (optimality) duration"
     "sdnplace_simplex_phase2_seconds"
 
-let pp_status fmt = function
-  | Optimal { objective; _ } -> Format.fprintf fmt "optimal (%g)" objective
-  | Infeasible -> Format.pp_print_string fmt "infeasible"
-  | Unbounded -> Format.pp_print_string fmt "unbounded"
-  | Iteration_limit -> Format.pp_print_string fmt "iteration limit"
-
 let validate p =
   if p.num_vars < 0 then invalid_arg "Simplex: negative num_vars";
   if Array.length p.upper <> p.num_vars then

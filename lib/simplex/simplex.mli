@@ -65,5 +65,3 @@ val solve_dense : ?max_iters:int -> problem -> status
 val feasible : problem -> float array -> bool
 (** Checks a point against rows and bounds, each within 1e-6; tests use
     it to validate the solvers' answers. *)
-
-val pp_status : Format.formatter -> status -> unit

@@ -218,8 +218,6 @@ let rec float_add cell x =
 
 let set g x = if Atomic.get g.g_on then Atomic.set g.g x
 
-let gauge_add g x = if Atomic.get g.g_on then float_add g.g x
-
 let gauge_value g = Atomic.get g.g
 
 let bucket_index upper x =
@@ -258,17 +256,6 @@ let snapshot hm =
     counts = Array.map Atomic.get h.h_buckets;
     count = Atomic.get h.h_count;
     sum = Atomic.get h.h_sum;
-  }
-
-let merge a b =
-  if a.upper <> b.upper then
-    invalid_arg "Telemetry.Metrics.merge: bucket bounds differ";
-  {
-    upper = Array.copy a.upper;
-    counts = Array.init (Array.length a.counts) (fun i ->
-        a.counts.(i) + b.counts.(i));
-    count = a.count + b.count;
-    sum = a.sum +. b.sum;
   }
 
 (* ---------------- Prometheus text exposition ---------------- *)

@@ -81,8 +81,6 @@ val counter_value : counter -> int
 
 val set : gauge -> float -> unit
 
-val gauge_add : gauge -> float -> unit
-
 val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit
@@ -99,11 +97,6 @@ type histogram_snapshot = {
 }
 
 val snapshot : histogram -> histogram_snapshot
-
-val merge : histogram_snapshot -> histogram_snapshot -> histogram_snapshot
-(** Pointwise sum of two snapshots over identical bucket bounds: equal to
-    recording the union of the two observation streams.  Raises
-    [Invalid_argument] if the bounds differ. *)
 
 val render : ?registry:registry -> unit -> string
 (** Prometheus text exposition of every registered series, in

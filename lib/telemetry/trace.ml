@@ -39,10 +39,6 @@ let recorded : span list ref = ref []
 
 let occurrences : (int64 * string, int) Hashtbl.t = Hashtbl.create 256
 
-let open_spans = Atomic.make 0
-
-let open_count () = Atomic.get open_spans
-
 let scope : span list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
@@ -98,15 +94,12 @@ let start name =
     in
     recorded := sp :: !recorded;
     Mutex.unlock lock;
-    Atomic.incr open_spans;
     sp
   end
 
 let finish sp =
-  if sp.id <> 0L && Float.is_nan sp.end_s then begin
-    sp.end_s <- Float.max (Unix.gettimeofday ()) sp.start_s;
-    Atomic.decr open_spans
-  end
+  if sp.id <> 0L && Float.is_nan sp.end_s then
+    sp.end_s <- Float.max (Unix.gettimeofday ()) sp.start_s
 
 let add_attr sp k v = if sp.id <> 0L then sp.attrs <- (k, v) :: sp.attrs
 
@@ -234,5 +227,4 @@ let reset () =
   Mutex.lock lock;
   recorded := [];
   Hashtbl.reset occurrences;
-  Mutex.unlock lock;
-  Atomic.set open_spans 0
+  Mutex.unlock lock

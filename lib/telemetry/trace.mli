@@ -43,9 +43,6 @@ val with_span : string -> (unit -> 'a) -> 'a
 (** Scoped span: opens, makes it the domain's current span for the
     dynamic extent of the thunk, and closes it even on exceptions. *)
 
-val open_count : unit -> int
-(** Number of started-but-unfinished spans. *)
-
 type info = {
   id : int64;
   parent : int64 option;

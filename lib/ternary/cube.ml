@@ -4,8 +4,6 @@ exception Budget_exceeded
 
 let empty w = { w; cubes = [] }
 
-let of_tbv c = { w = Tbv.width c; cubes = [ c ] }
-
 let of_tbvs ~width cubes =
   List.iter
     (fun c ->
@@ -16,8 +14,6 @@ let of_tbvs ~width cubes =
 let width t = t.w
 
 let cubes t = t.cubes
-
-let num_cubes t = List.length t.cubes
 
 let is_empty t = t.cubes = []
 
@@ -78,5 +74,3 @@ let subsumes a b = is_empty (subtract b a)
 let equal a b = subsumes a b && subsumes b a
 
 let choose t = match t.cubes with [] -> None | c :: _ -> Some c
-
-let mem t v = List.exists (fun c -> Tbv.matches_int c v) t.cubes

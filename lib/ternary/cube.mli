@@ -21,16 +21,12 @@ exception Budget_exceeded
 val empty : int -> t
 (** [empty width]: the empty set of that width. *)
 
-val of_tbv : Tbv.t -> t
-
 val of_tbvs : width:int -> Tbv.t list -> t
 (** Raises [Invalid_argument] on width mismatch. *)
 
 val width : t -> int
 
 val cubes : t -> Tbv.t list
-
-val num_cubes : t -> int
 
 val is_empty : t -> bool
 (** Exact: the denoted set is empty iff no cubes remain (every cube is
@@ -53,6 +49,3 @@ val equal : t -> t -> bool
 
 val choose : t -> Tbv.t option
 (** Some cube of the set, if nonempty. *)
-
-val mem : t -> int -> bool
-(** Membership of a concrete value (width at most 62 bits). *)

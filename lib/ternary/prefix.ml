@@ -9,8 +9,6 @@ let make addr len =
 
 let any = { addr = 0; len = 0 }
 
-let host addr = make addr 32
-
 let addr t = t.addr
 
 let len t = t.len

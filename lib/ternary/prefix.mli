@@ -16,9 +16,6 @@ val make : int -> int -> t
 val any : t
 (** [0.0.0.0/0], the full address space. *)
 
-val host : int -> t
-(** [host addr] is [addr/32]. *)
-
 val addr : t -> int
 (** Base address (low bits zero). *)
 

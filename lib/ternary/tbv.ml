@@ -43,30 +43,6 @@ let set t i v =
     bits.(w) <- bits.(w) lor (1 lsl b));
   { t with mask; bits }
 
-let of_string s =
-  let t = ref (all_star (String.length s)) in
-  String.iteri
-    (fun i c ->
-      let v =
-        match c with
-        | '0' -> Zero
-        | '1' -> One
-        | '*' -> Star
-        | _ -> invalid_arg "Tbv.of_string: expected '0', '1' or '*'"
-      in
-      t := set !t i v)
-    s;
-  !t
-
-let to_string t =
-  String.init t.width (fun i ->
-      match get t i with Zero -> '0' | One -> '1' | Star -> '*')
-
-let equal a b =
-  a.width = b.width && a.mask = b.mask && a.bits = b.bits
-
-let hash t = Hashtbl.hash (t.width, t.mask, t.bits)
-
 let check_same_width a b =
   if a.width <> b.width then invalid_arg "Tbv: width mismatch"
 
@@ -86,23 +62,6 @@ let inter a b =
     let mask = Array.init n (fun w -> a.mask.(w) lor b.mask.(w)) in
     let bits = Array.init n (fun w -> a.bits.(w) lor b.bits.(w)) in
     Some { width = a.width; mask; bits }
-
-let subsumes a b =
-  check_same_width a b;
-  let ok = ref true in
-  for w = 0 to Array.length a.mask - 1 do
-    if a.mask.(w) land lnot b.mask.(w) <> 0 then ok := false;
-    if a.mask.(w) land (a.bits.(w) lxor b.bits.(w)) <> 0 then ok := false
-  done;
-  !ok
-
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
-  go x 0
-
-let num_stars t =
-  let cared = Array.fold_left (fun acc w -> acc + popcount w) 0 t.mask in
-  t.width - cared
 
 let prefix ~width ~value ~len =
   if len < 0 || len > width then invalid_arg "Tbv.prefix: bad length";

@@ -4,8 +4,8 @@
     position is either a cared-for bit value ([Zero] or [One]) or a wildcard
     ([Star]) that matches both.  A TBV of width [w] denotes the set of
     concrete [w]-bit strings obtained by substituting each [Star] with either
-    value; all set-algebraic operations below ([inter], [subsumes],
-    [is_disjoint]) are exact on those denoted sets.
+    value; the set-algebraic operations below ([inter], [is_disjoint]) are
+    exact on those denoted sets.
 
     The representation packs the vector into two machine-integer word arrays
     (a care mask and a value array), so every operation is a few bitwise
@@ -23,20 +23,10 @@ val all_star : int -> t
 
 val get : t -> int -> trit
 (** [get t i] is position [i]; position 0 is the leftmost (most significant)
-    bit of {!to_string}.  Raises [Invalid_argument] when out of bounds. *)
+    bit.  Raises [Invalid_argument] when out of bounds. *)
 
 val set : t -> int -> trit -> t
 (** Functional update. *)
-
-val of_string : string -> t
-(** [of_string "01*1"] parses a vector; accepted characters are ['0'], ['1'],
-    ['*'].  Raises [Invalid_argument] on anything else. *)
-
-val to_string : t -> string
-
-val equal : t -> t -> bool
-
-val hash : t -> int
 
 val is_disjoint : t -> t -> bool
 (** [is_disjoint a b] iff no concrete string matches both, i.e. some
@@ -46,12 +36,6 @@ val inter : t -> t -> t option
 (** Exact intersection: [inter a b] is [None] when disjoint, otherwise the
     TBV denoting exactly the strings matching both (TBV sets are closed
     under intersection). *)
-
-val subsumes : t -> t -> bool
-(** [subsumes a b] iff every string matching [b] also matches [a]. *)
-
-val num_stars : t -> int
-(** Number of wildcard positions ([log2] of the denoted set size). *)
 
 val prefix : width:int -> value:int -> len:int -> t
 (** [prefix ~width ~value ~len] cares about the [len] leftmost positions,

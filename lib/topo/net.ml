@@ -10,7 +10,6 @@ type t = {
   adj : int list array;
   edges : (int * int) list;
   host_attach : int array;
-  hosts_by_switch : int list array;
   kinds : kind array;
 }
 
@@ -43,13 +42,6 @@ let create ?kinds ~num_switches ~edges ~host_attach () =
     norm_edges;
   Array.iteri (fun i l -> adj.(i) <- List.sort_uniq Int.compare l) adj;
   Array.iter check_switch host_attach;
-  let hosts_by_switch = Array.make num_switches [] in
-  Array.iteri
-    (fun h s -> hosts_by_switch.(s) <- h :: hosts_by_switch.(s))
-    host_attach;
-  Array.iteri
-    (fun i l -> hosts_by_switch.(i) <- List.rev l)
-    hosts_by_switch;
   let kinds =
     match kinds with
     | Some k ->
@@ -62,7 +54,6 @@ let create ?kinds ~num_switches ~edges ~host_attach () =
     adj;
     edges = List.sort compare_pair norm_edges;
     host_attach = Array.copy host_attach;
-    hosts_by_switch;
     kinds;
   }
 
@@ -72,13 +63,9 @@ let num_hosts t = Array.length t.host_attach
 
 let neighbors t s = t.adj.(s)
 
-let degree t s = List.length t.adj.(s)
-
 let edges t = t.edges
 
 let host_attach t h = t.host_attach.(h)
-
-let hosts_of_switch t s = t.hosts_by_switch.(s)
 
 let kind t s = t.kinds.(s)
 
@@ -88,23 +75,6 @@ let switches_of_kind t k =
     if t.kinds.(s) = k then acc := s :: !acc
   done;
   !acc
-
-let is_connected t =
-  let n = num_switches t in
-  if n = 0 then true
-  else begin
-    let seen = Array.make n false in
-    let rec dfs s =
-      if not seen.(s) then begin
-        seen.(s) <- true;
-        List.iter dfs t.adj.(s)
-      end
-    in
-    dfs 0;
-    Array.for_all (fun x -> x) seen
-  end
-
-let host_address h = 0x0A000000 lor ((h land 0xFFFF) lsl 8) lor 1
 
 let host_prefix h = Ternary.Prefix.make (0x0A000000 lor ((h land 0xFFFF) lsl 8)) 24
 

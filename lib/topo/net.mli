@@ -28,30 +28,19 @@ val num_hosts : t -> int
 val neighbors : t -> int -> int list
 (** Adjacent switches, ascending. *)
 
-val degree : t -> int -> int
-
 val edges : t -> (int * int) list
 (** Each undirected edge once, with [fst < snd]. *)
 
 val host_attach : t -> int -> int
 (** Attachment switch of a host. *)
 
-val hosts_of_switch : t -> int -> int list
-
 val kind : t -> int -> kind
 
 val switches_of_kind : t -> kind -> int list
 
-val is_connected : t -> bool
-(** True when every switch is reachable from switch 0 (vacuously true for
-    an empty switch set). *)
-
-val host_address : int -> int
-(** Deterministic 32-bit address of a host: hosts live in [10.0.0.0/8],
-    host [h] owning the /24 subnet [10.x.y.0] with [x.y = h].  Gives
-    experiments a realistic, collision-free address plan. *)
-
 val host_prefix : int -> Ternary.Prefix.t
-(** The /24 owned by a host (contains {!host_address}). *)
+(** The /24 subnet [10.x.y.0] a host [h] owns, with [x.y = h]: hosts
+    live in [10.0.0.0/8], which gives experiments a realistic,
+    collision-free address plan. *)
 
 val pp : Format.formatter -> t -> unit

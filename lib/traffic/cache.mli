@@ -25,19 +25,15 @@
     correctness for space.
 
     Eviction policy: per-rule hit counters from traced {!Netsim} walks,
-    aged by an exponential decay each epoch; each {!rebalance}
+    halved by {!decay} each epoch; each {!rebalance}
     recomputes the hottest feasible resident set.  All decisions are
     deterministic functions of the accounted traffic, so equal seeds
     give equal cache states, and the whole struct is plain data — it
     rides the controller's snapshot for crash-resume. *)
 
-val default_decay : float
-(** Per-epoch score retention in [0,1] (0.5). *)
-
 type t
 
 val create :
-  ?decay:float ->
   net:Topo.Net.t ->
   paths:Routing.Path.t list ->
   hw:int array ->
@@ -61,8 +57,8 @@ val account : t -> path:Routing.Path.t -> weight:int -> Ternary.Packet.t -> walk
     the caller must surface. *)
 
 val decay : t -> unit
-(** Age every popularity score by the configured retention factor
-    (call once per epoch, before accounting). *)
+(** Halve every popularity score (call once per epoch, before
+    accounting). *)
 
 type rebalance_stats = {
   resident : int;  (** resident entries after the pass (all switches) *)

@@ -10,7 +10,6 @@ type config = {
   drift : float;
   probes : int;
   hw_frac : float;
-  decay : float;
   adaptive : bool;
 }
 
@@ -23,7 +22,6 @@ let default =
     drift = 0.125;
     probes = 4;
     hw_frac = 0.5;
-    decay = Cache.default_decay;
     adaptive = true;
   }
 
@@ -83,7 +81,7 @@ type snapshot = {
   s_stats : Cache.rebalance_stats;
 }
 
-let snapshot_magic = "sdnplace-caching/2\n"
+let snapshot_magic = "sdnplace-caching/3\n"
 
 type t = {
   cfg : config;
@@ -206,8 +204,7 @@ let create ?store cfg =
   in
   let full = (Placement.Tables.of_solution sol).Placement.Tables.tables in
   let cache =
-    Cache.create ~decay:cfg.decay ~net ~paths ~hw:(hw_of_frac full cfg.hw_frac)
-      full
+    Cache.create ~net ~paths ~hw:(hw_of_frac full cfg.hw_frac) full
   in
   (* Both modes place once up front (coverage must hold from packet one);
      only the adaptive controller ever rebalances again. *)

@@ -35,7 +35,6 @@ type config = {
   hw_frac : float;
       (** hardware TCAM capacity as a fraction of the mean non-empty
           full-table size (floor 1 slot; see {!hw_of_frac}) *)
-  decay : float;  (** per-epoch popularity retention *)
   adaptive : bool;  (** false = static baseline (no decay/rebalance) *)
 }
 

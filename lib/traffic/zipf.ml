@@ -6,8 +6,6 @@ type config = {
   seed : int;
 }
 
-let default = { flows = 64; packets = 4096; alpha = 1.1; drift = 0.125; seed = 1 }
-
 type epoch = { index : int; counts : int array }
 
 type t = {
@@ -95,11 +93,6 @@ let at cfg i =
   t
 
 let epoch cfg i = next (at cfg i)
-
-let epochs cfg n =
-  let t = create cfg in
-  let rec go acc k = if k = 0 then List.rev acc else go (next t :: acc) (k - 1) in
-  go [] n
 
 (* The probe stream is independent of the drift stream and of the
    workload's routing/policy streams, and a pure function of (seed,

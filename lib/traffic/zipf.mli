@@ -28,9 +28,6 @@ type config = {
   seed : int;
 }
 
-val default : config
-(** 64 flows, 4096 packets, alpha 1.1, drift 0.125, seed 1. *)
-
 type epoch = {
   index : int;
   counts : int array;  (** packets per flow; sums to [config.packets] *)
@@ -54,9 +51,6 @@ val at : config -> int -> t
 
 val epoch : config -> int -> epoch
 (** Stateless: regenerate epoch [i] from scratch (O(i) advance). *)
-
-val epochs : config -> int -> epoch list
-(** The first [n] epochs. *)
 
 val walk :
   seed:int ->

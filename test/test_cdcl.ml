@@ -78,11 +78,13 @@ let test_pigeonhole_sat () =
   check_formula "php33" { nvars = 9; clauses; ams }
 
 let test_at_most_bounds () =
-  (* Exactly-k via at-most + at-least. *)
+  (* Exactly-k via at-most k of the literals and at-most n - k of their
+     negations. *)
+  let neg = List.map (fun v -> -v) in
   let s = Cdcl.create () in
   let vars = List.init 6 (fun _ -> Cdcl.new_var s) in
   Cdcl.add_at_most s vars 2;
-  Cdcl.add_at_least s vars 2;
+  Cdcl.add_at_most s (neg vars) 4;
   (match Cdcl.solve s with
   | Cdcl.Sat model ->
     let trues = Array.fold_left (fun n b -> if b then n + 1 else n) 0 model in
@@ -92,7 +94,7 @@ let test_at_most_bounds () =
   let s2 = Cdcl.create () in
   let vars2 = List.init 4 (fun _ -> Cdcl.new_var s2) in
   Cdcl.add_at_most s2 vars2 2;
-  Cdcl.add_at_least s2 vars2 3;
+  Cdcl.add_at_most s2 (neg vars2) 1;
   match Cdcl.solve s2 with
   | Cdcl.Unsat -> ()
   | r -> Alcotest.failf "expected unsat, got %a" Cdcl.pp_result r

@@ -105,9 +105,8 @@ let same_with_and_without ~fail (layout : Layout.t) enc lower_bound =
       let bounded, _ = Ilp.Solver.solve ?warm_start ~lower_bound model in
       if plain <> bounded then
         fail
-          (Format.asprintf "%s warm start: %a without the bound, %a with it"
-             (if warm_start = None then "no" else "greedy")
-             Ilp.Solver.pp_outcome plain Ilp.Solver.pp_outcome bounded))
+          (Printf.sprintf "%s warm start: the bound changes the outcome"
+             (if warm_start = None then "no" else "greedy")))
     [ warm; None ]
 
 (* [Encode.solve] with the greedy warm start against the model path
@@ -350,7 +349,7 @@ let test_solver_lower_bound () =
   (match o with
   | Ilp.Solver.Optimal sol ->
     Alcotest.(check (float 0.0)) "objective" 1.0 sol.Ilp.Solver.objective
-  | o -> Alcotest.failf "got %a" Ilp.Solver.pp_outcome o);
+  | _ -> Alcotest.fail "unexpected outcome");
   Alcotest.(check bool) "the root LP runs" true (s.Ilp.Solver.lp_calls > 0);
   (* A worse warm start does not settle, but the bound seeds the root
      bound, which the LP can only raise: with no root LP it stays. *)
@@ -362,7 +361,7 @@ let test_solver_lower_bound () =
   (match o with
   | Ilp.Solver.Optimal sol ->
     Alcotest.(check (float 0.0)) "searched optimum" 1.0 sol.Ilp.Solver.objective
-  | o -> Alcotest.failf "got %a" Ilp.Solver.pp_outcome o);
+  | _ -> Alcotest.fail "unexpected outcome");
   Alcotest.(check (float 0.0)) "seeded root bound" 0.5 s.Ilp.Solver.root_bound;
   let _, s = Ilp.Solver.solve ~warm_start:worse ~lower_bound:(-5.0) m in
   Alcotest.(check bool) "the LP raises a lower seed" true

@@ -55,23 +55,6 @@ let test_required_permits_dedup () =
   let perms = Depgraph.required_permits g (Acl.Policy.drops q) in
   Alcotest.(check int) "shared permit counted once" 1 (List.length perms)
 
-let test_sliced_dependencies () =
-  let q =
-    Acl.Policy.of_fields
-      [
-        permit (Util.field ~src:"10.1.0.0/16" ~dst:"10.0.5.0/24" ());
-        drop (Util.field ~src:"10.1.0.0/16" ());
-      ]
-  in
-  let g = Depgraph.build q in
-  let the_drop = List.hd (Acl.Policy.drops q) in
-  let flow_hit = Ternary.Field.make ~dst:(Ternary.Prefix.of_string "10.0.5.0/24") () in
-  let flow_miss = Ternary.Field.make ~dst:(Ternary.Prefix.of_string "10.0.6.0/24") () in
-  Alcotest.(check int) "dep inside flow" 1
-    (List.length (Depgraph.dependencies_within g the_drop flow_hit));
-  Alcotest.(check int) "dep outside flow" 0
-    (List.length (Depgraph.dependencies_within g the_drop flow_miss))
-
 (* Random property: deps are exactly the higher-priority overlapping
    permits. *)
 let test_random_dep_definition () =
@@ -101,6 +84,5 @@ let suite =
     Alcotest.test_case "lower permits excluded" `Quick test_lower_priority_permit_not_dep;
     Alcotest.test_case "permits have no deps" `Quick test_permits_have_no_deps;
     Alcotest.test_case "required permits dedup" `Quick test_required_permits_dedup;
-    Alcotest.test_case "sliced dependencies" `Quick test_sliced_dependencies;
     Alcotest.test_case "random dep definition" `Quick test_random_dep_definition;
   ]

@@ -250,7 +250,7 @@ let root_lp_line () =
       | Ilp.Solver.Optimal s ->
         Printf.sprintf "%h"
           (s.Ilp.Solver.objective +. enc.Placement.Encode.constant)
-      | o -> Format.asprintf "%a" Ilp.Solver.pp_outcome o
+      | _ -> "not-optimal"
     in
     Printf.sprintf "; full %s %d %d %d" objective stats.Ilp.Solver.nodes
       stats.Ilp.Solver.lp_calls pivots

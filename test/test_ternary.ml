@@ -9,7 +9,7 @@ let tbv_gen width =
         Tbv.random (Prng.create seed) ~width ~star_prob:0.4)
       int)
 
-let tbv_arb width = QCheck.make ~print:Tbv.to_string (tbv_gen width)
+let tbv_arb width = QCheck.make (tbv_gen width)
 
 let prefix_gen =
   QCheck.Gen.(
@@ -59,46 +59,43 @@ let qtest = QCheck_alcotest.to_alcotest
 
 (* ---------- Tbv unit tests ---------- *)
 
-let test_tbv_string_roundtrip () =
-  List.iter
-    (fun s ->
-      Alcotest.(check string) s s (Tbv.to_string (Tbv.of_string s)))
-    [ "01*1"; "****"; "0"; "1"; "0101010101010101010101010101010101" ]
-
 let test_tbv_basic_ops () =
-  let a = Tbv.of_string "01*" and b = Tbv.of_string "0*1" in
+  (* 01*, 0*1 and 1**. *)
+  let a = Tbv.prefix ~width:3 ~value:0b010 ~len:2
+  and b = Tbv.set (Tbv.exact ~width:3 0b001) 1 Tbv.Star
+  and c = Tbv.prefix ~width:3 ~value:0b100 ~len:1 in
   Alcotest.(check bool) "not disjoint" false (Tbv.is_disjoint a b);
-  (match Tbv.inter a b with
-  | Some i -> Alcotest.(check string) "intersection" "011" (Tbv.to_string i)
-  | None -> Alcotest.fail "expected overlap");
-  let c = Tbv.of_string "1**" in
+  Alcotest.(check bool) "intersection" true
+    (Tbv.inter a b = Some (Tbv.exact ~width:3 0b011));
   Alcotest.(check bool) "disjoint" true (Tbv.is_disjoint a c);
-  Alcotest.(check (option string)) "inter none" None
-    (Option.map Tbv.to_string (Tbv.inter a c));
-  Alcotest.(check bool) "subsumes" true
-    (Tbv.subsumes (Tbv.of_string "0**") a);
-  Alcotest.(check bool) "not subsumes" false
-    (Tbv.subsumes a (Tbv.of_string "0**"));
-  Alcotest.(check int) "stars" 1 (Tbv.num_stars a)
+  Alcotest.(check bool) "inter none" true (Tbv.inter a c = None)
 
 let test_tbv_prefix_concat () =
+  let trits t = List.init (Tbv.width t) (Tbv.get t) in
   let p = Tbv.prefix ~width:8 ~value:0b10110000 ~len:4 in
-  Alcotest.(check string) "prefix" "1011****" (Tbv.to_string p);
+  Alcotest.(check bool) "prefix" true
+    (trits p = Tbv.[ One; Zero; One; One; Star; Star; Star; Star ]);
   let e = Tbv.exact ~width:4 0b0110 in
-  Alcotest.(check string) "exact" "0110" (Tbv.to_string e);
-  Alcotest.(check string) "concat" "1011****0110"
-    (Tbv.to_string (Tbv.concat p e));
+  Alcotest.(check bool) "exact" true (trits e = Tbv.[ Zero; One; One; Zero ]);
+  Alcotest.(check bool) "concat" true
+    (trits (Tbv.concat p e) = trits p @ trits e);
   Alcotest.(check bool) "matches" true (Tbv.matches_int p 0b10111111);
   Alcotest.(check bool) "no match" false (Tbv.matches_int p 0b00111111)
 
 let test_tbv_wide () =
   (* Cross the 32-bit word boundary. *)
-  let s = String.init 104 (fun i -> if i mod 7 = 0 then '*' else if i mod 2 = 0 then '1' else '0') in
-  let t = Tbv.of_string s in
-  Alcotest.(check string) "wide roundtrip" s (Tbv.to_string t);
-  Alcotest.(check bool) "self subsumes" true (Tbv.subsumes t t);
-  Alcotest.(check bool) "all-star subsumes" true
-    (Tbv.subsumes (Tbv.all_star 104) t)
+  let trit i =
+    if i mod 7 = 0 then Tbv.Star else if i mod 2 = 0 then One else Zero
+  in
+  let t =
+    List.fold_left (fun t i -> Tbv.set t i (trit i)) (Tbv.all_star 104)
+      (List.init 104 Fun.id)
+  in
+  Alcotest.(check bool) "wide roundtrip" true
+    (List.init 104 (Tbv.get t) = List.init 104 trit);
+  Alcotest.(check bool) "self inter" true (Tbv.inter t t = Some t);
+  Alcotest.(check bool) "all-star inter" true
+    (Tbv.inter (Tbv.all_star 104) t = Some t)
 
 (* ---------- Tbv properties ---------- *)
 
@@ -108,7 +105,7 @@ let prop_inter_commutative =
     (fun (a, b) ->
       match (Tbv.inter a b, Tbv.inter b a) with
       | None, None -> true
-      | Some x, Some y -> Tbv.equal x y
+      | Some x, Some y -> x = y
       | _ -> false)
 
 let prop_inter_subsumed =
@@ -117,12 +114,12 @@ let prop_inter_subsumed =
     (fun (a, b) ->
       match Tbv.inter a b with
       | None -> true
-      | Some i -> Tbv.subsumes a i && Tbv.subsumes b i)
+      | Some i -> Tbv.inter a i = Some i && Tbv.inter b i = Some i)
 
 let prop_member_matches =
   QCheck.Test.make ~name:"tbv random member matches" ~count:500 (tbv_arb 40)
     (fun t ->
-      let g = Prng.create (Tbv.hash t) in
+      let g = Prng.create (Hashtbl.hash t) in
       Tbv.matches_int t (Tbv.random_member g t))
 
 let prop_disjoint_no_common_member =
@@ -275,7 +272,6 @@ let test_field_tcam_expansion () =
 
 let suite =
   [
-    Alcotest.test_case "tbv string roundtrip" `Quick test_tbv_string_roundtrip;
     Alcotest.test_case "tbv basic ops" `Quick test_tbv_basic_ops;
     Alcotest.test_case "tbv prefix/concat" `Quick test_tbv_prefix_concat;
     Alcotest.test_case "tbv wide vectors" `Quick test_tbv_wide;

@@ -32,27 +32,41 @@ let epochs_equal a b =
 let qcheck_zipf_deterministic =
   QCheck.Test.make ~name:"equal seeds give identical epoch matrices" ~count:50
     zipf_arb (fun cfg ->
-      epochs_equal (Traffic.Zipf.epochs cfg 6) (Traffic.Zipf.epochs cfg 6))
+      let a = Traffic.Zipf.create cfg and b = Traffic.Zipf.create cfg in
+      epochs_equal
+        (List.init 6 (fun _ -> Traffic.Zipf.next a))
+        (List.init 6 (fun _ -> Traffic.Zipf.next b)))
 
 let qcheck_zipf_mass =
   QCheck.Test.make ~name:"drift preserves total traffic mass" ~count:50
     zipf_arb (fun cfg ->
+      let t = Traffic.Zipf.create cfg in
       List.for_all
         (fun (e : Traffic.Zipf.epoch) ->
           Array.fold_left ( + ) 0 e.Traffic.Zipf.counts
           = cfg.Traffic.Zipf.packets)
-        (Traffic.Zipf.epochs cfg 8))
+        (List.init 8 (fun _ -> Traffic.Zipf.next t)))
 
 let qcheck_zipf_prefix =
   QCheck.Test.make ~name:"a longer run leaves earlier epochs untouched"
     ~count:50 zipf_arb (fun cfg ->
-      let short = Traffic.Zipf.epochs cfg 4 in
-      let long = Traffic.Zipf.epochs cfg 9 in
+      let a = Traffic.Zipf.create cfg and b = Traffic.Zipf.create cfg in
+      let short = List.init 4 (fun _ -> Traffic.Zipf.next a) in
+      let long = List.init 9 (fun _ -> Traffic.Zipf.next b) in
       epochs_equal short (List.filteri (fun i _ -> i < 4) long))
 
 let test_zipf_at () =
-  let cfg = { Traffic.Zipf.default with seed = 7; drift = 0.3 } in
-  let all = Traffic.Zipf.epochs cfg 8 in
+  let cfg =
+    {
+      Traffic.Zipf.flows = 64;
+      packets = 4096;
+      alpha = 1.1;
+      drift = 0.3;
+      seed = 7;
+    }
+  in
+  let t = Traffic.Zipf.create cfg in
+  let all = List.init 8 (fun _ -> Traffic.Zipf.next t) in
   List.iteri
     (fun i (e : Traffic.Zipf.epoch) ->
       let r = Traffic.Zipf.epoch cfg i in

@@ -163,7 +163,7 @@ let test_dummy_drops_need_no_coverage () =
   in
   let layout =
     Layout.build
-      ~plan:{ Merge.groups = [ group ]; num_dummies = 1 }
+      ~plan:{ Merge.groups = [ group ] }
       inst
   in
   Alcotest.(check bool) "the plan's dummy" true

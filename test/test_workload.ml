@@ -2,8 +2,8 @@ let test_determinism () =
   let f = { Workload.default with Workload.rules = 10; paths = 24 } in
   let a = Workload.build f and b = Workload.build f in
   Alcotest.(check int) "same paths"
-    (Routing.Table.num_paths a.Placement.Instance.routing)
-    (Routing.Table.num_paths b.Placement.Instance.routing);
+    (List.length (Routing.Table.paths a.Placement.Instance.routing))
+    (List.length (Routing.Table.paths b.Placement.Instance.routing));
   List.iter2
     (fun (_, qa) (_, qb) ->
       Alcotest.(check bool) "same policies" true
@@ -16,9 +16,9 @@ let test_paths_nested () =
   let fam p = { Workload.default with Workload.paths = p } in
   let small = Workload.build (fam 24) and large = Workload.build (fam 48) in
   Alcotest.(check int) "small count" 24
-    (Routing.Table.num_paths small.Placement.Instance.routing);
+    (List.length (Routing.Table.paths small.Placement.Instance.routing));
   Alcotest.(check int) "large count" 48
-    (Routing.Table.num_paths large.Placement.Instance.routing);
+    (List.length (Routing.Table.paths large.Placement.Instance.routing));
   let paths_of inst i =
     Routing.Table.paths_from inst.Placement.Instance.routing i
   in
@@ -28,8 +28,7 @@ let test_paths_nested () =
       Alcotest.(check bool)
         (Printf.sprintf "ingress %d prefix" i)
         true
-        (List.for_all2 Routing.Path.equal ps
-           (List.filteri (fun n _ -> n < List.length ps) pl)))
+        (ps = List.filteri (fun n _ -> n < List.length ps) pl))
     (Routing.Table.ingresses small.Placement.Instance.routing);
   List.iter2
     (fun (_, qa) (_, qb) ->
@@ -110,10 +109,11 @@ let churn_base_family =
 let paths_digest (inst : Placement.Instance.t) =
   Digest.to_hex
     (Digest.string
-       (String.concat "\n"
+       (Marshal.to_string
           (List.map
-             (Format.asprintf "%a" Routing.Path.pp)
-             (Routing.Table.paths inst.Placement.Instance.routing))))
+             (fun (p : Routing.Path.t) -> (p.ingress, p.egress, p.switches))
+             (Routing.Table.paths inst.Placement.Instance.routing))
+          []))
 
 (* Golden: the exact paths [build] routes for the two benchmark
    families.  The benchmark digests cover only a solve's status and
@@ -124,12 +124,12 @@ let test_paths_golden () =
     (fun (name, family, want) ->
       let inst = Workload.build family in
       Alcotest.(check int) (name ^ " paths") family.Workload.paths
-        (Routing.Table.num_paths inst.Placement.Instance.routing);
+        (List.length (Routing.Table.paths inst.Placement.Instance.routing));
       Alcotest.(check string) (name ^ " paths digest") want
         (paths_digest inst))
     [
-      ("place_paper", place_paper_family, "137f4796b9d15c87cdf489e23bcebf67");
-      ("churn_journal", churn_base_family, "17db2117728bfb9b7a844a897e917329");
+      ("place_paper", place_paper_family, "55096fa14cc56ebf4f7ccadbea840231");
+      ("churn_journal", churn_base_family, "2f1f3b269edd5b78bf8a451d3cb5b239");
     ]
 
 (* Allocation gate.  One [build] of the k=16 family allocates the same

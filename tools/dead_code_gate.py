@@ -3,8 +3,12 @@
 
 Usage: dead_code_gate.py [ROOT]
 
-Every `val NAME` declared in a lib/**/*.mli must be used by some .ml
-under lib, bin, bench, test, examples, tools or perfbench.  Uses are
+The scan reads the .ml and .mli files under lib, bin, bench, test,
+examples, tools and perfbench.  Nothing in lib/ lives for tests alone:
+every `val NAME` declared in a lib/**/*.mli must be used by some .ml
+outside test/, save the test seams tools/option_seams.txt names as
+`Module.NAME`, each with its reason (a reference oracle, a fault
+fixture or a fixture that builds a hand-made instance).  Uses are
 resolved by module: a val of module M (the .mli's own module, or B for
 a val inside a nested `module B : sig ... end`) is used when
 
@@ -43,9 +47,10 @@ counts as passing every label.  Bindings (`let`, `and`, `val`, ...)
 are not calls.
 
 Every field of a record type declared in a lib/**/*.mli must be read
-by some .ml under the same directories: as `x.f` or `x.M.f`, or in a
-record pattern.  Building a record (a literal, `{e with f = ...}`) or
-assigning `x.f <- v` does not read it.  Reads resolve by module: a
+by some .ml outside test/, save the seams tools/option_seams.txt names
+as `Module.type.field`: as `x.f` or `x.M.f`, or in a record pattern.
+Building a record (a literal, `{e with f = ...}`) or assigning
+`x.f <- v` does not read it.  Reads resolve by module: a
 qualified read counts for the modules its qualifier denotes, but an
 unqualified one, which OCaml may resolve by type, counts for every
 field of that name.  A record pattern's fields must all be fields of
@@ -59,10 +64,13 @@ type's), by `{e with f = ...}` or by an assignment.  A `let default...
 nothing.  A field only tests set is a constant, save the seams
 tools/option_seams.txt names as `Module.type.field`.
 
-Exits 1 and lists each dead `val`, each dead optional parameter, each
-unread field and each config field no program sets, when any is
-found, and each line of the seam list that names no optional parameter
-or config field only tests set.
+Exits 1 and lists each val used nowhere, each val only test/ uses,
+each dead optional parameter, each field read nowhere, each field only
+test/ reads and each config field no program sets, when any is found
+and no seam names it, and each stale seam: a line of the seam list
+that names nothing only tests reach (something a program uses, or
+something that does not exist).  No seam keeps a val used nowhere or a
+field read nowhere.
 
 Every run first checks the scanner itself on built-in source trees and
 fails if it misjudges them.
@@ -98,6 +106,7 @@ SIG_SCOPE = re.compile(
 FIELD_DECL = re.compile(r"^\s*(?:mutable\s+)?([a-z_][A-Za-z0-9_']*)\s*:")
 # The record types whose fields must be set by a program, not only tests.
 CONFIGS = {"config", "options"}
+VAL_SEAM = re.compile(r"[A-Z][A-Za-z0-9_']*\.[a-z_][A-Za-z0-9_']*$")
 FIELD_SEAM = re.compile(r"[A-Z][A-Za-z0-9_']*\.[a-z_][A-Za-z0-9_']*\.[a-z_][A-Za-z0-9_']*$")
 # [module X = ...M] and [let module X = ...M in]: X is an alias of M.
 ALIAS = re.compile(r"\bmodule\s+([A-Z][A-Za-z0-9_']*)\s*(?::[^=]*)?=\s*"
@@ -304,9 +313,15 @@ def scan_uses(src):
     return qualified, bare
 
 
+def qualify(path, name, owner):
+    """[Module.name] for a val of the .mli [path] with owning module
+    [owner] (None: the file's own module)."""
+    return "%s.%s" % (owner or module_of(path), name)
+
+
 def dead_vals(text):
     """Map of path -> comment-free source in, (declared vals, dead vals)
-    out, each a list of (mli path, line, name).
+    out, each a list of (mli path, line, "Module.val", None).
 
     A val of module M is used when some .ml names it as [X.name] with X
     denoting M (M itself or an alias of it), uses it bare in M's own .ml
@@ -344,8 +359,9 @@ def dead_vals(text):
             return True
         return any(uses[p][1][name] for p in impls if p != own and owner in opens[p])
 
-    return ([(p, line, n) for p, line, n, _ in decls],
-            [(p, line, n) for p, line, n, owner in decls if not used(p, n, owner)])
+    return ([(p, line, qualify(p, n, owner), None) for p, line, n, owner in decls],
+            [(p, line, qualify(p, n, owner), None)
+             for p, line, n, owner in decls if not used(p, n, owner)])
 
 
 def tokens(src):
@@ -429,8 +445,8 @@ def passed_labels(toks, i):
 
 def dead_options(text):
     """Map of path -> comment-free source in, list of (mli path, line,
-    val name, label) out: each optional parameter no call of its own
-    val outside test/ passes.  A call [X.name] is a call of module M's
+    "Module.val", label) out: each optional parameter no call of its
+    own val passes.  A call [X.name] is a call of module M's
     [name] when X denotes M; a bare [name] is one in M's own .ml and in
     files that open M; any call of the name is one when M escapes (or
     the val sits in a module type)."""
@@ -444,6 +460,7 @@ def dead_options(text):
         if labels:
             vals.setdefault(name, []).append({
                 "path": path, "line": line, "wanted": labels, "passed": set(),
+                "name": qualify(path, name, owner),
                 "owner": None if owner in escaped else owner})
 
     def calls(val, path, qualifier):
@@ -454,8 +471,6 @@ def dead_options(text):
         return path == val["path"][:-1] or val["owner"] in opens[path]
 
     for path, src in impls.items():
-        if path.replace(os.sep, "/").startswith("test/"):
-            continue
         toks = tokens(src)
         for i, (kind, name) in enumerate(toks):
             if kind != "ident" or name not in vals:
@@ -471,8 +486,8 @@ def dead_options(text):
                 labels = passed_labels(toks, i)
                 for v in targets:
                     v["passed"] = None if labels is None else v["passed"] | labels
-    return sorted((v["path"], v["line"], name, label)
-                  for name, entries in vals.items() for v in entries
+    return sorted((v["path"], v["line"], v["name"], label)
+                  for entries in vals.values() for v in entries
                   if v["passed"] is not None
                   for label in v["wanted"] - v["passed"])
 
@@ -587,15 +602,15 @@ def field_uses(toks):
 def dead_fields(text):
     """Map of path -> comment-free source in; (declared fields, unread
     fields, unset config fields) out, each a list of (mli path, line,
-    "Module.type.field").
+    "Module.type.field", None).
 
     A field of module M's record type is read by some [x.f], [x.X.f]
     or record pattern naming it, X denoting M (any X when M escapes);
     a pattern's fields must all belong to the type (all of them unless
     it ends in [_]).  A field of a [config] or [options] record is set
     by a literal with exactly its type's fields, a [{e with ...}] or an
-    assignment outside test/, a [let default... =] literal in lib/
-    aside (the module's own defaults)."""
+    assignment, a [let default... =] literal in lib/ aside (the
+    module's own defaults)."""
     decls = [(path, line, tname, fname, owner, fields)
              for path, src in sorted(text.items())
              if path.endswith(".mli") and path.replace(os.sep, "/").startswith("lib/")
@@ -607,11 +622,9 @@ def dead_fields(text):
         r, w = field_uses(tokens(src))
         for use in r:
             reads.setdefault(use[1], []).append(use)
-        unix = path.replace(os.sep, "/")
-        if not unix.startswith("test/"):
-            for use in w:
-                if not (use[4] and unix.startswith("lib/")):
-                    sets.setdefault(use[1], []).append(use)
+        for use in w:
+            if not (use[4] and path.replace(os.sep, "/").startswith("lib/")):
+                sets.setdefault(use[1], []).append(use)
 
     def names(decl, use):
         _, _, _, _, owner, fields = decl
@@ -622,7 +635,7 @@ def dead_fields(text):
         return labels is None or (labels <= fields and (not exact or labels == fields))
 
     def out(ds):
-        return [(d[0], d[1], "%s.%s.%s" % (d[4], d[2], d[3])) for d in ds]
+        return [(d[0], d[1], "%s.%s.%s" % (d[4], d[2], d[3]), None) for d in ds]
 
     return (out(decls),
             out(d for d in decls if not any(names(d, u) for u in reads.get(d[3], []))),
@@ -631,43 +644,66 @@ def dead_fields(text):
 
 
 def read_seams(src):
-    """(line, glob, label) of each entry of a seam list: blank lines and
-    '#' comments aside, each line is `Module.val ?label` (the val may be
-    a glob) or `Module.type.field` with [label] None, then its reason."""
+    """(line, kind, name, label) of each entry of a seam list: blank
+    lines and '#' comments aside, each line is `Module.val ?label` (kind
+    "option"; the val may be a glob), `Module.val` (kind "val") or
+    `Module.type.field` (kind "field"), then its reason; [label] is None
+    but for an option."""
     out = []
     for n, line in enumerate(src.splitlines(), 1):
         words = line.split()
         if not words or words[0].startswith("#"):
             continue
         if len(words) >= 3 and words[1].startswith("?"):
-            out.append((n, words[0], words[1][1:]))
+            out.append((n, "option", words[0], words[1][1:]))
+        elif len(words) >= 2 and VAL_SEAM.match(words[0]):
+            out.append((n, "val", words[0], None))
         elif len(words) >= 2 and FIELD_SEAM.match(words[0]):
-            out.append((n, words[0], None))
+            out.append((n, "field", words[0], None))
         else:
-            sys.exit("%s:%d: want `Module.val ?label reason` or "
-                     "`Module.type.field reason`" % (SEAMS, n))
+            sys.exit("%s:%d: want `Module.val ?label reason`, `Module.val "
+                     "reason` or `Module.type.field reason`" % (SEAMS, n))
     return out
 
 
-def unseamed(options, seams):
-    """The dead options no seam names, and the option seams that name
-    none."""
-    def names(seam, option):
-        path, _, name, label = option
-        return (label == seam[2]
-                and fnmatch.fnmatchcase("%s.%s" % (module_of(path), name), seam[1]))
+def unseamed(found, seams, kind):
+    """The entries (path, line, name, label) of [found] that no seam of
+    [kind] names, and the seams of [kind] that name none."""
+    def names(seam, entry):
+        return entry[3] == seam[3] and fnmatch.fnmatchcase(entry[2], seam[2])
 
-    seams = [s for s in seams if s[2] is not None]
-    return ([o for o in options if not any(names(s, o) for s in seams)],
-            [s for s in seams if not any(names(s, o) for o in options)])
+    seams = [s for s in seams if s[1] == kind]
+    return ([f for f in found if not any(names(s, f) for s in seams)],
+            [s for s in seams if not any(names(s, f) for f in found)])
 
 
-def unseamed_fields(unset, seams):
-    """The unset config fields no seam names, and the field seams that
-    name none."""
-    seams = [s for s in seams if s[2] is None]
-    return ([f for f in unset if not any(s[1] == f[2] for s in seams)],
-            [s for s in seams if not any(s[1] == f[2] for f in unset)])
+def is_test(path):
+    return path.replace(os.sep, "/").startswith("test/")
+
+
+def findings(text, seams):
+    """Map of path -> comment-free source and the seam list in; (vals,
+    fields, problems) out, [problems] a map of kind -> list: [dead] vals
+    used nowhere, [tested] vals only test/ uses, [options] optional
+    parameters no call outside test/ passes, [unread] fields read
+    nowhere, [tested_field] fields only test/ reads, [unset] config
+    fields no program outside test/ sets, and the [stale] seams, which
+    name none of these.  A seam keeps what it names; [dead] and
+    [unread] no seam keeps."""
+    program = {p: s for p, s in text.items() if not is_test(p)}
+    vals, dead = dead_vals(text)
+    _, unused = dead_vals(program)
+    tested, stale = unseamed([v for v in unused if v not in dead], seams, "val")
+    options, stale_options = unseamed(dead_options(program), seams, "option")
+    fields, unread, _ = dead_fields(text)
+    _, unread_program, unset = dead_fields(program)
+    tested_fields = [f for f in unread_program if f not in unread]
+    left, stale_fields = unseamed(tested_fields + unset, seams, "field")
+    return vals, fields, {
+        "dead": dead, "tested": tested, "options": options, "unread": unread,
+        "tested_field": [f for f in tested_fields if f in left],
+        "unset": [f for f in unset if f in left],
+        "stale": sorted(stale + stale_options + stale_fields)}
 
 
 def self_check():
@@ -681,10 +717,10 @@ def self_check():
         "bin/main.ml": 'let s = "(*"\nlet q = \'"\'\nlet () = print_int M.used\n'
                        '(* M.ghost (* nested *) ghost "*) ghost" {|*)|} ghost *)\n',
     }
-    _, dead = dead_vals({p: strip_comments(s) for p, s in tree.items()})
-    if [n for _, _, n in dead] != ["ghost"]:
-        sys.exit("dead-code gate: self-check failed, dead vals %s, want [ghost]"
-                 % [n for _, _, n in dead])
+    _, dead = dead_vals(strip_all(tree))
+    if [n for _, _, n, _ in dead] != ["M.ghost"]:
+        sys.exit("dead-code gate: self-check failed, dead vals %s, want [M.ghost]"
+                 % [n for _, _, n, _ in dead])
     # [Churn.next] is reached through a module alias and [Churn.step]
     # through a [let module] one; [Own.helper] only bare in its own .ml; [Opened.by_*] bare
     # in files that open it with [open], [let open] and [M.( )];
@@ -720,8 +756,8 @@ def self_check():
         "bin/nested.ml": "let _ = A.Store.Batched.append (Batched.flush x)\n"
                          "let () = Metrics.reset ()\n",
     }
-    _, dead = dead_vals({p: strip_comments(s) for p, s in tree.items()})
-    got = sorted("%s.%s" % (module_of(p), n) for p, _, n in dead)
+    _, dead = dead_vals(strip_all(tree))
+    got = sorted(n for _, _, n, _ in dead)
     want = ["Churn.spare", "Clock.reset", "Opened.closed", "Own.lonely",
             "Store.flush"]
     if got != want:
@@ -745,9 +781,9 @@ def self_check():
                        "(* M.run ~quiet:true () *)\nlet g = M.alias in\n"
                        "let _ = h ~k:M.hook (x)\n",
     }
-    dead = dead_options({p: strip_comments(s) for p, s in tree.items()})
+    dead = dead_options(strip_all(tree))
     got = [(n, label) for _, _, n, label in dead]
-    if got != [("run", "depth"), ("run", "quiet")]:
+    if got != [("M.run", "depth"), ("M.run", "quiet")]:
         sys.exit("dead-code gate: self-check failed, dead options %s, want "
                  "[run ?depth, run ?quiet]" % got)
     # [Ilp.solve] and [Sat.solve] share a name and a label; only
@@ -764,34 +800,57 @@ def self_check():
                        "let _ = I.solve ~encoding:2 ()\n"
                        "let _ = let open Ilp in solve ~encoding:3 ()\n",
     }
-    dead = dead_options({p: strip_comments(s) for p, s in tree.items()})
-    got = ["%s.%s ?%s" % (module_of(p), n, label) for p, _, n, label in dead]
+    dead = dead_options(strip_all(tree))
+    got = ["%s ?%s" % (n, label) for _, _, n, label in dead]
     if got != ["Sat.solve ?encoding"]:
         sys.exit("dead-code gate: self-check failed, dead options %s, want "
                  "[Sat.solve ?encoding]" % got)
-    # Only tests pass [Store.crash ?keep] and [Reg.counter ?registry],
-    # so both are dead, but a seam names the second; [Store.crash ?torn]
-    # is passed by a bench call too.  The seam on [Reg.gauge] names
-    # nothing dead, so it is stale.
+    # Only tests pass [Store.crash ?keep] and [Reg.counter ?registry]
+    # and [?help], so all three are dead, but a seam names the second;
+    # [Store.crash ?torn] is passed by a bench call too.  The seam on
+    # [Reg.gauge] names nothing dead, so it is stale.
     tree = {
         "lib/a/store.mli": "val crash : ?keep:int -> ?torn:bool -> unit -> unit\n",
-        "lib/a/reg.mli": "val counter : ?registry:int -> unit -> int\n"
+        "lib/a/reg.mli": "val counter : ?registry:int -> ?help:int -> unit -> int\n"
                          "val gauge : ?registry:int -> unit -> int\n",
         "bench/b.ml": "let () = Store.crash ~torn:true ()\n"
                       "let _ = Reg.counter () + Reg.gauge ~registry:1 ()\n",
         "test/t.ml": "let () = Store.crash ~keep:2 ()\n"
-                     "let _ = Reg.counter ~registry:1 ()\n",
+                     "let _ = Reg.counter ~registry:1 ~help:0 ()\n",
     }
-    dead = dead_options({p: strip_comments(s) for p, s in tree.items()})
-    left, stale = unseamed(dead, read_seams(
+    _, _, found = findings(strip_all(tree), read_seams(
         "# seams\nReg.c* ?registry  isolated registries\n\n"
         "Reg.gauge ?registry  stale\n"))
-    got = (["%s.%s ?%s" % (module_of(p), n, label) for p, _, n, label in left],
-           [glob for _, glob, _ in stale])
-    if got != (["Store.crash ?keep"], ["Reg.gauge"]):
+    got = (["%s ?%s" % (n, label) for _, _, n, label in found["options"]],
+           [name for _, _, name, _ in found["stale"]])
+    want = (["Reg.counter ?help", "Store.crash ?keep"], ["Reg.gauge"])
+    if got != want:
         sys.exit("dead-code gate: self-check failed, unseamed options and "
-                 "stale seams %s, want ([Store.crash ?keep], [Reg.gauge])"
-                 % (got,))
+                 "stale seams %s, want %s" % (got, want))
+
+    # Vals: only a test uses [Sol.union] and [Sol.brute]; a bench uses
+    # [Sol.cells] and nothing [Sol.ghost].  Unseamed, both test-only
+    # vals fail.  With seams, [Sol.brute] is kept, while the seams on
+    # [Sol.cells] (a program uses it), [Sol.ghost] (nothing does) and
+    # [Sol.gone] (no such val) are stale.
+    tree = {
+        "lib/a/sol.mli": "val union : int\nval brute : int\nval cells : int\n"
+                         "val ghost : int\n",
+        "bench/b.ml": "let _ = Sol.cells\n",
+        "test/t.ml": "let _ = Sol.union + Sol.brute\n",
+    }
+    want = {"": (["Sol.brute", "Sol.union"], []),
+            "Sol.brute  oracle\nSol.cells  stale\nSol.ghost  stale\n"
+            "Sol.gone  stale\n": (["Sol.union"], ["Sol.cells", "Sol.ghost", "Sol.gone"])}
+    for seams, (tested, stale) in want.items():
+        _, _, found = findings(strip_all(tree), read_seams(seams))
+        got = (sorted(n for _, _, n, _ in found["tested"]),
+               [name for _, _, name, _ in found["stale"]],
+               [n for _, _, n, _ in found["dead"]])
+        if got != (tested, stale, ["Sol.ghost"]):
+            sys.exit("dead-code gate: self-check failed, test-only vals, stale "
+                     "seams and dead vals %s, want %s"
+                     % (got, (tested, stale, ["Sol.ghost"])))
 
     # Record fields: [Rep.t.status] is read only by a record pattern,
     # [nodes] only under test/, and [iterations] only as a same-named
@@ -800,7 +859,8 @@ def self_check():
     # [Other.plan].  Of [Cfg.config], only tests set [depth] (by
     # [with]) and [cuts] (by a literal); a bin program sets [seed], and
     # [Cfg]'s own default literal counts for none.  The seam names
-    # [depth], so [cuts] is left; the seam on [seed] is stale.
+    # [depth], so [cuts] is left; the seam on [seed] is stale.  A second
+    # seam list names [nodes] too, which keeps it.
     tree = {
         "lib/a/cfg.mli": "type config = { depth : int; cuts : bool; seed : int }\n"
                          "val default_config : config\n",
@@ -820,15 +880,21 @@ def self_check():
         "test/t.ml": "let n r = r.nodes\nlet c = { Cfg.default_config with depth = 0 }\n"
                      "let d = { Cfg.depth = 0; cuts = false; seed = 1 }\n",
     }
-    _, unread, unset = dead_fields({p: strip_comments(s) for p, s in tree.items()})
-    left, stale = unseamed_fields(unset, read_seams(
-        "Cfg.config.depth  pins the root alone\nCfg.config.seed  stale\n"))
-    got = ([n for _, _, n in unread], [n for _, _, n in left], [n for _, n, _ in stale])
-    want = (["Rep.t.timing", "Rep.t.removed", "Rep.t.plan"], ["Cfg.config.cuts"],
-            ["Cfg.config.seed"])
-    if got != want:
-        sys.exit("dead-code gate: self-check failed, unread fields, unseamed "
-                 "config fields and stale field seams %s, want %s" % (got, want))
+    seams = "Cfg.config.depth  pins the root alone\nCfg.config.seed  stale\n"
+    for extra, tested in (("", ["Rep.t.nodes"]), ("Rep.t.nodes  fixture\n", [])):
+        _, _, found = findings(strip_all(tree), read_seams(seams + extra))
+        got = tuple([n for _, _, n, _ in found[k]]
+                    for k in ("unread", "tested_field", "unset", "stale"))
+        want = (["Rep.t.timing", "Rep.t.removed", "Rep.t.plan"], tested,
+                ["Cfg.config.cuts"], ["Cfg.config.seed"])
+        if got != want:
+            sys.exit("dead-code gate: self-check failed, unread, test-only read "
+                     "and unset fields and stale field seams %s, want %s"
+                     % (got, want))
+
+
+def strip_all(tree):
+    return {p: strip_comments(s) for p, s in tree.items()}
 
 
 def sources(root):
@@ -840,6 +906,20 @@ def sources(root):
                     yield os.path.join(base, f)
 
 
+MESSAGES = {
+    "dead": "val %s is referenced nowhere but its definition",
+    "tested": "val %s is used only under test/",
+    "options": "val %s: no call outside test/ passes ?%s",
+    "unread": "field %s is read nowhere",
+    "tested_field": "field %s is read only under test/",
+    "unset": "field %s: no program outside test/ sets it",
+}
+
+STALE = {"option": "optional parameter only tests pass",
+         "val": "val only tests use",
+         "field": "field only tests read or set"}
+
+
 def main():
     self_check()
     root = sys.argv[1] if len(sys.argv) > 1 else "."
@@ -847,36 +927,25 @@ def main():
     for path in sources(root):
         with open(path, encoding="utf-8") as f:
             text[os.path.relpath(path, root)] = strip_comments(f.read())
-    decls, dead = dead_vals(text)
-    for path, line, name in dead:
-        print("%s:%d: val %s is referenced nowhere but its definition"
-              % (path, line, name))
     with open(SEAMS, encoding="utf-8") as f:
         seams = read_seams(f.read())
-    options, stale = unseamed(dead_options(text), seams)
-    for path, line, name, label in options:
-        print("%s:%d: val %s: no call outside test/ passes ?%s"
-              % (path, line, name, label))
-    for line, glob, label in stale:
-        print("%s:%d: seam %s ?%s names no optional parameter only tests "
-              "pass" % (os.path.relpath(SEAMS, root), line, glob, label))
-    fields, unread, unset = dead_fields(text)
-    for path, line, name in unread:
-        print("%s:%d: field %s is read nowhere" % (path, line, name))
-    unset, stale_fields = unseamed_fields(unset, seams)
-    for path, line, name in unset:
-        print("%s:%d: field %s: no program outside test/ sets it"
-              % (path, line, name))
-    for line, name, _ in stale_fields:
-        print("%s:%d: seam %s names no config field that only tests set"
-              % (os.path.relpath(SEAMS, root), line, name))
-    if dead or options or stale or unread or unset or stale_fields:
+    vals, fields, problems = findings(text, seams)
+    for kind, message in MESSAGES.items():
+        for path, line, name, label in problems[kind]:
+            print("%s:%d: " % (path, line)
+                  + message % ((name, label) if label else name))
+    for line, kind, name, label in problems["stale"]:
+        print("%s:%d: seam %s%s names no %s" % (
+            os.path.relpath(SEAMS, root), line, name,
+            " ?" + label if label else "", STALE[kind]))
+    if any(problems.values()):
         sys.exit(1)
-    print("dead-code gate: %d exported vals, all referenced; every optional "
-          "parameter passed by a call of its val outside test/ or named by "
-          "a seam; %d record fields, all read; every config field set "
-          "outside test/ or named by a seam (%d seams)"
-          % (len(decls), len(fields), len(seams)))
+    print("dead-code gate: %d exported vals, each used outside test/ or "
+          "named by a seam; every optional parameter passed by a call of its "
+          "val outside test/ or named by a seam; %d record fields, each read "
+          "outside test/ or named by a seam; every config field set outside "
+          "test/ or named by a seam (%d seams)"
+          % (len(vals), len(fields), len(seams)))
 
 
 if __name__ == "__main__":
