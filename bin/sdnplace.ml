@@ -107,6 +107,16 @@ let int_conv ~expect ok =
 
 let positive_int = int_conv ~expect:"a positive integer" (fun n -> n >= 1)
 
+(* Reals likewise: a NaN, an infinity or a value outside [ok] is a usage
+   error naming the flag. *)
+let float_conv ~expect ok =
+  Arg.conv'
+    ( (fun s ->
+        match float_of_string_opt s with
+        | Some x when Float.is_finite x && ok x -> Ok x
+        | _ -> Error (Printf.sprintf "expected %s, got %S" expect s)),
+      Format.pp_print_float )
+
 let fat_tree_arity =
   int_conv ~expect:"an even integer >= 2" (fun n -> n >= 2 && n mod 2 = 0)
 
@@ -654,7 +664,7 @@ let events_cmd =
 (* ---------------- caching ---------------- *)
 
 let caching_run metrics trace policies rules paths capacity seed epochs packets
-    alpha drift probes hw_frac static_mode journal resume =
+    alpha drift probes hw_frac journal resume =
   with_family
     {
       Workload.default with
@@ -676,7 +686,6 @@ let caching_run metrics trace policies rules paths capacity seed epochs packets
       drift;
       probes;
       hw_frac;
-      adaptive = not static_mode;
     }
   in
   let finish t =
@@ -757,12 +766,17 @@ let caching_cmd =
   in
   let alpha =
     Arg.(
-      value & opt float 1.3
+      value
+      & opt (float_conv ~expect:"a finite number >= 0" (fun x -> x >= 0.0)) 1.3
       & info [ "alpha" ] ~docv:"A" ~doc:"Zipf skew of the flow popularity.")
   in
   let drift =
     Arg.(
-      value & opt float 0.125
+      value
+      & opt
+          (float_conv ~expect:"a number in [0,1]" (fun x ->
+               x >= 0.0 && x <= 1.0))
+          0.125
       & info [ "drift" ] ~docv:"D"
           ~doc:
             "Per-epoch popularity drift rate in [0,1]: the expected fraction \
@@ -770,26 +784,18 @@ let caching_cmd =
   in
   let probes =
     Arg.(
-      value & opt int 4
+      value & opt positive_int 4
       & info [ "probes" ] ~docv:"N" ~doc:"Probe packets walked per flow per epoch.")
   in
   let hw_frac =
     Arg.(
-      value & opt float 0.3
+      value
+      & opt (float_conv ~expect:"a finite number > 0" (fun x -> x > 0.0)) 0.3
       & info [ "hw-frac" ] ~docv:"F"
           ~doc:
             "Hardware TCAM size as a fraction of the mean non-empty \
-             full-table size — below 1.0 the cache is under real eviction \
-             pressure.")
-  in
-  let static_mode =
-    Arg.(
-      value & flag
-      & info [ "static" ]
-          ~doc:
-            "Place the cache once and never adapt (no decay, eviction or \
-             delegation rebalancing) — the baseline the adaptive \
-             controller is measured against.")
+             full-table size — below 1.0 the larger tables do not fit and \
+             their drops are delegated or pinned.")
   in
   let journal =
     Arg.(
@@ -815,15 +821,15 @@ let caching_cmd =
        ~doc:
          "Run the traffic-driven rule-caching controller: a drifting-Zipf \
           packet stream walks a placement solved once, whose switches hold \
-          only a hardware-sized cache of their full tables, with cold rules \
-          evicted and overflow drops delegated to on-path neighbors.  \
+          only a hardware-sized cache of their full tables, placed once, \
+          with the drops that do not fit delegated to on-path neighbors.  \
           Prints one report line per epoch and a final summary; exits 1 if \
           any differential or invariant violation was observed.")
     Term.(
       ret
         (const caching_run $ metrics_arg $ trace_arg $ policies $ rules $ paths
        $ capacity $ seed $ epochs $ packets $ alpha $ drift $ probes $ hw_frac
-       $ static_mode $ journal $ resume))
+       $ journal $ resume))
 
 (* ---------------- serve ---------------- *)
 

@@ -1,29 +1,12 @@
-(* Per-epoch score retention, a constant: on seeded [sdnplace caching]
-   runs, 0.0, 0.5 and 1.0 mostly give the same hit rate (EXPERIMENTS.md,
-   CACHE1). *)
-let retention = 0.5
-
 let m_hits =
-  Telemetry.Metrics.counter ~help:"traced packets fully served by resident rules"
+  Telemetry.Metrics.counter
+    ~help:"traced packets whose cached-table matches all sit in hardware slots"
     "sdnplace_traffic_cache_hits_total"
 
 let m_misses =
   Telemetry.Metrics.counter
-    ~help:"traced packets that missed an evicted rule at its home switch"
+    ~help:"traced packets that matched a cached entry past its hardware slots"
     "sdnplace_traffic_cache_misses_total"
-
-let m_evictions =
-  Telemetry.Metrics.counter ~help:"resident entries evicted by rebalances"
-    "sdnplace_traffic_evictions_total"
-
-let m_delegations =
-  Telemetry.Metrics.counter ~help:"drops newly delegated to a neighbor switch"
-    "sdnplace_traffic_delegations_total"
-
-(* Popularity is keyed by rule identity — the (tag, priority, action)
-   triple — not by the copy's switch: flow popularity is a property of
-   the rule, so every copy of a rule shares one score. *)
-type key = { k_tag : int; k_prio : int; k_drop : bool }
 
 type origin = Home of int | Deleg of int * int  (* (home switch, home idx) *)
 
@@ -39,23 +22,19 @@ type unit_ = {
   mutable hosts : (int * int) list;
 }
 
+type stats = { resident : int; delegated : int; pinned : int; overflow : int }
+
 type t = {
-  net : Topo.Net.t;
   hw : int array;
-  scores : (key, float) Hashtbl.t;
   paths : Routing.Path.t array;
   full : Netsim.entry array array;  (* indexed view of the tables *)
   full_tables : Netsim.entry list array;
   guards : int list array array;  (* per (switch, idx): guard idxs *)
-  entry_units : int list array array;  (* per (switch, idx): unit ids *)
   units : unit_ array;
-  mutable resident : bool array array;  (* meaningful on DROP indices *)
-  mutable pinned : bool array array;
-  mutable delegated : deleg list;  (* insertion order (oldest first) *)
-  mutable cached : Netsim.entry list array;
-  mutable origin : origin array array;  (* aligned with [cached] *)
-  mutable overflow : int array;  (* per-switch slots past hw, force-pins *)
-  mutable last_pins : int;
+  cached : Netsim.entry list array;
+  origin : origin array array;  (* aligned with [cached] *)
+  overflow : int array;  (* per-switch slots past hw, force-pins *)
+  stats : stats;
   mutable c_hits : int;
   mutable c_misses : int;
   mutable c_dhits : int;
@@ -66,52 +45,33 @@ let tag_of (e : Netsim.entry) =
 
 let prio_of (e : Netsim.entry) = e.Netsim.rule.Acl.Rule.priority
 
-let key_of t s idx =
-  let e = t.full.(s).(idx) in
-  {
-    k_tag = tag_of e;
-    k_prio = prio_of e;
-    k_drop = Acl.Rule.is_drop e.Netsim.rule;
-  }
-
-let score t s idx =
-  match Hashtbl.find_opt t.scores (key_of t s idx) with
-  | Some x -> x
-  | None -> 0.0
-
-let bump t s idx w =
-  let k = key_of t s idx in
-  let cur = match Hashtbl.find_opt t.scores k with Some x -> x | None -> 0.0 in
-  Hashtbl.replace t.scores k (cur +. float_of_int w)
-
 let share_tag (a : Netsim.entry) (b : Netsim.entry) =
   List.exists (fun x -> List.mem x b.Netsim.tags) a.Netsim.tags
 
-(* The derived metadata (indexed tables, guard sets, coverage units) is
-   built once: the full tables never change under a cache. *)
-let create ~net ~paths ~hw
-    (tables : Netsim.entry list array) =
-  if Array.length hw <> Array.length tables then
-    invalid_arg "Cache.create: one hw capacity per switch required";
-  let n = Array.length tables in
-  let paths = Array.of_list paths in
-  let full = Array.map Array.of_list tables in
-  let guards =
-    Array.init n (fun s ->
-        let es = full.(s) in
-        Array.init (Array.length es) (fun i ->
-            let e = es.(i) in
-            if not (Acl.Rule.is_drop e.Netsim.rule) then []
-            else
-              List.filter
-                (fun j ->
-                  let g = es.(j) in
-                  Acl.Rule.is_permit g.Netsim.rule
-                  && prio_of g > prio_of e
-                  && share_tag g e
-                  && Acl.Rule.overlaps g.Netsim.rule e.Netsim.rule)
-                (List.init (Array.length es) (fun j -> j))))
-  in
+(* A DROP's guards: the higher-priority overlapping same-tag PERMITs of
+   its switch. *)
+let guard_sets full =
+  Array.map
+    (fun es ->
+      Array.map
+        (fun (e : Netsim.entry) ->
+          if not (Acl.Rule.is_drop e.Netsim.rule) then []
+          else
+            List.filter
+              (fun j ->
+                let g = es.(j) in
+                Acl.Rule.is_permit g.Netsim.rule
+                && prio_of g > prio_of e
+                && share_tag g e
+                && Acl.Rule.overlaps g.Netsim.rule e.Netsim.rule)
+              (List.init (Array.length es) (fun j -> j)))
+        es)
+    full
+
+(* Every (policy DROP, routed path) pair the full placement covers, in
+   (tag, priority descending, path) order, with the units each entry
+   hosts. *)
+let coverage_units full paths =
   let table = Hashtbl.create 64 in
   let order = ref [] in
   Array.iteri
@@ -157,193 +117,95 @@ let create ~net ~paths ~hw
       (List.rev !order)
     |> Array.of_list
   in
-  let entry_units =
-    Array.init n (fun s -> Array.make (Array.length full.(s)) [])
-  in
+  let entry_units = Array.map (fun es -> Array.map (fun _ -> []) es) full in
   Array.iteri
     (fun ui u ->
       List.iter
         (fun (s, idx) -> entry_units.(s).(idx) <- ui :: entry_units.(s).(idx))
         u.hosts)
     units;
-  {
-    net;
-    hw = Array.copy hw;
-    scores = Hashtbl.create 256;
-    paths;
-    full;
-    full_tables = Array.copy tables;
-    guards;
-    entry_units;
-    units;
-    resident = Array.init n (fun s -> Array.make (Array.length full.(s)) false);
-    pinned = Array.init n (fun s -> Array.make (Array.length full.(s)) false);
-    delegated = [];
-    cached = Array.make n [];
-    origin = Array.init n (fun _ -> [||]);
-    overflow = Array.make n 0;
-    last_pins = 0;
-    c_hits = 0;
-    c_misses = 0;
-    c_dhits = 0;
-  }
+  (units, entry_units)
 
-let full_tables t = Array.copy t.full_tables
+(* {2 Placement} *)
 
-(* The hardware view: resident drops with their (deduplicated) guards,
-   plus delegated copies, sorted priority-descending (stable).  With
-   unmerged placements every entry carries one tag, so priority order
-   per tag is policy order and first-match equals the big-switch policy
-   restricted to what is installed. *)
-let build_cached t =
-  let n = Array.length t.full in
-  let tbls =
-    Array.init n (fun s ->
-        let len = Array.length t.full.(s) in
-        let guard_live = Array.make len false in
-        Array.iteri
-          (fun idx r ->
-            if r then
-              List.iter (fun g -> guard_live.(g) <- true) t.guards.(s).(idx))
-          t.resident.(s);
-        let home = ref [] in
-        for idx = len - 1 downto 0 do
-          if t.resident.(s).(idx) || guard_live.(idx) then
-            home := (t.full.(s).(idx), Home idx) :: !home
-        done;
-        let delegs =
-          List.concat_map
-            (fun d ->
-              if d.d_at <> s then []
-              else
-                let org = Deleg (d.d_home, d.d_idx) in
-                List.map
-                  (fun j -> (t.full.(d.d_home).(j), org))
-                  t.guards.(d.d_home).(d.d_idx)
-                @ [ (t.full.(d.d_home).(d.d_idx), org) ])
-            t.delegated
-        in
-        List.stable_sort
-          (fun ((a : Netsim.entry), _) ((b : Netsim.entry), _) ->
-            compare (prio_of b) (prio_of a))
-          (!home @ delegs))
-  in
-  t.cached <- Array.map (List.map fst) tbls;
-  t.origin <- Array.map (fun l -> Array.of_list (List.map snd l)) tbls
-
-(* {2 Rebalance} *)
-
-type rebalance_stats = {
-  resident : int;
-  delegated : int;
-  evictions : int;
-  delegations_new : int;
-  pinned : int;
-  overflow : int;
-}
-
-let rebalance t =
-  let n = Array.length t.full in
-  let prev_res = Array.map Array.copy t.resident in
-  let prev_deleg = t.delegated in
-  Array.iter (fun a -> Array.fill a 0 (Array.length a) false) t.resident;
-  Array.iter (fun a -> Array.fill a 0 (Array.length a) false) t.pinned;
-  t.delegated <- [];
+(* Residency, delegations, per-switch overflow and the force-pin count,
+   placed once over the full tables. *)
+let place ~net ~hw ~paths ~full ~guards ~units ~entry_units =
+  let n = Array.length full in
+  let resident = Array.map (fun es -> Array.map (fun _ -> false) es) full in
+  let pinned = Array.map (fun es -> Array.map (fun _ -> false) es) full in
+  let delegated = ref [] in
   let used = Array.make n 0 in
-  let guard_ref = Array.init n (fun s -> Array.make (Array.length t.full.(s)) 0) in
+  let guard_ref = Array.map (fun es -> Array.map (fun _ -> 0) es) full in
   let add_resident s idx =
-    if not t.resident.(s).(idx) then begin
-      t.resident.(s).(idx) <- true;
+    if not resident.(s).(idx) then begin
+      resident.(s).(idx) <- true;
       used.(s) <- used.(s) + 1;
       List.iter
         (fun g ->
           guard_ref.(s).(g) <- guard_ref.(s).(g) + 1;
           if guard_ref.(s).(g) = 1 then used.(s) <- used.(s) + 1)
-        t.guards.(s).(idx)
+        guards.(s).(idx)
     end
   in
   let evict s idx =
-    if t.resident.(s).(idx) then begin
-      t.resident.(s).(idx) <- false;
-      used.(s) <- used.(s) - 1;
-      List.iter
-        (fun g ->
-          guard_ref.(s).(g) <- guard_ref.(s).(g) - 1;
-          if guard_ref.(s).(g) = 0 then used.(s) <- used.(s) - 1)
-        t.guards.(s).(idx)
-    end
+    resident.(s).(idx) <- false;
+    used.(s) <- used.(s) - 1;
+    List.iter
+      (fun g ->
+        guard_ref.(s).(g) <- guard_ref.(s).(g) - 1;
+        if guard_ref.(s).(g) = 0 then used.(s) <- used.(s) - 1)
+      guards.(s).(idx)
   in
   let marginal s idx =
     1
     + List.fold_left
         (fun acc g -> if guard_ref.(s).(g) = 0 then acc + 1 else acc)
-        0 t.guards.(s).(idx)
+        0 guards.(s).(idx)
   in
-  (* Phase A: per-switch greedy by decayed popularity. *)
-  for s = 0 to n - 1 do
-    let drops = ref [] in
-    Array.iteri
-      (fun idx (e : Netsim.entry) ->
-        if Acl.Rule.is_drop e.Netsim.rule then drops := idx :: !drops)
-      t.full.(s);
-    let drops = List.rev !drops in
-    (* Greedy by popularity per hardware slot: a drop's marginal cost
-       counts the guards it would newly pull in, so two hot drops
-       sharing a guard beat one hot drop that needs its own — and the
-       density of each candidate changes as guards come live, hence the
-       iterative re-selection rather than a one-shot sort. *)
-    let rec fill () =
-      let best = ref None in
-      List.iter
-        (fun idx ->
-          if not t.resident.(s).(idx) then begin
-            let m = marginal s idx in
-            if used.(s) + m <= t.hw.(s) then begin
-              let d = score t s idx /. float_of_int m in
-              match !best with
-              | None -> best := Some (d, idx)
-              | Some (d', idx') ->
-                if d > d' || (d = d' && idx < idx') then best := Some (d, idx)
-            end
-          end)
-        drops;
-      match !best with
-      | Some (_, idx) ->
-        add_resident s idx;
-        fill ()
-      | None -> ()
-    in
-    fill ()
-  done;
+  (* Phase A: per switch, keep each drop, in index order, that fits with
+     the guards it newly pulls in.  A drop that did not fit cannot fit
+     after a later one is added: the guards the two share number at most
+     the added drop's marginal cost minus 1. *)
+  Array.iteri
+    (fun s es ->
+      Array.iteri
+        (fun idx (e : Netsim.entry) ->
+          if
+            Acl.Rule.is_drop e.Netsim.rule
+            && used.(s) + marginal s idx <= hw.(s)
+          then add_resident s idx)
+        es)
+    full;
   (* Phase B: coverage repair.  An uncovered (drop, path) unit is
      delegated to the on-path neighbor with the most free hardware
      space; with no room anywhere it is force-pinned back at a home
-     switch, evicting that switch's coldest unpinned drops (whose own
-     units re-enter the queue). *)
+     switch, evicting that switch's unpinned drops from the highest
+     index down (their own units re-enter the queue). *)
   let covered u =
-    List.exists (fun (s, idx) -> t.resident.(s).(idx)) u.hosts
+    List.exists (fun (s, idx) -> resident.(s).(idx)) u.hosts
     || List.exists
          (fun d ->
-           let e = t.full.(d.d_home).(d.d_idx) in
+           let e = full.(d.d_home).(d.d_idx) in
            tag_of e = u.u_tag
            && prio_of e = u.u_prio
-           && Routing.Path.mem t.paths.(u.u_path) d.d_at)
-         t.delegated
+           && Routing.Path.mem paths.(u.u_path) d.d_at)
+         !delegated
   in
   let queue = Queue.create () in
-  Array.iteri (fun ui _ -> Queue.push ui queue) t.units;
+  Array.iteri (fun ui _ -> Queue.push ui queue) units;
   let pins = ref 0 in
   while not (Queue.is_empty queue) do
-    let u = t.units.(Queue.pop queue) in
+    let u = units.(Queue.pop queue) in
     if not (covered u) then begin
-      let p = t.paths.(u.u_path) in
+      let p = paths.(u.u_path) in
       let hs, hidx = List.hd u.hosts in
-      let cost = 1 + List.length t.guards.(hs).(hidx) in
-      let free d = t.hw.(d) - used.(d) in
+      let cost = 1 + List.length guards.(hs).(hidx) in
+      let free d = hw.(d) - used.(d) in
       let cands =
         List.concat_map
           (fun (s, _) ->
-            List.filter (fun d -> Routing.Path.mem p d) (Topo.Net.neighbors t.net s))
+            List.filter (fun d -> Routing.Path.mem p d) (Topo.Net.neighbors net s))
           u.hosts
         |> List.sort_uniq compare
         |> List.sort (fun a b ->
@@ -351,7 +213,7 @@ let rebalance t =
       in
       match List.find_opt (fun d -> free d >= cost) cands with
       | Some d ->
-        t.delegated <- t.delegated @ [ { d_at = d; d_home = hs; d_idx = hidx } ];
+        delegated := !delegated @ [ { d_at = d; d_home = hs; d_idx = hidx } ];
         used.(d) <- used.(d) + cost
       | None ->
         incr pins;
@@ -368,63 +230,113 @@ let rebalance t =
         in
         let s, idx = Option.get best in
         add_resident s idx;
-        t.pinned.(s).(idx) <- true;
-        let exception Done in
-        (try
-           while used.(s) > t.hw.(s) do
-             let victims = ref [] in
-             Array.iteri
-               (fun i r -> if r && not t.pinned.(s).(i) then victims := i :: !victims)
-               t.resident.(s);
-             let victims =
-               List.sort
-                 (fun a b ->
-                   let sa = score t s a and sb = score t s b in
-                   if sa <> sb then compare sa sb else compare b a)
-                 !victims
-             in
-             match victims with
-             | [] -> raise Done
-             | v :: _ ->
-               evict s v;
-               List.iter (fun ui -> Queue.push ui queue) t.entry_units.(s).(v)
-           done
-         with Done -> ())
+        pinned.(s).(idx) <- true;
+        let rec shed v =
+          if used.(s) > hw.(s) && v >= 0 then begin
+            if resident.(s).(v) && not pinned.(s).(v) then begin
+              evict s v;
+              List.iter (fun ui -> Queue.push ui queue) entry_units.(s).(v)
+            end;
+            shed (v - 1)
+          end
+        in
+        shed (Array.length full.(s) - 1)
     end
   done;
-  for s = 0 to n - 1 do
-    t.overflow.(s) <- max 0 (used.(s) - t.hw.(s))
-  done;
-  t.last_pins <- !pins;
-  build_cached t;
-  let evictions = ref 0 in
-  Array.iteri
-    (fun s prev ->
-      Array.iteri
-        (fun idx r -> if r && not t.resident.(s).(idx) then incr evictions)
-        prev)
-    prev_res;
-  let delegations_new =
-    List.length (List.filter (fun d -> not (List.mem d prev_deleg)) t.delegated)
+  let overflow = Array.init n (fun s -> max 0 (used.(s) - hw.(s))) in
+  (resident, !delegated, overflow, !pins)
+
+(* The hardware view: resident drops with their (deduplicated) guards,
+   plus delegated copies, sorted priority-descending (stable).  With
+   unmerged placements every entry carries one tag, so priority order
+   per tag is policy order and first-match equals the big-switch policy
+   restricted to what is installed.  A switch's TCAM holds the first
+   [hw] entries of its table. *)
+let build_cached ~full ~guards resident delegated =
+  let tbls =
+    Array.mapi
+      (fun s es ->
+        let len = Array.length es in
+        let guard_live = Array.make len false in
+        Array.iteri
+          (fun idx r ->
+            if r then
+              List.iter (fun g -> guard_live.(g) <- true) guards.(s).(idx))
+          resident.(s);
+        let home = ref [] in
+        for idx = len - 1 downto 0 do
+          if resident.(s).(idx) || guard_live.(idx) then
+            home := (es.(idx), Home idx) :: !home
+        done;
+        let delegs =
+          List.concat_map
+            (fun d ->
+              if d.d_at <> s then []
+              else
+                let org = Deleg (d.d_home, d.d_idx) in
+                List.map
+                  (fun j -> (full.(d.d_home).(j), org))
+                  guards.(d.d_home).(d.d_idx)
+                @ [ (full.(d.d_home).(d.d_idx), org) ])
+            delegated
+        in
+        List.stable_sort
+          (fun ((a : Netsim.entry), _) ((b : Netsim.entry), _) ->
+            compare (prio_of b) (prio_of a))
+          (!home @ delegs))
+      full
   in
-  Telemetry.Metrics.add m_evictions !evictions;
-  Telemetry.Metrics.add m_delegations delegations_new;
+  ( Array.map (List.map fst) tbls,
+    Array.map (fun l -> Array.of_list (List.map snd l)) tbls )
+
+(* The derived metadata (indexed tables, guard sets, coverage units) and
+   the placement are built once: the full tables never change under a
+   cache. *)
+let create ~net ~paths ~hw (tables : Netsim.entry list array) =
+  if Array.length hw <> Array.length tables then
+    invalid_arg "Cache.create: one hw capacity per switch required";
+  let hw = Array.copy hw in
+  let paths = Array.of_list paths in
+  let full = Array.map Array.of_list tables in
+  let guards = guard_sets full in
+  let units, entry_units = coverage_units full paths in
+  let resident, delegated, overflow, pins =
+    place ~net ~hw ~paths ~full ~guards ~units ~entry_units
+  in
+  let cached, origin = build_cached ~full ~guards resident delegated in
   let total_cached =
-    Array.fold_left (fun acc l -> acc + List.length l) 0 t.cached
+    Array.fold_left (fun acc l -> acc + List.length l) 0 cached
   in
   let delegated_slots =
     List.fold_left
-      (fun acc d -> acc + 1 + List.length t.guards.(d.d_home).(d.d_idx))
-      0 t.delegated
+      (fun acc d -> acc + 1 + List.length guards.(d.d_home).(d.d_idx))
+      0 delegated
   in
   {
-    resident = total_cached - delegated_slots;
-    delegated = delegated_slots;
-    evictions = !evictions;
-    delegations_new;
-    pinned = !pins;
-    overflow = Array.fold_left ( + ) 0 t.overflow;
+    hw;
+    paths;
+    full;
+    full_tables = Array.copy tables;
+    guards;
+    units;
+    cached;
+    origin;
+    overflow;
+    stats =
+      {
+        resident = total_cached - delegated_slots;
+        delegated = delegated_slots;
+        pinned = pins;
+        overflow = Array.fold_left ( + ) 0 overflow;
+      };
+    c_hits = 0;
+    c_misses = 0;
+    c_dhits = 0;
   }
+
+let full_tables t = Array.copy t.full_tables
+
+let stats t = t.stats
 
 (* {2 Accounting} *)
 
@@ -432,43 +344,29 @@ type walk = { w_full : Netsim.outcome; w_cached : Netsim.outcome }
 
 let account t ~path ~weight packet =
   let tag = path.Routing.Path.ingress in
-  let w_full, fhops = Netsim.forward_trace t.full_tables path ~tag packet in
-  let w_cached, chops = Netsim.forward_trace t.cached path ~tag packet in
-  let matches = ref 0 in
-  let all_resident = ref true in
-  List.iter
-    (fun (h : Netsim.hop) ->
-      match h.Netsim.matched with
-      | None -> ()
-      | Some idx ->
-        incr matches;
-        bump t h.Netsim.hop_switch idx weight;
-        if not t.resident.(h.Netsim.hop_switch).(idx) then all_resident := false)
-    fhops;
-  if !matches > 0 then
-    if !all_resident then begin
-      t.c_hits <- t.c_hits + weight;
-      Telemetry.Metrics.add m_hits weight
-    end
-    else begin
-      t.c_misses <- t.c_misses + weight;
-      Telemetry.Metrics.add m_misses weight
-    end;
-  if
-    List.exists
+  let w_full = Netsim.forward t.full_tables path ~tag packet in
+  let w_cached, hops = Netsim.forward_trace t.cached path ~tag packet in
+  let matched =
+    List.filter_map
       (fun (h : Netsim.hop) ->
-        match h.Netsim.matched with
-        | None -> false
-        | Some idx -> (
-          match t.origin.(h.Netsim.hop_switch).(idx) with
-          | Deleg _ -> true
-          | Home _ -> false))
-      chops
-  then t.c_dhits <- t.c_dhits + weight;
+        Option.map (fun idx -> (h.Netsim.hop_switch, idx)) h.Netsim.matched)
+      hops
+  in
+  if List.for_all (fun (s, idx) -> idx < t.hw.(s)) matched then begin
+    t.c_hits <- t.c_hits + weight;
+    Telemetry.Metrics.add m_hits weight;
+    if
+      List.exists
+        (fun (s, idx) ->
+          match t.origin.(s).(idx) with Deleg _ -> true | Home _ -> false)
+        matched
+    then t.c_dhits <- t.c_dhits + weight
+  end
+  else begin
+    t.c_misses <- t.c_misses + weight;
+    Telemetry.Metrics.add m_misses weight
+  end;
   { w_full; w_cached }
-
-let decay t =
-  Hashtbl.filter_map_inplace (fun _ v -> Some (v *. retention)) t.scores
 
 let hits t = t.c_hits
 
@@ -544,46 +442,14 @@ let check t =
 
 (* {2 Persistence} *)
 
-type persisted = {
-  p_hw : int array;
-  p_scores : (key * float) list;
-  p_resident : bool array array;
-  p_pinned : bool array array;
-  p_delegated : deleg list;
-  p_overflow : int array;
-  p_last_pins : int;
-  p_hits : int;
-  p_misses : int;
-  p_dhits : int;
-}
+type persisted = { p_hits : int; p_misses : int; p_dhits : int }
 
 let capture t =
-  let bindings =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.scores [])
-  in
-  {
-    p_hw = Array.copy t.hw;
-    p_scores = bindings;
-    p_resident = Array.map Array.copy t.resident;
-    p_pinned = Array.map Array.copy t.pinned;
-    p_delegated = t.delegated;
-    p_overflow = Array.copy t.overflow;
-    p_last_pins = t.last_pins;
-    p_hits = t.c_hits;
-    p_misses = t.c_misses;
-    p_dhits = t.c_dhits;
-  }
+  { p_hits = t.c_hits; p_misses = t.c_misses; p_dhits = t.c_dhits }
 
-let restore ~net ~paths tables p =
-  let t = create ~net ~paths ~hw:p.p_hw tables in
-  List.iter (fun (k, v) -> Hashtbl.replace t.scores k v) p.p_scores;
-  t.resident <- Array.map Array.copy p.p_resident;
-  t.pinned <- Array.map Array.copy p.p_pinned;
-  t.delegated <- p.p_delegated;
-  t.overflow <- Array.copy p.p_overflow;
-  t.last_pins <- p.p_last_pins;
+let restore ~net ~paths ~hw tables p =
+  let t = create ~net ~paths ~hw tables in
   t.c_hits <- p.p_hits;
   t.c_misses <- p.p_misses;
   t.c_dhits <- p.p_dhits;
-  build_cached t;
   t

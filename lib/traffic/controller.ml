@@ -10,7 +10,6 @@ type config = {
   drift : float;
   probes : int;
   hw_frac : float;
-  adaptive : bool;
 }
 
 let default =
@@ -22,7 +21,6 @@ let default =
     drift = 0.125;
     probes = 4;
     hw_frac = 0.5;
-    adaptive = true;
   }
 
 let hw_of_frac tables frac =
@@ -49,7 +47,7 @@ type epoch_report = {
   e_misses : int;
   e_dhits : int;
   e_violations : int;
-  e_stats : Cache.rebalance_stats;
+  e_stats : Cache.stats;
   e_check : Cache.check_report;
 }
 
@@ -57,12 +55,11 @@ let line r =
   let total = r.e_hits + r.e_misses in
   let rate = if total = 0 then 1.0 else float_of_int r.e_hits /. float_of_int total in
   Printf.sprintf
-    "epoch=%d hits=%d misses=%d dhits=%d rate=%.4f res=%d deleg=%d evict=%d \
-     newdeleg=%d pin=%d over=%d viol=%d chk=%d/%d/%d"
+    "epoch=%d hits=%d misses=%d dhits=%d rate=%.4f res=%d deleg=%d pin=%d \
+     over=%d viol=%d chk=%d/%d/%d"
     r.e_index r.e_hits r.e_misses r.e_dhits rate r.e_stats.Cache.resident
-    r.e_stats.Cache.delegated r.e_stats.Cache.evictions
-    r.e_stats.Cache.delegations_new r.e_stats.Cache.pinned
-    r.e_stats.Cache.overflow r.e_violations
+    r.e_stats.Cache.delegated r.e_stats.Cache.pinned r.e_stats.Cache.overflow
+    r.e_violations
     r.e_check.Cache.guard_violations r.e_check.Cache.coverage_violations
     r.e_check.Cache.capacity_violations
 
@@ -70,18 +67,19 @@ let line r =
    The full tables ride along so [resume] rebuilds the cache without
    solving again.  It is sealed under [snapshot_magic]
    ({!Journal.Wal.seal}), so a torn blob or one of another version is
-   refused before [Marshal] reads it (2: the cache state is a field of
-   this record, no longer a Marshal string of its own). *)
+   refused before [Marshal] reads it (4: the cache state is its three
+   tallies, the residency being rebuilt from the full tables and the
+   run's config, which rides along so that [resume] refuses another). *)
 type snapshot = {
+  s_config : config;  (* the run's config, [epochs] zeroed *)
   s_epoch : int;
   s_full : Netsim.entry list array;
   s_cache : Cache.persisted;
   s_violations : int;
   s_reports : epoch_report list;  (* newest first *)
-  s_stats : Cache.rebalance_stats;
 }
 
-let snapshot_magic = "sdnplace-caching/3\n"
+let snapshot_magic = "sdnplace-caching/4\n"
 
 type t = {
   cfg : config;
@@ -93,7 +91,6 @@ type t = {
   mutable epoch : int;  (* next epoch to run *)
   mutable violations : int;
   mutable reports : epoch_report list;  (* newest first *)
-  mutable last_stats : Cache.rebalance_stats;
 }
 
 let epoch t = t.epoch
@@ -153,7 +150,7 @@ let routed (inst : Placement.Instance.t) =
   if paths = [] then invalid_arg "Controller: no routed paths";
   (inst.Placement.Instance.net, paths)
 
-let make ?store cfg ~cache ~paths ~epoch ~violations ~reports ~last_stats =
+let make ?store cfg ~cache ~paths ~epoch ~violations ~reports =
   let paths = Array.of_list paths in
   let zcfg =
     {
@@ -174,7 +171,6 @@ let make ?store cfg ~cache ~paths ~epoch ~violations ~reports ~last_stats =
     epoch;
     violations;
     reports;
-    last_stats;
   }
 
 let persist t =
@@ -182,12 +178,12 @@ let persist t =
     (fun (store : Journal.Store.t) ->
       let s =
         {
+          s_config = { t.cfg with epochs = 0 };
           s_epoch = t.epoch;
           s_full = Cache.full_tables t.cache;
           s_cache = Cache.capture t.cache;
           s_violations = t.violations;
           s_reports = t.reports;
-          s_stats = t.last_stats;
         }
       in
       store.Journal.Store.snap_write (Journal.Wal.seal ~magic:snapshot_magic s))
@@ -206,12 +202,7 @@ let create ?store cfg =
   let cache =
     Cache.create ~net ~paths ~hw:(hw_of_frac full cfg.hw_frac) full
   in
-  (* Both modes place once up front (coverage must hold from packet one);
-     only the adaptive controller ever rebalances again. *)
-  let last_stats = Cache.rebalance cache in
-  let t =
-    make ?store cfg ~cache ~paths ~epoch:0 ~violations:0 ~reports:[] ~last_stats
-  in
+  let t = make ?store cfg ~cache ~paths ~epoch:0 ~violations:0 ~reports:[] in
   persist t;
   t
 
@@ -239,15 +230,7 @@ let run_epoch t =
   and m0 = Cache.misses t.cache
   and d0 = Cache.delegated_hits t.cache
   and v0 = t.violations in
-  if t.cfg.adaptive then Cache.decay t.cache;
   walk t (Zipf.next t.zs);
-  let stats =
-    if t.cfg.adaptive then begin
-      t.last_stats <- Cache.rebalance t.cache;
-      t.last_stats
-    end
-    else { t.last_stats with Cache.evictions = 0; delegations_new = 0 }
-  in
   let er =
     {
       e_index = i;
@@ -255,7 +238,7 @@ let run_epoch t =
       e_misses = Cache.misses t.cache - m0;
       e_dhits = Cache.delegated_hits t.cache - d0;
       e_violations = t.violations - v0;
-      e_stats = stats;
+      e_stats = Cache.stats t.cache;
       e_check = Cache.check t.cache;
     }
   in
@@ -288,12 +271,15 @@ let resume ~store cfg =
   | Ok s -> (
     match
       validate cfg;
-      let net, paths = routed (Workload.build cfg.family) in
-      if Array.length s.s_full <> Topo.Net.num_switches net then
+      if { cfg with epochs = 0 } <> s.s_config then
         invalid_arg "snapshot does not match the config";
-      let cache = Cache.restore ~net ~paths s.s_full s.s_cache in
+      let net, paths = routed (Workload.build cfg.family) in
+      let cache =
+        Cache.restore ~net ~paths ~hw:(hw_of_frac s.s_full cfg.hw_frac)
+          s.s_full s.s_cache
+      in
       make ~store cfg ~cache ~paths ~epoch:s.s_epoch ~violations:s.s_violations
-        ~reports:s.s_reports ~last_stats:s.s_stats
+        ~reports:s.s_reports
     with
     | t -> Ok t
     | exception (Invalid_argument msg | Failure msg) -> Error msg)

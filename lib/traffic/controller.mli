@@ -3,12 +3,12 @@
     placement solved once, under the total-rules objective, for the
     fixed rule set.
 
-    Each epoch: draw the next traffic matrix; age the popularity scores;
-    walk one probe packet per traffic share through {e both} the full
-    and the cached tables (differential correctness check + hit
-    accounting); rebalance the cache; emit one deterministic report
-    line.  The placement itself never changes: the cache adapts to the
-    traffic, not the solve.
+    The cache is placed once, before epoch 0.  Each epoch: draw the
+    next traffic matrix; walk one probe packet per traffic share
+    through {e both} the full and the cached tables (differential
+    correctness check + hit accounting); emit one deterministic report
+    line.  Neither the placement nor the cache changes between epochs;
+    only the traffic drifts.
 
     Determinism and durability:
     - equal configs give byte-identical {!line} sequences (all
@@ -20,10 +20,7 @@
       ({!Journal.Wal.seal}).
       A crash anywhere in an epoch loses only that epoch's work: {!resume}
       restarts from the last boundary and re-runs it to the same report
-      line;
-    - the static baseline ([adaptive = false]) places the cache once,
-      popularity-blind, and never adapts — the no-cache-management
-      baseline the adaptive hit-rate is gated against. *)
+      line. *)
 
 type config = {
   family : Workload.family;  (** instance recipe (topology/routing/policies) *)
@@ -35,12 +32,11 @@ type config = {
   hw_frac : float;
       (** hardware TCAM capacity as a fraction of the mean non-empty
           full-table size (floor 1 slot; see {!hw_of_frac}) *)
-  adaptive : bool;  (** false = static baseline (no decay/rebalance) *)
 }
 
 val default : config
 (** [Workload.default] family, 6 epochs, 4096 packets, alpha 1.1, drift
-    0.125, 4 probes, hw_frac 0.5, adaptive. *)
+    0.125, 4 probes, hw_frac 0.5. *)
 
 val hw_of_frac : Netsim.entry list array -> float -> int array
 (** Per-switch hardware capacity: [frac] of the mean size of the
@@ -63,7 +59,7 @@ type epoch_report = {
   e_misses : int;
   e_dhits : int;  (** hits served by a delegated copy *)
   e_violations : int;  (** full-vs-cached outcome disagreements *)
-  e_stats : Cache.rebalance_stats;
+  e_stats : Cache.stats;
   e_check : Cache.check_report;
 }
 
@@ -81,11 +77,11 @@ val create : ?store:Journal.Store.t -> config -> t
 
 val resume : store:Journal.Store.t -> config -> (t, string) result
 (** Re-enter a crashed run at its last snapshotted epoch boundary.
-    [config] must equal the original apart from [epochs] (it is not
-    persisted); the snapshot carries the full tables, so nothing is
-    solved again.  Further epochs keep writing to [store].  [Error] on
-    a missing, corrupt or unknown-version snapshot, or one that does
-    not fit [config]; never raises. *)
+    [config] must equal the original apart from [epochs]; the snapshot
+    carries it and the full tables, so nothing is solved again.
+    Further epochs keep writing to [store].  [Error] on a missing,
+    corrupt or unknown-version snapshot, or one taken under another
+    config; never raises. *)
 
 val step : t -> epoch_report option
 (** Run the next epoch ([None] when [epochs] are done).  Spans

@@ -19,8 +19,10 @@ type t = {
 let validate cfg =
   if cfg.flows < 1 then invalid_arg "Zipf.create: flows < 1";
   if cfg.packets < 0 then invalid_arg "Zipf.create: packets < 0";
-  if cfg.alpha < 0.0 then invalid_arg "Zipf.create: alpha < 0";
-  if cfg.drift < 0.0 then invalid_arg "Zipf.create: drift < 0"
+  if not (Float.is_finite cfg.alpha && cfg.alpha >= 0.0) then
+    invalid_arg "Zipf.create: alpha < 0 or not finite";
+  if not (Float.is_finite cfg.drift && cfg.drift >= 0.0) then
+    invalid_arg "Zipf.create: drift < 0 or not finite"
 
 let create cfg =
   validate cfg;

@@ -38,7 +38,8 @@ type t
 
 val create : config -> t
 (** Positioned to emit epoch 0.  Raises [Invalid_argument] on a config
-    with [flows < 1], [packets < 0], [alpha < 0] or [drift < 0]. *)
+    with [flows < 1], [packets < 0], or an [alpha] or [drift] that is
+    negative, NaN or infinite. *)
 
 val config : t -> config
 

@@ -77,6 +77,7 @@ fails if it misjudges them.
 """
 
 import fnmatch
+import functools
 import os
 import re
 import sys
@@ -364,9 +365,11 @@ def dead_vals(text):
              for p, line, n, owner in decls if not used(p, n, owner)])
 
 
+@functools.lru_cache(maxsize=None)
 def tokens(src):
-    """[src] (comment-free) as a list of (kind, text); every literal is
-    one ("lit", ...) token."""
+    """[src] (comment-free) as a tuple of (kind, text); every literal is
+    one ("lit", ...) token.  Memoized: each pass over the tree lexes the
+    same sources again."""
     out = []
     i = 0
     while i < len(src):
@@ -393,7 +396,7 @@ def tokens(src):
             kind = "kw"
         out.append((kind, text))
         i = m.end()
-    return out
+    return tuple(out)
 
 
 def optional_labels(src, start):
