@@ -117,6 +117,11 @@ let float_conv ~expect ok =
         | _ -> Error (Printf.sprintf "expected %s, got %S" expect s)),
       Format.pp_print_float )
 
+let positive_float = float_conv ~expect:"a finite number > 0" (fun x -> x > 0.0)
+
+let unit_interval =
+  float_conv ~expect:"a number in [0,1]" (fun x -> x >= 0.0 && x <= 1.0)
+
 let fat_tree_arity =
   int_conv ~expect:"an even integer >= 2" (fun n -> n >= 2 && n mod 2 = 0)
 
@@ -170,7 +175,7 @@ let objective_arg =
 
 let time_limit_arg =
   Arg.(
-    value & opt float 60.0
+    value & opt positive_float 60.0
     & info [ "time-limit" ] ~docv:"SECONDS" ~doc:"ILP solver time limit.")
 
 (* The one solve-option surface shared by [solve], [verify] and [events]. *)
@@ -501,8 +506,20 @@ let summarize_events ?(pre_failed = false) reports eng =
     exit_violations
   end
 
+(* Each fault rate is in [0,1] by its converter; a pair whose sum
+   exceeds 1 is a usage error too, not [Fault_plan.make]'s
+   [Invalid_argument]. *)
+let with_rates fail_rate timeout_rate run =
+  if fail_rate +. timeout_rate > 1.0 then
+    `Error
+      ( true,
+        Printf.sprintf "--fail-rate + --timeout-rate must be <= 1, got %g"
+          (fail_rate +. timeout_rate) )
+  else `Ok (run ())
+
 let events_run metrics trace file options num_events seed fail_rate
     timeout_rate deadline rules journal resume =
+  with_rates fail_rate timeout_rate @@ fun () ->
   with_telemetry metrics trace @@ fun () ->
   protect @@ fun () ->
   let config =
@@ -588,19 +605,21 @@ let events_cmd =
   in
   let fail_rate =
     Arg.(
-      value & opt float 0.1
+      value & opt unit_interval 0.1
       & info [ "fail-rate" ] ~docv:"P"
-          ~doc:"Per-operation probability of an injected switch failure.")
+          ~doc:
+            "Per-operation probability of an injected switch failure; its \
+             sum with $(b,--timeout-rate) is at most 1.")
   in
   let timeout_rate =
     Arg.(
-      value & opt float 0.05
+      value & opt unit_interval 0.05
       & info [ "timeout-rate" ] ~docv:"P"
           ~doc:"Per-operation probability of an injected switch timeout.")
   in
   let deadline =
     Arg.(
-      value & opt float 5.0
+      value & opt positive_float 5.0
       & info [ "deadline" ] ~docv:"SECONDS"
           ~doc:"Wall-clock budget per event before the degradation ladder \
                 falls through to cheaper rungs.")
@@ -657,14 +676,15 @@ let events_cmd =
           logged and snapshotted, and $(b,--resume) continues an \
           interrupted run.")
     Term.(
-      const events_run $ metrics_arg $ trace_arg $ instance $ solve_options
-      $ num_events $ seed $ fail_rate $ timeout_rate $ deadline $ rules
-      $ journal $ resume)
+      ret
+        (const events_run $ metrics_arg $ trace_arg $ instance $ solve_options
+       $ num_events $ seed $ fail_rate $ timeout_rate $ deadline $ rules
+       $ journal $ resume))
 
 (* ---------------- caching ---------------- *)
 
 let caching_run metrics trace policies rules paths capacity seed epochs packets
-    alpha drift probes hw_frac journal resume =
+    alpha drift probes hw_frac =
   with_family
     {
       Workload.default with
@@ -688,44 +708,24 @@ let caching_run metrics trace policies rules paths capacity seed epochs packets
       hw_frac;
     }
   in
-  let finish t =
-    let reps = Traffic.Controller.reports t in
-    List.iter (fun r -> print_endline (Traffic.Controller.line r)) reps;
-    let hits, misses, dhits =
-      List.fold_left
-        (fun (h, m, d) (r : Traffic.Controller.epoch_report) ->
-          ( h + r.Traffic.Controller.e_hits,
-            m + r.Traffic.Controller.e_misses,
-            d + r.Traffic.Controller.e_dhits ))
-        (0, 0, 0) reps
-    in
-    let total = hits + misses in
-    Printf.printf "epochs=%d hit-rate=%.4f delegated-hits=%d violations=%d\n"
-      (List.length reps)
-      (if total = 0 then 1.0 else float_of_int hits /. float_of_int total)
-      dhits
-      (Traffic.Controller.violations t);
-    if Traffic.Controller.violations t = 0 then 0 else exit_violations
+  let t = Traffic.Controller.create cfg in
+  let reps = Traffic.Controller.run t in
+  List.iter (fun r -> print_endline (Traffic.Controller.line r)) reps;
+  let hits, misses, dhits =
+    List.fold_left
+      (fun (h, m, d) (r : Traffic.Controller.epoch_report) ->
+        ( h + r.Traffic.Controller.e_hits,
+          m + r.Traffic.Controller.e_misses,
+          d + r.Traffic.Controller.e_dhits ))
+      (0, 0, 0) reps
   in
-  match (resume, journal) with
-  | true, None ->
-    Printf.eprintf "sdnplace: --resume requires --journal DIR\n%!";
-    exit_internal
-  | true, Some dir -> (
-    let store = Journal.Store.file ~dir in
-    match Traffic.Controller.resume ~store cfg with
-    | Error msg ->
-      Printf.eprintf "sdnplace: cannot resume from %s: %s\n%!" dir msg;
-      exit_internal
-    | Ok t ->
-      Printf.printf "resumed at epoch %d\n" (Traffic.Controller.epoch t);
-      ignore (Traffic.Controller.run t);
-      finish t)
-  | false, _ ->
-    let store = Option.map (fun dir -> Journal.Store.file ~dir) journal in
-    let t = Traffic.Controller.create ?store cfg in
-    ignore (Traffic.Controller.run t);
-    finish t
+  let total = hits + misses in
+  Printf.printf "epochs=%d hit-rate=%.4f delegated-hits=%d violations=%d\n"
+    (List.length reps)
+    (if total = 0 then 1.0 else float_of_int hits /. float_of_int total)
+    dhits
+    (Traffic.Controller.violations t);
+  if Traffic.Controller.violations t = 0 then 0 else exit_violations
 
 let caching_cmd =
   let policies =
@@ -772,11 +772,7 @@ let caching_cmd =
   in
   let drift =
     Arg.(
-      value
-      & opt
-          (float_conv ~expect:"a number in [0,1]" (fun x ->
-               x >= 0.0 && x <= 1.0))
-          0.125
+      value & opt unit_interval 0.125
       & info [ "drift" ] ~docv:"D"
           ~doc:
             "Per-epoch popularity drift rate in [0,1]: the expected fraction \
@@ -790,31 +786,12 @@ let caching_cmd =
   let hw_frac =
     Arg.(
       value
-      & opt (float_conv ~expect:"a finite number > 0" (fun x -> x > 0.0)) 0.3
+      & opt positive_float 0.3
       & info [ "hw-frac" ] ~docv:"F"
           ~doc:
             "Hardware TCAM size as a fraction of the mean non-empty \
              full-table size — below 1.0 the larger tables do not fit and \
              their drops are delegated or pinned.")
-  in
-  let journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"DIR"
-          ~doc:
-            "Directory for the crash-safe snapshot: every epoch boundary \
-             is snapshotted, so an interrupted run can be continued with \
-             $(b,--resume).")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Resume a previous $(b,--journal) run from its latest snapshot; \
-             the completed run's epoch reports are byte-identical to an \
-             uninterrupted run with the same flags.")
   in
   Cmd.v
     (Cmd.info "caching" ~exits
@@ -828,8 +805,7 @@ let caching_cmd =
     Term.(
       ret
         (const caching_run $ metrics_arg $ trace_arg $ policies $ rules $ paths
-       $ capacity $ seed $ epochs $ packets $ alpha $ drift $ probes $ hw_frac
-       $ journal $ resume))
+       $ capacity $ seed $ epochs $ packets $ alpha $ drift $ probes $ hw_frac))
 
 (* ---------------- serve ---------------- *)
 

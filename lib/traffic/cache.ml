@@ -334,8 +334,6 @@ let create ~net ~paths ~hw (tables : Netsim.entry list array) =
     c_dhits = 0;
   }
 
-let full_tables t = Array.copy t.full_tables
-
 let stats t = t.stats
 
 (* {2 Accounting} *)
@@ -439,17 +437,3 @@ let check t =
     coverage_violations = !coverage_violations;
     capacity_violations = !capacity_violations;
   }
-
-(* {2 Persistence} *)
-
-type persisted = { p_hits : int; p_misses : int; p_dhits : int }
-
-let capture t =
-  { p_hits = t.c_hits; p_misses = t.c_misses; p_dhits = t.c_dhits }
-
-let restore ~net ~paths ~hw tables p =
-  let t = create ~net ~paths ~hw tables in
-  t.c_hits <- p.p_hits;
-  t.c_misses <- p.p_misses;
-  t.c_dhits <- p.p_dhits;
-  t

@@ -25,8 +25,7 @@
     [overflow] instead of ever trading correctness for space.
 
     Residency is a deterministic function of the full tables, the
-    paths and the capacities, so equal inputs give equal caches and a
-    crash-resumed cache is rebuilt, not read back. *)
+    paths and the capacities, so equal inputs give equal caches. *)
 
 type t
 
@@ -43,8 +42,6 @@ val create :
     force-pinned when no neighbor has room.  [paths] is the flow
     universe (the instance routing).  Raises [Invalid_argument] when
     [hw] length differs from the switch count. *)
-
-val full_tables : t -> Netsim.entry list array
 
 type stats = {
   resident : int;  (** resident entries (all switches) *)
@@ -80,20 +77,3 @@ val hits : t -> int
 val misses : t -> int
 val delegated_hits : t -> int
 (** Hits in which a delegated copy matched. *)
-
-type persisted
-(** The hit, miss and delegated-hit tallies as plain data, for the
-    controller to seal inside its own snapshot. *)
-
-val capture : t -> persisted
-
-val restore :
-  net:Topo.Net.t ->
-  paths:Routing.Path.t list ->
-  hw:int array ->
-  Netsim.entry list array ->
-  persisted ->
-  t
-(** {!create} over the (re-derivable) topology, paths, capacities and
-    full tables the state was captured against, with {!capture}'s
-    tallies. *)

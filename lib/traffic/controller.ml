@@ -63,28 +63,10 @@ let line r =
     r.e_check.Cache.guard_violations r.e_check.Cache.coverage_violations
     r.e_check.Cache.capacity_violations
 
-(* The snapshot: the complete controller state at an epoch boundary.
-   The full tables ride along so [resume] rebuilds the cache without
-   solving again.  It is sealed under [snapshot_magic]
-   ({!Journal.Wal.seal}), so a torn blob or one of another version is
-   refused before [Marshal] reads it (4: the cache state is its three
-   tallies, the residency being rebuilt from the full tables and the
-   run's config, which rides along so that [resume] refuses another). *)
-type snapshot = {
-  s_config : config;  (* the run's config, [epochs] zeroed *)
-  s_epoch : int;
-  s_full : Netsim.entry list array;
-  s_cache : Cache.persisted;
-  s_violations : int;
-  s_reports : epoch_report list;  (* newest first *)
-}
-
-let snapshot_magic = "sdnplace-caching/4\n"
-
 type t = {
   cfg : config;
-  store : Journal.Store.t option;
   cache : Cache.t;
+  check : Cache.check_report;  (* the placed cache's, taken once *)
   paths : Routing.Path.t array;
   field : int -> int -> Ternary.Field.t;  (* flow, probe -> probe field *)
   zs : Zipf.t;
@@ -93,9 +75,7 @@ type t = {
   mutable reports : epoch_report list;  (* newest first *)
 }
 
-let epoch t = t.epoch
 let violations t = t.violations
-let reports t = List.rev t.reports
 
 let validate cfg =
   if cfg.epochs < 0 then invalid_arg "Controller: epochs < 0";
@@ -143,56 +123,11 @@ let probe_field paths (full : Netsim.entry list array) =
     if Array.length tgt = 0 then paths.(f).Routing.Path.flow
     else tgt.((f + k) mod Array.length tgt)
 
-(* The network and routed paths of an instance (the paths are the
-   cache's flow universe). *)
-let routed (inst : Placement.Instance.t) =
-  let paths = Routing.Table.paths inst.Placement.Instance.routing in
-  if paths = [] then invalid_arg "Controller: no routed paths";
-  (inst.Placement.Instance.net, paths)
-
-let make ?store cfg ~cache ~paths ~epoch ~violations ~reports =
-  let paths = Array.of_list paths in
-  let zcfg =
-    {
-      Zipf.flows = Array.length paths;
-      packets = cfg.packets;
-      alpha = cfg.alpha;
-      drift = cfg.drift;
-      seed = cfg.family.Workload.seed;
-    }
-  in
-  {
-    cfg;
-    store;
-    cache;
-    paths;
-    field = probe_field paths (Cache.full_tables cache);
-    zs = Zipf.at zcfg epoch;
-    epoch;
-    violations;
-    reports;
-  }
-
-let persist t =
-  Option.iter
-    (fun (store : Journal.Store.t) ->
-      let s =
-        {
-          s_config = { t.cfg with epochs = 0 };
-          s_epoch = t.epoch;
-          s_full = Cache.full_tables t.cache;
-          s_cache = Cache.capture t.cache;
-          s_violations = t.violations;
-          s_reports = t.reports;
-        }
-      in
-      store.Journal.Store.snap_write (Journal.Wal.seal ~magic:snapshot_magic s))
-    t.store
-
-let create ?store cfg =
+let create cfg =
   validate cfg;
   let inst = Workload.build cfg.family in
-  let net, paths = routed inst in
+  let paths = Routing.Table.paths inst.Placement.Instance.routing in
+  if paths = [] then invalid_arg "Controller: no routed paths";
   let sol =
     match (Placement.Solve.run inst).Placement.Solve.solution with
     | Some s -> s
@@ -200,11 +135,29 @@ let create ?store cfg =
   in
   let full = (Placement.Tables.of_solution sol).Placement.Tables.tables in
   let cache =
-    Cache.create ~net ~paths ~hw:(hw_of_frac full cfg.hw_frac) full
+    Cache.create ~net:inst.Placement.Instance.net ~paths
+      ~hw:(hw_of_frac full cfg.hw_frac) full
   in
-  let t = make ?store cfg ~cache ~paths ~epoch:0 ~violations:0 ~reports:[] in
-  persist t;
-  t
+  let paths = Array.of_list paths in
+  {
+    cfg;
+    cache;
+    check = Cache.check cache;
+    paths;
+    field = probe_field paths full;
+    zs =
+      Zipf.create
+        {
+          Zipf.flows = Array.length paths;
+          packets = cfg.packets;
+          alpha = cfg.alpha;
+          drift = cfg.drift;
+          seed = cfg.family.Workload.seed;
+        };
+    epoch = 0;
+    violations = 0;
+    reports = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The epoch pipeline                                                  *)
@@ -239,47 +192,15 @@ let run_epoch t =
       e_dhits = Cache.delegated_hits t.cache - d0;
       e_violations = t.violations - v0;
       e_stats = Cache.stats t.cache;
-      e_check = Cache.check t.cache;
+      e_check = t.check;
     }
   in
   t.reports <- er :: t.reports;
   t.epoch <- i + 1;
-  Telemetry.Metrics.incr m_epochs;
-  persist t;
-  er
-
-let step t =
-  if t.epoch >= t.cfg.epochs then None
-  else Some (Telemetry.Trace.with_span "traffic.epoch" (fun () -> run_epoch t))
+  Telemetry.Metrics.incr m_epochs
 
 let run t =
-  let rec go () = match step t with None -> reports t | Some _ -> go () in
-  go ()
-
-(* ------------------------------------------------------------------ *)
-(* Crash-resume                                                        *)
-
-let read_snapshot (store : Journal.Store.t) =
-  match store.Journal.Store.snap_read () with
-  | None -> Error "no snapshot"
-  | Some blob ->
-    (Journal.Wal.unseal ~magic:snapshot_magic blob : (snapshot, string) result)
-
-let resume ~store cfg =
-  match read_snapshot store with
-  | Error _ as e -> e
-  | Ok s -> (
-    match
-      validate cfg;
-      if { cfg with epochs = 0 } <> s.s_config then
-        invalid_arg "snapshot does not match the config";
-      let net, paths = routed (Workload.build cfg.family) in
-      let cache =
-        Cache.restore ~net ~paths ~hw:(hw_of_frac s.s_full cfg.hw_frac)
-          s.s_full s.s_cache
-      in
-      make ~store cfg ~cache ~paths ~epoch:s.s_epoch ~violations:s.s_violations
-        ~reports:s.s_reports
-    with
-    | t -> Ok t
-    | exception (Invalid_argument msg | Failure msg) -> Error msg)
+  while t.epoch < t.cfg.epochs do
+    Telemetry.Trace.with_span "traffic.epoch" (fun () -> run_epoch t)
+  done;
+  List.rev t.reports

@@ -8,19 +8,13 @@
     through {e both} the full and the cached tables (differential
     correctness check + hit accounting); emit one deterministic report
     line.  Neither the placement nor the cache changes between epochs;
-    only the traffic drifts.
+    only the traffic drifts, so the cache's structural {!Cache.check}
+    runs once, at {!create}, and every report carries its result.
 
-    Determinism and durability:
-    - equal configs give byte-identical {!line} sequences (all
-      randomness flows from the family seed's named substreams; report
-      lines carry no wall-clock fields);
-    - with a store, every epoch boundary (and the placement before
-      epoch 0) writes the complete controller state through
-      [snap_write], one blob sealed under a versioned magic
-      ({!Journal.Wal.seal}).
-      A crash anywhere in an epoch loses only that epoch's work: {!resume}
-      restarts from the last boundary and re-runs it to the same report
-      line. *)
+    Determinism: equal configs give byte-identical {!line} sequences
+    (all randomness flows from the family seed's named substreams;
+    report lines carry no wall-clock fields), so a run is reproduced by
+    running its config again. *)
 
 type config = {
   family : Workload.family;  (** instance recipe (topology/routing/policies) *)
@@ -69,33 +63,14 @@ val line : epoch_report -> string
 
 type t
 
-val create : ?store:Journal.Store.t -> config -> t
-(** Build the instance, solve the placement, place the cache and, with
-    a [store], write the epoch-0 snapshot.  Without a store nothing is
-    persisted.  Raises [Invalid_argument] when the solve fails or the
-    config is malformed. *)
-
-val resume : store:Journal.Store.t -> config -> (t, string) result
-(** Re-enter a crashed run at its last snapshotted epoch boundary.
-    [config] must equal the original apart from [epochs]; the snapshot
-    carries it and the full tables, so nothing is solved again.
-    Further epochs keep writing to [store].  [Error] on a missing,
-    corrupt or unknown-version snapshot, or one taken under another
-    config; never raises. *)
-
-val step : t -> epoch_report option
-(** Run the next epoch ([None] when [epochs] are done).  Spans
-    ["traffic.epoch"] when tracing is enabled. *)
+val create : config -> t
+(** Build the instance, solve the placement, place the cache and check
+    it.  Raises [Invalid_argument] when the solve fails or the config is
+    malformed. *)
 
 val run : t -> epoch_report list
-(** {!step} to completion; returns {e all} epoch reports in order,
-    including ones produced before a crash/resume. *)
-
-val reports : t -> epoch_report list
-(** All epoch reports so far, in order. *)
-
-val epoch : t -> int
-(** Next epoch index to run. *)
+(** Run the remaining epochs, each spanned ["traffic.epoch"] when
+    tracing is enabled; returns {e all} epoch reports in order. *)
 
 val violations : t -> int
 (** Total differential violations observed (gate: zero). *)

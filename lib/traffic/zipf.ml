@@ -84,7 +84,7 @@ let next t =
   advance_perm t;
   e
 
-let at cfg i =
+let epoch cfg i =
   let t = create cfg in
   (* Epoch i's permutation depends only on the i * swaps drift draws
      before it, so skipping is a pure permutation replay. *)
@@ -92,9 +92,7 @@ let at cfg i =
     advance_perm t
   done;
   t.index <- i;
-  t
-
-let epoch cfg i = next (at cfg i)
+  next t
 
 (* The probe stream is independent of the drift stream and of the
    workload's routing/policy streams, and a pure function of (seed,

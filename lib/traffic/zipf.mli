@@ -46,10 +46,6 @@ val config : t -> config
 val next : t -> epoch
 (** Emit the next epoch and advance. *)
 
-val at : config -> int -> t
-(** A stream positioned to emit epoch [i] next — how a crash-resumed
-    controller re-enters the sequence it was cut from. *)
-
 val epoch : config -> int -> epoch
 (** Stateless: regenerate epoch [i] from scratch (O(i) advance). *)
 

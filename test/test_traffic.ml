@@ -1,6 +1,5 @@
 (* Traffic-driven caching: Zipf drift properties, cache correctness
-   and hit accounting under delegation, controller determinism and
-   crash-resume. *)
+   and hit accounting under delegation, and controller determinism. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -74,16 +73,7 @@ let test_zipf_at () =
       Alcotest.(check int) "index" e.Traffic.Zipf.index r.Traffic.Zipf.index;
       Alcotest.(check bool) "counts" true
         (e.Traffic.Zipf.counts = r.Traffic.Zipf.counts))
-    all;
-  (* a stream re-entered at i continues like the original *)
-  let t = Traffic.Zipf.at cfg 5 in
-  (* bind sequentially: a list literal evaluates right-to-left *)
-  let e5 = Traffic.Zipf.next t in
-  let e6 = Traffic.Zipf.next t in
-  let e7 = Traffic.Zipf.next t in
-  let tail = [ e5; e6; e7 ] in
-  epochs_equal tail (List.filteri (fun i _ -> i >= 5) all)
-  |> Alcotest.(check bool) "resumed tail" true
+    all
 
 (* ------------------------------------------------------------------ *)
 (* Controller: correctness, determinism, hit accounting                 *)
@@ -111,8 +101,6 @@ let small =
     hw_frac = 0.3;
   }
 
-let lines t = List.map Traffic.Controller.line (Traffic.Controller.reports t)
-
 let test_controller_clean_run () =
   let t = Traffic.Controller.create small in
   let reps = Traffic.Controller.run t in
@@ -130,11 +118,11 @@ let test_controller_clean_run () =
     reps
 
 let test_controller_deterministic () =
-  let a = Traffic.Controller.create small in
-  let b = Traffic.Controller.create small in
-  ignore (Traffic.Controller.run a);
-  ignore (Traffic.Controller.run b);
-  Alcotest.(check (list string)) "equal-seed report lines" (lines a) (lines b)
+  let lines () =
+    List.map Traffic.Controller.line
+      (Traffic.Controller.run (Traffic.Controller.create small))
+  in
+  Alcotest.(check (list string)) "equal-seed report lines" (lines ()) (lines ())
 
 let hit_rate reps =
   let h, m =
@@ -231,98 +219,79 @@ let test_hw_frac_sets_capacity () =
     (hw 0.3 > 1 && hw 0.6 > hw 0.3)
 
 (* ------------------------------------------------------------------ *)
-(* Crash-resume                                                        *)
+(* Hit accounting over hand-built tables                               *)
 
-let test_resume_at_boundary () =
-  let reference = Traffic.Controller.create small in
-  ignore (Traffic.Controller.run reference);
-  let store, _mem = Journal.Store.memory () in
-  let t = Traffic.Controller.create ~store small in
-  ignore (Traffic.Controller.step t);
-  ignore (Traffic.Controller.step t);
-  (* abandon [t] — the store is the only survivor *)
-  match Traffic.Controller.resume ~store small with
-  | Error e -> Alcotest.fail e
-  | Ok resumed ->
-    Alcotest.(check int) "resumes at epoch 2" 2
-      (Traffic.Controller.epoch resumed);
-    ignore (Traffic.Controller.run resumed);
-    Alcotest.(check (list string)) "byte-identical report lines"
-      (lines reference) (lines resumed)
-
-exception Killed
-
-(* [inner] with its [nth] snapshot write raising [Killed], before the
-   write reaches [inner] or after it. *)
-let killing_store (inner : Journal.Store.t) ~nth ~after =
-  let writes = ref 0 in
+let entry action priority dst =
   {
-    inner with
-    Journal.Store.snap_write =
-      (fun blob ->
-        incr writes;
-        if !writes = nth && not after then raise Killed;
-        inner.Journal.Store.snap_write blob;
-        if !writes = nth && after then raise Killed);
+    Netsim.tags = [ 0 ];
+    rule = Acl.Rule.make ~field:(Util.field ~dst ()) ~action ~priority;
   }
 
-let test_resume_mid_epoch () =
-  let reference = Traffic.Controller.create small in
-  ignore (Traffic.Controller.run reference);
-  (* Write 1 is the placement, write k + 1 closes epoch k.  Every round
-     must crash: a kill before the write loses the epoch it closes, one
-     after it loses nothing. *)
-  List.iter
-    (fun (nth, after) ->
-      let name =
-        Printf.sprintf "kill at write %d (%s)" nth
-          (if after then "after" else "before")
-      in
-      let inner, _mem = Journal.Store.memory () in
-      let crashed =
-        match
-          Traffic.Controller.run
-            (Traffic.Controller.create ~store:(killing_store inner ~nth ~after)
-               small)
-        with
-        | _ -> false
-        | exception Killed -> true
-      in
-      Alcotest.(check bool) (name ^ " crashed") true crashed;
-      match Traffic.Controller.resume ~store:inner small with
-      | Error e -> Alcotest.failf "%s: %s" name e
-      | Ok resumed ->
-        Alcotest.(check int) (name ^ " resumes at")
-          (if after then nth - 1 else nth - 2)
-          (Traffic.Controller.epoch resumed);
-        ignore (Traffic.Controller.run resumed);
-        Alcotest.(check (list string)) (name ^ " converges") (lines reference)
-          (lines resumed))
-    [ (2, false); (2, true); (5, false); (8, true); (11, false); (11, true) ]
+let packet_to dst = Ternary.Packet.make ~src:0 ~dst ~sport:0 ~dport:0 ~proto:6
 
-let test_resume_refuses_bad_snapshot () =
-  let store, mem = Journal.Store.memory () in
-  ignore (Traffic.Controller.create ~store small);
-  let good = Option.get (Journal.Store.snapshot_of mem) in
-  List.iter
-    (fun (name, blob) ->
-      Journal.Store.set_snapshot mem blob;
-      match Traffic.Controller.resume ~store small with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "%s snapshot accepted" name)
-    [
-      ("missing", None);
-      ("garbage", Some "not a snapshot at all");
-      ("truncated", Some (String.sub good 0 (String.length good - 1)));
-      ("unknown-version", Some (Journal.Wal.frame "sdnplace-caching/0\n"));
-    ];
-  Journal.Store.set_snapshot mem (Some good);
-  (* the cache is rebuilt from the config: another one must not resume *)
-  Alcotest.(check bool) "another hw fraction is refused" true
-    (Result.is_error
-       (Traffic.Controller.resume ~store { small with hw_frac = 0.5 }));
-  Alcotest.(check bool) "the intact snapshot resumes" true
-    (Result.is_ok (Traffic.Controller.resume ~store small))
+(* 10.0.x.5 *)
+let host x = (10 lsl 24) lor (x lsl 8) lor 5
+
+(* One switch of one hardware slot holding two disjoint drops: neither
+   can be delegated (the switch has no neighbor), so both are pinned and
+   the lower-priority one sits at cached index 1, exactly [hw].  A
+   switch's TCAM holds its first [hw] entries, so a packet whose only
+   match is that entry is a miss, and one matching the entry at index 0
+   is a hit. *)
+let test_match_at_hw_is_miss () =
+  let path = Routing.Path.make ~ingress:0 ~egress:1 ~switches:[ 0 ] () in
+  let cache =
+    Traffic.Cache.create
+      ~net:(Topo.Builder.linear ~switches:1 ~hosts_per_end:1)
+      ~paths:[ path ] ~hw:[| 1 |]
+      [|
+        [
+          entry Acl.Rule.Drop 2 "10.0.1.0/24";
+          entry Acl.Rule.Drop 1 "10.0.2.0/24";
+        ];
+      |]
+  in
+  Alcotest.(check int) "one slot over hardware" 1
+    (Traffic.Cache.stats cache).Traffic.Cache.overflow;
+  let w = Traffic.Cache.account cache ~path ~weight:1 (packet_to (host 2)) in
+  Alcotest.(check bool) "dropped by the entry at index hw" true
+    (w.Traffic.Cache.w_cached = Netsim.Dropped 0);
+  Alcotest.(check (pair int int)) "a match at index hw is a miss" (0, 1)
+    (Traffic.Cache.hits cache, Traffic.Cache.misses cache);
+  ignore (Traffic.Cache.account cache ~path ~weight:1 (packet_to (host 1)));
+  Alcotest.(check (pair int int)) "a match at index 0 is a hit" (1, 1)
+    (Traffic.Cache.hits cache, Traffic.Cache.misses cache)
+
+(* A hit needs every entry the packet matches along its path in
+   hardware, not just one.  Switch 0 holds a drop and its permit guard
+   in its two slots; switch 1 has one slot and two drops, both pinned
+   (switch 0 has no room to take a delegate).  A packet the guard lets
+   through on switch 0 and whose only match on switch 1 sits past its
+   slot is a miss. *)
+let test_any_match_past_hw_is_miss () =
+  let path = Routing.Path.make ~ingress:0 ~egress:1 ~switches:[ 0; 1 ] () in
+  let cache =
+    Traffic.Cache.create
+      ~net:(Topo.Builder.linear ~switches:2 ~hosts_per_end:1)
+      ~paths:[ path ] ~hw:[| 2; 1 |]
+      [|
+        [
+          entry Acl.Rule.Permit 4 "10.0.0.0/16";
+          entry Acl.Rule.Drop 3 "10.0.1.0/24";
+        ];
+        [
+          entry Acl.Rule.Drop 2 "10.0.3.0/24";
+          entry Acl.Rule.Drop 1 "10.0.2.0/24";
+        ];
+      |]
+  in
+  Alcotest.(check int) "one slot over hardware" 1
+    (Traffic.Cache.stats cache).Traffic.Cache.overflow;
+  let w = Traffic.Cache.account cache ~path ~weight:1 (packet_to (host 2)) in
+  Alcotest.(check bool) "permitted on switch 0, dropped on switch 1" true
+    (w.Traffic.Cache.w_cached = Netsim.Dropped 1);
+  Alcotest.(check (pair int int)) "one match past hw makes a miss" (0, 1)
+    (Traffic.Cache.hits cache, Traffic.Cache.misses cache)
 
 let suite =
   [
@@ -339,9 +308,8 @@ let suite =
       test_delegated_hits_are_hits;
     Alcotest.test_case "hw fraction sets the TCAM capacity" `Quick
       test_hw_frac_sets_capacity;
-    Alcotest.test_case "crash-resume at epoch boundary" `Quick
-      test_resume_at_boundary;
-    Alcotest.test_case "crash-resume mid-epoch" `Quick test_resume_mid_epoch;
-    Alcotest.test_case "resume refuses a bad snapshot" `Quick
-      test_resume_refuses_bad_snapshot;
+    Alcotest.test_case "a match at index hw is a miss" `Quick
+      test_match_at_hw_is_miss;
+    Alcotest.test_case "one match past hw on the path is a miss" `Quick
+      test_any_match_past_hw_is_miss;
   ]
