@@ -191,8 +191,6 @@ let iter_rows t f =
     i := !i + if sense = Eq then 2 else 1
   done
 
-let num_rows t = t.num_rows
-
 let pp_stats fmt t =
   Format.fprintf fmt "%d binary vars, %d constraints" t.num_vars t.num_rows
 

@@ -101,9 +101,6 @@ val iter_rows : t -> (sense -> int -> float -> unit) -> unit
     row [i] as added: each stored coefficient and the rhs times [s]
     ([-1.0] for a [Ge] row, else [1.0]; exact) are the row's own. *)
 
-val num_rows : t -> int
-(** Model rows, as added (an [Eq] row counts once). *)
-
 val pp_stats : Format.formatter -> t -> unit
 
 val lp_relaxation : t -> Simplex.problem

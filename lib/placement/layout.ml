@@ -85,17 +85,44 @@ let find_sorted a x =
 (* The variable of slot [s] at switch position [j] of [b]. *)
 let var_in b s j = b.base + (s * Array.length b.switches) + j
 
-(* Paths as sorted switch positions, compared as int arrays. *)
-module Switch_set = Hashtbl.Make (struct
-  type t = int array
+(* Paths group by their switch positions as a multiset: the same
+   positions with the same counts, in any order.  A group is keyed by
+   [path_hash], a sum over its positions and so blind to their order,
+   and a table hit is confirmed by counting positions ([same_multiset]),
+   so two groups whose hashes collide stay apart. *)
+module Hash_tbl = Hashtbl.Make (struct
+  type t = int
 
-  let equal (a : t) (b : t) =
-    let n = Array.length a in
-    let rec same x = x >= n || (a.(x) = b.(x) && same (x + 1)) in
-    n = Array.length b && same 0
-
-  let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 17 a
+  let equal = Int.equal
+  let hash h = h land max_int
 end)
+
+let path_hash js =
+  let h = ref 0 in
+  for x = 0 to Array.length js - 1 do
+    let m = (js.(x) + 1) * 0x9E3779B97F4A7C1 in
+    h := !h + (m lxor (m lsr 29))
+  done;
+  !h
+
+(* Whether [a] and [b] hold the same positions with the same counts,
+   by [count], indexed by position, all zero before and after. *)
+let same_multiset count a b =
+  let n = Array.length a in
+  if n <> Array.length b then false
+  else begin
+    for x = 0 to n - 1 do
+      count.(a.(x)) <- count.(a.(x)) + 1;
+      count.(b.(x)) <- count.(b.(x)) - 1
+    done;
+    let same = ref true in
+    for x = 0 to n - 1 do
+      if count.(a.(x)) <> 0 then same := false;
+      count.(a.(x)) <- 0;
+      count.(b.(x)) <- 0
+    done;
+    !same
+  end
 
 let block_at blocks ingress =
   if ingress < 0 || ingress >= Array.length blocks then no_block
@@ -315,7 +342,7 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
     incr n_pairs
   in
   let cover_rows = ref 0 and cover_terms = ref 0 in
-  let group = Switch_set.create 64 in
+  let group = Hash_tbl.create 64 and count = Array.make n_switches 0 in
   List.iter
     (fun pi ->
       let k0 =
@@ -348,57 +375,81 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
                   done)
                 (Depgraph.dependencies pi.dep w))
             pi.placed_drops;
-          (* One row per (drop, path switch set); Section IV-C slices the
-             drops a path must carry to those its flow can meet.  Paths
-             with equal switch sets share a group.  The walk runs over
-             paths and drops backwards, the order of the rows, and keeps
-             the first row of each (drop, group): the pair of the path
-             that meets it first and the drop's slot. *)
+          (* One row per (drop, path switch multiset); Section IV-C
+             slices the drops a path must carry to those its flow can
+             meet.  Paths with equal multisets share a group.  The walk
+             runs over paths and drops backwards, the order of the rows,
+             and keeps the first row of each (drop, group): the pair of
+             the path that meets it first and the drop's slot.
+             Unsliced, every drop meets every path, so a group's first
+             path owns all its rows. *)
           Array.iteri (fun j k -> pos.(k) <- j) b.switches;
-          Switch_set.clear group;
+          Hash_tbl.clear group;
           let drops = Array.of_list (List.rev pi.coverage_drops) in
           let n_drops = Array.length drops in
           let drop_slots =
             Array.map (fun (w : Acl.Rule.t) -> slot_of b w.priority) drops
           in
-          let seen = Bytes.make (List.length pi.paths * n_drops) '\000' in
+          let walk = Array.of_list pi.paths in
+          let n_walk = Array.length walk in
+          (* [firsts.(g)] is the positions of group [g]'s first path;
+             [find js gs] is the group of [gs] whose first path has
+             [js]'s multiset, or -1. *)
+          let firsts = Array.make n_walk [||] in
+          let rec find js = function
+            | [] -> -1
+            | g :: gs ->
+              if same_multiset count firsts.(g) js then g else find js gs
+          in
+          let seen =
+            if sliced then Bytes.make (n_walk * n_drops) '\000'
+            else Bytes.empty
+          in
           let paths = ref [] and n_paths = ref 0 in
           n_pairs := 0;
-          List.iter
-            (fun (p : Routing.Path.t) ->
-              let js = Array.map (fun k -> pos.(k)) p.Routing.Path.switches in
-              let set = Array.copy js in
-              Array.sort Int.compare set;
-              let g =
-                match Switch_set.find_opt group set with
-                | Some g -> g
-                | None ->
-                  let g = Switch_set.length group in
-                  Switch_set.add group set g;
-                  g
+          for x = n_walk - 1 downto 0 do
+            let p = walk.(x) in
+            let switches = p.Routing.Path.switches in
+            let js = Array.make (Array.length switches) 0 in
+            for d = 0 to Array.length switches - 1 do
+              js.(d) <- pos.(switches.(d))
+            done;
+            let h = path_hash js in
+            let g = find js (Hash_tbl.find_all group h) in
+            let fresh = g < 0 in
+            let g =
+              if fresh then begin
+                let g = Hash_tbl.length group in
+                firsts.(g) <- js;
+                Hash_tbl.add group h g;
+                g
+              end
+              else g
+            in
+            let owner = ref (-1) in
+            for d = 0 to n_drops - 1 do
+              let cell = (g * n_drops) + d in
+              let owns =
+                if sliced then
+                  Bytes.get seen cell = '\000'
+                  && Ternary.Field.overlaps drops.(d).Acl.Rule.field
+                       p.Routing.Path.flow
+                else fresh
               in
-              let owner = ref (-1) in
-              Array.iteri
-                (fun d (w : Acl.Rule.t) ->
-                  let cell = (g * n_drops) + d in
-                  if
-                    Bytes.get seen cell = '\000'
-                    && ((not sliced)
-                       || Ternary.Field.overlaps w.field p.Routing.Path.flow)
-                  then begin
-                    Bytes.set seen cell '\001';
-                    if !owner < 0 then begin
-                      owner := !n_paths;
-                      paths := js :: !paths;
-                      incr n_paths
-                    end;
-                    push !owner;
-                    push drop_slots.(d);
-                    incr cover_rows;
-                    cover_terms := !cover_terms + Array.length js
-                  end)
-                drops)
-            (List.rev pi.paths);
+              if owns then begin
+                if sliced then Bytes.set seen cell '\001';
+                if !owner < 0 then begin
+                  owner := !n_paths;
+                  paths := js :: !paths;
+                  incr n_paths
+                end;
+                push !owner;
+                push drop_slots.(d);
+                incr cover_rows;
+                cover_terms := !cover_terms + Array.length js
+              end
+            done
+          done;
           Array.iter (fun k -> pos.(k) <- -1) b.switches;
           let b =
             {

@@ -131,9 +131,11 @@ val iter_covers : t -> (int -> int array -> unit) -> unit
 (** [iter_covers t f] calls [f off js] on each cover row, in the order
     the encoders write them.  The row's variables are [off + js.(0)],
     [off + js.(1)], ... and each needs >= 1 of them set: Eq. 2 / 7, one
-    row per (coverage drop, distinct path switch set) of a free policy,
-    so no two rows are equal as sets.  Sliced, a drop gets a set's row
-    when its field meets the flow of some path with that switch set.
+    row per (coverage drop, distinct path switch multiset) of a free
+    policy.  Two paths have equal multisets when they hold the same
+    switches with the same counts, in any order.  Sliced, a drop gets a
+    multiset's row when its field meets the flow of some path with that
+    multiset.
 
     A free policy keeps its rows as (path, drop slot) pairs, and each
     path that owns a row as the positions [js] of its switches in
@@ -141,9 +143,9 @@ val iter_covers : t -> (int -> int array -> unit) -> unit
     slot.  So a row is written out only when it is read, and [js] is
     shared by the drops of one path: [f] must not modify it.  Policies
     come last first; within a policy the paths and drops run
-    backwards, and a (drop, switch set) row comes from the first path
-    of that walk that meets the drop, so rows of different sets can
-    interleave. *)
+    backwards, and a (drop, multiset) row comes from the first path
+    of that walk that meets the drop, so rows of different multisets
+    can interleave. *)
 
 val pinned_rules : t -> int
 (** The rules the pinned policies hold: the entries every assignment

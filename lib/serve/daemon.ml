@@ -178,8 +178,6 @@ let resolved t ~tenant ~ticket = Shard.resolved (shard_of t tenant) ~ticket
 
 let shed t = Atomic.get t.shed_count
 
-let draining t = t.draining
-
 let known_tenants t =
   List.sort_uniq compare
     (Array.to_list t.shards |> List.concat_map Shard.tenants)

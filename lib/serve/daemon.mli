@@ -152,8 +152,6 @@ val resolved : t -> tenant:int -> ticket:int -> bool
 val shed : t -> int
 (** Overload rejections issued so far (all of them typed). *)
 
-val draining : t -> bool
-
 val stats_reply : t -> Wire.reply
 (** Untearable: each counter is a single {!Atomic} read; counters only
     move between rounds on the control domain, so the reply is a

@@ -66,8 +66,6 @@ let set_label_cap ?registry cap =
   r.label_cap <- cap;
   Mutex.unlock r.lock
 
-let label_cap ?registry () = (reg registry).label_cap
-
 let overflow_value = "_overflow"
 
 type counter = { c_on : bool Atomic.t; c : int Atomic.t }

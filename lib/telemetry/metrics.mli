@@ -37,8 +37,6 @@ val set_label_cap : ?registry:registry -> int option -> unit
     an already-present label set are unaffected.  [None] (the default)
     removes the bound.  Raises [Invalid_argument] on a cap < 1. *)
 
-val label_cap : ?registry:registry -> unit -> int option
-
 val overflow_value : string
 (** The label value every overflow-series label carries: ["_overflow"]. *)
 

@@ -717,6 +717,53 @@ let interleaved_instance () =
   Instance.make ~net ~routing ~policies:[ (0, policy) ]
     ~capacities:(Instance.uniform_capacity net 5)
 
+(* Paths of ingress 0 whose switch positions a weak grouping would
+   merge.  [S_i] is switches 0-3, so a position is its switch.  Walked
+   backwards: path 4 [3; 0] opens a group that path 0 [0; 3] joins
+   (same switches, other order); path 3 [0; 1; 1] and path 2 [0; 0; 1]
+   hold the same set but not the same multiset; path 1 [1; 2] and path
+   0 [0; 3] have equal position sums.  Sliced, the flows of paths 2 and
+   3 meet the drop of priority 1 and the others that of priority 2, so
+   each pair that must stay apart meets the same drop. *)
+let multiset_instance () =
+  let net = Topo.Builder.figure3 () in
+  let dst s = Ternary.Field.make ~dst:(Ternary.Prefix.of_string s) () in
+  let path flow switches =
+    Routing.Path.make ~flow:(dst flow) ~ingress:0 ~egress:1 ~switches ()
+  in
+  let routing =
+    Routing.Table.of_paths
+      [
+        path "10.0.1.0/24" [ 0; 3 ];
+        path "10.0.1.0/24" [ 1; 2 ];
+        path "10.0.2.0/24" [ 0; 0; 1 ];
+        path "10.0.2.0/24" [ 0; 1; 1 ];
+        path "10.0.1.0/24" [ 3; 0 ];
+      ]
+  in
+  let policy =
+    Acl.Policy.of_fields
+      [
+        (Util.field ~dst:"10.0.1.0/24" (), Acl.Rule.Drop);
+        (Util.field ~dst:"10.0.2.0/24" (), Acl.Rule.Drop);
+      ]
+  in
+  Instance.make ~net ~routing ~policies:[ (0, policy) ]
+    ~capacities:(Instance.uniform_capacity net 5)
+
+(* The variable of [priority] at [switch] in ingress 0's block. *)
+let var0 inst priority switch =
+  Option.get (Layout.var (Layout.build inst) ~ingress:0 ~priority ~switch)
+
+(* Each case [(name, sliced, want)]: [inst]'s cover rows are the list
+   reference's and [want]. *)
+let check_hand_built inst =
+  List.iter (fun (name, sliced, want) ->
+      let layout = Layout.build ~sliced inst in
+      Alcotest.(check (list (list int)))
+        (name ^ ": reference") (reference_covers layout) (covers layout);
+      Alcotest.(check (list (list int))) name want (covers layout))
+
 let test_covers_match_reference () =
   let layouts = differential_layouts () in
   List.iter
@@ -739,15 +786,8 @@ let test_covers_match_reference () =
          l.Layout.forbidden <> [] && l.Layout.merge_defs <> [])
        layouts);
   let inst = interleaved_instance () in
-  let v priority switch =
-    Option.get (Layout.var (Layout.build inst) ~ingress:0 ~priority ~switch)
-  in
-  List.iter
-    (fun (name, sliced, want) ->
-      let layout = Layout.build ~sliced inst in
-      Alcotest.(check (list (list int)))
-        (name ^ ": reference") (reference_covers layout) (covers layout);
-      Alcotest.(check (list (list int))) name want (covers layout))
+  let v = var0 inst in
+  check_hand_built inst
     [
       (* The drops have priorities 3, 2 and 1 and run backwards.
          Unsliced, path 2's order [2; 1; 0] serves its switch set. *)
@@ -768,6 +808,28 @@ let test_covers_match_reference () =
           [ v 2 0; v 2 1; v 2 3; v 2 4 ];
           [ v 3 0; v 3 1; v 3 2 ];
         ] );
+    ];
+  let inst = multiset_instance () in
+  let row priority = List.map (var0 inst priority) in
+  check_hand_built inst
+    [
+      (* Four groups, each row of both drops from its first path. *)
+      ( "multisets unsliced",
+        false,
+        [
+          row 1 [ 3; 0 ];
+          row 2 [ 3; 0 ];
+          row 1 [ 0; 1; 1 ];
+          row 2 [ 0; 1; 1 ];
+          row 1 [ 0; 0; 1 ];
+          row 2 [ 0; 0; 1 ];
+          row 1 [ 1; 2 ];
+          row 2 [ 1; 2 ];
+        ] );
+      ( "multisets sliced",
+        true,
+        [ row 2 [ 3; 0 ]; row 1 [ 0; 1; 1 ]; row 1 [ 0; 0; 1 ]; row 2 [ 1; 2 ] ]
+      );
     ]
 
 (* [Encode.feasible] against the list-based check on each layout's

@@ -75,8 +75,16 @@ let test_registration_idempotent () =
 let test_label_cap_bounds_cardinality () =
   let r = Metrics.create_registry () in
   Metrics.enable ~registry:r ();
-  Alcotest.(check bool) "unbounded by default" true
-    (Metrics.label_cap ~registry:r () = None);
+  (* Unbounded by default: every new label set gets its own series. *)
+  let free =
+    List.init 4 (fun t ->
+        Metrics.counter ~registry:r
+          ~labels:[ ("tenant", string_of_int t) ]
+          "t_free_total")
+  in
+  List.iter Metrics.incr free;
+  Alcotest.(check (list int)) "unbounded by default" [ 1; 1; 1; 1 ]
+    (List.map Metrics.counter_value free);
   Metrics.set_label_cap ~registry:r (Some 2);
   let tenant t =
     Metrics.counter ~registry:r ~labels:[ ("tenant", t) ] "t_cap_total"

@@ -21,6 +21,8 @@ a val inside a nested `module B : sig ... end`) is used when
   first-class module (or the val sits in a module type), any .ml names
   it at all.
 
+A record label declared (`f :`) or given a value (`f =`) in braces
+names a field, not a val, and is no use; a punned one (`{ f }`) is.
 Aliases are collected across all files, and a qualifier matches by the
 last component of the module path, so two modules of one name count
 as one.  Comments are stripped first (nested, and lexed the way OCaml
@@ -295,21 +297,39 @@ def denotes(aliases, name):
     return seen
 
 
+def record_label(toks, i, brackets):
+    """Whether the identifier [toks[i]] is a record label that names no
+    value: one declared ([f :]) or given a value ([f =]) directly inside
+    braces, first or after [;], [with] or [mutable].  A punned label
+    ([{ f }]) names a value of its name and is not one."""
+    if not brackets or brackets[-1] != "{" or i + 1 == len(toks):
+        return False
+    return (toks[i - 1] in (("open", "{"), ("op", ";"), ("kw", "with"), ("kw", "mutable"))
+            and toks[i + 1] in (("op", "="), ("op", ":")))
+
+
 def scan_uses(src):
     """Qualified uses (Counter of (qualifier, name)) and bare uses
-    (Counter of name, punned labels included) of the .ml [src]."""
+    (Counter of name, punned labels included, the labels of record
+    types, literals and patterns not) of the .ml [src]."""
     qualified = Counter()
     bare = Counter()
     toks = tokens(src)
+    brackets = []
     for i, (kind, text) in enumerate(toks):
-        if kind == "label" and not text.endswith(":"):
+        if kind == "open":
+            brackets.append(text)
+        elif kind == "close":
+            if brackets:
+                brackets.pop()
+        elif kind == "label" and not text.endswith(":"):
             bare[text[1:]] += 1
         elif kind != "ident":
             continue
         elif i >= 2 and toks[i - 1] == ("op", ".") and toks[i - 2][0] == "ident":
             if toks[i - 2][1][:1].isupper():
                 qualified[(toks[i - 2][1], text)] += 1
-        elif i == 0 or toks[i - 1] != ("op", "."):
+        elif (i == 0 or toks[i - 1] != ("op", ".")) and not record_label(toks, i, brackets):
             bare[text] += 1
     return qualified, bare
 
@@ -734,7 +754,10 @@ def self_check():
     # [Own.lonely] has nothing but its binding, [Opened.closed] is used
     # bare only where [Opened] is not open, [Store.flush] only as
     # [Batched.flush], and [Clock.reset] shares its name with the
-    # called [Metrics.reset].
+    # called [Metrics.reset].  [Cache.full_tables] shares its name with
+    # a field of [Cache]'s record, which its own .ml declares, builds,
+    # copies with [with] and reads, but never calls the val; [Pun.size]
+    # is used by a punned literal [{ size }].
     tree = {
         "lib/a/churn.mli": "val next : int\nval step : int\nval spare : int\n",
         "lib/a/own.mli": "val helper : int -> int\nval lonely : int\n",
@@ -758,11 +781,20 @@ def self_check():
                          "let _ = via_functor + via_include\n",
         "bin/nested.ml": "let _ = A.Store.Batched.append (Batched.flush x)\n"
                          "let () = Metrics.reset ()\n",
+        "lib/a/cache.mli": "type t\nval full_tables : t -> int array\n"
+                           "val make : int array -> t\n",
+        "lib/a/cache.ml": "type t = { full_tables : int array; mutable hw : int }\n"
+                          "let full_tables t = t.full_tables\n"
+                          "let make x = { full_tables = x; hw = 0 }\n"
+                          "let wipe t = { t with full_tables = [||] }\n",
+        "lib/a/pun.mli": "type t = { size : int }\nval size : int\nval make : unit -> t\n",
+        "lib/a/pun.ml": "type t = { size : int }\nlet size = 3\nlet make () = { size }\n",
+        "bin/cached.ml": "let _ = Cache.make [||]\nlet _ = Pun.make ()\n",
     }
     _, dead = dead_vals(strip_all(tree))
     got = sorted(n for _, _, n, _ in dead)
-    want = ["Churn.spare", "Clock.reset", "Opened.closed", "Own.lonely",
-            "Store.flush"]
+    want = ["Cache.full_tables", "Churn.spare", "Clock.reset", "Opened.closed",
+            "Own.lonely", "Store.flush"]
     if got != want:
         sys.exit("dead-code gate: self-check failed, dead vals %s, want %s"
                  % (got, want))
