@@ -53,10 +53,11 @@ let hit_rate reps =
 let delegated reps =
   List.fold_left (fun acc (r : C.epoch_report) -> acc + r.C.e_dhits) 0 reps
 
-let check_violations reps =
+(* Differential and cache-invariant violations over a run. *)
+let violations reps =
   List.fold_left
     (fun acc (r : C.epoch_report) ->
-      acc
+      acc + r.C.e_violations
       + r.C.e_check.Traffic.Cache.guard_violations
       + r.C.e_check.Traffic.Cache.coverage_violations
       + r.C.e_check.Traffic.Cache.capacity_violations)
@@ -80,21 +81,16 @@ let run ~title ~seeds ~smoke ?(json_path = "BENCH_caching.json") () =
       (fun seed ->
         let runs =
           List.map
-            (fun hw_frac ->
-              let t = C.create (config ~smoke ~seed ~hw_frac) in
-              (hw_frac, t, C.run t))
+            (fun hw_frac -> (hw_frac, C.run (config ~smoke ~seed ~hw_frac)))
             fracs
         in
-        let _, _, reps = List.find (fun (f, _, _) -> f = deleg_frac) runs in
+        let reps = List.assoc deleg_frac runs in
         {
           p_seed = seed;
-          p_rates = List.map (fun (_, _, reps) -> hit_rate reps) runs;
+          p_rates = List.map (fun (_, reps) -> hit_rate reps) runs;
           p_delegated = delegated reps;
           p_violations =
-            List.fold_left
-              (fun acc (_, t, reps) ->
-                acc + C.violations t + check_violations reps)
-              0 runs;
+            List.fold_left (fun acc (_, reps) -> acc + violations reps) 0 runs;
         })
       seeds
   in

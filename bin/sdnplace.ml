@@ -106,6 +106,7 @@ let int_conv ~expect ok =
       Format.pp_print_int )
 
 let positive_int = int_conv ~expect:"a positive integer" (fun n -> n >= 1)
+let non_negative_int = int_conv ~expect:"an integer >= 0" (fun n -> n >= 0)
 
 (* Reals likewise: a NaN, an infinity or a value outside [ok] is a usage
    error naming the flag. *)
@@ -517,8 +518,20 @@ let with_rates fail_rate timeout_rate run =
           (fail_rate +. timeout_rate) )
   else `Ok (run ())
 
+(* Where an [events] run starts: [--resume] reads its state from
+   [--journal]; otherwise the run starts from an INSTANCE.  A call that
+   gives neither is a usage error (exit 124), like a bad rate. *)
+let with_source file journal resume run =
+  match (resume, journal, file) with
+  | true, None, _ -> `Error (true, "--resume requires --journal DIR")
+  | true, Some dir, _ -> run (`Resume dir)
+  | false, _, None ->
+    `Error (true, "INSTANCE is required unless --resume is given")
+  | false, journal, Some file -> run (`Start (file, journal))
+
 let events_run metrics trace file options num_events seed fail_rate
     timeout_rate deadline rules journal resume =
+  with_source file journal resume @@ fun source ->
   with_rates fail_rate timeout_rate @@ fun () ->
   with_telemetry metrics trace @@ fun () ->
   protect @@ fun () ->
@@ -526,11 +539,8 @@ let events_run metrics trace file options num_events seed fail_rate
     { Runtime.Engine.deadline_s = deadline; solve_options = options }
   in
   let churn_seed = (seed * 31) + 7 in
-  match (resume, journal) with
-  | true, None ->
-    Printf.eprintf "sdnplace: --resume requires --journal DIR\n%!";
-    exit_internal
-  | true, Some dir -> (
+  match source with
+  | `Resume dir -> (
     let store = Journal.Store.file ~dir in
     match Journal.Journaled.recover ~config ~store () with
     | Error msg ->
@@ -560,40 +570,35 @@ let events_run metrics trace file options num_events seed fail_rate
         ~pre_failed:(rcv.Journal.Journaled.divergences <> [])
         reports
         (Journal.Journaled.engine j))
-  | false, _ -> (
-    match file with
+  | `Start (file, journal) -> (
+    let inst = Placement.Spec.load file in
+    let report = Placement.Solve.run ~options inst in
+    match report.Placement.Solve.solution with
     | None ->
-      Printf.eprintf "sdnplace: INSTANCE is required unless --resume is given\n%!";
-      exit_internal
-    | Some file -> (
-      let inst = Placement.Spec.load file in
-      let report = Placement.Solve.run ~options inst in
-      match report.Placement.Solve.solution with
+      Format.printf "no initial placement: %a@." Placement.Encode.pp_status
+        report.Placement.Solve.status;
+      status_exit report.Placement.Solve.status
+    | Some initial -> (
+      Format.printf "initial placement: %a@." Placement.Solution.pp_summary
+        initial;
+      let fault = Runtime.Fault_plan.make ~fail_rate ~timeout_rate ~seed () in
+      let churn = Runtime.Churn.make ~rules ~seed:churn_seed () in
+      match journal with
       | None ->
-        Format.printf "no initial placement: %a@." Placement.Encode.pp_status
-          report.Placement.Solve.status;
-        status_exit report.Placement.Solve.status
-      | Some initial -> (
-        Format.printf "initial placement: %a@." Placement.Solution.pp_summary
-          initial;
-        let fault = Runtime.Fault_plan.make ~fail_rate ~timeout_rate ~seed () in
-        let churn = Runtime.Churn.make ~rules ~seed:churn_seed () in
-        match journal with
-        | None ->
-          let eng = Runtime.Engine.create ~config ~fault initial in
-          let reports = Runtime.Churn.drive churn eng num_events in
-          summarize_events reports eng
-        | Some dir ->
-          let store = Journal.Store.file ~dir in
-          let j = Journal.Journaled.create ~config ~fault ~store initial in
-          Format.printf "journaling to %s@." dir;
-          let reports = drive_journaled churn j num_events [] in
-          summarize_events reports (Journal.Journaled.engine j))))
+        let eng = Runtime.Engine.create ~config ~fault initial in
+        let reports = Runtime.Churn.drive churn eng num_events in
+        summarize_events reports eng
+      | Some dir ->
+        let store = Journal.Store.file ~dir in
+        let j = Journal.Journaled.create ~config ~fault ~store initial in
+        Format.printf "journaling to %s@." dir;
+        let reports = drive_journaled churn j num_events [] in
+        summarize_events reports (Journal.Journaled.engine j)))
 
 let events_cmd =
   let num_events =
     Arg.(
-      value & opt int 50
+      value & opt non_negative_int 50
       & info [ "events" ] ~docv:"N" ~doc:"Number of churn events to replay.")
   in
   let seed =
@@ -708,24 +713,23 @@ let caching_run metrics trace policies rules paths capacity seed epochs packets
       hw_frac;
     }
   in
-  let t = Traffic.Controller.create cfg in
-  let reps = Traffic.Controller.run t in
+  let reps = Traffic.Controller.run cfg in
   List.iter (fun r -> print_endline (Traffic.Controller.line r)) reps;
-  let hits, misses, dhits =
+  let hits, misses, dhits, violations =
     List.fold_left
-      (fun (h, m, d) (r : Traffic.Controller.epoch_report) ->
+      (fun (h, m, d, v) (r : Traffic.Controller.epoch_report) ->
         ( h + r.Traffic.Controller.e_hits,
           m + r.Traffic.Controller.e_misses,
-          d + r.Traffic.Controller.e_dhits ))
-      (0, 0, 0) reps
+          d + r.Traffic.Controller.e_dhits,
+          v + r.Traffic.Controller.e_violations ))
+      (0, 0, 0, 0) reps
   in
   let total = hits + misses in
   Printf.printf "epochs=%d hit-rate=%.4f delegated-hits=%d violations=%d\n"
     (List.length reps)
     (if total = 0 then 1.0 else float_of_int hits /. float_of_int total)
-    dhits
-    (Traffic.Controller.violations t);
-  if Traffic.Controller.violations t = 0 then 0 else exit_violations
+    dhits violations;
+  if violations = 0 then 0 else exit_violations
 
 let caching_cmd =
   let policies =

@@ -71,16 +71,17 @@ let () =
   (* The clause part of the SAT encoding as DIMACS (capacity rows use
      native cardinality constraints and are listed separately; the
      pinned policies have no variables). *)
-  let covers = ref [] in
+  let clauses = ref [] in
   Placement.Layout.iter_covers layout (fun off js ->
-      covers := Array.to_list (Array.map (fun j -> off + j + 1) js) :: !covers);
-  let clauses =
-    List.rev_append !covers
-      (List.map (fun (d, p) -> [ -(d + 1); p + 1 ])
-         layout.Placement.Layout.implications)
-  in
+      clauses :=
+        Array.to_list (Array.map (fun j -> off + j + 1) js) :: !clauses);
+  Placement.Layout.iter_implications layout (fun d p ->
+      clauses := [ -(d + 1); p + 1 ] :: !clauses);
   let cnf =
-    { Cdcl.Dimacs.num_vars = Placement.Layout.num_vars layout; clauses }
+    {
+      Cdcl.Dimacs.num_vars = Placement.Layout.num_vars layout;
+      clauses = List.rev !clauses;
+    }
   in
   with_export ".cnf" (Cdcl.Dimacs.print cnf) @@ fun cnf_path ->
   Format.printf

@@ -95,14 +95,14 @@ type encoding = { model : Ilp.Model.t; constant : float }
 let to_model ?(objective = Total_rules) (layout : Layout.t) =
   let coef = coefficients objective layout in
   let len = List.length and sum f = List.fold_left (fun n x -> n + f x) 0 in
-  let { Layout.implications; capacities; merge_defs; _ } = layout in
+  let { Layout.implication_rows; capacities; merge_defs; _ } = layout in
   let fixes = layout.Layout.forbidden in
   let rows =
-    len implications + (2 * len fixes) + layout.Layout.cover_rows
+    implication_rows + (2 * len fixes) + layout.Layout.cover_rows
     + len capacities
     + sum (fun (_, ms) -> 1 + len ms) merge_defs
   and terms =
-    (2 * len implications) + (2 * len fixes) + layout.Layout.cover_terms
+    (2 * implication_rows) + (2 * len fixes) + layout.Layout.cover_terms
     + sum
         (fun (c : Layout.capacity) ->
           len c.plain + sum (fun (_, ms) -> 1 + len ms) c.grouped)
@@ -119,7 +119,7 @@ let to_model ?(objective = Total_rules) (layout : Layout.t) =
     term (-1.0) b;
     row Le 0.0
   in
-  List.iter (fun (vd, vp) -> implies vd vp) implications;
+  Layout.iter_implications layout implies;
   List.iter
     (fun v ->
       term 1.0 v;
@@ -170,6 +170,16 @@ let counting_bound objective (layout : Layout.t) =
     Some layout.Layout.baseline_rule_count
   | Total_rules | Upstream_drops | Switch_weighted _ -> None
 
+(* Whether every implication row holds; stops at the first that does
+   not. *)
+let implied layout a =
+  match
+    Layout.iter_implications layout (fun d p ->
+        if a.(d) && not a.(p) then raise_notrace Exit)
+  with
+  | () -> true
+  | exception Exit -> false
+
 (* Whether every cover row has a set variable; stops at the first that
    has none. *)
 let covered layout a =
@@ -186,9 +196,7 @@ let covered layout a =
 (* Every row [to_model] writes, read off the layout itself. *)
 let feasible (layout : Layout.t) a =
   let set = List.fold_left (fun n v -> if a.(v) then n + 1 else n) 0 in
-  List.for_all
-    (fun (vd, vp) -> (not a.(vd)) || a.(vp))
-    layout.Layout.implications
+  implied layout a
   && List.for_all (fun v -> not a.(v)) layout.Layout.forbidden
   && covered layout a
   && List.for_all

@@ -67,9 +67,10 @@ val counting_bound : objective -> Layout.t -> int option
 
 val feasible : Layout.t -> bool array -> bool
 (** Whether a layout assignment satisfies every row {!to_model} writes,
-    read off the layout itself: implications, monitor fixes, covers
-    (through {!Layout.iter_covers}, in place), capacities and merge
-    definitions.  It agrees with
+    read off the layout itself: implications and covers (through
+    {!Layout.iter_implications} and {!Layout.iter_covers}, in place,
+    stopping at the first broken row), monitor fixes, capacities and
+    merge definitions.  It agrees with
     {!Ilp.Solver.check_feasible} on the same assignment. *)
 
 val solve :

@@ -19,7 +19,10 @@ type capacity = {
    pairs [(rows.(2r), rows.(2r+1))] of (path, drop slot): row [r] holds
    the drop's variables at the positions [paths.(rows.(2r))] of the
    path's switches, in path order.  [paths] keeps only the paths that
-   own a row. *)
+   own a row.  Its Eq. 1 rows are the pairs [(deps.(2r), deps.(2r+1))]
+   of (drop slot, permit slot), one per dependency of a placed drop:
+   pair [r] stands for one row per switch position [j], the drop's
+   variable at [j] implying the permit's. *)
 type block = {
   ingress : int;
   base : int;
@@ -31,6 +34,7 @@ type block = {
   k0 : int;
   paths : int array array;
   rows : int array;
+  deps : int array;
 }
 
 type numbering = {
@@ -47,7 +51,7 @@ type t = {
   sliced : bool;
   monitors : (int * Ternary.Field.t) list;
   numbering : numbering;
-  implications : (int * int) list;
+  implication_rows : int;
   cover_rows : int;
   cover_terms : int;
   capacities : capacity list;
@@ -71,6 +75,7 @@ let no_block =
     k0 = -1;
     paths = [||];
     rows = [||];
+    deps = [||];
   }
 
 (* Position of [x] in the ascending array [a], or -1. *)
@@ -123,6 +128,27 @@ let same_multiset count a b =
     done;
     !same
   end
+
+(* A growable int array, [build]'s scratch for one block's pairs:
+   [push x] appends [x], [take ()] returns what was pushed and empties
+   the buffer. *)
+let int_buffer () =
+  let data = ref (Array.make 64 0) and len = ref 0 in
+  let push x =
+    if !len = Array.length !data then begin
+      let grown = Array.make (2 * !len) 0 in
+      Array.blit !data 0 grown 0 !len;
+      data := grown
+    end;
+    !data.(!len) <- x;
+    incr len
+  in
+  let take () =
+    let a = Array.sub !data 0 !len in
+    len := 0;
+    a
+  in
+  (push, take)
 
 let block_at blocks ingress =
   if ingress < 0 || ingress >= Array.length blocks then no_block
@@ -328,19 +354,11 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
   let blocks = Array.make (Topo.Net.num_hosts net) no_block in
   let n_place = ref 0 and free = ref [] and pinned = ref [] in
   let forbidden = Hashtbl.create 16 in
-  let implications = ref [] in
-  (* The cover rows' pairs of the block being written, and the layout's
-     row and term counts. *)
-  let pairs = ref (Array.make 64 0) and n_pairs = ref 0 in
-  let push x =
-    if !n_pairs = Array.length !pairs then begin
-      let grown = Array.make (2 * !n_pairs) 0 in
-      Array.blit !pairs 0 grown 0 !n_pairs;
-      pairs := grown
-    end;
-    !pairs.(!n_pairs) <- x;
-    incr n_pairs
-  in
+  (* The implication and cover rows' pairs of the block being written,
+     and the layout's row and term counts. *)
+  let push_dep, take_deps = int_buffer () in
+  let push_row, take_rows = int_buffer () in
+  let implication_rows = ref 0 in
   let cover_rows = ref 0 and cover_terms = ref 0 in
   let group = Hash_tbl.create 64 and count = Array.make n_switches 0 in
   List.iter
@@ -361,18 +379,18 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
           List.iter
             (fun c -> Hashtbl.replace forbidden (b.base + c) ())
             pi.walk;
-          (* Placed drops, their permits and coverage drops are all
-             placed, so all have slots. *)
+          (* One (drop slot, permit slot) pair per dependency of a
+             placed drop, standing for its row at each switch.  Placed
+             drops, their permits and coverage drops are all placed, so
+             all have slots. *)
           List.iter
             (fun (w : Acl.Rule.t) ->
               let sw = slot_of b w.priority in
               List.iter
                 (fun (u : Acl.Rule.t) ->
-                  let su = slot_of b u.priority in
-                  for j = 0 to width - 1 do
-                    implications :=
-                      (var_in b sw j, var_in b su j) :: !implications
-                  done)
+                  push_dep sw;
+                  push_dep (slot_of b u.priority);
+                  implication_rows := !implication_rows + width)
                 (Depgraph.dependencies pi.dep w))
             pi.placed_drops;
           (* One row per (drop, path switch multiset); Section IV-C
@@ -406,7 +424,6 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
             else Bytes.empty
           in
           let paths = ref [] and n_paths = ref 0 in
-          n_pairs := 0;
           for x = n_walk - 1 downto 0 do
             let p = walk.(x) in
             let switches = p.Routing.Path.switches in
@@ -443,8 +460,8 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
                   paths := js :: !paths;
                   incr n_paths
                 end;
-                push !owner;
-                push drop_slots.(d);
+                push_row !owner;
+                push_row drop_slots.(d);
                 incr cover_rows;
                 cover_terms := !cover_terms + Array.length js
               end
@@ -455,7 +472,8 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
             {
               b with
               paths = Array.of_list (List.rev !paths);
-              rows = Array.sub !pairs 0 !n_pairs;
+              rows = take_rows ();
+              deps = take_deps ();
             }
           in
           free := b :: !free;
@@ -554,7 +572,7 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
     sliced;
     monitors;
     numbering = { blocks; free; n_place = !n_place; merged; dummies };
-    implications = !implications;
+    implication_rows = !implication_rows;
     cover_rows = !cover_rows;
     cover_terms = !cover_terms;
     capacities = capacity_rows;
@@ -612,6 +630,19 @@ let iter_pairs t f =
       done)
     t.numbering.blocks
 
+let iter_implications t f =
+  let free = t.numbering.free in
+  for x = Array.length free - 1 downto 0 do
+    let b = free.(x) in
+    for r = (Array.length b.deps / 2) - 1 downto 0 do
+      let d = var_in b b.deps.(2 * r) 0
+      and p = var_in b b.deps.((2 * r) + 1) 0 in
+      for j = Array.length b.switches - 1 downto 0 do
+        f (d + j) (p + j)
+      done
+    done
+  done
+
 let iter_covers t f =
   let free = t.numbering.free in
   for x = Array.length free - 1 downto 0 do
@@ -639,7 +670,7 @@ let pp_stats fmt t =
      rows, %d policies pinned (%d rules)"
     (num_vars t)
     (List.length t.merge_defs)
-    (List.length t.implications)
+    t.implication_rows
     t.cover_rows
     (List.length t.capacities)
     (List.length t.pinned) (pinned_rules t)

@@ -74,8 +74,8 @@ type t = {
   sliced : bool;
   monitors : (int * Ternary.Field.t) list;
   numbering : numbering;
-  implications : (int * int) list;
-      (** (drop var, permit var): Eq. 1 / 6, free policies only *)
+  implication_rows : int;
+      (** the rows {!iter_implications} visits *)
   cover_rows : int;
       (** the rows {!iter_covers} visits *)
   cover_terms : int;
@@ -126,6 +126,20 @@ val iter_pairs : t -> (int -> bool -> unit) -> unit
     [S_i]) pair, pinned policies' included, in the same order: [v] is
     the pair's variable, or -1 in a pinned policy, where [held] tells
     whether the pair is the rule at [k0]. *)
+
+val iter_implications : t -> (int -> int -> unit) -> unit
+(** [iter_implications t f] calls [f d p] on each rule dependency row,
+    in the order the encoders write them: drop variable [d] set needs
+    permit variable [p] set.  Eq. 1 / 6, one row per (placed drop,
+    permit it depends on, switch of [S_i]) of a free policy, the drop
+    and the permit at the same switch.
+
+    A free policy keeps its dependencies once, as (drop slot, permit
+    slot) pairs, by placed drop (the relevant drops in policy order,
+    then the dummy drops) and, within a drop, its permits by descending
+    priority; a pair's rows are written out only when read.  Policies
+    come last first; within a policy the pairs run backwards, and each
+    pair's switch positions run backwards too. *)
 
 val iter_covers : t -> (int -> int array -> unit) -> unit
 (** [iter_covers t f] calls [f off js] on each cover row, in the order

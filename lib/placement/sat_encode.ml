@@ -26,9 +26,8 @@ let to_pb (layout : Layout.t) =
   List.iter
     (fun (mv, _) -> vars.(mv) <- Pb.fresh pb)
     (List.rev layout.Layout.merge_defs);
-  List.iter
-    (fun (vd, vp) -> Pb.implies pb vars.(vd) vars.(vp))
-    layout.Layout.implications;
+  Layout.iter_implications layout (fun vd vp ->
+      Pb.implies pb vars.(vd) vars.(vp));
   List.iter
     (fun v -> Pb.add_clause pb [ -vars.(v) ])
     layout.Layout.forbidden;

@@ -43,7 +43,6 @@ type outcome = Committed | Aborted of { switch : int; op : string }
 type result = {
   outcome : outcome;
   waves_committed : int;
-  violations : int;
 }
 
 let m_waves =
@@ -475,21 +474,11 @@ let execute ?observer ?on_op ~api plan =
   let consistent = plan.retries > 0 in
   let undo = Switch_api.snapshot api in
   let n = Array.length plan.waves in
-  let bad_total = ref 0 in
   let w = ref 0 in
-  let finish outcome =
-    {
-      outcome;
-      waves_committed = !w;
-      violations = !bad_total;
-    }
-  in
+  let finish outcome = { outcome; waves_committed = !w } in
   let barrier ~committed =
     let bad = inconsistencies plan ~live ~committed in
-    if bad > 0 then begin
-      bad_total := !bad_total + bad;
-      ignore (Atomic.fetch_and_add violations_seen bad)
-    end;
+    if bad > 0 then ignore (Atomic.fetch_and_add violations_seen bad);
     bad = 0
   in
   let aborted = ref None in

@@ -115,7 +115,6 @@ type outcome =
 type result = {
   outcome : outcome;
   waves_committed : int;
-  violations : int;  (** probe walks that saw mixed policy (0 on a sound plan) *)
 }
 
 val changed_tags :
@@ -182,5 +181,6 @@ val inconsistencies :
 
 val violations_total : unit -> int
 (** Process-wide count of consistency violations ever observed by a
-    barrier — independent of telemetry, so chaos benches can assert on
-    it even with metrics off. *)
+    barrier (probe walks that saw mixed policy, 0 on a sound plan) —
+    independent of telemetry, so chaos benches can assert on it even
+    with metrics off. *)

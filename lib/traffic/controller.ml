@@ -63,20 +63,6 @@ let line r =
     r.e_check.Cache.guard_violations r.e_check.Cache.coverage_violations
     r.e_check.Cache.capacity_violations
 
-type t = {
-  cfg : config;
-  cache : Cache.t;
-  check : Cache.check_report;  (* the placed cache's, taken once *)
-  paths : Routing.Path.t array;
-  field : int -> int -> Ternary.Field.t;  (* flow, probe -> probe field *)
-  zs : Zipf.t;
-  mutable epoch : int;  (* next epoch to run *)
-  mutable violations : int;
-  mutable reports : epoch_report list;  (* newest first *)
-}
-
-let violations t = t.violations
-
 let validate cfg =
   if cfg.epochs < 0 then invalid_arg "Controller: epochs < 0";
   if cfg.packets < 0 then invalid_arg "Controller: packets < 0";
@@ -123,7 +109,7 @@ let probe_field paths (full : Netsim.entry list array) =
     if Array.length tgt = 0 then paths.(f).Routing.Path.flow
     else tgt.((f + k) mod Array.length tgt)
 
-let create cfg =
+let run cfg =
   validate cfg;
   let inst = Workload.build cfg.family in
   let paths = Routing.Table.paths inst.Placement.Instance.routing in
@@ -138,69 +124,53 @@ let create cfg =
     Cache.create ~net:inst.Placement.Instance.net ~paths
       ~hw:(hw_of_frac full cfg.hw_frac) full
   in
+  let check = Cache.check cache in
   let paths = Array.of_list paths in
-  {
-    cfg;
-    cache;
-    check = Cache.check cache;
-    paths;
-    field = probe_field paths full;
-    zs =
-      Zipf.create
-        {
-          Zipf.flows = Array.length paths;
-          packets = cfg.packets;
-          alpha = cfg.alpha;
-          drift = cfg.drift;
-          seed = cfg.family.Workload.seed;
-        };
-    epoch = 0;
-    violations = 0;
-    reports = [];
-  }
-
-(* ------------------------------------------------------------------ *)
-(* The epoch pipeline                                                  *)
-
-let walk t (e : Zipf.epoch) =
-  Zipf.walk ~seed:t.cfg.family.Workload.seed ~probes:t.cfg.probes e
-    ~field:t.field
-    (fun f pkt w ->
-      let res = Cache.account t.cache ~path:t.paths.(f) ~weight:w pkt in
-      (* the delegation contract preserves the verdict, not the drop
-         location: a delegated drop fires at an on-path neighbor *)
-      let agree =
-        match (res.Cache.w_full, res.Cache.w_cached) with
-        | Netsim.Delivered, Netsim.Delivered -> true
-        | Netsim.Dropped _, Netsim.Dropped _ -> true
-        | _ -> false
-      in
-      if not agree then t.violations <- t.violations + 1)
-
-let run_epoch t =
-  let i = t.epoch in
-  let h0 = Cache.hits t.cache
-  and m0 = Cache.misses t.cache
-  and d0 = Cache.delegated_hits t.cache
-  and v0 = t.violations in
-  walk t (Zipf.next t.zs);
-  let er =
+  let field = probe_field paths full in
+  let zs =
+    Zipf.create
+      {
+        Zipf.flows = Array.length paths;
+        packets = cfg.packets;
+        alpha = cfg.alpha;
+        drift = cfg.drift;
+        seed = cfg.family.Workload.seed;
+      }
+  in
+  (* One epoch: walk the next traffic matrix through both the full and
+     the cached tables, counting the probes whose verdicts disagree. *)
+  let run_epoch i =
+    let h0 = Cache.hits cache
+    and m0 = Cache.misses cache
+    and d0 = Cache.delegated_hits cache in
+    let violations = ref 0 in
+    Zipf.walk ~seed:cfg.family.Workload.seed ~probes:cfg.probes (Zipf.next zs)
+      ~field (fun f pkt w ->
+        let res = Cache.account cache ~path:paths.(f) ~weight:w pkt in
+        (* the delegation contract preserves the verdict, not the drop
+           location: a delegated drop fires at an on-path neighbor *)
+        let agree =
+          match (res.Cache.w_full, res.Cache.w_cached) with
+          | Netsim.Delivered, Netsim.Delivered -> true
+          | Netsim.Dropped _, Netsim.Dropped _ -> true
+          | _ -> false
+        in
+        if not agree then incr violations);
+    Telemetry.Metrics.incr m_epochs;
     {
       e_index = i;
-      e_hits = Cache.hits t.cache - h0;
-      e_misses = Cache.misses t.cache - m0;
-      e_dhits = Cache.delegated_hits t.cache - d0;
-      e_violations = t.violations - v0;
-      e_stats = Cache.stats t.cache;
-      e_check = t.check;
+      e_hits = Cache.hits cache - h0;
+      e_misses = Cache.misses cache - m0;
+      e_dhits = Cache.delegated_hits cache - d0;
+      e_violations = !violations;
+      e_stats = Cache.stats cache;
+      e_check = check;
     }
   in
-  t.reports <- er :: t.reports;
-  t.epoch <- i + 1;
-  Telemetry.Metrics.incr m_epochs
-
-let run t =
-  while t.epoch < t.cfg.epochs do
-    Telemetry.Trace.with_span "traffic.epoch" (fun () -> run_epoch t)
+  let reports = ref [] in
+  for i = 0 to cfg.epochs - 1 do
+    reports :=
+      Telemetry.Trace.with_span "traffic.epoch" (fun () -> run_epoch i)
+      :: !reports
   done;
-  List.rev t.reports
+  List.rev !reports

@@ -9,7 +9,7 @@
     correctness check + hit accounting); emit one deterministic report
     line.  Neither the placement nor the cache changes between epochs;
     only the traffic drifts, so the cache's structural {!Cache.check}
-    runs once, at {!create}, and every report carries its result.
+    runs once, before epoch 0, and every report carries its result.
 
     Determinism: equal configs give byte-identical {!line} sequences
     (all randomness flows from the family seed's named substreams;
@@ -61,16 +61,10 @@ val line : epoch_report -> string
 (** Canonical timing-free rendering — the byte-identical replay
     contract is over these. *)
 
-type t
-
-val create : config -> t
+val run : config -> epoch_report list
 (** Build the instance, solve the placement, place the cache and check
-    it.  Raises [Invalid_argument] when the solve fails or the config is
-    malformed. *)
-
-val run : t -> epoch_report list
-(** Run the remaining epochs, each spanned ["traffic.epoch"] when
-    tracing is enabled; returns {e all} epoch reports in order. *)
-
-val violations : t -> int
-(** Total differential violations observed (gate: zero). *)
+    it, then run the config's epochs, each spanned ["traffic.epoch"]
+    when tracing is enabled; returns the epoch reports in order.  The
+    run's differential violations are the sum of their [e_violations]
+    (gate: zero).  Raises [Invalid_argument] when the solve fails or the
+    config is malformed. *)

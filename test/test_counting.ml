@@ -375,6 +375,69 @@ let test_solver_lower_bound () =
   Alcotest.(check bool) "fractional objective searches" true
     (s.Ilp.Solver.lp_calls > 0)
 
+(* Only a feasible warm start settles.  Each of two assignments at
+   most A entries breaks one kind of row the greedy point meets: one
+   leaves a cover row empty, one sets a drop without a permit it
+   depends on.  [Encode.solve] must solve the model for each, not hand
+   the assignment back as [`Optimal] with 0 nodes and 0 LP calls. *)
+let test_settle_refuses_infeasible () =
+  let layout =
+    Layout.build
+      (Workload.build
+         {
+           Workload.default with
+           Workload.rules = 8;
+           paths = 16;
+           capacity = 60;
+         })
+  in
+  let warm = Option.get (Baseline.greedy_assignment layout) in
+  let a = Option.get (Encode.counting_bound Encode.Total_rules layout) in
+  let uncovered = Array.copy warm in
+  (match
+     Layout.iter_covers layout (fun off js ->
+         Array.iter (fun j -> uncovered.(off + j) <- false) js;
+         raise_notrace Exit)
+   with
+  | () -> Alcotest.fail "no cover row"
+  | exception Exit -> ());
+  let unimplied = Array.copy warm in
+  (match
+     Layout.iter_implications layout (fun d p ->
+         if warm.(d) && warm.(p) then begin
+           unimplied.(p) <- false;
+           raise_notrace Exit
+         end)
+   with
+  | () -> Alcotest.fail "no implication row holds a set drop"
+  | exception Exit -> ());
+  List.iter
+    (fun (what, x) ->
+      let entries =
+        Array.fold_left
+          (fun n set -> if set then n + 1 else n)
+          (Layout.pinned_rules layout) x
+      in
+      Alcotest.(check bool) (what ^ ": at most A entries") true (entries <= a);
+      Alcotest.(check bool) (what ^ ": infeasible") false
+        (Encode.feasible layout x);
+      let r = Encode.solve ~warm_start:x layout in
+      let s = r.Encode.ilp_stats in
+      Alcotest.(check bool)
+        (what ^ ": not settled")
+        false
+        (r.Encode.status = `Optimal
+        && s.Ilp.Solver.nodes = 0
+        && s.Ilp.Solver.lp_calls = 0);
+      match (r.Encode.status, r.Encode.solution) with
+      | `Optimal, Some sol ->
+        Alcotest.(check int) (what ^ ": B = A") a (Solution.total_entries sol)
+      | st, _ -> Alcotest.failf "%s: got %a" what Encode.pp_status st)
+    [
+      ("an empty cover row", uncovered);
+      ("a drop without its permit", unimplied);
+    ]
+
 (* A [place_paper] instance (k=16, 8 policies, 1024 paths, r=20,
    C=140): the greedy warm start places exactly A entries, so the solve
    settles with no model written.  Five of its policies are pinned, so
@@ -446,6 +509,8 @@ let suite =
       test_no_bound_elsewhere;
     Alcotest.test_case "solver lower bound: exit, seed, rounding" `Quick
       test_solver_lower_bound;
+    Alcotest.test_case "settle refuses an infeasible warm start" `Quick
+      test_settle_refuses_infeasible;
     Alcotest.test_case "a place_paper instance settles with no model" `Quick
       test_place_paper_settles;
     Alcotest.test_case "k=32 paper grid point settles by counting" `Quick

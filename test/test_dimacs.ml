@@ -53,15 +53,13 @@ let test_export_placement_encoding () =
   let g = Prng.create 3 in
   let inst = Util.random_instance g in
   let layout = Placement.Layout.build inst in
-  let covers = ref [] in
+  let clauses = ref [] in
   Placement.Layout.iter_covers layout (fun off js ->
-      covers := Array.to_list (Array.map (fun j -> off + j + 1) js) :: !covers);
-  let clauses =
-    List.rev_append !covers
-      (List.map
-         (fun (d, p) -> [ -(d + 1); p + 1 ])
-         layout.Placement.Layout.implications)
-  in
+      clauses :=
+        Array.to_list (Array.map (fun j -> off + j + 1) js) :: !clauses);
+  Placement.Layout.iter_implications layout (fun d p ->
+      clauses := [ -(d + 1); p + 1 ] :: !clauses);
+  let clauses = List.rev !clauses in
   let cnf = { num_vars = Placement.Layout.num_vars layout; clauses } in
   let printed = print cnf in
   let reparsed = parse printed in

@@ -12,6 +12,13 @@ let covers layout =
       rows := Array.to_list (Array.map (fun j -> off + j) js) :: !rows);
   List.rev !rows
 
+(* The implication rows as (drop, permit) pairs, in the iterator's
+   order. *)
+let implications layout =
+  let rows = ref [] in
+  Layout.iter_implications layout (fun d p -> rows := (d, p) :: !rows);
+  List.rev !rows
+
 let two_path_instance ~capacity =
   let net = Topo.Builder.figure3 () in
   let routing =
@@ -233,7 +240,8 @@ let test_variable_scoping () =
       (Layout.var layout ~ingress:0 ~priority:1 ~switch:k)
   done;
   (* One implication per switch; one cover per path. *)
-  Alcotest.(check int) "implications" 5 (List.length layout.Layout.implications);
+  Alcotest.(check int) "implications" 5 (List.length (implications layout));
+  Alcotest.(check int) "implication rows" 5 layout.Layout.implication_rows;
   Alcotest.(check int) "covers" 2 (List.length (covers layout));
   (* Capacity 10 can never bind (at most 2 rules per switch): no rows. *)
   Alcotest.(check int) "no capacity rows" 0
@@ -429,7 +437,7 @@ let builder_encoding objective (layout : Layout.t) =
     rows := (Ilp.Model.Le, [ (1.0, a); (-1.0, b) ], 0.0) :: !rows;
     Ilp.Model.implies model (x a) (x b)
   in
-  List.iter (fun (d, p) -> implies d p) layout.Layout.implications;
+  Layout.iter_implications layout implies;
   List.iter
     (fun v ->
       rows := (Ilp.Model.Eq, [ (1.0, v) ], 0.0) :: !rows;
@@ -616,13 +624,67 @@ let reference_covers (layout : Layout.t) =
         List.rev_append !own rows)
     [] inst.Instance.policies
 
+(* The implication rows as [Layout.build] listed them before it kept
+   (drop slot, permit slot) pairs, read off the public index: per free
+   policy in ingress order, each placed drop (the relevant ones, then
+   the dummy drops), each permit it depends on and each switch of
+   [S_i] ascending, consed onto one list, so the list runs last row
+   first. *)
+let reference_implications (layout : Layout.t) =
+  let inst = layout.Layout.instance in
+  let sliced = layout.Layout.sliced in
+  List.fold_left
+    (fun rows (i, q) ->
+      if List.exists (fun (i', _, _) -> i' = i) layout.Layout.pinned then rows
+      else
+        let paths = Routing.Table.paths_from inst.Instance.routing i in
+        let dummy (r : Acl.Rule.t) =
+          Layout.is_dummy layout ~ingress:i ~priority:r.priority
+        in
+        let relevant (w : Acl.Rule.t) =
+          (not sliced)
+          || List.exists
+               (fun (p : Routing.Path.t) ->
+                 Ternary.Field.overlaps w.field p.Routing.Path.flow)
+               paths
+        in
+        let placed_drops =
+          List.filter (fun w -> (not (dummy w)) && relevant w)
+            (Acl.Policy.drops q)
+          @ List.filter
+              (fun r -> dummy r && Acl.Rule.is_drop r)
+              (Acl.Policy.rules q)
+        in
+        let switches =
+          List.sort_uniq compare
+            (List.concat_map
+               (fun (p : Routing.Path.t) ->
+                 Array.to_list p.Routing.Path.switches)
+               paths)
+        in
+        let var (r : Acl.Rule.t) k =
+          match Layout.var layout ~ingress:i ~priority:r.priority ~switch:k with
+          | Some v -> v
+          | None -> Alcotest.failf "no variable for %d/%d at %d" i r.priority k
+        in
+        let dep = Depgraph.build q in
+        List.fold_left
+          (fun rows w ->
+            List.fold_left
+              (fun rows u ->
+                List.fold_left
+                  (fun rows k -> (var w k, var u k) :: rows)
+                  rows switches)
+              rows
+              (Depgraph.dependencies dep w))
+          rows placed_drops)
+    [] inst.Instance.policies
+
 (* [Encode.feasible] as it read the rows when the layout kept them as
-   lists. *)
-let reference_feasible (layout : Layout.t) rows a =
+   lists: [imps] and [rows] are the reference implications and covers. *)
+let reference_feasible (layout : Layout.t) imps rows a =
   let set = List.fold_left (fun n v -> if a.(v) then n + 1 else n) 0 in
-  List.for_all
-    (fun (vd, vp) -> (not a.(vd)) || a.(vp))
-    layout.Layout.implications
+  List.for_all (fun (vd, vp) -> (not a.(vd)) || a.(vp)) imps
   && List.for_all (fun v -> not a.(v)) layout.Layout.forbidden
   && List.for_all (List.exists (Array.get a)) rows
   && List.for_all
@@ -832,6 +894,52 @@ let test_covers_match_reference () =
       );
     ]
 
+(* [Layout.iter_implications] against the list [Layout.build] kept
+   before, pair by pair and in order: unsliced and sliced, spread and
+   contiguous, plain and with a merge plan and monitors (the
+   differential layouts, the small seeded ones, the hand-made dummy
+   layout and random draws), pinned policies among them. *)
+let test_implications_match_reference () =
+  let layouts =
+    differential_layouts () @ small_layouts ()
+    @ [ ("dummy", dummy_layout ()) ]
+    @ List.init 20 (fun seed ->
+          (Printf.sprintf "random %d" seed, snd (random_layout seed)))
+  in
+  List.iter
+    (fun (name, layout) ->
+      let rows = implications layout in
+      Alcotest.(check (list (pair int int)))
+        (name ^ ": rows and order")
+        (reference_implications layout)
+        rows;
+      Alcotest.(check int)
+        (name ^ ": row count")
+        (List.length rows) layout.Layout.implication_rows)
+    layouts;
+  let dummy_drop (l : Layout.t) =
+    List.exists
+      (fun (d, _) ->
+        match Layout.key l d with
+        | Layout.Place { ingress; priority; _ } ->
+          Layout.is_dummy l ~ingress ~priority
+        | Layout.Merged _ -> false)
+      (implications l)
+  in
+  List.iter
+    (fun (what, p) ->
+      Alcotest.(check bool) ("some layout " ^ what) true
+        (List.exists (fun (_, l) -> p l) layouts))
+    [
+      ( "pins a policy and has implications",
+        fun l -> l.Layout.pinned <> [] && l.Layout.implication_rows > 0 );
+      ( "is sliced, monitored and merged",
+        fun l ->
+          l.Layout.sliced && l.Layout.forbidden <> []
+          && l.Layout.merge_defs <> [] );
+      ("has a dummy drop's implication", dummy_drop);
+    ]
+
 (* [Encode.feasible] against the list-based check on each layout's
    greedy assignment and every single-variable flip of it. *)
 let test_feasible_matches_reference () =
@@ -841,9 +949,10 @@ let test_feasible_matches_reference () =
       match Baseline.greedy_assignment layout with
       | None -> ()
       | Some a ->
-        let rows = reference_covers layout in
+        let imps = reference_implications layout
+        and rows = reference_covers layout in
         let check what a =
-          let want = reference_feasible layout rows a in
+          let want = reference_feasible layout imps rows a in
           if Encode.feasible layout a <> want then
             Alcotest.failf "%s: feasible disagrees on %s" name what;
           incr agreed;
@@ -906,6 +1015,8 @@ let suite =
     Alcotest.test_case "covers follow paths" `Quick test_cover_uses_path_switches_only;
     Alcotest.test_case "cover rows match the list reference" `Quick
       test_covers_match_reference;
+    Alcotest.test_case "implications match the list reference" `Quick
+      test_implications_match_reference;
     Alcotest.test_case "feasible matches the list reference" `Quick
       test_feasible_matches_reference;
     Alcotest.test_case "two domains read one layout" `Quick

@@ -102,13 +102,12 @@ let small =
   }
 
 let test_controller_clean_run () =
-  let t = Traffic.Controller.create small in
-  let reps = Traffic.Controller.run t in
+  let reps = Traffic.Controller.run small in
   Alcotest.(check int) "epochs" 10 (List.length reps);
-  Alcotest.(check int) "zero differential violations" 0
-    (Traffic.Controller.violations t);
   List.iter
     (fun (r : Traffic.Controller.epoch_report) ->
+      Alcotest.(check int) "zero differential violations" 0
+        r.Traffic.Controller.e_violations;
       Alcotest.(check int) "guard violations" 0
         r.Traffic.Controller.e_check.Traffic.Cache.guard_violations;
       Alcotest.(check int) "coverage violations" 0
@@ -120,7 +119,7 @@ let test_controller_clean_run () =
 let test_controller_deterministic () =
   let lines () =
     List.map Traffic.Controller.line
-      (Traffic.Controller.run (Traffic.Controller.create small))
+      (Traffic.Controller.run small)
   in
   Alcotest.(check (list string)) "equal-seed report lines" (lines ()) (lines ())
 
@@ -141,8 +140,7 @@ let test_hit_rate_monotone_in_hw () =
   let rates =
     List.map
       (fun hw_frac ->
-        let t = Traffic.Controller.create { small with hw_frac } in
-        hit_rate (Traffic.Controller.run t))
+        hit_rate (Traffic.Controller.run { small with hw_frac }))
       [ 0.05; 0.3; 1.0 ]
   in
   let rec non_decreasing = function
@@ -192,7 +190,7 @@ let test_delegated_hits_are_hits () =
       end);
   Alcotest.(check bool) "some packet is served by a delegated copy" true
     (!delegated > 0);
-  let reps = Traffic.Controller.run (Traffic.Controller.create small) in
+  let reps = Traffic.Controller.run small in
   List.iter
     (fun (r : Traffic.Controller.epoch_report) ->
       Alcotest.(check bool) "e_dhits <= e_hits" true

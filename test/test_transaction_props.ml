@@ -360,10 +360,11 @@ let prop_waves_old_xor_new =
               then QCheck.Test.fail_reportf "mixed policy after wave %d" wave);
         }
       in
+      let v0 = Update.violations_total () in
       let r =
         Update.execute ~observer ~on_op ~api plan
       in
-      r.Update.violations = 0 && occupancy_ok ()
+      Update.violations_total () = v0 && occupancy_ok ()
       &&
       match r.Update.outcome with
       | Update.Committed ->
@@ -452,9 +453,10 @@ let prop_barrier_matches_oracle =
           if !wave = w && !nth = at then live.(k) <- bad :: live.(k);
           incr nth
         in
+        let v0 = Update.violations_total () in
         let r = execute ~on_op live observer in
         r.Update.outcome = Update.Aborted { switch = -1; op = "verify" }
-        && r.Update.violations = expected
+        && Update.violations_total () - v0 = expected
         && r.Update.waves_committed = c - 1
         && bytes_of live = bytes_of plan.Update.old_tables)
 

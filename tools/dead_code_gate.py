@@ -297,21 +297,35 @@ def denotes(aliases, name):
     return seen
 
 
-def record_label(toks, i, brackets):
-    """Whether the identifier [toks[i]] is a record label that names no
-    value: one declared ([f :]) or given a value ([f =]) directly inside
-    braces, first or after [;], [with] or [mutable].  A punned label
-    ([{ f }]) names a value of its name and is not one."""
+def record_label(toks, start, i, brackets):
+    """Whether the label [toks[start..i]] (a bare [f], or [M.f] when
+    [start < i]) is a record label that names no value: one declared
+    ([f :]) or given a value ([f =]) directly inside braces, first or
+    after [;], [with] or [mutable].  A punned label ([{ f }]) names a
+    value of its name and is not one."""
     if not brackets or brackets[-1] != "{" or i + 1 == len(toks):
         return False
-    return (toks[i - 1] in (("open", "{"), ("op", ";"), ("kw", "with"), ("kw", "mutable"))
+    return (toks[start - 1] in (("open", "{"), ("op", ";"), ("kw", "with"), ("kw", "mutable"))
             and toks[i + 1] in (("op", "="), ("op", ":")))
 
 
+def qualified_field(toks, i, brackets):
+    """Whether the qualified name ending at the identifier [toks[i]]
+    names a record field, not a val: read off an expression ([x.M.f],
+    the module path after a '.') or a label given a value in braces
+    ([{ M.f = ... }])."""
+    start = i - 2
+    while (start >= 2 and toks[start - 1] == ("op", ".")
+           and toks[start - 2][0] == "ident" and toks[start - 2][1][:1].isupper()):
+        start -= 2
+    return toks[start - 1] == ("op", ".") or record_label(toks, start, i, brackets)
+
+
 def scan_uses(src):
-    """Qualified uses (Counter of (qualifier, name)) and bare uses
-    (Counter of name, punned labels included, the labels of record
-    types, literals and patterns not) of the .ml [src]."""
+    """Qualified uses (Counter of (qualifier, name), qualified field
+    reads and labels not) and bare uses (Counter of name, punned labels
+    included, the labels of record types, literals and patterns not) of
+    the .ml [src]."""
     qualified = Counter()
     bare = Counter()
     toks = tokens(src)
@@ -327,9 +341,9 @@ def scan_uses(src):
         elif kind != "ident":
             continue
         elif i >= 2 and toks[i - 1] == ("op", ".") and toks[i - 2][0] == "ident":
-            if toks[i - 2][1][:1].isupper():
+            if toks[i - 2][1][:1].isupper() and not qualified_field(toks, i, brackets):
                 qualified[(toks[i - 2][1], text)] += 1
-        elif (i == 0 or toks[i - 1] != ("op", ".")) and not record_label(toks, i, brackets):
+        elif (i == 0 or toks[i - 1] != ("op", ".")) and not record_label(toks, i, i, brackets):
             bare[text] += 1
     return qualified, bare
 
@@ -798,6 +812,26 @@ def self_check():
     if got != want:
         sys.exit("dead-code gate: self-check failed, dead vals %s, want %s"
                  % (got, want))
+    # Another module reads [Cache]'s field [full_tables] qualified, off
+    # an expression ([c.Cache.full_tables], [(f c).A.Cache.full_tables])
+    # and as a label (a literal, a [with] copy and a pattern), but never
+    # calls [val full_tables]; its qualified call of [Cache.hw_of] keeps
+    # that val.
+    tree = {
+        "lib/a/cache.mli": "type t = { full_tables : int array; hw : int }\n"
+                           "val full_tables : t -> int array\nval hw_of : t -> int\n",
+        "lib/a/cache.ml": "type t = { full_tables : int array; hw : int }\n"
+                          "let full_tables t = t.full_tables\nlet hw_of t = t.hw\n",
+        "bin/main.ml": "let c = { Cache.full_tables = [||]; hw = 1 }\n"
+                       "let d = { c with Cache.full_tables = c.Cache.full_tables }\n"
+                       "let f { Cache.full_tables = t; _ } = t\n"
+                       "let _ = Array.length (f d).A.Cache.full_tables + Cache.hw_of c\n",
+    }
+    _, dead = dead_vals(strip_all(tree))
+    got = [n for _, _, n, _ in dead]
+    if got != ["Cache.full_tables"]:
+        sys.exit("dead-code gate: self-check failed, dead vals %s, want "
+                 "[Cache.full_tables]" % got)
     # [run]'s ?quiet is passed only in a comment and ?depth only inside
     # a nested lambda; ?inner belongs to the callback's type, not to
     # [run]; ?limit and ?seed are passed across lines and through a
