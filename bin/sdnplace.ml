@@ -233,7 +233,9 @@ let generate_cmd =
       & info [ "policies" ] ~docv:"N" ~doc:"Ingress policies.")
   in
   let rules =
-    Arg.(value & opt int 20 & info [ "rules" ] ~docv:"N" ~doc:"Rules per policy.")
+    Arg.(
+      value & opt positive_int 20
+      & info [ "rules" ] ~docv:"N" ~doc:"Rules per policy.")
   in
   let mergeable =
     Arg.(
@@ -631,7 +633,7 @@ let events_cmd =
   in
   let rules =
     Arg.(
-      value & opt int 6
+      value & opt positive_int 6
       & info [ "rules" ] ~docv:"N" ~doc:"Rules per generated tenant policy.")
   in
   let instance =
@@ -738,7 +740,9 @@ let caching_cmd =
       & info [ "policies" ] ~docv:"N" ~doc:"Ingress policies.")
   in
   let rules =
-    Arg.(value & opt int 10 & info [ "rules" ] ~docv:"N" ~doc:"Rules per policy.")
+    Arg.(
+      value & opt positive_int 10
+      & info [ "rules" ] ~docv:"N" ~doc:"Rules per policy.")
   in
   let paths =
     Arg.(

@@ -30,16 +30,16 @@ let greedy_raw (layout : Layout.t) =
      step reads those pairs, and the merged entry's slot is already
      charged to [used]. *)
   let placed = Array.make (Layout.num_vars layout) false in
-  let forbidden = Array.make (Layout.num_vars layout) false in
-  List.iter (fun v -> forbidden.(v) <- true) layout.Layout.forbidden;
   let policies = Array.of_list inst.Instance.policies in
-  let ord = Array.make (Topo.Net.num_hosts inst.Instance.net) (-1) in
-  Array.iteri (fun o (i, _) -> ord.(i) <- o) policies;
-  let pinned = Array.make (Topo.Net.num_hosts inst.Instance.net) false in
+  (* The variables monitors fix to 0, and the pinned policies'
+     ingresses, in small tables: a mask over every variable or host
+     would be scratch in the major heap. *)
+  let forbidden = Hashtbl.create 16 and pinned = Hashtbl.create 16 in
+  List.iter (fun v -> Hashtbl.replace forbidden v ()) layout.Layout.forbidden;
   List.iter
     (fun (i, k0, n) ->
       used.(k0) <- used.(k0) + n;
-      pinned.(i) <- true)
+      Hashtbl.replace pinned i ())
     layout.Layout.pinned;
   let deps = Array.map (fun (_, q) -> lazy (Depgraph.build q)) policies in
   let paths =
@@ -51,14 +51,20 @@ let greedy_raw (layout : Layout.t) =
   (* Drop priorities already covered, by policy and path position. *)
   let covered = Array.map (fun ps -> Array.make (Array.length ps) []) paths in
   (* --- Stage A: merged placement of dependency-free groups. --- *)
+  let groups = layout.Layout.plan.Merge.groups in
+  (* The position of each ingress's policy in [policies], and the paths
+     each switch would cover, zero between picks. *)
+  let ord = Hashtbl.create 16 in
+  Array.iteri (fun o (i, _) -> Hashtbl.replace ord i o) policies;
+  let count = if groups = [] then [||] else Array.make n_switches 0 in
   List.iter
     (fun (g : Merge.group) ->
       let members =
         List.filter_map
           (fun (m : Merge.member) ->
-            let o = ord.(m.Merge.ingress) in
-            if o < 0 then None
-            else
+            match Hashtbl.find_opt ord m.Merge.ingress with
+            | None -> None
+            | Some o ->
               List.find_opt
                 (fun (r : Acl.Rule.t) -> r.priority = m.Merge.priority)
                 (Acl.Policy.rules (snd policies.(o)))
@@ -88,15 +94,19 @@ let greedy_raw (layout : Layout.t) =
         in
         let uncovered = ref targets in
         let progress = ref true in
-        while !uncovered <> [] && !progress do
-          (* Pick the switch with room that covers the most paths. *)
-          let count = Array.make n_switches 0 in
+        (* [set f] gives each uncovered path's switches [f] of their
+           count. *)
+        let set f =
           List.iter
             (fun (_, _, _, p) ->
               Array.iter
-                (fun k -> count.(k) <- count.(k) + 1)
+                (fun k -> count.(k) <- f count.(k))
                 p.Routing.Path.switches)
-            !uncovered;
+            !uncovered
+        in
+        while !uncovered <> [] && !progress do
+          (* Pick the switch with room that covers the most paths. *)
+          set succ;
           let best = ref (-1) in
           Array.iteri
             (fun k c ->
@@ -106,6 +116,7 @@ let greedy_raw (layout : Layout.t) =
                 && (!best < 0 || c > count.(!best))
               then best := k)
             count;
+          set (fun _ -> 0);
           match !best with
           | -1 -> progress := false
           | k ->
@@ -131,12 +142,12 @@ let greedy_raw (layout : Layout.t) =
                 !uncovered
         done
       end)
-    layout.Layout.plan.Merge.groups;
+    groups;
   (* --- Stage B: per-path block placement. --- *)
   let failure = ref None in
   Array.iteri
     (fun o (i, q) ->
-      if !failure = None && not pinned.(i) then begin
+      if !failure = None && not (Hashtbl.mem pinned i) then begin
         let drops =
           List.filter
             (fun (w : Acl.Rule.t) ->
@@ -185,7 +196,8 @@ let greedy_raw (layout : Layout.t) =
             vars
         in
         let fits vars k =
-          (not (List.exists (fun v -> forbidden.(v)) vars))
+          (layout.Layout.forbidden = []
+          || not (List.exists (Hashtbl.mem forbidden) vars))
           && used.(k)
              + List.fold_left
                  (fun n v -> if placed.(v) then n else n + 1)

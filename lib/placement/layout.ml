@@ -15,14 +15,16 @@ type capacity = {
    a pinned one ([k0] >= 0) has no variables and holds each rule once at
    [k0].  [prios] is ascending and [slots.(x)] belongs to [prios.(x)];
    [rules.(s)] is the rule in slot [s]; [loc.(j)] is the
-   paper's loc of [switches.(j)].  A free policy's cover rows are the
-   pairs [(rows.(2r), rows.(2r+1))] of (path, drop slot): row [r] holds
-   the drop's variables at the positions [paths.(rows.(2r))] of the
-   path's switches, in path order.  [paths] keeps only the paths that
-   own a row.  Its Eq. 1 rows are the pairs [(deps.(2r), deps.(2r+1))]
-   of (drop slot, permit slot), one per dependency of a placed drop:
-   pair [r] stands for one row per switch position [j], the drop's
-   variable at [j] implying the permit's. *)
+   paper's loc of [switches.(j)].  A free policy's cover rows are kept
+   per owning path: [paths.(x)] is the positions of that path's
+   switches, in path order, and [covers.(x)] the slots of the drops it
+   owns a row for, each row holding its drop's variables at those
+   positions.  Unsliced, every owning path owns a row for every
+   coverage drop, so they all share one slot array.  Its Eq. 1 rows
+   are the pairs [(deps.(2r), deps.(2r+1))] of (drop slot, permit
+   slot), one per dependency of a placed drop: pair [r] stands for one
+   row per switch position [j], the drop's variable at [j] implying the
+   permit's. *)
 type block = {
   ingress : int;
   base : int;
@@ -33,12 +35,12 @@ type block = {
   rules : Acl.Rule.t array;
   k0 : int;
   paths : int array array;
-  rows : int array;
+  covers : int array array;
   deps : int array;
 }
 
 type numbering = {
-  blocks : block array;  (* by ingress host; [no_block] without a policy *)
+  blocks : block array;  (* one per policy, by ascending ingress *)
   free : block array;  (* the blocks that have variables, by base *)
   n_place : int;
   merged : key array;  (* of variable [n_place + x] *)
@@ -74,7 +76,7 @@ let no_block =
     rules = [||];
     k0 = -1;
     paths = [||];
-    rows = [||];
+    covers = [||];
     deps = [||];
   }
 
@@ -129,30 +131,17 @@ let same_multiset count a b =
     !same
   end
 
-(* A growable int array, [build]'s scratch for one block's pairs:
-   [push x] appends [x], [take ()] returns what was pushed and empties
-   the buffer. *)
-let int_buffer () =
-  let data = ref (Array.make 64 0) and len = ref 0 in
-  let push x =
-    if !len = Array.length !data then begin
-      let grown = Array.make (2 * !len) 0 in
-      Array.blit !data 0 grown 0 !len;
-      data := grown
-    end;
-    !data.(!len) <- x;
-    incr len
-  in
-  let take () =
-    let a = Array.sub !data 0 !len in
-    len := 0;
-    a
-  in
-  (push, take)
-
+(* The block of the policy at [ingress], by binary search, or
+   [no_block] when [ingress] has no policy. *)
 let block_at blocks ingress =
-  if ingress < 0 || ingress >= Array.length blocks then no_block
-  else blocks.(ingress)
+  let lo = ref 0 and hi = ref (Array.length blocks) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if blocks.(mid).ingress < ingress then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length blocks && blocks.(!lo).ingress = ingress then
+    blocks.(!lo)
+  else no_block
 
 (* Slot of [priority] in [b], or -1 when the rule places nothing. *)
 let slot_of b priority =
@@ -351,13 +340,9 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
      (the table's fold order is the order of [forbidden], in which
      Encode emits them), rule dependency (Eq. 1) and path coverage
      (Eq. 2) rows. *)
-  let blocks = Array.make (Topo.Net.num_hosts net) no_block in
-  let n_place = ref 0 and free = ref [] and pinned = ref [] in
-  let forbidden = Hashtbl.create 16 in
-  (* The implication and cover rows' pairs of the block being written,
-     and the layout's row and term counts. *)
-  let push_dep, take_deps = int_buffer () in
-  let push_row, take_rows = int_buffer () in
+  let blocks = ref [] and n_place = ref 0 and free = ref [] in
+  let pinned = ref [] and forbidden = Hashtbl.create 16 in
+  (* The layout's row and term counts. *)
   let implication_rows = ref 0 in
   let cover_rows = ref 0 and cover_terms = ref 0 in
   let group = Hash_tbl.create 64 and count = Array.make n_switches 0 in
@@ -383,13 +368,13 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
              placed drop, standing for its row at each switch.  Placed
              drops, their permits and coverage drops are all placed, so
              all have slots. *)
+          let deps = ref [] in
           List.iter
             (fun (w : Acl.Rule.t) ->
               let sw = slot_of b w.priority in
               List.iter
                 (fun (u : Acl.Rule.t) ->
-                  push_dep sw;
-                  push_dep (slot_of b u.priority);
+                  deps := slot_of b u.priority :: sw :: !deps;
                   implication_rows := !implication_rows + width)
                 (Depgraph.dependencies pi.dep w))
             pi.placed_drops;
@@ -397,10 +382,10 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
              slices the drops a path must carry to those its flow can
              meet.  Paths with equal multisets share a group.  The walk
              runs over paths and drops backwards, the order of the rows,
-             and keeps the first row of each (drop, group): the pair of
-             the path that meets it first and the drop's slot.
-             Unsliced, every drop meets every path, so a group's first
-             path owns all its rows. *)
+             and keeps the first row of each (drop, group): the path
+             that meets it first owns it.  Unsliced, every drop meets
+             every path, so a group's first path owns all its rows and
+             takes [drop_slots] itself. *)
           Array.iteri (fun j k -> pos.(k) <- j) b.switches;
           Hash_tbl.clear group;
           let drops = Array.of_list (List.rev pi.coverage_drops) in
@@ -419,11 +404,14 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
             | g :: gs ->
               if same_multiset count firsts.(g) js then g else find js gs
           in
+          (* Sliced: the (group, drop) cells that have their row, and
+             the slots the current path owns. *)
           let seen =
             if sliced then Bytes.make (n_walk * n_drops) '\000'
             else Bytes.empty
           in
-          let paths = ref [] and n_paths = ref 0 in
+          let owned = if sliced then Array.make n_drops 0 else [||] in
+          let paths = ref [] and covers = ref [] in
           for x = n_walk - 1 downto 0 do
             let p = walk.(x) in
             let switches = p.Routing.Path.switches in
@@ -443,45 +431,48 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
               end
               else g
             in
-            let owner = ref (-1) in
-            for d = 0 to n_drops - 1 do
-              let cell = (g * n_drops) + d in
-              let owns =
-                if sliced then
-                  Bytes.get seen cell = '\000'
-                  && Ternary.Field.overlaps drops.(d).Acl.Rule.field
-                       p.Routing.Path.flow
-                else fresh
-              in
-              if owns then begin
-                if sliced then Bytes.set seen cell '\001';
-                if !owner < 0 then begin
-                  owner := !n_paths;
-                  paths := js :: !paths;
-                  incr n_paths
-                end;
-                push_row !owner;
-                push_row drop_slots.(d);
-                incr cover_rows;
-                cover_terms := !cover_terms + Array.length js
+            let own =
+              if not sliced then if fresh then drop_slots else [||]
+              else begin
+                let n = ref 0 in
+                for d = 0 to n_drops - 1 do
+                  let cell = (g * n_drops) + d in
+                  if
+                    Bytes.get seen cell = '\000'
+                    && Ternary.Field.overlaps drops.(d).Acl.Rule.field
+                         p.Routing.Path.flow
+                  then begin
+                    Bytes.set seen cell '\001';
+                    owned.(!n) <- drop_slots.(d);
+                    incr n
+                  end
+                done;
+                Array.sub owned 0 !n
               end
-            done
+            in
+            if Array.length own > 0 then begin
+              paths := js :: !paths;
+              covers := own :: !covers;
+              cover_rows := !cover_rows + Array.length own;
+              cover_terms := !cover_terms + (Array.length own * Array.length js)
+            end
           done;
           Array.iter (fun k -> pos.(k) <- -1) b.switches;
           let b =
             {
               b with
               paths = Array.of_list (List.rev !paths);
-              rows = take_rows ();
-              deps = take_deps ();
+              covers = Array.of_list (List.rev !covers);
+              deps = Array.of_list (List.rev !deps);
             }
           in
           free := b :: !free;
           b
         end
       in
-      blocks.(b.ingress) <- b)
+      blocks := b :: !blocks)
     policies;
+  let blocks = Array.of_list (List.rev !blocks) in
   let free = Array.of_list (List.rev !free) in
   let forbidden = Hashtbl.fold (fun v () acc -> v :: acc) forbidden [] in
   (* Merged variables (Section IV-B): one per (group, switch) where at
@@ -490,7 +481,7 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
   let n_vars = ref !n_place in
   let merged = ref [] in
   let merge_defs = ref [] in
-  let at = Array.make n_switches [] in
+  let at = if plan.Merge.groups = [] then [||] else Array.make n_switches [] in
   List.iter
     (fun (g : Merge.group) ->
       List.iter
@@ -523,15 +514,16 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
     (fun b ->
       Array.iter (fun k -> worst.(k) <- worst.(k) + n_rules b) b.switches)
     free;
-  let grouped = Hashtbl.create 16 in
-  let grouped_by_switch = Array.make n_switches [] in
+  (* The merged variables by switch, latest first; [grouped] their
+     members. *)
+  let grouped = Hashtbl.create 16 and grouped_at = Hashtbl.create 16 in
   List.iter
     (fun (mv, members) ->
       let switch =
         match merged.(mv - !n_place) with
         | Merged { switch; _ } | Place { switch; _ } -> switch
       in
-      grouped_by_switch.(switch) <- (mv, members) :: grouped_by_switch.(switch);
+      Hashtbl.add grouped_at switch (mv, members);
       worst.(switch) <- worst.(switch) + List.length members;
       List.iter
         (fun v ->
@@ -562,7 +554,7 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
           switch = k;
           bound = bound k;
           plain = !plain;
-          grouped = grouped_by_switch.(k);
+          grouped = Hashtbl.find_all grouped_at k;
         })
       binding
   in
@@ -648,9 +640,10 @@ let iter_covers t f =
   for x = Array.length free - 1 downto 0 do
     let b = free.(x) in
     let width = Array.length b.switches in
-    for r = 0 to (Array.length b.rows / 2) - 1 do
-      f (b.base + (b.rows.((2 * r) + 1) * width)) b.paths.(b.rows.(2 * r))
-    done
+    Array.iteri
+      (fun x js ->
+        Array.iter (fun s -> f (b.base + (s * width)) js) b.covers.(x))
+      b.paths
   done
 
 let pinned_rules t = List.fold_left (fun n (_, _, r) -> n + r) 0 t.pinned

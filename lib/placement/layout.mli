@@ -62,11 +62,12 @@ type capacity = {
 }
 
 type numbering
-(** The dense index behind {!key}, {!var} and {!is_dummy}: per ingress,
-    its [base_i], [S_i] with each switch's loc, its placed priorities
-    and rules and its pin switch, plus the merged variables' keys and
-    the dummies.  Built once by {!build} and read-only afterwards, so a
-    layout can be queried from several domains. *)
+(** The dense index behind {!key}, {!var} and {!is_dummy}: per policy,
+    by ascending ingress, its [base_i], [S_i] with each switch's loc,
+    its placed priorities and rules and its pin switch, plus the merged
+    variables' keys and the dummies.  Built once by {!build} and
+    read-only afterwards, so a layout can be queried from several
+    domains. *)
 
 type t = {
   instance : Instance.t;
@@ -151,15 +152,17 @@ val iter_covers : t -> (int -> int array -> unit) -> unit
     multiset's row when its field meets the flow of some path with that
     multiset.
 
-    A free policy keeps its rows as (path, drop slot) pairs, and each
-    path that owns a row as the positions [js] of its switches in
-    [S_i], in path order; [off] is the first variable of the drop's
-    slot.  So a row is written out only when it is read, and [js] is
-    shared by the drops of one path: [f] must not modify it.  Policies
-    come last first; within a policy the paths and drops run
-    backwards, and a (drop, multiset) row comes from the first path
-    of that walk that meets the drop, so rows of different multisets
-    can interleave. *)
+    A free policy keeps its rows per owning path: the positions [js] of
+    the path's switches in [S_i], in path order, and the slots of the
+    drops it owns a row for.  Unsliced, the first path of each multiset
+    owns a row for every coverage drop, so all of a policy's owning
+    paths share one slot array; sliced, each has its own.  [off] is
+    the first variable of the drop's slot.  So a row is written out
+    only when it is read, and [js] is shared by the drops of one path:
+    [f] must not modify it.  Policies come last first; within a policy
+    the paths and drops run backwards, and a (drop, multiset) row
+    comes from the first path of that walk that meets the drop, so
+    rows of different multisets can interleave. *)
 
 val pinned_rules : t -> int
 (** The rules the pinned policies hold: the entries every assignment

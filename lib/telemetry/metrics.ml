@@ -17,7 +17,6 @@ type hist = {
   h_upper : float array; (* finite upper bounds, ascending *)
   h_buckets : int Atomic.t array; (* length = Array.length h_upper + 1 *)
   h_sum : float Atomic.t;
-  h_count : int Atomic.t;
 }
 
 type cell = C of int Atomic.t | G of float Atomic.t | H of hist
@@ -192,7 +191,6 @@ let histogram ?registry ?(help = "") ?(labels = [])
             h_buckets =
               Array.init (Array.length buckets + 1) (fun _ -> Atomic.make 0);
             h_sum = Atomic.make 0.0;
-            h_count = Atomic.make 0;
           })
   with
   | H h -> { h_on = r.enabled; h }
@@ -227,7 +225,6 @@ let observe hm x =
   if Atomic.get hm.h_on then begin
     let h = hm.h in
     ignore (Atomic.fetch_and_add h.h_buckets.(bucket_index h.h_upper x) 1);
-    ignore (Atomic.fetch_and_add h.h_count 1);
     float_add h.h_sum x
   end
 
@@ -243,7 +240,6 @@ let time hm f =
 type histogram_snapshot = {
   upper : float array;
   counts : int array;
-  count : int;
   sum : float;
 }
 
@@ -252,7 +248,6 @@ let snapshot hm =
   {
     upper = Array.copy h.h_upper;
     counts = Array.map Atomic.get h.h_buckets;
-    count = Atomic.get h.h_count;
     sum = Atomic.get h.h_sum;
   }
 
@@ -338,10 +333,11 @@ let render ?registry () =
           (Printf.sprintf "%s_sum%s %s\n" m.m_name
              (render_labels m.m_labels)
              (float_str (Atomic.get h.h_sum)));
+        (* [_count] is the [+Inf] bucket's cumulative count. *)
         Buffer.add_string buf
           (Printf.sprintf "%s_count%s %d\n" m.m_name
              (render_labels m.m_labels)
-             (Atomic.get h.h_count)))
+             !cum))
     items;
   Buffer.contents buf
 

@@ -90,7 +90,6 @@ val time : histogram -> (unit -> 'a) -> 'a
 type histogram_snapshot = {
   upper : float array;  (** finite bucket upper bounds, ascending *)
   counts : int array;  (** per-bucket counts, length [upper]+1 (+Inf last) *)
-  count : int;
   sum : float;
 }
 

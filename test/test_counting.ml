@@ -470,6 +470,60 @@ let test_place_paper_settles () =
     (List.length r.Solve.layout.Layout.pinned);
   Alcotest.(check int) "variables" 5801 (Layout.num_vars r.Solve.layout)
 
+(* Words [f] allocates directly in the major heap: the major words it
+   allocates less the minor words promoted there.  Arrays longer than
+   the young limit (256 words) land there directly. *)
+let direct_major_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let _, promoted1, major1 = Gc.counters () in
+  (r, int_of_float (major1 -. major0 -. (promoted1 -. promoted0)))
+
+(* Attribution gate for a settled placement's scratch.  The property:
+   on [place_paper]-family instances 0-7 at seed 1 (k=16, 8 policies,
+   r=20, 1,024 paths, C=140), each of which settles by counting, one
+   [Solve.run] allocates directly in the major heap at most its
+   assignment ([Layout.num_vars] words) and eight per-switch arrays
+   ([num_switches + 1] words each, header included).  Everything else
+   it builds is small enough for the minor heap.  The count is
+   deterministic, so this is a count, not a timing.  A layout that
+   buffers its cover rows as one flat pair array or keeps a block per
+   host, or a greedy that keeps a mask per variable or per host, each
+   exceed the bound on every instance. *)
+let test_settled_major_words () =
+  for i = 0 to 7 do
+    let inst =
+      Workload.build
+        {
+          Workload.default with
+          Workload.k = 16;
+          num_policies = 8;
+          rules = 20;
+          paths = 1024;
+          capacity = 140;
+          seed = 100_003 + i;
+        }
+    in
+    (* The first run registers metrics and forces lazy tables. *)
+    ignore (Solve.run inst);
+    let r, words = direct_major_words (fun () -> Solve.run inst) in
+    let s = Option.get r.Solve.ilp_stats in
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "instance %d settles" i)
+      (0, 0)
+      (s.Ilp.Solver.nodes, s.Ilp.Solver.lp_calls);
+    let bound =
+      Layout.num_vars r.Solve.layout
+      + (8 * (Topo.Net.num_switches inst.Instance.net + 1))
+    in
+    if words > bound then
+      Alcotest.failf
+        "instance %d: Solve.run allocated %d words directly in the major \
+         heap (bound %d = num_vars %d + 8 x (num_switches + 1))"
+        i words bound
+        (Layout.num_vars r.Solve.layout)
+  done
+
 (* A k=32 point of the paper's grid (1024 policies, 1024 paths, r=20,
    C=200): every policy fits, the greedy warm start places exactly A
    entries, and the solve ends optimal before any LP. *)
@@ -515,4 +569,6 @@ let suite =
       test_place_paper_settles;
     Alcotest.test_case "k=32 paper grid point settles by counting" `Quick
       test_paper_grid_point;
+    Alcotest.test_case "a settled solve keeps its scratch out of the major heap"
+      `Quick test_settled_major_words;
   ]

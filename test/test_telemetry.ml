@@ -29,7 +29,11 @@ let test_concurrent_writers () =
   Alcotest.(check int) "counter: no lost increments" (domains * per)
     (Metrics.counter_value c);
   let s = Metrics.snapshot h in
-  Alcotest.(check int) "histogram count" (domains * per) s.Metrics.count;
+  Alcotest.(check int) "histogram count" (domains * per) (Util.observations h);
+  Alcotest.(check bool) "rendered _count is every observation" true
+    (List.mem
+       (Printf.sprintf "t_conc_hist_count %d" (domains * per))
+       (String.split_on_char '\n' (Metrics.render ~registry:r ())));
   (* Replay the same observation stream sequentially: bucketing and the
      (exactly representable) sum must agree. *)
   let want_counts = Array.make 4 0 in
@@ -52,7 +56,7 @@ let test_disabled_is_inert () =
   Metrics.incr c;
   Metrics.observe h 1.0;
   Alcotest.(check int) "counter untouched" 0 (Metrics.counter_value c);
-  Alcotest.(check int) "histogram untouched" 0 (Metrics.snapshot h).Metrics.count;
+  Alcotest.(check int) "histogram untouched" 0 (Util.observations h);
   Metrics.enable ~registry:r ();
   Metrics.incr c;
   Alcotest.(check int) "counter live after enable" 1 (Metrics.counter_value c)
@@ -310,7 +314,7 @@ let test_update_wave_series_record () =
       "sdnplace_update_wave_seconds"
   in
   let w0 = Metrics.counter_value c_waves in
-  let l0 = (Metrics.snapshot h_wave).Metrics.count in
+  let l0 = Util.observations h_wave in
   Metrics.enable ();
   Trace.reset ();
   Trace.enable ();
@@ -343,7 +347,7 @@ let test_update_wave_series_record () =
   let waves = Metrics.counter_value c_waves - w0 in
   Alcotest.(check bool) "wave counter advanced" true (waves > 0);
   Alcotest.(check int) "one latency observation per committed wave" waves
-    ((Metrics.snapshot h_wave).Metrics.count - l0);
+    (Util.observations h_wave - l0);
   ignore (Metrics.counter_value c_rolls);
   List.iter
     (fun name ->

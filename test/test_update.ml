@@ -313,8 +313,7 @@ let test_backoff_split_accounting () =
     Metrics.counter_value
       (Metrics.counter "sdnplace_update_wave_rollbacks_total")
   and wlat0 =
-    (Metrics.snapshot (Metrics.histogram "sdnplace_update_wave_seconds"))
-      .Metrics.count
+    Util.observations (Metrics.histogram "sdnplace_update_wave_seconds")
   in
   let plan = build_small () in
   let fault = Fault_plan.make ~seed:8 () in
@@ -345,8 +344,7 @@ let test_backoff_split_accounting () =
        (Metrics.counter "sdnplace_update_wave_rollbacks_total"));
   Alcotest.(check int) "wave latency observed per committed wave"
     (wlat0 + Array.length plan.Update.waves)
-    (Metrics.snapshot (Metrics.histogram "sdnplace_update_wave_seconds"))
-      .Metrics.count
+    (Util.observations (Metrics.histogram "sdnplace_update_wave_seconds"))
 
 (* ------------------------------------------------------------------ *)
 (* The affected set is the per-tag filter's.                           *)

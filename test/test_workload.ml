@@ -189,6 +189,17 @@ let test_generate_ingress_flag () =
   Alcotest.(check int) "unknown mode is a usage error" 124
     (fst (generate (base @ [ "--ingress"; "edge" ])))
 
+(* A rule count below 1 is a usage error (exit 124) before anything is
+   built; one rule per policy is a valid instance. *)
+let test_generate_rules_flag () =
+  List.iter
+    (fun rules ->
+      Alcotest.(check int) ("--rules=" ^ rules) 124
+        (fst (generate [ "-k"; "4"; "--rules=" ^ rules ])))
+    [ "0"; "-2" ];
+  Alcotest.(check int) "--rules 1" 0
+    (fst (generate [ "-k"; "4"; "--rules"; "1" ]))
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -202,4 +213,6 @@ let suite =
     Alcotest.test_case "k=16 build allocation bound" `Quick
       test_build_allocation;
     Alcotest.test_case "generate --ingress" `Quick test_generate_ingress_flag;
+    Alcotest.test_case "generate --rules below 1" `Quick
+      test_generate_rules_flag;
   ]

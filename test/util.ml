@@ -1,5 +1,5 @@
-(* Shared helpers for placement-level tests: instance generators and
-   verification wrappers. *)
+(* Shared helpers for the tests: instance generators, verification
+   wrappers and metric readers. *)
 
 let field ?src ?dst ?proto () =
   let parse = Ternary.Prefix.of_string in
@@ -58,3 +58,8 @@ let model_rows model =
     (List.map
        (fun (r : Simplex.row) -> (r.sense, r.coeffs, r.rhs))
        (Ilp.Model.lp_relaxation model).Simplex.rows)
+
+(* A histogram's observations so far: its buckets' counts summed, which
+   is what [Metrics.render] prints as its [_count] series. *)
+let observations h =
+  Array.fold_left ( + ) 0 (Telemetry.Metrics.snapshot h).Telemetry.Metrics.counts

@@ -55,9 +55,11 @@ Building a record (a literal, `{e with f = ...}`) or assigning
 `x.f <- v` does not read it.  Reads resolve by module: a
 qualified read counts for the modules its qualifier denotes, but an
 unqualified one, which OCaml may resolve by type, counts for every
-field of that name.  A record pattern's fields must all be fields of
-the type (all of them unless it ends in `_`), so a pattern reads no
-field of a type it cannot have.
+field of that name, save in an .ml that declares a record type with a
+field of that name its .mli does not export: there it reads the file's
+own field, and a read of another module's must be qualified.  A record
+pattern's fields must all be fields of the type (all of them unless it
+ends in `_`), so a pattern reads no field of a type it cannot have.
 
 Every field of a `config` or `options` record must be set by some
 program outside test/: by a literal (whose fields are exactly its
@@ -636,6 +638,14 @@ def field_uses(toks):
     return reads, sets
 
 
+def local_fields(path, src, intf):
+    """The fields of the record types the .ml [src] declares that its
+    interface [intf] (empty when it has none) declares in no record
+    type: an unqualified [x.f] there reads the file's own field."""
+    exported = {name for _, _, name, _, _ in declared_fields(path, intf)}
+    return {name for _, _, name, _, _ in declared_fields(path, src)} - exported
+
+
 def dead_fields(text):
     """Map of path -> comment-free source in; (declared fields, unread
     fields, unset config fields) out, each a list of (mli path, line,
@@ -657,8 +667,10 @@ def dead_fields(text):
     reads, sets = {}, {}
     for path, src in impls.items():
         r, w = field_uses(tokens(src))
+        own = local_fields(path, src, text.get(path + "i", ""))
         for use in r:
-            reads.setdefault(use[1], []).append(use)
+            if not (use[0] is None and use[2] is None and use[1] in own):
+                reads.setdefault(use[1], []).append(use)
         for use in w:
             if not (use[4] and path.replace(os.sep, "/").startswith("lib/")):
                 sets.setdefault(use[1], []).append(use)
@@ -960,6 +972,31 @@ def self_check():
             sys.exit("dead-code gate: self-check failed, unread, test-only read "
                      "and unset fields and stale field seams %s, want %s"
                      % (got, want))
+
+    # [Update.result.violations] is read only under test/.  [Controller]
+    # keeps a private record with a field of that name, which its .mli
+    # does not export, and reads it unqualified: that read is its own
+    # field's, so it keeps [Update]'s alive no more.  [Update]'s
+    # [applied] is read unqualified only by [Journal], whose .mli
+    # exports its own [applied], so that read still counts for both.
+    tree = {
+        "lib/a/update.mli": "type result = { applied : int; violations : int }\n"
+                            "val execute : unit -> result\n",
+        "lib/a/controller.mli": "type t\nval bump : t -> int\n",
+        "lib/a/controller.ml": "type t = { mutable violations : int }\n"
+                               "let bump t = t.violations <- t.violations + 1; 0\n",
+        "lib/a/journal.mli": "type stats = { applied : int }\nval stats : unit -> stats\n",
+        "lib/a/journal.ml": "type stats = { applied : int }\n"
+                            "let stats () = { applied = (Update.execute ()).applied }\n",
+        "bin/main.ml": "let _ = Controller.bump c\n",
+        "test/t.ml": "let v (r : Update.result) = r.Update.violations\n",
+    }
+    _, _, found = findings(strip_all(tree), [])
+    got = ([n for _, _, n, _ in found["tested_field"]],
+           [n for _, _, n, _ in found["unread"]])
+    if got != (["Update.result.violations"], []):
+        sys.exit("dead-code gate: self-check failed, test-only read and unread "
+                 "fields %s, want ([Update.result.violations], [])" % (got,))
 
 
 def strip_all(tree):
