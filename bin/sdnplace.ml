@@ -177,7 +177,12 @@ let objective_arg =
 let time_limit_arg =
   Arg.(
     value & opt positive_float 60.0
-    & info [ "time-limit" ] ~docv:"SECONDS" ~doc:"ILP solver time limit.")
+    & info [ "time-limit" ] ~docv:"SECONDS"
+        ~doc:
+          "Wall-clock budget, in seconds, of the run's ILP work as a whole \
+           (warm-start solves included): a finite number above 0.  No \
+           value turns the limit off: $(b,inf), $(b,nan) and values <= 0 \
+           are usage errors.")
 
 (* The one solve-option surface shared by [solve], [verify] and [events]. *)
 let solve_options =

@@ -2,45 +2,28 @@ type greedy_outcome =
   | Placed of Solution.t
   | Stuck of { ingress : int; egress : int }
 
-(* Greedy placement over the layout's variable space, two stages:
+(* Position of [x] in the ascending array [a]; [x] must be there. *)
+let position a x =
+  let lo = ref 0 and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-   Stage A (only with a merge plan): network-wide groups whose members
-   have no permit dependencies — the typical shared blacklist — are
-   placed once per switch of a greedily chosen path cover.  Every member
-   policy whose [S_i] contains the chosen switch shares the single merged
-   entry, so the group costs one slot per cover switch.
-
-   Stage B: for each path, the block of still-uncovered relevant DROPs
-   plus their dependent PERMITs lands whole on the first switch (walking
-   from the ingress side) whose remaining capacity absorbs the entries
-   not already installed there for this policy.
-
-   A pinned policy is placed before either stage: its rules are charged
-   to its switch [k0], and Stage B skips it.
-   When the stages succeed this is the placement they would have made
-   themselves: every block of such a policy fits at its ingress switch
-   [k0] (its one-switch path needs all of them there), and charging the
-   pins early rejects no switch a later step would have taken. *)
-let greedy_raw (layout : Layout.t) =
+(* Stage A of [greedy_raw] (only with a merge plan): network-wide groups
+   whose members have no permit dependencies — the typical shared
+   blacklist — are placed once per switch of a greedily chosen path
+   cover.  Every member policy whose [S_i] contains the chosen switch
+   shares the single merged entry, so the group costs one slot per cover
+   switch.  Stage A also shares members at switches where they have no
+   variable: no later step reads those pairs, and the merged entry's
+   slot is already charged to [used].  Returns the drop priorities it
+   covered, by ingress and path position. *)
+let merged_stage (layout : Layout.t) used placed =
   let inst = layout.Layout.instance in
   let n_switches = Topo.Net.num_switches inst.Instance.net in
-  let used = Array.make n_switches 0 in
-  (* Placed (rule, switch) pairs, by layout variable.  Stage A also
-     shares members at switches where they have no variable: no later
-     step reads those pairs, and the merged entry's slot is already
-     charged to [used]. *)
-  let placed = Array.make (Layout.num_vars layout) false in
   let policies = Array.of_list inst.Instance.policies in
-  (* The variables monitors fix to 0, and the pinned policies'
-     ingresses, in small tables: a mask over every variable or host
-     would be scratch in the major heap. *)
-  let forbidden = Hashtbl.create 16 and pinned = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace forbidden v ()) layout.Layout.forbidden;
-  List.iter
-    (fun (i, k0, n) ->
-      used.(k0) <- used.(k0) + n;
-      Hashtbl.replace pinned i ())
-    layout.Layout.pinned;
   let deps = Array.map (fun (_, q) -> lazy (Depgraph.build q)) policies in
   let paths =
     Array.map
@@ -48,15 +31,12 @@ let greedy_raw (layout : Layout.t) =
         Array.of_list (Routing.Table.paths_from inst.Instance.routing i))
       policies
   in
-  (* Drop priorities already covered, by policy and path position. *)
   let covered = Array.map (fun ps -> Array.make (Array.length ps) []) paths in
-  (* --- Stage A: merged placement of dependency-free groups. --- *)
-  let groups = layout.Layout.plan.Merge.groups in
   (* The position of each ingress's policy in [policies], and the paths
      each switch would cover, zero between picks. *)
   let ord = Hashtbl.create 16 in
   Array.iteri (fun o (i, _) -> Hashtbl.replace ord i o) policies;
-  let count = if groups = [] then [||] else Array.make n_switches 0 in
+  let count = Array.make n_switches 0 in
   List.iter
     (fun (g : Merge.group) ->
       let members =
@@ -142,114 +122,157 @@ let greedy_raw (layout : Layout.t) =
                 !uncovered
         done
       end)
-    groups;
-  (* --- Stage B: per-path block placement. --- *)
-  let failure = ref None in
+    layout.Layout.plan.Merge.groups;
+  let by_ingress = Hashtbl.create 16 in
   Array.iteri
-    (fun o (i, q) ->
-      if !failure = None && not (Hashtbl.mem pinned i) then begin
-        let drops =
-          List.filter
-            (fun (w : Acl.Rule.t) ->
-              not (Layout.is_dummy layout ~ingress:i ~priority:w.priority))
-            (Acl.Policy.drops q)
-        in
-        (* Paths that leave the same drops uncovered share a block, and
-           its variables at a switch: each is derived once, keyed by
-           the block's drop priorities (by switch for the variables).
-           Unsliced, a path nothing covered needs every drop. *)
-        let blocks = Hashtbl.create 4 in
-        let block_of = function
-          | [] -> None
-          | block_drops -> (
-            let key =
-              List.map (fun (w : Acl.Rule.t) -> w.priority) block_drops
-            in
-            match Hashtbl.find_opt blocks key with
-            | Some b -> Some b
-            | None ->
-              let rules =
-                block_drops
-                @ Depgraph.required_permits (Lazy.force deps.(o)) block_drops
-              in
-              let b = (rules, Hashtbl.create 4) in
-              Hashtbl.add blocks key b;
-              Some b)
-        in
-        let whole = lazy (block_of drops) in
-        (* Block drops are relevant placed drops and the permits are
-           their dependencies, so every block rule has a variable at
-           every switch of the path. *)
-        let vars_at (rules, at) k =
-          match Hashtbl.find_opt at k with
-          | Some vars -> vars
-          | None ->
-            let vars =
-              List.map
-                (fun (r : Acl.Rule.t) ->
-                  Option.get
-                    (Layout.var layout ~ingress:i ~priority:r.priority
-                       ~switch:k))
-                rules
-            in
-            Hashtbl.add at k vars;
-            vars
-        in
-        let fits vars k =
-          (layout.Layout.forbidden = []
-          || not (List.exists (Hashtbl.mem forbidden) vars))
-          && used.(k)
-             + List.fold_left
-                 (fun n v -> if placed.(v) then n else n + 1)
-                 0 vars
-             <= inst.Instance.capacities.(k)
-        in
-        Array.iteri
-          (fun j (path : Routing.Path.t) ->
-            if !failure = None then begin
-              let block =
-                if covered.(o).(j) = [] && not layout.Layout.sliced then
-                  Lazy.force whole
-                else
-                  block_of
-                    (List.filter
-                       (fun (w : Acl.Rule.t) ->
-                         (not (List.mem w.priority covered.(o).(j)))
-                         && ((not layout.Layout.sliced)
-                            || Ternary.Field.overlaps w.field
-                                 path.Routing.Path.flow))
-                       drops)
-              in
-              match block with
-              | None -> ()
-              | Some block -> (
-                match
-                  Array.fold_left
-                    (fun acc k ->
-                      match acc with
-                      | Some _ -> acc
-                      | None ->
-                        let vars = vars_at block k in
-                        if fits vars k then Some (k, vars) else None)
-                    None path.Routing.Path.switches
-                with
-                | Some (k, vars) ->
-                  List.iter
-                    (fun v ->
-                      if not placed.(v) then begin
-                        placed.(v) <- true;
-                        used.(k) <- used.(k) + 1
-                      end)
-                    vars
-                | None ->
-                  failure :=
-                    Some
-                      (Stuck
-                         { ingress = i; egress = path.Routing.Path.egress }))
-            end)
-          paths.(o)
-      end)
+    (fun o (i, _) -> Hashtbl.replace by_ingress i covered.(o))
     policies;
+  by_ingress
+
+(* Greedy placement over the layout's variable space, two stages:
+   Stage A ([merged_stage], only with a merge plan), then Stage B: for
+   each path, the block of still-uncovered relevant DROPs plus their
+   dependent PERMITs lands whole on the first switch (walking from the
+   ingress side) whose remaining capacity absorbs the entries not
+   already installed there for this policy.
+
+   Stage B works on the layout's own slots.  A path's block is a set of
+   slots of its policy: its real drops (not dummies; not covered by
+   Stage A; sliced, those whose field meets the path's flow), closed
+   over the policy's Eq. 1 (drop slot, permit slot) pairs.  Its entry at
+   the switch in position [j] of [S_i] is variable
+   [base + s * |S_i| + j].  Unsliced, a path Stage A left alone needs
+   every real drop, so such paths share one block, built once.
+
+   A pinned policy is placed before either stage: its rules are charged
+   to its switch [k0], and Stage B skips it (it is not free).
+   When the stages succeed this is the placement they would have made
+   themselves: every block of such a policy fits at its ingress switch
+   [k0] (its one-switch path needs all of them there), and charging the
+   pins early rejects no switch a later step would have taken. *)
+let greedy_raw (layout : Layout.t) =
+  let inst = layout.Layout.instance in
+  let capacities = inst.Instance.capacities in
+  let used = Array.make (Topo.Net.num_switches inst.Instance.net) 0 in
+  (* Placed (rule, switch) pairs, by layout variable. *)
+  let placed = Array.make (Layout.num_vars layout) false in
+  (* The variables monitors fix to 0, in a small table: a mask over
+     every variable would be scratch in the major heap. *)
+  let forbidden = Hashtbl.create 16 in
+  List.iter (fun v -> Hashtbl.replace forbidden v ()) layout.Layout.forbidden;
+  let no_forbidden = layout.Layout.forbidden = [] in
+  List.iter (fun (_, k0, n) -> used.(k0) <- used.(k0) + n) layout.Layout.pinned;
+  let merging = layout.Layout.plan.Merge.groups <> [] in
+  let covered =
+    if merging then merged_stage layout used placed else Hashtbl.create 1
+  in
+  let sliced = layout.Layout.sliced in
+  let failure = ref None in
+  Layout.iter_free layout (fun ~ingress ~base ~switches ~rules ~deps ->
+      if Option.is_none !failure then begin
+        let width = Array.length switches and n = Array.length rules in
+        (* The policy's real drop slots: [drops.(0 .. n_drops-1)]. *)
+        let drops = Array.make n 0 and n_drops = ref 0 in
+        for s = 0 to n - 1 do
+          let r = rules.(s) in
+          if
+            Acl.Rule.is_drop r
+            && not
+                 (merging
+                 && Layout.is_dummy layout ~ingress ~priority:r.priority)
+          then begin
+            drops.(!n_drops) <- s;
+            incr n_drops
+          end
+        done;
+        let covered =
+          match Hashtbl.find_opt covered ingress with
+          | Some c -> c
+          | None -> [||]
+        in
+        (* The current block: slots [block.(0 .. size-1)], flagged in
+           [mark]; [whole] when it is every real drop's.  [done_at] is
+           the switch position where Stage B last placed it, or -1: a
+           path starting there takes it at once, since its entries are
+           all placed, none is forbidden, and no switch's load ever
+           exceeds its capacity. *)
+        let block = Array.make n 0 and mark = Bytes.make n '\000' in
+        let size = ref 0 and whole = ref false and done_at = ref (-1) in
+        let add s =
+          if Bytes.get mark s = '\000' then begin
+            Bytes.set mark s '\001';
+            block.(!size) <- s;
+            incr size
+          end
+        in
+        let rec walk j = function
+          | [] -> ()
+          | (path : Routing.Path.t) :: rest ->
+            let cov = if Array.length covered = 0 then [] else covered.(j) in
+            let needs_whole =
+              (not sliced) && match cov with [] -> true | _ :: _ -> false
+            in
+            if not (needs_whole && !whole) then begin
+              for x = 0 to !size - 1 do
+                Bytes.set mark block.(x) '\000'
+              done;
+              size := 0;
+              for x = 0 to !n_drops - 1 do
+                let w = rules.(drops.(x)) in
+                if
+                  (not (List.mem w.priority cov))
+                  && ((not sliced)
+                     || Ternary.Field.overlaps w.field path.Routing.Path.flow)
+                then add drops.(x)
+              done;
+              (* Close over Eq. 1: a permit slot is never a drop slot, so
+                 one pass over the pairs does. *)
+              for r = 0 to (Array.length deps / 2) - 1 do
+                if Bytes.get mark deps.(2 * r) <> '\000' then
+                  add deps.((2 * r) + 1)
+              done;
+              whole := needs_whole;
+              done_at := -1
+            end;
+            if
+              !size > 0
+              && position switches path.Routing.Path.switches.(0) <> !done_at
+            then begin
+              (* The first switch of the path that takes the block. *)
+              let sw = path.Routing.Path.switches in
+              let x = ref 0 and at = ref (-1) in
+              while !at < 0 && !x < Array.length sw do
+                let k = sw.(!x) in
+                let j = position switches k in
+                let fresh = ref 0 and allowed = ref true in
+                for y = 0 to !size - 1 do
+                  let v = base + (block.(y) * width) + j in
+                  if not placed.(v) then incr fresh;
+                  if (not no_forbidden) && Hashtbl.mem forbidden v then
+                    allowed := false
+                done;
+                if !allowed && used.(k) + !fresh <= capacities.(k) then at := j
+                else incr x
+              done;
+              if !at < 0 then
+                failure :=
+                  Some (Stuck { ingress; egress = path.Routing.Path.egress })
+              else begin
+                let k = sw.(!x) in
+                for y = 0 to !size - 1 do
+                  let v = base + (block.(y) * width) + !at in
+                  if not placed.(v) then begin
+                    placed.(v) <- true;
+                    used.(k) <- used.(k) + 1
+                  end
+                done;
+                done_at := !at
+              end
+            end;
+            match !failure with None -> walk (j + 1) rest | Some _ -> ()
+        in
+        walk 0 (Routing.Table.paths_from inst.Instance.routing ingress)
+      end);
   match !failure with Some f -> Error f | None -> Ok placed
 
 (* [placed] becomes the assignment: honor the AND definitions, a merged

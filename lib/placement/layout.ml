@@ -154,35 +154,29 @@ let slot_of b priority =
 type policy_info = {
   block : block;
   dep : Depgraph.t;
-  paths : Routing.Path.t list;
+  paths : Routing.Path.t array;
   placed_drops : Acl.Rule.t list;
   coverage_drops : Acl.Rule.t list;
   pin_at : int;
   walk : int list;
 }
 
-(* Conditions 1-2 of the pin rule: the switch of a one-switch path that
-   lies on every path, when each of [drops] applies to a one-switch path
-   there; else -1. *)
-let forced_switch ~sliced paths drops =
-  match
-    List.find_opt
-      (fun (p : Routing.Path.t) -> Array.length p.Routing.Path.switches = 1)
-      paths
-  with
-  | None -> -1
-  | Some p0 ->
-    let k0 = p0.Routing.Path.switches.(0) in
-    let forcing (w : Acl.Rule.t) (p : Routing.Path.t) =
-      Array.length p.Routing.Path.switches = 1
-      && p.Routing.Path.switches.(0) = k0
-      && ((not sliced) || Ternary.Field.overlaps w.field p.Routing.Path.flow)
-    in
-    if
-      List.for_all (fun p -> Routing.Path.mem p k0) paths
-      && List.for_all (fun w -> List.exists (forcing w) paths) drops
-    then k0
-    else -1
+(* Whether [field] meets the flow of one of [paths]; with [k0 >= 0], of
+   one whose only switch is [k0]. *)
+let meets_flow paths ~k0 field =
+  let x = ref 0 and n = Array.length paths in
+  while
+    !x < n
+    &&
+    let p = paths.(!x) in
+    let sw = p.Routing.Path.switches in
+    not
+      ((k0 < 0 || (Array.length sw = 1 && sw.(0) = k0))
+      && Ternary.Field.overlaps field p.Routing.Path.flow)
+  do
+    incr x
+  done;
+  !x < n
 
 let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
     (inst : Instance.t) =
@@ -199,28 +193,57 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
         g.Merge.members)
     plan.Merge.groups;
   let baseline = ref 0 in
-  (* Scratch, by switch, reset after each policy: the position in [S_i]
-     and the paper's loc(s, P_i), min hops over the paths of this
-     ingress (ingress-side switch = 0 hops). *)
+  (* Scratch, by switch, reset after each policy: the position in [S_i],
+     the paper's loc(s, P_i), min hops over the paths of this ingress
+     (ingress-side switch = 0 hops), and the number of those paths that
+     hold the switch ([count] is zero between uses, as [same_multiset]
+     needs it). *)
   let pos = Array.make n_switches (-1) in
   let loc = Array.make n_switches max_int in
+  let count = Array.make n_switches 0 in
   let policies =
     List.map
       (fun (i, q) ->
         let dep = Depgraph.build q in
-        let paths = Routing.Table.paths_from inst.Instance.routing i in
+        let paths =
+          Array.of_list (Routing.Table.paths_from inst.Instance.routing i)
+        in
+        (* One pass over the paths: [S_i] is the switches it meets, and
+           [k0] the switch of the first one-switch path, kept when every
+           path holds it (condition 1 of the pin rule). *)
+        let met = ref 0 and k0 = ref (-1) in
+        for x = 0 to Array.length paths - 1 do
+          let sw = paths.(x).Routing.Path.switches in
+          if !k0 < 0 && Array.length sw = 1 then k0 := sw.(0);
+          for d = 0 to Array.length sw - 1 do
+            let k = sw.(d) in
+            if loc.(k) = max_int then incr met;
+            if d < loc.(k) then loc.(k) <- d;
+            (* A path counts once for a switch it holds twice. *)
+            let e = ref 0 in
+            while sw.(!e) <> k do
+              incr e
+            done;
+            if !e = d then count.(k) <- count.(k) + 1
+          done
+        done;
+        let k0 =
+          if !k0 >= 0 && count.(!k0) = Array.length paths then !k0 else -1
+        in
+        (* Only a merge-group member's rules can be dummies. *)
+        let merged = Hashtbl.mem merging i in
+        let is_dummy r = merged && is_dummy i r in
         let drops = Acl.Policy.drops q in
-        let relevant (w : Acl.Rule.t) =
-          (not sliced)
-          || List.exists
-               (fun (p : Routing.Path.t) ->
-                 Ternary.Field.overlaps w.field p.Routing.Path.flow)
-               paths
-        in
         let coverage_drops =
-          List.filter (fun w -> (not (is_dummy i w)) && relevant w) drops
+          List.filter
+            (fun (w : Acl.Rule.t) ->
+              (not (is_dummy w))
+              && ((not sliced) || meets_flow paths ~k0:(-1) w.field))
+            drops
         in
-        let dummy_rules = List.filter (is_dummy i) (Acl.Policy.rules q) in
+        let dummy_rules =
+          if merged then List.filter is_dummy (Acl.Policy.rules q) else []
+        in
         let placed_drops =
           coverage_drops @ List.filter Acl.Rule.is_drop dummy_rules
         in
@@ -230,7 +253,7 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
            their dependent permits, once each (dummies excluded — they
            install nothing on their own). *)
         let non_dummy rs =
-          List.filter (fun (r : Acl.Rule.t) -> not (is_dummy i r)) rs
+          if merged then List.filter (fun r -> not (is_dummy r)) rs else rs
         in
         baseline :=
           !baseline
@@ -251,16 +274,6 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
           (fun a b ->
             Int.compare placed_rules.(a).priority placed_rules.(b).priority)
           slots;
-        (* [S_i] is the switches the walk for loc meets, ascending. *)
-        let met = ref 0 in
-        List.iter
-          (fun (p : Routing.Path.t) ->
-            Array.iteri
-              (fun d k ->
-                if loc.(k) = max_int then incr met;
-                if d < loc.(k) then loc.(k) <- d)
-              p.Routing.Path.switches)
-          paths;
         let switches = Array.make !met 0 in
         let j = ref 0 in
         for k = 0 to n_switches - 1 do
@@ -280,7 +293,11 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
             rules = placed_rules;
           }
         in
-        Array.iter (fun k -> loc.(k) <- max_int) switches;
+        Array.iter
+          (fun k ->
+            loc.(k) <- max_int;
+            count.(k) <- 0)
+          switches;
         (* Monitoring constraints (paper Section VII): a DROP that could
            kill monitored packets may not sit upstream of the monitor on
            any path through it.  [walk] lists the cells that breaks, in
@@ -301,15 +318,28 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
                 List.concat_map
                   (fun ((_, region) as m) ->
                     if Ternary.Field.overlaps w.field region then
-                      List.concat_map (fun p -> upstream s p m) paths
+                      Array.fold_right
+                        (fun p acc -> upstream s p m @ acc)
+                        paths []
                     else [])
                   monitors
               else [])
             (if monitors = [] then [] else Acl.Policy.rules q)
         in
+        (* Condition 2 of the pin rule: unsliced, the one-switch path
+           at [k0] carries every drop; sliced, each drop's field must
+           meet the flow of one there. *)
         let pin_at =
-          if Array.length placed_rules = 0 || Hashtbl.mem merging i then -1
-          else forced_switch ~sliced paths coverage_drops
+          if
+            k0 < 0 || merged
+            || Array.length placed_rules = 0
+            || sliced
+               && not
+                    (List.for_all
+                       (fun (w : Acl.Rule.t) -> meets_flow paths ~k0 w.field)
+                       coverage_drops)
+          then -1
+          else k0
         in
         { block; dep; paths; placed_drops; coverage_drops; pin_at; walk })
       inst.Instance.policies
@@ -345,7 +375,7 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
   (* The layout's row and term counts. *)
   let implication_rows = ref 0 in
   let cover_rows = ref 0 and cover_terms = ref 0 in
-  let group = Hash_tbl.create 64 and count = Array.make n_switches 0 in
+  let group = Hash_tbl.create 64 in
   List.iter
     (fun pi ->
       let k0 =
@@ -393,7 +423,7 @@ let build ?(sliced = false) ?(plan = Merge.empty_plan) ?(monitors = [])
           let drop_slots =
             Array.map (fun (w : Acl.Rule.t) -> slot_of b w.priority) drops
           in
-          let walk = Array.of_list pi.paths in
+          let walk = pi.paths in
           let n_walk = Array.length walk in
           (* [firsts.(g)] is the positions of group [g]'s first path;
              [find js gs] is the group of [gs] whose first path has
@@ -645,6 +675,13 @@ let iter_covers t f =
         Array.iter (fun s -> f (b.base + (s * width)) js) b.covers.(x))
       b.paths
   done
+
+let iter_free t f =
+  Array.iter
+    (fun b ->
+      f ~ingress:b.ingress ~base:b.base ~switches:b.switches ~rules:b.rules
+        ~deps:b.deps)
+    t.numbering.free
 
 let pinned_rules t = List.fold_left (fun n (_, _, r) -> n + r) 0 t.pinned
 

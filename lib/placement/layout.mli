@@ -164,6 +164,23 @@ val iter_covers : t -> (int -> int array -> unit) -> unit
     comes from the first path of that walk that meets the drop, so
     rows of different multisets can interleave. *)
 
+val iter_free :
+  t ->
+  (ingress:int ->
+  base:int ->
+  switches:int array ->
+  rules:Acl.Rule.t array ->
+  deps:int array ->
+  unit) ->
+  unit
+(** [iter_free t f] calls [f] on each free policy (one with variables),
+    by ascending ingress, with the numbering's own arrays: [switches] is
+    [S_i] ascending, [rules.(s)] the rule in slot [s], and [deps] the
+    Eq. 1 pairs flattened, [(deps.(2r), deps.(2r+1))] a (drop slot,
+    permit slot) pair, one per dependency of a placed drop.  The rule in
+    slot [s] at [switches.(j)] is variable [base + s * |S_i| + j].  [f]
+    must not modify the arrays. *)
+
 val pinned_rules : t -> int
 (** The rules the pinned policies hold: the entries every assignment
     places beyond its own variables. *)

@@ -17,4 +17,12 @@ let position p s =
   in
   go 0
 
-let mem p s = position p s <> None
+(* A scan with no option or closure: the greedy's merged stage and the
+   cache call it once per path. *)
+let mem p s =
+  let sw = p.switches in
+  let i = ref 0 in
+  while !i < Array.length sw && sw.(!i) <> s do
+    incr i
+  done;
+  !i < Array.length sw

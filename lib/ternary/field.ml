@@ -30,20 +30,46 @@ let compare a b =
         let c = Range.compare a.dport b.dport in
         if c <> 0 then c else Proto.compare a.proto b.proto
 
+(* The three predicates below are the placement's innermost tests, so
+   they compare the components in place rather than through [Prefix],
+   [Range] and [Proto]: the dev profile compiles with [-opaque], which
+   keeps every cross-module call a real call.  [-1 lsl (32 - len)] keeps
+   an address's top [len] bits (none at [len = 0]), and addresses are
+   stored masked, so two prefixes meet when they agree on the shorter
+   one's mask. *)
 let matches t (p : Packet.t) =
-  Prefix.member t.src p.src && Prefix.member t.dst p.dst
-  && Range.member t.sport p.sport && Range.member t.dport p.dport
-  && Proto.member t.proto p.proto
+  p.src land (-1 lsl (32 - t.src.len)) = t.src.addr
+  && p.dst land (-1 lsl (32 - t.dst.len)) = t.dst.addr
+  && t.sport.lo <= p.sport && p.sport <= t.sport.hi
+  && t.dport.lo <= p.dport && p.dport <= t.dport.hi
+  && match t.proto with Proto.Any -> true | Proto.Eq x -> x = p.proto
 
 let overlaps a b =
-  Prefix.overlaps a.src b.src && Prefix.overlaps a.dst b.dst
-  && Range.overlaps a.sport b.sport && Range.overlaps a.dport b.dport
-  && Proto.overlaps a.proto b.proto
+  (a.src.addr lxor b.src.addr)
+  land (-1 lsl (32 - if a.src.len < b.src.len then a.src.len else b.src.len))
+  = 0
+  && (a.dst.addr lxor b.dst.addr)
+     land (-1 lsl (32 - if a.dst.len < b.dst.len then a.dst.len else b.dst.len))
+     = 0
+  && a.sport.lo <= b.sport.hi && b.sport.lo <= a.sport.hi
+  && a.dport.lo <= b.dport.hi && b.dport.lo <= a.dport.hi
+  &&
+  match (a.proto, b.proto) with
+  | Proto.Eq x, Proto.Eq y -> x = y
+  | Proto.Any, _ | _, Proto.Any -> true
 
 let subsumes a b =
-  Prefix.subsumes a.src b.src && Prefix.subsumes a.dst b.dst
-  && Range.subsumes a.sport b.sport && Range.subsumes a.dport b.dport
-  && Proto.subsumes a.proto b.proto
+  a.src.len <= b.src.len
+  && b.src.addr land (-1 lsl (32 - a.src.len)) = a.src.addr
+  && a.dst.len <= b.dst.len
+  && b.dst.addr land (-1 lsl (32 - a.dst.len)) = a.dst.addr
+  && a.sport.lo <= b.sport.lo && b.sport.hi <= a.sport.hi
+  && a.dport.lo <= b.dport.lo && b.dport.hi <= a.dport.hi
+  &&
+  match (a.proto, b.proto) with
+  | Proto.Any, _ -> true
+  | Proto.Eq _, Proto.Any -> false
+  | Proto.Eq x, Proto.Eq y -> x = y
 
 let inter a b =
   match Prefix.inter a.src b.src with

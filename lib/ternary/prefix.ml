@@ -19,11 +19,7 @@ let compare a b =
   let c = Stdlib.compare a.addr b.addr in
   if c <> 0 then c else Stdlib.compare a.len b.len
 
-let member p a = a land mask_of_len p.len = p.addr
-
 let subsumes p q = p.len <= q.len && q.addr land mask_of_len p.len = p.addr
-
-let overlaps p q = subsumes p q || subsumes q p
 
 let inter p q =
   if subsumes p q then Some q else if subsumes q p then Some p else None

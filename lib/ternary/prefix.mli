@@ -5,7 +5,9 @@
     prefixes are either disjoint or one contains the other, which makes the
     intersection of two overlapping prefixes simply the longer one. *)
 
-type t
+type t = private { addr : int; len : int }
+(** [addr] is stored masked: its bits below [len] are zero, so two
+    prefixes meet exactly when they agree on the shorter one's mask. *)
 
 val make : int -> int -> t
 (** [make addr len] with [addr] a 32-bit address (host byte order) and
@@ -24,14 +26,6 @@ val len : t -> int
 val equal : t -> t -> bool
 
 val compare : t -> t -> int
-
-val member : t -> int -> bool
-(** [member p a] iff address [a] lies in [p]. *)
-
-val subsumes : t -> t -> bool
-(** [subsumes p q] iff [q]'s address range is contained in [p]'s. *)
-
-val overlaps : t -> t -> bool
 
 val inter : t -> t -> t option
 (** [None] when disjoint; otherwise the longer (more specific) prefix. *)

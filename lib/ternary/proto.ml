@@ -12,19 +12,6 @@ let equal a b =
 
 let compare = Stdlib.compare
 
-let member t v = match t with Any -> true | Eq x -> x = v
-
-let overlaps a b =
-  match (a, b) with
-  | Any, _ | _, Any -> true
-  | Eq x, Eq y -> x = y
-
-let subsumes a b =
-  match (a, b) with
-  | Any, _ -> true
-  | Eq _, Any -> false
-  | Eq x, Eq y -> x = y
-
 let inter a b =
   match (a, b) with
   | Any, x | x, Any -> Some x

@@ -10,12 +10,6 @@ val icmp : t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-val member : t -> int -> bool
-val overlaps : t -> t -> bool
-
-val subsumes : t -> t -> bool
-(** [subsumes a b] iff every protocol matching [b] matches [a]. *)
-
 val inter : t -> t -> t option
 
 val to_tbv : t -> Tbv.t

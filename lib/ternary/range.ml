@@ -25,14 +25,8 @@ let compare a b =
 
 let is_full t = t.lo = 0 && t.hi = max_value
 
-let member t v = t.lo <= v && v <= t.hi
-
-let overlaps a b = a.lo <= b.hi && b.lo <= a.hi
-
-let subsumes a b = a.lo <= b.lo && b.hi <= a.hi
-
 let inter a b =
-  if overlaps a b then Some { lo = max a.lo b.lo; hi = min a.hi b.hi } else None
+  if a.lo <= b.hi && b.lo <= a.hi then Some { lo = max a.lo b.lo; hi = min a.hi b.hi } else None
 
 (* Greedy prefix cover: repeatedly take the largest aligned power-of-two
    block starting at [lo] that does not overshoot [hi]. *)

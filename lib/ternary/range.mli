@@ -5,7 +5,7 @@
     minimal prefix cover (at most [2*16 - 2] prefixes for a 16-bit range),
     which {!Field.to_tbvs} uses to count real TCAM slot consumption. *)
 
-type t
+type t = private { lo : int; hi : int }
 
 val bits : int
 (** Width of the port space (16). *)
@@ -32,13 +32,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val is_full : t -> bool
-
-val member : t -> int -> bool
-
-val overlaps : t -> t -> bool
-
-val subsumes : t -> t -> bool
-(** [subsumes a b] iff [b] is contained in [a]. *)
 
 val inter : t -> t -> t option
 

@@ -39,7 +39,7 @@ let test_egress_bias () =
       (List.filter
          (fun (r : Acl.Rule.t) ->
            List.exists
-             (fun p -> Ternary.Prefix.overlaps p r.field.Ternary.Field.dst)
+             (fun p -> Ternary.Prefix.inter p r.field.Ternary.Field.dst <> None)
              egress_prefixes)
          (Acl.Policy.rules q))
   in
@@ -53,8 +53,9 @@ let test_blacklist_disjoint_and_shared () =
   List.iter
     (fun (f : Ternary.Field.t) ->
       Alcotest.(check bool) "outside tenant space" false
-        (Ternary.Prefix.overlaps f.Ternary.Field.src
-           (Ternary.Prefix.of_string "10.0.0.0/8")))
+        (Ternary.Prefix.inter f.Ternary.Field.src
+           (Ternary.Prefix.of_string "10.0.0.0/8")
+        <> None))
     bl;
   let q = Classbench.policy g ~num_rules:10 in
   let q' = Classbench.with_blacklist q bl in

@@ -57,6 +57,16 @@ let field_arb =
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* Membership of one address or port, through [Field.matches] on a
+   field and a packet that constrain nothing else. *)
+let in_prefix p a =
+  Field.matches (Field.make ~src:p ())
+    (Packet.make ~src:a ~dst:0 ~sport:0 ~dport:0 ~proto:0)
+
+let in_range r v =
+  Field.matches (Field.make ~sport:r ())
+    (Packet.make ~src:0 ~dst:0 ~sport:v ~dport:0 ~proto:0)
+
 (* ---------- Tbv unit tests ---------- *)
 
 let test_tbv_basic_ops () =
@@ -148,9 +158,9 @@ let test_prefix_parse () =
   let p = Prefix.of_string "10.1.2.0/24" in
   Alcotest.(check string) "roundtrip" "10.1.2.0/24" (Prefix.to_string p);
   Alcotest.(check bool) "member" true
-    (Prefix.member p (Prefix.addr (Prefix.of_string "10.1.2.77")));
+    (in_prefix p (Prefix.addr (Prefix.of_string "10.1.2.77")));
   Alcotest.(check bool) "non member" false
-    (Prefix.member p (Prefix.addr (Prefix.of_string "10.1.3.0")));
+    (in_prefix p (Prefix.addr (Prefix.of_string "10.1.3.0")));
   Alcotest.check Alcotest.(testable (Fmt.of_to_string Prefix.to_string) Prefix.equal)
     "low bits cleared" (Prefix.of_string "10.1.2.0/24")
     (Prefix.make (Prefix.addr (Prefix.of_string "10.1.2.200")) 24)
@@ -161,7 +171,8 @@ let prop_prefix_laminar =
     (fun (p, q) ->
       match Prefix.inter p q with
       | Some i -> Prefix.equal i p || Prefix.equal i q
-      | None -> not (Prefix.overlaps p q))
+      | None ->
+        not (Field.overlaps (Field.make ~src:p ()) (Field.make ~src:q ())))
 
 let prop_prefix_tbv_agree =
   QCheck.Test.make ~name:"prefix tbv agrees with member" ~count:300
@@ -181,7 +192,7 @@ let prop_prefix_tbv_agree =
         done;
         !ok
       in
-      matches = Prefix.member p addr)
+      matches = in_prefix p addr)
 
 let prop_subprefix_contained =
   QCheck.Test.make ~name:"random subprefix contained" ~count:300
@@ -189,7 +200,8 @@ let prop_subprefix_contained =
     (fun (p, seed) ->
       let g = Prng.create seed in
       let len = Prefix.len p + Prng.int g (33 - Prefix.len p) in
-      Prefix.subsumes p (Prefix.random_subprefix g p ~len))
+      Field.subsumes (Field.make ~src:p ())
+        (Field.make ~src:(Prefix.random_subprefix g p ~len) ()))
 
 (* ---------- Range ---------- *)
 
@@ -211,7 +223,7 @@ let test_range_prefixes_exact () =
         in
         Alcotest.(check int)
           (Printf.sprintf "[%d,%d] v=%d" lo hi v)
-          (if Range.member r v then 1 else 0)
+          (if in_range r v then 1 else 0)
           in_blocks
       done)
     [ (0, 65535); (80, 80); (1024, 65535); (5, 27); (0, 7); (1, 6); (1000, 1999) ]
@@ -227,9 +239,9 @@ let prop_range_inter =
     (fun (a, b, v) ->
       let v = v mod 65536 in
       let in_inter =
-        match Range.inter a b with Some i -> Range.member i v | None -> false
+        match Range.inter a b with Some i -> in_range i v | None -> false
       in
-      in_inter = (Range.member a v && Range.member b v))
+      in_inter = (in_range a v && in_range b v))
 
 (* ---------- Field ---------- *)
 
@@ -258,6 +270,144 @@ let prop_field_subsumes =
       QCheck.assume (Field.subsumes a b);
       let g = Prng.create seed in
       Field.matches a (Field.random_packet g b))
+
+(* [Field]'s predicates compare the components in place; the reference
+   tests each component as a set on its own, as [Prefix], [Range] and
+   [Proto] once did. *)
+module Componentwise = struct
+  let mask len = if len = 0 then 0 else -1 lsl (32 - len) land 0xFFFFFFFF
+
+  let prefix_member (p : Prefix.t) a = a land mask p.len = p.addr
+
+  let prefix_subsumes (p : Prefix.t) (q : Prefix.t) =
+    p.len <= q.len && q.addr land mask p.len = p.addr
+
+  let prefix_overlaps p q = prefix_subsumes p q || prefix_subsumes q p
+
+  let range_member (r : Range.t) v = r.lo <= v && v <= r.hi
+
+  let range_overlaps (a : Range.t) (b : Range.t) = a.lo <= b.hi && b.lo <= a.hi
+
+  let range_subsumes (a : Range.t) (b : Range.t) = a.lo <= b.lo && b.hi <= a.hi
+
+  let proto_member t v = match t with Proto.Any -> true | Proto.Eq x -> x = v
+
+  let proto_overlaps a b =
+    match (a, b) with
+    | Proto.Any, _ | _, Proto.Any -> true
+    | Proto.Eq x, Proto.Eq y -> x = y
+
+  let proto_subsumes a b =
+    match (a, b) with
+    | Proto.Any, _ -> true
+    | Proto.Eq _, Proto.Any -> false
+    | Proto.Eq x, Proto.Eq y -> x = y
+
+  let matches (t : Field.t) (p : Packet.t) =
+    prefix_member t.src p.src && prefix_member t.dst p.dst
+    && range_member t.sport p.sport && range_member t.dport p.dport
+    && proto_member t.proto p.proto
+
+  let overlaps (a : Field.t) (b : Field.t) =
+    prefix_overlaps a.src b.src && prefix_overlaps a.dst b.dst
+    && range_overlaps a.sport b.sport && range_overlaps a.dport b.dport
+    && proto_overlaps a.proto b.proto
+
+  let subsumes (a : Field.t) (b : Field.t) =
+    prefix_subsumes a.src b.src && prefix_subsumes a.dst b.dst
+    && range_subsumes a.sport b.sport && range_subsumes a.dport b.dport
+    && proto_subsumes a.proto b.proto
+end
+
+(* Two fields whose components often coincide, nest or touch, and
+   packets around them.  Prefixes are /0, /32 or in between, over a few
+   addresses; ranges are full, a point or an interval over a few
+   bounds; protocols are [Any] or one of two numbers.  A component of
+   the second field is the first's, one nested in it, or drawn afresh.
+   The packets are one inside each field, one on the fields' corners and
+   one uniform. *)
+let field_pair_gen =
+  QCheck.Gen.map
+    (fun seed ->
+      let g = Prng.create seed in
+      let pick l = List.nth l (Prng.int g (List.length l)) in
+      let addr () =
+        match Prng.int g 3 with
+        | 0 -> pick [ 0; 0x0A000000; 0x0A010200; 0x0A0102FF; 0xFFFFFFFF ]
+        | 1 -> 0x0A000000 lor Prng.int g 0x20000
+        | _ -> Prng.int g 0x100000000
+      in
+      let prefix () =
+        Prefix.make (addr ()) (pick [ 0; 32; 32; 8; 16; 24; Prng.int g 33 ])
+      in
+      let port () = pick [ 0; 1; 80; 443; 1024; 65535; Prng.int g 65536 ] in
+      let range () =
+        match Prng.int g 3 with
+        | 0 -> Range.full
+        | 1 -> Range.point (port ())
+        | _ ->
+          let a = port () and b = port () in
+          Range.make (min a b) (max a b)
+      in
+      let proto () = pick [ Proto.Any; Proto.tcp; Proto.udp ] in
+      let a =
+        Field.make ~src:(prefix ()) ~dst:(prefix ()) ~sport:(range ())
+          ~dport:(range ()) ~proto:(proto ()) ()
+      in
+      let like same nested fresh =
+        match Prng.int g 3 with 0 -> same | 1 -> nested () | _ -> fresh ()
+      in
+      let sub_prefix (p : Prefix.t) () =
+        Prefix.random_subprefix g p ~len:(Prng.int_in g p.len 32)
+      in
+      let sub_range (r : Range.t) () =
+        let x = Prng.int_in g r.lo r.hi and y = Prng.int_in g r.lo r.hi in
+        Range.make (min x y) (max x y)
+      in
+      let b =
+        Field.make
+          ~src:(like a.src (sub_prefix a.src) prefix)
+          ~dst:(like a.dst (sub_prefix a.dst) prefix)
+          ~sport:(like a.sport (sub_range a.sport) range)
+          ~dport:(like a.dport (sub_range a.dport) range)
+          ~proto:(like a.proto (fun () -> a.proto) proto)
+          ()
+      in
+      let corner () =
+        let f = if Prng.bool g then a else b in
+        let end_of (r : Range.t) = if Prng.bool g then r.lo else r.hi in
+        Packet.make
+          ~src:(if Prng.bool g then f.src.addr else Prng.int g 0x100000000)
+          ~dst:f.dst.addr ~sport:(end_of f.sport) ~dport:(end_of f.dport)
+          ~proto:(match f.proto with Proto.Eq x -> x | Proto.Any -> 6)
+      in
+      ( a,
+        b,
+        [
+          Field.random_packet g a;
+          Field.random_packet g b;
+          corner ();
+          Packet.random g;
+        ] ))
+    QCheck.Gen.int
+
+let prop_field_componentwise =
+  QCheck.Test.make ~name:"field tests agree with their componentwise definition"
+    ~count:3000
+    (QCheck.make
+       ~print:(fun (a, b, _) -> Format.asprintf "%a | %a" Field.pp a Field.pp b)
+       field_pair_gen)
+    (fun (a, b, packets) ->
+      Field.overlaps a b = Componentwise.overlaps a b
+      && Field.overlaps b a = Componentwise.overlaps b a
+      && Field.subsumes a b = Componentwise.subsumes a b
+      && Field.subsumes b a = Componentwise.subsumes b a
+      && Field.subsumes a a
+      && List.for_all
+           (fun p ->
+             Field.matches a p = Componentwise.matches a p
+             && Field.matches b p = Componentwise.matches b p)
+           packets)
 
 let test_field_tcam_expansion () =
   (* A port range that is not a prefix costs several TCAM entries. *)
@@ -289,5 +439,6 @@ let suite =
     qtest prop_field_inter_semantics;
     qtest prop_field_random_packet_matches;
     qtest prop_field_subsumes;
+    qtest prop_field_componentwise;
     Alcotest.test_case "field tcam expansion" `Quick test_field_tcam_expansion;
   ]

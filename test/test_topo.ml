@@ -71,7 +71,7 @@ let test_net_validation () =
 
 let test_host_addressing () =
   Alcotest.(check bool) "prefixes disjoint" false
-    (Ternary.Prefix.overlaps (Net.host_prefix 3) (Net.host_prefix 4))
+    (Ternary.Prefix.inter (Net.host_prefix 3) (Net.host_prefix 4) <> None)
 
 let test_builders () =
   let lin = Builder.linear ~switches:4 ~hosts_per_end:2 in
