@@ -244,7 +244,7 @@ let generate_cmd =
   in
   let mergeable =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "mergeable" ] ~docv:"N" ~doc:"Shared blacklist rules.")
   in
   let paths =
@@ -254,7 +254,7 @@ let generate_cmd =
   in
   let capacity =
     Arg.(
-      value & opt int 100
+      value & opt non_negative_int 100
       & info [ "capacity" ] ~docv:"C" ~doc:"Per-switch ACL capacity.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
@@ -449,7 +449,7 @@ let verify_run metrics trace file options samples =
 let verify_cmd =
   let samples =
     Arg.(
-      value & opt int 50
+      value & opt non_negative_int 50
       & info [ "samples" ] ~docv:"N" ~doc:"Random probe packets per path.")
   in
   Cmd.v
@@ -756,7 +756,7 @@ let caching_cmd =
   in
   let capacity =
     Arg.(
-      value & opt int 80
+      value & opt non_negative_int 80
       & info [ "capacity" ] ~docv:"C" ~doc:"Per-switch ACL capacity.")
   in
   let seed =
@@ -769,12 +769,12 @@ let caching_cmd =
   in
   let epochs =
     Arg.(
-      value & opt int 10
+      value & opt non_negative_int 10
       & info [ "epochs" ] ~docv:"N" ~doc:"Traffic epochs to run.")
   in
   let packets =
     Arg.(
-      value & opt int 4096
+      value & opt non_negative_int 4096
       & info [ "packets" ] ~docv:"N" ~doc:"Packets per epoch.")
   in
   let alpha =
@@ -950,7 +950,7 @@ let serve_cmd =
   in
   let queue_limit =
     Arg.(
-      value & opt int 64
+      value & opt non_negative_int 64
       & info [ "queue-limit" ] ~docv:"N"
           ~doc:
             "Daemon-wide pending-event cap; events over it are shed with a \
@@ -958,7 +958,7 @@ let serve_cmd =
   in
   let tenant_queue_limit =
     Arg.(
-      value & opt int 8
+      value & opt positive_int 8
       & info [ "tenant-queue-limit" ] ~docv:"N"
           ~doc:
             "Per-tenant pending-event cap — the admission half of the \
@@ -966,7 +966,7 @@ let serve_cmd =
   in
   let capacity =
     Arg.(
-      value & opt int 30
+      value & opt non_negative_int 30
       & info [ "capacity" ] ~docv:"C"
           ~doc:"Per-switch ACL capacity of each shard's fat-tree.")
   in
@@ -983,7 +983,7 @@ let serve_cmd =
   in
   let batch_fsync =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "batch-fsync" ] ~docv:"N"
           ~doc:
             "Group-commit window for the intake log: stage up to $(docv) \

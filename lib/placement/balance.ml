@@ -1,9 +1,9 @@
 type result = { budget : int; report : Solve.report; probes : int }
 
 let capped (inst : Instance.t) u =
-  Instance.make ~net:inst.Instance.net ~routing:inst.Instance.routing
-    ~policies:inst.Instance.policies
+  Instance.edit
     ~capacities:(Array.map (fun c -> min c u) inst.Instance.capacities)
+    inst
 
 let solved (r : Solve.report) =
   match r.Solve.status with `Optimal | `Feasible -> true | _ -> false

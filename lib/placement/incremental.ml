@@ -25,7 +25,6 @@ let combine ~(frozen : Solution.t) ~(sub : Solution.t) ~instance =
 
 let install ?options ?deadline ~(base : Solution.t) ~policies ~paths () =
   let base_inst = base.Solution.instance in
-  let net = base_inst.Instance.net in
   List.iter
     (fun (i, _) ->
       if Instance.policy_of base_inst i <> None then
@@ -33,18 +32,14 @@ let install ?options ?deadline ~(base : Solution.t) ~policies ~paths () =
     policies;
   let report =
     Solve.run ?options ?deadline
-      (Instance.make ~net ~routing:(Routing.Table.of_paths paths) ~policies
-         ~capacities:(residual_capacities base))
+      (Instance.edit ~policies ~paths ~capacities:(residual_capacities base)
+         (Instance.empty base_inst.Instance.net))
   in
   match report.Solve.solution with
   | Some sub ->
     let instance =
-      Instance.make ~net
-        ~routing:
-          (Routing.Table.of_paths
-             (Routing.Table.paths base_inst.Instance.routing @ paths))
-        ~policies:(base_inst.Instance.policies @ report.Solve.instance.Instance.policies)
-        ~capacities:base_inst.Instance.capacities
+      Instance.edit ~policies:report.Solve.instance.Instance.policies ~paths
+        base_inst
     in
     {
       status = report.Solve.status;
@@ -53,16 +48,7 @@ let install ?options ?deadline ~(base : Solution.t) ~policies ~paths () =
   | None -> { status = report.Solve.status; solution = None }
 
 let remove ~(base : Solution.t) ~ingresses =
-  let base_inst = base.Solution.instance in
-  let kept i = not (List.mem i ingresses) in
-  let instance =
-    Instance.make ~net:base_inst.Instance.net
-      ~routing:
-        (Routing.Table.of_paths
-           (List.filter
-              (fun (p : Routing.Path.t) -> kept p.Routing.Path.ingress)
-              (Routing.Table.paths base_inst.Instance.routing)))
-      ~policies:(List.filter (fun (i, _) -> kept i) base_inst.Instance.policies)
-      ~capacities:base_inst.Instance.capacities
-  in
-  { (Solution.strip_ingresses base ingresses) with Solution.instance }
+  {
+    (Solution.strip_ingresses base ingresses) with
+    Solution.instance = Instance.edit ~drop:ingresses base.Solution.instance;
+  }

@@ -18,7 +18,13 @@
     [install ~base:(remove ~base ~ingresses)] with the ingresses' own
     policies over their new paths, and a policy update the same with
     the new policy over the ingress's existing paths.  The routing table
-    is keyed by ingress, so the order of the paths changes nothing. *)
+    is keyed by ingress, so the order of the paths changes nothing.
+
+    Both edit the base instance ({!Instance.edit}) rather than rebuild
+    it: {!remove} drops the ingresses' policies and routing rows, and
+    {!install} appends the sub-solve's redundancy-cleaned policies and
+    the new paths, so every untouched ingress keeps its routing row and
+    an update costs what it changes, not the network. *)
 
 type result = {
   status : Encode.status;

@@ -5,38 +5,56 @@ type t = {
   capacities : int array;
 }
 
-let make ~net ~routing ~policies ~capacities =
-  if Array.length capacities <> Topo.Net.num_switches net then
-    invalid_arg "Instance.make: one capacity per switch required";
-  Array.iter
-    (fun c -> if c < 0 then invalid_arg "Instance.make: negative capacity")
-    capacities;
-  let sorted = List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) policies in
+let by_ingress (a, _) (b, _) = Int.compare a b
+
+let edit ?(drop = []) ?(policies = []) ?(paths = []) ?capacities t =
+  let capacities =
+    match capacities with
+    | None -> t.capacities
+    | Some caps ->
+      if Array.length caps <> Topo.Net.num_switches t.net then
+        invalid_arg "Instance.make: one capacity per switch required";
+      Array.iter
+        (fun c -> if c < 0 then invalid_arg "Instance.make: negative capacity")
+        caps;
+      Array.copy caps
+  in
+  let routing = Routing.Table.edit t.routing ~drop ~add:paths in
+  let added = List.sort by_ingress policies in
+  let kept = List.filter (fun (i, _) -> not (List.mem i drop)) t.policies in
+  let merged = List.merge by_ingress kept added in
   let rec check_dups = function
     | (a, _) :: ((b, _) :: _ as rest) ->
       if a = b then invalid_arg "Instance.make: duplicate ingress policy";
       check_dups rest
     | [ _ ] | [] -> ()
   in
-  check_dups sorted;
+  if added <> [] then check_dups merged;
   List.iter
     (fun (i, _) ->
-      if i < 0 || i >= Topo.Net.num_hosts net then
+      if i < 0 || i >= Topo.Net.num_hosts t.net then
         invalid_arg "Instance.make: policy ingress is not a host";
       if Routing.Table.paths_from routing i = [] then
         invalid_arg "Instance.make: policy ingress has no path")
-    sorted;
+    added;
   List.iter
     (fun (p : Routing.Path.t) ->
-      if p.ingress < 0 || p.ingress >= Topo.Net.num_hosts net then
+      if p.ingress < 0 || p.ingress >= Topo.Net.num_hosts t.net then
         invalid_arg "Instance.make: path ingress is not a host";
       Array.iter
         (fun s ->
-          if s < 0 || s >= Topo.Net.num_switches net then
+          if s < 0 || s >= Topo.Net.num_switches t.net then
             invalid_arg "Instance.make: path switch out of range")
         p.switches)
-    (Routing.Table.paths routing);
-  { net; routing; policies = sorted; capacities = Array.copy capacities }
+    paths;
+  { t with routing; policies = merged; capacities }
+
+let empty net =
+  let capacities = Array.make (Topo.Net.num_switches net) 0 in
+  { net; routing = Routing.Table.of_paths []; policies = []; capacities }
+
+let make ~net ~routing ~policies ~capacities =
+  edit ~policies ~paths:(Routing.Table.paths routing) ~capacities (empty net)
 
 let uniform_capacity net c = Array.make (Topo.Net.num_switches net) c
 

@@ -2,16 +2,30 @@ module Int_map = Map.Make (Int)
 
 type t = { by_ingress : Path.t list Int_map.t; count : int }
 
-let of_paths paths =
-  let by_ingress =
+let edit t ~drop ~add =
+  let by_ingress, count =
     List.fold_left
-      (fun m (p : Path.t) ->
-        Int_map.update p.ingress
-          (function None -> Some [ p ] | Some l -> Some (p :: l))
-          m)
-      Int_map.empty paths
+      (fun (m, n) i ->
+        match Int_map.find_opt i m with
+        | Some l -> (Int_map.remove i m, n - List.length l)
+        | None -> (m, n))
+      (t.by_ingress, t.count) drop
   in
-  { by_ingress = Int_map.map List.rev by_ingress; count = List.length paths }
+  let added =
+    List.fold_left
+      (fun m (p : Path.t) -> Int_map.add_to_list p.ingress p m)
+      Int_map.empty add
+  in
+  {
+    by_ingress =
+      Int_map.union
+        (fun _ kept fresh -> Some (kept @ fresh))
+        by_ingress (Int_map.map List.rev added);
+    count = count + List.length add;
+  }
+
+let of_paths paths =
+  edit { by_ingress = Int_map.empty; count = 0 } ~drop:[] ~add:paths
 
 let paths t =
   List.concat_map snd (Int_map.bindings t.by_ingress)

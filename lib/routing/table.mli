@@ -8,6 +8,15 @@
 type t
 
 val of_paths : Path.t list -> t
+(** [edit] of the empty table. *)
+
+val edit : t -> drop:int list -> add:Path.t list -> t
+(** Drops the rows of the ingresses in [drop], then appends each path of
+    [add] to its ingress's row, in order.  Every other row is shared with
+    [t] (physically), so an edit costs what it changes; the map's tree
+    shape may differ from the one {!of_paths} builds over the same
+    paths, so compare tables by their lists ({!paths}, {!paths_from}),
+    never with [=]. *)
 
 val paths : t -> Path.t list
 

@@ -39,9 +39,12 @@ let restore s = (Marshal.from_string s 0 : t)
 let attach_alive net ~dead h = not (List.mem (Topo.Net.host_attach net h) dead)
 
 let free_hosts net ~dead ~taken =
+  let hosts = Topo.Net.num_hosts net in
+  let is_taken = Array.make hosts false in
+  List.iter (fun h -> if h >= 0 && h < hosts then is_taken.(h) <- true) taken;
   List.filter
-    (fun h -> attach_alive net ~dead h && not (List.mem h taken))
-    (List.init (Topo.Net.num_hosts net) Fun.id)
+    (fun h -> (not is_taken.(h)) && attach_alive net ~dead h)
+    (List.init hosts Fun.id)
 
 let egress_pool net ~dead i =
   List.filter

@@ -438,41 +438,20 @@ let plan t event =
 (* ------------------------------------------------------------------ *)
 (* The degradation ladder                                              *)
 
-let with_capacities (sol : Solution.t) capacities =
-  let i = sol.Solution.instance in
-  if i.Instance.capacities = capacities then sol
-  else
-    let instance =
-      Instance.make ~net:i.Instance.net ~routing:i.Instance.routing
-        ~policies:i.Instance.policies ~capacities
-    in
-    { sol with Solution.instance }
-
 (* The good solution with [goal.strip] torn down and the post-event
    capacities: the base every rung builds on, and the fail-closed floor
    when every rung fails. *)
 let stripped_base t goal =
   let keep = List.filter (has_policy t) goal.strip in
-  let base =
-    if keep = [] then t.good else Incremental.remove ~base:t.good ~ingresses:keep
+  let instance =
+    Instance.edit ~drop:keep ~capacities:goal.capacities (inst t)
   in
-  with_capacities base goal.capacities
+  if keep = [] then { t.good with Solution.instance }
+  else { (Solution.strip_ingresses t.good keep) with Solution.instance }
 
 let full_instance t goal =
-  let inst = inst t in
-  let gone i = List.mem i goal.strip in
-  let policies =
-    List.filter (fun (i, _) -> not (gone i)) inst.Instance.policies
-    @ goal.sub_policies
-  in
-  let paths =
-    List.filter
-      (fun (p : Routing.Path.t) -> not (gone p.Routing.Path.ingress))
-      (Routing.Table.paths inst.Instance.routing)
-    @ goal.sub_paths
-  in
-  Instance.make ~net:inst.Instance.net ~routing:(Routing.Table.of_paths paths)
-    ~policies ~capacities:goal.capacities
+  Instance.edit ~drop:goal.strip ~policies:goal.sub_policies
+    ~paths:goal.sub_paths ~capacities:goal.capacities (inst t)
 
 let status_name = function
   | `Optimal -> "optimal"

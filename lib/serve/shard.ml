@@ -157,10 +157,9 @@ let journal_config = { Journal.Journaled.snapshot_every = max_int }
 let base_solution config =
   let net = Topo.Fattree.make 4 in
   Placement.Solution.empty
-    (Placement.Instance.make ~net
-       ~routing:(Routing.Table.of_paths [])
-       ~policies:[]
-       ~capacities:(Placement.Instance.uniform_capacity net config.capacity))
+    (Placement.Instance.edit
+       ~capacities:(Placement.Instance.uniform_capacity net config.capacity)
+       (Placement.Instance.empty net))
 
 let snapshot t =
   (* Journal first: its snapshot carries the done-set that lets recovery

@@ -433,3 +433,203 @@ let test_feature_matrix_fuzz () =
 let suite =
   suite
   @ [ Alcotest.test_case "feature matrix fuzz" `Slow test_feature_matrix_fuzz ]
+
+(* ------------------------------------------------------------------ *)
+(* Instance.edit against Instance.make over the edited lists           *)
+
+let check_same_instance name (want : Instance.t) (got : Instance.t) =
+  if want.Instance.policies <> got.Instance.policies then
+    Alcotest.failf "%s: policies differ" name;
+  if
+    Routing.Table.paths want.Instance.routing
+    <> Routing.Table.paths got.Instance.routing
+  then Alcotest.failf "%s: Table.paths differ" name;
+  Alcotest.(check (list int))
+    (name ^ ": routed ingresses")
+    (Routing.Table.ingresses want.Instance.routing)
+    (Routing.Table.ingresses got.Instance.routing);
+  for h = 0 to Topo.Net.num_hosts want.Instance.net - 1 do
+    if
+      Routing.Table.paths_from want.Instance.routing h
+      <> Routing.Table.paths_from got.Instance.routing h
+    then Alcotest.failf "%s: paths_from %d differs" name h
+  done;
+  Alcotest.(check (array int))
+    (name ^ ": capacities") want.Instance.capacities got.Instance.capacities;
+  Alcotest.(check string) (name ^ ": pp")
+    (Format.asprintf "%a" Instance.pp want)
+    (Format.asprintf "%a" Instance.pp got)
+
+(* One random edit of [inst]: drop some routed ingresses (and now and
+   then a host with no row), append up to three fresh paths, give a
+   policy to some path ingresses left without one, and sometimes
+   replace the capacities. *)
+let random_edit g (inst : Instance.t) =
+  let net = inst.Instance.net in
+  let hosts = Topo.Net.num_hosts net in
+  let rows = Routing.Table.ingresses inst.Instance.routing in
+  let drop = List.filter (fun _ -> Prng.int g 4 = 0) rows in
+  let drop = if Prng.int g 3 = 0 then Prng.int g hosts :: drop else drop in
+  let pool = List.map snd inst.Instance.policies in
+  let paths =
+    List.filter_map
+      (fun _ ->
+        let h = Prng.int g hosts in
+        let e = (h + 1 + Prng.int g (hosts - 1)) mod hosts in
+        Routing.Shortest.random_path g net ~ingress:h ~egress:e)
+      (List.init (Prng.int g 4) Fun.id)
+  in
+  let starts =
+    List.map (fun (p : Routing.Path.t) -> p.Routing.Path.ingress) paths
+  in
+  let routed i =
+    (List.mem i rows && not (List.mem i drop)) || List.mem i starts
+  in
+  let free i =
+    routed i
+    && not (List.mem_assoc i inst.Instance.policies && not (List.mem i drop))
+  in
+  let policies =
+    List.filter_map
+      (fun i ->
+        if pool <> [] && free i && Prng.bool g then
+          Some (i, Prng.choose_list g pool)
+        else None)
+      (List.sort_uniq compare (drop @ starts))
+  in
+  let capacities =
+    if Prng.bool g then
+      Some (Array.init (Topo.Net.num_switches net) (fun _ -> Prng.int g 50))
+    else None
+  in
+  (drop, policies, paths, capacities)
+
+(* [make] over the lists the edit describes: the kept policies and
+   paths, then the added ones. *)
+let made (base : Instance.t) (drop, policies, paths, capacities) =
+  let gone i = List.mem i drop in
+  Instance.make ~net:base.Instance.net
+    ~routing:
+      (Routing.Table.of_paths
+         (List.filter
+            (fun (p : Routing.Path.t) -> not (gone p.Routing.Path.ingress))
+            (Routing.Table.paths base.Instance.routing)
+         @ paths))
+    ~policies:
+      (List.filter (fun (i, _) -> not (gone i)) base.Instance.policies
+      @ policies)
+    ~capacities:(Option.value capacities ~default:base.Instance.capacities)
+
+let test_edit_is_make () =
+  let edits = ref 0 in
+  List.iter
+    (fun (k, seed, slice) ->
+      let inst =
+        Workload.build
+          {
+            Workload.default with
+            Workload.k;
+            num_policies = 6;
+            rules = 6;
+            paths = 24;
+            seed;
+            slice;
+          }
+      in
+      let g = Prng.create (100 * k + seed) in
+      let rec go n ~edited ~expected =
+        if n > 0 then begin
+          let ((drop, policies, paths, capacities) as e) =
+            random_edit g edited
+          in
+          let edited =
+            Instance.edit ~drop ~policies ~paths ?capacities edited
+          in
+          let expected = made expected e in
+          incr edits;
+          check_same_instance
+            (Printf.sprintf "k=%d seed %d edit %d" k seed n)
+            expected edited;
+          go (n - 1) ~edited ~expected
+        end
+      in
+      go 8 ~edited:inst ~expected:inst)
+    (List.concat_map
+       (fun k ->
+         List.concat_map
+           (fun seed -> [ (k, seed, false); (k, seed, true) ])
+           [ 1; 2; 3; 4 ])
+       [ 4; 6 ]);
+  Alcotest.(check int) "edits checked" 128 !edits
+
+let test_edit_rejects_like_make () =
+  let inst = Workload.build Workload.default in
+  let net = inst.Instance.net in
+  let routing = inst.Instance.routing in
+  let policies = inst.Instance.policies in
+  let capacities = inst.Instance.capacities in
+  let i, q = List.hd policies in
+  let unrouted =
+    List.find
+      (fun h -> Routing.Table.paths_from routing h = [])
+      (List.init (Topo.Net.num_hosts net) Fun.id)
+  in
+  let switches = Topo.Net.num_switches net in
+  let stray ~ingress ~switch =
+    Routing.Path.make ~ingress ~egress:i ~switches:[ switch ] ()
+  in
+  let raised f =
+    match f () with
+    | (_ : Instance.t) -> None
+    | exception Invalid_argument m -> Some m
+  in
+  let case msg ~edit ~make =
+    Alcotest.(check (option string)) ("edit: " ^ msg) (Some msg) (raised edit);
+    Alcotest.(check (option string)) ("make: " ^ msg) (Some msg) (raised make)
+  in
+  let with_paths extra =
+    Routing.Table.of_paths (extra @ Routing.Table.paths routing)
+  in
+  case "Instance.make: duplicate ingress policy"
+    ~edit:(fun () -> Instance.edit ~policies:[ (i, q) ] inst)
+    ~make:(fun () ->
+      Instance.make ~net ~routing ~policies:((i, q) :: policies) ~capacities);
+  case "Instance.make: policy ingress has no path"
+    ~edit:(fun () -> Instance.edit ~policies:[ (unrouted, q) ] inst)
+    ~make:(fun () ->
+      Instance.make ~net ~routing
+        ~policies:((unrouted, q) :: policies)
+        ~capacities);
+  case "Instance.make: policy ingress is not a host"
+    ~edit:(fun () -> Instance.edit ~policies:[ (-1, q) ] inst)
+    ~make:(fun () ->
+      Instance.make ~net ~routing ~policies:((-1, q) :: policies) ~capacities);
+  let p = stray ~ingress:unrouted ~switch:switches in
+  case "Instance.make: path switch out of range"
+    ~edit:(fun () -> Instance.edit ~paths:[ p ] inst)
+    ~make:(fun () ->
+      Instance.make ~net ~routing:(with_paths [ p ]) ~policies ~capacities);
+  let p = stray ~ingress:(Topo.Net.num_hosts net) ~switch:0 in
+  case "Instance.make: path ingress is not a host"
+    ~edit:(fun () -> Instance.edit ~paths:[ p ] inst)
+    ~make:(fun () ->
+      Instance.make ~net ~routing:(with_paths [ p ]) ~policies ~capacities);
+  let negative = Array.copy capacities in
+  negative.(switches - 1) <- -1;
+  case "Instance.make: negative capacity"
+    ~edit:(fun () -> Instance.edit ~capacities:negative inst)
+    ~make:(fun () ->
+      Instance.make ~net ~routing ~policies ~capacities:negative);
+  let long = Array.make (switches + 1) 1 in
+  case "Instance.make: one capacity per switch required"
+    ~edit:(fun () -> Instance.edit ~capacities:long inst)
+    ~make:(fun () -> Instance.make ~net ~routing ~policies ~capacities:long)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "Instance.edit equals make over the edited lists"
+        `Quick test_edit_is_make;
+      Alcotest.test_case "Instance.edit rejects an addition as make does"
+        `Quick test_edit_rejects_like_make;
+    ]

@@ -653,13 +653,8 @@ let test_restore_mid_stream () =
   Alcotest.(check (list string)) "restored mid-stream = uninterrupted" straight
     (first @ rest)
 
-(* At k=16 (320 switches) a no-op event reads no table entry, walks no
-   probe, orders no switch's table and checks no policy's structure; a
-   one-tenant install reads and orders only the switches it changed,
-   checks the structure of the tenants placed there and walks no probe
-   either: every barrier proves its paths by projection. *)
-let test_k16_event_costs_the_change () =
-  with_metrics @@ fun () ->
+(* A k=16 engine over 48 tenants, and a host that carries none. *)
+let k16_engine () =
   let inst =
     Workload.build
       {
@@ -677,14 +672,26 @@ let test_k16_event_costs_the_change () =
     | Some sol -> sol
     | None -> Alcotest.fail "k=16 base did not solve"
   in
-  let eng = Engine.create ~config:(test_config ()) sol in
-  let net = inst.Instance.net in
-  let policies = List.length inst.Instance.policies in
   let idle =
-    match Churn.free_hosts net ~dead:[] ~taken:(Instance.ingresses inst) with
+    match
+      Churn.free_hosts inst.Instance.net ~dead:[]
+        ~taken:(Instance.ingresses inst)
+    with
     | h :: _ -> h
     | [] -> Alcotest.fail "no free host"
   in
+  (inst, Engine.create ~config:(test_config ()) sol, idle)
+
+(* At k=16 (320 switches) a no-op event reads no table entry, walks no
+   probe, orders no switch's table and checks no policy's structure; a
+   one-tenant install reads and orders only the switches it changed,
+   checks the structure of the tenants placed there and walks no probe
+   either: every barrier proves its paths by projection. *)
+let test_k16_event_costs_the_change () =
+  with_metrics @@ fun () ->
+  let inst, eng, idle = k16_engine () in
+  let net = inst.Instance.net in
+  let policies = List.length inst.Instance.policies in
   let noop = Event.Remove { ingresses = [ idle ] } in
   check_report ~rung:Report.Noop "warm-up" (Engine.handle eng noop);
   let cost f =
@@ -772,6 +779,58 @@ let test_k16_event_costs_the_change () =
     true
     (rebuilt > 0 && 10 * rebuilt < Array.length cells_after
     && 4 * checked <= policies)
+
+(* An install edits the instance it changes: every other ingress's
+   routing row is the same list, physically, after the event as before
+   it, and the new tenant's row is its paths. *)
+let test_k16_install_shares_rows () =
+  let inst, eng, idle = k16_engine () in
+  let net = inst.Instance.net in
+  let routing () = (Engine.good eng).Solution.instance.Instance.routing in
+  let rows =
+    List.map
+      (fun i -> (i, Routing.Table.paths_from (routing ()) i))
+      (Routing.Table.ingresses (routing ()))
+  in
+  let g = Prng.create 5 in
+  let paths = Churn.fresh_paths g net ~dead:[] idle in
+  let policy = Churn.fresh_policy g net ~dead:[] idle paths ~rules:4 in
+  check_report ~rung:Report.Incremental ~applied:Report.Committed "install"
+    (Engine.handle eng (Event.Install { ingress = idle; policy; paths }));
+  List.iter
+    (fun (i, row) ->
+      if not (Routing.Table.paths_from (routing ()) i == row) then
+        Alcotest.failf "ingress %d's untouched row was rebuilt" i)
+    rows;
+  Alcotest.(check int) "untouched rows" 48 (List.length rows);
+  Alcotest.(check bool) "the new tenant's row is its paths" true
+    (Routing.Table.paths_from (routing ()) idle = paths)
+
+(* [Churn.free_hosts] against its list definition: the hosts, in order,
+   that are not taken and whose attachment switch is alive. *)
+let test_free_hosts_differential () =
+  let net = Topo.Fattree.make 8 in
+  let hosts = Topo.Net.num_hosts net in
+  let switches = Topo.Net.num_switches net in
+  let reference ~dead ~taken =
+    List.filter
+      (fun h ->
+        (not (List.mem (Topo.Net.host_attach net h) dead))
+        && not (List.mem h taken))
+      (List.init hosts Fun.id)
+  in
+  let g = Prng.create 31 in
+  for n = 1 to 200 do
+    let draw count bound =
+      List.init (Prng.int g count) (fun _ -> Prng.int_in g (-2) (bound + 1))
+    in
+    let dead = draw 8 switches and taken = draw (2 * hosts) hosts in
+    let taken = if n mod 10 = 0 then List.init hosts Fun.id else taken in
+    Alcotest.(check (list int))
+      (Printf.sprintf "draw %d" n)
+      (reference ~dead ~taken)
+      (Churn.free_hosts net ~dead ~taken)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Declared tables and structure follow the solution's diff            *)
@@ -967,6 +1026,10 @@ let suite =
       test_restore_mid_stream;
     Alcotest.test_case "a k=16 event costs the change" `Quick
       test_k16_event_costs_the_change;
+    Alcotest.test_case "a k=16 install shares every untouched row" `Quick
+      test_k16_install_shares_rows;
+    Alcotest.test_case "free_hosts equals its list definition" `Quick
+      test_free_hosts_differential;
     Alcotest.test_case "patched tables and scoped structure at k=4" `Quick
       test_diff_k4;
     Alcotest.test_case "patched tables and scoped structure at k=16" `Quick
